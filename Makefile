@@ -36,22 +36,26 @@
 #                      asserted) and serial-vs-sharded byte-identity of
 #                      the six churn-plane counters at 2 and 4 shards;
 #                      writes BENCH_dynamics.json.
+#   make spine-smoke - the measurement spine (bench/run.py, the command
+#                      BENCHMARK.json names) at smoke sizes: all five
+#                      workloads, tracer, layer fold, expected-output checks
+#                      and the process-hygiene guard, in about 7 s.
 #   make lint        - static analysis: the NDlog program linter over every
 #                      in-tree program (warnings fail the build), the
 #                      determinism-invariant checker over src/repro, and —
 #                      when installed — ruff over src/.
 #   make ci          - what the GitHub Actions workflow runs: the lint
 #                      suite, tier-1 tests, the benchmark smoke suite, the
-#                      scenario, shard, examples, service, memory and
-#                      dynamics smoke runs, and a bytecode compile of the
-#                      whole source tree.
+#                      scenario, shard, examples, service, memory,
+#                      dynamics and spine smoke runs, and a bytecode compile
+#                      of the whole source tree.
 
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check tier1 test bench-smoke scenarios-smoke shard-smoke examples-smoke service-smoke memory-smoke dynamics-smoke lint compileall ci
+.PHONY: check tier1 test bench-smoke scenarios-smoke shard-smoke examples-smoke service-smoke memory-smoke dynamics-smoke spine-smoke lint compileall ci
 
-check: lint test bench-smoke scenarios-smoke shard-smoke examples-smoke service-smoke memory-smoke dynamics-smoke
+check: lint test bench-smoke scenarios-smoke shard-smoke examples-smoke service-smoke memory-smoke dynamics-smoke spine-smoke
 
 tier1:
 	$(PYTHON) -m pytest -x -q
@@ -101,6 +105,9 @@ dynamics-smoke:
 		--backend sharded --shards 2 --shard-mode inline \
 		--refresh-mode wheel
 
+spine-smoke:
+	$(PYTHON) bench/run.py --smoke
+
 lint:
 	$(PYTHON) -m repro.datalog.lint --builtin --strict
 	$(PYTHON) tools/check_invariants.py
@@ -113,4 +120,4 @@ lint:
 compileall:
 	$(PYTHON) -m compileall -q src
 
-ci: lint tier1 bench-smoke scenarios-smoke shard-smoke examples-smoke service-smoke memory-smoke dynamics-smoke compileall
+ci: lint tier1 bench-smoke scenarios-smoke shard-smoke examples-smoke service-smoke memory-smoke dynamics-smoke spine-smoke compileall

@@ -71,6 +71,10 @@ class Table:
         #: Number of stored facts carrying a TTL; expiry scans are skipped
         #: entirely while this is zero (hard-state tables never pay for them).
         self._soft_count = 0
+        #: Lower bound on the earliest ``timestamp + ttl`` among stored soft
+        #: facts: lowered by every soft store/refresh, made exact by every
+        #: expiry scan that runs.  ``expire`` skips its scan below it.
+        self._next_expiry = float("inf")
         #: Optional observer called with the batch of facts each expiry
         #: sweep removed.  The node engine hooks aggregate-head tables here
         #: so expired aggregate groups can be re-established by later
@@ -138,6 +142,8 @@ class Table:
             self._rows[key] = fact
             self._reindex_replace(existing, fact)
             self._soft_count += (fact.ttl is not None) - (existing.ttl is not None)
+            if fact.ttl is not None:
+                self._next_expiry = min(self._next_expiry, fact.timestamp + fact.ttl)
             return _REFRESHED
 
         if existing is not None:
@@ -161,11 +167,22 @@ class Table:
     def expire(self, now: float) -> List[Fact]:
         """Remove and return every fact whose TTL has elapsed at time *now*.
 
-        O(1) when no stored fact carries a TTL (the common hard-state case).
+        O(1) when no stored fact carries a TTL (the common hard-state case)
+        or *now* is still short of the earliest stored expiry.
         """
-        if not self._soft_count:
+        if not self._soft_count or now < self._next_expiry:
             return []
-        expired = [fact for fact in self._rows.values() if fact.is_expired(now)]
+        expired = []
+        earliest = float("inf")
+        for fact in self._rows.values():
+            expiry = fact.expires_at()
+            if expiry is None:
+                continue
+            if now >= expiry:
+                expired.append(fact)
+            elif expiry < earliest:
+                earliest = expiry
+        self._next_expiry = earliest
         for fact in expired:
             self._remove_fact(self._primary_key(fact.values), fact)
         if expired and self.on_expire is not None:
@@ -182,6 +199,7 @@ class Table:
         self._indexes.clear()
         self._index_getters.clear()
         self._soft_count = 0
+        self._next_expiry = float("inf")
 
     # -- lookups --------------------------------------------------------------
 
@@ -228,6 +246,7 @@ class Table:
         self._rows[key] = fact
         if fact.ttl is not None:
             self._soft_count += 1
+            self._next_expiry = min(self._next_expiry, fact.timestamp + fact.ttl)
         for columns, index in self._indexes.items():
             bucket_key = self._index_getters[columns](fact.values)
             index.setdefault(bucket_key, []).append(fact)

@@ -343,6 +343,9 @@ class SimulationKernel:
         #: Replicated in every kernel via control-event broadcast.
         self._down_links: set = set()
         self._down_nodes: set = set()
+        #: :meth:`route_between` answers over the current down sets (``None``:
+        #: partitioned); :meth:`_invalidate_routes` clears it when they mutate.
+        self._routes: Dict[Tuple[Address, Address], Optional[Tuple[Link, ...]]] = {}
         #: Base facts each node has asserted (for recovery re-injection and
         #: soft-state refresh rounds); retraction removes entries.
         self._base_facts: Dict[Address, Dict[FactKey, Fact]] = {}
@@ -403,6 +406,7 @@ class SimulationKernel:
         state["compiled"] = None
         state["_handlers"] = None
         state["_export_sink"] = None
+        state["_routes"] = {}
         # Identity-based bookkeeping cannot cross processes; kernels only
         # travel when no unowned broadcast copy is pending.
         state["_uncounted_ids"] = set()
@@ -457,6 +461,10 @@ class SimulationKernel:
 
     def node_is_up(self, address: Address) -> bool:
         return address not in self._down_nodes
+
+    def _invalidate_routes(self) -> None:
+        """Forget every cached route: a down set just changed."""
+        self._routes.clear()
 
     def hosts(self, address: Address) -> bool:
         """True when this kernel hosts *address*'s engine."""
@@ -744,6 +752,7 @@ class SimulationKernel:
     def _handle_link_down(self, event: LinkDown, at: float) -> None:
         key = (event.source, event.destination)
         self._down_links.add(key)
+        self._invalidate_routes()
         if not event.retract:
             return
         engine = self.engines.get(event.source)
@@ -766,6 +775,7 @@ class SimulationKernel:
     def _handle_link_up(self, event: LinkUp, at: float) -> None:
         key = (event.source, event.destination)
         self._down_links.discard(key)
+        self._invalidate_routes()
         # A dead link's wire forgets its queue: transmissions serialized
         # behind the failure never happened, so the recovered link must not
         # inherit the busy window they had reserved.
@@ -784,6 +794,7 @@ class SimulationKernel:
 
     def _handle_node_crash(self, event: NodeCrash, at: float) -> None:
         self._down_nodes.add(event.address)
+        self._invalidate_routes()
         # A crashed node's refresh timers die with it; recovery re-injection
         # arms fresh ones.  Already-materialized fire buckets are filtered
         # by the down-node check at fire time.
@@ -800,6 +811,7 @@ class SimulationKernel:
 
     def _handle_node_recover(self, event: NodeRecover, at: float) -> None:
         self._down_nodes.discard(event.address)
+        self._invalidate_routes()
         if event.reinject:
             facts = self.live_base_facts(event.address)
             if facts:
@@ -1274,7 +1286,7 @@ class SimulationKernel:
 
     def route_between(
         self, source: Address, destination: Address
-    ) -> Optional[List[Link]]:
+    ) -> Optional[Tuple[Link, ...]]:
         """Shortest live directed path from *source* to *destination*, or None.
 
         BFS over the topology minus currently-down links; crashed nodes do
@@ -1283,9 +1295,22 @@ class SimulationKernel:
         declaration order.  Used by the query plane, whose request/response
         traffic travels between arbitrary node pairs, unlike data traffic
         which only ever crosses single program-visible links.
+
+        Searched once per pair and served from ``_routes`` (partitions
+        included) until a link or node changes state.
         """
+        pair = (source, destination)
+        try:
+            return self._routes[pair]
+        except KeyError:
+            path = self._routes[pair] = self._search_route(source, destination)
+            return path
+
+    def _search_route(
+        self, source: Address, destination: Address
+    ) -> Optional[Tuple[Link, ...]]:
         if source == destination:
-            return []
+            return ()
         parents: Dict[Address, Tuple[Address, Link]] = {source: None}  # type: ignore[dict-item]
         frontier: List[Address] = [source]
         while frontier:
@@ -1306,7 +1331,7 @@ class SimulationKernel:
                             path.append(via)
                             current = previous
                         path.reverse()
-                        return path
+                        return tuple(path)
                     next_frontier.append(hop)
             frontier = next_frontier
         return None

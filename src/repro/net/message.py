@@ -30,6 +30,7 @@ from typing import Optional, Tuple
 from repro.engine.tuples import Fact, FactKey
 from repro.net.address import Address
 from repro.provenance.distributed import ProvenancePointer
+from repro.provenance.graph import DerivationNode, OperatorNode
 
 #: Fixed per-message framing overhead: UDP/IP headers plus P2's verbose tuple
 #: framing (relation name, per-field type tags, location specifier).
@@ -220,6 +221,20 @@ def key_payload_bytes(key: FactKey) -> int:
     return Fact(relation=key[0], values=key[1]).payload_size()
 
 
+def _memo_field():
+    """A lazily filled derived-state slot on the object that owns the key it
+    was rendered from — never a table keyed by :data:`FactKey`: equal,
+    hash-equal keys (``1`` / ``True`` / ``1.0``) render to different sizes.
+    Outside equality, ``repr``, ``replace``, codec frames and pickles."""
+    return field(default=None, init=False, repr=False, compare=False)
+
+
+def _without_memos(self) -> dict:
+    """``__getstate__`` of the memo-carrying objects: memos never travel."""
+    memos = ("_size_bytes", "_replay")
+    return {k: v for k, v in self.__dict__.items() if k not in memos}
+
+
 @dataclass(frozen=True)
 class QueryClosureEntry:
     """One (key, node) expansion inside a :class:`QueryResponse`.
@@ -227,24 +242,52 @@ class QueryClosureEntry:
     The responding node resolved *key* against its provenance store:
     ``is_base`` marks an input leaf, ``pointers`` carries the recorded rule
     firings (each input paired with the node holding its own provenance).
+    A cached closure hands the same immutable entries to every response, so
+    size and replay nodes are built once per entry, not once per response.
     """
 
     key: FactKey
     node: str
     is_base: bool
     pointers: Tuple[ProvenancePointer, ...] = ()
+    _size_bytes: Optional[int] = _memo_field()
+    _replay: Optional[tuple] = _memo_field()
+
+    __getstate__ = _without_memos
 
     def serialized_size(self) -> int:
-        total = key_payload_bytes(self.key) + 1  # key + base/derived flag
-        for pointer in self.pointers:
-            total += len(pointer.rule_label.encode("utf-8"))
-            total += len(pointer.node.encode("utf-8"))
-            total += 8  # timestamp
-            for input_key, origin in pointer.inputs:
-                total += key_payload_bytes(input_key) + 1
-                if origin is not None:
-                    total += len(str(origin).encode("utf-8"))
+        total = self._size_bytes
+        if total is None:
+            total = key_payload_bytes(self.key) + 1  # key + base/derived flag
+            for pointer in self.pointers:
+                total += len(pointer.rule_label.encode("utf-8"))
+                total += len(pointer.node.encode("utf-8"))
+                total += 8  # timestamp
+                for input_key, origin in pointer.inputs:
+                    total += key_payload_bytes(input_key) + 1
+                    if origin is not None:
+                        total += len(str(origin).encode("utf-8"))
+            object.__setattr__(self, "_size_bytes", total)
         return total
+
+    def replay(self) -> tuple:
+        """``(tuple node, one operator per pointer)``: frozen graph nodes
+        every query graph replaying this entry may share."""
+        plan = self._replay
+        if plan is None:
+            operators = tuple(
+                OperatorNode(
+                    rule_label=pointer.rule_label,
+                    location=pointer.node,
+                    output=self.key,
+                    inputs=tuple(key for key, _ in pointer.inputs),
+                    timestamp=pointer.timestamp,
+                )
+                for pointer in self.pointers
+            )
+            plan = (DerivationNode(key=self.key, location=self.node), operators)
+            object.__setattr__(self, "_replay", plan)
+        return plan
 
 
 @dataclass(eq=False)
@@ -270,12 +313,20 @@ class QueryRequest:
     sequence: int = 0
     security_bytes: int = 0
     provenance_bytes: int = 0
+    _size_bytes: Optional[int] = _memo_field()
+
+    __getstate__ = _without_memos
 
     def payload_bytes(self) -> int:
-        return key_payload_bytes(self.key)
+        return self.size_bytes() - MESSAGE_HEADER_BYTES - QUERY_FLAG_BYTES
 
     def size_bytes(self) -> int:
-        return MESSAGE_HEADER_BYTES + self.payload_bytes() + QUERY_FLAG_BYTES
+        size = self._size_bytes
+        if size is None:
+            size = self._size_bytes = (
+                MESSAGE_HEADER_BYTES + key_payload_bytes(self.key) + QUERY_FLAG_BYTES
+            )
+        return size
 
     @property
     def tuple_count(self) -> int:
@@ -319,16 +370,11 @@ class QueryResponse:
     sequence: int = 0
     security_bytes: int = 0
     provenance_bytes: int = 0
-    _size_bytes: int = field(init=False, repr=False)
+    _size_bytes: Optional[int] = _memo_field()
+
+    __getstate__ = _without_memos
 
     def __post_init__(self) -> None:
-        payload = key_payload_bytes(self.key)
-        for entry in self.entries:
-            payload += entry.serialized_size()
-        for key in self.missing:
-            payload += key_payload_bytes(key)
-        payload += self.annotation_bytes + self.signature_bytes()
-        self._size_bytes = MESSAGE_HEADER_BYTES + payload + QUERY_FLAG_BYTES
         # The security envelope and provenance annotation of a response are
         # attributed like their data-plane counterparts.
         self.security_bytes = self.signature_bytes()
@@ -338,10 +384,19 @@ class QueryResponse:
         return len(self.signature) if self.signature is not None else 0
 
     def payload_bytes(self) -> int:
-        return self._size_bytes - MESSAGE_HEADER_BYTES
+        return self.size_bytes() - MESSAGE_HEADER_BYTES
 
     def size_bytes(self) -> int:
-        return self._size_bytes
+        size = self._size_bytes
+        if size is None:
+            payload = key_payload_bytes(self.key)
+            for entry in self.entries:
+                payload += entry.serialized_size()
+            for key in self.missing:
+                payload += key_payload_bytes(key)
+            payload += self.annotation_bytes + self.signature_bytes()
+            size = self._size_bytes = MESSAGE_HEADER_BYTES + payload + QUERY_FLAG_BYTES
+        return size
 
     @property
     def tuple_count(self) -> int:

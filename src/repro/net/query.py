@@ -29,6 +29,17 @@ timeout fires, the key is reported in ``missing`` and the query completes
 with ``complete=False``.  Queries can run ``mode="offline"`` against the
 persistent provenance archives, which survive node crashes; the node must
 still be up to answer.
+
+Caches and what invalidates them (all instance state, none module-level):
+
+==================  ==========================  ================================
+cache               lives on                    invalidated by
+==================  ==========================  ================================
+size / replay memo  request, response, entry    never: the owner is immutable
+route table         each ``SimulationKernel``   LinkDown/Up, NodeCrash/Recover
+closure memo        per-node ``ClosureCache``   the node's ``provenance_epoch``
+expiry watermark    each ``Table``              soft store / refresh / any scan
+==================  ==========================  ================================
 """
 
 from __future__ import annotations
@@ -36,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
-from repro.engine.tuples import Fact, FactKey
+from repro.engine.tuples import FactKey
 from repro.net.address import Address
 from repro.net.events import QueryTimeout
 from repro.net.message import (
@@ -526,32 +537,24 @@ class QueryEngine:
     ) -> None:
         """Replay closure *entries* into the graph; dereference remote inputs."""
         graph = pending.graph
+        seen = pending.seen
         for entry in entries:
             pair = (entry.key, entry.node)
-            if pair in pending.seen:
+            if pair in seen:
                 continue
-            pending.seen.add(pair)
-            graph.add_tuple(DerivationNode(key=entry.key, location=entry.node))
-            for pointer in entry.pointers:
-                graph.add_derivation(
-                    output=Fact(relation=entry.key[0], values=entry.key[1]),
-                    rule_label=pointer.rule_label,
-                    antecedents=[
-                        Fact(relation=k[0], values=k[1])
-                        for k, _ in pointer.inputs
-                    ],
-                    location=pointer.node,
-                    timestamp=pointer.timestamp,
-                )
+            seen.add(pair)
+            tuple_node, operators = entry.replay()
+            graph.add_tuple(tuple_node)
+            for operator, pointer in zip(operators, entry.pointers):
+                graph.add_operator(operator)
                 for input_key, origin in pointer.inputs:
-                    next_node = origin or entry.node
-                    if next_node != entry.node:
-                        self._dereference(pending, input_key, next_node, now)
+                    if origin and origin != entry.node:
+                        self._dereference(pending, input_key, origin, now)
         for key in missing:
             pair = (key, node)
-            if pair in pending.seen:
+            if pair in seen:
                 continue
-            pending.seen.add(pair)
+            seen.add(pair)
             graph.add_tuple(DerivationNode(key=key, location=node))
             if key not in pending.missing:
                 pending.missing.append(key)

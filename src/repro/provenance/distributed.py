@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.engine.tuples import Derivation, Fact, FactKey
-from repro.provenance.graph import DerivationGraph, DerivationNode
+from repro.provenance.graph import DerivationGraph, DerivationNode, OperatorNode
 
 
 @dataclass(frozen=True)
@@ -179,16 +179,14 @@ def traceback(
             missing.append(key)
             return
         for pointer in pointers:
-            antecedent_facts = [
-                Fact(relation=input_key[0], values=input_key[1])
-                for input_key, _ in pointer.inputs
-            ]
-            graph.add_derivation(
-                output=Fact(relation=key[0], values=key[1]),
-                rule_label=pointer.rule_label,
-                antecedents=antecedent_facts,
-                location=pointer.node,
-                timestamp=pointer.timestamp,
+            graph.add_operator(
+                OperatorNode(
+                    rule_label=pointer.rule_label,
+                    location=pointer.node,
+                    output=key,
+                    inputs=tuple(input_key for input_key, _ in pointer.inputs),
+                    timestamp=pointer.timestamp,
+                )
             )
             for input_key, origin in pointer.inputs:
                 next_node = origin or node_name

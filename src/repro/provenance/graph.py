@@ -23,7 +23,7 @@ from repro.provenance.condensed import CondensedProvenance
 from repro.provenance.polynomial import ProvenanceExpression, p_var
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DerivationNode:
     """A tuple node in a derivation graph."""
 
@@ -51,7 +51,7 @@ class DerivationNode:
         return text
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OperatorNode:
     """A rule-application (oval) node in a derivation graph."""
 
@@ -84,15 +84,19 @@ class DerivationGraph:
         return existing
 
     def add_fact(self, fact: Fact, location: Optional[str] = None) -> DerivationNode:
-        return self.add_tuple(
-            DerivationNode(
-                key=fact.key(),
-                location=location or fact.origin,
-                asserted_by=fact.asserted_by,
-                timestamp=fact.timestamp,
-                ttl=fact.ttl,
-            )
+        # Probe before constructing: the key is usually already present.
+        key = (fact.relation, fact.values)
+        existing = self._tuples.get(key)
+        if existing is not None:
+            return existing
+        node = self._tuples[key] = DerivationNode(
+            key=key,
+            location=location or fact.origin,
+            asserted_by=fact.asserted_by,
+            timestamp=fact.timestamp,
+            ttl=fact.ttl,
         )
+        return node
 
     def add_derivation(
         self,
@@ -108,16 +112,32 @@ class DerivationGraph:
         for antecedent in antecedents:
             self.add_fact(antecedent)
             input_keys.append(antecedent.key())
-        operator = OperatorNode(
-            rule_label=rule_label,
-            location=location,
-            output=out_node.key,
-            inputs=tuple(input_keys),
-            timestamp=timestamp,
+        return self.add_operator(
+            OperatorNode(
+                rule_label=rule_label,
+                location=location,
+                output=out_node.key,
+                inputs=tuple(input_keys),
+                timestamp=timestamp,
+            )
         )
-        index = len(self._operators)
+
+    def add_operator(self, operator: OperatorNode) -> OperatorNode:
+        """Insert a (possibly shared, prebuilt) rule firing by its keys.
+
+        Tuple nodes for its output and inputs are created only where the
+        graph has none yet — first writer wins, as in :meth:`add_fact`.
+        """
+        tuples = self._tuples
+        if operator.output not in tuples:
+            tuples[operator.output] = DerivationNode(
+                key=operator.output, location=operator.location
+            )
+        for key in operator.inputs:
+            if key not in tuples:
+                tuples[key] = DerivationNode(key=key)
+        self._producers.setdefault(operator.output, []).append(len(self._operators))
         self._operators.append(operator)
-        self._producers.setdefault(out_node.key, []).append(index)
         return operator
 
     def merge(self, other: "DerivationGraph") -> None:

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.engine.tuples import Derivation, Fact, FactKey
 from repro.provenance.condensed import CondensedProvenance
-from repro.provenance.graph import DerivationGraph
+from repro.provenance.graph import DerivationGraph, OperatorNode
 
 
 @dataclass(frozen=True)
@@ -288,14 +288,14 @@ class OfflineProvenanceArchive:
                 continue
             seen.add(key)
             for entry in by_key.get(key, ()):
-                graph.add_derivation(
-                    output=Fact(relation=key[0], values=key[1]),
-                    rule_label=entry.rule_label,
-                    antecedents=[
-                        Fact(relation=k[0], values=k[1]) for k in entry.antecedent_keys
-                    ],
-                    location=entry.node,
-                    timestamp=entry.timestamp,
+                graph.add_operator(
+                    OperatorNode(
+                        rule_label=entry.rule_label,
+                        location=entry.node,
+                        output=key,
+                        inputs=tuple(entry.antecedent_keys),
+                        timestamp=entry.timestamp,
+                    )
                 )
                 stack.extend(entry.antecedent_keys)
         return graph

@@ -17,8 +17,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Tuple
 
-from repro.engine.tuples import Fact, FactKey, as_fact_key
-from repro.provenance.graph import DerivationGraph
+from repro.engine.tuples import FactKey, as_fact_key
+from repro.provenance.graph import DerivationGraph, OperatorNode
 from repro.provenance.store import OfflineProvenanceArchive, ProvenanceEntry
 
 
@@ -119,16 +119,14 @@ class ForensicInvestigator:
                     nodes.append(entry.node)
                 if entry.rule_label not in rules:
                     rules.append(entry.rule_label)
-                from repro.engine.tuples import Fact
-
-                graph.add_derivation(
-                    output=Fact(relation=key[0], values=key[1]),
-                    rule_label=entry.rule_label,
-                    antecedents=[
-                        Fact(relation=k[0], values=k[1]) for k in entry.antecedent_keys
-                    ],
-                    location=entry.node,
-                    timestamp=entry.timestamp,
+                graph.add_operator(
+                    OperatorNode(
+                        rule_label=entry.rule_label,
+                        location=entry.node,
+                        output=key,
+                        inputs=tuple(entry.antecedent_keys),
+                        timestamp=entry.timestamp,
+                    )
                 )
                 for antecedent in entry.antecedent_keys:
                     frontier.append((antecedent, level + 1))

@@ -340,6 +340,66 @@ class TestModuleLevelCaches:
         )
         assert "INV006" not in _rules(tool.check_tree(tree))
 
+    def test_module_level_size_table_in_net_flagged(self, tree):
+        # The tempting wrong size memo: keyed by FactKey it would hand
+        # ('r', (True,)) the byte count rendered for ('r', (1,)).
+        (tree / "net" / "message.py").write_text(
+            "_KEY_SIZES = {}\n", encoding="utf-8"
+        )
+        assert "INV006" in _rules(tool.check_tree(tree))
+
+    @pytest.mark.parametrize(
+        "decorator",
+        (
+            "@functools.cache",
+            "@cache",
+            "@functools.lru_cache(maxsize=None)",
+            "@lru_cache(None)",
+        ),
+    )
+    def test_unbounded_function_memo_flagged(self, tree, decorator):
+        (tree / "net" / "message.py").write_text(
+            "import functools\nfrom functools import cache, lru_cache\n\n\n"
+            f"{decorator}\ndef key_payload_bytes(key):\n    return len(str(key))\n",
+            encoding="utf-8",
+        )
+        findings = [f for f in tool.check_tree(tree) if f.rule == "INV006"]
+        assert [f.line for f in findings] == [5]
+        assert "key_payload_bytes" in findings[0].message
+
+    @pytest.mark.parametrize(
+        "decorator",
+        ("@lru_cache(maxsize=65536)", "@functools.lru_cache(128)", "@lru_cache"),
+    )
+    def test_bounded_function_memo_allowed(self, tree, decorator):
+        # engine/tuples.py's _render_str_tuple is the in-tree instance.
+        (tree / "engine" / "tuples.py").write_text(
+            "import functools\nfrom functools import lru_cache\n\n\n"
+            f"{decorator}\ndef _render_str_tuple(value):\n    return '|'.join(value)\n",
+            encoding="utf-8",
+        )
+        assert "INV006" not in _rules(tool.check_tree(tree))
+
+    def test_memoized_method_and_unrelated_cache_name_allowed(self, tree):
+        # Only module-level functions are in scope, and only functools'
+        # decorators: a project-local ``registry.cache`` is something else.
+        (tree / "net" / "mod.py").write_text(
+            "import functools\n\n\n"
+            "class Kernel:\n"
+            "    @functools.cache\n"
+            "    def route(self, pair):\n        return pair\n\n\n"
+            "@registry.cache\ndef f(x):\n    return x\n",
+            encoding="utf-8",
+        )
+        assert "INV006" not in _rules(tool.check_tree(tree))
+
+    def test_unbounded_function_memo_outside_bounded_dirs_allowed(self, tree):
+        (tree / "harness" / "mod.py").write_text(
+            "from functools import cache\n\n\n@cache\ndef f(x):\n    return x\n",
+            encoding="utf-8",
+        )
+        assert "INV006" not in _rules(tool.check_tree(tree))
+
 
 class TestAllowlist:
     def test_inline_comment_suppresses_matching_rule(self, tree):

@@ -860,7 +860,8 @@ class TestServicePlaneEquivalence:
     shard mode, under open- and closed-loop load.
     """
 
-    def _served(self, backend, shards=2, shard_mode="inline", clients=0):
+    def _served(self, backend, shards=2, shard_mode="inline", clients=0, flap=None):
+        from repro.net.events import LinkDown, LinkUp
         from repro.service import QueryWorkload
 
         network = Network.build(
@@ -881,7 +882,26 @@ class TestServicePlaneEquivalence:
         workload = QueryWorkload(
             rate=5.0, clients=clients, think_time=0.7, duration=6.0, seed=11
         )
-        return network.serve(workload)
+        if flap is None:
+            return network.serve(workload)
+        # Both directions of *flap* fail and recover inside the serve window;
+        # the program's link tuples stay (retract=False), so only query
+        # routing — every kernel's own route table — sees the change.
+        network.run()
+        start = network.current_time()
+        for source, destination in (flap, flap[::-1]):
+            network.schedule(
+                LinkDown(
+                    time=start + 1.5,
+                    source=source,
+                    destination=destination,
+                    retract=False,
+                )
+            )
+            network.schedule(
+                LinkUp(time=start + 4.0, source=source, destination=destination)
+            )
+        return network.serve(workload, converge=False)
 
     @pytest.mark.parametrize("shards", (2, 4))
     def test_open_loop_counters_identical_inline(self, shards):
@@ -908,6 +928,23 @@ class TestServicePlaneEquivalence:
         _assert_equivalent(serial, sharded)
         assert serial.offered == sharded.offered
         assert serial.service().as_dict() == sharded.service().as_dict()
+
+    @pytest.mark.parametrize("shard_mode", ("inline", "processes"))
+    def test_link_flap_inside_serve_window(self, shard_mode):
+        # A shard serving from a stale route table, or a message whose size
+        # memo did not survive the trip between kernels, shows up here as a
+        # different loss count, byte count or latency histogram.
+        flap = ("n2", "n3")
+        calm = self._served("serial")
+        serial = self._served("serial", flap=flap)
+        sharded = self._served("sharded", shards=2, shard_mode=shard_mode, flap=flap)
+        # Every summary counter (query_bytes, query_messages, messages_lost
+        # among them) and every per-node field, then the SLO report.
+        _assert_equivalent(serial, sharded)
+        assert serial.service().as_dict() == sharded.service().as_dict()
+        # The flap must have bitten: queries were lost to the partition.
+        lost = serial.stats.summary()["messages_lost"]
+        assert lost > calm.stats.summary()["messages_lost"]
 
     def test_latency_percentiles_identical(self):
         # Percentiles are pure functions of the integer histograms, so they

@@ -128,3 +128,67 @@ class TestSoftStateFlag:
         table.clear()
         assert not table.has_soft_state
         assert table.expire(1e9) == []
+
+
+class TestExpiryWatermark:
+    """``_next_expiry`` may only ever skip scans that would expire nothing."""
+
+    def test_random_scripts_expire_exactly_what_a_full_scan_would(self):
+        import random
+
+        rng = random.Random(15)
+        for _ in range(200):
+            table = make_table()
+            batches = []
+            table.on_expire = batches.append
+            model = {}  # key value -> fact, in insertion order (the scan order)
+            now = 0.0
+            for _ in range(rng.randrange(1, 40)):
+                now += rng.choice((0.0, 0.25, 1.0, 3.0))
+                action = rng.random()
+                if action < 0.55:
+                    ttl = rng.choice((None, 0.5, 2.0, 1e6))
+                    fact = Fact(
+                        "r",
+                        (f"k{rng.randrange(5)}", f"v{rng.randrange(2)}"),
+                        timestamp=now - rng.choice((0.0, 1.0)),
+                        ttl=ttl,
+                    )
+                    expected = _expire(model, now)
+                    seen = len(batches)
+                    table.insert(fact, now=now)
+                    assert batches[seen:] == ([expected] if expected else [])
+                    # Refresh keeps the slot; replacement re-appends.
+                    stored = model.get(fact.values[0])
+                    if stored is not None and stored.values != fact.values:
+                        del model[fact.values[0]]
+                    model[fact.values[0]] = fact
+                elif action < 0.8:
+                    assert table.expire(now) == _expire(model, now)
+                elif action < 0.95 and model:
+                    victim = model.pop(rng.choice(sorted(model)))
+                    assert table.delete(victim)
+                else:
+                    table.clear()
+                    model.clear()
+                assert list(table.facts()) == list(model.values())
+                soft = [f.timestamp + f.ttl for f in model.values() if f.ttl is not None]
+                assert table._next_expiry <= min(soft, default=float("inf"))
+
+    def test_scan_makes_the_watermark_exact_and_clear_resets_it(self):
+        table = make_table()
+        table.insert(Fact("r", ("a", "b"), timestamp=0.0, ttl=1.0))
+        table.insert(Fact("r", ("c", "d"), timestamp=0.0, ttl=4.0))
+        assert table._next_expiry == 1.0
+        assert table.expire(0.5) == [] and table._next_expiry == 1.0
+        assert [f.values for f in table.expire(2.0)] == [("a", "b")]
+        assert table._next_expiry == 4.0
+        table.clear()
+        assert table._next_expiry == float("inf")
+
+
+def _expire(model, now):
+    expired = [fact for fact in model.values() if fact.is_expired(now)]
+    for fact in expired:
+        del model[fact.values[0]]
+    return expired

@@ -28,13 +28,15 @@ INV005  no internal calls to the deprecated shims (``Simulator(...)``,
         ``run_best_path``, ``run_configuration``, ``ExperimentRow``)
         outside the modules that define them; internal code uses the
         ``Network`` facade / ``run_network``.
-INV006  no unbounded module-level dict/list/set caches in ``provenance/``,
-        ``engine/`` or ``service/``: an empty mutable container assigned at
-        module scope
-        (``_CACHE = {}``, ``x = list()`` ...) is process-global state that
-        grows for the life of the interpreter, defeating the storage-tier
-        residency bounds.  Put caches on instances (sized and crash-scoped)
-        or audit the exception with the allow comment.
+INV006  no unbounded module-level caches in ``provenance/``, ``engine/``,
+        ``service/`` or ``net/``: an empty mutable container assigned at
+        module scope (``_CACHE = {}``, ``x = list()`` ...) and a module-level
+        function under ``functools.cache`` / ``lru_cache(maxsize=None)`` are
+        process-global state that grows for the life of the interpreter,
+        defeating the storage-tier residency bounds (and, keyed by a
+        ``FactKey``, conflating ``1`` / ``True`` / ``1.0``).  Put caches on
+        instances (sized and crash-scoped), give ``lru_cache`` a bound, or
+        audit the exception with the allow comment.
 
 A finding on a line ending with ``# invariant: ok(INVxxx)`` is suppressed —
 the comment is the audit trail for deliberate exceptions.
@@ -59,7 +61,7 @@ RULES: Dict[str, str] = {
     "INV003": "event class escapes the content-based rank",
     "INV004": "iteration over unordered set in the hot path",
     "INV005": "internal call to a deprecated shim",
-    "INV006": "unbounded module-level cache in provenance/engine/service",
+    "INV006": "unbounded module-level cache in provenance/engine/service/net",
 }
 
 #: Directories whose code runs inside the simulation loop.  The service
@@ -69,8 +71,10 @@ HOT_PATH_PARTS = ("net", "engine", "service")
 
 #: Directories where module-level mutable caches defeat the storage tiers.
 #: ``service/`` is here too — the query-result cache is the very thing the
-#: capacity/TTL knobs bound, so a module-global memo would defeat it.
-BOUNDED_STATE_PARTS = ("provenance", "engine", "service")
+#: capacity/TTL knobs bound, so a module-global memo would defeat it — and
+#: ``net/``, whose query-plane memos belong to the message, kernel or cached
+#: closure that owns the memoized key.
+BOUNDED_STATE_PARTS = ("provenance", "engine", "service", "net")
 
 #: Attribute calls that read the host clock.
 WALL_CLOCK = {
@@ -159,6 +163,26 @@ def _is_empty_mutable_container(value: ast.AST) -> Optional[str]:
     return None
 
 
+def _is_unbounded_memo_decorator(decorator: ast.AST) -> bool:
+    """True for ``@cache`` and ``@lru_cache(maxsize=None)``.
+
+    Matches the name however it was imported (``functools.cache`` or
+    ``cache``).  Bare ``@lru_cache`` keeps its default bound of 128 and a
+    literal or computed ``maxsize`` is a bound, so only an explicit
+    ``None`` — positional or keyword — is flagged.
+    """
+    call = decorator if isinstance(decorator, ast.Call) else None
+    chain = _attribute_chain(call.func if call else decorator)
+    if not chain or chain[:-1] not in ([], ["functools"]):
+        return False
+    if chain[-1] == "cache":
+        return True
+    if chain[-1] != "lru_cache" or call is None:
+        return False
+    bounds = call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"]
+    return any(isinstance(b, ast.Constant) and b.value is None for b in bounds)
+
+
 class FileChecker(ast.NodeVisitor):
     """Per-file visitor emitting INV001 / INV002 / INV004 / INV005 findings."""
 
@@ -188,6 +212,17 @@ class FileChecker(ast.NodeVisitor):
     def visit_Module(self, node: ast.Module) -> None:
         if self.bounded:
             for statement in node.body:
+                if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    for decorator in statement.decorator_list:
+                        if _is_unbounded_memo_decorator(decorator):
+                            self._emit(
+                                "INV006",
+                                decorator,
+                                f"{statement.name}() memoizes without a bound "
+                                "at module scope; give lru_cache a maxsize or "
+                                "hold the memo on the object that owns the key",
+                            )
+                    continue
                 if isinstance(statement, ast.Assign):
                     value = statement.value
                 elif isinstance(statement, ast.AnnAssign) and statement.value:
