@@ -12,11 +12,9 @@
 #                      any phase misses its distributed fixpoint.
 #   make shard-smoke - the sharded execution backend end-to-end at small N:
 #                      the serial-vs-sharded scaling benchmark (equivalence
-#                      asserted, speedup reported), the coordination-ledger
-#                      benchmark (rounds/bytes vs the strict barrier,
-#                      improvement asserted), plus every scenario script on
-#                      sharded workers — strict processes, and pipelined
-#                      inline with the binary transport.
+#                      asserted, speedup and coordination ledger reported),
+#                      plus every scenario script on sharded workers — in
+#                      worker processes, and inline at three shards.
 #   make examples-smoke - run every examples/*.py end-to-end (small N),
 #                      failing on the first nonzero exit; keeps the facade
 #                      documentation executable.
@@ -64,7 +62,7 @@ test:
 	$(PYTHON) -m pytest -x -q tests
 
 bench-smoke:
-	REPRO_BENCH_SIZES=10 REPRO_SCALE_N=24 REPRO_BENCH_RECEIVE_N=24 \
+	REPRO_BENCH_SIZES=10 REPRO_SCALE_N=24 \
 		$(PYTHON) -m pytest -x -q benchmarks
 
 scenarios-smoke:
@@ -76,10 +74,7 @@ shard-smoke:
 	$(PYTHON) -m repro.harness.scenarios all --nodes 8 \
 		--backend sharded --shards 2 --shard-mode processes
 	$(PYTHON) -m repro.harness.scenarios all --nodes 8 \
-		--backend sharded --shards 3 --shard-mode inline --shard-pipeline
-	$(PYTHON) -m repro.harness.scenarios all --nodes 8 \
-		--backend sharded --shards 2 --shard-mode processes \
-		--shard-pipeline --transport shm
+		--backend sharded --shards 3 --shard-mode inline
 
 examples-smoke:
 	@set -e; for example in examples/*.py; do \

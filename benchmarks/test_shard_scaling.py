@@ -1,35 +1,21 @@
-"""Serial vs sharded wall clock, and the coordination ledger, at 1 ms links.
+"""Serial vs sharded wall clock at 1 ms links.
 
-Two axes, one artifact:
-
-* **Wall clock** (``test_shard_scaling``): the Best-Path NDlog workload once
-  on ``backend="serial"`` and once on ``backend="sharded"`` (multiprocessing
-  workers, pipelined barriers, binary transport) over the same ≥200-node
-  topology at the default 1 ms link latency — the regime where per-window
-  coordination used to eat the speedup.  Equivalence (identical derived-fact
-  counts, identical integer/byte statistics) is asserted always; the speedup
-  target only where it is physically attainable (enough cores, or
-  ``REPRO_SHARD_ASSERT=1``).
-
-* **Coordination** (``test_coordination_ledger``): strict-barrier pickle
-  (the pre-pipeline status quo) vs pipelined binary on the same
-  converge-then-query workload, inline (single core is fine — the ledger is
-  deterministic).  Asserts ``coordination_rounds`` and
-  ``coordination_bytes`` drop ≥3x at the most coordination-bound grid point,
-  and that every grid point's results stay byte-identical to serial.
-
-Both tests append their measurements to ``BENCH_shard.json`` in the working
-directory, unconditionally.
+The Best-Path NDlog workload once on ``backend="serial"`` and once on
+``backend="sharded"`` (multiprocessing workers) over the same ≥200-node
+topology at the default 1 ms link latency — the regime where per-window
+coordination eats the speedup.  Equivalence (identical derived-fact counts,
+identical integer/byte statistics) is asserted always; the speedup target
+only where it is physically attainable (enough cores, or
+``REPRO_SHARD_ASSERT=1``).  The measurement, coordination ledger included,
+is written to ``BENCH_shard.json`` in the working directory,
+unconditionally.
 
 Environment knobs::
 
-    REPRO_SCALE_N=200        wall-clock topology size
-    REPRO_SHARD_COUNT=4      wall-clock shard / worker count
+    REPRO_SCALE_N=200        topology size
+    REPRO_SHARD_COUNT=4      shard / worker count
     REPRO_SHARD_ASSERT=1     force the speedup assertion on (0 forces off)
     REPRO_SHARD_TARGET=1.5   required speedup
-    REPRO_COORD_N=12,16      coordination-grid topology sizes
-    REPRO_COORD_SHARDS=8     coordination-grid shard count
-    REPRO_COORD_TARGET=3.0   required rounds and bytes improvement
 
 The 1 ms latency makes the conservative lookahead window — and with it the
 number of barrier windows — 50x tighter than the old 50 ms WAN figure;
@@ -38,14 +24,13 @@ simulated *results* are latency-scaled but backend-identical either way.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import time
 
 import pytest
 
-from repro.engine.node_engine import EngineConfig, ProvenanceMode
+from repro.engine.node_engine import EngineConfig
 from repro.net.kernel import SimulationKernel
 from repro.net.sharding import ShardedSimulator
 from repro.net.stats import COORDINATION_KEYS
@@ -72,19 +57,6 @@ def speedup_target() -> float:
     return float(os.environ.get("REPRO_SHARD_TARGET", "1.5"))
 
 
-def coord_sizes() -> tuple:
-    raw = os.environ.get("REPRO_COORD_N", "12,16")
-    return tuple(int(part) for part in raw.split(",") if part)
-
-
-def coord_shards() -> int:
-    return int(os.environ.get("REPRO_COORD_SHARDS", "8"))
-
-
-def coord_target() -> float:
-    return float(os.environ.get("REPRO_COORD_TARGET", "3.0"))
-
-
 def assert_speedup() -> bool:
     forced = os.environ.get("REPRO_SHARD_ASSERT")
     if forced is not None:
@@ -92,17 +64,9 @@ def assert_speedup() -> bool:
     return (os.cpu_count() or 1) >= shard_count()
 
 
-def _write_artifact(section: str, payload) -> None:
-    data = {}
-    if os.path.exists(ARTIFACT):
-        try:
-            with open(ARTIFACT, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except (OSError, ValueError):
-            data = {}
-    data[section] = payload
+def _write_artifact(record) -> None:
     with open(ARTIFACT, "w", encoding="utf-8") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
+        json.dump({"wall_clock": record}, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 
@@ -120,10 +84,6 @@ def _assert_summaries_equal(serial, sharded) -> None:
         else:
             assert serial_summary[key] == sharded_summary[key], key
 
-
-# ---------------------------------------------------------------------------
-# Axis 1: wall clock (parallel workers, pipelined, binary frames)
-# ---------------------------------------------------------------------------
 
 def test_shard_scaling(benchmark):
     node_count = scale_n()
@@ -146,8 +106,6 @@ def test_shard_scaling(benchmark):
             default_latency=BENCH_LATENCY,
             shards=shards,
             shard_mode="processes",
-            shard_pipeline=True,
-            transport="binary",
         ).run()
 
     started = time.perf_counter()
@@ -178,13 +136,12 @@ def test_shard_scaling(benchmark):
         "ledger": ledger,
     }
     benchmark.extra_info.update(record)
-    _write_artifact("wall_clock", record)
+    _write_artifact(record)
     print(
         f"\nshard scaling N={node_count} shards={shards} latency=1ms: "
         f"serial {serial_seconds:.2f}s, sharded {sharded_seconds:.2f}s, "
         f"speedup {speedup:.2f}x (cores: {os.cpu_count()}), "
-        f"rounds={ledger['coordination_rounds']} "
-        f"coalesced={ledger['windows_coalesced']}"
+        f"rounds={ledger['coordination_rounds']}"
     )
 
     if assert_speedup():
@@ -193,122 +150,3 @@ def test_shard_scaling(benchmark):
             f"N={node_count}, shards={shards} (target {speedup_target()}x); "
             "set REPRO_SHARD_ASSERT=0 to measure without asserting"
         )
-
-
-# ---------------------------------------------------------------------------
-# Axis 2: the coordination ledger (deterministic; single core is enough)
-# ---------------------------------------------------------------------------
-
-def _run_coordination_point(topology, pipeline: bool, transport: str):
-    """One converge-then-query run; returns (simulator, result)."""
-    simulator = ShardedSimulator(
-        topology,
-        compile_best_path(),
-        EngineConfig(provenance_mode=ProvenanceMode.DISTRIBUTED),
-        key_bits=128,
-        default_latency=BENCH_LATENCY,
-        shards=coord_shards(),
-        shard_mode="inline",
-        shard_pipeline=pipeline,
-        transport=transport,
-    )
-    result = simulator.run()
-    assert result.converged
-    # The paper's evaluation centerpiece: query the converged network, one
-    # provenance traceback per node.  Query traffic is localized, which is
-    # exactly where per-shard horizons beat lockstep barriers.
-    for address in topology.nodes:
-        facts = sorted(
-            (
-                fact
-                for fact in simulator.engines[address].facts("bestPath")
-                if fact.values[0] == address
-            ),
-            key=lambda fact: fact.values,
-        )
-        if facts:
-            simulator.query(facts[0], at=address)
-    return simulator
-
-
-def _serial_oracle(topology):
-    kernel = SimulationKernel(
-        topology,
-        compile_best_path(),
-        EngineConfig(provenance_mode=ProvenanceMode.DISTRIBUTED),
-        key_bits=128,
-        default_latency=BENCH_LATENCY,
-    )
-    kernel.run()
-    for address in topology.nodes:
-        facts = sorted(
-            (
-                fact
-                for fact in kernel.engines[address].facts("bestPath")
-                if fact.values[0] == address
-            ),
-            key=lambda fact: fact.values,
-        )
-        if facts:
-            kernel.query(facts[0], at=address)
-    return kernel
-
-
-def test_coordination_ledger():
-    rows = []
-    best = None
-    for node_count in coord_sizes():
-        topology = random_topology(node_count, seed=2, latency=BENCH_LATENCY)
-        serial = _serial_oracle(topology)
-        strict = _run_coordination_point(topology, pipeline=False, transport="pickle")
-        pipelined = _run_coordination_point(topology, pipeline=True, transport="binary")
-        # Same workload, same results: both modes match the serial oracle
-        # node for node, floats included.
-        for simulator in (strict, pipelined):
-            _assert_summaries_equal(serial.stats, simulator.stats)
-            assert simulator.current_time() == pytest.approx(
-                serial.current_time(), rel=1e-12
-            )
-            for address in topology.nodes:
-                mine = serial.stats.node(address)
-                other = simulator.stats.node(address)
-                for field in dataclasses.fields(mine):
-                    assert getattr(mine, field.name) == getattr(
-                        other, field.name
-                    ), (address, field.name)
-        row = {
-            "node_count": node_count,
-            "shards": coord_shards(),
-            "latency_s": BENCH_LATENCY,
-            "workload": "converge+query",
-            "strict_rounds": strict._coordination_rounds,
-            "pipelined_rounds": pipelined._coordination_rounds,
-            "strict_bytes": strict._coordination_bytes,
-            "pipelined_bytes": pipelined._coordination_bytes,
-            "windows_coalesced": pipelined._windows_coalesced,
-            "rounds_improvement": round(
-                strict._coordination_rounds / pipelined._coordination_rounds, 2
-            ),
-            "bytes_improvement": round(
-                strict._coordination_bytes / pipelined._coordination_bytes, 2
-            ),
-        }
-        rows.append(row)
-        if best is None or row["rounds_improvement"] > best["rounds_improvement"]:
-            best = row
-        print(
-            f"\ncoordination N={node_count} shards={coord_shards()}: "
-            f"rounds {row['strict_rounds']} -> {row['pipelined_rounds']} "
-            f"({row['rounds_improvement']}x), "
-            f"bytes {row['strict_bytes']} -> {row['pipelined_bytes']} "
-            f"({row['bytes_improvement']}x)"
-        )
-    _write_artifact(
-        "coordination", {"rows": rows, "target": coord_target()}
-    )
-    # The ≥3x contract holds at the most coordination-bound grid point: the
-    # strict barrier pays every shard every window; per-shard horizons pay
-    # only the busy ones, in frames a fraction of the pickles' size.
-    assert best is not None
-    assert best["rounds_improvement"] >= coord_target(), best
-    assert best["bytes_improvement"] >= coord_target(), best

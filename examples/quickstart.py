@@ -97,10 +97,8 @@ def main() -> None:
     #    synchronization.  Derived facts and every integer/byte statistic
     #    are identical to the serial run above — sharding only changes
     #    wall-clock time — so the contract can be *checked*, not trusted.
-    #    shard_pipeline=True swaps the lockstep barrier for per-shard
-    #    conservative horizons (multi-window leases, idle shards skipped)
-    #    and the binary transport packs exchanges into compact frames; the
-    #    coordination ledger in the stats shows what that saved.
+    #    Shards meet at conservative lockstep barriers and exchange compact
+    #    binary frames; the coordination ledger in the stats shows the cost.
     sharded = Network.build(
         topology=12,
         program="best-path",
@@ -110,8 +108,6 @@ def main() -> None:
         backend="sharded",
         shards=3,
         shard_mode="inline",          # in-process shard kernels (demo-sized N)
-        shard_pipeline=True,          # pipelined barriers + window coalescing
-        transport="binary",           # compact deterministic frame codec
     )
     sharded_result = sharded.run()
     plan = sharded.simulator.plan
@@ -125,8 +121,7 @@ def main() -> None:
     print(
         f"  coordination ledger: {ledger['coordination_rounds']:.0f} rounds, "
         f"{ledger['coordination_bytes']:.0f} frame bytes, "
-        f"{ledger['windows_executed']:.0f} windows executed "
-        f"({ledger['windows_coalesced']:.0f} coalesced into wider leases)"
+        f"{ledger['windows_executed']:.0f} windows executed"
     )
     # The serial stats above include the traceback's query traffic, so
     # compare on the maintenance side of the ledger (and the fixpoint).

@@ -112,26 +112,15 @@ statistics, for any shard count and either worker mode (``shard_mode=
 "processes"`` for multiprocessing workers, ``"inline"`` for in-process
 debugging) — so it is purely a wall-clock choice.
 
-Shard coordination itself is tunable and measured.  ``shard_pipeline=True``
-replaces the lockstep barrier with per-shard conservative horizons —
-export-empty stretches coalesce into multi-window leases, idle shards are
-skipped entirely — and ``transport`` picks the coordinator↔worker frame
-encoding (``"binary"`` compact deterministic frames, the default;
-``"shm"`` adds a zero-copy shared-memory ring for large frames;
-``"pickle"`` is the legacy baseline).  Results are byte-identical in every
-combination; the **coordination ledger** in ``stats.summary()`` shows what
-was saved::
+Shards synchronize at conservative lockstep barriers (one window per
+minimum cross-shard link latency) and exchange compact deterministic
+binary frames with the coordinator; the **coordination ledger** in
+``stats.summary()`` records what that cost::
 
-    network = Network.build(topology=100, program="best-path",
-                            provenance="ndlog",
-                            backend="sharded", shards=4,
-                            shard_pipeline=True)
-    result = network.run()
     summary = network.stats.summary()
     print(summary["coordination_rounds"],    # coordinator round-trips
           summary["coordination_bytes"],     # frame bytes both ways
-          summary["windows_executed"],       # window grants issued
-          summary["windows_coalesced"])      # extra windows per lease
+          summary["windows_executed"])       # window grants issued
 
 Dynamic networks repair at computation speed, not timeout speed.  Base
 tuples carry **base-support polynomials**: retracting one (or failing a
@@ -168,10 +157,6 @@ part of the serial-vs-sharded byte-identical contract;
 ``benchmarks/test_dynamics.py`` (``make dynamics-smoke``) measures the
 one-fixpoint-vs-decay convergence gap into ``BENCH_dynamics.json``, and
 ``examples/churn_repair.py`` walks the whole story.
-
-The legacy entry points (``Simulator(...)``, ``run_best_path``,
-``run_configuration``) remain as thin shims over the facade, now emitting
-``DeprecationWarning``.
 """
 
 __version__ = "1.0.0"

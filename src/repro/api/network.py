@@ -2,7 +2,7 @@
 
 Before this facade, a run meant hand-wiring ``Topology`` +
 ``CompiledProgram`` + ``EngineConfig`` + keystore into a many-parameter
-``Simulator``, and every provenance question went out-of-band through
+simulator, and every provenance question went out-of-band through
 Python-level resolvers.  ``Network.build`` collapses construction to::
 
     from repro.api import Network
@@ -19,7 +19,7 @@ in the same statistics as maintenance traffic.
 
 The facade deliberately stays a thin veneer over the simulator — every
 simulator attribute is reachable by delegation, so scenario scripts and
-tests written against ``Simulator`` keep working when handed a ``Network``.
+tests written against a bare kernel keep working when handed a ``Network``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from repro.net.events import FactInjection, SimulationEvent
 from repro.net.kernel import SimulationKernel, SimulationResult
 from repro.net.query import PendingQuery, ProvenanceQuery, QueryResult
 from repro.net.sharding import ShardedSimulator
-from repro.net.simulator import Simulator
 from repro.net.topology import Topology, random_topology
 from repro.queries import PROGRAMS, compile_named
 from repro.service.workload import QueryWorkload
@@ -99,7 +98,7 @@ def _resolve_program(
     )
 
 
-SimulatorLike = Union[Simulator, SimulationKernel, ShardedSimulator]
+SimulatorLike = Union[SimulationKernel, ShardedSimulator]
 
 
 class Network:
@@ -174,37 +173,21 @@ class Network:
         compiled = _resolve_program(
             program, lint=merged.lint, link_relation=merged.link_relation
         )
-        shared = dict(
-            topology=resolved,
-            compiled=compiled,
-            config=engine_config,
-            cost_model=merged.cost_model,
-            key_bits=merged.key_bits,
-            max_events=merged.max_events,
-            default_latency=merged.default_latency,
-            default_bandwidth=merged.default_bandwidth,
-            batching=merged.batching,
-            batch_receive=merged.batch_receive,
-            link_relation=merged.link_relation,
-            query_timeout=merged.query_timeout,
-            admission=merged.service_admission(),
-            query_cache=merged.service_cache(),
-            refresh_mode=merged.refresh_mode,
-            refresh_interval=merged.refresh_interval,
-            refresh_rate=merged.refresh_rate,
-            refresh_burst=merged.refresh_burst,
-        )
+        kernel_options = merged.kernel_options()
         if merged.backend == "sharded":
             simulator = ShardedSimulator(
+                resolved,
+                compiled,
+                engine_config,
+                kernel_options,
                 shards=merged.resolved_shards(),
                 shard_mode=merged.shard_mode,
                 shard_seed=merged.seed,
-                shard_pipeline=merged.shard_pipeline,
-                transport=merged.transport,
-                **shared,
             )
         else:
-            simulator = SimulationKernel(**shared)
+            simulator = SimulationKernel(
+                resolved, compiled, engine_config, kernel_options
+            )
         return cls(simulator, configuration=configuration, options=merged)
 
     @classmethod
@@ -262,10 +245,10 @@ class Network:
     def base_facts(self) -> Dict[Address, List[Fact]]:
         """The link base tuples implied by the topology, shaped for the program.
 
-        Delegates to :meth:`Simulator.link_facts`, which consults the
+        Delegates to the simulator's ``link_facts``, which consults the
         compiled catalog for the link relation's arity — so the facade's
-        default workload and a bare ``Simulator.run()`` inject the same
-        tuples for the same program.
+        default workload and a bare ``SimulationKernel.run()`` inject the
+        same tuples for the same program.
         """
         return self.simulator.link_facts()
 

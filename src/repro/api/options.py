@@ -1,10 +1,12 @@
 """Validated options and provenance presets for the :class:`~repro.api.Network` facade.
 
-The facade replaces the kwarg sprawl of assembling ``Topology`` +
-``CompiledProgram`` + ``EngineConfig`` + keystore into a 13-parameter
-``Simulator`` with two arguments: a **provenance preset** naming the paper
-configuration (``"sendlog-prov"`` etc.) and a :class:`NetOptions` record of
-everything else, validated up front with errors that name their field.
+The facade takes two arguments beside topology and program: a **provenance
+preset** naming the paper configuration (``"sendlog-prov"`` etc.) and a
+:class:`NetOptions` record of everything else, validated up front with
+errors that name their field.  ``NetOptions`` projects onto the two records
+the runtime consumes: :meth:`NetOptions.engine_config` (per-node engine
+behaviour) and :meth:`NetOptions.kernel_options` (the event kernel, serial
+or sharded).
 """
 
 from __future__ import annotations
@@ -15,11 +17,10 @@ from typing import Dict, Optional, Tuple
 
 from repro.datalog.lint import LINT_MODES
 from repro.engine.node_engine import EngineConfig, ProvenanceMode
-from repro.net.kernel import CostModel
+from repro.net.kernel import CostModel, KernelOptions
 from repro.net.link import DEFAULT_BANDWIDTH, DEFAULT_LATENCY
 from repro.net.query import DEFAULT_QUERY_TIMEOUT
 from repro.net.sharding import SHARD_MODES
-from repro.net.transport import TRANSPORTS
 from repro.provenance.pruning import MaintenanceMode, ProvenanceSampler
 from repro.provenance.tiers import PROVENANCE_STORES
 from repro.security.says import SaysMode
@@ -93,27 +94,9 @@ class NetOptions:
     #: path); ``"inline"`` runs every shard kernel in-process — same
     #: windows, same results — for debugging and mid-run inspection.
     shard_mode: str = "processes"
-    #: Pipelined shard coordination: instead of lockstep barrier windows,
-    #: each shard is granted its own horizon bounded by every other shard's
-    #: conservative floor, so export-empty stretches coalesce into
-    #: multi-window leases and shards compute while earlier replies route.
-    #: Results are byte-identical either way (a worker-side export cap
-    #: falls back to strict pacing exactly when feedback could matter);
-    #: the coordination ledger in ``NetworkStats.summary()`` shows the
-    #: saved rounds/bytes.  Off by default — the strict barrier remains
-    #: the measured baseline.
-    shard_pipeline: bool = False
-    #: Coordination encoding between the coordinator and shard workers:
-    #: ``"binary"`` (compact deterministic frames, the default),
-    #: ``"pickle"`` (legacy baseline), or ``"shm"`` (binary frames with a
-    #: zero-copy shared-memory ring for large frames in process mode).
-    transport: str = "binary"
     #: Wire format: one batch per destination per delta round (real-P2
     #: amortization) vs the paper's per-tuple shipping.
     batching: bool = True
-    #: Engine receive path: one ``receive_batch`` call per incoming wire
-    #: batch vs one ``receive`` per tuple (identical facts and stats).
-    batch_receive: bool = True
     key_bits: int = 256
     max_events: int = 5_000_000
     default_latency: float = DEFAULT_LATENCY
@@ -204,11 +187,6 @@ class NetOptions:
             raise ValueError(
                 f"unknown shard_mode {self.shard_mode!r}; expected one of "
                 f"{SHARD_MODES}"
-            )
-        if self.transport not in TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {self.transport!r}; expected one of "
-                f"{TRANSPORTS}"
             )
         if self.key_bits < 16:
             raise ValueError(f"key_bits must be >= 16, got {self.key_bits}")
@@ -378,6 +356,26 @@ class NetOptions:
             for name in fields_
             if getattr(self, name) is not None
         }
+
+    def kernel_options(self) -> KernelOptions:
+        """The kernel-side settings, as the one record every serial and
+        shard kernel of the run is built from."""
+        return KernelOptions(
+            cost_model=self.cost_model,
+            key_bits=self.key_bits,
+            max_events=self.max_events,
+            default_latency=self.default_latency,
+            default_bandwidth=self.default_bandwidth,
+            batching=self.batching,
+            link_relation=self.link_relation,
+            query_timeout=self.query_timeout,
+            admission=self.service_admission(),
+            query_cache=self.service_cache(),
+            refresh_mode=self.refresh_mode,
+            refresh_interval=self.refresh_interval,
+            refresh_rate=self.refresh_rate,
+            refresh_burst=self.refresh_burst,
+        )
 
     def engine_config(self, provenance: str) -> EngineConfig:
         """The :class:`EngineConfig` for preset *provenance* plus overrides."""

@@ -390,37 +390,18 @@ class NodeEngine:
         self._process_local(prepared, now, result)
         return result
 
-    def receive(
-        self, fact: Fact, now: float, provenance: Optional[object] = None
-    ) -> ProcessingResult:
-        """Process a tuple received from the network."""
-        result = ProcessingResult()
-        verified = self._admit(fact, provenance, result)
-        if verified is not None:
-            self._process_local(verified, now, result)
-        return result
-
     def receive_batch(self, facts: Iterable[Fact], now: float) -> ProcessingResult:
-        """Process one incoming wire batch through a single result/report.
+        """Process one incoming wire message's tuples (the receive path).
 
-        Tuples are admitted and locally fixpointed strictly in arrival order
-        — exactly the per-tuple :meth:`receive` semantics, so the derived
-        facts, shipped tuples and report counters are identical — but the
-        whole batch shares one :class:`ProcessingResult` /
+        Tuples are admitted and locally fixpointed strictly in arrival
+        order, sharing one :class:`ProcessingResult` /
         :class:`ProcessingReport`, one delta queue, and one probe-index
-        warm-up memo instead of paying the per-call overhead N times.
+        warm-up memo.  A per-tuple wire message is a batch of one.
 
         The caller accounts the merged report once; the cost model is linear
-        in its counters, so batch-level accounting charges exactly the same
-        CPU time as per-tuple accounting would.
-
-        One deliberate difference: every tuple of the batch is stamped with
-        the same *now* (the delivery instant), whereas the per-tuple caller
-        advances ``now`` by each tuple's accrued CPU.  With TTLs comparable
-        to per-tuple CPU deltas an expiry boundary can therefore fall
-        between the two paths; the evaluation workloads are TTL-free and
-        scenario TTLs are orders of magnitude above per-tuple CPU, where the
-        paths are indistinguishable (asserted in tests).
+        in its counters, so the charge equals the sum over the tuples.
+        Every tuple of the batch is stamped with the same *now* (the
+        delivery instant), not advanced by its predecessors' accrued CPU.
         """
         result = ProcessingResult()
         queue: Deque[Fact] = deque()

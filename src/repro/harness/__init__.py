@@ -1,13 +1,7 @@
 """Experiment harness reproducing the paper's evaluation (Section 6)."""
 
 from repro.harness.workload import best_path_workload, evaluation_topology
-from repro.harness.runner import (
-    CONFIGURATIONS,
-    ExperimentRow,
-    run_best_path,
-    run_configuration,
-    run_network,
-)
+from repro.harness.runner import run_network
 from repro.harness.experiments import (
     figure3_series,
     figure4_series,
@@ -28,8 +22,6 @@ from repro.harness.scenarios import (
 )
 
 __all__ = [
-    "CONFIGURATIONS",
-    "ExperimentRow",
     "PhaseRow",
     "SCENARIOS",
     "Scenario",
@@ -44,8 +36,6 @@ __all__ = [
     "render_phase_table",
     "render_series",
     "retraction_scenario",
-    "run_best_path",
-    "run_configuration",
     "run_network",
     "run_scenario",
     "sweep",

@@ -42,8 +42,7 @@ class SweepResult:
     """All rows of one sweep, indexed by (configuration, node count).
 
     Rows are the unified :class:`~repro.api.results.RunResult` objects the
-    facade returns; legacy :class:`ExperimentRow` instances aggregate the
-    same way (every metric is a flat attribute on both).
+    facade returns (every metric is a flat attribute).
     """
 
     rows: List[RunResult] = field(default_factory=list)
@@ -89,7 +88,6 @@ def sweep(
     configurations: Sequence[str] = CONFIGURATION_ORDER,
     progress: bool = False,
     batching: bool = False,
-    batch_receive: bool = True,
     backend: str = "serial",
     shards: int = 0,
     shard_mode: str = "processes",
@@ -99,8 +97,7 @@ def sweep(
     The sweep reproduces the paper's Figures 3/4, whose bandwidth metric
     charges a full header per shipped tuple — so it defaults to the per-tuple
     wire format (``batching=False``) rather than the simulator's batched
-    default.  Pass ``batching=True`` to measure the amortized wire path, and
-    ``batch_receive=False`` to A/B the per-tuple engine receive path.
+    default.  Pass ``batching=True`` to measure the amortized wire path.
 
     ``backend="sharded"`` runs every sweep point on the parallel execution
     backend (``shards`` kernels, ``shard_mode`` workers); the collected
@@ -124,7 +121,6 @@ def sweep(
                     seed=seed,
                     compiled=compiled,
                     batching=batching,
-                    batch_receive=batch_receive,
                     backend=backend,
                     shards=shards,
                     shard_mode=shard_mode,

@@ -6,138 +6,25 @@ The paper's Section 6 compares:
 * **SeNDlog** — per-tuple RSA authentication, no provenance;
 * **SeNDlogProv** — authentication plus condensed (BDD) provenance.
 
-:func:`run_network` is the facade-era sweep point: it builds the run through
+:func:`run_network` is the sweep point: it builds the run through
 :class:`repro.api.Network` and returns the unified
 :class:`~repro.api.results.RunResult` shared by the harness, the scenario
-subsystem and the benchmarks.
-
-:func:`run_best_path` and :func:`run_configuration` are the legacy entry
-points, kept as thin shims over the facade.
-
-.. deprecated::
-    Prefer ``Network.build(topology=N, program="best-path",
-    provenance=<configuration>)`` and ``network.run()``; the shims remain
-    for existing call sites and carry no functionality of their own.
+subsystem and the benchmarks.  The configuration names resolve through
+:func:`repro.api.options.resolve_preset`, which owns the presets.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Union
+from typing import Optional, Union
 
 from repro.api.network import Network
 from repro.api.options import NetOptions
 from repro.api.results import RunResult
 from repro.datalog.planner import CompiledProgram
-from repro.engine.node_engine import EngineConfig, ProvenanceMode
 from repro.net.kernel import CostModel
 from repro.net.topology import Topology
 from repro.queries.best_path import compile_best_path
-from repro.security.says import SaysMode
 from repro.harness.workload import evaluation_topology
-
-#: The three configurations of the paper's evaluation, by name.
-CONFIGURATIONS: Dict[str, Callable[[], EngineConfig]] = {
-    "NDLog": lambda: EngineConfig(
-        says_mode=SaysMode.NONE, provenance_mode=ProvenanceMode.NONE
-    ),
-    "SeNDLog": lambda: EngineConfig(
-        says_mode=SaysMode.SIGNED, provenance_mode=ProvenanceMode.NONE
-    ),
-    "SeNDLogProv": lambda: EngineConfig(
-        says_mode=SaysMode.SIGNED, provenance_mode=ProvenanceMode.CONDENSED
-    ),
-}
-
-
-@dataclass(frozen=True)
-class ExperimentRow:
-    """One data point of the evaluation sweep (legacy flat row).
-
-    .. deprecated::
-        New code reads the same metrics off :class:`RunResult`; this frozen
-        row remains because existing tables and benchmarks index it.
-    """
-
-    configuration: str
-    node_count: int
-    seed: int
-    completion_time_s: float
-    bandwidth_mb: float
-    total_messages: int
-    total_bytes: int
-    security_bytes: int
-    provenance_bytes: int
-    facts_derived: int
-    best_paths: int
-    converged: bool
-    batches_sent: int = 0
-    tuples_sent: int = 0
-    query_messages: int = 0
-    query_bytes: int = 0
-
-    def __post_init__(self) -> None:
-        warnings.warn(
-            "ExperimentRow is deprecated; read the same metrics off the "
-            "RunResult objects repro.api returns (run_network / "
-            "Network.build(...).run())",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    @classmethod
-    def from_run(cls, run: RunResult) -> "ExperimentRow":
-        return cls(
-            configuration=run.configuration,
-            node_count=run.node_count,
-            seed=run.seed,
-            completion_time_s=run.completion_time_s,
-            bandwidth_mb=run.bandwidth_mb,
-            total_messages=run.total_messages,
-            total_bytes=run.total_bytes,
-            security_bytes=run.security_bytes,
-            provenance_bytes=run.provenance_bytes,
-            facts_derived=run.facts_derived,
-            best_paths=run.count("bestPath"),
-            converged=run.converged,
-            batches_sent=run.batches_sent,
-            tuples_sent=run.tuples_sent,
-            query_messages=run.query_messages,
-            query_bytes=run.query_bytes,
-        )
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "configuration": self.configuration,
-            "node_count": self.node_count,
-            "seed": self.seed,
-            "completion_time_s": self.completion_time_s,
-            "bandwidth_mb": self.bandwidth_mb,
-            "total_messages": self.total_messages,
-            "total_bytes": self.total_bytes,
-            "security_bytes": self.security_bytes,
-            "provenance_bytes": self.provenance_bytes,
-            "batches_sent": self.batches_sent,
-            "tuples_sent": self.tuples_sent,
-            "query_messages": self.query_messages,
-            "query_bytes": self.query_bytes,
-            "facts_derived": self.facts_derived,
-            "best_paths": self.best_paths,
-            "converged": self.converged,
-        }
-
-
-def engine_config(configuration: str) -> EngineConfig:
-    """Build the :class:`EngineConfig` for a named configuration."""
-    try:
-        factory = CONFIGURATIONS[configuration]
-    except KeyError:
-        raise ValueError(
-            f"unknown configuration {configuration!r}; "
-            f"expected one of {sorted(CONFIGURATIONS)}"
-        ) from None
-    return factory()
 
 
 def run_network(
@@ -148,7 +35,6 @@ def run_network(
     cost_model: Optional[CostModel] = None,
     key_bits: int = 256,
     batching: bool = True,
-    batch_receive: bool = True,
     backend: str = "serial",
     shards: int = 0,
     shard_mode: str = "processes",
@@ -173,7 +59,6 @@ def run_network(
         provenance=configuration,
         options=NetOptions(
             batching=batching,
-            batch_receive=batch_receive,
             cost_model=cost_model,
             key_bits=key_bits,
             seed=seed,
@@ -189,70 +74,3 @@ def run_network(
     # the canonical preset "ndlog") so sweep tables keep their labels.
     run.configuration = configuration
     return run
-
-
-def run_best_path(
-    topology: Topology,
-    configuration: str,
-    compiled: Optional[CompiledProgram] = None,
-    cost_model: Optional[CostModel] = None,
-    key_bits: int = 256,
-    batching: bool = True,
-    batch_receive: bool = True,
-) -> RunResult:
-    """Run the Best-Path query over *topology* in the named configuration.
-
-    .. deprecated:: thin shim over :func:`run_network` / the ``Network``
-        facade; kept because many call sites (benchmarks, notebooks) were
-        written against it.
-    """
-    warnings.warn(
-        "run_best_path is deprecated; use run_network(configuration, "
-        "topology, ...) or Network.build(...) from repro.api",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run_network(
-        configuration,
-        topology,
-        compiled=compiled,
-        cost_model=cost_model,
-        key_bits=key_bits,
-        batching=batching,
-        batch_receive=batch_receive,
-    )
-
-
-def run_configuration(
-    configuration: str,
-    node_count: int,
-    seed: int = 0,
-    compiled: Optional[CompiledProgram] = None,
-    cost_model: Optional[CostModel] = None,
-    batching: bool = True,
-    batch_receive: bool = True,
-) -> ExperimentRow:
-    """One sweep point: N nodes, one seed, one configuration.
-
-    .. deprecated:: thin shim over :func:`run_network`; returns the legacy
-        flat :class:`ExperimentRow`.  ``batch_receive`` is threaded through
-        (it used to be dropped silently, so sweeps could not A/B the
-        batch-receive path).
-    """
-    warnings.warn(
-        "run_configuration is deprecated; use run_network(configuration, "
-        "node_count, ...) from repro.harness (it returns the unified "
-        "RunResult instead of the legacy ExperimentRow)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    run = run_network(
-        configuration,
-        node_count,
-        seed=seed,
-        compiled=compiled,
-        cost_model=cost_model,
-        batching=batching,
-        batch_receive=batch_receive,
-    )
-    return ExperimentRow.from_run(run)

@@ -36,6 +36,8 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.api.network import Network
+from repro.api.options import NetOptions
 from repro.engine.node_engine import EngineConfig, ProvenanceMode
 from repro.engine.tuples import Fact
 from repro.net.address import Address
@@ -59,6 +61,11 @@ from repro.service.workload import QueryWorkload
 
 #: Soft-state lifetime used by the built-in scenarios (simulated seconds).
 DEFAULT_SCENARIO_TTL = 30.0
+
+#: The options the built-in scenarios run under unless the caller passes
+#: its own: short keys keep signed scenario runs cheap.  Derive variants
+#: with ``SCENARIO_OPTIONS.merged(backend="sharded", shards=2, ...)``.
+SCENARIO_OPTIONS = NetOptions(key_bits=128)
 
 
 # ---------------------------------------------------------------------------
@@ -477,47 +484,21 @@ def _scenario_network(
     topology: Topology,
     program,
     config: EngineConfig,
-    key_bits: int,
-    backend: str = "serial",
-    shards: int = 0,
-    shard_mode: str = "processes",
-    shard_pipeline: bool = False,
-    transport: str = "binary",
-    admission: float = 0.0,
-    query_cache: bool = False,
-    refresh_mode: str = "rounds",
-    refresh_interval: float = 10.0,
-    refresh_rate: float = 0.0,
-):
+    options: NetOptions,
+    serving: bool,
+) -> Network:
     """Assemble a scenario's network through the facade.
 
-    Imported lazily: the api package depends on nothing in the harness at
-    module level, and the harness only reaches for it when a scenario is
-    actually built.  Scenario dynamics — link failures, churn, retraction —
-    cross shard boundaries correctly under ``backend="sharded"``: control
-    events broadcast to every shard kernel and phase rows come out
-    identical to the serial backend's.
+    Scenario dynamics — link failures, churn, retraction — cross shard
+    boundaries correctly under ``backend="sharded"``: control events
+    broadcast to every shard kernel and phase rows come out identical to
+    the serial backend's.  Serving provenance queries arms the per-node
+    result cache.
     """
-    from repro.api.network import Network
-    from repro.api.options import NetOptions
-
+    if serving:
+        options = options.merged(query_cache=True)
     return Network.build(
-        topology=topology,
-        program=program,
-        config=config,
-        options=NetOptions(
-            key_bits=key_bits,
-            backend=backend,
-            shards=shards,
-            shard_mode=shard_mode,
-            shard_pipeline=shard_pipeline,
-            transport=transport,
-            admission_rate=admission,
-            query_cache=query_cache,
-            refresh_mode=refresh_mode,
-            refresh_interval=refresh_interval,
-            refresh_rate=refresh_rate,
-        ),
+        topology=topology, program=program, config=config, options=options
     )
 
 
@@ -584,20 +565,11 @@ def link_failure_scenario(
     node_count: int = 12,
     seed: int = 0,
     ttl: float = DEFAULT_SCENARIO_TTL,
-    key_bits: int = 128,
-    backend: str = "serial",
-    shards: int = 0,
-    shard_mode: str = "processes",
-    shard_pipeline: bool = False,
-    transport: str = "binary",
+    options: NetOptions = SCENARIO_OPTIONS,
     query_rate: float = 0.0,
     clients: int = 0,
-    admission: float = 0.0,
-    refresh_mode: str = "rounds",
-    refresh_interval: float = 10.0,
-    refresh_rate: float = 0.0,
     **config_kwargs,
-) -> Tuple[Scenario, "Network"]:
+) -> Tuple[Scenario, Network]:
     """Best-Path under a mid-run link failure: decay, refresh, reroute.
 
     A redundant link (its loss keeps the topology strongly connected) fails
@@ -619,10 +591,7 @@ def link_failure_scenario(
         config_kwargs.setdefault("provenance_mode", ProvenanceMode.CONDENSED)
     config = _soft_config(ttl, **config_kwargs)
     network = _scenario_network(
-        topology, compile_best_path(), config, key_bits, backend, shards, shard_mode, shard_pipeline, transport,
-        admission=admission, query_cache=serving,
-        refresh_mode=refresh_mode, refresh_interval=refresh_interval,
-        refresh_rate=refresh_rate,
+        topology, compile_best_path(), config, options, serving
     )
     base = network.link_facts()
 
@@ -674,20 +643,11 @@ def churn_scenario(
     node_count: int = 10,
     seed: int = 0,
     ttl: float = DEFAULT_SCENARIO_TTL,
-    key_bits: int = 128,
-    backend: str = "serial",
-    shards: int = 0,
-    shard_mode: str = "processes",
-    shard_pipeline: bool = False,
-    transport: str = "binary",
+    options: NetOptions = SCENARIO_OPTIONS,
     query_rate: float = 0.0,
     clients: int = 0,
-    admission: float = 0.0,
-    refresh_mode: str = "rounds",
-    refresh_interval: float = 10.0,
-    refresh_rate: float = 0.0,
     **config_kwargs,
-) -> Tuple[Scenario, "Network"]:
+) -> Tuple[Scenario, Network]:
     """Reachability under node churn with soft-state repair.
 
     A node crashes (losing all its soft state); the facts it advertised
@@ -705,10 +665,7 @@ def churn_scenario(
         config_kwargs.setdefault("provenance_mode", ProvenanceMode.CONDENSED)
     config = _soft_config(ttl, **config_kwargs)
     network = _scenario_network(
-        topology, _reachable_compiled(), config, key_bits, backend, shards, shard_mode, shard_pipeline, transport,
-        admission=admission, query_cache=serving,
-        refresh_mode=refresh_mode, refresh_interval=refresh_interval,
-        refresh_rate=refresh_rate,
+        topology, _reachable_compiled(), config, options, serving
     )
     base = _reachable_base(topology)
 
@@ -753,20 +710,11 @@ def retraction_scenario(
     node_count: int = 6,
     seed: int = 0,
     ttl: float = DEFAULT_SCENARIO_TTL,
-    key_bits: int = 128,
-    backend: str = "serial",
-    shards: int = 0,
-    shard_mode: str = "processes",
-    shard_pipeline: bool = False,
-    transport: str = "binary",
+    options: NetOptions = SCENARIO_OPTIONS,
     query_rate: float = 0.0,
     clients: int = 0,
-    admission: float = 0.0,
-    refresh_mode: str = "rounds",
-    refresh_interval: float = 10.0,
-    refresh_rate: float = 0.0,
     **config_kwargs,
-) -> Tuple[Scenario, "Network"]:
+) -> Tuple[Scenario, Network]:
     """Fact retraction under one-fixpoint deletions.
 
     On a line topology the middle link is a bridge: retracting its two base
@@ -802,10 +750,7 @@ def retraction_scenario(
     )
     serving = query_rate > 0 or clients > 0
     network = _scenario_network(
-        topology, _reachable_compiled(), config, key_bits, backend, shards, shard_mode, shard_pipeline, transport,
-        admission=admission, query_cache=serving,
-        refresh_mode=refresh_mode, refresh_interval=refresh_interval,
-        refresh_rate=refresh_rate,
+        topology, _reachable_compiled(), config, options, serving
     )
     base = _reachable_base(topology)
 
@@ -850,7 +795,7 @@ def retraction_scenario(
 
 
 #: The built-in scenario scripts, by CLI name.
-SCENARIOS: Dict[str, Callable[..., Tuple[Scenario, "Network"]]] = {
+SCENARIOS: Dict[str, Callable[..., Tuple[Scenario, Network]]] = {
     "link-failure": link_failure_scenario,
     "churn": churn_scenario,
     "retraction": retraction_scenario,
@@ -900,18 +845,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="run shards in worker processes or in-process (debugging)",
     )
     parser.add_argument(
-        "--shard-pipeline",
-        action="store_true",
-        help="pipelined shard coordination: per-shard horizons instead of "
-        "lockstep barriers (identical results, fewer coordination rounds)",
-    )
-    parser.add_argument(
-        "--transport",
-        choices=("pickle", "binary", "shm"),
-        default="binary",
-        help="coordination frame encoding between coordinator and shards",
-    )
-    parser.add_argument(
         "--query-rate",
         type=float,
         default=0.0,
@@ -955,6 +888,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     arguments = parser.parse_args(argv)
 
+    options = SCENARIO_OPTIONS.merged(
+        backend=arguments.backend,
+        shards=arguments.shards,
+        shard_mode=arguments.shard_mode,
+        admission_rate=arguments.admission,
+        refresh_mode=arguments.refresh_mode,
+        refresh_interval=arguments.refresh_interval,
+        refresh_rate=arguments.refresh_rate,
+    )
     names = tuple(SCENARIOS) if arguments.scenario == "all" else (arguments.scenario,)
     failures = 0
     for name in names:
@@ -962,17 +904,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         kwargs: Dict[str, object] = {
             "seed": arguments.seed,
             "ttl": arguments.ttl,
-            "backend": arguments.backend,
-            "shards": arguments.shards,
-            "shard_mode": arguments.shard_mode,
-            "shard_pipeline": arguments.shard_pipeline,
-            "transport": arguments.transport,
+            "options": options,
             "query_rate": arguments.query_rate,
             "clients": arguments.clients,
-            "admission": arguments.admission,
-            "refresh_mode": arguments.refresh_mode,
-            "refresh_interval": arguments.refresh_interval,
-            "refresh_rate": arguments.refresh_rate,
         }
         if arguments.nodes is not None:
             kwargs["node_count"] = arguments.nodes

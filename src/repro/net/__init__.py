@@ -33,9 +33,8 @@ from repro.net.query import (
 )
 from repro.net.topology import Topology, grid_topology, line_topology, random_topology, ring_topology
 from repro.net.stats import NetworkStats, NodeStats
-from repro.net.kernel import SimulationKernel
+from repro.net.kernel import CostModel, KernelOptions, SimulationKernel, SimulationResult
 from repro.net.sharding import ShardPlan, ShardedSimulator, partition_topology
-from repro.net.simulator import CostModel, Simulator, SimulationResult
 
 __all__ = [
     "Address",
@@ -43,6 +42,7 @@ __all__ = [
     "EventScheduler",
     "FactInjection",
     "FactRetraction",
+    "KernelOptions",
     "Link",
     "LinkDown",
     "LinkUp",
@@ -65,7 +65,6 @@ __all__ = [
     "SimulationEvent",
     "SimulationKernel",
     "SimulationResult",
-    "Simulator",
     "SoftStateRefresh",
     "Topology",
     "grid_topology",

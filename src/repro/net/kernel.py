@@ -7,8 +7,8 @@ crashed nodes, remembered base facts) and the per-node CPU cost accounting.
 It hosts the :class:`~repro.engine.node_engine.NodeEngine` of a *subset* of
 the topology's nodes:
 
-* the **serial backend** (:class:`~repro.net.simulator.Simulator`, and the
-  facade's default) is one kernel hosting every node;
+* the **serial backend** (the facade's default) is one kernel hosting every
+  node;
 * the **sharded backend** (:mod:`repro.net.sharding`) runs one kernel per
   shard — deliveries whose destination lives on another shard are not
   scheduled locally but handed to an export sink, exchanged at conservative
@@ -170,6 +170,60 @@ class SimulationResult:
         return collect_facts(self.engines, relation)
 
 
+@dataclass(frozen=True)
+class KernelOptions:
+    """The run-wide kernel settings, declared once.
+
+    One record travels from :meth:`repro.api.options.NetOptions.kernel_options`
+    through :class:`SimulationKernel`, the sharded coordinator and each
+    :class:`~repro.net.sharding.ShardSpec`, so every serial and shard kernel
+    of a run is configured identically and a new setting is added here (and
+    to ``NetOptions``) only.
+    """
+
+    #: ``None`` resolves to the default :class:`CostModel`.
+    cost_model: Optional[CostModel] = None
+    key_bits: int = 256
+    #: Cumulative event budget; drains report ``False`` once it is spent.
+    max_events: int = 5_000_000
+    #: Latency / bandwidth of sends between nodes without a topology link.
+    default_latency: float = DEFAULT_LATENCY
+    default_bandwidth: float = DEFAULT_BANDWIDTH
+    #: When True (the default, matching real P2), all tuples bound for one
+    #: destination in one delta round ship as a single MessageBatch under
+    #: one message header.  When False, every tuple pays its own header
+    #: (the paper's Figure 4 accounting).
+    batching: bool = True
+    #: Name of the base relation whose tuples mirror the topology's links;
+    #: LinkDown retraction and recovery re-injection key off it.
+    link_relation: str = "link"
+    #: Seconds an in-network provenance query waits for one outstanding
+    #: request before reporting the key missing (lost request/response).
+    query_timeout: float = DEFAULT_QUERY_TIMEOUT
+    #: Service-plane configuration (repro.service): per-node token-bucket
+    #: admission control and the per-node query-result cache.  ``None``
+    #: disables the feature.
+    admission: Optional[AdmissionControl] = None
+    query_cache: Optional[CacheConfig] = None
+    #: Soft-state refresh plane: ``"rounds"`` relies on scheduled
+    #: :class:`SoftStateRefresh` events; ``"wheel"`` arms a per-tuple timer
+    #: at each owner, re-asserting it every ``refresh_interval`` seconds,
+    #: throttled per node to ``refresh_rate`` tuples per second (0 = no
+    #: limit) with ``refresh_burst`` tokens of burst.
+    refresh_mode: str = "rounds"
+    refresh_interval: float = 10.0
+    refresh_rate: float = 0.0
+    refresh_burst: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.refresh_mode not in ("rounds", "wheel"):
+            raise ValueError(
+                f"unknown refresh_mode {self.refresh_mode!r}; expected 'rounds' or 'wheel'"
+            )
+        if self.cost_model is None:
+            object.__setattr__(self, "cost_model", CostModel())
+
+
 def shape_link_facts(
     topology: Topology, relation: str, arity: int
 ) -> Dict[Address, List[Fact]]:
@@ -193,75 +247,41 @@ def shape_link_facts(
 
 
 class SimulationKernel:
-    """Runs one program over (a shard of) one topology under one configuration."""
+    """Runs one program over (a shard of) one topology under one configuration.
+
+    Run-wide settings arrive as one :class:`KernelOptions` record; extra
+    keyword arguments name individual fields of it and are folded over
+    *options* (``SimulationKernel(topology, compiled, config, key_bits=128)``),
+    so an unknown name raises ``TypeError``.
+    """
 
     def __init__(
         self,
         topology: Topology,
         compiled: CompiledProgram,
         config: EngineConfig,
-        cost_model: Optional[CostModel] = None,
+        options: Optional[KernelOptions] = None,
+        *,
         keystore: Optional[KeyStore] = None,
         registry: Optional[PrincipalRegistry] = None,
-        key_bits: int = 256,
-        max_events: int = 5_000_000,
-        default_latency: float = DEFAULT_LATENCY,
-        default_bandwidth: float = DEFAULT_BANDWIDTH,
-        batching: bool = True,
-        batch_receive: bool = True,
-        link_relation: str = "link",
-        query_timeout: float = DEFAULT_QUERY_TIMEOUT,
-        admission: Optional[AdmissionControl] = None,
-        query_cache: Optional[CacheConfig] = None,
-        refresh_mode: str = "rounds",
-        refresh_interval: float = 10.0,
-        refresh_rate: float = 0.0,
-        refresh_burst: float = 1.0,
         hosted: Optional[Iterable[Address]] = None,
         primary: bool = True,
+        **overrides: object,
     ) -> None:
-        if refresh_mode not in ("rounds", "wheel"):
-            raise ValueError(
-                f"unknown refresh_mode {refresh_mode!r}; expected 'rounds' or 'wheel'"
-            )
-        if refresh_mode == "wheel" and config.refresh_propagation == 0.0:
+        options = dataclass_replace(options or KernelOptions(), **overrides)
+        if options.refresh_mode == "wheel" and config.refresh_propagation == 0.0:
             # The wheel plane re-stamps continuously; waves propagate past
             # the owner once the downstream copy is half an interval old, so
             # derived state is repaired well before a full TTL elapses.
             config = dataclass_replace(
-                config, refresh_propagation=refresh_interval / 2.0
+                config, refresh_propagation=options.refresh_interval / 2.0
             )
         self.topology = topology
         self.compiled = compiled
         self.config = config
-        self.cost_model = cost_model or CostModel()
-        self.max_events = max_events
-        self.default_latency = default_latency
-        self.default_bandwidth = default_bandwidth
-        #: When True (the default, matching real P2), all tuples bound for
-        #: one destination in one delta round ship as a single MessageBatch
-        #: under one message header.  When False, every tuple pays its own
-        #: header (the paper's Figure 4 accounting).
-        self.batching = batching
-        #: When True (the default), a delivered batch drains through one
-        #: ``NodeEngine.receive_batch`` call — one ProcessingResult/report and
-        #: one warm-up per incoming message instead of N per-tuple calls.
-        #: Tuples are still admitted and fixpointed strictly in arrival
-        #: order, so derived facts and stats attribution are identical to the
-        #: per-tuple path.
-        self.batch_receive = batch_receive
-        #: Name of the base relation whose tuples mirror the topology's
-        #: links; LinkDown retraction and recovery re-injection key off it.
-        self.link_relation = link_relation
-        #: Seconds an in-network provenance query waits for one outstanding
-        #: request before reporting the key missing (lost request/response).
-        self.query_timeout = query_timeout
-        #: Service-plane configuration (repro.service): per-node token-bucket
-        #: admission control and the per-node query-result cache.  ``None``
-        #: disables the feature; buckets and caches are created lazily per
+        self.options = options
+        #: Service-plane state: buckets and caches are created lazily per
         #: hosted node, on simulated time only.
-        self.admission = admission
-        self.query_cache = query_cache
         self._admission_buckets: Dict[Address, TokenBucket] = {}
         self._query_caches: Dict[Address, ClosureCache] = {}
         #: Timer-wheel refresh plane (``refresh_mode="wheel"``): per-tuple
@@ -272,10 +292,6 @@ class SimulationKernel:
         #: ``_refresh_horizon`` is the emission guard on the *driving* side:
         #: :meth:`schedule` broadcasts a new horizon only when an external
         #: event lands strictly beyond the last one.
-        self.refresh_mode = refresh_mode
-        self.refresh_interval = refresh_interval
-        self.refresh_rate = refresh_rate
-        self.refresh_burst = refresh_burst
         self._refresh_horizon = 0.0
         self._wheel_horizon = 0.0
         self._wheels: Dict[Address, TimerWheel] = {}
@@ -302,7 +318,7 @@ class SimulationKernel:
         #: creation draws from one seeded RNG in topology order, so each
         #: shard kernel derives the identical key material the serial
         #: backend would, and cross-shard signatures verify bit-for-bit.
-        self.keystore = keystore or KeyStore(key_bits=key_bits, seed=7)
+        self.keystore = keystore or KeyStore(key_bits=options.key_bits, seed=7)
         if config.says_mode.requires_signature:
             self.keystore.create_all(topology.nodes)
 
@@ -431,7 +447,7 @@ class SimulationKernel:
         the cost column (see :func:`shape_link_facts`); programs that never
         mention the link relation get the full ``link(@S, D, C)`` shape.
         """
-        relation = self.link_relation
+        relation = self.options.link_relation
         # Every engine compiles the same program; any one catalog will do.
         engine = next(iter(self.engines.values()), None)
         arity = 3
@@ -448,7 +464,7 @@ class SimulationKernel:
             fact
             for fact in remembered.values()
             if not (
-                fact.relation == self.link_relation
+                fact.relation == self.options.link_relation
                 and len(fact.values) >= 2
                 and (fact.values[0], fact.values[1]) in self._down_links
             )
@@ -487,7 +503,7 @@ class SimulationKernel:
         per-tuple timers stay out of the event heap.
         """
         if (
-            self.refresh_mode == "wheel"
+            self.options.refresh_mode == "wheel"
             and event.time > self._refresh_horizon
             and not isinstance(event, RefreshHorizon)
         ):
@@ -519,8 +535,9 @@ class SimulationKernel:
 
         Returns False when the cumulative ``max_events`` budget ran out first.
         """
+        max_events = self.options.max_events
         while self.scheduler:
-            if self._events_processed >= self.max_events:
+            if self._events_processed >= max_events:
                 return False
             self._dispatch(self.scheduler.pop())
         self.settle_retractions()
@@ -556,63 +573,31 @@ class SimulationKernel:
         self,
         horizon: float,
         imports: Iterable[Tuple[float, WireMessage]] = (),
-        lookahead: Optional[float] = None,
-    ) -> Tuple[List[Tuple[float, WireMessage]], Optional[float], bool, Optional[float]]:
+    ) -> Tuple[List[Tuple[float, WireMessage]], Optional[float], bool]:
         """Process every local event strictly before *horizon*.
 
         *imports* are cross-shard deliveries the coordinator collected from
         the other kernels at the previous barrier; they merge into the local
         queue in content-rank order before the window runs.
 
-        *lookahead* (the pipelined coordinator's conservative window width
-        ``W``) arms the **export self-cap**: once this window exports a
-        delivery due at ``d``, the effective horizon tightens to
-        ``min(horizon, d + W)``.  Any cross-shard consequence of that export
-        can reach back here no earlier than ``d + W`` (one delivery plus the
-        minimum link latency), so events before the cap are safe to run —
-        but running past it could overtake the feedback loop.  The cap is
-        always at least ``current event time + W``, so it never invalidates
-        work already done.  Strict-barrier callers omit *lookahead* and get
-        the exact pre-existing behavior.
-
         Returns the deliveries this window exported for other kernels, the
-        timestamp of the next local event (``None`` when idle), False when
-        the event budget ran out mid-window, and the timestamp of the last
-        event actually dispatched (``None`` for an empty window) — the
-        coordinator's measure of how many window-widths a lease covered.
+        timestamp of the next local event (``None`` when idle), and False
+        when the event budget ran out mid-window.
         """
         self.enable_exports()
         for deliver_at, message in imports:
             self.scheduler.schedule(MessageDelivery(time=deliver_at, message=message))
         within_budget = True
-        last_time: Optional[float] = None
-        effective = horizon
-        sink = self._export_sink
-        seen = 0
-        if lookahead is not None:
-            # Exports already pending (sent between windows) cap the lease too.
-            for deliver_at, _ in sink:
-                cap = deliver_at + lookahead
-                if cap < effective:
-                    effective = cap
-            seen = len(sink)
+        max_events = self.options.max_events
         while True:
             next_time = self.scheduler.peek_time()
-            if next_time is None or next_time >= effective:
+            if next_time is None or next_time >= horizon:
                 break
-            if self._events_processed >= self.max_events:
+            if self._events_processed >= max_events:
                 within_budget = False
                 break
-            event = self.scheduler.pop()
-            last_time = event.time
-            self._dispatch(event)
-            if lookahead is not None:
-                while seen < len(sink):
-                    cap = sink[seen][0] + lookahead
-                    if cap < effective:
-                        effective = cap
-                    seen += 1
-        return self.take_exports(), self.scheduler.peek_time(), within_budget, last_time
+            self._dispatch(self.scheduler.pop())
+        return self.take_exports(), self.scheduler.peek_time(), within_budget
 
     def _dispatch(self, event: SimulationEvent) -> None:
         if self._uncounted_ids:
@@ -760,7 +745,7 @@ class SimulationKernel:
             return
         stored = tuple(
             fact
-            for fact in engine.facts(self.link_relation)
+            for fact in engine.facts(self.options.link_relation)
             if len(fact.values) >= 2
             and fact.values[0] == event.source
             and fact.values[1] == event.destination
@@ -840,11 +825,11 @@ class SimulationKernel:
 
     def query_cache_for(self, address: Address) -> Optional[ClosureCache]:
         """The node's armed result cache (lazily built); ``None`` when off."""
-        if self.query_cache is None:
+        if self.options.query_cache is None:
             return None
         cache = self._query_caches.get(address)
         if cache is None:
-            cache = self.query_cache.build()
+            cache = self.options.query_cache.build()
             self._query_caches[address] = cache
         return cache
 
@@ -864,20 +849,21 @@ class SimulationKernel:
             node_stats.queries_shed += 1
             self._service_continue(event, at)
             return
-        if self.admission is not None:
+        admission = self.options.admission
+        if admission is not None:
             bucket = self._admission_buckets.get(address)
             if bucket is None:
-                bucket = self.admission.bucket()
+                bucket = admission.bucket()
                 self._admission_buckets[address] = bucket
             if not bucket.try_acquire(at):
                 node_stats.queries_rejected += 1
                 if (
-                    self.admission.policy == "retry"
-                    and event.attempt < self.admission.retries
+                    admission.policy == "retry"
+                    and event.attempt < admission.retries
                 ):
                     self.scheduler.schedule(
                         QueryArrival(
-                            time=at + self.admission.retry_delay,
+                            time=at + admission.retry_delay,
                             address=event.address,
                             relation=event.relation,
                             draw=event.draw,
@@ -956,7 +942,7 @@ class SimulationKernel:
         self.scheduler.schedule(next_arrival(event, next_at))
 
     def _handle_refresh(self, event: SoftStateRefresh, at: float) -> None:
-        if self.refresh_mode == "wheel":
+        if self.options.refresh_mode == "wheel":
             # The wheel plane refreshes continuously; a round event's only
             # remaining effect — advancing the refresh horizon — already
             # happened when scheduling it emitted the horizon broadcast.
@@ -984,7 +970,7 @@ class SimulationKernel:
         instant) — content-ranked, so every backend fires them in the same
         order.  ``max(deadline, at)`` guards the catch-up edge (a deadline
         at the quantization boundary never schedules into the past, which
-        the pipelined backend's conservative lookahead relies on).
+        the sharded backend's conservative lookahead relies on).
         """
         if event.horizon > self._wheel_horizon:
             self._wheel_horizon = event.horizon
@@ -1012,11 +998,11 @@ class SimulationKernel:
             return
         remembered = self._base_facts.get(address, {})
         bucket: Optional[TokenBucket] = None
-        if self.refresh_rate > 0:
+        if self.options.refresh_rate > 0:
             bucket = self._refresh_buckets.get(address)
             if bucket is None:
                 bucket = self._refresh_buckets[address] = TokenBucket(
-                    rate=self.refresh_rate, burst=self.refresh_burst
+                    rate=self.options.refresh_rate, burst=self.options.refresh_burst
                 )
         due_facts: List[Fact] = []
         for key in keys:
@@ -1024,7 +1010,7 @@ class SimulationKernel:
             if fact is None:
                 continue  # retracted since the timer was armed
             if (
-                fact.relation == self.link_relation
+                fact.relation == self.options.link_relation
                 and len(fact.values) >= 2
                 and (fact.values[0], fact.values[1]) in self._down_links
             ):
@@ -1038,7 +1024,7 @@ class SimulationKernel:
                 self._arm_refresh(address, key, retry_at)
                 continue
             due_facts.append(fact)
-            self._arm_refresh(address, key, at + self.refresh_interval)
+            self._arm_refresh(address, key, at + self.options.refresh_interval)
         if not due_facts:
             return
         start = max(at, node_stats.busy_until)
@@ -1100,7 +1086,7 @@ class SimulationKernel:
             return
         node_stats = self.stats.node(address)
         remembered = self._base_facts.setdefault(address, {}) if remember else None
-        wheel_mode = self.refresh_mode == "wheel"
+        wheel_mode = self.options.refresh_mode == "wheel"
         known = self._base_facts.get(address, {})
         pending: List[OutgoingFact] = []
         for fact in facts:
@@ -1114,7 +1100,7 @@ class SimulationKernel:
                 # Every remembered base tuple owns a refresh timer; injection
                 # (initial, LinkUp restore, crash-recovery re-inject) arms or
                 # re-arms it one interval out.
-                self._arm_refresh(address, fact.key(), at + self.refresh_interval)
+                self._arm_refresh(address, fact.key(), at + self.options.refresh_interval)
         # One delta round per injection: everything the injected facts caused
         # ships together (one batch per destination when batching).
         self._dispatch_outgoing(address, pending, node_stats)
@@ -1178,21 +1164,13 @@ class SimulationKernel:
             # node answers nothing, the querier's timeout reports the miss).
             self.queries.deliver(message, deliver_at)
             return
-        if self.batch_receive:
-            start = max(deliver_at, node_stats.busy_until)
-            result = engine.receive_batch(message.facts(), now=start)
-            self._account_processing(destination, start, result.report, node_stats)
-            pending = result.outgoing
-        else:
-            pending = []
-            for fact in message.facts():
-                start = max(deliver_at, node_stats.busy_until)
-                result = engine.receive(fact, now=start, provenance=fact.provenance)
-                self._account_processing(destination, start, result.report, node_stats)
-                pending.extend(result.outgoing)
-        # One delta round per delivered message: the whole round's output
-        # ships together (one batch per destination when batching).
-        self._dispatch_outgoing(destination, pending, node_stats)
+        # One ``receive_batch`` call, one report and one delta round per
+        # delivered message: the whole round's output ships together (one
+        # batch per destination when batching).
+        start = max(deliver_at, node_stats.busy_until)
+        result = engine.receive_batch(message.facts(), now=start)
+        self._account_processing(destination, start, result.report, node_stats)
+        self._dispatch_outgoing(destination, result.outgoing, node_stats)
 
     def _account_processing(
         self,
@@ -1201,7 +1179,7 @@ class SimulationKernel:
         report: ProcessingReport,
         node_stats: NodeStats,
     ) -> None:
-        cpu = self.cost_model.cpu_seconds(report)
+        cpu = self.options.cost_model.cpu_seconds(report)
         node_stats.cpu_seconds += cpu
         node_stats.busy_until = start + cpu
         node_stats.facts_derived += report.facts_derived
@@ -1254,7 +1232,7 @@ class SimulationKernel:
         if not outgoing:
             return
         send_time = node_stats.busy_until
-        if self.batching:
+        if self.options.batching:
             for destination, items in group_outgoing(outgoing).items():
                 batch = MessageBatch(
                     source=source,
@@ -1370,7 +1348,7 @@ class SimulationKernel:
         else:
             wire_seconds = 0.0
             transmit_at = send_time
-            latency = self.default_latency
+            latency = self.options.default_latency
         deliver_at = transmit_at + wire_seconds + latency
         self._schedule_delivery(deliver_at, message)
 
@@ -1392,7 +1370,8 @@ class SimulationKernel:
         if link is not None:
             latency, bandwidth = link.latency, link.bandwidth
         else:
-            latency, bandwidth = self.default_latency, self.default_bandwidth
+            latency = self.options.default_latency
+            bandwidth = self.options.default_bandwidth
         wire_seconds = size / bandwidth if bandwidth > 0 else 0.0
         key = (source, destination)
         transmit_at = max(send_time, self._link_busy_until.get(key, 0.0))

@@ -46,8 +46,8 @@ class Message:
     provenance annotation add to the payload; they are kept separate so the
     harness can attribute bandwidth overhead to each mechanism.
 
-    ``sequence`` is assigned by the sending :class:`~repro.net.simulator.Simulator`
-    from its own per-run counter, so identical runs number their messages
+    ``sequence`` is assigned by the sending
+    :class:`~repro.net.kernel.SimulationKernel` from its own per-run counter, so identical runs number their messages
     identically (a process-global counter here would leak state between runs).
     """
 

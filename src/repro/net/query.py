@@ -61,7 +61,7 @@ from repro.provenance.graph import DerivationGraph, DerivationNode
 from repro.security.rsa import sign, verify
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.net.simulator import Simulator
+    from repro.net.kernel import SimulationKernel
 
 #: Default seconds a query waits for one outstanding request before
 #: declaring its key missing.  Generous against normal RTTs (link latencies
@@ -297,7 +297,7 @@ def _local_closure(adapter, node: Address, root: FactKey):
 class QueryEngine:
     """Executes provenance queries as events on the simulator's scheduler."""
 
-    def __init__(self, simulator: "Simulator") -> None:
+    def __init__(self, simulator: "SimulationKernel") -> None:
         self.simulator = simulator
         self._queries: Dict[int, PendingQuery] = {}
         self._next_query_id = 0
@@ -444,9 +444,9 @@ class QueryEngine:
             # replace() re-runs __post_init__, folding the signature bytes
             # into the wire size and the security attribution.
             response = replace(response, signature=signature)
-            signing_cost = simulator.cost_model.seconds_per_signature
+            signing_cost = simulator.options.cost_model.seconds_per_signature
         cpu = (
-            simulator.cost_model.query_cpu_seconds(lookups, response.size_bytes())
+            simulator.options.cost_model.query_cpu_seconds(lookups, response.size_bytes())
             + signing_cost
         )
         send_time = self._charge(request.destination, at, cpu)
@@ -467,7 +467,7 @@ class QueryEngine:
         timeout.cancelled = True
         verification_cost = 0.0
         if pending.query.authenticated:
-            verification_cost = simulator.cost_model.seconds_per_verification
+            verification_cost = simulator.options.cost_model.seconds_per_verification
             ok = response.signature is not None and verify(
                 response.signed_payload(),
                 response.signature,
@@ -489,7 +489,7 @@ class QueryEngine:
                     )
                 return
         cpu = (
-            simulator.cost_model.query_cpu_seconds(0, response.size_bytes())
+            simulator.options.cost_model.query_cpu_seconds(0, response.size_bytes())
             + verification_cost
         )
         now = self._charge(pending.query.at, at, cpu)
@@ -521,7 +521,7 @@ class QueryEngine:
             pending.query.condensed,
             now,
         )
-        cpu = simulator.cost_model.query_cpu_seconds(lookups, 0)
+        cpu = simulator.options.cost_model.query_cpu_seconds(lookups, 0)
         now = self._charge(at_node, now, cpu)
         if at_node not in pending.nodes_visited:
             pending.nodes_visited.append(at_node)
@@ -587,10 +587,10 @@ class QueryEngine:
         send_time = self._charge(
             pending.query.at,
             now,
-            simulator.cost_model.query_cpu_seconds(0, request.size_bytes()),
+            simulator.options.cost_model.query_cpu_seconds(0, request.size_bytes()),
         )
         self._ship(pending.query_id, pending.query.at, request, send_time)
-        timeout_after = pending.query.timeout or simulator.query_timeout
+        timeout_after = pending.query.timeout or simulator.options.query_timeout
         timeout = QueryTimeout(
             time=send_time + timeout_after,
             query_id=pending.query_id,

@@ -13,31 +13,18 @@ keeping the simulation *exactly* equivalent to the serial schedule:
 
 * **Synchronization** is conservative (null-message-free Chandy–Misra in
   spirit): all cross-shard traffic pays at least the minimum cross-shard
-  link propagation latency ``W``.  The strict barrier
-  (``shard_pipeline=False``) steps every shard through lockstep windows
-  ``[T, T + W)``, exchanging exported ``MessageDelivery`` events at each
-  barrier.  The **pipelined coordinator** (``shard_pipeline=True``) drops
-  the lockstep: each shard gets its own grant ``[*, H_S)`` where ``H_S`` is
-  the minimum *floor* of every other shard (a shard working on a grant
-  based at ``T`` cannot emit anything delivering before ``T + W``), so a
-  shard whose peers are ahead — or idle — runs many window-widths in one
-  round-trip (window coalescing), and shards compute concurrently while the
-  coordinator routes earlier replies (pipelined barriers).  Soundness rests
-  on a conservative check in the worker: a granted window's effective
-  horizon tightens to ``min(H_S, d + W)`` as it exports deliveries due at
-  ``d`` (:meth:`SimulationKernel.run_window`'s *lookahead*), falling back
-  to strict-barrier pacing exactly when cross-shard feedback could matter,
-  so results stay byte-identical.
+  link propagation latency ``W``, so the coordinator steps every shard
+  through lockstep windows ``[T, T + W)`` — ``T`` the earliest pending
+  event anywhere — exchanging exported ``MessageDelivery`` events at each
+  barrier.  Nothing a shard does inside a window can reach another shard
+  before the window ends.
 
 * **Transport**: coordinator↔worker traffic travels as compact binary
   frames (:mod:`repro.net.transport`) over the persistent pipes — interned
-  addresses/relations, struct-packed headers, ``repr``-literal payloads —
-  instead of per-window pickles; ``transport="shm"`` adds a zero-copy
-  shared-memory ring per pipe direction for large frames, and
-  ``transport="pickle"`` keeps the legacy encoding as a measurable
-  baseline.  The coordination ledger — ``coordination_rounds``,
-  ``coordination_bytes``, ``windows_executed``, ``windows_coalesced`` — is
-  deterministic (inline and process runs agree exactly) and flows through
+  addresses/relations, struct-packed headers, ``repr``-literal payloads.
+  The coordination ledger — ``coordination_rounds``,
+  ``coordination_bytes``, ``windows_executed`` — is deterministic (inline
+  and process runs agree exactly) and flows through
   :meth:`NetworkStats.summary`.
 
 * **Determinism / serial equivalence**: event tie-breaking is content-based
@@ -46,8 +33,7 @@ keeping the simulation *exactly* equivalent to the serial schedule:
   restricted to its nodes.  Derived facts, delivery sequence numbers and
   every integer/byte statistic are identical to ``backend="serial"``;
   floating-point aggregates agree up to summation order (per-node floats
-  are bit-identical; only cross-node sums may associate differently), the
-  same contract ``batch_receive`` established.
+  are bit-identical; only cross-node sums may associate differently).
 
 * **Dynamics**: control events (link failure/recovery, node crash/recovery,
   soft-state refresh) broadcast to every kernel — each updates its replica
@@ -59,8 +45,7 @@ keeping the simulation *exactly* equivalent to the serial schedule:
 The public entry point is ``repro.api``::
 
     network = Network.build(topology=200, program="best-path",
-                            provenance="ndlog", backend="sharded", shards=4,
-                            shard_pipeline=True)
+                            provenance="ndlog", backend="sharded", shards=4)
     result = network.run()   # same facts and integer stats as serial
     result.stats.summary()["coordination_rounds"]
 """
@@ -72,8 +57,9 @@ import multiprocessing
 import pickle
 import random
 import struct
+import weakref
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.datalog.ast import Program
@@ -95,28 +81,15 @@ from repro.net.events import (
     SimulationEvent,
 )
 from repro.net.kernel import (
-    CostModel,
+    KernelOptions,
     SimulationKernel,
     SimulationResult,
     shape_link_facts,
 )
-from repro.net.link import DEFAULT_BANDWIDTH, DEFAULT_LATENCY
-from repro.net.query import (
-    DEFAULT_QUERY_TIMEOUT,
-    PendingQuery,
-    ProvenanceQuery,
-    QueryResult,
-)
+from repro.net.query import PendingQuery, ProvenanceQuery, QueryResult
 from repro.net.stats import NetworkStats, WireMessage
 from repro.net.topology import Topology
-from repro.net.transport import (
-    SHM_MIN_FRAME_BYTES,
-    TRANSPORTS,
-    SharedMemoryRing,
-    make_codec,
-)
-from repro.service.cache import CacheConfig
-from repro.service.ratelimit import AdmissionControl
+from repro.net.transport import BinaryCodec
 from repro.service.workload import QueryWorkload
 
 #: Execution modes for the shard workers.
@@ -260,7 +233,7 @@ def partition_topology(
 
 
 # ---------------------------------------------------------------------------
-# Worker protocol: framed ops over pipes (or shared-memory rings)
+# Worker protocol: framed ops over pipes
 # ---------------------------------------------------------------------------
 
 _OP_FLUSH = 1
@@ -273,8 +246,10 @@ _OP_SETTLE = 7
 
 _F64 = struct.Struct("<d")
 _U64 = struct.Struct("<Q")
-#: Pipe control message pointing into a shared-memory ring: flag, offset, length.
-_SHM_DESCRIPTOR = struct.Struct("<BQI")
+
+#: The one coordination encoding (stateless): hot-path payloads travel as
+#: deterministic binary frames in both shard modes.
+_CODEC = BinaryCodec()
 
 
 def _pack_optional_f64(value: Optional[float]) -> bytes:
@@ -287,56 +262,48 @@ def _unpack_optional_f64(data: bytes, offset: int) -> Tuple[Optional[float], int
     return None, offset + 1
 
 
-def _pack_flush(codec, batch) -> bytes:
+def _pack_flush(batch) -> bytes:
     """A drain-prime command: stamped control events (often none).
 
     An empty flush is a fixed-size frame — one op byte plus the codec's
     empty-batch encoding — and its reply is fixed-size too when the worker
     has nothing pending, so the per-drain prime round stays cheap.
     """
-    return bytes((_OP_FLUSH,)) + codec.encode_events(batch)
+    return bytes((_OP_FLUSH,)) + _CODEC.encode_events(batch)
 
 
-def _pack_window(
-    codec, horizon: float, imports, lookahead: Optional[float]
-) -> bytes:
-    """A window grant: run to *horizon* (f64, ``inf`` allowed) with *imports*.
-
-    *lookahead* arms the worker's export self-cap (pipelined mode); strict
-    barriers omit it.
-    """
-    return (
-        bytes((_OP_WINDOW,))
-        + _F64.pack(horizon)
-        + _pack_optional_f64(lookahead)
-        + codec.encode_exports(imports)
-    )
+def _pack_window(horizon: float, imports) -> bytes:
+    """A window grant: run to *horizon* (f64) with *imports*."""
+    return bytes((_OP_WINDOW,)) + _F64.pack(horizon) + _CODEC.encode_exports(imports)
 
 
-def _unpack_flush_reply(codec, raw: bytes):
+def _unpack_flush_reply(raw: bytes):
     next_time, offset = _unpack_optional_f64(raw, 1)
     processed = _U64.unpack_from(raw, offset)[0]
-    return next_time, processed, codec.decode_exports(raw[offset + 8 :])
+    return next_time, processed, _CODEC.decode_exports(raw[offset + 8 :])
 
 
-def _unpack_window_reply(codec, raw: bytes):
+def _unpack_window_reply(raw: bytes):
     next_time, offset = _unpack_optional_f64(raw, 1)
-    last_time, offset = _unpack_optional_f64(raw, offset)
     within_budget = bool(raw[offset])
     processed = _U64.unpack_from(raw, offset + 1)[0]
-    exports = codec.decode_exports(raw[offset + 9 :])
-    return next_time, last_time, within_budget, processed, exports
+    exports = _CODEC.decode_exports(raw[offset + 9 :])
+    return next_time, within_budget, processed, exports
+
+
+class ShardWorkerError(RuntimeError):
+    """A shard worker reported a failure, or its process died."""
 
 
 def _check_reply(frame: bytes) -> bytes:
     if frame[:1] == b"\x01":
-        raise RuntimeError(
+        raise ShardWorkerError(
             f"shard worker failed: {frame[1:].decode('utf-8', 'replace')}"
         )
     return frame
 
 
-def _serve_op(kernel: SimulationKernel, codec, frame: bytes) -> bytes:
+def _serve_op(kernel: SimulationKernel, frame: bytes) -> bytes:
     """Execute one coordination command against *kernel*; return the reply.
 
     Shared verbatim by the process worker loop and the inline wrapper, so
@@ -345,28 +312,25 @@ def _serve_op(kernel: SimulationKernel, codec, frame: bytes) -> bytes:
     """
     op = frame[0]
     if op == _OP_FLUSH:
-        for event, stamp, owned in codec.decode_events(frame[1:]):
+        for event, stamp, owned in _CODEC.decode_events(frame[1:]):
             kernel.schedule_stamped(event, stamp, owned)
         return (
             b"\x00"
             + _pack_optional_f64(kernel.scheduler.peek_time())
             + _U64.pack(kernel._events_processed)
-            + codec.encode_exports(kernel.take_exports())
+            + _CODEC.encode_exports(kernel.take_exports())
         )
     if op == _OP_WINDOW:
         horizon = _F64.unpack_from(frame, 1)[0]
-        lookahead, offset = _unpack_optional_f64(frame, 9)
-        imports = codec.decode_exports(frame[offset:])
-        exports, next_time, within_budget, last_time = kernel.run_window(
-            horizon, imports, lookahead
+        exports, next_time, within_budget = kernel.run_window(
+            horizon, _CODEC.decode_exports(frame[9:])
         )
         return (
             b"\x00"
             + _pack_optional_f64(next_time)
-            + _pack_optional_f64(last_time)
             + (b"\x01" if within_budget else b"\x00")
             + _U64.pack(kernel._events_processed)
-            + codec.encode_exports(exports)
+            + _CODEC.encode_exports(exports)
         )
     if op == _OP_STATS:
         # Storage-tier gauges live in the engines, which never leave the
@@ -395,41 +359,6 @@ def _serve_op(kernel: SimulationKernel, codec, frame: bytes) -> bytes:
     raise ValueError(f"unknown shard worker op {op!r}")
 
 
-class _FrameChannel:
-    """Byte frames over one pipe end, optionally via shared-memory rings.
-
-    Under ``transport="shm"`` frames of at least ``SHM_MIN_FRAME_BYTES``
-    are placed in the outbound ring and only a fixed 13-byte descriptor
-    crosses the pipe; the request/reply protocol guarantees at most one
-    outstanding frame per direction, so ring slots are free for reuse by
-    the time the producer wraps.  Smaller frames (and frames larger than
-    the whole ring) travel inline down the pipe with a one-byte tag.
-    """
-
-    __slots__ = ("connection", "send_ring", "recv_ring")
-
-    def __init__(self, connection, send_ring=None, recv_ring=None) -> None:
-        self.connection = connection
-        self.send_ring = send_ring
-        self.recv_ring = recv_ring
-
-    def send(self, frame: bytes) -> None:
-        ring = self.send_ring
-        if ring is not None and len(frame) >= SHM_MIN_FRAME_BYTES:
-            placed = ring.write(frame)
-            if placed is not None:
-                self.connection.send_bytes(_SHM_DESCRIPTOR.pack(1, *placed))
-                return
-        self.connection.send_bytes(b"\x00" + frame)
-
-    def recv(self) -> bytes:
-        data = self.connection.recv_bytes()
-        if data[0] == 1:
-            _, offset, length = _SHM_DESCRIPTOR.unpack(data)
-            return self.recv_ring.read(offset, length)
-        return data[1:]
-
-
 # ---------------------------------------------------------------------------
 # Shard specs and workers
 # ---------------------------------------------------------------------------
@@ -449,120 +378,97 @@ class ShardSpec:
     config: EngineConfig
     hosted: Tuple[Address, ...]
     primary: bool
-    cost_model: Optional[CostModel] = None
-    key_bits: int = 256
-    max_events: int = 5_000_000
-    default_latency: float = DEFAULT_LATENCY
-    default_bandwidth: float = DEFAULT_BANDWIDTH
-    batching: bool = True
-    batch_receive: bool = True
-    link_relation: str = "link"
-    query_timeout: float = DEFAULT_QUERY_TIMEOUT
-    admission: Optional[AdmissionControl] = None
-    query_cache: Optional[CacheConfig] = None
-    refresh_mode: str = "rounds"
-    refresh_interval: float = 10.0
-    refresh_rate: float = 0.0
-    refresh_burst: float = 1.0
+    options: KernelOptions
 
     def build_kernel(self, compiled: Optional[CompiledProgram] = None) -> SimulationKernel:
         return SimulationKernel(
-            topology=self.topology,
-            compiled=compiled if compiled is not None else compile_program(self.program),
-            config=self.config,
-            cost_model=self.cost_model,
-            key_bits=self.key_bits,
-            max_events=self.max_events,
-            default_latency=self.default_latency,
-            default_bandwidth=self.default_bandwidth,
-            batching=self.batching,
-            batch_receive=self.batch_receive,
-            link_relation=self.link_relation,
-            query_timeout=self.query_timeout,
-            admission=self.admission,
-            query_cache=self.query_cache,
-            refresh_mode=self.refresh_mode,
-            refresh_interval=self.refresh_interval,
-            refresh_rate=self.refresh_rate,
-            refresh_burst=self.refresh_burst,
+            self.topology,
+            compiled if compiled is not None else compile_program(self.program),
+            self.config,
+            self.options,
             hosted=self.hosted,
             primary=self.primary,
         )
 
 
-def _shard_worker_main(
-    conn, spec: ShardSpec, transport: str, ring_names
-) -> None:
+def _shard_worker_main(conn, spec: ShardSpec) -> None:
     """Worker entry point: serve framed kernel operations until closed.
 
     Module-level (importable) and argument-picklable, so it is safe under
     the ``spawn`` start method — the only one available everywhere.
     """
-    codec = make_codec(transport)
-    send_ring = recv_ring = None
-    if ring_names is not None:
-        # Mirrored ends: the coordinator's send ring is this side's recv ring.
-        recv_ring = SharedMemoryRing(name=ring_names[0])
-        send_ring = SharedMemoryRing(name=ring_names[1])
-    channel = _FrameChannel(conn, send_ring=send_ring, recv_ring=recv_ring)
     try:
         kernel = spec.build_kernel()
         kernel.enable_exports()
     except BaseException as error:  # pragma: no cover - construction bugs
-        channel.send(b"\x01" + f"{type(error).__name__}: {error}".encode())
+        conn.send_bytes(b"\x01" + f"{type(error).__name__}: {error}".encode())
         return
     while True:
         try:
-            frame = channel.recv()
+            frame = conn.recv_bytes()
         except EOFError:
             return  # the coordinator is gone; nothing left to serve
         if frame[0] == _OP_FINALIZE:
-            channel.send(
+            conn.send_bytes(
                 b"\x00" + pickle.dumps(kernel, protocol=pickle.HIGHEST_PROTOCOL)
             )
             conn.close()
-            for ring in (send_ring, recv_ring):
-                if ring is not None:
-                    ring.close()
             return
         try:
-            reply = _serve_op(kernel, codec, frame)
+            reply = _serve_op(kernel, frame)
         except BaseException as error:
             try:
-                channel.send(b"\x01" + f"{type(error).__name__}: {error}".encode())
+                conn.send_bytes(b"\x01" + f"{type(error).__name__}: {error}".encode())
             except (BrokenPipeError, OSError):  # pragma: no cover
                 pass
             return
-        channel.send(reply)
+        conn.send_bytes(reply)
 
 
 class _WorkerHandle:
-    """One spawned shard worker plus its framed request/reply channel."""
+    """One spawned shard worker and the pipe carrying its request/reply frames.
 
-    def __init__(self, context, spec: ShardSpec, transport: str) -> None:
-        self._send_ring = self._recv_ring = None
-        ring_names = None
-        if transport == "shm":
-            self._send_ring = SharedMemoryRing(create=True)
-            self._recv_ring = SharedMemoryRing(create=True)
-            ring_names = (self._send_ring.name, self._recv_ring.name)
+    A worker that died (killed, crashed interpreter) shows up as ``EOFError``
+    or ``OSError`` on the pipe; *abort* — the coordinator's ``close`` — then
+    stops every remaining worker and the failure surfaces as one
+    :class:`ShardWorkerError` naming the shard, its pid and its exit code.
+    """
+
+    def __init__(self, context, spec: ShardSpec, shard: int, abort) -> None:
+        self.shard = shard
+        # Held weakly: the coordinator owns this handle, and a reference
+        # cycle would defer its __del__ (which stops the workers) to the GC.
+        self._abort = weakref.WeakMethod(abort)
         self.connection, child = context.Pipe()
         self.process = context.Process(
-            target=_shard_worker_main,
-            args=(child, spec, transport, ring_names),
-            daemon=True,
+            target=_shard_worker_main, args=(child, spec), daemon=True
         )
         self.process.start()
         child.close()
-        self.channel = _FrameChannel(
-            self.connection, send_ring=self._send_ring, recv_ring=self._recv_ring
-        )
 
     def send_command(self, frame: bytes) -> None:
-        self.channel.send(frame)
+        try:
+            self.connection.send_bytes(frame)
+        except OSError as error:
+            raise self._died(error) from error
 
     def recv_reply(self) -> bytes:
-        return _check_reply(self.channel.recv())
+        try:
+            frame = self.connection.recv_bytes()
+        except (EOFError, OSError) as error:
+            raise self._died(error) from error
+        return _check_reply(frame)
+
+    def _died(self, error: Exception) -> ShardWorkerError:
+        self.process.join(timeout=5)  # reap, so the exit code is known
+        pid, exitcode = self.process.pid, self.process.exitcode
+        abort = self._abort()
+        if abort is not None:
+            abort()
+        return ShardWorkerError(
+            f"shard {self.shard} worker (pid {pid}) died with exit code "
+            f"{exitcode} ({type(error).__name__} on its pipe)"
+        )
 
     def close(self) -> None:
         try:
@@ -572,9 +478,6 @@ class _WorkerHandle:
         if self.process.is_alive():
             self.process.terminate()
         self.process.join(timeout=5)
-        for ring in (self._send_ring, self._recv_ring):
-            if ring is not None:
-                ring.close()
 
 
 class _InlineWorker:
@@ -587,14 +490,13 @@ class _InlineWorker:
     coordination ledger, to process runs of the same workload.
     """
 
-    def __init__(self, kernel: SimulationKernel, codec) -> None:
+    def __init__(self, kernel: SimulationKernel) -> None:
         self.kernel = kernel
-        self._codec = codec
         self._replies: deque = deque()
 
     def send_command(self, frame: bytes) -> None:
         try:
-            reply = _serve_op(self.kernel, self._codec, frame)
+            reply = _serve_op(self.kernel, frame)
         except BaseException as error:
             reply = b"\x01" + f"{type(error).__name__}: {error}".encode()
         self._replies.append(reply)
@@ -631,12 +533,14 @@ class ShardedSimulator:
     worker; ``"inline"`` runs them all in-process — same windows, same
     barriers, same results *and the same coordination ledger* — which is
     the debugger-friendly mode and the one that keeps engines inspectable
-    mid-run.  ``shard_pipeline=True`` switches the strict lockstep barrier
-    for the pipelined per-shard-horizon coordinator (see the module
-    docstring); ``transport`` picks the coordination encoding.  After
-    ``finish()`` the worker kernels are reeled back in whole (engines,
-    provenance stores, dynamic state), so post-run inspection and
-    in-network provenance queries work identically in both modes.
+    mid-run.  After ``finish()`` the worker kernels are reeled back in
+    whole (engines, provenance stores, dynamic state), so post-run
+    inspection and in-network provenance queries work identically in both
+    modes.
+
+    Kernel settings arrive as one :class:`~repro.net.kernel.KernelOptions`
+    record, handed unchanged to every shard kernel; extra keyword arguments
+    name individual fields of it, exactly as on :class:`SimulationKernel`.
     """
 
     def __init__(
@@ -644,66 +548,32 @@ class ShardedSimulator:
         topology: Topology,
         compiled: CompiledProgram,
         config: EngineConfig,
-        cost_model: Optional[CostModel] = None,
-        key_bits: int = 256,
-        max_events: int = 5_000_000,
-        default_latency: float = DEFAULT_LATENCY,
-        default_bandwidth: float = DEFAULT_BANDWIDTH,
-        batching: bool = True,
-        batch_receive: bool = True,
-        link_relation: str = "link",
-        query_timeout: float = DEFAULT_QUERY_TIMEOUT,
-        admission: Optional[AdmissionControl] = None,
-        query_cache: Optional[CacheConfig] = None,
-        refresh_mode: str = "rounds",
-        refresh_interval: float = 10.0,
-        refresh_rate: float = 0.0,
-        refresh_burst: float = 1.0,
+        options: Optional[KernelOptions] = None,
+        *,
         shards: int = 2,
         shard_mode: str = "processes",
         shard_seed: int = 0,
-        shard_pipeline: bool = False,
-        transport: str = "binary",
+        **overrides: object,
     ) -> None:
         if shard_mode not in SHARD_MODES:
             raise ValueError(
                 f"unknown shard_mode {shard_mode!r}; expected one of {SHARD_MODES}"
             )
-        if transport not in TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {transport!r}; expected one of {TRANSPORTS}"
-            )
+        options = replace(options or KernelOptions(), **overrides)
         self.topology = topology
         self.compiled = compiled
         self.config = config
-        self.cost_model = cost_model
-        self.key_bits = key_bits
-        self.max_events = max_events
-        self.default_latency = default_latency
-        self.default_bandwidth = default_bandwidth
-        self.batching = batching
-        self.batch_receive = batch_receive
-        self.link_relation = link_relation
-        self.query_timeout = query_timeout
-        self.admission = admission
-        self.query_cache = query_cache
-        self.refresh_mode = refresh_mode
-        self.refresh_interval = refresh_interval
-        self.refresh_rate = refresh_rate
-        self.refresh_burst = refresh_burst
+        self.options = options
         #: Mirror of the serial kernel's refresh-horizon emission guard: the
         #: furthest instant an externally scheduled event has announced.
         self._refresh_horizon = 0.0
         self.shard_mode = shard_mode
-        self.shard_pipeline = shard_pipeline
-        self.transport = transport
-        self._codec = make_codec(transport)
         self.plan = partition_topology(topology, shards, seed=shard_seed)
         #: The effective conservative lookahead: cross-shard traffic pays at
         #: least the minimum cut-link latency — or ``default_latency`` for
         #: sends between nodes without a directed topology link (Best-Path
         #: advertises upstream along *reverse* links, which take that path).
-        self.window = min(self.plan.window, default_latency)
+        self.window = min(self.plan.window, options.default_latency)
         if self.plan.cut_links and self.window <= 0:
             raise ValueError(
                 "the sharded backend needs a positive default_latency: "
@@ -720,21 +590,7 @@ class ShardedSimulator:
                 config=config,
                 hosted=group,
                 primary=(index == 0),
-                cost_model=cost_model,
-                key_bits=key_bits,
-                max_events=max_events,
-                default_latency=default_latency,
-                default_bandwidth=default_bandwidth,
-                batching=batching,
-                batch_receive=batch_receive,
-                link_relation=link_relation,
-                query_timeout=query_timeout,
-                admission=admission,
-                query_cache=query_cache,
-                refresh_mode=refresh_mode,
-                refresh_interval=refresh_interval,
-                refresh_rate=refresh_rate,
-                refresh_burst=refresh_burst,
+                options=options,
             )
             for index, group in enumerate(self.plan.shards)
         ]
@@ -754,22 +610,11 @@ class ShardedSimulator:
             [] for _ in range(self.plan.shard_count)
         ]
         #: The coordination ledger (see NetworkStats): deterministic counts
-        #: of hot-path round-trips, the frame bytes they carried, window
-        #: commands issued, and extra window-widths covered by leases.
+        #: of hot-path round-trips, the frame bytes they carried, and window
+        #: commands issued.
         self._coordination_rounds = 0
         self._coordination_bytes = 0
         self._windows_executed = 0
-        self._windows_coalesced = 0
-        #: Per-shard certificate that the coordinator *knows* the shard's
-        #: queue is empty and its export sink drained: fresh kernels start
-        #: certified, a drain that runs to the distributed fixpoint
-        #: re-certifies everyone, and any path that touches a kernel behind
-        #: the coordinator's back (query issuance, expiry, finish) revokes
-        #: it.  The pipelined drain skips the flush round-trip for certified
-        #: shards with nothing buffered; the strict barrier never skips —
-        #: it is the measured baseline.
-        self._idle_certified = [True] * self.plan.shard_count
-        self._shard_processed = [0] * self.plan.shard_count
         self._control_stamp = 0
         self._finished = False
         if shard_mode == "inline":
@@ -802,14 +647,13 @@ class ShardedSimulator:
     def _ensure_running(self) -> None:
         if self._kernels is not None:
             if self._io is None:
-                self._io = [
-                    _InlineWorker(kernel, self._codec) for kernel in self._kernels
-                ]
+                self._io = [_InlineWorker(kernel) for kernel in self._kernels]
             return
         if self._workers is None:
             context = multiprocessing.get_context("spawn")
             self._workers = [
-                _WorkerHandle(context, spec, self.transport) for spec in self._specs
+                _WorkerHandle(context, spec, shard, abort=self.close)
+                for shard, spec in enumerate(self._specs)
             ]
         self._io = self._workers
 
@@ -861,7 +705,7 @@ class ShardedSimulator:
         backends materialize identical refresh timers.
         """
         if (
-            self.refresh_mode == "wheel"
+            self.options.refresh_mode == "wheel"
             and event.time > self._refresh_horizon
             and not isinstance(event, RefreshHorizon)
         ):
@@ -902,44 +746,25 @@ class ShardedSimulator:
         single round, collecting each shard's next event time, processed
         count, and any exports made *between* drains (a provenance query
         issued after the data plane settled ships its first cross-shard
-        requests outside any window).
-
-        In pipelined mode, shards that are certified idle (see
-        ``_idle_certified``) and have nothing buffered skip the round-trip
-        entirely: their reply is already known — no next event, no exports,
-        processed count unchanged."""
+        requests outside any window)."""
         self._flush_buffers = {}
         pending, self._pending_external = self._pending_external, []
         for event, stamp in pending:
             self._route_external(event, stamp)
         buffers, self._flush_buffers = self._flush_buffers, {}
-        shard_count = self.plan.shard_count
-        contacted = [
-            not (
-                self.shard_pipeline
-                and self._idle_certified[shard]
-                and not buffers.get(shard)
-            )
-            for shard in range(shard_count)
-        ]
         for shard, io in enumerate(self._io):
-            if not contacted[shard]:
-                continue
-            frame = _pack_flush(self._codec, buffers.get(shard, []))
+            frame = _pack_flush(buffers.get(shard, []))
             self._coordination_rounds += 1
             self._coordination_bytes += len(frame)
             io.send_command(frame)
-        next_times: List[Optional[float]] = [None] * shard_count
-        processed = list(self._shard_processed)
-        for shard, io in enumerate(self._io):
-            if not contacted[shard]:
-                continue
-            self._idle_certified[shard] = False
+        next_times: List[Optional[float]] = []
+        processed: List[int] = []
+        for io in self._io:
             raw = io.recv_reply()
             self._coordination_bytes += len(raw)
-            next_times[shard], processed[shard], exports = _unpack_flush_reply(
-                self._codec, raw
-            )
+            next_time, count, exports = _unpack_flush_reply(raw)
+            next_times.append(next_time)
+            processed.append(count)
             self._route_exports(exports)
         return next_times, processed
 
@@ -948,15 +773,11 @@ class ShardedSimulator:
     def run_until_idle(self) -> bool:
         """Drain all shards to the distributed fixpoint via lookahead windows.
 
+        The lockstep barrier: every shard steps through the same window
+        ``[T, T + W)``, ``T`` being the earliest pending event or import.
         Returns False when the cumulative ``max_events`` budget ran out.
         """
         self._ensure_running()
-        if self.shard_pipeline:
-            return self._run_pipelined()
-        return self._run_strict()
-
-    def _run_strict(self) -> bool:
-        """The lockstep barrier: every shard steps through the same window."""
         window = self.window
         imports = self._pending_imports
         next_times, processed = self._drain_prime()
@@ -968,15 +789,15 @@ class ShardedSimulator:
                 for deliver_at, _ in batch
             )
             if not live:
-                return self._settle(True, processed)
-            if sum(processed) >= self.max_events:
-                return self._settle(False, processed)
+                self._settle()
+                return True
+            if sum(processed) >= self.options.max_events:
+                return False
             horizon = min(live) + window
             within_budget = True
             for shard, io in enumerate(self._io):
                 batch, imports[shard] = imports[shard], []
-                frame = _pack_window(self._codec, horizon, batch, None)
-                self._idle_certified[shard] = False
+                frame = _pack_window(horizon, batch)
                 self._coordination_rounds += 1
                 self._windows_executed += 1
                 self._coordination_bytes += len(frame)
@@ -984,133 +805,27 @@ class ShardedSimulator:
             for shard, io in enumerate(self._io):
                 raw = io.recv_reply()
                 self._coordination_bytes += len(raw)
-                next_time, _last, ok, count, exports = _unpack_window_reply(
-                    self._codec, raw
+                next_times[shard], ok, processed[shard], exports = (
+                    _unpack_window_reply(raw)
                 )
-                next_times[shard] = next_time
-                processed[shard] = count
                 within_budget = within_budget and ok
                 self._route_exports(exports, horizon)
             if not within_budget:
-                return self._settle(False, processed)
+                return False
 
-    def _settle(self, converged: bool, processed: List[int]) -> bool:
-        """Record per-shard processed counts at the end of a drain and, when
-        the drain reached the distributed fixpoint, certify every shard idle
-        (queues empty, export sinks drained, no pending imports)."""
-        self._shard_processed = list(processed)
-        if converged:
-            self._idle_certified = [True] * self.plan.shard_count
-            # Quiescence bookkeeping (mirrors the serial kernel's
-            # run_until_idle): every shard drops its engines' dead-base
-            # marks, so a later re-assertion of a retracted base is not
-            # mistaken for an in-flight race with its own anti-delta.
-            if self._kernels is not None:
-                for kernel in self._kernels:
-                    kernel.settle_retractions()
-            elif self._workers is not None:
-                frame = bytes((_OP_SETTLE,))
-                for worker in self._workers:
-                    worker.send_command(frame)
-                    worker.recv_reply()
-        return converged
-
-    def _run_pipelined(self) -> bool:
-        """The pipelined coordinator: per-shard horizons, no lockstep.
-
-        Invariant: while shard S computes a grant based at ``e_S`` (its
-        earliest pending time when granted), every other shard's *floor* —
-        the earliest instant anything it may still emit can be delivered —
-        stays at or above S's horizon ``H_S = min over R≠S of floor(R)``,
-        because a floor is ``base + W`` while a grant is outstanding and
-        ``earliest + W`` (or ``inf`` when idle-empty) otherwise, and
-        granting moves ``earliest + W`` to ``base + W`` unchanged.  The
-        worker's export self-cap keeps S itself from outrunning feedback
-        loops through its own exports.  Consequences:
-
-        * shards with work and far-ahead peers get multi-window leases in
-          one round-trip (coalescing — idle-empty peers contribute ``inf``);
-        * several shards hold grants at once, so compute overlaps with the
-          coordinator's export routing (the pipelined barrier);
-        * replies are collected lowest-shard-first, keeping routing order —
-          and thus the whole ledger — deterministic.
-        """
-        codec = self._codec
-        window = self.window
-        shard_count = self.plan.shard_count
-        imports = self._pending_imports
-        next_times, processed = self._drain_prime()
-        outstanding = [False] * shard_count
-        granted_base = [0.0] * shard_count
-
-        def earliest(shard: int) -> Optional[float]:
-            time = next_times[shard]
-            for deliver_at, _ in imports[shard]:
-                if time is None or deliver_at < time:
-                    time = deliver_at
-            return time
-
-        def floor_of(shard: int) -> float:
-            if outstanding[shard]:
-                return granted_base[shard] + window
-            time = earliest(shard)
-            return math.inf if time is None else time + window
-
-        budget_ok = True
-        while True:
-            exhausted = (
-                not budget_ok or sum(processed) >= self.max_events
-            )
-            if not exhausted:
-                floors = [floor_of(shard) for shard in range(shard_count)]
-                for shard in range(shard_count):
-                    if outstanding[shard]:
-                        continue
-                    base = earliest(shard)
-                    if base is None:
-                        continue
-                    horizon = min(
-                        (floors[other] for other in range(shard_count) if other != shard),
-                        default=math.inf,
-                    )
-                    if horizon <= base:
-                        continue
-                    batch, imports[shard] = imports[shard], []
-                    frame = _pack_window(codec, horizon, batch, window)
-                    self._idle_certified[shard] = False
-                    self._coordination_rounds += 1
-                    self._windows_executed += 1
-                    self._coordination_bytes += len(frame)
-                    self._io[shard].send_command(frame)
-                    outstanding[shard] = True
-                    granted_base[shard] = base
-                    # floors[shard] is unchanged by the grant (base + window
-                    # either way), so the precomputed list stays valid.
-            if not any(outstanding):
-                if not budget_ok:
-                    return self._settle(False, processed)
-                if all(earliest(shard) is None for shard in range(shard_count)):
-                    return self._settle(True, processed)
-                if sum(processed) >= self.max_events:
-                    return self._settle(False, processed)
-                raise RuntimeError(
-                    "pipelined shard coordinator stalled with work pending; "
-                    "this indicates a bug in the floor computation"
-                )
-            shard = next(s for s in range(shard_count) if outstanding[s])
-            raw = self._io[shard].recv_reply()
-            self._coordination_bytes += len(raw)
-            next_time, last_time, ok, count, exports = _unpack_window_reply(
-                codec, raw
-            )
-            outstanding[shard] = False
-            next_times[shard] = next_time
-            processed[shard] = count
-            budget_ok = budget_ok and ok
-            base = granted_base[shard]
-            if last_time is not None and window > 0:
-                self._windows_coalesced += max(0, int((last_time - base) / window))
-            self._route_exports(exports, base + window)
+    def _settle(self) -> None:
+        """Quiescence bookkeeping at the distributed fixpoint (mirrors the
+        serial kernel's run_until_idle): every shard drops its engines'
+        dead-base marks, so a later re-assertion of a retracted base is not
+        mistaken for an in-flight race with its own anti-delta."""
+        if self._kernels is not None:
+            for kernel in self._kernels:
+                kernel.settle_retractions()
+        elif self._workers is not None:
+            frame = bytes((_OP_SETTLE,))
+            for worker in self._workers:
+                worker.send_command(frame)
+                worker.recv_reply()
 
     def _route_exports(
         self,
@@ -1120,9 +835,8 @@ class ShardedSimulator:
         """Queue *exports* for their destination shards.
 
         *horizon* is the conservative bound the producing window promised
-        (strict: the barrier horizon; pipelined: its grant base plus one
-        window width); exports collected between drains (no window ran)
-        pass ``None`` — every kernel is at a barrier then, so any
+        (the barrier horizon); exports collected between drains (no window
+        ran) pass ``None`` — every kernel is at a barrier then, so any
         future-time delivery is safe.
         """
         for deliver_at, message in exports:
@@ -1230,7 +944,6 @@ class ShardedSimulator:
         merged.coordination_rounds = self._coordination_rounds
         merged.coordination_bytes = self._coordination_bytes
         merged.windows_executed = self._windows_executed
-        merged.windows_coalesced = self._windows_coalesced
         return merged
 
     def _events_processed_total(self, snapshots=None) -> int:
@@ -1275,8 +988,6 @@ class ShardedSimulator:
         return max([s[4] for s in snapshots] or [0.0])
 
     def expire_all(self, now: float) -> None:
-        # Expiry sweeps databases and gauges only — it cannot schedule
-        # events or produce exports, so idle certificates survive it.
         if self._kernels is not None:
             for kernel in self._kernels:
                 kernel.expire_all(now)
@@ -1311,7 +1022,7 @@ class ShardedSimulator:
         relation's arity from the compiled catalog — the coordinator may
         hold no engines while workers run.
         """
-        relation = self.link_relation
+        relation = self.options.link_relation
         arity = 3
         if relation in self._catalog:
             arity = self._catalog.schema(relation).arity
@@ -1382,10 +1093,6 @@ class ShardedSimulator:
         window barriers as data traffic.
         """
         at = self.current_time() if now is None else now
-        # Issuing touches the asker's kernel directly (timeout scheduling,
-        # possible cross-shard request exports): its idle certificate is
-        # void until the next flush collects what happened.
-        self._idle_certified[self.plan.shard_of(query.at)] = False
         return self._kernel_hosting(query.at).queries.issue(query, now=at)
 
     def query(
@@ -1415,6 +1122,5 @@ class ShardedSimulator:
     def __repr__(self) -> str:
         return (
             f"ShardedSimulator(nodes={self.topology.node_count}, "
-            f"shards={self.plan.shard_count}, mode={self.shard_mode!r}, "
-            f"pipeline={self.shard_pipeline}, transport={self.transport!r})"
+            f"shards={self.plan.shard_count}, mode={self.shard_mode!r})"
         )

@@ -256,12 +256,14 @@ class NetworkStats:
     #: coordinator↔worker request/reply round-trips on the hot path (drain
     #: flushes and window grants); ``coordination_bytes`` the frame bytes
     #: those round-trips carried; ``windows_executed`` the window commands
-    #: issued; ``windows_coalesced`` the *extra* whole window-widths covered
-    #: by multi-window leases (pipelined mode's one-round-trip runs of
-    #: export-empty windows).
+    #: issued.
     coordination_rounds: int = 0
     coordination_bytes: int = 0
     windows_executed: int = 0
+    #: Always 0: the lockstep barrier never leases more than one window.
+    #: Kept in ``summary()`` / ``COORDINATION_KEYS`` only because
+    #: ``bench/run.py`` reads ``stats["windows_coalesced"]``; retire it with
+    #: the next change to the benchmark.
     windows_coalesced: int = 0
 
     def node(self, address: Address) -> NodeStats:

@@ -1,11 +1,11 @@
-"""Cheap coordination transport for the sharded backend.
+"""The coordination frame codec of the sharded backend.
 
 The sharded coordinator and its workers exchange three kinds of payload at
 every synchronization point: cross-shard export batches (``(deliver_at,
 message)`` pairs), stamped control-event batches (drain flushes), and small
-window-grant headers.  Pickling those per window is the coordination floor
-ROADMAP item 2 complains about — a ``Fact`` pickles to hundreds of bytes of
-class metadata — so this module provides a compact **binary frame codec**:
+window-grant headers.  A pickled ``Fact`` is hundreds of bytes of class
+metadata, so those payloads travel as compact **binary frames** over the
+worker pipes (:class:`BinaryCodec`):
 
 * struct-packed numeric headers (times, sequence numbers, counts);
 * a per-frame **string table** interning addresses, relations, principals
@@ -13,7 +13,9 @@ class metadata — so this module provides a compact **binary frame codec**:
 * payloads (fact values, provenance monomials, query keys) via the same
   deterministic ``repr`` literal encoding the tiered provenance store uses
   (:mod:`repro.provenance.tiers`): ``repr`` of literals + ``ast.literal_eval``
-  round-trips exactly and never depends on hash seeds, unlike pickled sets.
+  round-trips exactly and never depends on hash seeds, unlike pickled sets;
+* frames of at least ``COMPRESS_MIN_BYTES`` are deflated when that saves
+  bytes.
 
 Frames are **deterministic**: encoding the same logical payload yields the
 same bytes in every process, which is what lets the coordinator expose
@@ -21,28 +23,16 @@ same bytes in every process, which is what lets the coordinator expose
 ``shard_mode="inline"`` and ``"processes"`` runs.  Messages whose payload is
 not literal-encodable (exotic user values) fall back to a per-message pickle
 record, keeping the codec total.
-
-Two transports share the frame surface (``TRANSPORTS``):
-
-* ``"binary"`` — the codec above (the default);
-* ``"pickle"`` — one pickle per payload, kept as the measurable baseline the
-  shard-scaling benchmark compares coordination bytes against;
-* ``"shm"`` — the binary codec, plus a zero-copy
-  :class:`SharedMemoryRing` per pipe direction: frames over
-  ``SHM_MIN_FRAME_BYTES`` are placed in a shared-memory ring and only a
-  12-byte descriptor crosses the pipe (see :mod:`repro.net.sharding`).
 """
 
 from __future__ import annotations
 
 import ast
 import math
-import os
 import pickle
 import struct
 import zlib
-from itertools import count as _counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.engine.tuples import Fact
 from repro.net.events import (
@@ -74,14 +64,6 @@ from repro.provenance.authenticated import SignedAnnotation
 from repro.provenance.condensed import CondensedProvenance
 from repro.provenance.distributed import ProvenancePointer
 from repro.provenance.polynomial import ProvenanceExpression
-
-#: Coordination transports the sharded backend accepts.
-TRANSPORTS = ("pickle", "binary", "shm")
-
-#: Frames at least this large ride the shared-memory ring under
-#: ``transport="shm"``; smaller ones go down the pipe (the descriptor and
-#: bookkeeping would cost more than the copy).
-SHM_MIN_FRAME_BYTES = 4096
 
 #: Binary frames at least this large are deflate-compressed before hitting
 #: the wire.  ``zlib.compress`` at a fixed level is deterministic for a given
@@ -724,9 +706,7 @@ def _open_frame(data: bytes) -> _Reader:
 
 
 class BinaryCodec:
-    """The compact frame codec (``transport="binary"`` / ``"shm"``)."""
-
-    name = "binary"
+    """The compact, deterministic coordination frame codec."""
 
     def encode_exports(self, exports) -> bytes:
         body = _Writer()
@@ -765,131 +745,3 @@ class BinaryCodec:
             owned = bool(reader.u8())
             batch.append((_decode_event(reader, strings), stamp, owned))
         return batch
-
-
-class PickleCodec:
-    """One pickle per payload: the legacy transport, kept as the measurable
-    baseline (and the fallback for payloads outside the wire vocabulary)."""
-
-    name = "pickle"
-
-    @staticmethod
-    def _dumps(payload) -> bytes:
-        return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-
-    def encode_exports(self, exports) -> bytes:
-        return self._dumps(list(exports))
-
-    def decode_exports(self, data: bytes):
-        return pickle.loads(data)
-
-    def encode_events(self, batch) -> bytes:
-        return self._dumps(list(batch))
-
-    def decode_events(self, data: bytes):
-        return pickle.loads(data)
-
-
-def make_codec(transport: str):
-    """The codec for *transport* (``"shm"`` frames are binary frames)."""
-    if transport not in TRANSPORTS:
-        raise ValueError(
-            f"unknown transport {transport!r}; expected one of {TRANSPORTS}"
-        )
-    if transport == "pickle":
-        return PickleCodec()
-    return BinaryCodec()
-
-
-# ---------------------------------------------------------------------------
-# Shared-memory ring
-# ---------------------------------------------------------------------------
-
-_ring_names = _counter()
-
-
-def _attach_segment(name: str):
-    from multiprocessing import resource_tracker, shared_memory
-
-    # Attached segments are owned (and unlinked) by the coordinator; keep
-    # the attach from registering with the resource tracker at all, so
-    # nothing double-unlinks (or double-unregisters) them at exit.  Python
-    # 3.13 exposes ``track=False`` for this; registering-then-unregistering
-    # is not equivalent when processes share one tracker.
-    original = resource_tracker.register
-    resource_tracker.register = lambda *args, **kwargs: None  # type: ignore[assignment]
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original  # type: ignore[assignment]
-
-
-class SharedMemoryRing:
-    """A single-producer single-consumer ring buffer for large frames.
-
-    The worker protocol is strict request/reply, so each pipe direction has
-    at most one frame outstanding: the producer may reuse any region the
-    consumer has already read, which reduces synchronization to the pipe
-    message itself — :meth:`write` returns the ``(offset, length)``
-    descriptor that crosses the pipe *after* the bytes are in place, and the
-    consumer copies them out on receipt.  Frames larger than the ring fall
-    back to the pipe (``write`` returns ``None``).
-    """
-
-    def __init__(
-        self,
-        name: Optional[str] = None,
-        capacity: int = 1 << 20,
-        create: bool = False,
-    ) -> None:
-        from multiprocessing import shared_memory
-
-        if create:
-            # Names only need to be unique per machine: pid plus a process
-            # counter, no randomness (determinism invariant INV002).
-            while True:
-                candidate = name or f"repro_ring_{os.getpid()}_{next(_ring_names)}"
-                try:
-                    self._segment = shared_memory.SharedMemory(
-                        name=candidate, create=True, size=capacity
-                    )
-                    break
-                except FileExistsError:  # pragma: no cover - stale segment
-                    if name is not None:
-                        raise
-            self._owner = True
-        else:
-            if name is None:
-                raise ValueError("attaching to a ring requires its name")
-            self._segment = _attach_segment(name)
-            self._owner = False
-        self.capacity = self._segment.size
-        self._cursor = 0
-
-    @property
-    def name(self) -> str:
-        return self._segment.name
-
-    def write(self, data: bytes) -> Optional[Tuple[int, int]]:
-        """Place *data* in the ring; returns its descriptor, or ``None`` when
-        the frame is larger than the whole ring (pipe fallback)."""
-        length = len(data)
-        if length > self.capacity:
-            return None
-        offset = self._cursor
-        if offset + length > self.capacity:
-            offset = 0  # wrap: the reader consumed the previous frame already
-        self._segment.buf[offset : offset + length] = data
-        self._cursor = offset + length
-        return (offset, length)
-
-    def read(self, offset: int, length: int) -> bytes:
-        return bytes(self._segment.buf[offset : offset + length])
-
-    def close(self) -> None:
-        try:
-            self._segment.close()
-            if self._owner:
-                self._segment.unlink()
-        except (FileNotFoundError, OSError):  # pragma: no cover
-            pass

@@ -1,12 +1,11 @@
-"""Batch-level engine receive: equivalence with the per-tuple path.
+"""`NodeEngine.receive_batch`, the engine's one receive path.
 
-`NodeEngine.receive_batch` drains one incoming wire batch through a single
-ProcessingResult/ProcessingReport and one probe-warm-up memo, but admits and
-fixpoints tuples strictly in arrival order — so derived facts, shipped
-tuples, delivery sequences and stats attribution must match the per-tuple
-`receive` path exactly (byte counters identically; simulated-time floats up
-to summation order, since one merged report is accounted with one multiply
-per counter instead of N additions).
+A delivered wire message drains through a single ProcessingResult /
+ProcessingReport and one probe-warm-up memo, admitting and fixpointing its
+tuples strictly in arrival order — so one batch of N tuples must derive,
+ship and report exactly what N singleton batches do (a per-tuple wire
+message *is* a singleton batch), and the linear cost model must charge the
+same CPU either way.
 """
 
 from __future__ import annotations
@@ -15,33 +14,11 @@ import pytest
 
 from repro.datalog import localize_program, parse_program
 from repro.datalog.planner import compile_program
-from repro.engine.node_engine import EngineConfig, NodeEngine, ProvenanceMode
+from repro.engine.node_engine import EngineConfig, NodeEngine
 from repro.engine.tuples import Fact
-from repro.net.kernel import CostModel, SimulationKernel
-from repro.net.topology import line_topology, random_topology
-from repro.queries.best_path import compile_best_path
+from repro.net.kernel import CostModel
 from repro.queries.reachable import REACHABLE_LOCALIZED
 from repro.security.says import SaysMode
-
-#: Summary fields accumulated from integer byte/count counters: these must
-#: be *identical* between the batch-level and per-tuple receive paths.
-EXACT_SUMMARY_FIELDS = (
-    "total_messages",
-    "total_bytes",
-    "bandwidth_mb",
-    "security_bytes",
-    "provenance_bytes",
-    "batches_sent",
-    "tuples_sent",
-    "mean_tuples_per_batch",
-    "messages_dropped",
-    "messages_lost",
-    "facts_derived",
-    "facts_retracted",
-)
-#: Simulated-time fields: mathematically equal, compared up to float
-#: summation order.
-APPROX_SUMMARY_FIELDS = ("completion_time_s", "cpu_seconds")
 
 
 @pytest.fixture(scope="module")
@@ -49,136 +26,8 @@ def compiled_reachable():
     return compile_program(localize_program(parse_program(REACHABLE_LOCALIZED)))
 
 
-@pytest.fixture(scope="module")
-def compiled_best_path():
-    return compile_best_path()
-
-
-def reachable_base(topology):
-    return {
-        node: [
-            Fact("link", (link.source, link.destination))
-            for link in topology.outgoing(node)
-        ]
-        for node in topology.nodes
-    }
-
-
-class RecordingSimulator(SimulationKernel):
-    """Records every delivery (sequence, endpoints, carried tuple keys)."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.delivered = []
-
-    def _deliver(self, message, deliver_at):
-        self.delivered.append(
-            (
-                message.sequence,
-                str(message.source),
-                str(message.destination),
-                tuple(fact.key() for fact in message.facts()),
-            )
-        )
-        super()._deliver(message, deliver_at)
-
-
-def run_pair(topology, compiled, config, base, key_bits=128):
-    """The same run under batch-level and per-tuple engine receive."""
-    runs = {}
-    for batch_receive in (True, False):
-        simulator = RecordingSimulator(
-            topology,
-            compiled,
-            config,
-            key_bits=key_bits,
-            batch_receive=batch_receive,
-        )
-        result = simulator.run(base)
-        assert result.converged
-        runs[batch_receive] = (simulator, result)
-    return runs
-
-
-def assert_equivalent(runs):
-    (sim_batch, res_batch) = runs[True]
-    (sim_tuple, res_tuple) = runs[False]
-    batch_summary = res_batch.stats.summary()
-    tuple_summary = res_tuple.stats.summary()
-    for field in EXACT_SUMMARY_FIELDS:
-        assert batch_summary[field] == tuple_summary[field], field
-    for field in APPROX_SUMMARY_FIELDS:
-        assert batch_summary[field] == pytest.approx(tuple_summary[field]), field
-    assert sim_batch.delivered == sim_tuple.delivered
-    for address, engine in res_batch.engines.items():
-        assert engine.database.snapshot() == (
-            res_tuple.engines[address].database.snapshot()
-        )
-
-
-class TestReceiveBatchEquivalence:
-    def test_reachable_identical_facts_sequences_and_attribution(
-        self, compiled_reachable
-    ):
-        topology = random_topology(8, seed=11)
-        runs = run_pair(
-            topology,
-            compiled_reachable,
-            EngineConfig(says_mode=SaysMode.SIGNED),
-            reachable_base(topology),
-        )
-        assert_equivalent(runs)
-        assert runs[True][1].stats.security_overhead_bytes() > 0
-
-    def test_reachable_with_condensed_provenance(self, compiled_reachable):
-        topology = line_topology(5)
-        runs = run_pair(
-            topology,
-            compiled_reachable,
-            EngineConfig(
-                says_mode=SaysMode.SIGNED,
-                provenance_mode=ProvenanceMode.CONDENSED,
-            ),
-            reachable_base(topology),
-        )
-        assert_equivalent(runs)
-        assert runs[True][1].stats.provenance_overhead_bytes() > 0
-
-    @pytest.mark.parametrize("configuration", ["ndlog", "sendlogprov"])
-    def test_best_path_identical(self, compiled_best_path, configuration):
-        config = {
-            "ndlog": EngineConfig(),
-            "sendlogprov": EngineConfig(
-                says_mode=SaysMode.SIGNED,
-                provenance_mode=ProvenanceMode.CONDENSED,
-            ),
-        }[configuration]
-        topology = random_topology(10, seed=4)
-        # run() with base None injects link_facts(); both runs use the same.
-        runs = run_pair(topology, compiled_best_path, config, None)
-        assert_equivalent(runs)
-
-    def test_per_tuple_wire_format_also_equivalent(self, compiled_reachable):
-        """batch_receive composes with batching=False (per-tuple wire)."""
-        topology = random_topology(7, seed=2)
-        runs = {}
-        for batch_receive in (True, False):
-            simulator = RecordingSimulator(
-                topology,
-                compiled_reachable,
-                EngineConfig(says_mode=SaysMode.SIGNED),
-                key_bits=128,
-                batching=False,
-                batch_receive=batch_receive,
-            )
-            result = simulator.run(reachable_base(topology))
-            assert result.converged
-            runs[batch_receive] = (simulator, result)
-        assert_equivalent(runs)
-
-
 class TestEngineLevelEquivalence:
-    """receive_batch(facts) == sequential receive(fact) at the engine level."""
+    """receive_batch(facts) == sequential singleton batches, fact by fact."""
 
     def _engines(self, compiled):
         config = EngineConfig()
@@ -208,7 +57,7 @@ class TestEngineLevelEquivalence:
         reports = []
         outgoing = []
         for fact in shipped:
-            result = via_tuple.receive(fact, now=1.0, provenance=fact.provenance)
+            result = via_tuple.receive_batch((fact,), now=1.0)
             reports.append(result.report)
             outgoing.extend(result.outgoing)
 
@@ -228,9 +77,7 @@ class TestEngineLevelEquivalence:
         model = CostModel()
         batch_cpu = model.cpu_seconds(via_batch.receive_batch(shipped, now=1.0).report)
         tuple_cpu = sum(
-            model.cpu_seconds(
-                via_tuple.receive(fact, now=1.0, provenance=fact.provenance).report
-            )
+            model.cpu_seconds(via_tuple.receive_batch((fact,), now=1.0).report)
             for fact in shipped
         )
         assert batch_cpu == pytest.approx(tuple_cpu)

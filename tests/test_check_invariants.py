@@ -237,31 +237,6 @@ class TestSetIteration:
         assert "INV004" not in _rules(tool.check_tree(tree))
 
 
-class TestDeprecatedShims:
-    def test_simulator_call_flagged(self, tree):
-        (tree / "harness" / "mod.py").write_text(
-            "from repro.net.simulator import Simulator\n\n\n"
-            "def f(**kw):\n    return Simulator(**kw)\n",
-            encoding="utf-8",
-        )
-        assert "INV005" in _rules(tool.check_tree(tree))
-
-    def test_shim_call_in_defining_module_allowed(self, tree):
-        (tree / "net" / "simulator.py").write_text(
-            "class Simulator:\n    pass\n\n\ndef clone():\n    return Simulator()\n",
-            encoding="utf-8",
-        )
-        assert "INV005" not in _rules(tool.check_tree(tree))
-
-    def test_run_configuration_call_flagged(self, tree):
-        (tree / "engine" / "mod.py").write_text(
-            "from repro.harness.runner import run_configuration\n\n\n"
-            "def f():\n    return run_configuration()\n",
-            encoding="utf-8",
-        )
-        assert "INV005" in _rules(tool.check_tree(tree))
-
-
 class TestModuleLevelCaches:
     def test_empty_dict_in_provenance_flagged(self, tree):
         (tree / "provenance").mkdir()

@@ -80,7 +80,7 @@ class TestAuthentication:
         receiver = make_engine("b", compiled_best_path, config, keystore)
         outgoing = sender.insert_base(Fact("link", ("a", "b", 1.0))).outgoing
         to_b = [o for o in outgoing if o.destination == "b"][0]
-        result = receiver.receive(to_b.fact, now=1.0)
+        result = receiver.receive_batch((to_b.fact,), now=1.0)
         assert result.report.facts_verified == 1
         assert result.report.facts_rejected == 0
         assert result.report.facts_inserted >= 1
@@ -97,14 +97,14 @@ class TestAuthentication:
             asserted_by=genuine.asserted_by,
             signature=genuine.signature,
         )
-        result = receiver.receive(tampered, now=1.0)
+        result = receiver.receive_batch((tampered,), now=1.0)
         assert result.report.facts_rejected == 1
         assert result.report.facts_inserted == 0
 
     def test_receiver_rejects_unsigned_tuple_in_signed_mode(self, compiled_best_path, keystore):
         config = EngineConfig(says_mode=SaysMode.SIGNED)
         receiver = make_engine("b", compiled_best_path, config, keystore)
-        result = receiver.receive(Fact("link", ("a", "b", 1.0)), now=0.0)
+        result = receiver.receive_batch((Fact("link", ("a", "b", 1.0)),), now=0.0)
         assert result.report.facts_rejected == 1
 
     def test_receiver_rejects_spoofed_principal(self, compiled_best_path, keystore):
@@ -114,7 +114,7 @@ class TestAuthentication:
         outgoing = mallory.insert_base(Fact("link", ("mallory", "b", 1.0))).outgoing
         fact = outgoing[0].fact
         spoofed = fact.with_metadata(asserted_by="a")  # claim it came from a
-        result = receiver.receive(spoofed, now=0.0)
+        result = receiver.receive_batch((spoofed,), now=0.0)
         assert result.report.facts_rejected == 1
 
 
@@ -160,7 +160,7 @@ class TestProvenanceModes:
         receiver = make_engine("b", compiled_best_path, config, keystore)
         outgoing = sender.insert_base(Fact("link", ("a", "b", 1.0))).outgoing
         to_b = [o for o in outgoing if o.destination == "b"][0]
-        result = receiver.receive(to_b.fact, now=0.5, provenance=to_b.fact.provenance)
+        result = receiver.receive_batch((to_b.fact,), now=0.5)
         assert result.report.provenance_verifications == 1
         assert result.report.facts_rejected == 0
 
@@ -174,7 +174,7 @@ class TestProvenanceModes:
         sender = make_engine("a", compiled_best_path, config, keystore)
         fact = sender.insert_base(Fact("link", ("a", "b", 1.0))).outgoing[0].fact
         fact = fact.with_metadata(provenance=forged)
-        result = receiver.receive(fact, now=0.5, provenance=forged)
+        result = receiver.receive_batch((fact,), now=0.5)
         assert result.report.facts_rejected == 1
 
     def test_provenance_of_local_fact(self, compiled_best_path, keystore):

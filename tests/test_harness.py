@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api.options import PROVENANCE_PRESETS, NetOptions, resolve_preset
 from repro.harness.experiments import (
+    CONFIGURATION_ORDER,
     figure3_series,
     figure4_series,
     overhead_table,
@@ -12,19 +14,13 @@ from repro.harness.experiments import (
     render_series,
     sweep,
 )
-from repro.harness.runner import (
-    CONFIGURATIONS,
-    engine_config,
-    run_best_path,
-    run_configuration,
-)
+from repro.harness.runner import run_network
 from repro.harness.workload import (
     PAPER_AVERAGE_OUTDEGREE,
     PAPER_NODE_COUNTS,
     best_path_workload,
     evaluation_topology,
 )
-from repro.net.kernel import CostModel
 
 
 class TestWorkload:
@@ -47,13 +43,19 @@ class TestWorkload:
 
 class TestRunner:
     def test_configuration_names(self):
-        assert set(CONFIGURATIONS) == {"NDLog", "SeNDLog", "SeNDLogProv"}
+        # The harness's paper spellings resolve onto the presets the facade owns.
+        assert CONFIGURATION_ORDER == ("NDLog", "SeNDLog", "SeNDLogProv")
+        resolved = [resolve_preset(name) for name in CONFIGURATION_ORDER]
+        assert resolved == ["ndlog", "sendlog", "sendlog-prov"]
+        assert set(resolved) <= set(PROVENANCE_PRESETS)
 
     def test_engine_config_mapping(self):
         from repro.engine.node_engine import ProvenanceMode
         from repro.security.says import SaysMode
 
+        engine_config = NetOptions().engine_config
         assert engine_config("NDLog").says_mode is SaysMode.NONE
+        assert engine_config("NDLog").provenance_mode is ProvenanceMode.NONE
         assert engine_config("SeNDLog").says_mode is SaysMode.SIGNED
         prov = engine_config("SeNDLogProv")
         assert prov.says_mode is SaysMode.SIGNED
@@ -61,37 +63,19 @@ class TestRunner:
         with pytest.raises(ValueError):
             engine_config("Unknown")
 
-    def test_run_configuration_row(self, compiled_best_path):
-        # The legacy shim still works — under a DeprecationWarning pointing
-        # at repro.api (asserted in detail in test_deprecations.py).
-        with pytest.warns(DeprecationWarning):
-            row = run_configuration(
-                "NDLog", node_count=8, seed=1, compiled=compiled_best_path
-            )
+    def test_run_network_row(self, compiled_best_path):
+        row = run_network("NDLog", 8, seed=1, compiled=compiled_best_path)
         assert row.converged
-        assert row.best_paths == 8 * 7
+        assert row.count("bestPath") == 8 * 7
         assert row.completion_time_s > 0
         assert row.bandwidth_mb > 0
         assert row.security_bytes == 0 and row.provenance_bytes == 0
         assert set(row.as_dict()) >= {"configuration", "node_count", "bandwidth_mb"}
 
     def test_secure_configuration_records_overhead_bytes(self, compiled_best_path):
-        with pytest.warns(DeprecationWarning):
-            row = run_configuration(
-                "SeNDLogProv", node_count=8, seed=1, compiled=compiled_best_path
-            )
+        row = run_network("SeNDLogProv", 8, seed=1, compiled=compiled_best_path)
         assert row.security_bytes > 0
         assert row.provenance_bytes > 0
-
-    def test_run_best_path_accepts_custom_cost_model(self, compiled_best_path, small_topology):
-        with pytest.warns(DeprecationWarning):
-            result = run_best_path(
-                small_topology,
-                "NDLog",
-                compiled=compiled_best_path,
-                cost_model=CostModel(seconds_per_rule_firing=0.0),
-            )
-        assert result.converged
 
 
 class TestExperiments:

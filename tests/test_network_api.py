@@ -1,5 +1,5 @@
 """The `repro.api` facade: Network.build, NetOptions validation, RunResult,
-legacy shims and the facade-era scenario/harness integration."""
+and the scenario/harness integration."""
 
 from __future__ import annotations
 
@@ -7,12 +7,7 @@ import pytest
 
 from repro.api import Network, NetOptions, PROVENANCE_PRESETS, RunResult, resolve_preset
 from repro.engine.node_engine import EngineConfig, ProvenanceMode
-from repro.harness.runner import (
-    ExperimentRow,
-    run_best_path,
-    run_configuration,
-    run_network,
-)
+from repro.harness.runner import run_network
 from repro.net.kernel import CostModel, SimulationKernel
 from repro.net.topology import Topology, line_topology, random_topology
 from repro.queries.best_path import compile_best_path
@@ -84,6 +79,17 @@ class TestNetOptionsValidation:
     def test_unknown_override_lists_fields(self):
         with pytest.raises(ValueError, match="frobnicate"):
             NetOptions().merged(frobnicate=True)
+
+    @pytest.mark.parametrize(
+        "removed",
+        [{"shard_pipeline": True}, {"transport": "shm"}, {"batch_receive": False}],
+        ids=lambda kwargs: next(iter(kwargs)),
+    )
+    def test_removed_options_are_unknown_to_build(self, removed):
+        # The deleted coordination / transport / receive modes are not
+        # silently accepted: they fail like any other misspelt option.
+        with pytest.raises(ValueError, match="valid fields"):
+            Network.build(topology=4, provenance="ndlog", **removed)
 
     def test_merged_applies_overrides(self):
         merged = NetOptions().merged(batching=False, key_bits=128)
@@ -176,7 +182,7 @@ class TestNetworkBuild:
         network = Network.build(topology=line_topology(3), provenance="ndlog")
         assert network.link_is_up("n0", "n1")
         assert network.node_is_up("n0")
-        assert network.simulator.batch_receive is True
+        assert network.options.kernel_options() == network.simulator.options
 
 
 class TestRunResult:
@@ -214,59 +220,25 @@ class TestRunResult:
         assert facade.summary() == legacy.stats.summary()
 
 
-class TestLegacyShims:
-    def test_run_best_path_returns_unified_result(self, compiled_best_path):
-        topology = random_topology(6, seed=0)
-        with pytest.warns(DeprecationWarning):
-            result = run_best_path(topology, "NDLog", compiled=compiled_best_path)
-        assert isinstance(result, RunResult)
-        assert result.converged
-        assert result.all_facts("bestPath")
-
-    def test_run_configuration_threads_batch_receive(self, monkeypatch):
-        """The regression this PR fixes: batch_receive used to be dropped."""
-        captured = {}
-
-        def fake_run_network(configuration, topology, **kwargs):
-            captured.update(kwargs, configuration=configuration)
-            raise _Probe
-
-        class _Probe(Exception):
-            pass
-
-        monkeypatch.setattr("repro.harness.runner.run_network", fake_run_network)
-        with pytest.raises(_Probe), pytest.warns(DeprecationWarning):
-            run_configuration("NDLog", 6, batch_receive=False, batching=False)
-        assert captured["batch_receive"] is False
-        assert captured["batching"] is False
-
-    def test_run_configuration_row_shape(self, compiled_best_path):
-        with pytest.warns(DeprecationWarning):
-            row = run_configuration(
-                "NDLog", node_count=6, seed=1, compiled=compiled_best_path
-            )
-        assert isinstance(row, ExperimentRow)
-        assert row.configuration == "NDLog"
-        assert row.best_paths == 6 * 5
-        assert row.query_bytes == 0
-        assert "query_bytes" in row.as_dict()
-
+class TestRunNetwork:
     def test_run_network_records_sweep_coordinates(self, compiled_best_path):
         run = run_network("SeNDLog", 6, seed=3, compiled=compiled_best_path)
+        assert isinstance(run, RunResult)
         assert run.configuration == "SeNDLog"
         assert run.node_count == 6
         assert run.seed == 3
 
     def test_custom_cost_model_passes_through(self, compiled_best_path):
         topology = random_topology(6, seed=0)
-        with pytest.warns(DeprecationWarning):
-            result = run_best_path(
-                topology,
-                "NDLog",
-                compiled=compiled_best_path,
-                cost_model=CostModel(seconds_per_rule_firing=0.0),
-            )
-        assert result.converged
+        free = run_network(
+            "NDLog",
+            topology,
+            compiled=compiled_best_path,
+            cost_model=CostModel(seconds_per_rule_firing=0.0),
+        )
+        default = run_network("NDLog", topology, compiled=compiled_best_path)
+        assert free.converged and default.converged
+        assert free.stats.summary()["cpu_seconds"] < default.stats.summary()["cpu_seconds"]
 
 
 class TestScenarioFacadeIntegration:
@@ -310,14 +282,3 @@ class TestSweepIntegration:
         assert result.rows[0].configuration == "NDLog"
         series = figure3_series(result)
         assert set(series) == {"NDLog"}
-
-    def test_sweep_accepts_batch_receive(self):
-        from repro.harness.experiments import sweep
-
-        result = sweep(
-            node_counts=(6,),
-            seeds=(0,),
-            configurations=("NDLog",),
-            batch_receive=False,
-        )
-        assert result.rows[0].converged

@@ -314,10 +314,17 @@ class TestNetworkServe:
 
 class TestScenarioServiceColumns:
     def test_link_failure_reports_service_columns(self):
-        from repro.harness.scenarios import link_failure_scenario, run_scenario
+        from repro.harness.scenarios import (
+            SCENARIO_OPTIONS,
+            link_failure_scenario,
+            run_scenario,
+        )
 
         scenario, network = link_failure_scenario(
-            node_count=8, query_rate=3.0, clients=1, admission=2.0
+            node_count=8,
+            query_rate=3.0,
+            clients=1,
+            options=SCENARIO_OPTIONS.merged(admission_rate=2.0),
         )
         report = run_scenario(scenario, network)
         assert report.converged

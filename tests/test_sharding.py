@@ -13,6 +13,9 @@ multiprocessing worker path.
 from __future__ import annotations
 
 import dataclasses
+import os
+import signal
+import threading
 from contextlib import contextmanager
 
 import pytest
@@ -20,8 +23,9 @@ import pytest
 from repro.api.network import Network
 from repro.api.options import NetOptions
 from repro.engine.node_engine import EngineConfig, ProvenanceMode
+from repro.net.events import FactInjection, SoftStateRefresh
 from repro.net.kernel import SimulationKernel
-from repro.net.sharding import ShardedSimulator, partition_topology
+from repro.net.sharding import ShardedSimulator, ShardWorkerError, partition_topology
 from repro.net.stats import COORDINATION_KEYS
 from repro.net.topology import line_topology, random_topology
 from repro.queries.best_path import compile_best_path
@@ -128,6 +132,25 @@ def _sharded(topology, config, shards=3, shard_mode="inline", **kwargs):
         shard_mode=shard_mode,
         **kwargs,
     ).run()
+
+
+def _within(seconds, call):
+    """Run *call* on a helper thread; fail instead of hanging the suite."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = call()
+        except BaseException as error:  # re-raised on the calling thread
+            outcome["error"] = error
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still running after {seconds} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
 
 
 class TestSerialEquivalence:
@@ -253,10 +276,16 @@ class TestDynamicsAcrossShards:
     """Link failure, churn and retraction crossing shard boundaries."""
 
     def _run_scenario(self, name, backend, **kwargs):
-        from repro.harness.scenarios import SCENARIOS, run_scenario
+        from repro.harness.scenarios import (
+            SCENARIO_OPTIONS,
+            SCENARIOS,
+            run_scenario,
+        )
 
         scenario, network = SCENARIOS[name](
-            node_count=8, seed=1, backend=backend, **kwargs
+            node_count=8,
+            seed=1,
+            options=SCENARIO_OPTIONS.merged(backend=backend, **kwargs),
         )
         report = run_scenario(scenario, network)
         return report
@@ -608,153 +637,72 @@ class TestProcessWorkers:
         any_engine = next(iter(sharded.engines.values()))
         assert any_engine.compiled is not None
 
-class TestPipelinedCoordination:
-    """The pipelined barrier and cheap transport: identical results, fewer
-    rounds, fewer bytes — across scenario scripts and the query plane."""
-
-    def _scenario_rows(self, name, backend, **kwargs):
-        from repro.harness.scenarios import SCENARIOS, run_scenario
-
-        scenario, network = SCENARIOS[name](
-            node_count=8, seed=1, backend=backend, **kwargs
-        )
-        return run_scenario(scenario, network), network
-
-    @pytest.mark.parametrize("shards", (2, 4))
-    @pytest.mark.parametrize("name", ("link-failure", "churn", "retraction"))
-    def test_pipelined_scenario_rows_match_serial(self, name, shards):
-        serial, _ = self._scenario_rows(name, "serial")
-        sharded, _ = self._scenario_rows(
-            name,
-            "sharded",
-            shards=shards,
-            shard_mode="inline",
-            shard_pipeline=True,
-            transport="binary",
-        )
-        assert serial.converged and sharded.converged
-        assert len(serial.rows) == len(sharded.rows)
-        for left, right in zip(serial.rows, sharded.rows):
-            for field in (
-                "phase",
-                "events",
-                "messages",
-                "tuples_sent",
-                "messages_lost",
-                "facts_retracted",
-                "probe_facts",
-                "query_messages",
-            ):
-                assert getattr(left, field) == getattr(right, field), (
-                    name,
-                    left.phase,
-                    field,
-                )
-            assert left.kilobytes == pytest.approx(right.kilobytes)
-            assert left.completion_time == pytest.approx(right.completion_time)
-
-    @pytest.mark.parametrize("shards", (2, 4))
-    def test_pipelined_query_plane_matches_serial(self, shards):
-        topology = random_topology(8, seed=6)
-
-        def build():
-            return EngineConfig(provenance_mode=ProvenanceMode.DISTRIBUTED)
-
-        serial_simulator = SimulationKernel(
-            topology, compile_best_path(), build(), key_bits=128
-        )
-        serial_result = serial_simulator.run()
-        sharded_simulator = ShardedSimulator(
-            topology,
+    @pytest.mark.parametrize("drains_before_kill", (0, 1))
+    def test_killed_worker_ends_in_a_structured_error(self, drains_before_kill):
+        # SIGKILL one worker — right after its spawn, or between two drains
+        # — and the next drain must name the shard and its exit code, stop
+        # every other worker, and neither hang nor leak a bare pipe error.
+        simulator = ShardedSimulator(
+            random_topology(12, seed=4),
             compile_best_path(),
-            build(),
-            key_bits=128,
-            shards=shards,
-            shard_mode="inline",
-            shard_pipeline=True,
-            transport="binary",
-        )
-        sharded_result = sharded_simulator.run()
-        _assert_equivalent(serial_result, sharded_result)
-        for fact in sorted(
-            serial_result.all_facts("bestPath"), key=lambda f: f.values
-        )[:3]:
-            asker = fact.values[0]
-            serial_answer = serial_simulator.query(fact, at=asker)
-            sharded_answer = sharded_simulator.query(fact, at=asker)
-            assert serial_answer.complete == sharded_answer.complete
-            assert serial_answer.messages == sharded_answer.messages
-            assert serial_answer.bytes == sharded_answer.bytes
-
-    @pytest.mark.parametrize("transport", ("pickle", "binary"))
-    @pytest.mark.parametrize("shards", (2, 4))
-    def test_pipelined_equivalence_all_transports(self, shards, transport):
-        topology = random_topology(14, seed=7)
-        serial = _serial(topology, EngineConfig())
-        sharded = _sharded(
-            topology,
             EngineConfig(),
-            shards=shards,
-            shard_pipeline=True,
-            transport=transport,
+            key_bits=128,
+            shards=2,
+            shard_mode="processes",
         )
-        _assert_equivalent(serial, sharded)
-
-    def test_pipelined_saves_rounds_and_bytes(self):
-        # The whole point: same workload, same results, cheaper coordination.
-        topology = random_topology(14, seed=7)
-        ledgers = {}
-        for pipeline, transport in ((False, "pickle"), (True, "binary")):
-            simulator = ShardedSimulator(
-                topology,
-                compile_best_path(),
-                EngineConfig(),
-                key_bits=128,
-                shards=4,
-                shard_mode="inline",
-                shard_pipeline=pipeline,
-                transport=transport,
+        for address, facts in simulator.link_facts().items():
+            simulator.schedule(
+                FactInjection(time=0.0, address=address, facts=tuple(facts))
             )
-            result = simulator.run()
-            summary = result.stats.summary()
-            ledgers[pipeline] = summary
-            assert summary["windows_executed"] > 0
-        strict, pipelined = ledgers[False], ledgers[True]
-        assert pipelined["coordination_rounds"] < strict["coordination_rounds"]
-        assert pipelined["coordination_bytes"] < strict["coordination_bytes"]
-        assert pipelined["windows_executed"] < strict["windows_executed"]
-        assert pipelined["windows_coalesced"] > 0
-        assert strict["windows_coalesced"] == 0
+        simulator._ensure_running()
+        processes = [worker.process for worker in simulator._workers]
+        try:
+            if drains_before_kill:
+                assert _within(30, simulator.run_until_idle)
+                simulator.schedule(SoftStateRefresh(time=simulator.current_time() + 1))
+            os.kill(processes[1].pid, signal.SIGKILL)
+            with pytest.raises(
+                ShardWorkerError, match=r"shard 1 worker .*exit code -9"
+            ):
+                _within(30, simulator.run_until_idle)
+            for process in processes:
+                process.join(timeout=5)
+            assert not any(process.is_alive() for process in processes)
+            assert simulator._workers is None
+        finally:
+            simulator.close()
+
+
+class TestCoordinationLedger:
+    """The coordinator's books: cheap empty drains, kernel-local query
+    billing, and a ledger that does not depend on the worker mode."""
 
     def test_empty_drain_is_cheap(self):
-        # Satellite: a drain with nothing to do must not cost real frames.
-        # Strict mode pays one small fixed-size flush round per shard;
-        # pipelined mode skips certified-idle shards entirely.
+        # A drain with nothing to do pays one small fixed-size flush round
+        # per shard and no window.
         topology = random_topology(10, seed=2)
-        for pipeline, max_bytes_per_shard in ((False, 96), (True, 0)):
-            simulator = ShardedSimulator(
-                topology,
-                compile_best_path(),
-                EngineConfig(),
-                key_bits=128,
-                shards=2,
-                shard_mode="inline",
-                shard_pipeline=pipeline,
-            )
-            simulator.run()
-            rounds = simulator._coordination_rounds
-            bytes_before = simulator._coordination_bytes
-            assert simulator.run_until_idle()
-            delta_rounds = simulator._coordination_rounds - rounds
-            delta_bytes = simulator._coordination_bytes - bytes_before
-            if pipeline:
-                assert delta_rounds == 0 and delta_bytes == 0
-            else:
-                assert delta_rounds == simulator.plan.shard_count
-                assert delta_bytes <= max_bytes_per_shard * simulator.plan.shard_count
+        simulator = ShardedSimulator(
+            topology,
+            compile_best_path(),
+            EngineConfig(),
+            key_bits=128,
+            shards=2,
+            shard_mode="inline",
+        )
+        simulator.run()
+        rounds = simulator._coordination_rounds
+        bytes_before = simulator._coordination_bytes
+        windows = simulator._windows_executed
+        assert simulator.run_until_idle()
+        assert simulator._coordination_rounds - rounds == simulator.plan.shard_count
+        assert (
+            simulator._coordination_bytes - bytes_before
+            <= 96 * simulator.plan.shard_count
+        )
+        assert simulator._windows_executed == windows
 
     def test_query_receipts_keep_kernel_books_local(self):
-        # Satellite: responses passing through a kernel that does not host
+        # Responses passing through a kernel that does not host
         # the asker are recorded as receipts and settled at merge time; no
         # kernel's stats book ever names a node it does not host.
         topology = random_topology(8, seed=6)
@@ -818,8 +766,6 @@ class TestPipelinedCoordination:
                 key_bits=128,
                 shards=2,
                 shard_mode=mode,
-                shard_pipeline=True,
-                transport="binary",
             )
             result = simulator.run()
             summary = result.stats.summary()
@@ -827,26 +773,7 @@ class TestPipelinedCoordination:
                 {key: summary[key] for key in COORDINATION_KEYS}
             )
         assert ledgers[0] == ledgers[1]
-
-    def test_shm_transport_matches_serial_in_process_mode(self):
-        # The zero-copy ring only engages for frames above the threshold;
-        # results and ledger must be identical to plain binary either way.
-        topology = random_topology(8, seed=11)
-        config = EngineConfig(
-            says_mode=SaysMode.SIGNED, provenance_mode=ProvenanceMode.CONDENSED
-        )
-        serial = _serial(topology, config)
-        sharded = _sharded(
-            topology,
-            EngineConfig(
-                says_mode=SaysMode.SIGNED, provenance_mode=ProvenanceMode.CONDENSED
-            ),
-            shards=2,
-            shard_mode="processes",
-            shard_pipeline=True,
-            transport="shm",
-        )
-        _assert_equivalent(serial, sharded)
+        assert ledgers[0]["windows_executed"] > 0
 
 
 class TestServicePlaneEquivalence:

@@ -1,6 +1,6 @@
-"""Tests for the coordination frame codec and shared-memory ring.
+"""Tests for the coordination frame codec.
 
-The binary transport carries every hot-path payload between the shard
+The binary codec carries every hot-path payload between the shard
 coordinator and its workers.  Its contract has three parts:
 
 * **exactness** — decode(encode(x)) reconstructs every field the simulation
@@ -9,15 +9,14 @@ coordinator and its workers.  Its contract has three parts:
 * **determinism** — the same payload encodes to the same bytes, so the
   ``coordination_bytes`` ledger is reproducible and identical between
   inline and process shard modes;
-* **compactness** — frames are smaller than the pickle baseline, and large
-  frames deflate.
+* **compactness** — frames are smaller than pickling the same payload, and
+  large frames deflate.
 """
 
 from __future__ import annotations
 
-import math
+import pickle
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -41,15 +40,7 @@ from repro.net.message import (
     QueryResponse,
     QueryClosureEntry,
 )
-from repro.net.transport import (
-    COMPRESS_MIN_BYTES,
-    SHM_MIN_FRAME_BYTES,
-    TRANSPORTS,
-    BinaryCodec,
-    PickleCodec,
-    SharedMemoryRing,
-    make_codec,
-)
+from repro.net.transport import COMPRESS_MIN_BYTES, BinaryCodec
 from repro.provenance.authenticated import SignedAnnotation
 from repro.provenance.condensed import CondensedProvenance
 from repro.provenance.distributed import ProvenancePointer
@@ -266,14 +257,12 @@ def _sample_events():
     ]
 
 
-@pytest.mark.parametrize("transport", TRANSPORTS)
-def test_exports_round_trip_all_wire_kinds(transport):
-    _assert_exports_round_trip(make_codec(transport), _sample_exports())
+def test_exports_round_trip_all_wire_kinds():
+    _assert_exports_round_trip(BinaryCodec(), _sample_exports())
 
 
-@pytest.mark.parametrize("transport", TRANSPORTS)
-def test_events_round_trip_all_kinds(transport):
-    codec = make_codec(transport)
+def test_events_round_trip_all_kinds():
+    codec = BinaryCodec()
     batch = _sample_events()
     decoded = codec.decode_events(codec.encode_events(batch))
     assert len(decoded) == len(batch)
@@ -294,7 +283,7 @@ def test_binary_frames_are_deterministic():
 def test_binary_beats_pickle_on_export_batches():
     exports = _sample_exports()
     binary = len(BinaryCodec().encode_exports(exports))
-    pickled = len(PickleCodec().encode_exports(exports))
+    pickled = len(pickle.dumps(exports, protocol=pickle.HIGHEST_PROTOCOL))
     assert binary < pickled
 
 
@@ -334,11 +323,6 @@ def test_non_literal_values_fall_back_to_pickle():
     fact = Fact("weird", (Opaque("x"), float("inf"), -0.0))
     exports = [(0.5, Message(source="n1", destination="n2", fact=fact))]
     _assert_exports_round_trip(BinaryCodec(), exports)
-
-
-def test_make_codec_rejects_unknown_transport():
-    with pytest.raises(ValueError, match="unknown transport"):
-        make_codec("carrier-pigeon")
 
 
 # ---------------------------------------------------------------------------
@@ -421,36 +405,3 @@ def test_property_export_batches_round_trip(exports):
     _assert_exports_round_trip(codec, exports)
     # Determinism: the ledger's byte counts must be reproducible.
     assert codec.encode_exports(exports) == codec.encode_exports(exports)
-
-
-# ---------------------------------------------------------------------------
-# Shared-memory ring
-# ---------------------------------------------------------------------------
-
-def test_shm_ring_round_trip_and_wrap():
-    ring = SharedMemoryRing(capacity=1 << 12, create=True)
-    try:
-        peer = SharedMemoryRing(name=ring.name, capacity=1 << 12, create=False)
-        try:
-            payload = bytes(range(256)) * 8  # 2 KiB
-            for _ in range(5):  # forces a wrap on the 4 KiB ring
-                slot = ring.write(payload)
-                assert slot is not None
-                offset, length = slot
-                assert peer.read(offset, length) == payload
-        finally:
-            peer.close()
-    finally:
-        ring.close()
-
-
-def test_shm_ring_rejects_oversized_frames():
-    ring = SharedMemoryRing(capacity=1 << 10, create=True)
-    try:
-        assert ring.write(b"x" * ((1 << 10) + 1)) is None
-    finally:
-        ring.close()
-
-
-def test_shm_threshold_sane():
-    assert SHM_MIN_FRAME_BYTES > COMPRESS_MIN_BYTES

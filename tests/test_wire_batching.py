@@ -220,25 +220,6 @@ class TestFifoUnpack:
             sequence=1,
         )
 
-    def test_per_tuple_receive_sees_tuples_in_item_order(self, compiled_reachable):
-        simulator = SimulationKernel(
-            paper_example_topology(),
-            compiled_reachable,
-            EngineConfig(),
-            batch_receive=False,
-        )
-        received = []
-        engine = simulator.engines["b"]
-        original = engine.receive
-
-        def recording_receive(fact, now, provenance=None):
-            received.append(fact.values)
-            return original(fact, now=now, provenance=provenance)
-
-        engine.receive = recording_receive
-        simulator._deliver(self._batch(), deliver_at=0.0)
-        assert received == [("b", str(i)) for i in range(5)]
-
     def test_batch_receive_admits_tuples_in_item_order(self, compiled_reachable):
         simulator = SimulationKernel(
             paper_example_topology(), compiled_reachable, EngineConfig()
@@ -334,7 +315,7 @@ class TestReceivedProvenanceSampling:
         outgoing = sender.insert_base(Fact("link", ("a", "b"))).outgoing
         shipped = [o for o in outgoing if o.destination == "b"][0].fact
         before = set(receiver.local_provenance.keys())
-        receiver.receive(shipped, now=1.0, provenance=shipped.provenance)
+        receiver.receive_batch((shipped,), now=1.0)
         # The tuple itself is stored, but no provenance was recorded for it.
         assert receiver.facts(shipped.relation)
         assert shipped.key() not in set(receiver.local_provenance.keys()) - before
@@ -343,7 +324,7 @@ class TestReceivedProvenanceSampling:
         sender, receiver = self._engines(compiled_reachable, rate=1.0)
         outgoing = sender.insert_base(Fact("link", ("a", "b"))).outgoing
         shipped = [o for o in outgoing if o.destination == "b"][0].fact
-        receiver.receive(shipped, now=1.0, provenance=shipped.provenance)
+        receiver.receive_batch((shipped,), now=1.0)
         assert shipped.key() in receiver.local_provenance.keys()
 
 

@@ -24,10 +24,6 @@ INV004  no direct iteration over set displays / ``set(...)`` calls in
         ``net/`` or ``engine/`` unless wrapped in ``sorted(...)``; set
         order is hash-seed dependent and must never feed ``schedule()`` or
         outgoing-message construction.
-INV005  no internal calls to the deprecated shims (``Simulator(...)``,
-        ``run_best_path``, ``run_configuration``, ``ExperimentRow``)
-        outside the modules that define them; internal code uses the
-        ``Network`` facade / ``run_network``.
 INV006  no unbounded module-level caches in ``provenance/``, ``engine/``,
         ``service/`` or ``net/``: an empty mutable container assigned at
         module scope (``_CACHE = {}``, ``x = list()`` ...) and a module-level
@@ -60,7 +56,6 @@ RULES: Dict[str, str] = {
     "INV002": "unseeded randomness",
     "INV003": "event class escapes the content-based rank",
     "INV004": "iteration over unordered set in the hot path",
-    "INV005": "internal call to a deprecated shim",
     "INV006": "unbounded module-level cache in provenance/engine/service/net",
 }
 
@@ -88,14 +83,6 @@ WALL_CLOCK = {
     ("datetime", "utcnow"),
     ("datetime", "today"),
     ("date", "today"),
-}
-
-#: Deprecated shim -> module allowed to define (and self-reference) it.
-DEPRECATED_SHIMS = {
-    "Simulator": "net/simulator.py",
-    "run_best_path": "harness/runner.py",
-    "run_configuration": "harness/runner.py",
-    "ExperimentRow": "harness/runner.py",
 }
 
 ALLOW_PATTERN = re.compile(r"#\s*invariant:\s*ok\((INV\d{3})\)")
@@ -184,7 +171,7 @@ def _is_unbounded_memo_decorator(decorator: ast.AST) -> bool:
 
 
 class FileChecker(ast.NodeVisitor):
-    """Per-file visitor emitting INV001 / INV002 / INV004 / INV005 findings."""
+    """Per-file visitor emitting INV001 / INV002 / INV004 / INV006 findings."""
 
     def __init__(self, relative: str, allowed: Dict[int, Set[str]]) -> None:
         self.relative = relative
@@ -240,7 +227,7 @@ class FileChecker(ast.NodeVisitor):
                     )
         self.generic_visit(node)
 
-    # -- INV001 / INV002 / INV005 -------------------------------------------
+    # -- INV001 / INV002 -----------------------------------------------------
 
     def visit_Call(self, node: ast.Call) -> None:
         chain = _attribute_chain(node.func)
@@ -272,16 +259,6 @@ class FileChecker(ast.NodeVisitor):
                         f"random.{tail}() draws from the process-global RNG; "
                         "use a seeded random.Random instance",
                     )
-            name = chain[-1] if len(chain) <= 2 else None
-            if name in DEPRECATED_SHIMS and not self.relative.endswith(
-                DEPRECATED_SHIMS[name]
-            ):
-                self._emit(
-                    "INV005",
-                    node,
-                    f"call to deprecated shim {name}(); internal code uses "
-                    "the Network facade / run_network",
-                )
         self.generic_visit(node)
 
     # -- INV004 --------------------------------------------------------------
