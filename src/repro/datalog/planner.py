@@ -16,13 +16,18 @@ For each (rule, delta position) pair the compiler also builds a
 bound-variable coverage (most-bound-first, constants counted), a
 :class:`ProbeSpec` per atom giving the statically bound columns its table
 probe can use, and a static schedule of which expression literals to apply
-after each join step.  The evaluator executes these plans directly instead
-of re-deriving bound columns and expression readiness per candidate tuple.
+after each join step.  :mod:`repro.datalog.codegen` then writes each
+:class:`DeltaPlan` out as one generated Python function
+(:attr:`DeltaPlan.fire`, text in :attr:`DeltaPlan.source`) — the only
+evaluator of the hot path; nothing about a rule is interpreted per tuple.
+The functions are instance state of the plans of one
+:class:`CompiledProgram`, shared by every node engine running it, and never
+pickled: spawned shard workers recompile from the program AST.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -39,20 +44,9 @@ from repro.datalog.ast import (
     Term,
     Variable,
 )
-from repro.datalog.errors import EvaluationError, PlanError
+from repro.datalog.codegen import generate_fire
+from repro.datalog.errors import PlanError
 from repro.datalog.rewrite import is_localized
-
-#: Comparison operators shared by the planner's compiled expression closures
-#: and the evaluator's generic ``apply_expression`` fallback.
-COMPARATORS: Dict[str, Callable[[object, object], bool]] = {
-    "<": lambda a, b: a < b,
-    ">": lambda a, b: a > b,
-    "<=": lambda a, b: a <= b,
-    ">=": lambda a, b: a >= b,
-    "==": lambda a, b: a == b,
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-}
 
 
 @dataclass(frozen=True)
@@ -74,20 +68,6 @@ class BodyAtomPlan:
     @property
     def negated(self) -> bool:
         return self.atom.negated
-
-    @cached_property
-    def unifier(self) -> "Unifier":
-        """Compiled unification closure for this atom (see :func:`compile_unifier`)."""
-        return compile_unifier(self.atom, self.says_principal)
-
-    @cached_property
-    def probe_unifier(self) -> "Unifier":
-        """Like :attr:`unifier` but without the relation/arity guard.
-
-        Only for facts probed from this atom's own table, which match the
-        relation and arity by construction.
-        """
-        return compile_unifier(self.atom, self.says_principal, check_relation=False)
 
 
 @dataclass(frozen=True)
@@ -169,11 +149,12 @@ class DeltaPlan:
     never becomes evaluable — the rule can produce no firing from this delta
     position.
 
-    ``body_order`` maps step positions back to body order (``steps[i]`` is
-    the ``body_order.index(i)``-th non-delta atom of the original body), so
-    the evaluator can report antecedents in body order — making provenance
-    structure independent of the join order the optimizer picked — without
-    re-sorting per firing.
+    ``fire(database, delta, collect)`` is the function generated from all of
+    the above and ``source`` its text (see :mod:`repro.datalog.codegen`); it
+    reports antecedents in body order (each step keeps its ``body_index``),
+    so provenance structure is independent of the join order picked here.
+    Both are ``None`` on a bare :func:`build_delta_plan` result, which does
+    not know the rule's head; :meth:`RulePlan.delta_plan` fills them in.
     """
 
     delta_index: int
@@ -181,15 +162,8 @@ class DeltaPlan:
     negated: Tuple[JoinStep, ...]
     expression_batches: Tuple[Tuple[object, ...], ...]
     safe: bool
-    body_order: Tuple[int, ...]
-
-    @cached_property
-    def compiled_batches(self) -> Tuple[Tuple[CompiledExpression, ...], ...]:
-        """The expression batches in compiled (closure) form."""
-        return tuple(
-            tuple(compile_expression(expression) for expression in batch)
-            for batch in self.expression_batches
-        )
+    source: Optional[str] = field(default=None, compare=False, repr=False)
+    fire: Optional[Callable] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -217,18 +191,6 @@ class RulePlan:
         """Stable key for this rule's aggregate state (hot path: per firing)."""
         return f"{self.label}:{self.head.predicate}"
 
-    @cached_property
-    def head_builder(self) -> Callable[[Dict[str, object]], Tuple[object, ...]]:
-        """Compiled closure building the head value tuple from final bindings."""
-        return compile_tuple_builder(self.head.atom.terms)
-
-    @cached_property
-    def destination_builder(self) -> Optional[TermEvaluator]:
-        """Compiled evaluator for the shipping destination, if any."""
-        if self.head.destination is None:
-            return None
-        return compile_term_evaluator(self.head.destination)
-
     def positive_atoms(self) -> Tuple[BodyAtomPlan, ...]:
         return tuple(b for b in self.body_atoms if not b.negated)
 
@@ -244,221 +206,19 @@ class RulePlan:
         )
 
     def delta_plan(self, delta_index: int) -> DeltaPlan:
-        """The optimized join order for *delta_index*, computed on first use."""
+        """The join pipeline for *delta_index* with its generated function.
+
+        Cached on this instance (never at module level): every engine that
+        runs the same :class:`CompiledProgram` shares one function per
+        (rule, delta position).
+        """
         plan = self.delta_plans.get(delta_index)
         if plan is None:
             plan = build_delta_plan(self.body_atoms, self.expressions, delta_index)
+            source, fire = generate_fire(self, plan)
+            plan = replace(plan, source=source, fire=fire)
             self.delta_plans[delta_index] = plan
         return plan
-
-
-#: A compiled unification closure: ``unifier(fact, bindings)`` returns the
-#: (possibly extended) bindings on success or ``None`` on mismatch.  The input
-#: bindings dict is never mutated; it is copied at most once per call.
-Unifier = Callable[[object, Dict[str, object]], Optional[Dict[str, object]]]
-
-#: A compiled term evaluator: ``evaluator(bindings)`` returns the term value.
-TermEvaluator = Callable[[Dict[str, object]], object]
-
-#: A compiled expression literal, scheduled by the planner:
-#: ``("cmp", check, None)`` where ``check(bindings)`` returns a bool, or
-#: ``("assign", evaluate, target_name)``.
-CompiledExpression = Tuple[str, TermEvaluator, Optional[str]]
-
-_UNSET = object()
-
-
-def compile_term_evaluator(term: Term) -> TermEvaluator:
-    """Compile *term* into a closure evaluating it under a bindings dict.
-
-    Replaces the evaluator's per-call ``isinstance`` dispatch (the profiled
-    ``evaluate_term`` hot spot): variable lookups, constants, builtin
-    resolution and argument shapes are all decided once at plan time.
-    """
-    if isinstance(term, Variable):
-        name = term.name
-
-        def evaluate_variable(bindings):
-            try:
-                return bindings[name]
-            except KeyError:
-                raise EvaluationError(f"unbound variable {name}") from None
-
-        return evaluate_variable
-    if isinstance(term, Constant):
-        value = term.value
-        return lambda bindings: value
-    if isinstance(term, FunctionCall):
-        # Imported lazily: the builtins module belongs to the engine layer.
-        from repro.engine.builtins import BUILTIN_FUNCTIONS
-
-        function = BUILTIN_FUNCTIONS.get(term.name)
-        if function is None:
-            symbol = term.name
-
-            def evaluate_unknown(bindings):
-                raise EvaluationError(f"unknown function symbol {symbol!r}")
-
-            return evaluate_unknown
-        argument_evaluators = tuple(compile_term_evaluator(arg) for arg in term.args)
-        if len(argument_evaluators) == 1:
-            only = argument_evaluators[0]
-            return lambda bindings: function(only(bindings))
-        if len(argument_evaluators) == 2:
-            first, second = argument_evaluators
-            return lambda bindings: function(first(bindings), second(bindings))
-        return lambda bindings: function(
-            *[evaluate(bindings) for evaluate in argument_evaluators]
-        )
-    if isinstance(term, Aggregate):
-        return compile_term_evaluator(term.variable)
-
-    def evaluate_unsupported(bindings):
-        raise EvaluationError(f"cannot evaluate term {term!r}")
-
-    return evaluate_unsupported
-
-
-def compile_expression(expression: object) -> CompiledExpression:
-    """Compile a comparison or assignment literal into closure form."""
-    if isinstance(expression, Comparison):
-        comparator = COMPARATORS.get(expression.operator)
-        if comparator is None:
-            raise EvaluationError(
-                f"unknown comparison operator {expression.operator!r}"
-            )
-        left = compile_term_evaluator(expression.left)
-        right = compile_term_evaluator(expression.right)
-
-        def check(bindings):
-            return comparator(left(bindings), right(bindings))
-
-        return ("cmp", check, None)
-    if isinstance(expression, Assignment):
-        return (
-            "assign",
-            compile_term_evaluator(expression.expression),
-            expression.target.name,
-        )
-    raise EvaluationError(f"unsupported expression literal {expression!r}")
-
-
-def compile_tuple_builder(
-    terms: Sequence[Term],
-) -> Callable[[Dict[str, object]], Tuple[object, ...]]:
-    """Compile *terms* into a closure building their value tuple.
-
-    The common all-variables head gets a C-level ``map`` over the bindings
-    dict; mixed heads fall back to one compiled evaluator per term.
-    """
-    if all(isinstance(term, Variable) for term in terms):
-        names = tuple(term.name for term in terms)
-
-        def build_from_variables(bindings):
-            try:
-                return tuple(map(bindings.__getitem__, names))
-            except KeyError as exc:
-                raise EvaluationError(f"unbound variable {exc.args[0]}") from None
-
-        return build_from_variables
-    evaluators = tuple(compile_term_evaluator(term) for term in terms)
-    return lambda bindings: tuple(evaluate(bindings) for evaluate in evaluators)
-
-
-def compile_unifier(
-    atom: Atom, says_principal: Optional[Term] = None, check_relation: bool = True
-) -> Unifier:
-    """Compile *atom* into a specialized unification closure.
-
-    The closure replaces the per-term ``isinstance`` dispatch of the generic
-    ``unify_atom`` loop with lists precomputed once per atom: constant checks
-    (column, expected value), variable slots (column, name), and — rarely —
-    general terms (function calls / aggregates) that fall back to full term
-    unification.  The ``says`` principal requirement is folded in, so the
-    evaluator needs a single call per candidate fact on the join hot path.
-
-    ``check_relation=False`` omits the relation-name/arity guard: safe only
-    for facts probed out of the atom's own table, which match by
-    construction (the evaluator's inner join loop uses this variant).
-    """
-    name = atom.name
-    arity = len(atom.terms)
-    const_checks: List[Tuple[int, object]] = []
-    var_slots: List[Tuple[int, str]] = []
-    general_slots: List[Tuple[int, Term]] = []
-    for index, term in enumerate(atom.terms):
-        if isinstance(term, Constant):
-            const_checks.append((index, term.value))
-        elif isinstance(term, Variable):
-            var_slots.append((index, term.name))
-        else:
-            general_slots.append((index, term))
-    consts = tuple(const_checks)
-    slots = tuple(var_slots)
-    generals = tuple(general_slots)
-
-    says_var = says_principal.name if isinstance(says_principal, Variable) else None
-    says_const = (
-        says_principal.value if isinstance(says_principal, Constant) else None
-    )
-    says_general = (
-        says_principal
-        if says_principal is not None and says_var is None and says_const is None
-        else None
-    )
-
-    unify_term = None
-    if generals or says_general is not None:
-        # Imported lazily: the evaluator module imports this one at load time.
-        from repro.engine.seminaive import unify_term
-
-    def unify(fact, bindings):
-        values = fact.values
-        if check_relation and (fact.relation != name or len(values) != arity):
-            return None
-        for index, expected in consts:
-            if values[index] != expected:
-                return None
-        current = bindings
-        copied = False
-        if says_var is not None:
-            asserted = fact.asserted_by
-            if asserted is None:
-                return None
-            existing = current.get(says_var, _UNSET)
-            if existing is _UNSET:
-                current = dict(current)
-                copied = True
-                current[says_var] = asserted
-            elif existing != asserted:
-                return None
-        elif says_const is not None:
-            if fact.asserted_by != says_const:
-                return None
-        elif says_general is not None:
-            if fact.asserted_by is None:
-                return None
-            current = unify_term(says_general, fact.asserted_by, current)
-            if current is None:
-                return None
-            copied = current is not bindings
-        for index, var_name in slots:
-            value = values[index]
-            existing = current.get(var_name, _UNSET)
-            if existing is _UNSET:
-                if not copied:
-                    current = dict(current)
-                    copied = True
-                current[var_name] = value
-            elif existing != value:
-                return None
-        for index, term in generals:
-            current = unify_term(term, values[index], current)
-            if current is None:
-                return None
-        return current
-
-    return unify
 
 
 #: (relation, arity, columns) — a hash index a delta batch will probe.
@@ -578,21 +338,16 @@ def compile_rule(rule: Rule) -> RulePlan:
         else:  # pragma: no cover - parser cannot produce other literal types
             raise PlanError(f"rule {rule.label}: unsupported literal {literal!r}")
 
-    head = _compile_head(rule)
-    atoms = tuple(body_atoms)
-    exprs = tuple(expressions)
-    delta_plans = {
-        index: build_delta_plan(atoms, exprs, index)
-        for index, atom_plan in enumerate(atoms)
-        if not atom_plan.negated
-    }
-    return RulePlan(
+    plan = RulePlan(
         rule=rule,
-        head=head,
-        body_atoms=atoms,
-        expressions=exprs,
-        delta_plans=delta_plans,
+        head=_compile_head(rule),
+        body_atoms=tuple(body_atoms),
+        expressions=tuple(expressions),
     )
+    for index, atom_plan in enumerate(plan.body_atoms):
+        if not atom_plan.negated:
+            plan.delta_plan(index)
+    return plan
 
 
 def compile_program(program: Program) -> CompiledProgram:
@@ -677,9 +432,6 @@ def build_delta_plan(
         negated=negated,
         expression_batches=tuple(batches),
         safe=len(applied) == len(expressions),
-        body_order=tuple(
-            sorted(range(len(steps)), key=lambda i: steps[i].body_index)
-        ),
     )
 
 

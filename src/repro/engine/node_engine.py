@@ -345,8 +345,8 @@ class NodeEngine:
     def __getstate__(self) -> dict:
         """Ship an engine without its compiled program.
 
-        The compiled plans carry cached closures (unifiers, head builders)
-        that cannot — and need not — cross a process boundary: every worker
+        The compiled plans carry their generated join functions, which
+        cannot — and need not — cross a process boundary: every worker
         and the coordinator compile the identical program from its AST.  The
         aggregate-head index holds references into those plans, so it is
         dropped too; :meth:`attach_program` restores both.
@@ -724,8 +724,8 @@ class NodeEngine:
                             delta_index,
                             collect_antecedents=self._collect_antecedents,
                         )
+                        result.report.rule_firings += len(firings)
                         for firing in firings:
-                            result.report.rule_firings += 1
                             self._handle_firing(plan, firing, now, result, queue)
 
     def _handle_firing(

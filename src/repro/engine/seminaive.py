@@ -6,19 +6,27 @@ Two entry points:
   newly arrived or newly derived fact (the *delta*), evaluate one rule plan
   with the delta bound to one body occurrence and all other atoms joined
   against the node's stored tables.  This is what the per-node engine calls
-  for every delta, and is the direct analogue of P2's delta-rule dataflows.
+  for every delta, and is the direct analogue of P2's delta-rule dataflows:
+  the join itself is the function :mod:`repro.datalog.codegen` generated
+  for that (rule, delta position), with the rule's variables as locals.
 
 * :func:`evaluate_program` — a single-site fixpoint evaluator that runs a
   whole program to fixpoint over one database.  It is used by tests, by the
   provenance examples that do not need the network simulator, and as a
   reference implementation the distributed results are checked against.
+
+The generic :func:`unify_atom` / :func:`unify_term` /
+:func:`apply_expression` / :func:`evaluate_term` below interpret one literal
+under a bindings dict.  Nothing on the hot path calls them; they are the
+slow reference ``tests/test_rule_compiler.py`` holds the generated functions
+to.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.datalog.ast import (
     Aggregate,
@@ -31,7 +39,7 @@ from repro.datalog.ast import (
     Variable,
 )
 from repro.datalog.errors import EvaluationError
-from repro.datalog.planner import COMPARATORS, CompiledProgram, JoinStep, RulePlan
+from repro.datalog.planner import CompiledProgram, RulePlan
 from repro.engine.aggregates import AggregateState
 from repro.engine.builtins import call_builtin
 from repro.engine.database import Database
@@ -125,9 +133,17 @@ def unify_atom(atom: Atom, fact: Fact, bindings: Bindings) -> Optional[Bindings]
 
 _UNSET = object()
 
-#: Shared with the planner's compiled expression closures so the generic
-#: fallback below and the compiled hot path cannot diverge.
-_COMPARATORS = COMPARATORS
+#: The rule compiler's operator table (``repro.datalog.codegen``) lists the
+#: same operators; ``tests/test_rule_compiler.py`` runs each through both.
+_COMPARATORS = {
+    "<": lambda a, b: a < b,
+    ">": lambda a, b: a > b,
+    "<=": lambda a, b: a <= b,
+    ">=": lambda a, b: a >= b,
+    "==": lambda a, b: a == b,
+    "=": lambda a, b: a == b,
+    "!=": lambda a, b: a != b,
+}
 
 
 def apply_expression(expression: object, bindings: Bindings) -> Optional[Bindings]:
@@ -167,31 +183,6 @@ class RuleFiring:
     head_values: Tuple[object, ...]
     destination: Optional[object]
     antecedents: Tuple[Fact, ...]
-    bindings: Bindings
-
-
-def _probe_step(
-    step: JoinStep, database: Database, bindings: Bindings
-) -> Tuple[Fact, ...]:
-    """Probe the table of *step* using its precomputed bound-column spec.
-
-    The planner guarantees every variable in the spec is bound whenever the
-    step is reached, so the lookup key is built in a single pass instead of
-    re-deriving the bound columns from the bindings on every probe.  Expiry
-    is the caller's responsibility (once per delta batch, or once per
-    evaluation for direct callers) — it used to run here, inside the
-    innermost join loop, on every probe of every binding.
-    """
-    atom = step.atom_plan.atom
-    table = database.table(atom.name, arity=atom.arity)
-    columns = step.probe.columns
-    if not columns:
-        return table.facts()
-    values = [
-        term.value if isinstance(term, Constant) else bindings[term.name]
-        for term in step.probe.terms
-    ]
-    return table.lookup(columns, values)
 
 
 def warm_probe_indexes(
@@ -251,36 +242,6 @@ def drain_delta_batches(queue: Deque[Fact], compiled: CompiledProgram):
         yield relation, batch, compiled.trigger_pairs(relation)
 
 
-def _apply_expression_batch(
-    batch: Sequence[Tuple[str, object, Optional[str]]], bindings: Bindings
-) -> Optional[Bindings]:
-    """Apply a planner-compiled batch of expression closures to *bindings*.
-
-    The planner guarantees every expression in the batch is fully bound here,
-    so no readiness scan is needed; the bindings dict is copied at most once.
-    Entries are ``("cmp", check, None)`` or ``("assign", evaluate, target)``
-    (see :func:`repro.datalog.planner.compile_expression`).
-    """
-    current = bindings
-    copied = False
-    for kind, evaluate, target in batch:
-        if kind == "cmp":
-            if not evaluate(current):
-                return None
-        else:
-            value = evaluate(current)
-            existing = current.get(target, _UNSET)
-            if existing is not _UNSET:
-                if existing != value:
-                    return None
-            else:
-                if not copied:
-                    current = dict(current)
-                    copied = True
-                current[target] = value
-    return current
-
-
 def evaluate_plan_with_delta(
     plan: RulePlan,
     database: Database,
@@ -292,109 +253,43 @@ def evaluate_plan_with_delta(
     """Evaluate *plan* with *delta* bound to body position *delta_index*.
 
     Returns every rule firing produced by joining the delta against the
-    node's stored tables.  The remaining atoms are visited in the planner's
-    bound-aware join order (most-bound-first), each probed through its
-    precomputed :class:`~repro.datalog.planner.ProbeSpec` and unified via its
-    compiled per-atom closure (``BodyAtomPlan.unifier``).  Negated atoms are
-    checked last (stratified semantics), and expression literals are applied
-    as soon as their variables are bound.
+    node's stored tables: the remaining atoms in the planner's bound-aware
+    join order (most-bound-first), each probed through its precomputed
+    :class:`~repro.datalog.planner.ProbeSpec`, expression literals applied as
+    soon as their variables are bound, negated atoms checked last
+    (stratified semantics).  All of that is the plan's generated function
+    (``DeltaPlan.fire``); this is the single door to it.
 
     ``now`` expires the probed tables once, up front.  Callers that drain
     delta batches (the node engine, :func:`evaluate_program`) expire per
     batch via :func:`expire_probe_tables` instead and pass ``None`` here.
 
-    ``collect_antecedents=False`` skips accumulating the joined antecedent
-    facts (every firing reports an empty tuple).  Antecedents feed only the
-    provenance layer and retraction dependency tracking, yet accumulating
-    them costs a tuple allocation per join level per binding plus the
-    body-order reordering per firing — configurations that maintain neither
-    (plain NDlog / SeNDlog) skip that work on the hottest loop.
+    ``collect_antecedents=False`` makes every firing report an empty
+    antecedent tuple.  Antecedents feed only the provenance layer and
+    retraction dependency tracking; configurations that maintain neither
+    (plain NDlog / SeNDlog) skip building them.
     """
-    body = plan.body_atoms
-    if delta_index < 0 or delta_index >= len(body):
-        raise EvaluationError(
-            f"rule {plan.label}: delta index {delta_index} out of range"
-        )
-    delta_atom = body[delta_index]
-    if delta_atom.negated:
-        raise EvaluationError(
-            f"rule {plan.label}: cannot use a negated atom as the delta"
-        )
-
-    initial = delta_atom.unifier(delta, {})
-    if initial is None:
-        return []
-
-    delta_plan = plan.delta_plan(delta_index)
-    if not delta_plan.safe:
-        # Some expression never becomes evaluable from this delta position:
-        # the rule is unsafe for every binding; no firing is possible.
-        return []
+    delta_plan = plan.delta_plans.get(delta_index)
+    if delta_plan is None:
+        # compile_rule fills every valid position: a miss is a bad index or a
+        # hand-built plan, and only then are the guards worth their cost.
+        body = plan.body_atoms
+        if delta_index < 0 or delta_index >= len(body):
+            raise EvaluationError(
+                f"rule {plan.label}: delta index {delta_index} out of range"
+            )
+        if body[delta_index].negated:
+            raise EvaluationError(
+                f"rule {plan.label}: cannot use a negated atom as the delta"
+            )
+        delta_plan = plan.delta_plan(delta_index)
 
     if now is not None:
         for step in delta_plan.steps + delta_plan.negated:
             atom = step.atom_plan.atom
             database.table(atom.name, arity=atom.arity).expire(now)
 
-    firings: List[RuleFiring] = []
-    steps = delta_plan.steps
-    batches = delta_plan.compiled_batches
-    body_order = delta_plan.body_order
-
-    def extend(
-        position: int,
-        bindings: Bindings,
-        antecedents: Tuple[Fact, ...],
-    ) -> None:
-        batch = batches[position]
-        if batch:
-            bindings = _apply_expression_batch(batch, bindings)
-            if bindings is None:
-                return
-        if position == len(steps):
-            _finish(bindings, antecedents)
-            return
-        step = steps[position]
-        unifier = step.atom_plan.probe_unifier
-        for fact in _probe_step(step, database, bindings):
-            unified = unifier(fact, bindings)
-            if unified is None:
-                continue
-            extend(
-                position + 1,
-                unified,
-                antecedents + (fact,) if collect_antecedents else antecedents,
-            )
-
-    def _finish(final: Bindings, antecedents: Tuple[Fact, ...]) -> None:
-        for negated_step in delta_plan.negated:
-            matches = _probe_step(negated_step, database, final)
-            unifier = negated_step.atom_plan.probe_unifier
-            if any(unifier(fact, final) is not None for fact in matches):
-                return
-        # The compiled builders convert unbound-variable KeyError into
-        # EvaluationError themselves.
-        head_values = plan.head_builder(final)
-        destination_builder = plan.destination_builder
-        destination = (
-            destination_builder(final) if destination_builder is not None else None
-        )
-        if collect_antecedents:
-            ordered = (delta,) + tuple(map(antecedents.__getitem__, body_order))
-        else:
-            ordered = ()
-        firings.append(
-            RuleFiring(
-                plan=plan,
-                head_values=head_values,
-                destination=destination,
-                antecedents=ordered,
-                bindings=final,
-            )
-        )
-
-    extend(0, initial, ())
-    return firings
+    return delta_plan.fire(database, delta, collect_antecedents)
 
 
 # ---------------------------------------------------------------------------

@@ -411,7 +411,7 @@ class SimulationKernel:
     def __getstate__(self) -> dict:
         """Ship a kernel across a process boundary (sharded worker results).
 
-        The compiled program carries unpicklable cached closures and is
+        The compiled program carries unpicklable generated functions and is
         dropped — the receiver reattaches its own identical compilation via
         :meth:`attach_program` — as is the handler dispatch table (bound
         methods, rebuilt on restore).  Kernels travel at barriers or at

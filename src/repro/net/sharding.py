@@ -368,8 +368,8 @@ class ShardSpec:
     """Everything a spawn-safe worker needs to rebuild its shard kernel.
 
     Carries the *localized program AST* rather than the compiled program:
-    compiled plans hold closures that cannot cross a spawn boundary, and
-    compilation is deterministic, so every worker (and the coordinator)
+    compiled plans hold generated functions that cannot cross a spawn
+    boundary, and compilation is deterministic, so every worker (and the coordinator)
     compiles identical plans from the same AST.
     """
 

@@ -376,6 +376,60 @@ class TestModuleLevelCaches:
         assert "INV006" not in _rules(tool.check_tree(tree))
 
 
+class TestDynamicCode:
+    @pytest.mark.parametrize(
+        "call", ("exec(text, scope)", "eval(text)", "compile(text, 'f', 'exec')")
+    )
+    @pytest.mark.parametrize("where", ("engine", "harness"))
+    def test_dynamic_code_flagged_everywhere(self, tree, call, where):
+        (tree / where / "mod.py").write_text(
+            f"def f(text, scope):\n    return {call}\n", encoding="utf-8"
+        )
+        findings = [f for f in tool.check_tree(tree) if f.rule == "INV007"]
+        assert [f.line for f in findings] == [2]
+        assert call.split("(")[0] in findings[0].message
+
+    def test_through_the_builtins_module_flagged(self, tree):
+        (tree / "net" / "mod.py").write_text(
+            "import builtins\n\ndef f(text):\n    return builtins.eval(text)\n",
+            encoding="utf-8",
+        )
+        assert "INV007" in _rules(tool.check_tree(tree))
+
+    def test_the_rule_compiler_may(self, tree):
+        (tree / "datalog").mkdir()
+        (tree / "datalog" / "codegen.py").write_text(
+            "def generate(source, name, scope):\n"
+            "    exec(compile(source, name, 'exec'), scope)\n",
+            encoding="utf-8",
+        )
+        assert "INV007" not in _rules(tool.check_tree(tree))
+
+    def test_no_other_datalog_module_may(self, tree):
+        (tree / "datalog").mkdir()
+        (tree / "datalog" / "planner.py").write_text(
+            "def generate(source, scope):\n    exec(source, scope)\n",
+            encoding="utf-8",
+        )
+        assert "INV007" in _rules(tool.check_tree(tree))
+
+    def test_same_named_methods_are_something_else(self, tree):
+        (tree / "net" / "mod.py").write_text(
+            "import re\n\nPATTERN = re.compile('x')\n\n"
+            "def f(query, model):\n"
+            "    return query.compile(), model.eval(), PATTERN\n",
+            encoding="utf-8",
+        )
+        assert "INV007" not in _rules(tool.check_tree(tree))
+
+    def test_allow_comment_suppresses(self, tree):
+        (tree / "harness" / "mod.py").write_text(
+            "def f(text):\n    return eval(text)  # invariant: ok(INV007)\n",
+            encoding="utf-8",
+        )
+        assert "INV007" not in _rules(tool.check_tree(tree))
+
+
 class TestAllowlist:
     def test_inline_comment_suppresses_matching_rule(self, tree):
         (tree / "net" / "mod.py").write_text(

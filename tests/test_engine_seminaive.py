@@ -118,7 +118,7 @@ class TestDeltaEvaluation:
         assert evaluate_plan_with_delta(plan, database, Fact("q", ("b",)), 0)
 
     def test_says_requirement_checks_asserted_by(self):
-        source = "s p(@S, D) :- W says link(@S, D)."
+        source = "s p(@S, D, W) :- W says link(@S, D)."
         plan = compile_rule(parse_rule(source))
         database = make_database(source)
         unsigned = Fact("link", ("a", "b"))
@@ -126,7 +126,7 @@ class TestDeltaEvaluation:
         assert not evaluate_plan_with_delta(plan, database, unsigned, 0)
         firings = evaluate_plan_with_delta(plan, database, signed, 0)
         assert len(firings) == 1
-        assert firings[0].bindings["W"] == "w"
+        assert firings[0].head_values == ("a", "b", "w")
 
     def test_says_constant_principal_must_match(self):
         source = "s p(@S, D) :- alice says link(@S, D)."

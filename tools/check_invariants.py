@@ -33,6 +33,13 @@ INV006  no unbounded module-level caches in ``provenance/``, ``engine/``,
         ``FactKey``, conflating ``1`` / ``True`` / ``1.0``).  Put caches on
         instances (sized and crash-scoped), give ``lru_cache`` a bound, or
         audit the exception with the allow comment.
+INV007  no dynamic code outside the rule compiler: a call to ``exec``,
+        ``eval`` or ``compile`` (bare or through ``builtins``) anywhere in
+        ``src/repro`` except ``datalog/codegen.py``.  That module builds its
+        source text from a closed alphabet (no program or tuple string ever
+        reaches it); a second ``exec`` site would need the same argument
+        made, and tested, all over again.  (INV005 guarded the deprecated
+        shims and retired with them; the number is not reused.)
 
 A finding on a line ending with ``# invariant: ok(INVxxx)`` is suppressed —
 the comment is the audit trail for deliberate exceptions.
@@ -57,6 +64,7 @@ RULES: Dict[str, str] = {
     "INV003": "event class escapes the content-based rank",
     "INV004": "iteration over unordered set in the hot path",
     "INV006": "unbounded module-level cache in provenance/engine/service/net",
+    "INV007": "exec/eval/compile outside the rule compiler",
 }
 
 #: Directories whose code runs inside the simulation loop.  The service
@@ -84,6 +92,11 @@ WALL_CLOCK = {
     ("datetime", "today"),
     ("date", "today"),
 }
+
+#: Builtins that turn a string into running code, and the one module (the
+#: NDlog rule compiler) that may call them.
+DYNAMIC_CODE = ("exec", "eval", "compile")
+CODE_GENERATOR = "datalog/codegen.py"
 
 ALLOW_PATTERN = re.compile(r"#\s*invariant:\s*ok\((INV\d{3})\)")
 
@@ -171,7 +184,7 @@ def _is_unbounded_memo_decorator(decorator: ast.AST) -> bool:
 
 
 class FileChecker(ast.NodeVisitor):
-    """Per-file visitor emitting INV001 / INV002 / INV004 / INV006 findings."""
+    """Per-file visitor emitting INV001 / INV002 / INV004 / INV006 / INV007."""
 
     def __init__(self, relative: str, allowed: Dict[int, Set[str]]) -> None:
         self.relative = relative
@@ -179,6 +192,7 @@ class FileChecker(ast.NodeVisitor):
         self.findings: List[Finding] = []
         self.hot = _is_hot_path(relative)
         self.bounded = _is_bounded_state_path(relative)
+        self.generator = relative == CODE_GENERATOR
 
     def _emit(self, rule: str, node: ast.AST, message: str) -> None:
         line = getattr(node, "lineno", 0)
@@ -227,12 +241,23 @@ class FileChecker(ast.NodeVisitor):
                     )
         self.generic_visit(node)
 
-    # -- INV001 / INV002 -----------------------------------------------------
+    # -- INV001 / INV002 / INV007 ----------------------------------------------
 
     def visit_Call(self, node: ast.Call) -> None:
         chain = _attribute_chain(node.func)
         if chain:
             head, tail = chain[0], chain[-1]
+            if (
+                tail in DYNAMIC_CODE
+                and chain[:-1] in ([], ["builtins"])
+                and not self.generator
+            ):
+                self._emit(
+                    "INV007",
+                    node,
+                    f"{'.'.join(chain)}() runs generated code; only "
+                    f"{CODE_GENERATOR} may, from its closed alphabet",
+                )
             if self.hot and len(chain) >= 2:
                 for module, attr in WALL_CLOCK:
                     if tail == attr and module in chain[:-1]:
