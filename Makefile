@@ -38,6 +38,11 @@
 #                      BENCHMARK.json names) at smoke sizes: all five
 #                      workloads, tracer, layer fold, expected-output checks
 #                      and the process-hygiene guard, in about 7 s.
+#   make poly-census - tools/poly_census.py on the churn_linkflap shape (N=20,
+#                      every redundant link flapped): calls, operand shapes,
+#                      identity share and distinct operands of the provenance
+#                      algebra's +, x and condense.  `make check` runs it at
+#                      N=8 / two flaps as a smoke.
 #   make lint        - static analysis: the NDlog program linter over every
 #                      in-tree program (warnings fail the build), the
 #                      determinism-invariant checker over src/repro, and —
@@ -51,9 +56,9 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check tier1 test bench-smoke scenarios-smoke shard-smoke examples-smoke service-smoke memory-smoke dynamics-smoke spine-smoke lint compileall ci
+.PHONY: check tier1 test bench-smoke scenarios-smoke shard-smoke examples-smoke service-smoke memory-smoke dynamics-smoke spine-smoke poly-census poly-census-smoke lint compileall ci
 
-check: lint test bench-smoke scenarios-smoke shard-smoke examples-smoke service-smoke memory-smoke dynamics-smoke spine-smoke
+check: lint test bench-smoke scenarios-smoke shard-smoke examples-smoke service-smoke memory-smoke dynamics-smoke spine-smoke poly-census-smoke
 
 tier1:
 	$(PYTHON) -m pytest -x -q
@@ -102,6 +107,12 @@ dynamics-smoke:
 
 spine-smoke:
 	$(PYTHON) bench/run.py --smoke
+
+poly-census:
+	$(PYTHON) tools/poly_census.py --provenance condensed --nodes 20 --flaps 0
+
+poly-census-smoke:
+	$(PYTHON) tools/poly_census.py --provenance condensed --nodes 8 --flaps 2
 
 lint:
 	$(PYTHON) -m repro.datalog.lint --builtin --strict

@@ -39,7 +39,7 @@ from repro.provenance.authenticated import (
 from repro.provenance.condensed import CondensedProvenance
 from repro.provenance.distributed import DistributedProvenanceStore
 from repro.provenance.local import LocalProvenanceStore, PiggybackedProvenance
-from repro.provenance.polynomial import ProvenanceExpression
+from repro.provenance.polynomial import ProvenanceExpression, p_product
 from repro.provenance.pruning import MaintenanceMode, ProvenanceSampler
 from repro.provenance.store import OfflineProvenanceArchive, OnlineProvenanceStore
 from repro.security.authenticator import AuthenticationError, Authenticator
@@ -972,10 +972,8 @@ class NodeEngine:
         """
         existing = self._support.get(key)
         if existing is not None:
-            if existing == poly:
-                return
-            poly = (existing + poly).condense()
-            if poly == existing:
+            poly = existing.absorb(poly)
+            if poly is existing:
                 return
         self._support[key] = poly
         uses = self._base_uses
@@ -994,15 +992,15 @@ class NodeEngine:
         was enabled, or shipped by a sender running without it) is
         conservatively treated as its own base.
         """
-        product: Optional[ProvenanceExpression] = None
+        support = self._support
+        factors = []
         for antecedent in antecedents:
-            poly = self._support.get(antecedent.key())
+            key = antecedent.key()
+            poly = support.get(key)
             if poly is None:
-                poly = ProvenanceExpression.var(self._base_var(antecedent.key()))
-            product = poly if product is None else product * poly
-        if product is None:
-            return ProvenanceExpression.one()
-        return product.condense()
+                poly = ProvenanceExpression.var(self._base_var(key))
+            factors.append(poly)
+        return p_product(*factors).condense()
 
     def _merge_incoming_support(self, fact: Fact) -> bool:
         """Fold a received fact's shipped polynomial into the local index.

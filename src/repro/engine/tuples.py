@@ -14,7 +14,7 @@ while still letting the provenance layer track every distinct derivation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
@@ -143,25 +143,20 @@ class Fact:
         support: Optional[object] = None,
     ) -> "Fact":
         """Return a copy with selected metadata fields replaced."""
-        updates = {}
-        if timestamp is not None:
-            updates["timestamp"] = timestamp
-        if ttl is not None:
-            updates["ttl"] = ttl
-        if asserted_by is not None:
-            updates["asserted_by"] = asserted_by
-        if signature is not None:
-            updates["signature"] = signature
-        if provenance is not None:
-            updates["provenance"] = provenance
-        if origin is not None:
-            updates["origin"] = origin
-        if support is not None:
-            updates["support"] = support
-        # replace() copies every field, including the payload cache — the
-        # payload depends only on relation/values, which never change here,
-        # so the serialization is shared automatically.
-        return replace(self, **updates)
+        # The payload depends only on relation/values, which never change
+        # here, so the copy shares the cached serialization.
+        return Fact(
+            self.relation,
+            self.values,
+            self.timestamp if timestamp is None else timestamp,
+            self.ttl if ttl is None else ttl,
+            self.asserted_by if asserted_by is None else asserted_by,
+            self.signature if signature is None else signature,
+            self.provenance if provenance is None else provenance,
+            self.origin if origin is None else origin,
+            self.support if support is None else support,
+            self._payload_cache,
+        )
 
     def __str__(self) -> str:
         rendered = ", ".join(_render_value(v) for v in self.values)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from repro.provenance.bdd import BDD, BDDManager
-from repro.provenance.polynomial import ProvenanceExpression, p_var
+from repro.provenance.polynomial import ProvenanceExpression, p_product, p_var
 from repro.provenance.semiring import Semiring
 
 
@@ -61,22 +61,39 @@ class CondensedProvenance:
 
     def join(self, other: "CondensedProvenance") -> "CondensedProvenance":
         """Combine annotations of facts joined within a single derivation (*)."""
-        return CondensedProvenance(
-            expression=(self.expression * other.expression).condense()
-        )
+        return self._wrap((self.expression * other.expression).condense(), other)
 
     def merge(self, other: "CondensedProvenance") -> "CondensedProvenance":
         """Combine alternative derivations of the same tuple (+)."""
-        return CondensedProvenance(
-            expression=(self.expression + other.expression).condense()
-        )
+        return self._wrap(self.expression.absorb(other.expression), other)
+
+    def _wrap(
+        self, expression: ProvenanceExpression, other: "CondensedProvenance"
+    ) -> "CondensedProvenance":
+        """Wrap *expression*, reusing the operand that already holds it.
+
+        Annotations are immutable, so ``x.join(axiomatic())`` and
+        ``x.merge(x)`` are ``x`` itself — callers may test ``is``.
+        """
+        if expression is self.expression:
+            return self
+        if expression is other.expression:
+            return other
+        return CondensedProvenance(expression=expression)
 
     @staticmethod
     def join_all(annotations: Iterable["CondensedProvenance"]) -> "CondensedProvenance":
-        result = CondensedProvenance.axiomatic()
+        """``join`` over *annotations*, condensed once at the end.
+
+        The minimal DNF is unique, so condensing the whole product gives the
+        polynomial that condensing after every factor would.
+        """
+        annotations = tuple(annotations)
+        joined = p_product(*[a.expression for a in annotations]).condense()
         for annotation in annotations:
-            result = result.join(annotation)
-        return result
+            if annotation.expression is joined:
+                return annotation
+        return CondensedProvenance(expression=joined)
 
     @staticmethod
     def merge_all(annotations: Iterable["CondensedProvenance"]) -> "CondensedProvenance":

@@ -165,5 +165,6 @@ class LocalProvenanceStore:
     ) -> CondensedProvenance:
         existing = self._condensed.get(key)
         merged = annotation if existing is None else existing.merge(annotation)
-        self._condensed[key] = merged
+        if merged is not existing:
+            self._condensed[key] = merged
         return merged

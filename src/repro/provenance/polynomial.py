@@ -18,9 +18,8 @@ explicitly condenses.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Mapping, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, FrozenSet, Mapping, Optional, Tuple
 
 from repro.provenance.semiring import Semiring
 
@@ -29,15 +28,18 @@ from repro.provenance.semiring import Semiring
 Monomial = Tuple[Tuple[str, int], ...]
 
 
-def _monomial_from_vars(variables: Iterable[str]) -> Monomial:
-    counts = Counter(variables)
-    return tuple(sorted(counts.items()))
+#: The monomials of the one polynomial: the single empty monomial.
+_ONE: Tuple[Tuple[Monomial, int], ...] = (((), 1),)
 
 
 def _monomial_times(left: Monomial, right: Monomial) -> Monomial:
-    counts = Counter(dict(left))
+    if not left:
+        return right
+    if not right:
+        return left
+    counts = dict(left)
     for name, exponent in right:
-        counts[name] += exponent
+        counts[name] = counts.get(name, 0) + exponent
     return tuple(sorted(counts.items()))
 
 
@@ -50,12 +52,27 @@ class ProvenanceExpression:
     """A provenance polynomial in monomial normal form.
 
     ``monomials`` maps each monomial to its multiplicity (the number of
-    distinct derivations sharing that exact combination of inputs).
-    The zero polynomial (no derivation) has no monomials; the one polynomial
-    (axiomatically present) has the single empty monomial.
+    distinct derivations sharing that exact combination of inputs), sorted,
+    multiplicities positive.  The zero polynomial (no derivation) has no
+    monomials; the one polynomial (axiomatically present) has the single
+    empty monomial.
+
+    Expressions are immutable, so ``+``, ``*`` and :meth:`condense` hand back
+    an *operand itself* whenever it already is the answer (``0 + x``,
+    ``1 * x``, condensing a condensed polynomial): callers may test ``is``
+    to see that nothing changed, and must never mutate what they get.
     """
 
     monomials: Tuple[Tuple[Monomial, int], ...]
+    #: ``to_string()``, rendered once: a shipped annotation is rendered for
+    #: its signature, its verification and its wire size.  Never invalidated
+    #: (the owner is immutable); outside equality, ``repr`` and pickles.
+    _rendered: Optional[str] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __getstate__(self) -> dict:
+        return {"monomials": self.monomials}
 
     # -- constructors ---------------------------------------------------------
 
@@ -65,11 +82,11 @@ class ProvenanceExpression:
 
     @staticmethod
     def one() -> "ProvenanceExpression":
-        return ProvenanceExpression(monomials=(((), 1),))
+        return ProvenanceExpression(monomials=_ONE)
 
     @staticmethod
     def var(name: str) -> "ProvenanceExpression":
-        return ProvenanceExpression(monomials=((_monomial_from_vars([name]), 1),))
+        return ProvenanceExpression(monomials=((((name, 1),), 1),))
 
     @staticmethod
     def from_monomials(monomials: Mapping[Monomial, int]) -> "ProvenanceExpression":
@@ -79,18 +96,47 @@ class ProvenanceExpression:
     # -- algebra --------------------------------------------------------------
 
     def __add__(self, other: "ProvenanceExpression") -> "ProvenanceExpression":
+        if not self.monomials:
+            return other
+        if not other.monomials:
+            return self
         combined: Dict[Monomial, int] = dict(self.monomials)
         for monomial, count in other.monomials:
             combined[monomial] = combined.get(monomial, 0) + count
         return ProvenanceExpression.from_monomials(combined)
 
     def __mul__(self, other: "ProvenanceExpression") -> "ProvenanceExpression":
+        mine, theirs = self.monomials, other.monomials
+        if mine == _ONE:
+            return other
+        if theirs == _ONE:
+            return self
+        if len(mine) == 1 and len(theirs) == 1:
+            # The traffic: one derivation joined with one derivation.
+            (left, left_count), = mine
+            (right, right_count), = theirs
+            return ProvenanceExpression(
+                monomials=((_monomial_times(left, right), left_count * right_count),)
+            )
         product: Dict[Monomial, int] = {}
-        for left, left_count in self.monomials:
-            for right, right_count in other.monomials:
+        for left, left_count in mine:
+            for right, right_count in theirs:
                 key = _monomial_times(left, right)
                 product[key] = product.get(key, 0) + left_count * right_count
         return ProvenanceExpression.from_monomials(product)
+
+    def absorb(self, other: "ProvenanceExpression") -> "ProvenanceExpression":
+        """Merge an alternative derivation into a condensed ``self``.
+
+        ``(self + other).condense()``, except that ``self`` itself comes back
+        when *other* adds nothing (``x + x``, ``a + a*b``): a caller holding
+        ``self`` can stop at ``merged is self``.
+        """
+        mine = self.monomials
+        if other.monomials == mine:
+            return self
+        merged = (self + other).condense()
+        return self if merged.monomials == mine else merged
 
     # -- structure ------------------------------------------------------------
 
@@ -100,7 +146,7 @@ class ProvenanceExpression:
 
     @property
     def is_one(self) -> bool:
-        return self.monomials == (((), 1),)
+        return self.monomials == _ONE
 
     def variables(self) -> FrozenSet[str]:
         """All base-tuple / principal variables mentioned in the expression."""
@@ -130,16 +176,28 @@ class ProvenanceExpression:
         (``a*a -> a``), multiplicities drop, and any monomial whose support is
         a superset of another monomial's support is absorbed.
         """
-        supports = {frozenset(support) for support in self.monomial_supports()}
+        monomials = self.monomials
+        if len(monomials) <= 1:
+            # The traffic: one derivation, nothing to absorb.
+            if not monomials:
+                return self
+            (monomial, count), = monomials
+            if count == 1 and all(exponent == 1 for _, exponent in monomial):
+                return self
+            flat = tuple([(name, 1) for name, _ in monomial])
+            return ProvenanceExpression(monomials=((flat, 1),))
+        supports = set(self.monomial_supports())
         minimal = [
             support
             for support in supports
             if not any(other < support for other in supports)
         ]
-        condensed = {
-            _monomial_from_vars(sorted(support)): 1 for support in minimal
-        }
-        return ProvenanceExpression.from_monomials(condensed)
+        condensed = tuple(
+            sorted((tuple([(name, 1) for name in sorted(s)]), 1) for s in minimal)
+        )
+        if condensed == monomials:
+            return self
+        return ProvenanceExpression(monomials=condensed)
 
     # -- evaluation -----------------------------------------------------------
 
@@ -166,6 +224,13 @@ class ProvenanceExpression:
 
     def to_string(self) -> str:
         """Human-readable form matching the paper's ``<a+a*b>`` notation."""
+        rendered = self._rendered
+        if rendered is None:
+            rendered = self._render()
+            object.__setattr__(self, "_rendered", rendered)
+        return rendered
+
+    def _render(self) -> str:
         if self.is_zero:
             return "0"
         rendered_terms = []
@@ -216,8 +281,8 @@ def p_sum(*expressions: ProvenanceExpression) -> ProvenanceExpression:
 
 
 def p_product(*expressions: ProvenanceExpression) -> ProvenanceExpression:
-    """Product (joint derivation) of *expressions*."""
-    result = ProvenanceExpression.one()
+    """Product (joint derivation) of *expressions*, not condensed."""
+    result: Optional[ProvenanceExpression] = None
     for expression in expressions:
-        result = result * expression
-    return result
+        result = expression if result is None else result * expression
+    return ProvenanceExpression.one() if result is None else result

@@ -1,0 +1,166 @@
+"""The provenance write path's work budget, as exact counts.
+
+Seconds cannot gate CI on a shared box; these counters can.  One fixed churn
+script (N=8, ``condensed``, dependency tracking and one-fixpoint deletions on,
+convergence then two link flaps) and one ``sendlog-prov`` fixpoint are run
+under counting wrappers: the polynomial kernel allocates at most half of what
+the ``Counter``-based kernel it replaced did, condenses once per product, and
+renders each shipped annotation once — while leaving every fact, statistic
+and stored polynomial exactly as the reference kernel
+(``test_polynomial_kernel.py``) leaves them.
+"""
+
+from __future__ import annotations
+
+import collections
+import random
+import sys
+
+from test_polynomial_kernel import patch_reference_kernel
+
+from repro.api import Network
+from repro.engine import node_engine
+from repro.engine.node_engine import NodeEngine
+from repro.net.events import LinkDown, LinkUp
+from repro.net.topology import random_topology
+from repro.provenance.local import LocalProvenanceStore
+from repro.provenance.polynomial import ProvenanceExpression
+
+SEED = 4
+#: ``ProvenanceExpression.__init__`` calls of this script at the parent
+#: commit (the ``Counter`` kernel, ``join_all`` seeded with ``axiomatic()``).
+PARENT_EXPRESSIONS_BUILT = 2909
+
+
+def churn_script() -> Network:
+    topology = random_topology(8, seed=SEED)
+    links = list(topology.redundant_links())
+    random.Random(SEED + 1).shuffle(links)
+    network = Network.build(
+        topology=topology,
+        program="best-path",
+        provenance="condensed",
+        default_ttl=1e6,
+        track_dependencies=True,
+        rederivation=True,
+    )
+    assert network.run().converged
+    for link in links[:2]:
+        for event in (LinkDown, LinkUp):
+            network.schedule(
+                event(
+                    time=network.current_time() + 1.0,
+                    source=link.source,
+                    destination=link.destination,
+                )
+            )
+            assert network.run_until_idle()
+    return network
+
+
+def count_calls(monkeypatch, owner, name, counts) -> None:
+    call = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return call(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def count_counters_built_by_provenance(monkeypatch, counts) -> None:
+    build = collections.Counter.__init__
+
+    def counted(self, *args, **kwargs):
+        if "/provenance/" in sys._getframe(1).f_code.co_filename:
+            counts["Counter"] += 1
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(collections.Counter, "__init__", counted)
+
+
+def state_of(network: Network) -> dict:
+    """Everything the kernel could have changed, in comparable form."""
+    relations = ("link", "path", "bestPath", "bestPathCost")
+    return {
+        "facts": {
+            relation: sorted(repr(fact.values) for fact in network.all_facts(relation))
+            for relation in relations
+        },
+        "summary": network.stats.summary(),
+        "annotations": {
+            address: {
+                key: annotation.expression.monomials
+                for key, annotation in engine.local_provenance._condensed.items()
+            }
+            for address, engine in network.engines.items()
+        },
+        "supports": {
+            address: {key: poly.monomials for key, poly in engine._support.items()}
+            for address, engine in network.engines.items()
+        },
+    }
+
+
+def test_churn_condenses_once_per_product_and_builds_under_half_the_expressions(
+    monkeypatch,
+):
+    counts = collections.Counter()
+    with monkeypatch.context() as patch:
+        for name in ("__init__", "__mul__", "__add__", "condense"):
+            count_calls(patch, ProvenanceExpression, name, counts)
+        count_calls(patch, LocalProvenanceStore, "record_derivation", counts)
+        count_calls(patch, NodeEngine, "_support_product", counts)
+        count_counters_built_by_provenance(patch, counts)
+        state = state_of(churn_script())
+
+    assert counts["Counter"] == 0
+    assert counts["record_derivation"] == counts["_support_product"] == 428
+    # One condense per annotation product and one per support product; the
+    # merges that follow them find the stored polynomial unchanged and stop.
+    assert counts["condense"] == 428 + 428
+    assert counts["__add__"] == 0
+    assert counts["__mul__"] == 622
+    assert counts["__init__"] == 951
+    assert counts["__init__"] <= 0.5 * PARENT_EXPRESSIONS_BUILT
+
+    # The same script on the reference kernel: same network, more work.
+    reference = collections.Counter()
+    with monkeypatch.context() as patch:
+        patch_reference_kernel(patch)
+        count_calls(patch, ProvenanceExpression, "__init__", reference)
+        reference_state = state_of(churn_script())
+    assert reference["__init__"] > counts["__init__"]
+    assert state == reference_state
+    assert state["summary"]["facts_retracted"] > 0  # the flaps did delete state
+
+
+def test_sendlog_prov_renders_each_shipped_annotation_once(monkeypatch):
+    def fixpoint() -> Network:
+        network = Network.build(
+            topology=8, program="best-path", provenance="sendlog-prov", seed=SEED
+        )
+        assert network.run().converged
+        return network
+
+    counts = collections.Counter()
+    with monkeypatch.context() as patch:
+        for name in ("to_string", "_render", "condense"):
+            count_calls(patch, ProvenanceExpression, name, counts)
+        count_calls(patch, LocalProvenanceStore, "record_derivation", counts)
+        count_calls(patch, node_engine, "sign_annotation", counts)
+        count_counters_built_by_provenance(patch, counts)
+        network = fixpoint()
+
+    shipped = counts["sign_annotation"]  # signed annotations on the wire
+    assert shipped == 171
+    # Signing, verifying and sizing each read the rendering; one renders it.
+    assert counts["to_string"] == 3 * shipped
+    assert counts["_render"] == shipped
+    assert counts["condense"] == counts["record_derivation"] == 393
+    assert counts["Counter"] == 0
+
+    with monkeypatch.context() as patch:
+        patch_reference_kernel(patch)
+        reference = fixpoint()
+    assert state_of(network) == state_of(reference)

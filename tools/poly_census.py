@@ -1,0 +1,110 @@
+#!/usr/bin/env python3
+"""Census of the provenance algebra's traffic on one named configuration.
+
+Wraps ``ProvenanceExpression.__mul__`` / ``__add__`` / ``absorb`` /
+``condense`` with counters, runs the configuration, and prints per operation:
+calls, the operand monomial-count histogram, the share of calls whose result
+equals an operand (work whose answer is its own argument) and the number of
+distinct operand tuples (what a hash-consed DAG would compute once).  With
+``--flaps`` the network converges first and only the link flaps are counted.
+
+    python tools/poly_census.py --provenance condensed --nodes 20 --flaps 0
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import random
+import sys
+from collections import Counter
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+
+from repro.api import Network  # noqa: E402
+from repro.net.events import LinkDown, LinkUp  # noqa: E402
+from repro.net.topology import random_topology  # noqa: E402
+from repro.provenance.polynomial import ProvenanceExpression  # noqa: E402
+
+OPERATIONS = ("__mul__", "__add__", "absorb", "condense")
+
+
+class Census:
+    def __init__(self) -> None:
+        self.reset()
+
+    def reset(self) -> None:
+        self.calls = 0
+        self.shapes: Counter = Counter()
+        self.identity = 0
+        self.operands: set = set()
+
+
+def install() -> dict:
+    """Wrap each operation on the class; returns name -> :class:`Census`."""
+    table = {}
+    for name in OPERATIONS:
+        census = table[name] = Census()
+
+        def counted(*operands, _call=getattr(ProvenanceExpression, name), _c=census):
+            result = _call(*operands)
+            monomials = tuple(operand.monomials for operand in operands)
+            _c.calls += 1
+            _c.shapes[tuple(len(m) for m in monomials)] += 1
+            _c.identity += result.monomials in monomials
+            _c.operands.add(monomials)
+            return result
+
+        setattr(ProvenanceExpression, name, counted)
+    return table
+
+
+def run(args: argparse.Namespace, table: dict) -> None:
+    topology = random_topology(args.nodes, seed=args.seed)
+    churn = {}
+    if args.flaps is not None:
+        churn = dict(default_ttl=1e6, track_dependencies=True, rederivation=True)
+    network = Network.build(
+        topology=topology, program=args.program, provenance=args.provenance,
+        seed=args.seed, **churn,
+    )
+    assert network.run().converged, "the network did not converge"
+    if args.flaps is None:
+        return
+    for census in table.values():
+        census.reset()  # count the flaps only
+    links = list(topology.redundant_links())
+    random.Random(args.seed + 1).shuffle(links)
+    for link in links[: args.flaps] if args.flaps else links:
+        for event in (LinkDown, LinkUp):
+            network.schedule(event(
+                time=network.current_time() + 1.0,
+                source=link.source, destination=link.destination,
+            ))
+            assert network.run_until_idle(), "a flap did not settle"
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--program", default="best-path")
+    parser.add_argument("--provenance", default="condensed",
+                        choices=("condensed", "sendlog-prov"))
+    parser.add_argument("--nodes", type=int, default=20)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--flaps", type=int, default=None,
+                        help="flap K redundant links after convergence (0: all)")
+    args = parser.parse_args()
+    table = install()
+    run(args, table)
+    print(f"{'operation':<10} {'calls':>7} {'identity':>9} {'distinct':>9}  operand monomial counts")
+    for name, census in table.items():
+        share = census.identity / census.calls if census.calls else 0.0
+        shapes = ", ".join(
+            f"{'x'.join(map(str, shape))}: {count}"
+            for shape, count in census.shapes.most_common(4)
+        )
+        print(f"{name:<10} {census.calls:>7} {share:>9.1%} {len(census.operands):>9}  {shapes}")
+
+
+if __name__ == "__main__":
+    main()
