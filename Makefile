@@ -3,8 +3,12 @@
 #   make check       - tier-1 unit/integration tests plus a fast benchmark
 #                      smoke run (small node counts), catching functional and
 #                      benchmark-harness regressions in a couple of minutes.
-#   make tier1       - the exact tier-1 command from ROADMAP.md (runs the
-#                      benchmarks at their default sizes; slow).
+#   make tier1       - the exact tier-1 command from ROADMAP.md: tests/ plus
+#                      benchmarks/ at their default sizes — the three scale
+#                      benchmarks at their smoke size (N=24), so under two
+#                      minutes.  `REPRO_SCALE_FULL=1 make tier1` adds the
+#                      N=200 scaling / shard points, the N=48 churn-memory
+#                      run and the signed grid combos (~9 more minutes).
 #   make test        - unit/integration tests only (fastest loop).
 #   make bench-smoke - the full benchmark suite at smoke sizes.
 #   make scenarios-smoke - small-N run of every dynamic-network scenario

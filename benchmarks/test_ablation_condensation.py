@@ -32,15 +32,16 @@ def _provenance_sizes(node_count: int = 15, seed: int = 0):
     tree_bytes = 0
     tuples = 0
     for address, engine in result.engines.items():
-        store = engine.local_provenance
+        log = engine.provenance
         for fact in engine.facts("bestPath"):
             key = fact.key()
-            raw = store.graph.to_expression(key)
-            condensed = store.annotation(key)
+            graph = log.graph(key)
+            raw = graph.to_expression(key)
+            condensed = log.annotation(key)
             tuples += 1
             raw_bytes += raw.serialized_size()
             condensed_bytes += condensed.serialized_size()
-            tree_bytes += len(store.render(key).encode("utf-8"))
+            tree_bytes += len(graph.render(key).encode("utf-8"))
     return {
         "tuples": tuples,
         "raw_bytes": raw_bytes,

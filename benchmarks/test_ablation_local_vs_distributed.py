@@ -50,7 +50,7 @@ def test_local_vs_distributed_provenance(benchmark, capsys):
     # Distributed provenance pays at query time: count remote lookups needed
     # to reconstruct the provenance of every best path at one node.
     stores = {
-        address: engine.distributed_provenance
+        address: engine.provenance
         for address, engine in distributed_result.engines.items()
     }
     source = "n0"

@@ -15,7 +15,8 @@ measures that cost and demonstrates the tiered store bounding it:
   offline tracebacks of retracted routes still answer — through spill reads).
 
 Knobs: ``REPRO_BENCH_SIZES`` (node sweep), ``REPRO_SCALE_N`` (churn network
-size, default 100), ``REPRO_BENCH_CHURN_ROUNDS`` (default 6).
+size; unset, 24 and 48 under ``REPRO_SCALE_FULL=1``),
+``REPRO_BENCH_CHURN_ROUNDS`` (default 3).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import pytest
 from repro.api import Network
 from repro.net.events import LinkDown, LinkUp, SoftStateRefresh
 
-from conftest import bench_sizes
+from conftest import bench_sizes, scale_n
 
 #: Soft-state TTL for the churn runs: short enough that every churn round
 #: decays and rebuilds the remote derived state (the growth mechanism the
@@ -35,12 +36,11 @@ from conftest import bench_sizes
 CHURN_TTL = 10.0
 
 
-def scale_n() -> int:
-    # Every churn round decays and rebuilds the whole network (that is the
-    # point), so the default stays below the other scale tests' N: at
-    # N=100 a single round costs ~1 CPU-minute.  The acceptance-level run
-    # is REPRO_SCALE_N=100 (hot tier 256, see ROADMAP "Storage tiers").
-    return int(os.environ.get("REPRO_SCALE_N", "48"))
+#: Every churn round decays and rebuilds the whole network (that is the
+#: point), so the full size stays below the other scale tests' N: at N=100 a
+#: single round costs ~1 CPU-minute.  The acceptance-level run is
+#: REPRO_SCALE_N=100 (hot tier 256, see ROADMAP "Storage tiers").
+FULL_CHURN_N = 48
 
 
 def churn_rounds() -> int:
@@ -137,7 +137,7 @@ def test_bytes_per_derived_tuple(benchmark, tmp_path, node_count):
 
 def test_resident_bytes_bounded_by_run_length(benchmark, tmp_path):
     """Churn grows the in-memory archive but not the tiered resident gauge."""
-    nodes = scale_n()
+    nodes = scale_n(FULL_CHURN_N)
     rounds = churn_rounds()
     memory = build_and_run(nodes, tmp_path, "memory", default_ttl=CHURN_TTL)
     tiered = build_and_run(

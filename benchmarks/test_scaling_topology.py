@@ -9,9 +9,10 @@ simulator's ``max_events`` safety valve.
 
 Knobs (environment variables):
 
-* ``REPRO_SCALE_N`` — node count, default 200.
-* ``REPRO_SCALE_FULL`` — set to 1 to also run the signed configurations on
-  the grid topology.  Grid all-pairs runs generate ~3x the events of random
+* ``REPRO_SCALE_N`` — node count; unset, 24 (the smoke size: same
+  assertions, seconds instead of minutes) and 200 under ``REPRO_SCALE_FULL``.
+* ``REPRO_SCALE_FULL`` — set to 1 for the 200-node runs and to also run the
+  signed configurations on the grid topology.  Grid all-pairs runs generate ~3x the events of random
   topologies of the same size (long diameters mean each pair's best cost is
   improved several times as wavefronts meet), so the two most expensive
   combinations are opt-in to keep the default suite runtime bounded.
@@ -26,7 +27,6 @@ tie-breaking pathology.
 
 from __future__ import annotations
 
-import os
 import random
 
 import pytest
@@ -36,15 +36,9 @@ from repro.net.topology import Topology, grid_topology, random_topology
 from repro.harness.runner import run_network
 from repro.queries.best_path import compile_best_path
 
+from conftest import scale_full, scale_n
+
 CONFIGURATIONS = ("NDLog", "SeNDLog", "SeNDLogProv")
-
-
-def scale_n() -> int:
-    return int(os.environ.get("REPRO_SCALE_N", "200"))
-
-
-def full_matrix() -> bool:
-    return os.environ.get("REPRO_SCALE_FULL", "") not in ("", "0")
 
 
 def _grid_shape(node_count: int):
@@ -82,12 +76,12 @@ TOPOLOGIES = {"random": scaling_random, "grid": scaling_grid}
 @pytest.mark.parametrize("configuration", CONFIGURATIONS)
 @pytest.mark.parametrize("kind", ("random", "grid"))
 def test_scaling_topology(benchmark, kind, configuration):
-    if kind == "grid" and configuration != "NDLog" and not full_matrix():
+    if kind == "grid" and configuration != "NDLog" and not scale_full():
         pytest.skip(
             "signed grid runs are the two most expensive combinations; "
             "set REPRO_SCALE_FULL=1 to include them"
         )
-    topology = TOPOLOGIES[kind](scale_n())
+    topology = TOPOLOGIES[kind](scale_n(200))
     compiled = compile_best_path()
 
     def run():

@@ -12,7 +12,8 @@ unconditionally.
 
 Environment knobs::
 
-    REPRO_SCALE_N=200        topology size
+    REPRO_SCALE_N=200        topology size (unset: 24, the smoke size, and
+                             200 under REPRO_SCALE_FULL=1)
     REPRO_SHARD_COUNT=4      shard / worker count
     REPRO_SHARD_ASSERT=1     force the speedup assertion on (0 forces off)
     REPRO_SHARD_TARGET=1.5   required speedup
@@ -37,16 +38,14 @@ from repro.net.stats import COORDINATION_KEYS
 from repro.net.topology import random_topology
 from repro.queries.best_path import compile_best_path
 
+from conftest import scale_full, scale_n
+
 #: Link and linkless (reverse-link) latency: the conservative lookahead
 #: window.  1 ms — the coordination-bound regime this benchmark measures.
 BENCH_LATENCY = 0.001
 
 #: Measurement artifact, written unconditionally in the working directory.
 ARTIFACT = "BENCH_shard.json"
-
-
-def scale_n() -> int:
-    return int(os.environ.get("REPRO_SCALE_N", "200"))
 
 
 def shard_count() -> int:
@@ -61,7 +60,8 @@ def assert_speedup() -> bool:
     forced = os.environ.get("REPRO_SHARD_ASSERT")
     if forced is not None:
         return forced not in ("", "0")
-    return (os.cpu_count() or 1) >= shard_count()
+    # A speedup is only meaningful at the full size.
+    return scale_full() and (os.cpu_count() or 1) >= shard_count()
 
 
 def _write_artifact(record) -> None:
@@ -86,7 +86,7 @@ def _assert_summaries_equal(serial, sharded) -> None:
 
 
 def test_shard_scaling(benchmark):
-    node_count = scale_n()
+    node_count = scale_n(200)
     shards = shard_count()
     topology = random_topology(node_count, seed=0, latency=BENCH_LATENCY)
     compiled = compile_best_path()

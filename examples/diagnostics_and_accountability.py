@@ -19,10 +19,10 @@ Run with::
 from __future__ import annotations
 
 from repro.api import Network
-from repro.engine.tuples import Derivation, Fact
+from repro.engine.tuples import Fact
 from repro.provenance.condensed import CondensedProvenance
+from repro.provenance.log import DerivationLog, ProvenancePointer
 from repro.provenance.polynomial import p_product, p_var
-from repro.provenance.store import OnlineProvenanceStore
 from repro.usecases.accountability import AccountabilityAuditor, UsagePolicy
 from repro.usecases.diagnostics import FlapEvent, RouteFlapDetector
 
@@ -49,13 +49,15 @@ def diagnostics_scenario() -> None:
         ("n1", "n4"): CondensedProvenance.from_source("n4"),
     }
 
-    # Online provenance store with a derivation chain rooted at the flapping route.
-    store = OnlineProvenanceStore("n1")
+    # n1's live derivation log with a chain rooted at the flapping route.
+    store = DerivationLog("n1", track_dependencies=True)
     route = Fact(relation="bestPath", values=("n1", "n9", ("n1", "n7", "n9"), 9.0))
     downstream = Fact(relation="forwarding", values=("n1", "n9", "n7"))
-    store.record(Derivation(fact=route, rule_label="p4", node="n1"))
-    store.record(
-        Derivation(fact=downstream, rule_label="f1", node="n1", antecedents=(route,))
+    store.append(ProvenancePointer(route.key(), "p4", "n1", inputs=()), route, ())
+    store.append(
+        ProvenancePointer(downstream.key(), "f1", "n1", inputs=((route.key(), None),)),
+        downstream,
+        (route,),
     )
 
     report = detector.run(

@@ -33,7 +33,6 @@ def main() -> None:
         program="best-path",
         provenance="sendlog-prov",
         keep_offline_provenance=True,
-        keep_online_provenance=True,
     )
     network.run()
 
@@ -57,7 +56,7 @@ def main() -> None:
     print(f"  base origins    : {len(report.origins)} link tuples")
     print(f"  derivation depth: {report.derivation_depth}\n")
 
-    # --- the zero-cost oracle: pointer walk by direct store access -----------------
+    # --- the zero-cost oracle: pointer walk by direct access to the live logs -------
     walk = network.legacy_traceback(target, at=source)
     print("distributed-pointer oracle (out-of-band, zero messages)")
     print(f"  complete        : {walk.complete}")

@@ -75,6 +75,14 @@ def main() -> None:
             f"votes={vote_principals(annotation)} "
             f"trust(level 1 everywhere)={trust_level(annotation, {}, default_level=1)}"
         )
+    # Each node keeps one live derivation log (``engine.provenance``); a
+    # derivation graph is a view built from it when somebody asks.  This is
+    # the part of the tree the node itself derived — the rest lives where it
+    # was derived, and step 4 fetches it over the network.
+    shortest = min(best_paths, key=lambda f: len(f.values[2]))
+    print(f"  local derivation of {shortest}:")
+    for line in engine.provenance.graph(shortest.key()).render(shortest.key()).splitlines():
+        print(f"    {line}")
 
     # 4. Ask the network itself where a route came from.  The traceback
     #    compiles into QueryRequest/QueryResponse events: every remote

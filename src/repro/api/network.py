@@ -376,7 +376,7 @@ class Network:
     def legacy_traceback(self, root: Union[Fact, FactKey], at: Address):
         """The zero-cost oracle: the same traceback resolved out-of-band.
 
-        Walks the distributed stores through direct Python calls (no
+        Walks the nodes' derivation logs through direct Python calls (no
         simulated messages), exactly like pre-facade code did.  Kept for
         validation — on static topologies :meth:`query` must reconstruct a
         structurally identical graph.
@@ -384,11 +384,11 @@ class Network:
         from repro.provenance.distributed import traceback
 
         key = as_fact_key(root)
-        stores = {
-            address: engine.distributed_provenance
+        logs = {
+            address: engine.provenance
             for address, engine in self.simulator.engines.items()
         }
-        return traceback(key, at, stores.get)
+        return traceback(key, at, logs.get)
 
     # -- inspection ----------------------------------------------------------------
 

@@ -21,7 +21,7 @@ from repro.net.kernel import CostModel, KernelOptions
 from repro.net.link import DEFAULT_BANDWIDTH, DEFAULT_LATENCY
 from repro.net.query import DEFAULT_QUERY_TIMEOUT
 from repro.net.sharding import SHARD_MODES
-from repro.provenance.pruning import MaintenanceMode, ProvenanceSampler
+from repro.provenance.pruning import ProvenanceSampler
 from repro.provenance.tiers import PROVENANCE_STORES
 from repro.security.says import SaysMode
 from repro.service.cache import CacheConfig
@@ -161,11 +161,9 @@ class NetOptions:
     rederivation: Optional[bool] = None
     default_ttl: Optional[float] = None
     track_dependencies: Optional[bool] = None
-    keep_online_provenance: Optional[bool] = None
     keep_offline_provenance: Optional[bool] = None
     offline_retention: Optional[float] = None
     sampler: Optional[ProvenanceSampler] = None
-    maintenance_mode: Optional[MaintenanceMode] = None
     #: Offline-archive representation: ``"memory"`` (unbounded, the preset
     #: default) or ``"tiered"`` (bounded hot tier over a spill log; see
     #: ``repro/provenance/tiers.py`` and the ROADMAP "Storage tiers" section).
@@ -342,11 +340,9 @@ class NetOptions:
             "rederivation",
             "default_ttl",
             "track_dependencies",
-            "keep_online_provenance",
             "keep_offline_provenance",
             "offline_retention",
             "sampler",
-            "maintenance_mode",
             "provenance_store",
             "hot_tier_entries",
             "spill_dir",
@@ -381,26 +377,6 @@ class NetOptions:
         """The :class:`EngineConfig` for preset *provenance* plus overrides."""
         says_mode, provenance_mode = PROVENANCE_PRESETS[resolve_preset(provenance)]
         config = EngineConfig(says_mode=says_mode, provenance_mode=provenance_mode)
-        if self.rederivation is not None:
-            config.rederivation = self.rederivation
-        if self.default_ttl is not None:
-            config.default_ttl = self.default_ttl
-        if self.track_dependencies is not None:
-            config.track_dependencies = self.track_dependencies
-        if self.keep_online_provenance is not None:
-            config.keep_online_provenance = self.keep_online_provenance
-        if self.keep_offline_provenance is not None:
-            config.keep_offline_provenance = self.keep_offline_provenance
-        if self.offline_retention is not None:
-            config.offline_retention = self.offline_retention
-        if self.sampler is not None:
-            config.sampler = self.sampler
-        if self.maintenance_mode is not None:
-            config.maintenance_mode = self.maintenance_mode
-        if self.provenance_store is not None:
-            config.provenance_store = self.provenance_store
-        if self.hot_tier_entries is not None:
-            config.hot_tier_entries = self.hot_tier_entries
-        if self.spill_dir is not None:
-            config.spill_dir = self.spill_dir
+        for name, value in self.engine_overrides().items():
+            setattr(config, name, value)
         return config

@@ -29,7 +29,7 @@ from repro.engine.seminaive import (
     expire_probe_tables,
     warm_probe_indexes,
 )
-from repro.engine.tuples import Derivation, Fact, FactKey
+from repro.engine.tuples import Fact, FactKey
 from repro.provenance.authenticated import (
     ProvenanceVerificationError,
     SignedAnnotation,
@@ -37,11 +37,10 @@ from repro.provenance.authenticated import (
     verify_annotation,
 )
 from repro.provenance.condensed import CondensedProvenance
-from repro.provenance.distributed import DistributedProvenanceStore
-from repro.provenance.local import LocalProvenanceStore, PiggybackedProvenance
+from repro.provenance.log import DerivationLog, ProvenancePointer
 from repro.provenance.polynomial import ProvenanceExpression, p_product
-from repro.provenance.pruning import MaintenanceMode, ProvenanceSampler
-from repro.provenance.store import OfflineProvenanceArchive, OnlineProvenanceStore
+from repro.provenance.pruning import ProvenanceSampler
+from repro.provenance.store import OfflineProvenanceArchive
 from repro.security.authenticator import AuthenticationError, Authenticator
 from repro.security.keystore import KeyStore
 from repro.security.principal import PrincipalRegistry
@@ -82,9 +81,7 @@ class EngineConfig:
 
     says_mode: SaysMode = SaysMode.NONE
     provenance_mode: ProvenanceMode = ProvenanceMode.NONE
-    maintenance_mode: MaintenanceMode = MaintenanceMode.PROACTIVE
     sampler: Optional[ProvenanceSampler] = None
-    keep_online_provenance: bool = False
     keep_offline_provenance: bool = False
     offline_retention: Optional[float] = None
     #: Offline-archive representation: ``"memory"`` keeps every entry in an
@@ -285,9 +282,6 @@ class NodeEngine:
             or self._track_dependencies
             or self._rederivation
         )
-        #: Retraction support: antecedent key -> ordered set of locally
-        #: derived keys it supports (maintained only under track_dependencies).
-        self._dependents: Dict[FactKey, Dict[FactKey, None]] = {}
         #: One-fixpoint deletion state (``rederivation=True`` only).
         #: Base-support polynomial per stored/exported tuple key — a sum of
         #: monomials, each a conjunction of *rendered base tuple keys* that
@@ -314,11 +308,13 @@ class NodeEngine:
         self._aggregate_heads: Dict[str, List[Tuple[str, object]]] = {}
         self._index_aggregate_heads()
 
-        self.local_provenance = LocalProvenanceStore(address)
-        self.distributed_provenance = DistributedProvenanceStore(address)
-        self.online_provenance = OnlineProvenanceStore(address)
+        #: The live derivation log: every firing recorded once, read by the
+        #: graph, pointer, annotation and dependency views.  Invalidated on
+        #: retraction and replaced on a crash; the archive below is the
+        #: append-only copy that outlives both.
+        self.provenance = DerivationLog(address, config.track_dependencies)
         self.offline_provenance = _build_offline_archive(address, config)
-        #: Monotonic generation counter of this node's provenance stores,
+        #: Monotonic generation counter of this node's provenance log,
         #: bumped on every mutation (base/derivation/remote recording,
         #: invalidation cascades, crash resets).  The service plane's query
         #: result cache tags each memoized closure with the epoch it was
@@ -375,18 +371,7 @@ class NodeEngine:
         """Insert a base (application-provided) fact at this node."""
         result = ProcessingResult()
         prepared = self._attribute_local(fact, now)
-        if self._maintains_provenance:
-            if self._should_record(prepared):
-                self.provenance_epoch += 1
-                self.local_provenance.record_base(prepared, source=self.address)
-                self.distributed_provenance.record_base(prepared)
-                if self.config.keep_offline_provenance:
-                    # The persistent log keeps the pointer-chasing shape of
-                    # the live store, so offline traceback queries can walk
-                    # it even after a crash wiped the in-memory stores.
-                    self.offline_provenance.record_base(prepared)
-        if self._rederivation:
-            self._note_base_support(prepared)
+        self._record_base(prepared)
         self._process_local(prepared, now, result)
         return result
 
@@ -479,7 +464,7 @@ class NodeEngine:
                 result.report.facts_retracted += 1
                 self._forget_aggregate_groups(relation, values)
             self._invalidate_provenance(key)
-            for dependent in self._dependents.pop(key, ()):
+            for dependent in self.provenance.pop_dependents(key):
                 if dependent not in seen:
                     seen.add(dependent)
                     queue.append(dependent)
@@ -521,16 +506,7 @@ class NodeEngine:
         try:
             for fact in facts:
                 prepared = self._attribute_local(fact, now)
-                if self._maintains_provenance and self._should_record(prepared):
-                    self.provenance_epoch += 1
-                    self.local_provenance.record_base(
-                        prepared, source=self.address
-                    )
-                    self.distributed_provenance.record_base(prepared)
-                    if self.config.keep_offline_provenance:
-                        self.offline_provenance.record_base(prepared)
-                if self._rederivation:
-                    self._note_base_support(prepared)
+                self._record_base(prepared)
                 if self._store(prepared, now, result):
                     queue.append(prepared)
                     self._drain(queue, now, result, warmed)
@@ -557,8 +533,8 @@ class NodeEngine:
     def reset_state(self) -> None:
         """Crash semantics: lose all runtime state.
 
-        Database tables, aggregate state, the dependency index and the
-        in-memory provenance stores are wiped; the offline provenance
+        Database tables, aggregate state and the live derivation log (with
+        its dependency index) are wiped; the offline provenance
         archive — modelling a persistent log — survives the crash, which is
         what makes post-mortem forensics of a failed node possible.  Under
         the tiered archive the crash costs exactly the volatile hot tier:
@@ -567,15 +543,12 @@ class NodeEngine:
         for table in self.database.tables():
             table.clear()
         self.aggregates.clear()
-        self._dependents.clear()
         self._support.clear()
         self._base_uses.clear()
         self._dead_bases.clear()
         self._export_dests.clear()
         self.provenance_epoch += 1
-        self.local_provenance = LocalProvenanceStore(self.address)
-        self.distributed_provenance = DistributedProvenanceStore(self.address)
-        self.online_provenance = OnlineProvenanceStore(self.address)
+        self.provenance = DerivationLog(self.address, self._track_dependencies)
         self.offline_provenance.drop_cache()
 
     # -- queries -----------------------------------------------------------------
@@ -585,7 +558,7 @@ class NodeEngine:
 
     def provenance_of(self, fact: Fact) -> CondensedProvenance:
         """Condensed provenance annotation of a locally stored fact."""
-        return self.local_provenance.annotation(fact.key())
+        return self.provenance.annotation(fact.key())
 
     # -- internals ----------------------------------------------------------------
 
@@ -670,19 +643,25 @@ class NodeEngine:
             return True
         return sampler.should_record(fact.key())
 
+    def _record_base(self, fact: Fact) -> None:
+        """Record a locally asserted base tuple's provenance and support."""
+        if self._maintains_provenance and self._should_record(fact):
+            self.provenance_epoch += 1
+            self.provenance.record_base(fact, source=self.address)
+            if self.config.keep_offline_provenance:
+                # The persistent archive keeps the pointer-chasing shape of
+                # the live log, so offline traceback queries can walk it
+                # even after a crash wiped the log.
+                self.offline_provenance.record_base(fact)
+        if self._rederivation:
+            self._note_base_support(fact)
+
     def _record_remote_provenance(self, fact: Fact, provenance: Optional[object]) -> None:
         self.provenance_epoch += 1
-        piggyback = provenance if isinstance(provenance, PiggybackedProvenance) else None
         condensed = provenance if isinstance(provenance, CondensedProvenance) else None
         if condensed is None and isinstance(fact.provenance, CondensedProvenance):
             condensed = fact.provenance
-        if piggyback is not None:
-            self.local_provenance.record_remote(fact, piggyback)
-        elif condensed is not None:
-            self.local_provenance.record_remote_condensed(fact, condensed)
-        else:
-            self.local_provenance.record_remote(fact, None)
-        self.distributed_provenance.record_remote(fact, fact.origin)
+        self.provenance.record_remote(fact, condensed)
         if self.config.keep_offline_provenance:
             self.offline_provenance.record_remote(fact, fact.origin)
 
@@ -777,11 +756,6 @@ class NodeEngine:
             support = self._support_product(firing.antecedents)
 
         annotation = self._record_derivation(derived, plan, firing, now, result)
-        # Remote-destined derivations are indexed too: they are not stored
-        # locally, but this node *recorded their provenance*, which a
-        # retraction cascade must be able to reach and invalidate.
-        if self._track_dependencies:
-            self._record_dependencies(derived, firing)
 
         if destination == self.address:
             if support is not None:
@@ -822,7 +796,7 @@ class NodeEngine:
                 provenance_bytes = annotation.serialized_size()
             exported = exported.with_metadata(provenance=shipped_annotation)
             if self.config.provenance_mode is ProvenanceMode.FULL_LOCAL:
-                piggyback = self.local_provenance.piggyback_for(derived)
+                piggyback = self.provenance.piggyback_for(derived)
                 provenance_bytes = max(
                     provenance_bytes,
                     piggyback.serialized_size(condensed_only=False),
@@ -858,43 +832,37 @@ class NodeEngine:
         now: float,
         result: ProcessingResult,
     ) -> Optional[CondensedProvenance]:
-        if not self._maintains_provenance:
+        """Append one firing to the derivation log; return its annotation.
+
+        Remote-destined derivations are recorded (and dependency-indexed)
+        too: they are not stored locally, but a retraction cascade must be
+        able to reach and invalidate the provenance this node vouches for.
+        """
+        if not self._maintains_provenance or not self._should_record(derived):
+            if self._track_dependencies:
+                self.provenance.depend(
+                    derived.key(), [a.key() for a in firing.antecedents]
+                )
             return None
-        if not self._should_record(derived):
-            return None
-        derivation = Derivation(
-            fact=derived,
+        log = self.provenance
+        origin_of = log.origin_of
+        inputs = []
+        for antecedent in firing.antecedents:
+            key = antecedent.key()
+            inputs.append((key, origin_of(key)))
+        pointer = ProvenancePointer(
+            output=derived.key(),
             rule_label=plan.label,
             node=self.address,
-            antecedents=firing.antecedents,
+            inputs=tuple(inputs),
             timestamp=now,
         )
         self.provenance_epoch += 1
-        annotation = self.local_provenance.record_derivation(derivation)
-        self.distributed_provenance.record_derivation(derivation)
-        if self.config.keep_online_provenance:
-            self.online_provenance.record(derivation, annotation)
+        annotation = log.append(pointer, derived, firing.antecedents)
         if self.config.keep_offline_provenance:
-            self.offline_provenance.record(derivation, annotation)
+            self.offline_provenance.record(pointer, derived.expires_at(), annotation)
         result.report.provenance_annotations += 1
         return annotation
-
-    def _record_dependencies(self, derived: Fact, firing: RuleFiring) -> None:
-        """Index *derived* under each antecedent for retraction cascades.
-
-        Every recorded support edge is kept (a tuple with several derivations
-        is indexed under all of them): the cascade over-deletes, and
-        re-derivation happens through refresh traffic — standard DRed split.
-        """
-        derived_key = derived.key()
-        for antecedent in firing.antecedents:
-            key = antecedent.key()
-            if key == derived_key:
-                continue
-            bucket = self._dependents.get(key)
-            if bucket is None:
-                bucket = self._dependents[key] = {}
-            bucket[derived_key] = None
 
     def _forget_aggregate_groups(
         self, relation: str, values: Tuple[object, ...]
@@ -936,11 +904,8 @@ class NodeEngine:
         if not self._maintains_provenance:
             return
         self.provenance_epoch += 1
-        self.local_provenance.invalidate(key)
-        self.distributed_provenance.invalidate(key)
-        # The online store is queryable state too; only the offline archive
-        # (the persistent log) keeps the historical record.
-        self.online_provenance.delete(key)
+        # Only the offline archive keeps the historical record.
+        self.provenance.invalidate(key)
 
     # -- one-fixpoint deletions (rederivation=True) -------------------------------
 

@@ -29,8 +29,8 @@ from typing import Optional, Tuple
 
 from repro.engine.tuples import Fact, FactKey
 from repro.net.address import Address
-from repro.provenance.distributed import ProvenancePointer
-from repro.provenance.graph import DerivationNode, OperatorNode
+from repro.provenance.log import ProvenancePointer
+from repro.provenance.graph import DerivationNode
 
 #: Fixed per-message framing overhead: UDP/IP headers plus P2's verbose tuple
 #: framing (relation name, per-field type tags, location specifier).
@@ -275,16 +275,7 @@ class QueryClosureEntry:
         every query graph replaying this entry may share."""
         plan = self._replay
         if plan is None:
-            operators = tuple(
-                OperatorNode(
-                    rule_label=pointer.rule_label,
-                    location=pointer.node,
-                    output=self.key,
-                    inputs=tuple(key for key, _ in pointer.inputs),
-                    timestamp=pointer.timestamp,
-                )
-                for pointer in self.pointers
-            )
+            operators = tuple(pointer.operator() for pointer in self.pointers)
             plan = (DerivationNode(key=self.key, location=self.node), operators)
             object.__setattr__(self, "_replay", plan)
         return plan

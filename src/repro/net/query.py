@@ -7,8 +7,8 @@ resolving per-node stores through a Python callable, costing zero simulated
 messages; it remains the *zero-cost oracle*.  This module is the paid path:
 a :class:`ProvenanceQuery` compiles into :class:`QueryRequest` /
 :class:`QueryResponse` wire messages dispatched through the simulator's
-:class:`~repro.net.events.EventScheduler`, so pointer chasing across
-:class:`~repro.provenance.distributed.DistributedProvenanceStore`\\ s pays
+:class:`~repro.net.events.EventScheduler`, so pointer chasing across the
+nodes' :class:`~repro.provenance.log.DerivationLog`\\ s pays
 serialized bytes, link-serialized transmission and propagation latency, and
 per-node CPU — and is attributed to a distinct ``query_bytes`` /
 ``query_messages`` category in :class:`~repro.net.stats.NetworkStats`.
@@ -56,7 +56,6 @@ from repro.net.message import (
     QueryResponse,
 )
 from repro.net.stats import latency_bucket
-from repro.provenance.distributed import ProvenancePointer
 from repro.provenance.graph import DerivationGraph, DerivationNode
 from repro.security.rsa import sign, verify
 
@@ -78,7 +77,7 @@ class ProvenanceQuery:
 
     ``root`` is the tuple key under investigation, ``at`` the node asking.
     ``mode`` selects the store walked: ``"online"`` uses the live
-    distributed pointer tables, ``"offline"`` the persistent provenance
+    derivation logs, ``"offline"`` the persistent provenance
     archives (forensics over state the live network may have forgotten).
     ``condensed`` additionally fetches condensed annotations (paying their
     serialized bytes per response); ``authenticated`` makes every responder
@@ -218,43 +217,11 @@ class PendingQuery:
         )
 
 
-class _ArchiveAdapter:
-    """Presents an offline provenance archive as a pointer store.
+def _local_closure(store, node: Address, root: FactKey):
+    """Expand *root* at *node* as far as *store*'s local pointers reach.
 
-    Archive entries carry the same (rule, antecedents, node) shape as live
-    pointers; per-antecedent origins come from the archive's remembered
-    remote origins, giving offline traceback the same cross-node walk.
-    """
-
-    def __init__(self, archive) -> None:
-        self._archive = archive
-
-    def is_base(self, key: FactKey) -> bool:
-        return self._archive.is_base(key)
-
-    def knows(self, key: FactKey) -> bool:
-        return self._archive.knows(key)
-
-    def pointers(self, key: FactKey) -> Tuple[ProvenancePointer, ...]:
-        pointers = []
-        for entry in self._archive.entries(key):
-            pointers.append(
-                ProvenancePointer(
-                    output=key,
-                    rule_label=entry.rule_label,
-                    node=entry.node or self._archive.node,
-                    inputs=tuple(
-                        (k, self._archive.origin_of(k))
-                        for k in entry.antecedent_keys
-                    ),
-                    timestamp=entry.timestamp,
-                )
-            )
-        return tuple(pointers)
-
-
-def _local_closure(adapter, node: Address, root: FactKey):
-    """Expand *root* at *node* as far as local pointers reach.
+    *store* is the node's live log or its offline archive: anything that
+    answers ``is_base(key)`` and ``pointers(key)``.
 
     Mirrors the oracle's visit order (preorder, derivation recorded before
     its inputs are expanded) so the querier can replay the entries into a
@@ -274,10 +241,10 @@ def _local_closure(adapter, node: Address, root: FactKey):
         if key in seen:
             continue
         seen.add(key)
-        if adapter.is_base(key):
+        if store.is_base(key):
             entries.append(QueryClosureEntry(key=key, node=node, is_base=True))
             continue
-        pointers = adapter.pointers(key)
+        pointers = store.pointers(key)
         if not pointers:
             missing.append(key)
             continue
@@ -640,8 +607,7 @@ class QueryEngine:
         """
         cache = self.simulator.query_cache_for(node)
         if cache is None:
-            adapter = self._adapter(engine, mode)
-            entries, missing = _local_closure(adapter, node, key)
+            entries, missing = _local_closure(self._store(engine, mode), node, key)
             annotation = (
                 self._annotation_for(engine, key, mode) if condensed else None
             )
@@ -660,8 +626,7 @@ class QueryEngine:
                 stats.cache_staleness_buckets.get(bucket, 0) + 1
             )
             return entries, missing, annotation, 1
-        adapter = self._adapter(engine, mode)
-        entries, missing = _local_closure(adapter, node, key)
+        entries, missing = _local_closure(self._store(engine, mode), node, key)
         annotation = (
             self._annotation_for(engine, key, mode) if condensed else None
         )
@@ -671,17 +636,16 @@ class QueryEngine:
         )
         return entries, missing, annotation, len(entries) + len(missing)
 
-    def _adapter(self, engine, mode: str):
-        if mode == "offline":
-            return _ArchiveAdapter(engine.offline_provenance)
-        return engine.distributed_provenance
+    @staticmethod
+    def _store(engine, mode: str):
+        return engine.offline_provenance if mode == "offline" else engine.provenance
 
     def _annotation_for(self, engine, key, mode: str):
         """The *recorded* condensed annotation of *key* in this query's store.
 
         Offline queries read the archived annotation — the one that survives
         a crash, matching the store the pointer walk itself uses — while
-        online queries read the live local store.  ``None`` when nothing was
+        online queries read the live log.  ``None`` when nothing was
         recorded: the identity fallback for unknown keys must not masquerade
         as provenance.
         """
@@ -690,8 +654,8 @@ class QueryEngine:
                 if entry.annotation is not None:
                     return entry.annotation
             return None
-        if engine.local_provenance.knows(key):
-            return engine.local_provenance.annotation(key)
+        if engine.provenance.knows(key):
+            return engine.provenance.annotation(key)
         return None
 
     def _charge(self, address: Address, start_floor: float, cpu: float) -> float:

@@ -62,7 +62,7 @@ from repro.net.message import (
 )
 from repro.provenance.authenticated import SignedAnnotation
 from repro.provenance.condensed import CondensedProvenance
-from repro.provenance.distributed import ProvenancePointer
+from repro.provenance.log import ProvenancePointer
 from repro.provenance.polynomial import ProvenanceExpression
 
 #: Binary frames at least this large are deflate-compressed before hitting

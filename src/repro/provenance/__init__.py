@@ -8,20 +8,24 @@ This package implements the full taxonomy of Section 4:
 * **condensed provenance** (:mod:`bdd`, :mod:`condensed`) — polynomials are
   canonicalised through reduced ordered BDDs and minimised by absorption
   (``a + a*b -> a``), Section 4.4;
+* **the derivation log** (:mod:`log`) — the one live per-node record: every
+  rule firing appended once as a pointer, plus base keys, remote origins,
+  tuple metadata and condensed annotations;
 * **derivation graphs** (:mod:`graph`) — the explicit derivation trees of
   Figures 1 and 2, annotated with locations, rules, timestamps and ``says``
-  principals;
-* **local vs distributed provenance** (:mod:`local`, :mod:`distributed`) —
-  piggy-backed full provenance versus per-node pointers reconstructed by a
+  principals: views built on read from the log or an archive;
+* **local vs distributed provenance** (:mod:`log`, :mod:`distributed`) —
+  the piggy-backed full tree versus per-node pointers reconstructed by a
   recursive traceback query, Section 4.1;
-* **online vs offline provenance** (:mod:`store`) — provenance tied to live
-  soft state versus an append-only archive that survives expiry, Section 4.2;
+* **online vs offline provenance** (:mod:`log`, :mod:`store`) — the live log,
+  which forgets retracted state, versus an append-only archive that survives
+  expiry, Section 4.2;
 * **authenticated provenance** (:mod:`authenticated`) — per-derivation-node
   signatures, Section 4.3;
 * **quantifiable provenance** (:mod:`quantify`) — trust levels, counts and
   votes evaluated over provenance expressions, Section 4.5;
-* **optimizations** (:mod:`pruning`) — proactive vs reactive maintenance,
-  sampling, and AS-granularity aggregation, Section 5.
+* **optimizations** (:mod:`pruning`) — sampling and AS-granularity
+  aggregation, Section 5.
 """
 
 from repro.provenance.semiring import (
@@ -42,13 +46,9 @@ from repro.provenance.polynomial import (
 from repro.provenance.bdd import BDD, BDDManager
 from repro.provenance.condensed import CondensedProvenance, condense_expression
 from repro.provenance.graph import DerivationGraph, DerivationNode, OperatorNode
-from repro.provenance.local import LocalProvenanceStore
-from repro.provenance.distributed import (
-    DistributedProvenanceStore,
-    ProvenancePointer,
-    TracebackResult,
-)
-from repro.provenance.store import OfflineProvenanceArchive, OnlineProvenanceStore
+from repro.provenance.log import DerivationLog, ProvenancePointer
+from repro.provenance.distributed import TracebackResult
+from repro.provenance.store import OfflineProvenanceArchive
 from repro.provenance.authenticated import (
     AuthenticatedProvenance,
     ProvenanceVerificationError,
@@ -62,11 +62,7 @@ from repro.provenance.quantify import (
     vote_principals,
 )
 from repro.provenance.taxonomy import ProvenanceAxes, UseCase, recommend_provenance
-from repro.provenance.pruning import (
-    ASAggregator,
-    MaintenanceMode,
-    ProvenanceSampler,
-)
+from repro.provenance.pruning import ASAggregator, ProvenanceSampler
 
 __all__ = [
     "ASAggregator",
@@ -77,12 +73,9 @@ __all__ = [
     "COUNTING",
     "CondensedProvenance",
     "DerivationGraph",
+    "DerivationLog",
     "DerivationNode",
-    "DistributedProvenanceStore",
-    "LocalProvenanceStore",
-    "MaintenanceMode",
     "OfflineProvenanceArchive",
-    "OnlineProvenanceStore",
     "OperatorNode",
     "ProvenanceAxes",
     "ProvenanceExpression",

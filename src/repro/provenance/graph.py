@@ -8,9 +8,12 @@ authenticated provenance, the asserting principal (``says``).  Operator nodes
 are annotated with the rule label and the location (context) where the rule
 executed, exactly as in Figure 2.
 
-The same structure serves both *local* provenance (the whole tree available
-at the tuple's storage node) and as the result of reconstructing
-*distributed* provenance via traceback.
+A graph is a *view*: nothing stores one.  It is built on read — from a
+node's :class:`~repro.provenance.log.DerivationLog` (*local* provenance: the
+whole tree available at the tuple's storage node), from an offline archive,
+or by reconstructing *distributed* provenance via traceback / an in-network
+query — and every operator node in it comes from
+:meth:`~repro.provenance.log.ProvenancePointer.operator`.
 """
 
 from __future__ import annotations
@@ -122,36 +125,38 @@ class DerivationGraph:
             )
         )
 
-    def add_operator(self, operator: OperatorNode) -> OperatorNode:
+    def add_operator(
+        self, operator: OperatorNode, placeholders: bool = True
+    ) -> OperatorNode:
         """Insert a (possibly shared, prebuilt) rule firing by its keys.
 
-        Tuple nodes for its output and inputs are created only where the
-        graph has none yet — first writer wins, as in :meth:`add_fact`.
+        With *placeholders*, tuple nodes for its output and inputs are
+        created where the graph has none yet — first writer wins, as in
+        :meth:`add_fact`; a caller that supplies exactly the tuple nodes it
+        knows turns them off.
         """
-        tuples = self._tuples
-        if operator.output not in tuples:
-            tuples[operator.output] = DerivationNode(
-                key=operator.output, location=operator.location
-            )
-        for key in operator.inputs:
-            if key not in tuples:
-                tuples[key] = DerivationNode(key=key)
+        if placeholders:
+            tuples = self._tuples
+            if operator.output not in tuples:
+                tuples[operator.output] = DerivationNode(
+                    key=operator.output, location=operator.location
+                )
+            for key in operator.inputs:
+                if key not in tuples:
+                    tuples[key] = DerivationNode(key=key)
         self._producers.setdefault(operator.output, []).append(len(self._operators))
         self._operators.append(operator)
         return operator
 
     def merge(self, other: "DerivationGraph") -> None:
-        """Union *other* into this graph (used when piggy-backed trees arrive)."""
+        """Union *other* into this graph."""
         for node in other._tuples.values():
             self.add_tuple(node)
         known = {
             (op.rule_label, op.location, op.output, op.inputs)
             for op in self._operators
-            if op is not None
         }
         for operator in other._operators:
-            if operator is None:
-                continue
             signature = (
                 operator.rule_label,
                 operator.location,
@@ -164,26 +169,6 @@ class DerivationGraph:
             index = len(self._operators)
             self._operators.append(operator)
             self._producers.setdefault(operator.output, []).append(index)
-
-    def invalidate(self, key: FactKey) -> bool:
-        """Forget *key*: its tuple node and the derivations that produced it.
-
-        Used when a tuple is retracted: every query path rooted at a fact key
-        (``producers``, ``base_tuples``, ``subgraph``, expressions, renders)
-        stops seeing *key*'s derivations.  The producing operators are
-        tombstoned in place (indexes of other keys stay valid) so a later
-        identical re-derivation merges back in instead of being deduplicated
-        against the withdrawn one.  Downstream tuples are the caller's
-        responsibility — the retraction cascade invalidates each one as it
-        is deleted.  Returns True when the graph knew the key.
-        """
-        removed = self._tuples.pop(key, None) is not None
-        indexes = self._producers.pop(key, None)
-        if indexes:
-            removed = True
-            for index in indexes:
-                self._operators[index] = None
-        return removed
 
     # -- structure ------------------------------------------------------------
 
@@ -203,7 +188,6 @@ class DerivationGraph:
         operators = frozenset(
             (op.rule_label, op.location, op.output, op.inputs)
             for op in self._operators
-            if op is not None
         )
         return (tuples, operators)
 
@@ -218,7 +202,7 @@ class DerivationGraph:
         return tuple(self._tuples.values())
 
     def operators(self) -> Tuple[OperatorNode, ...]:
-        return tuple(op for op in self._operators if op is not None)
+        return tuple(self._operators)
 
     def producers(self, key: FactKey) -> Tuple[OperatorNode, ...]:
         """The rule applications that derived *key* (one per alternative derivation)."""
@@ -347,8 +331,7 @@ class DerivationGraph:
         return "\n".join(lines)
 
     def __len__(self) -> int:
-        live = sum(1 for op in self._operators if op is not None)
-        return len(self._tuples) + live
+        return len(self._tuples) + len(self._operators)
 
 
 def _default_variable(node: DerivationNode) -> str:

@@ -1,11 +1,11 @@
 """Provenance maintenance optimizations (Section 5).
 
-Three optimizations the paper outlines for lowering provenance overhead:
+Of the three optimizations the paper outlines for lowering provenance
+overhead, *reactive* (lazy) maintenance is how the live
+:class:`~repro.provenance.log.DerivationLog` works — a firing is appended
+once and graph views are materialised only when a query or diagnostic reads
+them.  The other two live here:
 
-* **proactive vs reactive maintenance** — :class:`MaintenanceMode` plus
-  :class:`ReactiveProvenanceBuffer`: in reactive (lazy) mode derivations are
-  buffered cheaply and only materialised into the provenance stores when a
-  network event (e.g. detected route divergence) triggers it;
 * **sampling** — :class:`ProvenanceSampler` records provenance for only a
   deterministic pseudo-random fraction of tuples, the IP-traceback /
   ForNet-style accuracy-for-overhead trade;
@@ -17,56 +17,11 @@ Three optimizations the paper outlines for lowering provenance overhead:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from enum import Enum
-from typing import Callable, Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
-from repro.engine.tuples import Derivation, FactKey
+from repro.engine.tuples import FactKey
 from repro.provenance.condensed import CondensedProvenance
 from repro.provenance.polynomial import ProvenanceExpression
-
-
-class MaintenanceMode(Enum):
-    """When provenance for new tuples is computed and propagated."""
-
-    #: Eagerly maintain and propagate provenance for every new tuple.
-    PROACTIVE = "proactive"
-    #: Buffer derivations cheaply; materialise only when an event triggers it.
-    REACTIVE = "reactive"
-
-
-@dataclass
-class ReactiveProvenanceBuffer:
-    """Lazy provenance: buffered derivations materialised on demand.
-
-    ``sink`` is called with each buffered derivation when :meth:`trigger`
-    fires (e.g. the diagnostics use case detecting divergence); until then
-    the only cost is the buffer itself.
-    """
-
-    sink: Callable[[Derivation], None]
-    buffered: List[Derivation] = field(default_factory=list)
-    materialized: bool = False
-
-    def observe(self, derivation: Derivation) -> None:
-        """Record a derivation cheaply (no provenance computation yet)."""
-        if self.materialized:
-            self.sink(derivation)
-        else:
-            self.buffered.append(derivation)
-
-    def trigger(self) -> int:
-        """Materialise all buffered provenance; return how many entries flushed."""
-        flushed = len(self.buffered)
-        for derivation in self.buffered:
-            self.sink(derivation)
-        self.buffered.clear()
-        self.materialized = True
-        return flushed
-
-    def reset(self) -> None:
-        """Return to lazy buffering (e.g. after the anomaly is resolved)."""
-        self.materialized = False
 
 
 class ProvenanceSampler:

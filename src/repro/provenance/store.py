@@ -1,13 +1,13 @@
-"""Online and offline provenance stores (Section 4.2).
+"""Offline provenance: the append-only archive (Section 4.2).
 
-*Online* provenance is maintained only for network state that is currently
-valid: when a derived tuple's soft-state TTL lapses (or the tuple is deleted,
-e.g. because a malicious node's routes are purged), its online provenance
-entry goes with it.  *Offline* provenance is an append-only archive that
-retains entries after the underlying state has expired, which is what
-forensics and accountability need; because it can grow without bound it
-supports aging (drop entries older than a horizon) unless they are explicitly
-pinned as evidence of an anomaly.
+*Online* provenance — maintained only for network state that is currently
+valid — is the live :class:`~repro.provenance.log.DerivationLog`: a
+retracted tuple's entry goes with it.  *Offline* provenance is an
+append-only archive of the same firings that retains them after the
+underlying state has expired, which is what forensics and accountability
+need; because it can grow without bound it supports aging (drop entries
+older than a horizon) unless they are explicitly pinned as evidence of an
+anomaly.
 """
 
 from __future__ import annotations
@@ -15,9 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.engine.tuples import Derivation, Fact, FactKey
+from repro.engine.tuples import Fact, FactKey
 from repro.provenance.condensed import CondensedProvenance
-from repro.provenance.graph import DerivationGraph, OperatorNode
+from repro.provenance.graph import DerivationGraph
+from repro.provenance.log import ProvenancePointer, derivation_graph
 
 
 @dataclass(frozen=True)
@@ -48,85 +49,37 @@ def entry_bytes(entry: ProvenanceEntry, include_annotation: bool = True) -> int:
     return total
 
 
-class OnlineProvenanceStore:
-    """Provenance for currently-valid state only.
+def archive_entry(
+    pointer: ProvenancePointer,
+    expires_at: Optional[float],
+    annotation: Optional[CondensedProvenance],
+) -> ProvenanceEntry:
+    """The archived record of one live firing."""
+    return ProvenanceEntry(
+        key=pointer.output,
+        rule_label=pointer.rule_label,
+        node=pointer.node,
+        antecedent_keys=tuple(key for key, _ in pointer.inputs),
+        timestamp=pointer.timestamp,
+        expires_at=expires_at,
+        annotation=annotation,
+    )
 
-    Entries are indexed by the derived tuple's key and expire in lock-step
-    with the tuple (same timestamp + TTL); :meth:`expire` must be called with
-    the advancing clock, exactly like the soft-state tables.  Deleting a
-    tuple (e.g. when reacting to a detected anomaly) drops its provenance and
-    reports which other tuples depended on it, enabling cascade invalidation.
+
+class ArchiveIndex:
+    """What both offline archives keep beside their entries, and read alike.
+
+    Base keys and remote origins give an archive the same pointer-chasing
+    shape as the live log, so offline (forensic) traceback queries can walk
+    it across nodes even after a crash wiped the live logs; the per-key
+    index (kept in sync by the subclass's ``record`` / ``age_out``) makes
+    the per-key lookup — the unit of work of a traceback — independent of
+    run length.  Subclasses supply ``entries(key)``.
     """
 
-    def __init__(self, node: str) -> None:
-        self.node = node
-        self._entries: Dict[FactKey, List[ProvenanceEntry]] = {}
-        self._dependents: Dict[FactKey, Set[FactKey]] = {}
-
-    def record(self, derivation: Derivation, annotation: Optional[CondensedProvenance] = None) -> None:
-        fact = derivation.fact
-        entry = ProvenanceEntry(
-            key=fact.key(),
-            rule_label=derivation.rule_label,
-            node=derivation.node or self.node,
-            antecedent_keys=tuple(a.key() for a in derivation.antecedents),
-            timestamp=derivation.timestamp,
-            expires_at=fact.expires_at(),
-            annotation=annotation,
-        )
-        self._entries.setdefault(entry.key, []).append(entry)
-        for antecedent in entry.antecedent_keys:
-            self._dependents.setdefault(antecedent, set()).add(entry.key)
-
-    def entries(self, key: FactKey) -> Tuple[ProvenanceEntry, ...]:
-        return tuple(self._entries.get(key, ()))
-
-    def __contains__(self, key: FactKey) -> bool:
-        return key in self._entries
-
-    def __len__(self) -> int:
-        return sum(len(v) for v in self._entries.values())
-
-    def dependents_of(self, key: FactKey) -> frozenset:
-        """Tuples whose derivations used *key* (candidates for cascade deletion)."""
-        return frozenset(self._dependents.get(key, set()))
-
-    def delete(self, key: FactKey) -> frozenset:
-        """Remove *key*'s provenance; return its dependents for cascading."""
-        self._entries.pop(key, None)
-        return self.dependents_of(key)
-
-    def expire(self, now: float) -> List[ProvenanceEntry]:
-        """Drop entries whose underlying tuple has expired at time *now*."""
-        dropped: List[ProvenanceEntry] = []
-        for key in list(self._entries):
-            remaining = []
-            for entry in self._entries[key]:
-                if entry.expires_at is not None and now >= entry.expires_at:
-                    dropped.append(entry)
-                else:
-                    remaining.append(entry)
-            if remaining:
-                self._entries[key] = remaining
-            else:
-                del self._entries[key]
-        return dropped
-
-
-class OfflineProvenanceArchive:
-    """Append-only provenance archive that survives soft-state expiry.
-
-    Supports the forensics and accountability use cases: entries remain
-    queryable after the network state they describe has long expired, can be
-    *pinned* (marked to persist, e.g. when an anomaly was detected), and can
-    be aged out beyond a retention horizon to bound storage (Section 5).
-    """
-
-    def __init__(self, node: str, retention: Optional[float] = None) -> None:
+    def __init__(self, node: str, retention: Optional[float]) -> None:
         self.node = node
         self.retention = retention
-        self._entries: List[ProvenanceEntry] = []
-        self._pinned: Set[int] = set()
         #: Query pins: key -> refcount of in-flight offline queries rooted
         #: there.  ``age_out`` must not drop entries a pending query still
         #: references, whatever the retention horizon says.
@@ -134,14 +87,9 @@ class OfflineProvenanceArchive:
         #: Keys archived as base (application-asserted) inputs at this node.
         self._base: Set[FactKey] = set()
         #: Keys that arrived from another node -> the node holding their
-        #: provenance.  Together with ``_base`` this gives the archive the
-        #: same pointer-chasing shape as the live distributed store, so
-        #: offline (forensic) traceback queries can walk it across nodes
-        #: even after the live stores were wiped by a crash.
+        #: provenance.
         self._remote_origin: Dict[FactKey, str] = {}
-        #: Entry indexes per derived key (kept in sync by record / age_out)
-        #: so per-key lookups — the unit of work of a traceback query — do
-        #: not scan the whole log.
+        #: Entry indexes (ids) per derived key.
         self._by_key: Dict[FactKey, List[int]] = {}
 
     def record_base(self, fact: Fact) -> None:
@@ -164,26 +112,6 @@ class OfflineProvenanceArchive:
         """True when the archive recorded *key* as base or as a derivation."""
         return key in self._base or key in self._by_key
 
-    def record(self, derivation: Derivation, annotation: Optional[CondensedProvenance] = None) -> int:
-        fact = derivation.fact
-        entry = ProvenanceEntry(
-            key=fact.key(),
-            rule_label=derivation.rule_label,
-            node=derivation.node or self.node,
-            antecedent_keys=tuple(a.key() for a in derivation.antecedents),
-            timestamp=derivation.timestamp,
-            expires_at=fact.expires_at(),
-            annotation=annotation,
-        )
-        self._by_key.setdefault(entry.key, []).append(len(self._entries))
-        self._entries.append(entry)
-        return len(self._entries) - 1
-
-    def pin(self, index: int) -> None:
-        """Mark an entry to persist through aging (anomaly evidence)."""
-        if 0 <= index < len(self._entries):
-            self._pinned.add(index)
-
     def pin_key(self, key: FactKey) -> None:
         """Protect *key*'s entries from ``age_out`` while a query is in flight."""
         self._query_pins[key] = self._query_pins.get(key, 0) + 1
@@ -194,6 +122,61 @@ class OfflineProvenanceArchive:
             self._query_pins[key] = count
         else:
             self._query_pins.pop(key, None)
+
+    def pointers(self, key: FactKey) -> Tuple[ProvenancePointer, ...]:
+        """*key*'s archived firings in the live log's pointer shape.
+
+        Entries carry the same (rule, antecedents, node) as live pointers;
+        per-antecedent origins are resolved here, at read time, from the
+        remembered remote origins.
+        """
+        origin_of = self._remote_origin.get
+        return tuple(
+            ProvenancePointer(
+                output=key,
+                rule_label=entry.rule_label,
+                node=entry.node or self.node,
+                inputs=tuple((k, origin_of(k)) for k in entry.antecedent_keys),
+                timestamp=entry.timestamp,
+            )
+            for entry in self.entries(key)
+        )
+
+    def graph(self, root: FactKey) -> DerivationGraph:
+        """The derivation graph of *root* rebuilt from archived entries."""
+        return derivation_graph(self, root)
+
+
+class OfflineProvenanceArchive(ArchiveIndex):
+    """Append-only provenance archive that survives soft-state expiry.
+
+    Supports the forensics and accountability use cases: entries remain
+    queryable after the network state they describe has long expired, can be
+    *pinned* (marked to persist, e.g. when an anomaly was detected), and can
+    be aged out beyond a retention horizon to bound storage (Section 5).
+    """
+
+    def __init__(self, node: str, retention: Optional[float] = None) -> None:
+        super().__init__(node, retention)
+        self._entries: List[ProvenanceEntry] = []
+        self._pinned: Set[int] = set()
+
+    def record(
+        self,
+        pointer: ProvenancePointer,
+        expires_at: Optional[float] = None,
+        annotation: Optional[CondensedProvenance] = None,
+    ) -> int:
+        """Archive one firing; returns the entry's index (for :meth:`pin`)."""
+        entry = archive_entry(pointer, expires_at, annotation)
+        self._by_key.setdefault(entry.key, []).append(len(self._entries))
+        self._entries.append(entry)
+        return len(self._entries) - 1
+
+    def pin(self, index: int) -> None:
+        """Mark an entry to persist through aging (anomaly evidence)."""
+        if 0 <= index < len(self._entries):
+            self._pinned.add(index)
 
     def entries(self, key: Optional[FactKey] = None) -> Tuple[ProvenanceEntry, ...]:
         if key is None:
@@ -272,30 +255,3 @@ class OfflineProvenanceArchive:
         for index, entry in enumerate(self._entries):
             self._by_key.setdefault(entry.key, []).append(index)
         return dropped
-
-    def reconstruct_graph(self, root: FactKey) -> DerivationGraph:
-        """Rebuild the derivation graph of *root* from archived entries."""
-        graph = DerivationGraph()
-        by_key: Dict[FactKey, List[ProvenanceEntry]] = {}
-        for entry in self._entries:
-            by_key.setdefault(entry.key, []).append(entry)
-
-        seen: Set[FactKey] = set()
-        stack = [root]
-        while stack:
-            key = stack.pop()
-            if key in seen:
-                continue
-            seen.add(key)
-            for entry in by_key.get(key, ()):
-                graph.add_operator(
-                    OperatorNode(
-                        rule_label=entry.rule_label,
-                        location=entry.node,
-                        output=key,
-                        inputs=tuple(entry.antecedent_keys),
-                        timestamp=entry.timestamp,
-                    )
-                )
-                stack.extend(entry.antecedent_keys)
-        return graph

@@ -50,11 +50,16 @@ try:  # pragma: no cover - typing fallback for very old interpreters
 except ImportError:  # pragma: no cover
     Protocol = object  # type: ignore[assignment]
 
-from repro.engine.tuples import Derivation, Fact, FactKey
+from repro.engine.tuples import FactKey
 from repro.provenance.condensed import CondensedProvenance
-from repro.provenance.graph import DerivationGraph, OperatorNode
+from repro.provenance.log import ProvenancePointer
 from repro.provenance.polynomial import ProvenanceExpression
-from repro.provenance.store import ProvenanceEntry, entry_bytes
+from repro.provenance.store import (
+    ArchiveIndex,
+    ProvenanceEntry,
+    archive_entry,
+    entry_bytes,
+)
 
 #: The offline-archive representations ``EngineConfig.provenance_store`` /
 #: ``NetOptions.provenance_store`` accept.
@@ -199,13 +204,13 @@ class LogSpillBackend:
             self._reader = None
 
 
-class TieredProvenanceArchive:
+class TieredProvenanceArchive(ArchiveIndex):
     """Drop-in offline archive with a bounded hot tier and a spill log.
 
     Presents the exact surface of
     :class:`~repro.provenance.store.OfflineProvenanceArchive` — ``record`` /
-    ``record_base`` / ``record_remote`` / ``entries`` / ``knows`` /
-    ``origin_of`` / ``pin`` / ``age_out`` / ``reconstruct_graph`` — so the
+    ``record_base`` / ``record_remote`` / ``entries`` / ``pointers`` /
+    ``knows`` / ``origin_of`` / ``pin`` / ``age_out`` / ``graph`` — so the
     offline query path (:mod:`repro.net.query`) reads through it unchanged.
     Every record is written through to the spill log before it is cached, so
     eviction can never lose history: the forensics contract holds for any
@@ -228,8 +233,7 @@ class TieredProvenanceArchive:
     ) -> None:
         if hot_entries < 0:
             raise ValueError(f"hot_entries must be >= 0, got {hot_entries}")
-        self.node = node
-        self.retention = retention
+        super().__init__(node, retention)
         self.hot_entries = hot_entries
         if spill is None:
             directory = spill_dir or os.path.join(
@@ -242,15 +246,8 @@ class TieredProvenanceArchive:
         #: over the log.  Insertion-ordered by construction (ids are assigned
         #: sequentially), which is what keeps full scans in record order.
         self._slots: Dict[int, Tuple[FactKey, float, int, int]] = {}
-        #: Per-key entry ids — the per-key index of the spill tier.
-        self._by_key: Dict[FactKey, List[int]] = {}
         self._next_id = 0
         self._pinned: Set[int] = set()
-        #: Query pins: key -> refcount of in-flight offline queries rooted
-        #: there; ``age_out`` refuses to drop entries of pinned keys.
-        self._query_pins: Dict[FactKey, int] = {}
-        self._base: Set[FactKey] = set()
-        self._remote_origin: Dict[FactKey, str] = {}
         #: Per-key merged condensed annotation (structure-sharing default).
         self._condensed: Dict[FactKey, CondensedProvenance] = {}
         #: Interned annotations by normal-form monomials: structurally equal
@@ -287,34 +284,16 @@ class TieredProvenanceArchive:
 
     # -- recording (write-through) ---------------------------------------------
 
-    def record_base(self, fact: Fact) -> None:
-        """Archive that *fact* was asserted as a base tuple at this node."""
-        self._base.add(fact.key())
-
-    def record_remote(self, fact: Fact, origin: Optional[str]) -> None:
-        """Archive that *fact* arrived from *origin*, which holds its provenance."""
-        if origin is not None and origin != self.node:
-            self._remote_origin[fact.key()] = origin
-
     def record(
         self,
-        derivation: Derivation,
+        pointer: ProvenancePointer,
+        expires_at: Optional[float] = None,
         annotation: Optional[CondensedProvenance] = None,
     ) -> int:
-        fact = derivation.fact
-        key = fact.key()
-        stored_annotation = None
+        key = pointer.output
         if annotation is not None:
-            stored_annotation = self._merge_condensed(key, annotation)
-        entry = ProvenanceEntry(
-            key=key,
-            rule_label=derivation.rule_label,
-            node=derivation.node or self.node,
-            antecedent_keys=tuple(a.key() for a in derivation.antecedents),
-            timestamp=derivation.timestamp,
-            expires_at=fact.expires_at(),
-            annotation=stored_annotation,
-        )
+            annotation = self._merge_condensed(key, annotation)
+        entry = archive_entry(pointer, expires_at, annotation)
         offset, length = self._spill.append(encode_entry(entry))
         self._bytes_spilled += length
         entry_id = self._next_id
@@ -370,29 +349,7 @@ class TieredProvenanceArchive:
         if index in self._slots:
             self._pinned.add(index)
 
-    def pin_key(self, key: FactKey) -> None:
-        """Protect *key*'s entries from ``age_out`` while a query is in flight."""
-        self._query_pins[key] = self._query_pins.get(key, 0) + 1
-
-    def release_key(self, key: FactKey) -> None:
-        count = self._query_pins.get(key, 0) - 1
-        if count > 0:
-            self._query_pins[key] = count
-        else:
-            self._query_pins.pop(key, None)
-
     # -- queries ----------------------------------------------------------------
-
-    def is_base(self, key: FactKey) -> bool:
-        return key in self._base
-
-    def origin_of(self, key: FactKey) -> Optional[str]:
-        """The node holding *key*'s provenance, when it arrived from elsewhere."""
-        return self._remote_origin.get(key)
-
-    def knows(self, key: FactKey) -> bool:
-        """True when the archive recorded *key* as base or as a derivation."""
-        return key in self._base or key in self._by_key
 
     def annotation_of(self, key: FactKey) -> Optional[CondensedProvenance]:
         """The merged condensed annotation archived for *key* (or None)."""
@@ -523,33 +480,3 @@ class TieredProvenanceArchive:
                     if not group:
                         del self._hot[key]
         return dropped
-
-    # -- reconstruction ------------------------------------------------------------
-
-    def reconstruct_graph(self, root: FactKey) -> DerivationGraph:
-        """Rebuild the derivation graph of *root* from archived entries.
-
-        Reads through the tiers: hot groups answer from memory, everything
-        else comes back from the spill log (and is cached — forensic
-        tracebacks are exactly the access pattern the LRU serves).
-        """
-        graph = DerivationGraph()
-        seen: Set[FactKey] = set()
-        stack = [root]
-        while stack:
-            key = stack.pop()
-            if key in seen:
-                continue
-            seen.add(key)
-            for entry in self.entries(key):
-                graph.add_operator(
-                    OperatorNode(
-                        rule_label=entry.rule_label,
-                        location=entry.node,
-                        output=key,
-                        inputs=tuple(entry.antecedent_keys),
-                        timestamp=entry.timestamp,
-                    )
-                )
-                stack.extend(entry.antecedent_keys)
-        return graph

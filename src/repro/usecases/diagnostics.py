@@ -9,8 +9,8 @@ the offending node.
 
 :class:`RouteFlapDetector` implements the sliding-window change counter,
 identifies the responsible origins via the condensed provenance of the
-flapping routes, and drives cascade invalidation through the online
-provenance store's dependency index.
+flapping routes, and drives cascade invalidation through the live derivation
+log's dependency index.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.engine.tuples import FactKey
 from repro.provenance.condensed import CondensedProvenance
-from repro.provenance.store import OnlineProvenanceStore
+from repro.provenance.log import DerivationLog
 
 
 @dataclass(frozen=True)
@@ -154,9 +154,11 @@ class RouteFlapDetector:
         return tuple(sorted(suspects))
 
     def purge_derived_state(
-        self, store: OnlineProvenanceStore, roots: Iterable[FactKey]
+        self, log: DerivationLog, roots: Iterable[FactKey]
     ) -> Tuple[FactKey, ...]:
         """Cascade-delete online provenance derived (directly or not) from *roots*.
+
+        *log* is a node's live derivation log with ``track_dependencies`` on.
 
         Returns every tuple key whose provenance was purged — the runtime
         reaction the paper describes ("delete all routing entries associated
@@ -170,16 +172,16 @@ class RouteFlapDetector:
             if key in seen:
                 continue
             seen.add(key)
-            dependents = store.delete(key)
+            log.invalidate(key)
             purged.append(key)
-            queue.extend(dependents)
+            queue.extend(log.dependents_of(key))
         return tuple(purged)
 
     def run(
         self,
         events: Iterable[FlapEvent],
         provenance_of: Dict[Tuple[str, str], CondensedProvenance],
-        online_store: Optional[OnlineProvenanceStore] = None,
+        online_store: Optional[DerivationLog] = None,
         route_key_of: Optional[Dict[Tuple[str, str], FactKey]] = None,
         trusted: Iterable[str] = (),
     ) -> DiagnosticsReport:

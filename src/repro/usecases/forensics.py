@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Tuple
 
 from repro.engine.tuples import FactKey, as_fact_key
-from repro.provenance.graph import DerivationGraph, OperatorNode
+from repro.provenance.graph import DerivationGraph
+from repro.provenance.log import ProvenancePointer, derivation_graph
 from repro.provenance.store import OfflineProvenanceArchive, ProvenanceEntry
 
 
@@ -90,55 +91,17 @@ class ForensicInvestigator:
             entries.extend(archive.entries())
         return entries
 
+    def pointers(self, key: FactKey) -> Tuple[ProvenancePointer, ...]:
+        """Every archive's firings of *key*: per-key lookups, never a scan."""
+        return tuple(
+            pointer
+            for archive in self._archives.values()
+            for pointer in archive.pointers(key)
+        )
+
     def traceback(self, target: FactKey) -> TracebackReport:
         """Reconstruct where *target* came from, across all archives."""
-        by_key: Dict[FactKey, List[ProvenanceEntry]] = {}
-        for entry in self._all_entries():
-            by_key.setdefault(entry.key, []).append(entry)
-
-        graph = DerivationGraph()
-        origins: List[FactKey] = []
-        nodes: List[str] = []
-        rules: List[str] = []
-        depth = 0
-
-        seen: set = set()
-        frontier: List[Tuple[FactKey, int]] = [(target, 0)]
-        while frontier:
-            key, level = frontier.pop(0)
-            if key in seen:
-                continue
-            seen.add(key)
-            depth = max(depth, level)
-            entries = by_key.get(key)
-            if not entries:
-                origins.append(key)
-                continue
-            for entry in entries:
-                if entry.node and entry.node not in nodes:
-                    nodes.append(entry.node)
-                if entry.rule_label not in rules:
-                    rules.append(entry.rule_label)
-                graph.add_operator(
-                    OperatorNode(
-                        rule_label=entry.rule_label,
-                        location=entry.node,
-                        output=key,
-                        inputs=tuple(entry.antecedent_keys),
-                        timestamp=entry.timestamp,
-                    )
-                )
-                for antecedent in entry.antecedent_keys:
-                    frontier.append((antecedent, level + 1))
-
-        return TracebackReport(
-            target=target,
-            origins=tuple(sorted(origins)),
-            nodes_traversed=tuple(nodes),
-            rules_applied=tuple(rules),
-            derivation_depth=depth,
-            graph=graph,
-        )
+        return _report(derivation_graph(self, target), target)
 
     def activity_of(self, principal: str, start: float, end: float) -> Tuple[ProvenanceEntry, ...]:
         """Everything derived at *principal* within [start, end] (call-detail style)."""
@@ -223,6 +186,25 @@ class ForensicInvestigator:
         }
 
 
+def _report(graph: DerivationGraph, root: FactKey) -> TracebackReport:
+    """Summarise *root*'s reconstructed derivation *graph*."""
+    nodes: List[str] = []
+    rules: List[str] = []
+    for operator in graph.operators():
+        if operator.location and operator.location not in nodes:
+            nodes.append(operator.location)
+        if operator.rule_label not in rules:
+            rules.append(operator.rule_label)
+    return TracebackReport(
+        target=root,
+        origins=tuple(sorted(graph.base_tuples(root))),
+        nodes_traversed=tuple(nodes),
+        rules_applied=tuple(rules),
+        derivation_depth=_derivation_depth(graph, root),
+        graph=graph,
+    )
+
+
 def _derivation_depth(graph: DerivationGraph, root: FactKey) -> int:
     """Longest producer chain under *root* (BFS over rule applications)."""
     depth = 0
@@ -263,20 +245,4 @@ def traceback_over_network(
     """
     key = as_fact_key(target)
     result = network.query(key, at=at, mode=mode, **query_kwargs)
-    graph = result.graph.subgraph(key)
-    nodes: List[str] = []
-    rules: List[str] = []
-    for operator in graph.operators():
-        if operator.location and operator.location not in nodes:
-            nodes.append(operator.location)
-        if operator.rule_label not in rules:
-            rules.append(operator.rule_label)
-    report = TracebackReport(
-        target=key,
-        origins=tuple(sorted(graph.base_tuples(key))),
-        nodes_traversed=tuple(nodes),
-        rules_applied=tuple(rules),
-        derivation_depth=_derivation_depth(graph, key),
-        graph=graph,
-    )
-    return report, result
+    return _report(result.graph.subgraph(key), key), result

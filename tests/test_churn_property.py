@@ -108,6 +108,57 @@ def _base_facts(topology) -> Dict[str, Set[Tuple[str, str]]]:
     }
 
 
+def _play(simulator, topology, base, script):
+    """Schedule each ``(op, choice)`` of *script*, settle, and yield the
+    instant it was scheduled at; retractions are removed from *base*."""
+    nodes = topology.nodes
+    at = simulator.current_time()
+    for op, choice in script:
+        at = max(at, simulator.current_time()) + 1.0
+        if op == "retract":
+            live = [
+                (node, pair)
+                for node in sorted(base)
+                for pair in sorted(base[node])
+            ]
+            if not live:
+                continue
+            node, pair = live[choice % len(live)]
+            base[node].discard(pair)
+            simulator.schedule(
+                FactRetraction(
+                    time=at, address=node, facts=(Fact("link", pair),)
+                )
+            )
+        elif op == "flap":
+            links = sorted(
+                (link.source, link.destination)
+                for link in topology.links
+            )
+            source, destination = links[choice % len(links)]
+            simulator.schedule(
+                LinkDown(
+                    time=at,
+                    source=source,
+                    destination=destination,
+                    retract=True,
+                )
+            )
+            simulator.schedule(
+                LinkUp(time=at + 0.5, source=source, destination=destination)
+            )
+            # The flap re-injects the remembered link fact: the base
+            # set is unchanged once the dust settles.
+        else:  # crash
+            victim = nodes[choice % len(nodes)]
+            simulator.schedule(NodeCrash(time=at, address=victim))
+            simulator.schedule(
+                NodeRecover(time=at + 0.5, address=victim, reinject=True)
+            )
+        assert simulator.run_until_idle()
+        yield at
+
+
 chords_strategy = st.lists(
     st.integers(min_value=0, max_value=3), max_size=3, unique=True
 )
@@ -184,10 +235,10 @@ class TestRetractionScriptsMatchOracle:
         assert simulator.run_until_idle()
         engine = simulator.engines[nodes[0]]
         key = Fact("link", victim).key()
-        # The online stores stopped vouching; the offline archive — the
+        # The live log stopped vouching; the offline archive — the
         # persistent log — still answers for the retracted tuple.
-        assert key not in engine.local_provenance.keys()
-        assert not engine.distributed_provenance.knows(key)
+        assert key not in engine.provenance.keys()
+        assert not engine.provenance.knows(key)
         assert engine.offline_provenance.knows(key)
         assert engine.offline_provenance.is_base(key)
         # Derived tuples killed by the retraction keep their derivation
@@ -223,50 +274,8 @@ class TestFullChurnScriptsMatchOracle:
         _inject_base(simulator, base, 0.0)
         assert simulator.run_until_idle()
         at = simulator.current_time()
-        nodes = topology.nodes
-        for op, choice in script:
-            at = max(at, simulator.current_time()) + 1.0
-            if op == "retract":
-                live = [
-                    (node, pair)
-                    for node in sorted(base)
-                    for pair in sorted(base[node])
-                ]
-                if not live:
-                    continue
-                node, pair = live[choice % len(live)]
-                base[node].discard(pair)
-                simulator.schedule(
-                    FactRetraction(
-                        time=at, address=node, facts=(Fact("link", pair),)
-                    )
-                )
-            elif op == "flap":
-                links = sorted(
-                    (link.source, link.destination)
-                    for link in topology.links
-                )
-                source, destination = links[choice % len(links)]
-                simulator.schedule(
-                    LinkDown(
-                        time=at,
-                        source=source,
-                        destination=destination,
-                        retract=True,
-                    )
-                )
-                simulator.schedule(
-                    LinkUp(time=at + 0.5, source=source, destination=destination)
-                )
-                # The flap re-injects the remembered link fact: the base
-                # set is unchanged once the dust settles.
-            else:  # crash
-                victim = nodes[choice % len(nodes)]
-                simulator.schedule(NodeCrash(time=at, address=victim))
-                simulator.schedule(
-                    NodeRecover(time=at + 0.5, address=victim, reinject=True)
-                )
-            assert simulator.run_until_idle()
+        for at in _play(simulator, topology, base, script):
+            pass
         # One soft-state repair cycle: stale copies (crash fallout) decay
         # by TTL while a refresh round re-derives what still holds.
         repair_at = max(at, simulator.current_time()) + TTL + 1.0

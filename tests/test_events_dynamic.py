@@ -255,7 +255,8 @@ class TestNodeChurn:
         simulator.schedule(NodeCrash(time=10.0, address="n1"))
         assert simulator.run_until_idle()
         assert len(engine.offline_provenance) == archived
-        assert len(engine.local_provenance.keys()) == 0
+        assert engine.provenance.keys() == ()
+        assert not engine.provenance.knows(("link", ("n1", "n2", 1.0)))
 
 
 class TestRetraction:
@@ -297,11 +298,11 @@ class TestRetraction:
         reachable = next(
             f for f in engine.facts("reachable") if f.values == ("a", "b")
         )
-        assert reachable.key() in engine.local_provenance.keys()
+        assert reachable.key() in engine.provenance.keys()
         engine.retract_base(Fact("link", ("a", "b")), now=1.0)
-        assert reachable.key() not in engine.local_provenance.keys()
-        assert Fact("link", ("a", "b")).key() not in engine.local_provenance.keys()
-        assert not engine.distributed_provenance.knows(reachable.key())
+        assert reachable.key() not in engine.provenance.keys()
+        assert Fact("link", ("a", "b")).key() not in engine.provenance.keys()
+        assert not engine.provenance.knows(reachable.key())
 
     def test_remote_destined_provenance_is_invalidated_too(
         self, compiled_reachable
@@ -314,24 +315,24 @@ class TestRetraction:
         )
         engine.insert_base(Fact("link", ("a", "b")), now=0.0)
         shipped_key = ("linkd", ("b", "a"))
-        assert shipped_key in engine.local_provenance.keys()
+        assert shipped_key in engine.provenance.keys()
         engine.retract_base(Fact("link", ("a", "b")), now=1.0)
-        assert shipped_key not in engine.local_provenance.keys()
-        assert not engine.distributed_provenance.knows(shipped_key)
+        assert shipped_key not in engine.provenance.keys()
+        assert not engine.provenance.knows(shipped_key)
 
     def test_online_store_stops_vouching_too(self, compiled_reachable):
         engine = self._engine(
             compiled_reachable,
             provenance_mode=ProvenanceMode.CONDENSED,
-            keep_online_provenance=True,
         )
         engine.insert_base(Fact("link", ("a", "b")), now=0.0)
         reachable = next(
             f for f in engine.facts("reachable") if f.values == ("a", "b")
         )
-        assert reachable.key() in engine.online_provenance
+        assert engine.provenance.pointers(reachable.key())
         engine.retract_base(Fact("link", ("a", "b")), now=1.0)
-        assert reachable.key() not in engine.online_provenance
+        assert not engine.provenance.pointers(reachable.key())
+        assert engine.provenance.graph(reachable.key()).operators() == ()
 
     def test_retracting_an_already_expired_tuple_counts_no_work(
         self, compiled_reachable
@@ -351,20 +352,19 @@ class TestRetraction:
     def test_identical_rederivation_merges_back_after_invalidation(
         self, compiled_reachable
     ):
-        # Invalidation tombstones the producing operators; a later identical
-        # re-derivation must re-enter the graph instead of being suppressed
-        # by the merge dedup against the withdrawn derivation.
+        # Invalidation forgets the producing firings; a later identical
+        # re-derivation must be recorded afresh and show up in the graph view.
         engine = self._engine(
             compiled_reachable, provenance_mode=ProvenanceMode.FULL_LOCAL
         )
         engine.insert_base(Fact("link", ("a", "b")), now=0.0)
         key = ("reachable", ("a", "b"))
-        assert engine.local_provenance.graph.producers(key)
+        assert engine.provenance.graph(key).producers(key)
         engine.retract_base(Fact("link", ("a", "b")), now=1.0)
-        assert not engine.local_provenance.graph.producers(key)
+        assert not engine.provenance.graph(key).producers(key)
         engine.insert_base(Fact("link", ("a", "b")), now=2.0)
-        assert engine.local_provenance.graph.producers(key)
-        assert not engine.local_provenance.graph.is_base(key)
+        assert len(engine.provenance.graph(key).producers(key)) == 1
+        assert not engine.provenance.graph(key).is_base(key)
 
     def test_aggregate_group_is_forgotten_on_retraction(self):
         compiled = compile_best_path()

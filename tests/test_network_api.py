@@ -3,6 +3,8 @@ and the scenario/harness integration."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.api import Network, NetOptions, PROVENANCE_PRESETS, RunResult, resolve_preset
@@ -10,6 +12,7 @@ from repro.engine.node_engine import EngineConfig, ProvenanceMode
 from repro.harness.runner import run_network
 from repro.net.kernel import CostModel, SimulationKernel
 from repro.net.topology import Topology, line_topology, random_topology
+from repro.provenance.pruning import ProvenanceSampler
 from repro.queries.best_path import compile_best_path
 from repro.security.says import SaysMode
 
@@ -43,6 +46,33 @@ class TestPresets:
         assert config.default_ttl == 12.0
         assert config.track_dependencies is True
         assert config.keep_offline_provenance is True
+
+    def test_engine_config_applies_exactly_the_engine_overrides(self, tmp_path):
+        # One list: whatever engine_overrides() names is what engine_config()
+        # sets, and every name is a real EngineConfig field.
+        sampler = ProvenanceSampler(0.5)
+        options = NetOptions(
+            rederivation=True,
+            default_ttl=12.0,
+            track_dependencies=True,
+            keep_offline_provenance=True,
+            offline_retention=60.0,
+            sampler=sampler,
+            provenance_store="tiered",
+            hot_tier_entries=32,
+            spill_dir=str(tmp_path),
+        )
+        overrides = options.engine_overrides()
+        assert len(overrides) == 9
+        assert set(overrides) <= {f.name for f in dataclasses.fields(EngineConfig)}
+        config = options.engine_config("condensed")
+        assert {name: getattr(config, name) for name in overrides} == overrides
+        assert NetOptions().engine_overrides() == {}
+        assert NetOptions().engine_config("condensed") == EngineConfig(
+            provenance_mode=ProvenanceMode.CONDENSED
+        )
+        assert len(dataclasses.fields(NetOptions)) == 34
+        assert len(dataclasses.fields(EngineConfig)) == 12
 
     def test_tiered_store_knobs_reach_engine_config(self, tmp_path):
         options = NetOptions(
@@ -82,13 +112,20 @@ class TestNetOptionsValidation:
 
     @pytest.mark.parametrize(
         "removed",
-        [{"shard_pipeline": True}, {"transport": "shm"}, {"batch_receive": False}],
+        [
+            {"shard_pipeline": True},
+            {"transport": "shm"},
+            {"batch_receive": False},
+            {"keep_online_provenance": True},
+            {"maintenance_mode": "reactive"},
+        ],
         ids=lambda kwargs: next(iter(kwargs)),
     )
     def test_removed_options_are_unknown_to_build(self, removed):
-        # The deleted coordination / transport / receive modes are not
-        # silently accepted: they fail like any other misspelt option.
-        with pytest.raises(ValueError, match="valid fields"):
+        # The deleted coordination / transport / receive modes and the two
+        # dead provenance switches are not silently accepted: they fail like
+        # any other misspelt option.
+        with pytest.raises(ValueError, match="unknown NetOptions field.*valid fields"):
             Network.build(topology=4, provenance="ndlog", **removed)
 
     def test_merged_applies_overrides(self):

@@ -15,13 +15,16 @@ from __future__ import annotations
 
 import pytest
 
+from reference_stores import fire
+
 from repro.api import Network
-from repro.engine.tuples import Derivation, Fact
+from repro.engine.tuples import Fact
 from repro.net.events import LinkDown, NodeCrash, NodeRecover
 from repro.net.message import QueryRequest, QueryResponse
 from repro.net.query import ProvenanceQuery
 from repro.net.topology import line_topology, random_topology
-from repro.provenance.distributed import DistributedProvenanceStore, traceback
+from repro.provenance.distributed import traceback
+from repro.provenance.log import DerivationLog
 
 
 def build_network(topology=None, provenance="condensed", **overrides):
@@ -359,7 +362,7 @@ class TestQueriesUnderDynamics:
             target.key(),
             "n0",
             {
-                address: engine.distributed_provenance
+                address: engine.provenance
                 for address, engine in network.engines.items()
             }.get,
         )
@@ -423,27 +426,16 @@ class TestTracebackAccountingFix:
         reach_bc = Fact("reachable", ("b", "c"))
         reach_bd = Fact("reachable", ("b", "d"))
         out = Fact("twohop", ("a", "c", "d"))
-        store_a = DistributedProvenanceStore("a")
-        store_b = DistributedProvenanceStore("b")
+        store_a = DerivationLog("a")
+        store_b = DerivationLog("b")
         store_b.record_base(link_bc)
         store_b.record_base(link_bd)
-        store_b.record_derivation(
-            Derivation(fact=reach_bc, rule_label="r1", node="b", antecedents=(link_bc,))
-        )
-        store_b.record_derivation(
-            Derivation(fact=reach_bd, rule_label="r1", node="b", antecedents=(link_bd,))
-        )
+        fire(store_b, reach_bc, "r1", (link_bc,))
+        fire(store_b, reach_bd, "r1", (link_bd,))
         store_a.record_base(link_ab)
-        store_a.record_remote(reach_bc, origin="b")
-        store_a.record_remote(reach_bd, origin="b")
-        store_a.record_derivation(
-            Derivation(
-                fact=out,
-                rule_label="r2",
-                node="a",
-                antecedents=(link_ab, reach_bc, reach_bd),
-            )
-        )
+        store_a.record_remote(reach_bc.with_metadata(origin="b"))
+        store_a.record_remote(reach_bd.with_metadata(origin="b"))
+        fire(store_a, out, "r2", (link_ab, reach_bc, reach_bd))
         return out, {"a": store_a, "b": store_b}
 
     def test_two_pointers_to_one_node_are_two_lookups(self):
@@ -508,7 +500,7 @@ class TestQueryWireFormat:
         """Rewriting a pointer's inputs or the annotation must change the
         signed payload — otherwise a relay could shift blame undetected."""
         from repro.net.message import QueryClosureEntry
-        from repro.provenance.distributed import ProvenancePointer
+        from repro.provenance.log import ProvenancePointer
 
         def response(origin, annotation=None):
             pointer = ProvenancePointer(

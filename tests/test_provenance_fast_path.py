@@ -8,11 +8,18 @@ the ``Counter``-based kernel it replaced did, condenses once per product, and
 renders each shipped annotation once — while leaving every fact, statistic
 and stored polynomial exactly as the reference kernel
 (``test_polynomial_kernel.py``) leaves them.
+
+The one-log budget (PR 22) is pinned the same way: a recorded firing builds
+exactly one ``ProvenancePointer`` and nothing else — no ``Derivation``, no
+``OperatorNode``, no ``DerivationGraph`` call; graph views are built on read,
+one operator per pointer; and ``ndlog`` never enters ``repro.provenance``
+while rules fire.
 """
 
 from __future__ import annotations
 
 import collections
+import contextlib
 import random
 import sys
 
@@ -21,9 +28,11 @@ from test_polynomial_kernel import patch_reference_kernel
 from repro.api import Network
 from repro.engine import node_engine
 from repro.engine.node_engine import NodeEngine
+from repro.engine.tuples import Derivation
 from repro.net.events import LinkDown, LinkUp
 from repro.net.topology import random_topology
-from repro.provenance.local import LocalProvenanceStore
+from repro.provenance.graph import OperatorNode
+from repro.provenance.log import DerivationLog, ProvenancePointer
 from repro.provenance.polynomial import ProvenanceExpression
 
 SEED = 4
@@ -91,7 +100,7 @@ def state_of(network: Network) -> dict:
         "annotations": {
             address: {
                 key: annotation.expression.monomials
-                for key, annotation in engine.local_provenance._condensed.items()
+                for key, annotation in engine.provenance._condensed.items()
             }
             for address, engine in network.engines.items()
         },
@@ -109,13 +118,13 @@ def test_churn_condenses_once_per_product_and_builds_under_half_the_expressions(
     with monkeypatch.context() as patch:
         for name in ("__init__", "__mul__", "__add__", "condense"):
             count_calls(patch, ProvenanceExpression, name, counts)
-        count_calls(patch, LocalProvenanceStore, "record_derivation", counts)
+        count_calls(patch, DerivationLog, "append", counts)
         count_calls(patch, NodeEngine, "_support_product", counts)
         count_counters_built_by_provenance(patch, counts)
         state = state_of(churn_script())
 
     assert counts["Counter"] == 0
-    assert counts["record_derivation"] == counts["_support_product"] == 428
+    assert counts["append"] == counts["_support_product"] == 428
     # One condense per annotation product and one per support product; the
     # merges that follow them find the stored polynomial unchanged and stop.
     assert counts["condense"] == 428 + 428
@@ -147,7 +156,7 @@ def test_sendlog_prov_renders_each_shipped_annotation_once(monkeypatch):
     with monkeypatch.context() as patch:
         for name in ("to_string", "_render", "condense"):
             count_calls(patch, ProvenanceExpression, name, counts)
-        count_calls(patch, LocalProvenanceStore, "record_derivation", counts)
+        count_calls(patch, DerivationLog, "append", counts)
         count_calls(patch, node_engine, "sign_annotation", counts)
         count_counters_built_by_provenance(patch, counts)
         network = fixpoint()
@@ -157,10 +166,108 @@ def test_sendlog_prov_renders_each_shipped_annotation_once(monkeypatch):
     # Signing, verifying and sizing each read the rendering; one renders it.
     assert counts["to_string"] == 3 * shipped
     assert counts["_render"] == shipped
-    assert counts["condense"] == counts["record_derivation"] == 393
+    assert counts["condense"] == counts["append"] == 393
     assert counts["Counter"] == 0
 
     with monkeypatch.context() as patch:
         patch_reference_kernel(patch)
         reference = fixpoint()
     assert state_of(network) == state_of(reference)
+
+
+# -- the one-log budget (PR 22) -------------------------------------------------
+
+
+def count_built(monkeypatch, cls, counts) -> None:
+    build = cls.__init__
+
+    def counted(self, *args, **kwargs):
+        counts[cls.__name__] += 1
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counted)
+
+
+@contextlib.contextmanager
+def calls_into(package_path: str):
+    """Python-level calls into files under *package_path*, by qualified name."""
+    calls = collections.Counter()
+
+    def profile(frame, event, _arg):
+        if event == "call" and package_path in frame.f_code.co_filename:
+            module = frame.f_code.co_filename.rsplit("/", 1)[1]
+            calls[f"{module}:{frame.f_code.co_qualname}"] += 1
+
+    sys.setprofile(profile)
+    try:
+        yield calls
+    finally:
+        sys.setprofile(None)
+
+
+def test_a_recorded_firing_is_one_pointer_and_views_are_built_on_read(monkeypatch):
+    counts = collections.Counter()
+    for cls in (ProvenancePointer, Derivation, OperatorNode):
+        count_built(monkeypatch, cls, counts)
+    count_calls(monkeypatch, DerivationLog, "append", counts)
+    network = Network.build(
+        topology=8,
+        program="best-path",
+        provenance="condensed",
+        query_cache=True,
+        seed=SEED,
+    )
+    with calls_into("/repro/provenance/graph.py") as graph_calls:
+        assert network.run().converged
+
+    # The write path: one append and one pointer per recorded firing.
+    firings = counts["append"]
+    assert firings == 373
+    assert counts["ProvenancePointer"] == firings
+    assert counts["Derivation"] == 0
+    assert counts["OperatorNode"] == 0
+    assert not graph_calls  # no DerivationGraph / DerivationNode method ran
+
+    # graph(root): one operator per pointer the walk reaches, built now.
+    address = network.topology.nodes[0]
+    engine = network.engines[address]
+    root = max(engine.facts("bestPath"), key=lambda fact: len(fact.values[2]))
+    view = engine.provenance.graph(root.key())
+    reached = {root.key()} | {key for op in view.operators() for key in op.inputs}
+    assert len(view.operators()) == sum(
+        len(engine.provenance.pointers(key)) for key in reached
+    )
+    assert counts["OperatorNode"] == len(view.operators()) > 0
+    engine.provenance.graph(root.key())
+    assert counts["OperatorNode"] == 2 * len(view.operators())  # views are not kept
+
+    # A query: one operator per pointer in the closures it replays; asked
+    # again, the cached closures hand back the operators they already built.
+    counts["OperatorNode"] = 0
+    first = network.query(root, at=address)
+    assert first.complete and first.remote_lookups > 0
+    assert counts["OperatorNode"] == len(first.graph.operators())
+    second = network.query(root, at=address)
+    assert second.graph.same_structure(first.graph)
+    assert counts["OperatorNode"] == len(first.graph.operators())
+    # Reading never writes: still one pointer per firing, no Derivation.
+    assert counts["ProvenancePointer"] == firings
+    assert counts["Derivation"] == 0
+
+
+def test_ndlog_never_enters_the_provenance_package_while_rules_fire():
+    network = Network.build(
+        topology=8, program="best-path", provenance="ndlog", seed=SEED
+    )
+    with calls_into("/repro/provenance/") as calls:
+        result = network.run()
+    assert result.converged and result.count("bestPathCost") > 0
+    # All that is left is the end-of-run statistics snapshot reading each
+    # node's (empty) archive gauges — once per node, not per firing.
+    nodes = network.topology.node_count
+    assert calls == {
+        "store.py:OfflineProvenanceArchive.resident_bytes": nodes,
+        "store.py:OfflineProvenanceArchive.storage_bytes": nodes,
+        "store.py:OfflineProvenanceArchive.spilled_bytes": nodes,
+        "store.py:OfflineProvenanceArchive.spill_read_count": nodes,
+    }

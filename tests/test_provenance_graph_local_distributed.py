@@ -1,13 +1,19 @@
-"""Tests for derivation graphs, local provenance and distributed provenance."""
+"""Tests for derivation graphs, local provenance and distributed provenance.
+
+Local and distributed provenance are two readings of one per-node
+:class:`DerivationLog`: the annotation / piggy-back / ``graph(root)`` views,
+and the pointers a cross-node ``traceback`` chases.
+"""
 
 from __future__ import annotations
 
-import pytest
+from reference_stores import fire
 
-from repro.engine.tuples import Derivation, Fact
-from repro.provenance.distributed import DistributedProvenanceStore, traceback
-from repro.provenance.graph import DerivationGraph, DerivationNode
-from repro.provenance.local import LocalProvenanceStore
+from repro.engine.tuples import Fact
+from repro.provenance.condensed import CondensedProvenance
+from repro.provenance.distributed import traceback
+from repro.provenance.graph import DerivationGraph
+from repro.provenance.log import DerivationLog
 
 
 # The paper's Section 4 example network: links a->b, a->c, b->c, and the
@@ -100,62 +106,56 @@ class TestDerivationGraph:
 
 class TestLocalProvenance:
     def test_record_base_and_annotation(self):
-        store = LocalProvenanceStore("a")
+        store = DerivationLog("a")
         store.record_base(LINK_AB, source="a")
         assert str(store.annotation(LINK_AB.key())) == "<a>"
 
     def test_record_derivation_joins_annotations(self):
-        store = LocalProvenanceStore("a")
+        store = DerivationLog("a")
         store.record_base(LINK_AB, source="a")
-        store.record_remote_condensed(REACH_BC, __import__("repro.provenance.condensed", fromlist=["CondensedProvenance"]).CondensedProvenance.from_source("b"))
-        annotation = store.record_derivation(
-            Derivation(fact=REACH_AC, rule_label="r2", node="a", antecedents=(LINK_AB, REACH_BC))
-        )
+        store.record_remote(REACH_BC, CondensedProvenance.from_source("b"))
+        annotation = fire(store, REACH_AC, "r2", (LINK_AB, REACH_BC))
         assert annotation.sources() == frozenset({"a", "b"})
 
     def test_alternative_derivations_merge(self):
-        store = LocalProvenanceStore("a")
+        store = DerivationLog("a")
         store.record_base(LINK_AB, source="a")
         store.record_base(LINK_AC, source="a")
-        store.record_remote_condensed(
-            REACH_BC,
-            __import__("repro.provenance.condensed", fromlist=["CondensedProvenance"]).CondensedProvenance.from_source("b"),
-        )
-        store.record_derivation(
-            Derivation(fact=REACH_AC, rule_label="r1", node="a", antecedents=(LINK_AC,))
-        )
-        store.record_derivation(
-            Derivation(fact=REACH_AC, rule_label="r2", node="a", antecedents=(LINK_AB, REACH_BC))
-        )
+        store.record_remote(REACH_BC, CondensedProvenance.from_source("b"))
+        fire(store, REACH_AC, "r1", (LINK_AC,))
+        fire(store, REACH_AC, "r2", (LINK_AB, REACH_BC))
         # <a + a*b> condenses to <a>.
         assert str(store.annotation(REACH_AC.key())) == "<a>"
 
     def test_piggyback_contains_subgraph_and_annotation(self):
-        store = LocalProvenanceStore("a")
+        store = DerivationLog("a")
         store.record_base(LINK_AC, source="a")
-        store.record_derivation(
-            Derivation(fact=REACH_AC, rule_label="r1", node="a", antecedents=(LINK_AC,))
-        )
+        fire(store, REACH_AC, "r1", (LINK_AC,))
         piggyback = store.piggyback_for(REACH_AC)
         assert piggyback.root == REACH_AC.key()
         assert piggyback.condensed.sources() == frozenset({"a"})
+        assert piggyback.graph.tuple_node(LINK_AC.key()) is not None
         assert piggyback.serialized_size(condensed_only=True) < piggyback.serialized_size(
             condensed_only=False
         )
 
     def test_record_remote_merges_piggyback(self):
-        sender = LocalProvenanceStore("b")
+        # What travels with a shipped tuple is the piggy-back's condensed
+        # annotation (the tree is charged for, never shipped); the derivation
+        # structure stays at the sender and is reached through the origin.
+        sender = DerivationLog("b")
         sender.record_base(LINK_BC, source="b")
-        sender.record_derivation(
-            Derivation(fact=REACH_BC, rule_label="r1", node="b", antecedents=(LINK_BC,))
-        )
-        receiver = LocalProvenanceStore("a")
-        receiver.record_remote(REACH_BC, sender.piggyback_for(REACH_BC))
+        fire(sender, REACH_BC, "r1", (LINK_BC,))
+        piggyback = sender.piggyback_for(REACH_BC)
+        assert piggyback.graph.tuple_node(LINK_BC.key()) is not None
+        receiver = DerivationLog("a")
+        receiver.record_remote(REACH_BC.with_metadata(origin="b"), piggyback.condensed)
         assert receiver.annotation(REACH_BC.key()).sources() == frozenset({"b"})
-        assert receiver.graph.tuple_node(LINK_BC.key()) is not None
+        assert receiver.origin_of(REACH_BC.key()) == "b"
+        assert receiver.graph(REACH_BC.key()).tuple_node(REACH_BC.key()) is not None
 
     def test_unknown_fact_annotation_defaults_to_identity(self):
-        store = LocalProvenanceStore("a")
+        store = DerivationLog("a")
         annotation = store.annotation(("mystery", ("x",)))
         assert annotation.sources() == frozenset({"mystery(x)"})
 
@@ -163,17 +163,13 @@ class TestLocalProvenance:
 class TestDistributedProvenance:
     def build_stores(self):
         """Node b derives reachable(b,c); node a derives reachable(a,c) from it."""
-        store_a = DistributedProvenanceStore("a")
-        store_b = DistributedProvenanceStore("b")
+        store_a = DerivationLog("a")
+        store_b = DerivationLog("b")
         store_b.record_base(LINK_BC)
-        store_b.record_derivation(
-            Derivation(fact=REACH_BC, rule_label="r1", node="b", antecedents=(LINK_BC,))
-        )
+        fire(store_b, REACH_BC, "r1", (LINK_BC,))
         store_a.record_base(LINK_AB)
-        store_a.record_remote(REACH_BC, origin="b")
-        store_a.record_derivation(
-            Derivation(fact=REACH_AC, rule_label="r2", node="a", antecedents=(LINK_AB, REACH_BC))
-        )
+        store_a.record_remote(REACH_BC.with_metadata(origin="b"))
+        fire(store_a, REACH_AC, "r2", (LINK_AB, REACH_BC))
         return {"a": store_a, "b": store_b}
 
     def test_pointers_recorded(self):
@@ -220,14 +216,11 @@ class TestDistributedProvenance:
         stores = self.build_stores()
         distributed_graph = traceback(REACH_AC.key(), "a", stores.get).graph
 
-        local = LocalProvenanceStore("a")
+        local = DerivationLog("a")
         local.record_base(LINK_AB, source="a")
-        from repro.provenance.condensed import CondensedProvenance
-
-        local.record_remote_condensed(REACH_BC, CondensedProvenance.from_source("b"))
-        local.record_derivation(
-            Derivation(fact=REACH_AC, rule_label="r2", node="a", antecedents=(LINK_AB, REACH_BC))
-        )
+        local.record_remote(REACH_BC, CondensedProvenance.from_source("b"))
+        fire(local, REACH_AC, "r2", (LINK_AB, REACH_BC))
+        assert local.annotation(REACH_AC.key()).sources() == frozenset({"a", "b"})
         naming = lambda node: f"{node.relation}{node.values}"
         reconstructed = distributed_graph.to_expression(REACH_AC.key(), naming).condense()
         assert reconstructed.variables() == {

@@ -1,11 +1,17 @@
 """Tests for online/offline stores, authenticated provenance, quantification,
-taxonomy and the Section 5 optimizations."""
+taxonomy and the Section 5 optimizations.
+
+The *online* store is the live :class:`DerivationLog` (it vouches for the
+currently valid keys); the *offline* store archives the same firings.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.engine.tuples import Derivation, Fact
+from reference_stores import fire, pointer_for
+
+from repro.engine.tuples import Fact
 from repro.provenance.authenticated import (
     AuthenticatedProvenance,
     ProvenanceVerificationError,
@@ -15,12 +21,11 @@ from repro.provenance.authenticated import (
 )
 from repro.provenance.condensed import CondensedProvenance
 from repro.provenance.graph import DerivationGraph
+from repro.provenance.log import DerivationLog
 from repro.provenance.polynomial import p_product, p_sum, p_var
 from repro.provenance.pruning import (
     ASAggregator,
-    MaintenanceMode,
     ProvenanceSampler,
-    ReactiveProvenanceBuffer,
     grouped_by_as,
 )
 from repro.provenance.quantify import (
@@ -30,7 +35,7 @@ from repro.provenance.quantify import (
     trust_level,
     vote_principals,
 )
-from repro.provenance.store import OfflineProvenanceArchive, OnlineProvenanceStore
+from repro.provenance.store import OfflineProvenanceArchive
 from repro.provenance.taxonomy import (
     LifetimeAxis,
     ProvenanceAxes,
@@ -45,52 +50,66 @@ from repro.security.principal import PrincipalRegistry
 
 ROUTE = Fact("bestPath", ("a", "c", ("a", "b", "c"), 2.0), timestamp=0.0, ttl=10.0)
 LINK = Fact("link", ("a", "b"), asserted_by="a")
-DERIVATION = Derivation(fact=ROUTE, rule_label="p4", node="a", antecedents=(LINK,), timestamp=0.0)
+#: The one firing most tests record: ROUTE derived from LINK by p4 at a.
+FIRING = pointer_for(ROUTE, "p4", "a", (LINK,), timestamp=0.0)
 
 
 class TestOnlineStore:
     def test_record_and_lookup(self):
-        store = OnlineProvenanceStore("a")
-        store.record(DERIVATION)
-        assert ROUTE.key() in store
-        assert len(store.entries(ROUTE.key())) == 1
+        store = DerivationLog("a")
+        fire(store, ROUTE, "p4", (LINK,))
+        assert store.knows(ROUTE.key())
+        assert ROUTE.key() in store.keys()
+        assert len(store.pointers(ROUTE.key())) == 1
 
     def test_expire_follows_tuple_ttl(self):
-        store = OnlineProvenanceStore("a")
-        store.record(DERIVATION)
-        assert store.expire(now=5.0) == []
-        dropped = store.expire(now=10.0)
-        assert len(dropped) == 1
-        assert ROUTE.key() not in store
+        # The log vouches for a tuple until the engine retracts it; *when* it
+        # lapses travels with the firing: tuple node and archived entry both
+        # carry the tuple's own timestamp + TTL.
+        store = DerivationLog("a")
+        fire(store, ROUTE, "p4", (LINK,))
+        node = store.tuple_node(ROUTE.key())
+        assert node.timestamp + node.ttl == ROUTE.expires_at() == 10.0
+        archive = OfflineProvenanceArchive("a")
+        archive.record(FIRING, ROUTE.expires_at())
+        [entry] = archive.entries(ROUTE.key())
+        assert not 5.0 >= entry.expires_at
+        assert 10.0 >= entry.expires_at
+        store.invalidate(ROUTE.key())
+        assert not store.knows(ROUTE.key())
+        assert archive.entries(ROUTE.key()) == (entry,)
 
     def test_dependents_and_cascade_delete(self):
-        store = OnlineProvenanceStore("a")
-        store.record(DERIVATION)
+        store = DerivationLog("a", track_dependencies=True)
+        fire(store, ROUTE, "p4", (LINK,))
         downstream = Fact("forwarding", ("a", "c"))
-        store.record(Derivation(fact=downstream, rule_label="f", node="a", antecedents=(ROUTE,)))
+        fire(store, downstream, "f", (ROUTE,))
         assert downstream.key() in store.dependents_of(ROUTE.key())
-        dependents = store.delete(ROUTE.key())
+        store.invalidate(ROUTE.key())
+        dependents = store.pop_dependents(ROUTE.key())
         assert downstream.key() in dependents
-        assert ROUTE.key() not in store
+        assert not store.knows(ROUTE.key())
+        assert store.dependents_of(ROUTE.key()) == ()
 
     def test_len(self):
-        store = OnlineProvenanceStore("a")
-        store.record(DERIVATION)
-        store.record(DERIVATION)
-        assert len(store) == 2
+        store = DerivationLog("a")
+        fire(store, ROUTE, "p4", (LINK,))
+        fire(store, ROUTE, "p4", (LINK,))
+        assert len(store.pointers(ROUTE.key())) == 2
+        assert store.storage_overhead() == 2
 
 
 class TestOfflineArchive:
     def test_entries_survive_expiry(self):
         archive = OfflineProvenanceArchive("a")
-        archive.record(DERIVATION)
+        archive.record(FIRING, ROUTE.expires_at())
         # The archive has no notion of tuple expiry: entries stay queryable.
         assert len(archive.entries(ROUTE.key())) == 1
 
     def test_time_window_query(self):
         archive = OfflineProvenanceArchive("a")
-        early = Derivation(fact=ROUTE, rule_label="p4", node="a", timestamp=1.0)
-        late = Derivation(fact=ROUTE, rule_label="p4", node="a", timestamp=100.0)
+        early = pointer_for(ROUTE, "p4", "a", timestamp=1.0)
+        late = pointer_for(ROUTE, "p4", "a", timestamp=100.0)
         archive.record(early)
         archive.record(late)
         assert len(archive.entries_between(0.0, 10.0)) == 1
@@ -98,9 +117,9 @@ class TestOfflineArchive:
 
     def test_age_out_respects_retention_and_pins(self):
         archive = OfflineProvenanceArchive("a", retention=50.0)
-        index_old = archive.record(Derivation(fact=ROUTE, rule_label="p4", node="a", timestamp=0.0))
-        archive.record(Derivation(fact=ROUTE, rule_label="p4", node="a", timestamp=90.0))
-        pinned = archive.record(Derivation(fact=LINK, rule_label="base", node="a", timestamp=1.0))
+        index_old = archive.record(pointer_for(ROUTE, "p4", "a", timestamp=0.0))
+        archive.record(pointer_for(ROUTE, "p4", "a", timestamp=90.0))
+        pinned = archive.record(pointer_for(LINK, "base", "a", timestamp=1.0))
         archive.pin(pinned)
         dropped = archive.age_out(now=100.0)
         assert dropped == 1  # the old unpinned entry
@@ -108,21 +127,22 @@ class TestOfflineArchive:
 
     def test_no_retention_never_ages(self):
         archive = OfflineProvenanceArchive("a")
-        archive.record(DERIVATION)
+        archive.record(FIRING)
         assert archive.age_out(now=1e9) == 0
 
     def test_storage_bytes_positive_and_grows(self):
         archive = OfflineProvenanceArchive("a")
-        archive.record(DERIVATION)
+        archive.record(FIRING)
         first = archive.storage_bytes()
-        archive.record(DERIVATION, annotation=CondensedProvenance.from_source("a"))
+        archive.record(FIRING, annotation=CondensedProvenance.from_source("a"))
         assert archive.storage_bytes() > first
 
     def test_reconstruct_graph(self):
         archive = OfflineProvenanceArchive("a")
-        archive.record(DERIVATION)
-        graph = archive.reconstruct_graph(ROUTE.key())
+        archive.record(FIRING)
+        graph = archive.graph(ROUTE.key())
         assert graph.base_tuples(ROUTE.key()) == frozenset({LINK.key()})
+        assert archive.pointers(ROUTE.key()) == (FIRING,)
 
 
 class TestAuthenticatedProvenance:
@@ -258,25 +278,6 @@ class TestOptimizations:
     def test_sampler_rejects_invalid_rate(self):
         with pytest.raises(ValueError):
             ProvenanceSampler(rate=1.5)
-
-    def test_reactive_buffer_defers_until_trigger(self):
-        materialised = []
-        buffer = ReactiveProvenanceBuffer(sink=materialised.append)
-        buffer.observe(DERIVATION)
-        buffer.observe(DERIVATION)
-        assert materialised == []
-        assert buffer.trigger() == 2
-        assert len(materialised) == 2
-        # After triggering, new derivations flow straight through.
-        buffer.observe(DERIVATION)
-        assert len(materialised) == 3
-        buffer.reset()
-        buffer.observe(DERIVATION)
-        assert len(materialised) == 3
-
-    def test_maintenance_mode_enum(self):
-        assert MaintenanceMode.PROACTIVE.value == "proactive"
-        assert MaintenanceMode.REACTIVE.value == "reactive"
 
     def test_as_aggregation_shrinks_expression(self):
         aggregator = ASAggregator({"n1": "AS1", "n2": "AS1", "n3": "AS2"})

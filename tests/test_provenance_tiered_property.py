@@ -99,8 +99,8 @@ def test_tiered_forensics_match_memory_oracle(script, hot_entries):
         keys = {entry.key for entry in oracle_archive.entries()}
         for key in sorted(keys, key=str):
             assert tiered_archive.knows(key)
-            assert tiered_archive.reconstruct_graph(key).same_structure(
-                oracle_archive.reconstruct_graph(key)
+            assert tiered_archive.graph(key).same_structure(
+                oracle_archive.graph(key)
             ), f"forensic divergence at {address} for {key}"
             checked += 1
     # The script must actually archive something, or the property is vacuous.

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import pytest
 
+from reference_stores import fire, pointer_for
+
 from repro.datalog import analyze_program, localize_program, parse_program
 from repro.datalog.planner import compile_program
-from repro.engine.tuples import Derivation, Fact
+from repro.engine.tuples import Fact
 from repro.net.message import Message
 from repro.provenance.condensed import CondensedProvenance
+from repro.provenance.log import DerivationLog
 from repro.provenance.polynomial import p_product, p_sum, p_var
-from repro.provenance.store import OfflineProvenanceArchive, OnlineProvenanceStore
+from repro.provenance.store import OfflineProvenanceArchive
 from repro.queries.best_path import best_path_program, compile_best_path
 from repro.queries.monitoring import route_flap_monitor_program
 from repro.queries.path_vector import (
@@ -96,15 +99,14 @@ class TestDiagnostics:
 
     def test_purge_cascades_through_dependents(self):
         detector = RouteFlapDetector()
-        store = OnlineProvenanceStore("a")
+        store = DerivationLog("a", track_dependencies=True)
         route = Fact("bestPath", ("a", "c", ("a", "c"), 1.0))
         downstream = Fact("forwarding", ("a", "c"))
-        store.record(Derivation(fact=route, rule_label="p4", node="a"))
-        store.record(
-            Derivation(fact=downstream, rule_label="f", node="a", antecedents=(route,))
-        )
+        fire(store, route, "p4")
+        fire(store, downstream, "f", (route,))
         purged = detector.purge_derived_state(store, [route.key()])
         assert route.key() in purged and downstream.key() in purged
+        assert not store.knows(route.key()) and not store.knows(downstream.key())
 
     def test_run_produces_full_report(self):
         detector = RouteFlapDetector(window_seconds=30, threshold=2)
@@ -129,17 +131,9 @@ class TestForensics:
         reach_ac = Fact("reachable", ("a", "c"))
         archive_a = OfflineProvenanceArchive("a")
         archive_b = OfflineProvenanceArchive("b")
-        archive_b.record(
-            Derivation(fact=reach_bc, rule_label="r1", node="b", antecedents=(link_bc,), timestamp=1.0)
-        )
+        archive_b.record(pointer_for(reach_bc, "r1", "b", (link_bc,), timestamp=1.0))
         archive_a.record(
-            Derivation(
-                fact=reach_ac,
-                rule_label="r2",
-                node="a",
-                antecedents=(link_ab, reach_bc),
-                timestamp=2.0,
-            )
+            pointer_for(reach_ac, "r2", "a", (link_ab, reach_bc), timestamp=2.0)
         )
         return {"a": archive_a, "b": archive_b}, reach_ac, link_bc
 

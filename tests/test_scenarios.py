@@ -156,11 +156,9 @@ class TestRetractionScenario:
     def test_retraction_invalidates_provenance_at_the_retractors(self, report):
         result, simulator = report
         for address, fact in result.scenario.details["retracted"]:
-            store = simulator.engines[address].local_provenance
-            assert fact.key() not in store.keys()
-            assert not simulator.engines[address].distributed_provenance.knows(
-                fact.key()
-            )
+            log = simulator.engines[address].provenance
+            assert fact.key() not in log.keys()
+            assert not log.knows(fact.key())
 
     def test_retraction_phase_reports_the_cascade(self, report):
         result, _ = report

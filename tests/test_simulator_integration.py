@@ -248,7 +248,7 @@ class TestProvenanceEndToEnd:
         target = next(
             f for f in engine.facts("bestPath") if f.values[0] == "n0" and f.values[1] == "n3"
         )
-        stores = {a: e.distributed_provenance for a, e in result.engines.items()}
+        stores = {a: e.provenance for a, e in result.engines.items()}
         walk = traceback(target.key(), "n0", stores.get)
         assert walk.complete
         # The reconstruction reaches the base link tuples along the chain.

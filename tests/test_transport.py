@@ -43,7 +43,7 @@ from repro.net.message import (
 from repro.net.transport import COMPRESS_MIN_BYTES, BinaryCodec
 from repro.provenance.authenticated import SignedAnnotation
 from repro.provenance.condensed import CondensedProvenance
-from repro.provenance.distributed import ProvenancePointer
+from repro.provenance.log import ProvenancePointer
 from repro.provenance.polynomial import ProvenanceExpression
 
 

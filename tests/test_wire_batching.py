@@ -314,18 +314,20 @@ class TestReceivedProvenanceSampling:
         sender, receiver = self._engines(compiled_reachable, rate=0.0)
         outgoing = sender.insert_base(Fact("link", ("a", "b"))).outgoing
         shipped = [o for o in outgoing if o.destination == "b"][0].fact
-        before = set(receiver.local_provenance.keys())
+        assert not receiver.provenance.knows(shipped.key())
         receiver.receive_batch((shipped,), now=1.0)
         # The tuple itself is stored, but no provenance was recorded for it.
         assert receiver.facts(shipped.relation)
-        assert shipped.key() not in set(receiver.local_provenance.keys()) - before
+        assert not receiver.provenance.knows(shipped.key())
+        assert receiver.provenance.origin_of(shipped.key()) is None
 
     def test_sampler_rate_one_still_records(self, compiled_reachable):
         sender, receiver = self._engines(compiled_reachable, rate=1.0)
         outgoing = sender.insert_base(Fact("link", ("a", "b"))).outgoing
         shipped = [o for o in outgoing if o.destination == "b"][0].fact
         receiver.receive_batch((shipped,), now=1.0)
-        assert shipped.key() in receiver.local_provenance.keys()
+        assert receiver.provenance.knows(shipped.key())
+        assert receiver.provenance.origin_of(shipped.key()) == "a"
 
 
 SOFT_REACH = """
