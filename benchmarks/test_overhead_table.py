@@ -10,6 +10,11 @@ The paper reports, for the Best-Path sweep:
 ``test_overhead_report`` regenerates the measured table side by side with the
 paper's numbers; the benchmark itself measures the cost of computing the
 table from a sweep (cheap) so the expensive sweep is shared via the fixture.
+
+The paper's *shape* is held too: provenance rides inside the one signed
+envelope a SeNDlog tuple already pays for, so it must cost less on top of
+SeNDlog than authentication costs on top of NDlog, and stay a modest fraction
+(measured 17-19 % time, 6-11 % bandwidth on the N = 10, 20, 30 sweep).
 """
 
 from __future__ import annotations
@@ -43,3 +48,6 @@ def test_overhead_report(benchmark, evaluation_sweep, capsys):
     assert 5 <= sendlog["avg_bandwidth_overhead_pct"] <= 100
     assert 10 <= provenance["avg_time_overhead_pct"] <= 120
     assert 5 <= provenance["avg_bandwidth_overhead_pct"] <= 100
+    # The paper's shape: provenance is the cheaper of the two steps.
+    assert provenance["avg_time_overhead_pct"] < sendlog["avg_time_overhead_pct"]
+    assert provenance["avg_time_overhead_pct"] <= 30

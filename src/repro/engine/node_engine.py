@@ -30,12 +30,6 @@ from repro.engine.seminaive import (
     warm_probe_indexes,
 )
 from repro.engine.tuples import Fact, FactKey
-from repro.provenance.authenticated import (
-    ProvenanceVerificationError,
-    SignedAnnotation,
-    sign_annotation,
-    verify_annotation,
-)
 from repro.provenance.condensed import CondensedProvenance
 from repro.provenance.log import DerivationLog, ProvenancePointer
 from repro.provenance.polynomial import ProvenanceExpression, p_product
@@ -136,8 +130,6 @@ class ProcessingReport:
     payload_bytes_processed: int = 0
     provenance_annotations: int = 0
     provenance_bytes_computed: int = 0
-    provenance_signatures: int = 0
-    provenance_verifications: int = 0
 
     def merge(self, other: "ProcessingReport") -> None:
         self.facts_received += other.facts_received
@@ -153,8 +145,6 @@ class ProcessingReport:
         self.payload_bytes_processed += other.payload_bytes_processed
         self.provenance_annotations += other.provenance_annotations
         self.provenance_bytes_computed += other.provenance_bytes_computed
-        self.provenance_signatures += other.provenance_signatures
-        self.provenance_verifications += other.provenance_verifications
 
 
 @dataclass(eq=False, slots=True)
@@ -269,6 +259,7 @@ class NodeEngine:
         # Per-firing hot-path flags, hoisted out of the enum properties.
         self._authenticates = config.says_mode.authenticates
         self._requires_signature = config.says_mode.requires_signature
+        self._security_bytes = self.authenticator.wire_overhead()
         self._maintains_provenance = config.provenance_mode.maintains_provenance
         self._ships_provenance = config.provenance_mode.ships_provenance
         self._track_dependencies = config.track_dependencies
@@ -400,7 +391,7 @@ class NodeEngine:
             self._wave = set()
         try:
             for fact in facts:
-                verified = self._admit(fact, fact.provenance, result)
+                verified = self._admit(fact, result)
                 if verified is None:
                     continue
                 if self._store(verified, now, result):
@@ -471,7 +462,12 @@ class NodeEngine:
         return result
 
     def retract_remote(
-        self, keys: Iterable[FactKey], now: float
+        self,
+        keys: Tuple[FactKey, ...],
+        now: float,
+        source: Optional[str] = None,
+        sequence: int = 0,
+        signature: Optional[bytes] = None,
     ) -> ProcessingResult:
         """Process an anti-delta: base keys retracted somewhere upstream.
 
@@ -480,9 +476,21 @@ class NodeEngine:
         destination *this* node exported affected tuples to.  The per-node
         dead-base set dedups re-deliveries, so the flood over the export
         graph terminates even on cyclic topologies.
+
+        Under signed ``says`` the anti-delta is opened first (*signature* is
+        *source*'s over these keys, this node and a message *sequence* not
+        seen before); one that fails prunes nothing and is counted rejected.
         """
         result = ProcessingResult()
-        self._apply_dead_bases(tuple(keys), now, result)
+        if self._requires_signature:
+            try:
+                self.authenticator.open_anti_delta(keys, source, sequence, signature)
+            except AuthenticationError:
+                result.report.verification_failures += 1
+                result.report.facts_rejected += 1
+                return result
+            result.report.facts_verified += 1
+        self._apply_dead_bases(keys, now, result)
         return result
 
     def refresh_batch(self, facts: Iterable[Fact], now: float) -> ProcessingResult:
@@ -562,46 +570,32 @@ class NodeEngine:
 
     # -- internals ----------------------------------------------------------------
 
-    def _admit(
-        self, fact: Fact, provenance: Optional[object], result: ProcessingResult
-    ) -> Optional[Fact]:
+    def _admit(self, fact: Fact, result: ProcessingResult) -> Optional[Fact]:
         """Authenticate one received tuple and record its provenance.
 
         Returns the verified fact ready for local processing, or ``None``
-        when authentication or provenance verification rejected it (the
-        rejection counters are recorded on *result* either way).
+        when authentication rejected it (the rejection counters are recorded
+        on *result* either way).  Under signed ``says`` the one envelope check
+        covers the annotation and the support polynomial recorded below too.
         """
         result.report.facts_received += 1
         result.report.payload_bytes_processed += fact.payload_size()
-        try:
-            verified = self.authenticator.import_fact(fact)
+        verified = fact
+        if self._authenticates:
+            try:
+                verified = self.authenticator.import_fact(fact)
+            except AuthenticationError:
+                result.report.verification_failures += 1
+                result.report.facts_rejected += 1
+                return None
             if self._requires_signature:
                 result.report.facts_verified += 1
-        except AuthenticationError:
-            result.report.verification_failures += 1
-            result.report.facts_rejected += 1
-            return None
 
-        if self._maintains_provenance:
-            incoming = provenance if provenance is not None else verified.provenance
-            if isinstance(incoming, SignedAnnotation):
-                try:
-                    if not verify_annotation(incoming, self.keystore):
-                        result.report.verification_failures += 1
-                        result.report.facts_rejected += 1
-                        return None
-                    result.report.provenance_verifications += 1
-                except ProvenanceVerificationError:
-                    result.report.verification_failures += 1
-                    result.report.facts_rejected += 1
-                    return None
-                incoming = incoming.annotation
-                verified = verified.with_metadata(provenance=incoming)
-            # Sampled provenance (Section 5): received tuples obey the same
-            # sampler as base facts and local derivations — verification above
-            # is a security decision and is never sampled away.
-            if self._should_record(verified):
-                self._record_remote_provenance(verified, incoming)
+        # Sampled provenance (Section 5): received tuples obey the same
+        # sampler as base facts and local derivations — verification above
+        # is a security decision and is never sampled away.
+        if self._maintains_provenance and self._should_record(verified):
+            self._record_remote_provenance(verified)
         if self._rederivation and not self._merge_incoming_support(verified):
             # Every derivation the sender knew for this tuple rested on a
             # base this node already saw retracted: the fact was in flight
@@ -656,11 +650,11 @@ class NodeEngine:
         if self._rederivation:
             self._note_base_support(fact)
 
-    def _record_remote_provenance(self, fact: Fact, provenance: Optional[object]) -> None:
+    def _record_remote_provenance(self, fact: Fact) -> None:
         self.provenance_epoch += 1
-        condensed = provenance if isinstance(provenance, CondensedProvenance) else None
-        if condensed is None and isinstance(fact.provenance, CondensedProvenance):
-            condensed = fact.provenance
+        condensed = fact.provenance
+        if not isinstance(condensed, CondensedProvenance):
+            condensed = None
         self.provenance.record_remote(fact, condensed)
         if self.config.keep_offline_provenance:
             self.offline_provenance.record_remote(fact, fact.origin)
@@ -778,23 +772,10 @@ class NodeEngine:
         # Remote tuples render their payload regardless (export signs it and
         # the wire model measures it), so the count happens up front.
         result.report.payload_bytes_processed += derived.payload_size()
-        exported = self.authenticator.export_fact(derived)
-        if self._requires_signature:
-            result.report.signatures_created += 1
         provenance_bytes = 0
-        if annotation is not None and self._ships_provenance:
-            shipped_annotation: object = annotation
-            if self._requires_signature:
-                # Authenticated provenance (Section 4.3): the exporting
-                # principal signs the condensed annotation it asserts.
-                shipped_annotation = sign_annotation(
-                    annotation, self.address, self.keystore
-                )
-                result.report.provenance_signatures += 1
-                provenance_bytes = shipped_annotation.wire_size()
-            else:
-                provenance_bytes = annotation.serialized_size()
-            exported = exported.with_metadata(provenance=shipped_annotation)
+        shipped = annotation if self._ships_provenance else None
+        if shipped is not None:
+            provenance_bytes = shipped.serialized_size()
             if self.config.provenance_mode is ProvenanceMode.FULL_LOCAL:
                 piggyback = self.provenance.piggyback_for(derived)
                 provenance_bytes = max(
@@ -807,7 +788,6 @@ class NodeEngine:
             # provenance overhead on the wire) so the receiver can answer a
             # later anti-delta locally; remember where each mentioned base
             # travelled — those are the anti-delta fanout targets.
-            exported = exported.with_metadata(support=support)
             provenance_bytes += support.serialized_size()
             dests = self._export_dests
             for var in support.variables():
@@ -815,11 +795,20 @@ class NodeEngine:
                 if bucket is None:
                     bucket = dests[var] = {}
                 bucket[destination] = None
+        exported = derived
+        if shipped is not None or support is not None:
+            exported = derived.with_metadata(provenance=shipped, support=support)
+        if self._authenticates:
+            # Section 4.3: the exporting principal's one signature covers the
+            # tuple, its destination, and the annotation and support on it.
+            exported = self.authenticator.export_fact(exported, destination)
+            if self._requires_signature:
+                result.report.signatures_created += 1
         result.outgoing.append(
             OutgoingFact(
                 destination=destination,
                 fact=exported,
-                security_bytes=self.authenticator.wire_overhead(exported),
+                security_bytes=self._security_bytes,
                 provenance_bytes=provenance_bytes,
             )
         )

@@ -52,8 +52,11 @@ class Fact:
         The principal that asserted ("says") this fact, or ``None`` for
         unauthenticated NDlog tuples.
     signature:
-        The asserting principal's signature over the fact payload, or
-        ``None``.
+        The :class:`~repro.security.authenticator.SignedEnvelope` an exported
+        tuple travels under when ``says`` is signed — the sender's export
+        sequence number and its one signature over payload, asserting
+        principal, destination, ``provenance``, ``support`` and that
+        number — or ``None``.
     provenance:
         Serializable provenance annotation travelling with the fact (used for
         local / condensed provenance); ``None`` when provenance is disabled
@@ -74,7 +77,7 @@ class Fact:
     timestamp: float = 0.0
     ttl: Optional[float] = None
     asserted_by: Optional[str] = None
-    signature: Optional[bytes] = None
+    signature: Optional[object] = None
     provenance: Optional[object] = None
     origin: Optional[str] = None
     support: Optional[object] = None
@@ -137,7 +140,7 @@ class Fact:
         timestamp: Optional[float] = None,
         ttl: Optional[float] = None,
         asserted_by: Optional[str] = None,
-        signature: Optional[bytes] = None,
+        signature: Optional[object] = None,
         provenance: Optional[object] = None,
         origin: Optional[str] = None,
         support: Optional[object] = None,

@@ -148,8 +148,6 @@ class CostModel:
             + report.facts_verified * self.seconds_per_verification
             + report.provenance_annotations * self.seconds_per_provenance_annotation
             + report.provenance_bytes_computed * self.seconds_per_provenance_byte
-            + report.provenance_signatures * self.seconds_per_signature
-            + report.provenance_verifications * self.seconds_per_verification
         )
 
 
@@ -1153,7 +1151,9 @@ class SimulationKernel:
             # Keys retracted upstream: prune local support polynomials and
             # keep the deletion fixpoint moving across the export graph.
             start = max(deliver_at, node_stats.busy_until)
-            result = engine.retract_remote(message.keys, start)
+            result = engine.retract_remote(
+                message.keys, start, message.source, message.sequence, message.signature
+            )
             self._account_processing(destination, start, result.report, node_stats)
             self._ship_anti_deltas(destination, result.anti_deltas, node_stats)
             self._dispatch_outgoing(destination, result.outgoing, node_stats)
@@ -1193,17 +1193,35 @@ class SimulationKernel:
         anti_deltas: Dict[str, List[FactKey]],
         node_stats: NodeStats,
     ) -> None:
-        """Ship one retraction pass's anti-delta fanout (routed delivery)."""
+        """Ship one retraction pass's anti-delta fanout (routed delivery).
+
+        Under signed ``says`` the sender seals each anti-delta — over its
+        keys, both endpoints and its message sequence — and pays for the
+        signatures before the first one leaves.
+        """
         if not anti_deltas:
             return
+        signer = None
+        if self.config.says_mode.requires_signature:
+            signer = self.engines[source].authenticator
+            report = ProcessingReport(signatures_created=len(anti_deltas))
+            self._account_processing(source, node_stats.busy_until, report, node_stats)
         send_time = node_stats.busy_until
         for destination, keys in anti_deltas.items():
+            keys = tuple(keys)
+            sequence = self._next_sequence(source)
+            signature, security_bytes = None, 0
+            if signer is not None:
+                signature = signer.seal_anti_delta(keys, destination, sequence)
+                security_bytes = signer.wire_overhead()
             message = AntiDelta(
                 source=source,
                 destination=destination,
-                keys=tuple(keys),
+                keys=keys,
                 sent_at=send_time,
-                sequence=self._next_sequence(source),
+                sequence=sequence,
+                security_bytes=security_bytes,
+                signature=signature,
             )
             self.ship_routed(source, destination, message, send_time, node_stats)
 

@@ -172,6 +172,10 @@ class AntiDelta:
     payload bytes, and are itemized as ``anti_delta_messages`` /
     ``anti_delta_bytes`` in the statistics.  ``tuple_count`` is zero: no
     stored tuples travel, only their identities.
+
+    Under signed ``says`` an anti-delta is authenticated like a tuple:
+    ``signature`` is the source's over *(keys, source, destination,
+    sequence)* and ``security_bytes`` is part of its wire size.
     """
 
     source: Address
@@ -181,15 +185,18 @@ class AntiDelta:
     sequence: int = 0
     security_bytes: int = 0
     provenance_bytes: int = 0
+    signature: Optional[bytes] = None
     _size_bytes: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._size_bytes = MESSAGE_HEADER_BYTES + sum(
-            key_payload_bytes(key) for key in self.keys
+        self._size_bytes = (
+            MESSAGE_HEADER_BYTES
+            + sum(key_payload_bytes(key) for key in self.keys)
+            + self.security_bytes
         )
 
     def payload_bytes(self) -> int:
-        return self._size_bytes - MESSAGE_HEADER_BYTES
+        return self._size_bytes - MESSAGE_HEADER_BYTES - self.security_bytes
 
     def size_bytes(self) -> int:
         return self._size_bytes

@@ -60,10 +60,10 @@ from repro.net.message import (
     QueryResponse,
     WIRE_KINDS,
 )
-from repro.provenance.authenticated import SignedAnnotation
 from repro.provenance.condensed import CondensedProvenance
 from repro.provenance.log import ProvenancePointer
 from repro.provenance.polynomial import ProvenanceExpression
+from repro.security.authenticator import SignedEnvelope
 
 #: Binary frames at least this large are deflate-compressed before hitting
 #: the wire.  ``zlib.compress`` at a fixed level is deterministic for a given
@@ -94,7 +94,6 @@ _EVENT_KINDS: Dict[type, int] = {
 
 _PROV_NONE = 0
 _PROV_CONDENSED = 1
-_PROV_SIGNED = 2
 
 
 class _Unencodable(Exception):
@@ -236,29 +235,14 @@ def _encode_provenance(writer: _Writer, table: _StringTable, annotation) -> None
         writer.u8(_PROV_CONDENSED)
         writer.blob(_literal_blob(annotation.expression.monomials))
         return
-    if isinstance(annotation, SignedAnnotation):
-        writer.u8(_PROV_SIGNED)
-        writer.blob(_literal_blob(annotation.annotation.expression.monomials))
-        writer.u32(table.intern(annotation.principal))
-        writer.blob(annotation.signature)
-        return
     raise _Unencodable(f"unknown provenance annotation {type(annotation).__name__}")
 
 
 def _decode_provenance(reader: _Reader, strings: List[str]):
-    kind = reader.u8()
-    if kind == _PROV_NONE:
+    if reader.u8() == _PROV_NONE:
         return None
-    monomials = _parse_literal(reader.blob())
-    condensed = CondensedProvenance(
-        expression=ProvenanceExpression(monomials=monomials)
-    )
-    if kind == _PROV_CONDENSED:
-        return condensed
-    principal = strings[reader.u32()]
-    signature = reader.blob()
-    return SignedAnnotation(
-        annotation=condensed, principal=principal, signature=signature
+    return CondensedProvenance(
+        expression=ProvenanceExpression(monomials=_parse_literal(reader.blob()))
     )
 
 
@@ -273,12 +257,15 @@ def _encode_fact(writer: _Writer, table: _StringTable, fact: Fact) -> None:
     support = fact.support
     if support is not None and not isinstance(support, ProvenanceExpression):
         raise _Unencodable(f"unknown support annotation {type(support).__name__}")
+    envelope = fact.signature
+    if envelope is not None and not isinstance(envelope, SignedEnvelope):
+        raise _Unencodable(f"unknown signature {type(envelope).__name__}")
     flags = 0
     if fact.ttl is not None:
         flags |= _FACT_HAS_TTL
     if fact.asserted_by is not None:
         flags |= _FACT_HAS_ASSERTER
-    if fact.signature is not None:
+    if envelope is not None:
         flags |= _FACT_HAS_SIGNATURE
     if fact.origin is not None:
         flags |= _FACT_HAS_ORIGIN
@@ -291,8 +278,9 @@ def _encode_fact(writer: _Writer, table: _StringTable, fact: Fact) -> None:
         writer.f64(fact.ttl)
     if fact.asserted_by is not None:
         writer.u32(table.intern(fact.asserted_by))
-    if fact.signature is not None:
-        writer.blob(fact.signature)
+    if envelope is not None:
+        writer.u64(envelope.sequence)
+        writer.blob(envelope.signature)
     if fact.origin is not None:
         writer.u32(table.intern(fact.origin))
     if support is not None:
@@ -307,7 +295,11 @@ def _decode_fact(reader: _Reader, strings: List[str]) -> Fact:
     timestamp = reader.f64()
     ttl = reader.f64() if flags & _FACT_HAS_TTL else None
     asserted_by = strings[reader.u32()] if flags & _FACT_HAS_ASSERTER else None
-    signature = reader.blob() if flags & _FACT_HAS_SIGNATURE else None
+    signature = (
+        SignedEnvelope(reader.u64(), reader.blob())
+        if flags & _FACT_HAS_SIGNATURE
+        else None
+    )
     origin = strings[reader.u32()] if flags & _FACT_HAS_ORIGIN else None
     support = (
         ProvenanceExpression(monomials=_parse_literal(reader.blob()))
@@ -375,6 +367,8 @@ def _encode_message_body(writer: _Writer, table: _StringTable, message) -> None:
         writer.u32(len(message.keys))
         for key in message.keys:
             _encode_key(writer, table, key)
+        writer.u32(message.security_bytes)
+        writer.blob(message.signature or b"")
     else:  # QueryResponse
         _encode_key(writer, table, message.key)
         writer.u64(message.query_id)
@@ -479,6 +473,8 @@ def _decode_message_body(reader: _Reader, strings: List[str]):
             keys=keys,
             sent_at=sent_at,
             sequence=sequence,
+            security_bytes=reader.u32(),
+            signature=reader.blob() or None,
         )
     if kind == 3:  # QueryResponse
         key = _decode_key(reader, strings)

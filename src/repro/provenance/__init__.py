@@ -52,9 +52,6 @@ from repro.provenance.store import OfflineProvenanceArchive
 from repro.provenance.authenticated import (
     AuthenticatedProvenance,
     ProvenanceVerificationError,
-    SignedAnnotation,
-    sign_annotation,
-    verify_annotation,
 )
 from repro.provenance.quantify import (
     count_derivations,
@@ -83,9 +80,6 @@ __all__ = [
     "ProvenanceSampler",
     "ProvenanceVerificationError",
     "Semiring",
-    "SignedAnnotation",
-    "sign_annotation",
-    "verify_annotation",
     "TRUST",
     "TracebackResult",
     "TrustSemiring",

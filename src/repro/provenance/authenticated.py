@@ -4,7 +4,9 @@ In an untrusted environment the provenance itself must be authenticated:
 every node of the derivation tree is asserted by a principal using ``says``,
 and carries that principal's digital signature so a querier can validate that
 the provenance was not spoofed.  This module wraps a derivation graph with
-per-node signatures and implements chain verification.
+per-node signatures and implements chain verification.  (The condensed
+annotation piggy-backed on a shipped tuple is covered by that tuple's one
+:class:`~repro.security.authenticator.SignedEnvelope`, not signed here.)
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from repro.engine.tuples import FactKey
-from repro.provenance.condensed import CondensedProvenance
 from repro.provenance.graph import DerivationGraph, DerivationNode, OperatorNode
 from repro.security.keystore import KeyStore
 from repro.security.rsa import sign, verify
@@ -21,50 +22,6 @@ from repro.security.rsa import sign, verify
 
 class ProvenanceVerificationError(Exception):
     """Raised when an authenticated provenance graph fails verification."""
-
-
-@dataclass(frozen=True)
-class SignedAnnotation:
-    """A condensed provenance annotation signed by its asserting principal.
-
-    This is the wire form of authenticated provenance for piggy-backed
-    annotations: the exporting principal signs the serialized condensed
-    expression, so the importer can check that the provenance was not
-    spoofed or stripped in transit (Section 4.3).
-    """
-
-    annotation: "CondensedProvenance"
-    principal: str
-    signature: bytes
-
-    def payload(self) -> bytes:
-        return f"{self.principal}|{self.annotation.expression.to_string()}".encode("utf-8")
-
-    def wire_size(self) -> int:
-        """Bytes the signed annotation adds to a shipped tuple."""
-        return (
-            self.annotation.serialized_size()
-            + len(self.signature)
-            + len(self.principal.encode("utf-8"))
-        )
-
-
-def sign_annotation(
-    annotation: "CondensedProvenance", principal: str, keystore: KeyStore
-) -> SignedAnnotation:
-    """Sign *annotation* under *principal*'s private key."""
-    unsigned = SignedAnnotation(annotation=annotation, principal=principal, signature=b"")
-    signature = sign(unsigned.payload(), keystore.private_key(principal))
-    return SignedAnnotation(annotation=annotation, principal=principal, signature=signature)
-
-
-def verify_annotation(signed: SignedAnnotation, keystore: KeyStore) -> bool:
-    """Verify a signed annotation; raises on unknown principals."""
-    if not keystore.has_public_key(signed.principal):
-        raise ProvenanceVerificationError(
-            f"no public key for provenance principal {signed.principal!r}"
-        )
-    return verify(signed.payload(), signed.signature, keystore.public_key(signed.principal))
 
 
 def _assertion_payload(node: DerivationNode) -> bytes:

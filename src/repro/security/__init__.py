@@ -25,7 +25,7 @@ from repro.security.says import SaysMode
 from repro.security.authenticator import (
     AuthenticationError,
     Authenticator,
-    SignedPayload,
+    SignedEnvelope,
 )
 
 __all__ = [
@@ -36,7 +36,7 @@ __all__ = [
     "PrincipalRegistry",
     "RSAKeyPair",
     "SaysMode",
-    "SignedPayload",
+    "SignedEnvelope",
     "generate_keypair",
     "generate_prime",
     "is_probable_prime",

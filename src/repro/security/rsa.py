@@ -30,8 +30,9 @@ class RSAKeyPair:
     """An RSA key pair.
 
     ``n`` and ``e`` form the public key, ``d`` the private exponent.
-    ``signature_bytes`` is the wire size of one signature, which the
-    bandwidth model charges per signed tuple.
+    ``signature_bytes`` is the one length a signature under this key has —
+    the byte length of the modulus — which the bandwidth model charges per
+    signed tuple and :func:`verify` insists on.
 
     ``dp``, ``dq`` and ``qinv`` are the precomputed CRT parameters
     (``d mod p-1``, ``d mod q-1``, ``q^-1 mod p``); when present, signing
@@ -57,7 +58,7 @@ class RSAKeyPair:
 
     @property
     def signature_bytes(self) -> int:
-        return (self.bits + 7) // 8
+        return (self.n.bit_length() + 7) // 8
 
 
 def _egcd(a: int, b: int) -> Tuple[int, int, int]:
@@ -128,8 +129,15 @@ def sign(message: bytes, key: RSAKeyPair) -> bytes:
 
 
 def verify(message: bytes, signature: bytes, public_key: Tuple[int, int]) -> bool:
-    """Verify a signature produced by :func:`sign` against ``(n, e)``."""
+    """Verify a signature produced by :func:`sign` against ``(n, e)``.
+
+    A signature has exactly the modulus's byte length: without that, padding
+    a valid signature with zero bytes yields other byte strings that verify,
+    and "the same signature seen twice" could not be decided on bytes.
+    """
     n, e = public_key
+    if len(signature) != (n.bit_length() + 7) // 8:
+        return False
     value = int.from_bytes(signature, "big")
     if value >= n:
         return False

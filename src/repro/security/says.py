@@ -17,6 +17,9 @@ from __future__ import annotations
 
 from enum import Enum
 
+#: Wire size of the export sequence number a signed envelope carries.
+SEQUENCE_BYTES = 8
+
 
 class SaysMode(Enum):
     """How exported tuples are attributed to their asserting principal."""
@@ -43,11 +46,12 @@ class SaysMode(Enum):
         """Wire overhead added to one tuple under this mode.
 
         ``NONE`` adds nothing; ``CLEARTEXT`` adds the principal name;
-        ``SIGNED`` adds the principal name plus a fixed-size signature.
+        ``SIGNED`` adds the principal name plus the envelope: a fixed-size
+        signature and the sequence number it covers.
         """
         if self is SaysMode.NONE:
             return 0
         overhead = len(principal.encode("utf-8"))
         if self is SaysMode.SIGNED:
-            overhead += signature_bytes
+            overhead += signature_bytes + SEQUENCE_BYTES
         return overhead

@@ -430,6 +430,44 @@ class TestDynamicCode:
         assert "INV007" not in _rules(tool.check_tree(tree))
 
 
+class TestOneSigningPath:
+    SECOND_PATH = (
+        "from repro.security.rsa import sign\n\n"
+        "def export(fact, key):\n    return sign(fact.payload(), key)\n"
+    )
+
+    def test_second_signing_path_in_the_engine_flagged(self, tree):
+        (tree / "engine" / "node_engine.py").write_text(
+            self.SECOND_PATH, encoding="utf-8"
+        )
+        findings = [f for f in tool.check_tree(tree) if f.rule == "INV008"]
+        assert [(f.path, f.line) for f in findings] == [("engine/node_engine.py", 1)]
+
+    def test_the_envelope_module_may(self, tree):
+        (tree / "security").mkdir()
+        (tree / "security" / "authenticator.py").write_text(
+            self.SECOND_PATH, encoding="utf-8"
+        )
+        assert "INV008" not in _rules(tool.check_tree(tree))
+
+    def test_through_the_rsa_module_or_the_package_flagged(self, tree):
+        (tree / "net" / "mod.py").write_text(
+            "from repro.security import rsa, verify\n\n"
+            "def f(m, s, k):\n    return rsa.verify(m, s, k) and verify(m, s, k)\n",
+            encoding="utf-8",
+        )
+        findings = [f for f in tool.check_tree(tree) if f.rule == "INV008"]
+        assert [f.line for f in findings] == [1, 4]
+
+    def test_same_named_methods_are_something_else(self, tree):
+        (tree / "net" / "mod.py").write_text(
+            "from repro.security import KeyStore\n\n"
+            "def f(graph, keystore):\n    return graph.verify(keystore)\n",
+            encoding="utf-8",
+        )
+        assert "INV008" not in _rules(tool.check_tree(tree))
+
+
 class TestAllowlist:
     def test_inline_comment_suppresses_matching_rule(self, tree):
         (tree / "net" / "mod.py").write_text(

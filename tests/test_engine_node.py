@@ -6,9 +6,9 @@ import pytest
 
 from repro.engine.node_engine import EngineConfig, NodeEngine, ProvenanceMode
 from repro.engine.tuples import Fact
-from repro.provenance.authenticated import SignedAnnotation, sign_annotation
 from repro.provenance.condensed import CondensedProvenance
 from repro.provenance.pruning import ProvenanceSampler
+from repro.security.authenticator import SignedEnvelope
 from repro.security.keystore import KeyStore
 from repro.security.says import SaysMode
 
@@ -126,9 +126,14 @@ class TestProvenanceModes:
         engine = make_engine("a", compiled_best_path, config, keystore)
         result = engine.insert_base(Fact("link", ("a", "b", 1.0)))
         shipped = result.outgoing[0]
-        assert shipped.provenance_bytes > 0
-        assert isinstance(shipped.fact.provenance, SignedAnnotation)
-        assert result.report.provenance_signatures == len(result.outgoing)
+        # The annotation travels in the clear, sized as itself; the tuple's
+        # one envelope is the only signature made for it.
+        annotation = shipped.fact.provenance
+        assert isinstance(annotation, CondensedProvenance)
+        assert shipped.provenance_bytes == annotation.serialized_size() > 0
+        assert isinstance(shipped.fact.signature, SignedEnvelope)
+        assert result.report.signatures_created == len(result.outgoing)
+        assert engine.authenticator.stats.tuples_signed == len(result.outgoing)
 
     def test_unsigned_condensed_mode_ships_plain_annotation(self, compiled_best_path, keystore):
         config = EngineConfig(
@@ -161,21 +166,26 @@ class TestProvenanceModes:
         outgoing = sender.insert_base(Fact("link", ("a", "b", 1.0))).outgoing
         to_b = [o for o in outgoing if o.destination == "b"][0]
         result = receiver.receive_batch((to_b.fact,), now=0.5)
-        assert result.report.provenance_verifications == 1
+        # One verification admits the tuple and the annotation it carries.
+        assert result.report.facts_verified == 1
+        assert receiver.authenticator.stats.tuples_verified == 1
         assert result.report.facts_rejected == 0
+        assert receiver.provenance_of(to_b.fact) == to_b.fact.provenance
 
     def test_receiver_rejects_forged_provenance(self, compiled_best_path, keystore):
         config = EngineConfig(
             says_mode=SaysMode.SIGNED, provenance_mode=ProvenanceMode.CONDENSED
         )
         receiver = make_engine("b", compiled_best_path, config, keystore)
-        annotation = CondensedProvenance.from_source("a")
-        forged = SignedAnnotation(annotation=annotation, principal="a", signature=b"\x00" * 16)
         sender = make_engine("a", compiled_best_path, config, keystore)
         fact = sender.insert_base(Fact("link", ("a", "b", 1.0))).outgoing[0].fact
-        fact = fact.with_metadata(provenance=forged)
-        result = receiver.receive_batch((fact,), now=0.5)
+        # The genuine tuple under an annotation its sender never asserted:
+        # the envelope covers the annotation, so the tuple goes with it.
+        forged = fact.with_metadata(provenance=CondensedProvenance.from_source("c"))
+        result = receiver.receive_batch((forged,), now=0.5)
         assert result.report.facts_rejected == 1
+        assert result.report.verification_failures == 1
+        assert result.report.facts_inserted == 0
 
     def test_provenance_of_local_fact(self, compiled_best_path, keystore):
         config = EngineConfig(

@@ -9,6 +9,10 @@ renders each shipped annotation once — while leaving every fact, statistic
 and stored polynomial exactly as the reference kernel
 (``test_polynomial_kernel.py``) leaves them.
 
+The one-envelope budget (PR 23): a shipped tuple costs one ``rsa.sign`` and one
+``rsa.verify`` whether or not an annotation rides on it, and ``ndlog`` never
+enters ``repro.security`` while rules fire.
+
 The one-log budget (PR 22) is pinned the same way: a recorded firing builds
 exactly one ``ProvenancePointer`` and nothing else — no ``Derivation``, no
 ``OperatorNode``, no ``DerivationGraph`` call; graph views are built on read,
@@ -26,7 +30,6 @@ import sys
 from test_polynomial_kernel import patch_reference_kernel
 
 from repro.api import Network
-from repro.engine import node_engine
 from repro.engine.node_engine import NodeEngine
 from repro.engine.tuples import Derivation
 from repro.net.events import LinkDown, LinkUp
@@ -144,48 +147,43 @@ def test_churn_condenses_once_per_product_and_builds_under_half_the_expressions(
     assert state["summary"]["facts_retracted"] > 0  # the flaps did delete state
 
 
-def test_sendlog_prov_renders_each_shipped_annotation_once(monkeypatch):
-    def fixpoint() -> Network:
-        network = Network.build(
-            topology=8, program="best-path", provenance="sendlog-prov", seed=SEED
-        )
-        assert network.run().converged
-        return network
+def build(provenance: str) -> Network:
+    return Network.build(
+        topology=8, program="best-path", provenance=provenance, seed=SEED
+    )
 
+
+def fixpoint(provenance: str) -> Network:
+    network = build(provenance)
+    assert network.run().converged
+    return network
+
+
+def test_sendlog_prov_renders_each_shipped_annotation_once(monkeypatch):
     counts = collections.Counter()
     with monkeypatch.context() as patch:
         for name in ("to_string", "_render", "condense"):
             count_calls(patch, ProvenanceExpression, name, counts)
         count_calls(patch, DerivationLog, "append", counts)
-        count_calls(patch, node_engine, "sign_annotation", counts)
         count_counters_built_by_provenance(patch, counts)
-        network = fixpoint()
+        network = fixpoint("sendlog-prov")
 
-    shipped = counts["sign_annotation"]  # signed annotations on the wire
-    assert shipped == 171
-    # Signing, verifying and sizing each read the rendering; one renders it.
+    shipped = network.stats.summary()["tuples_sent"]  # one annotation each
+    assert shipped == 166
+    # The envelope's signature, its verification and the wire size each read
+    # the rendering; one of them renders it.
     assert counts["to_string"] == 3 * shipped
     assert counts["_render"] == shipped
-    assert counts["condense"] == counts["append"] == 393
+    assert counts["condense"] == counts["append"] == 379
     assert counts["Counter"] == 0
 
     with monkeypatch.context() as patch:
         patch_reference_kernel(patch)
-        reference = fixpoint()
+        reference = fixpoint("sendlog-prov")
     assert state_of(network) == state_of(reference)
 
 
-# -- the one-log budget (PR 22) -------------------------------------------------
-
-
-def count_built(monkeypatch, cls, counts) -> None:
-    build = cls.__init__
-
-    def counted(self, *args, **kwargs):
-        counts[cls.__name__] += 1
-        build(self, *args, **kwargs)
-
-    monkeypatch.setattr(cls, "__init__", counted)
+# -- the one-envelope budget (PR 23) ----------------------------------------------
 
 
 @contextlib.contextmanager
@@ -203,6 +201,52 @@ def calls_into(package_path: str):
         yield calls
     finally:
         sys.setprofile(None)
+
+
+def run_counting_security(provenance: str):
+    network = build(provenance)
+    with calls_into("/repro/security/") as calls:
+        assert network.run().converged
+    return network, calls
+
+
+def test_a_shipped_tuple_is_signed_once_and_verified_once():
+    """``sendlog-prov`` pays what ``sendlog`` pays per tuple: one ``rsa.sign``
+    by the sender, one ``rsa.verify`` by the receiver — the annotation rides
+    inside the envelope, not under a signature of its own."""
+    for provenance, shipped in (("sendlog-prov", 166), ("sendlog", 171)):
+        network, calls = run_counting_security(provenance)
+        summary = network.stats.summary()
+        assert summary["tuples_sent"] == shipped  # sendlog: the parent's 171
+        assert calls["rsa.py:sign"] == shipped
+        # Every delivered tuple is either admitted or rejected, after exactly
+        # one verification; nothing is lost or rejected in this run.
+        received = sum(node.tuples_received for node in network.stats.nodes.values())
+        assert received == shipped
+        assert calls["rsa.py:verify"] == received
+        authenticators = [e.authenticator.stats for e in network.engines.values()]
+        assert sum(stats.tuples_signed for stats in authenticators) == shipped
+        assert sum(stats.tuples_verified for stats in authenticators) == shipped
+        assert sum(stats.verification_failures for stats in authenticators) == 0
+
+
+def test_ndlog_never_enters_the_security_package_while_rules_fire():
+    network, calls = run_counting_security("ndlog")
+    assert network.stats.summary()["tuples_sent"] == 163
+    assert not calls
+
+
+# -- the one-log budget (PR 22) -------------------------------------------------
+
+
+def count_built(monkeypatch, cls, counts) -> None:
+    build = cls.__init__
+
+    def counted(self, *args, **kwargs):
+        counts[cls.__name__] += 1
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counted)
 
 
 def test_a_recorded_firing_is_one_pointer_and_views_are_built_on_read(monkeypatch):

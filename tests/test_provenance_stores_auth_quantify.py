@@ -15,9 +15,6 @@ from repro.engine.tuples import Fact
 from repro.provenance.authenticated import (
     AuthenticatedProvenance,
     ProvenanceVerificationError,
-    SignedAnnotation,
-    sign_annotation,
-    verify_annotation,
 )
 from repro.provenance.condensed import CondensedProvenance
 from repro.provenance.graph import DerivationGraph
@@ -44,8 +41,14 @@ from repro.provenance.taxonomy import (
     all_recommendations,
     recommend_provenance,
 )
+from repro.security.authenticator import (
+    AuthenticationError,
+    Authenticator,
+    SignedEnvelope,
+)
 from repro.security.keystore import KeyStore
 from repro.security.principal import PrincipalRegistry
+from repro.security.says import SaysMode
 
 
 ROUTE = Fact("bestPath", ("a", "c", ("a", "b", "c"), 2.0), timestamp=0.0, ttl=10.0)
@@ -179,22 +182,42 @@ class TestAuthenticatedProvenance:
             signed.verify(keystore, require_complete=True)
         assert signed.verify(keystore, require_complete=False)
 
+    # A piggy-backed annotation is authenticated by the one envelope of the
+    # tuple it rides on (SaysMode.SIGNED), not by a signature of its own.
+
     def test_signed_annotation_round_trip(self, keystore):
         annotation = CondensedProvenance.from_source("a")
-        signed = sign_annotation(annotation, "a", keystore)
-        assert verify_annotation(signed, keystore)
-        assert signed.wire_size() >= annotation.serialized_size() + 1
+        exporter = Authenticator("a", keystore, SaysMode.SIGNED)
+        importer = Authenticator("b", keystore, SaysMode.SIGNED)
+        shipped = exporter.export_fact(LINK.with_metadata(provenance=annotation), "b")
+        assert shipped.provenance is annotation
+        assert importer.import_fact(shipped).provenance is annotation
+        assert exporter.stats.tuples_signed == importer.stats.tuples_verified == 1
 
     def test_signed_annotation_forgery_detected(self, keystore):
-        annotation = CondensedProvenance.from_source("a")
-        forged = SignedAnnotation(annotation=annotation, principal="a", signature=b"\x01" * 16)
-        assert not verify_annotation(forged, keystore)
+        exporter = Authenticator("a", keystore, SaysMode.SIGNED)
+        importer = Authenticator("b", keystore, SaysMode.SIGNED)
+        shipped = exporter.export_fact(
+            LINK.with_metadata(provenance=CondensedProvenance.from_source("a")), "b"
+        )
+        for forged in (
+            shipped.with_metadata(provenance=CondensedProvenance.from_source("b")),
+            shipped.with_metadata(signature=SignedEnvelope(1, b"\x01" * 16)),
+        ):
+            with pytest.raises(AuthenticationError):
+                importer.import_fact(forged)
+        assert importer.stats.verification_failures == 2
+        assert importer.import_fact(shipped) is shipped  # the genuine one still does
 
     def test_signed_annotation_unknown_principal(self, keystore):
-        annotation = CondensedProvenance.from_source("zz")
-        forged = SignedAnnotation(annotation=annotation, principal="zz", signature=b"\x01" * 16)
-        with pytest.raises(ProvenanceVerificationError):
-            verify_annotation(forged, keystore)
+        importer = Authenticator("b", keystore, SaysMode.SIGNED)
+        forged = LINK.with_metadata(
+            asserted_by="zz",
+            signature=SignedEnvelope(1, b"\x01" * 16),
+            provenance=CondensedProvenance.from_source("zz"),
+        )
+        with pytest.raises(AuthenticationError, match="no public key"):
+            importer.import_fact(forged)
 
 
 class TestQuantify:

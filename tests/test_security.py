@@ -7,12 +7,16 @@ import random
 import pytest
 
 from repro.engine.tuples import Fact
-from repro.security.authenticator import AuthenticationError, Authenticator
+from repro.security.authenticator import (
+    AuthenticationError,
+    Authenticator,
+    SignedEnvelope,
+)
 from repro.security.keystore import KeyStore
 from repro.security.primes import generate_prime, is_probable_prime
 from repro.security.principal import Principal, PrincipalRegistry
 from repro.security.rsa import generate_keypair, sign, verify
-from repro.security.says import SaysMode
+from repro.security.says import SEQUENCE_BYTES, SaysMode
 
 
 class TestPrimes:
@@ -71,6 +75,14 @@ class TestRSA:
     def test_signature_has_fixed_size(self, keypair):
         assert len(sign(b"x", keypair)) == keypair.signature_bytes
         assert len(sign(b"a much longer message " * 10, keypair)) == keypair.signature_bytes
+
+    def test_only_the_canonical_length_verifies(self, keypair):
+        """Zero-padding a signature keeps its integer value, not its validity:
+        otherwise one signature has many byte forms and replay detection
+        cannot compare bytes."""
+        signature = sign(b"link(a,b)", keypair)
+        assert verify(b"link(a,b)", signature, keypair.public_key)
+        assert not verify(b"link(a,b)", b"\x00" + signature, keypair.public_key)
 
     def test_oversized_signature_rejected_cleanly(self, keypair):
         bogus = (keypair.n + 1).to_bytes(keypair.signature_bytes + 2, "big")
@@ -176,7 +188,7 @@ class TestSaysMode:
         signed = SaysMode.SIGNED.header_bytes("node1", 64)
         assert none == 0
         assert cleartext == len("node1")
-        assert signed == cleartext + 64
+        assert signed == cleartext + 64 + SEQUENCE_BYTES
 
 
 class TestAuthenticator:
@@ -189,7 +201,7 @@ class TestAuthenticator:
     def test_signed_export_import_round_trip(self, keystore):
         exporter = Authenticator("a", keystore, SaysMode.SIGNED)
         importer = Authenticator("b", keystore, SaysMode.SIGNED)
-        fact = exporter.export_fact(Fact("link", ("a", "b", 1.0)))
+        fact = exporter.export_fact(Fact("link", ("a", "b", 1.0)), "b")
         assert importer.import_fact(fact) == fact
         assert exporter.stats.tuples_signed == 1
         assert importer.stats.tuples_verified == 1
@@ -201,20 +213,31 @@ class TestAuthenticator:
 
     def test_import_rejects_unknown_principal(self, keystore):
         importer = Authenticator("b", keystore, SaysMode.SIGNED)
-        fact = Fact("link", ("a", "b", 1.0), asserted_by="stranger", signature=b"x" * 16)
+        fact = Fact(
+            "link",
+            ("a", "b", 1.0),
+            asserted_by="stranger",
+            signature=SignedEnvelope(1, b"x" * 16),
+        )
         with pytest.raises(AuthenticationError):
             importer.import_fact(fact)
 
     def test_import_rejects_bad_signature(self, keystore):
         importer = Authenticator("b", keystore, SaysMode.SIGNED)
-        fact = Fact("link", ("a", "b", 1.0), asserted_by="a", signature=b"\x01" * 16)
+        fact = Fact(
+            "link",
+            ("a", "b", 1.0),
+            asserted_by="a",
+            signature=SignedEnvelope(1, b"\x01" * 16),
+        )
         with pytest.raises(AuthenticationError):
             importer.import_fact(fact)
         assert importer.stats.verification_failures == 1
+        assert importer.stats.tuples_verified == 0  # counts what verified
 
     def test_cleartext_mode_attributes_only(self, keystore):
         exporter = Authenticator("a", keystore, SaysMode.CLEARTEXT)
-        fact = exporter.export_fact(Fact("link", ("a", "b", 1.0)))
+        fact = exporter.export_fact(Fact("link", ("a", "b", 1.0)), "b")
         assert fact.asserted_by == "a"
         assert fact.signature is None
 
@@ -222,11 +245,10 @@ class TestAuthenticator:
         exporter = Authenticator("a", keystore, SaysMode.NONE)
         importer = Authenticator("b", keystore, SaysMode.NONE)
         fact = Fact("link", ("a", "b", 1.0))
-        assert exporter.export_fact(fact) is fact
+        assert exporter.export_fact(fact, "b") is fact
         assert importer.import_fact(fact) is fact
 
     def test_wire_overhead_matches_mode(self, keystore):
-        fact = Fact("link", ("a", "b", 1.0))
-        assert Authenticator("a", keystore, SaysMode.NONE).wire_overhead(fact) == 0
-        signed = Authenticator("a", keystore, SaysMode.SIGNED).wire_overhead(fact)
-        assert signed == len(b"a") + keystore.signature_bytes()
+        assert Authenticator("a", keystore, SaysMode.NONE).wire_overhead() == 0
+        signed = Authenticator("a", keystore, SaysMode.SIGNED).wire_overhead()
+        assert signed == len(b"a") + keystore.signature_bytes() + SEQUENCE_BYTES

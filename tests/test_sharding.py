@@ -381,7 +381,7 @@ class TestDynamicsCountersEquivalence:
         "timer_events",
     )
 
-    def _drive(self, backend, shards=2):
+    def _drive(self, backend, shards=2, says_mode=SaysMode.NONE):
         from repro.datalog import localize_program, parse_program
         from repro.datalog.planner import compile_program
         from repro.engine.tuples import Fact
@@ -414,7 +414,7 @@ class TestDynamicsCountersEquivalence:
                 default_ttl=12.0,
                 track_dependencies=True,
                 provenance_mode=ProvenanceMode.CONDENSED,
-                says_mode=SaysMode.NONE,
+                says_mode=says_mode,
                 rederivation=True,
             ),
             options=NetOptions(
@@ -423,6 +423,7 @@ class TestDynamicsCountersEquivalence:
                 shard_mode="inline",
                 refresh_mode="wheel",
                 refresh_interval=5.0,
+                key_bits=128,
             ),
         )
         simulator = network.simulator
@@ -465,6 +466,22 @@ class TestDynamicsCountersEquivalence:
         for key in self.COUNTERS:
             assert summary[key] > 0, key
             assert summary[key] == sharded.stats.summary()[key], key
+
+    def test_signed_envelopes_and_anti_deltas_cross_shards(self):
+        """Under signed ``says`` every tuple and anti-delta that crosses a
+        shard boundary is opened from its decoded frame: same ledger, nothing
+        rejected, and the anti-deltas paid for their signatures."""
+        unsigned = self._drive("serial")
+        serial = self._drive("serial", says_mode=SaysMode.SIGNED)
+        sharded = self._drive("sharded", shards=4, says_mode=SaysMode.SIGNED)
+        _assert_equivalent(serial, sharded, relation="reachable")
+        for result in (serial, sharded):
+            stats = [e.authenticator.stats for e in result.engines.values()]
+            assert sum(s.verification_failures for s in stats) == 0
+            assert sum(s.tuples_verified for s in stats) > 0
+        signed, plain = serial.stats.summary(), unsigned.stats.summary()
+        assert signed["anti_delta_messages"] > 0
+        assert signed["anti_delta_bytes"] > plain["anti_delta_bytes"] > 0
 
 
 class TestShardedQueries:

@@ -33,6 +33,7 @@ from repro.net.events import (
     SoftStateRefresh,
 )
 from repro.net.message import (
+    AntiDelta,
     BatchItem,
     Message,
     MessageBatch,
@@ -41,10 +42,10 @@ from repro.net.message import (
     QueryClosureEntry,
 )
 from repro.net.transport import COMPRESS_MIN_BYTES, BinaryCodec
-from repro.provenance.authenticated import SignedAnnotation
 from repro.provenance.condensed import CondensedProvenance
 from repro.provenance.log import ProvenancePointer
 from repro.provenance.polynomial import ProvenanceExpression
+from repro.security.authenticator import SignedEnvelope
 
 
 # ---------------------------------------------------------------------------
@@ -58,13 +59,6 @@ def _same_provenance(a, b) -> bool:
         return False
     if isinstance(a, CondensedProvenance):
         return a.expression.monomials == b.expression.monomials
-    if isinstance(a, SignedAnnotation):
-        return (
-            a.principal == b.principal
-            and a.signature == b.signature
-            and a.annotation.expression.monomials
-            == b.annotation.expression.monomials
-        )
     return a == b
 
 
@@ -107,6 +101,17 @@ def _same_message(a, b) -> bool:
                 and x.provenance_bytes == y.provenance_bytes
                 for x, y in zip(a.items, b.items)
             )
+        )
+    if isinstance(a, AntiDelta):
+        return (
+            a.source == b.source
+            and a.destination == b.destination
+            and a.keys == b.keys
+            and a.sent_at == b.sent_at
+            and a.sequence == b.sequence
+            and a.security_bytes == b.security_bytes
+            and a.signature == b.signature
+            and a.size_bytes() == b.size_bytes()
         )
     if isinstance(a, QueryRequest):
         return (
@@ -164,14 +169,11 @@ def _sample_exports():
         timestamp=1.25,
         ttl=30.0,
         asserted_by="n1",
-        signature=b"\x01\x02sig",
+        signature=SignedEnvelope(41, b"\x01\x02sig"),
         provenance=_condensed(),
         origin="n1",
     )
     plain = Fact("link", ("n1", "n2"), timestamp=0.5)
-    signed = SignedAnnotation(
-        annotation=_condensed(), principal="n2", signature=b"\xffseal"
-    )
     entry = QueryClosureEntry(
         key=("bestPath", ("n1", "n3", 2.5)),
         node="n2",
@@ -226,10 +228,32 @@ def _sample_exports():
                 key=("link", ("n1", "n2")),
                 entries=(entry,),
                 missing=(("bestPath", ("n9", "n1", 1.0)),),
-                annotation=signed,
+                annotation=_condensed(),
                 annotation_bytes=48,
                 signature=b"resp-sig",
                 sent_at=0.0035,
+            ),
+        ),
+        (
+            0.005,
+            AntiDelta(
+                source="n1",
+                destination="n2",
+                keys=(("link", ("n1", "n2", 1.5)),),
+                sent_at=0.0045,
+                sequence=10,
+            ),
+        ),
+        (
+            0.006,
+            AntiDelta(
+                source="n1",
+                destination="n3",
+                keys=(("link", ("n1", "n2", 1.5)), ("link", ("n1", "n4", True))),
+                sent_at=0.0045,
+                sequence=11,
+                security_bytes=42,
+                signature=b"\x00\x07seal",
             ),
         ),
     ]
@@ -356,7 +380,19 @@ def _facts(draw):
         timestamp=draw(st.floats(min_value=0, max_value=1e6)),
         ttl=draw(st.one_of(st.none(), st.floats(min_value=0.001, max_value=1e3))),
         asserted_by=draw(st.one_of(st.none(), _addresses)),
-        signature=draw(st.one_of(st.none(), st.binary(max_size=16))),
+        # A raw ``bytes`` signature is outside the frame vocabulary: it rides
+        # the per-message pickle fallback.
+        signature=draw(
+            st.one_of(
+                st.none(),
+                st.builds(
+                    SignedEnvelope,
+                    st.integers(min_value=0, max_value=2**63),
+                    st.binary(max_size=16),
+                ),
+                st.binary(max_size=16),
+            )
+        ),
         provenance=provenance,
         origin=draw(st.one_of(st.none(), _addresses)),
     )

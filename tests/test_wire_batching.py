@@ -228,9 +228,9 @@ class TestFifoUnpack:
         engine = simulator.engines["b"]
         original = engine._admit
 
-        def recording_admit(fact, provenance, result):
+        def recording_admit(fact, result):
             admitted.append(fact.values)
-            return original(fact, provenance, result)
+            return original(fact, result)
 
         engine._admit = recording_admit
         simulator._deliver(self._batch(), deliver_at=0.0)

@@ -40,6 +40,14 @@ INV007  no dynamic code outside the rule compiler: a call to ``exec``,
         reaches it); a second ``exec`` site would need the same argument
         made, and tested, all over again.  (INV005 guarded the deprecated
         shims and retired with them; the number is not reused.)
+INV008  one signing path: ``rsa.sign`` / ``rsa.verify`` are reached — imported
+        by name, or called through the ``rsa`` module — only from
+        ``security/authenticator.py`` (the tuple / anti-delta envelope),
+        ``provenance/authenticated.py`` (graph signing for queries) and
+        ``net/query.py`` (response signing).  A shipped tuple is signed once
+        and verified once; a second per-tuple signing path regrowing in the
+        engine would double the largest cost of the heaviest configuration
+        and sign bytes the envelope does not bind.
 
 A finding on a line ending with ``# invariant: ok(INVxxx)`` is suppressed —
 the comment is the audit trail for deliberate exceptions.
@@ -65,6 +73,7 @@ RULES: Dict[str, str] = {
     "INV004": "iteration over unordered set in the hot path",
     "INV006": "unbounded module-level cache in provenance/engine/service/net",
     "INV007": "exec/eval/compile outside the rule compiler",
+    "INV008": "rsa.sign/rsa.verify reached outside the three signing modules",
 }
 
 #: Directories whose code runs inside the simulation loop.  The service
@@ -97,6 +106,17 @@ WALL_CLOCK = {
 #: NDlog rule compiler) that may call them.
 DYNAMIC_CODE = ("exec", "eval", "compile")
 CODE_GENERATOR = "datalog/codegen.py"
+
+#: The RSA primitives and the modules that may reach them: the three signing
+#: paths, the module that defines them and the package that re-exports them.
+RSA_PRIMITIVES = ("sign", "verify")
+RSA_CALLERS = (
+    "security/authenticator.py",
+    "provenance/authenticated.py",
+    "net/query.py",
+    "security/rsa.py",
+    "security/__init__.py",
+)
 
 ALLOW_PATTERN = re.compile(r"#\s*invariant:\s*ok\((INV\d{3})\)")
 
@@ -184,7 +204,7 @@ def _is_unbounded_memo_decorator(decorator: ast.AST) -> bool:
 
 
 class FileChecker(ast.NodeVisitor):
-    """Per-file visitor emitting INV001 / INV002 / INV004 / INV006 / INV007."""
+    """Per-file visitor emitting INV001 / INV002 / INV004 / INV006 – INV008."""
 
     def __init__(self, relative: str, allowed: Dict[int, Set[str]]) -> None:
         self.relative = relative
@@ -193,6 +213,7 @@ class FileChecker(ast.NodeVisitor):
         self.hot = _is_hot_path(relative)
         self.bounded = _is_bounded_state_path(relative)
         self.generator = relative == CODE_GENERATOR
+        self.signs = relative in RSA_CALLERS
 
     def _emit(self, rule: str, node: ast.AST, message: str) -> None:
         line = getattr(node, "lineno", 0)
@@ -241,12 +262,38 @@ class FileChecker(ast.NodeVisitor):
                     )
         self.generic_visit(node)
 
-    # -- INV001 / INV002 / INV007 ----------------------------------------------
+    # -- INV008 --------------------------------------------------------------
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        module = (node.module or "").split(".")
+        if not self.signs and module[-1] in ("rsa", "security"):
+            for alias in node.names:
+                if alias.name in RSA_PRIMITIVES:
+                    self._emit(
+                        "INV008",
+                        node,
+                        f"imports rsa.{alias.name}; tuples are sealed and "
+                        "opened through security/authenticator.py only",
+                    )
+        self.generic_visit(node)
+
+    # -- INV001 / INV002 / INV007 / INV008 ---------------------------------------
 
     def visit_Call(self, node: ast.Call) -> None:
         chain = _attribute_chain(node.func)
         if chain:
             head, tail = chain[0], chain[-1]
+            if (
+                tail in RSA_PRIMITIVES
+                and chain[-2:-1] == ["rsa"]
+                and not self.signs
+            ):
+                self._emit(
+                    "INV008",
+                    node,
+                    f"{'.'.join(chain)}() signs or verifies outside the "
+                    "envelope; go through security/authenticator.py",
+                )
             if (
                 tail in DYNAMIC_CODE
                 and chain[:-1] in ([], ["builtins"])
