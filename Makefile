@@ -47,6 +47,12 @@
 #                      identity share and distinct operands of the provenance
 #                      algebra's +, x and condense.  `make check` runs it at
 #                      N=8 / two flaps as a smoke.
+#   make engine-census - tools/engine_census.py on the bestpath_ndlog shape
+#                      (N=40): runs of same-relation deltas, the no-op share
+#                      of Table.expire / Database.table, index-bucket length at
+#                      each replace / remove, render calls by value type,
+#                      with_metadata copies per exported tuple.  `make check`
+#                      runs it at N=8 as a smoke.
 #   make lint        - static analysis: the NDlog program linter over every
 #                      in-tree program (warnings fail the build), the
 #                      determinism-invariant checker over src/repro, and —
@@ -60,9 +66,9 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check tier1 test bench-smoke scenarios-smoke shard-smoke examples-smoke service-smoke memory-smoke dynamics-smoke spine-smoke poly-census poly-census-smoke lint compileall ci
+.PHONY: check tier1 test bench-smoke scenarios-smoke shard-smoke examples-smoke service-smoke memory-smoke dynamics-smoke spine-smoke poly-census poly-census-smoke engine-census engine-census-smoke lint compileall ci
 
-check: lint test bench-smoke scenarios-smoke shard-smoke examples-smoke service-smoke memory-smoke dynamics-smoke spine-smoke poly-census-smoke
+check: lint test bench-smoke scenarios-smoke shard-smoke examples-smoke service-smoke memory-smoke dynamics-smoke spine-smoke poly-census-smoke engine-census-smoke
 
 tier1:
 	$(PYTHON) -m pytest -x -q
@@ -117,6 +123,13 @@ poly-census:
 
 poly-census-smoke:
 	$(PYTHON) tools/poly_census.py --provenance condensed --nodes 8 --flaps 2
+
+engine-census:
+	$(PYTHON) tools/engine_census.py --provenance ndlog --nodes 40
+
+engine-census-smoke:
+	$(PYTHON) tools/engine_census.py --provenance ndlog --nodes 8
+	$(PYTHON) tools/engine_census.py --provenance condensed --nodes 8 --flaps 2
 
 lint:
 	$(PYTHON) -m repro.datalog.lint --builtin --strict

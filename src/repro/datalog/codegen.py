@@ -178,7 +178,13 @@ class _FireWriter:
     def loop(self, step: JoinStep, bound: Bound) -> str:
         """Open the probe loop of *step*; returns the local naming each fact."""
         atom = step.atom_plan.atom
-        table = f"database.table({self.const(atom.name)}, {len(atom.terms)})"
+        name = self.const(atom.name)
+        # A subscript when the table exists (the engine binds every probed
+        # table before the first join); Database.table only creates.
+        table = (
+            f"(tables[{name}] if {name} in tables"
+            f" else database.table({name}, {len(atom.terms)}))"
+        )
         if step.probe.columns:
             key = _tuple([self.expr(term, bound) for term in step.probe.terms])
             probe = f"{table}.lookup({self.const(step.probe.columns)}, {key})"
@@ -233,6 +239,7 @@ def generate_fire(plan: RulePlan, delta_plan: DeltaPlan) -> Tuple[str, Callable]
     loops = delta_plan.steps + delta_plan.negated
     writer.batch(delta_plan.expression_batches[0], bound)
     if loops:
+        writer.emit("tables = database.by_name")
         writer.emit("firings = []")
     for position, step in enumerate(delta_plan.steps, start=1):
         fact = writer.loop(step, bound)

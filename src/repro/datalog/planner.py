@@ -221,8 +221,28 @@ class RulePlan:
         return plan
 
 
-#: (relation, arity, columns) — a hash index a delta batch will probe.
-IndexSpec = Tuple[str, int, Tuple[int, ...]]
+#: (relation, arity, index column sets) — a table a strand's joins probe and
+#: every hash index they probe it through.
+ProbeTable = Tuple[str, int, Tuple[Tuple[int, ...], ...]]
+
+
+@dataclass(frozen=True)
+class Strand:
+    """What one delta of a relation sets off, flattened for the delta loop.
+
+    ``pairs`` is every ``(plan, delta position)`` the delta is evaluated at,
+    in plan order then body order.  ``probes`` is every table those joins
+    read — the soft-state expiry set of the delta — each with the hash
+    indexes to build before the first join.  Built once per
+    :class:`CompiledProgram`; the node engine and ``evaluate_program`` bind it
+    to their database's tables and walk the same record.
+    """
+
+    pairs: Tuple[Tuple[RulePlan, int], ...] = ()
+    probes: Tuple[ProbeTable, ...] = ()
+
+
+_NO_STRAND = Strand()
 
 
 @dataclass(frozen=True)
@@ -232,15 +252,14 @@ class CompiledProgram:
     program: Program
     plans: Tuple[RulePlan, ...]
     triggers: Dict[str, Tuple[RulePlan, ...]] = field(default_factory=dict)
-    _index_specs: Dict[str, Tuple[IndexSpec, ...]] = field(
-        default_factory=dict, compare=False, repr=False
+    #: One :class:`Strand` per body relation, derived from ``triggers``.
+    strands: Dict[str, Strand] = field(
+        init=False, default_factory=dict, compare=False, repr=False
     )
-    _trigger_pairs: Dict[str, Tuple[Tuple[RulePlan, Tuple[int, ...]], ...]] = field(
-        default_factory=dict, compare=False, repr=False
-    )
-    _probe_relations: Dict[str, Tuple[Tuple[str, int], ...]] = field(
-        default_factory=dict, compare=False, repr=False
-    )
+
+    def __post_init__(self) -> None:
+        for relation, plans in self.triggers.items():
+            self.strands[relation] = _build_strand(relation, plans)
 
     def plans_for_head(self, predicate: str) -> Tuple[RulePlan, ...]:
         return tuple(p for p in self.plans if p.head.predicate == predicate)
@@ -248,73 +267,30 @@ class CompiledProgram:
     def plans_triggered_by(self, predicate: str) -> Tuple[RulePlan, ...]:
         return self.triggers.get(predicate, ())
 
-    def trigger_pairs(
-        self, predicate: str
-    ) -> Tuple[Tuple[RulePlan, Tuple[int, ...]], ...]:
-        """``(plan, delta positions)`` pairs for *predicate*, cached.
+    def strand(self, relation: str) -> Strand:
+        """The :class:`Strand` of *relation*; empty when no rule reads it."""
+        return self.strands.get(relation, _NO_STRAND)
 
-        The delta loop consults this per delta; recomputing the positions
-        each time was measurable on large runs.
-        """
-        cached = self._trigger_pairs.get(predicate)
-        if cached is None:
-            cached = tuple(
-                (plan, plan.trigger_indexes(predicate))
-                for plan in self.plans_triggered_by(predicate)
-            )
-            self._trigger_pairs[predicate] = cached
-        return cached
 
-    def index_specs_for(self, relation: str) -> Tuple[IndexSpec, ...]:
-        """Every hash index a delta of *relation* can probe, deduplicated.
-
-        The engine warms these once per same-relation delta batch instead of
-        letting the first probe of each rule build them lazily mid-join.
-        """
-        cached = self._index_specs.get(relation)
-        if cached is not None:
-            return cached
-        specs: List[IndexSpec] = []
-        seen: Set[IndexSpec] = set()
-        for plan in self.plans_triggered_by(relation):
-            for delta_index in plan.trigger_indexes(relation):
-                delta_plan = plan.delta_plan(delta_index)
-                for step in delta_plan.steps + delta_plan.negated:
-                    if not step.probe.columns:
-                        continue
-                    atom = step.atom_plan.atom
-                    spec = (atom.name, atom.arity, step.probe.columns)
-                    if spec not in seen:
-                        seen.add(spec)
-                        specs.append(spec)
-        result = tuple(specs)
-        self._index_specs[relation] = result
-        return result
-
-    def probe_relations_for(self, relation: str) -> Tuple[Tuple[str, int], ...]:
-        """Every ``(relation, arity)`` table deltas of *relation* will probe.
-
-        This is the soft-state expiry set: the engine expires these tables
-        once per same-relation delta batch (next to the index warm-up)
-        instead of on every probe of every binding inside the join loops.
-        """
-        cached = self._probe_relations.get(relation)
-        if cached is not None:
-            return cached
-        tables: List[Tuple[str, int]] = []
-        seen: Set[Tuple[str, int]] = set()
-        for plan in self.plans_triggered_by(relation):
-            for delta_index in plan.trigger_indexes(relation):
-                delta_plan = plan.delta_plan(delta_index)
-                for step in delta_plan.steps + delta_plan.negated:
-                    atom = step.atom_plan.atom
-                    key = (atom.name, atom.arity)
-                    if key not in seen:
-                        seen.add(key)
-                        tables.append(key)
-        result = tuple(tables)
-        self._probe_relations[relation] = result
-        return result
+def _build_strand(relation: str, plans: Sequence[RulePlan]) -> Strand:
+    pairs: List[Tuple[RulePlan, int]] = []
+    indexes: Dict[Tuple[str, int], List[Tuple[int, ...]]] = {}
+    for plan in plans:
+        for delta_index in plan.trigger_indexes(relation):
+            pairs.append((plan, delta_index))
+            delta_plan = plan.delta_plan(delta_index)
+            for step in delta_plan.steps + delta_plan.negated:
+                atom = step.atom_plan.atom
+                columns = indexes.setdefault((atom.name, atom.arity), [])
+                if step.probe.columns and step.probe.columns not in columns:
+                    columns.append(step.probe.columns)
+    return Strand(
+        pairs=tuple(pairs),
+        probes=tuple(
+            (name, arity, tuple(columns))
+            for (name, arity), columns in indexes.items()
+        ),
+    )
 
 
 def compile_rule(rule: Rule) -> RulePlan:

@@ -20,7 +20,10 @@ class Database:
 
     def __init__(self, catalog: Catalog) -> None:
         self._catalog = catalog
-        self._tables: Dict[str, Table] = {}
+        #: Relation name -> table.  Read directly (a subscript, no call) by
+        #: the generated joins and the node engine's store path; tables are
+        #: only ever added, and only by :meth:`table`.
+        self.by_name: Dict[str, Table] = {}
 
     # -- table access ---------------------------------------------------------
 
@@ -30,7 +33,7 @@ class Database:
 
     def table(self, relation: str, arity: Optional[int] = None) -> Table:
         """Return the table for *relation*, creating it on first access."""
-        existing = self._tables.get(relation)
+        existing = self.by_name.get(relation)
         if existing is not None:
             return existing
         if relation in self._catalog:
@@ -43,17 +46,17 @@ class Database:
                 f"relation {relation!r} is not in the catalog and no arity was given"
             )
         table = Table(schema)
-        self._tables[relation] = table
+        self.by_name[relation] = table
         return table
 
     def tables(self) -> Tuple[Table, ...]:
-        return tuple(self._tables.values())
+        return tuple(self.by_name.values())
 
     def relations(self) -> Tuple[str, ...]:
-        return tuple(self._tables)
+        return tuple(self.by_name)
 
     def __contains__(self, relation: str) -> bool:
-        return relation in self._tables
+        return relation in self.by_name
 
     # -- convenience ----------------------------------------------------------
 
@@ -62,34 +65,35 @@ class Database:
         return table.insert(fact, now=now)
 
     def delete(self, fact: Fact) -> bool:
-        if fact.relation not in self._tables:
+        if fact.relation not in self.by_name:
             return False
-        return self._tables[fact.relation].delete(fact)
+        return self.by_name[fact.relation].delete(fact)
 
     def facts(self, relation: str) -> Tuple[Fact, ...]:
-        if relation not in self._tables:
+        if relation not in self.by_name:
             return ()
-        return self._tables[relation].facts()
+        return self.by_name[relation].facts()
 
     def all_facts(self) -> Iterator[Fact]:
-        for table in self._tables.values():
+        for table in self.by_name.values():
             yield from table
 
     def count(self, relation: Optional[str] = None) -> int:
         if relation is not None:
-            return len(self._tables.get(relation, ()))
-        return sum(len(table) for table in self._tables.values())
+            return len(self.by_name.get(relation, ()))
+        return sum(len(table) for table in self.by_name.values())
 
     def expire(self, now: float) -> List[Fact]:
         """Expire soft state across every table; returns all expired facts."""
         expired: List[Fact] = []
-        for table in self._tables.values():
-            expired.extend(table.expire(now))
+        for table in self.by_name.values():
+            if table.has_soft_state:
+                expired.extend(table.expire(now))
         return expired
 
     def snapshot(self) -> Dict[str, Tuple[Tuple[object, ...], ...]]:
         """A plain-data snapshot of the database, useful in tests."""
         return {
             name: tuple(sorted(fact.values for fact in table))
-            for name, table in self._tables.items()
+            for name, table in self.by_name.items()
         }

@@ -23,12 +23,12 @@ from repro.datalog.planner import CompiledProgram, RulePlan
 from repro.engine.aggregates import AggregateState
 from repro.engine.database import Database
 from repro.engine.seminaive import (
+    BoundStrand,
     RuleFiring,
-    drain_delta_batches,
+    bind_strand,
     evaluate_plan_with_delta,
-    expire_probe_tables,
-    warm_probe_indexes,
 )
+from repro.engine.table import Table
 from repro.engine.tuples import Fact, FactKey
 from repro.provenance.condensed import CondensedProvenance
 from repro.provenance.log import DerivationLog, ProvenancePointer
@@ -208,9 +208,6 @@ def group_outgoing(outgoing: List[OutgoingFact]) -> Dict[str, List[OutgoingFact]
     return grouped
 
 
-_TTL_MISS = object()
-
-
 def _build_offline_archive(address: str, config: EngineConfig):
     """The offline archive selected by ``config.provenance_store``."""
     if config.provenance_store == "tiered":
@@ -253,6 +250,9 @@ class NodeEngine:
         from repro.datalog.catalog import Catalog
 
         self.database = Database(Catalog.from_program(compiled.program))
+        #: Relation -> its strand bound to this node's tables, filled by
+        #: :meth:`_drain` on the relation's first delta.
+        self._strands: Dict[str, BoundStrand] = {}
         self.authenticator = Authenticator(address, self.keystore, config.says_mode)
         self.aggregates: Dict[str, AggregateState] = {}
         self._ttl_cache: Dict[str, Optional[float]] = {}
@@ -272,6 +272,9 @@ class NodeEngine:
             self._maintains_provenance
             or self._track_dependencies
             or self._rederivation
+        )
+        self._records_derivations = (
+            self._maintains_provenance or self._track_dependencies
         )
         #: One-fixpoint deletion state (``rederivation=True`` only).
         #: Base-support polynomial per stored/exported tuple key — a sum of
@@ -335,12 +338,14 @@ class NodeEngine:
         The compiled plans carry their generated join functions, which
         cannot — and need not — cross a process boundary: every worker
         and the coordinator compile the identical program from its AST.  The
-        aggregate-head index holds references into those plans, so it is
-        dropped too; :meth:`attach_program` restores both.
+        aggregate-head index and the bound strands hold references into
+        those plans, so they are dropped too; :meth:`attach_program` restores
+        the first and :meth:`_drain` rebinds the second.
         """
         state = self.__dict__.copy()
         state["compiled"] = None
         state["_aggregate_heads"] = {}
+        state["_strands"] = {}
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -354,6 +359,7 @@ class NodeEngine:
         so any equivalent compilation restores identical behavior.
         """
         self.compiled = compiled
+        self._strands.clear()
         self._index_aggregate_heads()
 
     # -- public entry points ----------------------------------------------------
@@ -371,8 +377,8 @@ class NodeEngine:
 
         Tuples are admitted and locally fixpointed strictly in arrival
         order, sharing one :class:`ProcessingResult` /
-        :class:`ProcessingReport`, one delta queue, and one probe-index
-        warm-up memo.  A per-tuple wire message is a batch of one.
+        :class:`ProcessingReport` and one delta queue.  A per-tuple wire
+        message is a batch of one.
 
         The caller accounts the merged report once; the cost model is linear
         in its counters, so the charge equals the sum over the tuples.
@@ -381,7 +387,6 @@ class NodeEngine:
         """
         result = ProcessingResult()
         queue: Deque[Fact] = deque()
-        warmed: Set[str] = set()
         # Under the timer-wheel refresh plane remote deliveries run in wave
         # mode too: an arriving duplicate whose stored copy has aged past
         # the propagation threshold re-propagates, which is how one owner's
@@ -396,7 +401,7 @@ class NodeEngine:
                     continue
                 if self._store(verified, now, result):
                     queue.append(verified)
-                    self._drain(queue, now, result, warmed)
+                    self._drain(queue, now, result)
         finally:
             if wave_mode:
                 self._wave = None
@@ -509,7 +514,6 @@ class NodeEngine:
         """
         result = ProcessingResult()
         queue: Deque[Fact] = deque()
-        warmed: Set[str] = set()
         self._wave = set()
         try:
             for fact in facts:
@@ -517,7 +521,7 @@ class NodeEngine:
                 self._record_base(prepared)
                 if self._store(prepared, now, result):
                     queue.append(prepared)
-                    self._drain(queue, now, result, warmed)
+                    self._drain(queue, now, result)
         finally:
             self._wave = None
         return result
@@ -574,9 +578,10 @@ class NodeEngine:
         """Authenticate one received tuple and record its provenance.
 
         Returns the verified fact ready for local processing, or ``None``
-        when authentication rejected it (the rejection counters are recorded
-        on *result* either way).  Under signed ``says`` the one envelope check
-        covers the annotation and the support polynomial recorded below too.
+        when authentication rejected it or its arity is not its relation's
+        (the rejection counters are recorded on *result* either way).  Under
+        signed ``says`` the one envelope check covers the annotation and the
+        support polynomial recorded below too.
         """
         result.report.facts_received += 1
         result.report.payload_bytes_processed += fact.payload_size()
@@ -590,6 +595,12 @@ class NodeEngine:
                 return None
             if self._requires_signature:
                 result.report.facts_verified += 1
+
+        # A tuple shaped unlike its relation would index past its end in the
+        # key getter, or replace the genuine row it shares key columns with.
+        if len(verified.values) != self._table_for(verified).schema.arity:
+            result.report.facts_rejected += 1
+            return None
 
         # Sampled provenance (Section 5): received tuples obey the same
         # sampler as base facts and local derivations — verification above
@@ -620,9 +631,8 @@ class NodeEngine:
         return prepared
 
     def _ttl_for(self, relation: str) -> Optional[float]:
-        cached = self._ttl_cache.get(relation, _TTL_MISS)
-        if cached is not _TTL_MISS:
-            return cached
+        if relation in self._ttl_cache:
+            return self._ttl_cache[relation]
         ttl = self.config.default_ttl
         if relation in self.database.catalog:
             lifetime = self.database.catalog.schema(relation).lifetime
@@ -664,42 +674,43 @@ class NodeEngine:
         queue: Deque[Fact] = deque()
         if self._store(fact, now, result):
             queue.append(fact)
-            self._drain(queue, now, result, set())
+            self._drain(queue, now, result)
 
     def _drain(
-        self,
-        queue: Deque[Fact],
-        now: float,
-        result: ProcessingResult,
-        warmed: Set[str],
+        self, queue: Deque[Fact], now: float, result: ProcessingResult
     ) -> None:
-        """Run the local delta fixpoint in *queue* to empty.
+        """Run the local delta fixpoint in *queue* to empty, in FIFO order.
 
-        Deltas are drained as batches of consecutive same-relation tuples
-        (exact FIFO order preserved), so the hash indexes a batch probes are
-        warmed once per batch rather than once per delta; the *warmed* memo
-        additionally skips re-warming relations this drain (or, for
-        :meth:`receive_batch`, this whole incoming wire batch) has already
-        warmed — indexes are maintained incrementally once built.
+        One loop from a delta to the tables: the relation's bound strand
+        names the ``(plan, delta position)`` pairs to evaluate and holds the
+        tables they probe, which are expired here — only when their expiry
+        watermark says a scan is due — rather than inside the joins.
         """
-        for relation, batch, pairs in drain_delta_batches(queue, self.compiled):
-            if not pairs:
-                continue
-            warm_probe_indexes(self.compiled, relation, self.database, warmed)
-            expire_probe_tables(self.compiled, relation, self.database, now)
-            for delta in batch:
-                for plan, delta_indexes in pairs:
-                    for delta_index in delta_indexes:
-                        firings = evaluate_plan_with_delta(
-                            plan,
-                            self.database,
-                            delta,
-                            delta_index,
-                            collect_antecedents=self._collect_antecedents,
-                        )
-                        result.report.rule_firings += len(firings)
-                        for firing in firings:
-                            self._handle_firing(plan, firing, now, result, queue)
+        strands = self._strands
+        database = self.database
+        collect = self._collect_antecedents
+        report = result.report
+        handle = self._handle_firing
+        while queue:
+            delta = queue.popleft()
+            relation = delta.relation
+            if relation in strands:
+                pairs, probes = strands[relation]
+            else:
+                pairs, probes = strands[relation] = bind_strand(
+                    self.compiled, relation, database
+                )
+            for table in probes:
+                if table._soft_count and now >= table._next_expiry:
+                    table.expire(now)
+            for plan, delta_index in pairs:
+                firings = evaluate_plan_with_delta(
+                    plan, database, delta, delta_index, collect_antecedents=collect
+                )
+                if firings:
+                    report.rule_firings += len(firings)
+                    for firing in firings:
+                        handle(plan, firing, now, result, queue)
 
     def _handle_firing(
         self,
@@ -733,15 +744,23 @@ class NodeEngine:
             updated[head.aggregate_index] = changed
             derived_values = tuple(updated)
 
-        destination = (
-            str(firing.destination) if firing.destination is not None else self.address
-        )
+        address = self.address
+        destination = firing.destination
+        if destination is None:
+            destination = address
+        elif type(destination) is not str:
+            destination = str(destination)
+        predicate = head.atom.name
+        if predicate in self._ttl_cache:
+            ttl = self._ttl_cache[predicate]
+        else:
+            ttl = self._ttl_for(predicate)
         derived = Fact(
-            relation=head.predicate,
+            relation=predicate,
             values=derived_values,
             timestamp=now,
-            ttl=self._ttl_for(head.predicate),
-            origin=self.address,
+            ttl=ttl,
+            origin=address,
         )
         result.report.facts_derived += 1
 
@@ -749,15 +768,17 @@ class NodeEngine:
         if self._rederivation:
             support = self._support_product(firing.antecedents)
 
-        annotation = self._record_derivation(derived, plan, firing, now, result)
+        annotation = None
+        if self._records_derivations:
+            annotation = self._record_derivation(derived, plan, firing, now, result)
 
-        if destination == self.address:
+        if destination == address:
             if support is not None:
                 self._note_support(derived.key(), support)
             local_fact = derived
             if self._authenticates or annotation is not None:
                 local_fact = derived.with_metadata(
-                    asserted_by=self.address if self._authenticates else None,
+                    asserted_by=address if self._authenticates else None,
                     provenance=annotation,
                 )
             if self._store(local_fact, now, result):
@@ -1061,18 +1082,26 @@ class NodeEngine:
                     bucket = result.anti_deltas[destination] = []
                 bucket.append(key)
         if revived:
-            queue: Deque[Fact] = deque(revived)
-            self._drain(queue, now, result, set())
+            self._drain(deque(revived), now, result)
 
     # -- storage ------------------------------------------------------------------
 
+    def _table_for(self, fact: Fact) -> Table:
+        """The table of *fact*'s relation; a first-seen relation gets one of
+        the catalog's arity, or failing that the fact's own."""
+        tables = self.database.by_name
+        relation = fact.relation
+        if relation in tables:
+            return tables[relation]
+        return self.database.table(relation, arity=len(fact.values))
+
     def _store(self, fact: Fact, now: float, result: ProcessingResult) -> bool:
+        table = self._table_for(fact)
         wave = self._wave
         previous = None
         if wave is not None:
-            table = self.database.table(fact.relation, arity=len(fact.values))
             previous = table.get_by_values(fact.values)
-        insert = self.database.insert(fact, now=now)
+        insert = table.insert(fact, now=now)
         if insert.inserted:
             result.report.facts_inserted += 1
             result.new_facts.append(fact)

@@ -43,6 +43,7 @@ from repro.datalog.planner import CompiledProgram, RulePlan
 from repro.engine.aggregates import AggregateState
 from repro.engine.builtins import call_builtin
 from repro.engine.database import Database
+from repro.engine.table import Table
 from repro.engine.tuples import Derivation, Fact
 
 Bindings = Dict[str, object]
@@ -185,61 +186,30 @@ class RuleFiring:
     antecedents: Tuple[Fact, ...]
 
 
-def warm_probe_indexes(
-    compiled: CompiledProgram,
-    relation: str,
-    database: Database,
-    warmed: Optional[set] = None,
-) -> None:
-    """Build every hash index deltas of *relation* will probe, once.
+#: A :class:`~repro.datalog.planner.Strand` bound to one database: its
+#: ``(plan, delta position)`` pairs and the probed :class:`Table` objects.
+BoundStrand = Tuple[Tuple[Tuple[RulePlan, int], ...], Tuple[Table, ...]]
 
-    Called per same-relation delta batch so index construction is amortized
-    across the batch instead of happening lazily inside the first join.
 
-    *warmed* is an optional memo of relations already warmed within one
-    drain: once built, indexes are maintained incrementally on every insert
-    and delete, so re-checking the specs for a relation the same drain has
-    already warmed is pure overhead.  ``NodeEngine.receive_batch`` shares one
-    memo across a whole incoming wire batch.
+def bind_strand(
+    compiled: CompiledProgram, relation: str, database: Database
+) -> BoundStrand:
+    """Bind *relation*'s strand to *database*, building every probed index.
+
+    Called once per (database, relation) by the delta loops below and in the
+    node engine, which keep the result: indexes are maintained incrementally
+    once built (and rebuilt by the first probe after a table is cleared), and
+    a database never replaces a table, so the loop holds the tables it
+    expires instead of resolving them per delta.
     """
-    if warmed is not None:
-        if relation in warmed:
-            return
-        warmed.add(relation)
-    for name, arity, columns in compiled.index_specs_for(relation):
-        database.table(name, arity=arity).ensure_index(columns)
-
-
-def expire_probe_tables(
-    compiled: CompiledProgram, relation: str, database: Database, now: float
-) -> None:
-    """Expire every table deltas of *relation* will probe, once.
-
-    Called per same-relation delta batch (next to :func:`warm_probe_indexes`)
-    so soft-state expiry runs once per batch instead of inside the innermost
-    join loop on every probe of every binding.  ``now`` is constant across a
-    batch, so batch-level expiry sees exactly the facts per-probe expiry saw.
-    """
-    for name, arity in compiled.probe_relations_for(relation):
-        database.table(name, arity=arity).expire(now)
-
-
-def drain_delta_batches(queue: Deque[Fact], compiled: CompiledProgram):
-    """Yield ``(relation, batch, trigger_pairs)`` runs from a delta queue.
-
-    Each batch is the run of consecutive same-relation deltas at the queue
-    front, so FIFO order is preserved exactly — within a batch, across
-    batches, and for facts the caller appends while processing one (they are
-    seen when the generator resumes).  Shared by the per-node engine and the
-    single-site fixpoint evaluator so the batching semantics cannot drift
-    apart.
-    """
-    while queue:
-        relation = queue[0].relation
-        batch: List[Fact] = [queue.popleft()]
-        while queue and queue[0].relation == relation:
-            batch.append(queue.popleft())
-        yield relation, batch, compiled.trigger_pairs(relation)
+    strand = compiled.strand(relation)
+    tables = []
+    for name, arity, indexes in strand.probes:
+        table = database.table(name, arity=arity)
+        for columns in indexes:
+            table.ensure_index(columns)
+        tables.append(table)
+    return strand.pairs, tuple(tables)
 
 
 def evaluate_plan_with_delta(
@@ -260,9 +230,9 @@ def evaluate_plan_with_delta(
     (stratified semantics).  All of that is the plan's generated function
     (``DeltaPlan.fire``); this is the single door to it.
 
-    ``now`` expires the probed tables once, up front.  Callers that drain
-    delta batches (the node engine, :func:`evaluate_program`) expire per
-    batch via :func:`expire_probe_tables` instead and pass ``None`` here.
+    ``now`` expires the probed tables once, up front.  The delta loops (the
+    node engine, :func:`evaluate_program`) expire the tables of their bound
+    strand per delta instead and pass ``None`` here.
 
     ``collect_antecedents=False`` makes every firing report an empty
     antecedent tuple.  Antecedents feed only the provenance layer and
@@ -356,30 +326,35 @@ def evaluate_program(
             queue.append(fact)
 
     iterations = 0
-    for relation, batch, pairs in drain_delta_batches(queue, compiled):
-        if pairs:
-            warm_probe_indexes(compiled, relation, database)
-            expire_probe_tables(compiled, relation, database, now)
-        for delta in batch:
-            iterations += 1
-            for plan, delta_indexes in pairs:
-                for delta_index in delta_indexes:
-                    for firing in evaluate_plan_with_delta(
-                        plan, database, delta, delta_index
-                    ):
-                        derived = _make_fact(plan, firing, now, ttl_for(plan.head.predicate))
-                        accepted = _accept_firing(plan, firing, derived, database, aggregates, now)
-                        if accepted is not None:
-                            derivations.append(
-                                Derivation(
-                                    fact=accepted,
-                                    rule_label=plan.label,
-                                    node=accepted.origin,
-                                    antecedents=firing.antecedents,
-                                    timestamp=now,
-                                )
-                            )
-                            queue.append(accepted)
+    strands: Dict[str, BoundStrand] = {}
+    while queue:
+        delta = queue.popleft()
+        iterations += 1
+        relation = delta.relation
+        if relation in strands:
+            pairs, probes = strands[relation]
+        else:
+            pairs, probes = strands[relation] = bind_strand(
+                compiled, relation, database
+            )
+        for table in probes:
+            if table._soft_count and now >= table._next_expiry:
+                table.expire(now)
+        for plan, delta_index in pairs:
+            for firing in evaluate_plan_with_delta(plan, database, delta, delta_index):
+                derived = _make_fact(plan, firing, now, ttl_for(plan.head.predicate))
+                accepted = _accept_firing(plan, firing, derived, database, aggregates, now)
+                if accepted is not None:
+                    derivations.append(
+                        Derivation(
+                            fact=accepted,
+                            rule_label=plan.label,
+                            node=accepted.origin,
+                            antecedents=firing.antecedents,
+                            timestamp=now,
+                        )
+                    )
+                    queue.append(accepted)
 
     return FixpointResult(database=database, derivations=derivations, iterations=iterations)
 

@@ -15,7 +15,6 @@ while still letting the provenance layer track every distinct derivation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 
@@ -125,14 +124,15 @@ class Fact:
         """
         cached = self._payload_cache
         if cached is None:
-            rendered = ",".join(map(_render_value, self.values))
-            cached = f"{self.relation}({rendered})".encode("utf-8")
-            self._payload_cache = cached
+            cached = self._payload_cache = render_payload(self.relation, self.values)
         return cached
 
     def payload_size(self) -> int:
         """Number of payload bytes (used by the bandwidth model)."""
-        return len(self.payload())
+        cached = self._payload_cache
+        if cached is None:
+            cached = self.payload()
+        return len(cached)
 
     def with_metadata(
         self,
@@ -211,30 +211,36 @@ class Derivation:
         return f"{self.fact} <-[{self.rule_label} @ {self.node}]- {children}"
 
 
+def render_payload(relation: str, values: Sequence[Value]) -> bytes:
+    """The canonical serialization of ``relation(values)`` — the one renderer.
+
+    :meth:`Fact.payload` caches it per fact; the wire model sizes a bare
+    :data:`FactKey` through it without building a fact.
+    """
+    rendered = ",".join(
+        [value if type(value) is str else _render_value(value) for value in values]
+    )
+    return f"{relation}({rendered})".encode("utf-8")
+
+
 def _render_value(value: Value) -> str:
+    # Exact types first — they are nearly all the traffic; the ``isinstance``
+    # tests below only ever see subclasses and the odd ``bool`` / ``None``.
+    kind = type(value)
+    if kind is str:
+        return value
+    if kind is float:
+        return str(int(value)) if value.is_integer() else str(value)
+    if kind is int:
+        return str(value)
+    if kind is tuple or kind is list or isinstance(value, (tuple, list)):
+        # Path values (tuples of node names) are the common sequence: one
+        # C-level join, and only a sequence holding a non-string pays the
+        # per-element rendering.
+        try:
+            return "[" + "|".join(value) + "]"
+        except TypeError:
+            return "[" + "|".join(map(_render_value, value)) + "]"
     if isinstance(value, float) and value.is_integer():
         return str(int(value))
-    if isinstance(value, tuple):
-        for element in value:
-            if type(element) is not str:
-                break
-        else:
-            return _render_str_tuple(value)
-        return "[" + "|".join(_render_value(v) for v in value) + "]"
-    if isinstance(value, list):
-        return "[" + "|".join(_render_value(v) for v in value) + "]"
     return str(value)
-
-
-@lru_cache(maxsize=65536)
-def _render_str_tuple(value: tuple) -> str:
-    """Render an all-string tuple value, memoized.
-
-    Path values (tuples of node names) recur heavily across derived tuples —
-    every ``mid`` / ``path`` / ``bestPath`` fact re-ships its hop list — so
-    each distinct path renders once.  Only all-``str`` tuples are cached:
-    among equal values only those render identically (e.g. ``True`` and ``1``
-    are equal keys but render differently, so mixed tuples must not share
-    cache entries).
-    """
-    return "[" + "|".join(value) + "]"

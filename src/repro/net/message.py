@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from repro.engine.tuples import Fact, FactKey
+from repro.engine.tuples import Fact, FactKey, render_payload
 from repro.net.address import Address
 from repro.provenance.log import ProvenancePointer
 from repro.provenance.graph import DerivationNode
@@ -225,7 +225,7 @@ QUERY_FLAG_BYTES = 2
 
 def key_payload_bytes(key: FactKey) -> int:
     """Wire size of one serialized tuple key (same rendering as a fact payload)."""
-    return Fact(relation=key[0], values=key[1]).payload_size()
+    return len(render_payload(*key))
 
 
 def _memo_field():

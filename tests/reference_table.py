@@ -1,22 +1,11 @@
-"""Soft-state tables.
+"""The list-bucket ``Table`` this repository ran before index buckets became
+primary-key dicts — ``src/repro/engine/table.py`` at that commit, verbatim
+below the imports (only the class is renamed, ``ReferenceTable``).
 
-A :class:`Table` stores the facts of one relation at one node, with the
-semantics declarative networking inherits from P2:
-
-* **primary keys** — a newly inserted fact replaces any stored fact that
-  agrees on the relation's key columns (update semantics); with no declared
-  keys the whole tuple is the key, giving plain set semantics;
-* **soft state** — facts carry TTLs and are lazily expired whenever the table
-  is read or written at a later simulation time (the time-based sliding
-  window of Section 2.1);
-* **bounded size** — an optional maximum size evicts the oldest facts first.
-
-Tables also maintain hash indexes over requested column subsets so that the
-semi-naive join probes are O(matching tuples) rather than O(table).  An index
-bucket is an insertion-ordered ``dict`` keyed by primary key, so replacing or
-removing a fact costs the same whatever the bucket holds, and a probe still
-reads the facts in the order a list would have kept them: insertion order,
-in place on a refresh, at the end after a delete and re-insert.
+It is the reference ``tests/test_table_index_consistency.py`` replays random
+scripts against: same rows in the same order, same ``lookup`` order, same
+``_soft_count`` / ``_next_expiry``.  Its ``_reindex_replace`` / ``_remove_fact``
+walk a bucket to find one fact; do not tidy it, it is kept to be compared with.
 """
 
 from __future__ import annotations
@@ -27,10 +16,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.datalog.catalog import RelationSchema
 from repro.engine.tuples import Fact, Value
-
-
-#: One index bucket: primary key -> stored fact, in insertion order.
-_Bucket = Dict[Tuple[Value, ...], Fact]
 
 
 def _columns_getter(columns: Sequence[int]) -> Callable[[Tuple[Value, ...]], Tuple[Value, ...]]:
@@ -67,13 +52,13 @@ _INSERTED = InsertResult(inserted=True)
 _REFRESHED = InsertResult(inserted=False, refreshed=True)
 
 
-class Table:
+class ReferenceTable:
     """Facts of one relation at one node, with soft-state semantics."""
 
     def __init__(self, schema: RelationSchema) -> None:
         self.schema = schema
         self._rows: "OrderedDict[Tuple[Value, ...], Fact]" = OrderedDict()
-        self._indexes: Dict[Tuple[int, ...], Dict[Tuple[Value, ...], _Bucket]] = {}
+        self._indexes: Dict[Tuple[int, ...], Dict[Tuple[Value, ...], List[Fact]]] = {}
         self._index_getters: Dict[Tuple[int, ...], Callable] = {}
         self._primary_key = _columns_getter(schema.key_columns)
         #: Number of stored facts carrying a TTL; expiry scans are skipped
@@ -81,9 +66,7 @@ class Table:
         self._soft_count = 0
         #: Lower bound on the earliest ``timestamp + ttl`` among stored soft
         #: facts: lowered by every soft store/refresh, made exact by every
-        #: expiry scan that runs.  ``expire`` skips its scan below it — and so
-        #: do :meth:`insert` and the delta loops, which test the pair inline
-        #: and call ``expire`` only when a scan is due.
+        #: expiry scan that runs.  ``expire`` skips its scan below it.
         self._next_expiry = float("inf")
         #: Optional observer called with the batch of facts each expiry
         #: sweep removed.  The node engine hooks aggregate-head tables here
@@ -136,43 +119,34 @@ class Table:
 
     def insert(self, fact: Fact, now: Optional[float] = None) -> InsertResult:
         """Insert *fact*, applying primary-key replacement semantics."""
-        if now is not None and self._soft_count and now >= self._next_expiry:
+        if now is not None:
             self.expire(now)
 
-        values = fact.values
-        key = self._primary_key(values)
-        rows = self._rows
-        existing = rows.get(key)
+        key = self._primary_key(fact.values)
+        existing = self._rows.get(key)
 
-        if existing is None:
-            self._store(key, fact)
-            limit = self.schema.max_size
-            if limit is not None:
-                while len(rows) > limit:
-                    oldest_key = next(iter(rows))
-                    self._remove_fact(oldest_key, rows[oldest_key])
-            return _INSERTED
-
-        if existing.values == values:
+        if existing is not None and existing.values == fact.values:
             # Same tuple: refresh soft-state metadata in place.  The payload
             # depends only on relation/values, so an already rendered
             # serialization is handed to the refreshing copy — immediately
             # deduplicated derivations never pay the rendering twice.
             if fact._payload_cache is None and existing._payload_cache is not None:
                 fact._payload_cache = existing._payload_cache
-            rows[key] = fact
-            for columns, index in self._indexes.items():
-                bucket = index.get(self._index_getters[columns](values))
-                if bucket is not None and bucket.get(key) is existing:
-                    bucket[key] = fact
+            self._rows[key] = fact
+            self._reindex_replace(existing, fact)
             self._soft_count += (fact.ttl is not None) - (existing.ttl is not None)
             if fact.ttl is not None:
                 self._next_expiry = min(self._next_expiry, fact.timestamp + fact.ttl)
             return _REFRESHED
 
-        self._remove_fact(key, existing)
+        if existing is not None:
+            self._remove_fact(key, existing)
+            self._store(key, fact)
+            return InsertResult(inserted=True, replaced=existing)
+
         self._store(key, fact)
-        return InsertResult(inserted=True, replaced=existing)
+        self._enforce_max_size()
+        return _INSERTED
 
     def delete(self, fact: Fact) -> bool:
         """Delete the stored fact matching *fact*'s values; return True if removed."""
@@ -235,14 +209,13 @@ class Table:
         index = self._indexes.get(columns_key)
         if index is None:
             index = self._build_index(columns_key)
-        bucket = index.get(tuple(values))
-        return tuple(bucket.values()) if bucket else ()
+        return tuple(index.get(tuple(values), ()))
 
     def ensure_index(self, columns: Sequence[int]) -> None:
         """Build (if absent) the hash index over *columns*.
 
-        Used when a relation's strand is bound to a database, so every
-        index its joins probe exists before the first of them runs.
+        Used by the batched delta pipeline to warm every index a batch will
+        probe before the joins start.
         """
         columns_key = tuple(columns)
         if columns_key and columns_key not in self._indexes:
@@ -269,11 +242,7 @@ class Table:
             self._next_expiry = min(self._next_expiry, fact.timestamp + fact.ttl)
         for columns, index in self._indexes.items():
             bucket_key = self._index_getters[columns](fact.values)
-            bucket = index.get(bucket_key)
-            if bucket is None:
-                index[bucket_key] = {key: fact}
-            else:
-                bucket[key] = fact
+            index.setdefault(bucket_key, []).append(fact)
 
     def _remove_fact(self, key: Tuple[Value, ...], fact: Fact) -> None:
         self._rows.pop(key, None)
@@ -282,21 +251,44 @@ class Table:
         for columns, index in self._indexes.items():
             bucket_key = self._index_getters[columns](fact.values)
             bucket = index.get(bucket_key)
-            # Remove by identity: Fact equality ignores metadata, and only
-            # the object this table stored may leave the bucket.
-            if bucket is not None and bucket.get(key) is fact:
-                del bucket[key]
-                if not bucket:
-                    del index[bucket_key]
+            if bucket is None:
+                continue
+            # Remove by identity: Fact equality ignores metadata, so removing
+            # by value could evict a different-but-equal fact and leave this
+            # one as a stale reference in the bucket.
+            for position, stored in enumerate(bucket):
+                if stored is fact:
+                    del bucket[position]
+                    break
+            if not bucket:
+                del index[bucket_key]
+
+    def _reindex_replace(self, old: Fact, new: Fact) -> None:
+        for columns, index in self._indexes.items():
+            bucket = index.get(self._index_getters[columns](old.values))
+            if bucket is None:
+                continue
+            for i, stored in enumerate(bucket):
+                if stored is old:
+                    bucket[i] = new
+                    break
 
     def _build_index(
         self, columns: Tuple[int, ...]
-    ) -> Dict[Tuple[Value, ...], _Bucket]:
+    ) -> Dict[Tuple[Value, ...], List[Fact]]:
         getter = self._index_getters.get(columns)
         if getter is None:
             getter = self._index_getters[columns] = _columns_getter(columns)
-        index: Dict[Tuple[Value, ...], _Bucket] = {}
-        for key, fact in self._rows.items():
-            index.setdefault(getter(fact.values), {})[key] = fact
+        index: Dict[Tuple[Value, ...], List[Fact]] = {}
+        for fact in self._rows.values():
+            index.setdefault(getter(fact.values), []).append(fact)
         self._indexes[columns] = index
         return index
+
+    def _enforce_max_size(self) -> None:
+        limit = self.schema.max_size
+        if limit is None:
+            return
+        while len(self._rows) > limit:
+            oldest_key = next(iter(self._rows))
+            self._remove_fact(oldest_key, self._rows[oldest_key])

@@ -347,7 +347,8 @@ class TestModuleLevelCaches:
         ("@lru_cache(maxsize=65536)", "@functools.lru_cache(128)", "@lru_cache"),
     )
     def test_bounded_function_memo_allowed(self, tree, decorator):
-        # engine/tuples.py's _render_str_tuple is the in-tree instance.
+        # engine/tuples.py's _render_str_tuple was the in-tree instance until
+        # the renderer stopped needing it; src/ holds none today.
         (tree / "engine" / "tuples.py").write_text(
             "import functools\nfrom functools import lru_cache\n\n\n"
             f"{decorator}\ndef _render_str_tuple(value):\n    return '|'.join(value)\n",

@@ -118,6 +118,86 @@ class TestAuthentication:
         assert result.report.facts_rejected == 1
 
 
+SAYS_MODES = (SaysMode.NONE, SaysMode.CLEARTEXT, SaysMode.SIGNED)
+
+
+def shipped(sender, fact, destination):
+    """*fact* as *sender* would put it on the wire (sealed under signed says)."""
+    if sender.config.says_mode.authenticates:
+        return sender.authenticator.export_fact(fact, destination)
+    return fact
+
+
+@pytest.mark.parametrize("says_mode", SAYS_MODES, ids=lambda mode: mode.value)
+class TestMalformedArity:
+    """A received tuple shaped unlike its relation is a counted rejection."""
+
+    def pair(self, compiled, says_mode, keystore):
+        config = EngineConfig(
+            says_mode=says_mode, provenance_mode=ProvenanceMode.CONDENSED
+        )
+        return (
+            make_engine("b", compiled, config, keystore),
+            make_engine("a", compiled, config, keystore),
+        )
+
+    def assert_rejected(self, result, says_mode):
+        report = result.report
+        assert report.facts_received == 1
+        assert report.facts_rejected == 1
+        assert report.facts_inserted == 0
+        assert report.rule_firings == 0
+        # The envelope was genuine: the shape is what was refused.
+        assert report.verification_failures == 0
+        assert report.facts_verified == (1 if says_mode.requires_signature else 0)
+        assert result.outgoing == [] and result.new_facts == []
+
+    def test_short_tuple_is_rejected_not_raised(
+        self, compiled_best_path, keystore, says_mode
+    ):
+        sender, receiver = self.pair(compiled_best_path, says_mode, keystore)
+        short = shipped(sender, Fact("bestPath", ("a",), origin="b"), "a")
+        result = receiver.receive_batch([short], now=1.0)
+        self.assert_rejected(result, says_mode)
+        assert receiver.facts("bestPath") == ()
+        assert not receiver.provenance.knows(short.key())
+
+    def test_long_tuple_does_not_replace_the_genuine_row(
+        self, compiled_best_path, keystore, says_mode
+    ):
+        sender, receiver = self.pair(compiled_best_path, says_mode, keystore)
+        receiver.insert_base(Fact("link", ("a", "b", 1.0)))
+        before = receiver.database.snapshot()
+        long = shipped(
+            sender, Fact("link", ("a", "b", 1.0, "x", "y"), origin="b"), "a"
+        )
+        result = receiver.receive_batch([long], now=1.0)
+        self.assert_rejected(result, says_mode)
+        assert receiver.database.snapshot() == before
+        assert [fact.values for fact in receiver.facts("link")] == [("a", "b", 1.0)]
+
+    def test_first_seen_relation_keeps_the_arity_it_was_first_seen_with(
+        self, compiled_best_path, keystore, says_mode
+    ):
+        sender, receiver = self.pair(compiled_best_path, says_mode, keystore)
+        first = shipped(sender, Fact("gossip", ("a", 1), origin="b"), "a")
+        accepted = receiver.receive_batch([first], now=1.0)
+        assert accepted.report.facts_inserted == 1
+        assert accepted.report.facts_rejected == 0
+        for values in (("a",), ("a", 1, 2)):
+            changed = shipped(sender, Fact("gossip", values, origin="b"), "a")
+            self.assert_rejected(receiver.receive_batch([changed], now=2.0), says_mode)
+        assert [fact.values for fact in receiver.facts("gossip")] == [("a", 1)]
+        # A well-formed neighbour in the same wire batch is still admitted.
+        mixed = [
+            shipped(sender, Fact("gossip", ("a", 1, 2), origin="b"), "a"),
+            shipped(sender, Fact("gossip", ("a", 2), origin="b"), "a"),
+        ]
+        report = receiver.receive_batch(mixed, now=3.0).report
+        assert (report.facts_received, report.facts_rejected) == (2, 1)
+        assert report.facts_inserted == 1
+
+
 class TestProvenanceModes:
     def test_condensed_mode_ships_signed_annotation(self, compiled_best_path, keystore):
         config = EngineConfig(

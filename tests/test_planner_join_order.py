@@ -157,17 +157,39 @@ class TestCompiledPrograms:
             )
         )
         compiled = compile_program(program)
-        specs = compiled.index_specs_for("a")
-        assert ("b", 2, (0, 1)) in specs
-        # Cached value is returned on repeat calls.
-        assert compiled.index_specs_for("a") is specs
+        probes = compiled.strand("a").probes
+        assert probes == (("b", 2, ((0, 1),)),)
+        # Built once, by compile_program: the same record on every read.
+        assert compiled.strand("a") is compiled.strand("a")
 
     def test_trigger_pairs_cached(self):
         program = localize_program(
             parse_program("r1 out(@S, D) :- a(@S, D), b(@S, D).")
         )
         compiled = compile_program(program)
-        pairs = compiled.trigger_pairs("a")
-        assert [(plan.label, indexes) for plan, indexes in pairs] == [("r1", (0,))]
-        assert compiled.trigger_pairs("a") is pairs
-        assert compiled.trigger_pairs("unknown") == ()
+        pairs = compiled.strand("a").pairs
+        assert [(plan.label, index) for plan, index in pairs] == [("r1", 0)]
+        assert compiled.strand("a").pairs is pairs
+        assert compiled.strand("unknown").pairs == ()
+        assert compiled.strand("unknown").probes == ()
+
+    def test_strand_flattens_self_joins_and_merges_probe_indexes(self):
+        program = localize_program(
+            parse_program(
+                """
+                r1 out(@S, D) :- a(@S, D), a(@S, E), b(@S, D), D != E.
+                r2 out(@S, D) :- a(@S, D), b(@S, F), !c(@S, D), F != D.
+                """
+            )
+        )
+        strand = compile_program(program).strand("a")
+        assert [(plan.label, index) for plan, index in strand.pairs] == [
+            ("r1", 0), ("r1", 1), ("r2", 0),
+        ]
+        # One entry per probed table (the expiry set, negated atoms
+        # included), each with every distinct index the joins read it by.
+        assert {name: columns for name, _, columns in strand.probes} == {
+            "a": ((0,),),
+            "b": ((0, 1), (0,)),
+            "c": ((0, 1),),
+        }

@@ -396,7 +396,8 @@ HOSTILE = [
 
 WORDS = {
     "def", "fire", "database", "delta", "collect", "firings", "values", "relation",
-    "asserted_by", "table", "lookup", "facts", "append", "len", "if", "not", "or",
+    "asserted_by", "table", "tables", "by_name", "lookup", "facts", "append", "len",
+    "if", "not", "or",
     "is", "None", "return", "for", "in", "continue", "break", "else",
 }
 
@@ -575,6 +576,20 @@ def render_best_path():
     return "\n".join(chunks)
 
 
+def test_a_join_over_a_table_nobody_bound_creates_it_and_finds_nothing():
+    # Outside an engine nothing binds the probed tables first: the generated
+    # subscript misses and falls back to Database.table, as it always did.
+    plan = compile_rule(parse_rule("r h(X, Z) :- p(X, Y), q(Y, Z), !s(Z)."))
+    database = Database(Catalog())
+    delta = Fact("p", (1, 2))
+    assert evaluate_plan_with_delta(plan, database, delta, 0) == []
+    assert database.relations() == ("q",)
+    database.insert(Fact("q", (2, 3)))
+    (firing,) = evaluate_plan_with_delta(plan, database, delta, 0)
+    assert firing.head_values == (1, 3)
+    assert database.relations() == ("q", "s")
+
+
 def test_best_path_functions_match_the_golden_file():
     """A generator change shows up as a reviewable diff of this file.
 
@@ -646,9 +661,21 @@ def test_best_path_does_exactly_the_parents_work(monkeypatch):
     network = best_path_network()
     assert generated == SEVEN
 
-    counts = {"evals": 0, "firings": 0, "reported": 0, "lookups": 0, "inserts": 0}
+    counts = {
+        "evals": 0, "firings": 0, "reported": 0, "lookups": 0, "inserts": 0,
+        "tables resolved by a join": 0,
+    }
     evaluate = node_engine_module.evaluate_plan_with_delta
     lookup, insert, cpu_seconds = Table.lookup, Table.insert, CostModel.cpu_seconds
+    table = Database.table
+
+    def counted_table(self, relation, arity=None):
+        # The engine binds every probed table before the first join, so the
+        # generated functions subscript ``database.by_name`` and never get
+        # as far as this call.
+        caller = sys._getframe(1).f_code.co_filename
+        counts["tables resolved by a join"] += caller.startswith("<ndlog ")
+        return table(self, relation, arity=arity)
 
     def counted_evaluate(*args, **kwargs):
         firings = evaluate(*args, **kwargs)
@@ -674,6 +701,7 @@ def test_best_path_does_exactly_the_parents_work(monkeypatch):
     monkeypatch.setattr(Table, "lookup", counted_lookup)
     monkeypatch.setattr(Table, "insert", counted_insert)
     monkeypatch.setattr(CostModel, "cpu_seconds", counted_cost)
+    monkeypatch.setattr(Database, "table", counted_table)
     result = network.run()
     assert result.converged
     assert counts == {
@@ -682,6 +710,7 @@ def test_best_path_does_exactly_the_parents_work(monkeypatch):
         "reported": RULE_FIRINGS,
         "lookups": TABLE_LOOKUPS,
         "inserts": TABLE_INSERTS,
+        "tables resolved by a join": 0,
     }
 
     # Nothing is generated while running, first run or second.

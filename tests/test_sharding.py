@@ -245,6 +245,71 @@ class TestSerialEquivalence:
         # Same wire traffic overall, merely interleaved differently.
         assert sorted(serial_records) == sorted(sharded_records)
 
+    def test_malformed_tuples_end_as_rejections_on_both_backends(self, monkeypatch):
+        # A delivered tuple shaped unlike its relation used to raise out of
+        # the primary-key getter — through ``_deliver``, ending the run.
+        from repro.engine.node_engine import NodeEngine
+        from repro.engine.tuples import Fact
+        from repro.net.events import MessageDelivery
+        from repro.net.message import Message
+
+        topology = random_topology(10, seed=2)
+        plan = partition_topology(topology, 2, seed=0)
+        source, destination = plan.cut_links[0]
+        malformed = (
+            Fact("bestPath", (destination,), origin=source),
+            Fact("link", (destination, source, 1.0, "x", "y"), origin=source),
+            Fact("path", (destination, source), origin=source),
+        )
+
+        rejected = []
+        receive_batch = NodeEngine.receive_batch
+
+        def counted(self, facts, now):
+            result = receive_batch(self, facts, now)
+            rejected.append(result.report.facts_rejected)
+            return result
+
+        monkeypatch.setattr(NodeEngine, "receive_batch", counted)
+
+        def drive(simulator):
+            for address, facts in simulator.link_facts().items():
+                simulator.schedule(
+                    FactInjection(time=0.0, address=address, facts=tuple(facts))
+                )
+            assert simulator.run_until_idle()
+            del rejected[:]
+            for offset, fact in enumerate(malformed, start=1):
+                message = Message(source=source, destination=destination, fact=fact)
+                simulator.schedule(
+                    MessageDelivery(
+                        time=simulator.current_time() + offset, message=message
+                    )
+                )
+            assert simulator.run_until_idle()
+            return simulator.finish(), sum(rejected)
+
+        serial, serial_rejected = drive(
+            SimulationKernel(topology, compile_best_path(), EngineConfig(), key_bits=128)
+        )
+        sharded, sharded_rejected = drive(
+            ShardedSimulator(
+                topology, compile_best_path(), EngineConfig(), key_bits=128,
+                shards=2, shard_mode="inline",
+            )
+        )
+        assert serial_rejected == sharded_rejected == len(malformed)
+        _assert_equivalent(serial, sharded)
+        # Nothing stored: the genuine link row kept its three columns.
+        for relation in ("link", "path", "bestPath"):
+            assert _facts_by_node(serial, relation) == _facts_by_node(sharded, relation)
+            arities = {
+                len(values)
+                for rows in _facts_by_node(serial, relation).values()
+                for values in rows
+            }
+            assert len(arities) == 1, (relation, arities)
+
     def test_facade_builds_sharded_backend(self):
         network = Network.build(
             topology=10,

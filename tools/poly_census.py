@@ -59,7 +59,8 @@ def install() -> dict:
     return table
 
 
-def run(args: argparse.Namespace, table: dict) -> None:
+def build(args: argparse.Namespace):
+    """The named configuration, not yet run: ``(topology, network)``."""
     topology = random_topology(args.nodes, seed=args.seed)
     churn = {}
     if args.flaps is not None:
@@ -68,6 +69,11 @@ def run(args: argparse.Namespace, table: dict) -> None:
         topology=topology, program=args.program, provenance=args.provenance,
         seed=args.seed, **churn,
     )
+    return topology, network
+
+
+def run(args: argparse.Namespace, table: dict, topology, network) -> None:
+    """Converge; with ``--flaps`` reset *table* and flap the links."""
     assert network.run().converged, "the network did not converge"
     if args.flaps is None:
         return
@@ -95,7 +101,7 @@ def main() -> None:
                         help="flap K redundant links after convergence (0: all)")
     args = parser.parse_args()
     table = install()
-    run(args, table)
+    run(args, table, *build(args))
     print(f"{'operation':<10} {'calls':>7} {'identity':>9} {'distinct':>9}  operand monomial counts")
     for name, census in table.items():
         share = census.identity / census.calls if census.calls else 0.0
