@@ -17,8 +17,9 @@
 #   make shard-smoke - the sharded execution backend end-to-end at small N:
 #                      the serial-vs-sharded scaling benchmark (equivalence
 #                      asserted, speedup and coordination ledger reported),
-#                      plus every scenario script on sharded workers — in
-#                      worker processes, and inline at three shards.
+#                      plus shard-scenarios: every scenario script on sharded
+#                      workers — in worker processes, and inline at three
+#                      shards.
 #   make examples-smoke - run every examples/*.py end-to-end (small N),
 #                      failing on the first nonzero exit; keeps the facade
 #                      documentation executable.
@@ -37,7 +38,9 @@
 #                      bridge retraction (>=5x simulated-time improvement
 #                      asserted) and serial-vs-sharded byte-identity of
 #                      the six churn-plane counters at 2 and 4 shards;
-#                      writes BENCH_dynamics.json.
+#                      writes BENCH_dynamics.json.  Plus dynamics-scenarios:
+#                      the retraction script on the timer-wheel refresh
+#                      plane, serial and inline-sharded.
 #   make spine-smoke - the measurement spine (bench/run.py, the command
 #                      BENCHMARK.json names) at smoke sizes: all five
 #                      workloads, tracer, layer fold, expected-output checks
@@ -57,16 +60,20 @@
 #                      in-tree program (warnings fail the build), the
 #                      determinism-invariant checker over src/repro, and —
 #                      when installed — ruff over src/.
-#   make ci          - what the GitHub Actions workflow runs: the lint
-#                      suite, tier-1 tests, the benchmark smoke suite, the
-#                      scenario, shard, examples, service, memory,
-#                      dynamics and spine smoke runs, and a bytecode compile
-#                      of the whole source tree.
+#   make ci          - what the GitHub Actions workflow runs after its own
+#                      spine-smoke step: the lint suite, tier-1 tests, the
+#                      scenario, shard-scenario, examples, service and
+#                      dynamics-scenario runs, and a bytecode compile of the
+#                      whole source tree.  Each benchmark file runs once:
+#                      tier-1 already collects all of benchmarks/ at sizes
+#                      that contain every smoke size, so the pytest lines of
+#                      bench-, memory-, shard- and dynamics-smoke (which
+#                      `make check` keeps) are not repeated here.
 
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check tier1 test bench-smoke scenarios-smoke shard-smoke examples-smoke service-smoke memory-smoke dynamics-smoke spine-smoke poly-census poly-census-smoke engine-census engine-census-smoke lint compileall ci
+.PHONY: check tier1 test bench-smoke scenarios-smoke shard-smoke shard-scenarios examples-smoke service-smoke memory-smoke dynamics-smoke dynamics-scenarios spine-smoke poly-census poly-census-smoke engine-census engine-census-smoke lint compileall ci
 
 check: lint test bench-smoke scenarios-smoke shard-smoke examples-smoke service-smoke memory-smoke dynamics-smoke spine-smoke poly-census-smoke engine-census-smoke
 
@@ -83,9 +90,11 @@ bench-smoke:
 scenarios-smoke:
 	$(PYTHON) -m repro.harness.scenarios all --nodes 8
 
-shard-smoke:
+shard-smoke: shard-scenarios
 	REPRO_SCALE_N=24 REPRO_SHARD_ASSERT=0 \
 		$(PYTHON) -m pytest -x -q benchmarks/test_shard_scaling.py
+
+shard-scenarios:
 	$(PYTHON) -m repro.harness.scenarios all --nodes 8 \
 		--backend sharded --shards 2 --shard-mode processes
 	$(PYTHON) -m repro.harness.scenarios all --nodes 8 \
@@ -107,8 +116,10 @@ memory-smoke:
 	REPRO_BENCH_SIZES=10 REPRO_SCALE_N=24 REPRO_BENCH_CHURN_ROUNDS=3 \
 		$(PYTHON) -m pytest -x -q benchmarks/test_provenance_memory.py
 
-dynamics-smoke:
+dynamics-smoke: dynamics-scenarios
 	$(PYTHON) -m pytest -x -q benchmarks/test_dynamics.py
+
+dynamics-scenarios:
 	$(PYTHON) -m repro.harness.scenarios retraction --nodes 8 \
 		--refresh-mode wheel
 	$(PYTHON) -m repro.harness.scenarios retraction --nodes 8 \
@@ -143,4 +154,4 @@ lint:
 compileall:
 	$(PYTHON) -m compileall -q src
 
-ci: lint tier1 bench-smoke scenarios-smoke shard-smoke examples-smoke service-smoke memory-smoke dynamics-smoke spine-smoke compileall
+ci: lint tier1 scenarios-smoke shard-scenarios examples-smoke service-smoke dynamics-scenarios compileall

@@ -40,11 +40,11 @@ def test_local_vs_distributed_provenance(benchmark, capsys):
     local_result, distributed_result = benchmark.pedantic(run_both, rounds=1, iterations=1)
 
     # Local provenance pays communication up front.
-    local_bytes = local_result.stats.total_bytes()
-    distributed_bytes = distributed_result.stats.total_bytes()
-    shipping_overhead = local_result.stats.provenance_overhead_bytes()
+    local_bytes = local_result.stats.total("bytes_sent")
+    distributed_bytes = distributed_result.stats.total("bytes_sent")
+    shipping_overhead = local_result.stats.total("provenance_bytes_sent")
     assert shipping_overhead > 0
-    assert distributed_result.stats.provenance_overhead_bytes() == 0
+    assert distributed_result.stats.total("provenance_bytes_sent") == 0
     assert local_bytes > distributed_bytes
 
     # Distributed provenance pays at query time: count remote lookups needed

@@ -99,9 +99,10 @@ def test_scaling_topology(benchmark, kind, configuration):
     benchmark.extra_info["node_count"] = node_count
     benchmark.extra_info["events_processed"] = result.events_processed
     benchmark.extra_info["total_messages"] = result.stats.total_messages
-    benchmark.extra_info["batches_sent"] = result.stats.total_batches()
-    benchmark.extra_info["tuples_sent"] = result.stats.total_tuples_sent()
+    summary = result.summary()
+    benchmark.extra_info["batches_sent"] = summary["batches_sent"]
+    benchmark.extra_info["tuples_sent"] = summary["tuples_sent"]
     benchmark.extra_info["mean_tuples_per_batch"] = round(
-        result.stats.mean_tuples_per_batch(), 3
+        summary["mean_tuples_per_batch"], 3
     )
     benchmark.extra_info["simulated_completion_time_s"] = result.stats.completion_time

@@ -133,28 +133,18 @@ def main() -> None:
     )
     # The serial stats above include the traceback's query traffic, so
     # compare on the maintenance side of the ledger (and the fixpoint).
-    serial_stats, sharded_stats = network.stats, sharded.stats
     checks = {
-        "maintenance_bytes": (
-            serial_stats.maintenance_bytes(),
-            sharded_stats.maintenance_bytes(),
+        "maintenance_bytes": tuple(
+            side["total_bytes"] - side["query_bytes"] for side in (summary, ledger)
         ),
-        "maintenance_messages": (
-            serial_stats.total_messages - serial_stats.total_query_messages(),
-            sharded_stats.total_messages - sharded_stats.total_query_messages(),
+        "maintenance_messages": tuple(
+            side["total_messages"] - side["query_messages"]
+            for side in (summary, ledger)
         ),
-        "security_bytes": (
-            serial_stats.security_overhead_bytes(),
-            sharded_stats.security_overhead_bytes(),
-        ),
-        "provenance_bytes": (
-            serial_stats.provenance_overhead_bytes(),
-            sharded_stats.provenance_overhead_bytes(),
-        ),
-        "facts_derived": (
-            serial_stats.total_facts_derived(),
-            sharded_stats.total_facts_derived(),
-        ),
+        **{
+            key: (summary[key], ledger[key])
+            for key in ("security_bytes", "provenance_bytes", "facts_derived", "facts_rejected")
+        },
         "best_paths": (result.count("bestPath"), sharded_result.count("bestPath")),
     }
     assert all(left == right for left, right in checks.values()), checks

@@ -41,6 +41,19 @@ Quickstart::
     answer = network.query(route, at=route.origin)
     print(answer.complete, answer.messages, answer.bytes, answer.latency)
 
+Every statistic is a counter declared once, as a field of
+:class:`~repro.net.stats.NodeStats` (per node) or
+:class:`~repro.net.stats.NetworkStats` (per run):
+``network.stats.total("bytes_sent")`` reads any of them for the whole run,
+and ``network.stats.summary()`` reports the public ones in one flat
+dictionary — among them the security ledger of a signed run::
+
+    summary = network.stats.summary()
+    print(summary["signatures_created"],     # envelopes sealed
+          summary["facts_verified"],         # envelopes that verified, fresh
+          summary["verification_failures"],  # envelopes refused
+          summary["facts_rejected"])         # received tuples refused
+
 Presets mirror the paper's configurations (``"ndlog"``, ``"sendlog"``,
 ``"sendlog-prov"``, plus ``"condensed"`` / ``"distributed"`` /
 ``"full-local"``); every other knob lives on a validated

@@ -22,6 +22,16 @@ from repro.net.stats import NetworkStats
 from repro.service.slo import ServiceLevelReport, service_report
 
 
+def _total(name: str) -> property:
+    """A flat read-only attribute: the run's total of counter *name*."""
+    return property(lambda self: self.stats.total(name))
+
+
+def _summarised(key: str) -> property:
+    """A flat read-only attribute: the summary entry *key*."""
+    return property(lambda self: self.stats.summary()[key])
+
+
 @dataclass
 class RunResult:
     """Outcome of one network run, with its sweep coordinates."""
@@ -55,79 +65,34 @@ class RunResult:
 
     # -- headline metrics (flat, for sweep tables) -----------------------------
 
-    @property
-    def completion_time_s(self) -> float:
-        return self.stats.completion_time
-
-    @property
-    def bandwidth_mb(self) -> float:
-        return self.stats.total_bandwidth_mb()
-
-    @property
-    def total_messages(self) -> int:
-        return self.stats.total_messages
-
-    @property
-    def total_bytes(self) -> int:
-        return self.stats.total_bytes()
-
-    @property
-    def security_bytes(self) -> int:
-        return self.stats.security_overhead_bytes()
-
-    @property
-    def provenance_bytes(self) -> int:
-        return self.stats.provenance_overhead_bytes()
-
-    @property
-    def query_bytes(self) -> int:
-        return self.stats.total_query_bytes()
-
-    @property
-    def query_messages(self) -> int:
-        return self.stats.total_query_messages()
-
-    @property
-    def batches_sent(self) -> int:
-        return self.stats.total_batches()
-
-    @property
-    def tuples_sent(self) -> int:
-        return self.stats.total_tuples_sent()
-
-    @property
-    def facts_derived(self) -> int:
-        return self.stats.total_facts_derived()
+    completion_time_s = _total("completion_time")
+    total_messages = _total("total_messages")
+    total_bytes = _total("bytes_sent")
+    security_bytes = _total("security_bytes_sent")
+    provenance_bytes = _total("provenance_bytes_sent")
+    query_bytes = _total("query_bytes_sent")
+    query_messages = _total("query_messages_sent")
+    batches_sent = _total("batches_sent")
+    tuples_sent = _total("tuples_sent")
+    facts_derived = _total("facts_derived")
+    bandwidth_mb = _summarised("bandwidth_mb")
 
     # -- service-plane metrics (Network.serve) ---------------------------------
 
-    @property
-    def queries_completed(self) -> int:
-        return self.stats.total_queries_completed()
-
-    @property
-    def queries_rejected(self) -> int:
-        return self.stats.total_queries_rejected()
-
-    @property
-    def queries_shed(self) -> int:
-        return self.stats.total_queries_shed()
+    queries_completed = _total("queries_completed")
+    queries_rejected = _total("queries_rejected")
+    queries_shed = _total("queries_shed")
 
     @property
     def cache_hit_ratio(self) -> float:
-        return self.stats.cache_hit_ratio()
+        """Fraction of closure lookups the result cache answered (0.0 when idle)."""
+        hits = self.stats.total("cache_hits")
+        lookups = hits + self.stats.total("cache_misses")
+        return hits / lookups if lookups else 0.0
 
-    @property
-    def query_p50_ms(self) -> float:
-        return self.stats.query_latency_ms(0.50)
-
-    @property
-    def query_p95_ms(self) -> float:
-        return self.stats.query_latency_ms(0.95)
-
-    @property
-    def query_p99_ms(self) -> float:
-        return self.stats.query_latency_ms(0.99)
+    query_p50_ms = _summarised("query_p50_ms")
+    query_p95_ms = _summarised("query_p95_ms")
+    query_p99_ms = _summarised("query_p99_ms")
 
     def service(self) -> Optional[ServiceLevelReport]:
         """The SLO report for this result's serve window, or ``None`` for a

@@ -131,21 +131,6 @@ class ProcessingReport:
     provenance_annotations: int = 0
     provenance_bytes_computed: int = 0
 
-    def merge(self, other: "ProcessingReport") -> None:
-        self.facts_received += other.facts_received
-        self.facts_verified += other.facts_verified
-        self.verification_failures += other.verification_failures
-        self.facts_rejected += other.facts_rejected
-        self.signatures_created += other.signatures_created
-        self.facts_inserted += other.facts_inserted
-        self.facts_derived += other.facts_derived
-        self.facts_retracted += other.facts_retracted
-        self.rederivations += other.rederivations
-        self.rule_firings += other.rule_firings
-        self.payload_bytes_processed += other.payload_bytes_processed
-        self.provenance_annotations += other.provenance_annotations
-        self.provenance_bytes_computed += other.provenance_bytes_computed
-
 
 @dataclass(eq=False, slots=True)
 class OutgoingFact:

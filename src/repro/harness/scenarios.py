@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.network import Network
@@ -52,7 +52,7 @@ from repro.net.events import (
     SoftStateRefresh,
 )
 from repro.net.kernel import SimulationKernel
-from repro.net.stats import bucket_percentile
+from repro.net.stats import NetworkStats, bucket_percentile
 from repro.net.topology import Topology, line_topology, random_topology
 from repro.queries.best_path import compile_best_path
 from repro.queries.reachable import REACHABLE_LOCALIZED
@@ -216,6 +216,13 @@ class Scenario:
     details: Dict[str, object] = field(default_factory=dict)
 
 
+def _counted(counter: str, per: float = 0.0, gauge: bool = False):
+    """A :class:`PhaseRow` column read from the run counter *counter*
+    (:meth:`NetworkStats.total`): its growth during the phase, divided by
+    *per* when given — or, for a *gauge*, its end-of-phase reading."""
+    return field(metadata={"counter": counter, "per": per, "gauge": gauge})
+
+
 @dataclass(frozen=True)
 class PhaseRow:
     """Convergence and overhead metrics for one scenario phase.
@@ -237,60 +244,35 @@ class PhaseRow:
     completion_time: float
     converged: bool
     events: int
-    messages: int
-    kilobytes: float
-    tuples_sent: int
-    messages_lost: int
-    facts_retracted: int
+    messages: int = _counted("total_messages")
+    kilobytes: float = _counted("bytes_sent", per=1000.0)
+    tuples_sent: int = _counted("tuples_sent")
+    messages_lost: int = _counted("messages_lost")
+    facts_retracted: int = _counted("facts_retracted")
     probe_facts: int
-    query_messages: int = 0
-    query_kilobytes: float = 0.0
-    provenance_bytes_resident: int = 0
-    provenance_bytes_spilled: int = 0
-    spill_reads: int = 0
+    query_messages: int = _counted("query_messages_sent")
+    query_kilobytes: float = _counted("query_bytes_sent", per=1000.0)
+    provenance_bytes_resident: int = _counted("provenance_bytes_resident", gauge=True)
+    provenance_bytes_spilled: int = _counted("provenance_bytes_spilled")
+    spill_reads: int = _counted("spill_reads")
     #: Service-plane columns (``ServeQueries`` phases): p95 simulated
     #: latency of the queries that completed during the phase, the phase's
     #: cache hit percentage, and admission denials.  All deltas, zero in
     #: phases that served no queries.
-    query_p95_ms: float = 0.0
-    cache_hit_pct: float = 0.0
-    rejected: int = 0
+    query_p95_ms: float
+    cache_hit_pct: float
+    rejected: int = _counted("queries_rejected")
     #: Soft-state dynamics columns: tuples kept alive by an alternative
     #: derivation during a one-fixpoint deletion pass, the anti-delta and
     #: refresh-plane wire traffic, and timer-wheel fires — all per-phase
     #: deltas.
-    rederivations: int = 0
-    anti_delta_messages: int = 0
-    refresh_messages: int = 0
-    timer_events: int = 0
+    rederivations: int = _counted("rederivations")
+    anti_delta_messages: int = _counted("anti_delta_messages")
+    refresh_messages: int = _counted("refresh_messages")
+    timer_events: int = _counted("timer_events")
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "scenario": self.scenario,
-            "phase": self.phase,
-            "start_time": self.start_time,
-            "completion_time": self.completion_time,
-            "converged": self.converged,
-            "events": self.events,
-            "messages": self.messages,
-            "kilobytes": self.kilobytes,
-            "tuples_sent": self.tuples_sent,
-            "messages_lost": self.messages_lost,
-            "facts_retracted": self.facts_retracted,
-            "probe_facts": self.probe_facts,
-            "query_messages": self.query_messages,
-            "query_kilobytes": self.query_kilobytes,
-            "provenance_bytes_resident": self.provenance_bytes_resident,
-            "provenance_bytes_spilled": self.provenance_bytes_spilled,
-            "spill_reads": self.spill_reads,
-            "query_p95_ms": self.query_p95_ms,
-            "cache_hit_pct": self.cache_hit_pct,
-            "rejected": self.rejected,
-            "rederivations": self.rederivations,
-            "anti_delta_messages": self.anti_delta_messages,
-            "refresh_messages": self.refresh_messages,
-            "timer_events": self.timer_events,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -354,7 +336,7 @@ def run_scenario(scenario: Scenario, network) -> ScenarioReport:
     """
     simulator = getattr(network, "simulator", network)
     rows: List[PhaseRow] = []
-    previous = _counters(simulator)
+    before, events_before = _snapshot(simulator)
     current = 0.0
     for phase in scenario.phases:
         start = current + phase.gap
@@ -364,7 +346,7 @@ def run_scenario(scenario: Scenario, network) -> ScenarioReport:
         converged = simulator.run_until_idle()
         end = max(simulator.current_time(), start)
         simulator.expire_all(end)
-        counters = _counters(simulator)
+        after, events_after = _snapshot(simulator)
         rows.append(
             PhaseRow(
                 scenario=scenario.name,
@@ -372,88 +354,53 @@ def run_scenario(scenario: Scenario, network) -> ScenarioReport:
                 start_time=start,
                 completion_time=end,
                 converged=converged,
-                events=counters["events"] - previous["events"],
-                messages=counters["messages"] - previous["messages"],
-                kilobytes=(counters["bytes"] - previous["bytes"]) / 1000.0,
-                tuples_sent=counters["tuples"] - previous["tuples"],
-                messages_lost=counters["lost"] - previous["lost"],
-                facts_retracted=counters["retracted"] - previous["retracted"],
+                events=events_after - events_before,
                 probe_facts=_probe_count(simulator, scenario.probe_relation),
-                query_messages=counters["query_messages"]
-                - previous["query_messages"],
-                query_kilobytes=(
-                    counters["query_bytes"] - previous["query_bytes"]
-                )
-                / 1000.0,
-                # Residency is a gauge: report the end-of-phase value, not a
-                # delta.  Spill bytes/reads are cumulative, so delta them.
-                provenance_bytes_resident=counters["prov_resident"],
-                provenance_bytes_spilled=counters["prov_spilled"]
-                - previous["prov_spilled"],
-                spill_reads=counters["spill_reads"] - previous["spill_reads"],
-                query_p95_ms=_phase_p95(
-                    counters["latency_hist"], previous["latency_hist"]
-                ),
-                cache_hit_pct=_phase_hit_pct(counters, previous),
-                rejected=counters["q_rejected"] - previous["q_rejected"],
-                rederivations=counters["rederivations"]
-                - previous["rederivations"],
-                anti_delta_messages=counters["anti_deltas"]
-                - previous["anti_deltas"],
-                refresh_messages=counters["refresh_messages"]
-                - previous["refresh_messages"],
-                timer_events=counters["timer_events"]
-                - previous["timer_events"],
+                query_p95_ms=_phase_p95(after, before),
+                cache_hit_pct=_phase_hit_pct(after, before),
+                **{
+                    spec.name: _phase_column(spec.metadata, after, before)
+                    for spec in fields(PhaseRow)
+                    if "counter" in spec.metadata
+                },
             )
         )
-        previous = counters
+        before, events_before = after, events_after
         current = end
     return ScenarioReport(scenario=scenario, rows=rows, simulator=simulator)
 
 
-def _counters(simulator) -> Dict[str, object]:
-    stats = simulator.stats
-    return {
-        "events": simulator.scheduler.events_scheduled,
-        "messages": stats.total_messages,
-        "bytes": stats.total_bytes(),
-        "tuples": stats.total_tuples_sent(),
-        "lost": stats.messages_lost,
-        "retracted": stats.total_facts_retracted(),
-        "query_messages": stats.total_query_messages(),
-        "query_bytes": stats.total_query_bytes(),
-        "prov_resident": stats.total_provenance_resident_bytes(),
-        "prov_spilled": stats.total_provenance_spilled_bytes(),
-        "spill_reads": stats.total_spill_reads(),
-        # Service plane: rejection/cache counters plus the latency-bucket
-        # histogram itself, so phases can report *their* p95 as a delta.
-        "q_rejected": stats.total_queries_rejected(),
-        "cache_hits": stats.total_cache_hits(),
-        "cache_misses": stats.total_cache_misses(),
-        "latency_hist": stats.query_latency_histogram(),
-        # Soft-state dynamics: one-fixpoint deletion and refresh-plane work.
-        "rederivations": stats.total_rederivations(),
-        "anti_deltas": stats.total_anti_delta_messages(),
-        "refresh_messages": stats.total_refresh_messages(),
-        "timer_events": stats.total_timer_events(),
-    }
+def _snapshot(simulator) -> Tuple[NetworkStats, int]:
+    """A copy of the run's statistics (the serial kernel's are live) and the
+    scheduled-event count."""
+    return (
+        NetworkStats.merged([simulator.stats]),
+        simulator.scheduler.events_scheduled,
+    )
 
 
-def _phase_p95(now: Dict[int, int], before: Dict[int, int]) -> float:
+def _phase_column(column, after: NetworkStats, before: NetworkStats):
+    now = after.total(column["counter"])
+    if column["gauge"]:
+        return now
+    delta = now - before.total(column["counter"])
+    return delta / column["per"] if column["per"] else delta
+
+
+def _phase_p95(after: NetworkStats, before: NetworkStats) -> float:
     """p95 latency (ms) of the queries that completed during one phase."""
+    then = before.total("query_latency_buckets")
     delta = {
-        bucket: count - before.get(bucket, 0)
-        for bucket, count in now.items()
-        if count - before.get(bucket, 0) > 0
+        bucket: count - then.get(bucket, 0)
+        for bucket, count in after.total("query_latency_buckets").items()
+        if count - then.get(bucket, 0) > 0
     }
     return bucket_percentile(delta, 0.95)
 
 
-def _phase_hit_pct(
-    counters: Dict[str, object], previous: Dict[str, object]
-) -> float:
-    hits = counters["cache_hits"] - previous["cache_hits"]
-    misses = counters["cache_misses"] - previous["cache_misses"]
+def _phase_hit_pct(after: NetworkStats, before: NetworkStats) -> float:
+    hits = after.total("cache_hits") - before.total("cache_hits")
+    misses = after.total("cache_misses") - before.total("cache_misses")
     probes = hits + misses
     return 100.0 * hits / probes if probes else 0.0
 

@@ -1186,6 +1186,10 @@ class SimulationKernel:
         node_stats.facts_stored += report.facts_inserted
         node_stats.facts_retracted += report.facts_retracted
         node_stats.rederivations += report.rederivations
+        node_stats.signatures_created += report.signatures_created
+        node_stats.facts_verified += report.facts_verified
+        node_stats.verification_failures += report.verification_failures
+        node_stats.facts_rejected += report.facts_rejected
 
     def _ship_anti_deltas(
         self,

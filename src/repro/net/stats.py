@@ -11,13 +11,21 @@ Per-node statistics additionally break down CPU time, message counts and the
 bytes attributable to security envelopes and provenance annotations, which
 the harness uses to explain *where* the SeNDlog / SeNDlogProv overheads come
 from.
+
+Every counter is declared once, as a field of :class:`NodeStats` (per node)
+or :class:`NetworkStats` (per run).  How two records of it merge follows
+from the declaration (see :func:`merge_rule`); :meth:`NetworkStats.total`
+reads any of them for the whole run, and :data:`SUMMARY` names the ones
+:meth:`NetworkStats.summary` reports.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Union
+from dataclasses import MISSING, Field, dataclass, field, fields
+from functools import reduce
+from operator import add
+from typing import Callable, Dict, Iterable, Optional, Tuple, Union
 
 from repro.net.address import Address
 from repro.net.message import (
@@ -71,6 +79,38 @@ def bucket_percentile(histogram: Dict[int, int], fraction: float) -> float:
     return bucket_upper_ms(max(histogram))
 
 
+# -- merge rules ----------------------------------------------------------------
+
+
+def _fold(mine: Dict[int, int], theirs: Dict[int, int]) -> Dict[int, int]:
+    """Histogram merge: bucket by bucket, into a new dict in bucket order."""
+    folded = dict(mine)
+    for bucket, count in theirs.items():
+        folded[bucket] = folded.get(bucket, 0) + count
+    return dict(sorted(folded.items()))
+
+
+def merge_rule(spec: Field) -> Optional[Callable]:
+    """How two records' values of the field *spec* combine.
+
+    The rule its metadata declares (``max`` for an instant; ``None`` for an
+    identity such as ``NodeStats.address``), else one that follows from its
+    default: a number adds, a ``dict`` histogram folds bucket by bucket.
+    """
+    if "merge" in spec.metadata:
+        return spec.metadata["merge"]
+    return _fold if spec.default_factory is dict else add
+
+
+def _merge_fields(mine, theirs) -> None:
+    """Fold every field of *theirs* into *mine* by its declared rule."""
+    for spec in fields(mine):
+        rule = merge_rule(spec)
+        if rule is not None:
+            name = spec.name
+            setattr(mine, name, rule(getattr(mine, name), getattr(theirs, name)))
+
+
 @dataclass
 class NodeStats:
     """Counters for one node.
@@ -89,7 +129,7 @@ class NodeStats:
     bill a traceback to its asker.
     """
 
-    address: Address
+    address: Address = field(metadata={"merge": None})
     messages_sent: int = 0
     messages_received: int = 0
     bytes_sent: int = 0
@@ -121,6 +161,17 @@ class NodeStats:
     facts_derived: int = 0
     facts_stored: int = 0
     facts_retracted: int = 0
+    #: Security ledger (signed ``says``): envelopes this node sealed, tuples
+    #: and anti-deltas alike; received envelopes that verified *and* were
+    #: fresh (a genuine envelope refused as stale is a failure, not a
+    #: verification); envelopes it refused — bad signature, sealed for
+    #: another node, stale sequence, missing attribution; and received
+    #: tuples or anti-deltas it rejected for any reason, a failed envelope
+    #: or a tuple shaped unlike its relation.
+    signatures_created: int = 0
+    facts_verified: int = 0
+    verification_failures: int = 0
+    facts_rejected: int = 0
     #: Dynamics ledger (one-fixpoint deletions and the timer-wheel refresh
     #: plane): tuples this node revived because an alternative derivation
     #: survived a retraction cascade; DRed anti-delta wire messages/bytes it
@@ -139,11 +190,14 @@ class NodeStats:
     #: kernel expiry sweeps and sharded stats requests): bytes of provenance
     #: resident in memory, cumulative bytes written to the spill log, and
     #: entries read back from it.  Zero spill under the in-memory archive.
+    #: Each node's archive lives on exactly one kernel, so the gauges are
+    #: nonzero in at most one merged source and adding them is exact.
     provenance_bytes_resident: int = 0
     provenance_bytes_spilled: int = 0
     spill_reads: int = 0
     cpu_seconds: float = 0.0
-    busy_until: float = 0.0
+    #: An instant, not a quantity: merged records keep the latest.
+    busy_until: float = field(default=0.0, metadata={"merge": max})
     batch_sizes: Dict[int, int] = field(default_factory=dict)
     #: Integer histograms (bucket -> count, buckets per :func:`latency_bucket`)
     #: of completed service-query latencies this node issued, and of the age
@@ -179,67 +233,40 @@ class NodeStats:
         """Fold *other*'s counters into this record (same node, two sources).
 
         Used when reassembling per-shard statistics into one run record and
-        when aggregating repeated runs of one sweep point.  Counters add;
-        ``busy_until`` — an instant, not a quantity — takes the latest.
+        when aggregating repeated runs of one sweep point.  Every field
+        merges by its declared rule (:func:`merge_rule`).
         """
         if other.address != self.address:
             raise ValueError(
                 f"cannot merge stats of node {other.address!r} into node "
                 f"{self.address!r}"
             )
-        self.messages_sent += other.messages_sent
-        self.messages_received += other.messages_received
-        self.bytes_sent += other.bytes_sent
-        self.bytes_received += other.bytes_received
-        self.security_bytes_sent += other.security_bytes_sent
-        self.provenance_bytes_sent += other.provenance_bytes_sent
-        self.batches_sent += other.batches_sent
-        self.tuples_sent += other.tuples_sent
-        self.tuples_received += other.tuples_received
-        self.queries_issued += other.queries_issued
-        self.query_messages_sent += other.query_messages_sent
-        self.query_bytes_sent += other.query_bytes_sent
-        self.query_bytes_charged += other.query_bytes_charged
-        self.queries_rejected += other.queries_rejected
-        self.queries_shed += other.queries_shed
-        self.queries_completed += other.queries_completed
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.cache_invalidations += other.cache_invalidations
-        self.facts_derived += other.facts_derived
-        self.facts_stored += other.facts_stored
-        self.facts_retracted += other.facts_retracted
-        self.rederivations += other.rederivations
-        self.anti_delta_messages += other.anti_delta_messages
-        self.anti_delta_bytes += other.anti_delta_bytes
-        self.refresh_messages += other.refresh_messages
-        self.refresh_bytes += other.refresh_bytes
-        self.timer_events += other.timer_events
-        # Each node's archive lives on exactly one kernel, so the tier
-        # gauges are nonzero in at most one source and adding is exact.
-        self.provenance_bytes_resident += other.provenance_bytes_resident
-        self.provenance_bytes_spilled += other.provenance_bytes_spilled
-        self.spill_reads += other.spill_reads
-        self.cpu_seconds += other.cpu_seconds
-        self.busy_until = max(self.busy_until, other.busy_until)
-        for size, count in other.batch_sizes.items():
-            self.batch_sizes[size] = self.batch_sizes.get(size, 0) + count
-        for bucket, count in other.query_latency_buckets.items():
-            self.query_latency_buckets[bucket] = (
-                self.query_latency_buckets.get(bucket, 0) + count
-            )
-        for bucket, count in other.cache_staleness_buckets.items():
-            self.cache_staleness_buckets[bucket] = (
-                self.cache_staleness_buckets.get(bucket, 0) + count
-            )
+        _merge_fields(self, other)
+
+
+def _merge_nodes(
+    mine: Dict[Address, NodeStats], theirs: Dict[Address, NodeStats]
+) -> Dict[Address, NodeStats]:
+    """Per-node entries merge by address into records *mine* owns — never
+    adopted by reference, so a later merge cannot mutate the source run's
+    statistics."""
+    for address, node_stats in theirs.items():
+        record = mine.get(address)
+        if record is None:
+            record = mine[address] = NodeStats(address=address)
+        record.merge(node_stats)
+    return mine
 
 
 @dataclass
 class NetworkStats:
     """Aggregated statistics for one simulation run."""
 
-    nodes: Dict[Address, NodeStats] = field(default_factory=dict)
-    completion_time: float = 0.0
+    nodes: Dict[Address, NodeStats] = field(
+        default_factory=dict, metadata={"merge": _merge_nodes}
+    )
+    #: The latest instant any node was busy: merged runs keep the latest.
+    completion_time: float = field(default=0.0, metadata={"merge": max})
     total_messages: int = 0
     total_events: int = 0
     #: Messages addressed to a node that does not exist; they are dropped
@@ -257,14 +284,14 @@ class NetworkStats:
     #: flushes and window grants); ``coordination_bytes`` the frame bytes
     #: those round-trips carried; ``windows_executed`` the window commands
     #: issued.
-    coordination_rounds: int = 0
-    coordination_bytes: int = 0
-    windows_executed: int = 0
+    coordination_rounds: int = field(default=0, metadata={"coordination": True})
+    coordination_bytes: int = field(default=0, metadata={"coordination": True})
+    windows_executed: int = field(default=0, metadata={"coordination": True})
     #: Always 0: the lockstep barrier never leases more than one window.
     #: Kept in ``summary()`` / ``COORDINATION_KEYS`` only because
     #: ``bench/run.py`` reads ``stats["windows_coalesced"]``; retire it with
     #: the next change to the benchmark.
-    windows_coalesced: int = 0
+    windows_coalesced: int = field(default=0, metadata={"coordination": True})
 
     def node(self, address: Address) -> NodeStats:
         stats = self.nodes.get(address)
@@ -276,257 +303,121 @@ class NetworkStats:
     def merge(self, other: "NetworkStats") -> None:
         """Fold *other* into this record; *other* is left untouched.
 
-        Per-node entries merge by address into records owned by this object
-        (never adopted by reference — a later merge must not mutate the
-        source run's statistics); run-level counters add;
-        ``completion_time`` — the latest instant any node was busy — takes
+        Every field merges by its declared rule (:func:`merge_rule`): per-node
+        entries by address, run-level counters add, ``completion_time`` takes
         the maximum.  This is how the sharded backend reassembles its
         per-shard kernels' statistics into one run record, and how sweep
         aggregation folds repeated runs of one configuration together.
         """
-        for address, node_stats in other.nodes.items():
-            mine = self.nodes.get(address)
-            if mine is None:
-                mine = self.nodes[address] = NodeStats(address=address)
-            mine.merge(node_stats)
-        self.completion_time = max(self.completion_time, other.completion_time)
-        self.total_messages += other.total_messages
-        self.total_events += other.total_events
-        self.messages_dropped += other.messages_dropped
-        self.messages_lost += other.messages_lost
-        self.coordination_rounds += other.coordination_rounds
-        self.coordination_bytes += other.coordination_bytes
-        self.windows_executed += other.windows_executed
-        self.windows_coalesced += other.windows_coalesced
+        _merge_fields(self, other)
 
     @classmethod
-    def merged(cls, parts: "Iterable[NetworkStats]") -> "NetworkStats":
+    def merged(cls, parts: Iterable[NetworkStats]) -> NetworkStats:
         """One record folding every statistics object in *parts* together."""
         combined = cls()
         for part in parts:
             combined.merge(part)
         return combined
 
-    # -- headline metrics -------------------------------------------------------
+    def total(self, name: str):
+        """The whole run's value of the counter *name*.
 
-    def total_bytes(self) -> int:
-        """Total combined bandwidth usage across all nodes, in bytes."""
-        return sum(stats.bytes_sent for stats in self.nodes.values())
-
-    def total_bandwidth_mb(self) -> float:
-        """Figure 4's metric: total bandwidth in megabytes."""
-        return self.total_bytes() / 1_000_000.0
-
-    def total_cpu_seconds(self) -> float:
-        return sum(stats.cpu_seconds for stats in self.nodes.values())
-
-    def total_facts_derived(self) -> int:
-        return sum(stats.facts_derived for stats in self.nodes.values())
-
-    def total_facts_retracted(self) -> int:
-        return sum(stats.facts_retracted for stats in self.nodes.values())
-
-    def security_overhead_bytes(self) -> int:
-        return sum(stats.security_bytes_sent for stats in self.nodes.values())
-
-    # -- dynamics metrics -------------------------------------------------------
-
-    def total_rederivations(self) -> int:
-        """Tuples revived by the rederivation phase, all nodes."""
-        return sum(stats.rederivations for stats in self.nodes.values())
-
-    def total_anti_delta_messages(self) -> int:
-        return sum(stats.anti_delta_messages for stats in self.nodes.values())
-
-    def total_anti_delta_bytes(self) -> int:
-        """Bytes shipped as DRed anti-deltas (included in total_bytes)."""
-        return sum(stats.anti_delta_bytes for stats in self.nodes.values())
-
-    def total_refresh_messages(self) -> int:
-        return sum(stats.refresh_messages for stats in self.nodes.values())
-
-    def total_refresh_bytes(self) -> int:
-        """First-hop bytes originated by refresh waves (included in total_bytes)."""
-        return sum(stats.refresh_bytes for stats in self.nodes.values())
-
-    def total_timer_events(self) -> int:
-        return sum(stats.timer_events for stats in self.nodes.values())
-
-    # -- storage-tier metrics ---------------------------------------------------
-
-    def total_provenance_resident_bytes(self) -> int:
-        """Bytes of offline-archive provenance resident in memory, all nodes."""
-        return sum(
-            stats.provenance_bytes_resident for stats in self.nodes.values()
-        )
-
-    def total_provenance_spilled_bytes(self) -> int:
-        """Cumulative bytes written to the spill logs, all nodes."""
-        return sum(
-            stats.provenance_bytes_spilled for stats in self.nodes.values()
-        )
-
-    def total_spill_reads(self) -> int:
-        """Archived entries read back from the spill logs, all nodes."""
-        return sum(stats.spill_reads for stats in self.nodes.values())
-
-    def provenance_overhead_bytes(self) -> int:
-        return sum(stats.provenance_bytes_sent for stats in self.nodes.values())
-
-    # -- query metrics ----------------------------------------------------------
-
-    def total_query_messages(self) -> int:
-        """Wire messages shipped by the provenance query plane."""
-        return sum(stats.query_messages_sent for stats in self.nodes.values())
-
-    def total_query_bytes(self) -> int:
-        """Bytes shipped by the provenance query plane (included in total_bytes)."""
-        return sum(stats.query_bytes_sent for stats in self.nodes.values())
-
-    def total_queries_issued(self) -> int:
-        return sum(stats.queries_issued for stats in self.nodes.values())
-
-    # -- query service-plane metrics --------------------------------------------
-
-    def total_queries_rejected(self) -> int:
-        return sum(stats.queries_rejected for stats in self.nodes.values())
-
-    def total_queries_shed(self) -> int:
-        return sum(stats.queries_shed for stats in self.nodes.values())
-
-    def total_queries_completed(self) -> int:
-        return sum(stats.queries_completed for stats in self.nodes.values())
-
-    def total_cache_hits(self) -> int:
-        return sum(stats.cache_hits for stats in self.nodes.values())
-
-    def total_cache_misses(self) -> int:
-        return sum(stats.cache_misses for stats in self.nodes.values())
-
-    def total_cache_invalidations(self) -> int:
-        return sum(stats.cache_invalidations for stats in self.nodes.values())
-
-    def cache_hit_ratio(self) -> float:
-        """Fraction of closure lookups the result cache answered (0.0 when idle)."""
-        hits = self.total_cache_hits()
-        lookups = hits + self.total_cache_misses()
-        return hits / lookups if lookups else 0.0
-
-    def query_latency_histogram(self) -> Dict[int, int]:
-        """Aggregated service-query latency buckets (bucket -> completions)."""
-        histogram: Dict[int, int] = {}
-        for stats in self.nodes.values():
-            for bucket, count in stats.query_latency_buckets.items():
-                histogram[bucket] = histogram.get(bucket, 0) + count
-        return dict(sorted(histogram.items()))
-
-    def cache_staleness_histogram(self) -> Dict[int, int]:
-        """Aggregated served-entry age buckets (bucket -> cache hits)."""
-        histogram: Dict[int, int] = {}
-        for stats in self.nodes.values():
-            for bucket, count in stats.cache_staleness_buckets.items():
-                histogram[bucket] = histogram.get(bucket, 0) + count
-        return dict(sorted(histogram.items()))
-
-    def query_latency_ms(self, fraction: float) -> float:
-        """The *fraction*-quantile completed-query latency in milliseconds."""
-        return bucket_percentile(self.query_latency_histogram(), fraction)
-
-    def maintenance_bytes(self) -> int:
-        """Bytes of data-plane traffic: everything that is not query traffic.
-
-        This is the split the paper's Section 6 motivates: provenance
-        *maintenance* pays its cost up front on every shipped tuple, while
-        distributed pointers defer the cost to *query* time — both sides are
-        now measured in the same byte currency.
+        A :class:`NetworkStats` field as recorded; a :class:`NodeStats` field
+        folded over every node by its merge rule — counters summed (Fig. 4's
+        bandwidth is ``total("bytes_sent")``), histograms bucket by bucket in
+        bucket order, an instant its latest.
         """
-        return self.total_bytes() - self.total_query_bytes()
-
-    # -- batching metrics -------------------------------------------------------
-
-    def total_batches(self) -> int:
-        return sum(stats.batches_sent for stats in self.nodes.values())
-
-    def total_tuples_sent(self) -> int:
-        return sum(stats.tuples_sent for stats in self.nodes.values())
-
-    def tuples_per_batch_histogram(self) -> Dict[int, int]:
-        """Aggregated tuples-per-batch histogram (batch size -> batch count)."""
-        histogram: Dict[int, int] = {}
-        for stats in self.nodes.values():
-            for size, count in stats.batch_sizes.items():
-                histogram[size] = histogram.get(size, 0) + count
-        return dict(sorted(histogram.items()))
-
-    def mean_tuples_per_batch(self) -> float:
-        batches = self.total_batches()
-        if batches == 0:
-            return 0.0
-        batched_tuples = sum(
-            size * count for size, count in self.tuples_per_batch_histogram().items()
-        )
-        return batched_tuples / batches
+        if name in NetworkStats.__dataclass_fields__:
+            return getattr(self, name)
+        spec = NodeStats.__dataclass_fields__[name]
+        values = [getattr(stats, name) for stats in self.nodes.values()]
+        rule = merge_rule(spec)
+        if rule is add:
+            # sum(), not a fold of +: since Python 3.12 its float sum is
+            # compensated, and cpu_seconds totals must read as they always did.
+            return sum(values)
+        start = spec.default_factory() if spec.default is MISSING else spec.default
+        return reduce(rule, values, start)
 
     def summary(self) -> Dict[str, float]:
-        """A flat summary dictionary, convenient for tables and benchmarks."""
+        """A flat summary dictionary, convenient for tables and benchmarks:
+        one float per :data:`SUMMARY` entry, in its order."""
         return {
-            "completion_time_s": self.completion_time,
-            "bandwidth_mb": self.total_bandwidth_mb(),
-            "total_messages": float(self.total_messages),
-            "total_bytes": float(self.total_bytes()),
-            "security_bytes": float(self.security_overhead_bytes()),
-            "provenance_bytes": float(self.provenance_overhead_bytes()),
-            "batches_sent": float(self.total_batches()),
-            "tuples_sent": float(self.total_tuples_sent()),
-            "mean_tuples_per_batch": self.mean_tuples_per_batch(),
-            "query_messages": float(self.total_query_messages()),
-            "query_bytes": float(self.total_query_bytes()),
-            "queries_issued": float(self.total_queries_issued()),
-            "queries_rejected": float(self.total_queries_rejected()),
-            "queries_shed": float(self.total_queries_shed()),
-            "queries_completed": float(self.total_queries_completed()),
-            "cache_hits": float(self.total_cache_hits()),
-            "cache_misses": float(self.total_cache_misses()),
-            "cache_invalidations": float(self.total_cache_invalidations()),
-            # Derived from the integer latency histogram — a pure function
-            # of byte-identical inputs, so still exactly equal across
-            # backends.
-            "query_p50_ms": self.query_latency_ms(0.50),
-            "query_p95_ms": self.query_latency_ms(0.95),
-            "query_p99_ms": self.query_latency_ms(0.99),
-            "messages_dropped": float(self.messages_dropped),
-            "messages_lost": float(self.messages_lost),
-            "facts_derived": float(self.total_facts_derived()),
-            "facts_retracted": float(self.total_facts_retracted()),
-            "rederivations": float(self.total_rederivations()),
-            "anti_delta_messages": float(self.total_anti_delta_messages()),
-            "anti_delta_bytes": float(self.total_anti_delta_bytes()),
-            "refresh_messages": float(self.total_refresh_messages()),
-            "refresh_bytes": float(self.total_refresh_bytes()),
-            "timer_events": float(self.total_timer_events()),
-            "provenance_bytes_resident": float(
-                self.total_provenance_resident_bytes()
-            ),
-            "provenance_bytes_spilled": float(
-                self.total_provenance_spilled_bytes()
-            ),
-            "spill_reads": float(self.total_spill_reads()),
-            "cpu_seconds": self.total_cpu_seconds(),
-            "coordination_rounds": float(self.coordination_rounds),
-            "coordination_bytes": float(self.coordination_bytes),
-            "windows_executed": float(self.windows_executed),
-            "windows_coalesced": float(self.windows_coalesced),
+            key: float(self.total(source) if isinstance(source, str) else source(self))
+            for key, source in SUMMARY
         }
+
+
+def _mean_tuples_per_batch(stats: NetworkStats) -> float:
+    batches = stats.total("batches_sent")
+    if batches == 0:
+        return 0.0
+    histogram = stats.total("batch_sizes")
+    return sum(size * count for size, count in histogram.items()) / batches
+
+
+def _latency_ms(fraction: float) -> Callable[[NetworkStats], float]:
+    """The *fraction*-quantile completed-query latency, from the integer
+    histogram — a pure function of byte-identical inputs, so still exactly
+    equal across backends."""
+    return lambda stats: bucket_percentile(
+        stats.total("query_latency_buckets"), fraction
+    )
+
+
+#: What :meth:`NetworkStats.summary` reports, one entry per key, in order: a
+#: string names the counter (:meth:`NetworkStats.total`), a function derives
+#: the value from the run's statistics.
+SUMMARY: Tuple[Tuple[str, Union[str, Callable[[NetworkStats], float]]], ...] = (
+    ("completion_time_s", "completion_time"),
+    ("bandwidth_mb", lambda stats: stats.total("bytes_sent") / 1_000_000.0),
+    ("total_messages", "total_messages"),
+    ("total_bytes", "bytes_sent"),
+    ("security_bytes", "security_bytes_sent"),
+    ("provenance_bytes", "provenance_bytes_sent"),
+    ("batches_sent", "batches_sent"),
+    ("tuples_sent", "tuples_sent"),
+    ("mean_tuples_per_batch", _mean_tuples_per_batch),
+    ("query_messages", "query_messages_sent"),
+    ("query_bytes", "query_bytes_sent"),
+    ("queries_issued", "queries_issued"),
+    ("queries_rejected", "queries_rejected"),
+    ("queries_shed", "queries_shed"),
+    ("queries_completed", "queries_completed"),
+    ("cache_hits", "cache_hits"),
+    ("cache_misses", "cache_misses"),
+    ("cache_invalidations", "cache_invalidations"),
+    ("query_p50_ms", _latency_ms(0.50)),
+    ("query_p95_ms", _latency_ms(0.95)),
+    ("query_p99_ms", _latency_ms(0.99)),
+    ("messages_dropped", "messages_dropped"),
+    ("messages_lost", "messages_lost"),
+    ("facts_derived", "facts_derived"),
+    ("facts_retracted", "facts_retracted"),
+    ("signatures_created", "signatures_created"),
+    ("facts_verified", "facts_verified"),
+    ("verification_failures", "verification_failures"),
+    ("facts_rejected", "facts_rejected"),
+    ("rederivations", "rederivations"),
+    ("anti_delta_messages", "anti_delta_messages"),
+    ("anti_delta_bytes", "anti_delta_bytes"),
+    ("refresh_messages", "refresh_messages"),
+    ("refresh_bytes", "refresh_bytes"),
+    ("timer_events", "timer_events"),
+    ("provenance_bytes_resident", "provenance_bytes_resident"),
+    ("provenance_bytes_spilled", "provenance_bytes_spilled"),
+    ("spill_reads", "spill_reads"),
+    ("cpu_seconds", "cpu_seconds"),
+    ("coordination_rounds", "coordination_rounds"),
+    ("coordination_bytes", "coordination_bytes"),
+    ("windows_executed", "windows_executed"),
+    ("windows_coalesced", "windows_coalesced"),
+)
 
 
 #: The backend-mechanical summary keys: they describe how a run was
 #: *coordinated*, not what the simulated network did, so serial-vs-sharded
 #: equivalence checks exclude exactly this set.
 COORDINATION_KEYS = frozenset(
-    {
-        "coordination_rounds",
-        "coordination_bytes",
-        "windows_executed",
-        "windows_coalesced",
-    }
+    spec.name for spec in fields(NetworkStats) if spec.metadata.get("coordination")
 )

@@ -3,8 +3,9 @@
 The :class:`Authenticator` is the one door through which a node engine
 exports a derived tuple to another principal and imports one from the
 network.  It implements the three ``says`` modes of
-:class:`~repro.security.says.SaysMode` and records counters that feed the
-evaluation's cost model.
+:class:`~repro.security.says.SaysMode`; it keeps no counters of its own —
+the engine counts each outcome on its ``ProcessingReport`` and the kernel
+folds those into the run's ``NodeStats``.
 
 Under ``SIGNED`` an exported tuple carries one :class:`SignedEnvelope`: the
 sender signs, once, canonical bytes of everything the receiver will act on —
@@ -19,7 +20,6 @@ refused as stale.  Anti-deltas are sealed and opened the same way over
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, NamedTuple, Optional, Sequence, Set
 
 from repro.engine.tuples import Fact, FactKey
@@ -66,16 +66,6 @@ def _anti_delta_bytes(keys, source: str, destination: str, sequence: int) -> byt
     return sealed_bytes(b"anti-delta", source, destination, sequence, *map(repr, keys))
 
 
-@dataclass
-class AuthenticatorStats:
-    """Signatures made, signatures that verified and imports refused by one
-    node — tuples and anti-deltas alike."""
-
-    tuples_signed: int = 0
-    tuples_verified: int = 0
-    verification_failures: int = 0
-
-
 class Authenticator:
     """Per-node implementation of ``says`` export / import."""
 
@@ -83,7 +73,6 @@ class Authenticator:
         self.principal = principal
         self.keystore = keystore
         self.mode = mode
-        self.stats = AuthenticatorStats()
         if mode.requires_signature and not keystore.has_private_key(principal):
             keystore.create_keypair(principal)
         #: Export sequence number of the last tuple this principal signed.  It
@@ -126,7 +115,6 @@ class Authenticator:
         return self._seal(_anti_delta_bytes(keys, self.principal, destination, sequence))
 
     def _seal(self, message: bytes) -> bytes:
-        self.stats.tuples_signed += 1
         return sign(message, self.keystore.private_key(self.principal))
 
     # -- import ---------------------------------------------------------------
@@ -182,10 +170,8 @@ class Authenticator:
             raise self._failure(
                 f"signature check failed for {what} claimed by {principal!r}"
             )
-        self.stats.tuples_verified += 1
 
     def _failure(self, reason: str) -> AuthenticationError:
-        self.stats.verification_failures += 1
         return AuthenticationError(f"{self.principal}: {reason}")
 
     # -- cost model -----------------------------------------------------------

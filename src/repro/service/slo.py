@@ -105,23 +105,22 @@ def service_report(
     the caller because :class:`NetworkStats` spans the whole run,
     convergence included.
     """
-    histogram = stats.query_latency_histogram()
-    spread = percentiles_ms(histogram)
-    staleness = percentiles_ms(stats.cache_staleness_histogram())
-    completed = stats.total_queries_completed()
+    spread = percentiles_ms(stats.total("query_latency_buckets"))
+    staleness = percentiles_ms(stats.total("cache_staleness_buckets"))
+    completed = stats.total("queries_completed")
     return ServiceLevelReport(
         offered=offered,
         offered_rate=offered / duration if duration > 0 else 0.0,
         completed=completed,
         goodput=completed / duration if duration > 0 else 0.0,
-        rejected=stats.total_queries_rejected(),
-        shed=stats.total_queries_shed(),
+        rejected=stats.total("queries_rejected"),
+        shed=stats.total("queries_shed"),
         p50_ms=spread[0.50],
         p95_ms=spread[0.95],
         p99_ms=spread[0.99],
-        cache_hits=stats.total_cache_hits(),
-        cache_misses=stats.total_cache_misses(),
-        cache_invalidations=stats.total_cache_invalidations(),
+        cache_hits=stats.total("cache_hits"),
+        cache_misses=stats.total("cache_misses"),
+        cache_invalidations=stats.total("cache_invalidations"),
         duration=duration,
         staleness_p50_ms=staleness[0.50],
         staleness_p95_ms=staleness[0.95],

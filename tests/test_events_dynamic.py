@@ -127,7 +127,7 @@ class TestLinkDynamics:
         assert simulator.run_until_idle()
         after = simulator.engines["n0"].facts("link")
         assert not any(f.values == ("n0", "n1") for f in after)
-        assert simulator.stats.total_facts_retracted() >= 1
+        assert simulator.stats.total("facts_retracted") >= 1
 
     def test_link_up_reinjects_the_retracted_tuples(self, compiled_reachable):
         topology = line_topology(3)

@@ -167,9 +167,9 @@ class TestStats:
         message = Message(source="a", destination="b", fact=fact, security_bytes=8)
         network.node("a").record_send(message)
         network.node("b").record_receive(message)
-        assert network.total_bytes() == message.size_bytes()
-        assert network.total_bandwidth_mb() == pytest.approx(message.size_bytes() / 1e6)
-        assert network.security_overhead_bytes() == 8
+        assert network.total("bytes_sent") == message.size_bytes()
+        assert network.summary()["bandwidth_mb"] == pytest.approx(message.size_bytes() / 1e6)
+        assert network.total("security_bytes_sent") == 8
 
     def test_node_accessor_creates_entries(self):
         network = NetworkStats()

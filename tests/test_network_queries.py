@@ -93,7 +93,7 @@ class TestStaticQueries:
         assert after["total_messages"] == before["total_messages"] + answer.messages
         # ... and every byte (requests AND responses) is billed to the asker.
         assert network.stats.node("n0").query_bytes_charged == answer.bytes
-        assert network.stats.maintenance_bytes() == before["total_bytes"]
+        assert after["total_bytes"] - after["query_bytes"] == before["total_bytes"]
 
     def test_request_bytes_attributed_to_sender_side(self):
         network = build_network()
@@ -139,9 +139,9 @@ class TestStaticQueries:
         network = build_network()
         network.run()
         target = longest_best_path(network, "n0")
-        before = network.stats.provenance_overhead_bytes()
+        before = network.stats.total("provenance_bytes_sent")
         network.query(target, at="n0", condensed=True)
-        assert network.stats.provenance_overhead_bytes() > before
+        assert network.stats.total("provenance_bytes_sent") > before
 
     def test_authenticated_responses_are_signed_and_verified(self, converged):
         network = converged
@@ -158,10 +158,10 @@ class TestStaticQueries:
         # bytes on the books come from the authenticated query plane.
         network = build_network()
         network.run()
-        assert network.stats.security_overhead_bytes() == 0
+        assert network.stats.total("security_bytes_sent") == 0
         target = longest_best_path(network, "n0")
         network.query(target, at="n0", authenticated=True)
-        assert network.stats.security_overhead_bytes() > 0
+        assert network.stats.total("security_bytes_sent") > 0
 
     def test_answered_timeouts_do_not_burn_the_event_budget(self):
         """Each request schedules a timeout; once its response arrives the

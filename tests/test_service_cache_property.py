@@ -116,4 +116,4 @@ def test_cached_tracebacks_match_cold_oracle(script, capacity):
     assert checked > 0
     # And the memo must actually serve: repeats with no intervening
     # mutation hit unless every probe was invalidated in between.
-    assert cached.stats.total_cache_hits() > 0
+    assert cached.stats.total("cache_hits") > 0

@@ -62,6 +62,9 @@ def two_tuples_from_a_to_b(a: NodeEngine, b: NodeEngine):
 def assert_rejected(result, count: int) -> None:
     assert result.report.facts_rejected == count
     assert result.report.verification_failures == count
+    # A stale envelope's signature does verify; it is still not counted as
+    # verified — ``facts_verified`` counts only envelopes that were accepted.
+    assert result.report.facts_verified == 0
     assert result.report.facts_inserted == 0
     assert not result.outgoing
 
@@ -78,13 +81,20 @@ def test_spliced_annotation_or_support_is_rejected(compiled_best_path, keystore)
         first.with_metadata(provenance=second.provenance),
         second.with_metadata(provenance=first.provenance),
     )
-    assert_rejected(b.receive_batch(swapped_annotations, now=2.0), 2)
+    spliced_annotations = b.receive_batch(swapped_annotations, now=2.0)
+    assert_rejected(spliced_annotations, 2)
     swapped_supports = (
         first.with_metadata(support=second.support),
         second.with_metadata(support=first.support),
     )
-    assert_rejected(b.receive_batch(swapped_supports, now=2.0), 2)
-    assert b.authenticator.stats.verification_failures == 4
+    spliced_supports = b.receive_batch(swapped_supports, now=2.0)
+    assert_rejected(spliced_supports, 2)
+    # One refused envelope per spliced tuple: four checks failed, not two.
+    assert (
+        spliced_annotations.report.verification_failures
+        + spliced_supports.report.verification_failures
+        == 4
+    )
 
     # Nothing spliced was recorded, and the rejections poisoned nothing:
     # the genuine pair is still admitted, with what its sender asserted.
@@ -197,10 +207,8 @@ def test_forged_or_altered_anti_delta_prunes_nothing(provenance):
     now = network.current_time() + 1.0
 
     def failures() -> int:
-        return sum(
-            engine.authenticator.stats.verification_failures
-            for engine in network.engines.values()
-        )
+        # Envelopes refused anywhere in the run, as its statistics count them.
+        return network.stats.summary()["verification_failures"]
 
     # Forged outright: mallory has no key of a's, so no signature at all, or
     # one made with a key she does hold (c's).

@@ -8,9 +8,21 @@ maximum, histograms fold, and per-node entries combine by address.
 
 from __future__ import annotations
 
-import pytest
+from dataclasses import fields
+from functools import reduce
+from operator import add
 
-from repro.net.stats import NetworkStats, NodeStats
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.net.stats import (
+    COORDINATION_KEYS,
+    SUMMARY,
+    NetworkStats,
+    NodeStats,
+    merge_rule,
+)
 
 
 def _node(address="n0", **overrides) -> NodeStats:
@@ -76,7 +88,7 @@ class TestNetworkStatsMerge:
         left.merge(right)
         assert set(left.nodes) == {"n0", "n1"}
         assert left.total_messages == 7
-        assert left.total_bytes() == 0
+        assert left.total("bytes_sent") == 0
 
     def test_shared_nodes_fold_by_address(self):
         left = NetworkStats()
@@ -85,7 +97,7 @@ class TestNetworkStatsMerge:
         right.node("n0").bytes_sent = 50
         left.merge(right)
         assert left.node("n0").bytes_sent == 150
-        assert left.total_bytes() == 150
+        assert left.total("bytes_sent") == 150
 
     def test_completion_time_takes_max_and_losses_add(self):
         left = NetworkStats(completion_time=3.0, messages_lost=1, messages_dropped=2)
@@ -139,3 +151,98 @@ class TestNetworkStatsMerge:
         right.node("b").bytes_sent = 400
         combined = NetworkStats.merged([left, right])
         assert combined.summary() == whole.summary()
+
+
+# -- the fields are the registry ---------------------------------------------------
+#
+# These properties enumerate ``dataclasses.fields``: a counter added later is
+# drawn, merged, split and summarised with no edit here.
+
+#: Every NodeStats field that merges (all but the address).
+COUNTERS = [spec for spec in fields(NodeStats) if merge_rule(spec) is not None]
+#: Every run-level NetworkStats field (all but the per-node records).
+RUN_COUNTERS = [spec for spec in fields(NetworkStats) if spec.name != "nodes"]
+
+
+def _values(spec):
+    """Values for one field, by what its declaration says it holds."""
+    if spec.default_factory is dict:
+        return st.dictionaries(st.integers(0, 40), st.integers(0, 1_000), max_size=5)
+    if isinstance(spec.default, float):
+        return st.floats(0.0, 1e4, allow_nan=False, allow_infinity=False)
+    assert isinstance(spec.default, int), spec.name
+    return st.integers(0, 10**9)
+
+
+def _records(address):
+    return st.builds(
+        NodeStats,
+        address=st.just(address),
+        **{spec.name: _values(spec) for spec in COUNTERS},
+    )
+
+
+def _expected(spec, values):
+    """The merge of *values* under the rule *spec* declares, computed here."""
+    if spec.metadata.get("merge") is max:  # an instant: the latest
+        return reduce(max, values, spec.default)
+    assert "merge" not in spec.metadata, spec.name
+    if spec.default_factory is dict:  # a histogram: bucket by bucket
+        folded = {}
+        for histogram in values:
+            for bucket, count in histogram.items():
+                folded[bucket] = folded.get(bucket, 0) + count
+        return folded
+    return reduce(add, values, spec.default)  # a quantity: the sum
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_records("n0"), min_size=2, max_size=3))
+def test_merge_applies_each_declared_rule(records):
+    merged = NodeStats(address="n0")
+    for record in records:
+        merged.merge(record)
+    for spec in COUNTERS:
+        values = [getattr(record, spec.name) for record in records]
+        assert getattr(merged, spec.name) == _expected(spec, values), spec.name
+
+
+def _split(data, spec, value, parts: int):
+    """*value* of one run-level field spread over *parts* records so that
+    merging them back gives *value*."""
+    if spec.metadata.get("merge") is max:
+        shares = [
+            data.draw(st.floats(0.0, value, allow_nan=False)) for _ in range(parts)
+        ]
+        shares[data.draw(st.integers(0, parts - 1))] = value
+        return shares
+    cuts = sorted(data.draw(st.integers(0, value)) for _ in range(parts - 1))
+    return [high - low for low, high in zip([0] + cuts, cuts + [value])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_merged_split_of_a_run_summarises_like_the_run(data):
+    addresses = [f"n{index}" for index in range(data.draw(st.integers(1, 6)))]
+    whole = NetworkStats(
+        nodes={address: data.draw(_records(address)) for address in addresses},
+        **{spec.name: data.draw(_values(spec)) for spec in RUN_COUNTERS},
+    )
+    parts = [NetworkStats() for _ in range(data.draw(st.integers(1, 3)))]
+    for address in addresses:
+        owner = parts[data.draw(st.integers(0, len(parts) - 1))]
+        owner.nodes[address] = whole.nodes[address]
+    for spec in RUN_COUNTERS:
+        shares = _split(data, spec, getattr(whole, spec.name), len(parts))
+        for part, share in zip(parts, shares):
+            setattr(part, spec.name, share)
+
+    expected, summary = whole.summary(), NetworkStats.merged(parts).summary()
+    assert list(summary) == [key for key, _ in SUMMARY]
+    assert COORDINATION_KEYS <= set(summary)
+    for key, value in expected.items():
+        if key == "cpu_seconds":
+            # The one cross-node float sum: merge order may re-associate it.
+            assert summary[key] == pytest.approx(value, rel=1e-12)
+        else:
+            assert summary[key] == value, key

@@ -163,13 +163,13 @@ class TestFullRunAttribution:
         batched = run_reachable(topology, config, True, compiled_reachable).stats
         per_tuple = run_reachable(topology, config, False, compiled_reachable).stats
         assert (
-            batched.security_overhead_bytes()
-            == per_tuple.security_overhead_bytes()
+            batched.total("security_bytes_sent")
+            == per_tuple.total("security_bytes_sent")
             > 0
         )
-        assert batched.total_tuples_sent() == per_tuple.total_tuples_sent()
+        assert batched.total("tuples_sent") == per_tuple.total("tuples_sent")
         # All saved bytes are per-tuple framing, nothing else.
-        saved = per_tuple.total_bytes() - batched.total_bytes()
+        saved = per_tuple.total("bytes_sent") - batched.total("bytes_sent")
         assert saved == MESSAGE_HEADER_BYTES * (
             per_tuple.total_messages - batched.total_messages
         )
@@ -180,7 +180,7 @@ class TestFullRunAttribution:
         batched = run_reachable(topology, config, True, compiled_reachable).stats
         per_tuple = run_reachable(topology, config, False, compiled_reachable).stats
         assert batched.total_messages * 3 <= per_tuple.total_messages * 2
-        assert batched.mean_tuples_per_batch() > 1.5
+        assert batched.summary()["mean_tuples_per_batch"] > 1.5
 
     def test_results_identical_across_wire_formats(self, compiled_reachable):
         topology = random_topology(8, seed=11)
@@ -203,8 +203,8 @@ class TestFullRunAttribution:
         batched = run_reachable(topology, config, True, compiled_reachable).stats
         per_tuple = run_reachable(topology, config, False, compiled_reachable).stats
         assert (
-            batched.provenance_overhead_bytes()
-            == per_tuple.provenance_overhead_bytes()
+            batched.total("provenance_bytes_sent")
+            == per_tuple.total("provenance_bytes_sent")
             > 0
         )
 
