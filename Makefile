@@ -28,10 +28,12 @@
 #                      and the result cache armed (rejection/p95 monotone,
 #                      goodput plateau asserted), plus serial-vs-sharded
 #                      SLO-report equality at the most saturated point.
-#   make memory-smoke - the provenance-memory benchmark at small N with the
-#                      tiered store: asserts the resident gauge stays flat
-#                      under churn and that retracted-route tracebacks
-#                      answer through spill reads.  Spill logs live under
+#   make memory-smoke - the provenance-memory benchmark at small N: an
+#                      unbounded archive (hot tier larger than the run, log
+#                      in memory) against a bounded one (256 hot entries over
+#                      a log file); asserts the bounded resident gauge stays
+#                      flat under churn and that retracted-route tracebacks
+#                      answer through spill reads.  The log files live under
 #                      pytest's tmpdir, so the run is hermetic.
 #   make dynamics-smoke - the churn-convergence benchmark: one-fixpoint
 #                      deletion vs the soft-state decay baseline on a

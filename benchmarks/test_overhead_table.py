@@ -12,9 +12,10 @@ paper's numbers; the benchmark itself measures the cost of computing the
 table from a sweep (cheap) so the expensive sweep is shared via the fixture.
 
 The paper's *shape* is held too: provenance rides inside the one signed
-envelope a SeNDlog tuple already pays for, so it must cost less on top of
-SeNDlog than authentication costs on top of NDlog, and stay a modest fraction
-(measured 17-19 % time, 6-11 % bandwidth on the N = 10, 20, 30 sweep).
+envelope a SeNDlog tuple already pays for, so it must cost more than nothing
+but less on top of SeNDlog than authentication costs on top of NDlog, in time
+and in bandwidth (measured 17-19 % time, 6-11 % bandwidth on the N = 10, 20,
+30 sweep; 4.7 % bandwidth at N = 10 alone, against SeNDlog's 40 %).
 """
 
 from __future__ import annotations
@@ -47,7 +48,12 @@ def test_overhead_report(benchmark, evaluation_sweep, capsys):
     assert 10 <= sendlog["avg_time_overhead_pct"] <= 120
     assert 5 <= sendlog["avg_bandwidth_overhead_pct"] <= 100
     assert 10 <= provenance["avg_time_overhead_pct"] <= 120
-    assert 5 <= provenance["avg_bandwidth_overhead_pct"] <= 100
-    # The paper's shape: provenance is the cheaper of the two steps.
+    # The paper's shape: provenance is the cheaper of the two steps, in
+    # bandwidth and in time.
+    assert (
+        0
+        < provenance["avg_bandwidth_overhead_pct"]
+        < sendlog["avg_bandwidth_overhead_pct"]
+    )
     assert provenance["avg_time_overhead_pct"] < sendlog["avg_time_overhead_pct"]
     assert provenance["avg_time_overhead_pct"] <= 30

@@ -3,14 +3,16 @@
 The offline archive buys the paper's forensics contract — every derivation
 ever made, including retracted and expired ones, stays answerable — and its
 cost is memory that grows with *run length*, not network size.  This module
-measures that cost and demonstrates the tiered store bounding it:
+measures that cost and demonstrates the hot tier and spill log bounding it,
+comparing two archives: an *unbounded* one (a hot tier larger than the run,
+the log in memory) and a *bounded* one (256 hot entries over a log file):
 
 * ``test_bytes_per_derived_tuple`` — archived bytes per derived tuple as the
-  node count sweeps ``REPRO_BENCH_SIZES``, memory vs tiered resident
+  node count sweeps ``REPRO_BENCH_SIZES``, unbounded vs bounded resident
   footprint side by side;
 * ``test_resident_bytes_bounded_by_run_length`` — repeated link-retraction
-  churn rounds at ``REPRO_SCALE_N`` nodes: the in-memory archive's footprint
-  grows with every round while the tiered store's resident gauge stays flat
+  churn rounds at ``REPRO_SCALE_N`` nodes: the unbounded archive's footprint
+  grows with every round while the bounded one's resident gauge stays flat
   at the hot-tier capacity (history keeps accumulating in the spill log, and
   offline tracebacks of retracted routes still answer — through spill reads).
 
@@ -22,6 +24,7 @@ size; unset, 24 and 48 under ``REPRO_SCALE_FULL=1``),
 from __future__ import annotations
 
 import os
+from typing import Optional
 
 import pytest
 
@@ -42,29 +45,33 @@ CHURN_TTL = 10.0
 #: REPRO_SCALE_N=100 (hot tier 256, see ROADMAP "Storage tiers").
 FULL_CHURN_N = 48
 
+#: The bounded archive's hot tier, and one larger than any run here: with
+#: it every archived entry stays resident — the unbounded baseline.
+BOUNDED_HOT_ENTRIES = 256
+UNBOUNDED_HOT_ENTRIES = 1 << 30
+
 
 def churn_rounds() -> int:
     return int(os.environ.get("REPRO_BENCH_CHURN_ROUNDS", "3"))
 
 
 def build_and_run(
-    node_count: int, tmp_path, store: str, hot: int = 256, **extra
+    node_count: int, spill_dir: Optional[str] = None, **extra
 ) -> Network:
-    options = dict(
+    """Archive a Best-Path run: bounded (a log file under *spill_dir*) or,
+    with no *spill_dir*, unbounded (every entry hot, the log in memory)."""
+    network = Network.build(
         topology=node_count,
         program="best-path",
         provenance="condensed",
         keep_offline_provenance=True,
         seed=0,
+        hot_tier_entries=(
+            UNBOUNDED_HOT_ENTRIES if spill_dir is None else BOUNDED_HOT_ENTRIES
+        ),
+        spill_dir=spill_dir,
         **extra,
     )
-    if store == "tiered":
-        options.update(
-            provenance_store="tiered",
-            hot_tier_entries=hot,
-            spill_dir=str(tmp_path / f"spill-{node_count}"),
-        )
-    network = Network.build(**options)
     network.run()
     return network
 
@@ -107,90 +114,90 @@ def churn(network: Network, rounds: int) -> None:
 
 @pytest.mark.parametrize("node_count", bench_sizes())
 def test_bytes_per_derived_tuple(benchmark, tmp_path, node_count):
-    """Archived bytes per derived tuple, memory vs tiered residency."""
+    """Archived bytes per derived tuple, unbounded vs bounded residency."""
 
     def run():
-        memory = build_and_run(node_count, tmp_path, "memory")
-        tiered = build_and_run(node_count, tmp_path, "tiered")
-        return memory, tiered
+        unbounded = build_and_run(node_count)
+        bounded = build_and_run(node_count, str(tmp_path / f"spill-{node_count}"))
+        return unbounded, bounded
 
-    memory, tiered = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
-    entries = archived_entries(memory)
+    unbounded, bounded = benchmark.pedantic(
+        run, rounds=1, iterations=1, warmup_rounds=0
+    )
+    entries = archived_entries(unbounded)
     assert entries > 0
-    assert archived_entries(tiered) == entries
+    assert archived_entries(bounded) == entries
 
-    memory_bytes = memory.stats.summary()["provenance_bytes_resident"]
-    tiered_summary = tiered.stats.summary()
-    assert memory_bytes > 0
-    assert tiered_summary["provenance_bytes_spilled"] > 0
+    unbounded_bytes = unbounded.stats.summary()["provenance_bytes_resident"]
+    bounded_summary = bounded.stats.summary()
+    assert unbounded_bytes > bounded_summary["provenance_bytes_resident"]
+    assert bounded_summary["provenance_bytes_spilled"] > 0
 
     benchmark.extra_info["node_count"] = node_count
     benchmark.extra_info["derived_entries"] = entries
-    benchmark.extra_info["memory_bytes_per_entry"] = memory_bytes / entries
-    benchmark.extra_info["tiered_resident_bytes_per_entry"] = (
-        tiered_summary["provenance_bytes_resident"] / entries
+    benchmark.extra_info["unbounded_bytes_per_entry"] = unbounded_bytes / entries
+    benchmark.extra_info["bounded_resident_bytes_per_entry"] = (
+        bounded_summary["provenance_bytes_resident"] / entries
     )
-    benchmark.extra_info["tiered_spilled_bytes_per_entry"] = (
-        tiered_summary["provenance_bytes_spilled"] / entries
+    benchmark.extra_info["bounded_spilled_bytes_per_entry"] = (
+        bounded_summary["provenance_bytes_spilled"] / entries
     )
 
 
 def test_resident_bytes_bounded_by_run_length(benchmark, tmp_path):
-    """Churn grows the in-memory archive but not the tiered resident gauge."""
+    """Churn grows the unbounded archive but not the bounded resident gauge."""
     nodes = scale_n(FULL_CHURN_N)
     rounds = churn_rounds()
-    memory = build_and_run(nodes, tmp_path, "memory", default_ttl=CHURN_TTL)
-    tiered = build_and_run(
-        nodes, tmp_path, "tiered", hot=256, default_ttl=CHURN_TTL
-    )
+    unbounded = build_and_run(nodes, default_ttl=CHURN_TTL)
+    bounded = build_and_run(nodes, str(tmp_path / "spill"), default_ttl=CHURN_TTL)
 
-    baseline_memory = memory.stats.summary()["provenance_bytes_resident"]
-    baseline_tiered = tiered.stats.summary()["provenance_bytes_resident"]
+    baseline_unbounded = unbounded.stats.summary()["provenance_bytes_resident"]
+    baseline_bounded = bounded.stats.summary()["provenance_bytes_resident"]
 
     def run():
-        churn(memory, rounds)
-        churn(tiered, rounds)
+        churn(unbounded, rounds)
+        churn(bounded, rounds)
 
     benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
 
-    memory_summary = memory.stats.summary()
-    tiered_summary = tiered.stats.summary()
+    unbounded_summary = unbounded.stats.summary()
+    bounded_summary = bounded.stats.summary()
 
     # The unbounded archive pays for history in memory ...
-    assert memory_summary["provenance_bytes_resident"] > baseline_memory
-    # ... the tiered store pays for it in the spill log: the resident gauge
+    assert unbounded_summary["provenance_bytes_resident"] > baseline_unbounded
+    # ... the bounded one pays for it in the spill log: the resident gauge
     # stays within a small factor of its converged baseline (the hot tier
     # turned over, it did not grow with run length).
-    assert tiered_summary["provenance_bytes_resident"] <= 2 * baseline_tiered
+    assert bounded_summary["provenance_bytes_resident"] <= 2 * baseline_bounded
     assert (
-        tiered_summary["provenance_bytes_spilled"]
-        > tiered_summary["provenance_bytes_resident"]
+        bounded_summary["provenance_bytes_spilled"]
+        > bounded_summary["provenance_bytes_resident"]
     )
 
     # The history is still answerable: every route at the churned link's
     # source — all retracted and re-derived each round — must trace back
-    # offline structurally identical to the unbounded oracle, and the
+    # offline structurally identical to the unbounded archive, and the
     # answers must come (at least partly) from the spill log.
-    source = memory.topology.links[0].source
-    reads_before = tiered.stats.summary()["spill_reads"]
-    routes = sorted(memory.node(source).facts("bestPath"), key=lambda f: f.values)
+    source = unbounded.topology.links[0].source
+    reads_before = bounded.stats.summary()["spill_reads"]
+    routes = sorted(unbounded.node(source).facts("bestPath"), key=lambda f: f.values)
     assert routes
     for target in routes:
-        answer = tiered.query(target, at=source, mode="offline")
-        oracle = memory.query(target, at=source, mode="offline")
+        answer = bounded.query(target, at=source, mode="offline")
+        oracle = unbounded.query(target, at=source, mode="offline")
         assert answer.complete and oracle.complete
         assert answer.graph.same_structure(oracle.graph), target
-    assert tiered.stats.summary()["spill_reads"] > reads_before
+    assert bounded.stats.summary()["spill_reads"] > reads_before
 
     benchmark.extra_info["node_count"] = nodes
     benchmark.extra_info["churn_rounds"] = rounds
-    benchmark.extra_info["memory_resident_bytes"] = memory_summary[
+    benchmark.extra_info["unbounded_resident_bytes"] = unbounded_summary[
         "provenance_bytes_resident"
     ]
-    benchmark.extra_info["tiered_resident_bytes"] = tiered_summary[
+    benchmark.extra_info["bounded_resident_bytes"] = bounded_summary[
         "provenance_bytes_resident"
     ]
-    benchmark.extra_info["tiered_spilled_bytes"] = tiered_summary[
+    benchmark.extra_info["bounded_spilled_bytes"] = bounded_summary[
         "provenance_bytes_spilled"
     ]
-    benchmark.extra_info["spill_reads"] = tiered.stats.summary()["spill_reads"]
+    benchmark.extra_info["spill_reads"] = bounded.stats.summary()["spill_reads"]

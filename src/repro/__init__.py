@@ -68,21 +68,22 @@ analyzer runs standalone as ``python -m repro.datalog.lint prog.ndlog
 ``network.query(..., mode="offline")`` walks the persistent provenance
 archives that survive node crashes.
 
-Long runs can bound the archives' memory with the tiered store
-(:mod:`repro.provenance.tiers`)::
+Each archive (:mod:`repro.provenance.store`) is a bounded hot tier over an
+append-only per-node log; naming a ``spill_dir`` moves the log from process
+memory to files there::
 
     network = Network.build(topology=10, program="best-path",
                             provenance="condensed",
                             keep_offline_provenance=True,
-                            provenance_store="tiered",
-                            hot_tier_entries=256)
+                            hot_tier_entries=256,
+                            spill_dir="spill")
     network.run()
     print(network.stats.summary()["provenance_bytes_resident"],
           network.stats.summary()["provenance_bytes_spilled"])
 
-Derivations older than the hot tier spill to an append-only per-node log
-and are fetched back transparently (counted as ``spill_reads``); offline
-forensics stay byte-identical to the unbounded default for any capacity.
+Derivations evicted from the hot tier are fetched back from the log
+transparently (counted as ``spill_reads``); offline forensics give the same
+answers for any capacity.
 
 Beyond one-shot tracebacks, the network runs as an always-on **query
 service**: a :class:`~repro.service.workload.QueryWorkload` describes

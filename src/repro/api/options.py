@@ -22,7 +22,6 @@ from repro.net.link import DEFAULT_BANDWIDTH, DEFAULT_LATENCY
 from repro.net.query import DEFAULT_QUERY_TIMEOUT
 from repro.net.sharding import SHARD_MODES
 from repro.provenance.pruning import ProvenanceSampler
-from repro.provenance.tiers import PROVENANCE_STORES
 from repro.security.says import SaysMode
 from repro.service.cache import CacheConfig
 from repro.service.ratelimit import ADMISSION_POLICIES, AdmissionControl
@@ -164,14 +163,12 @@ class NetOptions:
     keep_offline_provenance: Optional[bool] = None
     offline_retention: Optional[float] = None
     sampler: Optional[ProvenanceSampler] = None
-    #: Offline-archive representation: ``"memory"`` (unbounded, the preset
-    #: default) or ``"tiered"`` (bounded hot tier over a spill log; see
-    #: ``repro/provenance/tiers.py`` and the ROADMAP "Storage tiers" section).
-    provenance_store: Optional[str] = None
-    #: Hot-tier capacity in archived entries (``provenance_store="tiered"``).
+    #: Offline-archive hot-tier capacity in archived entries (an LRU cache
+    #: over the write-through spill log; see ``repro/provenance/store.py``
+    #: and the ROADMAP "Storage tiers" section).
     hot_tier_entries: Optional[int] = None
-    #: Directory for the tiered archive's per-node spill logs; ``None``
-    #: defers to a per-process directory under the system tempdir.
+    #: Directory for the archive's per-node spill log files; ``None`` keeps
+    #: the log in process memory, so the run writes no file.
     spill_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -207,13 +204,6 @@ class NetOptions:
         if self.offline_retention is not None and self.offline_retention <= 0:
             raise ValueError(
                 f"offline_retention must be positive, got {self.offline_retention}"
-            )
-        if self.provenance_store is not None and (
-            self.provenance_store not in PROVENANCE_STORES
-        ):
-            raise ValueError(
-                f"unknown provenance_store {self.provenance_store!r}; "
-                f"expected one of {PROVENANCE_STORES}"
             )
         if self.hot_tier_entries is not None and self.hot_tier_entries < 1:
             raise ValueError(
@@ -343,7 +333,6 @@ class NetOptions:
             "keep_offline_provenance",
             "offline_retention",
             "sampler",
-            "provenance_store",
             "hot_tier_entries",
             "spill_dir",
         )

@@ -78,14 +78,12 @@ class EngineConfig:
     sampler: Optional[ProvenanceSampler] = None
     keep_offline_provenance: bool = False
     offline_retention: Optional[float] = None
-    #: Offline-archive representation: ``"memory"`` keeps every entry in an
-    #: unbounded in-memory log; ``"tiered"`` bounds residency with an LRU
-    #: hot tier over a write-through spill log (see provenance/tiers.py).
-    provenance_store: str = "memory"
-    #: Hot-tier capacity (archived entries) for ``provenance_store="tiered"``.
+    #: Offline-archive hot-tier capacity in archived entries: an LRU cache
+    #: of whole per-key entry groups over the write-through spill log (see
+    #: provenance/store.py).
     hot_tier_entries: int = 256
-    #: Directory for the tiered archive's per-node spill logs; ``None``
-    #: falls back to a per-process directory under the system tempdir.
+    #: Directory for the archive's per-node spill log files; ``None`` keeps
+    #: the log in process memory, so the run writes no file.
     spill_dir: Optional[str] = None
     default_ttl: Optional[float] = None
     #: Maintain the antecedent -> derived-tuple index that lets
@@ -193,27 +191,6 @@ def group_outgoing(outgoing: List[OutgoingFact]) -> Dict[str, List[OutgoingFact]
     return grouped
 
 
-def _build_offline_archive(address: str, config: EngineConfig):
-    """The offline archive selected by ``config.provenance_store``."""
-    if config.provenance_store == "tiered":
-        from repro.provenance.tiers import TieredProvenanceArchive
-
-        return TieredProvenanceArchive(
-            address,
-            retention=config.offline_retention,
-            hot_entries=config.hot_tier_entries,
-            spill_dir=config.spill_dir,
-        )
-    if config.provenance_store == "memory":
-        return OfflineProvenanceArchive(
-            address, retention=config.offline_retention
-        )
-    raise ValueError(
-        f"unknown provenance_store {config.provenance_store!r}; expected "
-        "'memory' or 'tiered'"
-    )
-
-
 class NodeEngine:
     """One simulated declarative-networking node."""
 
@@ -292,7 +269,12 @@ class NodeEngine:
         #: retraction and replaced on a crash; the archive below is the
         #: append-only copy that outlives both.
         self.provenance = DerivationLog(address, config.track_dependencies)
-        self.offline_provenance = _build_offline_archive(address, config)
+        self.offline_provenance = OfflineProvenanceArchive(
+            address,
+            retention=config.offline_retention,
+            hot_entries=config.hot_tier_entries,
+            spill_dir=config.spill_dir,
+        )
         #: Monotonic generation counter of this node's provenance log,
         #: bumped on every mutation (base/derivation/remote recording,
         #: invalidation cascades, crash resets).  The service plane's query
@@ -533,9 +515,9 @@ class NodeEngine:
         Database tables, aggregate state and the live derivation log (with
         its dependency index) are wiped; the offline provenance
         archive — modelling a persistent log — survives the crash, which is
-        what makes post-mortem forensics of a failed node possible.  Under
-        the tiered archive the crash costs exactly the volatile hot tier:
-        the spill log persists and every entry stays answerable offline.
+        what makes post-mortem forensics of a failed node possible.  The
+        crash costs the archive exactly its volatile hot tier: the spill
+        log persists and every entry stays answerable offline.
         """
         for table in self.database.tables():
             table.clear()

@@ -233,9 +233,10 @@ class PhaseRow:
 
     The storage-tier columns observe the offline archives:
     ``provenance_bytes_resident`` is the residency gauge *at the end of the
-    phase* (under ``provenance_store="tiered"`` it stays bounded by the hot
-    tier however long the run gets), while ``provenance_bytes_spilled`` /
-    ``spill_reads`` are per-phase deltas of the cumulative counters.
+    phase* (with a ``spill_dir`` it stays bounded by the hot tier however
+    long the run gets; an in-memory log adds its own bytes), while
+    ``provenance_bytes_spilled`` / ``spill_reads`` are per-phase deltas of
+    the cumulative counters.
     """
 
     scenario: str

@@ -189,9 +189,9 @@ class NodeStats:
     #: Offline-archive storage tiers (gauges refreshed at snapshot points —
     #: kernel expiry sweeps and sharded stats requests): bytes of provenance
     #: resident in memory, cumulative bytes written to the spill log, and
-    #: entries read back from it.  Zero spill under the in-memory archive.
-    #: Each node's archive lives on exactly one kernel, so the gauges are
-    #: nonzero in at most one merged source and adding them is exact.
+    #: entries read back from it (an in-memory log's bytes are resident
+    #: too).  Each node's archive lives on exactly one kernel, so the gauges
+    #: are nonzero in at most one merged source and adding them is exact.
     provenance_bytes_resident: int = 0
     provenance_bytes_spilled: int = 0
     spill_reads: int = 0

@@ -11,9 +11,10 @@ worker pipes (:class:`BinaryCodec`):
 * a per-frame **string table** interning addresses, relations, principals
   and rule labels, so each repeated name costs 4 bytes;
 * payloads (fact values, provenance monomials, query keys) via the same
-  deterministic ``repr`` literal encoding the tiered provenance store uses
-  (:mod:`repro.provenance.tiers`): ``repr`` of literals + ``ast.literal_eval``
-  round-trips exactly and never depends on hash seeds, unlike pickled sets;
+  deterministic ``repr`` literal encoding the offline archive's spill log
+  uses (:mod:`repro.provenance.store`): ``repr`` of literals +
+  ``ast.literal_eval`` round-trips exactly and never depends on hash seeds,
+  unlike pickled sets;
 * frames of at least ``COMPRESS_MIN_BYTES`` are deflated when that saves
   bytes.
 

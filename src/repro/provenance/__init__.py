@@ -19,7 +19,7 @@ This package implements the full taxonomy of Section 4:
   recursive traceback query, Section 4.1;
 * **online vs offline provenance** (:mod:`log`, :mod:`store`) — the live log,
   which forgets retracted state, versus an append-only archive that survives
-  expiry, Section 4.2;
+  expiry (a bounded hot tier over a write-through spill log), Section 4.2;
 * **authenticated provenance** (:mod:`authenticated`) — per-derivation-node
   signatures, Section 4.3;
 * **quantifiable provenance** (:mod:`quantify`) — trust levels, counts and
@@ -58,7 +58,6 @@ from repro.provenance.quantify import (
     trust_level,
     vote_principals,
 )
-from repro.provenance.taxonomy import ProvenanceAxes, UseCase, recommend_provenance
 from repro.provenance.pruning import ASAggregator, ProvenanceSampler
 
 __all__ = [
@@ -74,7 +73,6 @@ __all__ = [
     "DerivationNode",
     "OfflineProvenanceArchive",
     "OperatorNode",
-    "ProvenanceAxes",
     "ProvenanceExpression",
     "ProvenancePointer",
     "ProvenanceSampler",
@@ -83,7 +81,6 @@ __all__ = [
     "TRUST",
     "TracebackResult",
     "TrustSemiring",
-    "UseCase",
     "condense_expression",
     "count_derivations",
     "p_one",
@@ -91,7 +88,6 @@ __all__ = [
     "p_sum",
     "p_var",
     "p_zero",
-    "recommend_provenance",
     "trust_level",
     "vote_principals",
 ]

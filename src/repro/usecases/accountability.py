@@ -12,9 +12,13 @@ talk to destinations they should not.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple, Union
 
-from repro.net.message import Message
+from repro.net.message import Message, MessageBatch
+
+#: What the auditor observes: one tuple, or a batch of them (the default
+#: wire format).
+WireMessage = Union[Message, MessageBatch]
 
 
 @dataclass(frozen=True)
@@ -42,14 +46,15 @@ class AuditRecord:
     first_activity: Optional[float] = None
     last_activity: Optional[float] = None
 
-    def record(self, message: Message) -> None:
+    def record(self, message: WireMessage) -> None:
+        """Count one wire message: its bytes once, its relations per tuple."""
         self.messages += 1
         self.bytes_sent += message.size_bytes()
         self.destinations[message.destination] = (
             self.destinations.get(message.destination, 0) + 1
         )
-        relation = message.fact.relation
-        self.relations[relation] = self.relations.get(relation, 0) + 1
+        for fact in message.facts():
+            self.relations[fact.relation] = self.relations.get(fact.relation, 0) + 1
         if self.first_activity is None or message.sent_at < self.first_activity:
             self.first_activity = message.sent_at
         if self.last_activity is None or message.sent_at > self.last_activity:
@@ -101,13 +106,15 @@ class AccountabilityAuditor:
 
     # -- intake --------------------------------------------------------------------
 
-    def observe(self, message: Message) -> None:
-        """Attribute one message to its asserting principal (or its source node)."""
-        principal = message.fact.asserted_by or message.source
+    def observe(self, message: WireMessage) -> None:
+        """Attribute one message — a tuple or a batch — to the principal that
+        asserted its first tuple (or to its source node)."""
+        facts = message.facts()
+        principal = (facts[0].asserted_by if facts else None) or message.source
         record = self._records.setdefault(principal, AuditRecord(principal=principal))
         record.record(message)
 
-    def observe_all(self, messages: Iterable[Message]) -> None:
+    def observe_all(self, messages: Iterable[WireMessage]) -> None:
         for message in messages:
             self.observe(message)
 

@@ -469,6 +469,34 @@ class TestOneSigningPath:
         assert "INV008" not in _rules(tool.check_tree(tree))
 
 
+class TestNoHiddenFiles:
+    @pytest.mark.parametrize(
+        "statement",
+        (
+            "import tempfile",
+            "import os, tempfile as tmp",
+            "from tempfile import mkdtemp",
+            "from tempfile import gettempdir as where",
+        ),
+    )
+    @pytest.mark.parametrize("where", ("engine", "harness"))
+    def test_tempfile_imports_flagged_everywhere(self, tree, statement, where):
+        (tree / where / "mod.py").write_text(
+            f"import json\n{statement}\n", encoding="utf-8"
+        )
+        findings = [f for f in tool.check_tree(tree) if f.rule == "INV009"]
+        assert [(f.path, f.line) for f in findings] == [(f"{where}/mod.py", 2)]
+
+    def test_caller_named_directories_are_not(self, tree):
+        (tree / "engine" / "mod.py").write_text(
+            "import os\nfrom .tempfile_names import safe\n\n"
+            "def log_path(spill_dir, node):\n"
+            "    return os.path.join(spill_dir, safe(node))\n",
+            encoding="utf-8",
+        )
+        assert "INV009" not in _rules(tool.check_tree(tree))
+
+
 class TestAllowlist:
     def test_inline_comment_suppresses_matching_rule(self, tree):
         (tree / "net" / "mod.py").write_text(

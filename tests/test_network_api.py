@@ -58,12 +58,11 @@ class TestPresets:
             keep_offline_provenance=True,
             offline_retention=60.0,
             sampler=sampler,
-            provenance_store="tiered",
             hot_tier_entries=32,
             spill_dir=str(tmp_path),
         )
         overrides = options.engine_overrides()
-        assert len(overrides) == 9
+        assert len(overrides) == 8
         assert set(overrides) <= {f.name for f in dataclasses.fields(EngineConfig)}
         config = options.engine_config("condensed")
         assert {name: getattr(config, name) for name in overrides} == overrides
@@ -71,18 +70,16 @@ class TestPresets:
         assert NetOptions().engine_config("condensed") == EngineConfig(
             provenance_mode=ProvenanceMode.CONDENSED
         )
-        assert len(dataclasses.fields(NetOptions)) == 34
-        assert len(dataclasses.fields(EngineConfig)) == 12
+        assert len(dataclasses.fields(NetOptions)) == 33
+        assert len(dataclasses.fields(EngineConfig)) == 11
 
     def test_tiered_store_knobs_reach_engine_config(self, tmp_path):
         options = NetOptions(
             keep_offline_provenance=True,
-            provenance_store="tiered",
             hot_tier_entries=32,
             spill_dir=str(tmp_path),
         )
         config = options.engine_config("ndlog")
-        assert config.provenance_store == "tiered"
         assert config.hot_tier_entries == 32
         assert config.spill_dir == str(tmp_path)
 
@@ -97,7 +94,7 @@ class TestNetOptionsValidation:
             ({"query_timeout": 0}, "query_timeout"),
             ({"default_ttl": -1.0}, "default_ttl"),
             ({"link_relation": ""}, "link_relation"),
-            ({"provenance_store": "warp"}, "provenance_store"),
+            ({"offline_retention": 0.0}, "offline_retention"),
             ({"hot_tier_entries": 0}, "hot_tier_entries"),
             ({"spill_dir": ""}, "spill_dir"),
         ],
@@ -118,13 +115,14 @@ class TestNetOptionsValidation:
             {"batch_receive": False},
             {"keep_online_provenance": True},
             {"maintenance_mode": "reactive"},
+            {"provenance_store": "memory"},
         ],
         ids=lambda kwargs: next(iter(kwargs)),
     )
     def test_removed_options_are_unknown_to_build(self, removed):
-        # The deleted coordination / transport / receive modes and the two
-        # dead provenance switches are not silently accepted: they fail like
-        # any other misspelt option.
+        # The deleted coordination / transport / receive modes, the two
+        # dead provenance switches and the second archive representation are
+        # not silently accepted: they fail like any other misspelt option.
         with pytest.raises(ValueError, match="unknown NetOptions field.*valid fields"):
             Network.build(topology=4, provenance="ndlog", **removed)
 

@@ -311,7 +311,7 @@ def test_ndlog_never_enters_the_provenance_package_while_rules_fire():
     nodes = network.topology.node_count
     assert calls == {
         "store.py:OfflineProvenanceArchive.resident_bytes": nodes,
-        "store.py:OfflineProvenanceArchive.storage_bytes": nodes,
+        "store.py:MemorySpillBackend.resident_bytes": nodes,
         "store.py:OfflineProvenanceArchive.spilled_bytes": nodes,
         "store.py:OfflineProvenanceArchive.spill_read_count": nodes,
     }

@@ -1,5 +1,5 @@
-"""Tests for online/offline stores, authenticated provenance, quantification,
-taxonomy and the Section 5 optimizations.
+"""Tests for online/offline stores, authenticated provenance, quantification
+and the Section 5 optimizations.
 
 The *online* store is the live :class:`DerivationLog` (it vouches for the
 currently valid keys); the *offline* store archives the same firings.
@@ -33,14 +33,6 @@ from repro.provenance.quantify import (
     vote_principals,
 )
 from repro.provenance.store import OfflineProvenanceArchive
-from repro.provenance.taxonomy import (
-    LifetimeAxis,
-    ProvenanceAxes,
-    StorageAxis,
-    UseCase,
-    all_recommendations,
-    recommend_provenance,
-)
 from repro.security.authenticator import (
     AuthenticationError,
     Authenticator,
@@ -255,28 +247,6 @@ class TestQuantify:
         annotation = CondensedProvenance(expression=self.PAPER)
         assert trust_level(annotation, {"a": 2, "b": 1}) == 2
         assert count_derivations(annotation) == 2
-
-
-class TestTaxonomy:
-    def test_trust_management_recommendation(self):
-        axes = recommend_provenance(UseCase.TRUST_MANAGEMENT)
-        assert axes.condensed and axes.quantifiable
-        assert axes.storage_options == (StorageAxis.LOCAL,)
-
-    def test_forensics_requires_offline(self):
-        axes = recommend_provenance(UseCase.FORENSICS)
-        assert LifetimeAxis.OFFLINE in axes.lifetimes
-
-    def test_diagnostics_is_online(self):
-        axes = recommend_provenance(UseCase.REAL_TIME_DIAGNOSTICS)
-        assert axes.lifetimes == (LifetimeAxis.ONLINE,)
-
-    def test_all_use_cases_covered(self):
-        assert set(all_recommendations()) == set(UseCase)
-
-    def test_describe_is_readable(self):
-        text = recommend_provenance(UseCase.TRUST_MANAGEMENT).describe()
-        assert "local" in text and "condensed" in text
 
 
 class TestOptimizations:

@@ -1,21 +1,22 @@
-"""Property test: the tiered archive is indistinguishable from the oracle.
+"""Property test: the offline archive is indistinguishable from the oracle.
 
 Hypothesis drives random scripts of dynamics — retracting link failures,
 node crashes and recoveries, quiet periods — against two identically-seeded
-networks: one with the unbounded in-memory offline archive (the oracle) and
-one with the tiered store at a hot-tier capacity drawn down to a single
-entry.  After every script, every key the oracle ever archived must be
-answerable offline under the tiered store with a structurally identical
-derivation graph: eviction, spill reads and crash-driven cache loss must
-never change a forensic answer.
+networks: one whose engines archive into the unbounded in-memory reference
+(:class:`reference_stores.ReferenceOfflineArchive`, the oracle) and one with
+the archive every engine builds, at a hot-tier capacity drawn down to a
+single entry and with its spill log in memory or in files.  After every
+script, every key the oracle ever archived must be answerable offline with
+a structurally identical derivation graph: eviction, spill reads and
+crash-driven cache loss must never change a forensic answer.
 """
 
 from __future__ import annotations
 
-import tempfile
-
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+
+from reference_stores import ReferenceOfflineArchive
 
 from repro.api import Network
 from repro.net.events import LinkDown, NodeCrash, NodeRecover
@@ -81,14 +82,19 @@ def _apply(network, script):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(script=operations, hot_entries=st.sampled_from([1, 2, 4, 64]))
-def test_tiered_forensics_match_memory_oracle(script, hot_entries):
+@given(
+    script=operations,
+    hot_entries=st.sampled_from([1, 2, 4, 64]),
+    file_log=st.booleans(),
+)
+def test_tiered_forensics_match_memory_oracle(
+    tmp_path_factory, script, hot_entries, file_log
+):
     oracle = _build()
-    tiered = _build(
-        provenance_store="tiered",
-        hot_tier_entries=hot_entries,
-        spill_dir=tempfile.mkdtemp(prefix="repro-prop-"),
-    )
+    for address, engine in oracle.simulator.engines.items():
+        engine.offline_provenance = ReferenceOfflineArchive(address)
+    spill_dir = str(tmp_path_factory.mktemp("spill")) if file_log else None
+    tiered = _build(hot_tier_entries=hot_entries, spill_dir=spill_dir)
     _apply(oracle, script)
     _apply(tiered, script)
 

@@ -1,30 +1,32 @@
-"""Tests for the tiered offline archive (hot tier + spill log).
+"""Tests for the offline archive's tiers (hot tier + spill log).
 
 Covers the forensics contract under eviction, crash and pickling; the
 write-through discipline; deterministic LRU eviction; spill-record
-round-tripping; storage accounting; and the satellite regression fixes in
-:class:`OfflineProvenanceArchive` (index-aware ``storage_bytes`` and
-query-pinned ``age_out``).
+round-tripping; both spill logs (a file under ``spill_dir``, or process
+memory); storage accounting (index-aware ``storage_bytes``); and
+query-pinned ``age_out``.
 """
 
 from __future__ import annotations
 
 import pickle
+import tempfile
 
 import pytest
 
-from reference_stores import pointer_for
+from reference_stores import ReferenceOfflineArchive, pointer_for
 
 from repro.api import Network
 from repro.engine.tuples import Fact
 from repro.net.events import LinkDown, LinkUp
 from repro.net.topology import line_topology
 from repro.provenance.condensed import CondensedProvenance
-from repro.provenance.store import OfflineProvenanceArchive, ProvenanceEntry
-from repro.provenance.tiers import (
+from repro.provenance.store import (
     DEFAULT_HOT_TIER_ENTRIES,
     LogSpillBackend,
-    TieredProvenanceArchive,
+    MemorySpillBackend,
+    OfflineProvenanceArchive,
+    ProvenanceEntry,
     decode_entry,
     encode_entry,
 )
@@ -43,7 +45,7 @@ def _firing(relation, values, t=0.0, rule="r", antecedents=()):
 
 def _tiered(tmp_path, **kw):
     kw.setdefault("spill_dir", str(tmp_path))
-    return TieredProvenanceArchive("a", **kw)
+    return OfflineProvenanceArchive("a", **kw)
 
 
 class TestSpillRecordCodec:
@@ -113,6 +115,53 @@ class TestLogSpillBackend:
         slot = backend.append(b"fresh\n")
         assert slot == (0, 6)
         assert backend.read(*slot) == b"fresh\n"
+
+
+class TestMemorySpillBackend:
+    def test_same_slots_as_the_file_log(self, tmp_path):
+        memory = MemorySpillBackend()
+        file_log = LogSpillBackend(str(tmp_path / "a.plog"))
+        for record in (b"first\n", b"second\n"):
+            slot = memory.append(record)
+            assert slot == file_log.append(record)
+            assert memory.read(*slot) == record
+        assert memory.resident_bytes() == len(b"first\nsecond\n")
+        assert file_log.resident_bytes() == 0
+
+    def test_pickle_keeps_the_log(self):
+        backend = MemorySpillBackend()
+        slot = backend.append(b"first\n")
+        clone = pickle.loads(pickle.dumps(backend))
+        assert clone.read(*slot) == b"first\n"
+        assert clone.append(b"second\n") == (6, 7)
+
+    def test_resident_bytes_count_an_in_memory_log(self, tmp_path):
+        in_memory = OfflineProvenanceArchive("a", hot_entries=0)
+        on_disk = _tiered(tmp_path, hot_entries=0)
+        for archive in (in_memory, on_disk):
+            archive.record(_firing("x", ("1",)))
+        assert on_disk.resident_bytes() == 0
+        assert in_memory.resident_bytes() == in_memory.spilled_bytes() > 0
+        assert in_memory.spilled_bytes() == on_disk.spilled_bytes()
+
+    def test_archived_run_without_spill_dir_writes_no_file(
+        self, tmp_path, monkeypatch
+    ):
+        # No spill_dir: the log stays in memory — nothing lands in the
+        # system temporary directory or the working directory.
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", None)
+        monkeypatch.chdir(tmp_path)
+        network = Network.build(
+            topology=line_topology(4),
+            program="best-path",
+            provenance="condensed",
+            keep_offline_provenance=True,
+            hot_tier_entries=1,
+        )
+        assert network.run().converged
+        assert network.stats.summary()["provenance_bytes_spilled"] > 0
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestWriteThrough:
@@ -212,7 +261,7 @@ class TestCrashAndPickle:
         assert got == {("x", ("1",)), ("x", ("2",))}
 
     def test_graph_reconstruction_matches_memory_oracle_after_crash(self, tmp_path):
-        oracle = OfflineProvenanceArchive("a")
+        oracle = ReferenceOfflineArchive("a")
         tiered = _tiered(tmp_path, hot_entries=1)
         link = Fact("link", ("a", "b"))
         hop = pointer_for(Fact("hop", ("a", "b")), "h1", "a", (link,), timestamp=1.0)
@@ -318,8 +367,7 @@ class TestTieredStorageAccounting:
 
 
 class TestOfflineArchiveRegressions:
-    """Satellite 1: storage accounting and query-pinned aging in the
-    in-memory archive."""
+    """Storage accounting and query-pinned aging with the log in memory."""
 
     def test_storage_bytes_counts_index_and_annotations(self):
         archive = OfflineProvenanceArchive("a")
@@ -368,7 +416,6 @@ class TestForensicTracebackCost:
             program="best-path",
             provenance="condensed",
             keep_offline_provenance=True,
-            provenance_store="tiered",
             hot_tier_entries=1,
             spill_dir=str(tmp_path / f"flaps-{flaps}"),
             default_ttl=1e6,

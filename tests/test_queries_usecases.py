@@ -9,7 +9,7 @@ from reference_stores import fire, pointer_for
 from repro.datalog import analyze_program, localize_program, parse_program
 from repro.datalog.planner import compile_program
 from repro.engine.tuples import Fact
-from repro.net.message import Message
+from repro.net.message import BatchItem, Message, MessageBatch
 from repro.provenance.condensed import CondensedProvenance
 from repro.provenance.log import DerivationLog
 from repro.provenance.polynomial import p_product, p_sum, p_var
@@ -193,6 +193,22 @@ class TestAccountability:
         fact = Fact("update", ("n3", "x"))
         auditor.observe(Message(source="n3", destination="x", fact=fact))
         assert auditor.record_for("n3").messages == 1
+
+    def test_batched_message_counted_once_per_message(self):
+        # Batches are the default wire format: one message, its bytes once,
+        # its relations once per carried tuple.
+        items = tuple(
+            BatchItem(fact=Fact(relation, ("n1", "x"), asserted_by="alice"))
+            for relation in ("update", "route")
+        )
+        batch = MessageBatch(source="n1", destination="x", items=items, sent_at=1.0)
+        auditor = AccountabilityAuditor()
+        auditor.observe(batch)
+        record = auditor.record_for("alice")
+        assert record.messages == 1
+        assert record.bytes_sent == batch.size_bytes()
+        assert record.relations == {"update": 1, "route": 1}
+        assert record.destinations == {"x": 1}
 
     def test_top_talkers_ordering(self):
         auditor = AccountabilityAuditor()

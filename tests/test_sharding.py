@@ -184,7 +184,6 @@ class TestSerialEquivalence:
             return EngineConfig(
                 provenance_mode=ProvenanceMode.CONDENSED,
                 keep_offline_provenance=True,
-                provenance_store="tiered",
                 hot_tier_entries=8,
                 spill_dir=str(tmp_path),
             )
@@ -195,6 +194,27 @@ class TestSerialEquivalence:
         summary = serial.stats.summary()
         assert summary["provenance_bytes_spilled"] > 0
         assert summary["provenance_bytes_resident"] > 0
+
+    @pytest.mark.parametrize("shard_mode", ("inline", "processes"))
+    def test_in_memory_spill_log_counters_identical(self, shard_mode):
+        # With no spill_dir the log lives in process memory, travels with
+        # its engine across the spawn boundary, and its bytes count as
+        # resident — on every backend alike.
+        topology = random_topology(12, seed=5)
+
+        def config():
+            return EngineConfig(
+                provenance_mode=ProvenanceMode.CONDENSED,
+                keep_offline_provenance=True,
+                hot_tier_entries=8,
+            )
+
+        serial = _serial(topology, config())
+        sharded = _sharded(topology, config(), shards=2, shard_mode=shard_mode)
+        _assert_equivalent(serial, sharded)
+        summary = serial.stats.summary()
+        spilled = summary["provenance_bytes_spilled"]
+        assert summary["provenance_bytes_resident"] > spilled > 0
 
     def test_per_tuple_wire_format_identical(self):
         topology = random_topology(10, seed=4)

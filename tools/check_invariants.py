@@ -48,6 +48,10 @@ INV008  one signing path: ``rsa.sign`` / ``rsa.verify`` are reached — imported
         and verified once; a second per-tuple signing path regrowing in the
         engine would double the largest cost of the heaviest configuration
         and sign bytes the envelope does not bind.
+INV009  no hidden files: ``import tempfile`` / ``from tempfile import ...``
+        anywhere in ``src/repro``.  A run writes files only under a
+        directory its caller named (``spill_dir``); a temporary-directory
+        default leaks files nobody asked for and nobody removes.
 
 A finding on a line ending with ``# invariant: ok(INVxxx)`` is suppressed —
 the comment is the audit trail for deliberate exceptions.
@@ -74,6 +78,7 @@ RULES: Dict[str, str] = {
     "INV006": "unbounded module-level cache in provenance/engine/service/net",
     "INV007": "exec/eval/compile outside the rule compiler",
     "INV008": "rsa.sign/rsa.verify reached outside the three signing modules",
+    "INV009": "tempfile imported: files only under a caller-named directory",
 }
 
 #: Directories whose code runs inside the simulation loop.  The service
@@ -204,7 +209,7 @@ def _is_unbounded_memo_decorator(decorator: ast.AST) -> bool:
 
 
 class FileChecker(ast.NodeVisitor):
-    """Per-file visitor emitting INV001 / INV002 / INV004 / INV006 – INV008."""
+    """Per-file visitor emitting INV001 / INV002 / INV004 / INV006 – INV009."""
 
     def __init__(self, relative: str, allowed: Dict[int, Set[str]]) -> None:
         self.relative = relative
@@ -262,9 +267,25 @@ class FileChecker(ast.NodeVisitor):
                     )
         self.generic_visit(node)
 
-    # -- INV008 --------------------------------------------------------------
+    # -- INV008 / INV009 -------------------------------------------------------
+
+    def _check_tempfile(self, node: ast.AST, module: str) -> None:
+        if module.split(".")[0] == "tempfile":
+            self._emit(
+                "INV009",
+                node,
+                "imports tempfile; write files only under a directory the "
+                "caller named (spill_dir), or keep the data in memory",
+            )
+
+    def visit_Import(self, node: ast.Import) -> None:
+        for alias in node.names:
+            self._check_tempfile(node, alias.name)
+        self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        if not node.level:
+            self._check_tempfile(node, node.module or "")
         module = (node.module or "").split(".")
         if not self.signs and module[-1] in ("rsa", "security"):
             for alias in node.names:
