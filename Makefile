@@ -58,6 +58,12 @@
 #                      each replace / remove, render calls by value type,
 #                      with_metadata copies per exported tuple.  `make check`
 #                      runs it at N=8 as a smoke.
+#   make query-census - tools/query_census.py on the query_service shape (N=30,
+#                      25 sim-s at 100 queries/s, result cache on): per
+#                      completed query, messages, closure lookups, entries
+#                      merged vs skipped, key renders, graph nodes built,
+#                      QueryTimeouts and NetworkStats.node lookups.  `make
+#                      check` runs it at N=12 / 2 sim-s as a smoke.
 #   make lint        - static analysis: the NDlog program linter over every
 #                      in-tree program (warnings fail the build), the
 #                      determinism-invariant checker over src/repro, and —
@@ -75,9 +81,9 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check tier1 test bench-smoke scenarios-smoke shard-smoke shard-scenarios examples-smoke service-smoke memory-smoke dynamics-smoke dynamics-scenarios spine-smoke poly-census poly-census-smoke engine-census engine-census-smoke lint compileall ci
+.PHONY: check tier1 test bench-smoke scenarios-smoke shard-smoke shard-scenarios examples-smoke service-smoke memory-smoke dynamics-smoke dynamics-scenarios spine-smoke poly-census poly-census-smoke engine-census engine-census-smoke query-census query-census-smoke lint compileall ci
 
-check: lint test bench-smoke scenarios-smoke shard-smoke examples-smoke service-smoke memory-smoke dynamics-smoke spine-smoke poly-census-smoke engine-census-smoke
+check: lint test bench-smoke scenarios-smoke shard-smoke examples-smoke service-smoke memory-smoke dynamics-smoke spine-smoke poly-census-smoke engine-census-smoke query-census-smoke
 
 tier1:
 	$(PYTHON) -m pytest -x -q
@@ -143,6 +149,13 @@ engine-census:
 engine-census-smoke:
 	$(PYTHON) tools/engine_census.py --provenance ndlog --nodes 8
 	$(PYTHON) tools/engine_census.py --provenance condensed --nodes 8 --flaps 2
+
+query-census:
+	$(PYTHON) tools/query_census.py --nodes 30 --seconds 25
+
+query-census-smoke:
+	$(PYTHON) tools/query_census.py --nodes 12 --seconds 2
+	$(PYTHON) tools/query_census.py --nodes 8 --seconds 2 --no-cache --read
 
 lint:
 	$(PYTHON) -m repro.datalog.lint --builtin --strict

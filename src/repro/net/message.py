@@ -236,9 +236,17 @@ def _memo_field():
     return field(default=None, init=False, repr=False, compare=False)
 
 
+def _key_size_field():
+    """The rendered size of the message's key, passed in where it is already
+    known (a closure entry's frontier, the request a response answers) so
+    the message does not render the key again.  Derived state
+    like a memo: outside equality and ``repr``, and it never travels."""
+    return field(default=None, repr=False, compare=False)
+
+
 def _without_memos(self) -> dict:
     """``__getstate__`` of the memo-carrying objects: memos never travel."""
-    memos = ("_size_bytes", "_replay")
+    memos = ("_size_bytes", "_replay", "_frontier", "key_bytes")
     return {k: v for k, v in self.__dict__.items() if k not in memos}
 
 
@@ -250,7 +258,8 @@ class QueryClosureEntry:
     ``is_base`` marks an input leaf, ``pointers`` carries the recorded rule
     firings (each input paired with the node holding its own provenance).
     A cached closure hands the same immutable entries to every response, so
-    size and replay nodes are built once per entry, not once per response.
+    size, remote frontier and replay nodes are built once per entry, not
+    once per response.
     """
 
     key: FactKey
@@ -259,6 +268,7 @@ class QueryClosureEntry:
     pointers: Tuple[ProvenancePointer, ...] = ()
     _size_bytes: Optional[int] = _memo_field()
     _replay: Optional[tuple] = _memo_field()
+    _frontier: Optional[tuple] = _memo_field()
 
     __getstate__ = _without_memos
 
@@ -287,6 +297,26 @@ class QueryClosureEntry:
             object.__setattr__(self, "_replay", plan)
         return plan
 
+    def frontier(self) -> tuple:
+        """The pointer inputs held on other nodes, which a querier merging
+        this entry dereferences: ``(pointer index, ((key, origin, key
+        bytes), ...))`` for each pointer that has any, in pointer order."""
+        frontier = self._frontier
+        if frontier is None:
+            node = self.node
+            frontier = []
+            for index, pointer in enumerate(self.pointers):
+                remote = tuple(
+                    (key, origin, key_payload_bytes(key))
+                    for key, origin in pointer.inputs
+                    if origin and origin != node
+                )
+                if remote:
+                    frontier.append((index, remote))
+            frontier = tuple(frontier)
+            object.__setattr__(self, "_frontier", frontier)
+        return frontier
+
 
 @dataclass(eq=False)
 class QueryRequest:
@@ -311,19 +341,22 @@ class QueryRequest:
     sequence: int = 0
     security_bytes: int = 0
     provenance_bytes: int = 0
+    key_bytes: Optional[int] = _key_size_field()
     _size_bytes: Optional[int] = _memo_field()
 
     __getstate__ = _without_memos
 
     def payload_bytes(self) -> int:
+        """The serialized key: all a request carries besides header and flags."""
         return self.size_bytes() - MESSAGE_HEADER_BYTES - QUERY_FLAG_BYTES
 
     def size_bytes(self) -> int:
         size = self._size_bytes
         if size is None:
-            size = self._size_bytes = (
-                MESSAGE_HEADER_BYTES + key_payload_bytes(self.key) + QUERY_FLAG_BYTES
-            )
+            key = self.key_bytes
+            if key is None:
+                key = key_payload_bytes(self.key)
+            size = self._size_bytes = MESSAGE_HEADER_BYTES + key + QUERY_FLAG_BYTES
         return size
 
     @property
@@ -368,6 +401,7 @@ class QueryResponse:
     sequence: int = 0
     security_bytes: int = 0
     provenance_bytes: int = 0
+    key_bytes: Optional[int] = _key_size_field()
     _size_bytes: Optional[int] = _memo_field()
 
     __getstate__ = _without_memos
@@ -387,7 +421,9 @@ class QueryResponse:
     def size_bytes(self) -> int:
         size = self._size_bytes
         if size is None:
-            payload = key_payload_bytes(self.key)
+            payload = self.key_bytes
+            if payload is None:
+                payload = key_payload_bytes(self.key)
             for entry in self.entries:
                 payload += entry.serialized_size()
             for key in self.missing:

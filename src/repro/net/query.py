@@ -30,12 +30,20 @@ with ``complete=False``.  Queries can run ``mode="offline"`` against the
 persistent provenance archives, which survive node crashes; the node must
 still be up to answer.
 
-Caches and what invalidates them (all instance state, none module-level):
+The querier keeps no graph while a query runs: it logs the closure entries
+it merges and walks only their remote frontier; the graph is replayed from
+that log when someone reads it (:attr:`PendingQuery.graph`), so a service
+plane that only times its queries never builds one.
+
+Caches and what invalidates them (all instance state, none module-level;
+no memo travels in pickles or codec frames):
 
 ==================  ==========================  ================================
 cache               lives on                    invalidated by
 ==================  ==========================  ================================
-size / replay memo  request, response, entry    never: the owner is immutable
+size memo           request, response, entry    never: the owner is immutable
+remote frontier     each closure entry          never: the owner is immutable
+replay memo         each closure entry          never; filled on graph read
 route table         each ``SimulationKernel``   LinkDown/Up, NodeCrash/Recover
 closure memo        per-node ``ClosureCache``   the node's ``provenance_epoch``
 expiry watermark    each ``Table``              soft store / refresh / any scan
@@ -162,13 +170,27 @@ class QueryResult:
 
 @dataclass
 class PendingQuery:
-    """Querier-side state of one in-flight :class:`ProvenanceQuery`."""
+    """Querier-side state of one in-flight :class:`ProvenanceQuery`.
+
+    The querier records what arrived rather than a graph: ``merged`` logs,
+    in merge order, every closure entry that passed the ``seen`` filter and
+    every ``(key, node)`` pair reported missing.  :attr:`graph` replays
+    that log into a fresh :class:`DerivationGraph` on each read, in the
+    order an eagerly grown graph would have received its nodes — first
+    writer wins for tuple nodes, operators in arrival order.
+    """
 
     query_id: int
     query: ProvenanceQuery
     issued_at: float
-    graph: DerivationGraph = field(default_factory=DerivationGraph)
-    #: (key, node) expansions already merged into the graph.
+    #: The merge log.  An item is a whole :class:`QueryClosureEntry`, a
+    #: missing ``(key, node)`` pair, or an ``(entry, start, stop)`` slice of
+    #: one entry's operators (its tuple node with the ``start == 0`` slice):
+    #: an entry is split where a pointer leading home expanded the asker's
+    #: own store in the middle of it, so its later operators replay after
+    #: the entries that expansion merged.
+    merged: List[object] = field(default_factory=list)
+    #: (key, node) expansions already merged into the log.
     seen: Set[Tuple[FactKey, Address]] = field(default_factory=set)
     #: (key, node) dereferences already requested — kept separate from
     #: ``seen`` so the response's own root entry still merges, while
@@ -197,8 +219,35 @@ class PendingQuery:
     #: schedule their next arrival.
     service: Optional[object] = None
 
+    @property
+    def graph(self) -> DerivationGraph:
+        """The derivation graph merged so far, built from the merge log.
+
+        Every read builds a new graph, so a graph taken mid-query stays the
+        partial answer it was; the frozen nodes inside are shared.
+        """
+        graph = DerivationGraph()
+        for item in self.merged:
+            if type(item) is QueryClosureEntry:
+                tuple_node, operators = item.replay()
+                graph.add_tuple(tuple_node)
+            elif len(item) == 2:
+                key, node = item
+                graph.add_tuple(DerivationNode(key=key, location=node))
+                continue
+            else:
+                entry, start, stop = item
+                tuple_node, operators = entry.replay()
+                if start == 0:
+                    graph.add_tuple(tuple_node)
+                operators = operators[start:stop]
+            for operator in operators:
+                graph.add_operator(operator)
+        return graph
+
     def result(self) -> QueryResult:
-        """Snapshot the query's answer (partial until ``done``)."""
+        """Snapshot the query's answer (partial until ``done``): counters,
+        ``missing`` and the graph as of this call."""
         return QueryResult(
             query=self.query,
             graph=self.graph,
@@ -394,6 +443,7 @@ class QueryEngine:
             missing=missing,
             annotation=annotation,
             annotation_bytes=annotation_bytes,
+            key_bytes=request.payload_bytes(),
         )
         signing_cost = 0.0
         if request.authenticated:
@@ -502,42 +552,65 @@ class QueryEngine:
         missing,
         now: float,
     ) -> None:
-        """Replay closure *entries* into the graph; dereference remote inputs."""
-        graph = pending.graph
+        """Log closure *entries* for the graph; dereference remote inputs.
+
+        Only each entry's remote frontier is walked; the graph is built
+        from the log when someone reads it (:attr:`PendingQuery.graph`).
+        A pointer leading home expands the asker's store right here, and
+        that expansion logs its own entries: when it happens before the
+        entry's last pointer, the entry's log item is cut there, so its
+        later operators replay after what the expansion merged.
+        """
         seen = pending.seen
+        merged = pending.merged
         for entry in entries:
             pair = (entry.key, entry.node)
             if pair in seen:
                 continue
             seen.add(pair)
-            tuple_node, operators = entry.replay()
-            graph.add_tuple(tuple_node)
-            for operator, pointer in zip(operators, entry.pointers):
-                graph.add_operator(operator)
-                for input_key, origin in pointer.inputs:
-                    if origin and origin != entry.node:
-                        self._dereference(pending, input_key, origin, now)
+            merged.append(entry)
+            frontier = entry.frontier()
+            if not frontier:
+                continue
+            piece = len(merged) - 1  # the log item holding the entry's tail
+            start = 0
+            last = len(entry.pointers) - 1
+            for index, remote in frontier:
+                for input_key, origin, key_bytes in remote:
+                    self._dereference(pending, input_key, origin, now, key_bytes)
+                if len(merged) - 1 != piece and index != last:
+                    merged[piece] = (entry, start, index + 1)
+                    start = index + 1
+                    piece = len(merged)
+                    merged.append((entry, start, None))
         for key in missing:
             pair = (key, node)
             if pair in seen:
                 continue
             seen.add(pair)
-            graph.add_tuple(DerivationNode(key=key, location=node))
+            merged.append(pair)
             if key not in pending.missing:
                 pending.missing.append(key)
 
     def _dereference(
-        self, pending: PendingQuery, key: FactKey, node: Address, now: float
+        self,
+        pending: PendingQuery,
+        key: FactKey,
+        node: Address,
+        now: float,
+        key_bytes: Optional[int] = None,
     ) -> None:
         """Follow one remote pointer edge: locally when it points home,
-        otherwise as a paid request."""
-        if (key, node) in pending.seen or (key, node) in pending.requested:
+        otherwise as a paid request (*key_bytes*: the key's rendered size,
+        when the caller already knows it)."""
+        pair = (key, node)
+        if pair in pending.seen or pair in pending.requested:
             return
         if node == pending.query.at:
             # The pointer leads back to the asker: resolved in memory.
             self._expand_local(pending, key, now)
             return
-        pending.requested.add((key, node))
+        pending.requested.add(pair)
         pending.remote_lookups += 1
         simulator = self.simulator
         self._next_request_id += 1
@@ -550,6 +623,7 @@ class QueryEngine:
             mode=pending.query.mode,
             condensed=pending.query.condensed,
             authenticated=pending.query.authenticated,
+            key_bytes=key_bytes,
         )
         send_time = self._charge(
             pending.query.at,

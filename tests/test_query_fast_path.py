@@ -1,9 +1,11 @@
-"""The query-plane fast path: size memos, the route table, shared replay nodes.
+"""The query-plane fast path: size memos and remote frontiers, the route
+table, shared replay nodes built on read.
 
 Each cache must be invisible except in how much work gets done: sizes equal
-a from-scratch rendering, routes equal a fresh search, replayed graphs equal
-the zero-cost oracle — and the work counters at the bottom pin that the
-caches actually save what they claim to.
+a from-scratch rendering, a frontier lists exactly the remote inputs, routes
+equal a fresh search, replayed graphs equal the zero-cost oracle — and the
+work counters at the bottom pin that the caches actually save what they
+claim to.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from repro.net.message import (
 )
 from repro.net.topology import random_topology
 from repro.net.transport import BinaryCodec
+from repro.provenance.graph import DerivationGraph
 from repro.provenance.log import ProvenancePointer
 from repro.queries.best_path import compile_best_path
 from repro.service import QueryWorkload
@@ -154,30 +157,59 @@ class TestSizeMemos:
         assert signed.security_bytes == 16 and signed.provenance_bytes == 11
         assert plain.size_bytes() == unsigned_size
 
+    @pytest.mark.parametrize("key", KEYS)
+    def test_frontier_lists_remote_inputs_with_their_sizes(self, key):
+        entry = entry_for(key)
+        expected = tuple(
+            (k, origin, key_bytes(k))
+            for k, origin in entry.pointers[0].inputs
+            if origin and origin != entry.node
+        )
+        assert entry.frontier() == ((0, expected),)
+        assert entry.frontier() is entry.frontier()
+        assert QueryClosureEntry(key=key, node="n1", is_base=True).frontier() == ()
+        # A known key size prices a request and its response exactly as a
+        # rendering would.
+        request = replace(request_for(key), key_bytes=key_bytes(key))
+        assert request.size_bytes() == request_for(key).size_bytes()
+        answer = replace(response_for(key), key_bytes=request.payload_bytes())
+        assert answer.size_bytes() == response_bytes(answer)
+
     def test_memos_stay_out_of_equality_repr_and_pickles(self):
         sized, fresh = entry_for(KEYS[5]), entry_for(KEYS[5])
         sized.serialized_size()
         sized.replay()
+        sized.frontier()
         assert sized == fresh and hash(sized) == hash(fresh)
         assert repr(sized) == repr(fresh)
-        for message in (sized, request_for(KEYS[5]), response_for(KEYS[5])):
+        rendered = key_bytes(KEYS[5])
+        known = replace(request_for(KEYS[5]), key_bytes=rendered)
+        assert repr(known) == repr(request_for(KEYS[5]))
+        for message in (sized, known, response_for(KEYS[5], key_bytes=rendered)):
             size = wire_size(message)
             state = message.__getstate__()
-            assert "_size_bytes" not in state and "_replay" not in state
+            for memo in ("_size_bytes", "_replay", "_frontier", "key_bytes"):
+                assert memo not in state
             clone = pickle.loads(pickle.dumps(message))
             assert clone._size_bytes is None
+            assert getattr(clone, "_frontier", None) is None
+            assert getattr(clone, "key_bytes", None) is None
             assert wire_size(clone) == size
 
     @pytest.mark.parametrize("key", KEYS)
     def test_codec_round_trip_keeps_sizes(self, key):
         codec = BinaryCodec()
-        sent = [request_for(key), response_for(key, signature=b"\x01\x02")]
+        known = key_bytes(key)
+        sent = [
+            replace(request_for(key), key_bytes=known),
+            response_for(key, signature=b"\x01\x02", key_bytes=known),
+        ]
         for message in sent:
             message.size_bytes()  # a filled memo must not leak into the frame
         frame = codec.encode_exports([(1.0, message) for message in sent])
         received = [message for _, message in codec.decode_exports(frame)]
         for before, after in zip(sent, received):
-            assert after._size_bytes is None
+            assert after._size_bytes is None and after.key_bytes is None
             assert after.size_bytes() == before.size_bytes()
         assert received[1].entries == sent[1].entries
 
@@ -316,8 +348,33 @@ def test_serving_pays_one_search_per_pair_and_one_render_per_entry(monkeypatch):
         renders.append(key)
         return render_key(key)
 
+    frontier_builds = []
+    frontier = QueryClosureEntry.frontier
+
+    def counted_frontier(self):
+        if self._frontier is None:
+            frontier_builds.append(id(self))
+        return frontier(self)
+
+    operators = []
+    operator = ProvenancePointer.operator
+
+    def counted_operator(self):
+        operators.append(self)
+        return operator(self)
+
+    graphs = []
+    new_graph = DerivationGraph.__init__
+
+    def counted_graph(self):
+        graphs.append(self)
+        new_graph(self)
+
     monkeypatch.setattr(SimulationKernel, "_search_route", counted_search)
     monkeypatch.setattr(message_module, "key_payload_bytes", counted_render)
+    monkeypatch.setattr(QueryClosureEntry, "frontier", counted_frontier)
+    monkeypatch.setattr(ProvenancePointer, "operator", counted_operator)
+    monkeypatch.setattr(DerivationGraph, "__init__", counted_graph)
 
     workload = QueryWorkload(rate=100, duration=2.0, seed=4, pool=16)
     result = network.serve(workload, converge=False)
@@ -330,19 +387,37 @@ def test_serving_pays_one_search_per_pair_and_one_render_per_entry(monkeypatch):
     # the 652 routed messages travel it.
     assert len(searches) == len(set(searches)) == 88
 
-    # No provenance epoch moved and nothing was evicted, so each cached
-    # closure entry is rendered at most once (entries only ever expanded at
-    # the asker never ship, hence never render); every request and response
-    # renders its own key once more.
+    # Nobody reads these queries' graphs, so none is built: no graph, and
+    # no pointer turned into an operator node.
+    assert graphs == [] and operators == []
+
+    # No provenance epoch moved and nothing was evicted, so every merged
+    # entry is a cached one, and each builds its remote frontier once.
     cached_entries = {
         id(entry): entry
         for cache in network.simulator._query_caches.values()
         for (entries, _missing, _annotation), _epoch, _at in cache._entries.values()
         for entry in entries
     }
+    assert len(frontier_builds) == len(set(frontier_builds))
+    assert set(frontier_builds) == {
+        key for key, entry in cached_entries.items() if entry._frontier is not None
+    }
+
+    # Renders: each cached entry that ships sizes itself once — its key and
+    # every pointer input (entries only ever expanded at the asker never
+    # ship, hence never render) — and each frontier build renders the remote
+    # inputs it lists.  Requests take their key's size from the frontier
+    # and every response from its request: the 652 messages render nothing.
     sized = [e for e in cached_entries.values() if e._size_bytes is not None]
     entry_renders = sum(
         1 + sum(len(pointer.inputs) for pointer in entry.pointers) for entry in sized
     )
+    frontier_renders = sum(
+        len(remote)
+        for entry in cached_entries.values()
+        for _index, remote in entry._frontier or ()
+    )
     assert result.stats.total("cache_hits") > 0
-    assert len(renders) == messages + entry_renders == 1654
+    assert (entry_renders, frontier_renders) == (1002, 419)
+    assert len(renders) == entry_renders + frontier_renders == 1421
