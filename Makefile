@@ -71,8 +71,10 @@
 #   make ci          - what the GitHub Actions workflow runs after its own
 #                      spine-smoke step: the lint suite, tier-1 tests, the
 #                      scenario, shard-scenario, examples, service and
-#                      dynamics-scenario runs, and a bytecode compile of the
-#                      whole source tree.  Each benchmark file runs once:
+#                      dynamics-scenario runs, the three census smokes (the
+#                      census tools patch internals by name, so a rename
+#                      fails here rather than at the next census), and a
+#                      bytecode compile of the whole source tree.  Each benchmark file runs once:
 #                      tier-1 already collects all of benchmarks/ at sizes
 #                      that contain every smoke size, so the pytest lines of
 #                      bench-, memory-, shard- and dynamics-smoke (which
@@ -169,4 +171,4 @@ lint:
 compileall:
 	$(PYTHON) -m compileall -q src
 
-ci: lint tier1 scenarios-smoke shard-scenarios examples-smoke service-smoke dynamics-scenarios compileall
+ci: lint tier1 scenarios-smoke shard-scenarios examples-smoke service-smoke dynamics-scenarios poly-census-smoke engine-census-smoke query-census-smoke compileall

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from repro.api import Network
 from repro.engine.tuples import Fact
-from repro.provenance.condensed import CondensedProvenance
 from repro.provenance.log import DerivationLog, ProvenancePointer
 from repro.provenance.polynomial import p_product, p_var
 from repro.usecases.accountability import AccountabilityAuditor, UsagePolicy
@@ -43,10 +42,8 @@ def diagnostics_scenario() -> None:
 
     # Online provenance for the routes involved (who asserted them).
     provenance = {
-        ("n1", "n9"): CondensedProvenance(
-            expression=p_product(p_var("n7"), p_var("n9")).condense()
-        ),
-        ("n1", "n4"): CondensedProvenance.from_source("n4"),
+        ("n1", "n9"): p_product(p_var("n7"), p_var("n9")).condense(),
+        ("n1", "n4"): p_var("n4"),
     }
 
     # n1's live derivation log with a chain rooted at the flapping route.

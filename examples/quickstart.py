@@ -69,7 +69,7 @@ def main() -> None:
         annotation = engine.provenance_of(fact)
         print(f"  {fact}")
         print(f"    condensed provenance : {annotation}")
-        print(f"    supporting principals: {sorted(annotation.sources())}")
+        print(f"    supporting principals: {sorted(annotation.variables())}")
         print(
             f"    derivations={count_derivations(annotation)} "
             f"votes={vote_principals(annotation)} "

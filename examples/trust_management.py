@@ -21,7 +21,6 @@ Run with::
 from __future__ import annotations
 
 from repro.api import Network
-from repro.provenance.condensed import CondensedProvenance
 from repro.provenance.polynomial import p_product, p_sum, p_var
 from repro.provenance.quantify import count_derivations, trust_level, vote_principals
 from repro.security.principal import PrincipalRegistry
@@ -32,7 +31,7 @@ def main() -> None:
     # --- the paper's running example -------------------------------------------
     # reachable(a, c) can be derived from a alone, or from a joined with b.
     raw = p_sum(p_var("a"), p_product(p_var("a"), p_var("b")))
-    condensed = CondensedProvenance(expression=raw.condense())
+    condensed = raw.condense()
     print(f"raw provenance        : <{raw.to_string()}>")
     print(f"condensed provenance  : {condensed}   (a + a*b collapses to a)")
 
@@ -63,9 +62,7 @@ def main() -> None:
 
     # --- policy 3: quantified voting --------------------------------------------------
     print("\n-- policy: require at least 3 asserting principals --")
-    multi_asserted = CondensedProvenance(
-        expression=p_sum(p_var("a"), p_var("b"), p_var("c")).condense()
-    )
+    multi_asserted = p_sum(p_var("a"), p_var("b"), p_var("c")).condense()
     manager = TrustManager(TrustPolicy.require_votes(3), registry)
     for name, annotation in (("a+b+c", multi_asserted), ("a only", condensed)):
         decision = manager.evaluate(annotation)

@@ -11,8 +11,9 @@ The package is organised as the paper is:
 * :mod:`repro.security` — principals, RSA signatures and the ``says``
   operator's authentication modes;
 * :mod:`repro.provenance` — the paper's core contribution: semiring
-  provenance, BDD-condensed annotations, derivation graphs, local /
-  distributed / online / offline / authenticated / quantifiable provenance;
+  provenance, condensed (absorption-minimal) annotations, derivation
+  graphs, local / distributed / online / offline / authenticated /
+  quantifiable provenance;
 * :mod:`repro.queries` — the NDlog programs used in the paper (reachability,
   Best-Path, path-vector, monitoring);
 * :mod:`repro.usecases` — diagnostics, forensics, accountability and trust

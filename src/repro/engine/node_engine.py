@@ -30,9 +30,8 @@ from repro.engine.seminaive import (
 )
 from repro.engine.table import Table
 from repro.engine.tuples import Fact, FactKey
-from repro.provenance.condensed import CondensedProvenance
 from repro.provenance.log import DerivationLog, ProvenancePointer
-from repro.provenance.polynomial import ProvenanceExpression, p_product
+from repro.provenance.polynomial import ProvenanceExpression, join_all
 from repro.provenance.pruning import ProvenanceSampler
 from repro.provenance.store import OfflineProvenanceArchive
 from repro.security.authenticator import AuthenticationError, Authenticator
@@ -46,7 +45,7 @@ class ProvenanceMode(Enum):
 
     #: No provenance at all (plain NDlog / SeNDlog configurations).
     NONE = "none"
-    #: Condensed (BDD-minimised) annotations piggy-backed on shipped tuples.
+    #: Condensed (absorption-minimal) annotations piggy-backed on shipped tuples.
     CONDENSED = "condensed"
     #: Full derivation graphs piggy-backed on shipped tuples (local provenance).
     FULL_LOCAL = "full_local"
@@ -535,7 +534,7 @@ class NodeEngine:
     def facts(self, relation: str) -> Tuple[Fact, ...]:
         return self.database.facts(relation)
 
-    def provenance_of(self, fact: Fact) -> CondensedProvenance:
+    def provenance_of(self, fact: Fact) -> ProvenanceExpression:
         """Condensed provenance annotation of a locally stored fact."""
         return self.provenance.annotation(fact.key())
 
@@ -629,10 +628,7 @@ class NodeEngine:
 
     def _record_remote_provenance(self, fact: Fact) -> None:
         self.provenance_epoch += 1
-        condensed = fact.provenance
-        if not isinstance(condensed, CondensedProvenance):
-            condensed = None
-        self.provenance.record_remote(fact, condensed)
+        self.provenance.record_remote(fact, fact.provenance)
         if self.config.keep_offline_provenance:
             self.offline_provenance.record_remote(fact, fact.origin)
 
@@ -733,7 +729,7 @@ class NodeEngine:
 
         support: Optional[ProvenanceExpression] = None
         if self._rederivation:
-            support = self._support_product(firing.antecedents)
+            support = join_all([self._support_of(a.key()) for a in firing.antecedents])
 
         annotation = None
         if self._records_derivations:
@@ -765,11 +761,11 @@ class NodeEngine:
         if shipped is not None:
             provenance_bytes = shipped.serialized_size()
             if self.config.provenance_mode is ProvenanceMode.FULL_LOCAL:
-                piggyback = self.provenance.piggyback_for(derived)
-                provenance_bytes = max(
-                    provenance_bytes,
-                    piggyback.serialized_size(condensed_only=False),
-                )
+                # Local provenance is charged for the rendered full tree
+                # when it outweighs the annotation that actually travels.
+                key = derived.key()
+                tree = self.provenance.graph(key).render(key)
+                provenance_bytes = max(provenance_bytes, len(tree.encode("utf-8")))
             result.report.provenance_bytes_computed += provenance_bytes
         if support is not None:
             # The base-support polynomial rides the export (charged as
@@ -808,7 +804,7 @@ class NodeEngine:
         firing: RuleFiring,
         now: float,
         result: ProcessingResult,
-    ) -> Optional[CondensedProvenance]:
+    ) -> Optional[ProvenanceExpression]:
         """Append one firing to the derivation log; return its annotation.
 
         Remote-destined derivations are recorded (and dependency-indexed)
@@ -925,24 +921,17 @@ class NodeEngine:
                 bucket = uses[var] = {}
             bucket[key] = None
 
-    def _support_product(
-        self, antecedents: Tuple[Fact, ...]
-    ) -> ProvenanceExpression:
-        """The support polynomial of a firing: product of its antecedents'.
+    def _support_of(self, key: FactKey) -> ProvenanceExpression:
+        """The support polynomial of *key*, a firing's factor.
 
-        An antecedent with no recorded support (stored before rederivation
-        was enabled, or shipped by a sender running without it) is
+        A key with no recorded support (stored before rederivation was
+        enabled, or shipped by a sender running without it) is
         conservatively treated as its own base.
         """
-        support = self._support
-        factors = []
-        for antecedent in antecedents:
-            key = antecedent.key()
-            poly = support.get(key)
-            if poly is None:
-                poly = ProvenanceExpression.var(self._base_var(key))
-            factors.append(poly)
-        return p_product(*factors).condense()
+        poly = self._support.get(key)
+        if poly is None:
+            poly = ProvenanceExpression.var(self._base_var(key))
+        return poly
 
     def _merge_incoming_support(self, fact: Fact) -> bool:
         """Fold a received fact's shipped polynomial into the local index.

@@ -4,7 +4,8 @@ The paper's Section 6 compares:
 
 * **NDlog** — no authentication, no provenance;
 * **SeNDlog** — per-tuple RSA authentication, no provenance;
-* **SeNDlogProv** — authentication plus condensed (BDD) provenance.
+* **SeNDlogProv** — authentication plus condensed provenance (absorption to
+  the minimal DNF).
 
 :func:`run_network` is the sweep point: it builds the run through
 :class:`repro.api.Network` and returns the unified

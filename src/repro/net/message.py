@@ -31,6 +31,7 @@ from repro.engine.tuples import Fact, FactKey, render_payload
 from repro.net.address import Address
 from repro.provenance.log import ProvenancePointer
 from repro.provenance.graph import DerivationNode
+from repro.provenance.polynomial import ProvenanceExpression
 
 #: Fixed per-message framing overhead: UDP/IP headers plus P2's verbose tuple
 #: framing (relation name, per-field type tags, location specifier).
@@ -394,7 +395,7 @@ class QueryResponse:
     key: FactKey
     entries: Tuple[QueryClosureEntry, ...] = ()
     missing: Tuple[FactKey, ...] = ()
-    annotation: Optional[object] = None
+    annotation: Optional[ProvenanceExpression] = None
     annotation_bytes: int = 0
     signature: Optional[bytes] = None
     sent_at: float = 0.0

@@ -65,6 +65,7 @@ from repro.net.message import (
 )
 from repro.net.stats import latency_bucket
 from repro.provenance.graph import DerivationGraph, DerivationNode
+from repro.provenance.polynomial import ProvenanceExpression
 from repro.security.rsa import sign, verify
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -133,11 +134,11 @@ class QueryResult:
     #: Condensed annotation of the root — the querier's own recorded
     #: annotation when it holds one, otherwise the annotation a responder
     #: shipped for the root.  ``None`` when nobody vouches for the key.
-    condensed: Optional[object] = None
+    condensed: Optional[ProvenanceExpression] = None
     #: Per-key condensed annotations fetched over the wire
     #: (``condensed=True`` queries); these are the annotations whose
     #: serialized bytes the responses were billed for.
-    annotations: Dict[FactKey, object] = field(default_factory=dict)
+    annotations: Dict[FactKey, ProvenanceExpression] = field(default_factory=dict)
 
     @property
     def complete(self) -> bool:
@@ -208,8 +209,8 @@ class PendingQuery:
     timeouts: int = 0
     responses_verified: int = 0
     verification_failures: int = 0
-    condensed: Optional[object] = None
-    annotations: Dict[FactKey, object] = field(default_factory=dict)
+    condensed: Optional[ProvenanceExpression] = None
+    annotations: Dict[FactKey, ProvenanceExpression] = field(default_factory=dict)
     completed_at: float = 0.0
     done: bool = False
     #: The service-plane :class:`~repro.net.events.QueryArrival` this query

@@ -61,7 +61,6 @@ from repro.net.message import (
     QueryResponse,
     WIRE_KINDS,
 )
-from repro.provenance.condensed import CondensedProvenance
 from repro.provenance.log import ProvenancePointer
 from repro.provenance.polynomial import ProvenanceExpression
 from repro.security.authenticator import SignedEnvelope
@@ -92,9 +91,6 @@ _EVENT_KINDS: Dict[type, int] = {
     RefreshHorizon: 11,
     RefreshTimerFire: 12,
 }
-
-_PROV_NONE = 0
-_PROV_CONDENSED = 1
 
 
 class _Unencodable(Exception):
@@ -228,23 +224,17 @@ def _parse_literal(data: bytes) -> object:
     return ast.literal_eval(data.decode("utf-8"))
 
 
-def _encode_provenance(writer: _Writer, table: _StringTable, annotation) -> None:
-    if annotation is None:
-        writer.u8(_PROV_NONE)
-        return
-    if isinstance(annotation, CondensedProvenance):
-        writer.u8(_PROV_CONDENSED)
-        writer.blob(_literal_blob(annotation.expression.monomials))
-        return
-    raise _Unencodable(f"unknown provenance annotation {type(annotation).__name__}")
+def _encode_polynomial(writer: _Writer, polynomial) -> None:
+    """A condensed polynomial — a fact's annotation or support, a response's
+    annotation — as its normal-form monomials.  Whoever holds an optional
+    one marks its presence: a fact in its flags, a response in a byte."""
+    if not isinstance(polynomial, ProvenanceExpression):
+        raise _Unencodable(f"unknown polynomial {type(polynomial).__name__}")
+    writer.blob(_literal_blob(polynomial.monomials))
 
 
-def _decode_provenance(reader: _Reader, strings: List[str]):
-    if reader.u8() == _PROV_NONE:
-        return None
-    return CondensedProvenance(
-        expression=ProvenanceExpression(monomials=_parse_literal(reader.blob()))
-    )
+def _decode_polynomial(reader: _Reader) -> ProvenanceExpression:
+    return ProvenanceExpression(monomials=_parse_literal(reader.blob()))
 
 
 _FACT_HAS_TTL = 1
@@ -252,12 +242,11 @@ _FACT_HAS_ASSERTER = 2
 _FACT_HAS_SIGNATURE = 4
 _FACT_HAS_ORIGIN = 8
 _FACT_HAS_SUPPORT = 16
+_FACT_HAS_ANNOTATION = 32
 
 
 def _encode_fact(writer: _Writer, table: _StringTable, fact: Fact) -> None:
-    support = fact.support
-    if support is not None and not isinstance(support, ProvenanceExpression):
-        raise _Unencodable(f"unknown support annotation {type(support).__name__}")
+    support, annotation = fact.support, fact.provenance
     envelope = fact.signature
     if envelope is not None and not isinstance(envelope, SignedEnvelope):
         raise _Unencodable(f"unknown signature {type(envelope).__name__}")
@@ -272,6 +261,8 @@ def _encode_fact(writer: _Writer, table: _StringTable, fact: Fact) -> None:
         flags |= _FACT_HAS_ORIGIN
     if support is not None:
         flags |= _FACT_HAS_SUPPORT
+    if annotation is not None:
+        flags |= _FACT_HAS_ANNOTATION
     writer.u32(table.intern(fact.relation))
     writer.u8(flags)
     writer.f64(fact.timestamp)
@@ -285,9 +276,10 @@ def _encode_fact(writer: _Writer, table: _StringTable, fact: Fact) -> None:
     if fact.origin is not None:
         writer.u32(table.intern(fact.origin))
     if support is not None:
-        writer.blob(_literal_blob(support.monomials))
+        _encode_polynomial(writer, support)
     writer.blob(_literal_blob(fact.values))
-    _encode_provenance(writer, table, fact.provenance)
+    if annotation is not None:
+        _encode_polynomial(writer, annotation)
 
 
 def _decode_fact(reader: _Reader, strings: List[str]) -> Fact:
@@ -302,13 +294,9 @@ def _decode_fact(reader: _Reader, strings: List[str]) -> Fact:
         else None
     )
     origin = strings[reader.u32()] if flags & _FACT_HAS_ORIGIN else None
-    support = (
-        ProvenanceExpression(monomials=_parse_literal(reader.blob()))
-        if flags & _FACT_HAS_SUPPORT
-        else None
-    )
+    support = _decode_polynomial(reader) if flags & _FACT_HAS_SUPPORT else None
     values = _parse_literal(reader.blob())
-    provenance = _decode_provenance(reader, strings)
+    provenance = _decode_polynomial(reader) if flags & _FACT_HAS_ANNOTATION else None
     return Fact(
         relation=relation,
         values=values,
@@ -396,7 +384,11 @@ def _encode_message_body(writer: _Writer, table: _StringTable, message) -> None:
         writer.u32(len(message.missing))
         for key in message.missing:
             _encode_key(writer, table, key)
-        _encode_provenance(writer, table, message.annotation)
+        if message.annotation is None:
+            writer.u8(0)
+        else:
+            writer.u8(1)
+            _encode_polynomial(writer, message.annotation)
         writer.u32(message.annotation_bytes)
         if message.signature is None:
             writer.u8(0)
@@ -515,7 +507,7 @@ def _decode_message_body(reader: _Reader, strings: List[str]):
                 )
             )
         missing = tuple(_decode_key(reader, strings) for _ in range(reader.u32()))
-        annotation = _decode_provenance(reader, strings)
+        annotation = _decode_polynomial(reader) if reader.u8() else None
         annotation_bytes = reader.u32()
         signature = reader.blob() if reader.u8() else None
         return QueryResponse(

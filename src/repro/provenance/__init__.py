@@ -5,9 +5,13 @@ This package implements the full taxonomy of Section 4:
 * **provenance semirings** (:mod:`semiring`, :mod:`polynomial`) — derivations
   are annotated with polynomial expressions over base-tuple / principal
   variables, following Green et al.;
-* **condensed provenance** (:mod:`bdd`, :mod:`condensed`) — polynomials are
-  canonicalised through reduced ordered BDDs and minimised by absorption
-  (``a + a*b -> a``), Section 4.4;
+* **condensed provenance** (:mod:`polynomial`, :mod:`quantify`) — a tuple's
+  annotation is its polynomial reduced by absorption to the minimal DNF
+  (``a + a*b -> a``, :meth:`ProvenanceExpression.condense`), and a node
+  accepts it when some derivation rests on trusted sources alone
+  (:func:`acceptable`), Section 4.4.  :mod:`bdd` encodes the same boolean
+  functions canonically as reduced ordered BDDs, for callers that want that
+  form; no run condenses through it;
 * **the derivation log** (:mod:`log`) — the one live per-node record: every
   rule firing appended once as a pointer, plus base keys, remote origins,
   tuple metadata and condensed annotations;
@@ -37,6 +41,7 @@ from repro.provenance.semiring import (
 )
 from repro.provenance.polynomial import (
     ProvenanceExpression,
+    join_all,
     p_one,
     p_product,
     p_sum,
@@ -44,7 +49,6 @@ from repro.provenance.polynomial import (
     p_zero,
 )
 from repro.provenance.bdd import BDD, BDDManager
-from repro.provenance.condensed import CondensedProvenance, condense_expression
 from repro.provenance.graph import DerivationGraph, DerivationNode, OperatorNode
 from repro.provenance.log import DerivationLog, ProvenancePointer
 from repro.provenance.distributed import TracebackResult
@@ -54,6 +58,7 @@ from repro.provenance.authenticated import (
     ProvenanceVerificationError,
 )
 from repro.provenance.quantify import (
+    acceptable,
     count_derivations,
     trust_level,
     vote_principals,
@@ -67,7 +72,6 @@ __all__ = [
     "BDDManager",
     "BOOLEAN",
     "COUNTING",
-    "CondensedProvenance",
     "DerivationGraph",
     "DerivationLog",
     "DerivationNode",
@@ -81,8 +85,9 @@ __all__ = [
     "TRUST",
     "TracebackResult",
     "TrustSemiring",
-    "condense_expression",
+    "acceptable",
     "count_derivations",
+    "join_all",
     "p_one",
     "p_product",
     "p_sum",

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.engine.tuples import Fact, FactKey
-from repro.provenance.condensed import CondensedProvenance
 from repro.provenance.polynomial import ProvenanceExpression, p_var
 
 
@@ -304,11 +303,9 @@ class DerivationGraph:
 
     def to_condensed(
         self, root: FactKey, variable_of: Optional[callable] = None
-    ) -> CondensedProvenance:
+    ) -> ProvenanceExpression:
         """Condensed provenance annotation of *root* (Section 4.4)."""
-        return CondensedProvenance(
-            expression=self.to_expression(root, variable_of).condense()
-        )
+        return self.to_expression(root, variable_of).condense()
 
     # -- rendering --------------------------------------------------------------
 

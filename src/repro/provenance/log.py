@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.engine.tuples import Fact, FactKey
-from repro.provenance.condensed import CondensedProvenance
 from repro.provenance.graph import DerivationGraph, DerivationNode, OperatorNode
+from repro.provenance.polynomial import ProvenanceExpression, join_all, p_var
 
 
 @dataclass(frozen=True)
@@ -83,31 +83,6 @@ def derivation_graph(source, root: FactKey, tuple_node=None) -> DerivationGraph:
     return graph
 
 
-@dataclass(frozen=True)
-class PiggybackedProvenance:
-    """The provenance payload local provenance ships along with one tuple.
-
-    ``graph`` is the full derivation subgraph rooted at the tuple;
-    ``condensed`` the equivalent condensed annotation.  The wire-size model
-    charges for whichever representation the configuration ships.
-    """
-
-    root: FactKey
-    graph: DerivationGraph
-    condensed: CondensedProvenance
-
-    def serialized_size(self, condensed_only: bool = True) -> int:
-        """Bytes the piggy-back adds to a message.
-
-        With ``condensed_only`` (the SeNDlogProv configuration of the
-        evaluation) only the condensed expression travels; otherwise the size
-        of the rendered full tree is charged.
-        """
-        if condensed_only:
-            return self.condensed.serialized_size()
-        return len(self.graph.render(self.root).encode("utf-8"))
-
-
 class DerivationLog:
     """One node's live provenance: firings, base keys, origins, annotations."""
 
@@ -118,7 +93,7 @@ class DerivationLog:
         self._base: Dict[FactKey, None] = {}
         self._remote_origin: Dict[FactKey, str] = {}
         self._tuples: Dict[FactKey, DerivationNode] = {}
-        self._condensed: Dict[FactKey, CondensedProvenance] = {}
+        self._condensed: Dict[FactKey, ProvenanceExpression] = {}
         #: Antecedent key -> ordered set of keys derived from it at this node
         #: (filled only under ``track_dependencies``).
         self._dependents: Dict[FactKey, Dict[FactKey, None]] = {}
@@ -131,13 +106,10 @@ class DerivationLog:
         if key not in self._tuples:
             self._tuples[key] = _tuple_node(key, fact, self.node)
         self._base[key] = None
-        self._merge_condensed(
-            key,
-            CondensedProvenance.from_source(source or fact.asserted_by or self.node),
-        )
+        self._absorb(key, p_var(source or fact.asserted_by or self.node))
 
     def record_remote(
-        self, fact: Fact, annotation: Optional[CondensedProvenance] = None
+        self, fact: Fact, annotation: Optional[ProvenanceExpression] = None
     ) -> None:
         """Record a tuple that arrived from ``fact.origin``, which holds its
         provenance.
@@ -151,14 +123,12 @@ class DerivationLog:
         if fact.origin is not None and fact.origin != self.node:
             self._remote_origin[key] = fact.origin
         if annotation is None:
-            annotation = CondensedProvenance.from_source(
-                fact.asserted_by or fact.origin or "unknown"
-            )
-        self._merge_condensed(key, annotation)
+            annotation = p_var(fact.asserted_by or fact.origin or "unknown")
+        self._absorb(key, annotation)
 
     def append(
         self, pointer: ProvenancePointer, fact: Fact, antecedents: Sequence[Fact]
-    ) -> CondensedProvenance:
+    ) -> ProvenanceExpression:
         """Record one local rule firing; return the derived tuple's annotation.
 
         *fact* and *antecedents* are the tuples *pointer* names, in the same
@@ -175,8 +145,8 @@ class DerivationLog:
         self._pointers.setdefault(key, []).append(pointer)
         if self.track_dependencies:
             self.depend(key, input_keys)
-        joined = CondensedProvenance.join_all(map(self.annotation, input_keys))
-        return self._merge_condensed(key, joined)
+        joined = join_all(map(self.annotation, input_keys))
+        return self._absorb(key, joined)
 
     def depend(self, output: FactKey, inputs: Iterable[FactKey]) -> None:
         """Index *output* under each of *inputs* for retraction cascades.
@@ -243,28 +213,21 @@ class DerivationLog:
         """Keys whose derivations used *key* (candidates for cascade deletion)."""
         return tuple(self._dependents.get(key, ()))
 
-    def annotation(self, key: FactKey) -> CondensedProvenance:
+    def annotation(self, key: FactKey) -> ProvenanceExpression:
         """Condensed annotation of *key*; unknown keys map to their own identity."""
         existing = self._condensed.get(key)
         if existing is not None:
             return existing
         node = self._tuples.get(key)
         if node is not None and node.asserted_by:
-            return CondensedProvenance.from_source(node.asserted_by)
+            return p_var(node.asserted_by)
         relation, values = key
         rendered = ",".join(str(v) for v in values)
-        return CondensedProvenance.from_source(f"{relation}({rendered})")
+        return p_var(f"{relation}({rendered})")
 
     def graph(self, root: FactKey) -> DerivationGraph:
         """The local derivation graph rooted at *root* (Figure 1), built now."""
         return derivation_graph(self, root, self._tuples.get)
-
-    def piggyback_for(self, fact: Fact) -> PiggybackedProvenance:
-        """The provenance payload local provenance ships along with *fact*."""
-        key = fact.key()
-        return PiggybackedProvenance(
-            root=key, graph=self.graph(key), condensed=self.annotation(key)
-        )
 
     def storage_overhead(self) -> int:
         """Number of pointer entries stored at this node (E6's storage metric)."""
@@ -278,11 +241,9 @@ class DerivationLog:
 
     # -- internals -------------------------------------------------------------
 
-    def _merge_condensed(
-        self, key: FactKey, annotation: CondensedProvenance
-    ) -> CondensedProvenance:
+    def _absorb(self, key: FactKey, annotation: ProvenanceExpression) -> ProvenanceExpression:
         existing = self._condensed.get(key)
-        merged = annotation if existing is None else existing.merge(annotation)
+        merged = annotation if existing is None else existing.absorb(annotation)
         if merged is not existing:
             self._condensed[key] = merged
         return merged

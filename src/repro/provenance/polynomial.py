@@ -14,12 +14,19 @@ form is obtained by absorption — ``a + a*b == a`` — implemented in
 :meth:`ProvenanceExpression.condense`.  For semirings where multiplicity
 matters (counting), monomial multiplicities are preserved until the caller
 explicitly condenses.
+
+A condensed expression is the one type of both per-tuple polynomials a node
+keeps — the annotation over principals that a firing records and ships, and
+the base support over base-tuple keys that one-fixpoint deletions prune.
+Both combine alike: :func:`join_all` over one firing's inputs, and
+:meth:`ProvenanceExpression.absorb` when an alternative derivation meets the
+stored one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
 from repro.provenance.semiring import Semiring
 
@@ -286,3 +293,13 @@ def p_product(*expressions: ProvenanceExpression) -> ProvenanceExpression:
     for expression in expressions:
         result = expression if result is None else result * expression
     return ProvenanceExpression.one() if result is None else result
+
+
+def join_all(expressions: Iterable[ProvenanceExpression]) -> ProvenanceExpression:
+    """The condensed product of one firing's inputs (Section 4.4).
+
+    Condensed once at the end: the minimal DNF is unique, so condensing the
+    whole product gives the polynomial that condensing after every factor
+    would.  A single condensed factor comes back as itself.
+    """
+    return p_product(*expressions).condense()

@@ -20,7 +20,6 @@ import hashlib
 from typing import Dict, Iterable, List, Mapping, Tuple
 
 from repro.engine.tuples import FactKey
-from repro.provenance.condensed import CondensedProvenance
 from repro.provenance.polynomial import ProvenanceExpression
 
 
@@ -76,7 +75,7 @@ class ASAggregator:
     def as_of(self, node: str) -> str:
         return self._assignment.get(node, self._default)
 
-    def aggregate_expression(self, expression: ProvenanceExpression) -> ProvenanceExpression:
+    def aggregate(self, expression: ProvenanceExpression) -> ProvenanceExpression:
         """Rewrite node variables into AS variables and condense."""
         monomials: Dict = {}
         for support in expression.monomial_supports():
@@ -85,10 +84,7 @@ class ASAggregator:
             monomials[key] = 1
         return ProvenanceExpression.from_monomials(monomials).condense()
 
-    def aggregate(self, annotation: CondensedProvenance) -> CondensedProvenance:
-        return CondensedProvenance(expression=self.aggregate_expression(annotation.expression))
-
-    def compression_ratio(self, annotation: CondensedProvenance) -> float:
+    def compression_ratio(self, annotation: ProvenanceExpression) -> float:
         """Size of the AS-level annotation relative to the node-level one."""
         original = max(annotation.serialized_size(), 1)
         return self.aggregate(annotation).serialized_size() / original

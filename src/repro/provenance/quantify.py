@@ -12,28 +12,23 @@ directly over a tuple's provenance expression:
 * **vote** — the number of distinct principals that (jointly) support at
   least one derivation; e.g. "accept an update only if over K principals
   assert it".
+
+Beside them sits the boolean test condensed provenance exists for
+(Section 4.4): :func:`acceptable` — does some derivation rest on trusted
+sources alone?
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
-from repro.provenance.condensed import CondensedProvenance
 from repro.provenance.polynomial import ProvenanceExpression
 from repro.provenance.semiring import COUNTING, TRUST
 from repro.security.principal import PrincipalRegistry
 
-ExpressionLike = Union[ProvenanceExpression, CondensedProvenance]
-
-
-def _expression(value: ExpressionLike) -> ProvenanceExpression:
-    if isinstance(value, CondensedProvenance):
-        return value.expression
-    return value
-
 
 def trust_level(
-    provenance: ExpressionLike,
+    expression: ProvenanceExpression,
     levels: Union[Mapping[str, int], PrincipalRegistry],
     default_level: Optional[int] = None,
 ) -> float:
@@ -45,7 +40,6 @@ def trust_level(
     (fully trusted) — matching the paper's "assume trusted unless stated"
     reading of partially specified policies.
     """
-    expression = _expression(provenance)
     if isinstance(levels, PrincipalRegistry):
         assignment = {name: levels.security_level(name) for name in expression.variables()}
     else:
@@ -56,34 +50,43 @@ def trust_level(
     return expression.evaluate(TRUST, assignment)
 
 
-def count_derivations(provenance: ExpressionLike) -> int:
+def count_derivations(expression: ProvenanceExpression) -> int:
     """Number of distinct derivations of the tuple (counting semiring).
 
     Every base variable counts as one way of being present, so the count of
     ``a + a*b`` is 2: one derivation through ``a`` alone and one through
     ``a`` joined with ``b``.
     """
-    expression = _expression(provenance)
     assignment = {name: 1 for name in expression.variables()}
     return expression.evaluate(COUNTING, assignment)
 
 
-def vote_principals(provenance: ExpressionLike) -> int:
+def vote_principals(expression: ProvenanceExpression) -> int:
     """Number of distinct principals participating in any derivation."""
-    expression = _expression(provenance)
     return len(expression.variables())
 
 
-def accept_by_vote(provenance: ExpressionLike, threshold: int) -> bool:
+def acceptable(expression: ProvenanceExpression, trusted: Iterable[str]) -> bool:
+    """Source-set trust: is some derivation supported entirely by *trusted*?
+
+    The Section 4.4 use of condensed provenance — a node accepts a tuple iff
+    at least one monomial's variables are all trusted.  Absorption never
+    changes the answer, so a raw expression gets the same one.
+    """
+    trusted_set = set(trusted)
+    return any(support <= trusted_set for support in expression.monomial_supports())
+
+
+def accept_by_vote(expression: ProvenanceExpression, threshold: int) -> bool:
     """Quantified trust policy: accept only if over *threshold* principals assert it."""
-    return vote_principals(provenance) >= threshold
+    return vote_principals(expression) >= threshold
 
 
 def accept_by_trust_level(
-    provenance: ExpressionLike,
+    expression: ProvenanceExpression,
     levels: Union[Mapping[str, int], PrincipalRegistry],
     minimum_level: int,
     default_level: Optional[int] = None,
 ) -> bool:
     """Trust policy: accept when the derivation's trust level reaches *minimum_level*."""
-    return trust_level(provenance, levels, default_level=default_level) >= minimum_level
+    return trust_level(expression, levels, default_level=default_level) >= minimum_level

@@ -27,8 +27,8 @@ pickle, whose frozenset ordering is hash-seed dependent), so the
 ``provenance_bytes_spilled`` counter is identical between the serial and
 sharded backends.
 
-Condensed annotations are merged per key (``+`` then absorption, exactly
-like the live log) and *interned* by their normal-form monomials, so
+Condensed annotations are merged per key (``absorb``, exactly like the
+live log) and *interned* by their normal-form monomials, so
 structurally identical annotations share one object.  The merged table is
 bounded by the number of distinct keys and expressions — network-state
 size, not run length.
@@ -51,7 +51,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Protocol, Set, Tuple
 
 from repro.engine.tuples import Fact, FactKey
-from repro.provenance.condensed import CondensedProvenance
 from repro.provenance.graph import DerivationGraph
 from repro.provenance.log import ProvenancePointer, derivation_graph
 from repro.provenance.polynomial import ProvenanceExpression
@@ -76,7 +75,7 @@ class ProvenanceEntry:
     antecedent_keys: Tuple[FactKey, ...]
     timestamp: float
     expires_at: Optional[float]
-    annotation: Optional[CondensedProvenance] = None
+    annotation: Optional[ProvenanceExpression] = None
 
 
 def entry_bytes(entry: ProvenanceEntry, include_annotation: bool = True) -> int:
@@ -96,7 +95,7 @@ def entry_bytes(entry: ProvenanceEntry, include_annotation: bool = True) -> int:
 def archive_entry(
     pointer: ProvenancePointer,
     expires_at: Optional[float],
-    annotation: Optional[CondensedProvenance],
+    annotation: Optional[ProvenanceExpression],
 ) -> ProvenanceEntry:
     """The archived record of one live firing."""
     return ProvenanceEntry(
@@ -123,7 +122,7 @@ def encode_entry(entry: ProvenanceEntry) -> bytes:
     every process that records the same derivation.
     """
     annotation = entry.annotation
-    monomials = None if annotation is None else annotation.expression.monomials
+    monomials = None if annotation is None else annotation.monomials
     record = (
         entry.key,
         entry.rule_label,
@@ -142,17 +141,15 @@ def decode_entry(
     """Parse one spill-log record back into a :class:`ProvenanceEntry`.
 
     ``intern_annotation`` maps an annotation to its interned (shared)
-    object; reconstructed entries then reference the same
-    :class:`CondensedProvenance` instances as hot ones.
+    object; reconstructed entries then reference the same condensed
+    :class:`ProvenanceExpression` instances as hot ones.
     """
     key, rule_label, node, antecedents, timestamp, expires_at, monomials = (
         ast.literal_eval(record.decode("utf-8"))
     )
     annotation = None
     if monomials is not None:
-        annotation = CondensedProvenance(
-            expression=ProvenanceExpression(monomials=monomials)
-        )
+        annotation = ProvenanceExpression(monomials=monomials)
         if intern_annotation is not None:
             annotation = intern_annotation(annotation)
     return ProvenanceEntry(
@@ -331,10 +328,10 @@ class OfflineProvenanceArchive:
         self._next_id = 0
         self._pinned: Set[int] = set()
         #: Per-key merged condensed annotation (structure-sharing default).
-        self._condensed: Dict[FactKey, CondensedProvenance] = {}
+        self._condensed: Dict[FactKey, ProvenanceExpression] = {}
         #: Interned annotations by normal-form monomials: structurally equal
         #: expressions share one object across keys and entries.
-        self._intern: Dict[tuple, CondensedProvenance] = {}
+        self._intern: Dict[tuple, ProvenanceExpression] = {}
         #: Hot tier: key -> {entry id -> entry}, LRU by last touch.  A group
         #: is always cached whole (all live entries of its key) or not at
         #: all, so a hit answers the per-key lookup without touching the log.
@@ -381,20 +378,19 @@ class OfflineProvenanceArchive:
     # -- annotation interning --------------------------------------------------
 
     def _intern_annotation(
-        self, annotation: CondensedProvenance
-    ) -> CondensedProvenance:
-        shared = self._intern.get(annotation.expression.monomials)
+        self, annotation: ProvenanceExpression
+    ) -> ProvenanceExpression:
+        shared = self._intern.get(annotation.monomials)
         if shared is None:
-            shared = self._intern[annotation.expression.monomials] = annotation
+            shared = self._intern[annotation.monomials] = annotation
         return shared
 
-    def _merge_condensed(
-        self, key: FactKey, annotation: CondensedProvenance
-    ) -> CondensedProvenance:
+    def _absorb(self, key: FactKey, annotation: ProvenanceExpression) -> ProvenanceExpression:
         existing = self._condensed.get(key)
-        merged = annotation if existing is None else existing.merge(annotation)
-        merged = self._intern_annotation(merged)
-        self._condensed[key] = merged
+        merged = annotation if existing is None else existing.absorb(annotation)
+        if merged is not existing:
+            # Everything stored here is interned, so an unchanged merge is.
+            merged = self._condensed[key] = self._intern_annotation(merged)
         return merged
 
     # -- recording (write-through) ---------------------------------------------
@@ -403,12 +399,12 @@ class OfflineProvenanceArchive:
         self,
         pointer: ProvenancePointer,
         expires_at: Optional[float] = None,
-        annotation: Optional[CondensedProvenance] = None,
+        annotation: Optional[ProvenanceExpression] = None,
     ) -> int:
         """Archive one firing; returns the entry's id (for :meth:`pin`)."""
         key = pointer.output
         if annotation is not None:
-            annotation = self._merge_condensed(key, annotation)
+            annotation = self._absorb(key, annotation)
         entry = archive_entry(pointer, expires_at, annotation)
         offset, length = self._spill.append(encode_entry(entry))
         self._bytes_spilled += length
@@ -467,7 +463,7 @@ class OfflineProvenanceArchive:
 
     # -- queries ----------------------------------------------------------------
 
-    def annotation_of(self, key: FactKey) -> Optional[CondensedProvenance]:
+    def annotation_of(self, key: FactKey) -> Optional[ProvenanceExpression]:
         """The merged condensed annotation archived for *key* (or None)."""
         return self._condensed.get(key)
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.engine.tuples import FactKey
-from repro.provenance.condensed import CondensedProvenance
 from repro.provenance.log import DerivationLog
+from repro.provenance.polynomial import ProvenanceExpression
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ class RouteFlapDetector:
     def identify_suspects(
         self,
         flapping: Iterable[Tuple[str, str]],
-        provenance_of: Dict[Tuple[str, str], CondensedProvenance],
+        provenance_of: Dict[Tuple[str, str], ProvenanceExpression],
         trusted: Iterable[str] = (),
     ) -> Tuple[str, ...]:
         """Principals implicated by the provenance of flapping routes.
@@ -121,7 +121,7 @@ class RouteFlapDetector:
             annotation = provenance_of.get(entry)
             if annotation is None:
                 continue
-            suspects.update(annotation.sources() - trusted_set)
+            suspects.update(annotation.variables() - trusted_set)
         return tuple(sorted(suspects))
 
     def identify_suspects_over_network(
@@ -150,7 +150,7 @@ class RouteFlapDetector:
             result = network.query(key, at=at, condensed=True)
             if result.condensed is None:
                 continue
-            suspects.update(result.condensed.sources() - trusted_set)
+            suspects.update(result.condensed.variables() - trusted_set)
         return tuple(sorted(suspects))
 
     def purge_derived_state(
@@ -180,7 +180,7 @@ class RouteFlapDetector:
     def run(
         self,
         events: Iterable[FlapEvent],
-        provenance_of: Dict[Tuple[str, str], CondensedProvenance],
+        provenance_of: Dict[Tuple[str, str], ProvenanceExpression],
         online_store: Optional[DerivationLog] = None,
         route_key_of: Optional[Dict[Tuple[str, str], FactKey]] = None,
         trusted: Iterable[str] = (),

@@ -17,15 +17,17 @@ paper are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Optional, Tuple, Union
+from typing import FrozenSet, Iterable, Optional, Tuple
 
 from repro.engine.tuples import Fact
-from repro.provenance.condensed import CondensedProvenance
 from repro.provenance.polynomial import ProvenanceExpression
-from repro.provenance.quantify import count_derivations, trust_level, vote_principals
+from repro.provenance.quantify import (
+    acceptable,
+    count_derivations,
+    trust_level,
+    vote_principals,
+)
 from repro.security.principal import PrincipalRegistry
-
-ProvenanceLike = Union[CondensedProvenance, ProvenanceExpression]
 
 
 @dataclass(frozen=True)
@@ -81,16 +83,13 @@ class TrustManager:
 
     # -- evaluation --------------------------------------------------------------
 
-    def evaluate(self, provenance: ProvenanceLike) -> TrustDecision:
-        """Decide whether an update with *provenance* should be accepted."""
-        # The raw (uncondensed) expression is kept: condensation does not
-        # change source-set acceptability, but absorbed monomials still name
-        # principals that count towards votes and levels.
-        annotation = (
-            provenance
-            if isinstance(provenance, CondensedProvenance)
-            else CondensedProvenance(expression=provenance)
-        )
+    def evaluate(self, annotation: ProvenanceExpression) -> TrustDecision:
+        """Decide whether an update with provenance *annotation* should be accepted.
+
+        A raw (uncondensed) expression is used as given: condensation does
+        not change source-set acceptability, but absorbed monomials still
+        name principals that count towards votes and levels.
+        """
         reasons: list[str] = []
         accepted = True
 
@@ -98,7 +97,7 @@ class TrustManager:
         votes: Optional[int] = None
 
         if self.policy.trusted_principals is not None:
-            if annotation.acceptable(self.policy.trusted_principals):
+            if acceptable(annotation, self.policy.trusted_principals):
                 reasons.append("a derivation rests entirely on trusted principals")
             else:
                 accepted = False
@@ -110,7 +109,7 @@ class TrustManager:
         if self.policy.minimum_level is not None:
             level = trust_level(
                 annotation,
-                {name: self.registry.security_level(name) for name in annotation.sources()},
+                {name: self.registry.security_level(name) for name in annotation.variables()},
                 default_level=self.default_level,
             )
             if level >= self.policy.minimum_level:
@@ -178,7 +177,7 @@ class TrustManager:
         return self.evaluate(annotation), result
 
     def filter_updates(
-        self, updates: Iterable[Tuple[Fact, ProvenanceLike]]
+        self, updates: Iterable[Tuple[Fact, ProvenanceExpression]]
     ) -> Tuple[Tuple[Fact, TrustDecision], ...]:
         """Evaluate a stream of (update, provenance) pairs; return all decisions."""
         return tuple((fact, self.evaluate(provenance)) for fact, provenance in updates)

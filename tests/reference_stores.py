@@ -15,6 +15,12 @@ every run into both and require the same answers
 fan-out ``NodeEngine`` used to do, driven from the calls the engine makes
 into the log today.
 
+The condensed annotation was once a wrapper around the polynomial,
+:class:`CondensedProvenance` with its own ``join`` / ``merge``; the live
+log now keeps bare condensed ``ProvenanceExpression`` values.  The wrapper
+lives on here, verbatim, as the reference stores' annotation type, and
+:class:`ShadowedLog` compares the log's polynomial with the one it wraps.
+
 The offline archive once had a second representation beside the hot tier
 over a spill log: unbounded in-memory lists (``OfflineProvenanceArchive``
 over an ``ArchiveIndex`` base).  It lives on, verbatim under the names
@@ -25,14 +31,122 @@ oracle the archive tests compare the surviving archive against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, Iterable, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from repro.engine.tuples import Derivation, Fact, FactKey
-from repro.provenance.condensed import CondensedProvenance
+from repro.provenance.bdd import BDD, BDDManager
 from repro.provenance.graph import DerivationGraph, DerivationNode, OperatorNode
 from repro.provenance.log import DerivationLog, ProvenancePointer, derivation_graph
-from repro.provenance.polynomial import ProvenanceExpression, p_var
+from repro.provenance.polynomial import ProvenanceExpression, p_product, p_var
+from repro.provenance.semiring import Semiring
 from repro.provenance.store import ProvenanceEntry, archive_entry, entry_bytes
+
+
+@dataclass(frozen=True)
+class CondensedProvenance:
+    """A tuple's condensed provenance annotation.
+
+    The canonical (condensed) polynomial is always stored; the BDD handle is
+    optional and lazily created by :meth:`to_bdd` when a shared manager is
+    supplied, matching the paper's BuDDy-backed encoding.
+    """
+
+    expression: ProvenanceExpression
+
+    # -- constructors ---------------------------------------------------------
+
+    @staticmethod
+    def from_source(source: str) -> "CondensedProvenance":
+        """Annotation of a base tuple asserted by *source* (a principal or key)."""
+        return CondensedProvenance(expression=p_var(source))
+
+    @staticmethod
+    def empty() -> "CondensedProvenance":
+        """Annotation of a tuple with no derivation (zero)."""
+        return CondensedProvenance(expression=ProvenanceExpression.zero())
+
+    @staticmethod
+    def axiomatic() -> "CondensedProvenance":
+        """Annotation of a tuple taken as given (one)."""
+        return CondensedProvenance(expression=ProvenanceExpression.one())
+
+    # -- combination ----------------------------------------------------------
+
+    def join(self, other: "CondensedProvenance") -> "CondensedProvenance":
+        """Combine annotations of facts joined within a single derivation (*)."""
+        return self._wrap((self.expression * other.expression).condense(), other)
+
+    def merge(self, other: "CondensedProvenance") -> "CondensedProvenance":
+        """Combine alternative derivations of the same tuple (+)."""
+        return self._wrap(self.expression.absorb(other.expression), other)
+
+    def _wrap(
+        self, expression: ProvenanceExpression, other: "CondensedProvenance"
+    ) -> "CondensedProvenance":
+        """Wrap *expression*, reusing the operand that already holds it.
+
+        Annotations are immutable, so ``x.join(axiomatic())`` and
+        ``x.merge(x)`` are ``x`` itself — callers may test ``is``.
+        """
+        if expression is self.expression:
+            return self
+        if expression is other.expression:
+            return other
+        return CondensedProvenance(expression=expression)
+
+    @staticmethod
+    def join_all(annotations: Iterable["CondensedProvenance"]) -> "CondensedProvenance":
+        """``join`` over *annotations*, condensed once at the end.
+
+        The minimal DNF is unique, so condensing the whole product gives the
+        polynomial that condensing after every factor would.
+        """
+        annotations = tuple(annotations)
+        joined = p_product(*[a.expression for a in annotations]).condense()
+        for annotation in annotations:
+            if annotation.expression is joined:
+                return annotation
+        return CondensedProvenance(expression=joined)
+
+    @staticmethod
+    def merge_all(annotations: Iterable["CondensedProvenance"]) -> "CondensedProvenance":
+        result = CondensedProvenance.empty()
+        for annotation in annotations:
+            result = result.merge(annotation)
+        return result
+
+    # -- queries --------------------------------------------------------------
+
+    def sources(self) -> frozenset:
+        """Every principal / base key the annotation mentions."""
+        return self.expression.variables()
+
+    def acceptable(self, trusted: Iterable[str]) -> bool:
+        """Trust decision: is some derivation supported entirely by *trusted*?
+
+        This is the Section 4.4 use of condensed provenance — a node accepts
+        a tuple iff at least one monomial's sources are all trusted.
+        """
+        trusted_set = set(trusted)
+        return any(
+            support <= trusted_set for support in self.expression.monomial_supports()
+        )
+
+    def evaluate(self, semiring: Semiring, assignment: Mapping[str, object]) -> object:
+        """Evaluate the annotation in an arbitrary semiring (Section 4.5)."""
+        return self.expression.evaluate(semiring, assignment)
+
+    def to_bdd(self, manager: BDDManager) -> BDD:
+        """Encode the annotation in *manager* (the BuDDy analogue)."""
+        return manager.from_expression(self.expression)
+
+    def serialized_size(self) -> int:
+        """Wire size in bytes when piggy-backed on a shipped tuple."""
+        return self.expression.serialized_size()
+
+    def __str__(self) -> str:
+        return str(self.expression)
+
 
 
 class ReferenceDerivationGraph:
@@ -686,7 +800,8 @@ class ShadowedLog(DerivationLog):
 
     def record_remote(self, fact, annotation=None):
         super().record_remote(fact, annotation)
-        self.reference.record_remote(fact, annotation)
+        wrapped = None if annotation is None else CondensedProvenance(annotation)
+        self.reference.record_remote(fact, wrapped)
 
     def append(self, pointer, fact, antecedents):
         annotation = super().append(pointer, fact, antecedents)
@@ -699,7 +814,7 @@ class ShadowedLog(DerivationLog):
                 timestamp=pointer.timestamp,
             )
         )
-        assert annotation == expected
+        assert annotation == expected.expression
         # The engine built the pointer; the old store would have built the
         # same one (same per-input origins) from its own origin table.
         assert self.reference.distributed.pointers(pointer.output)[-1] == pointer
@@ -749,7 +864,7 @@ def assert_log_matches_reference(log: ShadowedLog) -> int:
         assert log.is_base(key) == distributed.is_base(key)
         assert log.knows(key) == local.knows(key)
         assert (bool(log.pointers(key)) or log.is_base(key)) == distributed.knows(key)
-        assert log.annotation(key) == local.annotation(key)
+        assert log.annotation(key) == local.annotation(key).expression
         assert log.tuple_node(key) == local.graph.tuple_node(key)
         assert log.dependents_of(key) == tuple(reference.dependents.get(key, ()))
         assert log.graph(key).render(key) == local.render(key)
@@ -858,7 +973,7 @@ class ReferenceOfflineArchive(ReferenceArchiveIndex):
         self,
         pointer: ProvenancePointer,
         expires_at: Optional[float] = None,
-        annotation: Optional[CondensedProvenance] = None,
+        annotation: Optional[ProvenanceExpression] = None,
     ) -> int:
         """Archive one firing; returns the entry's index (for :meth:`pin`)."""
         entry = archive_entry(pointer, expires_at, annotation)

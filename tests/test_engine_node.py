@@ -6,7 +6,7 @@ import pytest
 
 from repro.engine.node_engine import EngineConfig, NodeEngine, ProvenanceMode
 from repro.engine.tuples import Fact
-from repro.provenance.condensed import CondensedProvenance
+from repro.provenance.polynomial import ProvenanceExpression, p_var
 from repro.provenance.pruning import ProvenanceSampler
 from repro.security.authenticator import SignedEnvelope
 from repro.security.keystore import KeyStore
@@ -209,7 +209,7 @@ class TestProvenanceModes:
         # The annotation travels in the clear, sized as itself; the tuple's
         # one envelope is the only signature made for it.
         annotation = shipped.fact.provenance
-        assert isinstance(annotation, CondensedProvenance)
+        assert isinstance(annotation, ProvenanceExpression)
         assert shipped.provenance_bytes == annotation.serialized_size() > 0
         assert isinstance(shipped.fact.signature, SignedEnvelope)
         assert result.report.signatures_created == len(result.outgoing)
@@ -221,7 +221,7 @@ class TestProvenanceModes:
         engine = make_engine("a", compiled_best_path, config, keystore)
         result = engine.insert_base(Fact("link", ("a", "b", 1.0)))
         shipped = result.outgoing[0]
-        assert isinstance(shipped.fact.provenance, CondensedProvenance)
+        assert isinstance(shipped.fact.provenance, ProvenanceExpression)
         assert shipped.provenance_bytes == shipped.fact.provenance.serialized_size()
 
     def test_none_mode_ships_nothing_extra(self, compiled_best_path, keystore):
@@ -259,7 +259,7 @@ class TestProvenanceModes:
         fact = sender.insert_base(Fact("link", ("a", "b", 1.0))).outgoing[0].fact
         # The genuine tuple under an annotation its sender never asserted:
         # the envelope covers the annotation, so the tuple goes with it.
-        forged = fact.with_metadata(provenance=CondensedProvenance.from_source("c"))
+        forged = fact.with_metadata(provenance=p_var("c"))
         result = receiver.receive_batch((forged,), now=0.5)
         assert result.report.facts_rejected == 1
         assert result.report.verification_failures == 1
@@ -273,7 +273,7 @@ class TestProvenanceModes:
         engine.insert_base(Fact("link", ("a", "b", 1.0)))
         best = engine.facts("bestPath")[0]
         annotation = engine.provenance_of(best)
-        assert "a" in annotation.sources()
+        assert "a" in annotation.variables()
 
     def test_sampling_skips_some_provenance(self, compiled_best_path, keystore):
         config = EngineConfig(

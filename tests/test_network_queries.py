@@ -117,13 +117,13 @@ class TestStaticQueries:
         rich = network.query(target, at="n2", condensed=True)
         assert rich.condensed is not None
         # Real principals, not the identity fallback for unknown keys.
-        assert rich.condensed.sources() <= set(network.topology.nodes)
+        assert rich.condensed.variables() <= set(network.topology.nodes)
         assert rich.bytes > plain.bytes
         # Every wire-fetched annotation names real principals too, and the
         # shipped annotation bytes land in the provenance attribution.
         assert rich.annotations
         for annotation in rich.annotations.values():
-            assert annotation.sources() <= set(network.topology.nodes)
+            assert annotation.variables() <= set(network.topology.nodes)
 
     def test_condensed_query_for_a_foreign_fact_does_not_fabricate(self):
         """A querier that holds neither the fact nor its provenance must not
@@ -340,7 +340,7 @@ class TestQueriesUnderDynamics:
         answer = network.query(target, at="n0", mode="offline", condensed=True)
         assert answer.complete
         assert answer.condensed is not None
-        assert answer.condensed.sources() <= set(network.topology.nodes)
+        assert answer.condensed.variables() <= set(network.topology.nodes)
 
     def test_offline_queries_survive_the_crash_online_ones_do_not(self):
         """The archive is the persistent log: a crash wipes the live pointer

@@ -20,10 +20,10 @@ from hypothesis import strategies as st
 from repro.engine.node_engine import EngineConfig, NodeEngine
 from repro.engine.tuples import Fact
 from repro.provenance import polynomial
-from repro.provenance.condensed import CondensedProvenance
 from repro.provenance.polynomial import (
     Monomial,
     ProvenanceExpression,
+    join_all,
     p_one,
     p_product,
     p_var,
@@ -82,10 +82,9 @@ def patch_reference_kernel(monkeypatch) -> None:
     monkeypatch.setattr(ProvenanceExpression, "condense", reference_condense)
 
 
-def reference_join(left: CondensedProvenance, right: CondensedProvenance):
-    return CondensedProvenance(
-        expression=reference_condense(reference_mul(left.expression, right.expression))
-    )
+def reference_join(left: ProvenanceExpression, right: ProvenanceExpression):
+    """The old per-factor join of two annotations: multiply, then condense."""
+    return reference_condense(reference_mul(left, right))
 
 
 # -- inputs ----------------------------------------------------------------------
@@ -144,14 +143,13 @@ def test_named_cases_have_the_paper_s_answers():
 @settings(max_examples=200, deadline=None)
 @given(expressions=st.lists(polynomials, max_size=4))
 def test_join_all_equals_the_left_fold_of_the_old_join(expressions):
-    annotations = [CondensedProvenance(expression=e) for e in expressions]
-    folded = CondensedProvenance.axiomatic()
-    for annotation in annotations:
-        folded = reference_join(folded, annotation)
-    joined = CondensedProvenance.join_all(iter(annotations))
+    folded = p_one()
+    for expression in expressions:
+        folded = reference_join(folded, expression)
+    joined = join_all(iter(expressions))
     # Condensing once at the end is condensing after every factor: the
     # minimal DNF of a monotone function is unique.
-    assert joined.expression.monomials == folded.expression.monomials
+    assert joined.monomials == folded.monomials
 
 
 @settings(max_examples=200, deadline=None)
@@ -169,16 +167,16 @@ def test_support_product_equals_the_old_product_then_condense(
             engine._support[fact.key()] = expression
         expected = expression if expected is None else reference_mul(expected, expression)
     expected = p_one() if expected is None else reference_condense(expected)
-    assert engine._support_product(antecedents).monomials == expected.monomials
+    # The engine's support product: the shared product over its supports.
+    support = join_all([engine._support_of(fact.key()) for fact in antecedents])
+    assert support.monomials == expected.monomials
 
 
 @settings(max_examples=200, deadline=None)
 @given(left=polynomials, right=polynomials)
 def test_merging_condensed_annotations_matches_the_reference(left, right):
     left, right = left.condense(), right.condense()
-    merged = CondensedProvenance(left).merge(CondensedProvenance(right))
     expected = reference_condense(reference_add(left, right))
-    assert merged.expression.monomials == expected.monomials
     assert left.absorb(right).monomials == expected.monomials
 
 
@@ -204,18 +202,16 @@ def test_operations_return_the_operand_that_is_the_answer(expression):
     assert_is(one * expression, expression, one)
     assert_is(expression * one, expression, one)
     assert p_product(expression) is expression
-    assert condensed.absorb(condensed) is condensed
     assert condensed.absorb(condensed * p_var("e")) is condensed  # absorbed
 
-    x = CondensedProvenance(expression=condensed)
-    empty, axiomatic = CondensedProvenance.empty(), CondensedProvenance.axiomatic()
-    assert_is(x.join(axiomatic), x, axiomatic)
-    assert_is(axiomatic.join(x), x, axiomatic)
-    assert_is(x.merge(empty), x, empty)
-    assert_is(empty.merge(x), x, empty)
-    assert x.merge(x) is x
-    assert x.merge(CondensedProvenance(expression=condensed)) is x
-    assert CondensedProvenance.join_all([x]) is x
+    # The shared product and merge of annotations and supports.
+    assert_is(join_all([condensed, one]), condensed, one)
+    assert_is(join_all([one, condensed]), condensed, one)
+    assert join_all([condensed]) is condensed
+    assert_is(condensed.absorb(zero), condensed, zero)
+    assert_is(zero.absorb(condensed), condensed, zero)
+    assert condensed.absorb(condensed) is condensed
+    assert condensed.absorb(ProvenanceExpression(condensed.monomials)) is condensed
 
 
 def test_the_rendering_memo_is_invisible():

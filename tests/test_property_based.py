@@ -158,7 +158,7 @@ class TestAggregationProperties:
     @given(provenance_expressions())
     def test_as_aggregation_maps_sources(self, expression):
         aggregator = ASAggregator({"a": "AS1", "b": "AS1", "c": "AS2", "d": "AS2", "e": "AS3"})
-        aggregated = aggregator.aggregate_expression(expression)
+        aggregated = aggregator.aggregate(expression)
         expected_sources = {aggregator.as_of(v) for v in expression.variables()}
         assert aggregated.variables() <= expected_sources
 

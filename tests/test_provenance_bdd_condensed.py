@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.provenance.bdd import BDDManager
-from repro.provenance.condensed import CondensedProvenance, condense_expression
-from repro.provenance.polynomial import p_product, p_sum, p_var
+from repro.provenance.polynomial import join_all, p_one, p_product, p_sum, p_var, p_zero
+from repro.provenance.quantify import acceptable
 from repro.provenance.semiring import COUNTING, TRUST
 
 
@@ -121,74 +121,64 @@ class TestBDDProvenance:
 
 
 class TestCondensedProvenance:
+    """The annotation is a condensed polynomial: ``join_all`` joins the
+    inputs of one derivation, ``absorb`` merges an alternative one."""
+
     def test_from_source(self):
-        annotation = CondensedProvenance.from_source("a")
-        assert annotation.sources() == frozenset({"a"})
+        annotation = p_var("a")
+        assert annotation.variables() == frozenset({"a"})
         assert str(annotation) == "<a>"
 
     def test_join_combines_sources(self):
-        joined = CondensedProvenance.from_source("a").join(
-            CondensedProvenance.from_source("b")
-        )
-        assert joined.sources() == frozenset({"a", "b"})
-        assert joined.expression.to_string() == "a*b"
+        joined = join_all([p_var("a"), p_var("b")])
+        assert joined.variables() == frozenset({"a", "b"})
+        assert joined.to_string() == "a*b"
 
     def test_merge_keeps_alternatives(self):
-        merged = CondensedProvenance.from_source("a").merge(
-            CondensedProvenance.from_source("b")
-        )
-        assert merged.expression.to_string() == "a+b"
+        assert p_var("a").absorb(p_var("b")).to_string() == "a+b"
 
     def test_merge_applies_absorption(self):
-        a = CondensedProvenance.from_source("a")
-        ab = a.join(CondensedProvenance.from_source("b"))
-        assert a.merge(ab) == a
+        a = p_var("a")
+        assert a.absorb(join_all([a, p_var("b")])) is a
 
     def test_join_all_and_merge_all(self):
-        parts = [CondensedProvenance.from_source(x) for x in ("a", "b", "c")]
-        assert CondensedProvenance.join_all(parts).sources() == frozenset({"a", "b", "c"})
-        assert CondensedProvenance.merge_all(parts).expression.to_string() == "a+b+c"
+        parts = [p_var(x) for x in ("a", "b", "c")]
+        assert join_all(parts).variables() == frozenset({"a", "b", "c"})
+        merged = p_zero()
+        for part in parts:
+            merged = merged.absorb(part)
+        assert merged.to_string() == "a+b+c"
 
     def test_acceptable_by_trusted_sources(self):
-        annotation = CondensedProvenance(
-            expression=p_sum(p_var("a"), p_product(p_var("b"), p_var("c"))).condense()
-        )
-        assert annotation.acceptable({"a"})
-        assert annotation.acceptable({"b", "c"})
-        assert not annotation.acceptable({"b"})
-        assert not annotation.acceptable(set())
+        annotation = p_sum(p_var("a"), p_product(p_var("b"), p_var("c"))).condense()
+        assert acceptable(annotation, {"a"})
+        assert acceptable(annotation, {"b", "c"})
+        assert not acceptable(annotation, {"b"})
+        assert not acceptable(annotation, set())
 
     def test_paper_example_acceptability(self):
         # <a + a*b> condenses to <a>; trusting a alone suffices, b alone does not.
-        annotation = CondensedProvenance(
-            expression=p_sum(p_var("a"), p_product(p_var("a"), p_var("b"))).condense()
-        )
-        assert annotation.acceptable({"a"})
-        assert not annotation.acceptable({"b"})
+        annotation = p_sum(p_var("a"), p_product(p_var("a"), p_var("b"))).condense()
+        assert acceptable(annotation, {"a"})
+        assert not acceptable(annotation, {"b"})
 
     def test_evaluate_delegates_to_semirings(self):
-        annotation = CondensedProvenance(
-            expression=p_sum(p_var("a"), p_product(p_var("a"), p_var("b")))
-        )
+        annotation = p_sum(p_var("a"), p_product(p_var("a"), p_var("b")))
         assert annotation.evaluate(TRUST, {"a": 2, "b": 1}) == 2
         assert annotation.evaluate(COUNTING, {"a": 1, "b": 1}) == 2
 
     def test_serialized_size(self):
-        annotation = CondensedProvenance.from_source("node17")
-        assert annotation.serialized_size() == len("node17")
+        assert p_var("node17").serialized_size() == len("node17")
 
     def test_to_bdd_uses_shared_manager(self):
         manager = BDDManager()
-        a1 = CondensedProvenance.from_source("a").to_bdd(manager)
-        a2 = CondensedProvenance.from_source("a").to_bdd(manager)
-        assert a1 == a2
+        assert manager.from_expression(p_var("a")) == manager.from_expression(p_var("a"))
 
-    def test_condense_expression_helper(self):
+    def test_condense_absorbs_the_paper_example(self):
         expr = p_sum(p_var("a"), p_product(p_var("a"), p_var("b")))
-        assert condense_expression(expr) == p_var("a")
+        assert expr.condense() == p_var("a")
 
     def test_empty_and_axiomatic(self):
-        assert CondensedProvenance.empty().expression.is_zero
-        assert CondensedProvenance.axiomatic().expression.is_one
-        assert not CondensedProvenance.empty().acceptable({"a"})
-        assert CondensedProvenance.axiomatic().acceptable(set())
+        assert not acceptable(p_zero(), {"a"})
+        assert acceptable(p_one(), set())
+        assert join_all([]).is_one

@@ -24,19 +24,22 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import hashlib
 import random
 import sys
 
 from test_polynomial_kernel import patch_reference_kernel
 
 from repro.api import Network
-from repro.engine.node_engine import NodeEngine
+from repro.engine import node_engine
 from repro.engine.tuples import Derivation
 from repro.net.events import LinkDown, LinkUp
 from repro.net.topology import random_topology
 from repro.provenance.graph import OperatorNode
+from repro.provenance import log
 from repro.provenance.log import DerivationLog, ProvenancePointer
 from repro.provenance.polynomial import ProvenanceExpression
+from repro.security import authenticator
 
 SEED = 4
 #: ``ProvenanceExpression.__init__`` calls of this script at the parent
@@ -102,7 +105,7 @@ def state_of(network: Network) -> dict:
         "summary": network.stats.summary(),
         "annotations": {
             address: {
-                key: annotation.expression.monomials
+                key: annotation.monomials
                 for key, annotation in engine.provenance._condensed.items()
             }
             for address, engine in network.engines.items()
@@ -122,12 +125,16 @@ def test_churn_condenses_once_per_product_and_builds_under_half_the_expressions(
         for name in ("__init__", "__mul__", "__add__", "condense"):
             count_calls(patch, ProvenanceExpression, name, counts)
         count_calls(patch, DerivationLog, "append", counts)
-        count_calls(patch, NodeEngine, "_support_product", counts)
+        # The one product, of annotations in the log and of supports in
+        # the engine.
+        count_calls(patch, log, "join_all", counts)
+        count_calls(patch, node_engine, "join_all", counts)
         count_counters_built_by_provenance(patch, counts)
         state = state_of(churn_script())
 
     assert counts["Counter"] == 0
-    assert counts["append"] == counts["_support_product"] == 428
+    assert counts["append"] == 428
+    assert counts["join_all"] == 428 + 428
     # One condense per annotation product and one per support product; the
     # merges that follow them find the stored polynomial unchanged and stop.
     assert counts["condense"] == 428 + 428
@@ -228,6 +235,29 @@ def test_a_shipped_tuple_is_signed_once_and_verified_once():
         # shipped tuple, none refused.
         assert summary["signatures_created"] == summary["facts_verified"] == shipped
         assert summary["verification_failures"] == summary["facts_rejected"] == 0
+
+
+#: sha256 over every ``sealed_bytes`` result of the ``sendlog-prov`` fixpoint,
+#: recorded when the annotation was still a wrapper around the polynomial.
+SEALED_BYTES_DIGEST = "20c7c072dd6e51a345b2320a7ae2256c182854e0c2eef1e10aa308e6ff5dc6ea"
+
+
+def test_signatures_cover_the_same_bytes(monkeypatch):
+    """The envelope renders the annotation and the support with ``str``;
+    the bytes sealed and opened must not move when their type does."""
+    digest, calls = hashlib.sha256(), collections.Counter()
+    seal = authenticator.sealed_bytes
+
+    def hashed(payload, *fields):
+        sealed = seal(payload, *fields)
+        digest.update(b"%d:%b" % (len(sealed), sealed))
+        calls["sealed_bytes"] += 1
+        return sealed
+
+    monkeypatch.setattr(authenticator, "sealed_bytes", hashed)
+    network = fixpoint("sendlog-prov")
+    assert calls["sealed_bytes"] == 2 * network.stats.summary()["tuples_sent"] == 332
+    assert digest.hexdigest() == SEALED_BYTES_DIGEST
 
 
 def test_ndlog_never_enters_the_security_package_while_rules_fire():

@@ -10,10 +10,10 @@ from __future__ import annotations
 from reference_stores import fire
 
 from repro.engine.tuples import Fact
-from repro.provenance.condensed import CondensedProvenance
 from repro.provenance.distributed import traceback
 from repro.provenance.graph import DerivationGraph
 from repro.provenance.log import DerivationLog
+from repro.provenance.polynomial import p_var
 
 
 # The paper's Section 4 example network: links a->b, a->c, b->c, and the
@@ -113,31 +113,31 @@ class TestLocalProvenance:
     def test_record_derivation_joins_annotations(self):
         store = DerivationLog("a")
         store.record_base(LINK_AB, source="a")
-        store.record_remote(REACH_BC, CondensedProvenance.from_source("b"))
+        store.record_remote(REACH_BC, p_var("b"))
         annotation = fire(store, REACH_AC, "r2", (LINK_AB, REACH_BC))
-        assert annotation.sources() == frozenset({"a", "b"})
+        assert annotation.variables() == frozenset({"a", "b"})
 
     def test_alternative_derivations_merge(self):
         store = DerivationLog("a")
         store.record_base(LINK_AB, source="a")
         store.record_base(LINK_AC, source="a")
-        store.record_remote(REACH_BC, CondensedProvenance.from_source("b"))
+        store.record_remote(REACH_BC, p_var("b"))
         fire(store, REACH_AC, "r1", (LINK_AC,))
         fire(store, REACH_AC, "r2", (LINK_AB, REACH_BC))
         # <a + a*b> condenses to <a>.
         assert str(store.annotation(REACH_AC.key())) == "<a>"
 
     def test_piggyback_contains_subgraph_and_annotation(self):
+        # Local provenance piggy-backs the tuple's subgraph and annotation;
+        # the rendered tree outweighs the condensed annotation.
         store = DerivationLog("a")
         store.record_base(LINK_AC, source="a")
         fire(store, REACH_AC, "r1", (LINK_AC,))
-        piggyback = store.piggyback_for(REACH_AC)
-        assert piggyback.root == REACH_AC.key()
-        assert piggyback.condensed.sources() == frozenset({"a"})
-        assert piggyback.graph.tuple_node(LINK_AC.key()) is not None
-        assert piggyback.serialized_size(condensed_only=True) < piggyback.serialized_size(
-            condensed_only=False
-        )
+        key = REACH_AC.key()
+        annotation, graph = store.annotation(key), store.graph(key)
+        assert annotation.variables() == frozenset({"a"})
+        assert graph.tuple_node(LINK_AC.key()) is not None
+        assert annotation.serialized_size() < len(graph.render(key).encode("utf-8"))
 
     def test_record_remote_merges_piggyback(self):
         # What travels with a shipped tuple is the piggy-back's condensed
@@ -146,18 +146,18 @@ class TestLocalProvenance:
         sender = DerivationLog("b")
         sender.record_base(LINK_BC, source="b")
         fire(sender, REACH_BC, "r1", (LINK_BC,))
-        piggyback = sender.piggyback_for(REACH_BC)
-        assert piggyback.graph.tuple_node(LINK_BC.key()) is not None
+        assert sender.graph(REACH_BC.key()).tuple_node(LINK_BC.key()) is not None
         receiver = DerivationLog("a")
-        receiver.record_remote(REACH_BC.with_metadata(origin="b"), piggyback.condensed)
-        assert receiver.annotation(REACH_BC.key()).sources() == frozenset({"b"})
+        shipped = sender.annotation(REACH_BC.key())
+        receiver.record_remote(REACH_BC.with_metadata(origin="b"), shipped)
+        assert receiver.annotation(REACH_BC.key()).variables() == frozenset({"b"})
         assert receiver.origin_of(REACH_BC.key()) == "b"
         assert receiver.graph(REACH_BC.key()).tuple_node(REACH_BC.key()) is not None
 
     def test_unknown_fact_annotation_defaults_to_identity(self):
         store = DerivationLog("a")
         annotation = store.annotation(("mystery", ("x",)))
-        assert annotation.sources() == frozenset({"mystery(x)"})
+        assert annotation.variables() == frozenset({"mystery(x)"})
 
 
 class TestDistributedProvenance:
@@ -218,9 +218,9 @@ class TestDistributedProvenance:
 
         local = DerivationLog("a")
         local.record_base(LINK_AB, source="a")
-        local.record_remote(REACH_BC, CondensedProvenance.from_source("b"))
+        local.record_remote(REACH_BC, p_var("b"))
         fire(local, REACH_AC, "r2", (LINK_AB, REACH_BC))
-        assert local.annotation(REACH_AC.key()).sources() == frozenset({"a", "b"})
+        assert local.annotation(REACH_AC.key()).variables() == frozenset({"a", "b"})
         naming = lambda node: f"{node.relation}{node.values}"
         reconstructed = distributed_graph.to_expression(REACH_AC.key(), naming).condense()
         assert reconstructed.variables() == {

@@ -16,7 +16,6 @@ from repro.provenance.authenticated import (
     AuthenticatedProvenance,
     ProvenanceVerificationError,
 )
-from repro.provenance.condensed import CondensedProvenance
 from repro.provenance.graph import DerivationGraph
 from repro.provenance.log import DerivationLog
 from repro.provenance.polynomial import p_product, p_sum, p_var
@@ -129,7 +128,7 @@ class TestOfflineArchive:
         archive = OfflineProvenanceArchive("a")
         archive.record(FIRING)
         first = archive.storage_bytes()
-        archive.record(FIRING, annotation=CondensedProvenance.from_source("a"))
+        archive.record(FIRING, annotation=p_var("a"))
         assert archive.storage_bytes() > first
 
     def test_reconstruct_graph(self):
@@ -178,7 +177,7 @@ class TestAuthenticatedProvenance:
     # tuple it rides on (SaysMode.SIGNED), not by a signature of its own.
 
     def test_signed_annotation_round_trip(self, keystore):
-        annotation = CondensedProvenance.from_source("a")
+        annotation = p_var("a")
         exporter = Authenticator("a", keystore, SaysMode.SIGNED)
         importer = Authenticator("b", keystore, SaysMode.SIGNED)
         shipped = exporter.export_fact(LINK.with_metadata(provenance=annotation), "b")
@@ -191,10 +190,10 @@ class TestAuthenticatedProvenance:
         exporter = Authenticator("a", keystore, SaysMode.SIGNED)
         importer = Authenticator("b", keystore, SaysMode.SIGNED)
         shipped = exporter.export_fact(
-            LINK.with_metadata(provenance=CondensedProvenance.from_source("a")), "b"
+            LINK.with_metadata(provenance=p_var("a")), "b"
         )
         for forged in (
-            shipped.with_metadata(provenance=CondensedProvenance.from_source("b")),
+            shipped.with_metadata(provenance=p_var("b")),
             shipped.with_metadata(signature=SignedEnvelope(1, b"\x01" * 16)),
         ):
             with pytest.raises(AuthenticationError):
@@ -206,7 +205,7 @@ class TestAuthenticatedProvenance:
         forged = LINK.with_metadata(
             asserted_by="zz",
             signature=SignedEnvelope(1, b"\x01" * 16),
-            provenance=CondensedProvenance.from_source("zz"),
+            provenance=p_var("zz"),
         )
         with pytest.raises(AuthenticationError, match="no public key"):
             importer.import_fact(forged)
@@ -244,9 +243,10 @@ class TestQuantify:
         assert not accept_by_trust_level(self.PAPER, {"a": 1, "b": 1}, minimum_level=2)
 
     def test_accepts_condensed_annotations(self):
-        annotation = CondensedProvenance(expression=self.PAPER)
+        # Absorption keeps the trust level and drops the absorbed derivation.
+        annotation = self.PAPER.condense()
         assert trust_level(annotation, {"a": 2, "b": 1}) == 2
-        assert count_derivations(annotation) == 2
+        assert count_derivations(annotation) == 1
 
 
 class TestOptimizations:
@@ -274,11 +274,9 @@ class TestOptimizations:
 
     def test_as_aggregation_shrinks_expression(self):
         aggregator = ASAggregator({"n1": "AS1", "n2": "AS1", "n3": "AS2"})
-        annotation = CondensedProvenance(
-            expression=p_product(p_var("n1"), p_var("n2"), p_var("n3"))
-        )
+        annotation = p_product(p_var("n1"), p_var("n2"), p_var("n3"))
         aggregated = aggregator.aggregate(annotation)
-        assert aggregated.sources() == frozenset({"AS1", "AS2"})
+        assert aggregated.variables() == frozenset({"AS1", "AS2"})
         assert aggregated.serialized_size() < annotation.serialized_size()
         assert aggregator.compression_ratio(annotation) < 1.0
 

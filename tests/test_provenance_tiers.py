@@ -20,7 +20,7 @@ from repro.api import Network
 from repro.engine.tuples import Fact
 from repro.net.events import LinkDown, LinkUp
 from repro.net.topology import line_topology
-from repro.provenance.condensed import CondensedProvenance
+from repro.provenance.polynomial import p_var
 from repro.provenance.store import (
     DEFAULT_HOT_TIER_ENTRIES,
     LogSpillBackend,
@@ -57,7 +57,7 @@ class TestSpillRecordCodec:
             antecedent_keys=(("link", ("a", "b")),),
             timestamp=3.5,
             expires_at=13.5,
-            annotation=CondensedProvenance.from_source("link@a"),
+            annotation=p_var("link@a"),
         )
         assert decode_entry(encode_entry(entry)) == entry
 
@@ -80,12 +80,12 @@ class TestSpillRecordCodec:
             antecedent_keys=(),
             timestamp=0.0,
             expires_at=None,
-            annotation=CondensedProvenance.from_source("s"),
+            annotation=p_var("s"),
         )
         table = {}
 
         def intern(annotation):
-            return table.setdefault(annotation.expression.monomials, annotation)
+            return table.setdefault(annotation.monomials, annotation)
 
         first = decode_entry(encode_entry(entry), intern_annotation=intern)
         second = decode_entry(encode_entry(entry), intern_annotation=intern)
@@ -281,16 +281,16 @@ class TestCrashAndPickle:
 class TestAnnotationSharing:
     def test_structurally_equal_annotations_share_one_object(self, tmp_path):
         archive = _tiered(tmp_path, hot_entries=10)
-        note = CondensedProvenance.from_source("link@a")
+        note = p_var("link@a")
         archive.record(_firing("x", ("1",)), annotation=note)
-        archive.record(_firing("y", ("1",)), annotation=CondensedProvenance.from_source("link@a"))
+        archive.record(_firing("y", ("1",)), annotation=p_var("link@a"))
         first = archive.annotation_of(("x", ("1",)))
         second = archive.annotation_of(("y", ("1",)))
         assert first is second
 
     def test_refetched_entries_reuse_interned_annotations(self, tmp_path):
         archive = _tiered(tmp_path, hot_entries=1)
-        note = CondensedProvenance.from_source("s")
+        note = p_var("s")
         archive.record(_firing("x", ("1",)), annotation=note)
         archive.record(_firing("y", ("1",)))  # evicts key x
         (entry,) = archive.entries(("x", ("1",)))  # refetched from the log
@@ -299,14 +299,14 @@ class TestAnnotationSharing:
     def test_merged_annotation_tracks_alternative_derivations(self, tmp_path):
         archive = _tiered(tmp_path, hot_entries=10)
         archive.record(
-            _firing("x", ("1",)), annotation=CondensedProvenance.from_source("p")
+            _firing("x", ("1",)), annotation=p_var("p")
         )
         archive.record(
             _firing("x", ("1",), t=1.0),
-            annotation=CondensedProvenance.from_source("q"),
+            annotation=p_var("q"),
         )
         merged = archive.annotation_of(("x", ("1",)))
-        assert merged.sources() == frozenset({"p", "q"})
+        assert merged.variables() == frozenset({"p", "q"})
 
 
 class TestAgingAndPins:
@@ -373,7 +373,7 @@ class TestOfflineArchiveRegressions:
         archive = OfflineProvenanceArchive("a")
         archive.record(
             _firing("x", ("1",)),
-            annotation=CondensedProvenance.from_source("a-very-long-source-name"),
+            annotation=p_var("a-very-long-source-name"),
         )
         without_annotation = OfflineProvenanceArchive("a")
         without_annotation.record(

@@ -10,7 +10,6 @@ from repro.datalog import analyze_program, localize_program, parse_program
 from repro.datalog.planner import compile_program
 from repro.engine.tuples import Fact
 from repro.net.message import BatchItem, Message, MessageBatch
-from repro.provenance.condensed import CondensedProvenance
 from repro.provenance.log import DerivationLog
 from repro.provenance.polynomial import p_product, p_sum, p_var
 from repro.provenance.store import OfflineProvenanceArchive
@@ -90,9 +89,7 @@ class TestDiagnostics:
     def test_identify_suspects_excludes_trusted(self):
         detector = RouteFlapDetector()
         provenance = {
-            ("a", "b"): CondensedProvenance(
-                expression=p_product(p_var("mallory"), p_var("b")).condense()
-            )
+            ("a", "b"): p_product(p_var("mallory"), p_var("b")).condense()
         }
         suspects = detector.identify_suspects([("a", "b")], provenance, trusted=["b"])
         assert suspects == ("mallory",)
@@ -111,7 +108,7 @@ class TestDiagnostics:
     def test_run_produces_full_report(self):
         detector = RouteFlapDetector(window_seconds=30, threshold=2)
         events = [FlapEvent("a", "b", 1.0), FlapEvent("a", "b", 2.0)]
-        provenance = {("a", "b"): CondensedProvenance.from_source("mallory")}
+        provenance = {("a", "b"): p_var("mallory")}
         report = detector.run(events, provenance_of=provenance)
         assert report.anomaly_detected
         assert report.suspicious_principals == ("mallory",)
@@ -250,9 +247,9 @@ class TestTrustManagement:
 
     def test_source_set_policy(self):
         manager = TrustManager(TrustPolicy.trust_sources("a"))
-        assert manager.evaluate(CondensedProvenance(expression=self.PAPER)).accepted
+        assert manager.evaluate(self.PAPER).accepted
         manager_b = TrustManager(TrustPolicy.trust_sources("b"))
-        assert not manager_b.evaluate(CondensedProvenance(expression=self.PAPER)).accepted
+        assert not manager_b.evaluate(self.PAPER).accepted
 
     def test_level_policy_uses_registry(self):
         registry = PrincipalRegistry()
@@ -292,8 +289,8 @@ class TestTrustManagement:
     def test_filter_updates_and_acceptance_rate(self):
         manager = TrustManager(TrustPolicy.trust_sources("a"))
         updates = [
-            (Fact("route", ("a", "c")), CondensedProvenance.from_source("a")),
-            (Fact("route", ("b", "c")), CondensedProvenance.from_source("mallory")),
+            (Fact("route", ("a", "c")), p_var("a")),
+            (Fact("route", ("b", "c")), p_var("mallory")),
         ]
         decisions = manager.filter_updates(updates)
         assert decisions[0][1].accepted

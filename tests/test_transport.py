@@ -42,7 +42,6 @@ from repro.net.message import (
     QueryClosureEntry,
 )
 from repro.net.transport import COMPRESS_MIN_BYTES, BinaryCodec
-from repro.provenance.condensed import CondensedProvenance
 from repro.provenance.log import ProvenancePointer
 from repro.provenance.polynomial import ProvenanceExpression
 from repro.security.authenticator import SignedEnvelope
@@ -55,11 +54,7 @@ from repro.security.authenticator import SignedEnvelope
 def _same_provenance(a, b) -> bool:
     if a is None or b is None:
         return a is None and b is None
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, CondensedProvenance):
-        return a.expression.monomials == b.expression.monomials
-    return a == b
+    return type(a) is type(b) and a == b
 
 
 def _same_fact(a: Fact, b: Fact) -> bool:
@@ -156,10 +151,8 @@ def _assert_exports_round_trip(codec, exports) -> None:
 # Hand-written shapes: one of everything
 # ---------------------------------------------------------------------------
 
-def _condensed() -> CondensedProvenance:
-    return CondensedProvenance(
-        expression=ProvenanceExpression(monomials=((("r1@n1", "r2@n2"), 2),))
-    )
+def _condensed() -> ProvenanceExpression:
+    return ProvenanceExpression(monomials=((("r1@n1", "r2@n2"), 2),))
 
 
 def _sample_exports():
@@ -371,9 +364,7 @@ def _facts(draw):
     provenance = None
     if draw(st.booleans()):
         monomial = tuple(sorted(draw(st.sets(st.text(max_size=6), max_size=3))))
-        provenance = CondensedProvenance(
-            expression=ProvenanceExpression(monomials=((monomial, 1),))
-        )
+        provenance = ProvenanceExpression(monomials=((monomial, 1),))
     return Fact(
         draw(_relations),
         tuple(draw(st.lists(_values, max_size=4))),
