@@ -56,8 +56,11 @@
 #                      (N=40): runs of same-relation deltas, the no-op share
 #                      of Table.expire / Database.table, index-bucket length at
 #                      each replace / remove, render calls by value type,
-#                      with_metadata copies per exported tuple.  `make check`
-#                      runs it at N=8 as a smoke.
+#                      with_metadata copies per exported tuple; under a signed
+#                      preset, tuples per signed wire message, signs and
+#                      verifies per message, Merkle hashes.  `make check`
+#                      runs it at N=8 as a smoke (ndlog, condensed churn and
+#                      sendlog-prov legs).
 #   make query-census - tools/query_census.py on the query_service shape (N=30,
 #                      25 sim-s at 100 queries/s, result cache on): per
 #                      completed query, messages, closure lookups, entries
@@ -151,6 +154,7 @@ engine-census:
 engine-census-smoke:
 	$(PYTHON) tools/engine_census.py --provenance ndlog --nodes 8
 	$(PYTHON) tools/engine_census.py --provenance condensed --nodes 8 --flaps 2
+	$(PYTHON) tools/engine_census.py --provenance sendlog-prov --nodes 8
 
 query-census:
 	$(PYTHON) tools/query_census.py --nodes 30 --seconds 25

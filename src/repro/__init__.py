@@ -50,7 +50,8 @@ and ``network.stats.summary()`` reports the public ones in one flat
 dictionary — among them the security ledger of a signed run::
 
     summary = network.stats.summary()
-    print(summary["signatures_created"],     # envelopes sealed
+    print(summary["signatures_created"],     # one per signed wire message
+          summary["signatures_verified"],    # one per signed message received
           summary["facts_verified"],         # envelopes that verified, fresh
           summary["verification_failures"],  # envelopes refused
           summary["facts_rejected"])         # received tuples refused

@@ -22,6 +22,7 @@ from repro.net.link import DEFAULT_BANDWIDTH, DEFAULT_LATENCY
 from repro.net.query import DEFAULT_QUERY_TIMEOUT
 from repro.net.sharding import SHARD_MODES
 from repro.provenance.pruning import ProvenanceSampler
+from repro.security.rsa import MIN_KEY_BITS
 from repro.security.says import SaysMode
 from repro.service.cache import CacheConfig
 from repro.service.ratelimit import ADMISSION_POLICIES, AdmissionControl
@@ -183,8 +184,10 @@ class NetOptions:
                 f"unknown shard_mode {self.shard_mode!r}; expected one of "
                 f"{SHARD_MODES}"
             )
-        if self.key_bits < 16:
-            raise ValueError(f"key_bits must be >= 16, got {self.key_bits}")
+        if self.key_bits < MIN_KEY_BITS:
+            raise ValueError(
+                f"key_bits must be >= {MIN_KEY_BITS}, got {self.key_bits}"
+            )
         if self.max_events <= 0:
             raise ValueError(f"max_events must be positive, got {self.max_events}")
         if self.default_latency < 0:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Deque, Dict, Iterable, List, MutableSequence, Optional, Set, Tuple
+from typing import Deque, Dict, Iterable, List, MutableSequence, Optional, Sequence, Set, Tuple
 
 from repro.datalog.planner import CompiledProgram, RulePlan
 from repro.engine.aggregates import AggregateState
@@ -115,7 +115,10 @@ class ProcessingReport:
     facts_verified: int = 0
     verification_failures: int = 0
     facts_rejected: int = 0
+    #: Signatures made and checked: one per signed wire message (the kernel
+    #: counts those it seals) and one per anti-delta.
     signatures_created: int = 0
+    signatures_verified: int = 0
     facts_inserted: int = 0
     facts_derived: int = 0
     facts_retracted: int = 0
@@ -338,9 +341,15 @@ class NodeEngine:
         self._process_local(prepared, now, result)
         return result
 
-    def receive_batch(self, facts: Iterable[Fact], now: float) -> ProcessingResult:
+    def receive_batch(
+        self, facts: Iterable[Fact], now: float, signature: Optional[bytes] = None
+    ) -> ProcessingResult:
         """Process one incoming wire message's tuples (the receive path).
 
+        Under signed ``says`` *signature* is the message's one signature, over
+        the Merkle root of its tuples: it is checked once, and each tuple is
+        then admitted or refused on its own
+        (:meth:`~repro.security.authenticator.Authenticator.import_batch`).
         Tuples are admitted and locally fixpointed strictly in arrival
         order, sharing one :class:`ProcessingResult` /
         :class:`ProcessingReport` and one delta queue.  A per-tuple wire
@@ -352,6 +361,12 @@ class NodeEngine:
         delivery instant), not advanced by its predecessors' accrued CPU.
         """
         result = ProcessingResult()
+        facts = tuple(facts)
+        admitted: Sequence[Optional[Fact]] = facts
+        if self._authenticates:
+            admitted = self.authenticator.import_batch(facts, signature)
+            if self._requires_signature and facts:
+                result.report.signatures_verified += 1
         queue: Deque[Fact] = deque()
         # Under the timer-wheel refresh plane remote deliveries run in wave
         # mode too: an arriving duplicate whose stored copy has aged past
@@ -361,8 +376,8 @@ class NodeEngine:
         if wave_mode:
             self._wave = set()
         try:
-            for fact in facts:
-                verified = self._admit(fact, result)
+            for fact, verified in zip(facts, admitted):
+                verified = self._admit(fact, verified, result)
                 if verified is None:
                     continue
                 if self._store(verified, now, result):
@@ -454,6 +469,7 @@ class NodeEngine:
         """
         result = ProcessingResult()
         if self._requires_signature:
+            result.report.signatures_verified += 1
             try:
                 self.authenticator.open_anti_delta(keys, source, sequence, signature)
             except AuthenticationError:
@@ -540,27 +556,27 @@ class NodeEngine:
 
     # -- internals ----------------------------------------------------------------
 
-    def _admit(self, fact: Fact, result: ProcessingResult) -> Optional[Fact]:
-        """Authenticate one received tuple and record its provenance.
+    def _admit(
+        self, fact: Fact, verified: Optional[Fact], result: ProcessingResult
+    ) -> Optional[Fact]:
+        """Admit one received tuple and record its provenance.
 
-        Returns the verified fact ready for local processing, or ``None``
-        when authentication rejected it or its arity is not its relation's
-        (the rejection counters are recorded on *result* either way).  Under
-        signed ``says`` the one envelope check covers the annotation and the
-        support polynomial recorded below too.
+        *verified* is what authentication made of *fact*: the fact to admit
+        (under signed ``says``, carrying its evidence), or ``None`` when it
+        was refused.  Returns the fact ready for local processing, or
+        ``None`` when it was refused or its arity is not its relation's (the
+        rejection counters are recorded on *result* either way).  Under
+        signed ``says`` the message's one signature covers the annotation and
+        the support polynomial recorded below too.
         """
         result.report.facts_received += 1
         result.report.payload_bytes_processed += fact.payload_size()
-        verified = fact
-        if self._authenticates:
-            try:
-                verified = self.authenticator.import_fact(fact)
-            except AuthenticationError:
-                result.report.verification_failures += 1
-                result.report.facts_rejected += 1
-                return None
-            if self._requires_signature:
-                result.report.facts_verified += 1
+        if verified is None:
+            result.report.verification_failures += 1
+            result.report.facts_rejected += 1
+            return None
+        if self._requires_signature:
+            result.report.facts_verified += 1
 
         # A tuple shaped unlike its relation would index past its end in the
         # key getter, or replace the genuine row it shares key columns with.
@@ -753,8 +769,9 @@ class NodeEngine:
             result.report.payload_bytes_processed += local_fact.payload_size()
             return
 
-        # Remote tuples render their payload regardless (export signs it and
-        # the wire model measures it), so the count happens up front.
+        # Remote tuples render their payload regardless (the message's seal
+        # covers it and the wire model measures it), so the count happens up
+        # front.
         result.report.payload_bytes_processed += derived.payload_size()
         provenance_bytes = 0
         shipped = annotation if self._ships_provenance else None
@@ -783,11 +800,10 @@ class NodeEngine:
         if shipped is not None or support is not None:
             exported = derived.with_metadata(provenance=shipped, support=support)
         if self._authenticates:
-            # Section 4.3: the exporting principal's one signature covers the
-            # tuple, its destination, and the annotation and support on it.
-            exported = self.authenticator.export_fact(exported, destination)
-            if self._requires_signature:
-                result.report.signatures_created += 1
+            # Section 4.3: attributed and numbered here; the kernel seals the
+            # wire message carrying it, one signature covering the tuple, its
+            # destination, and the annotation and support on it.
+            exported = self.authenticator.export_fact(exported)
         result.outgoing.append(
             OutgoingFact(
                 destination=destination,

@@ -51,11 +51,14 @@ class Fact:
         The principal that asserted ("says") this fact, or ``None`` for
         unauthenticated NDlog tuples.
     signature:
-        The :class:`~repro.security.authenticator.SignedEnvelope` an exported
-        tuple travels under when ``says`` is signed — the sender's export
-        sequence number and its one signature over payload, asserting
-        principal, destination, ``provenance``, ``support`` and that
-        number — or ``None``.
+        The :class:`~repro.security.authenticator.SignedEnvelope` of a tuple
+        exported under signed ``says``, or ``None``.  In flight it holds the
+        sender's export sequence number only: the tuple's wire message
+        carries one signature over the Merkle root of its tuples' leaves
+        (payload, asserting principal, destination, that number,
+        ``provenance`` and ``support``).  The receiver stores the admitted
+        tuple with that signature and the tuple's path to the root, so it
+        verifies alone.
     provenance:
         Serializable provenance annotation travelling with the fact (used for
         local / condensed provenance); ``None`` when provenance is disabled

@@ -100,8 +100,9 @@ class CostModel:
     many processes on one machine.  Absolute values are not meant to match
     the paper's testbed; what matters for the reproduction is the *structure*:
     per-tuple relational work scales with tuple size, signing adds a fixed
-    per-tuple cost, verification is much cheaper than signing (small public
-    exponent), and provenance adds per-annotation plus per-byte costs.
+    cost per signature made (one per signed wire message), verification —
+    charged per signature checked — is much cheaper than signing (small
+    public exponent), and provenance adds per-annotation plus per-byte costs.
 
     Every term is linear in one report counter with no constant per-call
     overhead, so accounting one merged batch-level report charges exactly the
@@ -145,7 +146,7 @@ class CostModel:
             + report.rederivations * self.seconds_per_rederivation
             + report.payload_bytes_processed * self.seconds_per_payload_byte
             + report.signatures_created * self.seconds_per_signature
-            + report.facts_verified * self.seconds_per_verification
+            + report.signatures_verified * self.seconds_per_verification
             + report.provenance_annotations * self.seconds_per_provenance_annotation
             + report.provenance_bytes_computed * self.seconds_per_provenance_byte
         )
@@ -317,7 +318,9 @@ class SimulationKernel:
         #: shard kernel derives the identical key material the serial
         #: backend would, and cross-shard signatures verify bit-for-bit.
         self.keystore = keystore or KeyStore(key_bits=options.key_bits, seed=7)
-        if config.says_mode.requires_signature:
+        #: Signed ``says``: every wire message this kernel forms is sealed.
+        self._seals = config.says_mode.requires_signature
+        if self._seals:
             self.keystore.create_all(topology.nodes)
 
         self.engines: Dict[Address, NodeEngine] = {}
@@ -1029,6 +1032,7 @@ class SimulationKernel:
         sent_before = node_stats.messages_sent
         bytes_before = node_stats.bytes_sent
         result = engine.refresh_batch(due_facts, start)
+        self._count_seals(result.report, result.outgoing)
         self._account_processing(address, start, result.report, node_stats)
         self._dispatch_outgoing(address, result.outgoing, node_stats)
         node_stats.refresh_messages += node_stats.messages_sent - sent_before
@@ -1087,9 +1091,11 @@ class SimulationKernel:
         wheel_mode = self.options.refresh_mode == "wheel"
         known = self._base_facts.get(address, {})
         pending: List[OutgoingFact] = []
+        sealed: Set[Address] = set()
         for fact in facts:
             start = max(at, node_stats.busy_until)
             result = engine.insert_base(fact, now=start)
+            self._count_seals(result.report, result.outgoing, sealed)
             self._account_processing(address, start, result.report, node_stats)
             pending.extend(result.outgoing)
             if remembered is not None:
@@ -1116,6 +1122,7 @@ class SimulationKernel:
         for fact in facts:
             start = max(at, node_stats.busy_until)
             result = engine.retract_base(fact, now=start)
+            self._count_seals(result.report, result.outgoing)
             self._account_processing(address, start, result.report, node_stats)
             # One-fixpoint deletions: chase remote copies with anti-deltas
             # (routed around failed links — repair traffic, like queries,
@@ -1154,6 +1161,7 @@ class SimulationKernel:
             result = engine.retract_remote(
                 message.keys, start, message.source, message.sequence, message.signature
             )
+            self._count_seals(result.report, result.outgoing)
             self._account_processing(destination, start, result.report, node_stats)
             self._ship_anti_deltas(destination, result.anti_deltas, node_stats)
             self._dispatch_outgoing(destination, result.outgoing, node_stats)
@@ -1168,7 +1176,8 @@ class SimulationKernel:
         # delivered message: the whole round's output ships together (one
         # batch per destination when batching).
         start = max(deliver_at, node_stats.busy_until)
-        result = engine.receive_batch(message.facts(), now=start)
+        result = engine.receive_batch(message.facts(), start, message.signature)
+        self._count_seals(result.report, result.outgoing)
         self._account_processing(destination, start, result.report, node_stats)
         self._dispatch_outgoing(destination, result.outgoing, node_stats)
 
@@ -1187,6 +1196,7 @@ class SimulationKernel:
         node_stats.facts_retracted += report.facts_retracted
         node_stats.rederivations += report.rederivations
         node_stats.signatures_created += report.signatures_created
+        node_stats.signatures_verified += report.signatures_verified
         node_stats.facts_verified += report.facts_verified
         node_stats.verification_failures += report.verification_failures
         node_stats.facts_rejected += report.facts_rejected
@@ -1206,7 +1216,7 @@ class SimulationKernel:
         if not anti_deltas:
             return
         signer = None
-        if self.config.says_mode.requires_signature:
+        if self._seals:
             signer = self.engines[source].authenticator
             report = ProcessingReport(signatures_created=len(anti_deltas))
             self._account_processing(source, node_stats.busy_until, report, node_stats)
@@ -1217,7 +1227,7 @@ class SimulationKernel:
             signature, security_bytes = None, 0
             if signer is not None:
                 signature = signer.seal_anti_delta(keys, destination, sequence)
-                security_bytes = signer.wire_overhead()
+                security_bytes = signer.wire_overhead() + len(signature)
             message = AntiDelta(
                 source=source,
                 destination=destination,
@@ -1248,14 +1258,50 @@ class SimulationKernel:
             return
         self.scheduler.schedule(MessageDelivery(time=deliver_at, message=message))
 
+    def _count_seals(
+        self,
+        report: ProcessingReport,
+        outgoing: List[OutgoingFact],
+        sealed: Optional[Set[Address]] = None,
+    ) -> None:
+        """Charge *report* for the signatures :meth:`_dispatch_outgoing` will
+        make for *outgoing* under signed ``says``: one per wire message — a
+        batch per destination, or a message per tuple without batching.
+
+        Called before the round is accounted, so the signing cost lands in
+        the same cost-model sum as the round's other work.  Rounds that ship
+        together pass one *sealed* set: only a destination no earlier round
+        of the set reached forms a new message.
+        """
+        if not outgoing or not self._seals:
+            return
+        if not self.options.batching:
+            report.signatures_created = len(outgoing)
+            return
+        destinations = {item.destination for item in outgoing}
+        if sealed is not None:
+            destinations -= sealed
+            sealed |= destinations
+        report.signatures_created = len(destinations)
+
     def _dispatch_outgoing(
         self, source: Address, outgoing: List[OutgoingFact], node_stats: NodeStats
     ) -> None:
+        """Form one delta round's wire messages and ship them.
+
+        This is the one place wire messages are formed, so it is where they
+        are sealed: under signed ``says`` each carries one signature over
+        the Merkle root of its tuples (paid for by :meth:`_count_seals`).
+        """
         if not outgoing:
             return
         send_time = node_stats.busy_until
+        signer = self.engines[source].authenticator if self._seals else None
         if self.options.batching:
             for destination, items in group_outgoing(outgoing).items():
+                signature = None
+                if signer is not None:
+                    signature = signer.seal_batch([item.fact for item in items], destination)
                 batch = MessageBatch(
                     source=source,
                     destination=destination,
@@ -1269,18 +1315,24 @@ class SimulationKernel:
                     ),
                     sent_at=send_time,
                     sequence=self._next_sequence(source),
+                    signature=signature,
                 )
                 self._ship(source, destination, batch, send_time, node_stats)
         else:
             for item in outgoing:
+                signature, security_bytes = None, item.security_bytes
+                if signer is not None:
+                    signature = signer.seal_batch((item.fact,), item.destination)
+                    security_bytes += len(signature)
                 message = Message(
                     source=source,
                     destination=item.destination,
                     fact=item.fact,
-                    security_bytes=item.security_bytes,
+                    security_bytes=security_bytes,
                     provenance_bytes=item.provenance_bytes,
                     sent_at=send_time,
                     sequence=self._next_sequence(source),
+                    signature=signature,
                 )
                 self._ship(source, item.destination, message, send_time, node_stats)
 

@@ -8,11 +8,15 @@ Two data wire formats share one size model:
   delta round under a single ``MESSAGE_HEADER_BYTES`` of framing, the way
   real P2 amortizes per-packet overhead.
 
-In both formats the per-tuple security envelope and provenance annotation
-bytes stay itemized (signatures are still per tuple), so the bandwidth
-metric of Figure 4 keeps attributing overhead to each mechanism:
+Under signed ``says`` each wire message carries one signature, over the
+Merkle root of its tuples (:mod:`repro.security.authenticator`); a
+:class:`Message` is the one-tuple case, so the paper's per-tuple format keeps
+its per-tuple signature.  Each tuple's principal and export sequence number
+and its provenance annotation bytes stay itemized, so the bandwidth metric of
+Figure 4 keeps attributing overhead to each mechanism:
 
-    header + sum over tuples of (payload + security envelope + provenance)
+    header + signature + sum over tuples of (payload + principal and
+    sequence + provenance)
 
 Provenance *queries* are network traffic too (the paper's central framing:
 provenance is network state, queried over the network), so the in-network
@@ -43,7 +47,8 @@ class Message:
     """One tuple in flight from ``source`` to ``destination``.
 
     ``security_bytes`` and ``provenance_bytes`` record how much the security
-    envelope (principal attribution + signature) and the piggy-backed
+    envelope (principal attribution, sequence number and ``signature``, the
+    message's one signature under signed ``says``) and the piggy-backed
     provenance annotation add to the payload; they are kept separate so the
     harness can attribute bandwidth overhead to each mechanism.
 
@@ -59,6 +64,7 @@ class Message:
     provenance_bytes: int = 0
     sent_at: float = 0.0
     sequence: int = 0
+    signature: Optional[bytes] = None
 
     def payload_bytes(self) -> int:
         return self.fact.payload_size()
@@ -100,10 +106,13 @@ class BatchItem:
 class MessageBatch:
     """All tuples one node ships to one destination in one delta round.
 
-    The batch pays ``MESSAGE_HEADER_BYTES`` once; each item still carries its
-    own security envelope and provenance annotation bytes, so per-mechanism
-    bandwidth attribution is byte-identical to shipping the same tuples
-    individually — only the saved per-tuple framing differs.
+    The batch pays ``MESSAGE_HEADER_BYTES`` once and, under signed ``says``,
+    its one ``signature`` once (over the Merkle root of its tuples): both
+    are part of ``security_bytes`` and the wire size.  Each item still
+    carries its own principal, sequence number and provenance annotation
+    bytes, so per-mechanism bandwidth attribution is itemized as for tuples
+    shipped individually — only the saved per-tuple framing and signatures
+    differ.
 
     ``sequence`` is assigned by the sending simulator per wire message (one
     per batch), keeping event ordering and tie-breaking deterministic.
@@ -118,11 +127,13 @@ class MessageBatch:
     items: Tuple[BatchItem, ...]
     sent_at: float = 0.0
     sequence: int = 0
+    signature: Optional[bytes] = None
     security_bytes: int = field(init=False)
     provenance_bytes: int = field(init=False)
 
     def __post_init__(self) -> None:
-        security = provenance = payload = 0
+        security = len(self.signature) if self.signature is not None else 0
+        provenance = payload = 0
         for item in self.items:
             security += item.security_bytes
             provenance += item.provenance_bytes

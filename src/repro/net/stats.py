@@ -161,14 +161,17 @@ class NodeStats:
     facts_derived: int = 0
     facts_stored: int = 0
     facts_retracted: int = 0
-    #: Security ledger (signed ``says``): envelopes this node sealed, tuples
-    #: and anti-deltas alike; received envelopes that verified *and* were
-    #: fresh (a genuine envelope refused as stale is a failure, not a
-    #: verification); envelopes it refused — bad signature, sealed for
-    #: another node, stale sequence, missing attribution; and received
-    #: tuples or anti-deltas it rejected for any reason, a failed envelope
-    #: or a tuple shaped unlike its relation.
+    #: Security ledger (signed ``says``): signatures this node made, one per
+    #: signed wire message and one per anti-delta; signatures it checked,
+    #: one per signed message or anti-delta received; received tuples and
+    #: anti-deltas whose envelope verified *and* was fresh (a genuine
+    #: envelope refused as stale is a failure, not a verification); those
+    #: it refused — bad signature, sealed for another node, stale sequence,
+    #: missing attribution — each tuple of a message whose root failed
+    #: counting once; and received tuples or anti-deltas it rejected for any
+    #: reason, a failed envelope or a tuple shaped unlike its relation.
     signatures_created: int = 0
+    signatures_verified: int = 0
     facts_verified: int = 0
     verification_failures: int = 0
     facts_rejected: int = 0
@@ -395,6 +398,7 @@ SUMMARY: Tuple[Tuple[str, Union[str, Callable[[NetworkStats], float]]], ...] = (
     ("facts_derived", "facts_derived"),
     ("facts_retracted", "facts_retracted"),
     ("signatures_created", "signatures_created"),
+    ("signatures_verified", "signatures_verified"),
     ("facts_verified", "facts_verified"),
     ("verification_failures", "verification_failures"),
     ("facts_rejected", "facts_rejected"),

@@ -33,7 +33,7 @@ import math
 import pickle
 import struct
 import zlib
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.engine.tuples import Fact
 from repro.net.events import (
@@ -250,6 +250,10 @@ def _encode_fact(writer: _Writer, table: _StringTable, fact: Fact) -> None:
     envelope = fact.signature
     if envelope is not None and not isinstance(envelope, SignedEnvelope):
         raise _Unencodable(f"unknown signature {type(envelope).__name__}")
+    if envelope is not None and (envelope.signature or envelope.path):
+        # A tuple travels under its message's signature; the evidence a
+        # receiver stores with it (signature and path) never goes back out.
+        raise _Unencodable("a stored tuple's evidence does not travel")
     flags = 0
     if fact.ttl is not None:
         flags |= _FACT_HAS_TTL
@@ -272,7 +276,6 @@ def _encode_fact(writer: _Writer, table: _StringTable, fact: Fact) -> None:
         writer.u32(table.intern(fact.asserted_by))
     if envelope is not None:
         writer.u64(envelope.sequence)
-        writer.blob(envelope.signature)
     if fact.origin is not None:
         writer.u32(table.intern(fact.origin))
     if support is not None:
@@ -288,11 +291,7 @@ def _decode_fact(reader: _Reader, strings: List[str]) -> Fact:
     timestamp = reader.f64()
     ttl = reader.f64() if flags & _FACT_HAS_TTL else None
     asserted_by = strings[reader.u32()] if flags & _FACT_HAS_ASSERTER else None
-    signature = (
-        SignedEnvelope(reader.u64(), reader.blob())
-        if flags & _FACT_HAS_SIGNATURE
-        else None
-    )
+    signature = SignedEnvelope(reader.u64()) if flags & _FACT_HAS_SIGNATURE else None
     origin = strings[reader.u32()] if flags & _FACT_HAS_ORIGIN else None
     support = _decode_polynomial(reader) if flags & _FACT_HAS_SUPPORT else None
     values = _parse_literal(reader.blob())
@@ -338,12 +337,14 @@ def _encode_message_body(writer: _Writer, table: _StringTable, message) -> None:
         writer.u32(message.security_bytes)
         writer.u32(message.provenance_bytes)
         _encode_fact(writer, table, message.fact)
+        _encode_seal(writer, message)
     elif isinstance(message, MessageBatch):
         writer.u32(len(message.items))
         for item in message.items:
             writer.u32(item.security_bytes)
             writer.u32(item.provenance_bytes)
             _encode_fact(writer, table, item.fact)
+        _encode_seal(writer, message)
     elif isinstance(message, QueryRequest):
         _encode_key(writer, table, message.key)
         writer.u64(message.query_id)
@@ -397,6 +398,26 @@ def _encode_message_body(writer: _Writer, table: _StringTable, message) -> None:
             writer.blob(message.signature)
 
 
+def _sealed(facts) -> bool:
+    """Whether a data message is signed: its tuples carry export sequence
+    numbers exactly when ``says`` is, so unsigned frames spend no byte on
+    the signature."""
+    return any(fact.signature is not None for fact in facts)
+
+
+def _encode_seal(writer: _Writer, message) -> None:
+    """A data message's one signature, once, after its tuples — never a
+    Merkle path: the receiver derives those from the tuples."""
+    if _sealed(message.facts()):
+        writer.blob(message.signature or b"")
+    elif message.signature is not None:
+        raise _Unencodable("a signature over tuples that carry no sequence numbers")
+
+
+def _decode_seal(reader: _Reader, facts) -> Optional[bytes]:
+    return (reader.blob() or None) if _sealed(facts) else None
+
+
 def _decode_message_body(reader: _Reader, strings: List[str]):
     kind = reader.u8()
     if kind == _KIND_PICKLE:
@@ -417,6 +438,7 @@ def _decode_message_body(reader: _Reader, strings: List[str]):
             provenance_bytes=provenance,
             sent_at=sent_at,
             sequence=sequence,
+            signature=_decode_seal(reader, (fact,)),
         )
     if kind == 1:  # MessageBatch
         items = []
@@ -435,6 +457,7 @@ def _decode_message_body(reader: _Reader, strings: List[str]):
             items=tuple(items),
             sent_at=sent_at,
             sequence=sequence,
+            signature=_decode_seal(reader, [item.fact for item in items]),
         )
     if kind == 2:  # QueryRequest
         key = _decode_key(reader, strings)

@@ -5,8 +5,9 @@ every node of the derivation tree is asserted by a principal using ``says``,
 and carries that principal's digital signature so a querier can validate that
 the provenance was not spoofed.  This module wraps a derivation graph with
 per-node signatures and implements chain verification.  (The condensed
-annotation piggy-backed on a shipped tuple is covered by that tuple's one
-:class:`~repro.security.authenticator.SignedEnvelope`, not signed here.)
+annotation piggy-backed on a shipped tuple is part of that tuple's Merkle leaf,
+covered by its wire message's one signature and stored in its
+:class:`~repro.security.authenticator.SignedEnvelope` — not signed here.)
 """
 
 from __future__ import annotations

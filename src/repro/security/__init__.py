@@ -1,6 +1,7 @@
 """Security substrate for SeNDlog: principals, keys, signatures, ``says``.
 
-The paper's evaluation signs every exchanged tuple with RSA (via OpenSSL).
+The paper's evaluation signs every exchanged tuple with RSA (via OpenSSL);
+here one signature covers each wire message, a tuple being the one-tuple case.
 This package provides the equivalent building blocks from scratch:
 
 * :mod:`repro.security.primes` — Miller–Rabin primality testing and prime
@@ -13,8 +14,10 @@ This package provides the equivalent building blocks from scratch:
   "says" trust levels of Section 2.2 / 4.5;
 * :mod:`repro.security.says` — the authentication modes of the ``says``
   operator (none, cleartext, signed);
-* :mod:`repro.security.authenticator` — the tuple signing / verification
-  pipeline used by node engines when exporting and importing tuples.
+* :mod:`repro.security.authenticator` — the signing / verification pipeline
+  used when exporting and importing tuples: one signature per wire message
+  over a Merkle root of its tuples, and per-tuple evidence that verifies
+  alone.
 """
 
 from repro.security.primes import is_probable_prime, generate_prime
@@ -26,6 +29,7 @@ from repro.security.authenticator import (
     AuthenticationError,
     Authenticator,
     SignedEnvelope,
+    verify_evidence,
 )
 
 __all__ = [
@@ -42,4 +46,5 @@ __all__ = [
     "is_probable_prime",
     "sign",
     "verify",
+    "verify_evidence",
 ]

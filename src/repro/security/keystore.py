@@ -76,7 +76,3 @@ class KeyStore:
 
     def principals(self) -> Tuple[str, ...]:
         return tuple(self._public)
-
-    def signature_bytes(self) -> int:
-        """Wire size of one signature under the configured key size."""
-        return (self._key_bits + 7) // 8

@@ -7,9 +7,9 @@ reduced modulo *n*.  Key sizes are configurable so that tests run with small
 fast keys while examples can use larger ones.
 
 This is *simulation-grade* cryptography: it exercises the same code path and
-cost structure (per-tuple signing, constant-size signatures added to each
-message) as the paper's implementation, but no padding scheme is applied and
-it must not be used to protect real data.
+cost structure (modular exponentiations, constant-size signatures added to
+each signed message) as the paper's implementation, but no padding scheme is
+applied and it must not be used to protect real data.
 """
 
 from __future__ import annotations
@@ -23,6 +23,9 @@ from repro.security.primes import DEFAULT_SEED, generate_prime
 
 DEFAULT_KEY_BITS = 512
 DEFAULT_PUBLIC_EXPONENT = 65537
+#: The smallest modulus :func:`generate_keypair` makes: below it a SHA-256
+#: digest reduced modulo *n* keeps too few bits to bind a message.
+MIN_KEY_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -32,7 +35,7 @@ class RSAKeyPair:
     ``n`` and ``e`` form the public key, ``d`` the private exponent.
     ``signature_bytes`` is the one length a signature under this key has —
     the byte length of the modulus — which the bandwidth model charges per
-    signed tuple and :func:`verify` insists on.
+    signed wire message and :func:`verify` insists on.
 
     ``dp``, ``dq`` and ``qinv`` are the precomputed CRT parameters
     (``d mod p-1``, ``d mod q-1``, ``q^-1 mod p``); when present, signing
@@ -81,8 +84,11 @@ def generate_keypair(
     public_exponent: int = DEFAULT_PUBLIC_EXPONENT,
 ) -> RSAKeyPair:
     """Generate an RSA key pair with a modulus of roughly *bits* bits."""
-    if bits < 64:
-        raise ValueError("key size below 64 bits cannot hold a SHA-256-derived digest securely")
+    if bits < MIN_KEY_BITS:
+        raise ValueError(
+            f"key size below {MIN_KEY_BITS} bits cannot hold a SHA-256-derived "
+            "digest securely"
+        )
     rng = rng or random.Random(DEFAULT_SEED)
     half = bits // 2
     while True:

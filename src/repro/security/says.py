@@ -30,7 +30,8 @@ class SaysMode(Enum):
     #: A cleartext principal header is attached but not signed (benign world).
     CLEARTEXT = "cleartext"
 
-    #: Each tuple is digitally signed by the exporting principal (hostile world).
+    #: Each wire message is digitally signed by the exporting principal over
+    #: the Merkle root of its tuples (hostile world).
     SIGNED = "signed"
 
     @property
@@ -42,16 +43,17 @@ class SaysMode(Enum):
     def requires_signature(self) -> bool:
         return self is SaysMode.SIGNED
 
-    def header_bytes(self, principal: str, signature_bytes: int) -> int:
+    def header_bytes(self, principal: str) -> int:
         """Wire overhead added to one tuple under this mode.
 
         ``NONE`` adds nothing; ``CLEARTEXT`` adds the principal name;
-        ``SIGNED`` adds the principal name plus the envelope: a fixed-size
-        signature and the sequence number it covers.
+        ``SIGNED`` adds the principal name plus the export sequence number
+        the envelope covers.  The signature itself is charged once per wire
+        message, at its real length, by the message that carries it.
         """
         if self is SaysMode.NONE:
             return 0
         overhead = len(principal.encode("utf-8"))
         if self is SaysMode.SIGNED:
-            overhead += signature_bytes + SEQUENCE_BYTES
+            overhead += SEQUENCE_BYTES
         return overhead

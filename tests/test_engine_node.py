@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
-import pytest
+import collections
 
+import pytest
+from sealing import deliver, seal
+
+from repro.api import Network
 from repro.engine.node_engine import EngineConfig, NodeEngine, ProvenanceMode
 from repro.engine.tuples import Fact
+from repro.net.events import FactRetraction
+from repro.net.topology import random_topology
+from repro.security import authenticator
 from repro.provenance.polynomial import ProvenanceExpression, p_var
 from repro.provenance.pruning import ProvenanceSampler
 from repro.security.authenticator import SignedEnvelope
@@ -62,9 +69,10 @@ class TestAuthentication:
         result = engine.insert_base(Fact("link", ("a", "b", 1.0)))
         exported = result.outgoing[0].fact
         assert exported.asserted_by == "a"
-        assert exported.signature is not None
+        # Numbered, not signed: the kernel seals the wire message carrying it.
+        assert exported.signature == SignedEnvelope(exported.signature.sequence)
         assert result.outgoing[0].security_bytes > 0
-        assert result.report.signatures_created == len(result.outgoing)
+        assert result.report.signatures_created == 0
 
     def test_cleartext_mode_attributes_without_signature(self, compiled_best_path, keystore):
         config = EngineConfig(says_mode=SaysMode.CLEARTEXT)
@@ -80,7 +88,7 @@ class TestAuthentication:
         receiver = make_engine("b", compiled_best_path, config, keystore)
         outgoing = sender.insert_base(Fact("link", ("a", "b", 1.0))).outgoing
         to_b = [o for o in outgoing if o.destination == "b"][0]
-        result = receiver.receive_batch((to_b.fact,), now=1.0)
+        result = deliver(sender, receiver, (to_b.fact,), now=1.0)
         assert result.report.facts_verified == 1
         assert result.report.facts_rejected == 0
         assert result.report.facts_inserted >= 1
@@ -91,13 +99,14 @@ class TestAuthentication:
         receiver = make_engine("b", compiled_best_path, config, keystore)
         outgoing = sender.insert_base(Fact("link", ("a", "b", 1.0))).outgoing
         genuine = [o for o in outgoing if o.destination == "b"][0].fact
+        signature = seal(sender, (genuine,), "b")
         tampered = Fact(
             relation=genuine.relation,
             values=genuine.values[:-1] + (999.0,),
             asserted_by=genuine.asserted_by,
             signature=genuine.signature,
         )
-        result = receiver.receive_batch((tampered,), now=1.0)
+        result = receiver.receive_batch((tampered,), 1.0, signature)
         assert result.report.facts_rejected == 1
         assert result.report.facts_inserted == 0
 
@@ -113,18 +122,69 @@ class TestAuthentication:
         receiver = make_engine("b", compiled_best_path, config, keystore)
         outgoing = mallory.insert_base(Fact("link", ("mallory", "b", 1.0))).outgoing
         fact = outgoing[0].fact
+        signature = seal(mallory, (fact,), "b")
         spoofed = fact.with_metadata(asserted_by="a")  # claim it came from a
-        result = receiver.receive_batch((spoofed,), now=0.0)
+        result = receiver.receive_batch((spoofed,), 0.0, signature)
         assert result.report.facts_rejected == 1
+
+
+class TestSigningBudget:
+    """Exact signing work: the engine numbers exports and signs nothing; the
+    kernel seals each wire message once — a batch, a one-tuple message or an
+    anti-delta — and each receiver checks each signature once."""
+
+    @pytest.mark.parametrize("batching", [True, False], ids=["batched", "per-tuple"])
+    def test_one_sign_and_one_verify_per_signed_message(self, monkeypatch, batching):
+        calls = collections.Counter()
+        for name in ("sign", "verify"):
+            call = getattr(authenticator, name)
+
+            def counted(*args, _name=name, _call=call):
+                calls[_name] += 1
+                return _call(*args)
+
+            monkeypatch.setattr(authenticator, name, counted)
+        topology = random_topology(8, seed=1)
+        network = Network.build(
+            topology=topology,
+            program="best-path",
+            provenance="sendlog-prov",
+            rederivation=True,
+            track_dependencies=True,
+            default_ttl=1e6,
+            key_bits=128,
+            batching=batching,
+        )
+        assert network.run().converged
+        link = topology.redundant_links()[0]
+        network.schedule(
+            FactRetraction(
+                time=network.current_time() + 1.0,
+                address=link.source,
+                facts=(Fact("link", (link.source, link.destination, link.cost)),),
+            )
+        )
+        assert network.run_until_idle()
+
+        summary = network.stats.summary()
+        anti_deltas = summary["anti_delta_messages"]
+        data = summary["total_messages"] - anti_deltas
+        assert anti_deltas > 0
+        assert data == (summary["batches_sent"] if batching else summary["tuples_sent"])
+        assert calls["sign"] == summary["signatures_created"] == data + anti_deltas
+        received = sum(node.messages_received for node in network.stats.nodes.values())
+        assert calls["verify"] == summary["signatures_verified"] == received
+        assert summary["verification_failures"] == summary["facts_rejected"] == 0
 
 
 SAYS_MODES = (SaysMode.NONE, SaysMode.CLEARTEXT, SaysMode.SIGNED)
 
 
-def shipped(sender, fact, destination):
-    """*fact* as *sender* would put it on the wire (sealed under signed says)."""
+def shipped(sender, fact):
+    """*fact* as *sender* would export it (attributed, and numbered under
+    signed says; :func:`sealing.deliver` seals its message)."""
     if sender.config.says_mode.authenticates:
-        return sender.authenticator.export_fact(fact, destination)
+        return sender.authenticator.export_fact(fact)
     return fact
 
 
@@ -156,8 +216,8 @@ class TestMalformedArity:
         self, compiled_best_path, keystore, says_mode
     ):
         sender, receiver = self.pair(compiled_best_path, says_mode, keystore)
-        short = shipped(sender, Fact("bestPath", ("a",), origin="b"), "a")
-        result = receiver.receive_batch([short], now=1.0)
+        short = shipped(sender, Fact("bestPath", ("a",), origin="b"))
+        result = deliver(sender, receiver, [short], now=1.0)
         self.assert_rejected(result, says_mode)
         assert receiver.facts("bestPath") == ()
         assert not receiver.provenance.knows(short.key())
@@ -168,10 +228,8 @@ class TestMalformedArity:
         sender, receiver = self.pair(compiled_best_path, says_mode, keystore)
         receiver.insert_base(Fact("link", ("a", "b", 1.0)))
         before = receiver.database.snapshot()
-        long = shipped(
-            sender, Fact("link", ("a", "b", 1.0, "x", "y"), origin="b"), "a"
-        )
-        result = receiver.receive_batch([long], now=1.0)
+        long = shipped(sender, Fact("link", ("a", "b", 1.0, "x", "y"), origin="b"))
+        result = deliver(sender, receiver, [long], now=1.0)
         self.assert_rejected(result, says_mode)
         assert receiver.database.snapshot() == before
         assert [fact.values for fact in receiver.facts("link")] == [("a", "b", 1.0)]
@@ -180,20 +238,20 @@ class TestMalformedArity:
         self, compiled_best_path, keystore, says_mode
     ):
         sender, receiver = self.pair(compiled_best_path, says_mode, keystore)
-        first = shipped(sender, Fact("gossip", ("a", 1), origin="b"), "a")
-        accepted = receiver.receive_batch([first], now=1.0)
+        first = shipped(sender, Fact("gossip", ("a", 1), origin="b"))
+        accepted = deliver(sender, receiver, [first], now=1.0)
         assert accepted.report.facts_inserted == 1
         assert accepted.report.facts_rejected == 0
         for values in (("a",), ("a", 1, 2)):
-            changed = shipped(sender, Fact("gossip", values, origin="b"), "a")
-            self.assert_rejected(receiver.receive_batch([changed], now=2.0), says_mode)
+            changed = shipped(sender, Fact("gossip", values, origin="b"))
+            self.assert_rejected(deliver(sender, receiver, [changed], now=2.0), says_mode)
         assert [fact.values for fact in receiver.facts("gossip")] == [("a", 1)]
         # A well-formed neighbour in the same wire batch is still admitted.
         mixed = [
-            shipped(sender, Fact("gossip", ("a", 1, 2), origin="b"), "a"),
-            shipped(sender, Fact("gossip", ("a", 2), origin="b"), "a"),
+            shipped(sender, Fact("gossip", ("a", 1, 2), origin="b")),
+            shipped(sender, Fact("gossip", ("a", 2), origin="b")),
         ]
-        report = receiver.receive_batch(mixed, now=3.0).report
+        report = deliver(sender, receiver, mixed, now=3.0).report
         assert (report.facts_received, report.facts_rejected) == (2, 1)
         assert report.facts_inserted == 1
 
@@ -206,13 +264,13 @@ class TestProvenanceModes:
         engine = make_engine("a", compiled_best_path, config, keystore)
         result = engine.insert_base(Fact("link", ("a", "b", 1.0)))
         shipped = result.outgoing[0]
-        # The annotation travels in the clear, sized as itself; the tuple's
-        # one envelope is the only signature made for it.
+        # The annotation travels in the clear, sized as itself, under the one
+        # signature the kernel makes for the tuple's wire message.
         annotation = shipped.fact.provenance
         assert isinstance(annotation, ProvenanceExpression)
         assert shipped.provenance_bytes == annotation.serialized_size() > 0
         assert isinstance(shipped.fact.signature, SignedEnvelope)
-        assert result.report.signatures_created == len(result.outgoing)
+        assert result.report.signatures_created == 0
 
     def test_unsigned_condensed_mode_ships_plain_annotation(self, compiled_best_path, keystore):
         config = EngineConfig(
@@ -244,7 +302,7 @@ class TestProvenanceModes:
         receiver = make_engine("b", compiled_best_path, config, keystore)
         outgoing = sender.insert_base(Fact("link", ("a", "b", 1.0))).outgoing
         to_b = [o for o in outgoing if o.destination == "b"][0]
-        result = receiver.receive_batch((to_b.fact,), now=0.5)
+        result = deliver(sender, receiver, (to_b.fact,), now=0.5)
         # One verification admits the tuple and the annotation it carries.
         assert result.report.facts_verified == 1
         assert result.report.facts_rejected == 0
@@ -257,10 +315,11 @@ class TestProvenanceModes:
         receiver = make_engine("b", compiled_best_path, config, keystore)
         sender = make_engine("a", compiled_best_path, config, keystore)
         fact = sender.insert_base(Fact("link", ("a", "b", 1.0))).outgoing[0].fact
+        signature = seal(sender, (fact,), "b")
         # The genuine tuple under an annotation its sender never asserted:
-        # the envelope covers the annotation, so the tuple goes with it.
+        # the signature covers the annotation, so the tuple goes with it.
         forged = fact.with_metadata(provenance=p_var("c"))
-        result = receiver.receive_batch((forged,), now=0.5)
+        result = receiver.receive_batch((forged,), 0.5, signature)
         assert result.report.facts_rejected == 1
         assert result.report.verification_failures == 1
         assert result.report.facts_inserted == 0

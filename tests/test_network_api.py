@@ -97,6 +97,9 @@ class TestNetOptionsValidation:
             ({"offline_retention": 0.0}, "offline_retention"),
             ({"hot_tier_entries": 0}, "hot_tier_entries"),
             ({"spill_dir": ""}, "spill_dir"),
+            # Above the old floor of 16 and below generate_keypair's: one
+            # floor (rsa.MIN_KEY_BITS) refuses it here, not deep in a run.
+            ({"key_bits": 32}, "key_bits must be >= 64"),
         ],
     )
     def test_bad_values_name_their_field(self, kwargs, message):

@@ -9,9 +9,11 @@ renders each shipped annotation once — while leaving every fact, statistic
 and stored polynomial exactly as the reference kernel
 (``test_polynomial_kernel.py``) leaves them.
 
-The one-envelope budget (PR 23): a shipped tuple costs one ``rsa.sign`` and one
-``rsa.verify`` whether or not an annotation rides on it, and ``ndlog`` never
-enters ``repro.security`` while rules fire.
+The one-signature budget: a wire message costs one ``rsa.sign`` and one
+``rsa.verify`` — over the Merkle root of its tuples — whether or not
+annotations ride on them, so the paper's per-tuple format (``batching=False``)
+still pays one of each per tuple; and ``ndlog`` never enters
+``repro.security`` while rules fire.
 
 The one-log budget (PR 22) is pinned the same way: a recorded firing builds
 exactly one ``ProvenancePointer`` and nothing else — no ``Derivation``, no
@@ -154,14 +156,14 @@ def test_churn_condenses_once_per_product_and_builds_under_half_the_expressions(
     assert state["summary"]["facts_retracted"] > 0  # the flaps did delete state
 
 
-def build(provenance: str) -> Network:
+def build(provenance: str, **options) -> Network:
     return Network.build(
-        topology=8, program="best-path", provenance=provenance, seed=SEED
+        topology=8, program="best-path", provenance=provenance, seed=SEED, **options
     )
 
 
-def fixpoint(provenance: str) -> Network:
-    network = build(provenance)
+def fixpoint(provenance: str, **options) -> Network:
+    network = build(provenance, **options)
     assert network.run().converged
     return network
 
@@ -176,12 +178,12 @@ def test_sendlog_prov_renders_each_shipped_annotation_once(monkeypatch):
         network = fixpoint("sendlog-prov")
 
     shipped = network.stats.summary()["tuples_sent"]  # one annotation each
-    assert shipped == 166
-    # The envelope's signature, its verification and the wire size each read
+    assert shipped == 163
+    # The sender's Merkle leaf, the receiver's and the wire size each read
     # the rendering; one of them renders it.
     assert counts["to_string"] == 3 * shipped
     assert counts["_render"] == shipped
-    assert counts["condense"] == counts["append"] == 379
+    assert counts["condense"] == counts["append"] == 373
     assert counts["Counter"] == 0
 
     with monkeypatch.context() as patch:
@@ -190,7 +192,7 @@ def test_sendlog_prov_renders_each_shipped_annotation_once(monkeypatch):
     assert state_of(network) == state_of(reference)
 
 
-# -- the one-envelope budget (PR 23) ----------------------------------------------
+# -- the one-signature budget ------------------------------------------------------
 
 
 @contextlib.contextmanager
@@ -210,54 +212,86 @@ def calls_into(package_path: str):
         sys.setprofile(None)
 
 
-def run_counting_security(provenance: str):
-    network = build(provenance)
+def run_counting_security(provenance: str, **options):
+    network = build(provenance, **options)
     with calls_into("/repro/security/") as calls:
         assert network.run().converged
     return network, calls
 
 
 def test_a_shipped_tuple_is_signed_once_and_verified_once():
-    """``sendlog-prov`` pays what ``sendlog`` pays per tuple: one ``rsa.sign``
-    by the sender, one ``rsa.verify`` by the receiver — the annotation rides
-    inside the envelope, not under a signature of its own."""
+    """The paper's per-tuple format (``batching=False``): ``sendlog-prov``
+    pays what ``sendlog`` pays per tuple, one ``rsa.sign`` by the sender and
+    one ``rsa.verify`` by the receiver — each wire message is one tuple, and
+    its annotation rides inside its Merkle leaf, not under a signature of
+    its own."""
     for provenance, shipped in (("sendlog-prov", 166), ("sendlog", 171)):
-        network, calls = run_counting_security(provenance)
+        network, calls = run_counting_security(provenance, batching=False)
         summary = network.stats.summary()
-        assert summary["tuples_sent"] == shipped  # sendlog: the parent's 171
-        assert calls["rsa.py:sign"] == shipped
+        assert summary["tuples_sent"] == summary["total_messages"] == shipped
+        assert calls["rsa.py:sign"] == summary["signatures_created"] == shipped
         # Every delivered tuple is either admitted or rejected, after exactly
         # one verification; nothing is lost or rejected in this run.
         received = sum(node.tuples_received for node in network.stats.nodes.values())
         assert received == shipped
-        assert calls["rsa.py:verify"] == received
-        # The run's ledger agrees: one envelope sealed and one accepted per
-        # shipped tuple, none refused.
-        assert summary["signatures_created"] == summary["facts_verified"] == shipped
+        assert calls["rsa.py:verify"] == summary["signatures_verified"] == received
+        assert summary["facts_verified"] == shipped
         assert summary["verification_failures"] == summary["facts_rejected"] == 0
 
 
-#: sha256 over every ``sealed_bytes`` result of the ``sendlog-prov`` fixpoint,
-#: recorded when the annotation was still a wrapper around the polynomial.
-SEALED_BYTES_DIGEST = "20c7c072dd6e51a345b2320a7ae2256c182854e0c2eef1e10aa308e6ff5dc6ea"
+def test_a_wire_message_is_signed_once_and_verified_once():
+    """The default batched format: one ``rsa.sign`` per data message shipped
+    and one ``rsa.verify`` per signed message received, however many tuples
+    each carries; every tuple is still verified (admitted) on its own."""
+    for provenance, messages, shipped in (("sendlog-prov", 95, 163), ("sendlog", 103, 172)):
+        network, calls = run_counting_security(provenance)
+        summary = network.stats.summary()
+        assert summary["total_messages"] == summary["batches_sent"] == messages
+        assert summary["tuples_sent"] == shipped
+        assert calls["rsa.py:sign"] == summary["signatures_created"] == messages
+        received = sum(node.messages_received for node in network.stats.nodes.values())
+        assert received == messages
+        assert calls["rsa.py:verify"] == summary["signatures_verified"] == received
+        assert summary["facts_verified"] == shipped
+        assert summary["verification_failures"] == summary["facts_rejected"] == 0
+
+
+#: sha256 over every ``sealed_bytes`` result of the ``sendlog-prov`` fixpoint
+#: in the paper's per-tuple format (``batching=False``): recorded when each
+#: tuple was signed on its own, before one signature covered a message's
+#: Merkle root — the leaves are those same sealed bytes.
+PER_TUPLE_SEALED_DIGEST = "a9a5faf2c69d49f44fa9478c31c37cd7aa5ab3099863a7054fdff2b72a68658e"
+
+#: The same digest at the default ``batching=True``, re-recorded when sealing
+#: moved from each firing to each wire message: the cheaper signing charge
+#: shifts the schedule, so 163 tuples ship instead of 166 (was
+#: ``20c7c072dd6e51a345b2320a7ae2256c182854e0c2eef1e10aa308e6ff5dc6ea``).
+SEALED_BYTES_DIGEST = "7b24c8a96a1784a0127c52a77e765c62cecbd036e1b5468bf6ccc9a3d1324e6d"
 
 
 def test_signatures_cover_the_same_bytes(monkeypatch):
-    """The envelope renders the annotation and the support with ``str``;
-    the bytes sealed and opened must not move when their type does."""
-    digest, calls = hashlib.sha256(), collections.Counter()
-    seal = authenticator.sealed_bytes
+    """The leaves render the annotation and the support with ``str``; the
+    bytes sealed and opened must not move when their type does, nor when
+    one signature covers a message of them instead of each alone."""
+    for options, expected in (
+        ({"batching": False}, PER_TUPLE_SEALED_DIGEST),
+        ({}, SEALED_BYTES_DIGEST),
+    ):
+        digest, calls = hashlib.sha256(), collections.Counter()
+        seal = authenticator.sealed_bytes
 
-    def hashed(payload, *fields):
-        sealed = seal(payload, *fields)
-        digest.update(b"%d:%b" % (len(sealed), sealed))
-        calls["sealed_bytes"] += 1
-        return sealed
+        def hashed(payload, *fields):
+            sealed = seal(payload, *fields)
+            digest.update(b"%d:%b" % (len(sealed), sealed))
+            calls["sealed_bytes"] += 1
+            return sealed
 
-    monkeypatch.setattr(authenticator, "sealed_bytes", hashed)
-    network = fixpoint("sendlog-prov")
-    assert calls["sealed_bytes"] == 2 * network.stats.summary()["tuples_sent"] == 332
-    assert digest.hexdigest() == SEALED_BYTES_DIGEST
+        with monkeypatch.context() as patch:
+            patch.setattr(authenticator, "sealed_bytes", hashed)
+            network = fixpoint("sendlog-prov", **options)
+        # One leaf built by the sender, one rebuilt by the receiver.
+        assert calls["sealed_bytes"] == 2 * network.stats.summary()["tuples_sent"]
+        assert digest.hexdigest() == expected
 
 
 def test_ndlog_never_enters_the_security_package_while_rules_fire():

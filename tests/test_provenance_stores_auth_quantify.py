@@ -33,7 +33,6 @@ from repro.provenance.quantify import (
 )
 from repro.provenance.store import OfflineProvenanceArchive
 from repro.security.authenticator import (
-    AuthenticationError,
     Authenticator,
     SignedEnvelope,
 )
@@ -173,42 +172,43 @@ class TestAuthenticatedProvenance:
             signed.verify(keystore, require_complete=True)
         assert signed.verify(keystore, require_complete=False)
 
-    # A piggy-backed annotation is authenticated by the one envelope of the
-    # tuple it rides on (SaysMode.SIGNED), not by a signature of its own.
+    # A piggy-backed annotation is authenticated by the one signature of the
+    # wire message the tuple rides in (SaysMode.SIGNED), as part of the
+    # tuple's Merkle leaf, not by a signature of its own.
 
     def test_signed_annotation_round_trip(self, keystore):
         annotation = p_var("a")
         exporter = Authenticator("a", keystore, SaysMode.SIGNED)
         importer = Authenticator("b", keystore, SaysMode.SIGNED)
-        shipped = exporter.export_fact(LINK.with_metadata(provenance=annotation), "b")
+        shipped = exporter.export_fact(LINK.with_metadata(provenance=annotation))
         assert shipped.provenance is annotation
-        # One envelope sealed, and accepted: the annotation rides inside it.
+        # One message sealed, and accepted: the annotation is in its leaf.
         assert shipped.signature.sequence == 1
-        assert importer.import_fact(shipped).provenance is annotation
+        signature = exporter.seal_batch([shipped], "b")
+        (admitted,) = importer.import_batch([shipped], signature)
+        assert admitted.provenance is annotation
 
     def test_signed_annotation_forgery_detected(self, keystore):
         exporter = Authenticator("a", keystore, SaysMode.SIGNED)
         importer = Authenticator("b", keystore, SaysMode.SIGNED)
-        shipped = exporter.export_fact(
-            LINK.with_metadata(provenance=p_var("a")), "b"
-        )
-        for forged in (
-            shipped.with_metadata(provenance=p_var("b")),
-            shipped.with_metadata(signature=SignedEnvelope(1, b"\x01" * 16)),
-        ):
-            with pytest.raises(AuthenticationError):
-                importer.import_fact(forged)
-        assert importer.import_fact(shipped) is shipped  # the genuine one still does
+        shipped = exporter.export_fact(LINK.with_metadata(provenance=p_var("a")))
+        signature = exporter.seal_batch([shipped], "b")
+        forged_annotation = shipped.with_metadata(provenance=p_var("b"))
+        assert importer.import_batch([forged_annotation], signature) == [None]
+        assert importer.import_batch([shipped], b"\x01" * 16) == [None]
+        # The genuine one still does.
+        (admitted,) = importer.import_batch([shipped], signature)
+        assert admitted == shipped and admitted.provenance is shipped.provenance
 
     def test_signed_annotation_unknown_principal(self, keystore):
         importer = Authenticator("b", keystore, SaysMode.SIGNED)
         forged = LINK.with_metadata(
             asserted_by="zz",
-            signature=SignedEnvelope(1, b"\x01" * 16),
+            signature=SignedEnvelope(1),
             provenance=p_var("zz"),
         )
-        with pytest.raises(AuthenticationError, match="no public key"):
-            importer.import_fact(forged)
+        assert not importer.keystore.has_public_key("zz")
+        assert importer.import_batch([forged], b"\x01" * 16) == [None]
 
 
 class TestQuantify:

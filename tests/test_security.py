@@ -7,11 +7,7 @@ import random
 import pytest
 
 from repro.engine.tuples import Fact
-from repro.security.authenticator import (
-    AuthenticationError,
-    Authenticator,
-    SignedEnvelope,
-)
+from repro.security.authenticator import Authenticator, SignedEnvelope
 from repro.security.keystore import KeyStore
 from repro.security.primes import generate_prime, is_probable_prime
 from repro.security.principal import Principal, PrincipalRegistry
@@ -134,8 +130,12 @@ class TestKeyStore:
         assert b.has_public_key("alice")
 
     def test_signature_bytes(self):
-        assert KeyStore(key_bits=128).signature_bytes() == 16
-        assert KeyStore(key_bits=256).signature_bytes() == 32
+        """A signature is as long as its signer's modulus, which is what the
+        wire model charges for it."""
+        for bits, length in ((128, 16), (256, 32)):
+            keypair = KeyStore(key_bits=bits).create_keypair("alice")
+            assert keypair.signature_bytes == length
+            assert len(sign(b"x", keypair)) == length
 
 
 class TestPrincipals:
@@ -183,12 +183,13 @@ class TestSaysMode:
         assert not SaysMode.CLEARTEXT.requires_signature
 
     def test_header_bytes_ordering(self):
-        none = SaysMode.NONE.header_bytes("node1", 64)
-        cleartext = SaysMode.CLEARTEXT.header_bytes("node1", 64)
-        signed = SaysMode.SIGNED.header_bytes("node1", 64)
+        none = SaysMode.NONE.header_bytes("node1")
+        cleartext = SaysMode.CLEARTEXT.header_bytes("node1")
+        signed = SaysMode.SIGNED.header_bytes("node1")
         assert none == 0
         assert cleartext == len("node1")
-        assert signed == cleartext + 64 + SEQUENCE_BYTES
+        # The signature is the wire message's, charged once per message.
+        assert signed == cleartext + SEQUENCE_BYTES
 
 
 class TestAuthenticator:
@@ -201,16 +202,18 @@ class TestAuthenticator:
     def test_signed_export_import_round_trip(self, keystore):
         exporter = Authenticator("a", keystore, SaysMode.SIGNED)
         importer = Authenticator("b", keystore, SaysMode.SIGNED)
-        fact = exporter.export_fact(Fact("link", ("a", "b", 1.0)), "b")
-        # One envelope sealed: the export sequence numbers the signed exports.
-        assert fact.signature.sequence == 1
-        # Verified and fresh: import_fact returns only what it accepted.
-        assert importer.import_fact(fact) == fact
+        fact = exporter.export_fact(Fact("link", ("a", "b", 1.0)))
+        # Numbered on export; the message carrying it is sealed separately.
+        assert fact.signature == SignedEnvelope(1)
+        signature = exporter.seal_batch([fact], "b")
+        # Verified and fresh: the tuple comes back carrying its evidence.
+        (admitted,) = importer.import_batch([fact], signature)
+        assert admitted == fact
+        assert admitted.signature == SignedEnvelope(1, signature, ())
 
     def test_import_rejects_missing_principal(self, keystore):
         importer = Authenticator("b", keystore, SaysMode.SIGNED)
-        with pytest.raises(AuthenticationError):
-            importer.import_fact(Fact("link", ("a", "b", 1.0)))
+        assert importer.import_batch([Fact("link", ("a", "b", 1.0))], b"x" * 16) == [None]
 
     def test_import_rejects_unknown_principal(self, keystore):
         importer = Authenticator("b", keystore, SaysMode.SIGNED)
@@ -218,10 +221,9 @@ class TestAuthenticator:
             "link",
             ("a", "b", 1.0),
             asserted_by="stranger",
-            signature=SignedEnvelope(1, b"x" * 16),
+            signature=SignedEnvelope(1),
         )
-        with pytest.raises(AuthenticationError):
-            importer.import_fact(fact)
+        assert importer.import_batch([fact], b"x" * 16) == [None]
 
     def test_import_rejects_bad_signature(self, keystore):
         importer = Authenticator("b", keystore, SaysMode.SIGNED)
@@ -229,15 +231,14 @@ class TestAuthenticator:
             "link",
             ("a", "b", 1.0),
             asserted_by="a",
-            signature=SignedEnvelope(1, b"\x01" * 16),
+            signature=SignedEnvelope(1),
         )
-        # The refusal is the raise; the engine counts it on its report.
-        with pytest.raises(AuthenticationError):
-            importer.import_fact(fact)
+        # The refusal is the None; the engine counts it on its report.
+        assert importer.import_batch([fact], b"\x01" * 16) == [None]
 
     def test_cleartext_mode_attributes_only(self, keystore):
         exporter = Authenticator("a", keystore, SaysMode.CLEARTEXT)
-        fact = exporter.export_fact(Fact("link", ("a", "b", 1.0)), "b")
+        fact = exporter.export_fact(Fact("link", ("a", "b", 1.0)))
         assert fact.asserted_by == "a"
         assert fact.signature is None
 
@@ -245,10 +246,10 @@ class TestAuthenticator:
         exporter = Authenticator("a", keystore, SaysMode.NONE)
         importer = Authenticator("b", keystore, SaysMode.NONE)
         fact = Fact("link", ("a", "b", 1.0))
-        assert exporter.export_fact(fact, "b") is fact
-        assert importer.import_fact(fact) is fact
+        assert exporter.export_fact(fact) is fact
+        assert importer.import_batch([fact])[0] is fact
 
     def test_wire_overhead_matches_mode(self, keystore):
         assert Authenticator("a", keystore, SaysMode.NONE).wire_overhead() == 0
         signed = Authenticator("a", keystore, SaysMode.SIGNED).wire_overhead()
-        assert signed == len(b"a") + keystore.signature_bytes() + SEQUENCE_BYTES
+        assert signed == len(b"a") + SEQUENCE_BYTES

@@ -82,6 +82,7 @@ def _same_message(a, b) -> bool:
             and a.provenance_bytes == b.provenance_bytes
             and a.sent_at == b.sent_at
             and a.sequence == b.sequence
+            and a.signature == b.signature
         )
     if isinstance(a, MessageBatch):
         return (
@@ -89,6 +90,8 @@ def _same_message(a, b) -> bool:
             and a.destination == b.destination
             and a.sent_at == b.sent_at
             and a.sequence == b.sequence
+            and a.signature == b.signature
+            and a.security_bytes == b.security_bytes
             and len(a.items) == len(b.items)
             and all(
                 _same_fact(x.fact, y.fact)
@@ -162,7 +165,7 @@ def _sample_exports():
         timestamp=1.25,
         ttl=30.0,
         asserted_by="n1",
-        signature=SignedEnvelope(41, b"\x01\x02sig"),
+        signature=SignedEnvelope(41),
         provenance=_condensed(),
         origin="n1",
     )
@@ -194,6 +197,19 @@ def _sample_exports():
                 ),
                 sent_at=0.0015,
                 sequence=8,
+                signature=b"\x01\x02sig",
+            ),
+        ),
+        (
+            0.0025,
+            Message(
+                source="n1",
+                destination="n3",
+                fact=fact,
+                security_bytes=21,
+                sent_at=0.002,
+                sequence=12,
+                signature=b"\x03\x04sig",
             ),
         ),
         (
@@ -276,6 +292,29 @@ def _sample_events():
 
 def test_exports_round_trip_all_wire_kinds():
     _assert_exports_round_trip(BinaryCodec(), _sample_exports())
+
+
+def test_a_signed_batch_carries_its_signature_once_and_no_path():
+    """A frame carries each tuple's export sequence and the batch's one
+    signature, never a Merkle path: the receiver derives those."""
+    signature = b"\xa5" * 32
+    facts = [
+        Fact("path", ("n1", f"n{i}", float(i)), asserted_by="n1", signature=SignedEnvelope(i))
+        for i in range(3)
+    ]
+    batch = MessageBatch(
+        source="n1",
+        destination="n2",
+        items=tuple(BatchItem(fact=fact, security_bytes=10) for fact in facts),
+        signature=signature,
+    )
+    codec = BinaryCodec()
+    frame = codec.encode_exports([(0.1, batch)])
+    assert frame.count(signature) == 1
+    ((_, decoded),) = codec.decode_exports(frame)
+    assert decoded.signature == signature
+    assert decoded.security_bytes == 3 * 10 + len(signature)
+    assert [fact.signature for fact in decoded.facts()] == [SignedEnvelope(i) for i in range(3)]
 
 
 def test_events_round_trip_all_kinds():
@@ -371,15 +410,19 @@ def _facts(draw):
         timestamp=draw(st.floats(min_value=0, max_value=1e6)),
         ttl=draw(st.one_of(st.none(), st.floats(min_value=0.001, max_value=1e3))),
         asserted_by=draw(st.one_of(st.none(), _addresses)),
-        # A raw ``bytes`` signature is outside the frame vocabulary: it rides
-        # the per-message pickle fallback.
+        # In flight an envelope is its sequence number alone.  A stored
+        # tuple's evidence (signature and path) and a raw ``bytes`` signature
+        # are outside the frame vocabulary: they ride the per-message pickle
+        # fallback.
         signature=draw(
             st.one_of(
                 st.none(),
+                st.builds(SignedEnvelope, st.integers(min_value=0, max_value=2**63)),
                 st.builds(
                     SignedEnvelope,
                     st.integers(min_value=0, max_value=2**63),
-                    st.binary(max_size=16),
+                    st.binary(min_size=1, max_size=16),
+                    st.just(((True, b"\x00" * 32),)),
                 ),
                 st.binary(max_size=16),
             )
@@ -387,6 +430,9 @@ def _facts(draw):
         provenance=provenance,
         origin=draw(st.one_of(st.none(), _addresses)),
     )
+
+
+_message_signatures = st.one_of(st.none(), st.binary(min_size=1, max_size=16))
 
 
 @st.composite
@@ -400,6 +446,7 @@ def _messages(draw):
             provenance_bytes=draw(st.integers(min_value=0, max_value=512)),
             sent_at=draw(st.floats(min_value=0, max_value=1e6)),
             sequence=draw(st.integers(min_value=0, max_value=2**32)),
+            signature=draw(_message_signatures),
         )
     items = tuple(
         BatchItem(
@@ -414,6 +461,7 @@ def _messages(draw):
         items=items,
         sent_at=draw(st.floats(min_value=0, max_value=1e6)),
         sequence=draw(st.integers(min_value=0, max_value=2**32)),
+        signature=draw(_message_signatures),
     )
 
 

@@ -28,7 +28,7 @@ from repro.net.kernel import SimulationKernel
 from repro.net.topology import line_topology, paper_example_topology, random_topology
 from repro.provenance.pruning import ProvenanceSampler
 from repro.queries.reachable import REACHABLE_LOCALIZED
-from repro.security.says import SaysMode
+from repro.security.says import SEQUENCE_BYTES, SaysMode
 
 
 @pytest.fixture(scope="module")
@@ -155,24 +155,52 @@ class TestDispatchAttribution:
 
 class TestFullRunAttribution:
     """Reachability derivations are order-independent, so a full distributed
-    run must attribute exactly the same security bytes either way."""
+    run must ship the same tuples either way: the same per-tuple envelope
+    bytes, and one signature per wire message."""
 
     def test_security_attribution_matches_per_tuple_path(self, compiled_reachable):
         topology = random_topology(8, seed=11)
         config = EngineConfig(says_mode=SaysMode.SIGNED)
         batched = run_reachable(topology, config, True, compiled_reachable).stats
         per_tuple = run_reachable(topology, config, False, compiled_reachable).stats
-        assert (
-            batched.total("security_bytes_sent")
-            == per_tuple.total("security_bytes_sent")
-            > 0
-        )
         assert batched.total("tuples_sent") == per_tuple.total("tuples_sent")
-        # All saved bytes are per-tuple framing, nothing else.
-        saved = per_tuple.total("bytes_sent") - batched.total("bytes_sent")
-        assert saved == MESSAGE_HEADER_BYTES * (
-            per_tuple.total_messages - batched.total_messages
+        signature = 16  # bytes, at key_bits=128
+        fewer = per_tuple.total_messages - batched.total_messages
+        assert fewer > 0
+        assert (
+            batched.total("security_bytes_sent") + signature * fewer
+            == per_tuple.total("security_bytes_sent")
         )
+        # All saved bytes are per-message framing and signatures, nothing else.
+        saved = per_tuple.total("bytes_sent") - batched.total("bytes_sent")
+        assert saved == (MESSAGE_HEADER_BYTES + signature) * fewer
+
+    @pytest.mark.parametrize("batching", [True, False], ids=["batched", "per-tuple"])
+    def test_a_signature_is_charged_its_real_length(self, compiled_reachable, batching):
+        """At a key size that is not a multiple of 8 a modulus can be a byte
+        shorter than the size: each wire message is charged the length of the
+        signature it carries, which its sender's key decides."""
+        topology = random_topology(8, seed=11)
+        simulator = SimulationKernel(
+            topology,
+            compiled_reachable,
+            EngineConfig(says_mode=SaysMode.SIGNED),
+            key_bits=257,
+            batching=batching,
+        )
+        length = {
+            node: simulator.keystore.private_key(node).signature_bytes
+            for node in topology.nodes
+        }
+        assert set(length.values()) == {32, 33}
+        stats = simulator.run(reachable_base(topology)).stats
+        for node in topology.nodes:
+            sent = stats.node(node)
+            assert sent.messages_sent > 0
+            assert sent.security_bytes_sent == (
+                sent.tuples_sent * (len(node) + SEQUENCE_BYTES)
+                + sent.messages_sent * length[node]
+            )
 
     def test_batching_halves_wire_messages(self, compiled_reachable):
         topology = random_topology(8, seed=11)
@@ -228,9 +256,9 @@ class TestFifoUnpack:
         engine = simulator.engines["b"]
         original = engine._admit
 
-        def recording_admit(fact, result):
+        def recording_admit(fact, verified, result):
             admitted.append(fact.values)
-            return original(fact, result)
+            return original(fact, verified, result)
 
         engine._admit = recording_admit
         simulator._deliver(self._batch(), deliver_at=0.0)

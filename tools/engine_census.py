@@ -8,12 +8,16 @@ deltas are, how many ``Table.expire`` / ``Database.table`` calls had anything
 to do, how long an index bucket is when a fact in it is replaced or removed
 (and where in it that fact sits: what a list walk would have cost), what the
 payload renderer is asked to render, how firings end, and how many
-``with_metadata`` copies an exported tuple costs.  With ``--flaps`` the network
+``with_metadata`` copies an exported tuple costs.  Under a signed preset it
+also prints the sealing traffic: the histogram of tuples per signed wire
+message, ``rsa.sign`` / ``rsa.verify`` calls per message, and the Merkle leaf
+and inner-node hashes computed.  With ``--flaps`` the network
 converges first and only the link flaps are counted (the write/delete use of
 the tables); with ``--opcodes`` the run is traced per bytecode instruction
 (about fifty times slower) and the functions are ranked by their share.
 
     python tools/engine_census.py --provenance ndlog --nodes 40
+    python tools/engine_census.py --provenance sendlog-prov --nodes 25
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 import poly_census  # noqa: E402  (sibling tool: the build / converge / flap driver)
 import repro.engine.node_engine as node_engine  # noqa: E402
 import repro.engine.tuples as tuples  # noqa: E402
+import repro.security.authenticator as authenticator  # noqa: E402
 from repro.api import PROVENANCE_PRESETS  # noqa: E402
 from repro.engine.database import Database  # noqa: E402
 from repro.engine.table import Table  # noqa: E402
@@ -76,6 +81,10 @@ def install() -> Census:
     outgoing = node_engine.OutgoingFact
     expire, table, insert, remove = Table.expire, Database.table, Table.insert, Table._remove_fact
     render, payload, size, copy = tuples._render_value, Fact.payload, Fact.payload_size, Fact.with_metadata
+    signer = authenticator.Authenticator
+    seal, open_batch = signer.seal_batch, signer.import_batch
+    sign, verify = authenticator.sign, authenticator.verify
+    leaf, node = authenticator._leaf_hash, authenticator._node_hash
 
     def counted_drain(self, queue, *args):
         counting = _CountingQueue(queue)
@@ -167,6 +176,34 @@ def install() -> Census:
         census["Fact.with_metadata copies"] += 1
         return copy(self, **changes)
 
+    def counted_seal(self, facts, destination):
+        census["signed wire messages sealed"] += 1
+        census[f"_tuples per message {len(facts)}"] += 1
+        return seal(self, facts, destination)
+
+    def counted_open(self, facts, signature=None):
+        census["signed wire messages opened"] += self.mode.requires_signature and bool(facts)
+        return open_batch(self, facts, signature)
+
+    def counted_sign(*args):
+        census["rsa.sign calls"] += 1
+        return sign(*args)
+
+    def counted_verify(*args):
+        census["rsa.verify calls"] += 1
+        return verify(*args)
+
+    def counted_leaf(*args):
+        census["Merkle leaf hashes"] += 1
+        return leaf(*args)
+
+    def counted_node(*args):
+        census["Merkle inner hashes"] += 1
+        return node(*args)
+
+    signer.seal_batch, signer.import_batch = counted_seal, counted_open
+    authenticator.sign, authenticator.verify = counted_sign, counted_verify
+    authenticator._leaf_hash, authenticator._node_hash = counted_leaf, counted_node
     engine._drain, engine._handle_firing = counted_drain, counted_handle
     engine._record_derivation = counted_record
     node_engine.evaluate_plan_with_delta = counted_evaluate
@@ -210,12 +247,26 @@ def trace_opcodes(run) -> Counter:
 def print_census(census: Census) -> None:
     width = max((len(name) for name in census), default=0)
     for name, count in census.items():
-        if not name.startswith("_run"):
+        if not name.startswith("_"):
             print(f"{name:<{width}} {count:>9}")
     exported = census["exported tuples"]
     if exported:
         print(f"{'with_metadata copies per exported tuple':<{width}} "
               f"{census['Fact.with_metadata copies'] / exported:>9.2f}")
+    sealed = census["signed wire messages sealed"]
+    if sealed:
+        histogram = sorted(
+            (int(name.rsplit(" ", 1)[1]), count)
+            for name, count in census.items()
+            if name.startswith("_tuples per message ")
+        )
+        print("tuples per signed wire message (size: messages): "
+              + ", ".join(f"{size}: {count}" for size, count in histogram))
+        print(f"{'rsa.sign calls per message sealed':<{width}} "
+              f"{census['rsa.sign calls'] / sealed:>9.2f}")
+        opened = census["signed wire messages opened"]
+        print(f"{'rsa.verify calls per message opened':<{width}} "
+              f"{census['rsa.verify calls'] / max(opened, 1):>9.2f}")
 
 
 def print_opcodes(executed: Counter, firings: int) -> None:
