@@ -134,12 +134,14 @@ class ProcessingReport:
 
 @dataclass(eq=False, slots=True)
 class OutgoingFact:
-    """A derived tuple that must be shipped to another node."""
+    """A derived tuple that must be shipped to another node: one item of the
+    data wire message (:class:`~repro.net.message.MessageBatch`), with the
+    security envelope and provenance annotation bytes it adds."""
 
     destination: str
     fact: Fact
-    security_bytes: int
-    provenance_bytes: int
+    security_bytes: int = 0
+    provenance_bytes: int = 0
 
 
 @dataclass(slots=True)
@@ -181,7 +183,7 @@ def group_outgoing(outgoing: List[OutgoingFact]) -> Dict[str, List[OutgoingFact]
 
     Destinations appear in first-send order and each group preserves the
     engine's FIFO derivation order, so batching the groups onto the wire
-    keeps per-destination delivery order identical to the per-tuple path.
+    keeps per-destination delivery order identical to the per-tuple format.
     """
     grouped: Dict[str, List[OutgoingFact]] = {}
     for item in outgoing:

@@ -23,7 +23,7 @@ from repro.net.events import (
     SimulationEvent,
     SoftStateRefresh,
 )
-from repro.net.message import Message, MessageBatch, QueryRequest, QueryResponse
+from repro.net.message import MessageBatch, QueryRequest, QueryResponse
 from repro.net.link import Link
 from repro.net.query import (
     PendingQuery,
@@ -46,7 +46,6 @@ __all__ = [
     "Link",
     "LinkDown",
     "LinkUp",
-    "Message",
     "MessageBatch",
     "MessageDelivery",
     "NetworkStats",

@@ -69,8 +69,6 @@ from repro.net.events import (
 from repro.net.link import DEFAULT_BANDWIDTH, DEFAULT_LATENCY, Link
 from repro.net.message import (
     AntiDelta,
-    BatchItem,
-    Message,
     MessageBatch,
     QueryRequest,
     QueryResponse,
@@ -188,10 +186,11 @@ class KernelOptions:
     #: Latency / bandwidth of sends between nodes without a topology link.
     default_latency: float = DEFAULT_LATENCY
     default_bandwidth: float = DEFAULT_BANDWIDTH
-    #: When True (the default, matching real P2), all tuples bound for one
-    #: destination in one delta round ship as a single MessageBatch under
-    #: one message header.  When False, every tuple pays its own header
-    #: (the paper's Figure 4 accounting).
+    #: How :meth:`SimulationKernel._dispatch_outgoing` groups a delta round
+    #: into wire messages.  True (the default, matching real P2): one
+    #: MessageBatch per destination, all its tuples under one header.  False:
+    #: the paper's per-tuple format (its Figure 4 accounting), a MessageBatch
+    #: of one per tuple, each paying its own header and signature.
     batching: bool = True
     #: Name of the base relation whose tuples mirror the topology's links;
     #: LinkDown retraction and recovery re-injection key off it.
@@ -1266,7 +1265,7 @@ class SimulationKernel:
     ) -> None:
         """Charge *report* for the signatures :meth:`_dispatch_outgoing` will
         make for *outgoing* under signed ``says``: one per wire message — a
-        batch per destination, or a message per tuple without batching.
+        batch per destination, or a batch of one per tuple without batching.
 
         Called before the round is accounted, so the signing cost lands in
         the same cost-model sum as the round's other work.  Rounds that ship
@@ -1298,43 +1297,22 @@ class SimulationKernel:
         send_time = node_stats.busy_until
         signer = self.engines[source].authenticator if self._seals else None
         if self.options.batching:
-            for destination, items in group_outgoing(outgoing).items():
-                signature = None
-                if signer is not None:
-                    signature = signer.seal_batch([item.fact for item in items], destination)
-                batch = MessageBatch(
-                    source=source,
-                    destination=destination,
-                    items=tuple(
-                        BatchItem(
-                            fact=item.fact,
-                            security_bytes=item.security_bytes,
-                            provenance_bytes=item.provenance_bytes,
-                        )
-                        for item in items
-                    ),
-                    sent_at=send_time,
-                    sequence=self._next_sequence(source),
-                    signature=signature,
-                )
-                self._ship(source, destination, batch, send_time, node_stats)
+            groups = group_outgoing(outgoing).items()
         else:
-            for item in outgoing:
-                signature, security_bytes = None, item.security_bytes
-                if signer is not None:
-                    signature = signer.seal_batch((item.fact,), item.destination)
-                    security_bytes += len(signature)
-                message = Message(
-                    source=source,
-                    destination=item.destination,
-                    fact=item.fact,
-                    security_bytes=security_bytes,
-                    provenance_bytes=item.provenance_bytes,
-                    sent_at=send_time,
-                    sequence=self._next_sequence(source),
-                    signature=signature,
-                )
-                self._ship(source, item.destination, message, send_time, node_stats)
+            groups = ((item.destination, (item,)) for item in outgoing)
+        for destination, items in groups:
+            signature = None
+            if signer is not None:
+                signature = signer.seal_batch([item.fact for item in items], destination)
+            message = MessageBatch(
+                source=source,
+                destination=destination,
+                items=tuple(items),
+                sent_at=send_time,
+                sequence=self._next_sequence(source),
+                signature=signature,
+            )
+            self._ship(source, destination, message, send_time, node_stats)
 
     def route_between(
         self, source: Address, destination: Address
@@ -1430,13 +1408,12 @@ class SimulationKernel:
         self,
         source: Address,
         destination: Address,
-        message: WireMessage,
+        message: MessageBatch,
         send_time: float,
         node_stats: NodeStats,
     ) -> None:
-        """Charge the send and enqueue delivery with link-serialized timing."""
-        if message.sequence == 0:
-            message.sequence = self._next_sequence(source)
+        """Charge a data message's send and enqueue its delivery with
+        link-serialized timing."""
         node_stats.record_send(message)
         self.stats.total_messages += 1
         size = message.size_bytes()

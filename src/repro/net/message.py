@@ -1,19 +1,18 @@
 """Wire messages and their size accounting.
 
-Two data wire formats share one size model:
-
-* :class:`Message` carries exactly one exported tuple, matching the paper's
-  per-tuple shipping ("generating a signature for each tuple");
-* :class:`MessageBatch` packs every tuple bound for one destination in one
-  delta round under a single ``MESSAGE_HEADER_BYTES`` of framing, the way
-  real P2 amortizes per-packet overhead.
+One data wire format: a :class:`MessageBatch` carries the tuples one node
+ships to one destination under a single ``MESSAGE_HEADER_BYTES`` of framing.
+With batching on (the default, the way real P2 amortizes per-packet
+overhead) a batch holds every tuple bound for that destination in one delta
+round; the paper's per-tuple format ("generating a signature for each
+tuple") is the same message holding one tuple.
 
 Under signed ``says`` each wire message carries one signature, over the
-Merkle root of its tuples (:mod:`repro.security.authenticator`); a
-:class:`Message` is the one-tuple case, so the paper's per-tuple format keeps
-its per-tuple signature.  Each tuple's principal and export sequence number
-and its provenance annotation bytes stay itemized, so the bandwidth metric of
-Figure 4 keeps attributing overhead to each mechanism:
+Merkle root of its tuples (:mod:`repro.security.authenticator`), so a batch
+of one keeps the paper's per-tuple signature.  Each tuple's principal and
+export sequence number and its provenance annotation bytes stay itemized, so
+the bandwidth metric of Figure 4 keeps attributing overhead to each
+mechanism:
 
     header + signature + sum over tuples of (payload + principal and
     sequence + provenance)
@@ -29,8 +28,9 @@ separate ``query_bytes`` / ``query_messages`` category by the statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import ClassVar, Optional, Tuple
 
+from repro.engine.node_engine import OutgoingFact
 from repro.engine.tuples import Fact, FactKey, render_payload
 from repro.net.address import Address
 from repro.provenance.log import ProvenancePointer
@@ -43,79 +43,23 @@ MESSAGE_HEADER_BYTES = 80
 
 
 @dataclass(eq=False)
-class Message:
-    """One tuple in flight from ``source`` to ``destination``.
-
-    ``security_bytes`` and ``provenance_bytes`` record how much the security
-    envelope (principal attribution, sequence number and ``signature``, the
-    message's one signature under signed ``says``) and the piggy-backed
-    provenance annotation add to the payload; they are kept separate so the
-    harness can attribute bandwidth overhead to each mechanism.
-
-    ``sequence`` is assigned by the sending
-    :class:`~repro.net.kernel.SimulationKernel` from its own per-run counter, so identical runs number their messages
-    identically (a process-global counter here would leak state between runs).
-    """
-
-    source: Address
-    destination: Address
-    fact: Fact
-    security_bytes: int = 0
-    provenance_bytes: int = 0
-    sent_at: float = 0.0
-    sequence: int = 0
-    signature: Optional[bytes] = None
-
-    def payload_bytes(self) -> int:
-        return self.fact.payload_size()
-
-    def size_bytes(self) -> int:
-        """Total wire size of the message."""
-        return (
-            MESSAGE_HEADER_BYTES
-            + self.payload_bytes()
-            + self.security_bytes
-            + self.provenance_bytes
-        )
-
-    @property
-    def tuple_count(self) -> int:
-        return 1
-
-    def facts(self) -> Tuple[Fact, ...]:
-        """The carried tuples in delivery order (uniform with batches)."""
-        return (self.fact,)
-
-    def __str__(self) -> str:
-        return (
-            f"{self.source} -> {self.destination}: {self.fact} "
-            f"({self.size_bytes()} bytes)"
-        )
-
-
-@dataclass(eq=False, slots=True)
-class BatchItem:
-    """One tuple inside a :class:`MessageBatch`, with its itemized overheads."""
-
-    fact: Fact
-    security_bytes: int = 0
-    provenance_bytes: int = 0
-
-
-@dataclass(eq=False)
 class MessageBatch:
-    """All tuples one node ships to one destination in one delta round.
+    """The data wire message: tuples one node ships to one destination.
 
-    The batch pays ``MESSAGE_HEADER_BYTES`` once and, under signed ``says``,
-    its one ``signature`` once (over the Merkle root of its tuples): both
-    are part of ``security_bytes`` and the wire size.  Each item still
-    carries its own principal, sequence number and provenance annotation
-    bytes, so per-mechanism bandwidth attribution is itemized as for tuples
-    shipped individually — only the saved per-tuple framing and signatures
-    differ.
+    ``items`` are the engine's :class:`~repro.engine.node_engine.OutgoingFact`
+    records, in the order the sender derived them: every tuple bound for
+    ``destination`` in one delta round when batching, a single tuple in the
+    paper's per-tuple format.  The message pays ``MESSAGE_HEADER_BYTES``
+    once and, under signed ``says``, its one ``signature`` once (over the
+    Merkle root of its tuples): both are part of ``security_bytes`` and the
+    wire size.  Each item still carries its own principal, sequence number
+    and provenance annotation bytes, so per-mechanism bandwidth attribution
+    is the same whichever way the tuples are grouped — only the per-message
+    framing and signatures differ.
 
-    ``sequence`` is assigned by the sending simulator per wire message (one
-    per batch), keeping event ordering and tie-breaking deterministic.
+    ``sequence`` is assigned by the sending kernel from its own per-run
+    counter, one per wire message, so identical runs number their messages
+    identically and event ordering and tie-breaking stay deterministic.
 
     The byte totals are computed eagerly at construction: every batch is
     immediately measured for stats and transmission delay, and the itemized
@@ -124,7 +68,7 @@ class MessageBatch:
 
     source: Address
     destination: Address
-    items: Tuple[BatchItem, ...]
+    items: Tuple[OutgoingFact, ...]
     sent_at: float = 0.0
     sequence: int = 0
     signature: Optional[bytes] = None
@@ -196,9 +140,10 @@ class AntiDelta:
     sent_at: float = 0.0
     sequence: int = 0
     security_bytes: int = 0
-    provenance_bytes: int = 0
     signature: Optional[bytes] = None
     _size_bytes: int = field(init=False, repr=False)
+    #: Only keys travel: an anti-delta carries no provenance annotation.
+    provenance_bytes: ClassVar[int] = 0
 
     def __post_init__(self) -> None:
         self._size_bytes = (
@@ -351,10 +296,11 @@ class QueryRequest:
     authenticated: bool = False
     sent_at: float = 0.0
     sequence: int = 0
-    security_bytes: int = 0
-    provenance_bytes: int = 0
     key_bytes: Optional[int] = _key_size_field()
     _size_bytes: Optional[int] = _memo_field()
+    #: A request is neither signed nor annotated.
+    security_bytes: ClassVar[int] = 0
+    provenance_bytes: ClassVar[int] = 0
 
     __getstate__ = _without_memos
 
@@ -428,7 +374,14 @@ class QueryResponse:
         return len(self.signature) if self.signature is not None else 0
 
     def payload_bytes(self) -> int:
-        return self.size_bytes() - MESSAGE_HEADER_BYTES
+        """The closure and flags: the wire size less the header and the
+        itemized signature and annotation."""
+        return (
+            self.size_bytes()
+            - MESSAGE_HEADER_BYTES
+            - self.security_bytes
+            - self.provenance_bytes
+        )
 
     def size_bytes(self) -> int:
         size = self._size_bytes
@@ -493,9 +446,9 @@ QueryMessage = (QueryRequest, QueryResponse)
 #: Stable wire-format tags for the sharded backend's coordination frames
 #: (:mod:`repro.net.transport`).  Appending new kinds is safe; renumbering
 #: existing ones would silently corrupt mixed-version coordination, so the
-#: mapping lives next to the message definitions it tags.
+#: mapping lives next to the message definitions it tags.  Kind 0 was the
+#: retired one-tuple message (a batch of one now); it is not reused.
 WIRE_KINDS = {
-    Message: 0,
     MessageBatch: 1,
     QueryRequest: 2,
     QueryResponse: 3,

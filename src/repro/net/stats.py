@@ -30,13 +30,12 @@ from typing import Callable, Dict, Iterable, Optional, Tuple, Union
 from repro.net.address import Address
 from repro.net.message import (
     AntiDelta,
-    Message,
     MessageBatch,
     QueryRequest,
     QueryResponse,
 )
 
-WireMessage = Union[Message, MessageBatch, QueryRequest, QueryResponse, AntiDelta]
+WireMessage = Union[MessageBatch, QueryRequest, QueryResponse, AntiDelta]
 
 
 def latency_bucket(seconds: float) -> int:
@@ -115,9 +114,11 @@ def _merge_fields(mine, theirs) -> None:
 class NodeStats:
     """Counters for one node.
 
-    ``messages_sent`` counts wire messages (a batch is one message);
-    ``tuples_sent`` counts the tuples they carried.  ``batch_sizes`` is the
-    tuples-per-batch histogram for batched sends (size -> batch count).
+    ``messages_sent`` counts wire messages; ``tuples_sent`` counts the
+    tuples they carried.  Every data message is a batch, so
+    ``batches_sent`` counts them and ``batch_sizes`` is their
+    tuples-per-batch histogram (size -> batch count); the per-tuple format
+    (``batching=False``) reports all its batches at size 1.
 
     Provenance query traffic is real traffic — it is included in
     ``messages_sent`` / ``bytes_sent`` — and additionally itemized:

@@ -35,6 +35,7 @@ import struct
 import zlib
 from typing import Dict, List, Optional, Tuple
 
+from repro.engine.node_engine import OutgoingFact
 from repro.engine.tuples import Fact
 from repro.net.events import (
     FactInjection,
@@ -53,8 +54,6 @@ from repro.net.events import (
 )
 from repro.net.message import (
     AntiDelta,
-    Message,
-    BatchItem,
     MessageBatch,
     QueryClosureEntry,
     QueryRequest,
@@ -333,12 +332,7 @@ def _encode_message_body(writer: _Writer, table: _StringTable, message) -> None:
     writer.u32(table.intern(message.destination))
     writer.f64(message.sent_at)
     writer.u64(message.sequence)
-    if isinstance(message, Message):
-        writer.u32(message.security_bytes)
-        writer.u32(message.provenance_bytes)
-        _encode_fact(writer, table, message.fact)
-        _encode_seal(writer, message)
-    elif isinstance(message, MessageBatch):
+    if isinstance(message, MessageBatch):
         writer.u32(len(message.items))
         for item in message.items:
             writer.u32(item.security_bytes)
@@ -351,8 +345,6 @@ def _encode_message_body(writer: _Writer, table: _StringTable, message) -> None:
         writer.u64(message.request_id)
         writer.u32(table.intern(message.mode))
         writer.u8((1 if message.condensed else 0) | (2 if message.authenticated else 0))
-        writer.u32(message.security_bytes)
-        writer.u32(message.provenance_bytes)
     elif isinstance(message, AntiDelta):
         writer.u32(len(message.keys))
         for key in message.keys:
@@ -426,31 +418,13 @@ def _decode_message_body(reader: _Reader, strings: List[str]):
     destination = strings[reader.u32()]
     sent_at = reader.f64()
     sequence = reader.u64()
-    if kind == 0:  # Message
-        security = reader.u32()
-        provenance = reader.u32()
-        fact = _decode_fact(reader, strings)
-        return Message(
-            source=source,
-            destination=destination,
-            fact=fact,
-            security_bytes=security,
-            provenance_bytes=provenance,
-            sent_at=sent_at,
-            sequence=sequence,
-            signature=_decode_seal(reader, (fact,)),
-        )
     if kind == 1:  # MessageBatch
         items = []
         for _ in range(reader.u32()):
             security = reader.u32()
             provenance = reader.u32()
             fact = _decode_fact(reader, strings)
-            items.append(
-                BatchItem(
-                    fact=fact, security_bytes=security, provenance_bytes=provenance
-                )
-            )
+            items.append(OutgoingFact(destination, fact, security, provenance))
         return MessageBatch(
             source=source,
             destination=destination,
@@ -465,8 +439,6 @@ def _decode_message_body(reader: _Reader, strings: List[str]):
         request_id = reader.u64()
         mode = strings[reader.u32()]
         flags = reader.u8()
-        security = reader.u32()
-        provenance = reader.u32()
         return QueryRequest(
             source=source,
             destination=destination,
@@ -478,8 +450,6 @@ def _decode_message_body(reader: _Reader, strings: List[str]):
             authenticated=bool(flags & 2),
             sent_at=sent_at,
             sequence=sequence,
-            security_bytes=security,
-            provenance_bytes=provenance,
         )
     if kind == 4:  # AntiDelta
         keys = tuple(_decode_key(reader, strings) for _ in range(reader.u32()))

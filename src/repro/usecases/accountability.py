@@ -12,13 +12,9 @@ talk to destinations they should not.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
-from repro.net.message import Message, MessageBatch
-
-#: What the auditor observes: one tuple, or a batch of them (the default
-#: wire format).
-WireMessage = Union[Message, MessageBatch]
+from repro.net.message import MessageBatch
 
 
 @dataclass(frozen=True)
@@ -46,7 +42,7 @@ class AuditRecord:
     first_activity: Optional[float] = None
     last_activity: Optional[float] = None
 
-    def record(self, message: WireMessage) -> None:
+    def record(self, message: MessageBatch) -> None:
         """Count one wire message: its bytes once, its relations per tuple."""
         self.messages += 1
         self.bytes_sent += message.size_bytes()
@@ -106,15 +102,15 @@ class AccountabilityAuditor:
 
     # -- intake --------------------------------------------------------------------
 
-    def observe(self, message: WireMessage) -> None:
-        """Attribute one message — a tuple or a batch — to the principal that
-        asserted its first tuple (or to its source node)."""
+    def observe(self, message: MessageBatch) -> None:
+        """Attribute one data message to the principal that asserted its
+        first tuple (or to its source node)."""
         facts = message.facts()
         principal = (facts[0].asserted_by if facts else None) or message.source
         record = self._records.setdefault(principal, AuditRecord(principal=principal))
         record.record(message)
 
-    def observe_all(self, messages: Iterable[WireMessage]) -> None:
+    def observe_all(self, messages: Iterable[MessageBatch]) -> None:
         for message in messages:
             self.observe(message)
 

@@ -469,6 +469,40 @@ class TestOneSigningPath:
         assert "INV008" not in _rules(tool.check_tree(tree))
 
 
+class TestOneFormationSite:
+    SECOND_SITE = (
+        "from repro.net.message import MessageBatch\n\n"
+        "def ship(source, destination, items):\n"
+        "    return MessageBatch(source, destination, tuple(items))\n"
+    )
+
+    def test_data_message_formed_outside_dispatch_flagged(self, tree):
+        (tree / "net" / "kernel.py").write_text(self.SECOND_SITE, encoding="utf-8")
+        findings = [f for f in tool.check_tree(tree) if f.rule == "INV010"]
+        assert [(f.path, f.line) for f in findings] == [("net/kernel.py", 4)]
+
+    def test_dispatch_and_the_frame_decoder_may(self, tree):
+        for path, function in (
+            ("kernel.py", "_dispatch_outgoing"),
+            ("transport.py", "_decode_message_body"),
+        ):
+            (tree / "net" / path).write_text(
+                self.SECOND_SITE.replace("def ship", f"def {function}"),
+                encoding="utf-8",
+            )
+        assert "INV010" not in _rules(tool.check_tree(tree))
+
+    def test_the_dispatch_name_elsewhere_is_not_a_site(self, tree):
+        (tree / "engine" / "mod.py").write_text(
+            "from repro.net import message\n\n"
+            "def _dispatch_outgoing(source, destination, items):\n"
+            "    return message.MessageBatch(source, destination, tuple(items))\n",
+            encoding="utf-8",
+        )
+        findings = [f for f in tool.check_tree(tree) if f.rule == "INV010"]
+        assert [(f.path, f.line) for f in findings] == [("engine/mod.py", 4)]
+
+
 class TestNoHiddenFiles:
     @pytest.mark.parametrize(
         "statement",

@@ -10,6 +10,7 @@ sweep.
 from __future__ import annotations
 
 import pytest
+from wire import batch_of_one
 
 from repro.datalog import localize_program, parse_program
 from repro.datalog.planner import compile_program
@@ -25,7 +26,6 @@ from repro.net.events import (
     NodeCrash,
     NodeRecover,
 )
-from repro.net.message import Message
 from repro.net.kernel import SimulationKernel
 from repro.net.topology import line_topology, random_topology, ring_topology
 from repro.queries.best_path import compile_best_path
@@ -50,9 +50,7 @@ def reachable_base(topology):
 def delivery(at, sequence=0):
     return MessageDelivery(
         time=at,
-        message=Message(
-            source="a", destination="b", fact=Fact("r", (at,)), sequence=sequence
-        ),
+        message=batch_of_one("a", "b", Fact("r", (at,)), sequence=sequence),
     )
 
 

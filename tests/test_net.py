@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from wire import batch_of_one
 
 from repro.engine.tuples import Fact
 from repro.net.address import node_name, node_names
 from repro.net.link import Link
-from repro.net.message import MESSAGE_HEADER_BYTES, Message
+from repro.net.message import MESSAGE_HEADER_BYTES
 from repro.net.stats import NetworkStats, NodeStats
 from repro.net.topology import (
     grid_topology,
@@ -35,26 +36,24 @@ class TestAddress:
 class TestMessage:
     def test_size_accounts_for_all_components(self):
         fact = Fact("link", ("a", "b", 1.0))
-        message = Message(
-            source="a", destination="b", fact=fact, security_bytes=40, provenance_bytes=20
-        )
+        message = batch_of_one("a", "b", fact, security_bytes=40, provenance_bytes=20)
         assert message.size_bytes() == MESSAGE_HEADER_BYTES + fact.payload_size() + 60
 
     def test_plain_message_size(self):
         fact = Fact("link", ("a", "b", 1.0))
-        message = Message(source="a", destination="b", fact=fact)
+        message = batch_of_one("a", "b", fact)
         assert message.size_bytes() == MESSAGE_HEADER_BYTES + fact.payload_size()
 
     def test_sequence_is_caller_assigned(self):
         # Sequence numbers come from the sending simulator's per-run counter,
         # not a process-global source.
         fact = Fact("link", ("a", "b"))
-        message = Message(source="a", destination="b", fact=fact, sequence=7)
+        message = batch_of_one("a", "b", fact, sequence=7)
         assert message.sequence == 7
-        assert Message(source="a", destination="b", fact=fact).sequence == 0
+        assert batch_of_one("a", "b", fact).sequence == 0
 
     def test_str_mentions_endpoints(self):
-        message = Message(source="a", destination="b", fact=Fact("link", ("a", "b")))
+        message = batch_of_one("a", "b", Fact("link", ("a", "b")))
         assert "a -> b" in str(message)
 
 
@@ -153,7 +152,7 @@ class TestStats:
     def test_node_stats_record_send_and_receive(self):
         stats = NodeStats(address="a")
         fact = Fact("link", ("a", "b"))
-        message = Message(source="a", destination="b", fact=fact, security_bytes=10, provenance_bytes=5)
+        message = batch_of_one("a", "b", fact, security_bytes=10, provenance_bytes=5)
         stats.record_send(message)
         stats.record_receive(message)
         assert stats.messages_sent == 1 and stats.messages_received == 1
@@ -164,7 +163,7 @@ class TestStats:
     def test_network_stats_aggregation(self):
         network = NetworkStats()
         fact = Fact("link", ("a", "b"))
-        message = Message(source="a", destination="b", fact=fact, security_bytes=8)
+        message = batch_of_one("a", "b", fact, security_bytes=8)
         network.node("a").record_send(message)
         network.node("b").record_receive(message)
         assert network.total("bytes_sent") == message.size_bytes()

@@ -5,11 +5,13 @@ from __future__ import annotations
 import pytest
 
 from reference_stores import fire, pointer_for
+from wire import batch_of_one
 
 from repro.datalog import analyze_program, localize_program, parse_program
 from repro.datalog.planner import compile_program
+from repro.engine.node_engine import OutgoingFact
 from repro.engine.tuples import Fact
-from repro.net.message import BatchItem, Message, MessageBatch
+from repro.net.message import MessageBatch
 from repro.provenance.log import DerivationLog
 from repro.provenance.polynomial import p_product, p_sum, p_var
 from repro.provenance.store import OfflineProvenanceArchive
@@ -174,7 +176,7 @@ class TestForensics:
 class TestAccountability:
     def make_message(self, source, principal, size_relation="update", destination="x"):
         fact = Fact(size_relation, (source, destination), asserted_by=principal)
-        return Message(source=source, destination=destination, fact=fact, sent_at=1.0)
+        return batch_of_one(source, destination, fact, sent_at=1.0)
 
     def test_usage_attributed_to_asserting_principal(self):
         auditor = AccountabilityAuditor()
@@ -188,14 +190,14 @@ class TestAccountability:
     def test_unattributed_traffic_falls_back_to_source(self):
         auditor = AccountabilityAuditor()
         fact = Fact("update", ("n3", "x"))
-        auditor.observe(Message(source="n3", destination="x", fact=fact))
+        auditor.observe(batch_of_one("n3", "x", fact))
         assert auditor.record_for("n3").messages == 1
 
     def test_batched_message_counted_once_per_message(self):
         # Batches are the default wire format: one message, its bytes once,
         # its relations once per carried tuple.
         items = tuple(
-            BatchItem(fact=Fact(relation, ("n1", "x"), asserted_by="alice"))
+            OutgoingFact("x", Fact(relation, ("n1", "x"), asserted_by="alice"))
             for relation in ("update", "route")
         )
         batch = MessageBatch(source="n1", destination="x", items=items, sent_at=1.0)

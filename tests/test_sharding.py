@@ -271,7 +271,7 @@ class TestSerialEquivalence:
         # it is a rejection the run's statistics count, on either backend.
         from repro.engine.tuples import Fact
         from repro.net.events import MessageDelivery
-        from repro.net.message import Message
+        from wire import batch_of_one
 
         topology = random_topology(10, seed=2)
         plan = partition_topology(topology, 2, seed=0)
@@ -289,7 +289,7 @@ class TestSerialEquivalence:
                 )
             assert simulator.run_until_idle()
             for offset, fact in enumerate(malformed, start=1):
-                message = Message(source=source, destination=destination, fact=fact)
+                message = batch_of_one(source, destination, fact)
                 simulator.schedule(
                     MessageDelivery(
                         time=simulator.current_time() + offset, message=message

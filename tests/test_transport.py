@@ -19,7 +19,9 @@ import pickle
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from wire import batch_of_one
 
+from repro.engine.node_engine import OutgoingFact
 from repro.engine.tuples import Fact
 from repro.net.events import (
     FactInjection,
@@ -34,12 +36,11 @@ from repro.net.events import (
 )
 from repro.net.message import (
     AntiDelta,
-    BatchItem,
-    Message,
     MessageBatch,
     QueryRequest,
     QueryResponse,
     QueryClosureEntry,
+    WIRE_KINDS,
 )
 from repro.net.transport import COMPRESS_MIN_BYTES, BinaryCodec
 from repro.provenance.log import ProvenancePointer
@@ -73,17 +74,6 @@ def _same_fact(a: Fact, b: Fact) -> bool:
 def _same_message(a, b) -> bool:
     if type(a) is not type(b):
         return False
-    if isinstance(a, Message):
-        return (
-            a.source == b.source
-            and a.destination == b.destination
-            and _same_fact(a.fact, b.fact)
-            and a.security_bytes == b.security_bytes
-            and a.provenance_bytes == b.provenance_bytes
-            and a.sent_at == b.sent_at
-            and a.sequence == b.sequence
-            and a.signature == b.signature
-        )
     if isinstance(a, MessageBatch):
         return (
             a.source == b.source
@@ -92,9 +82,11 @@ def _same_message(a, b) -> bool:
             and a.sequence == b.sequence
             and a.signature == b.signature
             and a.security_bytes == b.security_bytes
+            and a.provenance_bytes == b.provenance_bytes
             and len(a.items) == len(b.items)
             and all(
-                _same_fact(x.fact, y.fact)
+                x.destination == y.destination
+                and _same_fact(x.fact, y.fact)
                 and x.security_bytes == y.security_bytes
                 and x.provenance_bytes == y.provenance_bytes
                 for x, y in zip(a.items, b.items)
@@ -185,15 +177,15 @@ def _sample_exports():
         ),
     )
     return [
-        (0.001, Message(source="n1", destination="n2", fact=plain, sequence=7)),
+        (0.001, batch_of_one("n1", "n2", plain, sequence=7)),
         (
             0.002,
             MessageBatch(
                 source="n2",
                 destination="n3",
                 items=(
-                    BatchItem(fact=fact, security_bytes=112, provenance_bytes=40),
-                    BatchItem(fact=plain),
+                    OutgoingFact("n3", fact, security_bytes=112, provenance_bytes=40),
+                    OutgoingFact("n3", plain),
                 ),
                 sent_at=0.0015,
                 sequence=8,
@@ -202,10 +194,10 @@ def _sample_exports():
         ),
         (
             0.0025,
-            Message(
-                source="n1",
-                destination="n3",
-                fact=fact,
+            batch_of_one(
+                "n1",
+                "n3",
+                fact,
                 security_bytes=21,
                 sent_at=0.002,
                 sequence=12,
@@ -281,13 +273,17 @@ def _sample_events():
         (
             MessageDelivery(
                 time=6.0,
-                message=Message(source="n1", destination="n2", fact=facts[0]),
+                message=batch_of_one("n1", "n2", facts[0]),
             ),
             8,
             True,
         ),
         (QueryTimeout(time=7.0, query_id=11, request_id=13), 9, False),
     ]
+
+
+def test_wire_kinds_are_stable_and_kind_0_stays_retired():
+    assert WIRE_KINDS == {MessageBatch: 1, QueryRequest: 2, QueryResponse: 3, AntiDelta: 4}
 
 
 def test_exports_round_trip_all_wire_kinds():
@@ -305,7 +301,7 @@ def test_a_signed_batch_carries_its_signature_once_and_no_path():
     batch = MessageBatch(
         source="n1",
         destination="n2",
-        items=tuple(BatchItem(fact=fact, security_bytes=10) for fact in facts),
+        items=tuple(OutgoingFact("n2", fact, security_bytes=10) for fact in facts),
         signature=signature,
     )
     codec = BinaryCodec()
@@ -346,7 +342,7 @@ def test_binary_beats_pickle_on_export_batches():
 def test_large_frames_deflate():
     fact = Fact("bestPath", ("node-with-a-long-name-1", "node-2", 3.5), ttl=30.0)
     exports = [
-        (0.001 * i, Message(source="n1", destination="n2", fact=fact, sequence=i))
+        (0.001 * i, batch_of_one("n1", "n2", fact, sequence=i))
         for i in range(200)
     ]
     codec = BinaryCodec()
@@ -377,7 +373,7 @@ class Opaque:
 
 def test_non_literal_values_fall_back_to_pickle():
     fact = Fact("weird", (Opaque("x"), float("inf"), -0.0))
-    exports = [(0.5, Message(source="n1", destination="n2", fact=fact))]
+    exports = [(0.5, batch_of_one("n1", "n2", fact))]
     _assert_exports_round_trip(BinaryCodec(), exports)
 
 
@@ -437,27 +433,19 @@ _message_signatures = st.one_of(st.none(), st.binary(min_size=1, max_size=16))
 
 @st.composite
 def _messages(draw):
-    if draw(st.booleans()):
-        return Message(
-            source=draw(_addresses),
-            destination=draw(_addresses),
-            fact=draw(_facts()),
+    destination = draw(_addresses)
+    items = tuple(
+        OutgoingFact(
+            destination,
+            draw(_facts()),
             security_bytes=draw(st.integers(min_value=0, max_value=512)),
             provenance_bytes=draw(st.integers(min_value=0, max_value=512)),
-            sent_at=draw(st.floats(min_value=0, max_value=1e6)),
-            sequence=draw(st.integers(min_value=0, max_value=2**32)),
-            signature=draw(_message_signatures),
-        )
-    items = tuple(
-        BatchItem(
-            fact=draw(_facts()),
-            security_bytes=draw(st.integers(min_value=0, max_value=512)),
         )
         for _ in range(draw(st.integers(min_value=1, max_value=3)))
     )
     return MessageBatch(
         source=draw(_addresses),
-        destination=draw(_addresses),
+        destination=destination,
         items=items,
         sent_at=draw(st.floats(min_value=0, max_value=1e6)),
         sequence=draw(st.integers(min_value=0, max_value=2**32)),

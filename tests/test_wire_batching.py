@@ -1,14 +1,19 @@
-"""Tests for the batched wire path and the accounting fixes that rode along.
+"""Tests for the data wire message and the accounting fixes that rode along.
 
 Covers the `MessageBatch` size model, byte-identical security/provenance
-attribution vs. the per-tuple path, FIFO unpack order, cross-run determinism
-with batching on, the phantom-`NodeStats` fix, the provenance-sampler fix for
-received tuples, and soft-state TTLs on the single-site evaluator.
+attribution between the batched and per-tuple formats (a per-tuple message
+is a batch of one), the per-tuple format's pinned Section 6 figures, FIFO
+unpack order, cross-run determinism with batching on, the phantom-`NodeStats`
+fix, the provenance-sampler fix for received tuples, and soft-state TTLs on
+the single-site evaluator.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
+from wire import batch_of_one
 
 from repro.datalog import localize_program, parse_program
 from repro.datalog.catalog import Catalog
@@ -23,9 +28,20 @@ from repro.engine.node_engine import (
 )
 from repro.engine.seminaive import evaluate_program
 from repro.engine.tuples import Fact
-from repro.net.message import MESSAGE_HEADER_BYTES, BatchItem, Message, MessageBatch
+from repro.harness.runner import run_network
+from repro.net.message import (
+    MESSAGE_HEADER_BYTES,
+    WIRE_KINDS,
+    AntiDelta,
+    MessageBatch,
+    QueryClosureEntry,
+    QueryRequest,
+    QueryResponse,
+)
 from repro.net.kernel import SimulationKernel
 from repro.net.topology import line_topology, paper_example_topology, random_topology
+from repro.provenance.log import ProvenancePointer
+from repro.provenance.polynomial import p_var
 from repro.provenance.pruning import ProvenanceSampler
 from repro.queries.reachable import REACHABLE_LOCALIZED
 from repro.security.says import SEQUENCE_BYTES, SaysMode
@@ -56,8 +72,8 @@ def run_reachable(topology, config, batching, compiled):
 class TestMessageBatchFormat:
     def _batch(self):
         items = (
-            BatchItem(fact=Fact("link", ("a", "b")), security_bytes=40, provenance_bytes=10),
-            BatchItem(fact=Fact("link", ("a", "c")), security_bytes=40, provenance_bytes=20),
+            OutgoingFact("b", Fact("link", ("a", "b")), security_bytes=40, provenance_bytes=10),
+            OutgoingFact("b", Fact("link", ("a", "c")), security_bytes=40, provenance_bytes=20),
         )
         return MessageBatch(source="a", destination="b", items=items)
 
@@ -79,13 +95,7 @@ class TestMessageBatchFormat:
     def test_batch_vs_individual_messages_differ_only_by_framing(self):
         batch = self._batch()
         individual = sum(
-            Message(
-                source="a",
-                destination="b",
-                fact=item.fact,
-                security_bytes=item.security_bytes,
-                provenance_bytes=item.provenance_bytes,
-            ).size_bytes()
+            MessageBatch(source="a", destination="b", items=(item,)).size_bytes()
             for item in batch.items
         )
         assert individual - batch.size_bytes() == MESSAGE_HEADER_BYTES * (
@@ -237,13 +247,129 @@ class TestFullRunAttribution:
         )
 
 
+#: The paper's per-tuple format (``batching=False``) on the Fig. 3 / Fig. 4
+#: workload at N=10, seed 0: ``(total_messages, total_bytes, security_bytes,
+#: provenance_bytes, signatures, completion_time_s)``.  Signatures are both
+#: created and verified, one per wire message under signed ``says``.
+PER_TUPLE_FIGURES = {
+    "NDLog": (296, 31_786, 0, 0, 0, 0.41284),
+    "SeNDLog": (298, 44_533, 12_516, 0, 298, 0.63704),
+    "SeNDLogProv": (297, 46_630, 12_474, 2_247, 297, 0.74551),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(PER_TUPLE_FIGURES))
+def per_tuple_run(request):
+    configuration = request.param
+    return configuration, run_network(configuration, 10, seed=0, batching=False).stats
+
+
+class TestPerTupleFormat:
+    """The paper's per-tuple format is the batch-of-one case of the one data
+    wire message: its Section 6 numbers must not move, and its messages
+    count as batches."""
+
+    def test_section_6_figures_are_pinned(self, per_tuple_run):
+        configuration, stats = per_tuple_run
+        summary = stats.summary()
+        messages, total, security, provenance, signatures, completion = (
+            PER_TUPLE_FIGURES[configuration]
+        )
+        assert summary["total_messages"] == messages
+        assert summary["total_bytes"] == total
+        assert summary["security_bytes"] == security
+        assert summary["provenance_bytes"] == provenance
+        assert summary["signatures_created"] == signatures
+        assert summary["signatures_verified"] == signatures
+        assert summary["completion_time_s"] == pytest.approx(completion, abs=1e-12)
+
+    def test_every_message_is_a_batch_of_one(self, per_tuple_run):
+        configuration, stats = per_tuple_run
+        summary = stats.summary()
+        messages = PER_TUPLE_FIGURES[configuration][0]
+        assert summary["tuples_sent"] == summary["batches_sent"] == messages
+        assert stats.total("batch_sizes") == {1: messages}
+        assert summary["mean_tuples_per_batch"] == 1.0
+
+
+def _one_of_each_wire_message():
+    signed = Fact("path", ("a", "b", 1.0), asserted_by="a", provenance=p_var("l1"))
+    entry = QueryClosureEntry(
+        key=("path", ("a", "b", 1.0)),
+        node="a",
+        is_base=False,
+        pointers=(
+            ProvenancePointer(
+                output=("path", ("a", "b", 1.0)),
+                rule_label="r1",
+                node="a",
+                inputs=((("link", ("a", "b")), "b"),),
+                timestamp=0.5,
+            ),
+        ),
+    )
+    return (
+        MessageBatch(
+            source="a",
+            destination="b",
+            items=(
+                OutgoingFact("b", signed, security_bytes=9, provenance_bytes=12),
+                OutgoingFact("b", Fact("link", ("a", "b")), security_bytes=9),
+            ),
+            signature=b"\x01" * 32,
+        ),
+        QueryRequest(
+            source="a", destination="b", key=("path", ("a", "b", 1.0)),
+            query_id=1, request_id=2, authenticated=True, condensed=True,
+        ),
+        QueryResponse(
+            source="b", destination="a", query_id=1, request_id=2,
+            key=("path", ("a", "b", 1.0)), entries=(entry,),
+            missing=(("link", ("b", "c")),), annotation=p_var("l1"),
+            annotation_bytes=24, signature=b"\x02" * 32,
+        ),
+        AntiDelta(
+            source="a", destination="b", keys=(("link", ("a", "b")),),
+            security_bytes=32, signature=b"\x03" * 32,
+        ),
+    )
+
+
+class TestWireSizeModel:
+    def test_itemized_bytes_never_exceed_what_travels(self):
+        """``record_send`` charges ``security_bytes`` and ``provenance_bytes``
+        to their mechanisms: together with the payload they must fit in the
+        bytes that actually travel after the header, for every wire type."""
+        messages = _one_of_each_wire_message()
+        assert {type(message) for message in messages} == set(WIRE_KINDS)
+        for message in messages:
+            itemized = (
+                message.security_bytes
+                + message.provenance_bytes
+                + message.payload_bytes()
+            )
+            assert itemized <= message.size_bytes() - MESSAGE_HEADER_BYTES, message
+
+    @pytest.mark.parametrize(
+        "wire_type, name",
+        [
+            (QueryRequest, "security_bytes"),
+            (QueryRequest, "provenance_bytes"),
+            (AntiDelta, "provenance_bytes"),
+        ],
+    )
+    def test_bytes_that_never_travel_cannot_be_set(self, wire_type, name):
+        assert getattr(wire_type, name) == 0
+        assert name not in {field.name for field in dataclasses.fields(wire_type)}
+
+
 class TestFifoUnpack:
     def _batch(self):
         return MessageBatch(
             source="a",
             destination="b",
             items=tuple(
-                BatchItem(fact=Fact("link", ("b", str(i)))) for i in range(5)
+                OutgoingFact("b", Fact("link", ("b", str(i)))) for i in range(5)
             ),
             sequence=1,
         )
@@ -305,9 +431,7 @@ class TestPhantomNodeStatsFix:
         simulator = SimulationKernel(
             paper_example_topology(), compiled_reachable, EngineConfig()
         )
-        ghost = Message(
-            source="a", destination="zz", fact=Fact("link", ("zz", "a")), sequence=9
-        )
+        ghost = batch_of_one("a", "zz", Fact("link", ("zz", "a")), sequence=9)
         simulator._deliver(ghost, deliver_at=1.0)
         assert "zz" not in simulator.stats.nodes
         assert simulator.stats.messages_dropped == 1
@@ -319,9 +443,7 @@ class TestPhantomNodeStatsFix:
         simulator = SimulationKernel(
             paper_example_topology(), compiled_reachable, EngineConfig()
         )
-        ghost = Message(
-            source="a", destination="zz", fact=Fact("link", ("zz", "a")), sequence=9
-        )
+        ghost = batch_of_one("a", "zz", Fact("link", ("zz", "a")), sequence=9)
         simulator._deliver(ghost, deliver_at=1e6)
         assert all(stats.busy_until < 1e6 for stats in simulator.stats.nodes.values())
 

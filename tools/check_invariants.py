@@ -52,6 +52,12 @@ INV009  no hidden files: ``import tempfile`` / ``from tempfile import ...``
         anywhere in ``src/repro``.  A run writes files only under a
         directory its caller named (``spill_dir``); a temporary-directory
         default leaks files nobody asked for and nobody removes.
+INV010  one formation site: ``MessageBatch(...)``, the data wire message, is
+        constructed only in ``net/kernel.py``'s ``_dispatch_outgoing`` (which
+        forms and seals every outgoing one) and ``net/transport.py``'s
+        ``_decode_message_body`` (which rebuilds a shipped one).  Under
+        signed ``says`` a data message formed anywhere else would skip both
+        the Merkle seal and its ``_count_seals`` charge.
 
 A finding on a line ending with ``# invariant: ok(INVxxx)`` is suppressed —
 the comment is the audit trail for deliberate exceptions.
@@ -79,6 +85,7 @@ RULES: Dict[str, str] = {
     "INV007": "exec/eval/compile outside the rule compiler",
     "INV008": "rsa.sign/rsa.verify reached outside the three signing modules",
     "INV009": "tempfile imported: files only under a caller-named directory",
+    "INV010": "data wire message formed outside the kernel's dispatch",
 }
 
 #: Directories whose code runs inside the simulation loop.  The service
@@ -121,6 +128,13 @@ RSA_CALLERS = (
     "net/query.py",
     "security/rsa.py",
     "security/__init__.py",
+)
+
+#: The data wire message and the functions that may construct it.
+DATA_MESSAGE = "MessageBatch"
+DATA_MESSAGE_SITES = (
+    ("net/kernel.py", "_dispatch_outgoing"),
+    ("net/transport.py", "_decode_message_body"),
 )
 
 ALLOW_PATTERN = re.compile(r"#\s*invariant:\s*ok\((INV\d{3})\)")
@@ -209,7 +223,7 @@ def _is_unbounded_memo_decorator(decorator: ast.AST) -> bool:
 
 
 class FileChecker(ast.NodeVisitor):
-    """Per-file visitor emitting INV001 / INV002 / INV004 / INV006 – INV009."""
+    """Per-file visitor emitting INV001 / INV002 / INV004 / INV006 – INV010."""
 
     def __init__(self, relative: str, allowed: Dict[int, Set[str]]) -> None:
         self.relative = relative
@@ -219,6 +233,8 @@ class FileChecker(ast.NodeVisitor):
         self.bounded = _is_bounded_state_path(relative)
         self.generator = relative == CODE_GENERATOR
         self.signs = relative in RSA_CALLERS
+        self.formers = {name for path, name in DATA_MESSAGE_SITES if path == relative}
+        self.functions: List[str] = []
 
     def _emit(self, rule: str, node: ast.AST, message: str) -> None:
         line = getattr(node, "lineno", 0)
@@ -298,12 +314,29 @@ class FileChecker(ast.NodeVisitor):
                     )
         self.generic_visit(node)
 
-    # -- INV001 / INV002 / INV007 / INV008 ---------------------------------------
+    # -- INV010 -----------------------------------------------------------------
+
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        self.functions.append(node.name)
+        self.generic_visit(node)
+        self.functions.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    # -- INV001 / INV002 / INV007 / INV008 / INV010 --------------------------------
 
     def visit_Call(self, node: ast.Call) -> None:
         chain = _attribute_chain(node.func)
         if chain:
             head, tail = chain[0], chain[-1]
+            if tail == DATA_MESSAGE and not self.formers.intersection(self.functions):
+                self._emit(
+                    "INV010",
+                    node,
+                    f"{'.'.join(chain)}() forms a data wire message; only the "
+                    "kernel's _dispatch_outgoing (which seals it) and the frame "
+                    "decoder may",
+                )
             if (
                 tail in RSA_PRIMITIVES
                 and chain[-2:-1] == ["rsa"]
