@@ -95,7 +95,9 @@ class NetOptions:
     #: windows, same results — for debugging and mid-run inspection.
     shard_mode: str = "processes"
     #: Wire format: one batch per destination per delta round (real-P2
-    #: amortization) vs the paper's per-tuple shipping (a batch of one).
+    #: amortization; under signed ``says`` a busy node's queued messages
+    #: also run as one round) vs the paper's per-tuple shipping (a batch of
+    #: one, one round per message).
     batching: bool = True
     key_bits: int = 256
     max_events: int = 5_000_000

@@ -344,30 +344,40 @@ class NodeEngine:
         return result
 
     def receive_batch(
-        self, facts: Iterable[Fact], now: float, signature: Optional[bytes] = None
+        self,
+        messages: Iterable[Tuple[Sequence[Fact], Optional[bytes]]],
+        now: float,
     ) -> ProcessingResult:
-        """Process one incoming wire message's tuples (the receive path).
+        """Process one receive round: the tuples of one or more wire messages.
 
-        Under signed ``says`` *signature* is the message's one signature, over
-        the Merkle root of its tuples: it is checked once, and each tuple is
-        then admitted or refused on its own
+        *messages* are ``(facts, signature)`` pairs in arrival order — one
+        delivered message, or every message a busy node queued until it
+        freed.  Under signed ``says`` each message's *signature* covers the
+        Merkle root of its own tuples: it is checked once per message, and a
+        root that fails refuses that message's tuples only
         (:meth:`~repro.security.authenticator.Authenticator.import_batch`).
-        Tuples are admitted and locally fixpointed strictly in arrival
-        order, sharing one :class:`ProcessingResult` /
-        :class:`ProcessingReport` and one delta queue.  A per-tuple wire
-        message is a batch of one.
+        Then every tuple of the round is admitted and locally fixpointed
+        strictly in arrival order, sharing one :class:`ProcessingResult` /
+        :class:`ProcessingReport` and one delta queue — so the round ships
+        one message per destination.  A per-tuple wire message is a batch of
+        one.
 
         The caller accounts the merged report once; the cost model is linear
         in its counters, so the charge equals the sum over the tuples.
-        Every tuple of the batch is stamped with the same *now* (the
-        delivery instant), not advanced by its predecessors' accrued CPU.
+        Every tuple of the round is stamped with the same *now* (the round's
+        start), not advanced by its predecessors' accrued CPU.
         """
         result = ProcessingResult()
-        facts = tuple(facts)
-        admitted: Sequence[Optional[Fact]] = facts
-        if self._authenticates:
-            admitted = self.authenticator.import_batch(facts, signature)
-            if self._requires_signature and facts:
+        facts: List[Fact] = []
+        admitted: List[Optional[Fact]] = []
+        for carried, signature in messages:
+            carried = tuple(carried)
+            facts.extend(carried)
+            if not self._authenticates:
+                admitted.extend(carried)
+                continue
+            admitted.extend(self.authenticator.import_batch(carried, signature))
+            if self._requires_signature and carried:
                 result.report.signatures_verified += 1
         queue: Deque[Fact] = deque()
         # Under the timer-wheel refresh plane remote deliveries run in wave

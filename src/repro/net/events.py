@@ -20,9 +20,14 @@ is derived from event *content*, not from scheduling history:
   order), and two kernels that ship the same messages rank them identically
   no matter which one scheduled the delivery;
 * other control events rank by an externally assigned ``stamp`` (the order
-  the driving code scheduled them, identical across backends), with
-  :class:`QueryTimeout` ranking after same-instant stamped control events by
-  its ``(query id, request id)`` content.
+  the driving code scheduled them, identical across backends), ``(0,
+  stamp)``;
+* the control events scheduled *inside* kernel processing carry no stamp
+  and rank by their content after same-instant stamped ones:
+  :class:`QueryTimeout` by ``(1, query id, request id)``,
+  :class:`QueryArrival` by ``(2, client, arrival id, attempt)``,
+  :class:`RefreshTimerFire` by ``(3, address)`` and :class:`InboxDrain` by
+  ``(4, address)``.
 
 This is what lets the sharded backend merge cross-shard deliveries into each
 shard's queue at window barriers and still replay the exact serial order.
@@ -246,15 +251,35 @@ class QueryArrival(SimulationEvent):
     think: float = 0.0
 
 
+@dataclass(eq=False, slots=True)
+class InboxDrain(SimulationEvent):
+    """A busy node frees and runs its queued data messages as one round.
+
+    Under signed ``says`` with batching, a data message reaching a node that
+    is still busy with an earlier round waits in the node's inbox (in
+    arrival order); the first one queued schedules this event at the node's
+    ``busy_until``.  Firing, it runs the whole inbox as one receive round —
+    one delta round, one message and one seal per destination — or re-arms
+    if the node has become busy again meanwhile.  A node has at most one
+    pending drain: whatever else touches the node's engine first runs the
+    inbox itself and cancels the drain.  Scheduled inside kernel processing,
+    so it ranks by content, ``(4, address)``.
+    """
+
+    address: Address = ""
+    #: Lazy cancellation flag honoured by :class:`EventScheduler`.
+    cancelled: bool = False
+
+
 def event_rank(event: SimulationEvent, stamp: Optional[int] = None) -> Tuple:
     """The content-derived tie-break rank of *event* (see module docstring).
 
     Ranks are only ever compared between events sharing a ``(time,
     priority)`` pair: deliveries (priority 1) rank by sender identity and
     the sender's per-node message sequence; control events (priority 0) by
-    their scheduling ``stamp``, with query timeouts — the one control event
-    scheduled *inside* node processing rather than by the driving code —
-    ranked after stamped events by their query/request identity.
+    their scheduling ``stamp``, with the control events scheduled *inside*
+    node processing rather than by the driving code ranked after stamped
+    events by their content.
     """
     if isinstance(event, MessageDelivery):
         message = event.message
@@ -270,6 +295,10 @@ def event_rank(event: SimulationEvent, stamp: Optional[int] = None) -> Tuple:
         # Also scheduled inside kernel processing (by the RefreshHorizon
         # handler); one event per (time, node) — the address is the rank.
         return (3, str(event.address))
+    if isinstance(event, InboxDrain):
+        # Scheduled inside kernel processing too; at most one pending drain
+        # per node, so the address is the rank.
+        return (4, str(event.address))
     return (0, stamp if stamp is not None else 0)
 
 

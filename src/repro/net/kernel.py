@@ -4,7 +4,11 @@ A :class:`SimulationKernel` is the discrete-event core every execution
 backend shares: the typed event loop, message routing, per-link transmission
 serialization, delivery bookkeeping, dynamic-network state (failed links,
 crashed nodes, remembered base facts) and the per-node CPU cost accounting.
-It hosts the :class:`~repro.engine.node_engine.NodeEngine` of a *subset* of
+Under signed ``says`` with batching, a data message that reaches a busy node
+waits in the node's inbox, and the inbox runs as one receive round when the
+node frees (:class:`~repro.net.events.InboxDrain`).
+
+The kernel hosts the :class:`~repro.engine.node_engine.NodeEngine` of a *subset* of
 the topology's nodes:
 
 * the **serial backend** (the facade's default) is one kernel hosting every
@@ -54,6 +58,7 @@ from repro.net.events import (
     EventScheduler,
     FactInjection,
     FactRetraction,
+    InboxDrain,
     LinkDown,
     LinkUp,
     MessageDelivery,
@@ -188,9 +193,11 @@ class KernelOptions:
     default_bandwidth: float = DEFAULT_BANDWIDTH
     #: How :meth:`SimulationKernel._dispatch_outgoing` groups a delta round
     #: into wire messages.  True (the default, matching real P2): one
-    #: MessageBatch per destination, all its tuples under one header.  False:
-    #: the paper's per-tuple format (its Figure 4 accounting), a MessageBatch
-    #: of one per tuple, each paying its own header and signature.
+    #: MessageBatch per destination, all its tuples under one header — and,
+    #: under signed ``says``, a busy node's queued messages run as one round
+    #: (:class:`~repro.net.events.InboxDrain`).  False: the paper's
+    #: per-tuple format (its Figure 4 accounting), a MessageBatch of one per
+    #: tuple, each paying its own header and signature, one round each.
     batching: bool = True
     #: Name of the base relation whose tuples mirror the topology's links;
     #: LinkDown retraction and recovery re-injection key off it.
@@ -321,6 +328,16 @@ class SimulationKernel:
         self._seals = config.says_mode.requires_signature
         if self._seals:
             self.keystore.create_all(topology.nodes)
+        #: Where a seal is the per-message price (signed ``says``, batching
+        #: on), a data message reaching a busy node waits in its inbox, and
+        #: the inbox runs as one receive round when the node frees: one seal
+        #: per destination per busy period.  Unsigned messages cost nothing
+        #: per message, so there the drain would only delay outputs.
+        self._drains_inbox = self._seals and options.batching
+        #: Per hosted node: its queued data messages in arrival order, and
+        #: the one :class:`InboxDrain` pending for them (present together).
+        self._inboxes: Dict[Address, List[MessageBatch]] = {}
+        self._drains: Dict[Address, InboxDrain] = {}
 
         self.engines: Dict[Address, NodeEngine] = {}
         for address in topology.nodes:
@@ -404,6 +421,7 @@ class SimulationKernel:
             RefreshTimerFire: self._handle_refresh_fire,
             QueryTimeout: self._handle_query_timeout,
             QueryArrival: self._handle_query_arrival,
+            InboxDrain: self._handle_inbox_drain,
         }
 
     # -- pickling ----------------------------------------------------------------
@@ -784,6 +802,10 @@ class SimulationKernel:
         # arms fresh ones.  Already-materialized fire buckets are filtered
         # by the down-node check at fire time.
         self._wheels.pop(event.address, None)
+        # What the node had queued but not yet run dies with it.
+        inbox = self._take_inbox(event.address)
+        if inbox:
+            self.stats.messages_lost += len(inbox)
         engine = self.engines.get(event.address)
         if engine is not None and event.clear_state:
             engine.reset_state()
@@ -884,6 +906,7 @@ class SimulationKernel:
         unanswerable = not self.config.provenance_mode.maintains_provenance or (
             event.mode == "offline" and not self.config.keep_offline_provenance
         )
+        self._flush_inbox(address, at)
         root = None if unanswerable else self._service_root(engine, event)
         if root is None:
             # Nothing to trace (empty table, or a configuration recording no
@@ -1027,6 +1050,7 @@ class SimulationKernel:
             self._arm_refresh(address, key, at + self.options.refresh_interval)
         if not due_facts:
             return
+        self._flush_inbox(address, at)
         start = max(at, node_stats.busy_until)
         sent_before = node_stats.messages_sent
         bytes_before = node_stats.bytes_sent
@@ -1085,6 +1109,7 @@ class SimulationKernel:
         engine = self.engines.get(address)
         if engine is None:
             return
+        self._flush_inbox(address, at)
         node_stats = self.stats.node(address)
         remembered = self._base_facts.setdefault(address, {}) if remember else None
         wheel_mode = self.options.refresh_mode == "wheel"
@@ -1115,6 +1140,7 @@ class SimulationKernel:
         engine = self.engines.get(address)
         if engine is None:
             return
+        self._flush_inbox(address, at)
         node_stats = self.stats.node(address)
         remembered = self._base_facts.get(address)
         wheel = self._wheels.get(address)
@@ -1152,6 +1178,20 @@ class SimulationKernel:
             self.stats.messages_dropped += 1
             return
         node_stats = self.stats.node(destination)
+        if isinstance(message, MessageBatch):
+            if self._drains_inbox and (
+                deliver_at < node_stats.busy_until or destination in self._inboxes
+            ):
+                # The node is busy: queue the message in arrival order; the
+                # first one queued arms the drain at the instant it frees.
+                inbox = self._inboxes.setdefault(destination, [])
+                if not inbox:
+                    self._arm_drain(destination, node_stats.busy_until)
+                inbox.append(message)
+            else:
+                self._receive_round(destination, [message], deliver_at, node_stats)
+            return
+        self._flush_inbox(destination, deliver_at)
         node_stats.record_receive(message)
         if isinstance(message, AntiDelta):
             # Keys retracted upstream: prune local support polynomials and
@@ -1170,15 +1210,61 @@ class SimulationKernel:
             # datalog engine; it shares the loss semantics above (a crashed
             # node answers nothing, the querier's timeout reports the miss).
             self.queries.deliver(message, deliver_at)
+
+    # -- the inbox ------------------------------------------------------------------
+
+    def _arm_drain(self, address: Address, at: float) -> None:
+        drain = self._drains[address] = InboxDrain(time=at, address=address)
+        # Content-ranked (address), scheduled inside kernel processing.
+        self.scheduler.schedule(drain)
+
+    def _take_inbox(self, address: Address) -> Optional[List[MessageBatch]]:
+        """Empty *address*'s inbox and cancel its pending drain, so a drain
+        that fires always finds the inbox it was armed for."""
+        inbox = self._inboxes.pop(address, None)
+        if inbox is not None:
+            self._drains.pop(address).cancelled = True
+        return inbox
+
+    def _flush_inbox(self, address: Address, at: float) -> None:
+        """Run *address*'s queued data messages now, as one round.
+
+        Called first by every handler that touches the node's engine or
+        store, so the node processes its traffic in the order it arrived.
+        """
+        inbox = self._take_inbox(address)
+        if inbox:
+            self._receive_round(address, inbox, at, self.stats.node(address))
+
+    def _handle_inbox_drain(self, event: InboxDrain, at: float) -> None:
+        address = event.address
+        busy_until = self.stats.node(address).busy_until
+        if busy_until > at:
+            # Busy again meanwhile (query work): drain when it frees.
+            self._arm_drain(address, busy_until)
             return
-        # One ``receive_batch`` call, one report and one delta round per
-        # delivered message: the whole round's output ships together (one
-        # batch per destination when batching).
-        start = max(deliver_at, node_stats.busy_until)
-        result = engine.receive_batch(message.facts(), start, message.signature)
+        self._flush_inbox(address, at)
+
+    def _receive_round(
+        self,
+        address: Address,
+        messages: List[MessageBatch],
+        at: float,
+        node_stats: NodeStats,
+    ) -> None:
+        """One ``receive_batch`` call, one report and one delta round for
+        *messages*: the round's whole output ships together, one message
+        (and under signed ``says`` one seal) per destination."""
+        for message in messages:
+            node_stats.record_receive(message)
+        node_stats.receive_rounds += 1
+        start = max(at, node_stats.busy_until)
+        result = self.engines[address].receive_batch(
+            [(message.facts(), message.signature) for message in messages], start
+        )
         self._count_seals(result.report, result.outgoing)
-        self._account_processing(destination, start, result.report, node_stats)
-        self._dispatch_outgoing(destination, result.outgoing, node_stats)
+        self._account_processing(address, start, result.report, node_stats)
+        self._dispatch_outgoing(address, result.outgoing, node_stats)
 
     def _account_processing(
         self,

@@ -140,6 +140,8 @@ class NodeStats:
     batches_sent: int = 0
     tuples_sent: int = 0
     tuples_received: int = 0
+    #: Delta rounds run on received data: one per message or drained inbox.
+    receive_rounds: int = 0
     queries_issued: int = 0
     query_messages_sent: int = 0
     query_bytes_sent: int = 0
@@ -382,6 +384,7 @@ SUMMARY: Tuple[Tuple[str, Union[str, Callable[[NetworkStats], float]]], ...] = (
     ("batches_sent", "batches_sent"),
     ("tuples_sent", "tuples_sent"),
     ("mean_tuples_per_batch", _mean_tuples_per_batch),
+    ("receive_rounds", "receive_rounds"),
     ("query_messages", "query_messages_sent"),
     ("query_bytes", "query_bytes_sent"),
     ("queries_issued", "queries_issued"),

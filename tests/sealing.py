@@ -27,4 +27,4 @@ def deliver(
 ) -> ProcessingResult:
     """*facts* from *sender* arriving at *receiver* as one sealed message."""
     facts = tuple(facts)
-    return receiver.receive_batch(facts, now, seal(sender, facts, receiver.address))
+    return receiver.receive_batch([(facts, seal(sender, facts, receiver.address))], now)

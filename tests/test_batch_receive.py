@@ -55,11 +55,11 @@ class TestEngineLevelEquivalence:
         shipped = self._shipped(sender)
         assert shipped  # the workload must actually exercise the path
 
-        batch_result = via_batch.receive_batch(shipped, now=1.0)
+        batch_result = via_batch.receive_batch([(shipped, None)], now=1.0)
         reports = []
         outgoing = []
         for fact in shipped:
-            result = via_tuple.receive_batch((fact,), now=1.0)
+            result = via_tuple.receive_batch([((fact,), None)], now=1.0)
             reports.append(result.report)
             outgoing.extend(result.outgoing)
 
@@ -80,9 +80,9 @@ class TestEngineLevelEquivalence:
         sender, via_batch, via_tuple = self._engines(compiled_reachable)
         shipped = self._shipped(sender)
         model = CostModel()
-        batch_cpu = model.cpu_seconds(via_batch.receive_batch(shipped, now=1.0).report)
+        batch_cpu = model.cpu_seconds(via_batch.receive_batch([(shipped, None)], now=1.0).report)
         tuple_cpu = sum(
-            model.cpu_seconds(via_tuple.receive_batch((fact,), now=1.0).report)
+            model.cpu_seconds(via_tuple.receive_batch([((fact,), None)], now=1.0).report)
             for fact in shipped
         )
         assert batch_cpu == pytest.approx(tuple_cpu)
@@ -92,7 +92,7 @@ class TestEngineLevelEquivalence:
             "b", compiled_reachable, EngineConfig(says_mode=SaysMode.SIGNED)
         )
         unsigned = [Fact("link", ("b", "c")), Fact("link", ("b", "d"))]
-        result = receiver.receive_batch(unsigned, now=0.0)
+        result = receiver.receive_batch([(unsigned, None)], now=0.0)
         assert result.report.facts_received == 2
         assert result.report.facts_rejected == 2
         assert result.report.facts_inserted == 0

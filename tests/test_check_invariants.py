@@ -207,6 +207,95 @@ class TestEventRankCoverage:
         assert findings and "StrayTimerFire" in findings[0].message
 
 
+#: A kernel that schedules, inside processing and without a stamp, an
+#: ``InboxDrain`` — the event events.py below declares.
+DRAIN_KERNEL = """\
+from repro.net.events import InboxDrain
+
+
+class Kernel:
+    def _arm_drain(self, address, at):
+        drain = InboxDrain(time=at, address=address)
+        self.scheduler.schedule(drain)
+"""
+
+DRAIN_EVENT = """
+
+class InboxDrain(SimulationEvent):
+    pass
+"""
+
+DRAIN_BRANCH = """\
+    if isinstance(event, RefreshTimerFire):
+        return (3, str(event.address))
+    if isinstance(event, InboxDrain):
+        return (4, str(event.address))
+"""
+
+
+class TestUnstampedScheduling:
+    """INV003: an event scheduled inside kernel processing without a stamp
+    has its own rank branch, or it ties at ``(0, 0)``."""
+
+    def _events(self, tree, ranked: bool) -> None:
+        source = MINIMAL_EVENTS + DRAIN_EVENT
+        if ranked:
+            source = source.replace(
+                "    if isinstance(event, RefreshTimerFire):\n"
+                "        return (3, str(event.address))\n",
+                DRAIN_BRANCH,
+            )
+        (tree / "net" / "events.py").write_text(source, encoding="utf-8")
+
+    def test_unstamped_event_without_rank_branch_flagged(self, tree):
+        self._events(tree, ranked=False)
+        (tree / "net" / "kernel.py").write_text(DRAIN_KERNEL, encoding="utf-8")
+        findings = [f for f in tool.check_tree(tree) if f.rule == "INV003"]
+        assert findings and "InboxDrain" in findings[0].message
+        assert findings[0].path == "net/kernel.py"
+
+    def test_the_rank_branch_clears_it(self, tree):
+        self._events(tree, ranked=True)
+        (tree / "net" / "kernel.py").write_text(DRAIN_KERNEL, encoding="utf-8")
+        assert "INV003" not in _rules(tool.check_tree(tree))
+
+    def test_constructor_and_helper_arguments_resolve(self, tree):
+        self._events(tree, ranked=False)
+        (tree / "net" / "kernel.py").write_text(
+            "from repro.net.events import InboxDrain\n\n\n"
+            "def next_drain(address, at):\n"
+            "    return InboxDrain(time=at, address=address)\n\n\n"
+            "class Kernel:\n"
+            "    def direct(self, address, at):\n"
+            "        self.scheduler.schedule(InboxDrain(time=at, address=address))\n\n"
+            "    def helper(self, address, at):\n"
+            "        self.scheduler.schedule(next_drain(address, at))\n",
+            encoding="utf-8",
+        )
+        findings = [f for f in tool.check_tree(tree) if f.rule == "INV003"]
+        assert [f.line for f in findings] == [10, 13]
+
+    def test_stamped_schedule_needs_no_branch(self, tree):
+        self._events(tree, ranked=False)
+        (tree / "net" / "kernel.py").write_text(
+            DRAIN_KERNEL.replace(
+                "self.scheduler.schedule(drain)", "self.scheduler.schedule(drain, stamp=1)"
+            ),
+            encoding="utf-8",
+        )
+        assert "INV003" not in _rules(tool.check_tree(tree))
+
+    def test_unresolvable_argument_flagged(self, tree):
+        (tree / "net" / "kernel.py").write_text(
+            "class Kernel:\n"
+            "    def later(self, events):\n"
+            "        self.scheduler.schedule(events[0])\n",
+            encoding="utf-8",
+        )
+        findings = [f for f in tool.check_tree(tree) if f.rule == "INV003"]
+        assert findings and "cannot tell" in findings[0].message
+
+
 class TestSetIteration:
     def test_set_display_iteration_flagged(self, tree):
         (tree / "net" / "mod.py").write_text(

@@ -106,14 +106,14 @@ class TestAuthentication:
             asserted_by=genuine.asserted_by,
             signature=genuine.signature,
         )
-        result = receiver.receive_batch((tampered,), 1.0, signature)
+        result = receiver.receive_batch([((tampered,), signature)], 1.0)
         assert result.report.facts_rejected == 1
         assert result.report.facts_inserted == 0
 
     def test_receiver_rejects_unsigned_tuple_in_signed_mode(self, compiled_best_path, keystore):
         config = EngineConfig(says_mode=SaysMode.SIGNED)
         receiver = make_engine("b", compiled_best_path, config, keystore)
-        result = receiver.receive_batch((Fact("link", ("a", "b", 1.0)),), now=0.0)
+        result = receiver.receive_batch([((Fact("link", ("a", "b", 1.0)),), None)], now=0.0)
         assert result.report.facts_rejected == 1
 
     def test_receiver_rejects_spoofed_principal(self, compiled_best_path, keystore):
@@ -124,7 +124,7 @@ class TestAuthentication:
         fact = outgoing[0].fact
         signature = seal(mallory, (fact,), "b")
         spoofed = fact.with_metadata(asserted_by="a")  # claim it came from a
-        result = receiver.receive_batch((spoofed,), 0.0, signature)
+        result = receiver.receive_batch([((spoofed,), signature)], 0.0)
         assert result.report.facts_rejected == 1
 
 
@@ -319,7 +319,7 @@ class TestProvenanceModes:
         # The genuine tuple under an annotation its sender never asserted:
         # the signature covers the annotation, so the tuple goes with it.
         forged = fact.with_metadata(provenance=p_var("c"))
-        result = receiver.receive_batch((forged,), 0.5, signature)
+        result = receiver.receive_batch([((forged,), signature)], 0.5)
         assert result.report.facts_rejected == 1
         assert result.report.verification_failures == 1
         assert result.report.facts_inserted == 0

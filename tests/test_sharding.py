@@ -116,6 +116,15 @@ class TestPartitioner:
         assert len(plan.cut_links) <= 6  # round-robin would cut ~all 30
 
 
+def _assert_drained(result):
+    """At least one receive round ran two or more queued messages: an
+    :class:`~repro.net.events.InboxDrain` fired, so the byte-identity contract
+    covers it."""
+    summary = result.stats.summary()
+    assert summary["messages_lost"] == 0
+    assert summary["receive_rounds"] < summary["batches_sent"]
+
+
 def _serial(topology, config, **kwargs):
     return SimulationKernel(
         topology, compile_best_path(), config, key_bits=128, **kwargs
@@ -170,7 +179,9 @@ class TestSerialEquivalence:
         config = EngineConfig(
             says_mode=SaysMode.SIGNED, provenance_mode=ProvenanceMode.CONDENSED
         )
-        _assert_equivalent(_serial(topology, config), _sharded(topology, config))
+        serial = _serial(topology, config)
+        _assert_equivalent(serial, _sharded(topology, config))
+        _assert_drained(serial)
 
     @pytest.mark.parametrize("shards", (2, 4))
     def test_tiered_provenance_counters_identical(self, shards, tmp_path):
@@ -550,6 +561,7 @@ class TestDynamicsCountersEquivalence:
         serial = self._drive("serial", says_mode=SaysMode.SIGNED)
         sharded = self._drive("sharded", shards=4, says_mode=SaysMode.SIGNED)
         _assert_equivalent(serial, sharded, relation="reachable")
+        _assert_drained(serial)
         for result in (serial, sharded):
             summary = result.stats.summary()
             assert summary["verification_failures"] == summary["facts_rejected"] == 0

@@ -465,7 +465,7 @@ class TestReceivedProvenanceSampling:
         outgoing = sender.insert_base(Fact("link", ("a", "b"))).outgoing
         shipped = [o for o in outgoing if o.destination == "b"][0].fact
         assert not receiver.provenance.knows(shipped.key())
-        receiver.receive_batch((shipped,), now=1.0)
+        receiver.receive_batch([((shipped,), None)], now=1.0)
         # The tuple itself is stored, but no provenance was recorded for it.
         assert receiver.facts(shipped.relation)
         assert not receiver.provenance.knows(shipped.key())
@@ -475,7 +475,7 @@ class TestReceivedProvenanceSampling:
         sender, receiver = self._engines(compiled_reachable, rate=1.0)
         outgoing = sender.insert_base(Fact("link", ("a", "b"))).outgoing
         shipped = [o for o in outgoing if o.destination == "b"][0].fact
-        receiver.receive_batch((shipped,), now=1.0)
+        receiver.receive_batch([((shipped,), None)], now=1.0)
         assert receiver.provenance.knows(shipped.key())
         assert receiver.provenance.origin_of(shipped.key()) == "a"
 

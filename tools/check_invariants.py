@@ -19,7 +19,14 @@ INV002  no unseeded randomness anywhere in ``src/repro``: module-level
 INV003  event ordering stays content-based: every event class with
         ``DELIVERY_PRIORITY`` must be ranked by an ``isinstance`` branch of
         ``event_rank``, and every ``SimulationEvent`` subclass must live in
-        ``net/events.py`` where the rank function can see it.
+        ``net/events.py`` where the rank function can see it.  An event
+        scheduled inside kernel processing — ``<...>.scheduler.schedule(...)``
+        without a ``stamp=`` — must have its own ``isinstance`` branch too,
+        or it silently ties with every other unstamped event at rank
+        ``(0, 0)`` and fires in backend-dependent scheduling order.  The
+        scheduled class is read from the argument: a constructor call, a
+        local name bound to one, or a call to a function that returns one;
+        anything else is flagged as unresolved.
 INV004  no direct iteration over set displays / ``set(...)`` calls in
         ``net/`` or ``engine/`` unless wrapped in ``sorted(...)``; set
         order is hash-seed dependent and must never feed ``schedule()`` or
@@ -433,8 +440,110 @@ class FileChecker(ast.NodeVisitor):
             )
 
 
+def _call_name(node: ast.AST) -> Optional[str]:
+    """The last name of a call's callee (``a.b.C(...)`` -> ``"C"``)."""
+    if isinstance(node, ast.Call):
+        chain = _attribute_chain(node.func)
+        if chain:
+            return chain[-1]
+    return None
+
+
+def _returned_events(trees: Sequence[ast.AST], event_classes: Set[str]) -> Dict[str, Set[str]]:
+    """Function name -> the event classes its ``return`` statements construct."""
+    returned: Dict[str, Set[str]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for statement in ast.walk(node):
+                    if isinstance(statement, ast.Return):
+                        name = _call_name(statement.value)
+                        if name in event_classes:
+                            returned.setdefault(node.name, set()).add(name)
+    return returned
+
+
+def _scheduled_events(
+    function: ast.AST,
+    call: ast.Call,
+    event_classes: Set[str],
+    returned: Dict[str, Set[str]],
+) -> Set[str]:
+    """The event classes *call* (a ``scheduler.schedule``) may schedule; empty
+    when its argument cannot be resolved."""
+    argument = call.args[0]
+    if isinstance(argument, ast.Name):
+        # A local bound to a constructor call in the enclosing function.
+        bound: Set[str] = set()
+        for statement in ast.walk(function):
+            if isinstance(statement, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == argument.id
+                for target in statement.targets
+            ):
+                name = _call_name(statement.value)
+                if name in event_classes:
+                    bound.add(name)
+        return bound
+    name = _call_name(argument)
+    if name in event_classes:
+        return {name}
+    return set(returned.get(name, ()))
+
+
+def _unstamped_findings(
+    root: Path, rel_prefix: str, ranked: Set[str], event_classes: Set[str]
+) -> Iterator[Finding]:
+    """INV003: an event scheduled without a stamp must have a rank branch."""
+    sources = [(path, path.read_text(encoding="utf-8")) for path in sorted(root.rglob("*.py"))]
+    trees = [ast.parse(source) for _, source in sources]
+    returned = _returned_events(trees, event_classes)
+    for (path, source), tree in zip(sources, trees):
+        relative = f"{rel_prefix}{path.relative_to(root).as_posix()}"
+        allowed = _allowed_lines(source)
+        functions = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        for function in functions:
+            for call in ast.walk(function):
+                if not (
+                    isinstance(call, ast.Call)
+                    and _attribute_chain(call.func)[-2:] == ["scheduler", "schedule"]
+                    and call.args
+                    and not any(keyword.arg == "stamp" for keyword in call.keywords)
+                ):
+                    continue
+                if "INV003" in allowed.get(call.lineno, set()):
+                    continue
+                scheduled = _scheduled_events(function, call, event_classes, returned)
+                if not scheduled:
+                    message = (
+                        "cannot tell which event this unstamped schedule() "
+                        "queues; pass a constructor call, a local bound to "
+                        "one, or stamp="
+                    )
+                else:
+                    unranked = sorted(scheduled - ranked)
+                    if not unranked:
+                        continue
+                    message = (
+                        f"{', '.join(unranked)} is scheduled inside kernel "
+                        "processing without a stamp but has no isinstance "
+                        "branch in event_rank; it would tie at rank (0, 0)"
+                    )
+                yield Finding(
+                    rule="INV003",
+                    path=relative,
+                    line=call.lineno,
+                    column=call.col_offset + 1,
+                    message=message,
+                )
+
+
 def _event_findings(root: Path, rel_prefix: str) -> Iterator[Finding]:
-    """INV003: rank coverage inside net/events.py and subclass containment."""
+    """INV003: rank coverage inside net/events.py, subclass containment and
+    unstamped scheduling."""
     events_path = root / "net" / "events.py"
     ranked: Set[str] = set()
     delivery_classes: Set[str] = set()
@@ -506,6 +615,8 @@ def _event_findings(root: Path, rel_prefix: str) -> Iterator[Finding]:
                         "net/events.py; define it there so event_rank covers it"
                     ),
                 )
+
+    yield from _unstamped_findings(root, rel_prefix, ranked, event_classes)
 
 
 def _allowed_lines(source: str) -> Dict[int, Set[str]]:

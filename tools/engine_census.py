@@ -8,10 +8,13 @@ deltas are, how many ``Table.expire`` / ``Database.table`` calls had anything
 to do, how long an index bucket is when a fact in it is replaced or removed
 (and where in it that fact sits: what a list walk would have cost), what the
 payload renderer is asked to render, how firings end, and how many
-``with_metadata`` copies an exported tuple costs.  Under a signed preset it
-also prints the sealing traffic: the histogram of tuples per signed wire
-message, ``rsa.sign`` / ``rsa.verify`` calls per message, and the Merkle leaf
-and inner-node hashes computed.  With ``--flaps`` the network
+``with_metadata`` copies an exported tuple costs.  It also counts the receive
+schedule: data deliveries, how many of them arrive while their destination
+is still busy with an earlier round, and the receive rounds that ran them
+(under signed ``says`` a busy node's queued messages run as one round).
+Under a signed preset it also prints the sealing traffic: the histogram and
+mean of tuples per signed wire message, ``rsa.sign`` / ``rsa.verify`` calls
+per message, and the Merkle leaf and inner-node hashes computed.  With ``--flaps`` the network
 converges first and only the link flaps are counted (the write/delete use of
 the tables); with ``--opcodes`` the run is traced per bytecode instruction
 (about fifty times slower) and the functions are ranked by their share.
@@ -37,6 +40,8 @@ from repro.api import PROVENANCE_PRESETS  # noqa: E402
 from repro.engine.database import Database  # noqa: E402
 from repro.engine.table import Table  # noqa: E402
 from repro.engine.tuples import Fact  # noqa: E402
+from repro.net.kernel import SimulationKernel  # noqa: E402
+from repro.net.message import MessageBatch  # noqa: E402
 
 class Census(Counter):
     """Named counters; ``reset`` is what the flap driver calls between phases."""
@@ -77,6 +82,7 @@ def install() -> Census:
     census = Census()
     engine = node_engine.NodeEngine
     drain, handle, record = engine._drain, engine._handle_firing, engine._record_derivation
+    deliver, receive = SimulationKernel._deliver, engine.receive_batch
     evaluate = node_engine.evaluate_plan_with_delta
     outgoing = node_engine.OutgoingFact
     expire, table, insert, remove = Table.expire, Database.table, Table.insert, Table._remove_fact
@@ -94,6 +100,19 @@ def install() -> Census:
             return drain(self, counting, *args)
         finally:
             _close_run(census)
+
+    def counted_deliver(self, message, deliver_at):
+        if isinstance(message, MessageBatch):
+            census["data deliveries"] += 1
+            busy_until = self.stats.node(message.destination).busy_until
+            census["data deliveries arriving busy"] += deliver_at < busy_until
+        return deliver(self, message, deliver_at)
+
+    def counted_receive(self, messages, now):
+        messages = list(messages)
+        census["receive rounds"] += 1
+        census["messages run by receive rounds"] += len(messages)
+        return receive(self, messages, now)
 
     def counted_evaluate(*args, **kwargs):
         census["delta evaluations"] += 1
@@ -205,6 +224,7 @@ def install() -> Census:
     authenticator.sign, authenticator.verify = counted_sign, counted_verify
     authenticator._leaf_hash, authenticator._node_hash = counted_leaf, counted_node
     engine._drain, engine._handle_firing = counted_drain, counted_handle
+    SimulationKernel._deliver, engine.receive_batch = counted_deliver, counted_receive
     engine._record_derivation = counted_record
     node_engine.evaluate_plan_with_delta = counted_evaluate
     node_engine.OutgoingFact = counted_outgoing
@@ -249,6 +269,14 @@ def print_census(census: Census) -> None:
     for name, count in census.items():
         if not name.startswith("_"):
             print(f"{name:<{width}} {count:>9}")
+    rounds = census["receive rounds"]
+    if rounds:
+        print(f"{'messages per receive round':<{width}} "
+              f"{census['messages run by receive rounds'] / rounds:>9.2f}")
+    delivered = census["data deliveries"]
+    if delivered:
+        print(f"{'share of data deliveries arriving busy':<{width}} "
+              f"{census['data deliveries arriving busy'] / delivered:>9.1%}")
     exported = census["exported tuples"]
     if exported:
         print(f"{'with_metadata copies per exported tuple':<{width}} "
@@ -262,6 +290,8 @@ def print_census(census: Census) -> None:
         )
         print("tuples per signed wire message (size: messages): "
               + ", ".join(f"{size}: {count}" for size, count in histogram))
+        tuples = sum(size * count for size, count in histogram)
+        print(f"{'tuples per signed wire message':<{width}} {tuples / sealed:>9.2f}")
         print(f"{'rsa.sign calls per message sealed':<{width}} "
               f"{census['rsa.sign calls'] / sealed:>9.2f}")
         opened = census["signed wire messages opened"]
