@@ -67,6 +67,14 @@
 #                      merged vs skipped, key renders, graph nodes built,
 #                      QueryTimeouts and NetworkStats.node lookups.  `make
 #                      check` runs it at N=12 / 2 sim-s as a smoke.
+#   make reach-census-smoke - tools/reach_census.py: runs every example,
+#                      the experiment sweep at N=10,20, the scenario scripts,
+#                      the lint CLI and the five benchmark workloads at smoke
+#                      size in one process under a profile hook, and lists
+#                      each function under src/repro that none of them
+#                      entered.  Fails when the unreached body lines exceed
+#                      the CEILING committed in the tool (a ratchet: a change
+#                      that deletes unreached code lowers it).
 #   make lint        - static analysis: the NDlog program linter over every
 #                      in-tree program (warnings fail the build), the
 #                      determinism-invariant checker over src/repro, and —
@@ -76,8 +84,9 @@
 #                      scenario, shard-scenario, examples, service and
 #                      dynamics-scenario runs, the three census smokes (the
 #                      census tools patch internals by name, so a rename
-#                      fails here rather than at the next census), and a
-#                      bytecode compile of the whole source tree.  Each benchmark file runs once:
+#                      fails here rather than at the next census), the
+#                      unreached-code ratchet, and a bytecode compile of the
+#                      whole source tree.  Each benchmark file runs once:
 #                      tier-1 already collects all of benchmarks/ at sizes
 #                      that contain every smoke size, so the pytest lines of
 #                      bench-, memory-, shard- and dynamics-smoke (which
@@ -86,9 +95,9 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check tier1 test bench-smoke scenarios-smoke shard-smoke shard-scenarios examples-smoke service-smoke memory-smoke dynamics-smoke dynamics-scenarios spine-smoke poly-census poly-census-smoke engine-census engine-census-smoke query-census query-census-smoke lint compileall ci
+.PHONY: check tier1 test bench-smoke scenarios-smoke shard-smoke shard-scenarios examples-smoke service-smoke memory-smoke dynamics-smoke dynamics-scenarios spine-smoke poly-census poly-census-smoke engine-census engine-census-smoke query-census query-census-smoke reach-census-smoke lint compileall ci
 
-check: lint test bench-smoke scenarios-smoke shard-smoke examples-smoke service-smoke memory-smoke dynamics-smoke spine-smoke poly-census-smoke engine-census-smoke query-census-smoke
+check: lint test bench-smoke scenarios-smoke shard-smoke examples-smoke service-smoke memory-smoke dynamics-smoke spine-smoke poly-census-smoke engine-census-smoke query-census-smoke reach-census-smoke
 
 tier1:
 	$(PYTHON) -m pytest -x -q
@@ -163,6 +172,9 @@ query-census-smoke:
 	$(PYTHON) tools/query_census.py --nodes 12 --seconds 2
 	$(PYTHON) tools/query_census.py --nodes 8 --seconds 2 --no-cache --read
 
+reach-census-smoke:
+	$(PYTHON) tools/reach_census.py
+
 lint:
 	$(PYTHON) -m repro.datalog.lint --builtin --strict
 	$(PYTHON) tools/check_invariants.py
@@ -175,4 +187,4 @@ lint:
 compileall:
 	$(PYTHON) -m compileall -q src
 
-ci: lint tier1 scenarios-smoke shard-scenarios examples-smoke service-smoke dynamics-scenarios poly-census-smoke engine-census-smoke query-census-smoke compileall
+ci: lint tier1 scenarios-smoke shard-scenarios examples-smoke service-smoke dynamics-scenarios poly-census-smoke engine-census-smoke query-census-smoke reach-census-smoke compileall

@@ -1,10 +1,10 @@
 """Ablation E5: how much does condensation (Section 4.4) actually save?
 
-The design choice under test: shipping BDD-condensed provenance expressions
-instead of raw provenance polynomials (or full derivation trees).  The
-benchmark runs the Best-Path query with provenance enabled, collects the
-provenance of every best-path tuple at every node, and compares the
-serialized sizes of
+The design choice under test: shipping condensed provenance expressions
+(the minimal DNF) instead of raw provenance polynomials (or full derivation
+trees).  The benchmark runs the Best-Path query with provenance enabled,
+collects the provenance of every best-path tuple at every node, and compares
+the serialized sizes of
 
 * the raw (uncondensed) polynomial,
 * the condensed polynomial (what SeNDlogProv ships), and

@@ -20,15 +20,15 @@ integers the generator computed itself and the operator tokens of
 name.  This is the one module under ``src/repro`` allowed to call ``exec`` /
 ``compile`` (``tools/check_invariants.py``, INV007).
 
-Semantics are those of the generic ``unify_atom`` / ``apply_expression`` /
-``evaluate_term`` in :mod:`repro.engine.seminaive`, which
-``tests/test_rule_compiler.py`` runs side by side with the generated code:
-every equality is a ``!=`` test against the fact's value even where the
-index probe already matched it (``nan`` and ``1`` / ``True`` / ``1.0`` keys
-make dict identity and ``==`` differ), function-call terms inside an atom
-unify after the atom's own variable slots, and an unknown function symbol
-or unbound head variable raises its :class:`EvaluationError` when a binding
-reaches that point, never at generation time.
+Semantics are those of the generic literal interpreter in
+``tests/oracle.py`` (one atom, expression or term under a bindings dict),
+which ``tests/test_rule_compiler.py`` runs side by side with the generated
+code: every equality is a ``!=`` test against the fact's value even where
+the index probe already matched it (``nan`` and ``1`` / ``True`` / ``1.0``
+keys make dict identity and ``==`` differ), function-call terms inside an
+atom unify after the atom's own variable slots, and an unknown function
+symbol or unbound head variable raises its :class:`EvaluationError` when a
+binding reaches that point, never at generation time.
 
 To read what was generated: ``plan.delta_plan(i).source`` is the text,
 ``plan.delta_plan(i).fire.__globals__`` maps each ``K<n>`` to its value.

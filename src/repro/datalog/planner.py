@@ -234,8 +234,9 @@ class Strand:
     in plan order then body order.  ``probes`` is every table those joins
     read — the soft-state expiry set of the delta — each with the hash
     indexes to build before the first join.  Built once per
-    :class:`CompiledProgram`; the node engine and ``evaluate_program`` bind it
-    to their database's tables and walk the same record.
+    :class:`CompiledProgram`; the node engine binds it to its database's
+    tables (:func:`~repro.engine.seminaive.bind_strand`) and walks it per
+    delta.
     """
 
     pairs: Tuple[Tuple[RulePlan, int], ...] = ()

@@ -6,12 +6,12 @@ soft-state tables, evaluates compiled rule plans in a delta-driven
 for other nodes to the network layer.
 """
 
-from repro.engine.tuples import Fact, Derivation, fact_key
+from repro.engine.tuples import Fact, fact_key
 from repro.engine.table import Table
 from repro.engine.database import Database
 from repro.engine.builtins import BUILTIN_FUNCTIONS, call_builtin
 from repro.engine.aggregates import AggregateState, aggregate_better, aggregate_init
-from repro.engine.seminaive import Bindings, evaluate_plan_with_delta, evaluate_program
+from repro.engine.seminaive import evaluate_plan_with_delta
 
 
 def __getattr__(name: str):
@@ -31,9 +31,7 @@ def __getattr__(name: str):
 __all__ = [
     "AggregateState",
     "BUILTIN_FUNCTIONS",
-    "Bindings",
     "Database",
-    "Derivation",
     "EngineConfig",
     "Fact",
     "NodeEngine",
@@ -42,6 +40,5 @@ __all__ = [
     "aggregate_init",
     "call_builtin",
     "evaluate_plan_with_delta",
-    "evaluate_program",
     "fact_key",
 ]

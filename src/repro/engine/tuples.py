@@ -1,4 +1,4 @@
-"""Facts (tuples) and derivations.
+"""Facts (tuples).
 
 A :class:`Fact` is one tuple of a relation, extended with the stream / soft
 state / security metadata the paper adds to classical Datalog tuples
@@ -185,33 +185,6 @@ def as_fact_key(value: "Fact | FactKey") -> FactKey:
     if isinstance(value, Fact):
         return value.key()
     return fact_key(*value)
-
-
-@dataclass(frozen=True)
-class Derivation:
-    """A single application of a rule that produced a fact.
-
-    This is the unit the provenance layer consumes: the derived fact, the
-    rule label, the node where the rule fired, and the antecedent facts that
-    were joined (in body order).  Base facts are represented as derivations
-    with an empty antecedent tuple and ``rule_label="base"``.
-    """
-
-    fact: Fact
-    rule_label: str
-    node: Optional[str]
-    antecedents: Tuple[Fact, ...] = ()
-    timestamp: float = 0.0
-
-    @property
-    def is_base(self) -> bool:
-        return not self.antecedents
-
-    def __str__(self) -> str:
-        if self.is_base:
-            return f"{self.fact} [base @ {self.node}]"
-        children = "; ".join(str(a) for a in self.antecedents)
-        return f"{self.fact} <-[{self.rule_label} @ {self.node}]- {children}"
 
 
 def render_payload(relation: str, values: Sequence[Value]) -> bytes:

@@ -9,9 +9,9 @@ This package implements the full taxonomy of Section 4:
   annotation is its polynomial reduced by absorption to the minimal DNF
   (``a + a*b -> a``, :meth:`ProvenanceExpression.condense`), and a node
   accepts it when some derivation rests on trusted sources alone
-  (:func:`acceptable`), Section 4.4.  :mod:`bdd` encodes the same boolean
-  functions canonically as reduced ordered BDDs, for callers that want that
-  form; no run condenses through it;
+  (:func:`acceptable`), Section 4.4.  The minimal DNF is the one canonical
+  form: two expressions denote the same boolean function iff they condense
+  to the same polynomial;
 * **the derivation log** (:mod:`log`) — the one live per-node record: every
   rule firing appended once as a pointer, plus base keys, remote origins,
   tuple metadata and condensed annotations;
@@ -48,7 +48,6 @@ from repro.provenance.polynomial import (
     p_var,
     p_zero,
 )
-from repro.provenance.bdd import BDD, BDDManager
 from repro.provenance.graph import DerivationGraph, DerivationNode, OperatorNode
 from repro.provenance.log import DerivationLog, ProvenancePointer
 from repro.provenance.distributed import TracebackResult
@@ -68,8 +67,6 @@ from repro.provenance.pruning import ASAggregator, ProvenanceSampler
 __all__ = [
     "ASAggregator",
     "AuthenticatedProvenance",
-    "BDD",
-    "BDDManager",
     "BOOLEAN",
     "COUNTING",
     "DerivationGraph",

@@ -19,9 +19,9 @@ query — and every operator node in it comes from
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.engine.tuples import Fact, FactKey
+from repro.engine.tuples import FactKey
 from repro.provenance.polynomial import ProvenanceExpression, p_var
 
 
@@ -85,45 +85,6 @@ class DerivationGraph:
             return node
         return existing
 
-    def add_fact(self, fact: Fact, location: Optional[str] = None) -> DerivationNode:
-        # Probe before constructing: the key is usually already present.
-        key = (fact.relation, fact.values)
-        existing = self._tuples.get(key)
-        if existing is not None:
-            return existing
-        node = self._tuples[key] = DerivationNode(
-            key=key,
-            location=location or fact.origin,
-            asserted_by=fact.asserted_by,
-            timestamp=fact.timestamp,
-            ttl=fact.ttl,
-        )
-        return node
-
-    def add_derivation(
-        self,
-        output: Fact,
-        rule_label: str,
-        antecedents: Iterable[Fact],
-        location: Optional[str] = None,
-        timestamp: float = 0.0,
-    ) -> OperatorNode:
-        """Record one rule firing: *output* derived from *antecedents* by *rule_label*."""
-        out_node = self.add_fact(output, location=location)
-        input_keys = []
-        for antecedent in antecedents:
-            self.add_fact(antecedent)
-            input_keys.append(antecedent.key())
-        return self.add_operator(
-            OperatorNode(
-                rule_label=rule_label,
-                location=location,
-                output=out_node.key,
-                inputs=tuple(input_keys),
-                timestamp=timestamp,
-            )
-        )
-
     def add_operator(
         self, operator: OperatorNode, placeholders: bool = True
     ) -> OperatorNode:
@@ -131,7 +92,7 @@ class DerivationGraph:
 
         With *placeholders*, tuple nodes for its output and inputs are
         created where the graph has none yet — first writer wins, as in
-        :meth:`add_fact`; a caller that supplies exactly the tuple nodes it
+        :meth:`add_tuple`; a caller that supplies exactly the tuple nodes it
         knows turns them off.
         """
         if placeholders:
@@ -146,28 +107,6 @@ class DerivationGraph:
         self._producers.setdefault(operator.output, []).append(len(self._operators))
         self._operators.append(operator)
         return operator
-
-    def merge(self, other: "DerivationGraph") -> None:
-        """Union *other* into this graph."""
-        for node in other._tuples.values():
-            self.add_tuple(node)
-        known = {
-            (op.rule_label, op.location, op.output, op.inputs)
-            for op in self._operators
-        }
-        for operator in other._operators:
-            signature = (
-                operator.rule_label,
-                operator.location,
-                operator.output,
-                operator.inputs,
-            )
-            if signature in known:
-                continue
-            known.add(signature)
-            index = len(self._operators)
-            self._operators.append(operator)
-            self._producers.setdefault(operator.output, []).append(index)
 
     # -- structure ------------------------------------------------------------
 

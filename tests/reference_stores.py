@@ -21,6 +21,10 @@ log now keeps bare condensed ``ProvenanceExpression`` values.  The wrapper
 lives on here, verbatim, as the reference stores' annotation type, and
 :class:`ShadowedLog` compares the log's polynomial with the one it wraps.
 
+The eager graph builders (``add_fact`` / ``add_derivation`` / ``merge``)
+left ``DerivationGraph`` for the same reason: only tests write a graph by
+hand.  :class:`EagerDerivationGraph` is a ``DerivationGraph`` with them.
+
 The offline archive once had a second representation beside the hot tier
 over a spill log: unbounded in-memory lists (``OfflineProvenanceArchive``
 over an ``ArchiveIndex`` base).  It lives on, verbatim under the names
@@ -33,8 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, FrozenSet, List, Mapping, Optional, Set, Tuple
 
-from repro.engine.tuples import Derivation, Fact, FactKey
-from repro.provenance.bdd import BDD, BDDManager
+from oracle import Derivation
+
+from repro.engine.tuples import Fact, FactKey
 from repro.provenance.graph import DerivationGraph, DerivationNode, OperatorNode
 from repro.provenance.log import DerivationLog, ProvenancePointer, derivation_graph
 from repro.provenance.polynomial import ProvenanceExpression, p_product, p_var
@@ -44,12 +49,8 @@ from repro.provenance.store import ProvenanceEntry, archive_entry, entry_bytes
 
 @dataclass(frozen=True)
 class CondensedProvenance:
-    """A tuple's condensed provenance annotation.
-
-    The canonical (condensed) polynomial is always stored; the BDD handle is
-    optional and lazily created by :meth:`to_bdd` when a shared manager is
-    supplied, matching the paper's BuDDy-backed encoding.
-    """
+    """A tuple's condensed provenance annotation: the canonical (condensed)
+    polynomial."""
 
     expression: ProvenanceExpression
 
@@ -135,10 +136,6 @@ class CondensedProvenance:
     def evaluate(self, semiring: Semiring, assignment: Mapping[str, object]) -> object:
         """Evaluate the annotation in an arbitrary semiring (Section 4.5)."""
         return self.expression.evaluate(semiring, assignment)
-
-    def to_bdd(self, manager: BDDManager) -> BDD:
-        """Encode the annotation in *manager* (the BuDDy analogue)."""
-        return manager.from_expression(self.expression)
 
     def serialized_size(self) -> int:
         """Wire size in bytes when piggy-backed on a shipped tuple."""
@@ -432,6 +429,19 @@ class ReferenceDerivationGraph:
     def __len__(self) -> int:
         live = sum(1 for op in self._operators if op is not None)
         return len(self._tuples) + live
+
+
+class EagerDerivationGraph(DerivationGraph):
+    """A :class:`DerivationGraph` a test writes fact by fact and firing by firing.
+
+    No run builds a graph this way (graphs are views over pointers), so the
+    eager builders live here.  They are :class:`ReferenceDerivationGraph`'s:
+    a graph without tombstones is one they treat the same way.
+    """
+
+    add_fact = ReferenceDerivationGraph.add_fact
+    add_derivation = ReferenceDerivationGraph.add_derivation
+    merge = ReferenceDerivationGraph.merge
 
 
 def _default_variable(node: DerivationNode) -> str:

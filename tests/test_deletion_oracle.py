@@ -1,12 +1,18 @@
-"""Deletion defects a from-scratch oracle catches, recorded as reproducers.
+"""Defects a from-scratch oracle catches, recorded as reproducers.
 
-One retraction on ``random_topology(8, seed=1)``: ``link(n0,n4)`` withdrawn
-at n0 after the fixpoint, with n0 still reaching n4 over n1-n2-n3 and over
-n7-n6-n3.  The oracle is either an invariant of the program (a ``min``
-aggregate equals the minimum over the tuples it aggregates) or a fresh
-network built without the link.  The two tests marked ``xfail(strict=True)``
-fail today; the fix that makes one pass must drop its marker (ROADMAP items
-6(b) and 2(b)).
+Two deletion defects, after one retraction on ``random_topology(8, seed=1)``:
+``link(n0,n4)`` withdrawn at n0 after the fixpoint, with n0 still reaching
+n4 over n1-n2-n3 and over n7-n6-n3.  The oracle is either an invariant of
+the program (a ``min`` aggregate equals the minimum over the tuples it
+aggregates) or a fresh network built without the link.
+
+One annotation defect, at the ``sendlog-prov`` fixpoint on
+``random_topology(25, seed=0)`` with ``batching=False``: an aggregate's
+annotation is that of whichever row set the minimum first, where the oracle
+sums the group's rows that reach it.
+
+The three tests marked ``xfail(strict=True)`` fail today; the fix that makes
+one pass must drop its marker (ROADMAP items 6(b) and 2(b)).
 """
 
 from __future__ import annotations
@@ -114,3 +120,34 @@ def test_a_surviving_tuple_carries_what_a_fresh_network_derives():
     assert engine._support[fact.key()] == oracle_engine._support[oracle_fact.key()]
     # Its online traceback does not lead through the retracted link.
     assert network.query(fact, at="n0").complete
+
+
+# -- 6(b): an aggregate annotated by one row of its group ------------------------
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="bestPathCost keeps the annotation of the path that set the minimum "
+    "first, not the sum over the group's rows at the minimum (ROADMAP 6(b))",
+)
+def test_a_best_path_rests_on_the_principals_of_its_own_path():
+    network = Network.build(
+        topology=random_topology(25, seed=0),
+        program="best-path",
+        provenance="sendlog-prov",
+        batching=False,
+    )
+    assert network.run().converged
+    engine = network.engines["n1"]
+    # n1 holds two cost-14 paths to n19, each resting on its own hops.
+    paths = {
+        fact.values[2]: str(engine.provenance_of(fact))
+        for fact in engine.facts("path")
+        if fact.values[1] == "n19" and fact.values[3] == 14.0
+    }
+    assert paths == {("n1", "n2", "n19"): "<n1*n2>", ("n1", "n18", "n19"): "<n1*n18>"}
+    best = next(f for f in engine.facts("bestPath") if f.values[1] == "n19")
+    assert best.values[2:] == (("n1", "n18", "n19"), 14.0)
+    # Today it is <n1*n18*n2>: a policy trusting n1 and n18 refuses a route
+    # that depends on no one else.
+    assert acceptable(engine.provenance_of(best), {"n1", "n18"})

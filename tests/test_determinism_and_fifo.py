@@ -9,13 +9,13 @@ statistics (the sharded backend's core contract).
 from __future__ import annotations
 
 import pytest
+from oracle import evaluate_program
 
 from repro.datalog import localize_program, parse_program
 from repro.datalog.catalog import Catalog
 from repro.datalog.planner import compile_program
 from repro.engine.database import Database
 from repro.engine.node_engine import EngineConfig, ProvenanceMode
-from repro.engine.seminaive import evaluate_program
 from repro.engine.tuples import Fact
 from repro.net.kernel import SimulationKernel
 from repro.net.sharding import ShardedSimulator

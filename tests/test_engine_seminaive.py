@@ -1,21 +1,16 @@
-"""Tests for delta-driven evaluation and the single-site fixpoint."""
+"""Tests for delta-driven evaluation and the single-site fixpoint oracle."""
 
 from __future__ import annotations
 
 import pytest
+from oracle import apply_expression, evaluate_program, evaluate_term, unify_atom
 
 from repro.datalog.catalog import Catalog
 from repro.datalog.parser import parse_program, parse_rule
 from repro.datalog.planner import compile_program, compile_rule
 from repro.datalog.rewrite import localize_program
 from repro.engine.database import Database
-from repro.engine.seminaive import (
-    apply_expression,
-    evaluate_plan_with_delta,
-    evaluate_program,
-    evaluate_term,
-    unify_atom,
-)
+from repro.engine.seminaive import evaluate_plan_with_delta
 from repro.engine.tuples import Fact
 from repro.queries.best_path import BEST_PATH_NDLOG
 from repro.queries.reachable import REACHABLE_LOCALIZED

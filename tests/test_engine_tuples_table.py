@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from oracle import Derivation
 
 from repro.datalog.catalog import RelationSchema
 from repro.engine.table import Table
-from repro.engine.tuples import Derivation, Fact, fact_key
+from repro.engine.tuples import Fact, fact_key
 
 
 class TestFact:

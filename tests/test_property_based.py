@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import random
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.provenance.bdd import BDDManager
 from repro.provenance.polynomial import ProvenanceExpression, p_product, p_sum, p_var
 from repro.provenance.pruning import ASAggregator
 from repro.provenance.quantify import trust_level
@@ -41,6 +40,31 @@ def provenance_expressions(draw, max_terms: int = 4, max_factors: int = 3):
 
 def boolean_assignments(variables):
     return st.fixed_dictionaries({name: st.booleans() for name in sorted(variables)})
+
+
+@st.composite
+def expression_pairs(draw):
+    """Two expressions: unrelated, or the second a boolean-equivalent rewrite
+    of the first (absorption, idempotence of ``*`` and of ``+``)."""
+    x = draw(provenance_expressions())
+    rewrite = draw(st.sampled_from(["unrelated", "absorb", "square", "double"]))
+    if rewrite == "unrelated":
+        return x, draw(provenance_expressions())
+    if rewrite == "absorb":
+        return x, x + x * draw(provenance_expressions())
+    if rewrite == "square":
+        return x, x * x
+    return x, x + x
+
+
+def truth_table(expression, variables):
+    """*expression*'s value under every boolean assignment of *variables*."""
+    return tuple(
+        expression.evaluate(
+            BOOLEAN, {name: bool(bits >> i & 1) for i, name in enumerate(variables)}
+        )
+        for bits in range(1 << len(variables))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +111,34 @@ class TestPolynomialProperties:
         assignment = data.draw(boolean_assignments(x.variables() or {"a"}))
         assert x.evaluate(BOOLEAN, assignment) == x.condense().evaluate(BOOLEAN, assignment)
 
+    @settings(deadline=None)
+    @given(expression_pairs())
+    def test_condense_is_the_canonical_form(self, pair):
+        """Two expressions denote the same boolean function iff they condense
+        to the same polynomial: the unique minimal DNF ``join_all``'s
+        "condense once" relies on."""
+        x, y = pair
+        variables = sorted(x.variables() | y.variables())
+        equivalent = truth_table(x, variables) == truth_table(y, variables)
+        assert (x.condense() == y.condense()) == equivalent
+
+    @settings(deadline=None)
+    @given(provenance_expressions())
+    def test_condense_is_the_minimal_dnf(self, x):
+        """``condense`` yields the sum of the prime implicants of the boolean
+        function *x* denotes: its minimal satisfying variable sets, read off
+        the truth table."""
+        variables = sorted(x.variables())
+        table = truth_table(x, variables)
+        satisfying = [
+            frozenset(name for i, name in enumerate(variables) if bits >> i & 1)
+            for bits in range(1 << len(variables))
+            if table[bits]
+        ]
+        minimal = [s for s in satisfying if not any(t < s for t in satisfying)]
+        expected = p_sum(*(p_product(*(p_var(name) for name in sorted(s))) for s in minimal))
+        assert x.condense() == expected
+
     @given(provenance_expressions(), st.data())
     def test_trust_of_condensed_never_lower(self, x, data):
         """Absorption removes only weaker-or-equal derivations, so the trust
@@ -102,52 +154,6 @@ class TestPolynomialProperties:
     def test_counting_evaluation_counts_monomials(self, x):
         count = x.evaluate(COUNTING, {name: 1 for name in x.variables()})
         assert count == sum(multiplicity for _, multiplicity in x.monomials)
-
-
-# ---------------------------------------------------------------------------
-# BDD properties
-# ---------------------------------------------------------------------------
-
-class TestBDDProperties:
-    @settings(suppress_health_check=[HealthCheck.too_slow], deadline=None)
-    @given(provenance_expressions(), st.data())
-    def test_bdd_agrees_with_polynomial_on_all_assignments(self, expression, data):
-        manager = BDDManager()
-        bdd = manager.from_expression(expression)
-        assignment = data.draw(boolean_assignments(expression.variables() or {"a"}))
-        assert bdd.evaluate(assignment) == expression.evaluate(BOOLEAN, assignment)
-
-    @settings(deadline=None)
-    @given(provenance_expressions())
-    def test_bdd_round_trip_equals_condensed(self, expression):
-        manager = BDDManager()
-        assert manager.to_expression(manager.from_expression(expression)) == expression.condense()
-
-    @settings(deadline=None)
-    @given(provenance_expressions(), provenance_expressions())
-    def test_bdd_canonicity(self, x, y):
-        """Structural equality of BDDs coincides with boolean equivalence."""
-        manager = BDDManager()
-        bdd_x, bdd_y = manager.from_expression(x), manager.from_expression(y)
-        variables = sorted(x.variables() | y.variables())
-        equivalent = True
-        for bits in range(1 << len(variables)):
-            assignment = {
-                name: bool(bits >> i & 1) for i, name in enumerate(variables)
-            }
-            if x.evaluate(BOOLEAN, assignment) != y.evaluate(BOOLEAN, assignment):
-                equivalent = False
-                break
-        assert (bdd_x == bdd_y) == equivalent
-
-    @settings(deadline=None)
-    @given(provenance_expressions())
-    def test_de_morgan(self, x):
-        manager = BDDManager()
-        bdd = manager.from_expression(x)
-        other = manager.from_expression(p_var("a"))
-        assert ~(bdd & other) == (~bdd | ~other)
-        assert ~(bdd | other) == (~bdd & ~other)
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,9 @@ still pays one of each per tuple; and ``ndlog`` never enters
 ``repro.security`` while rules fire.
 
 The one-log budget (PR 22) is pinned the same way: a recorded firing builds
-exactly one ``ProvenancePointer`` and nothing else — no ``Derivation``, no
-``OperatorNode``, no ``DerivationGraph`` call; graph views are built on read,
-one operator per pointer; and ``ndlog`` never enters ``repro.provenance``
-while rules fire.
+exactly one ``ProvenancePointer`` and nothing else — no ``OperatorNode``, no
+``DerivationGraph`` call; graph views are built on read, one operator per
+pointer; and ``ndlog`` never enters ``repro.provenance`` while rules fire.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from test_polynomial_kernel import patch_reference_kernel
 
 from repro.api import Network
 from repro.engine import node_engine
-from repro.engine.tuples import Derivation
 from repro.net.events import LinkDown, LinkUp
 from repro.net.topology import random_topology
 from repro.provenance.graph import OperatorNode
@@ -318,7 +316,7 @@ def count_built(monkeypatch, cls, counts) -> None:
 
 def test_a_recorded_firing_is_one_pointer_and_views_are_built_on_read(monkeypatch):
     counts = collections.Counter()
-    for cls in (ProvenancePointer, Derivation, OperatorNode):
+    for cls in (ProvenancePointer, OperatorNode):
         count_built(monkeypatch, cls, counts)
     count_calls(monkeypatch, DerivationLog, "append", counts)
     network = Network.build(
@@ -335,7 +333,6 @@ def test_a_recorded_firing_is_one_pointer_and_views_are_built_on_read(monkeypatc
     firings = counts["append"]
     assert firings == 373
     assert counts["ProvenancePointer"] == firings
-    assert counts["Derivation"] == 0
     assert counts["OperatorNode"] == 0
     assert not graph_calls  # no DerivationGraph / DerivationNode method ran
 
@@ -361,9 +358,8 @@ def test_a_recorded_firing_is_one_pointer_and_views_are_built_on_read(monkeypatc
     second = network.query(root, at=address)
     assert second.graph.same_structure(first.graph)
     assert counts["OperatorNode"] == len(first.graph.operators())
-    # Reading never writes: still one pointer per firing, no Derivation.
+    # Reading never writes: still one pointer per firing.
     assert counts["ProvenancePointer"] == firings
-    assert counts["Derivation"] == 0
 
 
 def test_ndlog_never_enters_the_provenance_package_while_rules_fire():

@@ -7,11 +7,10 @@ and the pointers a cross-node ``traceback`` chases.
 
 from __future__ import annotations
 
-from reference_stores import fire
+from reference_stores import EagerDerivationGraph, fire
 
 from repro.engine.tuples import Fact
 from repro.provenance.distributed import traceback
-from repro.provenance.graph import DerivationGraph
 from repro.provenance.log import DerivationLog
 from repro.provenance.polynomial import p_var
 
@@ -25,8 +24,8 @@ REACH_BC = Fact("reachable", ("b", "c"), asserted_by="b")
 REACH_AC = Fact("reachable", ("a", "c"), asserted_by="a")
 
 
-def figure1_graph() -> DerivationGraph:
-    graph = DerivationGraph()
+def figure1_graph() -> EagerDerivationGraph:
+    graph = EagerDerivationGraph()
     # r1: reachable(a,c) :- link(a,c)
     graph.add_derivation(REACH_AC, "r1", [LINK_AC], location="a")
     # r1 at b: reachable(b,c) :- link(b,c)
@@ -91,7 +90,7 @@ class TestDerivationGraph:
         assert "link(a, b)" in rendered
 
     def test_cycles_do_not_loop_forever(self):
-        graph = DerivationGraph()
+        graph = EagerDerivationGraph()
         x = Fact("p", ("x",))
         y = Fact("p", ("y",))
         graph.add_derivation(x, "r", [y])

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import pytest
 
-from reference_stores import fire, pointer_for
+from reference_stores import EagerDerivationGraph, fire, pointer_for
 
 from repro.engine.tuples import Fact
 from repro.provenance.authenticated import (
     AuthenticatedProvenance,
     ProvenanceVerificationError,
 )
-from repro.provenance.graph import DerivationGraph
 from repro.provenance.log import DerivationLog
 from repro.provenance.polynomial import p_product, p_sum, p_var
 from repro.provenance.pruning import (
@@ -145,8 +144,8 @@ class TestAuthenticatedProvenance:
         store.create_all(["a", "b"])
         return store
 
-    def figure_graph(self) -> DerivationGraph:
-        graph = DerivationGraph()
+    def figure_graph(self) -> EagerDerivationGraph:
+        graph = EagerDerivationGraph()
         reach_bc = Fact("reachable", ("b", "c"), asserted_by="b")
         link_ab = Fact("link", ("a", "b"), asserted_by="a")
         reach_ac = Fact("reachable", ("a", "c"), asserted_by="a")

@@ -2,7 +2,7 @@
 
 ``repro.datalog.codegen`` generates one Python function per (rule, delta
 position); the generic ``unify_term`` / ``apply_expression`` /
-``evaluate_term`` of ``repro.engine.seminaive`` interpret the same literals
+``evaluate_term`` of ``tests/oracle.py`` interpret the same literals
 under a bindings dict.  The oracle below enumerates the body in *source*
 order, by full scans, with those generic functions; for every delta position
 the generated function must return the same multiset of ``(head values,
@@ -28,6 +28,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import apply_expression, evaluate_term, term_is_bound, unify_term
 
 import repro.datalog.planner as planner_module
 import repro.engine.node_engine as node_engine_module
@@ -47,14 +48,7 @@ from repro.datalog.errors import EvaluationError
 from repro.datalog.parser import parse_rule
 from repro.datalog.planner import RulePlan, build_delta_plan, compile_rule
 from repro.engine.database import Database
-from repro.engine.seminaive import (
-    RuleFiring,
-    apply_expression,
-    evaluate_plan_with_delta,
-    evaluate_term,
-    term_is_bound,
-    unify_term,
-)
+from repro.engine.seminaive import RuleFiring, evaluate_plan_with_delta
 from repro.engine.table import Table
 from repro.engine.tuples import Fact
 from repro.net.kernel import CostModel

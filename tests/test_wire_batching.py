@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from oracle import evaluate_program
 from wire import batch_of_one
 
 from repro.datalog import localize_program, parse_program
@@ -26,7 +27,6 @@ from repro.engine.node_engine import (
     ProvenanceMode,
     group_outgoing,
 )
-from repro.engine.seminaive import evaluate_program
 from repro.engine.tuples import Fact
 from repro.harness.runner import run_network
 from repro.net.message import (
