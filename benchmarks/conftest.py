@@ -18,6 +18,7 @@ assertions at any size, so tier-1 collects them at their smoke size; set
 
 from __future__ import annotations
 
+import json
 import os
 from typing import Tuple
 
@@ -46,6 +47,26 @@ def scale_n(full: int) -> int:
     if pinned:
         return int(pinned)
     return full if scale_full() else SMOKE_SCALE_N
+
+
+def write_artifact(path: str, section: str, payload) -> None:
+    """Store *payload* as *section* of the JSON artifact at *path*.
+
+    The other sections already in the file are kept, so the tests that
+    share an artifact can run in any order or alone; an unreadable file
+    starts over.
+    """
+    data = {}
+    if os.path.exists(path):
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                data = json.load(handle)
+        except (OSError, ValueError):
+            data = {}
+    data[section] = payload
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(data, handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 def bench_sizes() -> Tuple[int, ...]:

@@ -33,7 +33,6 @@ Environment knobs::
 
 from __future__ import annotations
 
-import json
 import os
 
 from repro.api.network import Network
@@ -46,6 +45,8 @@ from repro.net.events import FactInjection, FactRetraction, SoftStateRefresh
 from repro.net.topology import line_topology
 from repro.queries.reachable import REACHABLE_LOCALIZED
 from repro.security.says import SaysMode
+
+from conftest import write_artifact
 
 #: Soft-state TTL: the decay baseline's convergence currency.
 TTL = 30.0
@@ -74,20 +75,6 @@ def dyn_n() -> int:
 
 def dyn_target() -> float:
     return float(os.environ.get("REPRO_DYN_TARGET", "5.0"))
-
-
-def _write_artifact(section: str, payload) -> None:
-    data = {}
-    if os.path.exists(ARTIFACT):
-        try:
-            with open(ARTIFACT, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except (OSError, ValueError):
-            data = {}
-    data[section] = payload
-    with open(ARTIFACT, "w", encoding="utf-8") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def _build(topology, rederivation: bool, **net_kwargs):
@@ -215,7 +202,7 @@ def test_bridge_retraction_convergence():
         "anti_delta_messages": int(fixpoint_summary["anti_delta_messages"]),
         "anti_delta_bytes": int(fixpoint_summary["anti_delta_bytes"]),
     }
-    _write_artifact("bridge_retraction", record)
+    write_artifact(ARTIFACT, "bridge_retraction", record)
     print(
         f"\nbridge retraction N={nodes}: one-fixpoint {fixpoint_time:.3f}s "
         f"vs decay {decay_time:.1f}s ({improvement:.1f}x, target "
@@ -256,7 +243,7 @@ def test_churn_ledger_identical_across_backends():
         assert sharded == serial, shards
     for key in COUNTERS:
         assert serial[key] > 0, key
-    _write_artifact(
-        "churn_ledger", {"node_count": dyn_n(), "counters": rows}
+    write_artifact(
+        ARTIFACT, "churn_ledger", {"node_count": dyn_n(), "counters": rows}
     )
     print(f"\nchurn ledger N={dyn_n()}: {serial} (identical at 2 and 4 shards)")

@@ -31,13 +31,14 @@ Environment knobs::
 
 from __future__ import annotations
 
-import json
 import os
 
 from repro.api import NetOptions, Network
 from repro.net.kernel import CostModel
 from repro.net.topology import random_topology
 from repro.service.workload import QueryWorkload
+
+from conftest import write_artifact
 
 #: Measurement artifact, written unconditionally in the working directory.
 ARTIFACT = "BENCH_service.json"
@@ -71,20 +72,6 @@ def service_n() -> int:
 
 def service_duration() -> float:
     return float(os.environ.get("REPRO_SERVICE_DURATION", "10"))
-
-
-def _write_artifact(section: str, payload) -> None:
-    data = {}
-    if os.path.exists(ARTIFACT):
-        try:
-            with open(ARTIFACT, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except (OSError, ValueError):
-            data = {}
-    data[section] = payload
-    with open(ARTIFACT, "w", encoding="utf-8") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def _serve_point(rate: float, **option_overrides) -> dict:
@@ -141,7 +128,7 @@ def test_open_loop_saturation(benchmark):
     benchmark.extra_info.update(
         {"node_count": service_n(), "rates": list(rates)}
     )
-    _write_artifact("saturation", record)
+    write_artifact(ARTIFACT, "saturation", record)
 
     # The admission ledger conserves queries at every point: whatever was
     # offered either completed or was shed, and under the drop policy every
@@ -180,7 +167,8 @@ def test_service_backend_equivalence():
     # Every service counter is an integer on simulated time, so the whole
     # SLO report — percentiles and ratios included — matches exactly.
     assert serial == sharded
-    _write_artifact(
+    write_artifact(
+        ARTIFACT,
         "backend_equivalence",
         {
             "rate": rate,

@@ -25,7 +25,6 @@ simulated *results* are latency-scaled but backend-identical either way.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
@@ -38,7 +37,7 @@ from repro.net.stats import COORDINATION_KEYS
 from repro.net.topology import random_topology
 from repro.queries.best_path import compile_best_path
 
-from conftest import scale_full, scale_n
+from conftest import scale_full, scale_n, write_artifact
 
 #: Link and linkless (reverse-link) latency: the conservative lookahead
 #: window.  1 ms — the coordination-bound regime this benchmark measures.
@@ -62,12 +61,6 @@ def assert_speedup() -> bool:
         return forced not in ("", "0")
     # A speedup is only meaningful at the full size.
     return scale_full() and (os.cpu_count() or 1) >= shard_count()
-
-
-def _write_artifact(record) -> None:
-    with open(ARTIFACT, "w", encoding="utf-8") as handle:
-        json.dump({"wall_clock": record}, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def _assert_summaries_equal(serial, sharded) -> None:
@@ -136,7 +129,7 @@ def test_shard_scaling(benchmark):
         "ledger": ledger,
     }
     benchmark.extra_info.update(record)
-    _write_artifact(record)
+    write_artifact(ARTIFACT, "wall_clock", record)
     print(
         f"\nshard scaling N={node_count} shards={shards} latency=1ms: "
         f"serial {serial_seconds:.2f}s, sharded {sharded_seconds:.2f}s, "

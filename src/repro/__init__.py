@@ -12,8 +12,9 @@ The package is organised as the paper is:
   operator's authentication modes;
 * :mod:`repro.provenance` — the paper's core contribution: semiring
   provenance, condensed (absorption-minimal) annotations, derivation
-  graphs, local / distributed / online / offline / authenticated /
-  quantifiable provenance;
+  graphs, local / distributed / online / offline / quantifiable provenance
+  (authenticated provenance is signed where it is created, in
+  :mod:`repro.security`);
 * :mod:`repro.queries` — the NDlog programs used in the paper (reachability,
   Best-Path, path-vector, monitoring);
 * :mod:`repro.usecases` — diagnostics, forensics, accountability and trust
@@ -107,8 +108,8 @@ and reports service levels::
     print(report.goodput, report.rejection_rate,
           report.p95_ms, report.cache_hit_ratio)
 
-Admission is a per-node token bucket on simulated time (``policy="drop"``
-or ``"retry"``); the result cache memoizes provenance closures per node
+Admission is a per-node token bucket on simulated time that sheds each
+arrival it denies; the result cache memoizes provenance closures per node
 and is invalidated by epoch on any provenance mutation, so a cached answer
 is always structurally identical to a cold walk.  All service counters are
 integers on simulated time and therefore byte-identical across execution

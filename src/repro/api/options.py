@@ -19,13 +19,12 @@ from repro.datalog.lint import LINT_MODES
 from repro.engine.node_engine import EngineConfig, ProvenanceMode
 from repro.net.kernel import CostModel, KernelOptions
 from repro.net.link import DEFAULT_BANDWIDTH, DEFAULT_LATENCY
-from repro.net.query import DEFAULT_QUERY_TIMEOUT
 from repro.net.sharding import SHARD_MODES
 from repro.provenance.pruning import ProvenanceSampler
 from repro.security.rsa import MIN_KEY_BITS
 from repro.security.says import SaysMode
 from repro.service.cache import CacheConfig
-from repro.service.ratelimit import ADMISSION_POLICIES, AdmissionControl
+from repro.service.ratelimit import AdmissionControl
 
 #: The execution backends ``Network.build(backend=...)`` accepts.
 BACKENDS = ("serial", "sharded")
@@ -110,31 +109,20 @@ class NetOptions:
     #: every diagnostic as a :class:`~repro.datalog.diagnostics.LintWarning`,
     #: ``"off"`` skips linting.
     lint: str = "error"
-    #: Seconds an in-network provenance query waits on one request.
-    query_timeout: float = DEFAULT_QUERY_TIMEOUT
     # -- query service plane (repro.service) ---------------------------------
     #: Per-node admission rate for service-plane query arrivals, in queries
     #: per simulated second; ``0.0`` disables admission control (every
-    #: arrival is admitted).
+    #: arrival is admitted).  A denied arrival is shed.
     admission_rate: float = 0.0
     #: Token-bucket burst capacity; ``0.0`` defaults to one second of rate
     #: (at least 1 token).
     admission_burst: float = 0.0
-    #: What a denied arrival does: ``"drop"`` sheds it immediately,
-    #: ``"retry"`` re-schedules it up to ``admission_retries`` times after
-    #: ``admission_retry_delay`` simulated seconds.
-    admission_policy: str = "drop"
-    admission_retries: int = 3
-    admission_retry_delay: float = 0.05
-    #: Arm the per-node query-result cache (memoized closure walks, epoch-
-    #: and TTL-invalidated).  Off by default: caching changes the query
+    #: Arm the per-node query-result cache (memoized closure walks,
+    #: epoch-invalidated).  Off by default: caching changes the query
     #: path's CPU accounting, so runs that never opted in are unaffected.
     query_cache: bool = False
     #: Per-node cache capacity in memoized closures.
     query_cache_entries: int = 256
-    #: Maximum cache-entry age in simulated seconds; ``0.0`` = no TTL bound
-    #: (the provenance epoch still invalidates on every store mutation).
-    query_cache_ttl: float = 0.0
     cost_model: Optional[CostModel] = None
     #: Seed used when the topology is given as a bare node count.
     seed: int = 0
@@ -164,7 +152,6 @@ class NetOptions:
     default_ttl: Optional[float] = None
     track_dependencies: Optional[bool] = None
     keep_offline_provenance: Optional[bool] = None
-    offline_retention: Optional[float] = None
     sampler: Optional[ProvenanceSampler] = None
     #: Offline-archive hot-tier capacity in archived entries (an LRU cache
     #: over the write-through spill log; see ``repro/provenance/store.py``
@@ -200,16 +187,8 @@ class NetOptions:
             raise ValueError(
                 f"default_bandwidth must be positive, got {self.default_bandwidth}"
             )
-        if self.query_timeout <= 0:
-            raise ValueError(
-                f"query_timeout must be positive, got {self.query_timeout}"
-            )
         if self.default_ttl is not None and self.default_ttl <= 0:
             raise ValueError(f"default_ttl must be positive, got {self.default_ttl}")
-        if self.offline_retention is not None and self.offline_retention <= 0:
-            raise ValueError(
-                f"offline_retention must be positive, got {self.offline_retention}"
-            )
         if self.hot_tier_entries is not None and self.hot_tier_entries < 1:
             raise ValueError(
                 f"hot_tier_entries must be >= 1, got {self.hot_tier_entries}"
@@ -232,29 +211,10 @@ class NetOptions:
                 f"admission_burst must be >= 0 (0 = one second of rate), "
                 f"got {self.admission_burst}"
             )
-        if self.admission_policy not in ADMISSION_POLICIES:
-            raise ValueError(
-                f"unknown admission_policy {self.admission_policy!r}; "
-                f"expected one of {ADMISSION_POLICIES}"
-            )
-        if self.admission_retries < 0:
-            raise ValueError(
-                f"admission_retries must be >= 0, got {self.admission_retries}"
-            )
-        if self.admission_retry_delay <= 0:
-            raise ValueError(
-                f"admission_retry_delay must be positive, got "
-                f"{self.admission_retry_delay}"
-            )
         if self.query_cache_entries < 1:
             raise ValueError(
                 f"query_cache_entries must be >= 1, got "
                 f"{self.query_cache_entries}"
-            )
-        if self.query_cache_ttl < 0:
-            raise ValueError(
-                f"query_cache_ttl must be >= 0 (0 = no TTL bound), got "
-                f"{self.query_cache_ttl}"
             )
         if self.refresh_mode not in ("rounds", "wheel"):
             raise ValueError(
@@ -292,22 +252,14 @@ class NetOptions:
         ``None`` when ``admission_rate == 0`` (every arrival admitted)."""
         if self.admission_rate <= 0:
             return None
-        return AdmissionControl(
-            rate=self.admission_rate,
-            burst=self.admission_burst,
-            policy=self.admission_policy,
-            retries=self.admission_retries,
-            retry_delay=self.admission_retry_delay,
-        )
+        return AdmissionControl(rate=self.admission_rate, burst=self.admission_burst)
 
     def service_cache(self) -> Optional[CacheConfig]:
         """The per-node query-result cache config, or ``None`` when the
         cache is not armed."""
         if not self.query_cache:
             return None
-        return CacheConfig(
-            capacity=self.query_cache_entries, ttl=self.query_cache_ttl
-        )
+        return CacheConfig(capacity=self.query_cache_entries)
 
     def merged(self, **overrides: object) -> "NetOptions":
         """A copy with *overrides* applied; unknown names raise with the list
@@ -336,7 +288,6 @@ class NetOptions:
             "default_ttl",
             "track_dependencies",
             "keep_offline_provenance",
-            "offline_retention",
             "sampler",
             "hot_tier_entries",
             "spill_dir",
@@ -358,7 +309,6 @@ class NetOptions:
             default_bandwidth=self.default_bandwidth,
             batching=self.batching,
             link_relation=self.link_relation,
-            query_timeout=self.query_timeout,
             admission=self.service_admission(),
             query_cache=self.service_cache(),
             refresh_mode=self.refresh_mode,

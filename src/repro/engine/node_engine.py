@@ -76,7 +76,6 @@ class EngineConfig:
     provenance_mode: ProvenanceMode = ProvenanceMode.NONE
     sampler: Optional[ProvenanceSampler] = None
     keep_offline_provenance: bool = False
-    offline_retention: Optional[float] = None
     #: Offline-archive hot-tier capacity in archived entries: an LRU cache
     #: of whole per-key entry groups over the write-through spill log (see
     #: provenance/store.py).
@@ -275,7 +274,6 @@ class NodeEngine:
         self.provenance = DerivationLog(address, config.track_dependencies)
         self.offline_provenance = OfflineProvenanceArchive(
             address,
-            retention=config.offline_retention,
             hot_entries=config.hot_tier_entries,
             spill_dir=config.spill_dir,
         )

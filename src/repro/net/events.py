@@ -25,7 +25,7 @@ is derived from event *content*, not from scheduling history:
 * the control events scheduled *inside* kernel processing carry no stamp
   and rank by their content after same-instant stamped ones:
   :class:`QueryTimeout` by ``(1, query id, request id)``,
-  :class:`QueryArrival` by ``(2, client, arrival id, attempt)``,
+  :class:`QueryArrival` by ``(2, client, arrival id)``,
   :class:`RefreshTimerFire` by ``(3, address)`` and :class:`InboxDrain` by
   ``(4, address)``.
 
@@ -234,8 +234,8 @@ class QueryArrival(SimulationEvent):
     worker mid-run.  ``client`` is ``-1`` for open-loop (precomputed
     schedule) arrivals; closed-loop clients carry their id, their
     ``think`` time and the ``deadline`` past which they stop re-issuing.
-    The ``(client, arrival_id, attempt)`` triple is unique per run and is
-    the event's content-based rank (see :func:`event_rank`).
+    The ``(client, arrival_id)`` pair is unique per run and is the
+    event's content-based rank (see :func:`event_rank`).
     """
 
     address: Address = ""
@@ -246,7 +246,6 @@ class QueryArrival(SimulationEvent):
     condensed: bool = False
     client: int = -1
     arrival_id: int = 0
-    attempt: int = 0
     deadline: float = 0.0
     think: float = 0.0
 
@@ -287,10 +286,10 @@ def event_rank(event: SimulationEvent, stamp: Optional[int] = None) -> Tuple:
     if isinstance(event, QueryTimeout):
         return (1, event.query_id, event.request_id)
     if isinstance(event, QueryArrival):
-        # Retries and closed-loop follow-ups are scheduled *inside* node
-        # processing (like query timeouts), so the rank must come from the
-        # arrival's identity, never a kernel-local stamp.
-        return (2, event.client, event.arrival_id, event.attempt)
+        # Closed-loop follow-ups are scheduled *inside* node processing
+        # (like query timeouts), so the rank must come from the arrival's
+        # identity, never a kernel-local stamp.
+        return (2, event.client, event.arrival_id)
     if isinstance(event, RefreshTimerFire):
         # Also scheduled inside kernel processing (by the RefreshHorizon
         # handler); one event per (time, node) — the address is the rank.

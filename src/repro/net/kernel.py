@@ -79,7 +79,6 @@ from repro.net.message import (
     QueryResponse,
 )
 from repro.net.query import (
-    DEFAULT_QUERY_TIMEOUT,
     PendingQuery,
     ProvenanceQuery,
     QueryEngine,
@@ -202,9 +201,6 @@ class KernelOptions:
     #: Name of the base relation whose tuples mirror the topology's links;
     #: LinkDown retraction and recovery re-injection key off it.
     link_relation: str = "link"
-    #: Seconds an in-network provenance query waits for one outstanding
-    #: request before reporting the key missing (lost request/response).
-    query_timeout: float = DEFAULT_QUERY_TIMEOUT
     #: Service-plane configuration (repro.service): per-node token-bucket
     #: admission control and the per-node query-result cache.  ``None``
     #: disables the feature.
@@ -879,29 +875,8 @@ class SimulationKernel:
                 self._admission_buckets[address] = bucket
             if not bucket.try_acquire(at):
                 node_stats.queries_rejected += 1
-                if (
-                    admission.policy == "retry"
-                    and event.attempt < admission.retries
-                ):
-                    self.scheduler.schedule(
-                        QueryArrival(
-                            time=at + admission.retry_delay,
-                            address=event.address,
-                            relation=event.relation,
-                            draw=event.draw,
-                            pool=event.pool,
-                            mode=event.mode,
-                            condensed=event.condensed,
-                            client=event.client,
-                            arrival_id=event.arrival_id,
-                            attempt=event.attempt + 1,
-                            deadline=event.deadline,
-                            think=event.think,
-                        )
-                    )
-                else:
-                    node_stats.queries_shed += 1
-                    self._service_continue(event, at)
+                node_stats.queries_shed += 1
+                self._service_continue(event, at)
                 return
         unanswerable = not self.config.provenance_mode.maintains_provenance or (
             event.mode == "offline" and not self.config.keep_offline_provenance
@@ -960,7 +935,7 @@ class SimulationKernel:
         next_at = at + event.think
         if next_at >= event.deadline:
             return
-        # Content-ranked (client, arrival id, attempt): no stamp needed, and
+        # Content-ranked (client, arrival id): no stamp needed, and
         # the follow-up sorts identically no matter which kernel computed it.
         self.scheduler.schedule(next_arrival(event, next_at))
 

@@ -91,7 +91,9 @@ class ProvenanceQuery:
     ``condensed`` additionally fetches condensed annotations (paying their
     serialized bytes per response); ``authenticated`` makes every responder
     sign its response and the querier verify it (Section 4.3 applied to the
-    query plane).
+    query plane).  ``timeout`` is the seconds one outstanding request waits
+    before its key is reported missing; ``None`` means
+    :data:`DEFAULT_QUERY_TIMEOUT`.
     """
 
     root: FactKey
@@ -379,11 +381,6 @@ class QueryEngine:
         # service plane must still hear about it.
         pending.service = service
         self._queries[pending.query_id] = pending
-        if query.mode == "offline":
-            # Retention aging must not pull the evidence out from under an
-            # in-flight forensic query: the root stays pinned in the asker's
-            # archive until the query completes (_finish releases it).
-            engine.offline_provenance.pin_key(query.root)
         simulator.stats.node(query.at).queries_issued += 1
         if query.condensed:
             pending.condensed = self._annotation_for(engine, query.root, query.mode)
@@ -632,7 +629,7 @@ class QueryEngine:
             simulator.options.cost_model.query_cpu_seconds(0, request.size_bytes()),
         )
         self._ship(pending.query_id, pending.query.at, request, send_time)
-        timeout_after = pending.query.timeout or simulator.options.query_timeout
+        timeout_after = pending.query.timeout or DEFAULT_QUERY_TIMEOUT
         timeout = QueryTimeout(
             time=send_time + timeout_after,
             query_id=pending.query_id,
@@ -644,10 +641,6 @@ class QueryEngine:
     def _finish(self, pending: PendingQuery, at_time: float) -> None:
         pending.done = True
         pending.completed_at = max(at_time, pending.issued_at)
-        if pending.query.mode == "offline":
-            engine = self.simulator.engines.get(pending.query.at)
-            if engine is not None:
-                engine.offline_provenance.release_key(pending.query.root)
         # The engine's own bookkeeping for the query is over; dropping the
         # entry keeps memory flat over many queries and makes any late
         # response a true no-op instead of mutating a snapshot result.

@@ -147,9 +147,8 @@ class NodeStats:
     query_bytes_sent: int = 0
     query_bytes_charged: int = 0
     #: Query service plane (repro.service): arrivals this node's admission
-    #: control turned away (each denial, retries included), arrivals
-    #: permanently dropped unserved (drop policy, retry exhaustion, a
-    #: crashed node or an unresolvable root), and queries that ran to
+    #: control turned away, arrivals dropped unserved (an admission denial,
+    #: a crashed node or an unresolvable root), and queries that ran to
     #: completion.  All integers, all part of the cross-backend equality
     #: contract.
     queries_rejected: int = 0

@@ -591,7 +591,6 @@ def _encode_event(
             # in unsigned range.
             writer.u64(event.client + 1)
             writer.u64(event.arrival_id)
-            writer.u32(event.attempt)
             writer.f64(event.deadline)
             writer.f64(event.think)
         else:  # QueryTimeout
@@ -652,7 +651,6 @@ def _decode_event(reader: _Reader, strings: List[str]) -> SimulationEvent:
             condensed=bool(reader.u8()),
             client=reader.u64() - 1,
             arrival_id=reader.u64(),
-            attempt=reader.u32(),
             deadline=reader.f64(),
             think=reader.f64(),
         )

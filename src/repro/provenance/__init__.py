@@ -24,8 +24,10 @@ This package implements the full taxonomy of Section 4:
 * **online vs offline provenance** (:mod:`log`, :mod:`store`) — the live log,
   which forgets retracted state, versus an append-only archive that survives
   expiry (a bounded hot tier over a write-through spill log), Section 4.2;
-* **authenticated provenance** (:mod:`authenticated`) — per-derivation-node
-  signatures, Section 4.3;
+* **authenticated provenance**, Section 4.3, is signed where it is
+  created: each admitted tuple keeps its wire message's signature in a
+  :class:`~repro.security.authenticator.SignedEnvelope`, and authenticated
+  queries have every responder sign its answer (:mod:`repro.net.query`);
 * **quantifiable provenance** (:mod:`quantify`) — trust levels, counts and
   votes evaluated over provenance expressions, Section 4.5;
 * **optimizations** (:mod:`pruning`) — sampling and AS-granularity
@@ -52,10 +54,6 @@ from repro.provenance.graph import DerivationGraph, DerivationNode, OperatorNode
 from repro.provenance.log import DerivationLog, ProvenancePointer
 from repro.provenance.distributed import TracebackResult
 from repro.provenance.store import OfflineProvenanceArchive
-from repro.provenance.authenticated import (
-    AuthenticatedProvenance,
-    ProvenanceVerificationError,
-)
 from repro.provenance.quantify import (
     acceptable,
     count_derivations,
@@ -66,7 +64,6 @@ from repro.provenance.pruning import ASAggregator, ProvenanceSampler
 
 __all__ = [
     "ASAggregator",
-    "AuthenticatedProvenance",
     "BOOLEAN",
     "COUNTING",
     "DerivationGraph",
@@ -77,7 +74,6 @@ __all__ = [
     "ProvenanceExpression",
     "ProvenancePointer",
     "ProvenanceSampler",
-    "ProvenanceVerificationError",
     "Semiring",
     "TRUST",
     "TracebackResult",

@@ -5,8 +5,7 @@ valid — is the live :class:`~repro.provenance.log.DerivationLog`: a
 retracted tuple's entry goes with it.  *Offline* provenance is an
 append-only archive of the same firings that retains them after the
 underlying state has expired, which is what forensics and accountability
-need; it supports aging (drop entries older than a horizon) unless they are
-explicitly pinned as evidence of an anomaly.
+need.  It never drops an entry.
 
 The archive keeps its entries in two tiers:
 
@@ -272,9 +271,9 @@ class OfflineProvenanceArchive:
     """Append-only provenance archive that survives soft-state expiry.
 
     Supports the forensics and accountability use cases: entries remain
-    queryable after the network state they describe has long expired, can be
-    *pinned* (marked to persist, e.g. when an anomaly was detected), and can
-    be aged out beyond a retention horizon to bound storage (Section 5).
+    queryable after the network state they describe has long expired
+    (Section 5).  Nothing is ever dropped: the resident footprint is bounded
+    by the hot tier, and the spill log keeps every record.
 
     Base keys and remote origins give the archive the same pointer-chasing
     shape as the live log (``pointers`` / ``knows`` / ``origin_of`` /
@@ -296,24 +295,18 @@ class OfflineProvenanceArchive:
     def __init__(
         self,
         node: str,
-        retention: Optional[float] = None,
         hot_entries: int = DEFAULT_HOT_TIER_ENTRIES,
         spill_dir: Optional[str] = None,
     ) -> None:
         if hot_entries < 0:
             raise ValueError(f"hot_entries must be >= 0, got {hot_entries}")
         self.node = node
-        self.retention = retention
         self.hot_entries = hot_entries
         if spill_dir is None:
             self._spill: SpillBackend = MemorySpillBackend()
         else:
             name = f"{_safe_name(node)}.{next(_spill_sequence)}.plog"
             self._spill = LogSpillBackend(os.path.join(spill_dir, name))
-        #: Query pins: key -> refcount of in-flight offline queries rooted
-        #: there.  ``age_out`` must not drop entries a pending query still
-        #: references, whatever the retention horizon says.
-        self._query_pins: Dict[FactKey, int] = {}
         #: Keys archived as base (application-asserted) inputs at this node.
         self._base: Set[FactKey] = set()
         #: Keys that arrived from another node -> the node holding their
@@ -326,7 +319,6 @@ class OfflineProvenanceArchive:
         #: sequentially), which is what keeps full scans in record order.
         self._slots: Dict[int, Tuple[FactKey, float, int, int]] = {}
         self._next_id = 0
-        self._pinned: Set[int] = set()
         #: Per-key merged condensed annotation (structure-sharing default).
         self._condensed: Dict[FactKey, ProvenanceExpression] = {}
         #: Interned annotations by normal-form monomials: structurally equal
@@ -342,7 +334,7 @@ class OfflineProvenanceArchive:
         self._bytes_spilled = 0
         self._spill_reads = 0
 
-    # -- base keys, origins and query pins ---------------------------------------
+    # -- base keys and origins ---------------------------------------------------
 
     def record_base(self, fact: Fact) -> None:
         """Archive that *fact* was asserted as a base tuple at this node."""
@@ -363,17 +355,6 @@ class OfflineProvenanceArchive:
     def knows(self, key: FactKey) -> bool:
         """True when the archive recorded *key* as base or as a derivation."""
         return key in self._base or key in self._by_key
-
-    def pin_key(self, key: FactKey) -> None:
-        """Protect *key*'s entries from ``age_out`` while a query is in flight."""
-        self._query_pins[key] = self._query_pins.get(key, 0) + 1
-
-    def release_key(self, key: FactKey) -> None:
-        count = self._query_pins.get(key, 0) - 1
-        if count > 0:
-            self._query_pins[key] = count
-        else:
-            self._query_pins.pop(key, None)
 
     # -- annotation interning --------------------------------------------------
 
@@ -401,7 +382,7 @@ class OfflineProvenanceArchive:
         expires_at: Optional[float] = None,
         annotation: Optional[ProvenanceExpression] = None,
     ) -> int:
-        """Archive one firing; returns the entry's id (for :meth:`pin`)."""
+        """Archive one firing; returns the entry's id."""
         key = pointer.output
         if annotation is not None:
             annotation = self._absorb(key, annotation)
@@ -453,13 +434,6 @@ class OfflineProvenanceArchive:
         """
         self._hot.clear()
         self._hot_count = 0
-
-    # -- pins -------------------------------------------------------------------
-
-    def pin(self, index: int) -> None:
-        """Mark an entry to persist through aging (anomaly evidence)."""
-        if index in self._slots:
-            self._pinned.add(index)
 
     # -- queries ----------------------------------------------------------------
 
@@ -583,36 +557,3 @@ class OfflineProvenanceArchive:
         for key, origin in self._remote_origin.items():
             total += len(str(key)) + len(origin)
         return total
-
-    # -- aging -------------------------------------------------------------------
-
-    def age_out(self, now: float) -> int:
-        """Drop unpinned entries older than the retention horizon.
-
-        Entries that are pinned — explicitly via :meth:`pin`, or via a
-        :meth:`pin_key` reference from an in-flight offline query — are
-        kept.  Dropped entries leave the index and the hot tier; their log
-        records become unreachable (the log itself is append-only).
-        Returns the number of entries dropped.
-        """
-        if self.retention is None:
-            return 0
-        dropped = 0
-        for entry_id in list(self._slots):
-            key, timestamp, _offset, _length = self._slots[entry_id]
-            if entry_id in self._pinned or key in self._query_pins:
-                continue
-            if now - timestamp > self.retention:
-                dropped += 1
-                del self._slots[entry_id]
-                ids = self._by_key[key]
-                ids.remove(entry_id)
-                if not ids:
-                    del self._by_key[key]
-                group = self._hot.get(key)
-                if group is not None and entry_id in group:
-                    del group[entry_id]
-                    self._hot_count -= 1
-                    if not group:
-                        del self._hot[key]
-        return dropped

@@ -9,9 +9,9 @@ simulation load:
   schedule) and closed-loop (N clients with think time) query arrival
   generation, deterministic and backend-identical;
 * :mod:`repro.service.ratelimit` — per-node token-bucket admission
-  control on simulated time, with drop/retry policies;
+  control on simulated time; a denied arrival is shed;
 * :mod:`repro.service.cache` — per-node memoized closure cache,
-  epoch-/TTL-invalidated so cached answers are never stale;
+  epoch-invalidated so cached answers are never stale;
 * :mod:`repro.service.slo` — p50/p95/p99 latency, goodput and rejection
   reporting derived purely from integer counters.
 
@@ -21,7 +21,7 @@ caching for any run.
 """
 
 from repro.service.cache import CacheConfig, ClosureCache
-from repro.service.ratelimit import ADMISSION_POLICIES, AdmissionControl, TokenBucket
+from repro.service.ratelimit import AdmissionControl, TokenBucket
 from repro.service.slo import (
     PERCENTILES,
     ServiceLevelReport,
@@ -31,7 +31,6 @@ from repro.service.slo import (
 from repro.service.workload import QueryWorkload, next_arrival
 
 __all__ = [
-    "ADMISSION_POLICIES",
     "AdmissionControl",
     "CacheConfig",
     "ClosureCache",

@@ -8,7 +8,7 @@ keyed by ``(root key, query mode, condensed)``.
 
 Correctness is non-negotiable: a cache-served traceback must be
 structurally identical to what a cold walk at the same simulated instant
-would produce (the Hypothesis property test pins exactly this).  Three
+would produce (the Hypothesis property test pins exactly this).  Two
 invalidation triggers guarantee it:
 
 * **provenance epoch** — every :class:`~repro.engine.node_engine.NodeEngine`
@@ -17,9 +17,6 @@ invalidation triggers guarantee it:
   re-derivation, crash reset).  An entry recorded under an older epoch is
   discarded at lookup, so the cache can never outlive the store state it
   summarized;
-* **TTL** — an optional bound on entry age in simulated seconds, the
-  belt-and-suspenders staleness ceiling surfaced by the staleness-age
-  histogram;
 * **LRU eviction** — the cache is capacity-bounded per node (the same
   discipline INV006 enforces for provenance stores: no unbounded
   process-lifetime state).
@@ -41,27 +38,22 @@ class CacheConfig:
     """Validated, picklable result-cache configuration (crosses spawn)."""
 
     capacity: int = 256
-    #: Maximum entry age in simulated seconds; ``0.0`` disables the bound.
-    ttl: float = 0.0
 
     def __post_init__(self) -> None:
         if self.capacity <= 0:
             raise ValueError("cache capacity must be a positive entry count")
-        if self.ttl < 0:
-            raise ValueError("cache ttl must be non-negative simulated seconds")
 
     def build(self) -> "ClosureCache":
-        return ClosureCache(capacity=self.capacity, ttl=self.ttl or None)
+        return ClosureCache(capacity=self.capacity)
 
 
 class ClosureCache:
-    """One node's LRU memo of closure values, epoch- and TTL-guarded."""
+    """One node's LRU memo of closure values, epoch-guarded."""
 
-    __slots__ = ("capacity", "ttl", "_entries")
+    __slots__ = ("capacity", "_entries")
 
-    def __init__(self, capacity: int = 256, ttl: Optional[float] = None) -> None:
+    def __init__(self, capacity: int = 256) -> None:
         self.capacity = capacity
-        self.ttl = ttl
         #: key -> (value, epoch, recorded_at); ordered oldest-touch first.
         self._entries: "OrderedDict[Hashable, Tuple[object, int, float]]" = (
             OrderedDict()
@@ -77,21 +69,19 @@ class ClosureCache:
 
         A hit returns the memoized value with its age (simulated seconds
         since it was recorded) and refreshes its LRU position.  A stale
-        entry — the engine's provenance epoch moved past it, or its TTL
-        elapsed — is discarded, reported through the second element so the
-        caller can count a ``cache_invalidation``; the lookup itself is
-        then a miss.
+        entry — the engine's provenance epoch moved past it — is discarded,
+        reported through the second element so the caller can count a
+        ``cache_invalidation``; the lookup itself is then a miss.
         """
         entry = self._entries.get(key)
         if entry is None:
             return None, False
         value, recorded_epoch, recorded_at = entry
-        age = now - recorded_at
-        if recorded_epoch != epoch or (self.ttl is not None and age > self.ttl):
+        if recorded_epoch != epoch:
             del self._entries[key]
             return None, True
         self._entries.move_to_end(key)
-        return (value, age), False
+        return (value, now - recorded_at), False
 
     def store(self, key: Hashable, value: object, epoch: int, now: float) -> int:
         """Memoize *value*; returns the number of entries LRU-evicted."""

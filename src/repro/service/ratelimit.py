@@ -8,18 +8,14 @@ keeps all of its state on the instance (INV006: no module-level caches),
 so two backends replaying the same arrival stream make identical
 admit/deny decisions.
 
-Denied arrivals are counted as ``queries_rejected`` on the node's
-:class:`~repro.net.stats.NodeStats`; the :class:`AdmissionControl` policy
-decides what happens next — ``"drop"`` abandons the arrival immediately
-(counted ``queries_shed``), ``"retry"`` re-schedules it up to ``retries``
-times after ``retry_delay`` simulated seconds before shedding it.
+A denied arrival is shed at once: it is counted as both
+``queries_rejected`` and ``queries_shed`` on the node's
+:class:`~repro.net.stats.NodeStats`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-ADMISSION_POLICIES = ("drop", "retry")
 
 
 class TokenBucket:
@@ -72,24 +68,12 @@ class AdmissionControl:
 
     rate: float
     burst: float = 0.0
-    policy: str = "drop"
-    retries: int = 3
-    retry_delay: float = 0.05
 
     def __post_init__(self) -> None:
         if self.rate <= 0:
             raise ValueError("admission rate must be positive queries/second")
         if self.burst < 0:
             raise ValueError("admission burst must be non-negative")
-        if self.policy not in ADMISSION_POLICIES:
-            raise ValueError(
-                f"unknown admission policy {self.policy!r}; expected one of "
-                f"{ADMISSION_POLICIES}"
-            )
-        if self.retries < 0:
-            raise ValueError("admission retries must be non-negative")
-        if self.retry_delay <= 0:
-            raise ValueError("admission retry_delay must be positive seconds")
 
     def bucket(self, start: float = 0.0) -> TokenBucket:
         """A fresh per-node bucket; burst defaults to one second of rate."""

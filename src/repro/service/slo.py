@@ -56,7 +56,8 @@ class ServiceLevelReport:
 
     @property
     def rejection_rate(self) -> float:
-        """Denials per offered arrival (retries can push this above 1.0)."""
+        """Denials per offered arrival, at most 1.0: a denied arrival is
+        shed, never retried."""
         return self.rejected / self.offered if self.offered else 0.0
 
     @property

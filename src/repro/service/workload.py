@@ -67,7 +67,6 @@ def next_arrival(event: QueryArrival, at: float) -> QueryArrival:
         condensed=event.condensed,
         client=event.client,
         arrival_id=arrival_id,
-        attempt=0,
         deadline=event.deadline,
         think=event.think,
     )
@@ -151,7 +150,6 @@ class QueryWorkload:
                         condensed=self.condensed,
                         client=-1,
                         arrival_id=arrival_id,
-                        attempt=0,
                         deadline=deadline,
                         think=0.0,
                     )
@@ -171,7 +169,6 @@ class QueryWorkload:
                     condensed=self.condensed,
                     client=client,
                     arrival_id=0,
-                    attempt=0,
                     deadline=deadline,
                     think=think,
                 )

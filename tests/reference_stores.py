@@ -890,18 +890,13 @@ class ReferenceArchiveIndex:
     Base keys and remote origins give an archive the same pointer-chasing
     shape as the live log, so offline (forensic) traceback queries can walk
     it across nodes even after a crash wiped the live logs; the per-key
-    index (kept in sync by the subclass's ``record`` / ``age_out``) makes
+    index (kept in sync by the subclass's ``record``) makes
     the per-key lookup — the unit of work of a traceback — independent of
     run length.  Subclasses supply ``entries(key)``.
     """
 
-    def __init__(self, node: str, retention: Optional[float]) -> None:
+    def __init__(self, node: str) -> None:
         self.node = node
-        self.retention = retention
-        #: Query pins: key -> refcount of in-flight offline queries rooted
-        #: there.  ``age_out`` must not drop entries a pending query still
-        #: references, whatever the retention horizon says.
-        self._query_pins: Dict[FactKey, int] = {}
         #: Keys archived as base (application-asserted) inputs at this node.
         self._base: Set[FactKey] = set()
         #: Keys that arrived from another node -> the node holding their
@@ -929,17 +924,6 @@ class ReferenceArchiveIndex:
     def knows(self, key: FactKey) -> bool:
         """True when the archive recorded *key* as base or as a derivation."""
         return key in self._base or key in self._by_key
-
-    def pin_key(self, key: FactKey) -> None:
-        """Protect *key*'s entries from ``age_out`` while a query is in flight."""
-        self._query_pins[key] = self._query_pins.get(key, 0) + 1
-
-    def release_key(self, key: FactKey) -> None:
-        count = self._query_pins.get(key, 0) - 1
-        if count > 0:
-            self._query_pins[key] = count
-        else:
-            self._query_pins.pop(key, None)
 
     def pointers(self, key: FactKey) -> Tuple[ProvenancePointer, ...]:
         """*key*'s archived firings in the live log's pointer shape.
@@ -969,15 +953,13 @@ class ReferenceOfflineArchive(ReferenceArchiveIndex):
     """Append-only provenance archive that survives soft-state expiry.
 
     Supports the forensics and accountability use cases: entries remain
-    queryable after the network state they describe has long expired, can be
-    *pinned* (marked to persist, e.g. when an anomaly was detected), and can
-    be aged out beyond a retention horizon to bound storage (Section 5).
+    queryable after the network state they describe has long expired
+    (Section 5).
     """
 
-    def __init__(self, node: str, retention: Optional[float] = None) -> None:
-        super().__init__(node, retention)
+    def __init__(self, node: str) -> None:
+        super().__init__(node)
         self._entries: List[ProvenanceEntry] = []
-        self._pinned: Set[int] = set()
 
     def record(
         self,
@@ -985,16 +967,11 @@ class ReferenceOfflineArchive(ReferenceArchiveIndex):
         expires_at: Optional[float] = None,
         annotation: Optional[ProvenanceExpression] = None,
     ) -> int:
-        """Archive one firing; returns the entry's index (for :meth:`pin`)."""
+        """Archive one firing; returns the entry's index."""
         entry = archive_entry(pointer, expires_at, annotation)
         self._by_key.setdefault(entry.key, []).append(len(self._entries))
         self._entries.append(entry)
         return len(self._entries) - 1
-
-    def pin(self, index: int) -> None:
-        """Mark an entry to persist through aging (anomaly evidence)."""
-        if 0 <= index < len(self._entries):
-            self._pinned.add(index)
 
     def entries(self, key: Optional[FactKey] = None) -> Tuple[ProvenanceEntry, ...]:
         if key is None:
@@ -1042,37 +1019,6 @@ class ReferenceOfflineArchive(ReferenceArchiveIndex):
     def drop_cache(self) -> None:
         """Crash semantics: the in-memory archive models a persistent log
         wholesale, so a crash loses nothing here (no volatile tier)."""
-
-    def age_out(self, now: float) -> int:
-        """Drop unpinned entries older than the retention horizon.
-
-        Entries that are pinned — explicitly via :meth:`pin`, or via a
-        :meth:`pin_key` reference from an in-flight offline query — are kept
-        whatever the horizon says.  Returns the number of entries dropped.
-        """
-        if self.retention is None:
-            return 0
-        keep: List[ProvenanceEntry] = []
-        new_pinned: Set[int] = set()
-        dropped = 0
-        for index, entry in enumerate(self._entries):
-            pinned = index in self._pinned
-            if (
-                not pinned
-                and entry.key not in self._query_pins
-                and now - entry.timestamp > self.retention
-            ):
-                dropped += 1
-                continue
-            if pinned:
-                new_pinned.add(len(keep))
-            keep.append(entry)
-        self._entries = keep
-        self._pinned = new_pinned
-        self._by_key = {}
-        for index, entry in enumerate(self._entries):
-            self._by_key.setdefault(entry.key, []).append(index)
-        return dropped
 
 
 # -- hand-recorded firings, for the unit tests of the log and the archives ------

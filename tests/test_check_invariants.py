@@ -540,6 +540,18 @@ class TestOneSigningPath:
         )
         assert "INV008" not in _rules(tool.check_tree(tree))
 
+    def test_graph_signing_in_provenance_flagged(self, tree):
+        (tree / "provenance").mkdir()
+        (tree / "provenance" / "authenticated.py").write_text(
+            "from repro.security import rsa\n\n"
+            "def sign_graph(payload, key):\n    return rsa.sign(payload, key)\n",
+            encoding="utf-8",
+        )
+        findings = [f for f in tool.check_tree(tree) if f.rule == "INV008"]
+        assert [(f.path, f.line) for f in findings] == [
+            ("provenance/authenticated.py", 4)
+        ]
+
     def test_through_the_rsa_module_or_the_package_flagged(self, tree):
         (tree / "net" / "mod.py").write_text(
             "from repro.security import rsa, verify\n\n"

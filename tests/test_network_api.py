@@ -10,11 +10,12 @@ import pytest
 from repro.api import Network, NetOptions, PROVENANCE_PRESETS, RunResult, resolve_preset
 from repro.engine.node_engine import EngineConfig, ProvenanceMode
 from repro.harness.runner import run_network
-from repro.net.kernel import CostModel, SimulationKernel
+from repro.net.kernel import CostModel, KernelOptions, SimulationKernel
 from repro.net.topology import Topology, line_topology, random_topology
 from repro.provenance.pruning import ProvenanceSampler
 from repro.queries.best_path import compile_best_path
 from repro.security.says import SaysMode
+from repro.service import AdmissionControl, CacheConfig
 
 
 class TestPresets:
@@ -56,13 +57,12 @@ class TestPresets:
             default_ttl=12.0,
             track_dependencies=True,
             keep_offline_provenance=True,
-            offline_retention=60.0,
             sampler=sampler,
             hot_tier_entries=32,
             spill_dir=str(tmp_path),
         )
         overrides = options.engine_overrides()
-        assert len(overrides) == 8
+        assert len(overrides) == 7
         assert set(overrides) <= {f.name for f in dataclasses.fields(EngineConfig)}
         config = options.engine_config("condensed")
         assert {name: getattr(config, name) for name in overrides} == overrides
@@ -70,8 +70,72 @@ class TestPresets:
         assert NetOptions().engine_config("condensed") == EngineConfig(
             provenance_mode=ProvenanceMode.CONDENSED
         )
-        assert len(dataclasses.fields(NetOptions)) == 33
-        assert len(dataclasses.fields(EngineConfig)) == 11
+
+    def test_option_records_have_exactly_these_fields(self):
+        # Every knob has a caller: adding or deleting an option is a
+        # reviewable diff of these tuples.
+        def names(record):
+            return tuple(field.name for field in dataclasses.fields(record))
+
+        assert names(NetOptions) == (
+            "backend",
+            "shards",
+            "shard_mode",
+            "batching",
+            "key_bits",
+            "max_events",
+            "default_latency",
+            "default_bandwidth",
+            "link_relation",
+            "lint",
+            "admission_rate",
+            "admission_burst",
+            "query_cache",
+            "query_cache_entries",
+            "cost_model",
+            "seed",
+            "refresh_mode",
+            "refresh_interval",
+            "refresh_rate",
+            "refresh_burst",
+            "rederivation",
+            "default_ttl",
+            "track_dependencies",
+            "keep_offline_provenance",
+            "sampler",
+            "hot_tier_entries",
+            "spill_dir",
+        )
+        assert len(names(NetOptions)) == 27
+        assert names(KernelOptions) == (
+            "cost_model",
+            "key_bits",
+            "max_events",
+            "default_latency",
+            "default_bandwidth",
+            "batching",
+            "link_relation",
+            "admission",
+            "query_cache",
+            "refresh_mode",
+            "refresh_interval",
+            "refresh_rate",
+            "refresh_burst",
+        )
+        assert names(EngineConfig) == (
+            "says_mode",
+            "provenance_mode",
+            "sampler",
+            "keep_offline_provenance",
+            "hot_tier_entries",
+            "spill_dir",
+            "default_ttl",
+            "track_dependencies",
+            "rederivation",
+            "refresh_propagation",
+        )
+        assert names(AdmissionControl) == ("rate", "burst")
+        assert names(CacheConfig) == ("capacity",)
 
     def test_tiered_store_knobs_reach_engine_config(self, tmp_path):
         options = NetOptions(
@@ -91,10 +155,10 @@ class TestNetOptionsValidation:
             ({"key_bits": 4}, "key_bits"),
             ({"max_events": 0}, "max_events"),
             ({"default_bandwidth": 0}, "default_bandwidth"),
-            ({"query_timeout": 0}, "query_timeout"),
+            ({"default_latency": -1.0}, "default_latency"),
             ({"default_ttl": -1.0}, "default_ttl"),
             ({"link_relation": ""}, "link_relation"),
-            ({"offline_retention": 0.0}, "offline_retention"),
+            ({"refresh_interval": 0.0}, "refresh_interval"),
             ({"hot_tier_entries": 0}, "hot_tier_entries"),
             ({"spill_dir": ""}, "spill_dir"),
             # Above the old floor of 16 and below generate_keypair's: one
@@ -119,13 +183,21 @@ class TestNetOptionsValidation:
             {"keep_online_provenance": True},
             {"maintenance_mode": "reactive"},
             {"provenance_store": "memory"},
+            {"offline_retention": 60.0},
+            {"admission_policy": "retry"},
+            {"admission_retries": 3},
+            {"admission_retry_delay": 0.05},
+            {"query_cache_ttl": 2.0},
+            {"query_timeout": 30.0},
         ],
         ids=lambda kwargs: next(iter(kwargs)),
     )
     def test_removed_options_are_unknown_to_build(self, removed):
         # The deleted coordination / transport / receive modes, the two
-        # dead provenance switches and the second archive representation are
-        # not silently accepted: they fail like any other misspelt option.
+        # dead provenance switches, the second archive representation and
+        # the knobs only tests set (archive aging, admission retries, the
+        # cache TTL, the run-wide query timeout) are not silently accepted:
+        # they fail like any other misspelt option.
         with pytest.raises(ValueError, match="unknown NetOptions field.*valid fields"):
             Network.build(topology=4, provenance="ndlog", **removed)
 

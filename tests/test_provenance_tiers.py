@@ -3,8 +3,7 @@
 Covers the forensics contract under eviction, crash and pickling; the
 write-through discipline; deterministic LRU eviction; spill-record
 round-tripping; both spill logs (a file under ``spill_dir``, or process
-memory); storage accounting (index-aware ``storage_bytes``); and
-query-pinned ``age_out``.
+memory); and storage accounting (index-aware ``storage_bytes``).
 """
 
 from __future__ import annotations
@@ -309,42 +308,6 @@ class TestAnnotationSharing:
         assert merged.variables() == frozenset({"p", "q"})
 
 
-class TestAgingAndPins:
-    def test_age_out_drops_old_unpinned_entries(self, tmp_path):
-        archive = _tiered(tmp_path, retention=10.0, hot_entries=10)
-        archive.record(_firing("x", ("old",), t=0.0))
-        archive.record(_firing("x", ("new",), t=95.0))
-        assert archive.age_out(now=100.0) == 1
-        assert not archive.knows(("x", ("old",)))
-        assert archive.knows(("x", ("new",)))
-
-    def test_pinned_entry_survives_aging(self, tmp_path):
-        archive = _tiered(tmp_path, retention=10.0, hot_entries=10)
-        entry_id = archive.record(_firing("x", ("old",), t=0.0))
-        archive.pin(entry_id)
-        assert archive.age_out(now=100.0) == 0
-        assert archive.knows(("x", ("old",)))
-
-    def test_query_pin_blocks_aging_until_released(self, tmp_path):
-        archive = _tiered(tmp_path, retention=10.0, hot_entries=10)
-        key = ("x", ("old",))
-        archive.record(_firing("x", ("old",), t=0.0))
-        archive.pin_key(key)
-        archive.pin_key(key)  # two in-flight queries
-        assert archive.age_out(now=100.0) == 0
-        archive.release_key(key)
-        assert archive.age_out(now=100.0) == 0  # one query still holds it
-        archive.release_key(key)
-        assert archive.age_out(now=100.0) == 1
-
-    def test_aged_entries_leave_the_hot_tier(self, tmp_path):
-        archive = _tiered(tmp_path, retention=10.0, hot_entries=10)
-        archive.record(_firing("x", ("old",), t=0.0))
-        archive.age_out(now=100.0)
-        assert archive.resident_bytes() == 0
-        assert len(archive) == 0
-
-
 class TestTieredStorageAccounting:
     def test_storage_bytes_exceeds_resident_bytes(self, tmp_path):
         archive = _tiered(tmp_path, hot_entries=2)
@@ -367,7 +330,7 @@ class TestTieredStorageAccounting:
 
 
 class TestOfflineArchiveRegressions:
-    """Storage accounting and query-pinned aging with the log in memory."""
+    """Storage accounting with the log in memory."""
 
     def test_storage_bytes_counts_index_and_annotations(self):
         archive = OfflineProvenanceArchive("a")
@@ -387,19 +350,6 @@ class TestOfflineArchiveRegressions:
         archive.record_base(Fact("link", ("a", "b")))
         archive.record_remote(Fact("route", ("b", "c")), origin="b")
         assert archive.storage_bytes() > before
-
-    def test_age_out_refuses_query_pinned_keys(self):
-        archive = OfflineProvenanceArchive("a", retention=10.0)
-        key = ("x", ("old",))
-        archive.record(
-            _firing("x", ("old",))
-        )
-        archive.pin_key(key)
-        archive.age_out(now=100.0)
-        assert archive.knows(key)
-        archive.release_key(key)
-        archive.age_out(now=100.0)
-        assert not archive.knows(key)
 
 
 class TestForensicTracebackCost:

@@ -907,7 +907,6 @@ class TestServicePlaneEquivalence:
                 shard_mode=shard_mode,
                 query_cache=True,
                 admission_rate=2.0,
-                admission_policy="retry",
                 seed=6,
             ),
         )

@@ -49,8 +49,7 @@ INV007  no dynamic code outside the rule compiler: a call to ``exec``,
         shims and retired with them; the number is not reused.)
 INV008  one signing path: ``rsa.sign`` / ``rsa.verify`` are reached — imported
         by name, or called through the ``rsa`` module — only from
-        ``security/authenticator.py`` (the tuple / anti-delta envelope),
-        ``provenance/authenticated.py`` (graph signing for queries) and
+        ``security/authenticator.py`` (the tuple / anti-delta envelope) and
         ``net/query.py`` (response signing).  A shipped tuple is signed once
         and verified once; a second per-tuple signing path regrowing in the
         engine would double the largest cost of the heaviest configuration
@@ -90,7 +89,7 @@ RULES: Dict[str, str] = {
     "INV004": "iteration over unordered set in the hot path",
     "INV006": "unbounded module-level cache in provenance/engine/service/net",
     "INV007": "exec/eval/compile outside the rule compiler",
-    "INV008": "rsa.sign/rsa.verify reached outside the three signing modules",
+    "INV008": "rsa.sign/rsa.verify reached outside the two signing modules",
     "INV009": "tempfile imported: files only under a caller-named directory",
     "INV010": "data wire message formed outside the kernel's dispatch",
 }
@@ -126,12 +125,11 @@ WALL_CLOCK = {
 DYNAMIC_CODE = ("exec", "eval", "compile")
 CODE_GENERATOR = "datalog/codegen.py"
 
-#: The RSA primitives and the modules that may reach them: the three signing
+#: The RSA primitives and the modules that may reach them: the two signing
 #: paths, the module that defines them and the package that re-exports them.
 RSA_PRIMITIVES = ("sign", "verify")
 RSA_CALLERS = (
     "security/authenticator.py",
-    "provenance/authenticated.py",
     "net/query.py",
     "security/rsa.py",
     "security/__init__.py",
