@@ -65,7 +65,9 @@
 #                      25 sim-s at 100 queries/s, result cache on): per
 #                      completed query, messages, closure lookups, entries
 #                      merged vs skipped, key renders, graph nodes built,
-#                      QueryTimeouts and NetworkStats.node lookups.  `make
+#                      QueryTimeouts, NetworkStats.node lookups, the event
+#                      heap's high-water mark, cancelled entries rebuilt away
+#                      and route costs computed.  `make
 #                      check` runs it at N=12 / 2 sim-s as a smoke.
 #   make reach-census-smoke - tools/reach_census.py: runs every example,
 #                      the experiment sweep at N=10,20, the scenario scripts,

@@ -57,6 +57,9 @@ class SimulationEvent:
 
     #: Tie-break rank at equal time; see module docstring.
     priority = CONTROL_PRIORITY
+    #: Only events with a ``cancelled`` field can be cancelled, and only
+    #: through :meth:`EventScheduler.cancel`.
+    cancelled = False
 
 
 @dataclass(eq=False, slots=True)
@@ -155,17 +158,17 @@ class QueryTimeout(SimulationEvent):
 
     Scheduled when the request is shipped; when the matching
     :class:`~repro.net.message.QueryResponse` arrives first the query
-    engine sets ``cancelled`` and the scheduler discards the entry without
-    dispatching it (no wasted event-budget).  Otherwise — the request or
-    the response was lost to a failed link or a crashed node — the queried
-    key is reported missing and the query completes with
-    ``complete=False``, which is how in-network provenance queries fail
-    *partially* instead of hanging forever.
+    engine cancels it (:meth:`EventScheduler.cancel`) and it never fires
+    (no wasted event-budget).  Otherwise — the request or the response was
+    lost to a failed link or a crashed node — the queried key is reported
+    missing and the query completes with ``complete=False``, which is how
+    in-network provenance queries fail *partially* instead of hanging
+    forever.
     """
 
     query_id: int = 0
     request_id: int = 0
-    #: Lazy cancellation flag honoured by :class:`EventScheduler`.
+    #: Set by :meth:`EventScheduler.cancel`, never directly.
     cancelled: bool = False
 
 
@@ -266,7 +269,7 @@ class InboxDrain(SimulationEvent):
     """
 
     address: Address = ""
-    #: Lazy cancellation flag honoured by :class:`EventScheduler`.
+    #: Set by :meth:`EventScheduler.cancel`, never directly.
     cancelled: bool = False
 
 
@@ -309,28 +312,39 @@ class EventScheduler:
     content (see :func:`event_rank`), so two kernels scheduling the same
     events — even interleaved differently, as the sharded backend does at
     its window barriers — replay them in the same order.
+
+    A cancelled event stays in the heap until it surfaces at the front,
+    where it is dropped, or until the cancelled entries outnumber the live
+    ones and the heap is rebuilt from the live ones alone.  The
+    ``(time, priority, rank, sequence)`` keys are unique, so a rebuild
+    leaves the pop order as it was.  The front entry is always live.
     """
 
     def __init__(self) -> None:
         self._heap: List[Tuple[float, int, Tuple, int, SimulationEvent]] = []
         self._sequence = 0
+        #: Cancelled entries still in the heap (never its front).
+        self._cancelled = 0
         self.events_scheduled = 0
 
     def _discard_cancelled(self) -> None:
-        # Lazily drop events whose owner cancelled them (e.g. a QueryTimeout
-        # whose response arrived) so they neither fire nor count against the
-        # max_events budget.  Only front-of-heap entries are inspected; a
-        # cancelled event deeper in the heap is discarded when it surfaces.
+        # Keep the front live: a cancelled event neither fires nor counts
+        # against the max_events budget.
         heap = self._heap
-        while heap and getattr(heap[0][-1], "cancelled", False):
+        while heap and heap[0][-1].cancelled:
             heapq.heappop(heap)
+            self._cancelled -= 1
+
+    def _rebuild(self) -> None:
+        """Drop every cancelled entry at once and re-heapify the rest."""
+        self._heap = [entry for entry in self._heap if not entry[-1].cancelled]
+        heapq.heapify(self._heap)
+        self._cancelled = 0
 
     def __len__(self) -> int:
-        self._discard_cancelled()
-        return len(self._heap)
+        return len(self._heap) - self._cancelled
 
     def __bool__(self) -> bool:
-        self._discard_cancelled()
         return bool(self._heap)
 
     def schedule(self, event: SimulationEvent, stamp: Optional[int] = None) -> int:
@@ -355,26 +369,32 @@ class EventScheduler:
         )
         return self._sequence
 
+    def cancel(self, event: SimulationEvent) -> None:
+        """Withdraw *event*, which must still be queued: it will not fire."""
+        event.cancelled = True
+        self._cancelled += 1
+        if 2 * self._cancelled > len(self._heap):
+            self._rebuild()
+        else:
+            self._discard_cancelled()
+
     def pop(self) -> SimulationEvent:
         """Remove and return the next live event in deterministic order."""
-        self._discard_cancelled()
-        entry = heapq.heappop(self._heap)
-        return entry[-1]
+        heap = self._heap
+        event = heapq.heappop(heap)[-1]
+        if heap and heap[0][-1].cancelled:
+            self._discard_cancelled()
+        return event
 
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next live event, or ``None`` when idle."""
-        self._discard_cancelled()
-        if not self._heap:
-            return None
-        return self._heap[0][0]
+        heap = self._heap
+        return heap[0][0] if heap else None
 
     def pending(self) -> Tuple[SimulationEvent, ...]:
         """The queued live events in fire order (non-destructive, for inspection)."""
         return tuple(
             entry[-1]
             for entry in sorted(self._heap, key=lambda e: e[:4])
-            if not getattr(entry[-1], "cancelled", False)
+            if not entry[-1].cancelled
         )
-
-    def clear(self) -> None:
-        self._heap.clear()

@@ -72,12 +72,7 @@ from repro.net.events import (
     SoftStateRefresh,
 )
 from repro.net.link import DEFAULT_BANDWIDTH, DEFAULT_LATENCY, Link
-from repro.net.message import (
-    AntiDelta,
-    MessageBatch,
-    QueryRequest,
-    QueryResponse,
-)
+from repro.net.message import AntiDelta, MessageBatch, QueryRequest, QueryResponse
 from repro.net.query import (
     PendingQuery,
     ProvenanceQuery,
@@ -247,6 +242,13 @@ def shape_link_facts(
     return per_node
 
 
+#: What :meth:`SimulationKernel.ship_routed` pays on a pair's live route: the
+#: first link's ``(source, hop)`` wire key (``None`` from a node to itself),
+#: its bandwidth and the summed latency of every hop; ``None`` when
+#: partitioned.
+RouteCost = Optional[Tuple[Optional[Tuple[Address, Address]], float, float]]
+
+
 class SimulationKernel:
     """Runs one program over (a shard of) one topology under one configuration.
 
@@ -373,8 +375,17 @@ class SimulationKernel:
         self._down_links: set = set()
         self._down_nodes: set = set()
         #: :meth:`route_between` answers over the current down sets (``None``:
-        #: partitioned); :meth:`_invalidate_routes` clears it when they mutate.
+        #: partitioned), and :meth:`ship_routed`'s first link and summed
+        #: latency of each; :meth:`_invalidate_routes` clears both when the
+        #: down sets mutate.
         self._routes: Dict[Tuple[Address, Address], Optional[Tuple[Link, ...]]] = {}
+        self._route_costs: Dict[Tuple[Address, Address], RouteCost] = {}
+        #: :meth:`_service_root`'s draw order: per ``(node, relation)``, the
+        #: rows it last sorted and their sorted list, reused while the
+        #: node's rows compare equal.
+        self._root_draws: Dict[
+            Tuple[Address, str], Tuple[Tuple[Fact, ...], List[Fact]]
+        ] = {}
         #: Base facts each node has asserted (for recovery re-injection and
         #: soft-state refresh rounds); retraction removes entries.
         self._base_facts: Dict[Address, Dict[FactKey, Fact]] = {}
@@ -436,7 +447,9 @@ class SimulationKernel:
         state["compiled"] = None
         state["_handlers"] = None
         state["_export_sink"] = None
-        state["_routes"] = {}
+        # The route and root-draw memos refill on demand.
+        for memo in ("_routes", "_route_costs", "_root_draws"):
+            state[memo] = {}
         # Identity-based bookkeeping cannot cross processes; kernels only
         # travel when no unowned broadcast copy is pending.
         state["_uncounted_ids"] = set()
@@ -495,6 +508,7 @@ class SimulationKernel:
     def _invalidate_routes(self) -> None:
         """Forget every cached route: a down set just changed."""
         self._routes.clear()
+        self._route_costs.clear()
 
     def hosts(self, address: Address) -> bool:
         """True when this kernel hosts *address*'s engine."""
@@ -621,12 +635,13 @@ class SimulationKernel:
                 self._events_processed += 1
         else:
             self._events_processed += 1
-        handler = self._handlers.get(type(event))
-        if handler is None:
+        try:
+            handler = self._handlers[type(event)]
+        except KeyError:
             raise TypeError(
                 f"no handler for scheduled event {type(event).__name__}; "
                 f"known events: {sorted(t.__name__ for t in self._handlers)}"
-            )
+            ) from None
         handler(event, event.time)
 
     def current_time(self) -> float:
@@ -909,14 +924,24 @@ class SimulationKernel:
         any instant under every backend, so both backends trace the same
         roots.  ``None`` when the node holds no such tuples.
         """
-        facts = sorted(engine.facts(event.relation), key=lambda fact: fact.values)
-        if not facts:
+        rows = engine.facts(event.relation)
+        if not rows:
             return None
+        selector = (engine.address, event.relation)
+        drawn = self._root_draws.get(selector)
+        # Equal rows sort alike; the comparison skips identical facts, and
+        # a refreshed row compares equal to the one it replaced.
+        if drawn is None or drawn[0] != rows:
+            drawn = self._root_draws[selector] = (
+                rows,
+                sorted(rows, key=lambda fact: fact.values),
+            )
+        facts = drawn[1]
         return facts[event.draw % len(facts)].key()
 
     def service_query_finished(self, pending: PendingQuery) -> None:
         """Record one service query's completion; keep its closed loop going."""
-        node_stats = self.stats.node(pending.query.at)
+        node_stats = pending.stats
         node_stats.queries_completed += 1
         bucket = latency_bucket(pending.completed_at - pending.issued_at)
         node_stats.query_latency_buckets[bucket] = (
@@ -1153,7 +1178,8 @@ class SimulationKernel:
             self.stats.messages_dropped += 1
             return
         node_stats = self.stats.node(destination)
-        if isinstance(message, MessageBatch):
+        kind = type(message)
+        if kind is MessageBatch:
             if self._drains_inbox and (
                 deliver_at < node_stats.busy_until or destination in self._inboxes
             ):
@@ -1166,9 +1192,17 @@ class SimulationKernel:
             else:
                 self._receive_round(destination, [message], deliver_at, node_stats)
             return
-        self._flush_inbox(destination, deliver_at)
+        if destination in self._inboxes:
+            self._flush_inbox(destination, deliver_at)
         node_stats.record_receive(message)
-        if isinstance(message, AntiDelta):
+        # Query-plane traffic is handled by the query engine, not the
+        # datalog engine; it shares the loss semantics above (a crashed
+        # node answers nothing, the querier's timeout reports the miss).
+        if kind is QueryRequest:
+            self.queries.handle_request(message, deliver_at, node_stats)
+        elif kind is QueryResponse:
+            self.queries.handle_response(message, deliver_at)
+        else:
             # Keys retracted upstream: prune local support polynomials and
             # keep the deletion fixpoint moving across the export graph.
             start = max(deliver_at, node_stats.busy_until)
@@ -1179,12 +1213,6 @@ class SimulationKernel:
             self._account_processing(destination, start, result.report, node_stats)
             self._ship_anti_deltas(destination, result.anti_deltas, node_stats)
             self._dispatch_outgoing(destination, result.outgoing, node_stats)
-            return
-        if isinstance(message, (QueryRequest, QueryResponse)):
-            # Query-plane traffic is handled by the query engine, not the
-            # datalog engine; it shares the loss semantics above (a crashed
-            # node answers nothing, the querier's timeout reports the miss).
-            self.queries.deliver(message, deliver_at)
 
     # -- the inbox ------------------------------------------------------------------
 
@@ -1198,7 +1226,7 @@ class SimulationKernel:
         that fires always finds the inbox it was armed for."""
         inbox = self._inboxes.pop(address, None)
         if inbox is not None:
-            self._drains.pop(address).cancelled = True
+            self.scheduler.cancel(self._drains.pop(address))
         return inbox
 
     def _flush_inbox(self, address: Address, at: float) -> None:
@@ -1213,12 +1241,14 @@ class SimulationKernel:
 
     def _handle_inbox_drain(self, event: InboxDrain, at: float) -> None:
         address = event.address
-        busy_until = self.stats.node(address).busy_until
-        if busy_until > at:
+        node_stats = self.stats.node(address)
+        if node_stats.busy_until > at:
             # Busy again meanwhile (query work): drain when it frees.
-            self._arm_drain(address, busy_until)
+            self._arm_drain(address, node_stats.busy_until)
             return
-        self._flush_inbox(address, at)
+        # The firing drain has left the heap already: forget it, never cancel.
+        del self._drains[address]
+        self._receive_round(address, self._inboxes.pop(address), at, node_stats)
 
     def _receive_round(
         self,
@@ -1427,6 +1457,20 @@ class SimulationKernel:
             frontier = next_frontier
         return None
 
+    def _route_cost(self, source: Address, destination: Address) -> RouteCost:
+        """The :data:`RouteCost` of shipping from *source* to *destination*."""
+        path = self.route_between(source, destination)
+        if path is None:
+            return None
+        if not path:
+            return None, 0.0, self.options.default_latency
+        first = path[0]
+        return (
+            (source, first.destination),
+            first.bandwidth,
+            sum(link.latency for link in path),
+        )
+
     def ship_routed(
         self,
         source: Address,
@@ -1434,36 +1478,39 @@ class SimulationKernel:
         message: WireMessage,
         send_time: float,
         node_stats: NodeStats,
-    ) -> None:
-        """Ship a message along the live multi-hop route to *destination*.
+    ) -> int:
+        """Ship a message along the live multi-hop route to *destination*;
+        returns its wire size.
 
         The sender pays for the bytes either way.  With no live route —
         partition, downed links — the message is lost; otherwise it
         serializes on the first hop's wire (the sender's interface) and pays
-        the summed propagation latency of every hop on the path.
+        the summed propagation latency of every hop on the path, memoised
+        per pair in ``_route_costs`` beside the route table.
         """
         if message.sequence == 0:
             message.sequence = self._next_sequence(source)
-        node_stats.record_send(message)
-        self.stats.total_messages += 1
-        path = self.route_between(source, destination)
-        if path is None:
-            self.stats.messages_lost += 1
-            return
         size = message.size_bytes()
-        if path:
-            first = path[0]
-            wire_seconds = size / first.bandwidth if first.bandwidth > 0 else 0.0
-            key = (source, first.destination)
-            transmit_at = max(send_time, self._link_busy_until.get(key, 0.0))
-            self._link_busy_until[key] = transmit_at + wire_seconds
-            latency = sum(link.latency for link in path)
-        else:
+        node_stats.record_send(message, size)
+        self.stats.total_messages += 1
+        pair = (source, destination)
+        try:
+            cost = self._route_costs[pair]
+        except KeyError:
+            cost = self._route_costs[pair] = self._route_cost(source, destination)
+        if cost is None:
+            self.stats.messages_lost += 1
+            return size
+        wire, bandwidth, latency = cost
+        if wire is None:
             wire_seconds = 0.0
             transmit_at = send_time
-            latency = self.options.default_latency
-        deliver_at = transmit_at + wire_seconds + latency
-        self._schedule_delivery(deliver_at, message)
+        else:
+            wire_seconds = size / bandwidth if bandwidth > 0 else 0.0
+            transmit_at = max(send_time, self._link_busy_until.get(wire, 0.0))
+            self._link_busy_until[wire] = transmit_at + wire_seconds
+        self._schedule_delivery(transmit_at + wire_seconds + latency, message)
+        return size
 
     def _ship(
         self,
@@ -1475,9 +1522,9 @@ class SimulationKernel:
     ) -> None:
         """Charge a data message's send and enqueue its delivery with
         link-serialized timing."""
-        node_stats.record_send(message)
-        self.stats.total_messages += 1
         size = message.size_bytes()
+        node_stats.record_send(message, size)
+        self.stats.total_messages += 1
         link = self.topology.link_between(source, destination)
         if link is not None:
             latency, bandwidth = link.latency, link.bandwidth

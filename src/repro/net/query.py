@@ -45,9 +45,22 @@ size memo           request, response, entry    never: the owner is immutable
 remote frontier     each closure entry          never: the owner is immutable
 replay memo         each closure entry          never; filled on graph read
 route table         each ``SimulationKernel``   LinkDown/Up, NodeCrash/Recover
+route-cost memo     each ``SimulationKernel``   LinkDown/Up, NodeCrash/Recover
+root-draw memo      each ``SimulationKernel``   the node's rows comparing unequal
 closure memo        per-node ``ClosureCache``   the node's ``provenance_epoch``
 expiry watermark    each ``Table``              soft store / refresh / any scan
 ==================  ==========================  ================================
+
+The route-cost memo holds each pair's first link and summed latency beside
+its route; the root-draw memo holds a ``(node, relation)``'s rows sorted for
+a service arrival's draw, reused while the node's rows compare equal to the
+ones it sorted (a refreshed row compares equal and keeps its place).
+
+The querier resolves its node's statistics record once, at issue
+(:attr:`PendingQuery.stats`); a responder's record comes with the request's
+delivery.  An answered request's :class:`~repro.net.events.QueryTimeout` is
+cancelled through :meth:`~repro.net.events.EventScheduler.cancel`, which
+drops it from the event heap once cancelled entries outnumber live ones.
 """
 
 from __future__ import annotations
@@ -63,7 +76,7 @@ from repro.net.message import (
     QueryRequest,
     QueryResponse,
 )
-from repro.net.stats import latency_bucket
+from repro.net.stats import NodeStats, latency_bucket
 from repro.provenance.graph import DerivationGraph, DerivationNode
 from repro.provenance.polynomial import ProvenanceExpression
 from repro.security.rsa import sign, verify
@@ -186,6 +199,9 @@ class PendingQuery:
     query_id: int
     query: ProvenanceQuery
     issued_at: float
+    #: The asker's statistics record, resolved once at issue: the query's
+    #: CPU, its requests and its bill are charged to it.
+    stats: NodeStats
     #: The merge log.  An item is a whole :class:`QueryClosureEntry`, a
     #: missing ``(key, node)`` pair, or an ``(entry, start, stop)`` slice of
     #: one entry's operators (its tuple node with the ``start == 0`` slice):
@@ -374,29 +390,28 @@ class QueryEngine:
 
         self._next_query_id += 1
         pending = PendingQuery(
-            query_id=self._next_query_id, query=query, issued_at=now
+            query_id=self._next_query_id,
+            query=query,
+            issued_at=now,
+            stats=simulator.stats.node(query.at),
         )
         # Attached before _expand_local: a query resolved entirely from the
         # asker's own store finishes synchronously inside this call, and the
         # service plane must still hear about it.
         pending.service = service
         self._queries[pending.query_id] = pending
-        simulator.stats.node(query.at).queries_issued += 1
+        pending.stats.queries_issued += 1
         if query.condensed:
             pending.condensed = self._annotation_for(engine, query.root, query.mode)
         self._expand_local(pending, query.root, now)
         if not pending.outstanding:
-            self._finish(pending, simulator.stats.node(query.at).busy_until)
+            self._finish(pending, pending.stats.busy_until)
         return pending
 
-    # -- delivery dispatch ------------------------------------------------------
-
-    def deliver(self, message, deliver_at: float) -> None:
-        """Entry point for query-plane messages arriving at a live node."""
-        if isinstance(message, QueryRequest):
-            self._handle_request(message, deliver_at)
-        else:
-            self._handle_response(message, deliver_at)
+    # -- delivery ----------------------------------------------------------------
+    #
+    # The kernel hands each query-plane message that reaches a live node to
+    # handle_request or handle_response, by its type.
 
     def handle_timeout(self, event: QueryTimeout, at: float) -> None:
         """An outstanding request was never answered: its key goes missing."""
@@ -415,14 +430,14 @@ class QueryEngine:
 
     # -- responder side ----------------------------------------------------------
 
-    def _handle_request(self, request: QueryRequest, at: float) -> None:
+    def handle_request(
+        self, request: QueryRequest, at: float, responder: NodeStats
+    ) -> None:
+        """Answer *request* at its destination, whose record is *responder*."""
         simulator = self.simulator
-        engine = simulator.engines.get(request.destination)
-        if engine is None:
-            return
         entries, missing, annotation, lookups = self._closure(
-            engine,
-            request.destination,
+            simulator.engines[request.destination],
+            responder,
             request.key,
             request.mode,
             request.condensed,
@@ -464,22 +479,23 @@ class QueryEngine:
             simulator.options.cost_model.query_cpu_seconds(lookups, response.size_bytes())
             + signing_cost
         )
-        send_time = self._charge(request.destination, at, cpu)
-        self._ship(response.query_id, request.destination, response, send_time)
+        send_time = self._charge(responder, at, cpu)
+        self._ship(response.query_id, responder, response, send_time)
 
     # -- querier side -------------------------------------------------------------
 
-    def _handle_response(self, response: QueryResponse, at: float) -> None:
+    def handle_response(self, response: QueryResponse, at: float) -> None:
+        """Merge *response* into the pending query that asked for it."""
         simulator = self.simulator
         pending = self._queries.get(response.query_id)
-        if pending is None or pending.done:
-            return
-        if response.request_id not in pending.outstanding:
+        if pending is None:
+            return  # finished: a late answer is a no-op
+        outstanding = pending.outstanding.pop(response.request_id, None)
+        if outstanding is None:
             return  # already timed out; the answer arrived too late
-        _key, _node, timeout = pending.outstanding.pop(response.request_id)
         # The answer is here: its timeout must neither fire nor burn an
-        # event-budget slot when the scheduler reaches it.
-        timeout.cancelled = True
+        # event-budget slot.
+        simulator.scheduler.cancel(outstanding[2])
         verification_cost = 0.0
         if pending.query.authenticated:
             verification_cost = simulator.options.cost_model.seconds_per_verification
@@ -496,18 +512,15 @@ class QueryEngine:
                 pending.verification_failures += 1
                 if response.key not in pending.missing:
                     pending.missing.append(response.key)
-                self._charge(pending.query.at, at, verification_cost)
+                self._charge(pending.stats, at, verification_cost)
                 if not pending.outstanding:
-                    self._finish(
-                        pending,
-                        simulator.stats.node(pending.query.at).busy_until,
-                    )
+                    self._finish(pending, pending.stats.busy_until)
                 return
         cpu = (
             simulator.options.cost_model.query_cpu_seconds(0, response.size_bytes())
             + verification_cost
         )
-        now = self._charge(pending.query.at, at, cpu)
+        now = self._charge(pending.stats, at, cpu)
         if response.source not in pending.nodes_visited:
             pending.nodes_visited.append(response.source)
         if response.annotation is not None:
@@ -519,25 +532,22 @@ class QueryEngine:
             pending, response.source, response.entries, response.missing, now
         )
         if not pending.outstanding:
-            self._finish(
-                pending, simulator.stats.node(pending.query.at).busy_until
-            )
+            self._finish(pending, pending.stats.busy_until)
 
     def _expand_local(self, pending: PendingQuery, key: FactKey, now: float) -> None:
         """Resolve *key* at the querying node itself: CPU, but no messages."""
         simulator = self.simulator
         at_node = pending.query.at
-        engine = simulator.engines[at_node]
         entries, missing, _annotation, lookups = self._closure(
-            engine,
-            at_node,
+            simulator.engines[at_node],
+            pending.stats,
             key,
             pending.query.mode,
             pending.query.condensed,
             now,
         )
         cpu = simulator.options.cost_model.query_cpu_seconds(lookups, 0)
-        now = self._charge(at_node, now, cpu)
+        now = self._charge(pending.stats, now, cpu)
         if at_node not in pending.nodes_visited:
             pending.nodes_visited.append(at_node)
         self._merge_closure(pending, at_node, entries, missing, now)
@@ -604,7 +614,8 @@ class QueryEngine:
         pair = (key, node)
         if pair in pending.seen or pair in pending.requested:
             return
-        if node == pending.query.at:
+        at = pending.query.at
+        if node == at:
             # The pointer leads back to the asker: resolved in memory.
             self._expand_local(pending, key, now)
             return
@@ -613,7 +624,7 @@ class QueryEngine:
         simulator = self.simulator
         self._next_request_id += 1
         request = QueryRequest(
-            source=pending.query.at,
+            source=at,
             destination=node,
             key=key,
             query_id=pending.query_id,
@@ -624,11 +635,11 @@ class QueryEngine:
             key_bytes=key_bytes,
         )
         send_time = self._charge(
-            pending.query.at,
+            pending.stats,
             now,
             simulator.options.cost_model.query_cpu_seconds(0, request.size_bytes()),
         )
-        self._ship(pending.query_id, pending.query.at, request, send_time)
+        self._ship(pending.query_id, pending.stats, request, send_time)
         timeout_after = pending.query.timeout or DEFAULT_QUERY_TIMEOUT
         timeout = QueryTimeout(
             time=send_time + timeout_after,
@@ -656,14 +667,14 @@ class QueryEngine:
     def _closure(
         self,
         engine,
-        node: Address,
+        stats: NodeStats,
         key: FactKey,
         mode: str,
         condensed: bool,
         now: float,
     ):
-        """Resolve the local closure of *key* at *node*, through the node's
-        result cache when the service plane armed one.
+        """Resolve the local closure of *key* at the node *stats* records,
+        through the node's result cache when the service plane armed one.
 
         Returns ``(entries, missing, annotation, lookups)`` where *lookups*
         is the store-lookup count to bill CPU for: the full walk on a miss,
@@ -673,6 +684,7 @@ class QueryEngine:
         on every provenance-store mutation, so a hit is always structurally
         identical to a cold walk at the same instant.
         """
+        node = stats.address
         cache = self.simulator.query_cache_for(node)
         if cache is None:
             entries, missing = _local_closure(self._store(engine, mode), node, key)
@@ -680,7 +692,6 @@ class QueryEngine:
                 self._annotation_for(engine, key, mode) if condensed else None
             )
             return entries, missing, annotation, len(entries) + len(missing)
-        stats = self.simulator.stats.node(node)
         cache_key = (key, mode, condensed)
         epoch = engine.provenance_epoch
         hit, invalidated = cache.lookup(cache_key, epoch, now)
@@ -726,69 +737,56 @@ class QueryEngine:
             return engine.provenance.annotation(key)
         return None
 
-    def _charge(self, address: Address, start_floor: float, cpu: float) -> float:
-        """Advance *address*'s CPU clock by *cpu* seconds; return its new busy time."""
-        stats = self.simulator.stats.node(address)
+    @staticmethod
+    def _charge(stats: NodeStats, start_floor: float, cpu: float) -> float:
+        """Advance the CPU clock of the node *stats* records by *cpu* seconds;
+        return its new busy time."""
         start = max(start_floor, stats.busy_until)
         stats.cpu_seconds += cpu
         stats.busy_until = start + cpu
         return stats.busy_until
 
-    def _ship(self, query_id: int, source: Address, message, send_time: float) -> None:
+    def _ship(self, query_id: int, sender: NodeStats, message, send_time: float) -> None:
         """Put one query-plane message on the wire, charging the usual costs
-        plus the per-query attribution to the asking node.
+        to the node *sender* records, and bill it to the query *query_id*
+        and its asker.
 
         Query traffic travels between arbitrary node pairs, so it is routed
         hop-by-hop over the currently-live topology (a partition loses it).
         """
         simulator = self.simulator
-        node_stats = simulator.stats.node(source)
-        simulator.ship_routed(
-            source, message.destination, message, send_time, node_stats
+        size = simulator.ship_routed(
+            sender.address, message.destination, message, send_time, sender
         )
-        size = message.size_bytes()
-        if isinstance(message, QueryResponse):
-            asker = message.destination
-            if self.resolve_remote is not None:
-                # Query ids are only unique per kernel, and a response's
-                # rightful pending query lives at the kernel hosting the
-                # *asker* (its destination) — never this one's same-id
-                # entry, which may belong to an unrelated concurrent query.
-                # The coordinator resolves by asker, which routes back to
-                # this kernel when the asker is local, so the response's
-                # price lands on the same books the serial backend keeps.
-                pending = self.resolve_remote(asker, query_id)
-                known = pending is not None
-            else:
-                # No resolver (serial backend, or a process-mode worker that
-                # cannot reach other kernels' state): a same-id local pending
-                # only counts when it really belongs to this asker.  For a
-                # foreign asker the charge is recorded sight unseen — the
-                # serial backend would only skip it when the query had
-                # already finished, which takes a >timeout link backlog
-                # before the response even ships.
-                candidate = self._queries.get(query_id)
-                pending = (
-                    candidate
-                    if candidate is not None and candidate.query.at == asker
-                    else None
-                )
-                known = pending is not None or not simulator.hosts(asker)
-        else:
-            asker = message.source
+        asker = (
+            message.destination if type(message) is QueryResponse else sender.address
+        )
+        if simulator.hosts(asker):
+            # Query ids are only unique per kernel, and a message's rightful
+            # pending query lives at the kernel hosting the asker — this
+            # one — so a same-id entry counts only when it really belongs
+            # to this asker.  The serial backend misses a response's query
+            # only when it had already finished, which takes a >timeout
+            # link backlog before the response even ships.
             pending = self._queries.get(query_id)
-            known = pending is not None
-        if pending is not None:
+            if pending is not None and pending.query.at == asker:
+                pending.messages += 1
+                pending.bytes += size
+                pending.stats.query_bytes_charged += size
+            return
+        # A response passing through a kernel that does not host its asker
+        # must not fabricate a phantom NodeStats entry on this shard's
+        # books; the charge is recorded as a receipt the sharded coordinator
+        # settles into the asker's merged stats at barrier time.
+        if self.resolve_remote is not None:
+            # In-process shards: the coordinator resolves the pending by
+            # asker, and the charge stands only while that query is live.
+            pending = self.resolve_remote(asker, query_id)
+            if pending is None:
+                return
             pending.messages += 1
             pending.bytes += size
-        if known:
-            if simulator.hosts(asker):
-                simulator.stats.node(asker).query_bytes_charged += size
-            else:
-                # A query message passing through a kernel that does not host
-                # the asker must not fabricate a phantom NodeStats entry on
-                # this shard's books; the charge is recorded as a receipt the
-                # sharded coordinator settles into the asker's merged stats
-                # at barrier time.
-                receipts = simulator.query_receipts
-                receipts[asker] = receipts.get(asker, 0) + size
+        # Without a resolver (a process-mode worker cannot reach other
+        # kernels' state) the charge is recorded sight unseen.
+        receipts = simulator.query_receipts
+        receipts[asker] = receipts.get(asker, 0) + size

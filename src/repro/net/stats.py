@@ -212,27 +212,31 @@ class NodeStats:
     query_latency_buckets: Dict[int, int] = field(default_factory=dict)
     cache_staleness_buckets: Dict[int, int] = field(default_factory=dict)
 
-    def record_send(self, message: WireMessage) -> None:
+    def record_send(self, message: WireMessage, size: int) -> None:
+        """Count *message*, whose wire size the sender already read as *size*."""
         self.messages_sent += 1
-        self.bytes_sent += message.size_bytes()
+        self.bytes_sent += size
         self.security_bytes_sent += message.security_bytes
         self.provenance_bytes_sent += message.provenance_bytes
-        count = message.tuple_count
-        self.tuples_sent += count
-        if isinstance(message, MessageBatch):
+        kind = type(message)
+        if kind is MessageBatch:
+            # The one message kind that carries tuples.
+            count = message.tuple_count
+            self.tuples_sent += count
             self.batches_sent += 1
             self.batch_sizes[count] = self.batch_sizes.get(count, 0) + 1
-        elif isinstance(message, (QueryRequest, QueryResponse)):
-            self.query_messages_sent += 1
-            self.query_bytes_sent += message.size_bytes()
-        elif isinstance(message, AntiDelta):
+        elif kind is AntiDelta:
             self.anti_delta_messages += 1
-            self.anti_delta_bytes += message.size_bytes()
+            self.anti_delta_bytes += size
+        else:
+            self.query_messages_sent += 1
+            self.query_bytes_sent += size
 
     def record_receive(self, message: WireMessage) -> None:
         self.messages_received += 1
         self.bytes_received += message.size_bytes()
-        self.tuples_received += message.tuple_count
+        if type(message) is MessageBatch:
+            self.tuples_received += message.tuple_count
 
     def merge(self, other: "NodeStats") -> None:
         """Fold *other*'s counters into this record (same node, two sources).

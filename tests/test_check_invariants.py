@@ -604,6 +604,48 @@ class TestOneFormationSite:
         assert [(f.path, f.line) for f in findings] == [("engine/mod.py", 4)]
 
 
+class TestOneWayToCancel:
+    SCHEDULER = (
+        "class EventScheduler:\n"
+        "    def cancel(self, event):\n"
+        "        event.cancelled = True\n"
+        "        self._cancelled += 1\n"
+    )
+
+    def test_cancelling_behind_the_schedulers_back_flagged(self, tree):
+        (tree / "net" / "query.py").write_text(
+            "def answered(pending, request_id):\n"
+            "    _key, _node, timeout = pending.outstanding.pop(request_id)\n"
+            "    timeout.cancelled = True\n"
+            "    pending.drains[0].cancelled, done = True, 1\n",
+            encoding="utf-8",
+        )
+        findings = [f for f in tool.check_tree(tree) if f.rule == "INV011"]
+        assert [(f.path, f.line) for f in findings] == [
+            ("net/query.py", 3),
+            ("net/query.py", 4),
+        ]
+
+    def test_the_scheduler_may(self, tree):
+        events = tree / "net" / "events.py"
+        events.write_text(
+            events.read_text(encoding="utf-8") + "\n\n" + self.SCHEDULER,
+            encoding="utf-8",
+        )
+        assert "INV011" not in _rules(tool.check_tree(tree))
+
+    def test_a_cancel_method_elsewhere_is_not_the_site(self, tree):
+        (tree / "net" / "kernel.py").write_text(
+            self.SCHEDULER.replace("EventScheduler", "Kernel"), encoding="utf-8"
+        )
+        (tree / "engine" / "events.py").write_text(self.SCHEDULER, encoding="utf-8")
+        findings = [f for f in tool.check_tree(tree) if f.rule == "INV011"]
+        assert [(f.path, f.line) for f in findings] == [
+            ("engine/events.py", 3),
+            ("net/kernel.py", 3),
+        ]
+
+
 class TestNoHiddenFiles:
     @pytest.mark.parametrize(
         "statement",

@@ -9,6 +9,8 @@ statistics (the sharded backend's core contract).
 from __future__ import annotations
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 from oracle import evaluate_program
 
 from repro.datalog import localize_program, parse_program
@@ -17,6 +19,7 @@ from repro.datalog.planner import compile_program
 from repro.engine.database import Database
 from repro.engine.node_engine import EngineConfig, ProvenanceMode
 from repro.engine.tuples import Fact
+from repro.net.events import EventScheduler, InboxDrain, QueryTimeout
 from repro.net.kernel import SimulationKernel
 from repro.net.sharding import ShardedSimulator
 from repro.net.stats import COORDINATION_KEYS
@@ -60,6 +63,83 @@ class TestFifoDeltaOrder:
         assert [str(d) for d in first.derivations] == [str(d) for d in second.derivations]
         assert first.iterations == second.iterations
         assert first.database.snapshot() == second.database.snapshot()
+
+
+#: One scheduling step: ``(operation, time, kind, index)``.  Schedules and
+#: cancellations outweigh pops, so cancelled entries pile up below the heap
+#: front and outnumber the live ones again and again.
+scheduler_steps = st.lists(
+    st.tuples(
+        st.sampled_from(("schedule",) * 3 + ("cancel",) * 3 + ("pop",)),
+        st.integers(0, 6).map(float),
+        st.sampled_from(("timeout", "drain")),
+        st.integers(0, 10_000),
+    ),
+    min_size=60,
+    max_size=120,
+)
+
+
+class TestCancelledEventsLeaveTheHeap:
+    @settings(max_examples=60, deadline=None)
+    @given(steps=scheduler_steps)
+    def test_pops_follow_a_sorted_reference_of_the_live_events(self, steps):
+        """Random events — ties in time, priority and rank included — are
+        scheduled, cancelled through ``EventScheduler.cancel`` and popped.
+        Every pop returns the front of a sorted reference of the live
+        entries, and ``len`` is the live count after every step, however
+        often the cancelled entries outnumbered the live ones and the heap
+        was rebuilt."""
+        scheduler = EventScheduler()
+        live = []  # (time, priority, rank, sequence, event), kept sorted
+        rebuilds = 0
+        rebuild = scheduler._rebuild
+
+        def counted_rebuild():
+            nonlocal rebuilds
+            rebuilds += 1
+            rebuild()
+
+        scheduler._rebuild = counted_rebuild
+        for number, (operation, time, kind, index) in enumerate(steps):
+            if operation == "schedule":
+                if kind == "timeout":
+                    # Equal query ids tie on rank; the sequence decides.
+                    queued = QueryTimeout(time=time, query_id=number % 3, request_id=0)
+                    rank = (1, queued.query_id, 0)
+                else:
+                    queued = InboxDrain(time=time, address=f"n{number % 2}")
+                    rank = (4, queued.address)
+                sequence = scheduler.schedule(queued)
+                live.append((time, queued.priority, rank, sequence, queued))
+                live.sort(key=lambda entry: entry[:4])
+            elif operation == "cancel" and live:
+                scheduler.cancel(live.pop(index % len(live))[-1])
+            elif operation == "pop" and live:
+                assert scheduler.pop() is live.pop(0)[-1]
+            assert len(scheduler) == len(live)
+            assert bool(scheduler) == bool(live)
+            assert scheduler.peek_time() == (live[0][0] if live else None)
+        assert [entry[-1] for entry in live] == list(scheduler.pending())
+        event(f"heap rebuilds: {min(rebuilds, 4)}")
+        while live:
+            assert scheduler.pop() is live.pop(0)[-1]
+        assert not scheduler and len(scheduler) == 0
+
+    def test_rebuilds_happen_when_cancellations_dominate(self):
+        scheduler = EventScheduler()
+        timeouts = [
+            QueryTimeout(time=float(i), query_id=i, request_id=0) for i in range(64)
+        ]
+        for timeout in timeouts:
+            scheduler.schedule(timeout)
+        # Cancel from the back, so no cancelled entry surfaces at the front:
+        # only rebuilds keep the heap within twice the live count.
+        for timeout in reversed(timeouts[1:]):
+            scheduler.cancel(timeout)
+            assert len(scheduler._heap) <= 2 * len(scheduler)
+        assert len(scheduler) == 1 and len(scheduler._heap) == 1
+        assert scheduler.pop() is timeouts[0]
 
 
 class RecordingSimulator(SimulationKernel):

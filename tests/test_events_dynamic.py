@@ -25,6 +25,7 @@ from repro.net.events import (
     MessageDelivery,
     NodeCrash,
     NodeRecover,
+    QueryTimeout,
 )
 from repro.net.kernel import SimulationKernel
 from repro.net.topology import line_topology, random_topology, ring_topology
@@ -85,6 +86,31 @@ class TestEventScheduler:
         scheduler.schedule(delivery(2.0))
         assert scheduler.peek_time() == 2.0
         assert len(scheduler) == 2
+
+    def test_len_counts_only_live_events(self):
+        """A cancelled event below the heap front is not pending, so it is
+        not counted either."""
+        scheduler = EventScheduler()
+        early = QueryTimeout(time=1.0, query_id=1, request_id=1)
+        late = QueryTimeout(time=2.0, query_id=1, request_id=2)
+        for event in (early, late, delivery(3.0), delivery(4.0)):
+            scheduler.schedule(event)
+        scheduler.cancel(late)
+        assert late.cancelled and len(scheduler._heap) == 4
+        assert len(scheduler) == len(scheduler.pending()) == 3
+        assert scheduler.pop() is early
+        assert scheduler.peek_time() == 3.0
+        assert len(scheduler) == len(scheduler.pending()) == 2
+
+    def test_a_cancelled_front_never_surfaces(self):
+        scheduler = EventScheduler()
+        first = QueryTimeout(time=1.0, query_id=1, request_id=1)
+        for event in (first, delivery(2.0), delivery(3.0)):
+            scheduler.schedule(event)
+        scheduler.cancel(first)
+        assert scheduler.peek_time() == 2.0 and len(scheduler) == 2
+        assert [scheduler.pop().time for _ in range(2)] == [2.0, 3.0]
+        assert not scheduler and len(scheduler) == 0
 
     def test_pending_is_nondestructive_and_ordered(self):
         scheduler = EventScheduler()

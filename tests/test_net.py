@@ -153,7 +153,7 @@ class TestStats:
         stats = NodeStats(address="a")
         fact = Fact("link", ("a", "b"))
         message = batch_of_one("a", "b", fact, security_bytes=10, provenance_bytes=5)
-        stats.record_send(message)
+        stats.record_send(message, message.size_bytes())
         stats.record_receive(message)
         assert stats.messages_sent == 1 and stats.messages_received == 1
         assert stats.bytes_sent == message.size_bytes()
@@ -164,7 +164,7 @@ class TestStats:
         network = NetworkStats()
         fact = Fact("link", ("a", "b"))
         message = batch_of_one("a", "b", fact, security_bytes=8)
-        network.node("a").record_send(message)
+        network.node("a").record_send(message, message.size_bytes())
         network.node("b").record_receive(message)
         assert network.total("bytes_sent") == message.size_bytes()
         assert network.summary()["bandwidth_mb"] == pytest.approx(message.size_bytes() / 1e6)

@@ -20,7 +20,14 @@ from hypothesis import strategies as st
 import repro.net.message as message_module
 from repro.api import Network
 from repro.engine.node_engine import EngineConfig
-from repro.net.events import LinkDown, LinkUp, NodeCrash, NodeRecover
+from repro.net.events import (
+    EventScheduler,
+    LinkDown,
+    LinkUp,
+    NodeCrash,
+    NodeRecover,
+    QueryTimeout,
+)
 from repro.net.kernel import SimulationKernel
 from repro.net.message import (
     MESSAGE_HEADER_BYTES,
@@ -29,6 +36,7 @@ from repro.net.message import (
     QueryRequest,
     QueryResponse,
 )
+from repro.net.stats import NetworkStats
 from repro.net.topology import random_topology
 from repro.net.transport import BinaryCodec
 from repro.provenance.graph import DerivationGraph
@@ -270,10 +278,25 @@ def test_cached_routes_equal_a_fresh_search(script):
 
 
 def test_route_table_does_not_travel_with_the_kernel():
-    kernel = _kernel()
-    assert kernel.route_between(NODES[0], NODES[3]) is not None
-    assert kernel._routes
-    assert kernel.__getstate__()["_routes"] == {}
+    network = Network.build(
+        topology=TOPOLOGY, program="best-path", provenance="condensed", seed=2
+    )
+    network.run()
+    kernel = network.simulator
+    root = kernel.engines[NODES[0]].facts("bestPath")[0]
+    assert not kernel.query(root, at=NODES[0]).missing
+    network.serve(QueryWorkload(rate=50, duration=0.2, seed=2, pool=4), converge=False)
+    assert kernel._routes and kernel._route_costs and kernel._root_draws
+    state = kernel.__getstate__()
+    for memo in ("_routes", "_route_costs", "_root_draws"):
+        assert state[memo] == {}
+    # A down set that changes forgets both route memos.
+    kernel.schedule(
+        LinkDown(time=kernel.current_time(), source=DIRECTED[0][0],
+                 destination=DIRECTED[0][1], retract=False)
+    )
+    kernel.run_until_idle()
+    assert kernel._routes == {} and kernel._route_costs == {}
 
 
 # -- (c) shared replay nodes ---------------------------------------------------
@@ -321,6 +344,11 @@ def test_cached_replay_matches_the_oracle_without_aliasing(capacity):
 
 
 # -- (d) the work budget -------------------------------------------------------
+
+#: ``NetworkStats.node`` lookups and the event heap's high-water mark while
+#: serving the budget workload below.
+LOOKUPS = 1064
+HEAP_HIGH_WATER = 261
 
 
 def test_serving_pays_one_search_per_pair_and_one_render_per_entry(monkeypatch):
@@ -370,11 +398,47 @@ def test_serving_pays_one_search_per_pair_and_one_render_per_entry(monkeypatch):
         graphs.append(self)
         new_graph(self)
 
+    costs = []
+    route_cost = SimulationKernel._route_cost
+
+    def counted_cost(self, source, destination):
+        costs.append((source, destination))
+        return route_cost(self, source, destination)
+
+    lookups = []
+    node_lookup = NetworkStats.node
+
+    def counted_lookup(self, address):
+        lookups.append(address)
+        return node_lookup(self, address)
+
+    heap_sizes, timeouts = [], []
+    schedule = EventScheduler.schedule
+
+    def counted_schedule(self, event, stamp=None):
+        sequence = schedule(self, event, stamp)
+        heap_sizes.append(len(self._heap))
+        if type(event) is QueryTimeout:
+            timeouts.append(event)
+        return sequence
+
+    requests = []
+    ship = SimulationKernel.ship_routed
+
+    def counted_ship(self, source, destination, message, send_time, node_stats):
+        if type(message) is QueryRequest:
+            requests.append(message)
+        return ship(self, source, destination, message, send_time, node_stats)
+
     monkeypatch.setattr(SimulationKernel, "_search_route", counted_search)
     monkeypatch.setattr(message_module, "key_payload_bytes", counted_render)
     monkeypatch.setattr(QueryClosureEntry, "frontier", counted_frontier)
     monkeypatch.setattr(ProvenancePointer, "operator", counted_operator)
     monkeypatch.setattr(DerivationGraph, "__init__", counted_graph)
+    monkeypatch.setattr(SimulationKernel, "_route_cost", counted_cost)
+    monkeypatch.setattr(NetworkStats, "node", counted_lookup)
+    monkeypatch.setattr(EventScheduler, "schedule", counted_schedule)
+    monkeypatch.setattr(SimulationKernel, "ship_routed", counted_ship)
 
     workload = QueryWorkload(rate=100, duration=2.0, seed=4, pool=16)
     result = network.serve(workload, converge=False)
@@ -384,8 +448,21 @@ def test_serving_pays_one_search_per_pair_and_one_render_per_entry(monkeypatch):
     assert messages == 652 and summary["messages_lost"] == 0
 
     # No topology event in the window: one search per pair, however many of
-    # the 652 routed messages travel it.
+    # the 652 routed messages travel it, and one route cost per pair.
     assert len(searches) == len(set(searches)) == 88
+    assert costs == searches
+
+    # Statistics records: one per arrival, query and delivered message; no
+    # CPU charge or bill resolves its own.
+    assert len(lookups) == LOOKUPS
+
+    # One timeout per request, every one of them answered and cancelled; a
+    # cancelled timeout leaves the heap once cancellations dominate it, so
+    # the heap stays below the 329 entries it reaches when every cancelled
+    # timeout waits out its deadline there.
+    assert len(timeouts) == len(requests) == 326 == messages // 2
+    assert all(timeout.cancelled for timeout in timeouts)
+    assert max(heap_sizes) == HEAP_HIGH_WATER
 
     # Nobody reads these queries' graphs, so none is built: no graph, and
     # no pointer turned into an operator node.

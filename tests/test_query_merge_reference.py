@@ -209,6 +209,7 @@ def _split_probe(network, engine):
         query_id=engine._next_query_id,
         query=ProvenanceQuery(root=output, at="n0"),
         issued_at=now,
+        stats=network.stats.node("n0"),
     )
     engine._queries[pending.query_id] = pending
     engine._merge_closure(pending, "n1", (entry,), (), now)

@@ -64,6 +64,11 @@ INV010  one formation site: ``MessageBatch(...)``, the data wire message, is
         ``_decode_message_body`` (which rebuilds a shipped one).  Under
         signed ``says`` a data message formed anywhere else would skip both
         the Merkle seal and its ``_count_seals`` charge.
+INV011  one way to cancel an event: nothing assigns ``.cancelled`` outside
+        ``EventScheduler.cancel`` in ``net/events.py``.  The scheduler counts
+        the cancelled entries still in its heap — ``len`` and its rebuilds
+        depend on the count — so an event cancelled behind its back would
+        leave the count short.
 
 A finding on a line ending with ``# invariant: ok(INVxxx)`` is suppressed —
 the comment is the audit trail for deliberate exceptions.
@@ -92,6 +97,7 @@ RULES: Dict[str, str] = {
     "INV008": "rsa.sign/rsa.verify reached outside the two signing modules",
     "INV009": "tempfile imported: files only under a caller-named directory",
     "INV010": "data wire message formed outside the kernel's dispatch",
+    "INV011": "event cancelled outside EventScheduler.cancel",
 }
 
 #: Directories whose code runs inside the simulation loop.  The service
@@ -141,6 +147,10 @@ DATA_MESSAGE_SITES = (
     ("net/kernel.py", "_dispatch_outgoing"),
     ("net/transport.py", "_decode_message_body"),
 )
+
+#: The event flag only the scheduler may set, and where: (file, class, method).
+CANCEL_FLAG = "cancelled"
+CANCEL_SITES = (("net/events.py", "EventScheduler", "cancel"),)
 
 ALLOW_PATTERN = re.compile(r"#\s*invariant:\s*ok\((INV\d{3})\)")
 
@@ -228,7 +238,7 @@ def _is_unbounded_memo_decorator(decorator: ast.AST) -> bool:
 
 
 class FileChecker(ast.NodeVisitor):
-    """Per-file visitor emitting INV001 / INV002 / INV004 / INV006 – INV010."""
+    """Per-file visitor emitting INV001 / INV002 / INV004 / INV006 – INV011."""
 
     def __init__(self, relative: str, allowed: Dict[int, Set[str]]) -> None:
         self.relative = relative
@@ -240,6 +250,11 @@ class FileChecker(ast.NodeVisitor):
         self.signs = relative in RSA_CALLERS
         self.formers = {name for path, name in DATA_MESSAGE_SITES if path == relative}
         self.functions: List[str] = []
+        self.classes: List[str] = []
+        #: The scopes that may set the cancel flag here: (class, method).
+        self.cancellers = {
+            (owner, method) for path, owner, method in CANCEL_SITES if path == relative
+        }
 
     def _emit(self, rule: str, node: ast.AST, message: str) -> None:
         line = getattr(node, "lineno", 0)
@@ -319,7 +334,7 @@ class FileChecker(ast.NodeVisitor):
                     )
         self.generic_visit(node)
 
-    # -- INV010 -----------------------------------------------------------------
+    # -- INV010 / INV011 ----------------------------------------------------------
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self.functions.append(node.name)
@@ -327,6 +342,39 @@ class FileChecker(ast.NodeVisitor):
         self.functions.pop()
 
     visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        self.classes.append(node.name)
+        self.generic_visit(node)
+        self.classes.pop()
+
+    # -- INV011 -----------------------------------------------------------------
+
+    def _check_cancel_flag(self, targets: Sequence[ast.AST]) -> None:
+        if self.classes and self.functions:
+            if (self.classes[-1], self.functions[-1]) in self.cancellers:
+                return
+        for target in targets:
+            for node in ast.walk(target):
+                if isinstance(node, ast.Attribute) and node.attr == CANCEL_FLAG:
+                    self._emit(
+                        "INV011",
+                        node,
+                        f"assigns .{CANCEL_FLAG}; cancel an event through "
+                        "EventScheduler.cancel, which counts it",
+                    )
+
+    def visit_Assign(self, node: ast.Assign) -> None:
+        self._check_cancel_flag(node.targets)
+        self.generic_visit(node)
+
+    def visit_AugAssign(self, node: ast.AugAssign) -> None:
+        self._check_cancel_flag([node.target])
+        self.generic_visit(node)
+
+    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+        self._check_cancel_flag([node.target])
+        self.generic_visit(node)
 
     # -- INV001 / INV002 / INV007 / INV008 / INV010 --------------------------------
 

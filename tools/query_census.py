@@ -7,10 +7,12 @@ result cache armed, serves an open-loop ``QueryWorkload`` and prints, in
 total and per completed query: query messages, closure lookups (cache hits,
 misses, invalidations), closure entries the querier received and how many it
 merged or skipped as already seen, key renders, graph and graph-node
-constructions, ``QueryTimeout``\\ s scheduled / cancelled / fired, and
-``NetworkStats.node`` lookups.  Only the serve window is counted.  With
-``--read`` every query's graph is read as it completes, as an API caller
-would; by default nobody reads them, as in the benchmark's service plane.
+constructions, ``QueryTimeout``\\ s scheduled / cancelled / fired,
+``NetworkStats.node`` lookups, the event heap's high-water mark, the
+cancelled entries its rebuilds dropped and the route costs computed.  Only
+the serve window is counted.  With ``--read`` every query's graph is read as
+it completes, as an API caller would; by default nobody reads them, as in
+the benchmark's service plane.
 
     python tools/query_census.py --nodes 30 --seconds 25
 """
@@ -27,6 +29,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 import repro.net.message as message  # noqa: E402
 from repro.api import Network  # noqa: E402
 from repro.net.events import EventScheduler, QueryTimeout  # noqa: E402
+from repro.net.kernel import SimulationKernel  # noqa: E402
 from repro.net.query import QueryEngine  # noqa: E402
 from repro.net.stats import NetworkStats  # noqa: E402
 from repro.provenance.graph import DerivationGraph, DerivationNode  # noqa: E402
@@ -56,6 +59,9 @@ ROWS = (
     "QueryTimeouts fired",
     "QueryTimeouts that expired a request",
     "NetworkStats.node lookups",
+    "event heap high-water",
+    "cancelled entries rebuilt away",
+    "route costs computed",
 )
 
 
@@ -76,6 +82,7 @@ def install(read: bool) -> Census:
     census = Census()
     closure, merge, finish = QueryEngine._closure, QueryEngine._merge_closure, QueryEngine._finish
     handle_timeout, schedule = QueryEngine.handle_timeout, EventScheduler.schedule
+    rebuild, route_cost = EventScheduler._rebuild, SimulationKernel._route_cost
     render, node_lookup = message.key_payload_bytes, NetworkStats.node
     operator, new_graph, new_node = (
         ProvenancePointer.operator, DerivationGraph.__init__, DerivationNode.__init__
@@ -114,7 +121,19 @@ def install(read: bool) -> Census:
     def counted_schedule(self, event, stamp=None):
         if type(event) is QueryTimeout:
             census.timeouts.append(event)
-        return schedule(self, event, stamp)
+        sequence = schedule(self, event, stamp)
+        census["event heap high-water"] = max(
+            census["event heap high-water"], len(self._heap)
+        )
+        return sequence
+
+    def counted_rebuild(self):
+        census["cancelled entries rebuilt away"] += self._cancelled
+        return rebuild(self)
+
+    def counted_route_cost(self, source, destination):
+        census["route costs computed"] += 1
+        return route_cost(self, source, destination)
 
     def counted_render(key):
         census["key renders"] += 1
@@ -138,7 +157,8 @@ def install(read: bool) -> Census:
 
     QueryEngine._closure, QueryEngine._merge_closure = counted_closure, counted_merge
     QueryEngine._finish, QueryEngine.handle_timeout = counted_finish, counted_handle_timeout
-    EventScheduler.schedule = counted_schedule
+    EventScheduler.schedule, EventScheduler._rebuild = counted_schedule, counted_rebuild
+    SimulationKernel._route_cost = counted_route_cost
     message.key_payload_bytes, NetworkStats.node = counted_render, counted_node_lookup
     ProvenancePointer.operator, DerivationGraph.__init__ = counted_operator, counted_graph
     DerivationNode.__init__ = counted_node
