@@ -31,7 +31,12 @@ from repro.engine.seminaive import (
 from repro.engine.table import Table
 from repro.engine.tuples import Fact, FactKey
 from repro.provenance.log import DerivationLog, ProvenancePointer
-from repro.provenance.polynomial import ProvenanceExpression, join_all
+from repro.provenance.polynomial import (
+    ProvenanceExpression,
+    from_position_mask,
+    join_all,
+    position_mask,
+)
 from repro.provenance.pruning import ProvenanceSampler
 from repro.provenance.store import OfflineProvenanceArchive
 from repro.security.authenticator import AuthenticationError, Authenticator
@@ -371,10 +376,16 @@ class NodeEngine:
         for carried, signature in messages:
             carried = tuple(carried)
             facts.extend(carried)
+            resolved = self._unmask(carried) if self._ships_provenance else carried
             if not self._authenticates:
-                admitted.extend(carried)
+                admitted.extend(resolved)
                 continue
-            admitted.extend(self.authenticator.import_batch(carried, signature))
+            if any(fact is None for fact in resolved):
+                # A mask no annotation rebuilds from leaves no leaf to check:
+                # the message's root cannot verify, so none of it is admitted.
+                admitted.extend([None] * len(carried))
+            else:
+                admitted.extend(self.authenticator.import_batch(resolved, signature))
             if self._requires_signature and carried:
                 result.report.signatures_verified += 1
         queue: Deque[Fact] = deque()
@@ -582,7 +593,8 @@ class NodeEngine:
         result.report.facts_received += 1
         result.report.payload_bytes_processed += fact.payload_size()
         if verified is None:
-            result.report.verification_failures += 1
+            if self._authenticates:
+                result.report.verification_failures += 1
             result.report.facts_rejected += 1
             return None
         if self._requires_signature:
@@ -606,6 +618,20 @@ class NodeEngine:
             # state the deletion fixpoint just cleaned up.
             return None
         return verified
+
+    @staticmethod
+    def _unmask(facts: Sequence[Fact]) -> List[Optional[Fact]]:
+        """*facts* with each masked annotation rebuilt from its mask and the
+        tuple's own payload — never read from the sender's ``provenance`` —
+        or ``None`` for a tuple whose mask names no annotation there."""
+        resolved: List[Optional[Fact]] = []
+        for fact in facts:
+            mask = fact.annotation_mask
+            if mask is not None:
+                annotation = from_position_mask(mask, fact.values)
+                fact = None if annotation is None else fact.with_metadata(provenance=annotation)
+            resolved.append(fact)
+        return resolved
 
     def _attribute_local(self, fact: Fact, now: float) -> Fact:
         ttl = fact.ttl if fact.ttl is not None else self._ttl_for(fact.relation)
@@ -784,9 +810,16 @@ class NodeEngine:
         # front.
         result.report.payload_bytes_processed += derived.payload_size()
         provenance_bytes = 0
+        mask = None
         shipped = annotation if self._ships_provenance else None
         if shipped is not None:
-            provenance_bytes = shipped.serialized_size()
+            # An annotation the payload names travels as the mask of its
+            # positions, sized (and charged) as the mask; any other as itself.
+            packed = position_mask(shipped, derived_values)
+            if packed is None:
+                provenance_bytes = shipped.serialized_size()
+            else:
+                mask, provenance_bytes = packed
             if self.config.provenance_mode is ProvenanceMode.FULL_LOCAL:
                 # Local provenance is charged for the rendered full tree
                 # when it outweighs the annotation that actually travels.
@@ -808,7 +841,9 @@ class NodeEngine:
                 bucket[destination] = None
         exported = derived
         if shipped is not None or support is not None:
-            exported = derived.with_metadata(provenance=shipped, support=support)
+            exported = derived.with_metadata(
+                provenance=shipped, support=support, annotation_mask=mask
+            )
         if self._authenticates:
             # Section 4.3: attributed and numbered here; the kernel seals the
             # wire message carrying it, one signature covering the tuple, its

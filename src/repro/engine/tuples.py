@@ -62,7 +62,8 @@ class Fact:
     provenance:
         Serializable provenance annotation travelling with the fact (used for
         local / condensed provenance); ``None`` when provenance is disabled
-        or maintained only as distributed pointers.
+        or maintained only as distributed pointers.  When
+        ``annotation_mask`` is set, the mask travels in its place.
     origin:
         Address of the node where the fact was first created or derived.
     support:
@@ -72,6 +73,13 @@ class Fact:
         receiver merges it into its own support index so a later
         anti-delta naming a retracted base tuple can decide survival
         locally.  ``None`` when rederivation is off.
+    annotation_mask:
+        The wire form of an exported ``provenance`` its own values name
+        (:func:`~repro.provenance.polynomial.position_mask`): bit ``i`` set
+        when the ``i``-th flattened value is one of its variables.  The
+        receiver rebuilds the annotation from the mask and the payload and
+        never reads the sender's ``provenance``.  ``None`` when the
+        annotation travels explicitly, and on every stored tuple.
     """
 
     relation: str
@@ -83,6 +91,7 @@ class Fact:
     provenance: Optional[object] = None
     origin: Optional[str] = None
     support: Optional[object] = None
+    annotation_mask: Optional[int] = None
     #: Lazily rendered canonical payload; equal facts may share the same
     #: bytes object (the table hands a stored duplicate's rendering to
     #: refreshed copies so immediately deduplicated derivations never
@@ -147,8 +156,18 @@ class Fact:
         provenance: Optional[object] = None,
         origin: Optional[str] = None,
         support: Optional[object] = None,
+        annotation_mask: Optional[int] = None,
     ) -> "Fact":
-        """Return a copy with selected metadata fields replaced."""
+        """Return a copy with selected metadata fields replaced.
+
+        A new ``provenance`` drops the old one's ``annotation_mask`` unless
+        a mask is given with it: the mask describes the annotation it
+        replaces on the wire.
+        """
+        if provenance is None:
+            provenance = self.provenance
+            if annotation_mask is None:
+                annotation_mask = self.annotation_mask
         # The payload depends only on relation/values, which never change
         # here, so the copy shares the cached serialization.
         return Fact(
@@ -158,9 +177,10 @@ class Fact:
             self.ttl if ttl is None else ttl,
             self.asserted_by if asserted_by is None else asserted_by,
             self.signature if signature is None else signature,
-            self.provenance if provenance is None else provenance,
+            provenance,
             self.origin if origin is None else origin,
             self.support if support is None else support,
+            annotation_mask,
             self._payload_cache,
         )
 

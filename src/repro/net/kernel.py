@@ -118,6 +118,9 @@ class CostModel:
     seconds_per_signature: float = 4.0e-3
     seconds_per_verification: float = 0.6e-3
     seconds_per_provenance_annotation: float = 1.0e-3
+    #: Charged per byte of the form an annotation travels in — a position
+    #: mask or the explicit polynomial — since that is what is encoded and
+    #: parsed.
     seconds_per_provenance_byte: float = 2.5e-5
     #: Query-plane work: one pointer-table lookup while answering (or
     #: locally expanding) a provenance query, and one serialized query

@@ -17,6 +17,13 @@ mechanism:
     header + signature + sum over tuples of (payload + principal and
     sequence + provenance)
 
+A tuple's provenance bytes are its annotation's wire form plus, under
+one-fixpoint deletions, its base-support polynomial's rendering.  An
+annotation that is one monomial over ``str`` values of the tuple's own
+payload travels as a position mask over the payload's ``n`` flattened
+values, ``1 + ceil(n / 8)`` bytes (one marker byte, then the bits); any
+other travels as its UTF-8 rendering (``<a*b+c>`` without the brackets).
+
 Provenance *queries* are network traffic too (the paper's central framing:
 provenance is network state, queried over the network), so the in-network
 query engine ships two further wire formats — :class:`QueryRequest` /

@@ -14,7 +14,8 @@ worker pipes (:class:`BinaryCodec`):
   deterministic ``repr`` literal encoding the offline archive's spill log
   uses (:mod:`repro.provenance.store`): ``repr`` of literals +
   ``ast.literal_eval`` round-trips exactly and never depends on hash seeds,
-  unlike pickled sets;
+  unlike pickled sets; an annotation that travels as a position mask is
+  written as the mask's little-endian bytes, never as its polynomial;
 * frames of at least ``COMPRESS_MIN_BYTES`` are deflated when that saves
   bytes.
 
@@ -242,10 +243,15 @@ _FACT_HAS_SIGNATURE = 4
 _FACT_HAS_ORIGIN = 8
 _FACT_HAS_SUPPORT = 16
 _FACT_HAS_ANNOTATION = 32
+#: The annotation travels as its position mask over the payload, in place
+#: of the polynomial: the receiver rebuilds it from the values.
+_FACT_HAS_MASK = 64
 
 
 def _encode_fact(writer: _Writer, table: _StringTable, fact: Fact) -> None:
-    support, annotation = fact.support, fact.provenance
+    support, annotation, mask = fact.support, fact.provenance, fact.annotation_mask
+    if mask is not None:
+        annotation = None
     envelope = fact.signature
     if envelope is not None and not isinstance(envelope, SignedEnvelope):
         raise _Unencodable(f"unknown signature {type(envelope).__name__}")
@@ -266,6 +272,8 @@ def _encode_fact(writer: _Writer, table: _StringTable, fact: Fact) -> None:
         flags |= _FACT_HAS_SUPPORT
     if annotation is not None:
         flags |= _FACT_HAS_ANNOTATION
+    if mask is not None:
+        flags |= _FACT_HAS_MASK
     writer.u32(table.intern(fact.relation))
     writer.u8(flags)
     writer.f64(fact.timestamp)
@@ -282,6 +290,8 @@ def _encode_fact(writer: _Writer, table: _StringTable, fact: Fact) -> None:
     writer.blob(_literal_blob(fact.values))
     if annotation is not None:
         _encode_polynomial(writer, annotation)
+    if mask is not None:
+        writer.blob(mask.to_bytes((mask.bit_length() + 7) // 8, "little"))
 
 
 def _decode_fact(reader: _Reader, strings: List[str]) -> Fact:
@@ -295,6 +305,7 @@ def _decode_fact(reader: _Reader, strings: List[str]) -> Fact:
     support = _decode_polynomial(reader) if flags & _FACT_HAS_SUPPORT else None
     values = _parse_literal(reader.blob())
     provenance = _decode_polynomial(reader) if flags & _FACT_HAS_ANNOTATION else None
+    mask = int.from_bytes(reader.blob(), "little") if flags & _FACT_HAS_MASK else None
     return Fact(
         relation=relation,
         values=values,
@@ -305,6 +316,7 @@ def _decode_fact(reader: _Reader, strings: List[str]) -> Fact:
         provenance=provenance,
         origin=origin,
         support=support,
+        annotation_mask=mask,
     )
 
 

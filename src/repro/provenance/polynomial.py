@@ -303,3 +303,84 @@ def join_all(expressions: Iterable[ProvenanceExpression]) -> ProvenanceExpressio
     would.  A single condensed factor comes back as itself.
     """
     return p_product(*expressions).condense()
+
+
+# Position masks: an annotation the tuple's own payload names -----------------
+#
+# A shipped annotation is usually one monomial over principals the tuple's
+# values already list (Best-Path's path column restates the path its
+# annotation multiplies).  Such an annotation travels as a position mask over
+# the payload's flattened values — bit ``i`` set: the ``i``-th value is one of
+# the monomial's variables — and the receiver rebuilds the polynomial from
+# the mask and its own copy of the payload.
+
+
+def _flat_values(values: Iterable[object], flat: Optional[list] = None) -> list:
+    """*values* depth-first, sequences opened, in ``render_payload`` order."""
+    if flat is None:
+        flat = []
+    for value in values:
+        if type(value) is not str and isinstance(value, (tuple, list)):
+            _flat_values(value, flat)
+        else:
+            flat.append(value)
+    return flat
+
+
+def position_mask(
+    annotation: ProvenanceExpression, values: Iterable[object]
+) -> Optional[Tuple[int, int]]:
+    """``(bits, wire bytes)`` of the mask naming *annotation* in *values*.
+
+    ``None`` unless *annotation* is one monomial with coefficient 1 and every
+    exponent 1 whose every variable equals a ``str`` value of *values*; the
+    mask sets the first position of each.  Its wire size is one marker byte
+    plus one bit per flattened value, rounded up to whole bytes.
+    """
+    monomials = annotation.monomials
+    if len(monomials) != 1:
+        return None
+    (monomial, count), = monomials
+    if count != 1:
+        return None
+    flat = _flat_values(values)
+    bits = 0
+    try:
+        for name, exponent in monomial:
+            if exponent != 1:
+                return None
+            position = flat.index(name)
+            while type(flat[position]) is not str:
+                position = flat.index(name, position + 1)
+            bits |= 1 << position
+    except ValueError:
+        return None
+    return bits, 1 + (len(flat) + 7) // 8
+
+
+def from_position_mask(
+    bits: int, values: Iterable[object]
+) -> Optional[ProvenanceExpression]:
+    """The annotation mask *bits* names in *values*, in normal form.
+
+    ``None`` when the mask selects past the flattened values or selects a
+    value that is not a ``str``: no annotation can be rebuilt from it.
+    """
+    flat = _flat_values(values)
+    if bits < 0 or bits >> len(flat):
+        return None
+    selected = set()
+    while bits:
+        low = bits & -bits
+        name = flat[low.bit_length() - 1]
+        if type(name) is not str:
+            return None
+        selected.add(name)
+        bits ^= low
+    names = sorted(selected)
+    annotation = ProvenanceExpression(
+        monomials=((tuple([(name, 1) for name in names]), 1),)
+    )
+    # Rendered as it is built: a signed receiver's Merkle leaf reads it next.
+    object.__setattr__(annotation, "_rendered", "*".join(names) if names else "1")
+    return annotation

@@ -15,15 +15,18 @@ sequence number, condensed annotation, base-support polynomial
 message's leaves (:meth:`Authenticator.seal_batch`, called where the kernel
 forms the message); the receiver rebuilds the leaves from what arrived, at its
 own address, verifies the root once and then checks each tuple's freshness
-(:meth:`Authenticator.import_batch`).  A tuple it admits is stored with a
-:class:`SignedEnvelope` holding the signature and the tuple's authentication
-path — derived by the receiver, never shipped — so it verifies alone
-(:func:`verify_evidence`) long after its message is gone.  Nothing that
-travels is outside the signature, so an annotation cannot be spliced onto
-another tuple, a message sealed for one node is refused at another, dropping
-or reordering its tuples breaks its root, and a replayed tuple is refused as
-stale.  Anti-deltas are sealed and opened one signature each over *(keys,
-source, destination, message sequence)*.
+(:meth:`Authenticator.import_batch`).  The leaf holds the annotation's
+resolved rendering whichever form it travelled in: an annotation shipped as
+a position mask is rebuilt by the receiving engine before the leaf is, so a
+tampered mask breaks the root like any other changed field.  A tuple it
+admits is stored with a :class:`SignedEnvelope` holding the signature and
+the tuple's authentication path — derived by the receiver, never shipped —
+so it verifies alone (:func:`verify_evidence`) long after its message is
+gone.  Nothing that travels is outside the signature, so an annotation
+cannot be spliced onto another tuple, a message sealed for one node is
+refused at another, dropping or reordering its tuples breaks its root, and
+a replayed tuple is refused as stale.  Anti-deltas are sealed and opened
+one signature each over *(keys, source, destination, message sequence)*.
 """
 
 from __future__ import annotations

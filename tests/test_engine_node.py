@@ -13,7 +13,7 @@ from repro.engine.tuples import Fact
 from repro.net.events import FactRetraction
 from repro.net.topology import random_topology
 from repro.security import authenticator
-from repro.provenance.polynomial import ProvenanceExpression, p_var
+from repro.provenance.polynomial import from_position_mask, p_var
 from repro.provenance.pruning import ProvenanceSampler
 from repro.security.authenticator import SignedEnvelope
 from repro.security.keystore import KeyStore
@@ -264,12 +264,18 @@ class TestProvenanceModes:
         engine = make_engine("a", compiled_best_path, config, keystore)
         result = engine.insert_base(Fact("link", ("a", "b", 1.0)))
         shipped = result.outgoing[0]
-        # The annotation travels in the clear, sized as itself, under the one
-        # signature the kernel makes for the tuple's wire message.
-        annotation = shipped.fact.provenance
-        assert isinstance(annotation, ProvenanceExpression)
-        assert shipped.provenance_bytes == annotation.serialized_size() > 0
-        assert isinstance(shipped.fact.signature, SignedEnvelope)
+        # The annotation travels in the clear under the one signature the
+        # kernel makes for the tuple's wire message.  Its payload names it,
+        # so it travels as the mask of its position and is sized as the mask:
+        # one marker byte and one byte of bits for three values (it travelled
+        # as itself, sized ``annotation.serialized_size()``, 1 byte).
+        fact = shipped.fact
+        assert fact.values == ("b", "a", 1.0) and fact.provenance == p_var("a")
+        assert fact.annotation_mask == 0b010
+        assert from_position_mask(fact.annotation_mask, fact.values) == p_var("a")
+        assert shipped.provenance_bytes == 2
+        assert result.report.provenance_bytes_computed == 2
+        assert isinstance(fact.signature, SignedEnvelope)
         assert result.report.signatures_created == 0
 
     def test_unsigned_condensed_mode_ships_plain_annotation(self, compiled_best_path, keystore):
@@ -279,8 +285,11 @@ class TestProvenanceModes:
         engine = make_engine("a", compiled_best_path, config, keystore)
         result = engine.insert_base(Fact("link", ("a", "b", 1.0)))
         shipped = result.outgoing[0]
-        assert isinstance(shipped.fact.provenance, ProvenanceExpression)
-        assert shipped.provenance_bytes == shipped.fact.provenance.serialized_size()
+        # The mask form and size of the signed twin above, without the
+        # envelope (was sized ``shipped.fact.provenance.serialized_size()``).
+        assert shipped.fact.annotation_mask == 0b010
+        assert shipped.provenance_bytes == 2
+        assert shipped.fact.signature is None
 
     def test_none_mode_ships_nothing_extra(self, compiled_best_path, keystore):
         engine = make_engine("a", compiled_best_path, EngineConfig(), keystore)

@@ -45,6 +45,8 @@ SEED = 4
 #: ``ProvenanceExpression.__init__`` calls of this script at the parent
 #: commit (the ``Counter`` kernel, ``join_all`` seeded with ``axiomatic()``).
 PARENT_EXPRESSIONS_BUILT = 2909
+#: Annotations this script's receivers rebuild from position masks.
+REBUILT = 189
 
 
 def churn_script() -> Network:
@@ -129,6 +131,7 @@ def test_churn_condenses_once_per_product_and_builds_under_half_the_expressions(
         # the engine.
         count_calls(patch, log, "join_all", counts)
         count_calls(patch, node_engine, "join_all", counts)
+        count_calls(patch, node_engine, "from_position_mask", counts)
         count_counters_built_by_provenance(patch, counts)
         state = state_of(churn_script())
 
@@ -140,7 +143,11 @@ def test_churn_condenses_once_per_product_and_builds_under_half_the_expressions(
     assert counts["condense"] == 428 + 428
     assert counts["__add__"] == 0
     assert counts["__mul__"] == 622
-    assert counts["__init__"] == 951
+    # Plus one expression per annotation a receiver rebuilds from the
+    # position mask it travelled as (951 when every annotation travelled
+    # as its polynomial).
+    assert counts["from_position_mask"] == REBUILT
+    assert counts["__init__"] == 951 + REBUILT
     assert counts["__init__"] <= 0.5 * PARENT_EXPRESSIONS_BUILT
 
     # The same script on the reference kernel: same network, more work.
@@ -166,21 +173,57 @@ def fixpoint(provenance: str, **options) -> Network:
     return network
 
 
+#: The ``sendlog-prov`` fixpoint's shipped annotations: tuples shipped (one
+#: annotation each), those that travel as position masks, and the provenance
+#: bytes on the wire.
+SHIPPED, MASKS, PROVENANCE_BYTES = 176, 165, 479
+
+
 def test_sendlog_prov_renders_each_shipped_annotation_once(monkeypatch):
-    counts = collections.Counter()
+    counts, rebuilt = collections.Counter(), {}
+    render = ProvenanceExpression._render
+    mask, unmask = node_engine.position_mask, node_engine.from_position_mask
+
+    def counted_mask(annotation, values):
+        packed = mask(annotation, values)
+        counts["explicit" if packed is None else "mask"] += 1
+        return packed
+
+    def kept_unmask(bits, values):
+        annotation = unmask(bits, values)
+        rebuilt[id(annotation)] = annotation
+        return annotation
+
+    def counted_render(self):
+        counts["_render"] += 1
+        counts["rebuilt renders"] += id(self) in rebuilt
+        return render(self)
+
     with monkeypatch.context() as patch:
-        for name in ("to_string", "_render", "condense"):
+        for name in ("to_string", "condense"):
             count_calls(patch, ProvenanceExpression, name, counts)
         count_calls(patch, DerivationLog, "append", counts)
         count_counters_built_by_provenance(patch, counts)
+        patch.setattr(node_engine, "position_mask", counted_mask)
+        patch.setattr(node_engine, "from_position_mask", kept_unmask)
+        patch.setattr(ProvenanceExpression, "_render", counted_render)
         network = fixpoint("sendlog-prov")
 
-    shipped = network.stats.summary()["tuples_sent"]  # one annotation each
-    assert shipped == 176
-    # The sender's Merkle leaf, the receiver's and the wire size each read
-    # the rendering; one of them renders it.
-    assert counts["to_string"] == 3 * shipped
+    summary = network.stats.summary()
+    shipped = summary["tuples_sent"]  # one annotation each
+    assert shipped == SHIPPED
+    # The annotations the payload names travel as position masks; the rest
+    # as explicit polynomials.  (All 176 shipped explicitly, 1 261 bytes.)
+    assert counts["mask"] == len(rebuilt) == MASKS
+    assert counts["explicit"] == shipped - MASKS
+    assert summary["provenance_bytes"] == PROVENANCE_BYTES
+    # The sender's Merkle leaf and the receiver's read every rendering, and
+    # the wire size an explicit one's; the sender renders each annotation
+    # once, and a receiver's rebuilt copy arrives rendered.  (Were
+    # ``3 * shipped`` reads, 528, for ``shipped`` renders.)
+    assert counts["to_string"] == 2 * shipped + counts["explicit"]
     assert counts["_render"] == shipped
+    assert counts["rebuilt renders"] == 0
     assert counts["condense"] == counts["append"] == 407
     assert counts["Counter"] == 0
 
@@ -266,8 +309,12 @@ PER_TUPLE_SEALED_DIGEST = "a9a5faf2c69d49f44fa9478c31c37cd7aa5ab3099863a7054fdff
 #: ``20c7c072dd6e51a345b2320a7ae2256c182854e0c2eef1e10aa308e6ff5dc6ea``), and
 #: again when a busy node began running its queued messages as one round:
 #: 176 tuples ship in 88 messages instead of 163 in 95 (was
-#: ``7b24c8a96a1784a0127c52a77e765c62cecbd036e1b5468bf6ccc9a3d1324e6d``).
-SEALED_BYTES_DIGEST = "0f591ac689fb9b6b7e9870bfcc860b8e56edea52edb233fe6a6a0829f9f4cdef"
+#: ``7b24c8a96a1784a0127c52a77e765c62cecbd036e1b5468bf6ccc9a3d1324e6d``), and
+#: again when annotations the payload names began to travel as position
+#: masks: the smaller messages reorder the deliveries, so the same 352 leaves
+#: are built in another order (was
+#: ``0f591ac689fb9b6b7e9870bfcc860b8e56edea52edb233fe6a6a0829f9f4cdef``).
+SEALED_BYTES_DIGEST = "1d6a316d79bfa2bd2925259bcf67fae8214420e13e2f918f3ab197c06ab0194c"
 
 
 def test_signatures_cover_the_same_bytes(monkeypatch):

@@ -8,7 +8,15 @@ equals an operand (work whose answer is its own argument) and the number of
 distinct operand tuples (what a hash-consed DAG would compute once).  With
 ``--flaps`` the network converges first and only the link flaps are counted.
 
+With ``--shipped`` it counts the annotations the run ships instead: how many
+are one monomial, how many the tuple's own payload names (so they travel as a
+position mask), how many repeat an annotation already sent on the same link,
+and the annotation bytes of each wire form — as shipped, and as the explicit
+polynomial would have cost.  ``--per-tuple`` runs the paper's per-tuple
+format (``batching=False``).
+
     python tools/poly_census.py --provenance condensed --nodes 20 --flaps 0
+    python tools/poly_census.py --shipped --provenance sendlog-prov --nodes 25
 """
 
 from __future__ import annotations
@@ -23,8 +31,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 from repro.api import Network  # noqa: E402
 from repro.net.events import LinkDown, LinkUp  # noqa: E402
+from repro.net.kernel import SimulationKernel  # noqa: E402
 from repro.net.topology import random_topology  # noqa: E402
-from repro.provenance.polynomial import ProvenanceExpression  # noqa: E402
+from repro.provenance.polynomial import ProvenanceExpression, position_mask  # noqa: E402
 
 OPERATIONS = ("__mul__", "__add__", "absorb", "condense")
 
@@ -59,6 +68,60 @@ def install() -> dict:
     return table
 
 
+class ShippedCensus(Counter):
+    def reset(self) -> None:
+        self.clear()
+
+
+def install_shipped() -> ShippedCensus:
+    """Count every annotation the kernel ships, by wire form."""
+    census = ShippedCensus()
+    sent_on_link: dict = {}
+    dispatch = SimulationKernel._dispatch_outgoing
+
+    def counted(kernel, source, outgoing, node_stats):
+        for item in outgoing:
+            fact = item.fact
+            annotation = fact.provenance
+            if not isinstance(annotation, ProvenanceExpression):
+                continue
+            explicit = annotation.serialized_size()
+            census["shipped"] += 1
+            census["one monomial"] += len(annotation.monomials) == 1
+            link = sent_on_link.setdefault((source, item.destination), set())
+            census["repeat on their link"] += annotation.monomials in link
+            link.add(annotation.monomials)
+            form = "explicit"
+            if fact.annotation_mask is not None:
+                form = "mask"
+                census["named by the payload"] += 1
+                census["mask bytes"] += position_mask(annotation, fact.values)[1]
+            else:
+                census["explicit bytes"] += explicit
+            census[f"{form} tuples"] += 1
+            census[f"{form} bytes if explicit"] += explicit
+        return dispatch(kernel, source, outgoing, node_stats)
+
+    SimulationKernel._dispatch_outgoing = counted
+    return census
+
+
+def print_shipped(census: ShippedCensus) -> None:
+    shipped = census["shipped"]
+    for label in ("shipped", "one monomial", "named by the payload", "repeat on their link"):
+        share = f" ({census[label] / shipped:.1%})" if shipped and label != "shipped" else ""
+        print(f"annotations {label:<22} {census[label]:>8}{share}")
+    print(f"{'wire form':<10} {'tuples':>8} {'bytes':>9} {'if explicit':>12}")
+    for form in ("mask", "explicit"):
+        print(
+            f"{form:<10} {census[f'{form} tuples']:>8} {census[f'{form} bytes']:>9}"
+            f" {census[f'{form} bytes if explicit']:>12}"
+        )
+    total = census["mask bytes"] + census["explicit bytes"]
+    explicit = census["mask bytes if explicit"] + census["explicit bytes if explicit"]
+    print(f"{'total':<10} {shipped:>8} {total:>9} {explicit:>12}")
+
+
 def build(args: argparse.Namespace):
     """The named configuration, not yet run: ``(topology, network)``."""
     topology = random_topology(args.nodes, seed=args.seed)
@@ -67,7 +130,8 @@ def build(args: argparse.Namespace):
         churn = dict(default_ttl=1e6, track_dependencies=True, rederivation=True)
     network = Network.build(
         topology=topology, program=args.program, provenance=args.provenance,
-        seed=args.seed, **churn,
+        # engine_census.py shares this driver without a --per-tuple flag.
+        seed=args.seed, batching=not getattr(args, "per_tuple", False), **churn,
     )
     return topology, network
 
@@ -99,7 +163,16 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--flaps", type=int, default=None,
                         help="flap K redundant links after convergence (0: all)")
+    parser.add_argument("--shipped", action="store_true",
+                        help="count the shipped annotations by wire form instead")
+    parser.add_argument("--per-tuple", action="store_true",
+                        help="the paper's per-tuple format (batching off)")
     args = parser.parse_args()
+    if args.shipped:
+        census = install_shipped()
+        run(args, {"shipped": census}, *build(args))
+        print_shipped(census)
+        return
     table = install()
     run(args, table, *build(args))
     print(f"{'operation':<10} {'calls':>7} {'identity':>9} {'distinct':>9}  operand monomial counts")
