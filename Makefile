@@ -41,8 +41,7 @@
 #                      asserted) and serial-vs-sharded byte-identity of
 #                      the six churn-plane counters at 2 and 4 shards;
 #                      writes BENCH_dynamics.json.  Plus dynamics-scenarios:
-#                      the retraction script on the timer-wheel refresh
-#                      plane, serial and inline-sharded.
+#                      the retraction script, serial and inline-sharded.
 #   make spine-smoke - the measurement spine (bench/run.py, the command
 #                      BENCHMARK.json names) at smoke sizes: all five
 #                      workloads, tracer, layer fold, expected-output checks
@@ -146,11 +145,9 @@ dynamics-smoke: dynamics-scenarios
 	$(PYTHON) -m pytest -x -q benchmarks/test_dynamics.py
 
 dynamics-scenarios:
+	$(PYTHON) -m repro.harness.scenarios retraction --nodes 8
 	$(PYTHON) -m repro.harness.scenarios retraction --nodes 8 \
-		--refresh-mode wheel
-	$(PYTHON) -m repro.harness.scenarios retraction --nodes 8 \
-		--backend sharded --shards 2 --shard-mode inline \
-		--refresh-mode wheel
+		--backend sharded --shards 2 --shard-mode inline
 
 spine-smoke:
 	$(PYTHON) bench/run.py --smoke

@@ -212,20 +212,21 @@ def test_bridge_retraction_convergence():
     assert improvement >= dyn_target(), record
 
 
-def _drive_wheel_retraction(backend: str, shards: int = 2):
-    """Converge, refresh past TTL on the wheel, retract the bridge."""
+def _drive_refresh_retraction(backend: str, shards: int = 2):
+    """Converge, rebuild with one refresh round past the TTL, retract the
+    bridge."""
     nodes = dyn_n()
     topology = line_topology(nodes)
     left, right = topology.nodes[nodes // 2 - 1], topology.nodes[nodes // 2]
-    options = dict(refresh_mode="wheel", refresh_interval=REFRESH_INTERVAL)
+    options = {}
     if backend == "sharded":
         options.update(backend="sharded", shards=shards, shard_mode="inline")
     network = _build(topology, rederivation=True, **options)
     simulator = network.simulator
     _inject_links(simulator, topology)
     assert simulator.run_until_idle()
-    # Advance the wheel horizon past the TTL: per-tuple timers keep the
-    # derived state alive without lockstep refresh rounds.
+    # Past the TTL every tuple has lapsed: the round re-asserts the base
+    # tuples and re-derives (and re-ships) the rest.
     simulator.schedule(SoftStateRefresh(time=TTL + 5.0))
     assert simulator.run_until_idle()
     at = max(simulator.current_time(), TTL + 5.0) + 1.0
@@ -235,10 +236,10 @@ def _drive_wheel_retraction(backend: str, shards: int = 2):
 
 
 def test_churn_ledger_identical_across_backends():
-    serial = _drive_wheel_retraction("serial")
+    serial = _drive_refresh_retraction("serial")
     rows = {"serial": serial}
     for shards in (2, 4):
-        sharded = _drive_wheel_retraction("sharded", shards=shards)
+        sharded = _drive_refresh_retraction("sharded", shards=shards)
         rows[f"sharded_{shards}"] = sharded
         assert sharded == serial, shards
     for key in COUNTERS:

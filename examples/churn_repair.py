@@ -1,8 +1,8 @@
-"""Churn repair: one-fixpoint deletions and the timer-wheel refresh plane.
+"""Churn repair: one-fixpoint deletions and soft-state refresh rounds.
 
-Scenario: a reachability network on a line with a chord converges, keeps
-itself alive past its soft-state TTL on per-tuple wheel timers, and then
-loses a link.  Because base tuples carry base-support polynomials, the
+Scenario: a reachability network on a line with a chord converges, lets
+its soft state lapse past the TTL, is rebuilt by one refresh round (every
+node re-asserts its remembered base tuples), and then loses a link.  Because base tuples carry base-support polynomials, the
 retraction runs DRed's over-deletion *and* the rederivation phase in one
 distributed fixpoint: tuples with a surviving alternative derivation
 (through the chord) are kept, dead remote copies are chased with ranked
@@ -20,7 +20,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro.api import Network, NetOptions
+from repro.api import Network
 from repro.datalog import localize_program, parse_program
 from repro.datalog.planner import compile_program
 from repro.engine.node_engine import EngineConfig, ProvenanceMode
@@ -43,7 +43,7 @@ COUNTERS = (
 
 
 def build_network(rederivation: bool):
-    """A 6-node line with a chord n0<->n2, on the wheel refresh plane."""
+    """A 6-node line with a chord n0<->n2."""
     topology = line_topology(6).with_extra_links(
         [Link(source="n0", destination="n2", cost=1.0),
          Link(source="n2", destination="n0", cost=1.0)]
@@ -58,12 +58,6 @@ def build_network(rederivation: bool):
             provenance_mode=ProvenanceMode.CONDENSED,
             says_mode=SaysMode.NONE,
             rederivation=rederivation,
-        ),
-        options=NetOptions(
-            refresh_mode="wheel",
-            refresh_interval=10.0,
-            refresh_rate=16.0,
-            refresh_burst=32.0,
         ),
     )
     simulator = network.simulator
@@ -90,13 +84,16 @@ def run(rederivation: bool) -> dict:
           f"across {len(topology.nodes)} nodes "
           f"(rederivation={'on' if rederivation else 'off'})")
 
-    # Advance the wheel horizon past the TTL: per-tuple timers refresh the
-    # soft state continuously — no lockstep SoftStateRefresh rounds needed.
+    # Past the TTL every tuple has lapsed; one refresh round re-asserts
+    # the base tuples, and the rules re-derive and re-ship the rest.
     simulator.schedule(SoftStateRefresh(time=TTL + 5.0))
     assert simulator.run_until_idle()
     alive = reachable_count(simulator)
+    refreshed = simulator.stats.summary()
     print(f"  t={simulator.current_time():.1f}s > TTL={TTL:.0f}s: "
-          f"{alive} tuples still alive on wheel timers")
+          f"{alive} tuples rebuilt by one refresh round "
+          f"({int(refreshed['refresh_messages'])} messages from "
+          f"{int(refreshed['timer_events'])} nodes)")
 
     # Retract the link n1 -> n2 (and its reverse).  The chord keeps the
     # graph connected, so every reachable tuple still holds — but only a
@@ -122,7 +119,7 @@ def run(rederivation: bool) -> dict:
 
 
 def main() -> None:
-    print("=== one-fixpoint deletions (rederivation=True, the default) ===")
+    print("=== one-fixpoint deletions (rederivation=True) ===")
     repaired = run(rederivation=True)
 
     print("=== decay baseline (rederivation=False) ===")

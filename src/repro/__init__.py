@@ -145,32 +145,33 @@ link with ``retract=True``) runs DRed's over-deletion *and* the
 rederivation phase in a single distributed fixpoint — tuples with a
 surviving alternative derivation are kept (counted as ``rederivations``),
 dead remote copies are chased with ranked **anti-delta** messages — so a
-retraction converges in link-latency time instead of ``ttl +
-refresh_interval`` of soft-state decay.  On by default; disable with
-``rederivation=False`` to measure the decay baseline.  Soft-state refresh
-itself can run as a continuous plane instead of lockstep rounds::
+retraction converges in link-latency time instead of a TTL of soft-state
+decay and the next refresh round.  Off by default; enable with
+``rederivation=True``.  Soft state is kept alive by refresh rounds the
+driving code schedules: a :class:`~repro.net.events.SoftStateRefresh` has
+every live node re-assert its remembered base tuples::
+
+    from repro.net.events import SoftStateRefresh
 
     network = Network.build(topology=10, program="best-path",
                             provenance="ndlog",
-                            options=NetOptions(refresh_mode="wheel",
-                                               refresh_interval=5.0,
-                                               refresh_rate=2.0,
-                                               refresh_burst=4.0))
-    result = network.run()
+                            options=NetOptions(rederivation=True,
+                                               default_ttl=30.0))
+    network.run()
+    network.schedule(SoftStateRefresh(time=40.0))   # after the TTL: rebuild
+    network.run_until_idle()
     summary = network.stats.summary()
     print(summary["rederivations"],          # tuples saved by alternatives
           summary["anti_delta_messages"],    # deletion-repair messages
           summary["anti_delta_bytes"],
-          summary["refresh_messages"],       # per-tuple wheel refreshes
+          summary["refresh_messages"],       # what the refresh round shipped
           summary["refresh_bytes"],
-          summary["timer_events"])           # wheel drain events
+          summary["timer_events"])           # nodes that re-asserted
 
-``refresh_mode="wheel"`` keeps per-tuple refresh timers in hierarchical
-timer wheels on simulated time (O(1) schedule/cancel, deterministic drain;
-``refresh_rate``/``refresh_burst`` token-bucket the refresh waves so
-repair traffic is a bounded trickle); ``"rounds"`` is the classic lockstep
-``SoftStateRefresh``.  All six counters are integers on simulated time and
-part of the serial-vs-sharded byte-identical contract;
+A round before the TTL only re-stamps each base tuple at its owner and
+ships nothing; one after it re-derives and re-ships what decayed.  All six
+counters are integers on simulated time and part of the serial-vs-sharded
+byte-identical contract;
 ``benchmarks/test_dynamics.py`` (``make dynamics-smoke``) measures the
 one-fixpoint-vs-decay convergence gap into ``BENCH_dynamics.json``, and
 ``examples/churn_repair.py`` walks the whole story.

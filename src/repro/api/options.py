@@ -126,28 +126,13 @@ class NetOptions:
     cost_model: Optional[CostModel] = None
     #: Seed used when the topology is given as a bare node count.
     seed: int = 0
-    # -- soft-state dynamics (repro.net.kernel / repro.net.timers) -----------
-    #: How soft state is kept alive: ``"rounds"`` (the default) relies on
-    #: explicit :class:`~repro.net.events.SoftStateRefresh` events the
-    #: driving code schedules; ``"wheel"`` arms a per-tuple refresh timer at
-    #: each owner in a hierarchical timer wheel, re-asserting every
-    #: remembered base tuple each ``refresh_interval`` as a continuous
-    #: trickle (deterministic and byte-identical across backends).
-    refresh_mode: str = "rounds"
-    #: Seconds between one base tuple's refreshes (``refresh_mode="wheel"``).
-    refresh_interval: float = 10.0
-    #: Refresh-wave rate limit, tuples per simulated second per node; ``0``
-    #: disables the limiter (every due timer fires immediately).
-    refresh_rate: float = 0.0
-    #: Token-bucket burst for the refresh-wave limiter (tuples).
-    refresh_burst: float = 1.0
     # -- engine configuration overrides (None = preset default) --------------
     #: One-fixpoint deletions: maintain base-support polynomials so a
     #: retraction (or link failure) converges in a single distributed
     #: fixpoint — surviving alternatives are kept (``rederivations``), dead
     #: tuples are chased across nodes with ranked anti-delta messages —
-    #: instead of waiting out ``ttl + refresh_interval`` of soft-state
-    #: decay.  ``None`` defers to the preset (off).
+    #: instead of waiting out a TTL of soft-state decay and the next
+    #: refresh round.  ``None`` defers to the preset (off).
     rederivation: Optional[bool] = None
     default_ttl: Optional[float] = None
     track_dependencies: Optional[bool] = None
@@ -215,24 +200,6 @@ class NetOptions:
             raise ValueError(
                 f"query_cache_entries must be >= 1, got "
                 f"{self.query_cache_entries}"
-            )
-        if self.refresh_mode not in ("rounds", "wheel"):
-            raise ValueError(
-                f"unknown refresh_mode {self.refresh_mode!r}; expected "
-                "'rounds' or 'wheel'"
-            )
-        if self.refresh_interval <= 0:
-            raise ValueError(
-                f"refresh_interval must be positive, got {self.refresh_interval}"
-            )
-        if self.refresh_rate < 0:
-            raise ValueError(
-                f"refresh_rate must be >= 0 (0 disables the refresh-wave "
-                f"limiter), got {self.refresh_rate}"
-            )
-        if self.refresh_burst <= 0:
-            raise ValueError(
-                f"refresh_burst must be positive, got {self.refresh_burst}"
             )
 
     def resolved_shards(self) -> int:
@@ -311,10 +278,6 @@ class NetOptions:
             link_relation=self.link_relation,
             admission=self.service_admission(),
             query_cache=self.service_cache(),
-            refresh_mode=self.refresh_mode,
-            refresh_interval=self.refresh_interval,
-            refresh_rate=self.refresh_rate,
-            refresh_burst=self.refresh_burst,
         )
 
     def engine_config(self, provenance: str) -> EngineConfig:

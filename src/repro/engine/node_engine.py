@@ -102,13 +102,6 @@ class EngineConfig:
     #: Exported facts ship their polynomial; remote copies are chased with
     #: anti-deltas carrying the retracted base keys.
     rederivation: bool = False
-    #: Refresh-wave propagation threshold in seconds.  When positive, a
-    #: re-asserted (TTL-refreshed) tuple whose previous copy is at least
-    #: this old propagates through the rules again, refreshing derived and
-    #: downstream copies; ``0.0`` (the default) keeps refreshes local to
-    #: the owner, the round-based behavior.  The timer-wheel refresh plane
-    #: sets this to half the refresh interval.
-    refresh_propagation: float = 0.0
 
 
 @dataclass(slots=True)
@@ -234,7 +227,6 @@ class NodeEngine:
         self._ships_provenance = config.provenance_mode.ships_provenance
         self._track_dependencies = config.track_dependencies
         self._rederivation = config.rederivation
-        self._refresh_propagation = config.refresh_propagation
         #: Antecedent tuples feed provenance recording, retraction dependency
         #: tracking and base-support polynomials; configurations needing none
         #: of those skip accumulating them in the join loops entirely.
@@ -262,9 +254,6 @@ class NodeEngine:
         #: Rendered base key -> destinations that received an exported tuple
         #: whose polynomial mentions it — the anti-delta fanout targets.
         self._export_dests: Dict[str, Dict[str, None]] = {}
-        #: Active refresh-wave memo (keys already propagated this wave), or
-        #: ``None`` outside wave processing.  See :meth:`refresh_batch`.
-        self._wave: Optional[Set[FactKey]] = None
         #: Aggregate-head relations: predicate -> (aggregate state key, head
         #: plan) per rule, used to forget groups when their stored tuple is
         #: retracted or expires (so a refreshed, possibly worse, contribution
@@ -389,24 +378,13 @@ class NodeEngine:
             if self._requires_signature and carried:
                 result.report.signatures_verified += 1
         queue: Deque[Fact] = deque()
-        # Under the timer-wheel refresh plane remote deliveries run in wave
-        # mode too: an arriving duplicate whose stored copy has aged past
-        # the propagation threshold re-propagates, which is how one owner's
-        # refresh wave re-stamps derived state across node boundaries.
-        wave_mode = self._refresh_propagation > 0.0 and self._wave is None
-        if wave_mode:
-            self._wave = set()
-        try:
-            for fact, verified in zip(facts, admitted):
-                verified = self._admit(fact, verified, result)
-                if verified is None:
-                    continue
-                if self._store(verified, now, result):
-                    queue.append(verified)
-                    self._drain(queue, now, result)
-        finally:
-            if wave_mode:
-                self._wave = None
+        for fact, verified in zip(facts, admitted):
+            verified = self._admit(fact, verified, result)
+            if verified is None:
+                continue
+            if self._store(verified, now, result):
+                queue.append(verified)
+                self._drain(queue, now, result)
         return result
 
     def retract_base(self, fact: Fact, now: float = 0.0) -> ProcessingResult:
@@ -499,34 +477,6 @@ class NodeEngine:
                 return result
             result.report.facts_verified += 1
         self._apply_dead_bases(keys, now, result)
-        return result
-
-    def refresh_batch(self, facts: Iterable[Fact], now: float) -> ProcessingResult:
-        """Re-assert owned base tuples as one refresh wave.
-
-        The timer-wheel refresh plane calls this with the due tuples of one
-        node at one instant.  Each tuple is re-inserted exactly like
-        :meth:`insert_base` (provenance recorded, TTL restamped), but the
-        whole batch runs in *wave mode*: a refresh that would normally stop
-        at the owner (the tuple already exists) propagates through the rules
-        again when the stored copy's age exceeds ``refresh_propagation``,
-        re-deriving and re-shipping so downstream soft state is re-stamped
-        before it decays.  The wave memo caps each tuple at one propagation
-        per wave and the age gate stops waves re-triggering each other, so
-        the wave terminates.
-        """
-        result = ProcessingResult()
-        queue: Deque[Fact] = deque()
-        self._wave = set()
-        try:
-            for fact in facts:
-                prepared = self._attribute_local(fact, now)
-                self._record_base(prepared)
-                if self._store(prepared, now, result):
-                    queue.append(prepared)
-                    self._drain(queue, now, result)
-        finally:
-            self._wave = None
         return result
 
     def settle_retractions(self) -> None:
@@ -748,13 +698,7 @@ class NodeEngine:
             value = derived_values[head.aggregate_index]
             changed = state.update(group, value, contribution_key=derived_values)
             if changed is None:
-                # Refresh waves re-emit the standing best: the contribution
-                # matching the current aggregate value did not *change* the
-                # group, but downstream copies of that value still need
-                # their TTLs re-stamped.
-                if self._wave is None or state.best.get(group) != value:
-                    return
-                changed = value
+                return
             updated = list(derived_values)
             updated[head.aggregate_index] = changed
             derived_values = tuple(updated)
@@ -966,8 +910,8 @@ class NodeEngine:
         """Merge *poly* into the support of *key* and index its bases.
 
         Merging is ``+`` then condense: absorption makes it idempotent, so
-        refresh waves re-recording the same derivations leave the
-        polynomial (and the reverse index) unchanged.
+        re-recording the same derivations leaves the polynomial (and the
+        reverse index) unchanged.
         """
         existing = self._support.get(key)
         if existing is not None:
@@ -1113,30 +1057,9 @@ class NodeEngine:
         return self.database.table(relation, arity=len(fact.values))
 
     def _store(self, fact: Fact, now: float, result: ProcessingResult) -> bool:
-        table = self._table_for(fact)
-        wave = self._wave
-        previous = None
-        if wave is not None:
-            previous = table.get_by_values(fact.values)
-        insert = table.insert(fact, now=now)
+        insert = self._table_for(fact).insert(fact, now=now)
         if insert.inserted:
             result.report.facts_inserted += 1
             result.new_facts.append(fact)
             return True
-        if wave is None or not insert.refreshed:
-            return False
-        # Refresh-wave propagation: an in-place TTL refresh of a copy old
-        # enough to need re-stamping downstream re-enters the delta queue.
-        # The wave memo caps each key at one propagation per wave; the age
-        # gate keeps waves from re-triggering each other (a tuple coming
-        # back around a cycle carries a fresh timestamp).
-        key = fact.key()
-        if key in wave:
-            return False
-        if (
-            previous is not None
-            and now - previous.timestamp < self._refresh_propagation
-        ):
-            return False
-        wave.add(key)
-        return True
+        return False

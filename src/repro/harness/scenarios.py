@@ -157,10 +157,7 @@ class RefreshSoftState(Action):
     same-phase failures are already in effect.  Re-asserting an unchanged
     live tuple only refreshes its TTL at the owner; rounds meant to rebuild
     *remote* state therefore run after the old state decayed (phase gaps
-    beyond the TTL), matching the scripts below.  Continuous sub-TTL
-    refresh timers are the ``refresh_mode="wheel"`` plane: per-tuple
-    timer-wheel deadlines at the owners re-stamp remote copies *before*
-    they decay, making these discrete rounds a no-op under that mode.
+    beyond the TTL), matching the scripts below.
     """
 
     def events(self, simulator, at):
@@ -265,8 +262,8 @@ class PhaseRow:
     rejected: int = _counted("queries_rejected")
     #: Soft-state dynamics columns: tuples kept alive by an alternative
     #: derivation during a one-fixpoint deletion pass, the anti-delta and
-    #: refresh-plane wire traffic, and timer-wheel fires — all per-phase
-    #: deltas.
+    #: refresh-round wire traffic, and the nodes that re-asserted base
+    #: tuples in refresh rounds — all per-phase deltas.
     rederivations: int = _counted("rederivations")
     anti_delta_messages: int = _counted("anti_delta_messages")
     refresh_messages: int = _counted("refresh_messages")
@@ -814,26 +811,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="per-node admission-control rate in queries per simulated "
         "second (0 = admit everything)",
     )
-    parser.add_argument(
-        "--refresh-mode",
-        choices=("rounds", "wheel"),
-        default="rounds",
-        help="soft-state refresh plane: discrete RefreshSoftState rounds "
-        "or per-tuple timer-wheel refreshes at the owners",
-    )
-    parser.add_argument(
-        "--refresh-interval",
-        type=float,
-        default=10.0,
-        help="timer-wheel refresh period in simulated seconds",
-    )
-    parser.add_argument(
-        "--refresh-rate",
-        type=float,
-        default=0.0,
-        help="per-node refresh-wave token rate in refreshes per simulated "
-        "second (0 = unthrottled)",
-    )
     arguments = parser.parse_args(argv)
 
     options = SCENARIO_OPTIONS.merged(
@@ -841,9 +818,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         shards=arguments.shards,
         shard_mode=arguments.shard_mode,
         admission_rate=arguments.admission,
-        refresh_mode=arguments.refresh_mode,
-        refresh_interval=arguments.refresh_interval,
-        refresh_rate=arguments.refresh_rate,
     )
     names = tuple(SCENARIOS) if arguments.scenario == "all" else (arguments.scenario,)
     failures = 0

@@ -25,9 +25,8 @@ is derived from event *content*, not from scheduling history:
 * the control events scheduled *inside* kernel processing carry no stamp
   and rank by their content after same-instant stamped ones:
   :class:`QueryTimeout` by ``(1, query id, request id)``,
-  :class:`QueryArrival` by ``(2, client, arrival id)``,
-  :class:`RefreshTimerFire` by ``(3, address)`` and :class:`InboxDrain` by
-  ``(4, address)``.
+  :class:`QueryArrival` by ``(2, client, arrival id)`` and
+  :class:`InboxDrain` by ``(4, address)``.
 
 This is what lets the sharded backend merge cross-shard deliveries into each
 shard's queue at window barriers and still replay the exact serial order.
@@ -186,39 +185,6 @@ class FactRetraction(SimulationEvent):
 
 
 @dataclass(eq=False, slots=True)
-class RefreshHorizon(SimulationEvent):
-    """The timer-wheel refresh plane may advance to ``horizon``.
-
-    Under ``refresh_mode="wheel"`` per-tuple refresh timers live in
-    hierarchical timer wheels (:mod:`repro.net.timers`), *not* in the event
-    heap — a network at rest holds no self-re-arming events, so
-    ``run_until_idle`` still quiesces.  Timers are materialized lazily: the
-    kernel emits one ``RefreshHorizon`` whenever the driving code schedules
-    an external event past the previous horizon (identically under every
-    backend — the sharded coordinator broadcasts it, counted once on shard
-    0), and the handler drains each hosted wheel up to ``horizon``,
-    turning due timers into :class:`RefreshTimerFire` events at
-    ``max(deadline, event.time)`` so nothing fires into the past.
-    """
-
-    horizon: float = 0.0
-
-
-@dataclass(eq=False, slots=True)
-class RefreshTimerFire(SimulationEvent):
-    """One node's due refresh timers fire (timer-wheel refresh plane).
-
-    Scheduled *inside* kernel processing (by the :class:`RefreshHorizon`
-    handler), so like :class:`QueryTimeout` it ranks by content — the
-    firing node's address — never by a kernel-local stamp; the kernel
-    coalesces all timers of one node due at one instant into a single
-    event, keeping the rank unique per ``(time, address)``.
-    """
-
-    address: Address = ""
-
-
-@dataclass(eq=False, slots=True)
 class QueryArrival(SimulationEvent):
     """One service-plane provenance query arriving at a node.
 
@@ -293,10 +259,6 @@ def event_rank(event: SimulationEvent, stamp: Optional[int] = None) -> Tuple:
         # (like query timeouts), so the rank must come from the arrival's
         # identity, never a kernel-local stamp.
         return (2, event.client, event.arrival_id)
-    if isinstance(event, RefreshTimerFire):
-        # Also scheduled inside kernel processing (by the RefreshHorizon
-        # handler); one event per (time, node) — the address is the rank.
-        return (3, str(event.address))
     if isinstance(event, InboxDrain):
         # Scheduled inside kernel processing too; at most one pending drain
         # per node, so the address is the rank.

@@ -38,7 +38,6 @@ so merged event totals match the serial backend's exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace as dataclass_replace
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
@@ -66,8 +65,6 @@ from repro.net.events import (
     NodeRecover,
     QueryArrival,
     QueryTimeout,
-    RefreshHorizon,
-    RefreshTimerFire,
     SimulationEvent,
     SoftStateRefresh,
 )
@@ -80,7 +77,6 @@ from repro.net.query import (
     QueryResult,
 )
 from repro.net.stats import NetworkStats, NodeStats, WireMessage, latency_bucket
-from repro.net.timers import TimerWheel
 from repro.net.topology import Topology
 from repro.security.keystore import KeyStore
 from repro.security.principal import PrincipalRegistry
@@ -204,21 +200,8 @@ class KernelOptions:
     #: disables the feature.
     admission: Optional[AdmissionControl] = None
     query_cache: Optional[CacheConfig] = None
-    #: Soft-state refresh plane: ``"rounds"`` relies on scheduled
-    #: :class:`SoftStateRefresh` events; ``"wheel"`` arms a per-tuple timer
-    #: at each owner, re-asserting it every ``refresh_interval`` seconds,
-    #: throttled per node to ``refresh_rate`` tuples per second (0 = no
-    #: limit) with ``refresh_burst`` tokens of burst.
-    refresh_mode: str = "rounds"
-    refresh_interval: float = 10.0
-    refresh_rate: float = 0.0
-    refresh_burst: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.refresh_mode not in ("rounds", "wheel"):
-            raise ValueError(
-                f"unknown refresh_mode {self.refresh_mode!r}; expected 'rounds' or 'wheel'"
-            )
         if self.cost_model is None:
             object.__setattr__(self, "cost_model", CostModel())
 
@@ -275,13 +258,6 @@ class SimulationKernel:
         **overrides: object,
     ) -> None:
         options = dataclass_replace(options or KernelOptions(), **overrides)
-        if options.refresh_mode == "wheel" and config.refresh_propagation == 0.0:
-            # The wheel plane re-stamps continuously; waves propagate past
-            # the owner once the downstream copy is half an interval old, so
-            # derived state is repaired well before a full TTL elapses.
-            config = dataclass_replace(
-                config, refresh_propagation=options.refresh_interval / 2.0
-            )
         self.topology = topology
         self.compiled = compiled
         self.config = config
@@ -290,24 +266,6 @@ class SimulationKernel:
         #: hosted node, on simulated time only.
         self._admission_buckets: Dict[Address, TokenBucket] = {}
         self._query_caches: Dict[Address, ClosureCache] = {}
-        #: Timer-wheel refresh plane (``refresh_mode="wheel"``): per-tuple
-        #: refresh timers at each hosted owner live in hierarchical timer
-        #: wheels (never in the event heap — an idle network stays idle) and
-        #: are materialized lazily up to ``_wheel_horizon``, the furthest
-        #: horizon a :class:`RefreshHorizon` broadcast has announced.
-        #: ``_refresh_horizon`` is the emission guard on the *driving* side:
-        #: :meth:`schedule` broadcasts a new horizon only when an external
-        #: event lands strictly beyond the last one.
-        self._refresh_horizon = 0.0
-        self._wheel_horizon = 0.0
-        self._wheels: Dict[Address, TimerWheel] = {}
-        #: Coalesced due timers: ``(address, fire time) -> ordered keys``.
-        #: One :class:`RefreshTimerFire` event exists per bucket, so its
-        #: content rank ``(address)`` is unique at any instant.
-        self._due_refresh: Dict[Tuple[Address, float], Dict[FactKey, None]] = {}
-        #: Per-node refresh-wave token buckets (``refresh_rate`` > 0 only):
-        #: repair traffic is a bounded trickle, not synchronized spikes.
-        self._refresh_buckets: Dict[Address, TokenBucket] = {}
         #: The nodes whose engines this kernel hosts (all of them for the
         #: serial backend, one shard's worth for the sharded backend).
         self.hosted: Tuple[Address, ...] = (
@@ -427,8 +385,6 @@ class SimulationKernel:
             FactInjection: self._handle_injection,
             FactRetraction: self._handle_retraction,
             SoftStateRefresh: self._handle_refresh,
-            RefreshHorizon: self._handle_refresh_horizon,
-            RefreshTimerFire: self._handle_refresh_fire,
             QueryTimeout: self._handle_query_timeout,
             QueryArrival: self._handle_query_arrival,
             InboxDrain: self._handle_inbox_drain,
@@ -525,26 +481,7 @@ class SimulationKernel:
         Control events receive their ordering stamp here, in call order —
         the order the driving code (scenario scripts, tests, ``run``)
         scheduled them, which is identical under every backend.
-
-        Under ``refresh_mode="wheel"`` an external event landing strictly
-        beyond the previous refresh horizon first broadcasts a
-        :class:`RefreshHorizon` (at the *old* horizon, so due timers
-        materialize at their natural deadlines, not bunched at the new
-        event's instant) — the lazy-materialization trigger that lets
-        per-tuple timers stay out of the event heap.
         """
-        if (
-            self.options.refresh_mode == "wheel"
-            and event.time > self._refresh_horizon
-            and not isinstance(event, RefreshHorizon)
-        ):
-            previous = self._refresh_horizon
-            self._refresh_horizon = event.time
-            self._control_stamp += 1
-            self.scheduler.schedule(
-                RefreshHorizon(time=previous, horizon=event.time),
-                stamp=self._control_stamp,
-            )
         self._control_stamp += 1
         self.scheduler.schedule(event, stamp=self._control_stamp)
 
@@ -812,10 +749,6 @@ class SimulationKernel:
     def _handle_node_crash(self, event: NodeCrash, at: float) -> None:
         self._down_nodes.add(event.address)
         self._invalidate_routes()
-        # A crashed node's refresh timers die with it; recovery re-injection
-        # arms fresh ones.  Already-materialized fire buckets are filtered
-        # by the down-node check at fire time.
-        self._wheels.pop(event.address, None)
         # What the node had queued but not yet run dies with it.
         inbox = self._take_inbox(event.address)
         if inbox:
@@ -968,130 +901,31 @@ class SimulationKernel:
         self.scheduler.schedule(next_arrival(event, next_at))
 
     def _handle_refresh(self, event: SoftStateRefresh, at: float) -> None:
-        if self.options.refresh_mode == "wheel":
-            # The wheel plane refreshes continuously; a round event's only
-            # remaining effect — advancing the refresh horizon — already
-            # happened when scheduling it emitted the horizon broadcast.
-            # Keeping the event a no-op lets scenario scripts stay uniform
-            # across refresh modes.
-            return
-        # Expanded at fire time so control events that share the timestamp
-        # (and were scheduled earlier) are already reflected: a link that
-        # just failed is excluded, a node that just crashed stays silent.
-        # Each kernel refreshes the nodes it hosts; the others' remembered
-        # base-fact maps are empty here.
+        """Every live hosted node re-asserts its remembered base tuples.
+
+        Expanded at fire time so control events that share the timestamp
+        (and were scheduled earlier) are already reflected: a link that
+        just failed is excluded, a node that just crashed stays silent.
+        Each kernel refreshes the nodes it hosts; the others' remembered
+        base-fact maps are empty here.  A node that re-asserts counts one
+        ``timer_events``, and what its re-assertion ships counts as
+        ``refresh_messages`` / ``refresh_bytes``.
+        """
         for address in self.topology.nodes:
             if address in self._down_nodes:
                 continue
             facts = self.live_base_facts(address)
-            if facts:
-                self._inject(address, facts, at, remember=False)
-
-    # -- timer-wheel refresh plane ------------------------------------------------
-
-    def _handle_refresh_horizon(self, event: RefreshHorizon, at: float) -> None:
-        """Materialize every hosted refresh timer due up to the new horizon.
-
-        Due timers coalesce into one :class:`RefreshTimerFire` per (node,
-        instant) — content-ranked, so every backend fires them in the same
-        order.  ``max(deadline, at)`` guards the catch-up edge (a deadline
-        at the quantization boundary never schedules into the past, which
-        the sharded backend's conservative lookahead relies on).
-        """
-        if event.horizon > self._wheel_horizon:
-            self._wheel_horizon = event.horizon
-        for address in self.hosted:
-            wheel = self._wheels.get(address)
-            if not wheel:
+            if not facts:
                 continue
-            for deadline, key in wheel.advance(event.horizon):
-                self._queue_refresh(address, key, max(deadline, at))
-
-    def _handle_refresh_fire(self, event: RefreshTimerFire, at: float) -> None:
-        """One node's due refresh timers fire: re-assert, rate-limited."""
-        address = event.address
-        keys = self._due_refresh.pop((address, at), None)
-        if not keys:
-            return
-        node_stats = self.stats.node(address)
-        node_stats.timer_events += 1
-        if address in self._down_nodes:
-            # A crashed node's timers lapse silently; recovery re-injects
-            # its base facts, which re-arms them.
-            return
-        engine = self.engines.get(address)
-        if engine is None:
-            return
-        remembered = self._base_facts.get(address, {})
-        bucket: Optional[TokenBucket] = None
-        if self.options.refresh_rate > 0:
-            bucket = self._refresh_buckets.get(address)
-            if bucket is None:
-                bucket = self._refresh_buckets[address] = TokenBucket(
-                    rate=self.options.refresh_rate, burst=self.options.refresh_burst
-                )
-        due_facts: List[Fact] = []
-        for key in keys:
-            fact = remembered.get(key)
-            if fact is None:
-                continue  # retracted since the timer was armed
-            if (
-                fact.relation == self.options.link_relation
-                and len(fact.values) >= 2
-                and (fact.values[0], fact.values[1]) in self._down_links
-            ):
-                # A dead link's tuple is neither refreshed nor re-armed:
-                # it decays, and LinkUp re-injects (and re-arms) it.
-                continue
-            if bucket is not None and not bucket.try_acquire(at):
-                # Over the refresh budget: defer to the deterministic next
-                # token instead of refreshing in a burst.
-                retry_at = at + (1.0 - bucket.tokens) / bucket.rate
-                self._arm_refresh(address, key, retry_at)
-                continue
-            due_facts.append(fact)
-            self._arm_refresh(address, key, at + self.options.refresh_interval)
-        if not due_facts:
-            return
-        self._flush_inbox(address, at)
-        start = max(at, node_stats.busy_until)
-        sent_before = node_stats.messages_sent
-        bytes_before = node_stats.bytes_sent
-        result = engine.refresh_batch(due_facts, start)
-        self._count_seals(result.report, result.outgoing)
-        self._account_processing(address, start, result.report, node_stats)
-        self._dispatch_outgoing(address, result.outgoing, node_stats)
-        node_stats.refresh_messages += node_stats.messages_sent - sent_before
-        node_stats.refresh_bytes += node_stats.bytes_sent - bytes_before
-
-    def _arm_refresh(self, address: Address, key: FactKey, deadline: float) -> None:
-        """Arm (or re-arm) one base tuple's refresh timer at its owner.
-
-        Deadlines beyond the announced wheel horizon park in the node's
-        wheel; deadlines at or inside it (re-arms during a drained window)
-        materialize directly — quantized to the same tick grid the wheel
-        uses, so a timer fires at the same instant either way.
-        """
-        wheel = self._wheels.get(address)
-        if wheel is None:
-            wheel = self._wheels[address] = TimerWheel()
-        if deadline > self._wheel_horizon:
-            wheel.schedule(key, deadline)
-            return
-        wheel.cancel(key)
-        tick = math.ceil((deadline - wheel.epoch) / wheel.resolution)
-        self._queue_refresh(address, key, wheel.epoch + tick * wheel.resolution)
-
-    def _queue_refresh(self, address: Address, key: FactKey, when: float) -> None:
-        """Coalesce one due timer into its (node, instant) fire bucket."""
-        bucket = self._due_refresh.get((address, when))
-        if bucket is None:
-            self._due_refresh[(address, when)] = {key: None}
-            # Content-ranked (address), scheduled inside kernel processing —
-            # like query timeouts, never stamped.
-            self.scheduler.schedule(RefreshTimerFire(time=when, address=address))
-        else:
-            bucket[key] = None
+            # The inbox runs first, so its round's sends are not refresh's.
+            self._flush_inbox(address, at)
+            node_stats = self.stats.node(address)
+            node_stats.timer_events += 1
+            sent_before = node_stats.messages_sent
+            bytes_before = node_stats.bytes_sent
+            self._inject(address, facts, at, remember=False)
+            node_stats.refresh_messages += node_stats.messages_sent - sent_before
+            node_stats.refresh_bytes += node_stats.bytes_sent - bytes_before
 
     # -- internals ----------------------------------------------------------------
 
@@ -1115,8 +949,6 @@ class SimulationKernel:
         self._flush_inbox(address, at)
         node_stats = self.stats.node(address)
         remembered = self._base_facts.setdefault(address, {}) if remember else None
-        wheel_mode = self.options.refresh_mode == "wheel"
-        known = self._base_facts.get(address, {})
         pending: List[OutgoingFact] = []
         sealed: Set[Address] = set()
         for fact in facts:
@@ -1127,11 +959,6 @@ class SimulationKernel:
             pending.extend(result.outgoing)
             if remembered is not None:
                 remembered[fact.key()] = fact
-            if wheel_mode and fact.key() in known:
-                # Every remembered base tuple owns a refresh timer; injection
-                # (initial, LinkUp restore, crash-recovery re-inject) arms or
-                # re-arms it one interval out.
-                self._arm_refresh(address, fact.key(), at + self.options.refresh_interval)
         # One delta round per injection: everything the injected facts caused
         # ships together (one batch per destination when batching).
         self._dispatch_outgoing(address, pending, node_stats)
@@ -1146,7 +973,6 @@ class SimulationKernel:
         self._flush_inbox(address, at)
         node_stats = self.stats.node(address)
         remembered = self._base_facts.get(address)
-        wheel = self._wheels.get(address)
         for fact in facts:
             start = max(at, node_stats.busy_until)
             result = engine.retract_base(fact, now=start)
@@ -1162,8 +988,6 @@ class SimulationKernel:
             self._dispatch_outgoing(address, result.outgoing, node_stats)
             if remembered is not None:
                 remembered.pop(fact.key(), None)
-            if wheel is not None:
-                wheel.cancel(fact.key())
 
     def _deliver(self, message: WireMessage, deliver_at: float) -> None:
         destination = message.destination

@@ -77,7 +77,6 @@ from repro.net.events import (
     NodeCrash,
     NodeRecover,
     QueryArrival,
-    RefreshHorizon,
     SimulationEvent,
 )
 from repro.net.kernel import (
@@ -295,10 +294,10 @@ class ShardWorkerError(RuntimeError):
     """A shard worker reported a failure, or its process died."""
 
 
-def _check_reply(frame: bytes) -> bytes:
+def _check_reply(frame: bytes, shard: int) -> bytes:
     if frame[:1] == b"\x01":
         raise ShardWorkerError(
-            f"shard worker failed: {frame[1:].decode('utf-8', 'replace')}"
+            f"shard {shard} worker failed: {frame[1:].decode('utf-8', 'replace')}"
         )
     return frame
 
@@ -432,6 +431,8 @@ class _WorkerHandle:
     or ``OSError`` on the pipe; *abort* — the coordinator's ``close`` — then
     stops every remaining worker and the failure surfaces as one
     :class:`ShardWorkerError` naming the shard, its pid and its exit code.
+    A worker that reports a failure (and exits) aborts the same way, with
+    the shard and the worker's message in the error.
     """
 
     def __init__(self, context, spec: ShardSpec, shard: int, abort) -> None:
@@ -457,14 +458,19 @@ class _WorkerHandle:
             frame = self.connection.recv_bytes()
         except (EOFError, OSError) as error:
             raise self._died(error) from error
-        return _check_reply(frame)
+        if frame[:1] == b"\x01":
+            self._abort_all()  # the worker exits after a failure reply
+        return _check_reply(frame, self.shard)
+
+    def _abort_all(self) -> None:
+        abort = self._abort()
+        if abort is not None:
+            abort()
 
     def _died(self, error: Exception) -> ShardWorkerError:
         self.process.join(timeout=5)  # reap, so the exit code is known
         pid, exitcode = self.process.pid, self.process.exitcode
-        abort = self._abort()
-        if abort is not None:
-            abort()
+        self._abort_all()
         return ShardWorkerError(
             f"shard {self.shard} worker (pid {pid}) died with exit code "
             f"{exitcode} ({type(error).__name__} on its pipe)"
@@ -490,8 +496,9 @@ class _InlineWorker:
     coordination ledger, to process runs of the same workload.
     """
 
-    def __init__(self, kernel: SimulationKernel) -> None:
+    def __init__(self, kernel: SimulationKernel, shard: int) -> None:
         self.kernel = kernel
+        self.shard = shard
         self._replies: deque = deque()
 
     def send_command(self, frame: bytes) -> None:
@@ -502,7 +509,7 @@ class _InlineWorker:
         self._replies.append(reply)
 
     def recv_reply(self) -> bytes:
-        return _check_reply(self._replies.popleft())
+        return _check_reply(self._replies.popleft(), self.shard)
 
 
 class _SchedulerView:
@@ -564,9 +571,6 @@ class ShardedSimulator:
         self.compiled = compiled
         self.config = config
         self.options = options
-        #: Mirror of the serial kernel's refresh-horizon emission guard: the
-        #: furthest instant an externally scheduled event has announced.
-        self._refresh_horizon = 0.0
         self.shard_mode = shard_mode
         self.plan = partition_topology(topology, shards, seed=shard_seed)
         #: The effective conservative lookahead: cross-shard traffic pays at
@@ -647,7 +651,10 @@ class ShardedSimulator:
     def _ensure_running(self) -> None:
         if self._kernels is not None:
             if self._io is None:
-                self._io = [_InlineWorker(kernel) for kernel in self._kernels]
+                self._io = [
+                    _InlineWorker(kernel, shard)
+                    for shard, kernel in enumerate(self._kernels)
+                ]
             return
         if self._workers is None:
             context = multiprocessing.get_context("spawn")
@@ -697,24 +704,7 @@ class ShardedSimulator:
         dynamics broadcast to every kernel (each maintains its replica of
         the global down-link/down-node sets) with only the hosting shard
         counting the event.
-
-        Under ``refresh_mode="wheel"`` an event landing strictly beyond the
-        previous refresh horizon first broadcasts a :class:`RefreshHorizon`
-        — same guard, same stamp order as the serial kernel's
-        :meth:`~repro.net.kernel.SimulationKernel.schedule`, so both
-        backends materialize identical refresh timers.
         """
-        if (
-            self.options.refresh_mode == "wheel"
-            and event.time > self._refresh_horizon
-            and not isinstance(event, RefreshHorizon)
-        ):
-            previous = self._refresh_horizon
-            self._refresh_horizon = event.time
-            self._control_stamp += 1
-            self._pending_external.append(
-                (RefreshHorizon(time=previous, horizon=event.time), self._control_stamp)
-            )
         self._control_stamp += 1
         self._pending_external.append((event, self._control_stamp))
 
@@ -734,9 +724,8 @@ class ShardedSimulator:
             owner = self.plan.shard_of(event.address)
             targets = {shard: shard == owner for shard in range(shard_count)}
         else:
-            # Node-less broadcasts (soft-state refresh, refresh horizons):
-            # every kernel expands its own hosted nodes (or drains its own
-            # timer wheels); the primary counts the event.
+            # Node-less broadcasts (soft-state refresh): every kernel
+            # expands its own hosted nodes; the primary counts the event.
             targets = {shard: shard == 0 for shard in range(shard_count)}
         for shard, owned in targets.items():
             self._flush_buffers.setdefault(shard, []).append((event, stamp, owned))

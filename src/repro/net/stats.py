@@ -177,12 +177,13 @@ class NodeStats:
     facts_verified: int = 0
     verification_failures: int = 0
     facts_rejected: int = 0
-    #: Dynamics ledger (one-fixpoint deletions and the timer-wheel refresh
-    #: plane): tuples this node revived because an alternative derivation
+    #: Dynamics ledger (one-fixpoint deletions and soft-state refresh
+    #: rounds): tuples this node revived because an alternative derivation
     #: survived a retraction cascade; DRed anti-delta wire messages/bytes it
     #: shipped (also included in ``messages_sent`` / ``bytes_sent``);
-    #: first-hop wire messages/bytes its refresh waves originated (likewise
-    #: included in the totals); and refresh-timer fire events it handled.
+    #: wire messages/bytes its re-assertions in refresh rounds shipped
+    #: (likewise included in the totals); and the refresh rounds in which
+    #: it re-asserted base tuples.
     #: All integers on simulated time — part of the cross-backend equality
     #: contract.
     rederivations: int = 0

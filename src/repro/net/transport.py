@@ -48,8 +48,6 @@ from repro.net.events import (
     NodeRecover,
     QueryArrival,
     QueryTimeout,
-    RefreshHorizon,
-    RefreshTimerFire,
     SimulationEvent,
     SoftStateRefresh,
 )
@@ -77,6 +75,8 @@ _U64 = struct.Struct("<Q")
 _F64 = struct.Struct("<d")
 
 _KIND_PICKLE = 255
+#: Kinds 11 and 12 are retired, not reused: a frame that carries one fails
+#: to decode instead of reading as a different event.
 _EVENT_KINDS: Dict[type, int] = {
     FactInjection: 1,
     FactRetraction: 2,
@@ -88,8 +88,6 @@ _EVENT_KINDS: Dict[type, int] = {
     MessageDelivery: 8,
     QueryTimeout: 9,
     QueryArrival: 10,
-    RefreshHorizon: 11,
-    RefreshTimerFire: 12,
 }
 
 
@@ -586,10 +584,6 @@ def _encode_event(
             writer.u8(1 if event.reinject else 0)
         elif isinstance(event, SoftStateRefresh):
             pass
-        elif isinstance(event, RefreshHorizon):
-            writer.f64(event.horizon)
-        elif isinstance(event, RefreshTimerFire):
-            writer.u32(table.intern(event.address))
         elif isinstance(event, MessageDelivery):
             _encode_message(writer, table, event.message)
         elif isinstance(event, QueryArrival):
@@ -666,10 +660,6 @@ def _decode_event(reader: _Reader, strings: List[str]) -> SimulationEvent:
             deadline=reader.f64(),
             think=reader.f64(),
         )
-    if kind == 11:
-        return RefreshHorizon(time=time, horizon=reader.f64())
-    if kind == 12:
-        return RefreshTimerFire(time=time, address=strings[reader.u32()])
     raise ValueError(f"unknown event kind {kind} in coordination frame")
 
 

@@ -752,7 +752,7 @@ class ReferenceStores:
         self.dependents: Dict[FactKey, Dict[FactKey, None]] = {}
 
     def record_base(self, fact: Fact, source: Optional[str]) -> None:
-        """``insert_base`` / ``refresh_batch``."""
+        """``insert_base``."""
         self.local.record_base(fact, source=source)
         self.distributed.record_base(fact)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 from wire import batch_of_one
 
+from repro.api import Network
 from repro.datalog import localize_program, parse_program
 from repro.datalog.planner import compile_program
 from repro.engine.node_engine import EngineConfig, NodeEngine, ProvenanceMode
@@ -26,6 +27,7 @@ from repro.net.events import (
     NodeCrash,
     NodeRecover,
     QueryTimeout,
+    SoftStateRefresh,
 )
 from repro.net.kernel import SimulationKernel
 from repro.net.topology import line_topology, random_topology, ring_topology
@@ -281,6 +283,55 @@ class TestNodeChurn:
         assert len(engine.offline_provenance) == archived
         assert engine.provenance.keys() == ()
         assert not engine.provenance.knows(("link", ("n1", "n2", 1.0)))
+
+
+class TestRefreshRound:
+    """A :class:`SoftStateRefresh` feeds the refresh ledger: one
+    ``timer_events`` per node that re-asserts its base tuples, and what the
+    re-assertion ships as ``refresh_messages`` / ``refresh_bytes``."""
+
+    RELATIONS = ("link", "path", "bestPathCost", "bestPath")
+
+    def _stored(self, network):
+        return {
+            relation: {
+                address: sorted(fact.key() for fact in facts)
+                for address, facts in network.facts(relation).items()
+            }
+            for relation in self.RELATIONS
+        }
+
+    @pytest.mark.parametrize("backend", ("serial", "sharded"))
+    def test_round_before_ttl_restamps_owners_only(self, backend):
+        sharded = {"shards": 2, "shard_mode": "inline"} if backend == "sharded" else {}
+        network = Network.build(
+            topology=8,
+            program="best-path",
+            provenance="ndlog",
+            seed=0,
+            key_bits=128,
+            default_ttl=30.0,
+            backend=backend,
+            **sharded,
+        )
+        nodes = network.topology.nodes
+        network.run()
+        stored = self._stored(network)
+        at = network.simulator.current_time() + 1.0
+        network.schedule(SoftStateRefresh(time=at))
+        assert network.run_until_idle()
+        summary = network.stats.summary()
+        assert summary["timer_events"] == len(nodes)
+        assert summary["refresh_messages"] == summary["refresh_bytes"] == 0
+        assert self._stored(network) == stored
+
+        # A crashed node stays silent: the next round counts one node fewer.
+        network.schedule(NodeCrash(time=at + 1.0, address=nodes[3]))
+        network.schedule(SoftStateRefresh(time=at + 2.0))
+        assert network.run_until_idle()
+        summary = network.stats.summary()
+        assert summary["timer_events"] == 2 * len(nodes) - 1
+        assert summary["refresh_messages"] == summary["refresh_bytes"] == 0
 
 
 class TestRetraction:

@@ -94,10 +94,6 @@ class TestPresets:
             "query_cache_entries",
             "cost_model",
             "seed",
-            "refresh_mode",
-            "refresh_interval",
-            "refresh_rate",
-            "refresh_burst",
             "rederivation",
             "default_ttl",
             "track_dependencies",
@@ -106,7 +102,7 @@ class TestPresets:
             "hot_tier_entries",
             "spill_dir",
         )
-        assert len(names(NetOptions)) == 27
+        assert len(names(NetOptions)) == 23
         assert names(KernelOptions) == (
             "cost_model",
             "key_bits",
@@ -117,11 +113,8 @@ class TestPresets:
             "link_relation",
             "admission",
             "query_cache",
-            "refresh_mode",
-            "refresh_interval",
-            "refresh_rate",
-            "refresh_burst",
         )
+        assert len(names(KernelOptions)) == 9
         assert names(EngineConfig) == (
             "says_mode",
             "provenance_mode",
@@ -132,8 +125,8 @@ class TestPresets:
             "default_ttl",
             "track_dependencies",
             "rederivation",
-            "refresh_propagation",
         )
+        assert len(names(EngineConfig)) == 9
         assert names(AdmissionControl) == ("rate", "burst")
         assert names(CacheConfig) == ("capacity",)
 
@@ -158,7 +151,7 @@ class TestNetOptionsValidation:
             ({"default_latency": -1.0}, "default_latency"),
             ({"default_ttl": -1.0}, "default_ttl"),
             ({"link_relation": ""}, "link_relation"),
-            ({"refresh_interval": 0.0}, "refresh_interval"),
+            ({"admission_burst": -1.0}, "admission_burst"),
             ({"hot_tier_entries": 0}, "hot_tier_entries"),
             ({"spill_dir": ""}, "spill_dir"),
             # Above the old floor of 16 and below generate_keypair's: one
@@ -189,6 +182,10 @@ class TestNetOptionsValidation:
             {"admission_retry_delay": 0.05},
             {"query_cache_ttl": 2.0},
             {"query_timeout": 30.0},
+            {"refresh_mode": "wheel"},
+            {"refresh_interval": 10.0},
+            {"refresh_rate": 2.0},
+            {"refresh_burst": 4.0},
         ],
         ids=lambda kwargs: next(iter(kwargs)),
     )
@@ -196,8 +193,9 @@ class TestNetOptionsValidation:
         # The deleted coordination / transport / receive modes, the two
         # dead provenance switches, the second archive representation and
         # the knobs only tests set (archive aging, admission retries, the
-        # cache TTL, the run-wide query timeout) are not silently accepted:
-        # they fail like any other misspelt option.
+        # cache TTL, the run-wide query timeout) and the timer-wheel refresh
+        # plane's four knobs are not silently accepted: they fail like any
+        # other misspelt option.
         with pytest.raises(ValueError, match="unknown NetOptions field.*valid fields"):
             Network.build(topology=4, provenance="ndlog", **removed)
 

@@ -451,11 +451,11 @@ class TestDynamicsAcrossShards:
 class TestDynamicsCountersEquivalence:
     """The six churn-plane counters are part of the byte-identical contract.
 
-    Rederivations, anti-delta messages/bytes and the timer-wheel's refresh
-    messages/bytes/timer events are all driven by content-ranked events on
-    simulated time, so a script that exercises one-fixpoint deletion *and*
-    the wheel refresh plane must produce exactly equal ledgers on the
-    serial backend and on the sharded backend at every shard count.
+    Rederivations, anti-delta messages/bytes and the refresh rounds'
+    messages/bytes/timer events are all driven by events on simulated
+    time, so a script that exercises one-fixpoint deletion *and* a refresh
+    round that rebuilds lapsed state must produce exactly equal ledgers on
+    the serial backend and on the sharded backend at every shard count.
     """
 
     COUNTERS = (
@@ -507,8 +507,6 @@ class TestDynamicsCountersEquivalence:
                 backend=backend,
                 shards=shards,
                 shard_mode="inline",
-                refresh_mode="wheel",
-                refresh_interval=5.0,
                 key_bits=128,
             ),
         )
@@ -522,7 +520,7 @@ class TestDynamicsCountersEquivalence:
             )
             simulator.schedule(FactInjection(time=0.0, address=node, facts=facts))
         assert simulator.run_until_idle()
-        # Let the wheel carry state past its TTL before retracting.
+        # Past the TTL every tuple has lapsed: the round rebuilds it all.
         simulator.schedule(SoftStateRefresh(time=25.0))
         assert simulator.run_until_idle()
         at = max(simulator.current_time(), 25.0) + 1.0
@@ -544,7 +542,7 @@ class TestDynamicsCountersEquivalence:
         return simulator.finish()
 
     @pytest.mark.parametrize("shards", (2, 4))
-    def test_wheel_and_rederivation_ledger_identical(self, shards):
+    def test_round_and_rederivation_ledger_identical(self, shards):
         serial = self._drive("serial")
         sharded = self._drive("sharded", shards=shards)
         _assert_equivalent(serial, sharded, relation="reachable")
@@ -770,6 +768,33 @@ class TestProcessWorkers:
                 ShardWorkerError, match=r"shard 1 worker .*exit code -9"
             ):
                 _within(30, simulator.run_until_idle)
+            for process in processes:
+                process.join(timeout=5)
+            assert not any(process.is_alive() for process in processes)
+            assert simulator._workers is None
+        finally:
+            simulator.close()
+
+    def test_failure_reply_names_the_shard_and_stops_every_worker(self):
+        # A live worker that fails an op replies with its error and exits;
+        # the coordinator must name the shard and stop the other workers too.
+        simulator = ShardedSimulator(
+            random_topology(8, seed=4),
+            compile_best_path(),
+            EngineConfig(),
+            key_bits=128,
+            shards=2,
+            shard_mode="processes",
+        )
+        simulator._ensure_running()
+        workers = simulator._workers
+        processes = [worker.process for worker in workers]
+        try:
+            workers[1].send_command(bytes((0xEE,)))
+            with pytest.raises(
+                ShardWorkerError, match=r"shard 1 worker failed: .*unknown shard worker op"
+            ):
+                _within(30, workers[1].recv_reply)
             for process in processes:
                 process.join(timeout=5)
             assert not any(process.is_alive() for process in processes)

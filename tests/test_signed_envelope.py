@@ -39,7 +39,6 @@ SENDLOG_PROV = EngineConfig(
     says_mode=SaysMode.SIGNED,
     provenance_mode=ProvenanceMode.CONDENSED,
     rederivation=True,
-    refresh_propagation=5.0,
 )
 
 
@@ -117,9 +116,8 @@ def test_misdelivered_or_replayed_tuple_is_rejected(compiled_best_path, keystore
     else or a second time.  A tuple sealed for ``b`` is refused at ``c``; the
     identical message is refused at ``b`` as stale; ``a``'s next genuine
     export is accepted — also after ``a`` crashed and recovered (the export
-    counter is kept beside the key, not in the state a crash wipes) and
-    across a refresh wave (re-shipped tuples are re-sealed under fresh
-    numbers)."""
+    counter is kept beside the key, not in the state a crash wipes, so a
+    re-shipped tuple is re-sealed under a fresh number)."""
     a, b, c = engines(compiled_best_path, keystore)
     first, second = two_tuples_from_a_to_b(a, b)
     to_b = {fact.key(): seal(a, (fact,), "b") for fact in (first, second)}
@@ -148,19 +146,6 @@ def test_misdelivered_or_replayed_tuple_is_rejected(compiled_best_path, keystore
     again_sealed = seal(a, again, "b")
     assert b.receive_batch([(again, again_sealed)], 4.5).report.facts_rejected == 0
     assert_rejected(again_at_b(first, 5.0), 1)
-
-    # A refresh wave re-ships the same tuple, freshly numbered and sealed;
-    # the copy the relay kept from before the wave stays dead.
-    wave = [
-        o.fact
-        for o in a.refresh_batch([Fact("link", ("a", "b", 1.0))], now=20.0).outgoing
-        if o.destination == "b"
-    ]
-    assert [fact.key() for fact in wave] == [first.key()]
-    refreshed = deliver(a, b, wave, now=20.5)
-    assert refreshed.report.facts_verified == 1
-    assert refreshed.report.facts_rejected == 0
-    assert_rejected(b.receive_batch([(again, again_sealed)], 21.0), 1)
 
 
 def test_a_message_naming_two_principals_is_rejected(compiled_best_path, keystore):

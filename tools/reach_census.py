@@ -11,7 +11,7 @@ those of nested functions and classes (a nested function counts its own).
 The entry points are the program's own runs, nothing under ``tests/`` or
 ``benchmarks/``: every ``examples/*.py``, ``experiments all --sizes 10,20``,
 ``scenarios all --nodes 8`` (serial, and inline-sharded at three shards),
-the query-plane and timer-wheel scenario legs of ``make ci``, the program
+the query-plane scenario leg of ``make ci``, the program
 linter's CLI over the built-in programs, and the five ``bench/workloads.py``
 workloads at their smoke size (plus the front-end timing the traced
 benchmark run adds).  Worker processes are not profiled: what only a shard
@@ -42,7 +42,7 @@ REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "repro"
 
 #: Unreached body lines under ``src/repro``.  Only ever lowered.
-CEILING = 1083
+CEILING = 1073
 
 
 @dataclass(frozen=True)
@@ -230,7 +230,6 @@ def entry_points() -> List[Callable[[], None]]:
             scenarios, "link-failure", "--nodes", "8",
             "--query-rate", "3", "--clients", "1", "--admission", "2",
         ),
-        _main_of(scenarios, "retraction", "--nodes", "8", "--refresh-mode", "wheel"),
         _main_of("repro.datalog.lint.cli", "--builtin", "--strict"),
         _quiet(_workloads),
     ]
