@@ -59,7 +59,7 @@ dictionary — among them the security ledger of a signed run::
 
 Presets mirror the paper's configurations (``"ndlog"``, ``"sendlog"``,
 ``"sendlog-prov"``, plus ``"condensed"`` / ``"distributed"`` /
-``"full-local"``); every other knob lives on a validated
+``"sendlog-distributed"``); every other knob lives on a validated
 :class:`~repro.api.NetOptions`.  Programs are statically analyzed on the
 way in: ``Network.build(..., lint="error")`` (the default) rejects
 programs with error-severity diagnostics — unsafe rules, arity or type

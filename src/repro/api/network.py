@@ -299,11 +299,17 @@ class Network:
                     )
                 )
             self.simulator.run_until_idle()
-        start = self.simulator.current_time()
-        offered = self.simulator.serve(workload, start=start)
+        # The arrival stream is a pure function of the workload and the
+        # node list, so both backends schedule identical arrivals; each one
+        # is handled on the kernel hosting its asking node.
+        arrivals = workload.events(
+            self.simulator.topology.nodes, self.simulator.current_time()
+        )
+        for event in arrivals:
+            self.simulator.schedule(event)
         converged = self.simulator.run_until_idle()
         result = self._wrap(self.simulator.finish(converged))
-        result.offered = offered
+        result.offered = len(arrivals)
         result.serve_duration = workload.duration
         return result
 
@@ -358,14 +364,18 @@ class Network:
                     "specify at=<node>: a bare fact key does not say which "
                     "node is asking"
                 )
-        return self.simulator.query(
-            root,
-            at=at,
-            mode=mode,
-            condensed=condensed,
-            authenticated=authenticated,
-            timeout=timeout,
+        pending = self.simulator.issue_query(
+            ProvenanceQuery(
+                root=as_fact_key(root),
+                at=at,
+                mode=mode,
+                condensed=condensed,
+                authenticated=authenticated,
+                timeout=timeout,
+            )
         )
+        self.simulator.run_until_idle()
+        return pending.result()
 
     def issue_query(
         self, query: ProvenanceQuery, now: Optional[float] = None

@@ -38,7 +38,6 @@ PROVENANCE_PRESETS: Dict[str, Tuple[SaysMode, ProvenanceMode]] = {
     "sendlog": (SaysMode.SIGNED, ProvenanceMode.NONE),
     "sendlog-prov": (SaysMode.SIGNED, ProvenanceMode.CONDENSED),
     "condensed": (SaysMode.NONE, ProvenanceMode.CONDENSED),
-    "full-local": (SaysMode.NONE, ProvenanceMode.FULL_LOCAL),
     "distributed": (SaysMode.NONE, ProvenanceMode.DISTRIBUTED),
     "sendlog-distributed": (SaysMode.SIGNED, ProvenanceMode.DISTRIBUTED),
 }
@@ -172,14 +171,8 @@ class NetOptions:
             raise ValueError(
                 f"default_bandwidth must be positive, got {self.default_bandwidth}"
             )
-        if self.default_ttl is not None and self.default_ttl <= 0:
-            raise ValueError(f"default_ttl must be positive, got {self.default_ttl}")
-        if self.hot_tier_entries is not None and self.hot_tier_entries < 1:
-            raise ValueError(
-                f"hot_tier_entries must be >= 1, got {self.hot_tier_entries}"
-            )
-        if self.spill_dir is not None and not self.spill_dir:
-            raise ValueError("spill_dir must be a non-empty directory path")
+        # The engine-side overrides are checked where they are defined.
+        EngineConfig(**self.engine_overrides())
         if not self.link_relation:
             raise ValueError("link_relation must be a non-empty relation name")
         if self.lint not in LINT_MODES:
@@ -283,7 +276,8 @@ class NetOptions:
     def engine_config(self, provenance: str) -> EngineConfig:
         """The :class:`EngineConfig` for preset *provenance* plus overrides."""
         says_mode, provenance_mode = PROVENANCE_PRESETS[resolve_preset(provenance)]
-        config = EngineConfig(says_mode=says_mode, provenance_mode=provenance_mode)
-        for name, value in self.engine_overrides().items():
-            setattr(config, name, value)
-        return config
+        return EngineConfig(
+            says_mode=says_mode,
+            provenance_mode=provenance_mode,
+            **self.engine_overrides(),
+        )

@@ -43,12 +43,7 @@ from repro.datalog.lint import check_program, lint_program, lint_source
 from repro.datalog.parser import parse_program, parse_rule
 from repro.datalog.catalog import Catalog, RelationSchema
 from repro.datalog.rewrite import localize_program
-from repro.datalog.analysis import (
-    DependencyGraph,
-    analyze_program,
-    check_safety,
-    stratify,
-)
+from repro.datalog.analysis import DependencyGraph, stratify
 from repro.datalog.planner import RulePlan, compile_program
 
 __all__ = [
@@ -78,9 +73,7 @@ __all__ = [
     "Span",
     "Term",
     "Variable",
-    "analyze_program",
     "check_program",
-    "check_safety",
     "compile_program",
     "lint_program",
     "lint_source",

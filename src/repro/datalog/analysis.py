@@ -1,14 +1,14 @@
 """Static analysis of NDlog / SeNDlog programs.
 
-Provides the predicate dependency graph, recursion and stratification
-analysis, and rule safety checks.  These mirror the checks a Datalog compiler
-performs before producing an execution plan.
+Provides the predicate dependency graph, stratification and the rule safety
+conditions.  The linter (:mod:`repro.datalog.lint`) is their one caller and
+reports every violation as a diagnostic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.datalog.ast import (
     Assignment,
@@ -44,78 +44,6 @@ class DependencyGraph:
 
     def predicates(self) -> Tuple[str, ...]:
         return tuple(self.edges)
-
-    def depends_on(self, predicate: str) -> FrozenSet[str]:
-        return frozenset(self.edges.get(predicate, set()))
-
-    def is_recursive(self, predicate: str) -> bool:
-        """True when *predicate* transitively depends on itself."""
-        return predicate in self.reachable_from(predicate)
-
-    def reachable_from(self, predicate: str) -> FrozenSet[str]:
-        """All predicates transitively reachable from *predicate*'s body."""
-        seen: Set[str] = set()
-        stack = list(self.edges.get(predicate, set()))
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            stack.extend(self.edges.get(current, set()))
-        return frozenset(seen)
-
-    def strongly_connected_components(self) -> List[FrozenSet[str]]:
-        """Tarjan's algorithm; components are returned in reverse topological order."""
-        index_counter = [0]
-        stack: List[str] = []
-        lowlink: Dict[str, int] = {}
-        index: Dict[str, int] = {}
-        on_stack: Set[str] = set()
-        components: List[FrozenSet[str]] = []
-
-        def strongconnect(node: str) -> None:
-            index[node] = index_counter[0]
-            lowlink[node] = index_counter[0]
-            index_counter[0] += 1
-            stack.append(node)
-            on_stack.add(node)
-            for successor in self.edges.get(node, set()):
-                if successor not in index:
-                    strongconnect(successor)
-                    lowlink[node] = min(lowlink[node], lowlink[successor])
-                elif successor in on_stack:
-                    lowlink[node] = min(lowlink[node], index[successor])
-            if lowlink[node] == index[node]:
-                component: Set[str] = set()
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.add(member)
-                    if member == node:
-                        break
-                components.append(frozenset(component))
-
-        for node in self.edges:
-            if node not in index:
-                strongconnect(node)
-        return components
-
-
-@dataclass(frozen=True)
-class ProgramAnalysis:
-    """Result of :func:`analyze_program`."""
-
-    dependency_graph: DependencyGraph
-    strata: Tuple[Tuple[str, ...], ...]
-    recursive_predicates: FrozenSet[str]
-    base_predicates: FrozenSet[str]
-    derived_predicates: FrozenSet[str]
-
-    def stratum_of(self, predicate: str) -> int:
-        for level, stratum in enumerate(self.strata):
-            if predicate in stratum:
-                return level
-        return 0
 
 
 def build_dependency_graph(program: Program) -> DependencyGraph:
@@ -257,39 +185,3 @@ def iter_safety_violations(rule: Rule) -> Iterable[SafetyViolation]:
                     span=span_of(variable) or span_of(rule.head),
                     variable=variable.name,
                 )
-
-
-def check_safety(rule: Rule) -> None:
-    """Check the standard Datalog safety conditions for *rule*.
-
-    Raises :class:`SafetyError` on the first violation, carrying the
-    violation's diagnostic code and — when the rule was parsed from source —
-    the line/column of the offending variable.
-    """
-    for violation in iter_safety_violations(rule):
-        span = violation.span or span_of(rule)
-        raise SafetyError(
-            violation.message,
-            line=span.line if span else 0,
-            column=span.column if span else 0,
-            code=violation.code,
-        )
-
-
-def analyze_program(program: Program) -> ProgramAnalysis:
-    """Run safety checks and structural analysis over *program*."""
-    for rule in program.rules:
-        if not rule.is_fact():
-            check_safety(rule)
-    graph = build_dependency_graph(program)
-    strata = stratify(program)
-    recursive = frozenset(
-        name for name in graph.predicates() if graph.is_recursive(name)
-    )
-    return ProgramAnalysis(
-        dependency_graph=graph,
-        strata=strata,
-        recursive_predicates=recursive,
-        base_predicates=frozenset(program.base_predicates()),
-        derived_predicates=frozenset(program.derived_predicates()),
-    )

@@ -160,19 +160,6 @@ class Catalog:
     def derived_relations(self) -> Tuple[RelationSchema, ...]:
         return tuple(s for s in self._schemas.values() if not s.is_base)
 
-    def check_rule(self, rule: Rule) -> None:
-        """Validate that every atom in *rule* matches the catalog arity."""
-        for atom in (rule.head, *rule.body_atoms()):
-            if atom.name not in self._schemas:
-                continue
-            expected = self._schemas[atom.name].arity
-            if atom.arity != expected:
-                raise _located(
-                    f"rule {rule.label}: {atom.name!r} used with arity "
-                    f"{atom.arity}, declared {expected}",
-                    atom,
-                )
-
 
 def _record_arity(arities: Dict[str, int], rule: Rule) -> None:
     for atom in (rule.head, *rule.body_atoms()):

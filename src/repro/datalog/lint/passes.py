@@ -5,7 +5,7 @@ parsed :class:`~repro.datalog.ast.Program`; passes never mutate the program
 and never raise on bad input — a finding is always a
 :class:`~repro.datalog.diagnostics.Diagnostic` with a stable code, so one
 run reports *all* defects instead of dying on the first (the way
-``check_safety`` / ``stratify`` / ``Catalog.from_program`` do).
+``stratify`` / ``Catalog.from_program`` do).
 
 The pass registry and the code reference table live in
 :mod:`repro.datalog.lint` (the package ``__init__``).

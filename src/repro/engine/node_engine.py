@@ -52,8 +52,6 @@ class ProvenanceMode(Enum):
     NONE = "none"
     #: Condensed (absorption-minimal) annotations piggy-backed on shipped tuples.
     CONDENSED = "condensed"
-    #: Full derivation graphs piggy-backed on shipped tuples (local provenance).
-    FULL_LOCAL = "full_local"
     #: Pointers stored per node, nothing shipped (distributed provenance).
     DISTRIBUTED = "distributed"
 
@@ -63,7 +61,7 @@ class ProvenanceMode(Enum):
 
     @property
     def ships_provenance(self) -> bool:
-        return self in (ProvenanceMode.CONDENSED, ProvenanceMode.FULL_LOCAL)
+        return self is ProvenanceMode.CONDENSED
 
 
 @dataclass
@@ -102,6 +100,16 @@ class EngineConfig:
     #: Exported facts ship their polynomial; remote copies are chased with
     #: anti-deltas carrying the retracted base keys.
     rederivation: bool = False
+
+    def __post_init__(self) -> None:
+        if self.default_ttl is not None and self.default_ttl <= 0:
+            raise ValueError(f"default_ttl must be positive, got {self.default_ttl}")
+        if self.hot_tier_entries < 1:
+            raise ValueError(
+                f"hot_tier_entries must be >= 1, got {self.hot_tier_entries}"
+            )
+        if self.spill_dir is not None and not self.spill_dir:
+            raise ValueError("spill_dir must be a non-empty directory path")
 
 
 @dataclass(slots=True)
@@ -764,12 +772,6 @@ class NodeEngine:
                 provenance_bytes = shipped.serialized_size()
             else:
                 mask, provenance_bytes = packed
-            if self.config.provenance_mode is ProvenanceMode.FULL_LOCAL:
-                # Local provenance is charged for the rendered full tree
-                # when it outweighs the annotation that actually travels.
-                key = derived.key()
-                tree = self.provenance.graph(key).render(key)
-                provenance_bytes = max(provenance_bytes, len(tree.encode("utf-8")))
             result.report.provenance_bytes_computed += provenance_bytes
         if support is not None:
             # The base-support polynomial rides the export (charged as

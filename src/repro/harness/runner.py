@@ -68,8 +68,8 @@ def run_network(
             shard_mode=shard_mode,
         ),
     )
-    # network.base_facts() shapes the link workload to the program's catalog;
-    # for Best-Path it is exactly best_path_workload(topology).
+    # network.base_facts() shapes the link workload to the program's catalog:
+    # for Best-Path, one link(@S, D, C) tuple per topology link at its source.
     run = network.run()
     # Report the row under the caller's configuration spelling ("NDLog", not
     # the canonical preset "ndlog") so sweep tables keep their labels.

@@ -2,12 +2,14 @@
 
 The paper's central claim is that network provenance stays correct and
 queryable *while the network changes* — soft-state expiry, churn and
-misbehaving nodes are the reason provenance exists.  This module turns the
-simulator's typed events into declarative, phase-structured **scenario
-scripts**: each phase schedules a batch of network dynamics (link failures,
-node churn, fact retraction, soft-state refresh rounds), runs the network to
-its new distributed fixpoint, and reports one row of convergence and
-overhead metrics.
+misbehaving nodes are the reason provenance exists.  This module strings
+the simulator's typed events (:mod:`repro.net.events`) into declarative,
+phase-structured **scenario scripts**: each :class:`Phase` schedules its
+events — link failures, node churn, fact injection and retraction,
+soft-state refresh rounds — timed from the phase start, optionally serves a
+provenance-query workload alongside, runs the network to its new
+distributed fixpoint, and reports one row of convergence and overhead
+metrics.
 
 Three built-in scripts cover the canonical dynamics:
 
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.network import Network
@@ -45,7 +47,6 @@ from repro.net.events import (
     FactInjection,
     FactRetraction,
     LinkDown,
-    LinkUp,
     NodeCrash,
     NodeRecover,
     SimulationEvent,
@@ -69,120 +70,6 @@ SCENARIO_OPTIONS = NetOptions(key_bits=128)
 
 
 # ---------------------------------------------------------------------------
-# Declarative actions
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Action:
-    """One declarative network dynamic, expanded into scheduler events."""
-
-    def events(
-        self, simulator: SimulationKernel, at: float
-    ) -> Tuple[SimulationEvent, ...]:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class FailLink(Action):
-    source: Address
-    destination: Address
-    retract: bool = True
-
-    def events(self, simulator, at):
-        return (
-            LinkDown(
-                time=at,
-                source=self.source,
-                destination=self.destination,
-                retract=self.retract,
-            ),
-        )
-
-
-@dataclass(frozen=True)
-class RestoreLink(Action):
-    source: Address
-    destination: Address
-
-    def events(self, simulator, at):
-        return (LinkUp(time=at, source=self.source, destination=self.destination),)
-
-
-@dataclass(frozen=True)
-class Crash(Action):
-    address: Address
-
-    def events(self, simulator, at):
-        return (NodeCrash(time=at, address=self.address),)
-
-
-@dataclass(frozen=True)
-class Recover(Action):
-    address: Address
-    reinject: bool = True
-
-    def events(self, simulator, at):
-        return (
-            NodeRecover(time=at, address=self.address, reinject=self.reinject),
-        )
-
-
-@dataclass(frozen=True)
-class Inject(Action):
-    address: Address
-    facts: Tuple[Fact, ...]
-
-    def events(self, simulator, at):
-        return (FactInjection(time=at, address=self.address, facts=self.facts),)
-
-
-@dataclass(frozen=True)
-class Retract(Action):
-    address: Address
-    facts: Tuple[Fact, ...]
-
-    def events(self, simulator, at):
-        return (FactRetraction(time=at, address=self.address, facts=self.facts),)
-
-
-@dataclass(frozen=True)
-class RefreshSoftState(Action):
-    """Every live node re-asserts its remembered base tuples.
-
-    This is the paper's soft-state repair loop, run as a discrete round:
-    state that lost its support — a failed link, a crashed neighbour, a
-    retracted tuple — stops being refreshed and decays by TTL, and the next
-    round re-derives what the current network still supports.  The
-    expansion happens when the event fires (not at scheduling), so
-    same-phase failures are already in effect.  Re-asserting an unchanged
-    live tuple only refreshes its TTL at the owner; rounds meant to rebuild
-    *remote* state therefore run after the old state decayed (phase gaps
-    beyond the TTL), matching the scripts below.
-    """
-
-    def events(self, simulator, at):
-        return (SoftStateRefresh(time=at),)
-
-
-@dataclass(frozen=True)
-class ServeQueries(Action):
-    """Hold the phase open under a provenance-query workload.
-
-    The workload's arrival stream (see :class:`repro.service.workload.
-    QueryWorkload`) opens when the phase's dynamics fire, so queries race
-    the very churn the phase scripts — the service plane answering *while*
-    the network changes is the paper's claim run as a workload.  The
-    stream is a pure function of the workload spec and the topology's node
-    list, so serial and sharded scenario runs serve identical arrivals.
-    """
-
-    workload: QueryWorkload
-
-    def events(self, simulator, at):
-        return tuple(self.workload.events(simulator.topology.nodes, at))
-
-
-# ---------------------------------------------------------------------------
 # Scenario structure
 # ---------------------------------------------------------------------------
 
@@ -191,12 +78,18 @@ class Phase:
     """One step of a scenario: dynamics applied, then a run to fixpoint.
 
     ``gap`` is simulated seconds between the previous phase's completion and
-    this phase's events — long gaps let soft state decay before the phase
-    observes the network.
+    this phase's start — long gaps let soft state decay before the phase
+    observes the network.  ``events`` are the phase's dynamics, each timed
+    as an offset from the phase start.  ``workload`` holds the phase open
+    under a provenance-query workload whose arrivals open at the phase
+    start, so queries race the very churn the phase scripts; the arrivals
+    are a pure function of the workload spec and the topology's node list,
+    so serial and sharded runs serve identical streams.
     """
 
     name: str
-    actions: Tuple[Action, ...] = ()
+    events: Tuple[SimulationEvent, ...] = ()
+    workload: Optional[QueryWorkload] = None
     gap: float = 0.0
 
 
@@ -253,7 +146,7 @@ class PhaseRow:
     provenance_bytes_resident: int = _counted("provenance_bytes_resident", gauge=True)
     provenance_bytes_spilled: int = _counted("provenance_bytes_spilled")
     spill_reads: int = _counted("spill_reads")
-    #: Service-plane columns (``ServeQueries`` phases): p95 simulated
+    #: Service-plane columns (phases with a ``workload``): p95 simulated
     #: latency of the queries that completed during the phase, the phase's
     #: cache hit percentage, and admission denials.  All deltas, zero in
     #: phases that served no queries.
@@ -338,8 +231,10 @@ def run_scenario(scenario: Scenario, network) -> ScenarioReport:
     current = 0.0
     for phase in scenario.phases:
         start = current + phase.gap
-        for action in phase.actions:
-            for event in action.events(simulator, start):
+        for event in phase.events:
+            simulator.schedule(replace(event, time=start + event.time))
+        if phase.workload is not None:
+            for event in phase.workload.events(simulator.topology.nodes, start):
                 simulator.schedule(event)
         converged = simulator.run_until_idle()
         end = max(simulator.current_time(), start)
@@ -472,18 +367,9 @@ def _phase_workload(
     )
 
 
-def _with_queries(
-    actions: Tuple[Action, ...],
-    workload: Optional[QueryWorkload],
-) -> Tuple[Action, ...]:
-    if workload is None:
-        return actions
-    return actions + (ServeQueries(workload=workload),)
-
-
-def _inject_all(base: Dict[Address, List[Fact]]) -> Tuple[Inject, ...]:
+def _inject_all(base: Dict[Address, List[Fact]]) -> Tuple[FactInjection, ...]:
     return tuple(
-        Inject(address=address, facts=tuple(facts))
+        FactInjection(time=0.0, address=address, facts=tuple(facts))
         for address, facts in base.items()
         if facts
     )
@@ -494,16 +380,6 @@ def _reachable_compiled():
     from repro.datalog.planner import compile_program
 
     return compile_program(localize_program(parse_program(REACHABLE_LOCALIZED)))
-
-
-def _reachable_base(topology: Topology) -> Dict[Address, List[Fact]]:
-    return {
-        node: [
-            Fact("link", (link.source, link.destination))
-            for link in topology.outgoing(node)
-        ]
-        for node in topology.nodes
-    }
 
 
 def link_failure_scenario(
@@ -554,30 +430,30 @@ def link_failure_scenario(
         probe_relation="bestPath",
         details={"failed_link": (failed.source, failed.destination)},
         phases=(
-            Phase(name="converge", actions=_inject_all(base)),
+            Phase(name="converge", events=_inject_all(base)),
             # The failure strikes *fresh* state: the source retracts its
             # live link tuple (cascading through the paths it derived) and
             # the refresh round's traffic on the dead wire is lost.
             Phase(
                 name="fail",
                 gap=1.0,
-                actions=_with_queries(
-                    (
-                        FailLink(
-                            source=failed.source,
-                            destination=failed.destination,
-                        ),
-                        RefreshSoftState(),
+                events=(
+                    LinkDown(
+                        time=0.0,
+                        source=failed.source,
+                        destination=failed.destination,
                     ),
-                    workload(1),
+                    SoftStateRefresh(time=0.0),
                 ),
+                workload=workload(1),
             ),
             # One TTL later the stale remote best paths have decayed; the
             # refreshed fixpoint routes around the failure.
             Phase(
                 name="reroute",
                 gap=ttl + 1.0,
-                actions=_with_queries((RefreshSoftState(),), workload(2)),
+                events=(SoftStateRefresh(time=0.0),),
+                workload=workload(2),
             ),
         ),
     )
@@ -612,7 +488,7 @@ def churn_scenario(
     network = _scenario_network(
         topology, _reachable_compiled(), config, options, serving
     )
-    base = _reachable_base(topology)
+    base = network.link_facts()
 
     def workload(phase_index: int) -> Optional[QueryWorkload]:
         return _phase_workload(
@@ -628,23 +504,27 @@ def churn_scenario(
         probe_relation="reachable",
         details={"crashed_node": victim},
         phases=(
-            Phase(name="converge", actions=_inject_all(base)),
+            Phase(name="converge", events=_inject_all(base)),
             Phase(
                 name="crash",
                 gap=1.0,
-                actions=_with_queries((Crash(address=victim),), workload(1)),
+                events=(NodeCrash(time=0.0, address=victim),),
+                workload=workload(1),
             ),
             Phase(
                 name="heal",
                 gap=ttl + 1.0,
-                actions=_with_queries((RefreshSoftState(),), workload(2)),
+                events=(SoftStateRefresh(time=0.0),),
+                workload=workload(2),
             ),
             Phase(
                 name="recover",
                 gap=1.0,
-                actions=_with_queries(
-                    (Recover(address=victim), RefreshSoftState()), workload(3)
+                events=(
+                    NodeRecover(time=0.0, address=victim),
+                    SoftStateRefresh(time=0.0),
                 ),
+                workload=workload(3),
             ),
         ),
     )
@@ -697,7 +577,7 @@ def retraction_scenario(
     network = _scenario_network(
         topology, _reachable_compiled(), config, options, serving
     )
-    base = _reachable_base(topology)
+    base = network.link_facts()
 
     def workload(phase_index: int) -> Optional[QueryWorkload]:
         return _phase_workload(
@@ -713,26 +593,25 @@ def retraction_scenario(
         probe_relation="reachable",
         details={"retracted": retracted, "bridge": (left, right)},
         phases=(
-            Phase(name="converge", actions=_inject_all(base)),
+            Phase(name="converge", events=_inject_all(base)),
             # The anti-delta flood converges to the split network in this
             # same phase — no TTL gap between cause and observation.
             Phase(
                 name="retract",
                 gap=1.0,
-                actions=_with_queries(
-                    tuple(
-                        Retract(address=address, facts=(fact,))
-                        for address, fact in retracted
-                    ),
-                    workload(1),
+                events=tuple(
+                    FactRetraction(time=0.0, address=address, facts=(fact,))
+                    for address, fact in retracted
                 ),
+                workload=workload(1),
             ),
             # Quiescence check: a refresh round over the already-repaired
             # fixpoint re-asserts live state and re-derives nothing new.
             Phase(
                 name="refresh",
                 gap=2.0,
-                actions=_with_queries((RefreshSoftState(),), workload(2)),
+                events=(SoftStateRefresh(time=0.0),),
+                workload=workload(2),
             ),
         ),
     )
@@ -813,12 +692,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     arguments = parser.parse_args(argv)
 
-    options = SCENARIO_OPTIONS.merged(
-        backend=arguments.backend,
-        shards=arguments.shards,
-        shard_mode=arguments.shard_mode,
-        admission_rate=arguments.admission,
-    )
+    try:
+        options = SCENARIO_OPTIONS.merged(
+            backend=arguments.backend,
+            shards=arguments.shards,
+            shard_mode=arguments.shard_mode,
+            admission_rate=arguments.admission,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     names = tuple(SCENARIOS) if arguments.scenario == "all" else (arguments.scenario,)
     failures = 0
     for name in names:
@@ -832,9 +714,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         }
         if arguments.nodes is not None:
             kwargs["node_count"] = arguments.nodes
-        scenario, simulator = build(**kwargs)
+        try:
+            scenario, network = build(**kwargs)
+        except ValueError as exc:
+            parser.error(str(exc))
         print(f"running scenario {name} ...", file=sys.stderr, flush=True)
-        report = run_scenario(scenario, simulator)
+        report = run_scenario(scenario, network)
         print(report.render())
         print()
         if not report.converged:

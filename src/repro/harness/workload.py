@@ -1,15 +1,15 @@
 """The evaluation workload of Section 6.
 
 "As input, we insert link tables for N nodes with average outdegree of
-three, and vary the size of N from 10 to 100."
+three, and vary the size of N from 10 to 100."  The link tables themselves
+are the topology's links, shaped to the program by
+:func:`repro.net.kernel.shape_link_facts` (``network.base_facts()``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Tuple
 
-from repro.engine.tuples import Fact
-from repro.net.address import Address
 from repro.net.topology import Topology, random_topology
 
 #: The paper's sweep: N from 10 to 100.
@@ -25,13 +25,3 @@ def evaluation_topology(node_count: int, seed: int = 0) -> Topology:
         average_outdegree=PAPER_AVERAGE_OUTDEGREE,
         seed=seed,
     )
-
-
-def best_path_workload(topology: Topology) -> Dict[Address, List[Fact]]:
-    """The ``link(@S, D, C)`` base tuples for the Best-Path query, per node."""
-    per_node: Dict[Address, List[Fact]] = {address: [] for address in topology.nodes}
-    for link in topology.links:
-        per_node[link.source].append(
-            Fact(relation="link", values=(link.source, link.destination, link.cost))
-        )
-    return per_node

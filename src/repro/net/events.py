@@ -141,7 +141,11 @@ class FactInjection(SimulationEvent):
 class SoftStateRefresh(SimulationEvent):
     """Every live node re-asserts its remembered base tuples.
 
-    Expansion happens when the event *fires*, not when it is scheduled, so
+    This is the paper's soft-state repair loop, run as a discrete round:
+    state that lost its support — a failed link, a crashed neighbour, a
+    retracted tuple — stops being refreshed and decays by TTL, and the next
+    round re-derives what the current network still supports.  Expansion
+    happens when the event *fires*, not when it is scheduled, so
     same-instant link failures, crashes and retractions (control events with
     earlier sequence numbers) are visible: a dead link's tuple is not
     re-asserted.  Re-asserting an unchanged tuple only refreshes its TTL at

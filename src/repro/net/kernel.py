@@ -51,7 +51,7 @@ from repro.engine.node_engine import (
     facts_by_node,
     group_outgoing,
 )
-from repro.engine.tuples import Fact, FactKey, as_fact_key
+from repro.engine.tuples import Fact, FactKey
 from repro.net.address import Address
 from repro.net.events import (
     EventScheduler,
@@ -70,19 +70,14 @@ from repro.net.events import (
 )
 from repro.net.link import DEFAULT_BANDWIDTH, DEFAULT_LATENCY, Link
 from repro.net.message import AntiDelta, MessageBatch, QueryRequest, QueryResponse
-from repro.net.query import (
-    PendingQuery,
-    ProvenanceQuery,
-    QueryEngine,
-    QueryResult,
-)
+from repro.net.query import PendingQuery, ProvenanceQuery, QueryEngine
 from repro.net.stats import NetworkStats, NodeStats, WireMessage, latency_bucket
 from repro.net.topology import Topology
 from repro.security.keystore import KeyStore
 from repro.security.principal import PrincipalRegistry
 from repro.service.cache import CacheConfig, ClosureCache
 from repro.service.ratelimit import AdmissionControl, TokenBucket
-from repro.service.workload import QueryWorkload, next_arrival
+from repro.service.workload import next_arrival
 
 
 @dataclass(frozen=True)
@@ -650,33 +645,6 @@ class SimulationKernel:
         at = self.current_time() if now is None else now
         return self.queries.issue(query, now=at)
 
-    def query(
-        self,
-        root,
-        at: Address,
-        mode: str = "online",
-        condensed: bool = False,
-        authenticated: bool = False,
-        timeout: Optional[float] = None,
-    ) -> QueryResult:
-        """Issue a provenance query, run it to completion, return its result.
-
-        ``root`` may be a :class:`~repro.engine.tuples.Fact` or a fact key.
-        """
-        key = as_fact_key(root)
-        pending = self.issue_query(
-            ProvenanceQuery(
-                root=key,
-                at=at,
-                mode=mode,
-                condensed=condensed,
-                authenticated=authenticated,
-                timeout=timeout,
-            )
-        )
-        self.run_until_idle()
-        return pending.result()
-
     def finish(self, converged: bool = True) -> SimulationResult:
         """Close the books on a run: final stats plus residual soft-state expiry.
 
@@ -778,19 +746,6 @@ class SimulationKernel:
         self._retract(event.address, event.facts, at)
 
     # -- service plane -----------------------------------------------------------
-
-    def serve(self, workload: QueryWorkload, start: Optional[float] = None) -> int:
-        """Schedule *workload*'s arrivals, opening at *start* (default: now).
-
-        Returns the number of initial arrivals offered; drain the scheduler
-        (:meth:`run_until_idle`) to play the serve window out.  Closed-loop
-        follow-ups are scheduled kernel-side as each query completes.
-        """
-        opening = self.current_time() if start is None else start
-        arrivals = workload.events(self.topology.nodes, opening)
-        for event in arrivals:
-            self.schedule(event)
-        return len(arrivals)
 
     def query_cache_for(self, address: Address) -> Optional[ClosureCache]:
         """The node's armed result cache (lazily built); ``None`` when off."""

@@ -66,7 +66,7 @@ from repro.datalog.ast import Program
 from repro.datalog.catalog import Catalog
 from repro.datalog.planner import CompiledProgram, compile_program
 from repro.engine.node_engine import EngineConfig, NodeEngine
-from repro.engine.tuples import Fact, as_fact_key
+from repro.engine.tuples import Fact
 from repro.net.address import Address
 from repro.net.events import (
     FactInjection,
@@ -85,11 +85,10 @@ from repro.net.kernel import (
     SimulationResult,
     shape_link_facts,
 )
-from repro.net.query import PendingQuery, ProvenanceQuery, QueryResult
+from repro.net.query import PendingQuery, ProvenanceQuery
 from repro.net.stats import NetworkStats, WireMessage
 from repro.net.topology import Topology
 from repro.net.transport import BinaryCodec
-from repro.service.workload import QueryWorkload
 
 #: Execution modes for the shard workers.
 SHARD_MODES = ("processes", "inline")
@@ -532,9 +531,11 @@ class ShardedSimulator:
 
     Presents the same running surface as a
     :class:`~repro.net.kernel.SimulationKernel` hosting all nodes —
-    ``schedule`` / ``run_until_idle`` / ``run`` / ``finish`` / ``query`` /
-    ``stats`` / ``engines`` — so the :class:`repro.api.Network` facade, the
-    harness sweeps and the scenario scripts drive either backend unchanged.
+    ``schedule`` / ``run_until_idle`` / ``run`` / ``finish`` /
+    ``issue_query`` / ``stats`` / ``engines`` — so the
+    :class:`repro.api.Network` facade, the harness sweeps and the scenario
+    scripts drive either backend unchanged.  A query starts on the kernel
+    hosting its asking node (``issue_query``); the facade drains it.
 
     ``shard_mode="processes"`` (the default) runs each kernel in a spawned
     worker; ``"inline"`` runs them all in-process — same windows, same
@@ -1042,25 +1043,6 @@ class ShardedSimulator:
     def registry(self):
         return self._any_kernel().registry
 
-    # -- service plane -------------------------------------------------------------
-
-    def serve(self, workload: QueryWorkload, start: Optional[float] = None) -> int:
-        """Schedule *workload*'s arrivals, opening at *start* (default: now).
-
-        Mirrors :meth:`SimulationKernel.serve`: the precomputed arrival
-        stream is identical (a pure function of the workload and the
-        topology's node list), and each arrival is routed to the shard
-        hosting its asking node at the next drain.  Works in every shard
-        mode — arrivals are handled entirely kernel-side, so process-mode
-        workers serve queries mid-run even though the coordinator cannot
-        reach their engines.
-        """
-        opening = self.current_time() if start is None else start
-        arrivals = workload.events(self.topology.nodes, opening)
-        for event in arrivals:
-            self.schedule(event)
-        return len(arrivals)
-
     # -- provenance queries --------------------------------------------------------
 
     def _kernel_hosting(self, address: Address) -> SimulationKernel:
@@ -1083,30 +1065,6 @@ class ShardedSimulator:
         """
         at = self.current_time() if now is None else now
         return self._kernel_hosting(query.at).queries.issue(query, now=at)
-
-    def query(
-        self,
-        root,
-        at: Address,
-        mode: str = "online",
-        condensed: bool = False,
-        authenticated: bool = False,
-        timeout: Optional[float] = None,
-    ) -> QueryResult:
-        """Issue a provenance query, run it to completion, return its result."""
-        key = as_fact_key(root)
-        pending = self.issue_query(
-            ProvenanceQuery(
-                root=key,
-                at=at,
-                mode=mode,
-                condensed=condensed,
-                authenticated=authenticated,
-                timeout=timeout,
-            )
-        )
-        self.run_until_idle()
-        return pending.result()
 
     def __repr__(self) -> str:
         return (

@@ -98,17 +98,6 @@ class TestCatalog:
         with pytest.raises(SchemaError):
             Catalog.from_program(program)
 
-    def test_check_rule_accepts_consistent_usage(self):
-        catalog = Catalog.from_program(parse_program(BEST_PATH_NDLOG))
-        rule = parse_rule("x1 path(@S, D, P, C) :- link(@S, D, C), P := f_init(S, D).")
-        catalog.check_rule(rule)  # must not raise
-
-    def test_check_rule_rejects_wrong_arity(self):
-        catalog = Catalog.from_program(parse_program(BEST_PATH_NDLOG))
-        rule = parse_rule("x1 path(@S, D) :- link(@S, D, C).")
-        with pytest.raises(SchemaError):
-            catalog.check_rule(rule)
-
     def test_len_and_contains(self):
         catalog = Catalog.from_program(parse_program(BEST_PATH_NDLOG))
         assert "link" in catalog

@@ -84,7 +84,6 @@ CONFIGS = {
         "rederivation": False,
         "sampler": ProvenanceSampler(0.4, salt="cascade"),
     },
-    "full-local": {"provenance_mode": ProvenanceMode.FULL_LOCAL},
 }
 
 
@@ -128,7 +127,7 @@ def test_churn_scripts_leave_the_log_equal_to_the_old_stores(name, chords, scrip
 
 @pytest.mark.parametrize("backend", ("serial", "sharded"))
 @pytest.mark.parametrize(
-    "provenance", ("condensed", "sendlog-prov", "full-local", "distributed")
+    "provenance", ("condensed", "sendlog-prov", "distributed")
 )
 def test_best_path_runs_match_on_both_backends(provenance, backend):
     options = {}

@@ -40,16 +40,6 @@ def compiled_reachable():
     return compile_program(localize_program(parse_program(REACHABLE_LOCALIZED)))
 
 
-def reachable_base(topology):
-    return {
-        node: [
-            Fact("link", (link.source, link.destination))
-            for link in topology.outgoing(node)
-        ]
-        for node in topology.nodes
-    }
-
-
 def delivery(at, sequence=0):
     return MessageDelivery(
         time=at,
@@ -130,15 +120,13 @@ class TestLinkDynamics:
         simulator.schedule(
             LinkDown(time=0.0, source="n0", destination="n1", retract=False)
         )
-        result = simulator.run(reachable_base(topology))
+        result = simulator.run()
         assert result.converged
         assert result.stats.messages_lost > 0
         # n2 never hears n0's advertisements through the dead link, so the
         # pair (n1, n0)/(n2, n0) reachability derived *through* n0->n1 differs
         # from the healthy run.
-        healthy = SimulationKernel(topology, compiled_reachable, EngineConfig()).run(
-            reachable_base(topology)
-        )
+        healthy = SimulationKernel(topology, compiled_reachable, EngineConfig()).run()
         assert len(result.all_facts("reachable")) < len(
             healthy.all_facts("reachable")
         )
@@ -146,7 +134,7 @@ class TestLinkDynamics:
     def test_link_down_retracts_the_source_base_tuple(self, compiled_reachable):
         topology = line_topology(3)
         simulator = SimulationKernel(topology, compiled_reachable, EngineConfig())
-        result = simulator.run(reachable_base(topology))
+        result = simulator.run()
         before = simulator.engines["n0"].facts("link")
         assert any(f.values == ("n0", "n1") for f in before)
         simulator.schedule(LinkDown(time=1.0, source="n0", destination="n1"))
@@ -158,7 +146,7 @@ class TestLinkDynamics:
     def test_link_up_reinjects_the_retracted_tuples(self, compiled_reachable):
         topology = line_topology(3)
         simulator = SimulationKernel(topology, compiled_reachable, EngineConfig())
-        simulator.run(reachable_base(topology))
+        simulator.run()
         simulator.schedule(LinkDown(time=1.0, source="n0", destination="n1"))
         simulator.schedule(LinkUp(time=2.0, source="n0", destination="n1"))
         assert simulator.run_until_idle()
@@ -174,7 +162,7 @@ class TestLinkDynamics:
         # queue new traffic behind sends that never happened.
         topology = line_topology(3)
         simulator = SimulationKernel(topology, compiled_reachable, EngineConfig())
-        simulator.run(reachable_base(topology))
+        simulator.run()
         simulator.schedule(LinkDown(time=1.0, source="n0", destination="n1"))
         assert simulator.run_until_idle()
         # Traffic shipped while the link is down still reserves the wire
@@ -199,7 +187,7 @@ class TestLinkDynamics:
         # tuples are remembered — recovery must bring the link back.
         topology = line_topology(3)
         simulator = SimulationKernel(topology, compiled_reachable, EngineConfig())
-        simulator.run(reachable_base(topology))
+        simulator.run()
         simulator.schedule(LinkDown(time=1.0, source="n0", destination="n1"))
         simulator.schedule(NodeCrash(time=2.0, address="n0"))
         simulator.schedule(LinkUp(time=3.0, source="n0", destination="n1"))
@@ -216,7 +204,7 @@ class TestLinkDynamics:
         # restores the link.
         topology = line_topology(3)
         simulator = SimulationKernel(topology, compiled_reachable, EngineConfig())
-        simulator.run(reachable_base(topology))
+        simulator.run()
         simulator.schedule(LinkDown(time=1.0, source="n0", destination="n1"))
         simulator.schedule(LinkDown(time=2.0, source="n0", destination="n1"))
         simulator.schedule(LinkUp(time=3.0, source="n0", destination="n1"))
@@ -229,7 +217,7 @@ class TestNodeChurn:
     def test_crash_clears_soft_state_and_drops_traffic(self, compiled_reachable):
         topology = ring_topology(4)
         simulator = SimulationKernel(topology, compiled_reachable, EngineConfig())
-        base = reachable_base(topology)
+        base = simulator.link_facts()
         # Hold one of n0's links back so it can be injected fresh post-crash.
         held_back = Fact("link", ("n0", "n1"))
         base["n0"] = [f for f in base["n0"] if f.values != held_back.values]
@@ -260,7 +248,7 @@ class TestNodeChurn:
     def test_recover_reinjects_remembered_base_facts(self, compiled_reachable):
         topology = ring_topology(4)
         simulator = SimulationKernel(topology, compiled_reachable, EngineConfig())
-        simulator.run(reachable_base(topology))
+        simulator.run()
         simulator.schedule(NodeCrash(time=5.0, address="n1"))
         simulator.schedule(NodeRecover(time=6.0, address="n1"))
         assert simulator.run_until_idle()
@@ -430,7 +418,7 @@ class TestRetraction:
         # Invalidation forgets the producing firings; a later identical
         # re-derivation must be recorded afresh and show up in the graph view.
         engine = self._engine(
-            compiled_reachable, provenance_mode=ProvenanceMode.FULL_LOCAL
+            compiled_reachable, provenance_mode=ProvenanceMode.CONDENSED
         )
         engine.insert_base(Fact("link", ("a", "b")), now=0.0)
         key = ("reachable", ("a", "b"))
@@ -463,7 +451,7 @@ class TestRetraction:
             compiled_reachable,
             EngineConfig(track_dependencies=True),
         )
-        simulator.run(reachable_base(topology))
+        simulator.run()
         simulator.schedule(
             FactRetraction(
                 time=2.0, address="n0", facts=(Fact("link", ("n0", "n1")),)
@@ -551,6 +539,6 @@ class TestEndOfRunExpiry:
             compiled_reachable,
             EngineConfig(default_ttl=1e6),
         )
-        result = simulator.run(reachable_base(topology))
+        result = simulator.run()
         assert result.all_facts("link")
         assert result.all_facts("reachable")

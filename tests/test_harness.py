@@ -18,9 +18,9 @@ from repro.harness.runner import run_network
 from repro.harness.workload import (
     PAPER_AVERAGE_OUTDEGREE,
     PAPER_NODE_COUNTS,
-    best_path_workload,
     evaluation_topology,
 )
+from repro.net.kernel import shape_link_facts
 
 
 class TestWorkload:
@@ -35,7 +35,7 @@ class TestWorkload:
 
     def test_workload_places_links_at_their_source(self):
         topology = evaluation_topology(10, seed=1)
-        workload = best_path_workload(topology)
+        workload = shape_link_facts(topology, "link", 3)
         assert sum(len(facts) for facts in workload.values()) == topology.link_count
         for node, facts in workload.items():
             assert all(fact.values[0] == node for fact in facts)

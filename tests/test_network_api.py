@@ -162,6 +162,10 @@ class TestNetOptionsValidation:
     def test_bad_values_name_their_field(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             NetOptions(**kwargs)
+        if set(kwargs) <= {spec.name for spec in dataclasses.fields(EngineConfig)}:
+            # A hand-built EngineConfig refuses the same value the same way.
+            with pytest.raises(ValueError, match=message):
+                EngineConfig(**kwargs)
 
     def test_unknown_override_lists_fields(self):
         with pytest.raises(ValueError, match="frobnicate"):

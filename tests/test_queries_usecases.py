@@ -7,7 +7,7 @@ import pytest
 from reference_stores import fire, pointer_for
 from wire import batch_of_one
 
-from repro.datalog import analyze_program, localize_program, parse_program
+from repro.datalog import lint_program, localize_program, parse_program
 from repro.datalog.planner import compile_program
 from repro.engine.node_engine import OutgoingFact
 from repro.engine.tuples import Fact
@@ -40,8 +40,9 @@ class TestQueryLibrary:
             reachable_program("prolog")
 
     def test_best_path_program_is_safe_and_recursive(self):
-        analysis = analyze_program(best_path_program())
-        assert "bestPath" in analysis.recursive_predicates
+        program = best_path_program()
+        assert not [d for d in lint_program(program) if d.is_error]
+        assert "bestPath" in program.derived_predicates()
 
     def test_best_path_compiles(self):
         assert len(compile_best_path().plans) == 5
@@ -62,8 +63,8 @@ class TestQueryLibrary:
         program = route_flap_monitor_program()
         event_decl = [d for d in program.materialized if d.name == "routeEvent"][0]
         assert event_decl.lifetime == 30.0
-        analysis = analyze_program(program)
-        assert "flapAlarm" in analysis.derived_predicates
+        assert not [d for d in lint_program(program) if d.is_error]
+        assert "flapAlarm" in program.derived_predicates()
 
 
 class TestDiagnostics:

@@ -284,7 +284,7 @@ def test_route_table_does_not_travel_with_the_kernel():
     network.run()
     kernel = network.simulator
     root = kernel.engines[NODES[0]].facts("bestPath")[0]
-    assert not kernel.query(root, at=NODES[0]).missing
+    assert not network.query(root, at=NODES[0]).missing
     network.serve(QueryWorkload(rate=50, duration=0.2, seed=2, pool=4), converge=False)
     assert kernel._routes and kernel._route_costs and kernel._root_draws
     state = kernel.__getstate__()

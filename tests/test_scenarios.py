@@ -8,13 +8,19 @@ invalidating retraction splitting reachability.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.harness.scenarios import (
     DEFAULT_SCENARIO_TTL,
+    SCENARIO_OPTIONS,
     SCENARIOS,
-    Phase,
-    RefreshSoftState,
     churn_scenario,
     link_failure_scenario,
     main,
@@ -194,7 +200,7 @@ class TestScenarioMachinery:
         assert simulator.engines[victim].facts("reachable") == ()
 
     def test_same_instant_failure_is_visible_to_the_refresh(self):
-        # RefreshSoftState expands when the event fires, so a FailLink
+        # SoftStateRefresh expands when the event fires, so a LinkDown
         # scheduled at the same instant (earlier sequence) already holds.
         scenario, simulator = link_failure_scenario(node_count=10, seed=3)
         source, destination = scenario.details["failed_link"]
@@ -227,9 +233,113 @@ class TestScenarioMachinery:
         for name in ("Best-Path", "Reachability"):
             assert name in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["churn", "--nodes", "1"],
+            ["retraction", "--nodes", "2"],
+            ["churn", "--backend", "sharded", "--shards", "-1"],
+            ["churn", "--nodes", "8", "--ttl", "-1"],
+        ],
+        ids=["one-node", "short-line", "negative-shards", "negative-ttl"],
+    )
+    def test_cli_rejects_bad_values_as_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_cli_module_loads_once(self):
+        # The harness package imports none of its submodules, so running
+        # one with -m does not find it already in sys.modules.
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH")))
+        )
+        completed = subprocess.run(
+            [
+                sys.executable,
+                "-W",
+                "error::RuntimeWarning",
+                "-m",
+                "repro.harness.scenarios",
+                "churn",
+                "--nodes",
+                "4",
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert completed.returncode == 0, completed.stderr
+
     def test_probe_series_matches_rows(self):
         scenario, simulator = retraction_scenario(node_count=6)
         report = run_scenario(scenario, simulator)
         assert report.probe_series() == [
             (row.phase, row.probe_facts) for row in report.rows
         ]
+
+
+# -- pinned phase tables ------------------------------------------------------------
+
+SCENARIO_GOLDEN = Path(__file__).parent / "golden" / "scenario_rows.json"
+
+#: The runs whose phase rows are pinned: every built-in script at N=8, seed 0,
+#: serial and inline-sharded at three shards, plus link-failure serving a
+#: query workload under admission control.
+PINNED_RUNS = {
+    "serial": (tuple(SCENARIOS), SCENARIO_OPTIONS, {}),
+    "inline-sharded-3": (
+        tuple(SCENARIOS),
+        SCENARIO_OPTIONS.merged(backend="sharded", shards=3, shard_mode="inline"),
+        {},
+    ),
+    "link-failure-served": (
+        ("link-failure",),
+        SCENARIO_OPTIONS.merged(admission_rate=2),
+        {"query_rate": 3, "clients": 1},
+    ),
+}
+
+
+def row_digests(run: str):
+    names, options, kwargs = PINNED_RUNS[run]
+    digests = {}
+    for name in names:
+        scenario, network = SCENARIOS[name](
+            node_count=8, seed=0, options=options, **kwargs
+        )
+        digests[name] = [
+            [
+                row.phase,
+                hashlib.sha256(
+                    json.dumps(row.as_dict(), sort_keys=True).encode()
+                ).hexdigest(),
+            ]
+            for row in run_scenario(scenario, network).rows
+        ]
+    return digests
+
+
+@pytest.mark.parametrize("run", sorted(PINNED_RUNS))
+def test_phase_rows_match_the_golden_file(run):
+    """Every phase row, byte for byte, as a sha256 of its ``as_dict()``.
+
+    Regenerate with ``REPRO_UPDATE_GOLDEN=1 pytest tests/test_scenarios.py``
+    only for a change meant to move a scenario's numbers.
+    """
+    digests = row_digests(run)
+    if os.environ.get("REPRO_UPDATE_GOLDEN"):
+        golden = (
+            json.loads(SCENARIO_GOLDEN.read_text(encoding="utf-8"))
+            if SCENARIO_GOLDEN.exists()
+            else {}
+        )
+        golden[run] = digests
+        SCENARIO_GOLDEN.write_text(
+            json.dumps(golden, indent=1, sort_keys=True) + "\n", encoding="utf-8"
+        )
+    expected = json.loads(SCENARIO_GOLDEN.read_text(encoding="utf-8"))[run]
+    assert digests == expected

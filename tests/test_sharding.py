@@ -593,8 +593,8 @@ class TestShardedQueries:
             serial_result.all_facts("bestPath"), key=lambda fact: len(fact.values[2])
         )
         asker = target.values[0]
-        serial_answer = serial_simulator.query(target, at=asker)
-        sharded_answer = sharded_simulator.query(target, at=asker)
+        serial_answer = Network(serial_simulator).query(target, at=asker)
+        sharded_answer = Network(sharded_simulator).query(target, at=asker)
         assert serial_answer.complete and sharded_answer.complete
         assert serial_answer.graph.same_structure(sharded_answer.graph)
         assert serial_answer.messages == sharded_answer.messages
@@ -637,12 +637,12 @@ class TestShardedQueries:
         )
         serial_answer = target = None
         for candidate in candidates:
-            answer = serial_simulator.query(candidate, at=candidate.values[0])
+            answer = Network(serial_simulator).query(candidate, at=candidate.values[0])
             if answer.complete and answer.messages:
                 serial_answer, target = answer, candidate
                 break
         assert target is not None, "no serially-resolvable cross-shard root"
-        sharded_answer = sharded_simulator.query(target, at=target.values[0])
+        sharded_answer = Network(sharded_simulator).query(target, at=target.values[0])
         assert sharded_answer.complete == serial_answer.complete is True
         assert sharded_answer.messages == serial_answer.messages
         assert sharded_answer.bytes == serial_answer.bytes
@@ -860,8 +860,8 @@ class TestCoordinationLedger:
         ):
             asker = fact.values[0]
             if any(plan.shard_of(hop) != plan.shard_of(asker) for hop in fact.values[2]):
-                serial_simulator.query(fact, at=asker)
-                sharded_simulator.query(fact, at=asker)
+                Network(serial_simulator).query(fact, at=asker)
+                Network(sharded_simulator).query(fact, at=asker)
                 queried += 1
                 if queried == 3:
                     break

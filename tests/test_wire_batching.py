@@ -52,21 +52,11 @@ def compiled_reachable():
     return compile_program(localize_program(parse_program(REACHABLE_LOCALIZED)))
 
 
-def reachable_base(topology):
-    return {
-        node: [
-            Fact("link", (link.source, link.destination))
-            for link in topology.outgoing(node)
-        ]
-        for node in topology.nodes
-    }
-
-
 def run_reachable(topology, config, batching, compiled):
     simulator = SimulationKernel(
         topology, compiled, config, key_bits=128, batching=batching
     )
-    return simulator.run(reachable_base(topology))
+    return simulator.run()
 
 
 class TestMessageBatchFormat:
@@ -203,7 +193,7 @@ class TestFullRunAttribution:
             for node in topology.nodes
         }
         assert set(length.values()) == {32, 33}
-        stats = simulator.run(reachable_base(topology)).stats
+        stats = simulator.run().stats
         for node in topology.nodes:
             sent = stats.node(node)
             assert sent.messages_sent > 0
@@ -418,7 +408,7 @@ class TestBatchedDeterminism:
             key_bits=128,
             batching=True,
         )
-        result = simulator.run(reachable_base(topology))
+        result = simulator.run()
         assert result.converged
         return result.stats.summary(), delivered
 
