@@ -52,7 +52,9 @@
 #                      algebra's +, x and condense.  `make check` runs it at
 #                      N=8 / two flaps as a smoke, plus `--shipped` on an N=8
 #                      sendlog-prov fixpoint: shipped annotations by wire form
-#                      (position mask vs explicit polynomial) and their bytes.
+#                      (position mask vs explicit polynomial) and their bytes,
+#                      and on the N=8 churn shape: shipped supports by wire form
+#                      (support code vs explicit) and code arguments by form.
 #   make engine-census - tools/engine_census.py on the bestpath_ndlog shape
 #                      (N=40): runs of same-relation deltas, the no-op share
 #                      of Table.expire / Database.table, index-bucket length at
@@ -158,6 +160,7 @@ poly-census:
 poly-census-smoke:
 	$(PYTHON) tools/poly_census.py --provenance condensed --nodes 8 --flaps 2
 	$(PYTHON) tools/poly_census.py --shipped --provenance sendlog-prov --nodes 8
+	$(PYTHON) tools/poly_census.py --shipped --provenance condensed --nodes 8 --flaps 2
 
 engine-census:
 	$(PYTHON) tools/engine_census.py --provenance ndlog --nodes 40

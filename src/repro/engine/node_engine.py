@@ -32,10 +32,14 @@ from repro.engine.table import Table
 from repro.engine.tuples import Fact, FactKey
 from repro.provenance.log import DerivationLog, ProvenancePointer
 from repro.provenance.polynomial import (
+    BaseVariables,
     ProvenanceExpression,
+    flat_values,
     from_position_mask,
+    from_support_code,
     join_all,
     position_mask,
+    support_code,
 )
 from repro.provenance.pruning import ProvenanceSampler
 from repro.provenance.store import OfflineProvenanceArchive
@@ -220,7 +224,13 @@ class NodeEngine:
 
         from repro.datalog.catalog import Catalog
 
-        self.database = Database(Catalog.from_program(compiled.program))
+        catalog = Catalog.from_program(compiled.program)
+        self.database = Database(catalog)
+        #: Support variables both ways, and the catalog's relations as a
+        #: support code names them (read only under ``rederivation``).
+        self._bases = BaseVariables(
+            {name: catalog.schema(name).arity for name in catalog}
+        )
         #: Relation -> its strand bound to this node's tables, filled by
         #: :meth:`_drain` on the relation's first delta.
         self._strands: Dict[str, BoundStrand] = {}
@@ -235,6 +245,8 @@ class NodeEngine:
         self._ships_provenance = config.provenance_mode.ships_provenance
         self._track_dependencies = config.track_dependencies
         self._rederivation = config.rederivation
+        #: Received tuples may carry a position mask or a support code.
+        self._resolves = self._ships_provenance or self._rederivation
         #: Antecedent tuples feed provenance recording, retraction dependency
         #: tracking and base-support polynomials; configurations needing none
         #: of those skip accumulating them in the join loops entirely.
@@ -373,12 +385,12 @@ class NodeEngine:
         for carried, signature in messages:
             carried = tuple(carried)
             facts.extend(carried)
-            resolved = self._unmask(carried) if self._ships_provenance else carried
+            resolved = self._resolve(carried) if self._resolves else carried
             if not self._authenticates:
                 admitted.extend(resolved)
                 continue
             if any(fact is None for fact in resolved):
-                # A mask no annotation rebuilds from leaves no leaf to check:
+                # A mask or code nothing rebuilds from leaves no leaf to check:
                 # the message's root cannot verify, so none of it is admitted.
                 admitted.extend([None] * len(carried))
             else:
@@ -393,6 +405,8 @@ class NodeEngine:
             if self._store(verified, now, result):
                 queue.append(verified)
                 self._drain(queue, now, result)
+        # Variables decoded for tuples the round did not store are dropped.
+        self._bases.fresh.clear()
         return result
 
     def retract_base(self, fact: Fact, now: float = 0.0) -> ProcessingResult:
@@ -520,6 +534,7 @@ class NodeEngine:
         self._base_uses.clear()
         self._dead_bases.clear()
         self._export_dests.clear()
+        self._bases.clear()
         self.provenance_epoch += 1
         self.provenance = DerivationLog(self.address, self._track_dependencies)
         self.offline_provenance.drop_cache()
@@ -577,17 +592,30 @@ class NodeEngine:
             return None
         return verified
 
-    @staticmethod
-    def _unmask(facts: Sequence[Fact]) -> List[Optional[Fact]]:
-        """*facts* with each masked annotation rebuilt from its mask and the
-        tuple's own payload — never read from the sender's ``provenance`` —
-        or ``None`` for a tuple whose mask names no annotation there."""
+    def _resolve(self, facts: Sequence[Fact]) -> List[Optional[Fact]]:
+        """*facts* with each masked annotation and each coded support rebuilt
+        from its wire form and the tuple's own payload — never read from the
+        sender's ``provenance`` or ``support`` — or ``None`` for a tuple
+        whose mask or code names nothing there.  One ``flat_values`` per
+        tuple serves both."""
+        bases = self._bases
         resolved: List[Optional[Fact]] = []
         for fact in facts:
-            mask = fact.annotation_mask
-            if mask is not None:
-                annotation = from_position_mask(mask, fact.values)
-                fact = None if annotation is None else fact.with_metadata(provenance=annotation)
+            mask, code = fact.annotation_mask, fact.support_code
+            if mask is not None or code is not None:
+                flat = flat_values(fact.values)
+                annotation = support = None
+                if mask is not None:
+                    annotation = from_position_mask(mask, flat)
+                    if annotation is None:
+                        resolved.append(None)
+                        continue
+                if code is not None:
+                    support = from_support_code(code, flat, bases)
+                    if support is None:
+                        resolved.append(None)
+                        continue
+                fact = fact.with_metadata(provenance=annotation, support=support)
             resolved.append(fact)
         return resolved
 
@@ -762,12 +790,14 @@ class NodeEngine:
         # front.
         result.report.payload_bytes_processed += derived.payload_size()
         provenance_bytes = 0
-        mask = None
+        mask = code = None
         shipped = annotation if self._ships_provenance else None
+        if shipped is not None or support is not None:
+            flat = flat_values(derived_values)
         if shipped is not None:
             # An annotation the payload names travels as the mask of its
             # positions, sized (and charged) as the mask; any other as itself.
-            packed = position_mask(shipped, derived_values)
+            packed = position_mask(shipped, flat)
             if packed is None:
                 provenance_bytes = shipped.serialized_size()
             else:
@@ -775,10 +805,15 @@ class NodeEngine:
             result.report.provenance_bytes_computed += provenance_bytes
         if support is not None:
             # The base-support polynomial rides the export (charged as
-            # provenance overhead on the wire) so the receiver can answer a
-            # later anti-delta locally; remember where each mentioned base
-            # travelled — those are the anti-delta fanout targets.
-            provenance_bytes += support.serialized_size()
+            # provenance overhead on the wire, in the form it travels) so the
+            # receiver can answer a later anti-delta locally; remember where
+            # each mentioned base travelled — those are the anti-delta fanout
+            # targets.
+            code = support_code(support, flat, self._bases)
+            if code is None:
+                provenance_bytes += support.serialized_size()
+            else:
+                provenance_bytes += len(code)
             dests = self._export_dests
             for var in support.variables():
                 bucket = dests.get(var)
@@ -788,7 +823,10 @@ class NodeEngine:
         exported = derived
         if shipped is not None or support is not None:
             exported = derived.with_metadata(
-                provenance=shipped, support=support, annotation_mask=mask
+                provenance=shipped,
+                support=support,
+                annotation_mask=mask,
+                support_code=code,
             )
         if self._authenticates:
             # Section 4.3: attributed and numbered here; the kernel seals the
@@ -889,18 +927,13 @@ class NodeEngine:
 
     # -- one-fixpoint deletions (rederivation=True) -------------------------------
 
-    @staticmethod
-    def _base_var(key: FactKey) -> str:
-        """Render a base tuple key as a support-polynomial variable.
-
-        ``repr`` per value keeps the rendering injective (strings are
-        quoted, so ``link('a','b')`` can never collide with a differently
-        typed tuple) and literal-eval round-trippable for the binary wire
-        codec.
-        """
-        relation, values = key
-        rendered = ",".join(repr(value) for value in values)
-        return f"{relation}({rendered})"
+    def _base_var(self, key: FactKey) -> str:
+        """A base tuple key as a support-polynomial variable: its rendering
+        (:func:`~repro.provenance.polynomial.render_base_variable`), looked
+        up in this node's table of the variables it has named.  The table
+        also holds each variable's code template, which the sender fills in
+        relative to the payload, so no rendering is parsed."""
+        return self._bases.name(key)
 
     def _note_base_support(self, fact: Fact) -> None:
         """A base insert supports itself; (re)asserting clears a dead mark."""
@@ -962,6 +995,10 @@ class NodeEngine:
                 if not kept:
                     return False
                 support = ProvenanceExpression.from_monomials(kept)
+        if self._bases.fresh:
+            # Variables rebuilt from a support code enter the table only
+            # with a support the node stores.
+            self._bases.admit(support)
         self._note_support(fact.key(), support)
         return True
 

@@ -72,7 +72,8 @@ class Fact:
         with exported facts when one-fixpoint deletions are enabled; the
         receiver merges it into its own support index so a later
         anti-delta naming a retracted base tuple can decide survival
-        locally.  ``None`` when rederivation is off.
+        locally.  ``None`` when rederivation is off.  When ``support_code``
+        is set, the code travels in its place.
     annotation_mask:
         The wire form of an exported ``provenance`` its own values name
         (:func:`~repro.provenance.polynomial.position_mask`): bit ``i`` set
@@ -80,6 +81,13 @@ class Fact:
         receiver rebuilds the annotation from the mask and the payload and
         never reads the sender's ``provenance``.  ``None`` when the
         annotation travels explicitly, and on every stored tuple.
+    support_code:
+        The wire form of an exported ``support`` relative to the payload
+        (:func:`~repro.provenance.polynomial.support_code`): per variable
+        its relation's index, per argument a payload position or a literal.
+        The receiver rebuilds the support from the code and the payload and
+        never reads the sender's ``support``.  ``None`` when the support
+        travels explicitly, and on every stored tuple.
     """
 
     relation: str
@@ -92,6 +100,7 @@ class Fact:
     origin: Optional[str] = None
     support: Optional[object] = None
     annotation_mask: Optional[int] = None
+    support_code: Optional[bytes] = None
     #: Lazily rendered canonical payload; equal facts may share the same
     #: bytes object (the table hands a stored duplicate's rendering to
     #: refreshed copies so immediately deduplicated derivations never
@@ -157,17 +166,23 @@ class Fact:
         origin: Optional[str] = None,
         support: Optional[object] = None,
         annotation_mask: Optional[int] = None,
+        support_code: Optional[bytes] = None,
     ) -> "Fact":
         """Return a copy with selected metadata fields replaced.
 
         A new ``provenance`` drops the old one's ``annotation_mask`` unless
-        a mask is given with it: the mask describes the annotation it
-        replaces on the wire.
+        a mask is given with it, and a new ``support`` the old one's
+        ``support_code``: each describes the polynomial it replaces on the
+        wire.
         """
         if provenance is None:
             provenance = self.provenance
             if annotation_mask is None:
                 annotation_mask = self.annotation_mask
+        if support is None:
+            support = self.support
+            if support_code is None:
+                support_code = self.support_code
         # The payload depends only on relation/values, which never change
         # here, so the copy shares the cached serialization.
         return Fact(
@@ -179,8 +194,9 @@ class Fact:
             self.signature if signature is None else signature,
             provenance,
             self.origin if origin is None else origin,
-            self.support if support is None else support,
+            support,
             annotation_mask,
+            support_code,
             self._payload_cache,
         )
 

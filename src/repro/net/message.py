@@ -18,11 +18,17 @@ mechanism:
     sequence + provenance)
 
 A tuple's provenance bytes are its annotation's wire form plus, under
-one-fixpoint deletions, its base-support polynomial's rendering.  An
+one-fixpoint deletions, its base-support polynomial's wire form.  An
 annotation that is one monomial over ``str`` values of the tuple's own
 payload travels as a position mask over the payload's ``n`` flattened
 values, ``1 + ceil(n / 8)`` bytes (one marker byte, then the bits); any
 other travels as its UTF-8 rendering (``<a*b+c>`` without the brackets).
+A support travels as its support code
+(:func:`~repro.provenance.polynomial.support_code`): per variable one byte
+naming its relation, then per argument one byte for a ``str`` the payload
+carries (its position) or a tag and the literal — about 5 bytes for a
+``link('n1','n2',7.0)`` against its 19-byte rendering.  A support no code can
+say travels as its rendering.
 
 Provenance *queries* are network traffic too (the paper's central framing:
 provenance is network state, queried over the network), so the in-network

@@ -15,7 +15,8 @@ worker pipes (:class:`BinaryCodec`):
   uses (:mod:`repro.provenance.store`): ``repr`` of literals +
   ``ast.literal_eval`` round-trips exactly and never depends on hash seeds,
   unlike pickled sets; an annotation that travels as a position mask is
-  written as the mask's little-endian bytes, never as its polynomial;
+  written as the mask's little-endian bytes and a support that travels as a
+  support code as the code, never as their polynomials;
 * frames of at least ``COMPRESS_MIN_BYTES`` are deflated when that saves
   bytes.
 
@@ -244,12 +245,18 @@ _FACT_HAS_ANNOTATION = 32
 #: The annotation travels as its position mask over the payload, in place
 #: of the polynomial: the receiver rebuilds it from the values.
 _FACT_HAS_MASK = 64
+#: The support travels as its code relative to the payload, in place of the
+#: polynomial: the receiver rebuilds it from the code and the values.
+_FACT_HAS_SUPPORT_CODE = 128
 
 
 def _encode_fact(writer: _Writer, table: _StringTable, fact: Fact) -> None:
     support, annotation, mask = fact.support, fact.provenance, fact.annotation_mask
+    code = fact.support_code
     if mask is not None:
         annotation = None
+    if code is not None:
+        support = None
     envelope = fact.signature
     if envelope is not None and not isinstance(envelope, SignedEnvelope):
         raise _Unencodable(f"unknown signature {type(envelope).__name__}")
@@ -272,6 +279,8 @@ def _encode_fact(writer: _Writer, table: _StringTable, fact: Fact) -> None:
         flags |= _FACT_HAS_ANNOTATION
     if mask is not None:
         flags |= _FACT_HAS_MASK
+    if code is not None:
+        flags |= _FACT_HAS_SUPPORT_CODE
     writer.u32(table.intern(fact.relation))
     writer.u8(flags)
     writer.f64(fact.timestamp)
@@ -290,6 +299,8 @@ def _encode_fact(writer: _Writer, table: _StringTable, fact: Fact) -> None:
         _encode_polynomial(writer, annotation)
     if mask is not None:
         writer.blob(mask.to_bytes((mask.bit_length() + 7) // 8, "little"))
+    if code is not None:
+        writer.blob(code)
 
 
 def _decode_fact(reader: _Reader, strings: List[str]) -> Fact:
@@ -304,6 +315,7 @@ def _decode_fact(reader: _Reader, strings: List[str]) -> Fact:
     values = _parse_literal(reader.blob())
     provenance = _decode_polynomial(reader) if flags & _FACT_HAS_ANNOTATION else None
     mask = int.from_bytes(reader.blob(), "little") if flags & _FACT_HAS_MASK else None
+    code = reader.blob() if flags & _FACT_HAS_SUPPORT_CODE else None
     return Fact(
         relation=relation,
         values=values,
@@ -315,6 +327,7 @@ def _decode_fact(reader: _Reader, strings: List[str]) -> Fact:
         origin=origin,
         support=support,
         annotation_mask=mask,
+        support_code=code,
     )
 
 

@@ -20,13 +20,16 @@ keeps — the annotation over principals that a firing records and ships, and
 the base support over base-tuple keys that one-fixpoint deletions prune.
 Both combine alike: :func:`join_all` over one firing's inputs, and
 :meth:`ProvenanceExpression.absorb` when an alternative derivation meets the
-stored one.
+stored one.  Both travel relative to the tuple's own payload where they can
+(below): an annotation as a position mask, a support as a support code.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
+from math import copysign
+from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
 
 from repro.provenance.semiring import Semiring
 
@@ -315,25 +318,26 @@ def join_all(expressions: Iterable[ProvenanceExpression]) -> ProvenanceExpressio
 # the mask and its own copy of the payload.
 
 
-def _flat_values(values: Iterable[object], flat: Optional[list] = None) -> list:
+def flat_values(values: Iterable[object], flat: Optional[list] = None) -> list:
     """*values* depth-first, sequences opened, in ``render_payload`` order."""
     if flat is None:
         flat = []
     for value in values:
         if type(value) is not str and isinstance(value, (tuple, list)):
-            _flat_values(value, flat)
+            flat_values(value, flat)
         else:
             flat.append(value)
     return flat
 
 
 def position_mask(
-    annotation: ProvenanceExpression, values: Iterable[object]
+    annotation: ProvenanceExpression, flat: list
 ) -> Optional[Tuple[int, int]]:
-    """``(bits, wire bytes)`` of the mask naming *annotation* in *values*.
+    """``(bits, wire bytes)`` of the mask naming *annotation* beside a
+    payload that flattens (:func:`flat_values`) to *flat*.
 
     ``None`` unless *annotation* is one monomial with coefficient 1 and every
-    exponent 1 whose every variable equals a ``str`` value of *values*; the
+    exponent 1 whose every variable equals a ``str`` value of *flat*; the
     mask sets the first position of each.  Its wire size is one marker byte
     plus one bit per flattened value, rounded up to whole bytes.
     """
@@ -343,7 +347,6 @@ def position_mask(
     (monomial, count), = monomials
     if count != 1:
         return None
-    flat = _flat_values(values)
     bits = 0
     try:
         for name, exponent in monomial:
@@ -358,15 +361,13 @@ def position_mask(
     return bits, 1 + (len(flat) + 7) // 8
 
 
-def from_position_mask(
-    bits: int, values: Iterable[object]
-) -> Optional[ProvenanceExpression]:
-    """The annotation mask *bits* names in *values*, in normal form.
+def from_position_mask(bits: int, flat: list) -> Optional[ProvenanceExpression]:
+    """The annotation mask *bits* names beside a payload that flattens to
+    *flat*, in normal form.
 
     ``None`` when the mask selects past the flattened values or selects a
     value that is not a ``str``: no annotation can be rebuilt from it.
     """
-    flat = _flat_values(values)
     if bits < 0 or bits >> len(flat):
         return None
     selected = set()
@@ -384,3 +385,309 @@ def from_position_mask(
     # Rendered as it is built: a signed receiver's Merkle leaf reads it next.
     object.__setattr__(annotation, "_rendered", "*".join(names) if names else "1")
     return annotation
+
+
+# Support codes: a base-support polynomial relative to the payload -----------
+#
+# Under one-fixpoint deletions every exported tuple carries its base-support
+# polynomial, a sum of products of base tuples rendered like
+# ``link('n1','n2',7.0)``.  Most of their arguments are values the tuple's own
+# payload carries (a link's endpoints are consecutive nodes of a path), so the
+# polynomial travels as a *support code* and the receiver rebuilds it from the
+# code and its own copy of the payload:
+#
+#   code     := varint(monomial count) monomial*
+#   monomial := varint(width) variable*            width: its variables
+#   variable := u8(relation index) argument*       one per column of the relation
+#   argument := u8(p), p < 0x7C                    the str at flattened position p
+#             | 0x7C zigzag-varint                 an int
+#             | 0x7D zigzag-varint                 an integral float, |x| < 2**53
+#             | 0x7E f64, little-endian            any other float (and -0.0)
+#             | 0x7F varint(n) utf8[n]             a str literal
+#
+# A varint is little-endian base 128, at most ten bytes and below 2**64.  A
+# support no code can say — a coefficient or exponent other than 1, a
+# variable whose base tuple holds another type or a ``str`` with no UTF-8
+# form, an unknown relation or a wrong arity — travels as its rendering.
+
+_POSITIONS = 0x7C
+_INT, _INTEGRAL, _FLOAT, _STR = 0x7C, 0x7D, 0x7E, 0x7F
+_F64 = struct.Struct("<d")
+#: Integral floats below this magnitude are exact as integers.
+_EXACT = float(1 << 53)
+_VARINT_BYTES = 10
+_NAN = float("nan")
+
+
+def render_base_variable(relation: str, values: Sequence[object]) -> str:
+    """The support variable naming the base tuple ``relation(values)``.
+
+    ``repr`` per value keeps the rendering injective: strings are quoted, so
+    ``link('a','b')`` can never collide with a differently typed tuple.
+    """
+    rendered = ",".join([repr(value) for value in values])
+    return f"{relation}({rendered})"
+
+
+class BaseVariables:
+    """One engine's support variables, both ways, and its relations by index.
+
+    ``names`` maps a base tuple to its rendering, and ``keys`` maps the
+    rendering back to the tuple as a code says it before the payload is
+    known, its *template*: its relation's index as one byte, then per value
+    either the ``str`` to look for in the payload or the literal's encoded
+    bytes — ``None`` when the tuple has no code.  So neither end of the wire
+    renders a variable it has named before, and nothing is parsed.
+    ``names`` is keyed by ``(relation, *values, floats)``, ``floats`` two
+    bits per value — a ``float``, a ``-0.0`` — since ``1`` and ``1.0``,
+    ``0.0`` and ``-0.0`` are equal values with different renderings (and a
+    decoded NaN is always :data:`_NAN`, the one NaN a lookup finds).  A tuple
+    holding any value but a ``str``, an ``int`` or a ``float`` is rendered
+    each time and never enters the table, so a support naming it travels
+    explicitly.
+
+    A variable :func:`from_support_code` rebuilds that the table does not
+    know waits in ``fresh`` (rendering -> exact key) until :meth:`admit`
+    enters it for a support the node stores; the engine empties ``fresh``
+    after each receive round.  So ``names`` and ``keys`` are bounded by the
+    distinct base tuples the node names or stores, whatever a peer sends;
+    the engine owns the table and clears it with the rest of its state.
+
+    ``relations`` is the program's catalog as sorted ``(name, arity)`` pairs,
+    fixed when the engine is built, so a table declared later for an unknown
+    relation shifts no index; a code's one byte names one of the first 256.
+    """
+
+    __slots__ = ("relations", "index", "names", "keys", "fresh")
+
+    def __init__(self, arities: Mapping[str, int]) -> None:
+        self.relations: Tuple[Tuple[str, int], ...] = tuple(sorted(arities.items()))
+        self.index: Dict[str, Tuple[int, int]] = {
+            name: (position, arity)
+            for position, (name, arity) in enumerate(self.relations[:256])
+        }
+        self.names: Dict[tuple, str] = {}
+        self.keys: Dict[str, Optional[tuple]] = {}
+        self.fresh: Dict[str, tuple] = {}
+
+    def name(self, key: tuple) -> str:
+        """The rendering of base tuple *key*, ``(relation, values)``."""
+        relation, values = key
+        floats = 0
+        for position, value in enumerate(values):
+            kind = type(value)
+            if kind is float:
+                floats |= (1 if value or copysign(1.0, value) > 0 else 3) << 2 * position
+            elif kind is not str and kind is not int:
+                return render_base_variable(relation, values)
+        exact = (relation, *values, floats)
+        name = self.names.get(exact)
+        if name is None:
+            name = self.names[exact] = self.enter(relation, values)
+        return name
+
+    def enter(self, relation: str, values: Sequence[object]) -> str:
+        """Render ``relation(values)`` and record its template; its values
+        are each a ``str``, an ``int`` or a ``float``."""
+        name = render_base_variable(relation, values)
+        template: Optional[tuple] = None
+        entry = self.index.get(relation)
+        if entry is not None and entry[1] == len(values):
+            parts: list = [bytes((entry[0],))]
+            for value in values:
+                if type(value) is str:
+                    try:
+                        value.encode("utf-8")
+                    except UnicodeEncodeError:  # a lone surrogate
+                        break
+                    parts.append(value)
+                elif type(value) is int:
+                    if not -(1 << 63) <= value < 1 << 63:
+                        break
+                    parts.append(bytes((_INT,)) + _varint(_zigzag(value)))
+                elif (
+                    value.is_integer()
+                    and -_EXACT < value < _EXACT
+                    and (value or copysign(1.0, value) > 0)
+                ):
+                    parts.append(bytes((_INTEGRAL,)) + _varint(_zigzag(int(value))))
+                else:
+                    parts.append(bytes((_FLOAT,)) + _F64.pack(value))
+            else:
+                template = tuple(parts)
+        self.keys[name] = template
+        return name
+
+    def admit(self, support: ProvenanceExpression) -> None:
+        """Enter each variable of *support* waiting in ``fresh``."""
+        fresh, names = self.fresh, self.names
+        for monomial, _ in support.monomials:
+            for name, _ in monomial:
+                exact = fresh.pop(name, None)
+                if exact is not None:
+                    names[exact] = self.enter(exact[0], exact[1:-1])
+
+    def clear(self) -> None:
+        self.names.clear()
+        self.keys.clear()
+        self.fresh.clear()
+
+
+def _zigzag(value: int) -> int:
+    return value << 1 if value >= 0 else (-value << 1) - 1
+
+
+def _varint(value: int) -> bytes:
+    out = bytearray()
+    while value >= 0x80:
+        out.append(value & 0x7F | 0x80)
+        value >>= 7
+    out.append(value)
+    return bytes(out)
+
+
+def _read_varint(code: bytes, at: int) -> Tuple[int, int]:
+    """``(value, next offset)`` of the varint at *at*; ``ValueError`` when it
+    runs past ten bytes or 2**64."""
+    value = shift = 0
+    for offset in range(at, at + _VARINT_BYTES):
+        byte = code[offset]
+        value |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            if value >> 64:
+                break
+            return value, offset + 1
+        shift += 7
+    raise ValueError("over-long varint")
+
+
+def support_code(
+    support: ProvenanceExpression, flat: list, table: BaseVariables
+) -> Optional[bytes]:
+    """The code *support* travels as beside a payload that flattens to *flat*.
+
+    ``None`` when some part of *support* has no code (see above): it travels
+    as its rendering.  A ``str`` argument found in *flat* below position
+    0x7C travels as its first position there.
+    """
+    keys = table.keys
+    monomials = support.monomials
+    count = len(monomials)
+    code = bytearray((count,)) if count < 0x80 else bytearray(_varint(count))
+    for monomial, coefficient in monomials:
+        if coefficient != 1:
+            return None
+        width = len(monomial)
+        if width < 0x80:
+            code.append(width)
+        else:
+            code += _varint(width)
+        for name, exponent in monomial:
+            template = keys.get(name)
+            if template is None or exponent != 1:
+                return None
+            for part in template:
+                if type(part) is not str:
+                    code += part
+                    continue
+                try:
+                    position = flat.index(part)
+                    while type(flat[position]) is not str:
+                        position = flat.index(part, position + 1)
+                except ValueError:
+                    position = _POSITIONS
+                if position < _POSITIONS:
+                    code.append(position)
+                else:
+                    text = part.encode("utf-8")
+                    code.append(_STR)
+                    code += _varint(len(text))
+                    code += text
+    return bytes(code)
+
+
+def from_support_code(
+    code: bytes, flat: list, table: BaseVariables
+) -> Optional[ProvenanceExpression]:
+    """The support *code* names beside a payload that flattens to *flat*.
+
+    ``None`` when the code is malformed — truncated, followed by trailing
+    bytes, naming a position past *flat* or on a value that is not a
+    ``str``, an unknown relation or tag, an over-long varint, a variable
+    twice in one monomial or a monomial twice: no support can be rebuilt
+    from it.  Each variable rebuilt is named through *table*; one it does
+    not know is rendered and left in ``table.fresh``, not entered.
+    """
+    relations, names, fresh = table.relations, table.names, table.fresh
+    monomials = []
+    try:
+        # The count through the general reader, once; every later varint
+        # takes its one-byte form inline.
+        count, at = _read_varint(code, 0)
+        for _ in range(count):
+            width = code[at]
+            at += 1
+            if width >= 0x80:
+                width, at = _read_varint(code, at - 1)
+            variables = []
+            for _ in range(width):
+                relation, arity = relations[code[at]]
+                at += 1
+                parts = [relation]
+                floats = 0
+                for position in range(arity):
+                    tag = code[at]
+                    at += 1
+                    if tag < _POSITIONS:
+                        value = flat[tag]
+                        if type(value) is not str:
+                            return None
+                    elif tag == _INTEGRAL or tag == _INT:
+                        zigzag = code[at]
+                        at += 1
+                        if zigzag >= 0x80:
+                            zigzag, at = _read_varint(code, at - 1)
+                        value = -(zigzag >> 1) - 1 if zigzag & 1 else zigzag >> 1
+                        if tag == _INTEGRAL:
+                            value = float(value)
+                            floats |= 1 << 2 * position
+                    elif tag == _STR:
+                        size = code[at]
+                        at += 1
+                        if size >= 0x80:
+                            size, at = _read_varint(code, at - 1)
+                        end = at + size
+                        if end > len(code):
+                            return None
+                        value = code[at:end].decode("utf-8")
+                        at = end
+                    elif tag == _FLOAT:
+                        (value,) = _F64.unpack_from(code, at)
+                        at += 8
+                        if value != value:
+                            value = _NAN
+                        floats |= (1 if value or copysign(1.0, value) > 0 else 3) << 2 * position
+                    else:
+                        return None
+                    parts.append(value)
+                parts.append(floats)
+                exact = tuple(parts)
+                name = names.get(exact)
+                if name is None:
+                    name = render_base_variable(relation, exact[1:-1])
+                    fresh[name] = exact
+                variables.append(name)
+            if width > 1:
+                variables.sort()
+                if len(set(variables)) != width:
+                    return None
+            monomials.append((tuple([(name, 1) for name in variables]), 1))
+    except (IndexError, ValueError, struct.error):
+        return None
+    if at != len(code):
+        return None
+    if count > 1:
+        monomials.sort()
+        if len(set(monomials)) != count:
+            return None
+    return ProvenanceExpression(monomials=tuple(monomials))

@@ -13,7 +13,7 @@ from repro.engine.tuples import Fact
 from repro.net.events import FactRetraction
 from repro.net.topology import random_topology
 from repro.security import authenticator
-from repro.provenance.polynomial import from_position_mask, p_var
+from repro.provenance.polynomial import flat_values, from_position_mask, p_var
 from repro.provenance.pruning import ProvenanceSampler
 from repro.security.authenticator import SignedEnvelope
 from repro.security.keystore import KeyStore
@@ -272,7 +272,7 @@ class TestProvenanceModes:
         fact = shipped.fact
         assert fact.values == ("b", "a", 1.0) and fact.provenance == p_var("a")
         assert fact.annotation_mask == 0b010
-        assert from_position_mask(fact.annotation_mask, fact.values) == p_var("a")
+        assert from_position_mask(fact.annotation_mask, flat_values(fact.values)) == p_var("a")
         assert shipped.provenance_bytes == 2
         assert result.report.provenance_bytes_computed == 2
         assert isinstance(fact.signature, SignedEnvelope)

@@ -27,6 +27,7 @@ from repro.net.message import MessageBatch
 from repro.net.transport import BinaryCodec
 from repro.provenance.polynomial import (
     ProvenanceExpression,
+    flat_values,
     from_position_mask,
     p_var,
     position_mask,
@@ -80,7 +81,7 @@ def test_a_mask_rebuilds_the_annotation_and_its_leaf(values, names, exponent, co
     annotation = monomial(names, exponent, count)
     flattened = list(flat(values))
     named = {value for value in flattened if type(value) is str}
-    packed = position_mask(annotation, values)
+    packed = position_mask(annotation, flat_values(values))
     maskable = count == 1 and (exponent == 1 or not names) and set(names) <= named
     assert (packed is not None) == maskable
     if packed is None:
@@ -92,7 +93,7 @@ def test_a_mask_rebuilds_the_annotation_and_its_leaf(values, names, exponent, co
         next(i for i, v in enumerate(flattened) if type(v) is str and v == name)
         for name in set(names)
     )
-    rebuilt = from_position_mask(bits, values)
+    rebuilt = from_position_mask(bits, flat_values(values))
     assert rebuilt == annotation
     assert rebuilt.monomials == annotation.monomials == annotation.condense().monomials
     assert rebuilt.to_string() == annotation.to_string()
@@ -106,17 +107,17 @@ def test_a_mask_selecting_past_the_payload_or_a_non_name_rebuilds_nothing(values
     flattened = list(flat(values))
     selected = [i for i in range(bits.bit_length()) if bits >> i & 1]
     valid = all(i < len(flattened) and type(flattened[i]) is str for i in selected)
-    rebuilt = from_position_mask(bits, values)
+    rebuilt = from_position_mask(bits, flat_values(values))
     assert (rebuilt is not None) == valid
     if valid:
         assert rebuilt.variables() == {flattened[i] for i in selected}
 
 
 def test_an_annotation_the_payload_does_not_name_travels_explicitly():
-    assert position_mask(p_var("a") + p_var("b"), ("a", "b")) is None
-    assert position_mask(p_var("c"), ("a", ("b",))) is None
-    assert position_mask(p_var("a"), (Name("a"), 1)) is None
-    assert position_mask(p_var("a"), (Name("a"), "a")) == (0b10, 2)
+    assert position_mask(p_var("a") + p_var("b"), ["a", "b"]) is None
+    assert position_mask(p_var("c"), flat_values(("a", ("b",)))) is None
+    assert position_mask(p_var("a"), [Name("a"), 1]) is None
+    assert position_mask(p_var("a"), [Name("a"), "a"]) == (0b10, 2)
 
 
 # -- engines: a tampered mask is a counted rejection -------------------------------

@@ -23,6 +23,7 @@ pointer; and ``ndlog`` never enters ``repro.provenance`` while rules fire.
 
 from __future__ import annotations
 
+import ast
 import collections
 import contextlib
 import hashlib
@@ -47,6 +48,8 @@ SEED = 4
 PARENT_EXPRESSIONS_BUILT = 2909
 #: Annotations this script's receivers rebuild from position masks.
 REBUILT = 189
+#: Supports this script's receivers rebuild from support codes.
+DECODED = 199
 
 
 def churn_script() -> Network:
@@ -132,6 +135,7 @@ def test_churn_condenses_once_per_product_and_builds_under_half_the_expressions(
         count_calls(patch, log, "join_all", counts)
         count_calls(patch, node_engine, "join_all", counts)
         count_calls(patch, node_engine, "from_position_mask", counts)
+        count_calls(patch, node_engine, "from_support_code", counts)
         count_counters_built_by_provenance(patch, counts)
         state = state_of(churn_script())
 
@@ -144,10 +148,11 @@ def test_churn_condenses_once_per_product_and_builds_under_half_the_expressions(
     assert counts["__add__"] == 0
     assert counts["__mul__"] == 622
     # Plus one expression per annotation a receiver rebuilds from the
-    # position mask it travelled as (951 when every annotation travelled
-    # as its polynomial).
+    # position mask it travelled as, and one per support it rebuilds from a
+    # support code (951 when both travelled as their polynomials).
     assert counts["from_position_mask"] == REBUILT
-    assert counts["__init__"] == 951 + REBUILT
+    assert counts["from_support_code"] == DECODED
+    assert counts["__init__"] == 951 + REBUILT + DECODED
     assert counts["__init__"] <= 0.5 * PARENT_EXPRESSIONS_BUILT
 
     # The same script on the reference kernel: same network, more work.
@@ -159,6 +164,72 @@ def test_churn_condenses_once_per_product_and_builds_under_half_the_expressions(
     assert reference["__init__"] > counts["__init__"]
     assert state == reference_state
     assert state["summary"]["facts_retracted"] > 0  # the flaps did delete state
+
+
+#: The churn script's shipped supports: those that travel as support codes
+#: and as renderings, their variables, the variables' arguments by form, and
+#: the supports' wire bytes (the codes' as renderings in brackets).
+SUPPORTS = {"coded": 199, "explicit": 0}
+VARIABLES = 558
+ARGUMENTS = {"position": 1092, "int": 0, "float": 558, "str literal": 24}
+SUPPORT_BYTES, AS_RENDERINGS = 3260, 10961
+
+
+def test_churn_ships_each_support_as_a_code_relative_to_its_payload(monkeypatch):
+    """Every support of the churn script names ``link`` tuples whose
+    endpoints the payload carries, so each travels as a code: the endpoints
+    as positions, the cost as a literal.  Nothing parses a rendering and no
+    coded support is ever rendered — not by the sender, which sizes the
+    code, nor by the receiver, which rebuilds the polynomial from it."""
+    counts, coded = collections.Counter(), {}
+    encode, decode = node_engine.support_code, node_engine.from_support_code
+    render = ProvenanceExpression._render
+
+    def counted_encode(support, flat, table):
+        code = encode(support, flat, table)
+        if code is None:
+            counts["explicit"] += 1
+            counts["bytes"] += len(render(support).encode())
+            return None
+        counts["coded"] += 1
+        counts["bytes"] += len(code)
+        counts["as renderings"] += len(render(support).encode())
+        coded[id(support)] = support
+        for monomial, _ in support.monomials:
+            for name, _ in monomial:
+                counts["variables"] += 1
+                # The variable's template: its relation's byte, then per
+                # argument a str to find in the payload or a tagged literal.
+                for part in table.keys[name][1:]:
+                    if type(part) is bytes:
+                        counts["int" if part[0] == 0x7C else "float"] += 1
+                    elif part in flat[:0x7C]:
+                        counts["position"] += 1
+                    else:
+                        counts["str literal"] += 1
+        return code
+
+    def counted_decode(code, flat, table):
+        support = decode(code, flat, table)
+        coded[id(support)] = support
+        return support
+
+    def counted_render(self):
+        counts["coded renders"] += id(self) in coded
+        return render(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(node_engine, "support_code", counted_encode)
+        patch.setattr(node_engine, "from_support_code", counted_decode)
+        patch.setattr(ProvenanceExpression, "_render", counted_render)
+        count_calls(patch, ast, "literal_eval", counts)
+        churn_script()
+
+    assert {form: counts[form] for form in SUPPORTS} == SUPPORTS
+    assert counts["variables"] == VARIABLES
+    assert {form: counts[form] for form in ARGUMENTS} == ARGUMENTS
+    assert (counts["bytes"], counts["as renderings"]) == (SUPPORT_BYTES, AS_RENDERINGS)
+    assert counts["literal_eval"] == counts["coded renders"] == 0
 
 
 def build(provenance: str, **options) -> Network:
@@ -184,13 +255,13 @@ def test_sendlog_prov_renders_each_shipped_annotation_once(monkeypatch):
     render = ProvenanceExpression._render
     mask, unmask = node_engine.position_mask, node_engine.from_position_mask
 
-    def counted_mask(annotation, values):
-        packed = mask(annotation, values)
+    def counted_mask(annotation, flat):
+        packed = mask(annotation, flat)
         counts["explicit" if packed is None else "mask"] += 1
         return packed
 
-    def kept_unmask(bits, values):
-        annotation = unmask(bits, values)
+    def kept_unmask(bits, flat):
+        annotation = unmask(bits, flat)
         rebuilt[id(annotation)] = annotation
         return annotation
 

@@ -467,7 +467,7 @@ class TestDynamicsCountersEquivalence:
         "timer_events",
     )
 
-    def _drive(self, backend, shards=2, says_mode=SaysMode.NONE):
+    def _drive(self, backend, shards=2, says_mode=SaysMode.NONE, shard_mode="inline"):
         from repro.datalog import localize_program, parse_program
         from repro.datalog.planner import compile_program
         from repro.engine.tuples import Fact
@@ -506,7 +506,7 @@ class TestDynamicsCountersEquivalence:
             options=NetOptions(
                 backend=backend,
                 shards=shards,
-                shard_mode="inline",
+                shard_mode=shard_mode,
                 key_bits=128,
             ),
         )
@@ -550,6 +550,18 @@ class TestDynamicsCountersEquivalence:
         for key in self.COUNTERS:
             assert summary[key] > 0, key
             assert summary[key] == sharded.stats.summary()[key], key
+
+    @pytest.mark.parametrize("shard_mode", ("inline", "processes"))
+    def test_every_node_ledger_identical_in_both_shard_modes(self, shard_mode):
+        """Each exported tuple's support crosses a shard boundary as its
+        support code, through the frame codec (and the worker pipes), and is
+        rebuilt from the payload there: every ``NodeStats`` field of every
+        node matches the serial run."""
+        _assert_equivalent(
+            self._drive("serial"),
+            self._drive("sharded", shard_mode=shard_mode),
+            relation="reachable",
+        )
 
     def test_signed_envelopes_and_anti_deltas_cross_shards(self):
         """Under signed ``says`` every tuple and anti-delta that crosses a

@@ -29,6 +29,7 @@ import argparse
 import os
 import sys
 from collections import Counter, deque
+from typing import List, Optional
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
@@ -307,7 +308,7 @@ def print_opcodes(executed: Counter, firings: int) -> None:
         print(f"  {count / total:>6.1%} {count:>11,}  {where}:{code.co_firstlineno} {code.co_name}")
 
 
-def main() -> None:
+def main(argv: Optional[List[str]] = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--program", default="best-path")
     parser.add_argument("--provenance", default="ndlog", choices=sorted(PROVENANCE_PRESETS))
@@ -317,7 +318,8 @@ def main() -> None:
                         help="flap K redundant links after convergence (0: all)")
     parser.add_argument("--opcodes", action="store_true",
                         help="also count bytecode instructions per function (slow)")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    poly_census.check_sizes(parser, args)
     census = install()
     topology, network = poly_census.build(args)
     census.reset()  # building (compiling, keys) is not the write path

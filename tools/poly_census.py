@@ -12,11 +12,15 @@ With ``--shipped`` it counts the annotations the run ships instead: how many
 are one monomial, how many the tuple's own payload names (so they travel as a
 position mask), how many repeat an annotation already sent on the same link,
 and the annotation bytes of each wire form — as shipped, and as the explicit
-polynomial would have cost.  ``--per-tuple`` runs the paper's per-tuple
-format (``batching=False``).
+polynomial would have cost.  With ``--flaps`` (one-fixpoint deletions) it
+counts the shipped base-support polynomials the same way — as support codes
+or explicit — and the arguments the codes carry as payload positions or as
+literals.  ``--per-tuple`` runs the paper's per-tuple format
+(``batching=False``).
 
     python tools/poly_census.py --provenance condensed --nodes 20 --flaps 0
     python tools/poly_census.py --shipped --provenance sendlog-prov --nodes 25
+    python tools/poly_census.py --shipped --provenance condensed --nodes 20 --flaps 0
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import os
 import random
 import sys
 from collections import Counter
+from typing import List, Optional
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
@@ -33,7 +38,11 @@ from repro.api import Network  # noqa: E402
 from repro.net.events import LinkDown, LinkUp  # noqa: E402
 from repro.net.kernel import SimulationKernel  # noqa: E402
 from repro.net.topology import random_topology  # noqa: E402
-from repro.provenance.polynomial import ProvenanceExpression, position_mask  # noqa: E402
+from repro.provenance.polynomial import (  # noqa: E402
+    ProvenanceExpression,
+    flat_values,
+    position_mask,
+)
 
 OPERATIONS = ("__mul__", "__add__", "absorb", "condense")
 
@@ -82,6 +91,8 @@ def install_shipped() -> ShippedCensus:
     def counted(kernel, source, outgoing, node_stats):
         for item in outgoing:
             fact = item.fact
+            if isinstance(fact.support, ProvenanceExpression):
+                count_support(census, kernel.engines[source], fact)
             annotation = fact.provenance
             if not isinstance(annotation, ProvenanceExpression):
                 continue
@@ -95,7 +106,7 @@ def install_shipped() -> ShippedCensus:
             if fact.annotation_mask is not None:
                 form = "mask"
                 census["named by the payload"] += 1
-                census["mask bytes"] += position_mask(annotation, fact.values)[1]
+                census["mask bytes"] += position_mask(annotation, flat_values(fact.values))[1]
             else:
                 census["explicit bytes"] += explicit
             census[f"{form} tuples"] += 1
@@ -104,6 +115,26 @@ def install_shipped() -> ShippedCensus:
 
     SimulationKernel._dispatch_outgoing = counted
     return census
+
+
+def count_support(census: ShippedCensus, engine, fact) -> None:
+    """One shipped support: its wire form, bytes, and the arguments of a code."""
+    support, code = fact.support, fact.support_code
+    explicit = support.serialized_size()
+    form = "explicit" if code is None else "coded"
+    census["supports"] += 1
+    census[f"{form} supports"] += 1
+    census[f"{form} support bytes"] += explicit if code is None else len(code)
+    census[f"{form} support bytes if explicit"] += explicit
+    if code is None:
+        return
+    flat = flat_values(fact.values)[:0x7C]
+    for monomial, _ in support.monomials:
+        for name, _ in monomial:
+            # The variable's template: its relation's byte, then per argument
+            # a str to find in the payload or a literal's encoded bytes.
+            for part in engine._bases.keys[name][1:]:
+                census["positions" if type(part) is str and part in flat else "literals"] += 1
 
 
 def print_shipped(census: ShippedCensus) -> None:
@@ -120,6 +151,23 @@ def print_shipped(census: ShippedCensus) -> None:
     total = census["mask bytes"] + census["explicit bytes"]
     explicit = census["mask bytes if explicit"] + census["explicit bytes if explicit"]
     print(f"{'total':<10} {shipped:>8} {total:>9} {explicit:>12}")
+    if not census["supports"]:
+        return
+    print(f"{'support':<10} {'tuples':>8} {'bytes':>9} {'if explicit':>12}")
+    for form in ("coded", "explicit"):
+        print(
+            f"{form:<10} {census[f'{form} supports']:>8} {census[f'{form} support bytes']:>9}"
+            f" {census[f'{form} support bytes if explicit']:>12}"
+        )
+    total = census["coded support bytes"] + census["explicit support bytes"]
+    explicit = (
+        census["coded support bytes if explicit"] + census["explicit support bytes if explicit"]
+    )
+    print(f"{'total':<10} {census['supports']:>8} {total:>9} {explicit:>12}")
+    arguments = census["positions"] + census["literals"]
+    for label in ("positions", "literals"):
+        share = f" ({census[label] / arguments:.1%})" if arguments else ""
+        print(f"code arguments as {label:<10} {census[label]:>8}{share}")
 
 
 def build(args: argparse.Namespace):
@@ -154,7 +202,16 @@ def run(args: argparse.Namespace, table: dict, topology, network) -> None:
             assert network.run_until_idle(), "a flap did not settle"
 
 
-def main() -> None:
+def check_sizes(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Refuse sizes no run can have: a negative flap count would slice the
+    link list from its end, and a network needs two nodes."""
+    if args.flaps is not None and args.flaps < 0:
+        parser.error(f"--flaps must be 0 (every link) or more, got {args.flaps}")
+    if args.nodes < 2:
+        parser.error(f"--nodes must be at least 2, got {args.nodes}")
+
+
+def main(argv: Optional[List[str]] = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--program", default="best-path")
     parser.add_argument("--provenance", default="condensed",
@@ -167,7 +224,8 @@ def main() -> None:
                         help="count the shipped annotations by wire form instead")
     parser.add_argument("--per-tuple", action="store_true",
                         help="the paper's per-tuple format (batching off)")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    check_sizes(parser, args)
     if args.shipped:
         census = install_shipped()
         run(args, {"shipped": census}, *build(args))
