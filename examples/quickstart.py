@@ -105,8 +105,8 @@ def main() -> None:
     #    synchronization.  Derived facts and every integer/byte statistic
     #    are identical to the serial run above — sharding only changes
     #    wall-clock time — so the contract can be *checked*, not trusted.
-    #    Shards meet at conservative lockstep barriers and exchange compact
-    #    binary frames; the coordination ledger in the stats shows the cost.
+    #    Shards meet at conservative lockstep barriers and exchange pickled
+    #    frames; the coordination ledger in the stats shows the cost.
     sharded = Network.build(
         topology=12,
         program="best-path",

@@ -130,9 +130,10 @@ statistics, for any shard count and either worker mode (``shard_mode=
 debugging) — so it is purely a wall-clock choice.
 
 Shards synchronize at conservative lockstep barriers (one window per
-minimum cross-shard link latency) and exchange compact deterministic
-binary frames with the coordinator; the **coordination ledger** in
-``stats.summary()`` records what that cost::
+minimum cross-shard link latency) and exchange deterministic frames — one
+pickle per command or reply — with the coordinator; the **coordination
+ledger** in ``stats.summary()`` records what that cost (process plumbing,
+not the simulated wire)::
 
     summary = network.stats.summary()
     print(summary["coordination_rounds"],    # coordinator round-trips

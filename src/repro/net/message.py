@@ -202,7 +202,7 @@ def _memo_field():
     """A lazily filled derived-state slot on the object that owns the key it
     was rendered from — never a table keyed by :data:`FactKey`: equal,
     hash-equal keys (``1`` / ``True`` / ``1.0``) render to different sizes.
-    Outside equality, ``repr``, ``replace``, codec frames and pickles."""
+    Outside equality, ``repr``, ``replace`` and pickles (frames included)."""
     return field(default=None, init=False, repr=False, compare=False)
 
 
@@ -455,15 +455,3 @@ class QueryResponse:
 
 #: Wire messages belonging to the provenance query plane.
 QueryMessage = (QueryRequest, QueryResponse)
-
-#: Stable wire-format tags for the sharded backend's coordination frames
-#: (:mod:`repro.net.transport`).  Appending new kinds is safe; renumbering
-#: existing ones would silently corrupt mixed-version coordination, so the
-#: mapping lives next to the message definitions it tags.  Kind 0 was the
-#: retired one-tuple message (a batch of one now); it is not reused.
-WIRE_KINDS = {
-    MessageBatch: 1,
-    QueryRequest: 2,
-    QueryResponse: 3,
-    AntiDelta: 4,
-}

@@ -36,7 +36,7 @@ that log when someone reads it (:attr:`PendingQuery.graph`), so a service
 plane that only times its queries never builds one.
 
 Caches and what invalidates them (all instance state, none module-level;
-no memo travels in pickles or codec frames):
+no memo travels in pickles, the coordination frames included):
 
 ==================  ==========================  ================================
 cache               lives on                    invalidated by

@@ -19,9 +19,9 @@ keeping the simulation *exactly* equivalent to the serial schedule:
   barrier.  Nothing a shard does inside a window can reach another shard
   before the window ends.
 
-* **Transport**: coordinator↔worker traffic travels as compact binary
-  frames (:mod:`repro.net.transport`) over the persistent pipes — interned
-  addresses/relations, struct-packed headers, ``repr``-literal payloads.
+* **Transport**: coordinator↔worker traffic travels over the persistent
+  pipes as frames (:mod:`repro.net.transport`), one pickle each: a command
+  is the tuple ``(op, *args)``, a reply one value behind a status byte.
   The coordination ledger — ``coordination_rounds``,
   ``coordination_bytes``, ``windows_executed`` — is deterministic (inline
   and process runs agree exactly) and flows through
@@ -54,9 +54,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-import pickle
 import random
-import struct
 import weakref
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -242,119 +240,77 @@ _OP_EXPIRE = 5
 _OP_FINALIZE = 6
 _OP_SETTLE = 7
 
-_F64 = struct.Struct("<d")
-_U64 = struct.Struct("<Q")
-
-#: The one coordination encoding (stateless): hot-path payloads travel as
-#: deterministic binary frames in both shard modes.
+#: The one coordination encoding (stateless): every command and every reply
+#: is one frame, in both shard modes.
 _CODEC = BinaryCodec()
 
-
-def _pack_optional_f64(value: Optional[float]) -> bytes:
-    return b"\x00" if value is None else b"\x01" + _F64.pack(value)
-
-
-def _unpack_optional_f64(data: bytes, offset: int) -> Tuple[Optional[float], int]:
-    if data[offset]:
-        return _F64.unpack_from(data, offset + 1)[0], offset + 9
-    return None, offset + 1
+#: The command after which a process worker hands its kernel back and exits.
+_FINALIZE_FRAME = _CODEC.encode_frame((_OP_FINALIZE,))
 
 
-def _pack_flush(batch) -> bytes:
-    """A drain-prime command: stamped control events (often none).
-
-    An empty flush is a fixed-size frame — one op byte plus the codec's
-    empty-batch encoding — and its reply is fixed-size too when the worker
-    has nothing pending, so the per-drain prime round stays cheap.
-    """
-    return bytes((_OP_FLUSH,)) + _CODEC.encode_events(batch)
-
-
-def _pack_window(horizon: float, imports) -> bytes:
-    """A window grant: run to *horizon* (f64) with *imports*."""
-    return bytes((_OP_WINDOW,)) + _F64.pack(horizon) + _CODEC.encode_exports(imports)
+def _flush(kernel: SimulationKernel, batch) -> tuple:
+    """A drain prime: schedule stamped control events (often none); reply
+    with the next event time, the processed count and any exports made
+    between drains."""
+    for event, stamp, owned in batch:
+        kernel.schedule_stamped(event, stamp, owned)
+    return kernel.scheduler.peek_time(), kernel._events_processed, kernel.take_exports()
 
 
-def _unpack_flush_reply(raw: bytes):
-    next_time, offset = _unpack_optional_f64(raw, 1)
-    processed = _U64.unpack_from(raw, offset)[0]
-    return next_time, processed, _CODEC.decode_exports(raw[offset + 8 :])
+def _window(kernel: SimulationKernel, horizon: float, imports) -> tuple:
+    """A window grant: run to *horizon* with *imports*."""
+    exports, next_time, within_budget = kernel.run_window(horizon, imports)
+    return next_time, within_budget, kernel._events_processed, exports
 
 
-def _unpack_window_reply(raw: bytes):
-    next_time, offset = _unpack_optional_f64(raw, 1)
-    within_budget = bool(raw[offset])
-    processed = _U64.unpack_from(raw, offset + 1)[0]
-    exports = _CODEC.decode_exports(raw[offset + 9 :])
-    return next_time, within_budget, processed, exports
+def _stats(kernel: SimulationKernel) -> tuple:
+    """A kernel's stats snapshot.  Storage-tier gauges live in the engines,
+    which never leave a worker mid-run: they are folded in first."""
+    kernel.refresh_provenance_stats()
+    return (
+        kernel.stats,
+        kernel.scheduler.events_scheduled,
+        kernel._uncounted_scheduled,
+        kernel._events_processed,
+        kernel.current_time(),
+        dict(kernel.query_receipts),
+    )
+
+
+_HANDLERS = {
+    _OP_FLUSH: _flush,
+    _OP_WINDOW: _window,
+    _OP_STATS: _stats,
+    _OP_COUNT: SimulationKernel.count_facts,
+    _OP_EXPIRE: SimulationKernel.expire_all,
+    _OP_FINALIZE: lambda kernel: kernel,
+    _OP_SETTLE: SimulationKernel.settle_retractions,
+}
 
 
 class ShardWorkerError(RuntimeError):
     """A shard worker reported a failure, or its process died."""
 
 
-def _check_reply(frame: bytes, shard: int) -> bytes:
-    if frame[:1] == b"\x01":
-        raise ShardWorkerError(
-            f"shard {shard} worker failed: {frame[1:].decode('utf-8', 'replace')}"
-        )
-    return frame
-
-
 def _serve_op(kernel: SimulationKernel, frame: bytes) -> bytes:
-    """Execute one coordination command against *kernel*; return the reply.
+    """Execute one command frame — ``(op, *args)`` — against *kernel* and
+    return the reply frame: a ``0`` status byte, then the op's result.
 
     Shared verbatim by the process worker loop and the inline wrapper, so
     both modes produce byte-identical frames — which is what makes the
     coordination ledger identical across ``shard_mode`` values.
     """
-    op = frame[0]
-    if op == _OP_FLUSH:
-        for event, stamp, owned in _CODEC.decode_events(frame[1:]):
-            kernel.schedule_stamped(event, stamp, owned)
-        return (
-            b"\x00"
-            + _pack_optional_f64(kernel.scheduler.peek_time())
-            + _U64.pack(kernel._events_processed)
-            + _CODEC.encode_exports(kernel.take_exports())
-        )
-    if op == _OP_WINDOW:
-        horizon = _F64.unpack_from(frame, 1)[0]
-        exports, next_time, within_budget = kernel.run_window(
-            horizon, _CODEC.decode_exports(frame[9:])
-        )
-        return (
-            b"\x00"
-            + _pack_optional_f64(next_time)
-            + (b"\x01" if within_budget else b"\x00")
-            + _U64.pack(kernel._events_processed)
-            + _CODEC.encode_exports(exports)
-        )
-    if op == _OP_STATS:
-        # Storage-tier gauges live in the engines, which never leave the
-        # worker mid-run: fold them into the stats snapshot before it
-        # crosses the process boundary.  Snapshots are off the hot path, so
-        # they stay pickled.
-        kernel.refresh_provenance_stats()
-        snapshot = (
-            kernel.stats,
-            kernel.scheduler.events_scheduled,
-            kernel._uncounted_scheduled,
-            kernel._events_processed,
-            kernel.current_time(),
-            dict(kernel.query_receipts),
-        )
-        return b"\x00" + pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)
-    if op == _OP_COUNT:
-        count = kernel.count_facts(pickle.loads(frame[1:]))
-        return b"\x00" + pickle.dumps(count, protocol=pickle.HIGHEST_PROTOCOL)
-    if op == _OP_EXPIRE:
-        kernel.expire_all(_F64.unpack_from(frame, 1)[0])
-        return b"\x00"
-    if op == _OP_SETTLE:
-        kernel.settle_retractions()
-        return b"\x00"
-    raise ValueError(f"unknown shard worker op {op!r}")
+    op, *args = _CODEC.decode_frame(frame)
+    handler = _HANDLERS.get(op)
+    if handler is None:
+        raise ValueError(f"unknown shard worker op {op!r}")
+    return b"\x00" + _CODEC.encode_frame(handler(kernel, *args))
+
+
+def _call(io, *command) -> object:
+    """Run one command on one worker outside the ledger; its result."""
+    io.send_command(_CODEC.encode_frame(command))
+    return _CODEC.decode_frame(io.recv_reply()[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +349,9 @@ def _shard_worker_main(conn, spec: ShardSpec) -> None:
     """Worker entry point: serve framed kernel operations until closed.
 
     Module-level (importable) and argument-picklable, so it is safe under
-    the ``spawn`` start method — the only one available everywhere.
+    the ``spawn`` start method — the only one available everywhere.  A
+    failure goes back as a ``1`` status byte and its text, and ends the
+    worker.
     """
     try:
         kernel = spec.build_kernel()
@@ -406,12 +364,6 @@ def _shard_worker_main(conn, spec: ShardSpec) -> None:
             frame = conn.recv_bytes()
         except EOFError:
             return  # the coordinator is gone; nothing left to serve
-        if frame[0] == _OP_FINALIZE:
-            conn.send_bytes(
-                b"\x00" + pickle.dumps(kernel, protocol=pickle.HIGHEST_PROTOCOL)
-            )
-            conn.close()
-            return
         try:
             reply = _serve_op(kernel, frame)
         except BaseException as error:
@@ -421,6 +373,9 @@ def _shard_worker_main(conn, spec: ShardSpec) -> None:
                 pass
             return
         conn.send_bytes(reply)
+        if frame == _FINALIZE_FRAME:
+            conn.close()
+            return
 
 
 class _WorkerHandle:
@@ -459,7 +414,11 @@ class _WorkerHandle:
             raise self._died(error) from error
         if frame[:1] == b"\x01":
             self._abort_all()  # the worker exits after a failure reply
-        return _check_reply(frame, self.shard)
+            raise ShardWorkerError(
+                f"shard {self.shard} worker failed: "
+                + frame[1:].decode("utf-8", "replace")
+            )
+        return frame
 
     def _abort_all(self) -> None:
         abort = self._abort()
@@ -488,11 +447,15 @@ class _WorkerHandle:
 class _InlineWorker:
     """An in-process kernel behind the exact worker frame surface.
 
-    Commands are encoded, decoded and served through the same codec and
+    Commands are decoded, served and their replies encoded through the same
     :func:`_serve_op` as a process worker — execution just happens at send
     time, with the reply buffered for the matching ``recv_reply`` — so
     inline runs produce byte-identical frames, and therefore an identical
-    coordination ledger, to process runs of the same workload.
+    coordination ledger, to process runs of the same workload, and no two
+    shard kernels ever share an object.  A failing op surfaces at
+    ``recv_reply`` as a :class:`ShardWorkerError` whose ``__cause__`` is the
+    original exception, traceback and all; ``KeyboardInterrupt`` and
+    ``SystemExit`` pass through unchanged.
     """
 
     def __init__(self, kernel: SimulationKernel, shard: int) -> None:
@@ -503,12 +466,17 @@ class _InlineWorker:
     def send_command(self, frame: bytes) -> None:
         try:
             reply = _serve_op(self.kernel, frame)
-        except BaseException as error:
-            reply = b"\x01" + f"{type(error).__name__}: {error}".encode()
+        except Exception as error:
+            reply = error
         self._replies.append(reply)
 
     def recv_reply(self) -> bytes:
-        return _check_reply(self._replies.popleft(), self.shard)
+        reply = self._replies.popleft()
+        if isinstance(reply, Exception):
+            raise ShardWorkerError(
+                f"shard {self.shard} worker failed: {type(reply).__name__}: {reply}"
+            ) from reply
+        return reply
 
 
 class _SchedulerView:
@@ -684,8 +652,7 @@ class ShardedSimulator:
         assert self._workers is not None
         kernels: List[SimulationKernel] = []
         for worker in self._workers:
-            worker.send_command(bytes((_OP_FINALIZE,)))
-            kernel = pickle.loads(worker.recv_reply()[1:])
+            kernel = _call(worker, _OP_FINALIZE)
             kernel.attach_program(self.compiled)
             kernels.append(kernel)
             worker.close()
@@ -742,21 +709,27 @@ class ShardedSimulator:
         for event, stamp in pending:
             self._route_external(event, stamp)
         buffers, self._flush_buffers = self._flush_buffers, {}
-        for shard, io in enumerate(self._io):
-            frame = _pack_flush(buffers.get(shard, []))
+        replies = self._exchange(
+            [(_OP_FLUSH, buffers.get(shard, [])) for shard in range(len(self._io))]
+        )
+        for _next_time, _processed, exports in replies:
+            self._route_exports(exports)
+        return [reply[0] for reply in replies], [reply[1] for reply in replies]
+
+    def _exchange(self, commands: List[tuple]) -> List[object]:
+        """One booked round: send every shard its command, then read every
+        reply — the round and both frames' bytes go on the ledger."""
+        for io, command in zip(self._io, commands):
+            frame = _CODEC.encode_frame(command)
             self._coordination_rounds += 1
             self._coordination_bytes += len(frame)
             io.send_command(frame)
-        next_times: List[Optional[float]] = []
-        processed: List[int] = []
+        replies = []
         for io in self._io:
             raw = io.recv_reply()
             self._coordination_bytes += len(raw)
-            next_time, count, exports = _unpack_flush_reply(raw)
-            next_times.append(next_time)
-            processed.append(count)
-            self._route_exports(exports)
-        return next_times, processed
+            replies.append(_CODEC.decode_frame(raw[1:]))
+        return replies
 
     # -- running ------------------------------------------------------------------
 
@@ -785,19 +758,11 @@ class ShardedSimulator:
                 return False
             horizon = min(live) + window
             within_budget = True
-            for shard, io in enumerate(self._io):
-                batch, imports[shard] = imports[shard], []
-                frame = _pack_window(horizon, batch)
-                self._coordination_rounds += 1
-                self._windows_executed += 1
-                self._coordination_bytes += len(frame)
-                io.send_command(frame)
-            for shard, io in enumerate(self._io):
-                raw = io.recv_reply()
-                self._coordination_bytes += len(raw)
-                next_times[shard], ok, processed[shard], exports = (
-                    _unpack_window_reply(raw)
-                )
+            commands = [(_OP_WINDOW, horizon, batch) for batch in imports]
+            imports[:] = [[] for _ in imports]
+            self._windows_executed += len(commands)
+            for shard, reply in enumerate(self._exchange(commands)):
+                next_times[shard], ok, processed[shard], exports = reply
                 within_budget = within_budget and ok
                 self._route_exports(exports, horizon)
             if not within_budget:
@@ -812,10 +777,8 @@ class ShardedSimulator:
             for kernel in self._kernels:
                 kernel.settle_retractions()
         elif self._workers is not None:
-            frame = bytes((_OP_SETTLE,))
             for worker in self._workers:
-                worker.send_command(frame)
-                worker.recv_reply()
+                _call(worker, _OP_SETTLE)
 
     def _route_exports(
         self,
@@ -891,25 +854,9 @@ class ShardedSimulator:
         self,
     ) -> List[Tuple[NetworkStats, int, int, int, float, Dict[Address, int]]]:
         if self._kernels is not None:
-            for kernel in self._kernels:
-                kernel.refresh_provenance_stats()
-            return [
-                (
-                    kernel.stats,
-                    kernel.scheduler.events_scheduled,
-                    kernel._uncounted_scheduled,
-                    kernel._events_processed,
-                    kernel.current_time(),
-                    dict(kernel.query_receipts),
-                )
-                for kernel in self._kernels
-            ]
+            return [_stats(kernel) for kernel in self._kernels]
         if self._workers is not None:
-            snapshots = []
-            for worker in self._workers:
-                worker.send_command(bytes((_OP_STATS,)))
-                snapshots.append(pickle.loads(worker.recv_reply()[1:]))
-            return snapshots
+            return [_call(worker, _OP_STATS) for worker in self._workers]
         return []
 
     def _merged_stats(self, snapshots=None) -> NetworkStats:
@@ -982,24 +929,15 @@ class ShardedSimulator:
             for kernel in self._kernels:
                 kernel.expire_all(now)
         elif self._workers is not None:
-            frame = bytes((_OP_EXPIRE,)) + _F64.pack(now)
             for worker in self._workers:
-                worker.send_command(frame)
-                worker.recv_reply()
+                _call(worker, _OP_EXPIRE, now)
 
     def count_facts(self, relation: str) -> int:
         """Stored-tuple count of *relation* across all shards."""
         if self._kernels is not None:
             return sum(kernel.count_facts(relation) for kernel in self._kernels)
         if self._workers is not None:
-            frame = bytes((_OP_COUNT,)) + pickle.dumps(
-                relation, protocol=pickle.HIGHEST_PROTOCOL
-            )
-            total = 0
-            for worker in self._workers:
-                worker.send_command(frame)
-                total += pickle.loads(worker.recv_reply()[1:])
-            return total
+            return sum(_call(worker, _OP_COUNT, relation) for worker in self._workers)
         return 0
 
     # -- workload -----------------------------------------------------------------

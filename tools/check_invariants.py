@@ -59,11 +59,11 @@ INV009  no hidden files: ``import tempfile`` / ``from tempfile import ...``
         directory its caller named (``spill_dir``); a temporary-directory
         default leaks files nobody asked for and nobody removes.
 INV010  one formation site: ``MessageBatch(...)``, the data wire message, is
-        constructed only in ``net/kernel.py``'s ``_dispatch_outgoing`` (which
-        forms and seals every outgoing one) and ``net/transport.py``'s
-        ``_decode_message_body`` (which rebuilds a shipped one).  Under
-        signed ``says`` a data message formed anywhere else would skip both
-        the Merkle seal and its ``_count_seals`` charge.
+        constructed only in ``net/kernel.py``'s ``_dispatch_outgoing``, which
+        forms and seals every outgoing one (a frame that carries one across
+        shards rebuilds it without calling the constructor).  Under signed
+        ``says`` a data message formed anywhere else would skip both the
+        Merkle seal and its ``_count_seals`` charge.
 INV011  one way to cancel an event: nothing assigns ``.cancelled`` outside
         ``EventScheduler.cancel`` in ``net/events.py``.  The scheduler counts
         the cancelled entries still in its heap — ``len`` and its rebuilds
@@ -143,10 +143,7 @@ RSA_CALLERS = (
 
 #: The data wire message and the functions that may construct it.
 DATA_MESSAGE = "MessageBatch"
-DATA_MESSAGE_SITES = (
-    ("net/kernel.py", "_dispatch_outgoing"),
-    ("net/transport.py", "_decode_message_body"),
-)
+DATA_MESSAGE_SITES = (("net/kernel.py", "_dispatch_outgoing"),)
 
 #: The event flag only the scheduler may set, and where: (file, class, method).
 CANCEL_FLAG = "cancelled"
