@@ -18,8 +18,8 @@
 #                      the serial-vs-sharded scaling benchmark (equivalence
 #                      asserted, speedup and coordination ledger reported),
 #                      plus shard-scenarios: every scenario script on sharded
-#                      workers — in worker processes, and inline at three
-#                      shards.
+#                      workers — in worker processes forked from the
+#                      coordinator, and inline at three shards.
 #   make examples-smoke - run every examples/*.py end-to-end (small N),
 #                      failing on the first nonzero exit; keeps the facade
 #                      documentation executable.

@@ -126,8 +126,9 @@ per-shard kernels with ``backend="sharded"``::
 The sharded backend is *deterministically equivalent* to the serial one —
 same derived facts, same message sequence numbers, same integer/byte
 statistics, for any shard count and either worker mode (``shard_mode=
-"processes"`` for multiprocessing workers, ``"inline"`` for in-process
-debugging) — so it is purely a wall-clock choice.
+"processes"`` for worker processes forked from the coordinator,
+``"inline"`` for in-process debugging) — so it is purely a wall-clock
+choice.
 
 Shards synchronize at conservative lockstep barriers (one window per
 minimum cross-shard link latency) and exchange deterministic frames — one

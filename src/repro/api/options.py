@@ -88,9 +88,10 @@ class NetOptions:
     #: sharded backend always shards (the results do not depend on the
     #: count, only wall-clock time does).
     shards: int = 0
-    #: ``"processes"`` runs each shard in a spawned worker (the parallel
-    #: path); ``"inline"`` runs every shard kernel in-process — same
-    #: windows, same results — for debugging and mid-run inspection.
+    #: ``"processes"`` runs each shard in a worker process forked from the
+    #: coordinator (the parallel path); ``"inline"`` runs every shard
+    #: kernel in-process — same windows, same results — for debugging and
+    #: mid-run inspection.
     shard_mode: str = "processes"
     #: Wire format: one batch per destination per delta round (real-P2
     #: amortization; under signed ``says`` a busy node's queued messages

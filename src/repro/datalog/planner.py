@@ -22,7 +22,8 @@ after each join step.  :mod:`repro.datalog.codegen` then writes each
 evaluator of the hot path; nothing about a rule is interpreted per tuple.
 The functions are instance state of the plans of one
 :class:`CompiledProgram`, shared by every node engine running it, and never
-pickled: spawned shard workers recompile from the program AST.
+pickled: forked shard workers inherit them, and a shard kernel reeled
+back from its worker reattaches the coordinator's program.
 """
 
 from __future__ import annotations

@@ -104,8 +104,34 @@ class Fact:
     #: Lazily rendered canonical payload; equal facts may share the same
     #: bytes object (the table hands a stored duplicate's rendering to
     #: refreshed copies so immediately deduplicated derivations never
-    #: re-render).  Excluded from repr; identity never depends on it.
-    _payload_cache: Optional[bytes] = field(default=None, repr=False)
+    #: re-render).  A memo: outside ``repr``, comparisons and pickles;
+    #: identity never depends on it.
+    _payload_cache: Optional[bytes] = field(default=None, repr=False, compare=False)
+
+    # -- pickling -------------------------------------------------------------
+
+    def __reduce__(self):
+        """Pickle as the constructor call over the fields, memo left home.
+
+        Shard frames and recalled kernels carry every stored and exported
+        fact; the rendered payload is a memo the receiver refills on demand.
+        """
+        return (
+            Fact,
+            (
+                self.relation,
+                self.values,
+                self.timestamp,
+                self.ttl,
+                self.asserted_by,
+                self.signature,
+                self.provenance,
+                self.origin,
+                self.support,
+                self.annotation_mask,
+                self.support_code,
+            ),
+        )
 
     # -- identity ------------------------------------------------------------
 

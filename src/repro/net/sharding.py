@@ -3,8 +3,8 @@
 The serial backend replays a distributed system one event at a time; this
 module partitions the topology into K shards and runs one
 :class:`~repro.net.kernel.SimulationKernel` per shard — in worker processes
-(``multiprocessing``, spawn-safe) or in-process for debugging — while
-keeping the simulation *exactly* equivalent to the serial schedule:
+forked from the coordinator or in-process for debugging — while keeping the
+simulation *exactly* equivalent to the serial schedule:
 
 * **Partitioning** (:func:`partition_topology`) is a deterministic, seeded
   edge-cut heuristic: K spread-out seed nodes grow balanced regions
@@ -26,6 +26,21 @@ keeping the simulation *exactly* equivalent to the serial schedule:
   ``coordination_bytes``, ``windows_executed`` — is deterministic (inline
   and process runs agree exactly) and flows through
   :meth:`NetworkStats.summary`.
+
+* **Workers** are forked (``multiprocessing``'s ``fork`` start method):
+  each builds its shard kernel from the coordinator's own
+  :class:`~repro.datalog.planner.CompiledProgram`, which the fork
+  inherits, so no interpreter starts, nothing is re-imported and no
+  program is pickled or recompiled.  A worker closes every
+  coordinator-side pipe end it inherited, so a coordinator that dies —
+  even by ``SIGKILL`` — leaves end-of-file on every worker's pipe and no
+  worker outlives it.  The one trade-off: forked workers share the
+  coordinator's hash seed, so process runs no longer cross-check the
+  frames' hash-seed independence by accident;
+  ``tests/test_transport.py::test_frames_do_not_depend_on_the_hash_seed``
+  is the explicit check.  A fork copies only the calling thread; the
+  program starts no thread, so only an application that runs threads of
+  its own must start sharded runs while those threads hold no lock.
 
 * **Determinism / serial equivalence**: event tie-breaking is content-based
   (see :mod:`repro.net.events`) and message sequence numbers are per
@@ -60,9 +75,8 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.datalog.ast import Program
 from repro.datalog.catalog import Catalog
-from repro.datalog.planner import CompiledProgram, compile_program
+from repro.datalog.planner import CompiledProgram
 from repro.engine.node_engine import EngineConfig, NodeEngine
 from repro.engine.tuples import Fact
 from repro.net.address import Address
@@ -307,58 +321,21 @@ def _serve_op(kernel: SimulationKernel, frame: bytes) -> bytes:
     return b"\x00" + _CODEC.encode_frame(handler(kernel, *args))
 
 
-def _call(io, *command) -> object:
-    """Run one command on one worker outside the ledger; its result."""
-    io.send_command(_CODEC.encode_frame(command))
-    return _CODEC.decode_frame(io.recv_reply()[1:])
-
-
 # ---------------------------------------------------------------------------
-# Shard specs and workers
+# Workers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ShardSpec:
-    """Everything a spawn-safe worker needs to rebuild its shard kernel.
-
-    Carries the *localized program AST* rather than the compiled program:
-    compiled plans hold generated functions that cannot cross a spawn
-    boundary, and compilation is deterministic, so every worker (and the coordinator)
-    compiles identical plans from the same AST.
+def _shard_worker_main(conn, inherited, build_kernel, shard: int) -> None:
+    """Worker entry point, in a child forked from the coordinator: close the
+    *inherited* coordinator-side pipe ends (so the coordinator's death is
+    end-of-file here), build the kernel, then serve framed kernel
+    operations until closed.  A failing op goes back as a ``1`` status byte
+    and its text, and ends the worker.
     """
-
-    topology: Topology
-    program: Program
-    config: EngineConfig
-    hosted: Tuple[Address, ...]
-    primary: bool
-    options: KernelOptions
-
-    def build_kernel(self, compiled: Optional[CompiledProgram] = None) -> SimulationKernel:
-        return SimulationKernel(
-            self.topology,
-            compiled if compiled is not None else compile_program(self.program),
-            self.config,
-            self.options,
-            hosted=self.hosted,
-            primary=self.primary,
-        )
-
-
-def _shard_worker_main(conn, spec: ShardSpec) -> None:
-    """Worker entry point: serve framed kernel operations until closed.
-
-    Module-level (importable) and argument-picklable, so it is safe under
-    the ``spawn`` start method — the only one available everywhere.  A
-    failure goes back as a ``1`` status byte and its text, and ends the
-    worker.
-    """
-    try:
-        kernel = spec.build_kernel()
-        kernel.enable_exports()
-    except BaseException as error:  # pragma: no cover - construction bugs
-        conn.send_bytes(b"\x01" + f"{type(error).__name__}: {error}".encode())
-        return
+    for end in inherited:
+        end.close()
+    kernel = build_kernel(shard)
+    kernel.enable_exports()
     while True:
         try:
             frame = conn.recv_bytes()
@@ -379,7 +356,7 @@ def _shard_worker_main(conn, spec: ShardSpec) -> None:
 
 
 class _WorkerHandle:
-    """One spawned shard worker and the pipe carrying its request/reply frames.
+    """One forked shard worker and the pipe carrying its request/reply frames.
 
     A worker that died (killed, crashed interpreter) shows up as ``EOFError``
     or ``OSError`` on the pipe; *abort* — the coordinator's ``close`` — then
@@ -389,14 +366,21 @@ class _WorkerHandle:
     the shard and the worker's message in the error.
     """
 
-    def __init__(self, context, spec: ShardSpec, shard: int, abort) -> None:
+    def __init__(self, context, build_kernel, shard: int, abort, started) -> None:
         self.shard = shard
         # Held weakly: the coordinator owns this handle, and a reference
         # cycle would defer its __del__ (which stops the workers) to the GC.
+        # (The process drops its target and arguments once started.)
         self._abort = weakref.WeakMethod(abort)
         self.connection, child = context.Pipe()
+        # The fork inherits this pipe's coordinator end and those of the
+        # workers *started* before it: a worker holding one would keep that
+        # pipe open after the coordinator died.
+        inherited = [worker.connection for worker in started] + [self.connection]
         self.process = context.Process(
-            target=_shard_worker_main, args=(child, spec), daemon=True
+            target=_shard_worker_main,
+            args=(child, inherited, build_kernel, shard),
+            daemon=True,
         )
         self.process.start()
         child.close()
@@ -505,7 +489,7 @@ class ShardedSimulator:
     scripts drive either backend unchanged.  A query starts on the kernel
     hosting its asking node (``issue_query``); the facade drains it.
 
-    ``shard_mode="processes"`` (the default) runs each kernel in a spawned
+    ``shard_mode="processes"`` (the default) runs each kernel in a forked
     worker; ``"inline"`` runs them all in-process — same windows, same
     barriers, same results *and the same coordination ledger* — which is
     the debugger-friendly mode and the one that keeps engines inspectable
@@ -556,17 +540,6 @@ class ShardedSimulator:
         self.scheduler = _SchedulerView(self)
 
         self._catalog = Catalog.from_program(compiled.program)
-        self._specs = [
-            ShardSpec(
-                topology=topology,
-                program=compiled.program,
-                config=config,
-                hosted=group,
-                primary=(index == 0),
-                options=options,
-            )
-            for index, group in enumerate(self.plan.shards)
-        ]
         #: In-process kernels (inline mode always; process mode after the
         #: workers were finalized and reeled back in).
         self._kernels: Optional[List[SimulationKernel]] = None
@@ -591,10 +564,25 @@ class ShardedSimulator:
         self._control_stamp = 0
         self._finished = False
         if shard_mode == "inline":
-            self._kernels = [
-                spec.build_kernel(compiled=compiled) for spec in self._specs
-            ]
-            self._wire_kernels()
+            self._build_kernels()
+
+    def _build_kernel(self, shard: int) -> SimulationKernel:
+        """Shard *shard*'s kernel over the coordinator's own compiled program:
+        the one construction, for inline kernels and forked workers alike."""
+        return SimulationKernel(
+            self.topology,
+            self.compiled,
+            self.config,
+            self.options,
+            hosted=self.plan.shards[shard],
+            primary=(shard == 0),
+        )
+
+    def _build_kernels(self) -> None:
+        self._kernels = [
+            self._build_kernel(shard) for shard in range(self.plan.shard_count)
+        ]
+        self._wire_kernels()
 
     def _wire_kernels(self) -> None:
         """Wire in-process kernels into one sharded whole.
@@ -626,11 +614,14 @@ class ShardedSimulator:
                 ]
             return
         if self._workers is None:
-            context = multiprocessing.get_context("spawn")
-            self._workers = [
-                _WorkerHandle(context, spec, shard, abort=self.close)
-                for shard, spec in enumerate(self._specs)
-            ]
+            # Each worker builds its kernel after the fork, so the shards
+            # construct in parallel and Network.build's set-up pays none.
+            context = multiprocessing.get_context("fork")
+            self._workers = []
+            for shard in range(self.plan.shard_count):
+                self._workers.append(
+                    _WorkerHandle(context, self._build_kernel, shard, self.close, self._workers)
+                )
         self._io = self._workers
 
     def close(self) -> None:
@@ -649,12 +640,9 @@ class ShardedSimulator:
 
     def _recall_kernels(self) -> None:
         """Reel the worker kernels back into this process, whole."""
-        assert self._workers is not None
-        kernels: List[SimulationKernel] = []
-        for worker in self._workers:
-            kernel = _call(worker, _OP_FINALIZE)
+        kernels = self._ask_workers(_OP_FINALIZE)
+        for worker, kernel in zip(self._workers, kernels):
             kernel.attach_program(self.compiled)
-            kernels.append(kernel)
             worker.close()
         self._workers = None
         self._io = None
@@ -715,6 +703,14 @@ class ShardedSimulator:
         for _next_time, _processed, exports in replies:
             self._route_exports(exports)
         return [reply[0] for reply in replies], [reply[1] for reply in replies]
+
+    def _ask_workers(self, *command) -> List[object]:
+        """One unbooked round: send every worker *command*, then read every
+        reply — so the workers serve it in parallel — outside the ledger."""
+        frame = _CODEC.encode_frame(command)
+        for worker in self._workers:
+            worker.send_command(frame)
+        return [_CODEC.decode_frame(worker.recv_reply()[1:]) for worker in self._workers]
 
     def _exchange(self, commands: List[tuple]) -> List[object]:
         """One booked round: send every shard its command, then read every
@@ -777,8 +773,7 @@ class ShardedSimulator:
             for kernel in self._kernels:
                 kernel.settle_retractions()
         elif self._workers is not None:
-            for worker in self._workers:
-                _call(worker, _OP_SETTLE)
+            self._ask_workers(_OP_SETTLE)
 
     def _route_exports(
         self,
@@ -829,11 +824,9 @@ class ShardedSimulator:
         if self._workers is not None:
             self._recall_kernels()
         if self._kernels is None:
-            # finish() before any drain: build the inline kernels so the
-            # result carries real (empty) engines.
-            self._kernels = [
-                spec.build_kernel(compiled=self.compiled) for spec in self._specs
-            ]
+            # finish() before any drain: build the kernels in-process so
+            # the result carries real (empty) engines.
+            self._build_kernels()
         self._finished = True
         snapshots = self._kernel_snapshots()
         completion = max([s[4] for s in snapshots] or [0.0])
@@ -856,7 +849,7 @@ class ShardedSimulator:
         if self._kernels is not None:
             return [_stats(kernel) for kernel in self._kernels]
         if self._workers is not None:
-            return [_call(worker, _OP_STATS) for worker in self._workers]
+            return self._ask_workers(_OP_STATS)
         return []
 
     def _merged_stats(self, snapshots=None) -> NetworkStats:
@@ -929,15 +922,14 @@ class ShardedSimulator:
             for kernel in self._kernels:
                 kernel.expire_all(now)
         elif self._workers is not None:
-            for worker in self._workers:
-                _call(worker, _OP_EXPIRE, now)
+            self._ask_workers(_OP_EXPIRE, now)
 
     def count_facts(self, relation: str) -> int:
         """Stored-tuple count of *relation* across all shards."""
         if self._kernels is not None:
             return sum(kernel.count_facts(relation) for kernel in self._kernels)
         if self._workers is not None:
-            return sum(_call(worker, _OP_COUNT, relation) for worker in self._workers)
+            return sum(self._ask_workers(_OP_COUNT, relation))
         return 0
 
     # -- workload -----------------------------------------------------------------

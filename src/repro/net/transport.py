@@ -9,9 +9,9 @@ the Fact, message and event classes are the only code that knows their
 fields, and a decoded frame is the same object the serial backend hands its
 receiver.
 
-Frames only cross the run's own private pipes (``multiprocessing`` already
-pickles the shard specs and the recalled kernels over them), so unpickling
-them trusts nothing new.  They are deterministic: pickling a payload built
+Frames only cross the run's own private pipes, between the coordinator and
+workers it forked (the recalled kernels already travel over them as
+pickles), so unpickling them trusts nothing new.  They are deterministic: pickling a payload built
 the same way yields the same bytes in every process, whatever its hash
 seed, which is what lets the coordinator expose ``coordination_bytes`` as a
 deterministic counter — identical between ``shard_mode="inline"`` and

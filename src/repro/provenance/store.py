@@ -35,9 +35,9 @@ size, not run length.
 Crash semantics: :meth:`OfflineProvenanceArchive.drop_cache` models a node
 crash — the hot tier (volatile cache) is lost, the spill log survives, and
 every archived derivation remains answerable through ``mode="offline"``
-queries.  The archive pickles across the sharded backend's spawn boundary:
-the file backend drops its open handles in ``__getstate__`` and reopens
-them lazily.
+queries.  The archive pickles inside its engine when the sharded backend
+reels a shard kernel back from its worker: the file backend drops its open
+handles in ``__getstate__`` and reopens them lazily.
 """
 
 from __future__ import annotations
@@ -168,8 +168,8 @@ class SpillBackend(Protocol):
     ``append`` returns the ``(offset, length)`` slot of the record;
     ``read`` returns exactly the appended bytes; ``resident_bytes`` is what
     the log itself holds in process memory.  Implementations must survive
-    pickling (drop open handles, reopen lazily) because archives cross the
-    sharded backend's spawn boundary inside their engines.
+    pickling (drop open handles, reopen lazily) because archives travel
+    inside their engines when the sharded backend recalls a shard kernel.
     """
 
     def append(self, record: bytes) -> Tuple[int, int]: ...
@@ -221,7 +221,7 @@ class LogSpillBackend:
         self._writer = None
         self._reader = None
 
-    # -- pickling (sharded spawn boundary) ------------------------------------
+    # -- pickling (recalled shard kernels) ------------------------------------
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()

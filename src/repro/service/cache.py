@@ -35,7 +35,8 @@ from typing import Hashable, Optional, Tuple
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """Validated, picklable result-cache configuration (crosses spawn)."""
+    """Validated, picklable result-cache configuration (travels inside a
+    shard kernel recalled from its worker)."""
 
     capacity: int = 256
 

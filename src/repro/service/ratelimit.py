@@ -62,8 +62,8 @@ class TokenBucket:
 class AdmissionControl:
     """Validated admission-control configuration, one bucket per node.
 
-    Frozen and picklable: it crosses the sharded backend's spawn boundary
-    inside a :class:`~repro.net.sharding.ShardSpec`.
+    Frozen and picklable: it travels inside every shard kernel the sharded
+    backend reels back from its worker process.
     """
 
     rate: float

@@ -16,11 +16,17 @@ import dataclasses
 import os
 import pickle
 import signal
+import subprocess
+import sys
+import textwrap
 import threading
+import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.api.network import Network
 from repro.api.options import NetOptions
 from repro.engine.node_engine import EngineConfig, ProvenanceMode
@@ -210,7 +216,7 @@ class TestSerialEquivalence:
     @pytest.mark.parametrize("shard_mode", ("inline", "processes"))
     def test_in_memory_spill_log_counters_identical(self, shard_mode):
         # With no spill_dir the log lives in process memory, travels with
-        # its engine across the spawn boundary, and its bytes count as
+        # its engine back from the worker, and its bytes count as
         # resident — on every backend alike.
         topology = random_topology(12, seed=5)
 
@@ -729,8 +735,19 @@ class TestShardedQueries:
         simulator.close()
 
 
+def _running(pid):
+    """Whether *pid* is a live process; a zombie (exited, not yet reaped by
+    whoever adopted it) is not."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            stat = handle.read()
+    except FileNotFoundError:
+        return False
+    return stat[stat.rindex(")") + 2] != "Z"
+
+
 class TestProcessWorkers:
-    """The multiprocessing (spawn) worker path, kept small: spawn is slow."""
+    """The multiprocessing worker path: workers forked from the coordinator."""
 
     def test_process_mode_matches_serial_and_returns_engines(self):
         topology = random_topology(8, seed=11)
@@ -755,7 +772,7 @@ class TestProcessWorkers:
 
     @pytest.mark.parametrize("drains_before_kill", (0, 1))
     def test_killed_worker_ends_in_a_structured_error(self, drains_before_kill):
-        # SIGKILL one worker — right after its spawn, or between two drains
+        # SIGKILL one worker — right after its start, or between two drains
         # — and the next drain must name the shard and its exit code, stop
         # every other worker, and neither hang nor leak a bare pipe error.
         simulator = ShardedSimulator(
@@ -814,6 +831,50 @@ class TestProcessWorkers:
             assert simulator._workers is None
         finally:
             simulator.close()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc/<pid>/stat")
+    def test_a_killed_coordinator_leaves_no_live_worker(self, tmp_path):
+        # A worker closes every coordinator-side pipe end its fork
+        # inherited, so the coordinator's death is end-of-file on each
+        # worker's pipe.  The pids travel through a file and no stream is
+        # captured: an orphan holding a pipe to this process would hang the
+        # read.
+        pids = tmp_path / "pids"
+        script = textwrap.dedent(
+            f"""
+            import os, signal
+            from repro.api.network import Network
+            network = Network.build(topology=8, program="best-path",
+                                    provenance="ndlog", seed=4, key_bits=128,
+                                    backend="sharded", shards=2,
+                                    shard_mode="processes")
+            network.simulator._ensure_running()
+            with open({str(pids)!r}, "w") as handle:
+                handle.write(" ".join(
+                    str(worker.process.pid) for worker in network.simulator._workers
+                ))
+            os.kill(os.getpid(), signal.SIGKILL)
+            """
+        )
+        source = Path(repro.__file__).resolve().parent.parent
+        coordinator = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=str(source)),
+            stdin=subprocess.DEVNULL,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            timeout=120,
+        )
+        assert coordinator.returncode == -signal.SIGKILL
+        workers = [int(pid) for pid in pids.read_text().split()]
+        assert len(workers) == 2
+        deadline = time.monotonic() + 5
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        orphans = [pid for pid in workers if _running(pid)]
+        for pid in orphans:  # leave no orphan behind a failure
+            os.kill(pid, signal.SIGKILL)
+        assert not orphans
 
 
 class TestInlineWorkers:

@@ -323,6 +323,24 @@ def test_non_literal_values_round_trip():
     assert str(decoded[0][1].items[0].fact.values[2]) == "-0.0"
 
 
+def test_a_fact_travels_without_its_payload_memo():
+    """A frame carries a fact's fields, not its rendered payload: the
+    receiver renders the same bytes on demand."""
+    (_, batch) = _sample_exports()[1]
+    for fact in batch.facts():
+        rendered = fact.payload()
+        frame = BinaryCodec().encode_frame(fact)
+        assert rendered not in frame
+        decoded = BinaryCodec().decode_frame(frame)
+        assert decoded._payload_cache is None
+        assert all(
+            same(getattr(decoded, f.name), getattr(fact, f.name))
+            for f in fields(Fact)
+            if f.compare
+        )
+        assert decoded.payload() == rendered
+
+
 # ---------------------------------------------------------------------------
 # Property: arbitrary export batches round-trip exactly
 # ---------------------------------------------------------------------------
