@@ -36,15 +36,12 @@ from __future__ import annotations
 import os
 
 from repro.api.network import Network
-from repro.api.options import NetOptions
 from repro.datalog import localize_program, parse_program
 from repro.datalog.planner import compile_program
-from repro.engine.node_engine import EngineConfig, ProvenanceMode
 from repro.engine.tuples import Fact
 from repro.net.events import FactInjection, FactRetraction, SoftStateRefresh
 from repro.net.topology import line_topology
 from repro.queries.reachable import REACHABLE_LOCALIZED
-from repro.security.says import SaysMode
 
 from conftest import write_artifact
 
@@ -81,14 +78,11 @@ def _build(topology, rederivation: bool, **net_kwargs):
     return Network.build(
         topology=topology,
         program=_COMPILED,
-        config=EngineConfig(
-            default_ttl=TTL,
-            track_dependencies=True,
-            provenance_mode=ProvenanceMode.CONDENSED,
-            says_mode=SaysMode.NONE,
-            rederivation=rederivation,
-        ),
-        options=NetOptions(**net_kwargs),
+        provenance="condensed",
+        default_ttl=TTL,
+        track_dependencies=True,
+        rederivation=rederivation,
+        **net_kwargs,
     )
 
 

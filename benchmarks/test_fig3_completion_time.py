@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import Network
 from repro.harness.experiments import figure3_series, render_series
-from repro.harness.runner import run_network
 from repro.queries.best_path import compile_best_path
 
 from conftest import bench_sizes
@@ -29,7 +29,9 @@ def test_fig3_completion_time(benchmark, configuration):
     compiled = compile_best_path()
 
     def run():
-        return run_network(configuration, BENCH_N, seed=0, compiled=compiled)
+        return Network.build(
+            topology=BENCH_N, program=compiled, provenance=configuration, seed=0
+        ).run()
 
     row = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
     assert row.converged

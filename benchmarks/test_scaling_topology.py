@@ -31,9 +31,9 @@ import random
 
 import pytest
 
+from repro.api import Network
 from repro.net.link import Link
 from repro.net.topology import Topology, grid_topology, random_topology
-from repro.harness.runner import run_network
 from repro.queries.best_path import compile_best_path
 
 from conftest import scale_full, scale_n
@@ -85,7 +85,9 @@ def test_scaling_topology(benchmark, kind, configuration):
     compiled = compile_best_path()
 
     def run():
-        return run_network(configuration, topology, compiled=compiled)
+        return Network.build(
+            topology=topology, program=compiled, provenance=configuration
+        ).run()
 
     result = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
     assert result.converged, (

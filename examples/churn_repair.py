@@ -23,12 +23,10 @@ from __future__ import annotations
 from repro.api import Network
 from repro.datalog import localize_program, parse_program
 from repro.datalog.planner import compile_program
-from repro.engine.node_engine import EngineConfig, ProvenanceMode
 from repro.engine.tuples import Fact
 from repro.net.events import FactInjection, FactRetraction, SoftStateRefresh
 from repro.net.topology import Link, line_topology
 from repro.queries.reachable import REACHABLE_LOCALIZED
-from repro.security.says import SaysMode
 
 TTL = 30.0
 
@@ -52,13 +50,10 @@ def build_network(rederivation: bool):
     network = Network.build(
         topology=topology,
         program=program,
-        config=EngineConfig(
-            default_ttl=TTL,
-            track_dependencies=True,
-            provenance_mode=ProvenanceMode.CONDENSED,
-            says_mode=SaysMode.NONE,
-            rederivation=rederivation,
-        ),
+        provenance="condensed",
+        default_ttl=TTL,
+        track_dependencies=True,
+        rederivation=rederivation,
     )
     simulator = network.simulator
     for node in topology.nodes:

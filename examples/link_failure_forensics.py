@@ -19,7 +19,6 @@ Run with::
 
 from __future__ import annotations
 
-from repro.engine.node_engine import ProvenanceMode
 from repro.harness.scenarios import link_failure_scenario, run_scenario
 from repro.usecases.forensics import ForensicInvestigator
 
@@ -28,7 +27,7 @@ def main() -> None:
     scenario, network = link_failure_scenario(
         node_count=10,
         seed=3,
-        provenance_mode=ProvenanceMode.CONDENSED,
+        provenance="condensed",
         keep_offline_provenance=True,
     )
     source, destination = scenario.details["failed_link"]

@@ -23,7 +23,9 @@ The package is organised as the paper is:
   provenance query workloads, token-bucket admission control, the per-node
   result cache and latency-SLO accounting;
 * :mod:`repro.harness` — the experiment harness regenerating Figures 3 and 4
-  and the overhead tables of Section 6;
+  and the overhead tables of Section 6, and the dynamic-network scenario
+  scripts; it builds every run through :mod:`repro.api`, which never
+  imports it;
 * :mod:`repro.api` — the first-class entry point: the :class:`~repro.api.Network`
   facade and in-network provenance queries.
 
@@ -57,11 +59,13 @@ dictionary — among them the security ledger of a signed run::
           summary["verification_failures"],  # envelopes refused
           summary["facts_rejected"])         # received tuples refused
 
-Presets mirror the paper's configurations (``"ndlog"``, ``"sendlog"``,
+``Network.build`` is the one way to build a run.  Its ``provenance`` preset
+names the configuration — the paper's ``"ndlog"``, ``"sendlog"`` and
 ``"sendlog-prov"``, plus ``"condensed"`` / ``"distributed"`` /
-``"sendlog-distributed"``); every other knob lives on a validated
-:class:`~repro.api.NetOptions`.  Programs are statically analyzed on the
-way in: ``Network.build(..., lint="error")`` (the default) rejects
+``"sendlog-distributed"`` — and every other knob is a field of a validated
+:class:`~repro.api.NetOptions`, passed as a record or as keywords.
+Programs are statically analyzed on the way in: ``Network.build(...,
+lint="error")`` (the default) rejects
 programs with error-severity diagnostics — unsafe rules, arity or type
 conflicts, unverifiable ``says`` imports — while ``lint="warn"`` surfaces
 everything as Python warnings and ``lint="off"`` opts out.  The same

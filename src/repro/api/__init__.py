@@ -3,17 +3,17 @@
 Everything user-facing lives behind two objects:
 
 * :class:`Network` — ``Network.build(topology=..., program=...,
-  provenance="sendlog-prov", **options)`` assembles a validated network,
-  ``network.run()`` drives it to the distributed fixpoint and returns a
-  unified :class:`RunResult`;
+  provenance="sendlog-prov", **options)`` is the one way to assemble a
+  run: a provenance preset names the paper configuration and every other
+  knob is a validated :class:`NetOptions` field; ``network.run()`` drives
+  it to the distributed fixpoint and returns a unified :class:`RunResult`;
 * in-network provenance queries — ``network.query(key, at=node,
   mode="online" | "offline", ...)`` answers tracebacks *over the network*,
   paying per-message bytes and latency attributed to the ``query_bytes`` /
   ``query_messages`` statistics category.
 
-``PhaseRow`` / ``ScenarioReport`` (per-phase rows of the dynamic-network
-scenario scripts) and the scenario helpers are re-exported here lazily so
-the harness can depend on this package without an import cycle.
+The package sits below :mod:`repro.harness`: the experiment sweeps and the
+scenario scripts build their runs here, and nothing here imports them.
 """
 
 from repro.api.network import Network
@@ -26,20 +26,8 @@ __all__ = [
     "Network",
     "NetOptions",
     "PROVENANCE_PRESETS",
-    "PhaseRow",
     "ProvenanceQuery",
     "QueryResult",
     "RunResult",
-    "ScenarioReport",
     "resolve_preset",
 ]
-
-_LAZY = {"PhaseRow", "ScenarioReport"}
-
-
-def __getattr__(name: str):
-    if name in _LAZY:
-        from repro.harness import scenarios
-
-        return getattr(scenarios, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

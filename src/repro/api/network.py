@@ -41,10 +41,6 @@ from repro.service.workload import QueryWorkload
 from repro.api.options import NetOptions, resolve_preset
 from repro.api.results import RunResult
 
-#: The workload shape of the paper's evaluation (average out-degree three),
-#: used when the topology is given as a bare node count.
-DEFAULT_AVERAGE_OUTDEGREE = 3.0
-
 TopologyLike = Union[Topology, int]
 ProgramLike = Union[CompiledProgram, str]
 
@@ -55,11 +51,7 @@ def _resolve_topology(topology: TopologyLike, seed: int) -> Topology:
     if isinstance(topology, int):
         if topology < 2:
             raise ValueError(f"a network needs at least 2 nodes, got {topology}")
-        return random_topology(
-            node_count=topology,
-            average_outdegree=DEFAULT_AVERAGE_OUTDEGREE,
-            seed=seed,
-        )
+        return random_topology(topology, seed=seed)
     raise TypeError(
         f"topology must be a Topology or a node count, got {type(topology).__name__}"
     )
@@ -123,20 +115,22 @@ class Network:
         program: ProgramLike = "best-path",
         provenance: str = "sendlog-prov",
         *,
-        config: Optional[EngineConfig] = None,
         options: Optional[NetOptions] = None,
         **overrides: object,
     ) -> "Network":
-        """Assemble a network from high-level parts.
+        """Assemble a network from high-level parts: the one way to build a run.
 
         ``topology`` is a :class:`Topology` or a node count (the paper's
-        random workload shape); ``program`` a registered name, NDlog source
-        text or a :class:`CompiledProgram`; ``provenance`` a preset from
-        :data:`~repro.api.options.PROVENANCE_PRESETS`.  Extra keyword
-        arguments override :class:`NetOptions` fields; pass ``config`` to
-        substitute a hand-built :class:`EngineConfig` for the preset — in
-        that case ``provenance`` is ignored and engine-side option
-        overrides are rejected (set them on the config itself).
+        random workload: out-degree three, drawn from ``seed``); ``program``
+        a registered name, NDlog source text or a :class:`CompiledProgram`;
+        ``provenance`` a preset from
+        :data:`~repro.api.options.PROVENANCE_PRESETS` — the paper's
+        ``"ndlog"`` / ``"sendlog"`` / ``"sendlog-prov"`` or another
+        maintained representation — which fixes the ``says`` and provenance
+        modes.  Every other knob is a :class:`NetOptions` field: pass an
+        ``options`` record, keyword overrides of its fields, or both (the
+        keywords win).  The engine-side fields (``default_ttl``,
+        ``rederivation``, ...) default to the preset's behaviour.
 
         The execution backend is an option like any other:
         ``backend="serial"`` (the default) replays the run in one event
@@ -155,20 +149,8 @@ class Network:
         the analyzer).
         """
         merged = (options or NetOptions()).merged(**overrides)
-        if config is not None:
-            ignored = merged.engine_overrides()
-            if ignored:
-                raise ValueError(
-                    "config= replaces the provenance preset wholesale, so "
-                    f"NetOptions engine override(s) {sorted(ignored)} would "
-                    "be silently ignored; set them on the EngineConfig "
-                    "instead"
-                )
-            configuration = "custom"
-            engine_config = config
-        else:
-            configuration = resolve_preset(provenance)
-            engine_config = merged.engine_config(provenance)
+        configuration = resolve_preset(provenance)
+        engine_config = merged.engine_config(configuration)
         resolved = _resolve_topology(topology, merged.seed)
         compiled = _resolve_program(
             program, lint=merged.lint, link_relation=merged.link_relation
@@ -189,14 +171,6 @@ class Network:
                 resolved, compiled, engine_config, kernel_options
             )
         return cls(simulator, configuration=configuration, options=merged)
-
-    @classmethod
-    def from_simulator(
-        cls, simulator: SimulatorLike, configuration: str = "custom"
-    ) -> "Network":
-        """Wrap an existing simulator or kernel (migration path for
-        hand-built runs; sharded coordinators wrap the same way)."""
-        return cls(simulator, configuration=configuration)
 
     # -- delegation ---------------------------------------------------------------
 
@@ -312,12 +286,6 @@ class Network:
         result.offered = len(arrivals)
         result.serve_duration = workload.duration
         return result
-
-    def run_scenario(self, scenario):
-        """Play a declarative scenario script on this network."""
-        from repro.harness.scenarios import run_scenario
-
-        return run_scenario(scenario, self)
 
     def schedule(self, event: SimulationEvent) -> None:
         self.simulator.schedule(event)

@@ -18,7 +18,7 @@ from typing import Dict, Optional, Tuple
 from repro.datalog.lint import LINT_MODES
 from repro.engine.node_engine import EngineConfig, ProvenanceMode
 from repro.net.kernel import CostModel, KernelOptions
-from repro.net.link import DEFAULT_BANDWIDTH, DEFAULT_LATENCY
+from repro.net.link import DEFAULT_LATENCY
 from repro.net.sharding import SHARD_MODES
 from repro.provenance.pruning import ProvenanceSampler
 from repro.security.rsa import MIN_KEY_BITS
@@ -101,7 +101,6 @@ class NetOptions:
     key_bits: int = 256
     max_events: int = 5_000_000
     default_latency: float = DEFAULT_LATENCY
-    default_bandwidth: float = DEFAULT_BANDWIDTH
     link_relation: str = "link"
     #: Static-analysis mode applied to the program by ``Network.build``:
     #: ``"error"`` raises :class:`~repro.datalog.errors.LintError` on
@@ -168,10 +167,6 @@ class NetOptions:
             raise ValueError(
                 f"default_latency must be >= 0, got {self.default_latency}"
             )
-        if self.default_bandwidth <= 0:
-            raise ValueError(
-                f"default_bandwidth must be positive, got {self.default_bandwidth}"
-            )
         # The engine-side overrides are checked where they are defined.
         EngineConfig(**self.engine_overrides())
         if not self.link_relation:
@@ -237,13 +232,8 @@ class NetOptions:
         return replace(self, **overrides)
 
     def engine_overrides(self) -> Dict[str, object]:
-        """The engine-side fields that were explicitly set (not None).
-
-        ``Network.build(config=...)`` refuses to proceed when any of these
-        are set: a hand-built :class:`EngineConfig` replaces the preset
-        wholesale, so silently dropping the overrides would contradict the
-        validated-options contract.
-        """
+        """The engine-side fields that were explicitly set (not None): what
+        :meth:`engine_config` lays over the preset's engine defaults."""
         fields_ = (
             "rederivation",
             "default_ttl",
@@ -267,7 +257,6 @@ class NetOptions:
             key_bits=self.key_bits,
             max_events=self.max_events,
             default_latency=self.default_latency,
-            default_bandwidth=self.default_bandwidth,
             batching=self.batching,
             link_relation=self.link_relation,
             admission=self.service_admission(),

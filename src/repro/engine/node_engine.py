@@ -238,8 +238,9 @@ class NodeEngine:
         self.aggregates: Dict[str, AggregateState] = {}
         self._ttl_cache: Dict[str, Optional[float]] = {}
         # Per-firing hot-path flags, hoisted out of the enum properties.
-        self._authenticates = config.says_mode.authenticates
-        self._requires_signature = config.says_mode.requires_signature
+        #: Signed ``says``: exports are attributed, numbered and sealed,
+        #: imports verified (the other mode attributes nothing).
+        self._signed = config.says_mode.requires_signature
         self._security_bytes = self.authenticator.wire_overhead()
         self._maintains_provenance = config.provenance_mode.maintains_provenance
         self._ships_provenance = config.provenance_mode.ships_provenance
@@ -319,8 +320,8 @@ class NodeEngine:
         """Ship an engine without its compiled program.
 
         The compiled plans carry their generated join functions, which
-        cannot — and need not — cross a process boundary: every worker
-        and the coordinator compile the identical program from its AST.  The
+        cannot — and need not — cross a process boundary: every forked
+        worker inherits the coordinator's own compiled program.  The
         aggregate-head index and the bound strands hold references into
         those plans, so they are dropped too; :meth:`attach_program` restores
         the first and :meth:`_drain` rebinds the second.
@@ -386,7 +387,7 @@ class NodeEngine:
             carried = tuple(carried)
             facts.extend(carried)
             resolved = self._resolve(carried) if self._resolves else carried
-            if not self._authenticates:
+            if not self._signed:
                 admitted.extend(resolved)
                 continue
             if any(fact is None for fact in resolved):
@@ -395,7 +396,7 @@ class NodeEngine:
                 admitted.extend([None] * len(carried))
             else:
                 admitted.extend(self.authenticator.import_batch(resolved, signature))
-            if self._requires_signature and carried:
+            if carried:
                 result.report.signatures_verified += 1
         queue: Deque[Fact] = deque()
         for fact, verified in zip(facts, admitted):
@@ -489,7 +490,7 @@ class NodeEngine:
         seen before); one that fails prunes nothing and is counted rejected.
         """
         result = ProcessingResult()
-        if self._requires_signature:
+        if self._signed:
             result.report.signatures_verified += 1
             try:
                 self.authenticator.open_anti_delta(keys, source, sequence, signature)
@@ -566,11 +567,11 @@ class NodeEngine:
         result.report.facts_received += 1
         result.report.payload_bytes_processed += fact.payload_size()
         if verified is None:
-            if self._authenticates:
+            if self._signed:
                 result.report.verification_failures += 1
             result.report.facts_rejected += 1
             return None
-        if self._requires_signature:
+        if self._signed:
             result.report.facts_verified += 1
 
         # A tuple shaped unlike its relation would index past its end in the
@@ -627,7 +628,7 @@ class NodeEngine:
             timestamp=now,
             ttl=ttl,
             asserted_by=(
-                self.address if self._authenticates else fact.asserted_by
+                self.address if self._signed else fact.asserted_by
             ),
             origin=self.address,
             provenance=fact.provenance,
@@ -771,9 +772,9 @@ class NodeEngine:
             if support is not None:
                 self._note_support(derived.key(), support)
             local_fact = derived
-            if self._authenticates or annotation is not None:
+            if self._signed or annotation is not None:
                 local_fact = derived.with_metadata(
-                    asserted_by=address if self._authenticates else None,
+                    asserted_by=address if self._signed else None,
                     provenance=annotation,
                 )
             if self._store(local_fact, now, result):
@@ -828,7 +829,7 @@ class NodeEngine:
                 annotation_mask=mask,
                 support_code=code,
             )
-        if self._authenticates:
+        if self._signed:
             # Section 4.3: attributed and numbered here; the kernel seals the
             # wire message carrying it, one signature covering the tuple, its
             # destination, and the annotation and support on it.

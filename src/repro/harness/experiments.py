@@ -25,8 +25,8 @@ import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.api.network import Network
 from repro.api.results import RunResult
-from repro.harness.runner import run_network
 from repro.queries.best_path import compile_best_path
 
 #: Default sweep used by the benchmarks: a subset of the paper's 10..100 so a
@@ -88,9 +88,6 @@ def sweep(
     configurations: Sequence[str] = CONFIGURATION_ORDER,
     progress: bool = False,
     batching: bool = False,
-    backend: str = "serial",
-    shards: int = 0,
-    shard_mode: str = "processes",
 ) -> SweepResult:
     """Run the Best-Path evaluation sweep and collect every data point.
 
@@ -99,10 +96,8 @@ def sweep(
     wire format (``batching=False``) rather than the simulator's batched
     default.  Pass ``batching=True`` to measure the amortized wire path.
 
-    ``backend="sharded"`` runs every sweep point on the parallel execution
-    backend (``shards`` kernels, ``shard_mode`` workers); the collected
-    metrics are identical to the serial backend's, so the figures come out
-    the same — only wall-clock time changes.
+    Each point is one :meth:`Network.build` run on the paper's random
+    workload (N nodes, out-degree three, topology drawn from the seed).
     """
     compiled = compile_best_path()
     result = SweepResult()
@@ -115,16 +110,16 @@ def sweep(
                         file=sys.stderr,
                         flush=True,
                     )
-                row = run_network(
-                    configuration,
-                    node_count,
+                row = Network.build(
+                    topology=node_count,
+                    program=compiled,
+                    provenance=configuration,
                     seed=seed,
-                    compiled=compiled,
                     batching=batching,
-                    backend=backend,
-                    shards=shards,
-                    shard_mode=shard_mode,
-                )
+                ).run()
+                # Rows keep the caller's spelling ("NDLog", not the preset
+                # "ndlog") so the tables print the paper's labels.
+                row.configuration = configuration
                 # The sweep aggregates scalars only; dropping the per-node
                 # engines frees each finished simulation instead of keeping
                 # every sweep point's full state alive simultaneously.

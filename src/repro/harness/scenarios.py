@@ -24,6 +24,10 @@ Three built-in scripts cover the canonical dynamics:
   messages chase the remote copies, so the split fixpoint is reached in the
   same phase instead of waiting out soft-state expiry.
 
+Each builder returns a ``(Scenario, Network)`` pair built like any other
+run: ``options`` and keyword overrides of :class:`NetOptions` fields on
+top of a ``provenance`` preset, as :meth:`Network.build` takes them.
+
 Every scenario is deterministic: the same seed produces the same event
 order, phase rows and final fixpoint.  Run from the command line::
 
@@ -40,7 +44,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.network import Network
 from repro.api.options import NetOptions
-from repro.engine.node_engine import EngineConfig, ProvenanceMode
 from repro.engine.tuples import Fact
 from repro.net.address import Address
 from repro.net.events import (
@@ -57,7 +60,6 @@ from repro.net.stats import NetworkStats, bucket_percentile
 from repro.net.topology import Topology, line_topology, random_topology
 from repro.queries.best_path import compile_best_path
 from repro.queries.reachable import REACHABLE_LOCALIZED
-from repro.security.says import SaysMode
 from repro.service.workload import QueryWorkload
 
 #: Soft-state lifetime used by the built-in scenarios (simulated seconds).
@@ -313,32 +315,40 @@ def _probe_count(simulator, relation: str) -> int:
 # Built-in scenario scripts
 # ---------------------------------------------------------------------------
 
-def _soft_config(ttl: float, **kwargs) -> EngineConfig:
-    """A scenario engine configuration: everything is soft state."""
-    kwargs.setdefault("default_ttl", ttl)
-    kwargs.setdefault("track_dependencies", True)
-    return EngineConfig(**kwargs)
-
-
 def _scenario_network(
     topology: Topology,
     program,
-    config: EngineConfig,
+    provenance: Optional[str],
     options: NetOptions,
+    ttl: float,
     serving: bool,
+    **overrides: object,
 ) -> Network:
     """Assemble a scenario's network through the facade.
+
+    Everything is soft state: every tuple lives *ttl* simulated seconds and
+    the dependency index is kept, so retractions cascade — whatever
+    *options* say; keyword *overrides* (``NetOptions`` fields) win over
+    both.  With no *provenance* preset a
+    scenario runs ``"ndlog"`` — or ``"condensed"`` when it serves queries,
+    which need provenance maintained; serving also arms the per-node
+    result cache.
 
     Scenario dynamics — link failures, churn, retraction — cross shard
     boundaries correctly under ``backend="sharded"``: control events
     broadcast to every shard kernel and phase rows come out identical to
-    the serial backend's.  Serving provenance queries arms the per-node
-    result cache.
+    the serial backend's.
     """
+    if provenance is None:
+        provenance = "condensed" if serving else "ndlog"
     if serving:
         options = options.merged(query_cache=True)
     return Network.build(
-        topology=topology, program=program, config=config, options=options
+        topology=topology,
+        program=program,
+        provenance=provenance,
+        options=options,
+        **{"default_ttl": ttl, "track_dependencies": True, **overrides},
     )
 
 
@@ -389,7 +399,8 @@ def link_failure_scenario(
     options: NetOptions = SCENARIO_OPTIONS,
     query_rate: float = 0.0,
     clients: int = 0,
-    **config_kwargs,
+    provenance: Optional[str] = None,
+    **overrides,
 ) -> Tuple[Scenario, Network]:
     """Best-Path under a mid-run link failure: decay, refresh, reroute.
 
@@ -407,12 +418,9 @@ def link_failure_scenario(
         )
     failed = redundant[0]
     serving = query_rate > 0 or clients > 0
-    if serving:
-        # Serving provenance queries needs provenance to be maintained.
-        config_kwargs.setdefault("provenance_mode", ProvenanceMode.CONDENSED)
-    config = _soft_config(ttl, **config_kwargs)
     network = _scenario_network(
-        topology, compile_best_path(), config, options, serving
+        topology, compile_best_path(), provenance, options, ttl, serving,
+        **overrides,
     )
     base = network.link_facts()
 
@@ -467,7 +475,8 @@ def churn_scenario(
     options: NetOptions = SCENARIO_OPTIONS,
     query_rate: float = 0.0,
     clients: int = 0,
-    **config_kwargs,
+    provenance: Optional[str] = None,
+    **overrides,
 ) -> Tuple[Scenario, Network]:
     """Reachability under node churn with soft-state repair.
 
@@ -482,11 +491,9 @@ def churn_scenario(
         topology.nodes, key=lambda node: (len(topology.outgoing(node)), node)
     )
     serving = query_rate > 0 or clients > 0
-    if serving:
-        config_kwargs.setdefault("provenance_mode", ProvenanceMode.CONDENSED)
-    config = _soft_config(ttl, **config_kwargs)
     network = _scenario_network(
-        topology, _reachable_compiled(), config, options, serving
+        topology, _reachable_compiled(), provenance, options, ttl, serving,
+        **overrides,
     )
     base = network.link_facts()
 
@@ -538,7 +545,8 @@ def retraction_scenario(
     options: NetOptions = SCENARIO_OPTIONS,
     query_rate: float = 0.0,
     clients: int = 0,
-    **config_kwargs,
+    provenance: str = "condensed",
+    **overrides,
 ) -> Tuple[Scenario, Network]:
     """Fact retraction under one-fixpoint deletions.
 
@@ -552,7 +560,7 @@ def retraction_scenario(
     re-asserts what the smaller network still supports and must not change
     the probe count.
 
-    ``rederivation=False`` (a ``config_kwargs`` override) restores the
+    ``rederivation=False`` (a ``NetOptions`` override) restores the
     paper's original decay story: remote copies linger until their TTL
     lapses, so the same script's retract phase still shows the full
     pre-split count.
@@ -566,16 +574,11 @@ def retraction_scenario(
         (left, Fact("link", (left, right))),
         (right, Fact("link", (right, left))),
     )
-    config_kwargs.setdefault("rederivation", True)
-    config = _soft_config(
-        ttl,
-        provenance_mode=ProvenanceMode.CONDENSED,
-        says_mode=SaysMode.NONE,
-        **config_kwargs,
-    )
+    overrides.setdefault("rederivation", True)
     serving = query_rate > 0 or clients > 0
     network = _scenario_network(
-        topology, _reachable_compiled(), config, options, serving
+        topology, _reachable_compiled(), provenance, options, ttl, serving,
+        **overrides,
     )
     base = network.link_facts()
 

@@ -165,10 +165,10 @@ class KernelOptions:
     """The run-wide kernel settings, declared once.
 
     One record travels from :meth:`repro.api.options.NetOptions.kernel_options`
-    through :class:`SimulationKernel`, the sharded coordinator and each
-    :class:`~repro.net.sharding.ShardSpec`, so every serial and shard kernel
-    of a run is configured identically and a new setting is added here (and
-    to ``NetOptions``) only.
+    into :class:`SimulationKernel` or the sharded coordinator, which builds
+    every shard kernel from it, so every serial and shard kernel of a run is
+    configured identically and a new setting is added here (and to
+    ``NetOptions``) only.
     """
 
     #: ``None`` resolves to the default :class:`CostModel`.
@@ -176,9 +176,9 @@ class KernelOptions:
     key_bits: int = 256
     #: Cumulative event budget; drains report ``False`` once it is spent.
     max_events: int = 5_000_000
-    #: Latency / bandwidth of sends between nodes without a topology link.
+    #: Latency of sends between nodes without a topology link; they
+    #: transmit at :data:`~repro.net.link.DEFAULT_BANDWIDTH`.
     default_latency: float = DEFAULT_LATENCY
-    default_bandwidth: float = DEFAULT_BANDWIDTH
     #: How :meth:`SimulationKernel._dispatch_outgoing` groups a delta round
     #: into wire messages.  True (the default, matching real P2): one
     #: MessageBatch per destination, all its tuples under one header — and,
@@ -393,8 +393,9 @@ class SimulationKernel:
         The compiled program carries unpicklable generated functions and is
         dropped — the receiver reattaches its own identical compilation via
         :meth:`attach_program` — as is the handler dispatch table (bound
-        methods, rebuilt on restore).  Kernels travel at barriers or at
-        completion, when their event queues are drained or hold only plain
+        methods, rebuilt on restore).  A kernel travels only when
+        :meth:`~repro.net.sharding.ShardedSimulator.finish` recalls it from
+        its worker, when its event queue is drained or holds only plain
         typed events, so everything else is data.
         """
         state = self.__dict__.copy()
@@ -1312,7 +1313,7 @@ class SimulationKernel:
             latency, bandwidth = link.latency, link.bandwidth
         else:
             latency = self.options.default_latency
-            bandwidth = self.options.default_bandwidth
+            bandwidth = DEFAULT_BANDWIDTH
         wire_seconds = size / bandwidth if bandwidth > 0 else 0.0
         key = (source, destination)
         transmit_at = max(send_time, self._link_busy_until.get(key, 0.0))

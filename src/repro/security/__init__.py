@@ -13,7 +13,7 @@ This package provides the equivalent building blocks from scratch:
 * :mod:`repro.security.principal` — security principals with the multi-level
   "says" trust levels of Section 2.2 / 4.5;
 * :mod:`repro.security.says` — the authentication modes of the ``says``
-  operator (none, cleartext, signed);
+  operator (none, signed);
 * :mod:`repro.security.authenticator` — the signing / verification pipeline
   used when exporting and importing tuples: one signature per wire message
   over a Merkle root of its tuples, and per-tuple evidence that verifies

@@ -171,20 +171,19 @@ class Authenticator:
     # -- export ---------------------------------------------------------------
 
     def export_fact(self, fact: Fact) -> Fact:
-        """Attribute (and under SIGNED mode, number) *fact* for export.
+        """Attribute and number *fact* for export under SIGNED mode.
 
         Returns the copy of the fact that travels: it carries the
-        ``asserted_by`` attribution and, in signed mode, a
-        :class:`SignedEnvelope` holding its export sequence number.  The
+        ``asserted_by`` attribution and a :class:`SignedEnvelope` holding
+        its export sequence number.  The
         wire message that carries it is signed by :meth:`seal_batch`.
         """
         if self.mode is SaysMode.NONE:
             return fact
-        envelope = None
-        if self.mode is SaysMode.SIGNED:
-            self._exported += 1
-            envelope = SignedEnvelope(self._exported)
-        return fact.with_metadata(asserted_by=self.principal, signature=envelope)
+        self._exported += 1
+        return fact.with_metadata(
+            asserted_by=self.principal, signature=SignedEnvelope(self._exported)
+        )
 
     def seal_batch(self, facts: Sequence[Fact], destination: str) -> bytes:
         """Sign one wire message of exported *facts* for *destination*: one
@@ -213,18 +212,16 @@ class Authenticator:
         """Authenticate one wire message's tuples according to the mode.
 
         Returns, per tuple in order, the fact to admit or ``None`` when it is
-        refused.  ``NONE`` passes every tuple; ``CLEARTEXT`` refuses a tuple
-        with no asserting principal.  Under ``SIGNED`` the tuples must all
-        name one principal whose *signature* covers the Merkle root of their
-        leaves as rebuilt *at this principal* — else every tuple is refused.
+        refused.  ``NONE`` passes every tuple.  Under ``SIGNED`` the tuples
+        must all name one principal whose *signature* covers the Merkle root
+        of their leaves as rebuilt *at this principal* — else every tuple is
+        refused.
         Then a tuple whose export sequence is not newer than the last one
         accepted from that principal is refused as stale, and every other
         comes back carrying its evidence: the signature and its path.
         """
         if self.mode is SaysMode.NONE:
             return list(facts)
-        if self.mode is SaysMode.CLEARTEXT:
-            return [fact if fact.asserted_by is not None else None for fact in facts]
         admitted: List[Optional[Fact]] = [None] * len(facts)
         principals = {fact.asserted_by for fact in facts}
         if len(principals) != 1 or signature is None:

@@ -21,10 +21,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api.network import Network
-from repro.api.options import NetOptions
 from repro.datalog import localize_program, parse_program
 from repro.datalog.planner import compile_program
-from repro.engine.node_engine import EngineConfig, ProvenanceMode
 from repro.engine.tuples import Fact
 from repro.net.events import (
     FactInjection,
@@ -37,7 +35,6 @@ from repro.net.events import (
 )
 from repro.net.topology import Link, line_topology
 from repro.queries.reachable import REACHABLE_LOCALIZED
-from repro.security.says import SaysMode
 
 TTL = 30.0
 
@@ -45,19 +42,14 @@ _COMPILED = compile_program(localize_program(parse_program(REACHABLE_LOCALIZED))
 
 
 def _build(topology, rederivation: bool = True):
-    config = EngineConfig(
-        default_ttl=TTL,
-        track_dependencies=True,
-        provenance_mode=ProvenanceMode.CONDENSED,
-        says_mode=SaysMode.NONE,
-        keep_offline_provenance=True,
-        rederivation=rederivation,
-    )
     return Network.build(
         topology=topology,
         program=_COMPILED,
-        config=config,
-        options=NetOptions(),
+        provenance="condensed",
+        default_ttl=TTL,
+        track_dependencies=True,
+        keep_offline_provenance=True,
+        rederivation=rederivation,
     )
 
 

@@ -31,7 +31,6 @@ from test_churn_property import (
 )
 
 from repro.api import Network
-from repro.api.options import NetOptions
 from repro.engine import node_engine
 from repro.engine.node_engine import EngineConfig, NodeEngine, ProvenanceMode
 from repro.engine.tuples import Fact
@@ -57,20 +56,16 @@ def assert_network_matches_reference(network) -> None:
 # -- churn scripts ---------------------------------------------------------------
 
 
-def _churn_network(topology, **config):
+def _churn_network(topology, **options):
     settings_ = dict(
         default_ttl=TTL,
         track_dependencies=True,
-        provenance_mode=ProvenanceMode.CONDENSED,
         keep_offline_provenance=True,
         rederivation=True,
     )
-    settings_.update(config)
+    settings_.update(options)
     return Network.build(
-        topology=topology,
-        program=_COMPILED,
-        config=EngineConfig(**settings_),
-        options=NetOptions(),
+        topology=topology, program=_COMPILED, provenance="condensed", **settings_
     )
 
 

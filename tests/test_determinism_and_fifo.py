@@ -199,6 +199,71 @@ class TestSimulatorDeterminism:
             )
 
 
+#: Run in a child process: the two serial fixpoints whose every result must
+#: not depend on the interpreter's hash seed — a signed provenance run, and
+#: a one-fixpoint-deletion churn run through one link flap.  Prints their
+#: sorted bestPathCost rows and summary() items.
+HASH_SEED_PROBE = """
+from repro.api import Network
+from repro.net.events import LinkDown, LinkUp
+
+fixpoint = Network.build(topology=10, provenance="sendlog-prov", seed=0).run()
+print(sorted(fact.values for fact in fixpoint.all_facts("bestPathCost")))
+print(sorted(fixpoint.summary().items()))
+
+churn = Network.build(
+    topology=10,
+    provenance="condensed",
+    seed=0,
+    default_ttl=1e6,
+    track_dependencies=True,
+    rederivation=True,
+)
+settled = [churn.run().converged]
+link = churn.topology.redundant_links()[0]
+for event_type in (LinkDown, LinkUp):
+    churn.schedule(
+        event_type(
+            time=churn.current_time() + 1.0,
+            source=link.source,
+            destination=link.destination,
+        )
+    )
+    settled.append(churn.run_until_idle())
+result = churn.finish(all(settled))
+print(settled)
+print(sorted(fact.values for fact in result.all_facts("bestPathCost")))
+print(sorted(result.summary().items()))
+"""
+
+
+def test_serial_fixpoint_does_not_depend_on_the_hash_seed():
+    """Forked shard workers share the coordinator's hash seed, so only a
+    fresh interpreter varies it: two children, seeds 1 and 2, must print
+    the same fixpoint rows and the same statistics."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    source = Path(repro.__file__).resolve().parent.parent
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", HASH_SEED_PROBE],
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(source)),
+            capture_output=True,
+            check=True,
+            text=True,
+            timeout=300,
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    assert "[True, True, True]" in outputs[0]
+    assert outputs[0] == outputs[1]
+
+
 def _run_backend(backend: str, configuration: EngineConfig):
     """One Best-Path run plus its per-delivery records, on either backend."""
     topology = random_topology(10, seed=3)

@@ -74,14 +74,6 @@ class TestAuthentication:
         assert result.outgoing[0].security_bytes > 0
         assert result.report.signatures_created == 0
 
-    def test_cleartext_mode_attributes_without_signature(self, compiled_best_path, keystore):
-        config = EngineConfig(says_mode=SaysMode.CLEARTEXT)
-        engine = make_engine("a", compiled_best_path, config, keystore)
-        result = engine.insert_base(Fact("link", ("a", "b", 1.0)))
-        exported = result.outgoing[0].fact
-        assert exported.asserted_by == "a"
-        assert exported.signature is None
-
     def test_receiver_accepts_valid_signature(self, compiled_best_path, keystore):
         config = EngineConfig(says_mode=SaysMode.SIGNED)
         sender = make_engine("a", compiled_best_path, config, keystore)
@@ -177,13 +169,13 @@ class TestSigningBudget:
         assert summary["verification_failures"] == summary["facts_rejected"] == 0
 
 
-SAYS_MODES = (SaysMode.NONE, SaysMode.CLEARTEXT, SaysMode.SIGNED)
+SAYS_MODES = (SaysMode.NONE, SaysMode.SIGNED)
 
 
 def shipped(sender, fact):
     """*fact* as *sender* would export it (attributed, and numbered under
     signed says; :func:`sealing.deliver` seals its message)."""
-    if sender.config.says_mode.authenticates:
+    if sender.config.says_mode.requires_signature:
         return sender.authenticator.export_fact(fact)
     return fact
 

@@ -1,12 +1,17 @@
-"""Tests for the experiment harness (workload, runner, figures, overhead tables)."""
+"""Tests for the experiment harness (workload, sweep points, figures,
+overhead tables)."""
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
+from repro.api import Network
 from repro.api.options import PROVENANCE_PRESETS, NetOptions, resolve_preset
 from repro.harness.experiments import (
     CONFIGURATION_ORDER,
+    DEFAULT_NODE_COUNTS,
     figure3_series,
     figure4_series,
     overhead_table,
@@ -14,24 +19,35 @@ from repro.harness.experiments import (
     render_series,
     sweep,
 )
-from repro.harness.runner import run_network
-from repro.harness.workload import (
-    PAPER_AVERAGE_OUTDEGREE,
-    PAPER_NODE_COUNTS,
-    evaluation_topology,
-)
 from repro.net.kernel import shape_link_facts
+from repro.net.topology import random_topology
+
+
+def evaluation_topology(node_count, seed):
+    """The topology a sweep point at *node_count* nodes runs on."""
+    return Network.build(topology=node_count, provenance="ndlog", seed=seed).topology
+
+
+def sweep_point(configuration, node_count, compiled, seed=0):
+    return Network.build(
+        topology=node_count, program=compiled, provenance=configuration, seed=seed
+    ).run()
 
 
 class TestWorkload:
     def test_paper_sweep_definition(self):
-        assert PAPER_NODE_COUNTS[0] == 10 and PAPER_NODE_COUNTS[-1] == 100
-        assert PAPER_AVERAGE_OUTDEGREE == 3.0
+        # "link tables for N nodes with average outdegree of three, and vary
+        # the size of N from 10 to 100": out-degree three is the default of
+        # the random workload a bare node count builds.
+        defaults = inspect.signature(random_topology).parameters
+        assert defaults["average_outdegree"].default == 3.0
+        assert all(10 <= n <= 100 for n in DEFAULT_NODE_COUNTS)
 
     def test_evaluation_topology_parameters(self):
         topology = evaluation_topology(20, seed=1)
         assert topology.node_count == 20
         assert abs(topology.average_outdegree() - 3.0) < 0.3
+        assert topology.links == random_topology(20, seed=1).links
 
     def test_workload_places_links_at_their_source(self):
         topology = evaluation_topology(10, seed=1)
@@ -64,7 +80,7 @@ class TestRunner:
             engine_config("Unknown")
 
     def test_run_network_row(self, compiled_best_path):
-        row = run_network("NDLog", 8, seed=1, compiled=compiled_best_path)
+        row = sweep_point("NDLog", 8, compiled_best_path, seed=1)
         assert row.converged
         assert row.count("bestPath") == 8 * 7
         assert row.completion_time_s > 0
@@ -73,7 +89,7 @@ class TestRunner:
         assert set(row.as_dict()) >= {"configuration", "node_count", "bandwidth_mb"}
 
     def test_secure_configuration_records_overhead_bytes(self, compiled_best_path):
-        row = run_network("SeNDLogProv", 8, seed=1, compiled=compiled_best_path)
+        row = sweep_point("SeNDLogProv", 8, compiled_best_path, seed=1)
         assert row.security_bytes > 0
         assert row.provenance_bytes > 0
 

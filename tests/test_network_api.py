@@ -9,7 +9,6 @@ import pytest
 
 from repro.api import Network, NetOptions, PROVENANCE_PRESETS, RunResult, resolve_preset
 from repro.engine.node_engine import EngineConfig, ProvenanceMode
-from repro.harness.runner import run_network
 from repro.net.kernel import CostModel, KernelOptions, SimulationKernel
 from repro.net.topology import Topology, line_topology, random_topology
 from repro.provenance.pruning import ProvenanceSampler
@@ -85,7 +84,6 @@ class TestPresets:
             "key_bits",
             "max_events",
             "default_latency",
-            "default_bandwidth",
             "link_relation",
             "lint",
             "admission_rate",
@@ -102,19 +100,18 @@ class TestPresets:
             "hot_tier_entries",
             "spill_dir",
         )
-        assert len(names(NetOptions)) == 23
+        assert len(names(NetOptions)) == 22
         assert names(KernelOptions) == (
             "cost_model",
             "key_bits",
             "max_events",
             "default_latency",
-            "default_bandwidth",
             "batching",
             "link_relation",
             "admission",
             "query_cache",
         )
-        assert len(names(KernelOptions)) == 9
+        assert len(names(KernelOptions)) == 8
         assert names(EngineConfig) == (
             "says_mode",
             "provenance_mode",
@@ -147,7 +144,7 @@ class TestNetOptionsValidation:
         [
             ({"key_bits": 4}, "key_bits"),
             ({"max_events": 0}, "max_events"),
-            ({"default_bandwidth": 0}, "default_bandwidth"),
+            ({"admission_rate": -1.0}, "admission_rate"),
             ({"default_latency": -1.0}, "default_latency"),
             ({"default_ttl": -1.0}, "default_ttl"),
             ({"link_relation": ""}, "link_relation"),
@@ -190,6 +187,8 @@ class TestNetOptionsValidation:
             {"refresh_interval": 10.0},
             {"refresh_rate": 2.0},
             {"refresh_burst": 4.0},
+            {"default_bandwidth": 1e6},
+            {"config": EngineConfig()},
         ],
         ids=lambda kwargs: next(iter(kwargs)),
     )
@@ -197,9 +196,10 @@ class TestNetOptionsValidation:
         # The deleted coordination / transport / receive modes, the two
         # dead provenance switches, the second archive representation and
         # the knobs only tests set (archive aging, admission retries, the
-        # cache TTL, the run-wide query timeout) and the timer-wheel refresh
-        # plane's four knobs are not silently accepted: they fail like any
-        # other misspelt option.
+        # cache TTL, the run-wide query timeout), the timer-wheel refresh
+        # plane's four knobs, the linkless-send bandwidth and a hand-built
+        # EngineConfig in place of the preset are not silently accepted:
+        # they fail like any other misspelt option.
         with pytest.raises(ValueError, match="unknown NetOptions field.*valid fields"):
             Network.build(topology=4, provenance="ndlog", **removed)
 
@@ -241,23 +241,6 @@ class TestNetworkBuild:
         with pytest.raises(TypeError):
             Network.build(topology=4, program=123, provenance="ndlog")
 
-    def test_explicit_config_bypasses_preset(self):
-        config = EngineConfig(
-            says_mode=SaysMode.NONE, provenance_mode=ProvenanceMode.DISTRIBUTED
-        )
-        network = Network.build(topology=4, config=config)
-        assert network.config is config
-        assert network.configuration == "custom"
-
-    def test_explicit_config_rejects_engine_overrides(self):
-        """config= replaces the preset wholesale; engine-side NetOptions
-        overrides would be silently dropped, so they must raise instead."""
-        config = EngineConfig()
-        with pytest.raises(ValueError, match="keep_offline_provenance"):
-            Network.build(topology=4, config=config, keep_offline_provenance=True)
-        # SimulationKernel-side options still combine with an explicit config.
-        network = Network.build(topology=4, config=config, key_bits=128)
-        assert network.options.key_bits == 128
 
     def test_base_facts_match_catalog_arity(self):
         best_path = Network.build(topology=line_topology(3), provenance="ndlog")
@@ -334,21 +317,27 @@ class TestRunResult:
 
 class TestRunNetwork:
     def test_run_network_records_sweep_coordinates(self, compiled_best_path):
-        run = run_network("SeNDLog", 6, seed=3, compiled=compiled_best_path)
+        run = Network.build(
+            topology=6, program=compiled_best_path, provenance="SeNDLog", seed=3
+        ).run()
         assert isinstance(run, RunResult)
-        assert run.configuration == "SeNDLog"
+        assert run.configuration == "sendlog"
         assert run.node_count == 6
         assert run.seed == 3
 
     def test_custom_cost_model_passes_through(self, compiled_best_path):
         topology = random_topology(6, seed=0)
-        free = run_network(
-            "NDLog",
-            topology,
-            compiled=compiled_best_path,
-            cost_model=CostModel(seconds_per_rule_firing=0.0),
-        )
-        default = run_network("NDLog", topology, compiled=compiled_best_path)
+
+        def run(**options):
+            return Network.build(
+                topology=topology,
+                program=compiled_best_path,
+                provenance="NDLog",
+                **options,
+            ).run()
+
+        free = run(cost_model=CostModel(seconds_per_rule_firing=0.0))
+        default = run()
         assert free.converged and default.converged
         assert free.stats.summary()["cpu_seconds"] < default.stats.summary()["cpu_seconds"]
 
@@ -374,14 +363,32 @@ class TestScenarioFacadeIntegration:
         report = run_scenario(scenario, network.simulator)
         assert report.converged
 
-    def test_phase_row_reexported_from_api(self):
-        import repro.api as api
-        from repro.harness.scenarios import PhaseRow, ScenarioReport
+    def test_the_api_does_not_import_the_harness(self):
+        """The harness sits on the facade, never under it."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
 
-        assert api.PhaseRow is PhaseRow
-        assert api.ScenarioReport is ScenarioReport
-        with pytest.raises(AttributeError):
-            api.no_such_symbol
+        import repro
+        import repro.api as api
+
+        probe = (
+            "import sys, repro.api; "
+            "assert not [m for m in sys.modules if m.startswith('repro.harness')]"
+        )
+        source = Path(repro.__file__).resolve().parent.parent
+        subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=str(source)),
+            check=True,
+            timeout=120,
+        )
+
+        for gone in ("PhaseRow", "ScenarioReport"):
+            assert not hasattr(api, gone)
+        for gone in ("from_simulator", "run_scenario"):
+            assert not hasattr(Network, gone)
 
 
 class TestSweepIntegration:

@@ -387,7 +387,6 @@ class TestQueriesUnderDynamics:
 
     def test_mid_scenario_query_is_ordinary_traffic(self):
         """A query issued between scenario phases shows up in the phase rows."""
-        from repro.engine.node_engine import ProvenanceMode
         from repro.harness.scenarios import (
             Phase,
             Scenario,
@@ -398,7 +397,7 @@ class TestQueriesUnderDynamics:
         scenario, network = link_failure_scenario(
             node_count=10,
             seed=3,
-            provenance_mode=ProvenanceMode.CONDENSED,
+            provenance="condensed",
             keep_offline_provenance=True,
         )
         report = run_scenario(scenario, network)

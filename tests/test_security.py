@@ -173,23 +173,19 @@ class TestPrincipals:
 
 
 class TestSaysMode:
-    def test_authenticates_flags(self):
-        assert not SaysMode.NONE.authenticates
-        assert SaysMode.CLEARTEXT.authenticates
-        assert SaysMode.SIGNED.authenticates
-
     def test_requires_signature(self):
+        # The two modes the evaluated configurations use.
+        assert list(SaysMode) == [SaysMode.NONE, SaysMode.SIGNED]
         assert SaysMode.SIGNED.requires_signature
-        assert not SaysMode.CLEARTEXT.requires_signature
+        assert not SaysMode.NONE.requires_signature
 
     def test_header_bytes_ordering(self):
         none = SaysMode.NONE.header_bytes("node1")
-        cleartext = SaysMode.CLEARTEXT.header_bytes("node1")
         signed = SaysMode.SIGNED.header_bytes("node1")
         assert none == 0
-        assert cleartext == len("node1")
-        # The signature is the wire message's, charged once per message.
-        assert signed == cleartext + SEQUENCE_BYTES
+        # The principal name and the export sequence number; the signature
+        # is the wire message's, charged once per message.
+        assert signed == len("node1") + SEQUENCE_BYTES
 
 
 class TestAuthenticator:
@@ -235,12 +231,6 @@ class TestAuthenticator:
         )
         # The refusal is the None; the engine counts it on its report.
         assert importer.import_batch([fact], b"\x01" * 16) == [None]
-
-    def test_cleartext_mode_attributes_only(self, keystore):
-        exporter = Authenticator("a", keystore, SaysMode.CLEARTEXT)
-        fact = exporter.export_fact(Fact("link", ("a", "b", 1.0)))
-        assert fact.asserted_by == "a"
-        assert fact.signature is None
 
     def test_none_mode_passthrough(self, keystore):
         exporter = Authenticator("a", keystore, SaysMode.NONE)

@@ -474,7 +474,7 @@ class TestDynamicsCountersEquivalence:
         "timer_events",
     )
 
-    def _drive(self, backend, shards=2, says_mode=SaysMode.NONE, shard_mode="inline"):
+    def _drive(self, backend, shards=2, provenance="condensed", shard_mode="inline"):
         from repro.datalog import localize_program, parse_program
         from repro.datalog.planner import compile_program
         from repro.engine.tuples import Fact
@@ -503,19 +503,14 @@ class TestDynamicsCountersEquivalence:
             program=compile_program(
                 localize_program(parse_program(REACHABLE_LOCALIZED))
             ),
-            config=EngineConfig(
-                default_ttl=12.0,
-                track_dependencies=True,
-                provenance_mode=ProvenanceMode.CONDENSED,
-                says_mode=says_mode,
-                rederivation=True,
-            ),
-            options=NetOptions(
-                backend=backend,
-                shards=shards,
-                shard_mode=shard_mode,
-                key_bits=128,
-            ),
+            provenance=provenance,
+            default_ttl=12.0,
+            track_dependencies=True,
+            rederivation=True,
+            backend=backend,
+            shards=shards,
+            shard_mode=shard_mode,
+            key_bits=128,
         )
         simulator = network.simulator
         for node in nodes:
@@ -575,8 +570,8 @@ class TestDynamicsCountersEquivalence:
         shard boundary is opened from its decoded frame: same ledger, nothing
         rejected, and the anti-deltas paid for their signatures."""
         unsigned = self._drive("serial")
-        serial = self._drive("serial", says_mode=SaysMode.SIGNED)
-        sharded = self._drive("sharded", shards=4, says_mode=SaysMode.SIGNED)
+        serial = self._drive("serial", provenance="sendlog-prov")
+        sharded = self._drive("sharded", shards=4, provenance="sendlog-prov")
         _assert_equivalent(serial, sharded, relation="reachable")
         _assert_drained(serial)
         for result in (serial, sharded):

@@ -16,6 +16,7 @@ import pytest
 from oracle import evaluate_program
 from wire import batch_of_one
 
+from repro.api import Network
 from repro.datalog import localize_program, parse_program
 from repro.datalog.catalog import Catalog
 from repro.datalog.planner import compile_program
@@ -28,7 +29,6 @@ from repro.engine.node_engine import (
     group_outgoing,
 )
 from repro.engine.tuples import Fact
-from repro.harness.runner import run_network
 from repro.net.message import (
     MESSAGE_HEADER_BYTES,
     AntiDelta,
@@ -253,7 +253,10 @@ PER_TUPLE_FIGURES = {
 @pytest.fixture(scope="module", params=sorted(PER_TUPLE_FIGURES))
 def per_tuple_run(request):
     configuration = request.param
-    return configuration, run_network(configuration, 10, seed=0, batching=False).stats
+    network = Network.build(
+        topology=10, provenance=configuration, seed=0, batching=False
+    )
+    return configuration, network.run().stats
 
 
 class TestPerTupleFormat:
