@@ -66,9 +66,13 @@ from repro.service.workload import QueryWorkload
 DEFAULT_SCENARIO_TTL = 30.0
 
 #: The options the built-in scenarios run under unless the caller passes
-#: its own: short keys keep signed scenario runs cheap.  Derive variants
-#: with ``SCENARIO_OPTIONS.merged(backend="sharded", shards=2, ...)``.
-SCENARIO_OPTIONS = NetOptions(key_bits=128)
+#: its own: everything is soft state living ``DEFAULT_SCENARIO_TTL``
+#: simulated seconds, the dependency index is kept so retractions cascade,
+#: and short keys keep signed scenario runs cheap.  Derive variants with
+#: ``SCENARIO_OPTIONS.merged(backend="sharded", shards=2, ...)``.
+SCENARIO_OPTIONS = NetOptions(
+    key_bits=128, default_ttl=DEFAULT_SCENARIO_TTL, track_dependencies=True
+)
 
 
 # ---------------------------------------------------------------------------
@@ -320,16 +324,14 @@ def _scenario_network(
     program,
     provenance: Optional[str],
     options: NetOptions,
-    ttl: float,
     serving: bool,
     **overrides: object,
 ) -> Network:
     """Assemble a scenario's network through the facade.
 
-    Everything is soft state: every tuple lives *ttl* simulated seconds and
-    the dependency index is kept, so retractions cascade — whatever
-    *options* say; keyword *overrides* (``NetOptions`` fields) win over
-    both.  With no *provenance* preset a
+    The run takes *options* as they are (:data:`SCENARIO_OPTIONS` unless
+    the caller passes its own); keyword *overrides* (``NetOptions``
+    fields) win over them.  With no *provenance* preset a
     scenario runs ``"ndlog"`` — or ``"condensed"`` when it serves queries,
     which need provenance maintained; serving also arms the per-node
     result cache.
@@ -348,8 +350,15 @@ def _scenario_network(
         program=program,
         provenance=provenance,
         options=options,
-        **{"default_ttl": ttl, "track_dependencies": True, **overrides},
+        **overrides,
     )
+
+
+def _decay_gap(network: Network) -> float:
+    """Simulated seconds a phase waits for stale soft state to decay: one
+    TTL of the network's options and a second more (a second alone when
+    nothing is soft state)."""
+    return (network.options.default_ttl or 0.0) + 1.0
 
 
 def _phase_workload(
@@ -395,7 +404,6 @@ def _reachable_compiled():
 def link_failure_scenario(
     node_count: int = 12,
     seed: int = 0,
-    ttl: float = DEFAULT_SCENARIO_TTL,
     options: NetOptions = SCENARIO_OPTIONS,
     query_rate: float = 0.0,
     clients: int = 0,
@@ -419,7 +427,7 @@ def link_failure_scenario(
     failed = redundant[0]
     serving = query_rate > 0 or clients > 0
     network = _scenario_network(
-        topology, compile_best_path(), provenance, options, ttl, serving,
+        topology, compile_best_path(), provenance, options, serving,
         **overrides,
     )
     base = network.link_facts()
@@ -459,7 +467,7 @@ def link_failure_scenario(
             # refreshed fixpoint routes around the failure.
             Phase(
                 name="reroute",
-                gap=ttl + 1.0,
+                gap=_decay_gap(network),
                 events=(SoftStateRefresh(time=0.0),),
                 workload=workload(2),
             ),
@@ -471,7 +479,6 @@ def link_failure_scenario(
 def churn_scenario(
     node_count: int = 10,
     seed: int = 0,
-    ttl: float = DEFAULT_SCENARIO_TTL,
     options: NetOptions = SCENARIO_OPTIONS,
     query_rate: float = 0.0,
     clients: int = 0,
@@ -492,7 +499,7 @@ def churn_scenario(
     )
     serving = query_rate > 0 or clients > 0
     network = _scenario_network(
-        topology, _reachable_compiled(), provenance, options, ttl, serving,
+        topology, _reachable_compiled(), provenance, options, serving,
         **overrides,
     )
     base = network.link_facts()
@@ -520,7 +527,7 @@ def churn_scenario(
             ),
             Phase(
                 name="heal",
-                gap=ttl + 1.0,
+                gap=_decay_gap(network),
                 events=(SoftStateRefresh(time=0.0),),
                 workload=workload(2),
             ),
@@ -541,7 +548,6 @@ def churn_scenario(
 def retraction_scenario(
     node_count: int = 6,
     seed: int = 0,
-    ttl: float = DEFAULT_SCENARIO_TTL,
     options: NetOptions = SCENARIO_OPTIONS,
     query_rate: float = 0.0,
     clients: int = 0,
@@ -577,7 +583,7 @@ def retraction_scenario(
     overrides.setdefault("rederivation", True)
     serving = query_rate > 0 or clients > 0
     network = _scenario_network(
-        topology, _reachable_compiled(), provenance, options, ttl, serving,
+        topology, _reachable_compiled(), provenance, options, serving,
         **overrides,
     )
     base = network.link_facts()
@@ -697,6 +703,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         options = SCENARIO_OPTIONS.merged(
+            default_ttl=arguments.ttl,
             backend=arguments.backend,
             shards=arguments.shards,
             shard_mode=arguments.shard_mode,
@@ -710,7 +717,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         build = SCENARIOS[name]
         kwargs: Dict[str, object] = {
             "seed": arguments.seed,
-            "ttl": arguments.ttl,
             "options": options,
             "query_rate": arguments.query_rate,
             "clients": arguments.clients,

@@ -33,15 +33,31 @@ say travels as its rendering.
 Provenance *queries* are network traffic too (the paper's central framing:
 provenance is network state, queried over the network), so the in-network
 query engine ships two further wire formats — :class:`QueryRequest` /
-:class:`QueryResponse` — that pay the same per-message header, serialized
-payload bytes and link latency as data traffic, and are attributed to a
-separate ``query_bytes`` / ``query_messages`` category by the statistics.
+:class:`QueryResponse` — that pay the same per-message header and link
+latency as data traffic, and are attributed to a separate ``query_bytes`` /
+``query_messages`` category by the statistics.  A request carries the key
+to expand:
+
+    header + flags + key
+
+A response names its request by id and ships only what its querier cannot
+rebuild: the responder's walk over the key's local closure
+(:class:`QueryClosure`), one flag byte per visited key plus each derived
+key's pointers, and no key at all.  The querier knows the key it asked for,
+and every later key is a local input named by an earlier record's
+pointers, so it rebuilds them all by replaying the walk:
+
+    header + flags + sum over records of (flag + pointers)
+    + annotation + signature
+
+where a pointer is its rule label, firing node, 8-byte timestamp and each
+input's key, a separator byte and the input's origin node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import ClassVar, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import ClassVar, List, Optional, Set, Tuple
 
 from repro.engine.node_engine import OutgoingFact
 from repro.engine.tuples import Fact, FactKey, render_payload
@@ -192,6 +208,10 @@ class AntiDelta:
 #: Per-message flag bytes for query traffic (mode, condensed, authenticated).
 QUERY_FLAG_BYTES = 2
 
+#: The flag byte of one closure record: the visited key is an input leaf,
+#: was derived (its pointers follow), or cannot be vouched for here.
+RECORD_BASE, RECORD_DERIVED, RECORD_MISSING = 0, 1, 2
+
 
 def key_payload_bytes(key: FactKey) -> int:
     """Wire size of one serialized tuple key (same rendering as a fact payload)."""
@@ -206,56 +226,64 @@ def _memo_field():
     return field(default=None, init=False, repr=False, compare=False)
 
 
-def _key_size_field():
-    """The rendered size of the message's key, passed in where it is already
-    known (a closure entry's frontier, the request a response answers) so
-    the message does not render the key again.  Derived state
-    like a memo: outside equality and ``repr``, and it never travels."""
-    return field(default=None, repr=False, compare=False)
+def _reduce_without_memos(self):
+    """``__reduce__`` of the query types: rebuilt from their compared init fields, no memo."""
+    kept = [f.name for f in fields(self) if f.init and f.compare]
+    return type(self), tuple(getattr(self, name) for name in kept)
 
 
-def _without_memos(self) -> dict:
-    """``__getstate__`` of the memo-carrying objects: memos never travel."""
-    memos = ("_size_bytes", "_replay", "_frontier", "key_bytes")
-    return {k: v for k, v in self.__dict__.items() if k not in memos}
+def walk_closure(root: FactKey, node: str, visit) -> bool:
+    """The preorder walk over *node*'s local closure of *root*.
+
+    The responder walks it to record its closure and the querier walks it
+    again to rebuild every key, so both visit the same keys in the same
+    order: derivation before its inputs, each key once, following only the
+    pointer inputs held at *node* (origin ``None`` or *node*).  The explicit
+    stack with reversed pushes keeps preorder without recursion limits on
+    long derivation chains.
+
+    *visit(key)* returns the key's pointers (empty for a base or missing
+    key), or ``None`` to stop the walk; returns whether the walk ran to the
+    end.
+    """
+    seen: Set[FactKey] = set()
+    stack: List[FactKey] = [root]
+    push = stack.append
+    while stack:
+        key = stack.pop()
+        if key in seen:
+            continue
+        seen.add(key)
+        pointers = visit(key)
+        if pointers is None:
+            return False
+        for pointer in reversed(pointers):
+            for input_key, origin in reversed(pointer.inputs):
+                if (origin or node) == node:
+                    push(input_key)
+    return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryClosureEntry:
-    """One (key, node) expansion inside a :class:`QueryResponse`.
+    """One (key, node) expansion the querier merges into its log.
 
-    The responding node resolved *key* against its provenance store:
+    The querier rebuilds it from a :class:`QueryClosure` (or its own store):
     ``is_base`` marks an input leaf, ``pointers`` carries the recorded rule
     firings (each input paired with the node holding its own provenance).
-    A cached closure hands the same immutable entries to every response, so
-    size, remote frontier and replay nodes are built once per entry, not
-    once per response.
+    Entries do not travel.  A cached closure rebuilds into the same
+    immutable entries for every response, so remote frontier and replay
+    nodes are built once per entry, not once per response.
     """
 
     key: FactKey
     node: str
     is_base: bool
     pointers: Tuple[ProvenancePointer, ...] = ()
-    _size_bytes: Optional[int] = _memo_field()
     _replay: Optional[tuple] = _memo_field()
     _frontier: Optional[tuple] = _memo_field()
 
-    __getstate__ = _without_memos
-
-    def serialized_size(self) -> int:
-        total = self._size_bytes
-        if total is None:
-            total = key_payload_bytes(self.key) + 1  # key + base/derived flag
-            for pointer in self.pointers:
-                total += len(pointer.rule_label.encode("utf-8"))
-                total += len(pointer.node.encode("utf-8"))
-                total += 8  # timestamp
-                for input_key, origin in pointer.inputs:
-                    total += key_payload_bytes(input_key) + 1
-                    if origin is not None:
-                        total += len(str(origin).encode("utf-8"))
-            object.__setattr__(self, "_size_bytes", total)
-        return total
+    __reduce__ = _reduce_without_memos
 
     def replay(self) -> tuple:
         """``(tuple node, one operator per pointer)``: frozen graph nodes
@@ -288,7 +316,96 @@ class QueryClosureEntry:
         return frontier
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, slots=True)
+class QueryClosure:
+    """A node's local closure of one key, as it travels: its walk's records.
+
+    One record per key :func:`walk_closure` visited, in preorder: a
+    ``RECORD_*`` flag byte in ``flags`` and, at the same position in
+    ``pointers``, the key's pointers when it was derived (``()``
+    otherwise).  No record names its key.  The querier knows the key it
+    asked for, and every later key is a local input of an earlier record's
+    pointers, so :meth:`walk` rebuilds them all.  A node's result cache
+    keeps the closure, and the walk memo on it, for every response it
+    serves.
+    """
+
+    flags: bytes = b""
+    pointers: Tuple[Tuple[ProvenancePointer, ...], ...] = ()
+    _size_bytes: Optional[int] = _memo_field()
+    _walk: Optional[tuple] = _memo_field()
+
+    __reduce__ = _reduce_without_memos
+
+    def serialized_size(self) -> int:
+        """One flag byte per record, plus each derived record's pointers:
+        rule label, firing node, timestamp and every input with its
+        origin."""
+        total = self._size_bytes
+        if total is None:
+            total = len(self.flags)
+            for pointers in self.pointers:
+                for pointer in pointers:
+                    total += len(pointer.rule_label.encode("utf-8"))
+                    total += len(pointer.node.encode("utf-8"))
+                    total += 8  # timestamp
+                    for input_key, origin in pointer.inputs:
+                        total += key_payload_bytes(input_key) + 1
+                        if origin is not None:
+                            total += len(str(origin).encode("utf-8"))
+            object.__setattr__(self, "_size_bytes", total)
+        return total
+
+    def walk(self, root: FactKey, node: str):
+        """Replay the walk from *root* at *node*: ``(entries, missing)``.
+
+        ``None`` when the records do not fit the walk: too few, too many,
+        an unknown flag, pointers on a base or missing record or none on a
+        derived one.  The answer for the last ``(root, node)`` asked is
+        memoised: a cached closure is asked for the key it was walked from,
+        at the node that walked it.  Equal roots share the memo (the
+        rebuilt root entry keeps the first root object; no size reads its
+        rendering).
+        """
+        memo = self._walk
+        if memo is not None and memo[0] == root and memo[1] == node:
+            return None if memo[2] is None else memo[2:]
+        flags, pointer_lists = self.flags, self.pointers
+        records = zip(flags, pointer_lists)
+        entries: List[QueryClosureEntry] = []
+        missing: List[FactKey] = []
+
+        def visit(key: FactKey):
+            record = next(records, None)
+            if record is None:
+                return None
+            flag, pointers = record
+            if flag == RECORD_DERIVED and pointers:
+                entries.append(QueryClosureEntry(key, node, False, pointers))
+            elif pointers:
+                return None
+            elif flag == RECORD_BASE:
+                entries.append(QueryClosureEntry(key, node, True))
+            elif flag == RECORD_MISSING:
+                missing.append(key)
+            else:
+                return None
+            return pointers
+
+        fits = (
+            len(flags) == len(pointer_lists)
+            and walk_closure(root, node, visit)
+            and next(records, None) is None
+        )
+        if not fits:
+            object.__setattr__(self, "_walk", (root, node, None, None))
+            return None
+        memo = (root, node, tuple(entries), tuple(missing))
+        object.__setattr__(self, "_walk", memo)
+        return memo[2:]
+
+
+@dataclass(eq=False, slots=True)
 class QueryRequest:
     """One remote pointer dereference in flight: "expand *key* for me".
 
@@ -309,25 +426,30 @@ class QueryRequest:
     authenticated: bool = False
     sent_at: float = 0.0
     sequence: int = 0
-    key_bytes: Optional[int] = _key_size_field()
+    #: The rendered size of the key, passed in where the querier already
+    #: knows it (from a closure entry's frontier) so the request does not
+    #: render the key again.  Derived state like a memo: outside equality
+    #: and ``repr``, and it never travels (the last init field, which
+    #: ``__reduce__`` leaves out as it is not compared).
+    key_bytes: Optional[int] = field(default=None, repr=False, compare=False)
     _size_bytes: Optional[int] = _memo_field()
     #: A request is neither signed nor annotated.
     security_bytes: ClassVar[int] = 0
     provenance_bytes: ClassVar[int] = 0
 
-    __getstate__ = _without_memos
+    __reduce__ = _reduce_without_memos
 
     def payload_bytes(self) -> int:
         """The serialized key: all a request carries besides header and flags."""
-        return self.size_bytes() - MESSAGE_HEADER_BYTES - QUERY_FLAG_BYTES
+        known = self.key_bytes
+        return key_payload_bytes(self.key) if known is None else known
 
     def size_bytes(self) -> int:
         size = self._size_bytes
         if size is None:
-            key = self.key_bytes
-            if key is None:
-                key = key_payload_bytes(self.key)
-            size = self._size_bytes = MESSAGE_HEADER_BYTES + key + QUERY_FLAG_BYTES
+            size = self._size_bytes = (
+                MESSAGE_HEADER_BYTES + self.payload_bytes() + QUERY_FLAG_BYTES
+            )
         return size
 
     @property
@@ -344,16 +466,19 @@ class QueryRequest:
         )
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class QueryResponse:
-    """The answer to one :class:`QueryRequest`.
+    """The answer to one :class:`QueryRequest`, named by its ``request_id``.
 
-    Carries the local closure of the requested key at the responding node —
-    every (key, node) expansion resolvable without leaving the node — plus
-    the keys the node could not vouch for.  Remote pointer inputs inside the
-    entries are what the querier dereferences next.  ``annotation_bytes``
-    and ``signature_bytes`` itemize the optional condensed annotation and
-    the responder's signature (authenticated queries), both included in the
+    Carries the responding node's local closure of the requested key —
+    every (key, node) expansion resolvable without leaving the node, and
+    the keys it could not vouch for — as the records of its walk
+    (:class:`QueryClosure`).  It carries no key the querier can rebuild:
+    not the requested one, which the querier looks up by ``request_id``,
+    and not those of the records.  Remote pointer inputs inside the records
+    are what the querier dereferences next.  ``annotation_bytes`` and
+    ``signature_bytes`` itemize the optional condensed annotation and the
+    responder's signature (authenticated queries), both included in the
     wire size — and mirrored into ``provenance_bytes`` / ``security_bytes``
     so the per-mechanism bandwidth attribution covers the query plane too.
     """
@@ -362,9 +487,7 @@ class QueryResponse:
     destination: Address
     query_id: int
     request_id: int
-    key: FactKey
-    entries: Tuple[QueryClosureEntry, ...] = ()
-    missing: Tuple[FactKey, ...] = ()
+    closure: QueryClosure
     annotation: Optional[ProvenanceExpression] = None
     annotation_bytes: int = 0
     signature: Optional[bytes] = None
@@ -372,10 +495,9 @@ class QueryResponse:
     sequence: int = 0
     security_bytes: int = 0
     provenance_bytes: int = 0
-    key_bytes: Optional[int] = _key_size_field()
     _size_bytes: Optional[int] = _memo_field()
 
-    __getstate__ = _without_memos
+    __reduce__ = _reduce_without_memos
 
     def __post_init__(self) -> None:
         # The security envelope and provenance annotation of a response are
@@ -399,15 +521,13 @@ class QueryResponse:
     def size_bytes(self) -> int:
         size = self._size_bytes
         if size is None:
-            payload = self.key_bytes
-            if payload is None:
-                payload = key_payload_bytes(self.key)
-            for entry in self.entries:
-                payload += entry.serialized_size()
-            for key in self.missing:
-                payload += key_payload_bytes(key)
-            payload += self.annotation_bytes + self.signature_bytes()
-            size = self._size_bytes = MESSAGE_HEADER_BYTES + payload + QUERY_FLAG_BYTES
+            size = self._size_bytes = (
+                MESSAGE_HEADER_BYTES
+                + QUERY_FLAG_BYTES
+                + self.closure.serialized_size()
+                + self.annotation_bytes
+                + self.signature_bytes()
+            )
         return size
 
     @property
@@ -417,14 +537,23 @@ class QueryResponse:
     def facts(self) -> Tuple[Fact, ...]:
         return ()
 
-    def signed_payload(self) -> bytes:
+    def signed_payload(self, key: FactKey) -> bytes:
         """Canonical bytes the responding principal signs (authenticated mode).
 
-        Binds the answer's full substance — every pointer's rule label,
-        firing node, timestamp and origin-annotated inputs, the missing
-        list, the shipped annotation and both endpoints — so a relay cannot
-        rewrite who derived what from whom without breaking the signature.
+        *key* is the requested key: the responder's, and at the querier the
+        one it asked for.  The payload binds the answer's full substance as
+        the walk from *key* rebuilds it — every key, every pointer's rule
+        label, firing node, timestamp and origin-annotated inputs, the
+        missing list, the shipped annotation and both endpoints — so a relay
+        cannot rewrite who derived what from whom without breaking the
+        signature.  Raises :class:`ValueError` when the records do not fit
+        the walk (a querier refuses such a response before verifying it).
         """
+        rebuilt = self.closure.walk(key, self.source)
+        if rebuilt is None:
+            raise ValueError("the closure records do not fit the walk")
+        entries, missing = rebuilt
+
         def render_pointer(pointer) -> str:
             inputs = ",".join(
                 f"{k[0]}{k[1]}@{origin or ''}" for k, origin in pointer.inputs
@@ -434,22 +563,22 @@ class QueryResponse:
                 f"({inputs})"
             )
 
-        entries = ";".join(
+        rendered = ";".join(
             f"{e.key[0]}{e.key[1]}|{int(e.is_base)}|"
             + "+".join(render_pointer(p) for p in e.pointers)
-            for e in self.entries
+            for e in entries
         )
-        missing = ";".join(f"{k[0]}{k[1]}" for k in self.missing)
+        missing_keys = ";".join(f"{k[0]}{k[1]}" for k in missing)
         annotation = "" if self.annotation is None else str(self.annotation)
         return (
             f"{self.source}|{self.destination}|{self.query_id}|{self.request_id}|"
-            f"{self.key[0]}{self.key[1]}|{entries}|{missing}|{annotation}"
+            f"{key[0]}{key[1]}|{rendered}|{missing_keys}|{annotation}"
         ).encode("utf-8")
 
     def __str__(self) -> str:
         return (
             f"{self.source} -> {self.destination}: query#{self.query_id} "
-            f"{len(self.entries)} entries ({self.size_bytes()} bytes)"
+            f"{len(self.closure.flags)} records ({self.size_bytes()} bytes)"
         )
 
 

@@ -18,6 +18,11 @@ its own store for free, then issues one request per remote pointer
 dereference.  The responding node returns the *local closure* of the
 requested key — every expansion reachable without leaving the node — and the
 querier keeps dereferencing the remote pointer inputs those entries name.
+A response names its request, not its key, and its closure travels as the
+responder's walk with no key in it: the querier takes the requested key
+from its own books and rebuilds every other key by replaying the walk
+(:meth:`~repro.net.message.QueryClosure.walk`).  Records that do not fit
+the walk are refused like an answer whose signature fails.
 On a static topology the reconstructed derivation graph is structurally
 identical to the oracle's (asserted in tests via
 :meth:`~repro.provenance.graph.DerivationGraph.same_structure`).
@@ -41,7 +46,8 @@ no memo travels in pickles, the coordination frames included):
 ==================  ==========================  ================================
 cache               lives on                    invalidated by
 ==================  ==========================  ================================
-size memo           request, response, entry    never: the owner is immutable
+size memo           request, response, closure  never: the owner is immutable
+rebuild memo        each ``QueryClosure``       a walk from another root or node
 remote frontier     each closure entry          never: the owner is immutable
 replay memo         each closure entry          never; filled on graph read
 route table         each ``SimulationKernel``   LinkDown/Up, NodeCrash/Recover
@@ -51,10 +57,15 @@ closure memo        per-node ``ClosureCache``   the node's ``provenance_epoch``
 expiry watermark    each ``Table``              soft store / refresh / any scan
 ==================  ==========================  ================================
 
-The route-cost memo holds each pair's first link and summed latency beside
-its route; the root-draw memo holds a ``(node, relation)``'s rows sorted for
-a service arrival's draw, reused while the node's rows compare equal to the
-ones it sorted (a refreshed row compares equal and keeps its place).
+The rebuild memo holds the entries and missing keys the last walk rebuilt,
+with its root and node; a cached closure is only ever walked from the key
+it was recorded for, at the node that recorded it, so the querier rebuilds
+each cached closure once and its entries keep their frontier and replay
+memos across responses.  The route-cost memo holds each pair's first link
+and summed latency beside its route; the root-draw memo holds a ``(node,
+relation)``'s rows sorted for a service arrival's draw, reused while the
+node's rows compare equal to the ones it sorted (a refreshed row compares
+equal and keeps its place).
 
 The querier resolves its node's statistics record once, at issue
 (:attr:`PendingQuery.stats`); a responder's record comes with the request's
@@ -72,9 +83,14 @@ from repro.engine.tuples import FactKey
 from repro.net.address import Address
 from repro.net.events import QueryTimeout
 from repro.net.message import (
+    RECORD_BASE,
+    RECORD_DERIVED,
+    RECORD_MISSING,
+    QueryClosure,
     QueryClosureEntry,
     QueryRequest,
     QueryResponse,
+    walk_closure,
 )
 from repro.net.stats import NodeStats, latency_bucket
 from repro.provenance.graph import DerivationGraph, DerivationNode
@@ -285,48 +301,32 @@ class PendingQuery:
         )
 
 
-def _local_closure(store, node: Address, root: FactKey):
+def _local_closure(store, node: Address, root: FactKey) -> QueryClosure:
     """Expand *root* at *node* as far as *store*'s local pointers reach.
 
     *store* is the node's live log or its offline archive: anything that
-    answers ``is_base(key)`` and ``pointers(key)``.
-
-    Mirrors the oracle's visit order (preorder, derivation recorded before
-    its inputs are expanded) so the querier can replay the entries into a
-    structurally identical graph.  Returns ``(entries, missing)``: the
-    (key, node) expansions resolvable here, and the keys this node cannot
-    vouch for.  Pointer inputs held on *other* nodes are left inside the
-    entries for the querier to dereference.
+    answers ``is_base(key)`` and ``pointers(key)``.  The walk mirrors the
+    oracle's visit order (preorder, derivation recorded before its inputs
+    are expanded), so the querier replays the records into a structurally
+    identical graph.  A key this node cannot vouch for is recorded as
+    missing; pointer inputs held on *other* nodes stay inside the records
+    for the querier to dereference.
     """
-    entries: List[QueryClosureEntry] = []
-    missing: List[FactKey] = []
-    seen: Set[FactKey] = set()
-    stack: List[FactKey] = [root]
-    # Explicit stack with reversed pushes keeps preorder without recursion
-    # depth limits on long derivation chains.
-    while stack:
-        key = stack.pop()
-        if key in seen:
-            continue
-        seen.add(key)
+    flags = bytearray()
+    pointer_lists: List[tuple] = []
+
+    def visit(key: FactKey):
         if store.is_base(key):
-            entries.append(QueryClosureEntry(key=key, node=node, is_base=True))
-            continue
-        pointers = store.pointers(key)
-        if not pointers:
-            missing.append(key)
-            continue
-        entries.append(
-            QueryClosureEntry(key=key, node=node, is_base=False, pointers=pointers)
-        )
-        local_inputs: List[FactKey] = []
-        for pointer in pointers:
-            for input_key, origin in pointer.inputs:
-                if (origin or node) == node:
-                    local_inputs.append(input_key)
-        for input_key in reversed(local_inputs):
-            stack.append(input_key)
-    return tuple(entries), tuple(missing)
+            flags.append(RECORD_BASE)
+            pointers = ()
+        else:
+            pointers = store.pointers(key)
+            flags.append(RECORD_DERIVED if pointers else RECORD_MISSING)
+        pointer_lists.append(pointers)
+        return pointers
+
+    walk_closure(root, node, visit)
+    return QueryClosure(bytes(flags), tuple(pointer_lists))
 
 
 class QueryEngine:
@@ -435,7 +435,7 @@ class QueryEngine:
     ) -> None:
         """Answer *request* at its destination, whose record is *responder*."""
         simulator = self.simulator
-        entries, missing, annotation, lookups = self._closure(
+        closure, annotation, lookups = self._closure(
             simulator.engines[request.destination],
             responder,
             request.key,
@@ -451,12 +451,9 @@ class QueryEngine:
             destination=request.source,
             query_id=request.query_id,
             request_id=request.request_id,
-            key=request.key,
-            entries=entries,
-            missing=missing,
+            closure=closure,
             annotation=annotation,
             annotation_bytes=annotation_bytes,
-            key_bytes=request.payload_bytes(),
         )
         signing_cost = 0.0
         if request.authenticated:
@@ -468,7 +465,7 @@ class QueryEngine:
                 # derives bit-identical keys.
                 simulator.keystore.create_all(simulator.topology.nodes)
             signature = sign(
-                response.signed_payload(),
+                response.signed_payload(request.key),
                 simulator.keystore.private_key(request.destination),
             )
             # replace() re-runs __post_init__, folding the signature bytes
@@ -485,7 +482,15 @@ class QueryEngine:
     # -- querier side -------------------------------------------------------------
 
     def handle_response(self, response: QueryResponse, at: float) -> None:
-        """Merge *response* into the pending query that asked for it."""
+        """Merge *response* into the pending query that asked for it.
+
+        The response names its request; the requested key comes from the
+        querier's own books, and every other key from replaying the walk
+        over the response's records.  Records that do not fit the walk, or
+        an authenticated answer whose signature does not verify over the
+        rebuilt keys, are refused: the key stays unresolved rather than
+        poisoning the graph.
+        """
         simulator = self.simulator
         pending = self._queries.get(response.query_id)
         if pending is None:
@@ -493,29 +498,31 @@ class QueryEngine:
         outstanding = pending.outstanding.pop(response.request_id, None)
         if outstanding is None:
             return  # already timed out; the answer arrived too late
+        key, _node, timeout = outstanding
         # The answer is here: its timeout must neither fire nor burn an
         # event-budget slot.
-        simulator.scheduler.cancel(outstanding[2])
+        simulator.scheduler.cancel(timeout)
+        rebuilt = response.closure.walk(key, response.source)
         verification_cost = 0.0
         if pending.query.authenticated:
             verification_cost = simulator.options.cost_model.seconds_per_verification
-            ok = response.signature is not None and verify(
-                response.signed_payload(),
-                response.signature,
-                simulator.keystore.public_key(response.source),
-            )
-            if ok:
-                pending.responses_verified += 1
-            else:
-                # A spoofed or corrupted answer is discarded: the key stays
-                # unresolved rather than poisoning the graph.
-                pending.verification_failures += 1
-                if response.key not in pending.missing:
-                    pending.missing.append(response.key)
-                self._charge(pending.stats, at, verification_cost)
-                if not pending.outstanding:
-                    self._finish(pending, pending.stats.busy_until)
-                return
+            if rebuilt is not None:
+                if response.signature is not None and verify(
+                    response.signed_payload(key),
+                    response.signature,
+                    simulator.keystore.public_key(response.source),
+                ):
+                    pending.responses_verified += 1
+                else:
+                    rebuilt = None
+        if rebuilt is None:
+            pending.verification_failures += 1
+            if key not in pending.missing:
+                pending.missing.append(key)
+            self._charge(pending.stats, at, verification_cost)
+            if not pending.outstanding:
+                self._finish(pending, pending.stats.busy_until)
+            return
         cpu = (
             simulator.options.cost_model.query_cpu_seconds(0, response.size_bytes())
             + verification_cost
@@ -525,12 +532,11 @@ class QueryEngine:
             pending.nodes_visited.append(response.source)
         if response.annotation is not None:
             # The annotation the responder computed, shipped and billed for.
-            pending.annotations[response.key] = response.annotation
-            if pending.condensed is None and response.key == pending.query.root:
+            pending.annotations[key] = response.annotation
+            if pending.condensed is None and key == pending.query.root:
                 pending.condensed = response.annotation
-        self._merge_closure(
-            pending, response.source, response.entries, response.missing, now
-        )
+        entries, missing = rebuilt
+        self._merge_closure(pending, response.source, entries, missing, now)
         if not pending.outstanding:
             self._finish(pending, pending.stats.busy_until)
 
@@ -538,7 +544,7 @@ class QueryEngine:
         """Resolve *key* at the querying node itself: CPU, but no messages."""
         simulator = self.simulator
         at_node = pending.query.at
-        entries, missing, _annotation, lookups = self._closure(
+        closure, _annotation, lookups = self._closure(
             simulator.engines[at_node],
             pending.stats,
             key,
@@ -550,6 +556,7 @@ class QueryEngine:
         now = self._charge(pending.stats, now, cpu)
         if at_node not in pending.nodes_visited:
             pending.nodes_visited.append(at_node)
+        entries, missing = closure.walk(key, at_node)
         self._merge_closure(pending, at_node, entries, missing, now)
 
     def _merge_closure(
@@ -676,44 +683,39 @@ class QueryEngine:
         """Resolve the local closure of *key* at the node *stats* records,
         through the node's result cache when the service plane armed one.
 
-        Returns ``(entries, missing, annotation, lookups)`` where *lookups*
-        is the store-lookup count to bill CPU for: the full walk on a miss,
-        a single memo probe on a hit — caching measurably cheapens the
-        query path.  The memo key is ``(key, mode, condensed)`` and the
-        entry is guarded by the engine's ``provenance_epoch``, which bumps
-        on every provenance-store mutation, so a hit is always structurally
-        identical to a cold walk at the same instant.
+        Returns ``(closure, annotation, lookups)`` where *lookups* is the
+        store-lookup count to bill CPU for: the full walk (one lookup per
+        record) on a miss, a single memo probe on a hit — caching measurably
+        cheapens the query path.  The memo key is ``(key, mode,
+        condensed)`` and the entry is guarded by the engine's
+        ``provenance_epoch``, which bumps on every provenance-store
+        mutation, so a hit is always structurally identical to a cold walk
+        at the same instant.
         """
         node = stats.address
         cache = self.simulator.query_cache_for(node)
-        if cache is None:
-            entries, missing = _local_closure(self._store(engine, mode), node, key)
-            annotation = (
-                self._annotation_for(engine, key, mode) if condensed else None
+        if cache is not None:
+            cache_key = (key, mode, condensed)
+            epoch = engine.provenance_epoch
+            hit, invalidated = cache.lookup(cache_key, epoch, now)
+            if invalidated:
+                stats.cache_invalidations += 1
+            if hit is not None:
+                (closure, annotation), age = hit
+                stats.cache_hits += 1
+                bucket = latency_bucket(age)
+                stats.cache_staleness_buckets[bucket] = (
+                    stats.cache_staleness_buckets.get(bucket, 0) + 1
+                )
+                return closure, annotation, 1
+        closure = _local_closure(self._store(engine, mode), node, key)
+        annotation = self._annotation_for(engine, key, mode) if condensed else None
+        if cache is not None:
+            stats.cache_misses += 1
+            stats.cache_invalidations += cache.store(
+                cache_key, (closure, annotation), epoch, now
             )
-            return entries, missing, annotation, len(entries) + len(missing)
-        cache_key = (key, mode, condensed)
-        epoch = engine.provenance_epoch
-        hit, invalidated = cache.lookup(cache_key, epoch, now)
-        if invalidated:
-            stats.cache_invalidations += 1
-        if hit is not None:
-            (entries, missing, annotation), age = hit
-            stats.cache_hits += 1
-            bucket = latency_bucket(age)
-            stats.cache_staleness_buckets[bucket] = (
-                stats.cache_staleness_buckets.get(bucket, 0) + 1
-            )
-            return entries, missing, annotation, 1
-        entries, missing = _local_closure(self._store(engine, mode), node, key)
-        annotation = (
-            self._annotation_for(engine, key, mode) if condensed else None
-        )
-        stats.cache_misses += 1
-        stats.cache_invalidations += cache.store(
-            cache_key, (entries, missing, annotation), epoch, now
-        )
-        return entries, missing, annotation, len(entries) + len(missing)
+        return closure, annotation, len(closure.flags)
 
     @staticmethod
     def _store(engine, mode: str):

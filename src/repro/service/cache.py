@@ -4,7 +4,10 @@ Answering a provenance query makes the responding node walk its pointer
 store to the *local closure* of the requested key
 (:func:`repro.net.query._local_closure`).  Under service load the same
 roots are asked again and again — the closure is the natural memo unit,
-keyed by ``(root key, query mode, condensed)``.
+keyed by ``(root key, query mode, condensed)``.  The memoized value is the
+closure as it travels (a :class:`~repro.net.message.QueryClosure`, the
+walk's keyless records) with its condensed annotation, so every response
+served from it shares one encoded stream, its size and its rebuild memo.
 
 Correctness is non-negotiable: a cache-served traceback must be
 structurally identical to what a cold walk at the same simulated instant

@@ -13,6 +13,8 @@ The acceptance bar for the query subsystem:
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from reference_stores import fire
@@ -20,7 +22,13 @@ from reference_stores import fire
 from repro.api import Network
 from repro.engine.tuples import Fact
 from repro.net.events import LinkDown, NodeCrash, NodeRecover
-from repro.net.message import QueryRequest, QueryResponse
+from repro.net.message import (
+    RECORD_BASE,
+    RECORD_DERIVED,
+    QueryClosure,
+    QueryRequest,
+    QueryResponse,
+)
 from repro.net.query import ProvenanceQuery
 from repro.net.topology import line_topology, random_topology
 from repro.provenance.distributed import traceback
@@ -480,15 +488,17 @@ class TestQueryWireFormat:
         assert request.size_bytes() > len(b"r(x,y)")
         assert request.tuple_count == 0
         response = QueryResponse(
-            source="b", destination="a", query_id=1, request_id=1, key=("r", ("x", "y"))
+            source="b", destination="a", query_id=1, request_id=1, closure=QueryClosure()
         )
-        assert response.size_bytes() > request.size_bytes() - request.payload_bytes()
+        # A response names its request, not its key: with no records it is
+        # the header and flags alone.
+        assert response.size_bytes() == request.size_bytes() - request.payload_bytes()
         signed = QueryResponse(
             source="b",
             destination="a",
             query_id=1,
             request_id=1,
-            key=("r", ("x", "y")),
+            closure=QueryClosure(),
             signature=b"\x00" * 32,
         )
         assert signed.size_bytes() == response.size_bytes() + 32
@@ -498,7 +508,7 @@ class TestQueryWireFormat:
     def test_signed_payload_binds_the_answer_substance(self):
         """Rewriting a pointer's inputs or the annotation must change the
         signed payload — otherwise a relay could shift blame undetected."""
-        from repro.net.message import QueryClosureEntry
+        from repro.net.message import RECORD_DERIVED, QueryClosure
         from repro.provenance.log import ProvenancePointer
 
         def response(origin, annotation=None):
@@ -513,21 +523,18 @@ class TestQueryWireFormat:
                 destination="a",
                 query_id=1,
                 request_id=1,
-                key=("r", ("x",)),
-                entries=(
-                    QueryClosureEntry(
-                        key=("r", ("x",)), node="b", is_base=False,
-                        pointers=(pointer,),
-                    ),
-                ),
+                closure=QueryClosure(bytes([RECORD_DERIVED]), ((pointer,),)),
                 annotation=annotation,
             )
 
+        key = ("r", ("x",))
         honest = response(origin="c")
         blame_shifted = response(origin="d")
-        assert honest.signed_payload() != blame_shifted.signed_payload()
+        assert honest.signed_payload(key) != blame_shifted.signed_payload(key)
         annotated = response(origin="c", annotation="<c*d>")
-        assert honest.signed_payload() != annotated.signed_payload()
+        assert honest.signed_payload(key) != annotated.signed_payload(key)
+        # The keys the walk rebuilds are signed too.
+        assert honest.signed_payload(key) != honest.signed_payload(("r", ("y",)))
 
     def test_tampered_authenticated_response_is_discarded(self):
         """End-to-end: corrupt every signature in flight; the querier must
@@ -557,3 +564,93 @@ class TestQueryWireFormat:
         assert not answer.complete
         assert answer.verification_failures > 0
         assert answer.responses_verified == 0
+
+
+def _flag_base(response):
+    """The response's first record, derived, flagged base with its pointers."""
+    closure = response.closure
+    assert closure.flags[0] == RECORD_DERIVED and closure.pointers[0]
+    return QueryClosure(bytes([RECORD_BASE]) + closure.flags[1:], closure.pointers)
+
+
+class TestRecordStreamRefusal:
+    """A response's records rebuild every key but the one its querier asked
+    for.  Records that do not fit the walk, and an authenticated answer
+    whose signature does not verify over the rebuilt keys, are refused and
+    counted: the asked-for key goes missing, nothing raises."""
+
+    def tampered_query(self, rewrite, authenticated=False):
+        """Query n0's longest best path, replacing the closure of the first
+        response in flight with ``rewrite(response)``; returns the answer
+        and ``(asked-for key, tampered response)``."""
+        network = build_network()
+        network.run()
+        target = longest_best_path(network, "n0")
+        engine = network.simulator.queries
+        ship = engine._ship
+        tampered = []
+
+        def tampering_ship(query_id, source, message, send_time):
+            if type(message) is QueryResponse and not tampered:
+                key = engine._queries[query_id].outstanding[message.request_id][0]
+                message = dataclasses.replace(
+                    message, closure=rewrite(message)
+                )
+                tampered.append((key, message))
+            ship(query_id, source, message, send_time)
+
+        engine._ship = tampering_ship
+        answer = network.query(target, at="n0", authenticated=authenticated)
+        assert len(tampered) == 1
+        return answer, tampered[0]
+
+    @pytest.mark.parametrize(
+        "rewrite",
+        [
+            lambda response: QueryClosure(
+                response.closure.flags[:-1], response.closure.pointers[:-1]
+            ),
+            lambda response: QueryClosure(
+                response.closure.flags + bytes([RECORD_BASE]),
+                response.closure.pointers + ((),),
+            ),
+            _flag_base,
+        ],
+        ids=["record-dropped", "record-added", "base-flag-with-pointers"],
+    )
+    @pytest.mark.parametrize("authenticated", [False, True])
+    def test_records_that_do_not_fit_the_walk_are_refused(self, rewrite, authenticated):
+        answer, (key, response) = self.tampered_query(rewrite, authenticated)
+        assert response.closure.walk(key, response.source) is None
+        assert key in answer.missing and not answer.complete
+        assert answer.verification_failures == 1
+        if authenticated:
+            assert answer.responses_verified == answer.messages // 2 - 1
+
+    def test_an_altered_pointer_input_fails_the_signature_over_rebuilt_keys(self):
+        forged = ("link", ("n1", "forged"))
+
+        def forge(response):
+            closure = response.closure
+            pointer_lists = list(closure.pointers)
+            for index, pointers in enumerate(pointer_lists):
+                for number, pointer in enumerate(pointers):
+                    for position, (input_key, origin) in enumerate(pointer.inputs):
+                        if (origin or response.source) == response.source:
+                            inputs = list(pointer.inputs)
+                            inputs[position] = (forged, origin)
+                            pointers = list(pointers)
+                            pointers[number] = dataclasses.replace(
+                                pointer, inputs=tuple(inputs)
+                            )
+                            pointer_lists[index] = tuple(pointers)
+                            return QueryClosure(closure.flags, tuple(pointer_lists))
+            raise AssertionError("no local pointer input to alter")
+
+        answer, (key, response) = self.tampered_query(forge, authenticated=True)
+        # The records still fit the walk: the signature is what refuses them.
+        entries, _missing = response.closure.walk(key, response.source)
+        assert forged in {entry.key for entry in entries}
+        assert answer.verification_failures == 1
+        assert answer.responses_verified == answer.messages // 2 - 1
+        assert key in answer.missing and not answer.complete

@@ -11,7 +11,8 @@ claim to.
 from __future__ import annotations
 
 import pickle
-from dataclasses import replace
+from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -32,10 +33,15 @@ from repro.net.kernel import SimulationKernel
 from repro.net.message import (
     MESSAGE_HEADER_BYTES,
     QUERY_FLAG_BYTES,
+    RECORD_BASE,
+    RECORD_DERIVED,
+    RECORD_MISSING,
+    QueryClosure,
     QueryClosureEntry,
     QueryRequest,
     QueryResponse,
 )
+from repro.net.query import _local_closure
 from repro.net.stats import NetworkStats
 from repro.net.topology import random_topology
 from repro.net.transport import BinaryCodec
@@ -72,24 +78,47 @@ def key_bytes(key) -> int:
     return len((relation + "(" + ",".join(render(v) for v in values) + ")").encode())
 
 
-def entry_bytes(entry) -> int:
-    total = key_bytes(entry.key) + 1
-    for pointer in entry.pointers:
-        total += len(pointer.rule_label.encode()) + len(pointer.node.encode()) + 8
-        for input_key, origin in pointer.inputs:
-            total += key_bytes(input_key) + 1 + len((origin or "").encode())
+def pointer_bytes(pointer) -> int:
+    total = len(pointer.rule_label.encode()) + len(pointer.node.encode()) + 8
+    for input_key, origin in pointer.inputs:
+        total += key_bytes(input_key) + 1 + len((origin or "").encode())
     return total
 
 
-def entry_for(key) -> QueryClosureEntry:
-    pointer = ProvenancePointer(
+def closure_bytes(closure) -> int:
+    """One flag byte per record and each derived record's pointers: no key."""
+    return len(closure.flags) + sum(
+        pointer_bytes(pointer) for pointers in closure.pointers for pointer in pointers
+    )
+
+
+def pointer_for(key) -> ProvenancePointer:
+    return ProvenancePointer(
         output=key,
         rule_label="r2",
         node="n1",
         inputs=tuple((k, origin) for k, origin in zip(KEYS, ("n2", None) * 4)),
         timestamp=3.5,
     )
-    return QueryClosureEntry(key=key, node="n1", is_base=False, pointers=(pointer,))
+
+
+class OnePointerStore:
+    """A node's store in miniature: *root* derived by one firing over every
+    key of ``KEYS`` (the odd ones held here), ``KEYS[3]`` a base tuple and
+    every other key unknown."""
+
+    def __init__(self, root) -> None:
+        self.root = root
+
+    def is_base(self, key) -> bool:
+        return key != self.root and key == KEYS[3]
+
+    def pointers(self, key):
+        return (pointer_for(key),) if key == self.root else ()
+
+
+def closure_for(key) -> QueryClosure:
+    return _local_closure(OnePointerStore(key), "n1", key)
 
 
 def request_for(key) -> QueryRequest:
@@ -104,9 +133,7 @@ def response_for(key, **fields) -> QueryResponse:
         destination="n0",
         query_id=1,
         request_id=2,
-        key=key,
-        entries=(entry_for(key), QueryClosureEntry(key=KEYS[0], node="n1", is_base=True)),
-        missing=(KEYS[1], KEYS[4]),
+        closure=closure_for(key),
         **fields,
     )
 
@@ -115,16 +142,14 @@ def response_bytes(response) -> int:
     return (
         MESSAGE_HEADER_BYTES
         + QUERY_FLAG_BYTES
-        + key_bytes(response.key)
-        + sum(entry_bytes(entry) for entry in response.entries)
-        + sum(key_bytes(key) for key in response.missing)
+        + closure_bytes(response.closure)
         + response.annotation_bytes
         + len(response.signature or b"")
     )
 
 
 def wire_size(sized) -> int:
-    if isinstance(sized, QueryClosureEntry):
+    if isinstance(sized, QueryClosure):
         return sized.serialized_size()
     return sized.size_bytes()
 
@@ -132,9 +157,9 @@ def wire_size(sized) -> int:
 class TestSizeMemos:
     @pytest.mark.parametrize("key", KEYS)
     def test_sizes_equal_a_from_scratch_rendering(self, key):
-        entry, request, response = entry_for(key), request_for(key), response_for(key)
+        closure, request, response = closure_for(key), request_for(key), response_for(key)
         for _ in range(2):  # the memoised read answers like the first
-            assert entry.serialized_size() == entry_bytes(entry)
+            assert closure.serialized_size() == closure_bytes(closure)
             assert request.size_bytes() == (
                 MESSAGE_HEADER_BYTES + QUERY_FLAG_BYTES + key_bytes(key)
             )
@@ -147,15 +172,25 @@ class TestSizeMemos:
     def test_equal_keys_keep_their_own_sizes(self):
         one, true = KEYS[0], KEYS[1]
         assert one == true and hash(one) == hash(true)
+
+        def naming(key) -> QueryClosure:
+            pointer = ProvenancePointer(
+                output=("r", ("x",)), rule_label="r", node="n1", inputs=((key, "n2"),)
+            )
+            return QueryClosure(bytes([RECORD_DERIVED]), ((pointer,),))
+
         # Interleaved on purpose: a table keyed by FactKey would hand the
         # second object the first one's size.
         sizes = [
-            (request_for(key).size_bytes(), entry_for(key).serialized_size())
+            (request_for(key).size_bytes(), naming(key).serialized_size())
             for key in (one, true, one, true)
         ]
         assert sizes[0] == sizes[2] and sizes[1] == sizes[3]
         assert sizes[1][0] - sizes[0][0] == len("True") - len("1")
         assert sizes[1][1] - sizes[0][1] == len("True") - len("1")
+        # A response ships no key, so the requested key's rendering does
+        # not size it.
+        assert response_for(one).size_bytes() == response_for(true).size_bytes()
 
     def test_replace_resizes_the_signed_response(self):
         plain = response_for(KEYS[4], annotation_bytes=11)
@@ -167,7 +202,9 @@ class TestSizeMemos:
 
     @pytest.mark.parametrize("key", KEYS)
     def test_frontier_lists_remote_inputs_with_their_sizes(self, key):
-        entry = entry_for(key)
+        entries, _missing = closure_for(key).walk(key, "n1")
+        entry = entries[0]
+        assert entry.key is key and entry.node == "n1"
         expected = tuple(
             (k, origin, key_bytes(k))
             for k, origin in entry.pointers[0].inputs
@@ -176,50 +213,145 @@ class TestSizeMemos:
         assert entry.frontier() == ((0, expected),)
         assert entry.frontier() is entry.frontier()
         assert QueryClosureEntry(key=key, node="n1", is_base=True).frontier() == ()
-        # A known key size prices a request and its response exactly as a
-        # rendering would.
+        # A known key size prices a request exactly as a rendering would.
         request = replace(request_for(key), key_bytes=key_bytes(key))
         assert request.size_bytes() == request_for(key).size_bytes()
-        answer = replace(response_for(key), key_bytes=request.payload_bytes())
-        assert answer.size_bytes() == response_bytes(answer)
 
     def test_memos_stay_out_of_equality_repr_and_pickles(self):
-        sized, fresh = entry_for(KEYS[5]), entry_for(KEYS[5])
-        sized.serialized_size()
-        sized.replay()
-        sized.frontier()
-        assert sized == fresh and hash(sized) == hash(fresh)
-        assert repr(sized) == repr(fresh)
-        rendered = key_bytes(KEYS[5])
-        known = replace(request_for(KEYS[5]), key_bytes=rendered)
+        closure, fresh = closure_for(KEYS[5]), closure_for(KEYS[5])
+        closure.serialized_size()
+        (entry, *_), _missing = closure.walk(KEYS[5], "n1")
+        entry.replay()
+        entry.frontier()
+        twin = QueryClosureEntry(entry.key, entry.node, entry.is_base, entry.pointers)
+        assert closure == fresh and hash(closure) == hash(fresh)
+        assert repr(closure) == repr(fresh)
+        assert entry == twin and hash(entry) == hash(twin)
+        assert repr(entry) == repr(twin)
+        known = replace(request_for(KEYS[5]), key_bytes=key_bytes(KEYS[5]))
         assert repr(known) == repr(request_for(KEYS[5]))
-        for message in (sized, known, response_for(KEYS[5], key_bytes=rendered)):
-            size = wire_size(message)
-            state = message.__getstate__()
-            for memo in ("_size_bytes", "_replay", "_frontier", "key_bytes"):
-                assert memo not in state
-            clone = pickle.loads(pickle.dumps(message))
-            assert clone._size_bytes is None
-            assert getattr(clone, "_frontier", None) is None
-            assert getattr(clone, "key_bytes", None) is None
-            assert wire_size(clone) == size
+        response, unsized = response_for(KEYS[5]), response_for(KEYS[5])
+        response.size_bytes()
+        pairs = (
+            (closure, fresh),
+            (entry, twin),
+            (known, request_for(KEYS[5])),
+            (response, unsized),
+        )
+        memos = ("_size_bytes", "_replay", "_frontier", "_walk", "key_bytes")
+        for filled, empty in pairs:
+            # A filled memo leaves the pickle byte for byte unchanged.
+            assert pickle.dumps(filled) == pickle.dumps(empty)
+            clone = pickle.loads(pickle.dumps(filled))
+            assert all(getattr(clone, memo, None) is None for memo in memos)
+            if filled is entry:
+                assert clone == entry
+            else:
+                assert wire_size(clone) == wire_size(filled)
 
     @pytest.mark.parametrize("key", KEYS)
     def test_codec_round_trip_keeps_sizes(self, key):
         codec = BinaryCodec()
-        known = key_bytes(key)
         sent = [
-            replace(request_for(key), key_bytes=known),
-            response_for(key, signature=b"\x01\x02", key_bytes=known),
+            replace(request_for(key), key_bytes=key_bytes(key)),
+            response_for(key, signature=b"\x01\x02"),
         ]
         for message in sent:
             message.size_bytes()  # a filled memo must not leak into the frame
+        sent[1].closure.walk(key, "n1")
         frame = codec.encode_frame([(1.0, message) for message in sent])
         received = [message for _, message in codec.decode_frame(frame)]
         for before, after in zip(sent, received):
-            assert after._size_bytes is None and after.key_bytes is None
+            assert after._size_bytes is None
             assert after.size_bytes() == before.size_bytes()
-        assert received[1].entries == sent[1].entries
+        assert received[0].key_bytes is None
+        assert received[1].closure == sent[1].closure
+        assert received[1].closure._walk is None
+        assert received[1].closure.walk(key, "n1") == sent[1].closure.walk(key, "n1")
+
+
+# -- (a') the record stream -----------------------------------------------------
+
+
+class TestRecordStream:
+    ROOT = ("path", ("n1", "n3", 5.0))
+    LINK = ("link", ("n1", "n2"))
+    REMOTE = ("path", ("n2", "n3"))
+    UNKNOWN = ("cost", ("n1",))
+
+    def closure(self) -> QueryClosure:
+        pointer = ProvenancePointer(
+            output=self.ROOT,
+            rule_label="r2",
+            node="n1",
+            inputs=((self.LINK, None), (self.REMOTE, "n2"), (self.UNKNOWN, "n1")),
+            timestamp=3.5,
+        )
+
+        store = SimpleNamespace(
+            is_base=lambda key: key == self.LINK,
+            pointers=lambda key: (pointer,) if key == self.ROOT else (),
+        )
+        return _local_closure(store, "n1", self.ROOT)
+
+    def test_a_response_ships_one_flag_per_record_and_no_key(self):
+        closure = self.closure()
+        assert list(closure.flags) == [RECORD_DERIVED, RECORD_BASE, RECORD_MISSING]
+        assert [len(pointers) for pointers in closure.pointers] == [1, 0, 0]
+        response = QueryResponse(
+            source="n1", destination="n0", query_id=1, request_id=2,
+            closure=closure, annotation_bytes=11, signature=b"s" * 16,
+        )
+        # header 80 + flags 2 + records (3 flag bytes; pointer "r2" + "n1" +
+        # 8-byte timestamp; inputs "link(n1,n2)" + 1, "path(n2,n3)" + 1 +
+        # "n2", "cost(n1)" + 1 + "n1") + annotation 11 + signature 16.
+        records = 3 + (2 + 2 + 8) + (11 + 1) + (11 + 1 + 2) + (8 + 1 + 2)
+        assert records == 52
+        assert response.size_bytes() == (
+            MESSAGE_HEADER_BYTES + QUERY_FLAG_BYTES + records + 11 + 16
+        ) == 161
+        assert not {"key", "key_bytes", "entries", "missing"} & {
+            f.name for f in fields(QueryResponse)
+        }
+
+    def test_the_querier_rebuilds_every_key_from_the_one_it_asked_for(self):
+        closure = self.closure()
+        entries, missing = closure.walk(self.ROOT, "n1")
+        assert [(e.key, e.node, e.is_base) for e in entries] == [
+            (self.ROOT, "n1", False), (self.LINK, "n1", True),
+        ]
+        assert missing == (self.UNKNOWN,)
+        # Memoised: asked again, the same entries come back.
+        assert closure.walk(self.ROOT, "n1")[0] is entries
+        # Asked from another key, the same records rebuild other keys: only
+        # the pointers and the requested key name them.
+        other = ("path", ("n9", "n3", 5.0))
+        (head, *_), _ = closure.walk(other, "n1")
+        assert head.key == other
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda c: QueryClosure(c.flags[:-1], c.pointers[:-1]),
+            lambda c: QueryClosure(c.flags + bytes([RECORD_BASE]), c.pointers + ((),)),
+            lambda c: QueryClosure(bytes([RECORD_BASE]) + c.flags[1:], c.pointers),
+            lambda c: QueryClosure(c.flags, ((),) + c.pointers[1:]),
+            lambda c: QueryClosure(c.flags[:2] + bytes([7]), c.pointers),
+            lambda c: QueryClosure(c.flags, c.pointers[:-1]),
+        ],
+        ids=[
+            "dropped", "added", "base-with-pointers", "derived-without",
+            "unknown-flag", "flag-without-pointer-slot",
+        ],
+    )
+    def test_records_that_do_not_fit_the_walk_rebuild_nothing(self, tamper):
+        tampered = tamper(self.closure())
+        assert tampered.walk(self.ROOT, "n1") is None
+        response = QueryResponse(
+            source="n1", destination="n0", query_id=1, request_id=2, closure=tampered
+        )
+        with pytest.raises(ValueError):
+            response.signed_payload(self.ROOT)
 
 
 # -- (b) the route table -------------------------------------------------------
@@ -348,7 +480,7 @@ def test_cached_replay_matches_the_oracle_without_aliasing(capacity):
 #: ``NetworkStats.node`` lookups and the event heap's high-water mark while
 #: serving the budget workload below.
 LOOKUPS = 1064
-HEAP_HIGH_WATER = 261
+HEAP_HIGH_WATER = 259
 
 
 def test_serving_pays_one_search_per_pair_and_one_render_per_entry(monkeypatch):
@@ -469,26 +601,35 @@ def test_serving_pays_one_search_per_pair_and_one_render_per_entry(monkeypatch):
     assert graphs == [] and operators == []
 
     # No provenance epoch moved and nothing was evicted, so every merged
-    # entry is a cached one, and each builds its remote frontier once.
+    # entry is rebuilt once from a cached closure (the walk memo), and each
+    # builds its remote frontier once.
+    closures = [
+        closure
+        for cache in network.simulator._query_caches.values()
+        for (closure, _annotation), _epoch, _at in cache._entries.values()
+    ]
     cached_entries = {
         id(entry): entry
-        for cache in network.simulator._query_caches.values()
-        for (entries, _missing, _annotation), _epoch, _at in cache._entries.values()
-        for entry in entries
+        for closure in closures
+        if closure._walk is not None
+        for entry in closure._walk[2]
     }
     assert len(frontier_builds) == len(set(frontier_builds))
     assert set(frontier_builds) == {
         key for key, entry in cached_entries.items() if entry._frontier is not None
     }
 
-    # Renders: each cached entry that ships sizes itself once — its key and
-    # every pointer input (entries only ever expanded at the asker never
-    # ship, hence never render) — and each frontier build renders the remote
-    # inputs it lists.  Requests take their key's size from the frontier
-    # and every response from its request: the 652 messages render nothing.
-    sized = [e for e in cached_entries.values() if e._size_bytes is not None]
-    entry_renders = sum(
-        1 + sum(len(pointer.inputs) for pointer in entry.pointers) for entry in sized
+    # Renders: each cached closure that ships sizes itself once — every
+    # pointer input of its records, and no key (closures only ever walked at
+    # the asker never ship, hence never render) — and each frontier build
+    # renders the remote inputs it lists.  Requests take their key's size
+    # from the frontier: the 652 messages render nothing.
+    closure_renders = sum(
+        len(pointer.inputs)
+        for closure in closures
+        if closure._size_bytes is not None
+        for pointers in closure.pointers
+        for pointer in pointers
     )
     frontier_renders = sum(
         len(remote)
@@ -496,5 +637,5 @@ def test_serving_pays_one_search_per_pair_and_one_render_per_entry(monkeypatch):
         for _index, remote in entry._frontier or ()
     )
     assert result.stats.total("cache_hits") > 0
-    assert (entry_renders, frontier_renders) == (1002, 419)
-    assert len(renders) == entry_renders + frontier_renders == 1421
+    assert (closure_renders, frontier_renders) == (637, 419)
+    assert len(renders) == closure_renders + frontier_renders == 1056

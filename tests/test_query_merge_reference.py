@@ -44,7 +44,7 @@ def record_shipping(simulator) -> list:
                     message.request_id,
                     message.source,
                     message.destination,
-                    message.key,
+                    getattr(message, "key", None),  # a response names no key
                     message.size_bytes(),
                     send_time,
                 )

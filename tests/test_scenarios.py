@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.api.options import NetOptions
 from repro.harness.scenarios import (
     DEFAULT_SCENARIO_TTL,
     SCENARIO_OPTIONS,
@@ -216,6 +217,21 @@ class TestScenarioMachinery:
         report = run_scenario(scenario, simulator)
         heal = report.row("heal")
         assert heal.start_time >= DEFAULT_SCENARIO_TTL
+
+    @pytest.mark.parametrize(
+        "ttl_from",
+        [
+            {"options": SCENARIO_OPTIONS.merged(default_ttl=5.0)},
+            {"options": NetOptions(default_ttl=5.0)},
+            {"default_ttl": 5.0},
+        ],
+        ids=["scenario-options", "own-options", "keyword"],
+    )
+    def test_a_builder_takes_its_ttl_from_the_options(self, ttl_from):
+        scenario, network = link_failure_scenario(node_count=8, seed=0, **ttl_from)
+        engines = network.engines.values()
+        assert {engine.config.default_ttl for engine in engines} == {5.0}
+        assert [phase.gap for phase in scenario.phases] == [0.0, 1.0, 6.0]
 
     def test_render_phase_table_is_aligned(self):
         scenario, simulator = retraction_scenario(node_count=6)

@@ -1022,7 +1022,10 @@ class TestServicePlaneEquivalence:
     shard mode, under open- and closed-loop load.
     """
 
-    def _served(self, backend, shards=2, shard_mode="inline", clients=0, flap=None):
+    def _served(
+        self, backend, shards=2, shard_mode="inline", clients=0, flap=None,
+        condensed=False,
+    ):
         from repro.net.events import LinkDown, LinkUp
         from repro.service import QueryWorkload
 
@@ -1041,7 +1044,8 @@ class TestServicePlaneEquivalence:
             ),
         )
         workload = QueryWorkload(
-            rate=5.0, clients=clients, think_time=0.7, duration=6.0, seed=11
+            rate=5.0, clients=clients, think_time=0.7, duration=6.0, seed=11,
+            condensed=condensed,
         )
         if flap is None:
             return network.serve(workload)
@@ -1073,6 +1077,28 @@ class TestServicePlaneEquivalence:
         assert serial.queries_completed > 0
         assert serial.queries_rejected > 0
         assert serial.stats.total("cache_hits") > 0
+
+    def test_query_bytes_per_node_identical_inline(self):
+        # Responses carry closure records and condensed annotations but no
+        # key; both backends rebuild and bill them alike, node for node.
+        serial = self._served("serial", condensed=True)
+        sharded = self._served("sharded", condensed=True)
+        _assert_equivalent(serial, sharded)
+        for field in ("query_bytes_sent", "query_messages_sent"):
+            per_node = {
+                address: getattr(node, field)
+                for address, node in serial.stats.nodes.items()
+            }
+            assert per_node == {
+                address: getattr(node, field)
+                for address, node in sharded.stats.nodes.items()
+            }
+            assert sum(1 for count in per_node.values() if count) > 1
+        # The condensed answers did ship their annotations.
+        plain = self._served("serial")
+        assert serial.stats.total("query_bytes_sent") > plain.stats.total(
+            "query_bytes_sent"
+        )
 
     @pytest.mark.parametrize("shards", (2, 4))
     def test_closed_loop_counters_identical_inline(self, shards):

@@ -38,11 +38,13 @@ from repro.net.events import (
     SoftStateRefresh,
 )
 from repro.net.message import (
+    RECORD_DERIVED,
+    RECORD_MISSING,
     AntiDelta,
     MessageBatch,
+    QueryClosure,
     QueryRequest,
     QueryResponse,
-    QueryClosureEntry,
 )
 from repro.net.transport import BinaryCodec
 from repro.provenance.log import ProvenancePointer
@@ -117,18 +119,22 @@ def _sample_exports():
         support_code=b"\x00\x00\x01\x02",
     )
     plain = Fact("link", ("n1", "n2"), timestamp=0.5)
-    entry = QueryClosureEntry(
-        key=("bestPath", ("n1", "n3", 2.5)),
-        node="n2",
-        is_base=False,
-        pointers=(
-            ProvenancePointer(
-                output=("bestPath", ("n1", "n3", 2.5)),
-                rule_label="bp2",
-                node="n2",
-                inputs=((("link", ("n1", "n2")), "n1"), (("link", ("n2", "n3")), None)),
-                timestamp=0.75,
+    closure = QueryClosure(
+        bytes([RECORD_DERIVED, RECORD_MISSING]),
+        (
+            (
+                ProvenancePointer(
+                    output=("bestPath", ("n1", "n3", 2.5)),
+                    rule_label="bp2",
+                    node="n2",
+                    inputs=(
+                        (("link", ("n1", "n2")), "n1"),
+                        (("link", ("n2", "n3")), None),
+                    ),
+                    timestamp=0.75,
+                ),
             ),
+            (),
         ),
     )
     return [
@@ -170,9 +176,7 @@ def _sample_exports():
                 destination="n3",
                 query_id=4,
                 request_id=9,
-                key=("link", ("n1", "n2")),
-                entries=(entry,),
-                missing=(("bestPath", ("n9", "n1", 1.0)),),
+                closure=closure,
                 annotation=_condensed(),
                 annotation_bytes=48,
                 signature=b"resp-sig",

@@ -31,9 +31,11 @@ from repro.engine.node_engine import (
 from repro.engine.tuples import Fact
 from repro.net.message import (
     MESSAGE_HEADER_BYTES,
+    RECORD_DERIVED,
+    RECORD_MISSING,
     AntiDelta,
     MessageBatch,
-    QueryClosureEntry,
+    QueryClosure,
     QueryRequest,
     QueryResponse,
 )
@@ -289,18 +291,19 @@ class TestPerTupleFormat:
 
 def _one_of_each_wire_message():
     signed = Fact("path", ("a", "b", 1.0), asserted_by="a", provenance=p_var("l1"))
-    entry = QueryClosureEntry(
-        key=("path", ("a", "b", 1.0)),
-        node="a",
-        is_base=False,
-        pointers=(
-            ProvenancePointer(
-                output=("path", ("a", "b", 1.0)),
-                rule_label="r1",
-                node="a",
-                inputs=((("link", ("a", "b")), "b"),),
-                timestamp=0.5,
+    closure = QueryClosure(
+        bytes([RECORD_DERIVED, RECORD_MISSING]),
+        (
+            (
+                ProvenancePointer(
+                    output=("path", ("a", "b", 1.0)),
+                    rule_label="r1",
+                    node="a",
+                    inputs=((("link", ("a", "b")), "b"),),
+                    timestamp=0.5,
+                ),
             ),
+            (),
         ),
     )
     return (
@@ -319,8 +322,7 @@ def _one_of_each_wire_message():
         ),
         QueryResponse(
             source="b", destination="a", query_id=1, request_id=2,
-            key=("path", ("a", "b", 1.0)), entries=(entry,),
-            missing=(("link", ("b", "c")),), annotation=p_var("l1"),
+            closure=closure, annotation=p_var("l1"),
             annotation_bytes=24, signature=b"\x02" * 32,
         ),
         AntiDelta(

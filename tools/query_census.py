@@ -9,10 +9,14 @@ misses, invalidations), closure entries the querier received and how many it
 merged or skipped as already seen, key renders, graph and graph-node
 constructions, ``QueryTimeout``\\ s scheduled / cancelled / fired,
 ``NetworkStats.node`` lookups, the event heap's high-water mark, the
-cancelled entries its rebuilds dropped and the route costs computed.  Only
-the serve window is counted.  With ``--read`` every query's graph is read as
-it completes, as an API caller would; by default nobody reads them, as in
-the benchmark's service plane.
+cancelled entries its rebuilds dropped and the route costs computed.  The
+query bytes are split by part: message headers (with the query flags),
+request keys, response records, annotations, signatures, and the keys
+shipped in responses — whatever a response's wire size charges beyond its
+records, annotation and signature, which is nothing since a response names
+its request instead of its key.  Only the serve window is counted.  With
+``--read`` every query's graph is read as it completes, as an API caller
+would; by default nobody reads them, as in the benchmark's service plane.
 
     python tools/query_census.py --nodes 30 --seconds 25
 """
@@ -40,6 +44,13 @@ from repro.service import QueryWorkload  # noqa: E402
 #: The printed rows, in order; a row nothing counted prints zero.
 ROWS = (
     "query messages",
+    "query bytes",
+    "query bytes: headers",
+    "query bytes: request keys",
+    "query bytes: response records",
+    "query bytes: annotations",
+    "query bytes: signatures",
+    "query bytes: keys shipped in responses",
     "closure lookups",
     "closure lookups: hits",
     "closure lookups: misses",
@@ -81,6 +92,7 @@ def install(read: bool) -> Census:
     """Wrap the query plane's doors; returns the live :class:`Census`."""
     census = Census()
     closure, merge, finish = QueryEngine._closure, QueryEngine._merge_closure, QueryEngine._finish
+    ship = QueryEngine._ship
     handle_timeout, schedule = QueryEngine.handle_timeout, EventScheduler.schedule
     rebuild, route_cost = EventScheduler._rebuild, SimulationKernel._route_cost
     render, node_lookup = message.key_payload_bytes, NetworkStats.node
@@ -96,6 +108,25 @@ def install(read: bool) -> Census:
         census["closure entries received"] += len(entries)
         census["missing keys received"] += len(missing)
         return merge(self, pending, node, entries, missing, now)
+
+    def counted_ship(self, query_id, sender, wire, send_time):
+        framing = message.MESSAGE_HEADER_BYTES + message.QUERY_FLAG_BYTES
+        size = wire.size_bytes()
+        census["query bytes: headers"] += framing
+        if type(wire) is message.QueryRequest:
+            census["query bytes: request keys"] += size - framing
+        else:
+            parts = {
+                "response records": wire.closure.serialized_size(),
+                "annotations": wire.annotation_bytes,
+                "signatures": wire.signature_bytes(),
+            }
+            for part, count in parts.items():
+                census[f"query bytes: {part}"] += count
+            census["query bytes: keys shipped in responses"] += (
+                size - framing - sum(parts.values())
+            )
+        return ship(self, query_id, sender, wire, send_time)
 
     def counted_finish(self, pending, at_time):
         # Whole entries, and the first piece of a split one, are merges.
@@ -157,6 +188,7 @@ def install(read: bool) -> Census:
 
     QueryEngine._closure, QueryEngine._merge_closure = counted_closure, counted_merge
     QueryEngine._finish, QueryEngine.handle_timeout = counted_finish, counted_handle_timeout
+    QueryEngine._ship = counted_ship
     EventScheduler.schedule, EventScheduler._rebuild = counted_schedule, counted_rebuild
     SimulationKernel._route_cost = counted_route_cost
     message.key_payload_bytes, NetworkStats.node = counted_render, counted_node_lookup
@@ -193,6 +225,9 @@ def print_census(census: Census, result) -> None:
     for name in ("cache_hits", "cache_misses", "cache_invalidations"):
         census[f"closure lookups: {name[6:]}"] = int(summary[name])
     census["query messages"] = int(summary["query_messages"])
+    census["query bytes"] = int(summary["query_bytes"])
+    parts = sum(census[name] for name in ROWS if name.startswith("query bytes: "))
+    assert parts == census["query bytes"], "the byte parts do not add up"
     completed = int(summary["queries_completed"])
     print(f"queries completed {completed} of {result.offered} offered")
     width = max(len(name) for name in ROWS)
