@@ -43,28 +43,49 @@ to expand:
 A response names its request by id and ships only what its querier cannot
 rebuild: the responder's walk over the key's local closure
 (:class:`QueryClosure`), one flag byte per visited key plus each derived
-key's pointers, and no key at all.  The querier knows the key it asked for,
-and every later key is a local input named by an earlier record's
+key's pointer code, and no key at all.  The querier knows the key it asked
+for, and every later key is a local input named by an earlier record's
 pointers, so it rebuilds them all by replaying the walk:
 
-    header + flags + sum over records of (flag + pointers)
+    header + flags + sum over records of (flag + pointer code)
     + annotation + signature
 
-where a pointer is its rule label, firing node, 8-byte timestamp and each
-input's key, a separator byte and the input's origin node.
+A pointer code (:class:`PointerCodebook`) says a record's pointers against
+the record's own key, which the querier holds when it decodes them: first
+the inputs the pointers read, each once — its origin, its relation's index
+in the catalog, then each argument as a support code says it, a position
+for a ``str`` the key carries and a tagged literal otherwise
+(:func:`~repro.provenance.polynomial.write_arguments`) — then per pointer
+its rule label's index in the program's sorted labels, its 8-byte
+timestamp and the places of its inputs.  The firing node does not travel:
+it is the responder.  Best-Path's ``path(n0,n4,[n0|n1|n2|n3|n4],4)``,
+derived at ``n1`` from ``bestPath(n1,n4,[n1|n2|n3|n4],3)`` held there and
+``path_p2_mid_1(n1,n0,1)`` held at ``n0``, codes its pointer in 32 bytes,
+which took 70 as a rendered label, node, timestamp and inputs.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field, fields
-from typing import ClassVar, List, Optional, Set, Tuple
+from typing import ClassVar, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.engine.node_engine import OutgoingFact
 from repro.engine.tuples import Fact, FactKey, render_payload
 from repro.net.address import Address
 from repro.provenance.log import ProvenancePointer
 from repro.provenance.graph import DerivationNode
-from repro.provenance.polynomial import ProvenanceExpression
+from repro.provenance.polynomial import (
+    POSITIONS,
+    TAG_NONE,
+    ProvenanceExpression,
+    flat_values,
+    payload_positions,
+    read_arguments,
+    read_varint,
+    varint,
+    write_arguments,
+)
 
 #: Fixed per-message framing overhead: UDP/IP headers plus P2's verbose tuple
 #: framing (relation name, per-field type tags, location specifier).
@@ -264,16 +285,202 @@ def walk_closure(root: FactKey, node: str, visit) -> bool:
     return True
 
 
+_F64 = struct.Struct("<d")
+
+
+class PointerCodebook:
+    """What a pointer code indexes: the program's rule labels, sorted, and
+    its catalog's relations as sorted ``(name, arity)`` pairs (the order of
+    :attr:`~repro.provenance.polynomial.BaseVariables.relations`).
+
+    Every node runs the same program, so every kernel builds the same
+    codebook and none travels.  A record's pointers code as::
+
+        code    := varint(input count) input* varint(pointer count) pointer*
+        input   := argument(origin) varint(relation index) argument*
+        pointer := varint(label index) f64(timestamp) varint(width) varint(input)*
+
+    with one argument per column of the relation, each said against the
+    flattened values of the record's key (``argument`` is the support
+    code's rule, :func:`~repro.provenance.polynomial.write_arguments`); an
+    origin is ``None`` or a ``str``.  A pointer names its inputs by their
+    place in the record's inputs, so an input several pointers share is
+    coded once: a firing found from each of its inputs' deltas is recorded
+    once per delta (Best-Path's ``p4`` pairs).  The firing node does not
+    travel: the decoder sets it to the responder, and every store records
+    its firings at the node it stores them.
+    """
+
+    __slots__ = ("labels", "relations", "_label_index", "_relation_index")
+
+    def __init__(
+        self, labels: Iterable[str], relations: Iterable[Tuple[str, int]]
+    ) -> None:
+        self.labels: Tuple[str, ...] = tuple(sorted(set(labels)))
+        self.relations: Tuple[Tuple[str, int], ...] = tuple(sorted(relations))
+        self._label_index = {label: i for i, label in enumerate(self.labels)}
+        self._relation_index = {pair: i for i, pair in enumerate(self.relations)}
+
+    @classmethod
+    def of(cls, compiled) -> "PointerCodebook":
+        """The codebook of a :class:`~repro.datalog.planner.CompiledProgram`."""
+        from repro.datalog.catalog import Catalog
+
+        catalog = Catalog.from_program(compiled.program)
+        return cls(
+            (plan.label for plan in compiled.plans),
+            ((name, catalog.schema(name).arity) for name in catalog),
+        )
+
+    def encode(
+        self, key: FactKey, pointers: Sequence[ProvenancePointer]
+    ) -> Optional[bytes]:
+        """The code of *key*'s *pointers*; ``None`` when one has none: a
+        rule label or an input relation the codebook does not name, an
+        origin that is not ``None`` or a ``str``, or an argument
+        :func:`~repro.provenance.polynomial.write_arguments` cannot say."""
+        positions = payload_positions(flat_values(key[1]))
+        labels, relations = self._label_index, self._relation_index
+        inputs = bytearray()
+        #: (relation, id(values), origin) -> place: a firing found from
+        #: each of its inputs' deltas is recorded once per delta, over the
+        #: same stored tuples, so its inputs are coded once.
+        places: Dict[tuple, int] = {}
+        firings = bytearray(varint(len(pointers)))
+        append = firings.append
+        try:
+            for pointer in pointers:
+                label = labels.get(pointer.rule_label)
+                if label is None:
+                    return None
+                width = len(pointer.inputs)
+                # Labels, widths, relations and places below 0x80, as they
+                # nearly all are, are their own one-byte varints.
+                if label < 0x80 and width < 0x80:
+                    append(label)
+                    firings += _F64.pack(pointer.timestamp)
+                    append(width)
+                else:
+                    firings += varint(label)
+                    firings += _F64.pack(pointer.timestamp)
+                    firings += varint(width)
+                for (relation, values), origin in pointer.inputs:
+                    place = places.get((relation, id(values), origin))
+                    if place is None:
+                        index = relations.get((relation, len(values)))
+                        if index is None:
+                            return None
+                        if origin is None:
+                            inputs.append(TAG_NONE)
+                        elif type(origin) is not str:
+                            return None
+                        elif origin in positions:
+                            inputs.append(positions[origin])
+                        elif not write_arguments(inputs, (origin,), positions):
+                            return None
+                        if index < 0x80:
+                            inputs.append(index)
+                        else:
+                            inputs += varint(index)
+                        if not write_arguments(inputs, values, positions):
+                            return None
+                        place = places[relation, id(values), origin] = len(places)
+                    if place < 0x80:
+                        append(place)
+                    else:
+                        firings += varint(place)
+        except (TypeError, struct.error):  # a timestamp or input of no usable shape
+            return None
+        return varint(len(places)) + inputs + firings
+
+    def decode(
+        self, code: bytes, key: FactKey, node: str
+    ) -> Optional[Tuple[ProvenancePointer, ...]]:
+        """The pointers *code* says of *key*, fired at *node*.
+
+        ``None`` when the code does not decode: truncated, followed by
+        trailing bytes, an unknown label, relation, input or argument tag,
+        a position past the key's values or on one that is not a ``str``,
+        an origin that is not ``None`` or a ``str``.
+        """
+        flat = flat_values(key[1])
+        labels, relations = self.labels, self.relations
+        inputs = []
+        pointers = []
+        try:
+            count = code[0]
+            at = 1
+            if count >= 0x80:
+                count, at = read_varint(code, 0)
+            for _ in range(count):
+                origin = code[at]
+                if origin < POSITIONS:
+                    origin = flat[origin]
+                    at += 1
+                elif origin == TAG_NONE:
+                    origin = None
+                    at += 1
+                else:
+                    (origin,), at = read_arguments(code, at, flat, 1)
+                if origin is not None and type(origin) is not str:
+                    return None
+                index = code[at]
+                at += 1
+                if index >= 0x80:
+                    index, at = read_varint(code, at - 1)
+                relation, arity = relations[index]
+                values, at = read_arguments(code, at, flat, arity)
+                inputs.append(((relation, values), origin))
+            count = code[at]
+            at += 1
+            if count >= 0x80:
+                count, at = read_varint(code, at - 1)
+            for _ in range(count):
+                label = code[at]
+                at += 1
+                if label >= 0x80:
+                    label, at = read_varint(code, at - 1)
+                (timestamp,) = _F64.unpack_from(code, at)
+                width = code[at + 8]
+                at += 9
+                if width >= 0x80:
+                    width, at = read_varint(code, at - 1)
+                places = code[at : at + width]
+                if len(places) < width or max(places, default=0) >= 0x80:
+                    # Two-byte places, or a truncated code: one by one.
+                    places = []
+                    for _ in range(width):
+                        place, at = read_varint(code, at)
+                        places.append(place)
+                else:
+                    at += width
+                pointers.append(
+                    ProvenancePointer(
+                        key,
+                        labels[label],
+                        node,
+                        tuple(map(inputs.__getitem__, places)),
+                        timestamp,
+                    )
+                )
+        except (IndexError, ValueError, struct.error, RecursionError):
+            return None
+        if at != len(code):
+            return None
+        return tuple(pointers)
+
+
 @dataclass(frozen=True, slots=True)
 class QueryClosureEntry:
     """One (key, node) expansion the querier merges into its log.
 
     The querier rebuilds it from a :class:`QueryClosure` (or its own store):
     ``is_base`` marks an input leaf, ``pointers`` carries the recorded rule
-    firings (each input paired with the node holding its own provenance).
-    Entries do not travel.  A cached closure rebuilds into the same
-    immutable entries for every response, so remote frontier and replay
-    nodes are built once per entry, not once per response.
+    firings (each input paired with the node holding its own provenance),
+    decoded from the record's code.  Entries do not travel.  A cached
+    closure rebuilds into the same immutable entries for every response,
+    so remote frontier and replay nodes are built once per entry, not once
+    per response.
     """
 
     key: FactKey
@@ -297,21 +504,20 @@ class QueryClosureEntry:
 
     def frontier(self) -> tuple:
         """The pointer inputs held on other nodes, which a querier merging
-        this entry dereferences: ``(pointer index, ((key, origin, key
-        bytes), ...))`` for each pointer that has any, in pointer order."""
+        this entry dereferences, as positions into the entry's own
+        pointers: one flat ``(pointer index, input position, key bytes)``
+        triple per remote input, in pointer and input order.  Small ints
+        only, so the memo holds no key and a request still takes its key's
+        size from it."""
         frontier = self._frontier
         if frontier is None:
             node = self.node
-            frontier = []
+            remote: List[int] = []
             for index, pointer in enumerate(self.pointers):
-                remote = tuple(
-                    (key, origin, key_payload_bytes(key))
-                    for key, origin in pointer.inputs
-                    if origin and origin != node
-                )
-                if remote:
-                    frontier.append((index, remote))
-            frontier = tuple(frontier)
+                for position, (key, origin) in enumerate(pointer.inputs):
+                    if origin and origin != node:
+                        remote += (index, position, key_payload_bytes(key))
+            frontier = tuple(remote)
             object.__setattr__(self, "_frontier", frontier)
         return frontier
 
@@ -322,56 +528,52 @@ class QueryClosure:
 
     One record per key :func:`walk_closure` visited, in preorder: a
     ``RECORD_*`` flag byte in ``flags`` and, at the same position in
-    ``pointers``, the key's pointers when it was derived (``()``
-    otherwise).  No record names its key.  The querier knows the key it
-    asked for, and every later key is a local input of an earlier record's
-    pointers, so :meth:`walk` rebuilds them all.  A node's result cache
-    keeps the closure, and the walk memo on it, for every response it
-    serves.
+    ``codes``, the key's pointers as one :class:`PointerCodebook` code when
+    it was derived (``b""`` otherwise).  No record names its key, and no
+    code names the firing node or spells a ``str`` the record's key
+    carries.  The querier knows the key it asked for, and every later key
+    is a local input of an earlier record's pointers, so :meth:`walk`
+    decodes each record against the key it rebuilt for it.  A responder
+    codes its cached local closure once (:meth:`LocalClosure.coded`) and
+    ships that one object in every response it serves from the cache, so
+    the walk memo on it decodes once too.
     """
 
     flags: bytes = b""
-    pointers: Tuple[Tuple[ProvenancePointer, ...], ...] = ()
+    codes: Tuple[bytes, ...] = ()
     _size_bytes: Optional[int] = _memo_field()
     _walk: Optional[tuple] = _memo_field()
 
     __reduce__ = _reduce_without_memos
 
     def serialized_size(self) -> int:
-        """One flag byte per record, plus each derived record's pointers:
-        rule label, firing node, timestamp and every input with its
-        origin."""
-        total = self._size_bytes
-        if total is None:
-            total = len(self.flags)
-            for pointers in self.pointers:
-                for pointer in pointers:
-                    total += len(pointer.rule_label.encode("utf-8"))
-                    total += len(pointer.node.encode("utf-8"))
-                    total += 8  # timestamp
-                    for input_key, origin in pointer.inputs:
-                        total += key_payload_bytes(input_key) + 1
-                        if origin is not None:
-                            total += len(str(origin).encode("utf-8"))
-            object.__setattr__(self, "_size_bytes", total)
-        return total
+        """One flag byte per record, plus each derived record's code."""
+        size = self._size_bytes
+        if size is None:
+            size = len(self.flags) + sum(map(len, self.codes))
+            object.__setattr__(self, "_size_bytes", size)
+        return size
 
-    def walk(self, root: FactKey, node: str):
+    def walk(self, root: FactKey, node: str, codebook: PointerCodebook):
         """Replay the walk from *root* at *node*: ``(entries, missing)``.
 
-        ``None`` when the records do not fit the walk: too few, too many,
-        an unknown flag, pointers on a base or missing record or none on a
-        derived one.  The answer for the last ``(root, node)`` asked is
-        memoised: a cached closure is asked for the key it was walked from,
-        at the node that walked it.  Equal roots share the memo (the
+        Each derived record's code is decoded against the key the walk
+        rebuilt for it, into the pointers its entry carries.  ``None`` when
+        the records do not fit the walk: too few, too many, an unknown
+        flag, a code on a base or missing record, none on a derived one, or
+        a code that does not decode (:meth:`PointerCodebook.decode`).  The
+        answer for the last ``(root, node)`` asked is memoised: a cached
+        closure is asked for the key it was walked from, at the node that
+        walked it, so it decodes once.  Equal roots share the memo (the
         rebuilt root entry keeps the first root object; no size reads its
         rendering).
         """
         memo = self._walk
         if memo is not None and memo[0] == root and memo[1] == node:
             return None if memo[2] is None else memo[2:]
-        flags, pointer_lists = self.flags, self.pointers
-        records = zip(flags, pointer_lists)
+        flags, codes = self.flags, self.codes
+        records = zip(flags, codes)
+        decode = codebook.decode
         entries: List[QueryClosureEntry] = []
         missing: List[FactKey] = []
 
@@ -379,21 +581,24 @@ class QueryClosure:
             record = next(records, None)
             if record is None:
                 return None
-            flag, pointers = record
-            if flag == RECORD_DERIVED and pointers:
-                entries.append(QueryClosureEntry(key, node, False, pointers))
-            elif pointers:
+            flag, code = record
+            if flag == RECORD_DERIVED and code:
+                pointers = decode(code, key, node)
+                if pointers:
+                    entries.append(QueryClosureEntry(key, node, False, pointers))
+                return pointers or None
+            if code:
                 return None
-            elif flag == RECORD_BASE:
+            if flag == RECORD_BASE:
                 entries.append(QueryClosureEntry(key, node, True))
             elif flag == RECORD_MISSING:
                 missing.append(key)
             else:
                 return None
-            return pointers
+            return ()
 
         fits = (
-            len(flags) == len(pointer_lists)
+            len(flags) == len(codes)
             and walk_closure(root, node, visit)
             and next(records, None) is None
         )
@@ -403,6 +608,52 @@ class QueryClosure:
         memo = (root, node, tuple(entries), tuple(missing))
         object.__setattr__(self, "_walk", memo)
         return memo[2:]
+
+
+@dataclass(frozen=True, slots=True)
+class LocalClosure:
+    """A node's local closure of one key as its own store answered it.
+
+    The walk's records in preorder: a ``RECORD_*`` flag per visited key in
+    ``flags``, the base and derived keys as entries with the store's own
+    pointers in ``entries``, the keys the node cannot vouch for in
+    ``missing``.  It never travels: the node's result cache keeps it, the
+    asker merges its entries in place, and a response ships it coded
+    (:meth:`coded`).
+    """
+
+    flags: bytes
+    entries: Tuple[QueryClosureEntry, ...]
+    missing: Tuple[FactKey, ...]
+    _coded: Optional[QueryClosure] = _memo_field()
+
+    __reduce__ = _reduce_without_memos
+
+    def coded(self, codebook: PointerCodebook) -> QueryClosure:
+        """The closure as it travels: the same records, each derived key's
+        pointers coded against the key (:meth:`PointerCodebook.encode`).
+        A closure holding a pointer no code can say vouches for nothing: it
+        ships as one missing record.  Memoised, so a cached closure codes
+        once, when it first ships."""
+        coded = self._coded
+        if coded is None:
+            entries = iter(self.entries)
+            codes: List[bytes] = []
+            for flag in self.flags:
+                code = b""
+                if flag == RECORD_DERIVED:
+                    entry = next(entries)
+                    code = codebook.encode(entry.key, entry.pointers)
+                    if code is None:
+                        coded = QueryClosure(bytes((RECORD_MISSING,)), (b"",))
+                        break
+                elif flag == RECORD_BASE:
+                    next(entries)
+                codes.append(code)
+            else:
+                coded = QueryClosure(self.flags, tuple(codes))
+            object.__setattr__(self, "_coded", coded)
+        return coded
 
 
 @dataclass(eq=False, slots=True)
@@ -541,39 +792,29 @@ class QueryResponse:
         """Canonical bytes the responding principal signs (authenticated mode).
 
         *key* is the requested key: the responder's, and at the querier the
-        one it asked for.  The payload binds the answer's full substance as
-        the walk from *key* rebuilds it — every key, every pointer's rule
-        label, firing node, timestamp and origin-annotated inputs, the
-        missing list, the shipped annotation and both endpoints — so a relay
+        one it asked for.  The payload binds both endpoints, the ids, *key*,
+        the records as they travel (flags and each code, length-prefixed)
+        and the shipped annotation.  The key and the records fix everything
+        the querier's walk rebuilds — every key, every pointer's rule label,
+        timestamp and origin-annotated inputs, the missing keys — so a relay
         cannot rewrite who derived what from whom without breaking the
-        signature.  Raises :class:`ValueError` when the records do not fit
-        the walk (a querier refuses such a response before verifying it).
+        signature.
         """
-        rebuilt = self.closure.walk(key, self.source)
-        if rebuilt is None:
-            raise ValueError("the closure records do not fit the walk")
-        entries, missing = rebuilt
-
-        def render_pointer(pointer) -> str:
-            inputs = ",".join(
-                f"{k[0]}{k[1]}@{origin or ''}" for k, origin in pointer.inputs
-            )
-            return (
-                f"{pointer.rule_label}@{pointer.node}@{pointer.timestamp!r}"
-                f"({inputs})"
-            )
-
-        rendered = ";".join(
-            f"{e.key[0]}{e.key[1]}|{int(e.is_base)}|"
-            + "+".join(render_pointer(p) for p in e.pointers)
-            for e in entries
-        )
-        missing_keys = ";".join(f"{k[0]}{k[1]}" for k in missing)
+        closure = self.closure
+        records = bytearray(len(closure.flags).to_bytes(4, "little"))
+        records += closure.flags
+        for code in closure.codes:
+            records += len(code).to_bytes(4, "little")
+            records += code
         annotation = "" if self.annotation is None else str(self.annotation)
-        return (
-            f"{self.source}|{self.destination}|{self.query_id}|{self.request_id}|"
-            f"{key[0]}{key[1]}|{rendered}|{missing_keys}|{annotation}"
-        ).encode("utf-8")
+        return b"|".join(
+            (
+                f"{self.source}|{self.destination}|{self.query_id}|"
+                f"{self.request_id}|{key[0]}{key[1]}".encode("utf-8"),
+                bytes(records),
+                annotation.encode("utf-8"),
+            )
+        )
 
     def __str__(self) -> str:
         return (

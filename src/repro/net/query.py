@@ -19,10 +19,13 @@ dereference.  The responding node returns the *local closure* of the
 requested key — every expansion reachable without leaving the node — and the
 querier keeps dereferencing the remote pointer inputs those entries name.
 A response names its request, not its key, and its closure travels as the
-responder's walk with no key in it: the querier takes the requested key
-from its own books and rebuilds every other key by replaying the walk
+responder's walk with no key in it, each derived record's pointers coded
+against the record's key: the querier takes the requested key from its
+own books, rebuilds every other key by replaying the walk and decodes each
+record against the key it rebuilt for it
 (:meth:`~repro.net.message.QueryClosure.walk`).  Records that do not fit
-the walk are refused like an answer whose signature fails.
+the walk, or whose code does not decode, are refused like an answer whose
+signature fails.
 On a static topology the reconstructed derivation graph is structurally
 identical to the oracle's (asserted in tests via
 :meth:`~repro.provenance.graph.DerivationGraph.same_structure`).
@@ -47,7 +50,9 @@ no memo travels in pickles, the coordination frames included):
 cache               lives on                    invalidated by
 ==================  ==========================  ================================
 size memo           request, response, closure  never: the owner is immutable
+coded closure       each ``LocalClosure``       never: the owner is immutable
 rebuild memo        each ``QueryClosure``       a walk from another root or node
+pointer decode      each ``QueryClosure``       with the rebuild memo (its part)
 remote frontier     each closure entry          never: the owner is immutable
 replay memo         each closure entry          never; filled on graph read
 route table         each ``SimulationKernel``   LinkDown/Up, NodeCrash/Recover
@@ -57,15 +62,23 @@ closure memo        per-node ``ClosureCache``   the node's ``provenance_epoch``
 expiry watermark    each ``Table``              soft store / refresh / any scan
 ==================  ==========================  ================================
 
-The rebuild memo holds the entries and missing keys the last walk rebuilt,
-with its root and node; a cached closure is only ever walked from the key
-it was recorded for, at the node that recorded it, so the querier rebuilds
-each cached closure once and its entries keep their frontier and replay
-memos across responses.  The route-cost memo holds each pair's first link
-and summed latency beside its route; the root-draw memo holds a ``(node,
-relation)``'s rows sorted for a service arrival's draw, reused while the
-node's rows compare equal to the ones it sorted (a refreshed row compares
-equal and keeps its place).
+A node's result cache keeps each :class:`LocalClosure` it walked: the asker
+merges its entries in place, and the first response served from it codes
+it (the coded-closure memo), so every later response ships that same
+:class:`~repro.net.message.QueryClosure`.  The rebuild memo on it holds the
+entries and missing keys the querier's last walk rebuilt, with its root
+and node; a shipped closure is only ever walked from the key it was
+recorded for, at the node that recorded it, so the querier rebuilds each
+cached closure once and its entries keep their frontier and replay memos
+across responses.  The pointers those entries carry are the records' codes
+decoded during that walk, so a cached closure decodes once too; a
+closure's size is its flag and code bytes, no rendering.  The remote
+frontier holds positions into its entry's own pointers and the remote
+inputs' rendered sizes, never a key.  The route-cost memo
+holds each pair's first link and summed latency beside its route; the
+root-draw memo holds a ``(node, relation)``'s rows sorted for a service
+arrival's draw, reused while the node's rows compare equal to the ones it
+sorted (a refreshed row compares equal and keeps its place).
 
 The querier resolves its node's statistics record once, at issue
 (:attr:`PendingQuery.stats`); a responder's record comes with the request's
@@ -86,7 +99,8 @@ from repro.net.message import (
     RECORD_BASE,
     RECORD_DERIVED,
     RECORD_MISSING,
-    QueryClosure,
+    LocalClosure,
+    PointerCodebook,
     QueryClosureEntry,
     QueryRequest,
     QueryResponse,
@@ -301,32 +315,37 @@ class PendingQuery:
         )
 
 
-def _local_closure(store, node: Address, root: FactKey) -> QueryClosure:
+def _local_closure(store, node: Address, root: FactKey) -> LocalClosure:
     """Expand *root* at *node* as far as *store*'s local pointers reach.
 
     *store* is the node's live log or its offline archive: anything that
     answers ``is_base(key)`` and ``pointers(key)``.  The walk mirrors the
     oracle's visit order (preorder, derivation recorded before its inputs
-    are expanded), so the querier replays the records into a structurally
-    identical graph.  A key this node cannot vouch for is recorded as
-    missing; pointer inputs held on *other* nodes stay inside the records
-    for the querier to dereference.
+    are expanded), so the querier replays a response's records into a
+    structurally identical graph.  A key this node cannot vouch for is
+    recorded as missing; pointer inputs held on *other* nodes stay inside
+    the pointers for the querier to dereference.
     """
     flags = bytearray()
-    pointer_lists: List[tuple] = []
+    entries: List[QueryClosureEntry] = []
+    missing: List[FactKey] = []
 
     def visit(key: FactKey):
         if store.is_base(key):
             flags.append(RECORD_BASE)
-            pointers = ()
+            entries.append(QueryClosureEntry(key, node, True))
+            return ()
+        pointers = store.pointers(key)
+        if pointers:
+            flags.append(RECORD_DERIVED)
+            entries.append(QueryClosureEntry(key, node, False, pointers))
         else:
-            pointers = store.pointers(key)
-            flags.append(RECORD_DERIVED if pointers else RECORD_MISSING)
-        pointer_lists.append(pointers)
+            flags.append(RECORD_MISSING)
+            missing.append(key)
         return pointers
 
     walk_closure(root, node, visit)
-    return QueryClosure(bytes(flags), tuple(pointer_lists))
+    return LocalClosure(bytes(flags), tuple(entries), tuple(missing))
 
 
 class QueryEngine:
@@ -337,6 +356,9 @@ class QueryEngine:
         self._queries: Dict[int, PendingQuery] = {}
         self._next_query_id = 0
         self._next_request_id = 0
+        #: What this kernel's closures code their pointers against; every
+        #: kernel of a run builds the same one from the same program.
+        self.codebook = PointerCodebook.of(simulator.compiled)
         #: Sharded backend hook: resolve a pending query living on another
         #: kernel, addressed by the asking node (a response's destination)
         #: and the query id that kernel assigned.  The responder's kernel
@@ -435,7 +457,7 @@ class QueryEngine:
     ) -> None:
         """Answer *request* at its destination, whose record is *responder*."""
         simulator = self.simulator
-        closure, annotation, lookups = self._closure(
+        local, annotation, lookups = self._closure(
             simulator.engines[request.destination],
             responder,
             request.key,
@@ -451,7 +473,7 @@ class QueryEngine:
             destination=request.source,
             query_id=request.query_id,
             request_id=request.request_id,
-            closure=closure,
+            closure=local.coded(self.codebook),
             annotation=annotation,
             annotation_bytes=annotation_bytes,
         )
@@ -486,10 +508,11 @@ class QueryEngine:
 
         The response names its request; the requested key comes from the
         querier's own books, and every other key from replaying the walk
-        over the response's records.  Records that do not fit the walk, or
-        an authenticated answer whose signature does not verify over the
-        rebuilt keys, are refused: the key stays unresolved rather than
-        poisoning the graph.
+        over the response's records, each record's code decoded against
+        the key rebuilt for it.  Records that do not fit the walk, a code
+        that does not decode, or an authenticated answer whose signature
+        does not verify over the records, are refused: the key stays
+        unresolved rather than poisoning the graph.
         """
         simulator = self.simulator
         pending = self._queries.get(response.query_id)
@@ -502,7 +525,7 @@ class QueryEngine:
         # The answer is here: its timeout must neither fire nor burn an
         # event-budget slot.
         simulator.scheduler.cancel(timeout)
-        rebuilt = response.closure.walk(key, response.source)
+        rebuilt = response.closure.walk(key, response.source, self.codebook)
         verification_cost = 0.0
         if pending.query.authenticated:
             verification_cost = simulator.options.cost_model.seconds_per_verification
@@ -544,7 +567,7 @@ class QueryEngine:
         """Resolve *key* at the querying node itself: CPU, but no messages."""
         simulator = self.simulator
         at_node = pending.query.at
-        closure, _annotation, lookups = self._closure(
+        local, _annotation, lookups = self._closure(
             simulator.engines[at_node],
             pending.stats,
             key,
@@ -556,8 +579,7 @@ class QueryEngine:
         now = self._charge(pending.stats, now, cpu)
         if at_node not in pending.nodes_visited:
             pending.nodes_visited.append(at_node)
-        entries, missing = closure.walk(key, at_node)
-        self._merge_closure(pending, at_node, entries, missing, now)
+        self._merge_closure(pending, at_node, local.entries, local.missing, now)
 
     def _merge_closure(
         self,
@@ -589,11 +611,18 @@ class QueryEngine:
                 continue
             piece = len(merged) - 1  # the log item holding the entry's tail
             start = 0
-            last = len(entry.pointers) - 1
-            for index, remote in frontier:
-                for input_key, origin, key_bytes in remote:
-                    self._dereference(pending, input_key, origin, now, key_bytes)
-                if len(merged) - 1 != piece and index != last:
+            pointers = entry.pointers
+            last = len(pointers) - 1
+            end = len(frontier)
+            for at in range(0, end, 3):
+                index = frontier[at]
+                input_key, origin = pointers[index].inputs[frontier[at + 1]]
+                self._dereference(pending, input_key, origin, now, frontier[at + 2])
+                if (
+                    len(merged) - 1 != piece
+                    and index != last
+                    and (at + 3 == end or frontier[at + 3] != index)
+                ):  # the pointer's last remote input expanded something
                     merged[piece] = (entry, start, index + 1)
                     start = index + 1
                     piece = len(merged)
@@ -683,7 +712,8 @@ class QueryEngine:
         """Resolve the local closure of *key* at the node *stats* records,
         through the node's result cache when the service plane armed one.
 
-        Returns ``(closure, annotation, lookups)`` where *lookups* is the
+        Returns ``(local, annotation, lookups)`` where *local* is the
+        :class:`LocalClosure` and *lookups* is the
         store-lookup count to bill CPU for: the full walk (one lookup per
         record) on a miss, a single memo probe on a hit — caching measurably
         cheapens the query path.  The memo key is ``(key, mode,
@@ -701,21 +731,21 @@ class QueryEngine:
             if invalidated:
                 stats.cache_invalidations += 1
             if hit is not None:
-                (closure, annotation), age = hit
+                (local, annotation), age = hit
                 stats.cache_hits += 1
                 bucket = latency_bucket(age)
                 stats.cache_staleness_buckets[bucket] = (
                     stats.cache_staleness_buckets.get(bucket, 0) + 1
                 )
-                return closure, annotation, 1
-        closure = _local_closure(self._store(engine, mode), node, key)
+                return local, annotation, 1
+        local = _local_closure(self._store(engine, mode), node, key)
         annotation = self._annotation_for(engine, key, mode) if condensed else None
         if cache is not None:
             stats.cache_misses += 1
             stats.cache_invalidations += cache.store(
-                cache_key, (closure, annotation), epoch, now
+                cache_key, (local, annotation), epoch, now
             )
-        return closure, annotation, len(closure.flags)
+        return local, annotation, len(local.flags)
 
     @staticmethod
     def _store(engine, mode: str):

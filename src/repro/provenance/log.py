@@ -32,7 +32,7 @@ from repro.provenance.graph import DerivationGraph, DerivationNode, OperatorNode
 from repro.provenance.polynomial import ProvenanceExpression, join_all, p_var
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProvenancePointer:
     """One recorded rule firing: output derived from inputs located elsewhere.
 

@@ -323,8 +323,15 @@ def flat_values(values: Iterable[object], flat: Optional[list] = None) -> list:
     if flat is None:
         flat = []
     for value in values:
-        if type(value) is not str and isinstance(value, (tuple, list)):
-            flat_values(value, flat)
+        if type(value) is str:
+            flat.append(value)
+        elif isinstance(value, (tuple, list)):
+            try:
+                "".join(value)  # a path: every element a str, opened at once
+            except TypeError:
+                flat_values(value, flat)
+            else:
+                flat += value
         else:
             flat.append(value)
     return flat
@@ -399,19 +406,33 @@ def from_position_mask(bits: int, flat: list) -> Optional[ProvenanceExpression]:
 #   code     := varint(monomial count) monomial*
 #   monomial := varint(width) variable*            width: its variables
 #   variable := u8(relation index) argument*       one per column of the relation
+#
+# An *argument* is one value said against the payload's flattened values; the
+# query plane codes a traceback response's pointer inputs the same way
+# against the record's key (:class:`repro.net.message.PointerCodebook`):
+#
 #   argument := u8(p), p < 0x7C                    the str at flattened position p
-#             | 0x7C zigzag-varint                 an int
+#             | 0x7C zigzag-varint                 an int, -2**63 <= x < 2**63
 #             | 0x7D zigzag-varint                 an integral float, |x| < 2**53
 #             | 0x7E f64, little-endian            any other float (and -0.0)
 #             | 0x7F varint(n) utf8[n]             a str literal
+#             | 0x80 varint(n) argument{n}         a tuple of n values
+#             | 0x81 | 0x82 | 0x83                 False, True, None
+#             | 0x84 varint(n) u8[n]               any other int, two's
+#                                                  complement, little-endian
 #
 # A varint is little-endian base 128, at most ten bytes and below 2**64.  A
-# support no code can say — a coefficient or exponent other than 1, a
-# variable whose base tuple holds another type or a ``str`` with no UTF-8
-# form, an unknown relation or a wrong arity — travels as its rendering.
+# support variable's arguments take the first five forms only.  A support
+# no code can say — a coefficient or exponent other than 1, a variable whose
+# base tuple holds another type, an int past 64 bits or a ``str`` with no
+# UTF-8 form, an unknown relation or a wrong arity — travels as its
+# rendering.
 
-_POSITIONS = 0x7C
+#: An argument byte below this is a position; the tags follow.
+POSITIONS = 0x7C
 _INT, _INTEGRAL, _FLOAT, _STR = 0x7C, 0x7D, 0x7E, 0x7F
+_TUPLE, _FALSE, _TRUE, TAG_NONE, _BIG = 0x80, 0x81, 0x82, 0x83, 0x84
+_SINGLETONS = {_FALSE: False, _TRUE: True, TAG_NONE: None}
 _F64 = struct.Struct("<d")
 #: Integral floats below this magnitude are exact as integers.
 _EXACT = float(1 << 53)
@@ -501,18 +522,12 @@ class BaseVariables:
                     except UnicodeEncodeError:  # a lone surrogate
                         break
                     parts.append(value)
-                elif type(value) is int:
-                    if not -(1 << 63) <= value < 1 << 63:
-                        break
-                    parts.append(bytes((_INT,)) + _varint(_zigzag(value)))
-                elif (
-                    value.is_integer()
-                    and -_EXACT < value < _EXACT
-                    and (value or copysign(1.0, value) > 0)
-                ):
-                    parts.append(bytes((_INTEGRAL,)) + _varint(_zigzag(int(value))))
+                elif type(value) is int and not -(1 << 63) <= value < 1 << 63:
+                    break
                 else:
-                    parts.append(bytes((_FLOAT,)) + _F64.pack(value))
+                    literal = bytearray()
+                    write_arguments(literal, (value,), {})
+                    parts.append(bytes(literal))
             else:
                 template = tuple(parts)
         self.keys[name] = template
@@ -533,11 +548,8 @@ class BaseVariables:
         self.fresh.clear()
 
 
-def _zigzag(value: int) -> int:
-    return value << 1 if value >= 0 else (-value << 1) - 1
-
-
-def _varint(value: int) -> bytes:
+def varint(value: int) -> bytes:
+    """The varint of *value*, ``0 <= value < 2**64``."""
     out = bytearray()
     while value >= 0x80:
         out.append(value & 0x7F | 0x80)
@@ -546,7 +558,7 @@ def _varint(value: int) -> bytes:
     return bytes(out)
 
 
-def _read_varint(code: bytes, at: int) -> Tuple[int, int]:
+def read_varint(code: bytes, at: int) -> Tuple[int, int]:
     """``(value, next offset)`` of the varint at *at*; ``ValueError`` when it
     runs past ten bytes or 2**64."""
     value = shift = 0
@@ -561,6 +573,156 @@ def _read_varint(code: bytes, at: int) -> Tuple[int, int]:
     raise ValueError("over-long varint")
 
 
+def payload_positions(flat: Sequence[object]) -> Dict[str, int]:
+    """Each ``str`` of *flat* at its first position below 0x7C: where
+    :func:`write_arguments` finds an argument the payload carries."""
+    positions: Dict[str, int] = {}
+    for position, value in enumerate(flat[:POSITIONS]):
+        if type(value) is str:
+            positions.setdefault(value, position)
+    return positions
+
+
+def write_arguments(
+    code: bytearray, values: Iterable[object], positions: Mapping[str, int]
+) -> bool:
+    """Append each of *values* to *code* as an argument said beside a
+    payload whose ``str`` values sit at *positions*
+    (:func:`payload_positions`).
+
+    A ``str`` the payload carries travels as its position, every other
+    value as a tagged literal (the ``argument`` rule above).  ``False``,
+    with *code* partly written, when a value has no code: a ``str`` with no
+    UTF-8 form, or a value whose exact type no tag names (a subclass
+    included).
+    """
+    for value in values:
+        kind = type(value)
+        if kind is str:
+            position = positions.get(value)
+            if position is not None:
+                code.append(position)
+                continue
+            try:
+                text = value.encode("utf-8")
+            except UnicodeEncodeError:  # a lone surrogate
+                return False
+            code.append(_STR)
+            code += varint(len(text))
+            code += text
+        elif kind is float:
+            if (
+                value.is_integer()
+                and -_EXACT < value < _EXACT
+                and (value or copysign(1.0, value) > 0)
+            ):
+                number = int(value)
+                zigzag = number << 1 if number >= 0 else (-number << 1) - 1
+                code.append(_INTEGRAL)
+                if zigzag < 0x80:
+                    code.append(zigzag)
+                else:
+                    code += varint(zigzag)
+            else:
+                code.append(_FLOAT)
+                code += _F64.pack(value)
+        elif kind is tuple:
+            code.append(_TUPLE)
+            if len(value) < 0x80:
+                code.append(len(value))
+            else:
+                code += varint(len(value))
+            if not write_arguments(code, value, positions):
+                return False
+        elif kind is int:
+            if -(1 << 63) <= value < 1 << 63:
+                code.append(_INT)
+                code += varint(value << 1 if value >= 0 else (-value << 1) - 1)
+            else:
+                data = value.to_bytes(value.bit_length() // 8 + 1, "little", signed=True)
+                code.append(_BIG)
+                code += varint(len(data))
+                code += data
+        elif value is None:
+            code.append(TAG_NONE)
+        elif value is True:
+            code.append(_TRUE)
+        elif value is False:
+            code.append(_FALSE)
+        else:
+            return False
+    return True
+
+
+def read_arguments(
+    code: bytes, at: int, flat: Sequence[object], count: int
+) -> Tuple[tuple, int]:
+    """``(values, next offset)`` of the *count* arguments at *at* beside a
+    payload that flattens to *flat*.
+
+    Raises :class:`IndexError`, :class:`ValueError` or
+    :class:`struct.error` when an argument is malformed: truncated, a
+    position past *flat* or on a value that is not a ``str``, an unknown
+    tag, an over-long varint.  A decoded NaN is always :data:`_NAN`.
+    """
+    values = []
+    append = values.append
+    for _ in range(count):
+        tag = code[at]
+        at += 1
+        if tag < POSITIONS:
+            value = flat[tag]
+            if type(value) is not str:
+                raise ValueError("a position on a value that is not a str")
+        elif tag == _INTEGRAL or tag == _INT:
+            zigzag = code[at]
+            at += 1
+            if zigzag >= 0x80:
+                zigzag, at = read_varint(code, at - 1)
+            value = -(zigzag >> 1) - 1 if zigzag & 1 else zigzag >> 1
+            if tag == _INTEGRAL:
+                value = float(value)
+        elif tag == _TUPLE:
+            size = code[at]
+            at += 1
+            if size >= 0x80:
+                size, at = read_varint(code, at - 1)
+            places = code[at : at + size]
+            if len(places) < size:
+                raise ValueError("more tuple elements than bytes left")
+            if size and max(places) < POSITIONS:
+                # A path: every element a str at a position, read at once.
+                value = tuple(map(flat.__getitem__, places))
+                for element in value:
+                    if type(element) is not str:
+                        raise ValueError("a position on a value that is not a str")
+                at += size
+            else:
+                value, at = read_arguments(code, at, flat, size)
+        elif tag == _STR or tag == _BIG:
+            size, at = read_varint(code, at)
+            end = at + size
+            if end > len(code):
+                raise ValueError("a literal past the end of the code")
+            data = code[at:end]
+            at = end
+            if tag == _STR:
+                value = data.decode("utf-8")
+            else:
+                value = int.from_bytes(data, "little", signed=True)
+        elif tag == _FLOAT:
+            (value,) = _F64.unpack_from(code, at)
+            at += 8
+            if value != value:
+                value = _NAN
+        elif tag in _SINGLETONS:
+            value = _SINGLETONS[tag]
+        else:
+            raise ValueError(f"unknown argument tag {tag:#x}")
+        append(value)
+    return tuple(values), at
+
+
 def support_code(
     support: ProvenanceExpression, flat: list, table: BaseVariables
 ) -> Optional[bytes]:
@@ -573,7 +735,7 @@ def support_code(
     keys = table.keys
     monomials = support.monomials
     count = len(monomials)
-    code = bytearray((count,)) if count < 0x80 else bytearray(_varint(count))
+    code = bytearray((count,)) if count < 0x80 else bytearray(varint(count))
     for monomial, coefficient in monomials:
         if coefficient != 1:
             return None
@@ -581,7 +743,7 @@ def support_code(
         if width < 0x80:
             code.append(width)
         else:
-            code += _varint(width)
+            code += varint(width)
         for name, exponent in monomial:
             template = keys.get(name)
             if template is None or exponent != 1:
@@ -595,13 +757,13 @@ def support_code(
                     while type(flat[position]) is not str:
                         position = flat.index(part, position + 1)
                 except ValueError:
-                    position = _POSITIONS
-                if position < _POSITIONS:
+                    position = POSITIONS
+                if position < POSITIONS:
                     code.append(position)
                 else:
                     text = part.encode("utf-8")
                     code.append(_STR)
-                    code += _varint(len(text))
+                    code += varint(len(text))
                     code += text
     return bytes(code)
 
@@ -623,58 +785,30 @@ def from_support_code(
     try:
         # The count through the general reader, once; every later varint
         # takes its one-byte form inline.
-        count, at = _read_varint(code, 0)
+        count, at = read_varint(code, 0)
         for _ in range(count):
             width = code[at]
             at += 1
             if width >= 0x80:
-                width, at = _read_varint(code, at - 1)
+                width, at = read_varint(code, at - 1)
             variables = []
             for _ in range(width):
                 relation, arity = relations[code[at]]
                 at += 1
-                parts = [relation]
+                values, at = read_arguments(code, at, flat, arity)
                 floats = 0
-                for position in range(arity):
-                    tag = code[at]
-                    at += 1
-                    if tag < _POSITIONS:
-                        value = flat[tag]
-                        if type(value) is not str:
-                            return None
-                    elif tag == _INTEGRAL or tag == _INT:
-                        zigzag = code[at]
-                        at += 1
-                        if zigzag >= 0x80:
-                            zigzag, at = _read_varint(code, at - 1)
-                        value = -(zigzag >> 1) - 1 if zigzag & 1 else zigzag >> 1
-                        if tag == _INTEGRAL:
-                            value = float(value)
-                            floats |= 1 << 2 * position
-                    elif tag == _STR:
-                        size = code[at]
-                        at += 1
-                        if size >= 0x80:
-                            size, at = _read_varint(code, at - 1)
-                        end = at + size
-                        if end > len(code):
-                            return None
-                        value = code[at:end].decode("utf-8")
-                        at = end
-                    elif tag == _FLOAT:
-                        (value,) = _F64.unpack_from(code, at)
-                        at += 8
-                        if value != value:
-                            value = _NAN
+                for position, value in enumerate(values):
+                    kind = type(value)
+                    if kind is float:
                         floats |= (1 if value or copysign(1.0, value) > 0 else 3) << 2 * position
-                    else:
+                    elif kind is not str and (
+                        kind is not int or not -(1 << 63) <= value < 1 << 63
+                    ):
                         return None
-                    parts.append(value)
-                parts.append(floats)
-                exact = tuple(parts)
+                exact = (relation, *values, floats)
                 name = names.get(exact)
                 if name is None:
-                    name = render_base_variable(relation, exact[1:-1])
+                    name = render_base_variable(relation, values)
                     fresh[name] = exact
                 variables.append(name)
             if width > 1:
@@ -682,7 +816,7 @@ def from_support_code(
                 if len(set(variables)) != width:
                     return None
             monomials.append((tuple([(name, 1) for name in variables]), 1))
-    except (IndexError, ValueError, struct.error):
+    except (IndexError, ValueError, struct.error, RecursionError):
         return None
     if at != len(code):
         return None

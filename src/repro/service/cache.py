@@ -5,9 +5,13 @@ store to the *local closure* of the requested key
 (:func:`repro.net.query._local_closure`).  Under service load the same
 roots are asked again and again — the closure is the natural memo unit,
 keyed by ``(root key, query mode, condensed)``.  The memoized value is the
-closure as it travels (a :class:`~repro.net.message.QueryClosure`, the
-walk's keyless records) with its condensed annotation, so every response
-served from it shares one encoded stream, its size and its rebuild memo.
+closure as the node's store answered it (a
+:class:`~repro.net.query.LocalClosure`: the walk's entries with the store's
+own pointers) with its condensed annotation.  The asker merges those
+entries in place; the first response served from it codes it once
+(:meth:`~repro.net.query.LocalClosure.coded`, the keyless records with each
+derived record's pointer code), so every later response shares that
+encoded closure, and the querier's decode memo on it.
 
 Correctness is non-negotiable: a cache-served traceback must be
 structurally identical to what a cold walk at the same simulated instant

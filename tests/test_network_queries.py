@@ -33,6 +33,7 @@ from repro.net.query import ProvenanceQuery
 from repro.net.topology import line_topology, random_topology
 from repro.provenance.distributed import traceback
 from repro.provenance.log import DerivationLog
+from repro.provenance.polynomial import flat_values
 
 
 def build_network(topology=None, provenance="condensed", **overrides):
@@ -189,8 +190,12 @@ class TestStaticQueries:
         target = longest_best_path(network, "n0")
         online = network.query(target, at="n0")
         offline = network.query(target, at="n0", mode="offline")
-        assert offline.complete
+        assert offline.complete and offline.remote_lookups > 0
         assert offline.graph.same_structure(online.graph)
+        # The archives' pointers travel coded as the live log's do: what the
+        # querier decodes still replays the zero-cost oracle's graph.
+        oracle = network.legacy_traceback(target, at="n0")
+        assert offline.graph.same_structure(oracle.graph)
 
 
 class TestValidation:
@@ -508,32 +513,42 @@ class TestQueryWireFormat:
     def test_signed_payload_binds_the_answer_substance(self):
         """Rewriting a pointer's inputs or the annotation must change the
         signed payload — otherwise a relay could shift blame undetected."""
-        from repro.net.message import RECORD_DERIVED, QueryClosure
+        from types import SimpleNamespace
+
+        from repro.net.message import PointerCodebook
+        from repro.net.query import _local_closure
         from repro.provenance.log import ProvenancePointer
+
+        key = ("r", ("x",))
+        book = PointerCodebook(("r1",), (("r", 1), ("link", 2)))
 
         def response(origin, annotation=None):
             pointer = ProvenancePointer(
-                output=("r", ("x",)),
+                output=key,
                 rule_label="r1",
                 node="b",
                 inputs = ((("link", ("b", "c")), origin),),
+            )
+            store = SimpleNamespace(
+                is_base=lambda k: False,
+                pointers=lambda k: (pointer,) if k == key else (),
             )
             return QueryResponse(
                 source="b",
                 destination="a",
                 query_id=1,
                 request_id=1,
-                closure=QueryClosure(bytes([RECORD_DERIVED]), ((pointer,),)),
+                closure=_local_closure(store, "b", key).coded(book),
                 annotation=annotation,
             )
 
-        key = ("r", ("x",))
         honest = response(origin="c")
         blame_shifted = response(origin="d")
         assert honest.signed_payload(key) != blame_shifted.signed_payload(key)
         annotated = response(origin="c", annotation="<c*d>")
         assert honest.signed_payload(key) != annotated.signed_payload(key)
-        # The keys the walk rebuilds are signed too.
+        # The requested key is signed too: the codes read their positions
+        # from it.
         assert honest.signed_payload(key) != honest.signed_payload(("r", ("y",)))
 
     def test_tampered_authenticated_response_is_discarded(self):
@@ -567,17 +582,25 @@ class TestQueryWireFormat:
 
 
 def _flag_base(response):
-    """The response's first record, derived, flagged base with its pointers."""
+    """The response's first record, derived, flagged base with its code."""
     closure = response.closure
-    assert closure.flags[0] == RECORD_DERIVED and closure.pointers[0]
-    return QueryClosure(bytes([RECORD_BASE]) + closure.flags[1:], closure.pointers)
+    assert closure.flags[0] == RECORD_DERIVED and closure.codes[0]
+    return QueryClosure(bytes([RECORD_BASE]) + closure.flags[1:], closure.codes)
+
+
+def _recode_first(response, rewrite):
+    """The response's closure with its first record's code replaced by
+    ``rewrite(code)``."""
+    closure = response.closure
+    return QueryClosure(closure.flags, (rewrite(closure.codes[0]),) + closure.codes[1:])
 
 
 class TestRecordStreamRefusal:
     """A response's records rebuild every key but the one its querier asked
-    for.  Records that do not fit the walk, and an authenticated answer
-    whose signature does not verify over the rebuilt keys, are refused and
-    counted: the asked-for key goes missing, nothing raises."""
+    for.  Records that do not fit the walk, codes that do not decode, and
+    an authenticated answer whose signature does not verify over the
+    records, are refused and counted: the asked-for key goes missing,
+    nothing raises."""
 
     def tampered_query(self, rewrite, authenticated=False):
         """Query n0's longest best path, replacing the closure of the first
@@ -590,13 +613,15 @@ class TestRecordStreamRefusal:
         ship = engine._ship
         tampered = []
 
+        self.book = engine.codebook
+
         def tampering_ship(query_id, source, message, send_time):
             if type(message) is QueryResponse and not tampered:
-                key = engine._queries[query_id].outstanding[message.request_id][0]
+                self.asked = engine._queries[query_id].outstanding[message.request_id][0]
                 message = dataclasses.replace(
                     message, closure=rewrite(message)
                 )
-                tampered.append((key, message))
+                tampered.append((self.asked, message))
             ship(query_id, source, message, send_time)
 
         engine._ship = tampering_ship
@@ -608,11 +633,11 @@ class TestRecordStreamRefusal:
         "rewrite",
         [
             lambda response: QueryClosure(
-                response.closure.flags[:-1], response.closure.pointers[:-1]
+                response.closure.flags[:-1], response.closure.codes[:-1]
             ),
             lambda response: QueryClosure(
                 response.closure.flags + bytes([RECORD_BASE]),
-                response.closure.pointers + ((),),
+                response.closure.codes + (b"",),
             ),
             _flag_base,
         ],
@@ -621,36 +646,66 @@ class TestRecordStreamRefusal:
     @pytest.mark.parametrize("authenticated", [False, True])
     def test_records_that_do_not_fit_the_walk_are_refused(self, rewrite, authenticated):
         answer, (key, response) = self.tampered_query(rewrite, authenticated)
-        assert response.closure.walk(key, response.source) is None
+        assert response.closure.walk(key, response.source, self.book) is None
         assert key in answer.missing and not answer.complete
         assert answer.verification_failures == 1
         if authenticated:
             assert answer.responses_verified == answer.messages // 2 - 1
 
-    def test_an_altered_pointer_input_fails_the_signature_over_rebuilt_keys(self):
-        forged = ("link", ("n1", "forged"))
+    @pytest.mark.parametrize(
+        "rewrite",
+        [
+            lambda code, key: code[:-1],
+            lambda code, key: code + b"\x00",
+            # The first input's origin byte, which follows the input count:
+            # a position past the key, one on the key's cost (a float), an
+            # int, an unknown tag.
+            lambda code, key: code[:1] + bytes([0x7B]) + code[2:],
+            lambda code, key: code[:1] + bytes([len(flat_values(key[1])) - 1]) + code[2:],
+            lambda code, key: code[:1] + bytes([0x7C, 2]) + code[2:],
+            lambda code, key: code[:1] + bytes([0xFF]) + code[2:],
+        ],
+        ids=[
+            "truncated", "trailing-bytes", "position-past-the-key",
+            "position-on-a-float", "origin-not-a-str", "unknown-tag",
+        ],
+    )
+    def test_a_code_that_does_not_decode_is_refused(self, rewrite):
+        answer, (key, response) = self.tampered_query(
+            lambda response: _recode_first(
+                response, lambda code: rewrite(code, self.asked)
+            )
+        )
+        assert response.closure.walk(key, response.source, self.book) is None
+        assert key in answer.missing and not answer.complete
+        assert answer.verification_failures == 1
 
+    def test_an_altered_pointer_input_fails_the_signature_over_rebuilt_keys(self):
         def forge(response):
-            closure = response.closure
-            pointer_lists = list(closure.pointers)
-            for index, pointers in enumerate(pointer_lists):
-                for number, pointer in enumerate(pointers):
-                    for position, (input_key, origin) in enumerate(pointer.inputs):
-                        if (origin or response.source) == response.source:
-                            inputs = list(pointer.inputs)
-                            inputs[position] = (forged, origin)
-                            pointers = list(pointers)
-                            pointers[number] = dataclasses.replace(
-                                pointer, inputs=tuple(inputs)
-                            )
-                            pointer_lists[index] = tuple(pointers)
-                            return QueryClosure(closure.flags, tuple(pointer_lists))
-            raise AssertionError("no local pointer input to alter")
+            """Re-code the first record with one remote input renamed: the
+            walk never enters it, so every record still decodes."""
+            (head, *_), _missing = response.closure.walk(
+                self.asked, response.source, self.book
+            )
+            pointers = list(head.pointers)
+            for number, pointer in enumerate(pointers):
+                for position, ((relation, values), origin) in enumerate(pointer.inputs):
+                    if (origin or response.source) != response.source:
+                        self.forged = (relation, ("forged",) + values[1:])
+                        inputs = list(pointer.inputs)
+                        inputs[position] = (self.forged, origin)
+                        pointers[number] = dataclasses.replace(
+                            pointer, inputs=tuple(inputs)
+                        )
+                        code = self.book.encode(self.asked, pointers)
+                        return _recode_first(response, lambda _code: code)
+            raise AssertionError("no remote pointer input to alter")
 
         answer, (key, response) = self.tampered_query(forge, authenticated=True)
-        # The records still fit the walk: the signature is what refuses them.
-        entries, _missing = response.closure.walk(key, response.source)
-        assert forged in {entry.key for entry in entries}
+        # The records still fit the walk and the code decodes: the
+        # signature is what refuses them.
+        (head, *_), _missing = response.closure.walk(key, response.source, self.book)
+        assert self.forged in {k for p in head.pointers for k, _ in p.inputs}
         assert answer.verification_failures == 1
         assert answer.responses_verified == answer.messages // 2 - 1
         assert key in answer.missing and not answer.complete

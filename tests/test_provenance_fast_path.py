@@ -473,11 +473,17 @@ def test_a_recorded_firing_is_one_pointer_and_views_are_built_on_read(monkeypatc
     first = network.query(root, at=address)
     assert first.complete and first.remote_lookups > 0
     assert counts["OperatorNode"] == len(first.graph.operators())
+    # The querier builds the pointers it reads from the responses' codes:
+    # one per pointer of the remote records, decoded once per closure.
+    decoded = counts["ProvenancePointer"] - firings
+    assert decoded == 20
     second = network.query(root, at=address)
     assert second.graph.same_structure(first.graph)
     assert counts["OperatorNode"] == len(first.graph.operators())
-    # Reading never writes: still one pointer per firing.
-    assert counts["ProvenancePointer"] == firings
+    # Reading never writes: still one append per firing, and the cached
+    # closures decode nothing again.
+    assert counts["append"] == firings
+    assert counts["ProvenancePointer"] == firings + decoded
 
 
 def test_ndlog_never_enters_the_provenance_package_while_rules_fire():

@@ -1,16 +1,18 @@
-"""The query-plane fast path: size memos and remote frontiers, the route
-table, shared replay nodes built on read.
+"""The query-plane fast path: size memos and remote frontiers, the coded
+record stream, the route table, shared replay nodes built on read.
 
 Each cache must be invisible except in how much work gets done: sizes equal
-a from-scratch rendering, a frontier lists exactly the remote inputs, routes
-equal a fresh search, replayed graphs equal the zero-cost oracle — and the
-work counters at the bottom pin that the caches actually save what they
-claim to.
+a from-scratch count, a frontier lists exactly the remote inputs, a pointer
+code decodes to exactly the pointer it was made from, routes equal a fresh
+search, replayed graphs equal the zero-cost oracle — and the work counters
+at the bottom pin that the caches actually save what they claim to.
 """
 
 from __future__ import annotations
 
+import math
 import pickle
+import struct
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
@@ -36,6 +38,8 @@ from repro.net.message import (
     RECORD_BASE,
     RECORD_DERIVED,
     RECORD_MISSING,
+    LocalClosure,
+    PointerCodebook,
     QueryClosure,
     QueryClosureEntry,
     QueryRequest,
@@ -47,6 +51,7 @@ from repro.net.topology import random_topology
 from repro.net.transport import BinaryCodec
 from repro.provenance.graph import DerivationGraph
 from repro.provenance.log import ProvenancePointer
+from repro.provenance.polynomial import flat_values
 from repro.queries.best_path import compile_best_path
 from repro.service import QueryWorkload
 
@@ -63,6 +68,12 @@ KEYS = [
     ("π", ("ü", ())),
 ]
 
+#: What the miniature stores code their pointers against: their rule label
+#: and every relation of ``KEYS`` at its arity.
+CODEBOOK = PointerCodebook(
+    ("r2",), {(relation, len(values)) for relation, values in KEYS}
+)
+
 
 def render(value) -> str:
     """The wire rendering, written out independently of ``_render_value``."""
@@ -78,18 +89,9 @@ def key_bytes(key) -> int:
     return len((relation + "(" + ",".join(render(v) for v in values) + ")").encode())
 
 
-def pointer_bytes(pointer) -> int:
-    total = len(pointer.rule_label.encode()) + len(pointer.node.encode()) + 8
-    for input_key, origin in pointer.inputs:
-        total += key_bytes(input_key) + 1 + len((origin or "").encode())
-    return total
-
-
 def closure_bytes(closure) -> int:
-    """One flag byte per record and each derived record's pointers: no key."""
-    return len(closure.flags) + sum(
-        pointer_bytes(pointer) for pointers in closure.pointers for pointer in pointers
-    )
+    """One flag byte per record and each derived record's code: no key."""
+    return len(closure.flags) + sum(len(code) for code in closure.codes)
 
 
 def pointer_for(key) -> ProvenancePointer:
@@ -118,7 +120,7 @@ class OnePointerStore:
 
 
 def closure_for(key) -> QueryClosure:
-    return _local_closure(OnePointerStore(key), "n1", key)
+    return _local_closure(OnePointerStore(key), "n1", key).coded(CODEBOOK)
 
 
 def request_for(key) -> QueryRequest:
@@ -151,6 +153,8 @@ def response_bytes(response) -> int:
 def wire_size(sized) -> int:
     if isinstance(sized, QueryClosure):
         return sized.serialized_size()
+    if isinstance(sized, LocalClosure):
+        return len(sized.entries)
     return sized.size_bytes()
 
 
@@ -168,16 +172,24 @@ class TestSizeMemos:
             assert response.payload_bytes() == (
                 response_bytes(response) - MESSAGE_HEADER_BYTES
             )
+        # What is sized is what decodes: the responder's own pointer.
+        (entry, *_), _missing = closure.walk(key, "n1", CODEBOOK)
+        assert entry.pointers == (pointer_for(key),)
 
     def test_equal_keys_keep_their_own_sizes(self):
         one, true = KEYS[0], KEYS[1]
         assert one == true and hash(one) == hash(true)
 
         def naming(key) -> QueryClosure:
+            root = ("r", ("x",))
             pointer = ProvenancePointer(
-                output=("r", ("x",)), rule_label="r", node="n1", inputs=((key, "n2"),)
+                output=root, rule_label="r2", node="n1", inputs=((key, "n2"),)
             )
-            return QueryClosure(bytes([RECORD_DERIVED]), ((pointer,),))
+            store = SimpleNamespace(
+                is_base=lambda k: False,
+                pointers=lambda k: (pointer,) if k == root else (),
+            )
+            return _local_closure(store, "n1", root).coded(CODEBOOK)
 
         # Interleaved on purpose: a table keyed by FactKey would hand the
         # second object the first one's size.
@@ -187,7 +199,8 @@ class TestSizeMemos:
         ]
         assert sizes[0] == sizes[2] and sizes[1] == sizes[3]
         assert sizes[1][0] - sizes[0][0] == len("True") - len("1")
-        assert sizes[1][1] - sizes[0][1] == len("True") - len("1")
+        # In a code ``True`` is one tag byte, ``1`` a tag and a varint.
+        assert sizes[1][1] - sizes[0][1] == -1
         # A response ships no key, so the requested key's rendering does
         # not size it.
         assert response_for(one).size_bytes() == response_for(true).size_bytes()
@@ -202,15 +215,17 @@ class TestSizeMemos:
 
     @pytest.mark.parametrize("key", KEYS)
     def test_frontier_lists_remote_inputs_with_their_sizes(self, key):
-        entries, _missing = closure_for(key).walk(key, "n1")
+        entries, _missing = closure_for(key).walk(key, "n1", CODEBOOK)
         entry = entries[0]
         assert entry.key is key and entry.node == "n1"
-        expected = tuple(
-            (k, origin, key_bytes(k))
-            for k, origin in entry.pointers[0].inputs
-            if origin and origin != entry.node
-        )
-        assert entry.frontier() == ((0, expected),)
+        # Positions into the entry's own pointer's inputs, with each remote
+        # input's rendered size: no key in the memo.
+        expected = ()
+        for position, (k, origin) in enumerate(entry.pointers[0].inputs):
+            if origin and origin != entry.node:
+                expected += (0, position, key_bytes(k))
+        assert entry.frontier() == expected
+        assert all(type(item) is int for item in entry.frontier())
         assert entry.frontier() is entry.frontier()
         assert QueryClosureEntry(key=key, node="n1", is_base=True).frontier() == ()
         # A known key size prices a request exactly as a rendering would.
@@ -218,14 +233,16 @@ class TestSizeMemos:
         assert request.size_bytes() == request_for(key).size_bytes()
 
     def test_memos_stay_out_of_equality_repr_and_pickles(self):
-        closure, fresh = closure_for(KEYS[5]), closure_for(KEYS[5])
-        closure.serialized_size()
-        (entry, *_), _missing = closure.walk(KEYS[5], "n1")
+        local = _local_closure(OnePointerStore(KEYS[5]), "n1", KEYS[5])
+        fresh_local = _local_closure(OnePointerStore(KEYS[5]), "n1", KEYS[5])
+        closure, fresh = local.coded(CODEBOOK), closure_for(KEYS[5])
+        (entry, *_), _missing = closure.walk(KEYS[5], "n1", CODEBOOK)
         entry.replay()
         entry.frontier()
         twin = QueryClosureEntry(entry.key, entry.node, entry.is_base, entry.pointers)
         assert closure == fresh and hash(closure) == hash(fresh)
         assert repr(closure) == repr(fresh)
+        assert local == fresh_local and repr(local) == repr(fresh_local)
         assert entry == twin and hash(entry) == hash(twin)
         assert repr(entry) == repr(twin)
         known = replace(request_for(KEYS[5]), key_bytes=key_bytes(KEYS[5]))
@@ -234,11 +251,12 @@ class TestSizeMemos:
         response.size_bytes()
         pairs = (
             (closure, fresh),
+            (local, fresh_local),
             (entry, twin),
             (known, request_for(KEYS[5])),
             (response, unsized),
         )
-        memos = ("_size_bytes", "_replay", "_frontier", "_walk", "key_bytes")
+        memos = ("_size_bytes", "_replay", "_frontier", "_walk", "_coded", "key_bytes")
         for filled, empty in pairs:
             # A filled memo leaves the pickle byte for byte unchanged.
             assert pickle.dumps(filled) == pickle.dumps(empty)
@@ -258,7 +276,7 @@ class TestSizeMemos:
         ]
         for message in sent:
             message.size_bytes()  # a filled memo must not leak into the frame
-        sent[1].closure.walk(key, "n1")
+        sent[1].closure.walk(key, "n1", CODEBOOK)
         frame = codec.encode_frame([(1.0, message) for message in sent])
         received = [message for _, message in codec.decode_frame(frame)]
         for before, after in zip(sent, received):
@@ -267,7 +285,9 @@ class TestSizeMemos:
         assert received[0].key_bytes is None
         assert received[1].closure == sent[1].closure
         assert received[1].closure._walk is None
-        assert received[1].closure.walk(key, "n1") == sent[1].closure.walk(key, "n1")
+        assert received[1].closure.walk(key, "n1", CODEBOOK) == sent[1].closure.walk(
+            key, "n1", CODEBOOK
+        )
 
 
 # -- (a') the record stream -----------------------------------------------------
@@ -278,9 +298,11 @@ class TestRecordStream:
     LINK = ("link", ("n1", "n2"))
     REMOTE = ("path", ("n2", "n3"))
     UNKNOWN = ("cost", ("n1",))
+    #: Relations by index: cost/1 0, link/2 1, path/2 2, path/3 3.
+    BOOK = PointerCodebook(("r2",), (("path", 3), ("path", 2), ("link", 2), ("cost", 1)))
 
-    def closure(self) -> QueryClosure:
-        pointer = ProvenancePointer(
+    def pointer(self) -> ProvenancePointer:
+        return ProvenancePointer(
             output=self.ROOT,
             rule_label="r2",
             node="n1",
@@ -288,56 +310,72 @@ class TestRecordStream:
             timestamp=3.5,
         )
 
+    def closure(self) -> QueryClosure:
+        pointer = self.pointer()
         store = SimpleNamespace(
             is_base=lambda key: key == self.LINK,
             pointers=lambda key: (pointer,) if key == self.ROOT else (),
         )
-        return _local_closure(store, "n1", self.ROOT)
+        return _local_closure(store, "n1", self.ROOT).coded(self.BOOK)
 
     def test_a_response_ships_one_flag_per_record_and_no_key(self):
         closure = self.closure()
         assert list(closure.flags) == [RECORD_DERIVED, RECORD_BASE, RECORD_MISSING]
-        assert [len(pointers) for pointers in closure.pointers] == [1, 0, 0]
+        assert [len(code) for code in closure.codes[1:]] == [0, 0]
+        # The derived record's code, against the root's values n1 n3 5.0:
+        # three inputs, then one pointer naming them by place.  A str the
+        # root carries is its position; n2 is a literal; the firing node
+        # (n1, the responder) is nowhere.
+        literal_n2 = bytes([0x7F, 2]) + b"n2"
+        inputs = (
+            bytes([3])
+            + bytes([0x83, 1, 0]) + literal_n2  # link(n1,n2) held here
+            + literal_n2 + bytes([2]) + literal_n2 + bytes([1])  # path(n2,n3)@n2
+            + bytes([0, 0, 0])  # cost(n1)@n1
+        )
+        firings = bytes([1, 0]) + struct.pack("<d", 3.5) + bytes([3, 0, 1, 2])
+        assert closure.codes[0] == inputs + firings
+        assert (len(inputs), len(firings)) == (21, 14)
         response = QueryResponse(
             source="n1", destination="n0", query_id=1, request_id=2,
             closure=closure, annotation_bytes=11, signature=b"s" * 16,
         )
-        # header 80 + flags 2 + records (3 flag bytes; pointer "r2" + "n1" +
-        # 8-byte timestamp; inputs "link(n1,n2)" + 1, "path(n2,n3)" + 1 +
-        # "n2", "cost(n1)" + 1 + "n1") + annotation 11 + signature 16.
-        records = 3 + (2 + 2 + 8) + (11 + 1) + (11 + 1 + 2) + (8 + 1 + 2)
-        assert records == 52
+        # header 80 + flags 2 + records (3 flag bytes + the 35-byte code)
+        # + annotation 11 + signature 16; the rendered pointer was 52 - 3.
         assert response.size_bytes() == (
-            MESSAGE_HEADER_BYTES + QUERY_FLAG_BYTES + records + 11 + 16
-        ) == 161
-        assert not {"key", "key_bytes", "entries", "missing"} & {
-            f.name for f in fields(QueryResponse)
-        }
+            MESSAGE_HEADER_BYTES + QUERY_FLAG_BYTES + 3 + 35 + 11 + 16
+        ) == 147
+        assert not {"key", "key_bytes", "entries", "missing", "pointers"} & (
+            {f.name for f in fields(QueryResponse)} | {f.name for f in fields(QueryClosure)}
+        )
 
     def test_the_querier_rebuilds_every_key_from_the_one_it_asked_for(self):
         closure = self.closure()
-        entries, missing = closure.walk(self.ROOT, "n1")
+        entries, missing = closure.walk(self.ROOT, "n1", self.BOOK)
         assert [(e.key, e.node, e.is_base) for e in entries] == [
             (self.ROOT, "n1", False), (self.LINK, "n1", True),
         ]
         assert missing == (self.UNKNOWN,)
+        # The pointer decodes field by field, its firing node the responder.
+        assert entries[0].pointers == (self.pointer(),)
         # Memoised: asked again, the same entries come back.
-        assert closure.walk(self.ROOT, "n1")[0] is entries
-        # Asked from another key, the same records rebuild other keys: only
-        # the pointers and the requested key name them.
-        other = ("path", ("n9", "n3", 5.0))
-        (head, *_), _ = closure.walk(other, "n1")
+        assert closure.walk(self.ROOT, "n1", self.BOOK)[0] is entries
+        # Asked from another key, the same records rebuild other keys: the
+        # requested key, and the inputs whose positions read from it.
+        other = ("path", ("n1", "n9", 5.0))
+        (head, _base), _ = closure.walk(other, "n1", self.BOOK)
         assert head.key == other
+        assert head.pointers[0].inputs[1] == (("path", ("n2", "n9")), "n2")
 
     @pytest.mark.parametrize(
         "tamper",
         [
-            lambda c: QueryClosure(c.flags[:-1], c.pointers[:-1]),
-            lambda c: QueryClosure(c.flags + bytes([RECORD_BASE]), c.pointers + ((),)),
-            lambda c: QueryClosure(bytes([RECORD_BASE]) + c.flags[1:], c.pointers),
-            lambda c: QueryClosure(c.flags, ((),) + c.pointers[1:]),
-            lambda c: QueryClosure(c.flags[:2] + bytes([7]), c.pointers),
-            lambda c: QueryClosure(c.flags, c.pointers[:-1]),
+            lambda c: QueryClosure(c.flags[:-1], c.codes[:-1]),
+            lambda c: QueryClosure(c.flags + bytes([RECORD_BASE]), c.codes + (b"",)),
+            lambda c: QueryClosure(bytes([RECORD_BASE]) + c.flags[1:], c.codes),
+            lambda c: QueryClosure(c.flags, (b"",) + c.codes[1:]),
+            lambda c: QueryClosure(c.flags[:2] + bytes([7]), c.codes),
+            lambda c: QueryClosure(c.flags, c.codes[:-1]),
         ],
         ids=[
             "dropped", "added", "base-with-pointers", "derived-without",
@@ -345,13 +383,167 @@ class TestRecordStream:
         ],
     )
     def test_records_that_do_not_fit_the_walk_rebuild_nothing(self, tamper):
-        tampered = tamper(self.closure())
-        assert tampered.walk(self.ROOT, "n1") is None
-        response = QueryResponse(
-            source="n1", destination="n0", query_id=1, request_id=2, closure=tampered
+        honest = self.closure()
+        tampered = tamper(honest)
+        assert tampered.walk(self.ROOT, "n1", self.BOOK) is None
+
+        def response(closure):
+            return QueryResponse(
+                source="n1", destination="n0", query_id=1, request_id=2, closure=closure
+            )
+
+        # The responder signs the records as they travel: any change to
+        # them changes the signed bytes.
+        assert response(tampered).signed_payload(self.ROOT) != response(
+            honest
+        ).signed_payload(self.ROOT)
+
+
+# -- (a'') pointer codes -----------------------------------------------------------
+
+
+def _one_pointer_code(book, origin=bytes([0x83]), label=0, relation=None,
+                      arguments=None, tail=b""):
+    """A code of one pointer over one input, spelled byte by byte: by
+    default ``link`` with the key's first value, an int and another int."""
+    if relation is None:
+        relation = book.relations.index(("link", 3))
+    if arguments is None:
+        arguments = bytes([0, 0x7C, 2, 0x7C, 4])
+    return (
+        bytes([1]) + origin + bytes([relation]) + arguments
+        + bytes([1, label]) + struct.pack("<d", 1.0) + bytes([1, 0]) + tail
+    )
+
+
+class TestPointerCodes:
+    KEY = ("bestPath", ("n0", "n3", ("n0", "n3"), 4.0))
+    BOOK = PointerCodebook.of(compile_best_path())
+
+    def test_the_spelled_code_decodes(self):
+        (pointer,) = self.BOOK.decode(_one_pointer_code(self.BOOK), self.KEY, "n0")
+        assert pointer == ProvenancePointer(
+            output=self.KEY,
+            rule_label=self.BOOK.labels[0],
+            node="n0",
+            inputs=((("link", ("n0", 1, 2)), None),),
+            timestamp=1.0,
         )
-        with pytest.raises(ValueError):
-            response.signed_payload(self.ROOT)
+        assert self.BOOK.encode(self.KEY, (pointer,)) == _one_pointer_code(self.BOOK)
+
+    @pytest.mark.parametrize(
+        "code",
+        [
+            lambda book: _one_pointer_code(book)[:-1],
+            lambda book: _one_pointer_code(book, tail=b"\x00"),
+            lambda book: _one_pointer_code(book, arguments=bytes([9, 0x7C, 2, 0x7C, 4])),
+            lambda book: _one_pointer_code(book, arguments=bytes([5, 0x7C, 2, 0x7C, 4])),
+            lambda book: _one_pointer_code(book, label=len(book.labels)),
+            lambda book: _one_pointer_code(book, relation=len(book.relations)),
+            lambda book: _one_pointer_code(book, arguments=bytes([0xFF, 0x7C, 2, 0x7C, 4])),
+            lambda book: _one_pointer_code(book, origin=bytes([0x7C, 2])),
+            lambda book: b"",
+        ],
+        ids=[
+            "truncated", "trailing-bytes", "position-past-the-key",
+            "position-on-a-float", "unknown-label", "unknown-relation",
+            "unknown-tag", "origin-not-a-str", "empty",
+        ],
+    )
+    def test_a_code_that_does_not_decode_rebuilds_nothing(self, code):
+        malformed = code(self.BOOK)
+        assert self.BOOK.decode(malformed, self.KEY, "n0") is None
+        closure = QueryClosure(bytes([RECORD_DERIVED]), (malformed,))
+        assert closure.walk(self.KEY, "n0", self.BOOK) is None
+
+    def test_a_pointer_no_code_can_say_ships_its_key_missing(self):
+        """A value no tag names, or a label or relation the program does not
+        have: the closure vouches for nothing, and ships as its requested
+        key missing."""
+        held = ("link", ("n0", "n3", 1))
+        firings = [
+            ProvenancePointer(self.KEY, "p4", "n0", (((("link", ("n0", frozenset(), 1))), None),)),
+            ProvenancePointer(self.KEY, "elsewhere", "n0", ((held, None),)),
+            ProvenancePointer(self.KEY, "p4", "n0", ((("unknown", ("n0",)), None),)),
+        ]
+        for firing in firings:
+            store = SimpleNamespace(
+                is_base=lambda key: key == held,
+                pointers=lambda key, firing=firing: (firing,) if key == self.KEY else (),
+            )
+            local = _local_closure(store, "n0", self.KEY)
+            assert [entry.key for entry in local.entries] == [self.KEY] + (
+                [held] if firing.inputs[0][0] == held else []
+            )
+            coded = local.coded(self.BOOK)
+            assert (coded.flags, coded.codes) == (bytes([RECORD_MISSING]), (b"",))
+            assert coded.walk(self.KEY, "n0", self.BOOK) == ((), (self.KEY,))
+
+
+_names = st.sampled_from(["n0", "n1", "n2", "n3", "ü", "x"])
+_scalars = st.one_of(
+    _names,
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=False),
+    st.sampled_from([0.0, -0.0, 1.0, -3.0, 2.5, float(2**60)]),
+    st.sampled_from([True, False, None]),
+)
+_values = st.recursive(_scalars, lambda inner: st.tuples(inner, inner) | st.tuples(inner), max_leaves=8)
+_relations = st.sampled_from([("link", 2), ("path", 3), ("cost", 1), ("r", 0)])
+
+
+@st.composite
+def _record(draw):
+    """A key and pointers over inputs whose values and origins come from the
+    key's values as often as not."""
+    key = ("path", tuple(draw(st.lists(_values, min_size=0, max_size=4))))
+    carried = [value for value in flat_values(key[1]) if type(value) is str]
+    value = st.sampled_from(carried) | _values if carried else _values
+    origin = st.one_of(st.none(), _names, st.sampled_from(carried) if carried else _names)
+    pointers = []
+    for _ in range(draw(st.integers(1, 3))):
+        inputs = []
+        for _ in range(draw(st.integers(0, 3))):
+            relation, arity = draw(_relations)
+            values = tuple(draw(value) for _ in range(arity))
+            inputs.append(((relation, values), draw(origin)))
+        pointers.append(
+            ProvenancePointer(
+                output=key,
+                rule_label=draw(st.sampled_from(["r1", "r2"])),
+                node="n0",
+                inputs=tuple(inputs),
+                timestamp=draw(st.floats(allow_nan=False)),
+            )
+        )
+    return key, tuple(pointers)
+
+
+def _typed(value):
+    """*value* with its type and float sign spelled out, so that ``1``,
+    ``1.0``, ``True``, ``0.0`` and ``-0.0`` compare unequal."""
+    if type(value) is tuple:
+        return ("tuple", tuple(_typed(element) for element in value))
+    if type(value) is float:
+        return ("float", value, math.copysign(1.0, value))
+    return (type(value).__name__, value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(record=_record())
+def test_a_pointer_code_round_trips_field_by_field(record):
+    key, pointers = record
+    book = PointerCodebook(("r1", "r2"), (("link", 2), ("path", 3), ("cost", 1), ("r", 0)))
+    code = book.encode(key, pointers)
+    decoded = book.decode(code, key, "n0")
+    assert decoded == pointers
+    for before, after in zip(pointers, decoded):
+        assert after.output is key and after.node == "n0"
+        assert after.rule_label == before.rule_label
+        assert _typed(after.timestamp) == _typed(before.timestamp)
+        assert [(_typed(k[0]), _typed(k[1]), _typed(o)) for k, o in after.inputs] == [
+            (_typed(k[0]), _typed(k[1]), _typed(o)) for k, o in before.inputs
+        ]
 
 
 # -- (b) the route table -------------------------------------------------------
@@ -480,7 +672,7 @@ def test_cached_replay_matches_the_oracle_without_aliasing(capacity):
 #: ``NetworkStats.node`` lookups and the event heap's high-water mark while
 #: serving the budget workload below.
 LOOKUPS = 1064
-HEAP_HIGH_WATER = 259
+HEAP_HIGH_WATER = 255
 
 
 def test_serving_pays_one_search_per_pair_and_one_render_per_entry(monkeypatch):
@@ -601,41 +793,69 @@ def test_serving_pays_one_search_per_pair_and_one_render_per_entry(monkeypatch):
     assert graphs == [] and operators == []
 
     # No provenance epoch moved and nothing was evicted, so every merged
-    # entry is rebuilt once from a cached closure (the walk memo), and each
-    # builds its remote frontier once.
-    closures = [
-        closure
+    # entry is rebuilt once: from a cached local closure at the asker, from
+    # a cached closure's code (the walk memo, one decode) at a querier.
+    # Each builds its remote frontier once.
+    locals_ = [
+        local
         for cache in network.simulator._query_caches.values()
-        for (closure, _annotation), _epoch, _at in cache._entries.values()
+        for (local, _annotation), _epoch, _at in cache._entries.values()
     ]
+    shipped = [local._coded for local in locals_ if local._coded is not None]
     cached_entries = {
         id(entry): entry
-        for closure in closures
+        for closure in shipped
         if closure._walk is not None
         for entry in closure._walk[2]
     }
+    cached_entries.update(
+        (id(entry), entry) for local in locals_ for entry in local.entries
+    )
     assert len(frontier_builds) == len(set(frontier_builds))
     assert set(frontier_builds) == {
         key for key, entry in cached_entries.items() if entry._frontier is not None
     }
 
-    # Renders: each cached closure that ships sizes itself once — every
-    # pointer input of its records, and no key (closures only ever walked at
-    # the asker never ship, hence never render) — and each frontier build
-    # renders the remote inputs it lists.  Requests take their key's size
-    # from the frontier: the 652 messages render nothing.
-    closure_renders = sum(
-        len(pointer.inputs)
-        for closure in closures
-        if closure._size_bytes is not None
-        for pointers in closure.pointers
-        for pointer in pointers
-    )
+    # Renders: each frontier build renders the remote inputs it lists, and
+    # nothing else renders a key.  A closure is sized by its flags and
+    # codes, so no pointer input is rendered to size it; requests take
+    # their key's size from the frontier, so the 652 messages render
+    # nothing.
     frontier_renders = sum(
-        len(remote)
-        for entry in cached_entries.values()
-        for _index, remote in entry._frontier or ()
+        len(entry._frontier or ()) // 3 for entry in cached_entries.values()
     )
     assert result.stats.total("cache_hits") > 0
-    assert (closure_renders, frontier_renders) == (637, 419)
-    assert len(renders) == closure_renders + frontier_renders == 1056
+    assert len(renders) == frontier_renders == 419
+
+
+def test_every_decoded_pointer_is_the_responders():
+    """Over a served window, each closure that shipped decodes, at its
+    querier, into exactly the responder's records: every key, every
+    pointer field by field, the firing node included."""
+    network = Network.build(
+        topology=12, program="best-path", provenance="condensed", query_cache=True, seed=4
+    )
+    network.run()
+    network.serve(QueryWorkload(rate=100, duration=2.0, seed=4, pool=16), converge=False)
+    book = network.simulator.queries.codebook
+    checked = 0
+    for node, cache in network.simulator._query_caches.items():
+        for (root, _mode, _condensed), entry in cache._entries.items():
+            (local, _annotation), _epoch, _at = entry
+            if local._coded is None:
+                continue  # only ever merged at its own node
+            entries, missing = local._coded.walk(root, node, book)
+            assert missing == local.missing
+            assert [(e.key, e.is_base) for e in entries] == [
+                (e.key, e.is_base) for e in local.entries
+            ]
+            for decoded, recorded in zip(entries, local.entries):
+                assert decoded.pointers == recorded.pointers
+                for after, before in zip(decoded.pointers, recorded.pointers):
+                    assert after.node == before.node == node
+                    assert _typed(after.timestamp) == _typed(before.timestamp)
+                    assert [_typed(k[1]) for k, _ in after.inputs] == [
+                        _typed(k[1]) for k, _ in before.inputs
+                    ]
+                checked += len(decoded.pointers)
+    assert checked > 100

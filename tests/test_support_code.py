@@ -165,7 +165,12 @@ MALFORMED = {
     "past-the-payload": bytes((1, 1, 2, 3, 0, 0x7D, 2)),
     "on-a-number": bytes((1, 1, 2, 2, 0, 0x7D, 2)),
     "unknown-relation": bytes((1, 1, 9, 1, 0, 0x7D, 2)),
-    "unknown-tag": bytes((1, 1, 2, 1, 0, 0x80, 2)),
+    "unknown-tag": bytes((1, 1, 2, 1, 0, 0xFF, 2)),
+    # Tags a support's arguments never take: a tuple, None, a nest of
+    # tuples deeper than the reader recurses.
+    "tuple-argument": bytes((1, 1, 2, 1, 0, 0x80, 1, 0)),
+    "none-argument": bytes((1, 1, 2, 1, 0, 0x83)),
+    "deep-tuple": bytes((1, 1, 2, 1, 0)) + bytes((0x80, 1)) * 5000 + bytes((0,)),
     "duplicate-variable": bytes((1, 2, 2, 1, 0, 0x7D, 2, 2, 1, 0, 0x7D, 2)),
     "duplicate-monomial": bytes((2, 1, 2, 1, 0, 0x7D, 2, 1, 2, 1, 0, 0x7D, 2)),
     "over-long-varint": bytes((1, 1, 2, 1, 0, 0x7C)) + b"\xff" * 10 + b"\x01",

@@ -42,6 +42,7 @@ from repro.net.message import (
     RECORD_MISSING,
     AntiDelta,
     MessageBatch,
+    PointerCodebook,
     QueryClosure,
     QueryRequest,
     QueryResponse,
@@ -119,23 +120,20 @@ def _sample_exports():
         support_code=b"\x00\x00\x01\x02",
     )
     plain = Fact("link", ("n1", "n2"), timestamp=0.5)
+    pointer = ProvenancePointer(
+        output=("bestPath", ("n1", "n3", 2.5)),
+        rule_label="bp2",
+        node="n2",
+        inputs=(
+            (("link", ("n1", "n2")), "n1"),
+            (("link", ("n2", "n3")), None),
+        ),
+        timestamp=0.75,
+    )
+    book = PointerCodebook((pointer.rule_label,), (("link", 2),))
     closure = QueryClosure(
         bytes([RECORD_DERIVED, RECORD_MISSING]),
-        (
-            (
-                ProvenancePointer(
-                    output=("bestPath", ("n1", "n3", 2.5)),
-                    rule_label="bp2",
-                    node="n2",
-                    inputs=(
-                        (("link", ("n1", "n2")), "n1"),
-                        (("link", ("n2", "n3")), None),
-                    ),
-                    timestamp=0.75,
-                ),
-            ),
-            (),
-        ),
+        (book.encode(pointer.output, (pointer,)), b""),
     )
     return [
         (0.001, batch_of_one("n1", "n2", plain, sequence=7)),

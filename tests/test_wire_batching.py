@@ -35,6 +35,7 @@ from repro.net.message import (
     RECORD_MISSING,
     AntiDelta,
     MessageBatch,
+    PointerCodebook,
     QueryClosure,
     QueryRequest,
     QueryResponse,
@@ -291,20 +292,17 @@ class TestPerTupleFormat:
 
 def _one_of_each_wire_message():
     signed = Fact("path", ("a", "b", 1.0), asserted_by="a", provenance=p_var("l1"))
+    pointer = ProvenancePointer(
+        output=("path", ("a", "b", 1.0)),
+        rule_label="r1",
+        node="a",
+        inputs=((("link", ("a", "b")), "b"),),
+        timestamp=0.5,
+    )
+    book = PointerCodebook((pointer.rule_label,), (("link", 2),))
     closure = QueryClosure(
         bytes([RECORD_DERIVED, RECORD_MISSING]),
-        (
-            (
-                ProvenancePointer(
-                    output=("path", ("a", "b", 1.0)),
-                    rule_label="r1",
-                    node="a",
-                    inputs=((("link", ("a", "b")), "b"),),
-                    timestamp=0.5,
-                ),
-            ),
-            (),
-        ),
+        (book.encode(pointer.output, (pointer,)), b""),
     )
     return (
         MessageBatch(

@@ -14,7 +14,14 @@ query bytes are split by part: message headers (with the query flags),
 request keys, response records, annotations, signatures, and the keys
 shipped in responses — whatever a response's wire size charges beyond its
 records, annotation and signature, which is nothing since a response names
-its request instead of its key.  Only the serve window is counted.  With
+its request instead of its key.  The response records are split again, by
+reading each derived record's pointer code against the key the querier
+rebuilds for it: record flags, rule labels, timestamps, counts (inputs and
+pointers per record, inputs per pointer), the places naming each pointer's
+inputs, input origins, input codes (relation and arguments), and fallback
+pointers — whatever a record carries that is none of these, which is
+nothing since every pointer travels as a code.  Only the serve window is
+counted.  With
 ``--read`` every query's graph is read as it completes, as an API caller
 would; by default nobody reads them, as in the benchmark's service plane.
 
@@ -32,6 +39,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 import repro.net.message as message  # noqa: E402
 from repro.api import Network  # noqa: E402
+from repro.provenance.polynomial import flat_values, read_arguments, read_varint  # noqa: E402
 from repro.net.events import EventScheduler, QueryTimeout  # noqa: E402
 from repro.net.kernel import SimulationKernel  # noqa: E402
 from repro.net.query import QueryEngine  # noqa: E402
@@ -48,6 +56,14 @@ ROWS = (
     "query bytes: headers",
     "query bytes: request keys",
     "query bytes: response records",
+    "query bytes: response records: flags",
+    "query bytes: response records: labels",
+    "query bytes: response records: timestamps",
+    "query bytes: response records: counts",
+    "query bytes: response records: input places",
+    "query bytes: response records: origins",
+    "query bytes: response records: input codes",
+    "query bytes: response records: fallback pointers",
     "query bytes: annotations",
     "query bytes: signatures",
     "query bytes: keys shipped in responses",
@@ -126,7 +142,55 @@ def install(read: bool) -> Census:
             census["query bytes: keys shipped in responses"] += (
                 size - framing - sum(parts.values())
             )
+            asked = self._queries[query_id].outstanding[wire.request_id][0]
+            count_records(wire.closure, asked, wire.source, self.codebook)
         return ship(self, query_id, sender, wire, send_time)
+
+    def count_records(closure, asked, responder, book):
+        """Split *closure*'s record bytes by part, reading each derived
+        record's code against the key a fresh walk rebuilds for it."""
+        parts = dict.fromkeys(
+            ("labels", "timestamps", "counts", "input places", "origins", "input codes"), 0
+        )
+        entries, _missing = message.QueryClosure(closure.flags, closure.codes).walk(
+            asked, responder, book
+        )
+        derived = [entry.key for entry in entries if not entry.is_base]
+        codes = [code for code in closure.codes if code]
+        for key, code in zip(derived, codes):
+            flat = flat_values(key[1])
+            inputs, at = read_varint(code, 0)
+            parts["counts"] += at
+            for _ in range(inputs):
+                start = at
+                _origin, at = read_arguments(code, at, flat, 1)
+                parts["origins"] += at - start
+                start = at
+                index, at = read_varint(code, at)
+                _values, at = read_arguments(code, at, flat, book.relations[index][1])
+                parts["input codes"] += at - start
+            start = at
+            pointers, at = read_varint(code, at)
+            parts["counts"] += at - start
+            for _ in range(pointers):
+                start = at
+                _label, at = read_varint(code, at)
+                parts["labels"] += at - start
+                parts["timestamps"] += 8
+                start = at + 8
+                width, at = read_varint(code, start)
+                parts["counts"] += at - start
+                for _ in range(width):
+                    start = at
+                    _place, at = read_varint(code, at)
+                    parts["input places"] += at - start
+        records = "query bytes: response records"
+        census[f"{records}: flags"] += len(closure.flags)
+        for part, count in parts.items():
+            census[f"{records}: {part}"] += count
+        census[f"{records}: fallback pointers"] += (
+            closure.serialized_size() - len(closure.flags) - sum(parts.values())
+        )
 
     def counted_finish(self, pending, at_time):
         # Whole entries, and the first piece of a split one, are merges.
@@ -226,8 +290,13 @@ def print_census(census: Census, result) -> None:
         census[f"closure lookups: {name[6:]}"] = int(summary[name])
     census["query messages"] = int(summary["query_messages"])
     census["query bytes"] = int(summary["query_bytes"])
-    parts = sum(census[name] for name in ROWS if name.startswith("query bytes: "))
+    parts = sum(
+        census[name] for name in ROWS if name.count(": ") == 1 and name.startswith("query bytes: ")
+    )
     assert parts == census["query bytes"], "the byte parts do not add up"
+    records = "query bytes: response records"
+    record_parts = sum(census[name] for name in ROWS if name.startswith(f"{records}: "))
+    assert record_parts == census[records], "the record parts do not add up"
     completed = int(summary["queries_completed"])
     print(f"queries completed {completed} of {result.offered} offered")
     width = max(len(name) for name in ROWS)
