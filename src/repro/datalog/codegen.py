@@ -250,8 +250,10 @@ def generate_fire(plan: RulePlan, delta_plan: DeltaPlan) -> Tuple[str, Callable]
     head = _tuple([writer.expr(term, bound) for term in plan.head.atom.terms])
     destination = plan.head.destination
     ship_to = "None" if destination is None else writer.expr(destination, bound)
-    joined = sorted(step.body_index for step in delta_plan.steps)
-    antecedents = _tuple(["delta"] + [f"f{body_index}" for body_index in joined])
+    facts = {index: "delta"}
+    for step in delta_plan.steps:
+        facts[step.body_index] = f"f{step.body_index}"
+    antecedents = _tuple([facts[body_index] for body_index in sorted(facts)])
     firing = (
         f"{writer.const(RuleFiring)}({writer.const(plan)}, {head}, {ship_to}, "
         f"{antecedents} if collect else ())"

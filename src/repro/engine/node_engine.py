@@ -877,8 +877,9 @@ class NodeEngine:
             timestamp=now,
         )
         self.provenance_epoch += 1
+        archive = self.config.keep_offline_provenance and not log.recorded(pointer)
         annotation = log.append(pointer, derived, firing.antecedents)
-        if self.config.keep_offline_provenance:
+        if archive:
             self.offline_provenance.record(pointer, derived.expires_at(), annotation)
         result.report.provenance_annotations += 1
         return annotation

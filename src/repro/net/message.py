@@ -51,22 +51,23 @@ pointers, so it rebuilds them all by replaying the walk:
     + annotation + signature
 
 A pointer code (:class:`PointerCodebook`) says a record's pointers against
-the record's own key, which the querier holds when it decodes them: first
-the inputs the pointers read, each once — its origin, its relation's index
-in the catalog, then each argument as a support code says it, a position
-for a ``str`` the key carries and a tagged literal otherwise
-(:func:`~repro.provenance.polynomial.write_arguments`) — then per pointer
-its rule label's index in the program's sorted labels, its 8-byte
-timestamp and the places of its inputs.  The firing node does not travel:
-it is the responder.  Best-Path's ``path(n0,n4,[n0|n1|n2|n3|n4],4)``,
-derived at ``n1`` from ``bestPath(n1,n4,[n1|n2|n3|n4],3)`` held there and
-``path_p2_mid_1(n1,n0,1)`` held at ``n0``, codes its pointer in 32 bytes,
+the record's own key, which the querier holds when it decodes them: per
+pointer its rule label's index in the program's sorted labels, its 8-byte
+timestamp and its inputs in order, each its relation's index in the
+catalog, then its origin and its arguments as a support code says them —
+a position for a ``str`` the key carries and a tagged literal otherwise
+(:func:`~repro.provenance.polynomial.write_arguments`).  The firing node
+does not travel: it is the responder.  Best-Path's
+``path(n0,n4,[n0|n1|n2|n3|n4],4)``, derived at ``n1`` from
+``bestPath(n1,n4,[n1|n2|n3|n4],3)`` held there and
+``path_p2_mid_1(n1,n0,1)`` held at ``n0``, codes its pointer in 29 bytes,
 which took 70 as a rendered label, node, timestamp and inputs.
 """
 
 from __future__ import annotations
 
 import struct
+from operator import is_
 from dataclasses import dataclass, field, fields
 from typing import ClassVar, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -76,14 +77,12 @@ from repro.net.address import Address
 from repro.provenance.log import ProvenancePointer
 from repro.provenance.graph import DerivationNode
 from repro.provenance.polynomial import (
-    POSITIONS,
-    TAG_NONE,
     ProvenanceExpression,
     flat_values,
     payload_positions,
+    put_varint,
     read_arguments,
     read_varint,
-    varint,
     write_arguments,
 )
 
@@ -296,22 +295,33 @@ class PointerCodebook:
     Every node runs the same program, so every kernel builds the same
     codebook and none travels.  A record's pointers code as::
 
-        code    := varint(input count) input* varint(pointer count) pointer*
-        input   := argument(origin) varint(relation index) argument*
-        pointer := varint(label index) f64(timestamp) varint(width) varint(input)*
+        code    := varint(pointer count) pointer*
+        pointer := varint(label index) f64(timestamp) varint(width) input*
+        input   := varint(relation index) argument(origin) argument*
 
-    with one argument per column of the relation, each said against the
-    flattened values of the record's key (``argument`` is the support
-    code's rule, :func:`~repro.provenance.polynomial.write_arguments`); an
-    origin is ``None`` or a ``str``.  A pointer names its inputs by their
-    place in the record's inputs, so an input several pointers share is
-    coded once: a firing found from each of its inputs' deltas is recorded
-    once per delta (Best-Path's ``p4`` pairs).  The firing node does not
-    travel: the decoder sets it to the responder, and every store records
-    its firings at the node it stores them.
+    with one input per pointer input and one argument per column of its
+    relation, each said against the flattened values of the record's key
+    (``argument`` is the support code's rule,
+    :func:`~repro.provenance.polynomial.write_arguments`); an origin is
+    ``None`` or a ``str``.  The firing node does not travel: the decoder
+    sets it to the responder, and every store records its firings at the
+    node it stores them.
+
+    The closures one node serves share records, so the codebook keeps the
+    last records it coded (:meth:`code`) and decoded (:meth:`entry`), up to
+    :attr:`MEMO_RECORDS` each: a record shared by several closures is coded
+    once by its responder and decoded once by each querier.
     """
 
-    __slots__ = ("labels", "relations", "_label_index", "_relation_index")
+    __slots__ = (
+        "labels", "relations", "_label_index", "_relation_index", "_codes", "_entries"
+    )
+
+    #: Records each memo keeps; a full memo starts over.
+    MEMO_RECORDS = 1 << 14
+
+    #: The parts :meth:`decode` tallies a code's bytes into.
+    PARTS = ("counts", "labels", "timestamps", "origins", "input codes")
 
     def __init__(
         self, labels: Iterable[str], relations: Iterable[Tuple[str, int]]
@@ -320,6 +330,8 @@ class PointerCodebook:
         self.relations: Tuple[Tuple[str, int], ...] = tuple(sorted(relations))
         self._label_index = {label: i for i, label in enumerate(self.labels)}
         self._relation_index = {pair: i for i, pair in enumerate(self.relations)}
+        self._codes: Dict[FactKey, tuple] = {}
+        self._entries: Dict[tuple, "QueryClosureEntry"] = {}
 
     @classmethod
     def of(cls, compiled) -> "PointerCodebook":
@@ -332,6 +344,59 @@ class PointerCodebook:
             ((name, catalog.schema(name).arity) for name in catalog),
         )
 
+    def code(
+        self, key: FactKey, pointers: Tuple[ProvenancePointer, ...]
+    ) -> Optional[bytes]:
+        """:meth:`encode`, memoised per key while the key's pointers are the
+        very objects it was coded from, as the live log hands them back.
+        The code reads only the key's ``str`` values, which every equal key
+        holds at the same positions."""
+        codes = self._codes
+        held = codes.get(key)
+        if (
+            held is not None
+            and len(held[0]) == len(pointers)
+            and all(map(is_, held[0], pointers))
+        ):
+            return held[1]
+        code = self.encode(key, pointers)
+        if len(codes) >= self.MEMO_RECORDS:
+            codes.clear()
+        codes[key] = (pointers, code)
+        return code
+
+    def entry(self, code: bytes, key: FactKey, node: str) -> Optional["QueryClosureEntry"]:
+        """The derived entry *code* says of *key* at *node* (:meth:`decode`),
+        or ``None``; memoised per ``(code, key, node)``, so closures that
+        share a record share its entry, frontier and replay memos included.
+
+        An equal key of another object (perhaps hash-equal: ``1`` /
+        ``True``) gets an entry of its own, its pointers' output that very
+        object: their inputs are the memoised ones, which read only the
+        key's ``str`` values and so decode alike from every equal key."""
+        memo = (code, key, node)
+        entries = self._entries
+        entry = entries.get(memo)
+        if entry is None:
+            pointers = self.decode(code, key, node)
+            if not pointers:
+                return None
+            entry = QueryClosureEntry(key, node, False, pointers)
+            if len(entries) >= self.MEMO_RECORDS:
+                entries.clear()
+            entries[memo] = entry
+        elif entry.key is not key:
+            entry = QueryClosureEntry(
+                key,
+                node,
+                False,
+                tuple(
+                    ProvenancePointer(key, held.rule_label, node, held.inputs, held.timestamp)
+                    for held in entry.pointers
+                ),
+            )
+        return entry
+
     def encode(
         self, key: FactKey, pointers: Sequence[ProvenancePointer]
     ) -> Optional[bytes]:
@@ -341,127 +406,77 @@ class PointerCodebook:
         :func:`~repro.provenance.polynomial.write_arguments` cannot say."""
         positions = payload_positions(flat_values(key[1]))
         labels, relations = self._label_index, self._relation_index
-        inputs = bytearray()
-        #: (relation, id(values), origin) -> place: a firing found from
-        #: each of its inputs' deltas is recorded once per delta, over the
-        #: same stored tuples, so its inputs are coded once.
-        places: Dict[tuple, int] = {}
-        firings = bytearray(varint(len(pointers)))
-        append = firings.append
+        code = bytearray()
+        put_varint(code, len(pointers))
         try:
             for pointer in pointers:
                 label = labels.get(pointer.rule_label)
                 if label is None:
                     return None
-                width = len(pointer.inputs)
-                # Labels, widths, relations and places below 0x80, as they
-                # nearly all are, are their own one-byte varints.
-                if label < 0x80 and width < 0x80:
-                    append(label)
-                    firings += _F64.pack(pointer.timestamp)
-                    append(width)
-                else:
-                    firings += varint(label)
-                    firings += _F64.pack(pointer.timestamp)
-                    firings += varint(width)
+                put_varint(code, label)
+                code += _F64.pack(pointer.timestamp)
+                put_varint(code, len(pointer.inputs))
                 for (relation, values), origin in pointer.inputs:
-                    place = places.get((relation, id(values), origin))
-                    if place is None:
-                        index = relations.get((relation, len(values)))
-                        if index is None:
-                            return None
-                        if origin is None:
-                            inputs.append(TAG_NONE)
-                        elif type(origin) is not str:
-                            return None
-                        elif origin in positions:
-                            inputs.append(positions[origin])
-                        elif not write_arguments(inputs, (origin,), positions):
-                            return None
-                        if index < 0x80:
-                            inputs.append(index)
-                        else:
-                            inputs += varint(index)
-                        if not write_arguments(inputs, values, positions):
-                            return None
-                        place = places[relation, id(values), origin] = len(places)
-                    if place < 0x80:
-                        append(place)
-                    else:
-                        firings += varint(place)
+                    index = relations.get((relation, len(values)))
+                    if index is None or (origin is not None and type(origin) is not str):
+                        return None
+                    put_varint(code, index)
+                    if not write_arguments(code, (origin, *values), positions):
+                        return None
         except (TypeError, struct.error):  # a timestamp or input of no usable shape
             return None
-        return varint(len(places)) + inputs + firings
+        return bytes(code)
 
     def decode(
-        self, code: bytes, key: FactKey, node: str
+        self,
+        code: bytes,
+        key: FactKey,
+        node: str,
+        tally: Optional[Dict[str, int]] = None,
     ) -> Optional[Tuple[ProvenancePointer, ...]]:
         """The pointers *code* says of *key*, fired at *node*.
 
         ``None`` when the code does not decode: truncated, followed by
-        trailing bytes, an unknown label, relation, input or argument tag,
-        a position past the key's values or on one that is not a ``str``,
-        an origin that is not ``None`` or a ``str``.
+        trailing bytes, an unknown label, relation or argument tag, a
+        position past the key's values or on one that is not a ``str``, an
+        origin that is not ``None`` or a ``str``.  A *tally* (one count per
+        name in :attr:`PARTS`) is added each part's bytes.
         """
         flat = flat_values(key[1])
         labels, relations = self.labels, self.relations
-        inputs = []
         pointers = []
         try:
-            count = code[0]
-            at = 1
-            if count >= 0x80:
-                count, at = read_varint(code, 0)
+            count, at = read_varint(code, 0)
+            if tally is not None:
+                tally["counts"] += at
             for _ in range(count):
-                origin = code[at]
-                if origin < POSITIONS:
-                    origin = flat[origin]
-                    at += 1
-                elif origin == TAG_NONE:
-                    origin = None
-                    at += 1
-                else:
-                    (origin,), at = read_arguments(code, at, flat, 1)
-                if origin is not None and type(origin) is not str:
-                    return None
-                index = code[at]
-                at += 1
-                if index >= 0x80:
-                    index, at = read_varint(code, at - 1)
-                relation, arity = relations[index]
-                values, at = read_arguments(code, at, flat, arity)
-                inputs.append(((relation, values), origin))
-            count = code[at]
-            at += 1
-            if count >= 0x80:
-                count, at = read_varint(code, at - 1)
-            for _ in range(count):
-                label = code[at]
-                at += 1
-                if label >= 0x80:
-                    label, at = read_varint(code, at - 1)
+                start = at
+                label, at = read_varint(code, at)
                 (timestamp,) = _F64.unpack_from(code, at)
-                width = code[at + 8]
-                at += 9
-                if width >= 0x80:
-                    width, at = read_varint(code, at - 1)
-                places = code[at : at + width]
-                if len(places) < width or max(places, default=0) >= 0x80:
-                    # Two-byte places, or a truncated code: one by one.
-                    places = []
-                    for _ in range(width):
-                        place, at = read_varint(code, at)
-                        places.append(place)
-                else:
-                    at += width
+                if tally is not None:
+                    tally["labels"] += at - start
+                    tally["timestamps"] += 8
+                    start = at + 8
+                width, at = read_varint(code, at + 8)
+                if tally is not None:
+                    tally["counts"] += at - start
+                inputs = []
+                for _ in range(width):
+                    start = at
+                    index, at = read_varint(code, at)
+                    relation, arity = relations[index]
+                    arguments = at
+                    values, at = read_arguments(code, at, flat, arity + 1)
+                    origin = values[0]
+                    if origin is not None and type(origin) is not str:
+                        return None
+                    if tally is not None:
+                        origins = read_arguments(code, arguments, flat, 1)[1] - arguments
+                        tally["origins"] += origins
+                        tally["input codes"] += at - start - origins
+                    inputs.append(((relation, values[1:]), origin))
                 pointers.append(
-                    ProvenancePointer(
-                        key,
-                        labels[label],
-                        node,
-                        tuple(map(inputs.__getitem__, places)),
-                        timestamp,
-                    )
+                    ProvenancePointer(key, labels[label], node, tuple(inputs), timestamp)
                 )
         except (IndexError, ValueError, struct.error, RecursionError):
             return None
@@ -536,7 +551,9 @@ class QueryClosure:
     decodes each record against the key it rebuilt for it.  A responder
     codes its cached local closure once (:meth:`LocalClosure.coded`) and
     ships that one object in every response it serves from the cache, so
-    the walk memo on it decodes once too.
+    the walk memo on it walks once too; a record several closures share is
+    coded and decoded once (:meth:`PointerCodebook.code`,
+    :meth:`PointerCodebook.entry`).
     """
 
     flags: bytes = b""
@@ -558,22 +575,22 @@ class QueryClosure:
         """Replay the walk from *root* at *node*: ``(entries, missing)``.
 
         Each derived record's code is decoded against the key the walk
-        rebuilt for it, into the pointers its entry carries.  ``None`` when
-        the records do not fit the walk: too few, too many, an unknown
-        flag, a code on a base or missing record, none on a derived one, or
-        a code that does not decode (:meth:`PointerCodebook.decode`).  The
-        answer for the last ``(root, node)`` asked is memoised: a cached
-        closure is asked for the key it was walked from, at the node that
-        walked it, so it decodes once.  Equal roots share the memo (the
-        rebuilt root entry keeps the first root object; no size reads its
-        rendering).
+        rebuilt for it, into the pointers its entry carries
+        (:meth:`PointerCodebook.entry`).  ``None`` when the records do not
+        fit the walk: too few, too many, an unknown flag, a code on a base
+        or missing record, none on a derived one, or a code that does not
+        decode (:meth:`PointerCodebook.decode`).  The answer for the last
+        ``(root, node)`` asked is memoised: a cached closure is asked for
+        the key it was walked from, at the node that walked it, so it walks
+        once.  Equal roots share the memo (the rebuilt root entry keeps the
+        first root object; no size reads its rendering).
         """
         memo = self._walk
         if memo is not None and memo[0] == root and memo[1] == node:
             return None if memo[2] is None else memo[2:]
         flags, codes = self.flags, self.codes
         records = zip(flags, codes)
-        decode = codebook.decode
+        decode = codebook.entry
         entries: List[QueryClosureEntry] = []
         missing: List[FactKey] = []
 
@@ -583,10 +600,11 @@ class QueryClosure:
                 return None
             flag, code = record
             if flag == RECORD_DERIVED and code:
-                pointers = decode(code, key, node)
-                if pointers:
-                    entries.append(QueryClosureEntry(key, node, False, pointers))
-                return pointers or None
+                entry = decode(code, key, node)
+                if entry is None:
+                    return None
+                entries.append(entry)
+                return entry.pointers
             if code:
                 return None
             if flag == RECORD_BASE:
@@ -614,41 +632,59 @@ class QueryClosure:
 class LocalClosure:
     """A node's local closure of one key as its own store answered it.
 
-    The walk's records in preorder: a ``RECORD_*`` flag per visited key in
-    ``flags``, the base and derived keys as entries with the store's own
-    pointers in ``entries``, the keys the node cannot vouch for in
-    ``missing``.  It never travels: the node's result cache keeps it, the
-    asker merges its entries in place, and a response ships it coded
-    (:meth:`coded`).
+    The walk at ``node``'s records in preorder: a ``RECORD_*`` flag per
+    visited key in ``flags``, the key at the same position in ``keys`` and,
+    in ``pointers``, the store's own pointers when it was derived (``()``
+    otherwise).  It never travels: the node's result cache keeps it, the
+    asker merges its entries in place (:meth:`expansion`), and a response
+    ships it coded (:meth:`coded`).
     """
 
+    node: str
     flags: bytes
-    entries: Tuple[QueryClosureEntry, ...]
-    missing: Tuple[FactKey, ...]
+    keys: Tuple[FactKey, ...]
+    pointers: Tuple[Tuple[ProvenancePointer, ...], ...]
+    _expansion: Optional[tuple] = _memo_field()
     _coded: Optional[QueryClosure] = _memo_field()
 
     __reduce__ = _reduce_without_memos
 
+    def expansion(self) -> tuple:
+        """``(entries, missing)``: the base and derived keys as entries with
+        the store's pointers, and the keys the node cannot vouch for.
+        Memoised, so a cached closure builds its entries once."""
+        expansion = self._expansion
+        if expansion is None:
+            entries: List[QueryClosureEntry] = []
+            missing: List[FactKey] = []
+            node = self.node
+            for flag, key, pointers in zip(self.flags, self.keys, self.pointers):
+                if flag == RECORD_MISSING:
+                    missing.append(key)
+                else:
+                    entries.append(
+                        QueryClosureEntry(key, node, flag == RECORD_BASE, pointers)
+                    )
+            expansion = (tuple(entries), tuple(missing))
+            object.__setattr__(self, "_expansion", expansion)
+        return expansion
+
     def coded(self, codebook: PointerCodebook) -> QueryClosure:
         """The closure as it travels: the same records, each derived key's
-        pointers coded against the key (:meth:`PointerCodebook.encode`).
+        pointers coded against the key (:meth:`PointerCodebook.code`).
         A closure holding a pointer no code can say vouches for nothing: it
         ships as one missing record.  Memoised, so a cached closure codes
         once, when it first ships."""
         coded = self._coded
         if coded is None:
-            entries = iter(self.entries)
             codes: List[bytes] = []
-            for flag in self.flags:
+            for flag, key, pointers in zip(self.flags, self.keys, self.pointers):
                 code = b""
                 if flag == RECORD_DERIVED:
-                    entry = next(entries)
-                    code = codebook.encode(entry.key, entry.pointers)
+                    code = codebook.code(key, pointers)
                     if code is None:
                         coded = QueryClosure(bytes((RECORD_MISSING,)), (b"",))
                         break
-                elif flag == RECORD_BASE:
-                    next(entries)
                 codes.append(code)
             else:
                 coded = QueryClosure(self.flags, tuple(codes))

@@ -51,8 +51,11 @@ cache               lives on                    invalidated by
 ==================  ==========================  ================================
 size memo           request, response, closure  never: the owner is immutable
 coded closure       each ``LocalClosure``       never: the owner is immutable
+local expansion     each ``LocalClosure``       never: the owner is immutable
 rebuild memo        each ``QueryClosure``       a walk from another root or node
-pointer decode      each ``QueryClosure``       with the rebuild memo (its part)
+record codes        each ``PointerCodebook``    other pointer objects; when full
+decoded records     each ``PointerCodebook``    never (same code, key, node);
+                                                when full
 remote frontier     each closure entry          never: the owner is immutable
 replay memo         each closure entry          never; filled on graph read
 route table         each ``SimulationKernel``   LinkDown/Up, NodeCrash/Recover
@@ -63,15 +66,19 @@ expiry watermark    each ``Table``              soft store / refresh / any scan
 ==================  ==========================  ================================
 
 A node's result cache keeps each :class:`LocalClosure` it walked: the asker
-merges its entries in place, and the first response served from it codes
-it (the coded-closure memo), so every later response ships that same
-:class:`~repro.net.message.QueryClosure`.  The rebuild memo on it holds the
-entries and missing keys the querier's last walk rebuilt, with its root
-and node; a shipped closure is only ever walked from the key it was
-recorded for, at the node that recorded it, so the querier rebuilds each
-cached closure once and its entries keep their frontier and replay memos
-across responses.  The pointers those entries carry are the records' codes
-decoded during that walk, so a cached closure decodes once too; a
+merges its entries in place (the local-expansion memo), and the first
+response served from it codes it (the coded-closure memo), so every later
+response ships that same :class:`~repro.net.message.QueryClosure`.  The
+rebuild memo on it holds the entries and missing keys the querier's last
+walk rebuilt, with its root and node; a shipped closure is only ever walked
+from the key it was recorded for, at the node that recorded it, so the
+querier rebuilds each cached closure once and its entries keep their
+frontier and replay memos across responses.  Closures at one node share
+records, so the kernel's codebook keeps the code of each record it coded,
+checked against the very pointer objects it coded, and the entry of each
+``(code, key, node)`` it decoded: a shared record is coded and decoded
+once.  Both memos start over past
+:attr:`~repro.net.message.PointerCodebook.MEMO_RECORDS` records.  A
 closure's size is its flag and code bytes, no rendering.  The remote
 frontier holds positions into its entry's own pointers and the remote
 inputs' rendered sizes, never a key.  The route-cost memo
@@ -327,25 +334,22 @@ def _local_closure(store, node: Address, root: FactKey) -> LocalClosure:
     the pointers for the querier to dereference.
     """
     flags = bytearray()
-    entries: List[QueryClosureEntry] = []
-    missing: List[FactKey] = []
+    keys: List[FactKey] = []
+    pointer_lists: List[tuple] = []
 
     def visit(key: FactKey):
+        keys.append(key)
         if store.is_base(key):
             flags.append(RECORD_BASE)
-            entries.append(QueryClosureEntry(key, node, True))
-            return ()
-        pointers = store.pointers(key)
-        if pointers:
-            flags.append(RECORD_DERIVED)
-            entries.append(QueryClosureEntry(key, node, False, pointers))
+            pointers = ()
         else:
-            flags.append(RECORD_MISSING)
-            missing.append(key)
+            pointers = store.pointers(key)
+            flags.append(RECORD_DERIVED if pointers else RECORD_MISSING)
+        pointer_lists.append(pointers)
         return pointers
 
     walk_closure(root, node, visit)
-    return LocalClosure(bytes(flags), tuple(entries), tuple(missing))
+    return LocalClosure(node, bytes(flags), tuple(keys), tuple(pointer_lists))
 
 
 class QueryEngine:
@@ -579,7 +583,8 @@ class QueryEngine:
         now = self._charge(pending.stats, now, cpu)
         if at_node not in pending.nodes_visited:
             pending.nodes_visited.append(at_node)
-        self._merge_closure(pending, at_node, local.entries, local.missing, now)
+        entries, missing = local.expansion()
+        self._merge_closure(pending, at_node, entries, missing, now)
 
     def _merge_closure(
         self,

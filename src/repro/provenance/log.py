@@ -132,7 +132,9 @@ class DerivationLog:
         """Record one local rule firing; return the derived tuple's annotation.
 
         *fact* and *antecedents* are the tuples *pointer* names, in the same
-        order; they supply tuple metadata for keys the log has not seen.
+        order; they supply tuple metadata for keys the log has not seen.  A
+        firing the log already holds (:meth:`recorded`) is not kept twice;
+        its annotation is returned all the same.
         """
         key = pointer.output
         input_keys = [input_key for input_key, _ in pointer.inputs]
@@ -142,11 +144,27 @@ class DerivationLog:
         for input_key, antecedent in zip(input_keys, antecedents):
             if input_key not in tuples:
                 tuples[input_key] = _tuple_node(input_key, antecedent, None)
-        self._pointers.setdefault(key, []).append(pointer)
+        if not self.recorded(pointer):
+            self._pointers.setdefault(key, []).append(pointer)
         if self.track_dependencies:
             self.depend(key, input_keys)
         joined = join_all(map(self.annotation, input_keys))
         return self._absorb(key, joined)
+
+    def recorded(self, pointer: ProvenancePointer) -> bool:
+        """True when the log holds *pointer*'s firing already: the same rule
+        over the same inputs at the same instant.  A firing whose inputs are
+        all new in one round is found once from each of their deltas (Best-
+        Path's ``p4`` from both its ``bestPathCost`` and its ``path``).
+        Firings are appended in time order, so only the key's latest ones
+        can match."""
+        timestamp = pointer.timestamp
+        for held in reversed(self._pointers.get(pointer.output, ())):
+            if held.timestamp != timestamp:
+                return False
+            if held.inputs == pointer.inputs and held.rule_label == pointer.rule_label:
+                return True
+        return False
 
     def depend(self, output: FactKey, inputs: Iterable[FactKey]) -> None:
         """Index *output* under each of *inputs* for retraction cascades.

@@ -548,19 +548,21 @@ class BaseVariables:
         self.fresh.clear()
 
 
-def varint(value: int) -> bytes:
-    """The varint of *value*, ``0 <= value < 2**64``."""
-    out = bytearray()
+def put_varint(code: bytearray, value: int) -> None:
+    """Append the varint of *value*, ``0 <= value < 2**64``, to *code*."""
     while value >= 0x80:
-        out.append(value & 0x7F | 0x80)
+        code.append(value & 0x7F | 0x80)
         value >>= 7
-    out.append(value)
-    return bytes(out)
+    code.append(value)
 
 
 def read_varint(code: bytes, at: int) -> Tuple[int, int]:
-    """``(value, next offset)`` of the varint at *at*; ``ValueError`` when it
-    runs past ten bytes or 2**64."""
+    """``(value, next offset)`` of the varint at *at*; ``IndexError`` past
+    the end of *code*, ``ValueError`` when it runs past ten bytes or
+    2**64."""
+    value = code[at]
+    if value < 0x80:  # nearly every varint: one byte
+        return value, at + 1
     value = shift = 0
     for offset in range(at, at + _VARINT_BYTES):
         byte = code[offset]
@@ -608,7 +610,7 @@ def write_arguments(
             except UnicodeEncodeError:  # a lone surrogate
                 return False
             code.append(_STR)
-            code += varint(len(text))
+            put_varint(code, len(text))
             code += text
         elif kind is float:
             if (
@@ -617,31 +619,27 @@ def write_arguments(
                 and (value or copysign(1.0, value) > 0)
             ):
                 number = int(value)
-                zigzag = number << 1 if number >= 0 else (-number << 1) - 1
                 code.append(_INTEGRAL)
-                if zigzag < 0x80:
-                    code.append(zigzag)
-                else:
-                    code += varint(zigzag)
+                put_varint(code, number << 1 if number >= 0 else (-number << 1) - 1)
             else:
                 code.append(_FLOAT)
                 code += _F64.pack(value)
         elif kind is tuple:
             code.append(_TUPLE)
-            if len(value) < 0x80:
-                code.append(len(value))
-            else:
-                code += varint(len(value))
-            if not write_arguments(code, value, positions):
-                return False
+            put_varint(code, len(value))
+            try:  # a path: every element a str at a position, said at once
+                code += bytes(map(positions.__getitem__, value))
+            except (KeyError, TypeError):
+                if not write_arguments(code, value, positions):
+                    return False
         elif kind is int:
             if -(1 << 63) <= value < 1 << 63:
                 code.append(_INT)
-                code += varint(value << 1 if value >= 0 else (-value << 1) - 1)
+                put_varint(code, value << 1 if value >= 0 else (-value << 1) - 1)
             else:
                 data = value.to_bytes(value.bit_length() // 8 + 1, "little", signed=True)
                 code.append(_BIG)
-                code += varint(len(data))
+                put_varint(code, len(data))
                 code += data
         elif value is None:
             code.append(TAG_NONE)
@@ -675,18 +673,12 @@ def read_arguments(
             if type(value) is not str:
                 raise ValueError("a position on a value that is not a str")
         elif tag == _INTEGRAL or tag == _INT:
-            zigzag = code[at]
-            at += 1
-            if zigzag >= 0x80:
-                zigzag, at = read_varint(code, at - 1)
+            zigzag, at = read_varint(code, at)
             value = -(zigzag >> 1) - 1 if zigzag & 1 else zigzag >> 1
             if tag == _INTEGRAL:
                 value = float(value)
         elif tag == _TUPLE:
-            size = code[at]
-            at += 1
-            if size >= 0x80:
-                size, at = read_varint(code, at - 1)
+            size, at = read_varint(code, at)
             places = code[at : at + size]
             if len(places) < size:
                 raise ValueError("more tuple elements than bytes left")
@@ -735,15 +727,13 @@ def support_code(
     keys = table.keys
     monomials = support.monomials
     count = len(monomials)
-    code = bytearray((count,)) if count < 0x80 else bytearray(varint(count))
+    code = bytearray()
+    put_varint(code, count)
     for monomial, coefficient in monomials:
         if coefficient != 1:
             return None
         width = len(monomial)
-        if width < 0x80:
-            code.append(width)
-        else:
-            code += varint(width)
+        put_varint(code, width)
         for name, exponent in monomial:
             template = keys.get(name)
             if template is None or exponent != 1:
@@ -763,7 +753,7 @@ def support_code(
                 else:
                     text = part.encode("utf-8")
                     code.append(_STR)
-                    code += varint(len(text))
+                    put_varint(code, len(text))
                     code += text
     return bytes(code)
 
@@ -783,14 +773,9 @@ def from_support_code(
     relations, names, fresh = table.relations, table.names, table.fresh
     monomials = []
     try:
-        # The count through the general reader, once; every later varint
-        # takes its one-byte form inline.
         count, at = read_varint(code, 0)
         for _ in range(count):
-            width = code[at]
-            at += 1
-            if width >= 0x80:
-                width, at = read_varint(code, at - 1)
+            width, at = read_varint(code, at)
             variables = []
             for _ in range(width):
                 relation, arity = relations[code[at]]

@@ -6,9 +6,10 @@ store to the *local closure* of the requested key
 roots are asked again and again — the closure is the natural memo unit,
 keyed by ``(root key, query mode, condensed)``.  The memoized value is the
 closure as the node's store answered it (a
-:class:`~repro.net.query.LocalClosure`: the walk's entries with the store's
-own pointers) with its condensed annotation.  The asker merges those
-entries in place; the first response served from it codes it once
+:class:`~repro.net.query.LocalClosure`: the walk's keys with the store's
+own pointers) with its condensed annotation.  The asker merges its entries
+in place (:meth:`~repro.net.query.LocalClosure.expansion`); the first
+response served from it codes it once
 (:meth:`~repro.net.query.LocalClosure.coded`, the keyless records with each
 derived record's pointer code), so every later response shares that
 encoded closure, and the querier's decode memo on it.

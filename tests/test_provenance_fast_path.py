@@ -453,6 +453,15 @@ def test_a_recorded_firing_is_one_pointer_and_views_are_built_on_read(monkeypatc
     assert counts["ProvenancePointer"] == firings
     assert counts["OperatorNode"] == 0
     assert not graph_calls  # no DerivationGraph / DerivationNode method ran
+    # A firing found from two of its inputs' deltas in one round (Best-
+    # Path's p4) is kept once: no log holds a pointer twice.
+    held = [
+        pointer
+        for engine in network.engines.values()
+        for key in engine.provenance.keys()
+        for pointer in engine.provenance.pointers(key)
+    ]
+    assert len(held) == len(set(held)) == 313
 
     # graph(root): one operator per pointer the walk reaches, built now.
     address = network.topology.nodes[0]
@@ -474,9 +483,9 @@ def test_a_recorded_firing_is_one_pointer_and_views_are_built_on_read(monkeypatc
     assert first.complete and first.remote_lookups > 0
     assert counts["OperatorNode"] == len(first.graph.operators())
     # The querier builds the pointers it reads from the responses' codes:
-    # one per pointer of the remote records, decoded once per closure.
+    # one per pointer of the remote records, each record decoded once.
     decoded = counts["ProvenancePointer"] - firings
-    assert decoded == 20
+    assert decoded == 14
     second = network.query(root, at=address)
     assert second.graph.same_structure(first.graph)
     assert counts["OperatorNode"] == len(first.graph.operators())
@@ -484,6 +493,27 @@ def test_a_recorded_firing_is_one_pointer_and_views_are_built_on_read(monkeypatc
     # closures decode nothing again.
     assert counts["append"] == firings
     assert counts["ProvenancePointer"] == firings + decoded
+
+
+def test_the_offline_archive_keeps_each_firing_once_too():
+    network = Network.build(
+        topology=8,
+        program="best-path",
+        provenance="condensed",
+        keep_offline_provenance=True,
+        seed=SEED,
+    )
+    assert network.run().converged
+    for engine in network.engines.values():
+        log = engine.provenance
+        archived = engine.offline_provenance.entries()
+        firings = {
+            (entry.key, entry.rule_label, frozenset(entry.antecedent_keys), entry.timestamp)
+            for entry in archived
+        }
+        assert len(archived) == len(firings) == sum(
+            len(log.pointers(key)) for key in log.keys()
+        ) > 0
 
 
 def test_ndlog_never_enters_the_provenance_package_while_rules_fire():

@@ -82,9 +82,21 @@ class TestOnlineStore:
     def test_len(self):
         store = DerivationLog("a")
         fire(store, ROUTE, "p4", (LINK,))
-        fire(store, ROUTE, "p4", (LINK,))
+        fire(store, ROUTE, "p4", (LINK,), timestamp=1.0)
         assert len(store.pointers(ROUTE.key())) == 2
         assert store.storage_overhead() == 2
+
+    def test_a_firing_found_twice_in_one_round_is_kept_once(self):
+        store = DerivationLog("a")
+        first = fire(store, ROUTE, "p4", (LINK,))
+        again = fire(store, ROUTE, "p4", (LINK,))
+        assert again == first
+        assert len(store.pointers(ROUTE.key())) == 1
+        assert store.storage_overhead() == 1
+        # Another rule, or the same rule later, is another firing.
+        fire(store, ROUTE, "p5", (LINK,))
+        fire(store, ROUTE, "p4", (LINK,), timestamp=1.0)
+        assert len(store.pointers(ROUTE.key())) == 3
 
 
 class TestOfflineArchive:

@@ -154,7 +154,7 @@ def wire_size(sized) -> int:
     if isinstance(sized, QueryClosure):
         return sized.serialized_size()
     if isinstance(sized, LocalClosure):
-        return len(sized.entries)
+        return len(sized.flags)
     return sized.size_bytes()
 
 
@@ -236,6 +236,7 @@ class TestSizeMemos:
         local = _local_closure(OnePointerStore(KEYS[5]), "n1", KEYS[5])
         fresh_local = _local_closure(OnePointerStore(KEYS[5]), "n1", KEYS[5])
         closure, fresh = local.coded(CODEBOOK), closure_for(KEYS[5])
+        local.expansion()
         (entry, *_), _missing = closure.walk(KEYS[5], "n1", CODEBOOK)
         entry.replay()
         entry.frontier()
@@ -256,7 +257,9 @@ class TestSizeMemos:
             (known, request_for(KEYS[5])),
             (response, unsized),
         )
-        memos = ("_size_bytes", "_replay", "_frontier", "_walk", "_coded", "key_bytes")
+        memos = (
+            "_size_bytes", "_replay", "_frontier", "_walk", "_coded", "_expansion", "key_bytes"
+        )
         for filled, empty in pairs:
             # A filled memo leaves the pickle byte for byte unchanged.
             assert pickle.dumps(filled) == pickle.dumps(empty)
@@ -323,28 +326,28 @@ class TestRecordStream:
         assert list(closure.flags) == [RECORD_DERIVED, RECORD_BASE, RECORD_MISSING]
         assert [len(code) for code in closure.codes[1:]] == [0, 0]
         # The derived record's code, against the root's values n1 n3 5.0:
-        # three inputs, then one pointer naming them by place.  A str the
-        # root carries is its position; n2 is a literal; the firing node
-        # (n1, the responder) is nowhere.
+        # one pointer (label, timestamp, width), then its three inputs in
+        # order, each its relation, origin and arguments.  A str the root
+        # carries is its position; n2 is a literal; the firing node (n1,
+        # the responder) is nowhere.
         literal_n2 = bytes([0x7F, 2]) + b"n2"
+        firing = bytes([1, 0]) + struct.pack("<d", 3.5) + bytes([3])
         inputs = (
-            bytes([3])
-            + bytes([0x83, 1, 0]) + literal_n2  # link(n1,n2) held here
-            + literal_n2 + bytes([2]) + literal_n2 + bytes([1])  # path(n2,n3)@n2
+            bytes([1, 0x83, 0]) + literal_n2  # link(n1,n2) held here
+            + bytes([2]) + literal_n2 + literal_n2 + bytes([1])  # path(n2,n3)@n2
             + bytes([0, 0, 0])  # cost(n1)@n1
         )
-        firings = bytes([1, 0]) + struct.pack("<d", 3.5) + bytes([3, 0, 1, 2])
-        assert closure.codes[0] == inputs + firings
-        assert (len(inputs), len(firings)) == (21, 14)
+        assert closure.codes[0] == firing + inputs
+        assert (len(firing), len(inputs)) == (11, 20)
         response = QueryResponse(
             source="n1", destination="n0", query_id=1, request_id=2,
             closure=closure, annotation_bytes=11, signature=b"s" * 16,
         )
-        # header 80 + flags 2 + records (3 flag bytes + the 35-byte code)
+        # header 80 + flags 2 + records (3 flag bytes + the 31-byte code)
         # + annotation 11 + signature 16; the rendered pointer was 52 - 3.
         assert response.size_bytes() == (
-            MESSAGE_HEADER_BYTES + QUERY_FLAG_BYTES + 3 + 35 + 11 + 16
-        ) == 147
+            MESSAGE_HEADER_BYTES + QUERY_FLAG_BYTES + 3 + 31 + 11 + 16
+        ) == 143
         assert not {"key", "key_bytes", "entries", "missing", "pointers"} & (
             {f.name for f in fields(QueryResponse)} | {f.name for f in fields(QueryClosure)}
         )
@@ -411,8 +414,8 @@ def _one_pointer_code(book, origin=bytes([0x83]), label=0, relation=None,
     if arguments is None:
         arguments = bytes([0, 0x7C, 2, 0x7C, 4])
     return (
-        bytes([1]) + origin + bytes([relation]) + arguments
-        + bytes([1, label]) + struct.pack("<d", 1.0) + bytes([1, 0]) + tail
+        bytes([1, label]) + struct.pack("<d", 1.0) + bytes([1])
+        + bytes([relation]) + origin + arguments + tail
     )
 
 
@@ -430,6 +433,15 @@ class TestPointerCodes:
             timestamp=1.0,
         )
         assert self.BOOK.encode(self.KEY, (pointer,)) == _one_pointer_code(self.BOOK)
+
+    def test_the_tally_splits_every_byte_of_a_code(self):
+        code = _one_pointer_code(self.BOOK)
+        tally = dict.fromkeys(PointerCodebook.PARTS, 0)
+        assert self.BOOK.decode(code, self.KEY, "n0", tally) is not None
+        assert tally == {
+            "counts": 2, "labels": 1, "timestamps": 8, "origins": 1, "input codes": 6
+        }
+        assert sum(tally.values()) == len(code) == 18
 
     @pytest.mark.parametrize(
         "code",
@@ -456,6 +468,40 @@ class TestPointerCodes:
         closure = QueryClosure(bytes([RECORD_DERIVED]), (malformed,))
         assert closure.walk(self.KEY, "n0", self.BOOK) is None
 
+    def test_a_record_several_closures_share_is_coded_once(self):
+        book = PointerCodebook.of(compile_best_path())
+        (pointer,) = book.decode(_one_pointer_code(book), self.KEY, "n0")
+        code = book.code(self.KEY, (pointer,))
+        assert code == _one_pointer_code(book)
+        assert book.code(self.KEY, (pointer,)) is code
+        # Other pointer objects, even equal ones, are coded afresh.
+        again = book.code(self.KEY, (replace(pointer),))
+        assert again == code and again is not code
+
+    def test_a_record_is_decoded_once_per_code_key_and_node(self, monkeypatch):
+        book = PointerCodebook.of(compile_best_path())
+        code = _one_pointer_code(book)
+        entry = book.entry(code, self.KEY, "n0")
+        assert entry.pointers == book.decode(code, self.KEY, "n0")
+        assert book.entry(code, self.KEY, "n0") is entry
+        assert book.entry(code, self.KEY, "n1").node == "n1"
+        # An equal key of another object gets its own entry: the output is
+        # that object, the inputs the memoised ones.
+        other = (self.KEY[0], tuple(self.KEY[1]))
+        assert other == self.KEY and other is not self.KEY
+        own = book.entry(code, other, "n0")
+        assert own is not entry and own.key is other
+        assert own.pointers[0].output is other
+        assert own.pointers[0].inputs is entry.pointers[0].inputs
+        assert book.entry(code[:-1], self.KEY, "n0") is None
+        # A full memo starts over.
+        monkeypatch.setattr(PointerCodebook, "MEMO_RECORDS", 2)
+        book.entry(code, self.KEY, "n2")
+        assert list(book._entries) == [(code, self.KEY, "n2")]
+        for relation in "klm":
+            book.code((relation, ()), ())
+        assert list(book._codes) == [("m", ())]
+
     def test_a_pointer_no_code_can_say_ships_its_key_missing(self):
         """A value no tag names, or a label or relation the program does not
         have: the closure vouches for nothing, and ships as its requested
@@ -472,7 +518,7 @@ class TestPointerCodes:
                 pointers=lambda key, firing=firing: (firing,) if key == self.KEY else (),
             )
             local = _local_closure(store, "n0", self.KEY)
-            assert [entry.key for entry in local.entries] == [self.KEY] + (
+            assert [entry.key for entry in local.expansion()[0]] == [self.KEY] + (
                 [held] if firing.inputs[0][0] == held else []
             )
             coded = local.coded(self.BOOK)
@@ -809,7 +855,10 @@ def test_serving_pays_one_search_per_pair_and_one_render_per_entry(monkeypatch):
         for entry in closure._walk[2]
     }
     cached_entries.update(
-        (id(entry), entry) for local in locals_ for entry in local.entries
+        (id(entry), entry)
+        for local in locals_
+        if local._expansion is not None
+        for entry in local._expansion[0]
     )
     assert len(frontier_builds) == len(set(frontier_builds))
     assert set(frontier_builds) == {
@@ -825,7 +874,7 @@ def test_serving_pays_one_search_per_pair_and_one_render_per_entry(monkeypatch):
         len(entry._frontier or ()) // 3 for entry in cached_entries.values()
     )
     assert result.stats.total("cache_hits") > 0
-    assert len(renders) == frontier_renders == 419
+    assert len(renders) == frontier_renders == 300
 
 
 def test_every_decoded_pointer_is_the_responders():
@@ -845,11 +894,12 @@ def test_every_decoded_pointer_is_the_responders():
             if local._coded is None:
                 continue  # only ever merged at its own node
             entries, missing = local._coded.walk(root, node, book)
-            assert missing == local.missing
+            recorded_entries, recorded_missing = local.expansion()
+            assert missing == recorded_missing
             assert [(e.key, e.is_base) for e in entries] == [
-                (e.key, e.is_base) for e in local.entries
+                (e.key, e.is_base) for e in recorded_entries
             ]
-            for decoded, recorded in zip(entries, local.entries):
+            for decoded, recorded in zip(entries, recorded_entries):
                 assert decoded.pointers == recorded.pointers
                 for after, before in zip(decoded.pointers, recorded.pointers):
                     assert after.node == before.node == node

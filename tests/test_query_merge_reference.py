@@ -254,11 +254,11 @@ def test_a_result_taken_mid_query_stays_partial(backend):
     pending = network.issue_query(ProvenanceQuery(root=root, at="n0"))
     assert pending.outstanding
     early = pending.result()
-    assert len(early.graph) == 6 and early.missing == ()
+    assert len(early.graph) == 5 and early.missing == ()
     network.run_until_idle()
     final = pending.result()
-    assert final.complete and len(final.graph) == 28
-    assert len(early.graph) == 6  # the snapshot did not grow with the query
+    assert final.complete and len(final.graph) == 25
+    assert len(early.graph) == 5  # the snapshot did not grow with the query
     assert final.graph is not pending.result().graph
     oracle = network.legacy_traceback(root, at="n0")
     assert final.graph.same_structure(oracle.graph)

@@ -112,7 +112,10 @@ def reference_firings(plan, database, delta, delta_index):
         head = tuple(evaluate_term(term, bindings) for term in plan.head.atom.terms)
         ship_to = plan.head.destination
         destination = None if ship_to is None else evaluate_term(ship_to, bindings)
-        firings.append((head, destination, (delta,) + antecedents))
+        before = sum(1 for index in others if index < delta_index)
+        firings.append(
+            (head, destination, antecedents[:before] + (delta,) + antecedents[before:])
+        )
 
     def join(position, bindings, antecedents):
         if position == len(others):

@@ -16,13 +16,12 @@ shipped in responses — whatever a response's wire size charges beyond its
 records, annotation and signature, which is nothing since a response names
 its request instead of its key.  The response records are split again, by
 reading each derived record's pointer code against the key the querier
-rebuilds for it: record flags, rule labels, timestamps, counts (inputs and
-pointers per record, inputs per pointer), the places naming each pointer's
-inputs, input origins, input codes (relation and arguments), and fallback
-pointers — whatever a record carries that is none of these, which is
-nothing since every pointer travels as a code.  Only the serve window is
-counted.  With
-``--read`` every query's graph is read as it completes, as an API caller
+rebuilds for it (:meth:`~repro.net.message.PointerCodebook.decode` tallies
+the parts): record flags, rule labels, timestamps, counts (pointers per
+record, inputs per pointer), input origins, input codes (relation and
+arguments), and fallback pointers — whatever a record carries that is none
+of these, which is nothing since every pointer travels as a code.  Only the
+serve window is counted.  With ``--read`` every query's graph is read as it completes, as an API caller
 would; by default nobody reads them, as in the benchmark's service plane.
 
     python tools/query_census.py --nodes 30 --seconds 25
@@ -39,7 +38,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 import repro.net.message as message  # noqa: E402
 from repro.api import Network  # noqa: E402
-from repro.provenance.polynomial import flat_values, read_arguments, read_varint  # noqa: E402
 from repro.net.events import EventScheduler, QueryTimeout  # noqa: E402
 from repro.net.kernel import SimulationKernel  # noqa: E402
 from repro.net.query import QueryEngine  # noqa: E402
@@ -60,7 +58,6 @@ ROWS = (
     "query bytes: response records: labels",
     "query bytes: response records: timestamps",
     "query bytes: response records: counts",
-    "query bytes: response records: input places",
     "query bytes: response records: origins",
     "query bytes: response records: input codes",
     "query bytes: response records: fallback pointers",
@@ -147,49 +144,23 @@ def install(read: bool) -> Census:
         return ship(self, query_id, sender, wire, send_time)
 
     def count_records(closure, asked, responder, book):
-        """Split *closure*'s record bytes by part, reading each derived
-        record's code against the key a fresh walk rebuilds for it."""
-        parts = dict.fromkeys(
-            ("labels", "timestamps", "counts", "input places", "origins", "input codes"), 0
-        )
+        """Split *closure*'s record bytes by part: the codebook's decode
+        tallies each derived record's code against the key a fresh walk
+        rebuilds for it."""
+        tally = dict.fromkeys(book.PARTS, 0)
         entries, _missing = message.QueryClosure(closure.flags, closure.codes).walk(
             asked, responder, book
         )
         derived = [entry.key for entry in entries if not entry.is_base]
         codes = [code for code in closure.codes if code]
         for key, code in zip(derived, codes):
-            flat = flat_values(key[1])
-            inputs, at = read_varint(code, 0)
-            parts["counts"] += at
-            for _ in range(inputs):
-                start = at
-                _origin, at = read_arguments(code, at, flat, 1)
-                parts["origins"] += at - start
-                start = at
-                index, at = read_varint(code, at)
-                _values, at = read_arguments(code, at, flat, book.relations[index][1])
-                parts["input codes"] += at - start
-            start = at
-            pointers, at = read_varint(code, at)
-            parts["counts"] += at - start
-            for _ in range(pointers):
-                start = at
-                _label, at = read_varint(code, at)
-                parts["labels"] += at - start
-                parts["timestamps"] += 8
-                start = at + 8
-                width, at = read_varint(code, start)
-                parts["counts"] += at - start
-                for _ in range(width):
-                    start = at
-                    _place, at = read_varint(code, at)
-                    parts["input places"] += at - start
+            book.decode(code, key, responder, tally)
         records = "query bytes: response records"
         census[f"{records}: flags"] += len(closure.flags)
-        for part, count in parts.items():
+        for part, count in tally.items():
             census[f"{records}: {part}"] += count
         census[f"{records}: fallback pointers"] += (
-            closure.serialized_size() - len(closure.flags) - sum(parts.values())
+            closure.serialized_size() - len(closure.flags) - sum(tally.values())
         )
 
     def counted_finish(self, pending, at_time):
