@@ -310,7 +310,9 @@ class PointerCodebook:
     The closures one node serves share records, so the codebook keeps the
     last records it coded (:meth:`code`) and decoded (:meth:`entry`), up to
     :attr:`MEMO_RECORDS` each: a record shared by several closures is coded
-    once by its responder and decoded once by each querier.
+    and decoded once per kernel.  A decoded record depends on nothing but
+    its code, the querier's key and the responder, so queriers of one
+    kernel may share it.
     """
 
     __slots__ = (
