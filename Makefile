@@ -56,7 +56,8 @@
 #                      and on the N=8 churn shape: shipped supports by wire form
 #                      (support code vs explicit) and code arguments by form.
 #   make engine-census - tools/engine_census.py on the bestpath_ndlog shape
-#                      (N=40): runs of same-relation deltas, the no-op share
+#                      (N=40): rule firings found twice in one round (it
+#                      exits 1 unless that is 0), runs of same-relation deltas, the no-op share
 #                      of Table.expire / Database.table, index-bucket length at
 #                      each replace / remove, render calls by value type,
 #                      with_metadata copies per exported tuple; under a signed

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Deque, Dict, Iterable, List, MutableSequence, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.datalog.planner import CompiledProgram, RulePlan
 from repro.engine.aggregates import AggregateState
@@ -370,10 +370,11 @@ class NodeEngine:
         root that fails refuses that message's tuples only
         (:meth:`~repro.security.authenticator.Authenticator.import_batch`).
         Then every tuple of the round is admitted and locally fixpointed
-        strictly in arrival order, sharing one :class:`ProcessingResult` /
-        :class:`ProcessingReport` and one delta queue — so the round ships
-        one message per destination.  A per-tuple wire message is a batch of
-        one.
+        strictly in arrival order (:meth:`_process_local`: its whole delta
+        fixpoint runs before the next tuple is stored), sharing one
+        :class:`ProcessingResult` / :class:`ProcessingReport` — so the round
+        ships one message per destination.  A per-tuple wire message is a
+        batch of one.
 
         The caller accounts the merged report once; the cost model is linear
         in its counters, so the charge equals the sum over the tuples.
@@ -398,14 +399,10 @@ class NodeEngine:
                 admitted.extend(self.authenticator.import_batch(resolved, signature))
             if carried:
                 result.report.signatures_verified += 1
-        queue: Deque[Fact] = deque()
         for fact, verified in zip(facts, admitted):
             verified = self._admit(fact, verified, result)
-            if verified is None:
-                continue
-            if self._store(verified, now, result):
-                queue.append(verified)
-                self._drain(queue, now, result)
+            if verified is not None:
+                self._process_local(verified, now, result)
         # Variables decoded for tuples the round did not store are dropped.
         self._bases.fresh.clear()
         return result
@@ -672,10 +669,12 @@ class NodeEngine:
             self.offline_provenance.record_remote(fact, fact.origin)
 
     def _process_local(self, fact: Fact, now: float, result: ProcessingResult) -> None:
-        """Insert *fact* and run the local delta fixpoint it triggers."""
-        queue: Deque[Fact] = deque()
+        """Store an entering (base or received) tuple and run the local delta
+        fixpoint it triggers.  It is alone in the queue, so storing it here is
+        storing it when the queue reaches it, as :meth:`_drain` does."""
         if self._store(fact, now, result):
-            queue.append(fact)
+            queue: Deque[Fact] = deque()
+            self._fire(fact, now, result, queue)
             self._drain(queue, now, result)
 
     def _drain(
@@ -683,36 +682,49 @@ class NodeEngine:
     ) -> None:
         """Run the local delta fixpoint in *queue* to empty, in FIFO order.
 
-        One loop from a delta to the tables: the relation's bound strand
-        names the ``(plan, delta position)`` pairs to evaluate and holds the
-        tables they probe, which are expired here — only when their expiry
-        watermark says a scan is due — rather than inside the joins.
+        *queue* holds locally derived tuples, unstored: each is stored when
+        the queue reaches it, and fires its delta only if that changed its
+        table.  So a firing whose inputs are new in one round is found once,
+        from the input the queue reaches last — pipelined semi-naive
+        evaluation (Loo et al., SIGMOD 2006), as P2 runs it.  A payload is
+        charged after its store, so a refresh reuses the stored rendering.
         """
-        strands = self._strands
-        database = self.database
-        collect = self._collect_antecedents
-        report = result.report
-        handle = self._handle_firing
         while queue:
-            delta = queue.popleft()
-            relation = delta.relation
-            if relation in strands:
-                pairs, probes = strands[relation]
-            else:
-                pairs, probes = strands[relation] = bind_strand(
-                    self.compiled, relation, database
-                )
-            for table in probes:
-                if table._soft_count and now >= table._next_expiry:
-                    table.expire(now)
-            for plan, delta_index in pairs:
-                firings = evaluate_plan_with_delta(
-                    plan, database, delta, delta_index, collect_antecedents=collect
-                )
-                if firings:
-                    report.rule_firings += len(firings)
-                    for firing in firings:
-                        handle(plan, firing, now, result, queue)
+            fact = queue.popleft()
+            inserted = self._store(fact, now, result)
+            result.report.payload_bytes_processed += fact.payload_size()
+            if inserted:
+                self._fire(fact, now, result, queue)
+
+    def _fire(
+        self, delta: Fact, now: float, result: ProcessingResult, queue: Deque[Fact]
+    ) -> None:
+        """Evaluate every rule with the stored tuple *delta* as its delta.
+
+        The relation's bound strand names the ``(plan, delta position)``
+        pairs to evaluate and holds the tables they probe, which are expired
+        here — only when their expiry watermark says a scan is due — rather
+        than inside the joins.
+        """
+        database = self.database
+        strand = self._strands.get(delta.relation)
+        if strand is None:
+            strand = self._strands[delta.relation] = bind_strand(
+                self.compiled, delta.relation, database
+            )
+        pairs, probes = strand
+        for table in probes:
+            if table._soft_count and now >= table._next_expiry:
+                table.expire(now)
+        collect = self._collect_antecedents
+        for plan, delta_index in pairs:
+            firings = evaluate_plan_with_delta(
+                plan, database, delta, delta_index, collect_antecedents=collect
+            )
+            if firings:
+                result.report.rule_firings += len(firings)
+                for firing in firings:
+                    self._handle_firing(plan, firing, now, result, queue)
 
     def _handle_firing(
         self,
@@ -720,8 +732,12 @@ class NodeEngine:
         firing: RuleFiring,
         now: float,
         result: ProcessingResult,
-        queue: MutableSequence[Fact],
+        queue: Deque[Fact],
     ) -> None:
+        """Derive one firing's tuple: update an aggregate head's group (a
+        firing that leaves it unchanged derives nothing), record the firing
+        and its support, then queue a local tuple unstored (:meth:`_drain`)
+        or charge, annotate and attribute a remote one for the wire."""
         derived_values = firing.head_values
         head = plan.head
 
@@ -777,13 +793,7 @@ class NodeEngine:
                     asserted_by=address if self._signed else None,
                     provenance=annotation,
                 )
-            if self._store(local_fact, now, result):
-                queue.append(local_fact)
-            # Counted after the store: an immediately deduplicated fact
-            # reuses the stored duplicate's cached rendering (shared by the
-            # table on refresh) instead of re-rendering its payload, and the
-            # charged size is identical — equal tuples have equal payloads.
-            result.report.payload_bytes_processed += local_fact.payload_size()
+            queue.append(local_fact)
             return
 
         # Remote tuples render their payload regardless (the message's seal
@@ -877,9 +887,8 @@ class NodeEngine:
             timestamp=now,
         )
         self.provenance_epoch += 1
-        archive = self.config.keep_offline_provenance and not log.recorded(pointer)
         annotation = log.append(pointer, derived, firing.antecedents)
-        if archive:
+        if self.config.keep_offline_provenance:
             self.offline_provenance.record(pointer, derived.expires_at(), annotation)
         result.report.provenance_annotations += 1
         return annotation
@@ -1084,7 +1093,12 @@ class NodeEngine:
                     bucket = result.anti_deltas[destination] = []
                 bucket.append(key)
         if revived:
-            self._drain(deque(revived), now, result)
+            # Survivors are stored already, so they fire here rather than
+            # through the queue; what they derive drains behind them.
+            queue: Deque[Fact] = deque()
+            for fact in revived:
+                self._fire(fact, now, result, queue)
+            self._drain(queue, now, result)
 
     # -- storage ------------------------------------------------------------------
 

@@ -614,24 +614,22 @@ class QueryEngine:
             frontier = entry.frontier()
             if not frontier:
                 continue
-            piece = len(merged) - 1  # the log item holding the entry's tail
-            start = 0
+            tail = len(merged)  # one past the log item holding the entry's tail
             pointers = entry.pointers
-            last = len(pointers) - 1
-            end = len(frontier)
-            for at in range(0, end, 3):
-                index = frontier[at]
-                input_key, origin = pointers[index].inputs[frontier[at + 1]]
-                self._dereference(pending, input_key, origin, now, frontier[at + 2])
-                if (
-                    len(merged) - 1 != piece
-                    and index != last
-                    and (at + 3 == end or frontier[at + 3] != index)
-                ):  # the pointer's last remote input expanded something
-                    merged[piece] = (entry, start, index + 1)
-                    start = index + 1
-                    piece = len(merged)
-                    merged.append((entry, start, None))
+            start = cut = 0  # cut: one past a pointer that expanded something
+            triples = iter(frontier)
+            for index, position, key_bytes in zip(triples, triples, triples):
+                if cut and index >= cut:
+                    merged[tail - 1] = (entry, start, cut)
+                    merged.append((entry, cut, None))
+                    start, cut, tail = cut, 0, len(merged)
+                input_key, origin = pointers[index].inputs[position]
+                self._dereference(pending, input_key, origin, now, key_bytes)
+                if len(merged) != tail:
+                    cut = index + 1
+            if cut and cut < len(pointers):
+                merged[tail - 1] = (entry, start, cut)
+                merged.append((entry, cut, None))
         for key in missing:
             pair = (key, node)
             if pair in seen:

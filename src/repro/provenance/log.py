@@ -2,12 +2,14 @@
 
 A rule firing is recorded **once**, as a frozen :class:`ProvenancePointer`
 (output key, rule, node, inputs paired with the node holding each input's own
-provenance, timestamp) appended under its output key.  Beside the firings the
-log keeps what the views need and nothing else: which keys are base inputs
-(insertion-ordered), which node each received key came from, the tuple
-metadata of Figure 2 (first writer wins), the condensed annotation per key
-(Section 4.4), and — under ``track_dependencies`` — the antecedent → outputs
-index the retraction cascade walks.
+provenance, timestamp) appended under its output key: the engine finds each
+firing once (:meth:`~repro.engine.node_engine.NodeEngine._drain`), and the
+log filters nothing.  Beside the firings the log keeps what the views need
+and nothing else: which keys are base inputs (insertion-ordered), which node
+each received key came from, the tuple metadata of Figure 2 (first writer
+wins), the condensed annotation per key (Section 4.4), and — under
+``track_dependencies`` — the antecedent → outputs index the retraction
+cascade walks.
 
 Nothing here is a graph.  :class:`~repro.provenance.graph.DerivationGraph`
 and :class:`~repro.provenance.graph.OperatorNode` are *views*, built on read
@@ -132,9 +134,7 @@ class DerivationLog:
         """Record one local rule firing; return the derived tuple's annotation.
 
         *fact* and *antecedents* are the tuples *pointer* names, in the same
-        order; they supply tuple metadata for keys the log has not seen.  A
-        firing the log already holds (:meth:`recorded`) is not kept twice;
-        its annotation is returned all the same.
+        order; they supply tuple metadata for keys the log has not seen.
         """
         key = pointer.output
         input_keys = [input_key for input_key, _ in pointer.inputs]
@@ -144,27 +144,11 @@ class DerivationLog:
         for input_key, antecedent in zip(input_keys, antecedents):
             if input_key not in tuples:
                 tuples[input_key] = _tuple_node(input_key, antecedent, None)
-        if not self.recorded(pointer):
-            self._pointers.setdefault(key, []).append(pointer)
+        self._pointers.setdefault(key, []).append(pointer)
         if self.track_dependencies:
             self.depend(key, input_keys)
         joined = join_all(map(self.annotation, input_keys))
         return self._absorb(key, joined)
-
-    def recorded(self, pointer: ProvenancePointer) -> bool:
-        """True when the log holds *pointer*'s firing already: the same rule
-        over the same inputs at the same instant.  A firing whose inputs are
-        all new in one round is found once from each of their deltas (Best-
-        Path's ``p4`` from both its ``bestPathCost`` and its ``path``).
-        Firings are appended in time order, so only the key's latest ones
-        can match."""
-        timestamp = pointer.timestamp
-        for held in reversed(self._pointers.get(pointer.output, ())):
-            if held.timestamp != timestamp:
-                return False
-            if held.inputs == pointer.inputs and held.rule_label == pointer.rule_label:
-                return True
-        return False
 
     def depend(self, output: FactKey, inputs: Iterable[FactKey]) -> None:
         """Index *output* under each of *inputs* for retraction cascades.

@@ -814,14 +814,7 @@ class ShadowedLog(DerivationLog):
         self.reference.record_remote(fact, wrapped)
 
     def append(self, pointer, fact, antecedents):
-        repeat = self.recorded(pointer)
         annotation = super().append(pointer, fact, antecedents)
-        if repeat:
-            # A firing found again in one round is kept once; the old stores
-            # kept it each time, so it is not replayed.  It adds nothing to
-            # the annotation either.
-            assert annotation == self.reference.local.annotation(pointer.output).expression
-            return annotation
         expected = self.reference.record_derivation(
             Derivation(
                 fact=fact,

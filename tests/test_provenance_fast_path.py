@@ -47,9 +47,9 @@ SEED = 4
 #: commit (the ``Counter`` kernel, ``join_all`` seeded with ``axiomatic()``).
 PARENT_EXPRESSIONS_BUILT = 2909
 #: Annotations this script's receivers rebuild from position masks.
-REBUILT = 189
+REBUILT = 184
 #: Supports this script's receivers rebuild from support codes.
-DECODED = 199
+DECODED = 194
 
 
 def churn_script() -> Network:
@@ -140,19 +140,20 @@ def test_churn_condenses_once_per_product_and_builds_under_half_the_expressions(
         state = state_of(churn_script())
 
     assert counts["Counter"] == 0
-    assert counts["append"] == 428
-    assert counts["join_all"] == 428 + 428
+    # One append per firing, each found once.
+    assert counts["append"] == 358
+    assert counts["join_all"] == 358 + 358
     # One condense per annotation product and one per support product; the
     # merges that follow them find the stored polynomial unchanged and stop.
-    assert counts["condense"] == 428 + 428
+    assert counts["condense"] == 358 + 358
     assert counts["__add__"] == 0
-    assert counts["__mul__"] == 622
+    assert counts["__mul__"] == 482
     # Plus one expression per annotation a receiver rebuilds from the
     # position mask it travelled as, and one per support it rebuilds from a
-    # support code (951 when both travelled as their polynomials).
+    # support code (681 when both travelled as their polynomials).
     assert counts["from_position_mask"] == REBUILT
     assert counts["from_support_code"] == DECODED
-    assert counts["__init__"] == 951 + REBUILT + DECODED
+    assert counts["__init__"] == 681 + REBUILT + DECODED
     assert counts["__init__"] <= 0.5 * PARENT_EXPRESSIONS_BUILT
 
     # The same script on the reference kernel: same network, more work.
@@ -169,10 +170,10 @@ def test_churn_condenses_once_per_product_and_builds_under_half_the_expressions(
 #: The churn script's shipped supports: those that travel as support codes
 #: and as renderings, their variables, the variables' arguments by form, and
 #: the supports' wire bytes (the codes' as renderings in brackets).
-SUPPORTS = {"coded": 199, "explicit": 0}
-VARIABLES = 558
-ARGUMENTS = {"position": 1092, "int": 0, "float": 558, "str literal": 24}
-SUPPORT_BYTES, AS_RENDERINGS = 3260, 10961
+SUPPORTS = {"coded": 194, "explicit": 0}
+VARIABLES = 541
+ARGUMENTS = {"position": 1058, "int": 0, "float": 541, "str literal": 24}
+SUPPORT_BYTES, AS_RENDERINGS = 3165, 10626
 
 
 def test_churn_ships_each_support_as_a_code_relative_to_its_payload(monkeypatch):
@@ -247,7 +248,7 @@ def fixpoint(provenance: str, **options) -> Network:
 #: The ``sendlog-prov`` fixpoint's shipped annotations: tuples shipped (one
 #: annotation each), those that travel as position masks, and the provenance
 #: bytes on the wire.
-SHIPPED, MASKS, PROVENANCE_BYTES = 176, 165, 479
+SHIPPED, MASKS, PROVENANCE_BYTES = 174, 163, 475
 
 
 def test_sendlog_prov_renders_each_shipped_annotation_once(monkeypatch):
@@ -284,18 +285,19 @@ def test_sendlog_prov_renders_each_shipped_annotation_once(monkeypatch):
     shipped = summary["tuples_sent"]  # one annotation each
     assert shipped == SHIPPED
     # The annotations the payload names travel as position masks; the rest
-    # as explicit polynomials.  (All 176 shipped explicitly, 1 261 bytes.)
+    # as explicit polynomials (before masks, all of them did).
     assert counts["mask"] == len(rebuilt) == MASKS
     assert counts["explicit"] == shipped - MASKS
     assert summary["provenance_bytes"] == PROVENANCE_BYTES
     # The sender's Merkle leaf and the receiver's read every rendering, and
     # the wire size an explicit one's; the sender renders each annotation
     # once, and a receiver's rebuilt copy arrives rendered.  (Were
-    # ``3 * shipped`` reads, 528, for ``shipped`` renders.)
+    # ``3 * shipped`` reads, 522, for ``shipped`` renders.)
     assert counts["to_string"] == 2 * shipped + counts["explicit"]
     assert counts["_render"] == shipped
     assert counts["rebuilt renders"] == 0
-    assert counts["condense"] == counts["append"] == 407
+    # One per firing.
+    assert counts["condense"] == counts["append"] == 334
     assert counts["Counter"] == 0
 
     with monkeypatch.context() as patch:
@@ -337,7 +339,7 @@ def test_a_shipped_tuple_is_signed_once_and_verified_once():
     one ``rsa.verify`` by the receiver — each wire message is one tuple, and
     its annotation rides inside its Merkle leaf, not under a signature of
     its own."""
-    for provenance, shipped in (("sendlog-prov", 166), ("sendlog", 171)):
+    for provenance, shipped in (("sendlog-prov", 171), ("sendlog", 171)):
         network, calls = run_counting_security(provenance, batching=False)
         summary = network.stats.summary()
         assert summary["tuples_sent"] == summary["total_messages"] == shipped
@@ -355,7 +357,7 @@ def test_a_wire_message_is_signed_once_and_verified_once():
     """The default batched format: one ``rsa.sign`` per data message shipped
     and one ``rsa.verify`` per signed message received, however many tuples
     each carries; every tuple is still verified (admitted) on its own."""
-    for provenance, messages, shipped in (("sendlog-prov", 88, 176), ("sendlog", 97, 180)):
+    for provenance, messages, shipped in (("sendlog-prov", 93, 174), ("sendlog", 95, 181)):
         network, calls = run_counting_security(provenance)
         summary = network.stats.summary()
         assert summary["total_messages"] == summary["batches_sent"] == messages
@@ -371,8 +373,11 @@ def test_a_wire_message_is_signed_once_and_verified_once():
 #: sha256 over every ``sealed_bytes`` result of the ``sendlog-prov`` fixpoint
 #: in the paper's per-tuple format (``batching=False``): recorded when each
 #: tuple was signed on its own, before one signature covered a message's
-#: Merkle root — the leaves are those same sealed bytes.
-PER_TUPLE_SEALED_DIGEST = "a9a5faf2c69d49f44fa9478c31c37cd7aa5ab3099863a7054fdff2b72a68658e"
+#: Merkle root — the leaves are those same sealed bytes.  Re-recorded when
+#: the engine began to find each firing once: the rounds bill fewer firings,
+#: so the deliveries interleave otherwise and 171 tuples ship instead of 166
+#: (was ``a9a5faf2c69d49f44fa9478c31c37cd7aa5ab3099863a7054fdff2b72a68658e``).
+PER_TUPLE_SEALED_DIGEST = "a1e6f9656f48604ca7aea118d040047d699bb1dab5c739146cc042d7f1bf8fe2"
 
 #: The same digest at the default ``batching=True``, re-recorded when sealing
 #: moved from each firing to each wire message (the cheaper signing charge
@@ -384,8 +389,11 @@ PER_TUPLE_SEALED_DIGEST = "a9a5faf2c69d49f44fa9478c31c37cd7aa5ab3099863a7054fdff
 #: again when annotations the payload names began to travel as position
 #: masks: the smaller messages reorder the deliveries, so the same 352 leaves
 #: are built in another order (was
-#: ``0f591ac689fb9b6b7e9870bfcc860b8e56edea52edb233fe6a6a0829f9f4cdef``).
-SEALED_BYTES_DIGEST = "1d6a316d79bfa2bd2925259bcf67fae8214420e13e2f918f3ab197c06ab0194c"
+#: ``0f591ac689fb9b6b7e9870bfcc860b8e56edea52edb233fe6a6a0829f9f4cdef``), and
+#: again when the engine began to find each firing once: 174 tuples ship in
+#: 93 messages instead of 176 in 88 (was
+#: ``1d6a316d79bfa2bd2925259bcf67fae8214420e13e2f918f3ab197c06ab0194c``).
+SEALED_BYTES_DIGEST = "6dfcb0b0806dbe1a40e91bc0db2e1fe5992c8691fcd6092b3f0c6df9c005ecaf"
 
 
 def test_signatures_cover_the_same_bytes(monkeypatch):
@@ -449,12 +457,12 @@ def test_a_recorded_firing_is_one_pointer_and_views_are_built_on_read(monkeypatc
 
     # The write path: one append and one pointer per recorded firing.
     firings = counts["append"]
-    assert firings == 373
+    assert firings == 313
     assert counts["ProvenancePointer"] == firings
     assert counts["OperatorNode"] == 0
     assert not graph_calls  # no DerivationGraph / DerivationNode method ran
-    # A firing found from two of its inputs' deltas in one round (Best-
-    # Path's p4) is kept once: no log holds a pointer twice.
+    # The engine finds each firing once (Best-Path's p4 was found from both
+    # its inputs' deltas, 373 appends), so no log holds a pointer twice.
     held = [
         pointer
         for engine in network.engines.values()

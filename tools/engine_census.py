@@ -3,21 +3,28 @@
 
 Wraps the doors between the delta queue and the tables — from outside
 ``src/``, nothing in the program counts any of this — runs the configuration
-and prints what the traffic looked like: how long the runs of same-relation
+and prints what the traffic looked like: how many rule firings were found
+twice (the same node, rule, head, inputs and instant within one processing
+round; the tool exits 1 unless that is 0), how long the runs of same-relation
 deltas are, how many ``Table.expire`` / ``Database.table`` calls had anything
 to do, how long an index bucket is when a fact in it is replaced or removed
 (and where in it that fact sits: what a list walk would have cost), what the
 payload renderer is asked to render, how firings end, and how many
-``with_metadata`` copies an exported tuple costs.  It also counts the receive
-schedule: data deliveries, how many of them arrive while their destination
-is still busy with an earlier round, and the receive rounds that ran them
-(under signed ``says`` a busy node's queued messages run as one round).
-Under a signed preset it also prints the sealing traffic: the histogram and
-mean of tuples per signed wire message, ``rsa.sign`` / ``rsa.verify`` calls
-per message, and the Merkle leaf and inner-node hashes computed.  With ``--flaps`` the network
-converges first and only the link flaps are counted (the write/delete use of
-the tables); with ``--opcodes`` the run is traced per bytecode instruction
-(about fifty times slower) and the functions are ranked by their share.
+``with_metadata`` copies an exported tuple costs. It also counts the receive
+schedule: data deliveries, how many of them arrive while their destination is
+still busy with an earlier round, and the receive rounds that ran them (under
+signed ``says`` a busy node's queued messages run as one round). Under a
+signed preset it also prints the sealing traffic: the histogram and mean of
+tuples per signed wire message, ``rsa.sign`` / ``rsa.verify`` calls per
+message, and the Merkle leaf and inner-node hashes computed. With ``--flaps``
+the network converges first and only the link flaps are counted (the
+write/delete use of the tables); with ``--opcodes`` the run is traced per
+bytecode instruction (about fifty times slower) and the functions are ranked
+by their share. A firing's inputs are its joined antecedents, which the joins
+collect only when provenance, dependency tracking or re-derivation reads
+them; the census asks for them on every other configuration too, except under
+``--opcodes``, where it counts the program's own work and leaves duplicates
+uncounted there.
 
     python tools/engine_census.py --provenance ndlog --nodes 40
     python tools/engine_census.py --provenance sendlog-prov --nodes 25
@@ -28,7 +35,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections import Counter, deque
+from collections import Counter
 from typing import List, Optional
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
@@ -51,23 +58,6 @@ class Census(Counter):
         self.clear()
 
 
-class _CountingQueue(deque):
-    """A delta queue that notes the relation of every delta drained from it."""
-
-    census: Census
-
-    def popleft(self):
-        delta = deque.popleft(self)
-        census = self.census
-        if delta.relation == census.get("_run relation"):
-            census["_run length"] += 1
-        else:
-            _close_run(census)
-            census["_run relation"] = delta.relation
-            census["_run length"] = 1
-        return delta
-
-
 def _close_run(census: Census) -> None:
     length = census.pop("_run length", 0)
     census.pop("_run relation", None)
@@ -78,12 +68,22 @@ def _close_run(census: Census) -> None:
         census["longest delta run"] = max(census["longest delta run"], length)
 
 
-def install() -> Census:
-    """Wrap the write path's doors; returns the live :class:`Census`."""
+def install(identify_firings: bool = True) -> Census:
+    """Wrap the write path's doors; returns the live :class:`Census`.
+
+    With *identify_firings* the joins collect every firing's antecedents, so
+    a firing found twice is counted under ``firings found twice``.
+    """
     census = Census()
     engine = node_engine.NodeEngine
-    drain, handle, record = engine._drain, engine._handle_firing, engine._record_derivation
+    drain, fire, handle = engine._drain, engine._fire, engine._handle_firing
+    record = engine._record_derivation
     deliver, receive = SimulationKernel._deliver, engine.receive_batch
+    entries = {
+        name: getattr(engine, name)
+        for name in ("insert_base", "retract_base", "retract_remote")
+    }
+    round_firings: set = set()  # (node, rule, head, inputs, instant) this round
     evaluate = node_engine.evaluate_plan_with_delta
     outgoing = node_engine.OutgoingFact
     expire, table, insert, remove = Table.expire, Database.table, Table.insert, Table._remove_fact
@@ -93,14 +93,26 @@ def install() -> Census:
     sign, verify = authenticator.sign, authenticator.verify
     leaf, node = authenticator._leaf_hash, authenticator._node_hash
 
-    def counted_drain(self, queue, *args):
-        counting = _CountingQueue(queue)
-        counting.census = census
-        queue.clear()  # _drain runs its queue to empty; the copy stands in
+    def counted_drain(self, *args):
         try:
-            return drain(self, counting, *args)
+            return drain(self, *args)
         finally:
+            _close_run(census)  # every delta fired this round has drained
+
+    def counted_fire(self, delta, *args):
+        if delta.relation == census.get("_run relation"):
+            census["_run length"] += 1
+        else:
             _close_run(census)
+            census["_run relation"] = delta.relation
+            census["_run length"] = 1
+        return fire(self, delta, *args)
+
+    def round_entry(call):
+        def entered(self, *args, **kwargs):
+            round_firings.clear()
+            return call(self, *args, **kwargs)
+        return entered
 
     def counted_deliver(self, message, deliver_at):
         if isinstance(message, MessageBatch):
@@ -113,18 +125,28 @@ def install() -> Census:
         messages = list(messages)
         census["receive rounds"] += 1
         census["messages run by receive rounds"] += len(messages)
+        round_firings.clear()
         return receive(self, messages, now)
 
     def counted_evaluate(*args, **kwargs):
         census["delta evaluations"] += 1
+        if identify_firings:
+            kwargs["collect_antecedents"] = True
         return evaluate(*args, **kwargs)
 
-    def counted_handle(self, plan, firing, *args):
+    def counted_handle(self, plan, firing, now, *args):
         census["firings"] += 1
+        if identify_firings:
+            found = (
+                self.address, plan.label, firing.head_values,
+                tuple(antecedent.key() for antecedent in firing.antecedents), now,
+            )
+            census["firings found twice"] += found in round_firings
+            round_firings.add(found)
         census["firings whose destination is a str or None"] += (
             firing.destination is None or type(firing.destination) is str
         )
-        return handle(self, plan, firing, *args)
+        return handle(self, plan, firing, now, *args)
 
     def counted_record(self, *args):
         census["_record_derivation calls"] += 1
@@ -224,7 +246,10 @@ def install() -> Census:
     signer.seal_batch, signer.import_batch = counted_seal, counted_open
     authenticator.sign, authenticator.verify = counted_sign, counted_verify
     authenticator._leaf_hash, authenticator._node_hash = counted_leaf, counted_node
-    engine._drain, engine._handle_firing = counted_drain, counted_handle
+    engine._drain, engine._fire = counted_drain, counted_fire
+    engine._handle_firing = counted_handle
+    for name, call in entries.items():
+        setattr(engine, name, round_entry(call))
     SimulationKernel._deliver, engine.receive_batch = counted_deliver, counted_receive
     engine._record_derivation = counted_record
     node_engine.evaluate_plan_with_delta = counted_evaluate
@@ -320,7 +345,7 @@ def main(argv: Optional[List[str]] = None) -> None:
                         help="also count bytecode instructions per function (slow)")
     args = parser.parse_args(argv)
     poly_census.check_sizes(parser, args)
-    census = install()
+    census = install(identify_firings=not args.opcodes)
     topology, network = poly_census.build(args)
     census.reset()  # building (compiling, keys) is not the write path
 
@@ -331,6 +356,9 @@ def main(argv: Optional[List[str]] = None) -> None:
     print_census(census)
     if args.opcodes:
         print_opcodes(executed, census["firings"])
+        return
+    if census["firings found twice"]:
+        sys.exit("a rule firing was found twice within one processing round")
 
 
 if __name__ == "__main__":
