@@ -241,8 +241,14 @@ def generate_fire(plan: RulePlan, delta_plan: DeltaPlan) -> Tuple[str, Callable]
     if loops:
         writer.emit("tables = database.by_name")
         writer.emit("firings = []")
+    relation = plan.body_atoms[index].atom.name
     for position, step in enumerate(delta_plan.steps, start=1):
         fact = writer.loop(step, bound)
+        if step.body_index < index and step.atom_plan.atom.name == relation:
+            # A self-join finds a firing that binds the delta at two body
+            # positions from the first of them only: an earlier position
+            # joins the table as it was before the delta.
+            writer.fail_if(f"{fact} is delta")
         writer.unify(step.atom_plan, step.body_index, fact, bound)
         writer.batch(delta_plan.expression_batches[position], bound)
     for step in delta_plan.negated:

@@ -43,7 +43,7 @@ from repro.provenance.polynomial import (
 )
 from repro.provenance.pruning import ProvenanceSampler
 from repro.provenance.store import OfflineProvenanceArchive
-from repro.security.authenticator import AuthenticationError, Authenticator
+from repro.security.authenticator import AuthenticationError, Authenticator, Seal
 from repro.security.keystore import KeyStore
 from repro.security.principal import PrincipalRegistry
 from repro.security.says import SaysMode
@@ -145,11 +145,11 @@ class ProcessingReport:
 class OutgoingFact:
     """A derived tuple that must be shipped to another node: one item of the
     data wire message (:class:`~repro.net.message.MessageBatch`), with the
-    security envelope and provenance annotation bytes it adds."""
+    provenance annotation bytes it adds.  Under signed ``says`` the message
+    that carries it names and numbers it: the tuple itself is unattributed."""
 
     destination: str
     fact: Fact
-    security_bytes: int = 0
     provenance_bytes: int = 0
 
 
@@ -238,10 +238,10 @@ class NodeEngine:
         self.aggregates: Dict[str, AggregateState] = {}
         self._ttl_cache: Dict[str, Optional[float]] = {}
         # Per-firing hot-path flags, hoisted out of the enum properties.
-        #: Signed ``says``: exports are attributed, numbered and sealed,
-        #: imports verified (the other mode attributes nothing).
+        #: Signed ``says``: local tuples are attributed, imports verified (the
+        #: kernel seals what this node exports; the other mode attributes
+        #: nothing).
         self._signed = config.says_mode.requires_signature
-        self._security_bytes = self.authenticator.wire_overhead()
         self._maintains_provenance = config.provenance_mode.maintains_provenance
         self._ships_provenance = config.provenance_mode.ships_provenance
         self._track_dependencies = config.track_dependencies
@@ -358,16 +358,17 @@ class NodeEngine:
 
     def receive_batch(
         self,
-        messages: Iterable[Tuple[Sequence[Fact], Optional[bytes]]],
+        messages: Iterable[Tuple[Sequence[Fact], Optional[Seal]]],
         now: float,
     ) -> ProcessingResult:
         """Process one receive round: the tuples of one or more wire messages.
 
-        *messages* are ``(facts, signature)`` pairs in arrival order — one
+        *messages* are ``(facts, seal)`` pairs in arrival order — one
         delivered message, or every message a busy node queued until it
-        freed.  Under signed ``says`` each message's *signature* covers the
-        Merkle root of its own tuples: it is checked once per message, and a
-        root that fails refuses that message's tuples only
+        freed.  Under signed ``says`` each message's *seal* names its signer,
+        numbers its tuples and signs the Merkle root of its own tuples: it is
+        checked once per message, and a root that fails refuses that
+        message's tuples only
         (:meth:`~repro.security.authenticator.Authenticator.import_batch`).
         Then every tuple of the round is admitted and locally fixpointed
         strictly in arrival order (:meth:`_process_local`: its whole delta
@@ -384,7 +385,7 @@ class NodeEngine:
         result = ProcessingResult()
         facts: List[Fact] = []
         admitted: List[Optional[Fact]] = []
-        for carried, signature in messages:
+        for carried, seal in messages:
             carried = tuple(carried)
             facts.extend(carried)
             resolved = self._resolve(carried) if self._resolves else carried
@@ -396,7 +397,7 @@ class NodeEngine:
                 # the message's root cannot verify, so none of it is admitted.
                 admitted.extend([None] * len(carried))
             else:
-                admitted.extend(self.authenticator.import_batch(resolved, signature))
+                admitted.extend(self.authenticator.import_batch(resolved, seal))
             if carried:
                 result.report.signatures_verified += 1
         for fact, verified in zip(facts, admitted):
@@ -737,7 +738,7 @@ class NodeEngine:
         """Derive one firing's tuple: update an aggregate head's group (a
         firing that leaves it unchanged derives nothing), record the firing
         and its support, then queue a local tuple unstored (:meth:`_drain`)
-        or charge, annotate and attribute a remote one for the wire."""
+        or charge and annotate a remote one for the wire."""
         derived_values = firing.head_values
         head = plan.head
 
@@ -839,16 +840,14 @@ class NodeEngine:
                 annotation_mask=mask,
                 support_code=code,
             )
-        if self._signed:
-            # Section 4.3: attributed and numbered here; the kernel seals the
-            # wire message carrying it, one signature covering the tuple, its
-            # destination, and the annotation and support on it.
-            exported = self.authenticator.export_fact(exported)
+        # Section 4.3 under signed ``says``: the kernel seals the wire message
+        # carrying it, which names this principal and numbers its tuples once;
+        # one signature covers the tuple, its number, its destination, and the
+        # annotation and support on it.
         result.outgoing.append(
             OutgoingFact(
                 destination=destination,
                 fact=exported,
-                security_bytes=self._security_bytes,
                 provenance_bytes=provenance_bytes,
             )
         )

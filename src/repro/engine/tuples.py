@@ -49,16 +49,19 @@ class Fact:
         expires (hard state).
     asserted_by:
         The principal that asserted ("says") this fact, or ``None`` for
-        unauthenticated NDlog tuples.
+        unauthenticated NDlog tuples.  A tuple in flight carries none: the
+        :class:`~repro.security.authenticator.Seal` of its wire message
+        names the principal once, and the receiver attributes what it
+        admits.
     signature:
         The :class:`~repro.security.authenticator.SignedEnvelope` of a tuple
-        exported under signed ``says``, or ``None``.  In flight it holds the
-        sender's export sequence number only: the tuple's wire message
-        carries one signature over the Merkle root of its tuples' leaves
-        (payload, asserting principal, destination, that number,
-        ``provenance`` and ``support``).  The receiver stores the admitted
-        tuple with that signature and the tuple's path to the root, so it
-        verifies alone.
+        admitted under signed ``says``, or ``None`` (also in flight).  The
+        tuple's wire message carries one seal: its principal, the number of
+        its first tuple (tuple *i* is ``first + i``) and one signature over
+        the Merkle root of its tuples' leaves (payload, asserting principal,
+        destination, the tuple's number, ``provenance`` and ``support``).
+        The receiver stores the admitted tuple with its number, that
+        signature and the tuple's path to the root, so it verifies alone.
     provenance:
         Serializable provenance annotation travelling with the fact (used for
         local / condensed provenance); ``None`` when provenance is disabled

@@ -1048,7 +1048,7 @@ class SimulationKernel:
         node_stats.receive_rounds += 1
         start = max(at, node_stats.busy_until)
         result = self.engines[address].receive_batch(
-            [(message.facts(), message.signature) for message in messages], start
+            [(message.facts(), message.seal) for message in messages], start
         )
         self._count_seals(result.report, result.outgoing)
         self._account_processing(address, start, result.report, node_stats)
@@ -1100,7 +1100,8 @@ class SimulationKernel:
             signature, security_bytes = None, 0
             if signer is not None:
                 signature = signer.seal_anti_delta(keys, destination, sequence)
-                security_bytes = signer.wire_overhead() + len(signature)
+                # Its envelope: the source principal, the message sequence.
+                security_bytes = signer.mode.header_bytes(source) + len(signature)
             message = AntiDelta(
                 source=source,
                 destination=destination,
@@ -1163,8 +1164,9 @@ class SimulationKernel:
         """Form one delta round's wire messages and ship them.
 
         This is the one place wire messages are formed, so it is where they
-        are sealed: under signed ``says`` each carries one signature over
-        the Merkle root of its tuples (paid for by :meth:`_count_seals`).
+        are sealed: under signed ``says`` the sender numbers each message's
+        tuples and signs the Merkle root of their leaves, and the message
+        carries that seal once (paid for by :meth:`_count_seals`).
         """
         if not outgoing:
             return
@@ -1175,16 +1177,16 @@ class SimulationKernel:
         else:
             groups = ((item.destination, (item,)) for item in outgoing)
         for destination, items in groups:
-            signature = None
+            seal = None
             if signer is not None:
-                signature = signer.seal_batch([item.fact for item in items], destination)
+                seal = signer.seal_batch([item.fact for item in items], destination)
             message = MessageBatch(
                 source=source,
                 destination=destination,
                 items=tuple(items),
                 sent_at=send_time,
                 sequence=self._next_sequence(source),
-                signature=signature,
+                seal=seal,
             )
             self._ship(source, destination, message, send_time, node_stats)
 

@@ -7,15 +7,17 @@ overhead) a batch holds every tuple bound for that destination in one delta
 round; the paper's per-tuple format ("generating a signature for each
 tuple") is the same message holding one tuple.
 
-Under signed ``says`` each wire message carries one signature, over the
-Merkle root of its tuples (:mod:`repro.security.authenticator`), so a batch
-of one keeps the paper's per-tuple signature.  Each tuple's principal and
-export sequence number and its provenance annotation bytes stay itemized, so
-the bandwidth metric of Figure 4 keeps attributing overhead to each
-mechanism:
+Under signed ``says`` each wire message carries one envelope (a
+:class:`~repro.security.authenticator.Seal`): the signer's principal, the
+export sequence number of its first tuple — tuple *i* is number ``first +
+i`` — and one signature, over the Merkle root of its tuples
+(:mod:`repro.security.authenticator`), so a batch of one keeps the paper's
+per-tuple format, principal and number included.  Each tuple's provenance
+annotation bytes stay itemized, so the bandwidth metric of Figure 4 keeps
+attributing overhead to each mechanism:
 
-    header + signature + sum over tuples of (payload + principal and
-    sequence + provenance)
+    header + (principal + sequence + signature) + sum over tuples of
+    (payload + provenance)
 
 A tuple's provenance bytes are its annotation's wire form plus, under
 one-fixpoint deletions, its base-support polynomial's wire form.  An
@@ -85,6 +87,7 @@ from repro.provenance.polynomial import (
     read_varint,
     write_arguments,
 )
+from repro.security.authenticator import Seal
 
 #: Fixed per-message framing overhead: UDP/IP headers plus P2's verbose tuple
 #: framing (relation name, per-field type tags, location specifier).
@@ -99,12 +102,14 @@ class MessageBatch:
     records, in the order the sender derived them: every tuple bound for
     ``destination`` in one delta round when batching, a single tuple in the
     paper's per-tuple format.  The message pays ``MESSAGE_HEADER_BYTES``
-    once and, under signed ``says``, its one ``signature`` once (over the
-    Merkle root of its tuples): both are part of ``security_bytes`` and the
-    wire size.  Each item still carries its own principal, sequence number
-    and provenance annotation bytes, so per-mechanism bandwidth attribution
-    is the same whichever way the tuples are grouped — only the per-message
-    framing and signatures differ.
+    once and, under signed ``says``, its one ``seal`` once: the signer's
+    principal, the export number of its first tuple and the signature over
+    the Merkle root of its tuples (``security_bytes``, part of the wire
+    size).  No tuple carries a principal or a number of its own: the
+    receiver numbers tuple *i* ``seal.first + i``.  Each item still carries
+    its own provenance annotation bytes, so per-mechanism bandwidth
+    attribution survives grouping — only the per-message framing and
+    envelopes differ.
 
     ``sequence`` is assigned by the sending kernel from its own per-run
     counter, one per wire message, so identical runs number their messages
@@ -120,15 +125,14 @@ class MessageBatch:
     items: Tuple[OutgoingFact, ...]
     sent_at: float = 0.0
     sequence: int = 0
-    signature: Optional[bytes] = None
+    seal: Optional[Seal] = None
     security_bytes: int = field(init=False)
     provenance_bytes: int = field(init=False)
 
     def __post_init__(self) -> None:
-        security = len(self.signature) if self.signature is not None else 0
+        security = self.seal.wire_bytes() if self.seal is not None else 0
         provenance = payload = 0
         for item in self.items:
-            security += item.security_bytes
             provenance += item.provenance_bytes
             payload += item.fact.payload_size()
         self.security_bytes = security

@@ -28,6 +28,7 @@ from repro.security.says import SaysMode
 from repro.security.authenticator import (
     AuthenticationError,
     Authenticator,
+    Seal,
     SignedEnvelope,
     verify_evidence,
 )
@@ -40,6 +41,7 @@ __all__ = [
     "PrincipalRegistry",
     "RSAKeyPair",
     "SaysMode",
+    "Seal",
     "SignedEnvelope",
     "generate_keypair",
     "generate_prime",

@@ -7,26 +7,32 @@ network.  It implements the three ``says`` modes of
 the engine counts each outcome on its ``ProcessingReport`` and the kernel
 folds those into the run's ``NodeStats``.
 
-Under ``SIGNED`` one RSA signature covers one wire message.  Each tuple the
-message carries is a Merkle leaf: canonical bytes of everything the receiver
-will act on — payload, asserting principal, destination, the sender's export
-sequence number, condensed annotation, base-support polynomial
-(:func:`sealed_bytes`).  The sender signs the RFC 6962-style root of the
-message's leaves (:meth:`Authenticator.seal_batch`, called where the kernel
-forms the message); the receiver rebuilds the leaves from what arrived, at its
-own address, verifies the root once and then checks each tuple's freshness
-(:meth:`Authenticator.import_batch`).  The leaf holds the annotation's and
-the support's resolved renderings whichever form they travelled in: an
-annotation shipped as a position mask and a support shipped as a support
-code are rebuilt by the receiving engine before the leaf is, so a tampered
-mask or code breaks the root like any other changed field.  A tuple it
-admits is stored with a :class:`SignedEnvelope` holding the signature and
-the tuple's authentication path — derived by the receiver, never shipped —
-so it verifies alone (:func:`verify_evidence`) long after its message is
-gone.  Nothing that travels is outside the signature, so an annotation
-cannot be spliced onto another tuple, a message sealed for one node is
-refused at another, dropping or reordering its tuples breaks its root, and
-a replayed tuple is refused as stale.  Anti-deltas are sealed and opened
+Under ``SIGNED`` one RSA signature covers one wire message, and the message
+carries one envelope, a :class:`Seal`: the signer's principal, the export
+sequence number of its first tuple and the signature.  Tuple *i* of the
+message is export number ``first + i``, so nothing of the envelope travels
+per tuple.  Each tuple is a Merkle leaf: canonical bytes of everything the
+receiver will act on — payload, asserting principal, destination, the
+tuple's export sequence number, condensed annotation, base-support
+polynomial (:func:`sealed_bytes`).  The sender numbers the message's tuples
+and signs the RFC 6962-style root of their leaves
+(:meth:`Authenticator.seal_batch`, called where the kernel forms the
+message); the receiver rebuilds the leaves from the seal, the tuples'
+positions and what arrived, at its own address, verifies the root once and
+then checks each tuple's freshness (:meth:`Authenticator.import_batch`).  It
+reads no attribution or number the sender wrote on a tuple.  The leaf holds
+the annotation's and the support's resolved renderings whichever form they
+travelled in: an annotation shipped as a position mask and a support shipped
+as a support code are rebuilt by the receiving engine before the leaf is, so
+a tampered mask or code breaks the root like any other changed field.  A
+tuple it admits is stored with a :class:`SignedEnvelope` holding its number,
+the signature and the tuple's authentication path — derived by the receiver,
+never shipped — so it verifies alone (:func:`verify_evidence`) long after its
+message is gone.  Nothing that travels is outside the signature, so an
+annotation cannot be spliced onto another tuple, a message sealed for one
+node is refused at another, dropping, reordering or renumbering its tuples
+breaks its root, a seal naming anyone but its signer verifies nothing, and a
+replayed tuple is refused as stale.  Anti-deltas are sealed and opened
 one signature each over *(keys, source, destination, message sequence)*.
 """
 
@@ -51,16 +57,36 @@ class AuthenticationError(Exception):
 PathStep = Tuple[bool, bytes]
 
 
-class SignedEnvelope(NamedTuple):
-    """What a signed export carries in ``Fact.signature``.
+class Seal(NamedTuple):
+    """The envelope one signed wire message carries once.
 
-    On the wire a tuple carries only ``sequence``: the sender's export
-    sequence number, strictly increasing per principal across destinations
-    and crashes.  The receiver that admits the tuple fills in its evidence:
+    ``principal`` signed the message; ``first`` is the export sequence
+    number of its first tuple, and tuple *i* is number ``first + i`` —
+    numbers strictly increase per principal across destinations and
+    crashes; ``signature`` is the principal's RSA signature over the Merkle
+    root of the message's leaves.
+    """
+
+    principal: str
+    first: int
+    signature: bytes
+
+    def wire_bytes(self) -> int:
+        """What the envelope costs on the wire: the signature at its real
+        length plus the principal and the first number, once."""
+        return SaysMode.SIGNED.header_bytes(self.principal) + len(self.signature)
+
+
+class SignedEnvelope(NamedTuple):
+    """The evidence an admitted tuple is stored with, in ``Fact.signature``.
+
+    The receiver fills it in from the message's :class:`Seal` and the
+    tuple's position: ``sequence``, the tuple's export sequence number;
     ``signature``, its wire message's one RSA signature over the Merkle root
-    of the message's leaves, and ``path``, the sibling hashes that fold this
-    tuple's leaf up to that root (empty for a one-tuple message).  A stored
-    tuple therefore verifies alone (:func:`verify_evidence`).
+    of the message's leaves; and ``path``, the sibling hashes that fold this
+    tuple's leaf up to that root (empty for a one-tuple message), derived by
+    the receiver.  A stored tuple therefore verifies alone
+    (:func:`verify_evidence`).
     """
 
     sequence: int
@@ -101,13 +127,30 @@ def _node_hash(left: bytes, right: bytes) -> bytes:
     return sha256(b"\x01" + left + right).digest()
 
 
+def merkle_root(leaves: Sequence[bytes]) -> bytes:
+    """The RFC 6962 Merkle tree hash of *leaves*, without the paths: what
+    the sender signs.  Pairing each level from the left and carrying an
+    odd last node up unpaired builds the same tree :func:`merkle_tree`
+    splits top-down."""
+    if not leaves:
+        return sha256(b"").digest()
+    level = [_leaf_hash(leaf) for leaf in leaves]
+    while len(level) > 1:
+        paired = [_node_hash(level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)]
+        if len(level) % 2:
+            paired.append(level[-1])
+        level = paired
+    return level[0]
+
+
 def merkle_tree(leaves: Sequence[bytes]) -> Tuple[bytes, List[Tuple[PathStep, ...]]]:
     """The RFC 6962 Merkle tree hash of *leaves*, and each leaf's path.
 
     A leaf hashes as ``H(0x00 || leaf)`` and an inner node as ``H(0x01 ||
     left || right)``; ``n > 1`` leaves split after the largest power of two
     below ``n``.  Path ``i`` lists the sibling of every node on leaf ``i``'s
-    way to the root, which :func:`fold_path` replays.
+    way to the root, which :func:`fold_path` replays.  Only the receiver
+    needs the paths.
     """
     if not leaves:
         return sha256(b"").digest(), []
@@ -156,7 +199,7 @@ class Authenticator:
         self.mode = mode
         if mode.requires_signature and not keystore.has_private_key(principal):
             keystore.create_keypair(principal)
-        #: Export sequence number of the last tuple this principal numbered.  It
+        #: Export sequence number of the last tuple this principal sealed.  It
         #: and the freshness marks below live here, beside the key, not in the
         #: state a crash wipes (``NodeEngine.reset_state``): a counter that
         #: restarted would make every post-recovery export look stale.
@@ -170,30 +213,18 @@ class Authenticator:
 
     # -- export ---------------------------------------------------------------
 
-    def export_fact(self, fact: Fact) -> Fact:
-        """Attribute and number *fact* for export under SIGNED mode.
-
-        Returns the copy of the fact that travels: it carries the
-        ``asserted_by`` attribution and a :class:`SignedEnvelope` holding
-        its export sequence number.  The
-        wire message that carries it is signed by :meth:`seal_batch`.
-        """
-        if self.mode is SaysMode.NONE:
-            return fact
-        self._exported += 1
-        return fact.with_metadata(
-            asserted_by=self.principal, signature=SignedEnvelope(self._exported)
-        )
-
-    def seal_batch(self, facts: Sequence[Fact], destination: str) -> bytes:
-        """Sign one wire message of exported *facts* for *destination*: one
-        signature over the Merkle root of their leaves."""
+    def seal_batch(self, facts: Sequence[Fact], destination: str) -> Seal:
+        """Number *facts* as this principal's next exports and sign them as
+        one wire message for *destination*: one signature over the Merkle
+        root of their leaves, carried in the returned :class:`Seal`."""
+        first = self._exported + 1
+        self._exported += len(facts)
         principal = self.principal
         leaves = [
-            _tuple_bytes(fact, principal, destination, fact.signature.sequence)
-            for fact in facts
+            _tuple_bytes(fact, principal, destination, sequence)
+            for sequence, fact in enumerate(facts, first)
         ]
-        return self._seal(merkle_tree(leaves)[0])
+        return Seal(principal, first, self._seal(merkle_root(leaves)))
 
     def seal_anti_delta(
         self, keys: Sequence[FactKey], destination: str, sequence: int
@@ -207,45 +238,46 @@ class Authenticator:
     # -- import ---------------------------------------------------------------
 
     def import_batch(
-        self, facts: Sequence[Fact], signature: Optional[bytes] = None
+        self, facts: Sequence[Fact], seal: Optional[Seal] = None
     ) -> List[Optional[Fact]]:
         """Authenticate one wire message's tuples according to the mode.
 
         Returns, per tuple in order, the fact to admit or ``None`` when it is
-        refused.  ``NONE`` passes every tuple.  Under ``SIGNED`` the tuples
-        must all name one principal whose *signature* covers the Merkle root
-        of their leaves as rebuilt *at this principal* — else every tuple is
-        refused.
-        Then a tuple whose export sequence is not newer than the last one
-        accepted from that principal is refused as stale, and every other
-        comes back carrying its evidence: the signature and its path.
+        refused.  ``NONE`` passes every tuple.  Under ``SIGNED`` the *seal*'s
+        principal must have signed the Merkle root of the tuples' leaves as
+        rebuilt *at this principal*, tuple *i* numbered ``seal.first + i`` —
+        else every tuple is refused.  Then a tuple whose number is not newer
+        than the last one accepted from that principal is refused as stale,
+        and every other comes back attributed to the principal and carrying
+        its evidence: its number, the signature and its path.
         """
         if self.mode is SaysMode.NONE:
             return list(facts)
         admitted: List[Optional[Fact]] = [None] * len(facts)
-        principals = {fact.asserted_by for fact in facts}
-        if len(principals) != 1 or signature is None:
+        if not isinstance(seal, Seal) or type(seal.first) is not int:
             return admitted
-        (principal,) = principals
-        if principal is None or not self.keystore.has_public_key(principal):
-            return admitted
-        if not all(isinstance(fact.signature, SignedEnvelope) for fact in facts):
+        principal, first, signature = seal
+        if not self.keystore.has_public_key(principal):
             return admitted
         here = self.principal
         root, paths = merkle_tree(
-            [_tuple_bytes(fact, principal, here, fact.signature.sequence) for fact in facts]
+            [
+                _tuple_bytes(fact, principal, here, sequence)
+                for sequence, fact in enumerate(facts, first)
+            ]
         )
         if not verify(root, signature, self.keystore.public_key(principal)):
             return admitted
         # Tuples cross one link in export order, so anything at or below the
         # mark is a replay.
         mark = self._high_water.get(principal, 0)
-        for index, (fact, path) in enumerate(zip(facts, paths)):
-            sequence = fact.signature.sequence
+        for index, path in enumerate(paths):
+            sequence = first + index
             if sequence > mark:
                 mark = sequence
-                admitted[index] = fact.with_metadata(
-                    signature=SignedEnvelope(sequence, signature, path)
+                admitted[index] = facts[index].with_metadata(
+                    asserted_by=principal,
+                    signature=SignedEnvelope(sequence, signature, path),
                 )
         self._high_water[principal] = mark
         return admitted
@@ -278,10 +310,3 @@ class Authenticator:
 
     def _failure(self, reason: str) -> AuthenticationError:
         return AuthenticationError(f"{self.principal}: {reason}")
-
-    # -- cost model -----------------------------------------------------------
-
-    def wire_overhead(self) -> int:
-        """Bytes the security envelope adds to one exported tuple; the wire
-        message charges its signature at that signature's length."""
-        return self.mode.header_bytes(self.principal)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-#: Wire size of the export sequence number a signed envelope carries.
+#: Wire size of the sequence number a signed message's envelope carries.
 SEQUENCE_BYTES = 8
 
 
@@ -38,12 +38,14 @@ class SaysMode(Enum):
         return self is SaysMode.SIGNED
 
     def header_bytes(self, principal: str) -> int:
-        """Wire overhead added to one tuple under this mode.
+        """Wire overhead of one signed message's envelope besides its
+        signature, under this mode.
 
-        ``NONE`` adds nothing; ``SIGNED`` adds the principal name plus the
-        export sequence number the envelope covers.  The signature itself is
-        charged once per wire message, at its real length, by the message
-        that carries it.
+        ``NONE`` adds nothing; ``SIGNED`` adds the principal name plus one
+        sequence number: a data message's first export number (its tuples
+        are numbered from it, so none carries its own), an anti-delta's
+        message number.  Charged once per wire message, like the signature,
+        which the message charges at its real length.
         """
         if self is SaysMode.NONE:
             return 0

@@ -103,10 +103,10 @@ class AccountabilityAuditor:
     # -- intake --------------------------------------------------------------------
 
     def observe(self, message: MessageBatch) -> None:
-        """Attribute one data message to the principal that asserted its
-        first tuple (or to its source node)."""
-        facts = message.facts()
-        principal = (facts[0].asserted_by if facts else None) or message.source
+        """Attribute one data message to the principal whose seal it carries
+        (or, unsigned, to its source node)."""
+        seal = message.seal
+        principal = seal.principal if seal is not None else message.source
         record = self._records.setdefault(principal, AuditRecord(principal=principal))
         record.record(message)
 

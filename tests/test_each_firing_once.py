@@ -15,6 +15,10 @@ in the engine reads them.
 
 from __future__ import annotations
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from test_sharding import _assert_equivalent
 
@@ -107,6 +111,52 @@ def test_a_join_of_two_inputs_derived_in_one_round_fires_once(census):
         ("cost", ("a", "b", 3)),
         ("path", ("a", "b", 3)),
     ]
+
+
+#: A rule joining a relation with itself: ``twin(a,b,b)`` binds one new
+#: ``hop`` tuple at both body positions.
+SELF_JOIN = """
+    materialize(link, infinity, infinity, keys(1,2)).
+    materialize(hop, infinity, infinity, keys(1,2)).
+    materialize(twin, infinity, infinity, keys(1,2,3)).
+
+    r1 hop(@S, D) :- link(@S, D).
+    r2 twin(@S, D, E) :- hop(@S, D), hop(@S, E).
+"""
+
+
+def test_a_self_join_finds_a_firing_that_binds_the_delta_twice_once(census):
+    """Each of the three nodes has two links: two ``hop`` firings and, over
+    its two hops, four ``twin`` firings — 18 in all.  The delta plan of the
+    second ``hop`` position skips the delta at the first, so ``twin(a,b,b)``
+    is found from one position only, not from both (24)."""
+    network = Network.build(
+        topology=random_topology(3, seed=0), program=SELF_JOIN, provenance="condensed", seed=0
+    )
+    assert network.run().converged
+    assert network.stats.summary()["facts_derived"] == 18
+    assert census["by_rule"] == {"r1": 6, "r2": 12}
+    assert census["twice"] == census["refreshes"] == 0
+    assert sum(len(engine.facts("twin")) for engine in network.engines.values()) == 12
+
+
+def test_the_engine_census_finds_no_firing_twice_on_a_self_join():
+    # In a child process: a census wraps the classes it counts for good.
+    completed = subprocess.run(
+        [
+            sys.executable,
+            str(Path(__file__).resolve().parent.parent / "tools" / "engine_census.py"),
+            "--program", SELF_JOIN, "--provenance", "condensed", "--nodes", "3",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    counts = dict(
+        line.rsplit(None, 1) for line in completed.stdout.splitlines() if line.startswith("firings")
+    )
+    assert counts["firings"] == "18" and counts["firings found twice"] == "0"
 
 
 def _flap_two_links(network, topology) -> None:

@@ -15,9 +15,8 @@ from repro.net.topology import random_topology
 from repro.security import authenticator
 from repro.provenance.polynomial import flat_values, from_position_mask, p_var
 from repro.provenance.pruning import ProvenanceSampler
-from repro.security.authenticator import SignedEnvelope
 from repro.security.keystore import KeyStore
-from repro.security.says import SaysMode
+from repro.security.says import SEQUENCE_BYTES, SaysMode
 
 
 @pytest.fixture(scope="module")
@@ -60,19 +59,21 @@ class TestAuthentication:
         engine = make_engine("a", compiled_best_path, EngineConfig(), keystore)
         result = engine.insert_base(Fact("link", ("a", "b", 1.0)))
         exported = result.outgoing[0].fact
-        assert exported.signature is None
-        assert result.outgoing[0].security_bytes == 0
+        assert exported.signature is None and exported.asserted_by is None
+        assert seal(engine, (exported,), "b") is None
 
     def test_signed_mode_ships_signed(self, compiled_best_path, keystore):
         config = EngineConfig(says_mode=SaysMode.SIGNED)
         engine = make_engine("a", compiled_best_path, config, keystore)
         result = engine.insert_base(Fact("link", ("a", "b", 1.0)))
         exported = result.outgoing[0].fact
-        assert exported.asserted_by == "a"
-        # Numbered, not signed: the kernel seals the wire message carrying it.
-        assert exported.signature == SignedEnvelope(exported.signature.sequence)
-        assert result.outgoing[0].security_bytes > 0
+        # Neither attributed nor numbered nor signed: the kernel seals the wire
+        # message carrying it, which names the principal and numbers it once.
+        assert exported.asserted_by is None and exported.signature is None
         assert result.report.signatures_created == 0
+        sealed = seal(engine, (exported,), "b")
+        assert (sealed.principal, sealed.first) == ("a", 1)
+        assert sealed.wire_bytes() == len("a") + SEQUENCE_BYTES + len(sealed.signature)
 
     def test_receiver_accepts_valid_signature(self, compiled_best_path, keystore):
         config = EngineConfig(says_mode=SaysMode.SIGNED)
@@ -114,15 +115,14 @@ class TestAuthentication:
         receiver = make_engine("b", compiled_best_path, config, keystore)
         outgoing = mallory.insert_base(Fact("link", ("mallory", "b", 1.0))).outgoing
         fact = outgoing[0].fact
-        signature = seal(mallory, (fact,), "b")
-        spoofed = fact.with_metadata(asserted_by="a")  # claim it came from a
-        result = receiver.receive_batch([((spoofed,), signature)], 0.0)
+        spoofed = seal(mallory, (fact,), "b")._replace(principal="a")  # claim it came from a
+        result = receiver.receive_batch([((fact,), spoofed)], 0.0)
         assert result.report.facts_rejected == 1
 
 
 class TestSigningBudget:
-    """Exact signing work: the engine numbers exports and signs nothing; the
-    kernel seals each wire message once — a batch, a one-tuple message or an
+    """Exact signing work: the engine signs nothing; the kernel seals (and
+    numbers) each wire message once — a batch, a one-tuple message or an
     anti-delta — and each receiver checks each signature once."""
 
     @pytest.mark.parametrize("batching", [True, False], ids=["batched", "per-tuple"])
@@ -172,14 +172,6 @@ class TestSigningBudget:
 SAYS_MODES = (SaysMode.NONE, SaysMode.SIGNED)
 
 
-def shipped(sender, fact):
-    """*fact* as *sender* would export it (attributed, and numbered under
-    signed says; :func:`sealing.deliver` seals its message)."""
-    if sender.config.says_mode.requires_signature:
-        return sender.authenticator.export_fact(fact)
-    return fact
-
-
 @pytest.mark.parametrize("says_mode", SAYS_MODES, ids=lambda mode: mode.value)
 class TestMalformedArity:
     """A received tuple shaped unlike its relation is a counted rejection."""
@@ -208,7 +200,7 @@ class TestMalformedArity:
         self, compiled_best_path, keystore, says_mode
     ):
         sender, receiver = self.pair(compiled_best_path, says_mode, keystore)
-        short = shipped(sender, Fact("bestPath", ("a",), origin="b"))
+        short = Fact("bestPath", ("a",), origin="b")
         result = deliver(sender, receiver, [short], now=1.0)
         self.assert_rejected(result, says_mode)
         assert receiver.facts("bestPath") == ()
@@ -220,7 +212,7 @@ class TestMalformedArity:
         sender, receiver = self.pair(compiled_best_path, says_mode, keystore)
         receiver.insert_base(Fact("link", ("a", "b", 1.0)))
         before = receiver.database.snapshot()
-        long = shipped(sender, Fact("link", ("a", "b", 1.0, "x", "y"), origin="b"))
+        long = Fact("link", ("a", "b", 1.0, "x", "y"), origin="b")
         result = deliver(sender, receiver, [long], now=1.0)
         self.assert_rejected(result, says_mode)
         assert receiver.database.snapshot() == before
@@ -230,18 +222,18 @@ class TestMalformedArity:
         self, compiled_best_path, keystore, says_mode
     ):
         sender, receiver = self.pair(compiled_best_path, says_mode, keystore)
-        first = shipped(sender, Fact("gossip", ("a", 1), origin="b"))
+        first = Fact("gossip", ("a", 1), origin="b")
         accepted = deliver(sender, receiver, [first], now=1.0)
         assert accepted.report.facts_inserted == 1
         assert accepted.report.facts_rejected == 0
         for values in (("a",), ("a", 1, 2)):
-            changed = shipped(sender, Fact("gossip", values, origin="b"))
+            changed = Fact("gossip", values, origin="b")
             self.assert_rejected(deliver(sender, receiver, [changed], now=2.0), says_mode)
         assert [fact.values for fact in receiver.facts("gossip")] == [("a", 1)]
         # A well-formed neighbour in the same wire batch is still admitted.
         mixed = [
-            shipped(sender, Fact("gossip", ("a", 1, 2), origin="b")),
-            shipped(sender, Fact("gossip", ("a", 2), origin="b")),
+            Fact("gossip", ("a", 1, 2), origin="b"),
+            Fact("gossip", ("a", 2), origin="b"),
         ]
         report = deliver(sender, receiver, mixed, now=3.0).report
         assert (report.facts_received, report.facts_rejected) == (2, 1)
@@ -267,7 +259,8 @@ class TestProvenanceModes:
         assert from_position_mask(fact.annotation_mask, flat_values(fact.values)) == p_var("a")
         assert shipped.provenance_bytes == 2
         assert result.report.provenance_bytes_computed == 2
-        assert isinstance(fact.signature, SignedEnvelope)
+        # Unattributed and unnumbered: the message's seal names and numbers it.
+        assert fact.signature is None and fact.asserted_by is None
         assert result.report.signatures_created == 0
 
     def test_unsigned_condensed_mode_ships_plain_annotation(self, compiled_best_path, keystore):

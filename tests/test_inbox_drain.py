@@ -52,7 +52,7 @@ def build(provenance: str, topology=8, seed=SEED, **options) -> Network:
 class Recorder:
     """What one run did, per node: each data delivery with the instant its
     node was busy until when it arrived, and each receive round with the
-    signatures of the messages it ran, in order."""
+    seals of the messages it ran, in order."""
 
     def __init__(self, monkeypatch) -> None:
         self.deliveries = collections.defaultdict(list)
@@ -73,23 +73,23 @@ class Recorder:
                         str(message.source),
                         message.sequence,
                         busy_until,
-                        message.signature,
+                        message.seal,
                     )
                 )
             return dispatch(kernel, event)
 
         def recorded_receive(engine, messages, now):
             messages = list(messages)
-            self.rounds[engine.address].append((now, [signature for _, signature in messages]))
+            self.rounds[engine.address].append((now, [seal for _, seal in messages]))
             return receive(engine, messages, now)
 
         def counted_seal(authenticator, facts, destination):
             self.sealed += 1
             return seal(authenticator, facts, destination)
 
-        def counted_open(authenticator, facts, signature=None):
-            self.opened[signature] += 1
-            return open_batch(authenticator, facts, signature)
+        def counted_open(authenticator, facts, seal=None):
+            self.opened[seal] += 1
+            return open_batch(authenticator, facts, seal)
 
         monkeypatch.setattr(SimulationKernel, "_dispatch", recorded_dispatch)
         monkeypatch.setattr(NodeEngine, "receive_batch", recorded_receive)
@@ -104,13 +104,13 @@ class Recorder:
         runs in the one round that starts at ``e``, in arrival order.
         """
         rounds, by_end = [], {}
-        for at, _source, _sequence, busy_until, signature in self.deliveries[address]:
+        for at, _source, _sequence, busy_until, seal in self.deliveries[address]:
             if at >= busy_until:
-                rounds.append((at, [signature]))
+                rounds.append((at, [seal]))
             elif busy_until in by_end:
-                by_end[busy_until][1].append(signature)
+                by_end[busy_until][1].append(seal)
             else:
-                by_end[busy_until] = (busy_until, [signature])
+                by_end[busy_until] = (busy_until, [seal])
                 rounds.append(by_end[busy_until])
         return rounds
 
@@ -129,7 +129,7 @@ def test_a_signed_batched_run_runs_one_round_per_busy_period(monkeypatch):
         assert recorder.rounds[address] == recorder.expected_rounds(address)
         assert node.receive_rounds == len(recorder.rounds[address])
         assert node.messages_received == len(deliveries)
-        drained += sum(len(signatures) > 1 for _, signatures in recorder.rounds[address])
+        drained += sum(len(seals) > 1 for _, seals in recorder.rounds[address])
     assert drained > 0
     assert summary["receive_rounds"] < summary["total_messages"]
 

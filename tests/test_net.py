@@ -17,6 +17,7 @@ from repro.net.topology import (
     random_topology,
     ring_topology,
 )
+from repro.security.authenticator import Seal
 
 
 class TestAddress:
@@ -36,7 +37,10 @@ class TestAddress:
 class TestMessage:
     def test_size_accounts_for_all_components(self):
         fact = Fact("link", ("a", "b", 1.0))
-        message = batch_of_one("a", "b", fact, security_bytes=40, provenance_bytes=20)
+        # The seal: principal "a" and an 8-byte first number, then 31 bytes of signature.
+        seal = Seal("a", 1, b"\x00" * 31)
+        message = batch_of_one("a", "b", fact, provenance_bytes=20, seal=seal)
+        assert message.security_bytes == 40
         assert message.size_bytes() == MESSAGE_HEADER_BYTES + fact.payload_size() + 60
 
     def test_plain_message_size(self):
@@ -152,7 +156,7 @@ class TestStats:
     def test_node_stats_record_send_and_receive(self):
         stats = NodeStats(address="a")
         fact = Fact("link", ("a", "b"))
-        message = batch_of_one("a", "b", fact, security_bytes=10, provenance_bytes=5)
+        message = batch_of_one("a", "b", fact, provenance_bytes=5, seal=Seal("a", 1, b"\x00"))
         stats.record_send(message, message.size_bytes())
         stats.record_receive(message)
         assert stats.messages_sent == 1 and stats.messages_received == 1
@@ -163,12 +167,12 @@ class TestStats:
     def test_network_stats_aggregation(self):
         network = NetworkStats()
         fact = Fact("link", ("a", "b"))
-        message = batch_of_one("a", "b", fact, security_bytes=8)
+        message = batch_of_one("a", "b", fact, seal=Seal("a", 1, b"\x00"))
         network.node("a").record_send(message, message.size_bytes())
         network.node("b").record_receive(message)
         assert network.total("bytes_sent") == message.size_bytes()
         assert network.summary()["bandwidth_mb"] == pytest.approx(message.size_bytes() / 1e6)
-        assert network.total("security_bytes_sent") == 8
+        assert network.total("security_bytes_sent") == 10
 
     def test_node_accessor_creates_entries(self):
         network = NetworkStats()

@@ -32,7 +32,7 @@ from repro.provenance.polynomial import (
     p_var,
     position_mask,
 )
-from repro.security.authenticator import sealed_bytes
+from repro.security.authenticator import Seal, sealed_bytes
 from repro.security.keystore import KeyStore
 from repro.security.says import SaysMode
 
@@ -180,15 +180,15 @@ def test_the_receiver_rebuilds_from_the_mask_not_the_senders_annotation(
 
 def test_a_masked_fact_survives_the_frame_codec(compiled_best_path, keystore):
     a, b, fact = mid_tuple(compiled_best_path, keystore, SENDLOG_PROV)
-    explicit = Fact("link", ("a", "b", 1.0), asserted_by="a", provenance=p_var("z"))
+    explicit = Fact("link", ("a", "b", 1.0), provenance=p_var("z"))
     batch = MessageBatch(
         source="a",
         destination="b",
         items=(
-            OutgoingFact("b", fact, security_bytes=9, provenance_bytes=2),
-            OutgoingFact("b", explicit, security_bytes=9, provenance_bytes=1),
+            OutgoingFact("b", fact, provenance_bytes=2),
+            OutgoingFact("b", explicit, provenance_bytes=1),
         ),
-        signature=b"\x01" * 16,
+        seal=Seal("a", 1, b"\x01" * 16),
     )
     codec = BinaryCodec()
     ((at, decoded),) = codec.decode_frame(codec.encode_frame([(3.0, batch)]))

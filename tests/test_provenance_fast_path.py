@@ -392,8 +392,16 @@ PER_TUPLE_SEALED_DIGEST = "a1e6f9656f48604ca7aea118d040047d699bb1dab5c739146cc04
 #: ``0f591ac689fb9b6b7e9870bfcc860b8e56edea52edb233fe6a6a0829f9f4cdef``), and
 #: again when the engine began to find each firing once: 174 tuples ship in
 #: 93 messages instead of 176 in 88 (was
-#: ``1d6a316d79bfa2bd2925259bcf67fae8214420e13e2f918f3ab197c06ab0194c``).
-SEALED_BYTES_DIGEST = "6dfcb0b0806dbe1a40e91bc0db2e1fe5992c8691fcd6092b3f0c6df9c005ecaf"
+#: ``1d6a316d79bfa2bd2925259bcf67fae8214420e13e2f918f3ab197c06ab0194c``), and
+#: again when numbering moved from each firing to each sealed message: a
+#: message's tuples take consecutive numbers, so a sender whose round ships
+#: to several destinations numbers its tuples per destination instead of in
+#: derivation order.  The same 174 tuples ship in the same 93 messages, and
+#: the leaves with their number left out are the same multiset (was
+#: ``6dfcb0b0806dbe1a40e91bc0db2e1fe5992c8691fcd6092b3f0c6df9c005ecaf``).
+#: The per-tuple digest above does not move: a one-tuple message is numbered
+#: in derivation order as before.
+SEALED_BYTES_DIGEST = "2b065ccd88ec1adb8118c2875d726526775ce0cf6d9c6dc3d165ebbb6cccbce8"
 
 
 def test_signatures_cover_the_same_bytes(monkeypatch):

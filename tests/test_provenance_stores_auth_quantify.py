@@ -27,10 +27,7 @@ from repro.provenance.quantify import (
     vote_principals,
 )
 from repro.provenance.store import OfflineProvenanceArchive
-from repro.security.authenticator import (
-    Authenticator,
-    SignedEnvelope,
-)
+from repro.security.authenticator import Authenticator, Seal
 from repro.security.keystore import KeyStore
 from repro.security.principal import PrincipalRegistry
 from repro.security.says import SaysMode
@@ -119,8 +116,8 @@ class TestOfflineArchive:
 
 
 class TestAuthenticatedProvenance:
-    """Section 4.3: provenance is signed where it is created, as the
-    :class:`SignedEnvelope` of the wire message that carried it."""
+    """Section 4.3: provenance is signed where it is created, under the
+    :class:`Seal` of the wire message that carried it."""
 
     @pytest.fixture(scope="class")
     def keystore(self):
@@ -136,35 +133,30 @@ class TestAuthenticatedProvenance:
         annotation = p_var("a")
         exporter = Authenticator("a", keystore, SaysMode.SIGNED)
         importer = Authenticator("b", keystore, SaysMode.SIGNED)
-        shipped = exporter.export_fact(LINK.with_metadata(provenance=annotation))
-        assert shipped.provenance is annotation
+        shipped = LINK.with_metadata(provenance=annotation)
         # One message sealed, and accepted: the annotation is in its leaf.
-        assert shipped.signature.sequence == 1
-        signature = exporter.seal_batch([shipped], "b")
-        (admitted,) = importer.import_batch([shipped], signature)
+        sealed = exporter.seal_batch([shipped], "b")
+        assert (sealed.principal, sealed.first) == ("a", 1)
+        (admitted,) = importer.import_batch([shipped], sealed)
         assert admitted.provenance is annotation
 
     def test_signed_annotation_forgery_detected(self, keystore):
         exporter = Authenticator("a", keystore, SaysMode.SIGNED)
         importer = Authenticator("b", keystore, SaysMode.SIGNED)
-        shipped = exporter.export_fact(LINK.with_metadata(provenance=p_var("a")))
-        signature = exporter.seal_batch([shipped], "b")
+        shipped = LINK.with_metadata(provenance=p_var("a"))
+        sealed = exporter.seal_batch([shipped], "b")
         forged_annotation = shipped.with_metadata(provenance=p_var("b"))
-        assert importer.import_batch([forged_annotation], signature) == [None]
-        assert importer.import_batch([shipped], b"\x01" * 16) == [None]
+        assert importer.import_batch([forged_annotation], sealed) == [None]
+        assert importer.import_batch([shipped], sealed._replace(signature=b"\x01" * 16)) == [None]
         # The genuine one still does.
-        (admitted,) = importer.import_batch([shipped], signature)
+        (admitted,) = importer.import_batch([shipped], sealed)
         assert admitted == shipped and admitted.provenance is shipped.provenance
 
     def test_signed_annotation_unknown_principal(self, keystore):
         importer = Authenticator("b", keystore, SaysMode.SIGNED)
-        forged = LINK.with_metadata(
-            asserted_by="zz",
-            signature=SignedEnvelope(1),
-            provenance=p_var("zz"),
-        )
+        forged = LINK.with_metadata(provenance=p_var("zz"))
         assert not importer.keystore.has_public_key("zz")
-        assert importer.import_batch([forged], b"\x01" * 16) == [None]
+        assert importer.import_batch([forged], Seal("zz", 1, b"\x01" * 16)) == [None]
 
 
 class TestQuantify:

@@ -24,6 +24,7 @@ from repro.queries.path_vector import (
     path_vector_program,
 )
 from repro.queries.reachable import reachable_program
+from repro.security.authenticator import Seal
 from repro.security.principal import PrincipalRegistry
 from repro.usecases.accountability import AccountabilityAuditor, UsagePolicy
 from repro.usecases.diagnostics import FlapEvent, RouteFlapDetector
@@ -176,8 +177,10 @@ class TestForensics:
 
 class TestAccountability:
     def make_message(self, source, principal, size_relation="update", destination="x"):
-        fact = Fact(size_relation, (source, destination), asserted_by=principal)
-        return batch_of_one(source, destination, fact, sent_at=1.0)
+        # The principal is the one the message's seal names, not its source.
+        fact = Fact(size_relation, (source, destination))
+        seal = Seal(principal, 1, b"sig")
+        return batch_of_one(source, destination, fact, sent_at=1.0, seal=seal)
 
     def test_usage_attributed_to_asserting_principal(self):
         auditor = AccountabilityAuditor()
@@ -198,10 +201,11 @@ class TestAccountability:
         # Batches are the default wire format: one message, its bytes once,
         # its relations once per carried tuple.
         items = tuple(
-            OutgoingFact("x", Fact(relation, ("n1", "x"), asserted_by="alice"))
-            for relation in ("update", "route")
+            OutgoingFact("x", Fact(relation, ("n1", "x"))) for relation in ("update", "route")
         )
-        batch = MessageBatch(source="n1", destination="x", items=items, sent_at=1.0)
+        batch = MessageBatch(
+            source="n1", destination="x", items=items, sent_at=1.0, seal=Seal("alice", 1, b"sig")
+        )
         auditor = AccountabilityAuditor()
         auditor.observe(batch)
         record = auditor.record_for("alice")

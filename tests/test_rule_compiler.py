@@ -4,8 +4,10 @@
 position); the generic ``unify_term`` / ``apply_expression`` /
 ``evaluate_term`` of ``tests/oracle.py`` interpret the same literals
 under a bindings dict.  The oracle below enumerates the body in *source*
-order, by full scans, with those generic functions; for every delta position
-the generated function must return the same multiset of ``(head values,
+order, by full scans, with those generic functions — a scan at a body
+position before the delta's skips the delta itself, so a self-join finds a
+firing that binds the delta twice once — and for every delta position the
+generated function must return the same multiset of ``(head values,
 destination, antecedents in body order)``.
 
 Below that: the closed alphabet of the generated text, error parity, what
@@ -122,7 +124,10 @@ def reference_firings(plan, database, delta, delta_index):
             finish(bindings, antecedents)
             return
         atom_plan = body[others[position]]
+        earlier = others[position] < delta_index
         for fact in database.facts(atom_plan.predicate):
+            if earlier and fact is delta:
+                continue  # an earlier position joins the table without the delta
             unified = match(atom_plan, fact, bindings)
             if unified is not None:
                 join(position + 1, unified, antecedents + (fact,))

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro.engine.tuples import Fact
-from repro.security.authenticator import Authenticator, SignedEnvelope
+from repro.security.authenticator import Authenticator, Seal, SignedEnvelope
 from repro.security.keystore import KeyStore
 from repro.security.primes import generate_prime, is_probable_prime
 from repro.security.principal import Principal, PrincipalRegistry
@@ -198,48 +198,47 @@ class TestAuthenticator:
     def test_signed_export_import_round_trip(self, keystore):
         exporter = Authenticator("a", keystore, SaysMode.SIGNED)
         importer = Authenticator("b", keystore, SaysMode.SIGNED)
-        fact = exporter.export_fact(Fact("link", ("a", "b", 1.0)))
-        # Numbered on export; the message carrying it is sealed separately.
-        assert fact.signature == SignedEnvelope(1)
-        signature = exporter.seal_batch([fact], "b")
-        # Verified and fresh: the tuple comes back carrying its evidence.
-        (admitted,) = importer.import_batch([fact], signature)
-        assert admitted == fact
-        assert admitted.signature == SignedEnvelope(1, signature, ())
+        fact = Fact("link", ("a", "b", 1.0))
+        # Numbered when its message is sealed: the seal names the signer and
+        # the first number, once.
+        sealed = exporter.seal_batch([fact], "b")
+        assert (sealed.principal, sealed.first) == ("a", 1)
+        # Verified and fresh: the tuple comes back attributed, carrying its
+        # evidence.
+        (admitted,) = importer.import_batch([fact], sealed)
+        assert admitted == fact and admitted.asserted_by == "a"
+        assert admitted.signature == SignedEnvelope(1, sealed.signature, ())
 
     def test_import_rejects_missing_principal(self, keystore):
         importer = Authenticator("b", keystore, SaysMode.SIGNED)
-        assert importer.import_batch([Fact("link", ("a", "b", 1.0))], b"x" * 16) == [None]
+        fact = Fact("link", ("a", "b", 1.0))
+        # No seal, or a bare signature that names no principal.
+        assert importer.import_batch([fact]) == [None]
+        assert importer.import_batch([fact], b"x" * 16) == [None]
 
     def test_import_rejects_unknown_principal(self, keystore):
         importer = Authenticator("b", keystore, SaysMode.SIGNED)
-        fact = Fact(
-            "link",
-            ("a", "b", 1.0),
-            asserted_by="stranger",
-            signature=SignedEnvelope(1),
-        )
-        assert importer.import_batch([fact], b"x" * 16) == [None]
+        fact = Fact("link", ("a", "b", 1.0))
+        assert importer.import_batch([fact], Seal("stranger", 1, b"x" * 16)) == [None]
 
     def test_import_rejects_bad_signature(self, keystore):
         importer = Authenticator("b", keystore, SaysMode.SIGNED)
-        fact = Fact(
-            "link",
-            ("a", "b", 1.0),
-            asserted_by="a",
-            signature=SignedEnvelope(1),
-        )
+        fact = Fact("link", ("a", "b", 1.0))
         # The refusal is the None; the engine counts it on its report.
-        assert importer.import_batch([fact], b"\x01" * 16) == [None]
+        assert importer.import_batch([fact], Seal("a", 1, b"\x01" * 16)) == [None]
 
     def test_none_mode_passthrough(self, keystore):
-        exporter = Authenticator("a", keystore, SaysMode.NONE)
         importer = Authenticator("b", keystore, SaysMode.NONE)
         fact = Fact("link", ("a", "b", 1.0))
-        assert exporter.export_fact(fact) is fact
         assert importer.import_batch([fact])[0] is fact
 
-    def test_wire_overhead_matches_mode(self, keystore):
-        assert Authenticator("a", keystore, SaysMode.NONE).wire_overhead() == 0
-        signed = Authenticator("a", keystore, SaysMode.SIGNED).wire_overhead()
-        assert signed == len(b"a") + SEQUENCE_BYTES
+    def test_a_seal_charges_its_envelope_once(self, keystore):
+        exporter = Authenticator("a", keystore, SaysMode.SIGNED)
+        facts = [Fact("link", ("a", node, 1.0)) for node in "bcd"]
+        sealed = exporter.seal_batch(facts, "b")
+        # One principal, one 8-byte first number and one signature for the
+        # whole message: what one tuple alone would pay.
+        assert sealed.wire_bytes() == len(b"a") + SEQUENCE_BYTES + len(sealed.signature)
+        assert sealed.wire_bytes() == exporter.seal_batch(facts[:1], "b").wire_bytes()
+        # The next message numbers on from the last tuple of this one.
+        assert (sealed.first, exporter.seal_batch(facts, "c").first) == (1, 5)

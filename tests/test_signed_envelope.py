@@ -5,7 +5,8 @@ traffic, lets a Byzantine relay tamper with or re-deliver it, and checks that
 the receiver rejects it in its counters — ``facts_rejected`` /
 ``verification_failures`` — without an exception leaving ``receive_batch`` or
 ``_deliver``, and still accepts the sender's genuine traffic afterwards.  One
-signature covers one wire message, over the Merkle root of its tuples: the
+seal covers one wire message: it names the signer, numbers the message's
+tuples from its first number, and signs the Merkle root of their leaves.  The
 engine-level tests send one-tuple messages (the paper's per-tuple format), and
 each has a batched twin driving a kernel-sealed batch of three or more tuples.
 A stored tuple keeps its evidence — the signature and its path to the root —
@@ -30,10 +31,16 @@ from repro.net.events import FactRetraction
 from repro.net.message import AntiDelta, MessageBatch
 from repro.net.topology import Link, Topology
 from repro.provenance.polynomial import p_var
-from repro.security.authenticator import fold_path, merkle_tree, verify_evidence
+from repro.security.authenticator import (
+    Authenticator,
+    fold_path,
+    merkle_root,
+    merkle_tree,
+    verify_evidence,
+)
 from repro.security.keystore import KeyStore
 from repro.security.rsa import sign, verify
-from repro.security.says import SaysMode
+from repro.security.says import SEQUENCE_BYTES, SaysMode
 
 SENDLOG_PROV = EngineConfig(
     says_mode=SaysMode.SIGNED,
@@ -111,9 +118,9 @@ def test_spliced_annotation_or_support_is_rejected(compiled_best_path, keystore)
 
 
 def test_misdelivered_or_replayed_tuple_is_rejected(compiled_best_path, keystore):
-    """Non-repudiation: an envelope is evidence that its sender said *this*,
-    to *this* node, as its n-th export — so it must be worthless anywhere
-    else or a second time.  A tuple sealed for ``b`` is refused at ``c``; the
+    """Non-repudiation: a seal is evidence that its sender said *this*, to
+    *this* node, as its n-th export — so it must be worthless anywhere else
+    or a second time.  A tuple sealed for ``b`` is refused at ``c``; the
     identical message is refused at ``b`` as stale; ``a``'s next genuine
     export is accepted — also after ``a`` crashed and recovered (the export
     counter is kept beside the key, not in the state a crash wipes, so a
@@ -142,28 +149,39 @@ def test_misdelivered_or_replayed_tuple_is_rejected(compiled_best_path, keystore
         if o.destination == "b"
     ]
     assert [fact.key() for fact in again] == [first.key()]
-    assert again[0].signature.sequence > second.signature.sequence
     again_sealed = seal(a, again, "b")
+    assert again_sealed.first > to_b[second.key()].first
     assert b.receive_batch([(again, again_sealed)], 4.5).report.facts_rejected == 0
     assert_rejected(again_at_b(first, 5.0), 1)
 
 
-def test_a_message_naming_two_principals_is_rejected(compiled_best_path, keystore):
-    """Non-repudiation: one signature attributes a whole message, so every
-    tuple in it must name the signer.  ``c`` sealing a batch in which one
-    tuple claims ``a`` said it is refused whole, though ``c``'s own key
-    signed it; ``c``'s genuine batch then passes."""
+def test_an_envelope_naming_another_principal_is_rejected(compiled_best_path, keystore):
+    """Non-repudiation: one seal attributes a whole message to the principal
+    it names, so it must name the signer.  ``c``'s message whose seal a relay
+    rewrote to name ``a`` is refused whole, and so is one the relay ``c``
+    signed itself but attributed to ``a``.  A tuple's own claim to a
+    principal is never read: ``c``'s genuine seal attributes every tuple of
+    its message to ``c``."""
     a, b, c = engines(compiled_best_path, keystore)
     own = [
         o.fact
         for o in c.insert_base(Fact("link", ("c", "b", 1.0))).outgoing
         if o.destination == "b"
     ]
-    claimed = [own[0].with_metadata(asserted_by="a")] + own[1:]
-    if len(claimed) == 1:
-        claimed.append(own[0])
-    assert_rejected(b.receive_batch([(claimed, seal(c, claimed, "b"))], 1.0), len(claimed))
-    assert deliver(c, b, own, now=2.0).report.facts_rejected == 0
+    sealed = seal(c, own, "b")
+    assert sealed.principal == "c"
+    renamed = sealed._replace(principal="a")
+    assert_rejected(b.receive_batch([(own, renamed)], 1.0), len(own))
+    mine = [fact.with_metadata(provenance=p_var("a")) for fact in own]
+    impersonated = seal(c, mine, "b")._replace(principal="a")
+    assert_rejected(b.receive_batch([(mine, impersonated)], 1.5), len(mine))
+
+    claiming = [fact.with_metadata(asserted_by="a") for fact in own]
+    result = b.receive_batch([(claiming, sealed)], 2.0)
+    assert result.report.facts_rejected == 0
+    assert result.report.facts_verified == len(own)
+    stored = {fact.key(): fact for fact in b.facts(own[0].relation)}
+    assert stored[own[0].key()].asserted_by == "c"
 
 
 # -- anti-deltas ------------------------------------------------------------------
@@ -320,7 +338,7 @@ def held_batches():
     assert network.run().converged
     del kernel._schedule_delivery
     big = [batch for batch in held if batch.tuple_count >= 3]
-    assert len(big) >= 2 and all(batch.signature for batch in held)
+    assert len(big) >= 2 and all(batch.seal for batch in held)
     sealed = Counter(batch.source for batch in big)
     source = next(batch.source for batch in big if sealed[batch.source] >= 2)
     big.sort(key=lambda batch: batch.source != source)  # stable
@@ -411,7 +429,7 @@ def test_batched_splice_drop_and_reorder_are_rejected_per_tuple():
         with_items(batch, (batch.items[1], batch.items[0]) + batch.items[2:]),
     ]
     for tampered in attacks:
-        assert tampered.signature == batch.signature
+        assert tampered.seal == batch.seal
         assert deliver_batch(network, tampered) == refused(tampered)
     assert_genuine_batches_still_pass(network, [batch])
 
@@ -425,8 +443,8 @@ def test_batched_swapped_signatures_and_misdelivery_are_rejected_per_tuple():
     source = held[0].source
     one, other = [batch for batch in held if batch.source == source][:2]
     assert one.destination != other.destination
-    for batch, signature in ((one, other.signature), (other, one.signature)):
-        tampered = replace(batch, signature=signature)
+    for batch, signature in ((one, other.seal.signature), (other, one.seal.signature)):
+        tampered = replace(batch, seal=batch.seal._replace(signature=signature))
         assert deliver_batch(network, tampered) == refused(tampered)
     misdelivered = replace(one, destination=other.destination)
     assert deliver_batch(network, misdelivered) == refused(misdelivered)
@@ -449,6 +467,59 @@ def test_a_replayed_batch_is_rejected_per_tuple():
     assert_genuine_batches_still_pass(network, later)
 
 
+def test_a_replayed_batch_renumbered_is_rejected_per_tuple():
+    """Non-repudiation, batched: each tuple's number is in its leaf, so a
+    relay cannot make a replay look fresh by renumbering it.  A delivered
+    batch replayed with its first number rewound, or moved past everything
+    accepted, is refused tuple by tuple; the sender's later batches pass."""
+    network, held = held_batches()
+    first = held[0]
+    later = [
+        batch
+        for batch in held
+        if batch.source == first.source and batch.sequence > first.sequence
+    ]
+    assert_genuine_batches_still_pass(network, [first])
+    k = first.tuple_count
+    for renumbered in (first.seal.first - 1, first.seal.first - k, first.seal.first + 10_000):
+        replayed = replace(first, seal=first.seal._replace(first=renumbered))
+        assert deliver_batch(network, replayed) == refused(replayed)
+    assert_genuine_batches_still_pass(network, later)
+
+
+def test_a_tuple_moved_between_batches_is_rejected_per_tuple():
+    """Integrity, batched: a seal binds exactly its own tuples.  One tuple
+    moved from one genuine batch into another of the same sender refuses
+    both batches whole — the one it left and the one it joined — and the
+    untouched batches are still admitted afterwards."""
+    network, held = held_batches()
+    source = held[0].source
+    one, other = [batch for batch in held if batch.source == source][:2]
+    moved = one.items[-1]
+    left = with_items(one, one.items[:-1])
+    joined = with_items(other, other.items + (replace(moved, destination=other.destination),))
+    for tampered in (left, joined):
+        assert deliver_batch(network, tampered) == refused(tampered)
+    assert_genuine_batches_still_pass(network, [one, other])
+
+
+def test_a_batch_naming_another_principal_is_rejected_per_tuple():
+    """Non-repudiation, batched: a seal that names a principal other than
+    its signer attributes nothing — whether a relay renamed a genuine seal
+    or sealed the sender's tuples under its own key in the sender's name."""
+    network, held = held_batches()
+    batch = held[0]
+    relay = next(
+        address for address in network.engines if address not in (batch.source, batch.destination)
+    )
+    renamed = replace(batch, seal=batch.seal._replace(principal=relay))
+    forged = network.engines[relay].authenticator.seal_batch(batch.facts(), batch.destination)
+    impersonated = replace(batch, seal=forged._replace(principal=batch.source))
+    for tampered in (renamed, impersonated):
+        assert deliver_batch(network, tampered) == refused(tampered)
+    assert_genuine_batches_still_pass(network, [batch])
+
+
 def test_a_stored_tuple_verifies_alone_from_its_evidence():
     """Accountability: long after its batch is gone, a stored tuple proves
     what its principal said to its holder, from the tuple alone — and stops
@@ -468,7 +539,7 @@ def test_a_stored_tuple_verifies_alone_from_its_evidence():
     assert stored
     for fact in stored:
         envelope = fact.signature
-        assert envelope.signature == batch.signature
+        assert envelope.signature == batch.seal.signature
         public_key = keystore.public_key(fact.asserted_by)
         assert verify_evidence(fact, batch.destination, public_key)
 
@@ -514,11 +585,13 @@ MERKLE_KEY = KeyStore(key_bits=128, seed=29).create_keypair("signer")
     data=st.data(),
 )
 def test_every_leaf_folds_to_the_signed_root_and_a_changed_byte_breaks_it(leaves, data):
-    """The Merkle tree over any batch size from 1 to 17: each leaf's path,
-    at most ceil(log2 n) steps, folds it to the root the one signature
-    covers; changing any one byte of any leaf breaks both its fold and the
+    """The Merkle tree over any batch size from 1 to 17: the root the sender
+    builds alone is the receiver's, each leaf's path, at most ceil(log2 n)
+    steps, folds it to the root the one signature covers; changing any one byte of any leaf breaks both its fold and the
     root of the batch."""
     root, paths = merkle_tree(leaves)
+    # The sender builds the root alone, the same tree without the paths.
+    assert merkle_root(leaves) == root
     signature = sign(root, MERKLE_KEY)
     assert len(paths) == len(leaves)
     for leaf, path in zip(leaves, paths):
@@ -533,3 +606,64 @@ def test_every_leaf_folds_to_the_signed_root_and_a_changed_byte_breaks_it(leaves
     changed = bytes(changed)
     assert not verify(fold_path(changed, paths[index]), signature, MERKLE_KEY.public_key)
     assert merkle_tree(leaves[:index] + [changed] + leaves[index + 1 :])[0] != root
+
+
+# -- the envelope: one principal and one first number per message -----------------
+
+
+def test_a_signed_message_pays_its_envelope_once_and_numbers_its_tuples_in_order(
+    monkeypatch,
+):
+    """Every signed message of the N=8 ``sendlog-prov`` fixpoint pays for its
+    seal exactly once — the signature, the principal and the 8-byte first
+    number — and nothing per tuple.  Each principal numbers its tuples
+    without gaps across its messages, and a receiver admits tuple *i* of a
+    k-tuple message as number ``first + i``: ``first … first + k - 1``."""
+    sent, opened = [], []
+    import_batch = Authenticator.import_batch
+
+    def recorded_import(authenticator, facts, sealed=None):
+        admitted = import_batch(authenticator, facts, sealed)
+        opened.append((sealed, admitted))
+        return admitted
+
+    monkeypatch.setattr(Authenticator, "import_batch", recorded_import)
+    network = Network.build(
+        topology=8, program="best-path", provenance="sendlog-prov", seed=0, key_bits=128
+    )
+    kernel = network.simulator
+    schedule = kernel._schedule_delivery
+
+    def recorded_schedule(at, message):
+        sent.append(message)
+        schedule(at, message)
+
+    kernel._schedule_delivery = recorded_schedule
+    assert network.run().converged
+    del kernel._schedule_delivery
+
+    signed = [message for message in sent if isinstance(message, MessageBatch)]
+    assert signed and all(message.seal is not None for message in signed)
+    for message in signed:
+        principal, _, signature = message.seal
+        assert principal == message.source
+        assert message.security_bytes == len(signature) + len(principal) + SEQUENCE_BYTES
+    assert sum(message.security_bytes for message in signed) == (
+        network.stats.summary()["security_bytes"]
+    )
+
+    numbers = {}
+    for message in sorted(signed, key=lambda message: message.seal.first):
+        numbers.setdefault(message.source, []).extend(
+            range(message.seal.first, message.seal.first + message.tuple_count)
+        )
+    for principal, sequence in numbers.items():
+        assert sequence == list(range(1, len(sequence) + 1)), principal
+
+    assert max(len(admitted) for _, admitted in opened) >= 3
+    for sealed, admitted in opened:
+        assert all(fact is not None for fact in admitted)
+        assert [fact.signature.sequence for fact in admitted] == list(
+            range(sealed.first, sealed.first + len(admitted))
+        )
+        assert {fact.asserted_by for fact in admitted} == {sealed.principal}

@@ -29,6 +29,7 @@ from repro.provenance.polynomial import (
     from_support_code,
     support_code,
 )
+from repro.security.authenticator import Seal
 from repro.security.keystore import KeyStore
 from repro.security.says import SaysMode
 
@@ -248,7 +249,7 @@ def test_a_flipped_position_byte_refuses_the_whole_signed_message(compiled_best_
     the sender never sealed, so the message's root breaks and neither of
     its tuples is admitted."""
     a, b, fact = mid_tuple(compiled_best_path, keystore, SENDLOG_PROV)
-    other = a.authenticator.export_fact(Fact("bestPathCost", ("b", "z", 3.0), origin="a"))
+    other = Fact("bestPathCost", ("b", "z", 3.0), origin="a")
     flipped = fact.with_metadata(support_code=bytes((1, 1, 2, 0, 1, 0x7D, 2)))
     signature = seal(a, (fact, other), "b")
     known = len(b._bases.keys)
@@ -275,15 +276,15 @@ def test_a_malformed_code_in_a_signed_message_refuses_all_of_it(compiled_best_pa
 
 def test_a_coded_fact_crosses_the_frame_codec_as_its_code(compiled_best_path, keystore):
     a, b, fact = mid_tuple(compiled_best_path, keystore, SENDLOG_PROV)
-    explicit = Fact("link", ("a", "b", 1.0), asserted_by="a", support=fact.support)
+    explicit = Fact("link", ("a", "b", 1.0), support=fact.support)
     batch = MessageBatch(
         source="a",
         destination="b",
         items=(
-            OutgoingFact("b", fact, security_bytes=9, provenance_bytes=8),
-            OutgoingFact("b", explicit, security_bytes=9, provenance_bytes=18),
+            OutgoingFact("b", fact, provenance_bytes=8),
+            OutgoingFact("b", explicit, provenance_bytes=18),
         ),
-        signature=b"\x01" * 16,
+        seal=Seal("a", 1, b"\x01" * 16),
     )
     codec = BinaryCodec()
     ((at, decoded),) = codec.decode_frame(codec.encode_frame([(3.0, batch)]))

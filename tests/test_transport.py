@@ -50,7 +50,8 @@ from repro.net.message import (
 from repro.net.transport import BinaryCodec
 from repro.provenance.log import ProvenancePointer
 from repro.provenance.polynomial import ProvenanceExpression
-from repro.security.authenticator import SignedEnvelope
+from repro.security.authenticator import Seal, SignedEnvelope
+from repro.security.says import SEQUENCE_BYTES
 
 WIRE_MESSAGES = (MessageBatch, QueryRequest, QueryResponse, AntiDelta)
 EVENTS = (
@@ -143,13 +144,13 @@ def _sample_exports():
                 source="n2",
                 destination="n3",
                 items=(
-                    OutgoingFact("n3", fact, security_bytes=112, provenance_bytes=40),
+                    OutgoingFact("n3", fact, provenance_bytes=40),
                     OutgoingFact("n3", coded, provenance_bytes=6),
                     OutgoingFact("n3", plain),
                 ),
                 sent_at=0.0015,
                 sequence=8,
-                signature=b"\x01\x02sig",
+                seal=Seal("n2", 41, b"\x01\x02sig"),
             ),
         ),
         (
@@ -252,26 +253,26 @@ def test_events_round_trip_all_kinds():
 
 
 def test_a_signed_batch_carries_its_signature_once_and_no_path():
-    """A frame carries each tuple's export sequence and the batch's one
-    signature, never a Merkle path: the receiver derives those."""
+    """A frame carries the batch's one seal — its principal, its first export
+    number and its signature — and no per-tuple principal, number or Merkle
+    path: the receiver derives those."""
     signature = b"\xa5" * 32
-    facts = [
-        Fact("path", ("n1", f"n{i}", float(i)), asserted_by="n1", signature=SignedEnvelope(i))
-        for i in range(3)
-    ]
+    facts = [Fact("path", ("n1", f"n{i}", float(i))) for i in range(3)]
     batch = MessageBatch(
         source="n1",
         destination="n2",
-        items=tuple(OutgoingFact("n2", fact, security_bytes=10) for fact in facts),
-        signature=signature,
+        items=tuple(OutgoingFact("n2", fact) for fact in facts),
+        seal=Seal("n1", 5, signature),
     )
     codec = BinaryCodec()
     frame = codec.encode_frame([(0.1, batch)])
     assert frame.count(signature) == 1
     ((_, decoded),) = codec.decode_frame(frame)
-    assert decoded.signature == signature
-    assert decoded.security_bytes == 3 * 10 + len(signature)
-    assert [fact.signature for fact in decoded.facts()] == [SignedEnvelope(i) for i in range(3)]
+    assert decoded.seal == Seal("n1", 5, signature)
+    assert decoded.security_bytes == len("n1") + SEQUENCE_BYTES + len(signature)
+    assert all(
+        fact.signature is None and fact.asserted_by is None for fact in decoded.facts()
+    )
 
 
 def test_binary_frames_are_deterministic():
@@ -372,8 +373,8 @@ def _facts(draw):
         timestamp=draw(st.floats(min_value=0, max_value=1e6)),
         ttl=draw(st.one_of(st.none(), st.floats(min_value=0.001, max_value=1e3))),
         asserted_by=draw(st.one_of(st.none(), _addresses)),
-        # In flight an envelope is its sequence number alone; a stored
-        # tuple's evidence (signature and path) travels too when it is sent.
+        # A tuple in flight carries no envelope (its message's seal does); a
+        # stored tuple's evidence (number, signature, path) travels whole.
         signature=draw(
             st.one_of(
                 st.none(),
@@ -400,7 +401,6 @@ def _messages(draw):
         OutgoingFact(
             destination,
             draw(_facts()),
-            security_bytes=draw(st.integers(min_value=0, max_value=512)),
             provenance_bytes=draw(st.integers(min_value=0, max_value=512)),
         )
         for _ in range(draw(st.integers(min_value=1, max_value=3)))
@@ -411,7 +411,17 @@ def _messages(draw):
         items=items,
         sent_at=draw(st.floats(min_value=0, max_value=1e6)),
         sequence=draw(st.integers(min_value=0, max_value=2**32)),
-        signature=draw(st.one_of(st.none(), st.binary(min_size=1, max_size=16))),
+        seal=draw(
+            st.one_of(
+                st.none(),
+                st.builds(
+                    Seal,
+                    _addresses,
+                    st.integers(min_value=1, max_value=2**63),
+                    st.binary(min_size=1, max_size=16),
+                ),
+            )
+        ),
     )
 
 

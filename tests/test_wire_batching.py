@@ -46,6 +46,7 @@ from repro.provenance.log import ProvenancePointer
 from repro.provenance.polynomial import p_var
 from repro.provenance.pruning import ProvenanceSampler
 from repro.queries.reachable import REACHABLE_LOCALIZED
+from repro.security.authenticator import Seal
 from repro.security.says import SEQUENCE_BYTES, SaysMode
 
 
@@ -61,22 +62,28 @@ def run_reachable(topology, config, batching, compiled):
     return simulator.run()
 
 
+#: A seal of 40 bytes: principal ``a``, the 8-byte first number, and a
+#: 31-byte signature.
+SEAL = Seal("a", 1, b"\x00" * 31)
+
+
 class TestMessageBatchFormat:
     def _batch(self):
         items = (
-            OutgoingFact("b", Fact("link", ("a", "b")), security_bytes=40, provenance_bytes=10),
-            OutgoingFact("b", Fact("link", ("a", "c")), security_bytes=40, provenance_bytes=20),
+            OutgoingFact("b", Fact("link", ("a", "b")), provenance_bytes=10),
+            OutgoingFact("b", Fact("link", ("a", "c")), provenance_bytes=20),
         )
-        return MessageBatch(source="a", destination="b", items=items)
+        return MessageBatch(source="a", destination="b", items=items, seal=SEAL)
 
     def test_header_charged_once(self):
         batch = self._batch()
         payload = sum(item.fact.payload_size() for item in batch.items)
-        assert batch.size_bytes() == MESSAGE_HEADER_BYTES + payload + 80 + 30
+        assert batch.size_bytes() == MESSAGE_HEADER_BYTES + payload + 40 + 30
 
     def test_overheads_stay_itemized(self):
+        # Provenance per tuple; the seal — principal, number, signature — once.
         batch = self._batch()
-        assert batch.security_bytes == 80
+        assert batch.security_bytes == SEAL.wire_bytes() == 40
         assert batch.provenance_bytes == 30
 
     def test_facts_in_item_order(self):
@@ -86,11 +93,12 @@ class TestMessageBatchFormat:
 
     def test_batch_vs_individual_messages_differ_only_by_framing(self):
         batch = self._batch()
+        # A message's framing is its header and its seal.
         individual = sum(
-            MessageBatch(source="a", destination="b", items=(item,)).size_bytes()
+            MessageBatch(source="a", destination="b", items=(item,), seal=SEAL).size_bytes()
             for item in batch.items
         )
-        assert individual - batch.size_bytes() == MESSAGE_HEADER_BYTES * (
+        assert individual - batch.size_bytes() == (MESSAGE_HEADER_BYTES + 40) * (
             batch.tuple_count - 1
         )
 
@@ -98,10 +106,10 @@ class TestMessageBatchFormat:
 class TestGrouping:
     def test_group_outgoing_preserves_fifo_per_destination(self):
         outgoing = [
-            OutgoingFact("b", Fact("r", (1,)), 0, 0),
-            OutgoingFact("c", Fact("r", (2,)), 0, 0),
-            OutgoingFact("b", Fact("r", (3,)), 0, 0),
-            OutgoingFact("b", Fact("r", (4,)), 0, 0),
+            OutgoingFact("b", Fact("r", (1,))),
+            OutgoingFact("c", Fact("r", (2,))),
+            OutgoingFact("b", Fact("r", (3,))),
+            OutgoingFact("b", Fact("r", (4,))),
         ]
         grouped = group_outgoing(outgoing)
         assert list(grouped) == ["b", "c"]  # first-send order
@@ -109,19 +117,24 @@ class TestGrouping:
 
 
 class TestDispatchAttribution:
-    """The same outgoing tuples, dispatched batched vs. per-tuple."""
+    """The same outgoing tuples, dispatched batched vs. per-tuple and sealed
+    (signed ``says``, 16-byte signatures at ``key_bits=128``)."""
 
     OUTGOING = [
-        OutgoingFact("b", Fact("r", ("x", 1)), security_bytes=34, provenance_bytes=7),
-        OutgoingFact("b", Fact("r", ("x", 2)), security_bytes=34, provenance_bytes=9),
-        OutgoingFact("c", Fact("r", ("x", 3)), security_bytes=34, provenance_bytes=0),
+        OutgoingFact("b", Fact("r", ("x", 1)), provenance_bytes=7),
+        OutgoingFact("b", Fact("r", ("x", 2)), provenance_bytes=9),
+        OutgoingFact("c", Fact("r", ("x", 3)), provenance_bytes=0),
     ]
+
+    #: One seal: principal ``a``, the 8-byte first number, the signature.
+    SEAL_BYTES = len("a") + SEQUENCE_BYTES + 16
 
     def _dispatch(self, batching, compiled_reachable):
         simulator = SimulationKernel(
             paper_example_topology(),
             compiled_reachable,
-            EngineConfig(),
+            EngineConfig(says_mode=SaysMode.SIGNED),
+            key_bits=128,
             batching=batching,
         )
         stats = simulator.stats.node("a")
@@ -131,17 +144,19 @@ class TestDispatchAttribution:
     def test_attribution_is_byte_identical(self, compiled_reachable):
         _, batched = self._dispatch(True, compiled_reachable)
         _, per_tuple = self._dispatch(False, compiled_reachable)
-        assert batched.security_bytes_sent == per_tuple.security_bytes_sent == 102
         assert batched.provenance_bytes_sent == per_tuple.provenance_bytes_sent == 16
         assert batched.tuples_sent == per_tuple.tuples_sent == 3
+        # Security is one seal per message, whatever the message carries.
+        assert batched.security_bytes_sent == 2 * self.SEAL_BYTES
+        assert per_tuple.security_bytes_sent == 3 * self.SEAL_BYTES
 
     def test_only_framing_bytes_are_saved(self, compiled_reachable):
         _, batched = self._dispatch(True, compiled_reachable)
         _, per_tuple = self._dispatch(False, compiled_reachable)
-        saved_headers = per_tuple.messages_sent - batched.messages_sent
-        assert saved_headers == 1  # (b, b, c) -> two batches instead of three
+        saved_messages = per_tuple.messages_sent - batched.messages_sent
+        assert saved_messages == 1  # (b, b, c) -> two batches instead of three
         assert per_tuple.bytes_sent - batched.bytes_sent == (
-            MESSAGE_HEADER_BYTES * saved_headers
+            (MESSAGE_HEADER_BYTES + self.SEAL_BYTES) * saved_messages
         )
 
     def test_one_batch_per_destination(self, compiled_reachable):
@@ -157,8 +172,8 @@ class TestDispatchAttribution:
 
 class TestFullRunAttribution:
     """Reachability derivations are order-independent, so a full distributed
-    run must ship the same tuples either way: the same per-tuple envelope
-    bytes, and one signature per wire message."""
+    run must ship the same tuples either way, and one seal — principal, first
+    export number and signature — per wire message."""
 
     def test_security_attribution_matches_per_tuple_path(self, compiled_reachable):
         topology = random_topology(8, seed=11)
@@ -166,16 +181,18 @@ class TestFullRunAttribution:
         batched = run_reachable(topology, config, True, compiled_reachable).stats
         per_tuple = run_reachable(topology, config, False, compiled_reachable).stats
         assert batched.total("tuples_sent") == per_tuple.total("tuples_sent")
-        signature = 16  # bytes, at key_bits=128
+        # Every node is named n0..n7; signatures are 16 bytes at key_bits=128.
+        seal = len("n0") + SEQUENCE_BYTES + 16
         fewer = per_tuple.total_messages - batched.total_messages
         assert fewer > 0
+        assert per_tuple.total("security_bytes_sent") == seal * per_tuple.total_messages
         assert (
-            batched.total("security_bytes_sent") + signature * fewer
+            batched.total("security_bytes_sent") + seal * fewer
             == per_tuple.total("security_bytes_sent")
         )
-        # All saved bytes are per-message framing and signatures, nothing else.
+        # All saved bytes are per-message framing and seals, nothing else.
         saved = per_tuple.total("bytes_sent") - batched.total("bytes_sent")
-        assert saved == (MESSAGE_HEADER_BYTES + signature) * fewer
+        assert saved == (MESSAGE_HEADER_BYTES + seal) * fewer
 
     @pytest.mark.parametrize("batching", [True, False], ids=["batched", "per-tuple"])
     def test_a_signature_is_charged_its_real_length(self, compiled_reachable, batching):
@@ -199,9 +216,8 @@ class TestFullRunAttribution:
         for node in topology.nodes:
             sent = stats.node(node)
             assert sent.messages_sent > 0
-            assert sent.security_bytes_sent == (
-                sent.tuples_sent * (len(node) + SEQUENCE_BYTES)
-                + sent.messages_sent * length[node]
+            assert sent.security_bytes_sent == sent.messages_sent * (
+                len(node) + SEQUENCE_BYTES + length[node]
             )
 
     def test_batching_halves_wire_messages(self, compiled_reachable):
@@ -293,7 +309,7 @@ class TestPerTupleFormat:
 
 
 def _one_of_each_wire_message():
-    signed = Fact("path", ("a", "b", 1.0), asserted_by="a", provenance=p_var("l1"))
+    signed = Fact("path", ("a", "b", 1.0), provenance=p_var("l1"))
     pointer = ProvenancePointer(
         output=("path", ("a", "b", 1.0)),
         rule_label="r1",
@@ -311,10 +327,10 @@ def _one_of_each_wire_message():
             source="a",
             destination="b",
             items=(
-                OutgoingFact("b", signed, security_bytes=9, provenance_bytes=12),
-                OutgoingFact("b", Fact("link", ("a", "b")), security_bytes=9),
+                OutgoingFact("b", signed, provenance_bytes=12),
+                OutgoingFact("b", Fact("link", ("a", "b"))),
             ),
-            signature=b"\x01" * 32,
+            seal=Seal("a", 1, b"\x01" * 32),
         ),
         QueryRequest(
             source="a", destination="b", key=("path", ("a", "b", 1.0)),

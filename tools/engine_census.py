@@ -15,8 +15,10 @@ schedule: data deliveries, how many of them arrive while their destination is
 still busy with an earlier round, and the receive rounds that ran them (under
 signed ``says`` a busy node's queued messages run as one round). Under a
 signed preset it also prints the sealing traffic: the histogram and mean of
-tuples per signed wire message, ``rsa.sign`` / ``rsa.verify`` calls per
-message, and the Merkle leaf and inner-node hashes computed. With ``--flaps``
+tuples per signed wire message, the bytes of each message's seal — its
+envelope (principal and first export number, once per message) and its
+signature — per message, ``rsa.sign`` / ``rsa.verify`` calls per message,
+and the Merkle leaf and inner-node hashes computed. With ``--flaps``
 the network converges first and only the link flaps are counted (the
 write/delete use of the tables); with ``--opcodes`` the run is traced per
 bytecode instruction (about fifty times slower) and the functions are ranked
@@ -221,11 +223,14 @@ def install(identify_firings: bool = True) -> Census:
     def counted_seal(self, facts, destination):
         census["signed wire messages sealed"] += 1
         census[f"_tuples per message {len(facts)}"] += 1
-        return seal(self, facts, destination)
+        sealed = seal(self, facts, destination)
+        census["_signature bytes"] += len(sealed.signature)
+        census["_envelope bytes"] += sealed.wire_bytes() - len(sealed.signature)
+        return sealed
 
-    def counted_open(self, facts, signature=None):
+    def counted_open(self, facts, sealed=None):
         census["signed wire messages opened"] += self.mode.requires_signature and bool(facts)
-        return open_batch(self, facts, signature)
+        return open_batch(self, facts, sealed)
 
     def counted_sign(*args):
         census["rsa.sign calls"] += 1
@@ -318,6 +323,9 @@ def print_census(census: Census) -> None:
               + ", ".join(f"{size}: {count}" for size, count in histogram))
         tuples = sum(size * count for size, count in histogram)
         print(f"{'tuples per signed wire message':<{width}} {tuples / sealed:>9.2f}")
+        for part in ("envelope", "signature"):
+            print(f"{part + ' bytes per signed wire message':<{width}} "
+                  f"{census[f'_{part} bytes'] / sealed:>9.2f}")
         print(f"{'rsa.sign calls per message sealed':<{width}} "
               f"{census['rsa.sign calls'] / sealed:>9.2f}")
         opened = census["signed wire messages opened"]
