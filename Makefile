@@ -60,7 +60,8 @@
 #                      exits 1 unless that is 0), runs of same-relation deltas, the no-op share
 #                      of Table.expire / Database.table, index-bucket length at
 #                      each replace / remove, render calls by value type,
-#                      with_metadata copies per exported tuple; under a signed
+#                      Fact constructions per firing and per admitted tuple
+#                      (it exits 1 when either is above one); under a signed
 #                      preset, tuples per signed wire message, signs and
 #                      verifies per message, Merkle hashes.  `make check`
 #                      runs it at N=8 as a smoke (ndlog, condensed churn and

@@ -43,7 +43,12 @@ from repro.provenance.polynomial import (
 )
 from repro.provenance.pruning import ProvenanceSampler
 from repro.provenance.store import OfflineProvenanceArchive
-from repro.security.authenticator import AuthenticationError, Authenticator, Seal
+from repro.security.authenticator import (
+    AuthenticationError,
+    Authenticator,
+    Carried,
+    Seal,
+)
 from repro.security.keystore import KeyStore
 from repro.security.principal import PrincipalRegistry
 from repro.security.says import SaysMode
@@ -146,11 +151,30 @@ class OutgoingFact:
     """A derived tuple that must be shipped to another node: one item of the
     data wire message (:class:`~repro.net.message.MessageBatch`), with the
     provenance annotation bytes it adds.  Under signed ``says`` the message
-    that carries it names and numbers it: the tuple itself is unattributed."""
+    that carries it names and numbers it: the tuple itself is unattributed.
+
+    The item, not the tuple, holds the wire forms of what rides with it:
+    ``mask``, the position mask an annotation its own payload names travels
+    as (:func:`~repro.provenance.polynomial.position_mask`), and ``code``,
+    the support code of its base-support polynomial
+    (:func:`~repro.provenance.polynomial.support_code`).  The receiver
+    rebuilds the annotation and the support from them and the payload and
+    never reads the sender's ``provenance`` or ``support``; an item without
+    one has its tuple's field travel explicitly."""
 
     destination: str
     fact: Fact
     provenance_bytes: int = 0
+    mask: Optional[int] = None
+    code: Optional[bytes] = None
+
+    def __reduce__(self):
+        """Pickle as the constructor call over the fields, as a fact does:
+        shard frames carry every item that crosses a shard boundary."""
+        return (
+            OutgoingFact,
+            (self.destination, self.fact, self.provenance_bytes, self.mask, self.code),
+        )
 
 
 @dataclass(slots=True)
@@ -159,7 +183,6 @@ class ProcessingResult:
 
     outgoing: List[OutgoingFact] = field(default_factory=list)
     report: ProcessingReport = field(default_factory=ProcessingReport)
-    new_facts: List[Fact] = field(default_factory=list)
     #: Anti-delta fanout produced by a retraction pass: destination address
     #: -> retracted base keys that destination must be told about (it holds
     #: tuples whose shipped support polynomial mentions them).  Empty except
@@ -204,6 +227,25 @@ def group_outgoing(outgoing: List[OutgoingFact]) -> Dict[str, List[OutgoingFact]
     return grouped
 
 
+def _admitted(carried: Carried, asserted_by: Optional[str], signature: object) -> Fact:
+    """The tuple a receiver stores for *carried*: the arrived tuple's
+    payload with the annotation and support it carried, attributed and
+    evidenced as given — built once, sharing the arrived rendering."""
+    fact, provenance, support = carried
+    return Fact(
+        fact.relation,
+        fact.values,
+        fact.timestamp,
+        fact.ttl,
+        asserted_by,
+        signature,
+        provenance,
+        fact.origin,
+        support,
+        fact._payload_cache,
+    )
+
+
 class NodeEngine:
     """One simulated declarative-networking node."""
 
@@ -246,8 +288,6 @@ class NodeEngine:
         self._ships_provenance = config.provenance_mode.ships_provenance
         self._track_dependencies = config.track_dependencies
         self._rederivation = config.rederivation
-        #: Received tuples may carry a position mask or a support code.
-        self._resolves = self._ships_provenance or self._rederivation
         #: Antecedent tuples feed provenance recording, retraction dependency
         #: tracking and base-support polynomials; configurations needing none
         #: of those skip accumulating them in the join loops entirely.
@@ -358,24 +398,28 @@ class NodeEngine:
 
     def receive_batch(
         self,
-        messages: Iterable[Tuple[Sequence[Fact], Optional[Seal]]],
+        messages: Iterable[Tuple[Sequence[OutgoingFact], Optional[Seal]]],
         now: float,
     ) -> ProcessingResult:
-        """Process one receive round: the tuples of one or more wire messages.
+        """Process one receive round: the items of one or more wire messages.
 
-        *messages* are ``(facts, seal)`` pairs in arrival order — one
+        *messages* are ``(items, seal)`` pairs in arrival order — one
         delivered message, or every message a busy node queued until it
-        freed.  Under signed ``says`` each message's *seal* names its signer,
-        numbers its tuples and signs the Merkle root of its own tuples: it is
-        checked once per message, and a root that fails refuses that
-        message's tuples only
+        freed.  Each item's mask and code are rebuilt against its tuple's
+        payload first (:meth:`_resolve`).  Under signed ``says`` each
+        message's *seal* names its signer, numbers its tuples and signs the
+        Merkle root of their leaves, built from the rebuilt annotations and
+        supports: it is checked once per message, and a root that fails
+        refuses that message's tuples only
         (:meth:`~repro.security.authenticator.Authenticator.import_batch`).
-        Then every tuple of the round is admitted and locally fixpointed
-        strictly in arrival order (:meth:`_process_local`: its whole delta
-        fixpoint runs before the next tuple is stored), sharing one
-        :class:`ProcessingResult` / :class:`ProcessingReport` — so the round
-        ships one message per destination.  A per-tuple wire message is a
-        batch of one.
+        Each tuple admitted is built once, with its attribution, evidence,
+        annotation and support; an unsigned tuple with nothing to rebuild
+        is admitted as it arrived.  Then every tuple of the round is
+        admitted and locally fixpointed strictly in arrival order
+        (:meth:`_process_local`: its whole delta fixpoint runs before the
+        next tuple is stored), sharing one :class:`ProcessingResult` /
+        :class:`ProcessingReport` — so the round ships one message per
+        destination.  A per-tuple wire message is a batch of one.
 
         The caller accounts the merged report once; the cost model is linear
         in its counters, so the charge equals the sum over the tuples.
@@ -383,24 +427,39 @@ class NodeEngine:
         start), not advanced by its predecessors' accrued CPU.
         """
         result = ProcessingResult()
-        facts: List[Fact] = []
+        arrived: List[Fact] = []
         admitted: List[Optional[Fact]] = []
-        for carried, seal in messages:
-            carried = tuple(carried)
-            facts.extend(carried)
-            resolved = self._resolve(carried) if self._resolves else carried
+        for items, seal in messages:
+            facts = [item.fact for item in items]
+            arrived.extend(facts)
             if not self._signed:
-                admitted.extend(resolved)
+                for item, fact in zip(items, facts):
+                    if item.mask is None and item.code is None:
+                        admitted.append(fact)
+                        continue
+                    carried = self._resolve(item)
+                    admitted.append(
+                        None
+                        if carried is None
+                        else _admitted(carried, fact.asserted_by, fact.signature)
+                    )
                 continue
-            if any(fact is None for fact in resolved):
+            resolved = [self._resolve(item) for item in items]
+            if None in resolved:
                 # A mask or code nothing rebuilds from leaves no leaf to check:
                 # the message's root cannot verify, so none of it is admitted.
-                admitted.extend([None] * len(carried))
+                admitted.extend([None] * len(items))
             else:
-                admitted.extend(self.authenticator.import_batch(resolved, seal))
-            if carried:
+                envelopes = self.authenticator.import_batch(resolved, seal)
+                admitted.extend(
+                    None
+                    if envelope is None
+                    else _admitted(carried, seal.principal, envelope)
+                    for carried, envelope in zip(resolved, envelopes)
+                )
+            if items:
                 result.report.signatures_verified += 1
-        for fact, verified in zip(facts, admitted):
+        for fact, verified in zip(arrived, admitted):
             verified = self._admit(fact, verified, result)
             if verified is not None:
                 self._process_local(verified, now, result)
@@ -554,11 +613,12 @@ class NodeEngine:
     ) -> Optional[Fact]:
         """Admit one received tuple and record its provenance.
 
-        *verified* is what authentication made of *fact*: the fact to admit
-        (under signed ``says``, carrying its evidence), or ``None`` when it
-        was refused.  Returns the fact ready for local processing, or
-        ``None`` when it was refused or its arity is not its relation's (the
-        rejection counters are recorded on *result* either way).  Under
+        *verified* is what :meth:`receive_batch` made of the arrived *fact*:
+        the tuple to store (under signed ``says``, attributed and carrying
+        its evidence), or ``None`` when it was refused.  Returns the fact
+        ready for local processing, or ``None`` when it was refused or its
+        arity is not its relation's (the rejection counters are recorded on
+        *result* either way).  Under
         signed ``says`` the message's one signature covers the annotation and
         the support polynomial recorded below too.
         """
@@ -581,7 +641,7 @@ class NodeEngine:
         # Sampled provenance (Section 5): received tuples obey the same
         # sampler as base facts and local derivations — verification above
         # is a security decision and is never sampled away.
-        if self._maintains_provenance and self._should_record(verified):
+        if self._maintains_provenance and self._should_record(verified.key()):
             self._record_remote_provenance(verified)
         if self._rederivation and not self._merge_incoming_support(verified):
             # Every derivation the sender knew for this tuple rested on a
@@ -591,32 +651,26 @@ class NodeEngine:
             return None
         return verified
 
-    def _resolve(self, facts: Sequence[Fact]) -> List[Optional[Fact]]:
-        """*facts* with each masked annotation and each coded support rebuilt
-        from its wire form and the tuple's own payload — never read from the
-        sender's ``provenance`` or ``support`` — or ``None`` for a tuple
-        whose mask or code names nothing there.  One ``flat_values`` per
-        tuple serves both."""
-        bases = self._bases
-        resolved: List[Optional[Fact]] = []
-        for fact in facts:
-            mask, code = fact.annotation_mask, fact.support_code
-            if mask is not None or code is not None:
-                flat = flat_values(fact.values)
-                annotation = support = None
-                if mask is not None:
-                    annotation = from_position_mask(mask, flat)
-                    if annotation is None:
-                        resolved.append(None)
-                        continue
-                if code is not None:
-                    support = from_support_code(code, flat, bases)
-                    if support is None:
-                        resolved.append(None)
-                        continue
-                fact = fact.with_metadata(provenance=annotation, support=support)
-            resolved.append(fact)
-        return resolved
+    def _resolve(self, item: OutgoingFact) -> Optional[Carried]:
+        """What *item*'s tuple carries, as its receiver acts on it: the
+        tuple, its annotation and its support, each masked annotation and
+        coded support rebuilt from its wire form and the tuple's own payload
+        — never read from the sender's ``provenance`` or ``support`` — or
+        ``None`` when a mask or code names nothing there.  One
+        ``flat_values`` per tuple serves both."""
+        fact, mask, code = item.fact, item.mask, item.code
+        annotation, support = fact.provenance, fact.support
+        if mask is not None or code is not None:
+            flat = flat_values(fact.values)
+            if mask is not None:
+                annotation = from_position_mask(mask, flat)
+                if annotation is None:
+                    return None
+            if code is not None:
+                support = from_support_code(code, flat, self._bases)
+                if support is None:
+                    return None
+        return fact, annotation, support
 
     def _attribute_local(self, fact: Fact, now: float) -> Fact:
         ttl = fact.ttl if fact.ttl is not None else self._ttl_for(fact.relation)
@@ -644,15 +698,15 @@ class NodeEngine:
         self._ttl_cache[relation] = ttl
         return ttl
 
-    def _should_record(self, fact: Fact) -> bool:
+    def _should_record(self, key: FactKey) -> bool:
         sampler = self.config.sampler
         if sampler is None:
             return True
-        return sampler.should_record(fact.key())
+        return sampler.should_record(key)
 
     def _record_base(self, fact: Fact) -> None:
         """Record a locally asserted base tuple's provenance and support."""
-        if self._maintains_provenance and self._should_record(fact):
+        if self._maintains_provenance and self._should_record(fact.key()):
             self.provenance_epoch += 1
             self.provenance.record_base(fact, source=self.address)
             if self.config.keep_offline_provenance:
@@ -768,13 +822,7 @@ class NodeEngine:
             ttl = self._ttl_cache[predicate]
         else:
             ttl = self._ttl_for(predicate)
-        derived = Fact(
-            relation=predicate,
-            values=derived_values,
-            timestamp=now,
-            ttl=ttl,
-            origin=address,
-        )
+        key = (predicate, derived_values)
         result.report.facts_derived += 1
 
         support: Optional[ProvenanceExpression] = None
@@ -783,24 +831,24 @@ class NodeEngine:
 
         annotation = None
         if self._records_derivations:
-            annotation = self._record_derivation(derived, plan, firing, now, result)
+            annotation = self._record_derivation(key, ttl, plan, firing, now, result)
 
         if destination == address:
             if support is not None:
-                self._note_support(derived.key(), support)
-            local_fact = derived
-            if self._signed or annotation is not None:
-                local_fact = derived.with_metadata(
-                    asserted_by=address if self._signed else None,
+                self._note_support(key, support)
+            queue.append(
+                Fact(
+                    predicate,
+                    derived_values,
+                    now,
+                    ttl,
+                    address if self._signed else None,
                     provenance=annotation,
+                    origin=address,
                 )
-            queue.append(local_fact)
+            )
             return
 
-        # Remote tuples render their payload regardless (the message's seal
-        # covers it and the wire model measures it), so the count happens up
-        # front.
-        result.report.payload_bytes_processed += derived.payload_size()
         provenance_bytes = 0
         mask = code = None
         shipped = annotation if self._ships_provenance else None
@@ -832,63 +880,64 @@ class NodeEngine:
                 if bucket is None:
                     bucket = dests[var] = {}
                 bucket[destination] = None
-        exported = derived
-        if shipped is not None or support is not None:
-            exported = derived.with_metadata(
-                provenance=shipped,
-                support=support,
-                annotation_mask=mask,
-                support_code=code,
-            )
+        exported = Fact(
+            predicate,
+            derived_values,
+            now,
+            ttl,
+            provenance=shipped,
+            origin=address,
+            support=support,
+        )
+        # Remote tuples render their payload regardless (the message's seal
+        # covers it and the wire model measures it).
+        result.report.payload_bytes_processed += exported.payload_size()
         # Section 4.3 under signed ``says``: the kernel seals the wire message
         # carrying it, which names this principal and numbers its tuples once;
         # one signature covers the tuple, its number, its destination, and the
         # annotation and support on it.
         result.outgoing.append(
-            OutgoingFact(
-                destination=destination,
-                fact=exported,
-                provenance_bytes=provenance_bytes,
-            )
+            OutgoingFact(destination, exported, provenance_bytes, mask, code)
         )
 
     def _record_derivation(
         self,
-        derived: Fact,
+        key: FactKey,
+        ttl: Optional[float],
         plan: RulePlan,
         firing: RuleFiring,
         now: float,
         result: ProcessingResult,
     ) -> Optional[ProvenanceExpression]:
-        """Append one firing to the derivation log; return its annotation.
+        """Append one firing of *key* (derived at *now*, living *ttl*) to the
+        derivation log; return its annotation.
 
         Remote-destined derivations are recorded (and dependency-indexed)
         too: they are not stored locally, but a retraction cascade must be
         able to reach and invalidate the provenance this node vouches for.
         """
-        if not self._maintains_provenance or not self._should_record(derived):
+        if not self._maintains_provenance or not self._should_record(key):
             if self._track_dependencies:
-                self.provenance.depend(
-                    derived.key(), [a.key() for a in firing.antecedents]
-                )
+                self.provenance.depend(key, [a.key() for a in firing.antecedents])
             return None
         log = self.provenance
         origin_of = log.origin_of
         inputs = []
         for antecedent in firing.antecedents:
-            key = antecedent.key()
-            inputs.append((key, origin_of(key)))
+            input_key = antecedent.key()
+            inputs.append((input_key, origin_of(input_key)))
         pointer = ProvenancePointer(
-            output=derived.key(),
+            output=key,
             rule_label=plan.label,
             node=self.address,
             inputs=tuple(inputs),
             timestamp=now,
         )
         self.provenance_epoch += 1
-        annotation = log.append(pointer, derived, firing.antecedents)
+        annotation = log.append(pointer, ttl, firing.antecedents)
         if self.config.keep_offline_provenance:
-            self.offline_provenance.record(pointer, derived.expires_at(), annotation)
+            expires = None if ttl is None else now + ttl
+            self.offline_provenance.record(pointer, expires, annotation)
         result.report.provenance_annotations += 1
         return annotation
 
@@ -1114,6 +1163,5 @@ class NodeEngine:
         insert = self._table_for(fact).insert(fact, now=now)
         if insert.inserted:
             result.report.facts_inserted += 1
-            result.new_facts.append(fact)
             return True
         return False

@@ -27,12 +27,13 @@ class Fact:
     """One tuple of a relation plus its stream/security metadata.
 
     Facts are logically immutable: nothing in the engine mutates one after
-    construction (``with_metadata`` copies; the lazily rendered payload cache
-    is the only mutable slot), and identity/hashing depend only on the
-    immutable relation/values pair.  The class is deliberately not a
-    frozen dataclass — frozen ``__init__`` goes through ``object.__setattr__``
-    per field, and fact construction is one of the hottest allocation sites
-    in the evaluator.  It *is* slotted: carrying the payload cache as an
+    construction (the lazily rendered payload cache is the only mutable
+    slot), and identity/hashing depend only on the immutable relation/values
+    pair.  A base insert, a rule firing and an admitted tuple each build one
+    fact with every field.  The class is deliberately not a frozen
+    dataclass — frozen ``__init__`` goes through ``object.__setattr__`` per
+    field, and fact construction is one of the hottest allocation sites in
+    the evaluator.  It *is* slotted: carrying the payload cache as an
     explicit slot instead of a dynamic ``__dict__`` entry removes a dict
     allocation per fact on that same hot path.
 
@@ -65,8 +66,9 @@ class Fact:
     provenance:
         Serializable provenance annotation travelling with the fact (used for
         local / condensed provenance); ``None`` when provenance is disabled
-        or maintained only as distributed pointers.  When
-        ``annotation_mask`` is set, the mask travels in its place.
+        or maintained only as distributed pointers.  On the wire it may
+        travel as a position mask instead (the message item's ``mask``,
+        :class:`~repro.engine.node_engine.OutgoingFact`).
     origin:
         Address of the node where the fact was first created or derived.
     support:
@@ -75,22 +77,8 @@ class Fact:
         with exported facts when one-fixpoint deletions are enabled; the
         receiver merges it into its own support index so a later
         anti-delta naming a retracted base tuple can decide survival
-        locally.  ``None`` when rederivation is off.  When ``support_code``
-        is set, the code travels in its place.
-    annotation_mask:
-        The wire form of an exported ``provenance`` its own values name
-        (:func:`~repro.provenance.polynomial.position_mask`): bit ``i`` set
-        when the ``i``-th flattened value is one of its variables.  The
-        receiver rebuilds the annotation from the mask and the payload and
-        never reads the sender's ``provenance``.  ``None`` when the
-        annotation travels explicitly, and on every stored tuple.
-    support_code:
-        The wire form of an exported ``support`` relative to the payload
-        (:func:`~repro.provenance.polynomial.support_code`): per variable
-        its relation's index, per argument a payload position or a literal.
-        The receiver rebuilds the support from the code and the payload and
-        never reads the sender's ``support``.  ``None`` when the support
-        travels explicitly, and on every stored tuple.
+        locally.  ``None`` when rederivation is off.  On the wire it may
+        travel as a support code instead (the message item's ``code``).
     """
 
     relation: str
@@ -102,8 +90,6 @@ class Fact:
     provenance: Optional[object] = None
     origin: Optional[str] = None
     support: Optional[object] = None
-    annotation_mask: Optional[int] = None
-    support_code: Optional[bytes] = None
     #: Lazily rendered canonical payload; equal facts may share the same
     #: bytes object (the table hands a stored duplicate's rendering to
     #: refreshed copies so immediately deduplicated derivations never
@@ -131,8 +117,6 @@ class Fact:
                 self.provenance,
                 self.origin,
                 self.support,
-                self.annotation_mask,
-                self.support_code,
             ),
         )
 
@@ -183,51 +167,6 @@ class Fact:
         if cached is None:
             cached = self.payload()
         return len(cached)
-
-    def with_metadata(
-        self,
-        *,
-        timestamp: Optional[float] = None,
-        ttl: Optional[float] = None,
-        asserted_by: Optional[str] = None,
-        signature: Optional[object] = None,
-        provenance: Optional[object] = None,
-        origin: Optional[str] = None,
-        support: Optional[object] = None,
-        annotation_mask: Optional[int] = None,
-        support_code: Optional[bytes] = None,
-    ) -> "Fact":
-        """Return a copy with selected metadata fields replaced.
-
-        A new ``provenance`` drops the old one's ``annotation_mask`` unless
-        a mask is given with it, and a new ``support`` the old one's
-        ``support_code``: each describes the polynomial it replaces on the
-        wire.
-        """
-        if provenance is None:
-            provenance = self.provenance
-            if annotation_mask is None:
-                annotation_mask = self.annotation_mask
-        if support is None:
-            support = self.support
-            if support_code is None:
-                support_code = self.support_code
-        # The payload depends only on relation/values, which never change
-        # here, so the copy shares the cached serialization.
-        return Fact(
-            self.relation,
-            self.values,
-            self.timestamp if timestamp is None else timestamp,
-            self.ttl if ttl is None else ttl,
-            self.asserted_by if asserted_by is None else asserted_by,
-            self.signature if signature is None else signature,
-            provenance,
-            self.origin if origin is None else origin,
-            support,
-            annotation_mask,
-            support_code,
-            self._payload_cache,
-        )
 
     def __str__(self) -> str:
         rendered = ", ".join(_render_value(v) for v in self.values)

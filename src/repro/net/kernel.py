@@ -1048,7 +1048,7 @@ class SimulationKernel:
         node_stats.receive_rounds += 1
         start = max(at, node_stats.busy_until)
         result = self.engines[address].receive_batch(
-            [(message.facts(), message.seal) for message in messages], start
+            [(message.items, message.seal) for message in messages], start
         )
         self._count_seals(result.report, result.outgoing)
         self._account_processing(address, start, result.report, node_stats)

@@ -20,12 +20,13 @@ attributing overhead to each mechanism:
     (payload + provenance)
 
 A tuple's provenance bytes are its annotation's wire form plus, under
-one-fixpoint deletions, its base-support polynomial's wire form.  An
-annotation that is one monomial over ``str`` values of the tuple's own
-payload travels as a position mask over the payload's ``n`` flattened
-values, ``1 + ceil(n / 8)`` bytes (one marker byte, then the bits); any
-other travels as its UTF-8 rendering (``<a*b+c>`` without the brackets).
-A support travels as its support code
+one-fixpoint deletions, its base-support polynomial's wire form.  The wire
+forms ride the message item (:class:`~repro.engine.node_engine.OutgoingFact`
+``mask`` and ``code``), not the tuple.  An annotation that is one monomial
+over ``str`` values of the tuple's own payload travels as a position mask
+over the payload's ``n`` flattened values, ``1 + ceil(n / 8)`` bytes (one
+marker byte, then the bits); any other travels as its UTF-8 rendering
+(``<a*b+c>`` without the brackets).  A support travels as its support code
 (:func:`~repro.provenance.polynomial.support_code`): per variable one byte
 naming its relation, then per argument one byte for a ``str`` the payload
 carries (its position) or a tag and the literal — about 5 bytes for a
@@ -74,7 +75,7 @@ from dataclasses import dataclass, field, fields
 from typing import ClassVar, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.engine.node_engine import OutgoingFact
-from repro.engine.tuples import Fact, FactKey, render_payload
+from repro.engine.tuples import FactKey, render_payload
 from repro.net.address import Address
 from repro.provenance.log import ProvenancePointer
 from repro.provenance.graph import DerivationNode
@@ -109,7 +110,10 @@ class MessageBatch:
     receiver numbers tuple *i* ``seal.first + i``.  Each item still carries
     its own provenance annotation bytes, so per-mechanism bandwidth
     attribution survives grouping — only the per-message framing and
-    envelopes differ.
+    envelopes differ — and the wire forms of its tuple's annotation and
+    support (``mask``, ``code``), which the receiver rebuilds against the
+    tuple's payload before it builds the tuple's Merkle leaf and stores the
+    tuple once.
 
     ``sequence`` is assigned by the sending kernel from its own per-run
     counter, one per wire message, so identical runs number their messages
@@ -150,10 +154,6 @@ class MessageBatch:
     @property
     def tuple_count(self) -> int:
         return len(self.items)
-
-    def facts(self) -> Tuple[Fact, ...]:
-        """The carried tuples in delivery (FIFO) order."""
-        return tuple(item.fact for item in self.items)
 
     def __str__(self) -> str:
         return (
@@ -214,9 +214,6 @@ class AntiDelta:
     @property
     def tuple_count(self) -> int:
         return 0
-
-    def facts(self) -> Tuple[Fact, ...]:
-        return ()
 
     def __str__(self) -> str:
         return (
@@ -749,9 +746,6 @@ class QueryRequest:
     def tuple_count(self) -> int:
         return 0
 
-    def facts(self) -> Tuple[Fact, ...]:
-        return ()
-
     def __str__(self) -> str:
         return (
             f"{self.source} -> {self.destination}: query#{self.query_id} "
@@ -826,9 +820,6 @@ class QueryResponse:
     @property
     def tuple_count(self) -> int:
         return 0
-
-    def facts(self) -> Tuple[Fact, ...]:
-        return ()
 
     def signed_payload(self, key: FactKey) -> bytes:
         """Canonical bytes the responding principal signs (authenticated mode).

@@ -129,18 +129,26 @@ class DerivationLog:
         self._absorb(key, annotation)
 
     def append(
-        self, pointer: ProvenancePointer, fact: Fact, antecedents: Sequence[Fact]
+        self,
+        pointer: ProvenancePointer,
+        ttl: Optional[float],
+        antecedents: Sequence[Fact],
     ) -> ProvenanceExpression:
         """Record one local rule firing; return the derived tuple's annotation.
 
-        *fact* and *antecedents* are the tuples *pointer* names, in the same
-        order; they supply tuple metadata for keys the log has not seen.
+        The derived tuple, ``pointer.output``, was made here at
+        ``pointer.timestamp`` to live *ttl*, unattributed: its tuple
+        metadata if the log has not seen it.  *antecedents* are the tuples
+        ``pointer.inputs`` names, in the same order; they supply tuple
+        metadata for input keys the log has not seen.
         """
         key = pointer.output
         input_keys = [input_key for input_key, _ in pointer.inputs]
         tuples = self._tuples
         if key not in tuples:
-            tuples[key] = _tuple_node(key, fact, self.node)
+            tuples[key] = DerivationNode(
+                key, self.node, timestamp=pointer.timestamp, ttl=ttl
+            )
         for input_key, antecedent in zip(input_keys, antecedents):
             if input_key not in tuples:
                 tuples[input_key] = _tuple_node(input_key, antecedent, None)

@@ -2,7 +2,7 @@
 
 The :class:`Authenticator` is the one door through which a node engine
 exports a derived tuple to another principal and imports one from the
-network.  It implements the three ``says`` modes of
+network.  It implements the ``says`` modes of
 :class:`~repro.security.says.SaysMode`; it keeps no counters of its own —
 the engine counts each outcome on its ``ProcessingReport`` and the kernel
 folds those into the run's ``NodeStats``.
@@ -22,13 +22,15 @@ positions and what arrived, at its own address, verifies the root once and
 then checks each tuple's freshness (:meth:`Authenticator.import_batch`).  It
 reads no attribution or number the sender wrote on a tuple.  The leaf holds
 the annotation's and the support's resolved renderings whichever form they
-travelled in: an annotation shipped as a position mask and a support shipped
-as a support code are rebuilt by the receiving engine before the leaf is, so
-a tampered mask or code breaks the root like any other changed field.  A
-tuple it admits is stored with a :class:`SignedEnvelope` holding its number,
-the signature and the tuple's authentication path — derived by the receiver,
-never shipped — so it verifies alone (:func:`verify_evidence`) long after its
-message is gone.  Nothing that travels is outside the signature, so an
+travelled in: the receiving engine rebuilds an annotation shipped as its
+message item's position mask and a support shipped as its item's support
+code before the leaf is built from them, so a tampered mask or code breaks
+the root like any other changed field.  For each tuple it admits the
+receiver gets a :class:`SignedEnvelope` holding its number, the signature
+and the tuple's authentication path — derived by the receiver, never
+shipped — and stores the tuple attributed to the seal's principal with it,
+so it verifies alone (:func:`verify_evidence`) long after its message is
+gone.  Nothing that travels is outside the signature, so an
 annotation cannot be spliced onto another tuple, a message sealed for one
 node is refused at another, dropping, reordering or renumbering its tuples
 breaks its root, a seal naming anyone but its signer verifies nothing, and a
@@ -109,10 +111,15 @@ def sealed_bytes(payload: bytes, *fields: object) -> bytes:
     return b"%d:%b%b" % (len(payload), payload, rendered.encode("utf-8"))
 
 
-def _tuple_bytes(fact: Fact, principal: str, destination: str, sequence: int) -> bytes:
-    return sealed_bytes(
-        fact.payload(), principal, destination, sequence, fact.provenance, fact.support
-    )
+#: One arrived tuple with the annotation and the support it carried, as its
+#: receiver resolved them from their wire forms: what the tuple's leaf covers.
+Carried = Tuple[Fact, Optional[object], Optional[object]]
+
+
+def _tuple_bytes(
+    fact: Fact, principal: str, destination: str, sequence: int, annotation, support
+) -> bytes:
+    return sealed_bytes(fact.payload(), principal, destination, sequence, annotation, support)
 
 
 def _anti_delta_bytes(keys, source: str, destination: str, sequence: int) -> bytes:
@@ -183,10 +190,10 @@ def verify_evidence(fact: Fact, holder: str, public_key: Tuple[int, int]) -> boo
     its asserting principal said it: the leaf rebuilt from the stored fields
     must fold along the envelope's path to the root its signature covers.
     Needs nothing of the wire message that brought it."""
-    envelope = fact.signature
-    if not isinstance(envelope, SignedEnvelope) or fact.asserted_by is None:
+    envelope, principal = fact.signature, fact.asserted_by
+    if not isinstance(envelope, SignedEnvelope) or principal is None:
         return False
-    leaf = _tuple_bytes(fact, fact.asserted_by, holder, envelope.sequence)
+    leaf = _tuple_bytes(fact, principal, holder, envelope.sequence, fact.provenance, fact.support)
     return verify(fold_path(leaf, envelope.path), envelope.signature, public_key)
 
 
@@ -221,7 +228,7 @@ class Authenticator:
         self._exported += len(facts)
         principal = self.principal
         leaves = [
-            _tuple_bytes(fact, principal, destination, sequence)
+            _tuple_bytes(fact, principal, destination, sequence, fact.provenance, fact.support)
             for sequence, fact in enumerate(facts, first)
         ]
         return Seal(principal, first, self._seal(merkle_root(leaves)))
@@ -238,36 +245,36 @@ class Authenticator:
     # -- import ---------------------------------------------------------------
 
     def import_batch(
-        self, facts: Sequence[Fact], seal: Optional[Seal] = None
-    ) -> List[Optional[Fact]]:
-        """Authenticate one wire message's tuples according to the mode.
+        self, carried: Sequence[Carried], seal: Optional[Seal] = None
+    ) -> List[Optional[SignedEnvelope]]:
+        """Authenticate one signed wire message's tuples.
 
-        Returns, per tuple in order, the fact to admit or ``None`` when it is
-        refused.  ``NONE`` passes every tuple.  Under ``SIGNED`` the *seal*'s
-        principal must have signed the Merkle root of the tuples' leaves as
-        rebuilt *at this principal*, tuple *i* numbered ``seal.first + i`` —
-        else every tuple is refused.  Then a tuple whose number is not newer
-        than the last one accepted from that principal is refused as stale,
-        and every other comes back attributed to the principal and carrying
-        its evidence: its number, the signature and its path.
+        *carried* holds, per tuple in order, the arrived tuple with the
+        annotation and support its receiver resolved.  Returns, per tuple,
+        the evidence to store it with, or ``None`` when it is refused.  The
+        *seal*'s principal must have signed the Merkle root of the tuples'
+        leaves as rebuilt *at this principal*, tuple *i* numbered
+        ``seal.first + i`` — else every tuple is refused.  Then a tuple
+        whose number is not newer than the last one accepted from that
+        principal is refused as stale, and every other gets its number, the
+        signature and its path; the receiver attributes it to the seal's
+        principal.
         """
-        if self.mode is SaysMode.NONE:
-            return list(facts)
-        admitted: List[Optional[Fact]] = [None] * len(facts)
+        envelopes: List[Optional[SignedEnvelope]] = [None] * len(carried)
         if not isinstance(seal, Seal) or type(seal.first) is not int:
-            return admitted
+            return envelopes
         principal, first, signature = seal
         if not self.keystore.has_public_key(principal):
-            return admitted
+            return envelopes
         here = self.principal
         root, paths = merkle_tree(
             [
-                _tuple_bytes(fact, principal, here, sequence)
-                for sequence, fact in enumerate(facts, first)
+                _tuple_bytes(fact, principal, here, sequence, annotation, support)
+                for sequence, (fact, annotation, support) in enumerate(carried, first)
             ]
         )
         if not verify(root, signature, self.keystore.public_key(principal)):
-            return admitted
+            return envelopes
         # Tuples cross one link in export order, so anything at or below the
         # mark is a replay.
         mark = self._high_water.get(principal, 0)
@@ -275,12 +282,9 @@ class Authenticator:
             sequence = first + index
             if sequence > mark:
                 mark = sequence
-                admitted[index] = facts[index].with_metadata(
-                    asserted_by=principal,
-                    signature=SignedEnvelope(sequence, signature, path),
-                )
+                envelopes[index] = SignedEnvelope(sequence, signature, path)
         self._high_water[principal] = mark
-        return admitted
+        return envelopes
 
     def open_anti_delta(
         self,

@@ -49,8 +49,9 @@ class AuditRecord:
         self.destinations[message.destination] = (
             self.destinations.get(message.destination, 0) + 1
         )
-        for fact in message.facts():
-            self.relations[fact.relation] = self.relations.get(fact.relation, 0) + 1
+        for item in message.items:
+            relation = item.fact.relation
+            self.relations[relation] = self.relations.get(relation, 0) + 1
         if self.first_activity is None or message.sent_at < self.first_activity:
             self.first_activity = message.sent_at
         if self.last_activity is None or message.sent_at > self.last_activity:

@@ -18,7 +18,7 @@ Two pieces, both reached by tests only:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.datalog.ast import (
@@ -247,7 +247,7 @@ def evaluate_program(
         if fact.ttl is None:
             ttl = ttl_for(fact.relation)
             if ttl is not None:
-                fact = fact.with_metadata(ttl=ttl)
+                fact = replace(fact, ttl=ttl)
         result = database.insert(fact, now=now)
         if result.inserted:
             derivations.append(

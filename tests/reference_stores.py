@@ -813,8 +813,12 @@ class ShadowedLog(DerivationLog):
         wrapped = None if annotation is None else CondensedProvenance(annotation)
         self.reference.record_remote(fact, wrapped)
 
-    def append(self, pointer, fact, antecedents):
-        annotation = super().append(pointer, fact, antecedents)
+    def append(self, pointer, ttl, antecedents):
+        annotation = super().append(pointer, ttl, antecedents)
+        # The derived tuple as the engine built it before it logged firings
+        # by key: unattributed, made at the firing's node and instant.
+        relation, values = pointer.output
+        fact = Fact(relation, values, pointer.timestamp, ttl, origin=pointer.node)
         expected = self.reference.record_derivation(
             Derivation(
                 fact=fact,
@@ -1048,4 +1052,4 @@ def fire(log: DerivationLog, fact: Fact, rule_label: str, antecedents=(), timest
     pointer = pointer_for(
         fact, rule_label, log.node, antecedents, timestamp, log.origin_of
     )
-    return log.append(pointer, fact, tuple(antecedents))
+    return log.append(pointer, fact.ttl, tuple(antecedents))

@@ -21,6 +21,7 @@ from repro.engine.tuples import Fact
 from repro.net.kernel import CostModel
 from repro.queries.reachable import REACHABLE_LOCALIZED
 from repro.security.says import SaysMode
+from sealing import receive
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +30,7 @@ def compiled_reachable():
 
 
 class TestEngineLevelEquivalence:
-    """receive_batch(facts) == sequential singleton batches, fact by fact."""
+    """receive_batch(items) == sequential singleton batches, item by item."""
 
     def _engines(self, compiled):
         config = EngineConfig()
@@ -48,7 +49,7 @@ class TestEngineLevelEquivalence:
                 for item in sender.insert_base(Fact("link", values)).outgoing
                 if item.destination == "b"
             )
-        return [item.fact for item in outgoing]
+        return outgoing
 
     def test_same_outgoing_and_report(self, compiled_reachable):
         sender, via_batch, via_tuple = self._engines(compiled_reachable)
@@ -58,8 +59,8 @@ class TestEngineLevelEquivalence:
         batch_result = via_batch.receive_batch([(shipped, None)], now=1.0)
         reports = []
         outgoing = []
-        for fact in shipped:
-            result = via_tuple.receive_batch([((fact,), None)], now=1.0)
+        for item in shipped:
+            result = via_tuple.receive_batch([((item,), None)], now=1.0)
             reports.append(result.report)
             outgoing.extend(result.outgoing)
 
@@ -82,8 +83,8 @@ class TestEngineLevelEquivalence:
         model = CostModel()
         batch_cpu = model.cpu_seconds(via_batch.receive_batch([(shipped, None)], now=1.0).report)
         tuple_cpu = sum(
-            model.cpu_seconds(via_tuple.receive_batch([((fact,), None)], now=1.0).report)
-            for fact in shipped
+            model.cpu_seconds(via_tuple.receive_batch([((item,), None)], now=1.0).report)
+            for item in shipped
         )
         assert batch_cpu == pytest.approx(tuple_cpu)
 
@@ -92,7 +93,7 @@ class TestEngineLevelEquivalence:
             "b", compiled_reachable, EngineConfig(says_mode=SaysMode.SIGNED)
         )
         unsigned = [Fact("link", ("b", "c")), Fact("link", ("b", "d"))]
-        result = receiver.receive_batch([(unsigned, None)], now=0.0)
+        result = receive(receiver, unsigned, None, now=0.0)
         assert result.report.facts_received == 2
         assert result.report.facts_rejected == 2
         assert result.report.facts_inserted == 0

@@ -155,7 +155,7 @@ class RecordingSimulator(SimulationKernel):
                 message.sequence,
                 str(message.source),
                 str(message.destination),
-                tuple(fact.key() for fact in message.facts()),
+                tuple(item.fact.key() for item in getattr(message, "items", ())),
             )
         )
         super()._deliver(message, deliver_at)
@@ -276,7 +276,7 @@ def _run_backend(backend: str, configuration: EngineConfig):
                 message.sequence,
                 str(message.source),
                 str(message.destination),
-                tuple(fact.key() for fact in message.facts()),
+                tuple(item.fact.key() for item in getattr(message, "items", ())),
             )
         )
         return original(self, message, deliver_at)

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import collections
+from dataclasses import replace
 
 import pytest
-from sealing import deliver, seal
+from sealing import deliver, receive, seal
 
 from repro.api import Network
 from repro.engine.node_engine import EngineConfig, NodeEngine, ProvenanceMode
@@ -81,7 +82,7 @@ class TestAuthentication:
         receiver = make_engine("b", compiled_best_path, config, keystore)
         outgoing = sender.insert_base(Fact("link", ("a", "b", 1.0))).outgoing
         to_b = [o for o in outgoing if o.destination == "b"][0]
-        result = deliver(sender, receiver, (to_b.fact,), now=1.0)
+        result = deliver(sender, receiver, (to_b,), now=1.0)
         assert result.report.facts_verified == 1
         assert result.report.facts_rejected == 0
         assert result.report.facts_inserted >= 1
@@ -99,14 +100,14 @@ class TestAuthentication:
             asserted_by=genuine.asserted_by,
             signature=genuine.signature,
         )
-        result = receiver.receive_batch([((tampered,), signature)], 1.0)
+        result = receive(receiver, (tampered,), signature, 1.0)
         assert result.report.facts_rejected == 1
         assert result.report.facts_inserted == 0
 
     def test_receiver_rejects_unsigned_tuple_in_signed_mode(self, compiled_best_path, keystore):
         config = EngineConfig(says_mode=SaysMode.SIGNED)
         receiver = make_engine("b", compiled_best_path, config, keystore)
-        result = receiver.receive_batch([((Fact("link", ("a", "b", 1.0)),), None)], now=0.0)
+        result = receive(receiver, (Fact("link", ("a", "b", 1.0)),), None, now=0.0)
         assert result.report.facts_rejected == 1
 
     def test_receiver_rejects_spoofed_principal(self, compiled_best_path, keystore):
@@ -116,7 +117,7 @@ class TestAuthentication:
         outgoing = mallory.insert_base(Fact("link", ("mallory", "b", 1.0))).outgoing
         fact = outgoing[0].fact
         spoofed = seal(mallory, (fact,), "b")._replace(principal="a")  # claim it came from a
-        result = receiver.receive_batch([((fact,), spoofed)], 0.0)
+        result = receive(receiver, (fact,), spoofed, 0.0)
         assert result.report.facts_rejected == 1
 
 
@@ -194,7 +195,7 @@ class TestMalformedArity:
         # The envelope was genuine: the shape is what was refused.
         assert report.verification_failures == 0
         assert report.facts_verified == (1 if says_mode.requires_signature else 0)
-        assert result.outgoing == [] and result.new_facts == []
+        assert result.outgoing == []
 
     def test_short_tuple_is_rejected_not_raised(
         self, compiled_best_path, keystore, says_mode
@@ -255,8 +256,8 @@ class TestProvenanceModes:
         # as itself, sized ``annotation.serialized_size()``, 1 byte).
         fact = shipped.fact
         assert fact.values == ("b", "a", 1.0) and fact.provenance == p_var("a")
-        assert fact.annotation_mask == 0b010
-        assert from_position_mask(fact.annotation_mask, flat_values(fact.values)) == p_var("a")
+        assert shipped.mask == 0b010
+        assert from_position_mask(shipped.mask, flat_values(fact.values)) == p_var("a")
         assert shipped.provenance_bytes == 2
         assert result.report.provenance_bytes_computed == 2
         # Unattributed and unnumbered: the message's seal names and numbers it.
@@ -272,7 +273,7 @@ class TestProvenanceModes:
         shipped = result.outgoing[0]
         # The mask form and size of the signed twin above, without the
         # envelope (was sized ``shipped.fact.provenance.serialized_size()``).
-        assert shipped.fact.annotation_mask == 0b010
+        assert shipped.mask == 0b010
         assert shipped.provenance_bytes == 2
         assert shipped.fact.signature is None
 
@@ -296,7 +297,7 @@ class TestProvenanceModes:
         receiver = make_engine("b", compiled_best_path, config, keystore)
         outgoing = sender.insert_base(Fact("link", ("a", "b", 1.0))).outgoing
         to_b = [o for o in outgoing if o.destination == "b"][0]
-        result = deliver(sender, receiver, (to_b.fact,), now=0.5)
+        result = deliver(sender, receiver, (to_b,), now=0.5)
         # One verification admits the tuple and the annotation it carries.
         assert result.report.facts_verified == 1
         assert result.report.facts_rejected == 0
@@ -312,8 +313,8 @@ class TestProvenanceModes:
         signature = seal(sender, (fact,), "b")
         # The genuine tuple under an annotation its sender never asserted:
         # the signature covers the annotation, so the tuple goes with it.
-        forged = fact.with_metadata(provenance=p_var("c"))
-        result = receiver.receive_batch([((forged,), signature)], 0.5)
+        forged = replace(fact, provenance=p_var("c"))
+        result = receive(receiver, (forged,), signature, 0.5)
         assert result.report.facts_rejected == 1
         assert result.report.verification_failures == 1
         assert result.report.facts_inserted == 0

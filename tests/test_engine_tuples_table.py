@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from oracle import Derivation
 
@@ -49,9 +51,9 @@ class TestFact:
         fact = Fact("bestPath", ("a", "c", ("a", "b", "c"), 2.0))
         assert b"[a|b|c]" in fact.payload()
 
-    def test_with_metadata_returns_new_fact(self):
+    def test_a_copy_with_new_metadata_is_the_same_tuple(self):
         fact = Fact("link", ("a", "b"))
-        signed = fact.with_metadata(asserted_by="a", signature=b"sig")
+        signed = replace(fact, asserted_by="a", signature=b"sig")
         assert signed.asserted_by == "a"
         assert fact.asserted_by is None  # original untouched
         assert signed == fact  # identity unchanged

@@ -87,9 +87,9 @@ class Recorder:
             self.sealed += 1
             return seal(authenticator, facts, destination)
 
-        def counted_open(authenticator, facts, seal=None):
+        def counted_open(authenticator, carried, seal=None):
             self.opened[seal] += 1
-            return open_batch(authenticator, facts, seal)
+            return open_batch(authenticator, carried, seal)
 
         monkeypatch.setattr(SimulationKernel, "_dispatch", recorded_dispatch)
         monkeypatch.setattr(NodeEngine, "receive_batch", recorded_receive)

@@ -445,8 +445,8 @@ class TestTracebackAccountingFix:
         fire(store_b, reach_bc, "r1", (link_bc,))
         fire(store_b, reach_bd, "r1", (link_bd,))
         store_a.record_base(link_ab)
-        store_a.record_remote(reach_bc.with_metadata(origin="b"))
-        store_a.record_remote(reach_bd.with_metadata(origin="b"))
+        store_a.record_remote(dataclasses.replace(reach_bc, origin="b"))
+        store_a.record_remote(dataclasses.replace(reach_bd, origin="b"))
         fire(store_a, out, "r2", (link_ab, reach_bc, reach_bd))
         return out, {"a": store_a, "b": store_b}
 

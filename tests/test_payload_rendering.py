@@ -175,10 +175,8 @@ def test_equal_keys_that_render_differently_are_not_conflated():
 
 
 def test_key_is_sized_without_building_a_fact(monkeypatch):
-    import repro.net.message as message_module
-
     def forbidden(*args, **kwargs):
         raise AssertionError("key_payload_bytes built a Fact")
 
-    monkeypatch.setattr(message_module, "Fact", forbidden)
+    monkeypatch.setattr(Fact, "__init__", forbidden)
     assert key_payload_bytes(("link", ("a", "b", 1.0))) == len(b"link(a,b,1)")

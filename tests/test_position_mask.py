@@ -17,7 +17,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sealing import deliver, seal
+from sealing import deliver, receive, seal
 
 from repro.api import Network
 from repro.engine.node_engine import EngineConfig, NodeEngine, OutgoingFact, ProvenanceMode
@@ -98,7 +98,7 @@ def test_a_mask_rebuilds_the_annotation_and_its_leaf(values, names, exponent, co
     assert rebuilt.monomials == annotation.monomials == annotation.condense().monomials
     assert rebuilt.to_string() == annotation.to_string()
     fact = Fact("r", values, provenance=annotation)
-    assert sealed(fact.with_metadata(provenance=rebuilt)) == sealed(fact)
+    assert sealed(replace(fact, provenance=rebuilt)) == sealed(fact)
 
 
 @settings(max_examples=200, deadline=None)
@@ -135,13 +135,13 @@ def keystore() -> KeyStore:
 
 
 def mid_tuple(compiled, keystore, config):
-    """``a``'s export to ``b`` of ``path_p2_mid_1(b, a, 1)``: annotation
-    ``<a>``, which its second value names."""
+    """``a``'s export to ``b`` of ``path_p2_mid_1(b, a, 1)``, as its wire
+    item: annotation ``<a>``, which its second value names."""
     a = NodeEngine("a", compiled, config, keystore)
     b = NodeEngine("b", compiled, config, keystore)
-    (fact,) = [o.fact for o in a.insert_base(Fact("link", ("a", "b", 1.0))).outgoing]
-    assert fact.values == ("b", "a", 1.0) and fact.annotation_mask == 0b010
-    return a, b, fact
+    (item,) = a.insert_base(Fact("link", ("a", "b", 1.0))).outgoing
+    assert item.fact.values == ("b", "a", 1.0) and item.mask == 0b010
+    return a, b, item
 
 
 @pytest.mark.parametrize("config", [SENDLOG_PROV, CONDENSED], ids=["sendlog-prov", "condensed"])
@@ -149,16 +149,16 @@ def mid_tuple(compiled, keystore, config):
 def test_an_unrebuildable_mask_is_one_counted_rejection(
     compiled_best_path, keystore, config, mask
 ):
-    a, b, fact = mid_tuple(compiled_best_path, keystore, config)
-    tampered = fact.with_metadata(annotation_mask=mask)
-    assert tampered.provenance == p_var("a")  # what the sender sealed
+    a, b, item = mid_tuple(compiled_best_path, keystore, config)
+    tampered = replace(item, mask=mask)
+    assert tampered.fact.provenance == p_var("a")  # what the sender sealed
     report = deliver(a, b, (tampered,), now=1.0).report
     assert report.facts_rejected == 1
     assert report.verification_failures == (1 if config is SENDLOG_PROV else 0)
     assert report.facts_inserted == 0
-    assert not b.provenance.knows(fact.key())
+    assert not b.provenance.knows(item.fact.key())
     # The genuine tuple is still admitted afterwards.
-    report = deliver(a, b, (fact,), now=2.0).report
+    report = deliver(a, b, (item,), now=2.0).report
     assert report.facts_rejected == 0 and report.facts_inserted == 1
 
 
@@ -168,37 +168,35 @@ def test_the_receiver_rebuilds_from_the_mask_not_the_senders_annotation(
     """A flipped bit selects another name of the payload; the receiver
     rebuilds ``<b>`` whatever ``provenance`` the tuple still carries, so the
     signed leaf breaks."""
-    a, b, fact = mid_tuple(compiled_best_path, keystore, SENDLOG_PROV)
-    flipped = fact.with_metadata(annotation_mask=0b001)
-    signature = seal(a, (fact,), "b")
-    report = b.receive_batch([((flipped,), signature)], 1.0).report
+    a, b, item = mid_tuple(compiled_best_path, keystore, SENDLOG_PROV)
+    flipped = replace(item, mask=0b001)
+    signature = seal(a, (item,), "b")
+    report = receive(b, (flipped,), signature, 1.0).report
     assert (report.facts_rejected, report.verification_failures) == (1, 1)
-    report = b.receive_batch([((fact,), signature)], 2.0).report
+    report = receive(b, (item,), signature, 2.0).report
     assert (report.facts_rejected, report.facts_verified) == (0, 1)
-    assert b.provenance.annotation(fact.key()) == p_var("a")
+    assert b.provenance.annotation(item.fact.key()) == p_var("a")
 
 
 def test_a_masked_fact_survives_the_frame_codec(compiled_best_path, keystore):
-    a, b, fact = mid_tuple(compiled_best_path, keystore, SENDLOG_PROV)
+    a, b, item = mid_tuple(compiled_best_path, keystore, SENDLOG_PROV)
+    fact = item.fact
     explicit = Fact("link", ("a", "b", 1.0), provenance=p_var("z"))
     batch = MessageBatch(
         source="a",
         destination="b",
-        items=(
-            OutgoingFact("b", fact, provenance_bytes=2),
-            OutgoingFact("b", explicit, provenance_bytes=1),
-        ),
+        items=(item, OutgoingFact("b", explicit, provenance_bytes=1)),
         seal=Seal("a", 1, b"\x01" * 16),
     )
     codec = BinaryCodec()
     ((at, decoded),) = codec.decode_frame(codec.encode_frame([(3.0, batch)]))
-    masked, plain = decoded.facts()
-    assert masked.annotation_mask == fact.annotation_mask
-    assert masked.values == fact.values and masked.signature == fact.signature
-    assert plain.annotation_mask is None and plain.provenance == p_var("z")
+    masked, plain = decoded.items
+    assert masked.mask == item.mask and masked.provenance_bytes == 2
+    assert masked.fact.values == fact.values and masked.fact.signature == fact.signature
+    assert plain.mask is None and plain.fact.provenance == p_var("z")
     assert decoded.provenance_bytes == batch.provenance_bytes == 3
     # What crossed the codec is admitted with the sender's annotation.
-    report = b.receive_batch([((masked,), seal(a, (fact,), "b"))], 4.0).report
+    report = b.receive_batch([((masked,), seal(a, (item,), "b"))], 4.0).report
     assert (report.facts_rejected, report.facts_verified) == (0, 1)
     assert b.provenance.annotation(fact.key()) == fact.provenance
 
@@ -237,7 +235,7 @@ SECURITY = (
 
 
 def masked_positions(message: MessageBatch):
-    return [i for i, fact in enumerate(message.facts()) if fact.annotation_mask]
+    return [i for i, item in enumerate(message.items) if item.mask]
 
 
 def test_a_flipped_mask_bit_refuses_its_whole_signed_message(monkeypatch):
@@ -261,11 +259,8 @@ def test_a_flipped_mask_bit_refuses_its_whole_signed_message(monkeypatch):
             return message
         items = list(message.items)
         index = masked_positions(message)[0]
-        fact = items[index].fact
-        bits = fact.annotation_mask
-        items[index] = replace(
-            items[index], fact=fact.with_metadata(annotation_mask=bits ^ (bits & -bits))
-        )
+        bits = items[index].mask
+        items[index] = replace(items[index], mask=bits ^ (bits & -bits))
         return replace(message, items=tuple(items))
 
     outcomes = []

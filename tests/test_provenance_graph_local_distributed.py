@@ -7,6 +7,8 @@ and the pointers a cross-node ``traceback`` chases.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from reference_stores import EagerDerivationGraph, fire
 
 from repro.engine.tuples import Fact
@@ -148,7 +150,7 @@ class TestLocalProvenance:
         assert sender.graph(REACH_BC.key()).tuple_node(LINK_BC.key()) is not None
         receiver = DerivationLog("a")
         shipped = sender.annotation(REACH_BC.key())
-        receiver.record_remote(REACH_BC.with_metadata(origin="b"), shipped)
+        receiver.record_remote(replace(REACH_BC, origin="b"), shipped)
         assert receiver.annotation(REACH_BC.key()).variables() == frozenset({"b"})
         assert receiver.origin_of(REACH_BC.key()) == "b"
         assert receiver.graph(REACH_BC.key()).tuple_node(REACH_BC.key()) is not None
@@ -167,7 +169,7 @@ class TestDistributedProvenance:
         store_b.record_base(LINK_BC)
         fire(store_b, REACH_BC, "r1", (LINK_BC,))
         store_a.record_base(LINK_AB)
-        store_a.record_remote(REACH_BC.with_metadata(origin="b"))
+        store_a.record_remote(replace(REACH_BC, origin="b"))
         fire(store_a, REACH_AC, "r2", (LINK_AB, REACH_BC))
         return {"a": store_a, "b": store_b}
 

@@ -7,6 +7,8 @@ currently valid keys); the *offline* store archives the same firings.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from reference_stores import fire, pointer_for
@@ -27,7 +29,7 @@ from repro.provenance.quantify import (
     vote_principals,
 )
 from repro.provenance.store import OfflineProvenanceArchive
-from repro.security.authenticator import Authenticator, Seal
+from repro.security.authenticator import Authenticator, Seal, verify_evidence
 from repro.security.keystore import KeyStore
 from repro.security.principal import PrincipalRegistry
 from repro.security.says import SaysMode
@@ -133,28 +135,30 @@ class TestAuthenticatedProvenance:
         annotation = p_var("a")
         exporter = Authenticator("a", keystore, SaysMode.SIGNED)
         importer = Authenticator("b", keystore, SaysMode.SIGNED)
-        shipped = LINK.with_metadata(provenance=annotation)
-        # One message sealed, and accepted: the annotation is in its leaf.
+        shipped = replace(LINK, provenance=annotation)
+        # One message sealed, and accepted: the annotation is in its leaf, so
+        # the tuple stored with it and its evidence verifies alone.
         sealed = exporter.seal_batch([shipped], "b")
         assert (sealed.principal, sealed.first) == ("a", 1)
-        (admitted,) = importer.import_batch([shipped], sealed)
-        assert admitted.provenance is annotation
+        (envelope,) = importer.import_batch([(shipped, annotation, None)], sealed)
+        admitted = replace(shipped, asserted_by="a", signature=envelope)
+        assert verify_evidence(admitted, "b", keystore.public_key("a"))
 
     def test_signed_annotation_forgery_detected(self, keystore):
         exporter = Authenticator("a", keystore, SaysMode.SIGNED)
         importer = Authenticator("b", keystore, SaysMode.SIGNED)
-        shipped = LINK.with_metadata(provenance=p_var("a"))
+        shipped = replace(LINK, provenance=p_var("a"))
         sealed = exporter.seal_batch([shipped], "b")
-        forged_annotation = shipped.with_metadata(provenance=p_var("b"))
-        assert importer.import_batch([forged_annotation], sealed) == [None]
-        assert importer.import_batch([shipped], sealed._replace(signature=b"\x01" * 16)) == [None]
+        genuine = (shipped, shipped.provenance, None)
+        assert importer.import_batch([(shipped, p_var("b"), None)], sealed) == [None]
+        assert importer.import_batch([genuine], sealed._replace(signature=b"\x01" * 16)) == [None]
         # The genuine one still does.
-        (admitted,) = importer.import_batch([shipped], sealed)
-        assert admitted == shipped and admitted.provenance is shipped.provenance
+        (envelope,) = importer.import_batch([genuine], sealed)
+        assert envelope.sequence == sealed.first
 
     def test_signed_annotation_unknown_principal(self, keystore):
         importer = Authenticator("b", keystore, SaysMode.SIGNED)
-        forged = LINK.with_metadata(provenance=p_var("zz"))
+        forged = (LINK, p_var("zz"), None)
         assert not importer.keystore.has_public_key("zz")
         assert importer.import_batch([forged], Seal("zz", 1, b"\x01" * 16)) == [None]
 

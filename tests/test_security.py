@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.engine.node_engine import EngineConfig, NodeEngine, OutgoingFact
 from repro.engine.tuples import Fact
 from repro.security.authenticator import Authenticator, Seal, SignedEnvelope
 from repro.security.keystore import KeyStore
@@ -203,34 +204,41 @@ class TestAuthenticator:
         # the first number, once.
         sealed = exporter.seal_batch([fact], "b")
         assert (sealed.principal, sealed.first) == ("a", 1)
-        # Verified and fresh: the tuple comes back attributed, carrying its
-        # evidence.
-        (admitted,) = importer.import_batch([fact], sealed)
-        assert admitted == fact and admitted.asserted_by == "a"
-        assert admitted.signature == SignedEnvelope(1, sealed.signature, ())
+        # Verified and fresh: the tuple's evidence comes back, for the engine
+        # to store it with, attributed to the seal's principal.
+        (envelope,) = importer.import_batch([(fact, None, None)], sealed)
+        assert envelope == SignedEnvelope(1, sealed.signature, ())
 
     def test_import_rejects_missing_principal(self, keystore):
         importer = Authenticator("b", keystore, SaysMode.SIGNED)
         fact = Fact("link", ("a", "b", 1.0))
         # No seal, or a bare signature that names no principal.
-        assert importer.import_batch([fact]) == [None]
-        assert importer.import_batch([fact], b"x" * 16) == [None]
+        assert importer.import_batch([(fact, None, None)]) == [None]
+        assert importer.import_batch([(fact, None, None)], b"x" * 16) == [None]
 
     def test_import_rejects_unknown_principal(self, keystore):
         importer = Authenticator("b", keystore, SaysMode.SIGNED)
         fact = Fact("link", ("a", "b", 1.0))
-        assert importer.import_batch([fact], Seal("stranger", 1, b"x" * 16)) == [None]
+        assert importer.import_batch([(fact, None, None)], Seal("stranger", 1, b"x" * 16)) == [
+            None
+        ]
 
     def test_import_rejects_bad_signature(self, keystore):
         importer = Authenticator("b", keystore, SaysMode.SIGNED)
         fact = Fact("link", ("a", "b", 1.0))
         # The refusal is the None; the engine counts it on its report.
-        assert importer.import_batch([fact], Seal("a", 1, b"\x01" * 16)) == [None]
+        assert importer.import_batch([(fact, None, None)], Seal("a", 1, b"\x01" * 16)) == [None]
 
-    def test_none_mode_passthrough(self, keystore):
-        importer = Authenticator("b", keystore, SaysMode.NONE)
+    def test_none_mode_passthrough(self, keystore, compiled_best_path):
+        # Without ``says`` nothing is authenticated: the receiving engine
+        # stores the very tuple that arrived, unattributed.
+        config = EngineConfig(says_mode=SaysMode.NONE)
+        receiver = NodeEngine("b", compiled_best_path, config, keystore)
         fact = Fact("link", ("a", "b", 1.0))
-        assert importer.import_batch([fact])[0] is fact
+        report = receiver.receive_batch([((OutgoingFact("b", fact),), None)], 0.0).report
+        assert (report.facts_verified, report.facts_rejected) == (0, 0)
+        (stored,) = receiver.facts("link")
+        assert stored is fact and stored.asserted_by is None
 
     def test_a_seal_charges_its_envelope_once(self, keystore):
         exporter = Authenticator("a", keystore, SaysMode.SIGNED)

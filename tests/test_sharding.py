@@ -258,7 +258,7 @@ class TestSerialEquivalence:
                         str(message.source),
                         str(message.destination),
                         message.sequence,
-                        tuple(fact.key() for fact in message.facts()),
+                        tuple(item.fact.key() for item in getattr(message, "items", ())),
                     )
                 )
                 return original(self, message, deliver_at)

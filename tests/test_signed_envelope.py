@@ -22,7 +22,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sealing import deliver, seal
+from sealing import deliver, receive, seal
 
 from repro.api import Network
 from repro.engine.node_engine import EngineConfig, NodeEngine, ProvenanceMode
@@ -67,9 +67,7 @@ def two_tuples_from_a_to_b(a: NodeEngine, b: NodeEngine):
     outgoing = a.insert_base(Fact("link", ("a", "b", 1.0))).outgoing
     outgoing += a.insert_base(Fact("link", ("a", "c", 2.0))).outgoing
     from_b = b.insert_base(Fact("link", ("b", "a", 1.0))).outgoing
-    outgoing += deliver(
-        b, a, [o.fact for o in from_b if o.destination == "a"], now=1.0
-    ).outgoing
+    outgoing += deliver(b, a, [o for o in from_b if o.destination == "a"], now=1.0).outgoing
     first, *_, second = [o.fact for o in outgoing if o.destination == "b"]
     assert str(first.provenance) != str(second.provenance)
     assert str(first.support) != str(second.support)
@@ -99,10 +97,10 @@ def test_spliced_annotation_or_support_is_rejected(compiled_best_path, keystore)
     refused = 0
     for (fact, signature), (other, _) in zip(sealed, reversed(sealed)):
         for spliced in (
-            fact.with_metadata(provenance=other.provenance),
-            fact.with_metadata(support=other.support),
+            replace(fact, provenance=other.provenance),
+            replace(fact, support=other.support),
         ):
-            result = b.receive_batch([((spliced,), signature)], 2.0)
+            result = receive(b, (spliced,), signature, 2.0)
             assert_rejected(result, 1)
             refused += result.report.verification_failures
     # One refused envelope per spliced tuple: four checks failed, not two.
@@ -111,7 +109,7 @@ def test_spliced_annotation_or_support_is_rejected(compiled_best_path, keystore)
     # Nothing spliced was recorded, and the rejections poisoned nothing:
     # the genuine pair is still admitted, with what its sender asserted.
     assert not b.provenance.knows(first.key())
-    results = [b.receive_batch([((fact,), signature)], 3.0) for fact, signature in sealed]
+    results = [receive(b, (fact,), signature, 3.0) for fact, signature in sealed]
     assert [result.report.facts_verified for result in results] == [1, 1]
     assert [result.report.facts_rejected for result in results] == [0, 0]
     assert b.provenance.annotation(first.key()) == first.provenance
@@ -130,9 +128,9 @@ def test_misdelivered_or_replayed_tuple_is_rejected(compiled_best_path, keystore
     to_b = {fact.key(): seal(a, (fact,), "b") for fact in (first, second)}
 
     def again_at_b(fact, now):
-        return b.receive_batch([((fact,), to_b[fact.key()])], now)
+        return receive(b, (fact,), to_b[fact.key()], now)
 
-    assert_rejected(c.receive_batch([((first,), to_b[first.key()])], 2.0), 1)
+    assert_rejected(receive(c, (first,), to_b[first.key()], 2.0), 1)
 
     assert again_at_b(first, 2.0).report.facts_verified == 1
     assert_rejected(again_at_b(first, 2.5), 1)
@@ -151,7 +149,7 @@ def test_misdelivered_or_replayed_tuple_is_rejected(compiled_best_path, keystore
     assert [fact.key() for fact in again] == [first.key()]
     again_sealed = seal(a, again, "b")
     assert again_sealed.first > to_b[second.key()].first
-    assert b.receive_batch([(again, again_sealed)], 4.5).report.facts_rejected == 0
+    assert receive(b, again, again_sealed, 4.5).report.facts_rejected == 0
     assert_rejected(again_at_b(first, 5.0), 1)
 
 
@@ -171,13 +169,13 @@ def test_an_envelope_naming_another_principal_is_rejected(compiled_best_path, ke
     sealed = seal(c, own, "b")
     assert sealed.principal == "c"
     renamed = sealed._replace(principal="a")
-    assert_rejected(b.receive_batch([(own, renamed)], 1.0), len(own))
-    mine = [fact.with_metadata(provenance=p_var("a")) for fact in own]
+    assert_rejected(receive(b, own, renamed, 1.0), len(own))
+    mine = [replace(fact, provenance=p_var("a")) for fact in own]
     impersonated = seal(c, mine, "b")._replace(principal="a")
-    assert_rejected(b.receive_batch([(mine, impersonated)], 1.5), len(mine))
+    assert_rejected(receive(b, mine, impersonated, 1.5), len(mine))
 
-    claiming = [fact.with_metadata(asserted_by="a") for fact in own]
-    result = b.receive_batch([(claiming, sealed)], 2.0)
+    claiming = [replace(fact, asserted_by="a") for fact in own]
+    result = receive(b, claiming, sealed, 2.0)
     assert result.report.facts_rejected == 0
     assert result.report.facts_verified == len(own)
     stored = {fact.key(): fact for fact in b.facts(own[0].relation)}
@@ -392,13 +390,23 @@ def first_pair_differing(batch: MessageBatch, field: str):
     return None
 
 
+#: The item field that carries a tuple field's wire form.
+WIRE_FORM = {"provenance": "mask", "support": "code"}
+
+
 def spliced(batch: MessageBatch, field: str) -> MessageBatch:
-    """*batch* with *field* swapped between its first two tuples that differ."""
+    """*batch* with *field* swapped between its first two tuples that differ:
+    each item carries the other's explicitly, its own wire form dropped."""
     i, j = first_pair_differing(batch, field)
     items = list(batch.items)
-    first, second = items[i].fact, items[j].fact
-    items[i] = replace(items[i], fact=first.with_metadata(**{field: getattr(second, field)}))
-    items[j] = replace(items[j], fact=second.with_metadata(**{field: getattr(first, field)}))
+    first, second = items[i], items[j]
+    dropped = {WIRE_FORM[field]: None}
+    items[i] = replace(
+        first, fact=replace(first.fact, **{field: getattr(second.fact, field)}), **dropped
+    )
+    items[j] = replace(
+        second, fact=replace(second.fact, **{field: getattr(first.fact, field)}), **dropped
+    )
     return with_items(batch, items)
 
 
@@ -513,7 +521,9 @@ def test_a_batch_naming_another_principal_is_rejected_per_tuple():
         address for address in network.engines if address not in (batch.source, batch.destination)
     )
     renamed = replace(batch, seal=batch.seal._replace(principal=relay))
-    forged = network.engines[relay].authenticator.seal_batch(batch.facts(), batch.destination)
+    forged = network.engines[relay].authenticator.seal_batch(
+        [item.fact for item in batch.items], batch.destination
+    )
     impersonated = replace(batch, seal=forged._replace(principal=batch.source))
     for tampered in (renamed, impersonated):
         assert deliver_batch(network, tampered) == refused(tampered)
@@ -553,13 +563,12 @@ def test_a_stored_tuple_verifies_alone_from_its_evidence():
             "signature": envelope._replace(signature=envelope.signature[::-1]),
         }
         forgeries = {
-            name: fact.with_metadata(signature=forged)
-            for name, forged in forgeries.items()
+            name: replace(fact, signature=forged) for name, forged in forgeries.items()
         }
         forgeries.update(
-            principal=fact.with_metadata(asserted_by=batch.destination),
-            annotation=fact.with_metadata(provenance=p_var("mallory")),
-            support=fact.with_metadata(support=p_var("mallory")),
+            principal=replace(fact, asserted_by=batch.destination),
+            annotation=replace(fact, provenance=p_var("mallory")),
+            support=replace(fact, support=p_var("mallory")),
             payload=Fact(
                 fact.relation,
                 fact.values[:-1] + (fact.values[-1] + 1,),
@@ -619,15 +628,21 @@ def test_a_signed_message_pays_its_envelope_once_and_numbers_its_tuples_in_order
     number — and nothing per tuple.  Each principal numbers its tuples
     without gaps across its messages, and a receiver admits tuple *i* of a
     k-tuple message as number ``first + i``: ``first … first + k - 1``."""
-    sent, opened = [], []
-    import_batch = Authenticator.import_batch
+    sent, opened, attributed = [], [], {}
+    import_batch, admit = Authenticator.import_batch, NodeEngine._admit
 
-    def recorded_import(authenticator, facts, sealed=None):
-        admitted = import_batch(authenticator, facts, sealed)
-        opened.append((sealed, admitted))
-        return admitted
+    def recorded_import(authenticator, carried, sealed=None):
+        envelopes = import_batch(authenticator, carried, sealed)
+        opened.append((sealed, envelopes))
+        return envelopes
+
+    def recorded_admit(engine, fact, verified, result):
+        if verified is not None:
+            attributed[id(verified.signature)] = verified.asserted_by
+        return admit(engine, fact, verified, result)
 
     monkeypatch.setattr(Authenticator, "import_batch", recorded_import)
+    monkeypatch.setattr(NodeEngine, "_admit", recorded_admit)
     network = Network.build(
         topology=8, program="best-path", provenance="sendlog-prov", seed=0, key_bits=128
     )
@@ -660,10 +675,12 @@ def test_a_signed_message_pays_its_envelope_once_and_numbers_its_tuples_in_order
     for principal, sequence in numbers.items():
         assert sequence == list(range(1, len(sequence) + 1)), principal
 
-    assert max(len(admitted) for _, admitted in opened) >= 3
-    for sealed, admitted in opened:
-        assert all(fact is not None for fact in admitted)
-        assert [fact.signature.sequence for fact in admitted] == list(
-            range(sealed.first, sealed.first + len(admitted))
+    assert max(len(envelopes) for _, envelopes in opened) >= 3
+    for sealed, envelopes in opened:
+        assert all(envelope is not None for envelope in envelopes)
+        assert [envelope.sequence for envelope in envelopes] == list(
+            range(sealed.first, sealed.first + len(envelopes))
         )
-        assert {fact.asserted_by for fact in admitted} == {sealed.principal}
+        # Each tuple is stored attributed to the seal's principal, with
+        # exactly the envelope its message gave it.
+        assert {attributed[id(envelope)] for envelope in envelopes} == {sealed.principal}

@@ -13,10 +13,12 @@ root; and a coded tuple that crosses the frame codec is still admitted.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sealing import deliver, seal
+from sealing import deliver, receive, seal
 
 from repro.engine.node_engine import EngineConfig, NodeEngine, OutgoingFact, ProvenanceMode
 from repro.engine.tuples import Fact
@@ -218,28 +220,29 @@ def keystore() -> KeyStore:
 
 
 def mid_tuple(compiled, keystore, config):
-    """``a``'s export to ``b`` of ``path_p2_mid_1(b, a, 1.0)``: support
-    ``link('a','b',1.0)``, coded as :data:`GOOD`."""
+    """``a``'s export to ``b`` of ``path_p2_mid_1(b, a, 1.0)``, as its wire
+    item: support ``link('a','b',1.0)``, coded as :data:`GOOD`."""
     a = NodeEngine("a", compiled, config, keystore)
     b = NodeEngine("b", compiled, config, keystore)
-    (fact,) = [o.fact for o in a.insert_base(Fact("link", ("a", "b", 1.0))).outgoing]
-    assert fact.values == PAYLOAD and fact.support_code == GOOD
-    return a, b, fact
+    (item,) = a.insert_base(Fact("link", ("a", "b", 1.0))).outgoing
+    assert item.fact.values == PAYLOAD and item.code == GOOD
+    return a, b, item
 
 
 @pytest.mark.parametrize("code", MALFORMED.values(), ids=MALFORMED.keys())
 def test_a_malformed_code_refuses_exactly_its_tuple(compiled_best_path, keystore, code):
-    a, b, fact = mid_tuple(compiled_best_path, keystore, CONDENSED)
+    a, b, item = mid_tuple(compiled_best_path, keystore, CONDENSED)
+    fact = item.fact
     other = Fact("bestPathCost", ("b", "z", 3.0), origin="a")
     known = set(b._bases.keys)
-    report = b.receive_batch([((fact.with_metadata(support_code=code), other), None)], 1.0).report
+    report = receive(b, (replace(item, code=code), other), None, 1.0).report
     assert (report.facts_received, report.facts_rejected) == (2, 1)
     assert report.verification_failures == 0
     assert b.facts("bestPathCost") == (other,)
     assert fact.key() not in b._support
     assert set(b._bases.keys) == known and not b._bases.fresh
     # The genuine tuple is still admitted afterwards.
-    report = deliver(a, b, (fact,), now=2.0).report
+    report = deliver(a, b, (item,), now=2.0).report
     assert report.facts_rejected == 0 and report.facts_inserted == 1
     assert b._support[fact.key()] == fact.support
 
@@ -248,26 +251,27 @@ def test_a_flipped_position_byte_refuses_the_whole_signed_message(compiled_best_
     """Swapping the two positions rebuilds ``link('b','a',1.0)``: a support
     the sender never sealed, so the message's root breaks and neither of
     its tuples is admitted."""
-    a, b, fact = mid_tuple(compiled_best_path, keystore, SENDLOG_PROV)
+    a, b, item = mid_tuple(compiled_best_path, keystore, SENDLOG_PROV)
+    fact = item.fact
     other = Fact("bestPathCost", ("b", "z", 3.0), origin="a")
-    flipped = fact.with_metadata(support_code=bytes((1, 1, 2, 0, 1, 0x7D, 2)))
-    signature = seal(a, (fact, other), "b")
+    flipped = replace(item, code=bytes((1, 1, 2, 0, 1, 0x7D, 2)))
+    signature = seal(a, (item, other), "b")
     known = len(b._bases.keys)
-    report = b.receive_batch([((flipped, other), signature)], 1.0).report
+    report = receive(b, (flipped, other), signature, 1.0).report
     assert (report.facts_rejected, report.verification_failures, report.facts_inserted) == (2, 2, 0)
     assert fact.key() not in b._support
     # What the refused code rebuilt entered none of ``b``'s tables.
     assert len(b._bases.keys) == known and not b._bases.fresh
-    report = b.receive_batch([((fact, other), signature)], 2.0).report
+    report = receive(b, (item, other), signature, 2.0).report
     assert (report.facts_rejected, report.facts_verified) == (0, 2)
     assert b._support[fact.key()] == fact.support
     assert len(b._bases.keys) == known + 1 and "link('a','b',1.0)" in b._bases.keys
 
 
 def test_a_malformed_code_in_a_signed_message_refuses_all_of_it(compiled_best_path, keystore):
-    a, b, fact = mid_tuple(compiled_best_path, keystore, SENDLOG_PROV)
-    truncated = fact.with_metadata(support_code=MALFORMED["truncated"])
-    report = b.receive_batch([((truncated,), seal(a, (fact,), "b"))], 1.0).report
+    a, b, item = mid_tuple(compiled_best_path, keystore, SENDLOG_PROV)
+    truncated = replace(item, code=MALFORMED["truncated"])
+    report = receive(b, (truncated,), seal(a, (item,), "b"), 1.0).report
     assert (report.facts_rejected, report.verification_failures) == (1, 1)
 
 
@@ -275,26 +279,27 @@ def test_a_malformed_code_in_a_signed_message_refuses_all_of_it(compiled_best_pa
 
 
 def test_a_coded_fact_crosses_the_frame_codec_as_its_code(compiled_best_path, keystore):
-    a, b, fact = mid_tuple(compiled_best_path, keystore, SENDLOG_PROV)
+    a, b, item = mid_tuple(compiled_best_path, keystore, SENDLOG_PROV)
+    fact = item.fact
     explicit = Fact("link", ("a", "b", 1.0), support=fact.support)
     batch = MessageBatch(
         source="a",
         destination="b",
         items=(
-            OutgoingFact("b", fact, provenance_bytes=8),
+            replace(item, provenance_bytes=8),
             OutgoingFact("b", explicit, provenance_bytes=18),
         ),
         seal=Seal("a", 1, b"\x01" * 16),
     )
     codec = BinaryCodec()
     ((at, decoded),) = codec.decode_frame(codec.encode_frame([(3.0, batch)]))
-    coded, plain = decoded.facts()
-    assert fact.annotation_mask is not None
-    assert coded.support_code == GOOD
-    assert coded.values == fact.values and coded.signature == fact.signature
-    assert plain.support_code is None and plain.support == fact.support
+    coded, plain = decoded.items
+    assert item.mask is not None and coded.mask == item.mask
+    assert coded.code == GOOD
+    assert coded.fact.values == fact.values and coded.fact.signature == fact.signature
+    assert plain.code is None and plain.fact.support == fact.support
     assert decoded.provenance_bytes == batch.provenance_bytes == 26
     # What crossed the codec is admitted with the sender's support.
-    report = b.receive_batch([((coded,), seal(a, (fact,), "b"))], 4.0).report
+    report = b.receive_batch([((coded,), seal(a, (item,), "b"))], 4.0).report
     assert (report.facts_rejected, report.facts_verified) == (0, 1)
     assert b._support[fact.key()] == fact.support

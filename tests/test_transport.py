@@ -116,9 +116,7 @@ def _sample_exports():
         "path",
         ("n1", "n3", 2.5),
         provenance=ProvenanceExpression.var("n1"),
-        annotation_mask=1,
         support=ProvenanceExpression.var("link('n1','n3',2.5)"),
-        support_code=b"\x00\x00\x01\x02",
     )
     plain = Fact("link", ("n1", "n2"), timestamp=0.5)
     pointer = ProvenancePointer(
@@ -145,7 +143,9 @@ def _sample_exports():
                 destination="n3",
                 items=(
                     OutgoingFact("n3", fact, provenance_bytes=40),
-                    OutgoingFact("n3", coded, provenance_bytes=6),
+                    OutgoingFact(
+                        "n3", coded, provenance_bytes=6, mask=1, code=b"\x00\x00\x01\x02"
+                    ),
                     OutgoingFact("n3", plain),
                 ),
                 sent_at=0.0015,
@@ -271,7 +271,7 @@ def test_a_signed_batch_carries_its_signature_once_and_no_path():
     assert decoded.seal == Seal("n1", 5, signature)
     assert decoded.security_bytes == len("n1") + SEQUENCE_BYTES + len(signature)
     assert all(
-        fact.signature is None and fact.asserted_by is None for fact in decoded.facts()
+        item.fact.signature is None and item.fact.asserted_by is None for item in decoded.items
     )
 
 
@@ -330,7 +330,7 @@ def test_a_fact_travels_without_its_payload_memo():
     """A frame carries a fact's fields, not its rendered payload: the
     receiver renders the same bytes on demand."""
     (_, batch) = _sample_exports()[1]
-    for fact in batch.facts():
+    for fact in (item.fact for item in batch.items):
         rendered = fact.payload()
         frame = BinaryCodec().encode_frame(fact)
         assert rendered not in frame
@@ -389,8 +389,6 @@ def _facts(draw):
         ),
         provenance=provenance,
         origin=draw(st.one_of(st.none(), _addresses)),
-        annotation_mask=draw(st.one_of(st.none(), st.integers(min_value=0, max_value=255))),
-        support_code=draw(st.one_of(st.none(), st.binary(max_size=8))),
     )
 
 
@@ -402,6 +400,8 @@ def _messages(draw):
             destination,
             draw(_facts()),
             provenance_bytes=draw(st.integers(min_value=0, max_value=512)),
+            mask=draw(st.one_of(st.none(), st.integers(min_value=0, max_value=255))),
+            code=draw(st.one_of(st.none(), st.binary(max_size=8))),
         )
         for _ in range(draw(st.integers(min_value=1, max_value=3)))
     )

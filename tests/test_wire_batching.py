@@ -88,7 +88,7 @@ class TestMessageBatchFormat:
 
     def test_facts_in_item_order(self):
         batch = self._batch()
-        assert [fact.values for fact in batch.facts()] == [("a", "b"), ("a", "c")]
+        assert [item.fact.values for item in batch.items] == [("a", "b"), ("a", "c")]
         assert batch.tuple_count == 2
 
     def test_batch_vs_individual_messages_differ_only_by_framing(self):
@@ -421,7 +421,7 @@ class TestBatchedDeterminism:
                         message.sequence,
                         str(message.source),
                         str(message.destination),
-                        tuple(fact.key() for fact in message.facts()),
+                        tuple(item.fact.key() for item in getattr(message, "items", ())),
                     )
                 )
                 super()._deliver(message, deliver_at)
@@ -481,9 +481,10 @@ class TestReceivedProvenanceSampling:
     def test_sampler_rate_zero_records_no_received_provenance(self, compiled_reachable):
         sender, receiver = self._engines(compiled_reachable, rate=0.0)
         outgoing = sender.insert_base(Fact("link", ("a", "b"))).outgoing
-        shipped = [o for o in outgoing if o.destination == "b"][0].fact
+        item = [o for o in outgoing if o.destination == "b"][0]
+        shipped = item.fact
         assert not receiver.provenance.knows(shipped.key())
-        receiver.receive_batch([((shipped,), None)], now=1.0)
+        receiver.receive_batch([((item,), None)], now=1.0)
         # The tuple itself is stored, but no provenance was recorded for it.
         assert receiver.facts(shipped.relation)
         assert not receiver.provenance.knows(shipped.key())
@@ -492,8 +493,9 @@ class TestReceivedProvenanceSampling:
     def test_sampler_rate_one_still_records(self, compiled_reachable):
         sender, receiver = self._engines(compiled_reachable, rate=1.0)
         outgoing = sender.insert_base(Fact("link", ("a", "b"))).outgoing
-        shipped = [o for o in outgoing if o.destination == "b"][0].fact
-        receiver.receive_batch([((shipped,), None)], now=1.0)
+        item = [o for o in outgoing if o.destination == "b"][0]
+        shipped = item.fact
+        receiver.receive_batch([((item,), None)], now=1.0)
         assert receiver.provenance.knows(shipped.key())
         assert receiver.provenance.origin_of(shipped.key()) == "a"
 

@@ -10,7 +10,9 @@ state), counted inside ``run()`` from outside ``src/``.  Two kinds of number:
   their first line or resolve what is already resolved.
 
 ``tests/test_rule_compiler.py`` holds the same kind of budget for the rule
-compiler at seed 3; this file is the write path's.
+compiler at seed 3; this file is the write path's.  The last test counts,
+at 8 nodes under provenance and signatures, the ``Fact`` objects the run
+builds: one per tuple made.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from repro.engine.database import Database
 from repro.engine.node_engine import NodeEngine
 from repro.engine.table import Table
 from repro.engine.tuples import Fact
+from repro.net.events import LinkDown, LinkUp
+from repro.net.topology import random_topology
 
 #: Measured when the engine began to find each firing once (a derived tuple
 #: is stored when the delta queue reaches it); each is reproduced exactly
@@ -164,3 +168,74 @@ def test_profiled_calls_stay_under_three_quarters_of_the_parents():
     assert result.converged
     total = pstats.Stats(profile).total_calls
     assert total <= TOTAL_CALLS_BUDGET < 0.76 * PARENT_TOTAL_CALLS + 1, total
+
+
+# -- each tuple is made once -----------------------------------------------------
+
+
+@pytest.mark.parametrize("shape", ["sendlog-prov", "condensed-churn"])
+def test_each_tuple_is_built_once(monkeypatch, shape):
+    """One ``Fact`` per base insert, per firing that derives a tuple and per
+    received tuple the receiver must rebuild (a mask or a code) or attribute
+    (signed ``says``), and no other: nothing copies a fact to add metadata.
+    On the N=8 ``sendlog-prov`` fixpoint, and on the N=8 churn shape
+    (condensed provenance, one-fixpoint deletions) converged and then with
+    every redundant link flapped."""
+    assert not hasattr(Fact, "with_metadata")
+    churn = shape == "condensed-churn"
+    options = dict(default_ttl=1e6, track_dependencies=True, rederivation=True) if churn else {}
+    topology = random_topology(8, seed=0)
+    built = Network.build(
+        topology=topology,
+        program="best-path",
+        provenance="condensed" if churn else "sendlog-prov",
+        seed=0,
+        key_bits=128,
+        **options,
+    )
+    base = built.base_facts()  # the application's tuples, built before the run
+    tally = {"facts": 0, "inserts": 0, "rebuilt": 0, "attributed": 0}
+    init, insert, receive = Fact.__init__, NodeEngine.insert_base, NodeEngine.receive_batch
+
+    def counted_init(self, *args, **kwargs):
+        tally["facts"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_insert(self, fact, now=0.0):
+        tally["inserts"] += 1
+        return insert(self, fact, now)
+
+    def counted_receive(self, messages, now):
+        messages = list(messages)
+        result = receive(self, messages, now)
+        if self.config.says_mode.requires_signature:
+            tally["attributed"] += result.report.facts_verified
+        else:
+            tally["rebuilt"] += sum(
+                item.mask is not None or item.code is not None
+                for items, _ in messages
+                for item in items
+            )
+        return result
+
+    monkeypatch.setattr(Fact, "__init__", counted_init)
+    monkeypatch.setattr(NodeEngine, "insert_base", counted_insert)
+    monkeypatch.setattr(NodeEngine, "receive_batch", counted_receive)
+    assert built.run(base).converged
+    if churn:
+        for link in topology.redundant_links():
+            for event in (LinkDown, LinkUp):
+                built.schedule(
+                    event(
+                        time=built.current_time() + 1.0,
+                        source=link.source,
+                        destination=link.destination,
+                    )
+                )
+                assert built.run_until_idle()
+
+    derived = built.stats.summary()["facts_derived"]
+    admitted = tally["rebuilt"] + tally["attributed"]
+    assert tally["inserts"] and derived and admitted
+    assert (tally["rebuilt"] == 0) != churn and (tally["attributed"] == 0) == churn
+    assert tally["facts"] == tally["inserts"] + derived + admitted

@@ -9,8 +9,10 @@ round; the tool exits 1 unless that is 0), how long the runs of same-relation
 deltas are, how many ``Table.expire`` / ``Database.table`` calls had anything
 to do, how long an index bucket is when a fact in it is replaced or removed
 (and where in it that fact sits: what a list walk would have cost), what the
-payload renderer is asked to render, how firings end, and how many
-``with_metadata`` copies an exported tuple costs. It also counts the receive
+payload renderer is asked to render, how firings end, and how many ``Fact``
+constructions a firing and an admitted tuple cost (the tool exits 1 when a
+firing builds more than one, or a receive round more than the tuples it
+admits). It also counts the receive
 schedule: data deliveries, how many of them arrive while their destination is
 still busy with an earlier round, and the receive rounds that ran them (under
 signed ``says`` a busy node's queued messages run as one round). Under a
@@ -89,7 +91,8 @@ def install(identify_firings: bool = True) -> Census:
     evaluate = node_engine.evaluate_plan_with_delta
     outgoing = node_engine.OutgoingFact
     expire, table, insert, remove = Table.expire, Database.table, Table.insert, Table._remove_fact
-    render, payload, size, copy = tuples._render_value, Fact.payload, Fact.payload_size, Fact.with_metadata
+    render, payload, size = tuples._render_value, Fact.payload, Fact.payload_size
+    build = Fact.__init__
     signer = authenticator.Authenticator
     seal, open_batch = signer.seal_batch, signer.import_batch
     sign, verify = authenticator.sign, authenticator.verify
@@ -128,7 +131,15 @@ def install(identify_firings: bool = True) -> Census:
         census["receive rounds"] += 1
         census["messages run by receive rounds"] += len(messages)
         round_firings.clear()
-        return receive(self, messages, now)
+        built, in_firings = census["Fact constructions"], census["Fact constructions in firings"]
+        result = receive(self, messages, now)
+        built = census["Fact constructions"] - built
+        built -= census["Fact constructions in firings"] - in_firings
+        admitted = result.report.facts_received - result.report.facts_rejected
+        census["tuples admitted"] += admitted
+        census["Fact constructions admitting tuples"] += built
+        census["receive rounds building more Facts than tuples admitted"] += built > admitted
+        return result
 
     def counted_evaluate(*args, **kwargs):
         census["delta evaluations"] += 1
@@ -148,7 +159,11 @@ def install(identify_firings: bool = True) -> Census:
         census["firings whose destination is a str or None"] += (
             firing.destination is None or type(firing.destination) is str
         )
-        return handle(self, plan, firing, now, *args)
+        built = census["Fact constructions"]
+        handle(self, plan, firing, now, *args)
+        built = census["Fact constructions"] - built
+        census["Fact constructions in firings"] += built
+        census["firings building more than one Fact"] += built > 1
 
     def counted_record(self, *args):
         census["_record_derivation calls"] += 1
@@ -216,9 +231,9 @@ def install(identify_firings: bool = True) -> Census:
         census["Fact.payload_size calls"] += 1
         return size(self)
 
-    def counted_copy(self, **changes):
-        census["Fact.with_metadata copies"] += 1
-        return copy(self, **changes)
+    def counted_build(self, *args, **kwargs):
+        census["Fact constructions"] += 1
+        build(self, *args, **kwargs)
 
     def counted_seal(self, facts, destination):
         census["signed wire messages sealed"] += 1
@@ -228,9 +243,9 @@ def install(identify_firings: bool = True) -> Census:
         census["_envelope bytes"] += sealed.wire_bytes() - len(sealed.signature)
         return sealed
 
-    def counted_open(self, facts, sealed=None):
-        census["signed wire messages opened"] += self.mode.requires_signature and bool(facts)
-        return open_batch(self, facts, sealed)
+    def counted_open(self, carried, sealed=None):
+        census["signed wire messages opened"] += bool(carried)
+        return open_batch(self, carried, sealed)
 
     def counted_sign(*args):
         census["rsa.sign calls"] += 1
@@ -262,7 +277,7 @@ def install(identify_firings: bool = True) -> Census:
     Table.expire, Database.table = counted_expire, counted_table
     Table.insert, Table._remove_fact = counted_insert, counted_remove
     tuples._render_value = counted_render
-    Fact.payload, Fact.payload_size, Fact.with_metadata = counted_payload, counted_size, counted_copy
+    Fact.payload, Fact.payload_size, Fact.__init__ = counted_payload, counted_size, counted_build
     return census
 
 
@@ -308,10 +323,13 @@ def print_census(census: Census) -> None:
     if delivered:
         print(f"{'share of data deliveries arriving busy':<{width}} "
               f"{census['data deliveries arriving busy'] / delivered:>9.1%}")
-    exported = census["exported tuples"]
-    if exported:
-        print(f"{'with_metadata copies per exported tuple':<{width}} "
-              f"{census['Fact.with_metadata copies'] / exported:>9.2f}")
+    for label, built, made in (
+        ("firing", "Fact constructions in firings", "firings"),
+        ("admitted tuple", "Fact constructions admitting tuples", "tuples admitted"),
+    ):
+        if census[made]:
+            print(f"{'Fact constructions per ' + label:<{width}} "
+                  f"{census[built] / census[made]:>9.2f}")
     sealed = census["signed wire messages sealed"]
     if sealed:
         histogram = sorted(
@@ -367,6 +385,10 @@ def main(argv: Optional[List[str]] = None) -> None:
         return
     if census["firings found twice"]:
         sys.exit("a rule firing was found twice within one processing round")
+    if census["firings building more than one Fact"]:
+        sys.exit("a rule firing built more than one Fact")
+    if census["receive rounds building more Facts than tuples admitted"]:
+        sys.exit("a receive round built more than one Fact per tuple it admitted")
 
 
 if __name__ == "__main__":

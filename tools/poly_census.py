@@ -92,7 +92,7 @@ def install_shipped() -> ShippedCensus:
         for item in outgoing:
             fact = item.fact
             if isinstance(fact.support, ProvenanceExpression):
-                count_support(census, kernel.engines[source], fact)
+                count_support(census, kernel.engines[source], item)
             annotation = fact.provenance
             if not isinstance(annotation, ProvenanceExpression):
                 continue
@@ -103,7 +103,7 @@ def install_shipped() -> ShippedCensus:
             census["repeat on their link"] += annotation.monomials in link
             link.add(annotation.monomials)
             form = "explicit"
-            if fact.annotation_mask is not None:
+            if item.mask is not None:
                 form = "mask"
                 census["named by the payload"] += 1
                 census["mask bytes"] += position_mask(annotation, flat_values(fact.values))[1]
@@ -117,9 +117,10 @@ def install_shipped() -> ShippedCensus:
     return census
 
 
-def count_support(census: ShippedCensus, engine, fact) -> None:
+def count_support(census: ShippedCensus, engine, item) -> None:
     """One shipped support: its wire form, bytes, and the arguments of a code."""
-    support, code = fact.support, fact.support_code
+    fact, code = item.fact, item.code
+    support = fact.support
     explicit = support.serialized_size()
     form = "explicit" if code is None else "coded"
     census["supports"] += 1

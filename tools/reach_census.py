@@ -42,7 +42,7 @@ REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "repro"
 
 #: Unreached body lines under ``src/repro``.  Only ever lowered.
-CEILING = 927
+CEILING = 925
 
 
 @dataclass(frozen=True)
