@@ -54,7 +54,11 @@
 #                      sendlog-prov fixpoint: shipped annotations by wire form
 #                      (position mask vs explicit polynomial) and their bytes,
 #                      and on the N=8 churn shape: shipped supports by wire form
-#                      (support code vs explicit) and code arguments by form.
+#                      (support code vs explicit) and code arguments by form;
+#                      and `--resident` on an N=8 sendlog-prov fixpoint: what
+#                      each node's provenance keeps (annotation, pair and key
+#                      objects against distinct values, firing lists), exiting
+#                      1 when any object repeats another's value.
 #   make engine-census - tools/engine_census.py on the bestpath_ndlog shape
 #                      (N=40): rule firings found twice in one round (it
 #                      exits 1 unless that is 0), runs of same-relation deltas, the no-op share
@@ -161,6 +165,7 @@ poly-census:
 
 poly-census-smoke:
 	$(PYTHON) tools/poly_census.py --provenance condensed --nodes 8 --flaps 2
+	$(PYTHON) tools/poly_census.py --resident --provenance sendlog-prov --nodes 8
 	$(PYTHON) tools/poly_census.py --shipped --provenance sendlog-prov --nodes 8
 	$(PYTHON) tools/poly_census.py --shipped --provenance condensed --nodes 8 --flaps 2
 

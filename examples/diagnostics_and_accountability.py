@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from repro.api import Network
 from repro.engine.tuples import Fact
-from repro.provenance.log import DerivationLog, ProvenancePointer
+from repro.provenance.log import DerivationLog
 from repro.provenance.polynomial import p_product, p_var
 from repro.usecases.accountability import AccountabilityAuditor, UsagePolicy
 from repro.usecases.diagnostics import FlapEvent, RouteFlapDetector
@@ -50,12 +50,8 @@ def diagnostics_scenario() -> None:
     store = DerivationLog("n1", track_dependencies=True)
     route = Fact(relation="bestPath", values=("n1", "n9", ("n1", "n7", "n9"), 9.0))
     downstream = Fact(relation="forwarding", values=("n1", "n9", "n7"))
-    store.append(ProvenancePointer(route.key(), "p4", "n1", inputs=()), route, ())
-    store.append(
-        ProvenancePointer(downstream.key(), "f1", "n1", inputs=((route.key(), None),)),
-        downstream,
-        (route,),
-    )
+    store.append(route.key(), "p4", 0.0, None, ())
+    store.append(downstream.key(), "f1", 0.0, None, (route,))
 
     report = detector.run(
         events,

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.datalog.planner import CompiledProgram, RulePlan
 from repro.engine.aggregates import AggregateState
@@ -30,7 +30,7 @@ from repro.engine.seminaive import (
 )
 from repro.engine.table import Table
 from repro.engine.tuples import Fact, FactKey
-from repro.provenance.log import DerivationLog, ProvenancePointer
+from repro.provenance.log import DerivationLog
 from repro.provenance.polynomial import (
     BaseVariables,
     ProvenanceExpression,
@@ -227,23 +227,10 @@ def group_outgoing(outgoing: List[OutgoingFact]) -> Dict[str, List[OutgoingFact]
     return grouped
 
 
-def _admitted(carried: Carried, asserted_by: Optional[str], signature: object) -> Fact:
-    """The tuple a receiver stores for *carried*: the arrived tuple's
-    payload with the annotation and support it carried, attributed and
-    evidenced as given — built once, sharing the arrived rendering."""
-    fact, provenance, support = carried
-    return Fact(
-        fact.relation,
-        fact.values,
-        fact.timestamp,
-        fact.ttl,
-        asserted_by,
-        signature,
-        provenance,
-        fact.origin,
-        support,
-        fact._payload_cache,
-    )
+#: What a receive round made of one arrived tuple before admitting it:
+#: ``None`` (refused), the arrived tuple (stored as it arrived), or what it
+#: carried with its principal and evidence (:meth:`NodeEngine._admitted`).
+Verdict = Union[None, Fact, Tuple[Carried, Optional[str], object]]
 
 
 class NodeEngine:
@@ -326,7 +313,9 @@ class NodeEngine:
         #: graph, pointer, annotation and dependency views.  Invalidated on
         #: retraction and replaced on a crash; the archive below is the
         #: append-only copy that outlives both.
-        self.provenance = DerivationLog(address, config.track_dependencies)
+        self.provenance = DerivationLog(
+            address, config.track_dependencies, self.registry.pairs
+        )
         self.offline_provenance = OfflineProvenanceArchive(
             address,
             hot_entries=config.hot_tier_entries,
@@ -413,8 +402,9 @@ class NodeEngine:
         refuses that message's tuples only
         (:meth:`~repro.security.authenticator.Authenticator.import_batch`).
         Each tuple admitted is built once, with its attribution, evidence,
-        annotation and support; an unsigned tuple with nothing to rebuild
-        is admitted as it arrived.  Then every tuple of the round is
+        annotation and support, right before :meth:`_admit` admits it
+        (:meth:`_admitted`); an unsigned tuple with nothing to rebuild is
+        admitted as it arrived.  Then every tuple of the round is
         admitted and locally fixpointed strictly in arrival order
         (:meth:`_process_local`: its whole delta fixpoint runs before the
         next tuple is stored), sharing one :class:`ProcessingResult` /
@@ -428,39 +418,39 @@ class NodeEngine:
         """
         result = ProcessingResult()
         arrived: List[Fact] = []
-        admitted: List[Optional[Fact]] = []
+        verdicts: List[Verdict] = []
         for items, seal in messages:
             facts = [item.fact for item in items]
             arrived.extend(facts)
             if not self._signed:
                 for item, fact in zip(items, facts):
                     if item.mask is None and item.code is None:
-                        admitted.append(fact)
+                        verdicts.append(fact)
                         continue
                     carried = self._resolve(item)
-                    admitted.append(
+                    verdicts.append(
                         None
                         if carried is None
-                        else _admitted(carried, fact.asserted_by, fact.signature)
+                        else (carried, fact.asserted_by, fact.signature)
                     )
                 continue
             resolved = [self._resolve(item) for item in items]
             if None in resolved:
                 # A mask or code nothing rebuilds from leaves no leaf to check:
                 # the message's root cannot verify, so none of it is admitted.
-                admitted.extend([None] * len(items))
+                verdicts.extend([None] * len(items))
             else:
                 envelopes = self.authenticator.import_batch(resolved, seal)
-                admitted.extend(
-                    None
-                    if envelope is None
-                    else _admitted(carried, seal.principal, envelope)
+                verdicts.extend(
+                    None if envelope is None else (carried, seal.principal, envelope)
                     for carried, envelope in zip(resolved, envelopes)
                 )
             if items:
                 result.report.signatures_verified += 1
-        for fact, verified in zip(arrived, admitted):
-            verified = self._admit(fact, verified, result)
+        for fact, verdict in zip(arrived, verdicts):
+            if type(verdict) is tuple:
+                verdict = self._admitted(*verdict)
+            verified = self._admit(fact, verdict, result)
             if verified is not None:
                 self._process_local(verified, now, result)
         # Variables decoded for tuples the round did not store are dropped.
@@ -594,7 +584,9 @@ class NodeEngine:
         self._export_dests.clear()
         self._bases.clear()
         self.provenance_epoch += 1
-        self.provenance = DerivationLog(self.address, self._track_dependencies)
+        self.provenance = DerivationLog(
+            self.address, self._track_dependencies, self.registry.pairs
+        )
         self.offline_provenance.drop_cache()
 
     # -- queries -----------------------------------------------------------------
@@ -651,6 +643,36 @@ class NodeEngine:
             return None
         return verified
 
+    def _admitted(
+        self, carried: Carried, asserted_by: Optional[str], signature: object
+    ) -> Fact:
+        """The tuple a receiver stores for *carried*, verified: the arrived
+        tuple's payload with the annotation and support it carried,
+        attributed and evidenced as given — built once, sharing the arrived
+        rendering, right before :meth:`_admit` checks its shape.  Its
+        annotation is the log's shared copy (:meth:`DerivationLog.share`),
+        taken only when that check will pass: a refused tuple leaves nothing
+        in the log."""
+        fact, provenance, support = carried
+        if (
+            provenance is not None
+            and self._maintains_provenance
+            and len(fact.values) == self._table_for(fact).schema.arity
+        ):
+            provenance = self.provenance.share(provenance)
+        return Fact(
+            fact.relation,
+            fact.values,
+            fact.timestamp,
+            fact.ttl,
+            asserted_by,
+            signature,
+            provenance,
+            fact.origin,
+            support,
+            fact._payload_cache,
+        )
+
     def _resolve(self, item: OutgoingFact) -> Optional[Carried]:
         """What *item*'s tuple carries, as its receiver acts on it: the
         tuple, its annotation and its support, each masked annotation and
@@ -663,7 +685,7 @@ class NodeEngine:
         if mask is not None or code is not None:
             flat = flat_values(fact.values)
             if mask is not None:
-                annotation = from_position_mask(mask, flat)
+                annotation = from_position_mask(mask, flat, self.provenance.pairs)
                 if annotation is None:
                     return None
             if code is not None:
@@ -921,23 +943,11 @@ class NodeEngine:
                 self.provenance.depend(key, [a.key() for a in firing.antecedents])
             return None
         log = self.provenance
-        origin_of = log.origin_of
-        inputs = []
-        for antecedent in firing.antecedents:
-            input_key = antecedent.key()
-            inputs.append((input_key, origin_of(input_key)))
-        pointer = ProvenancePointer(
-            output=key,
-            rule_label=plan.label,
-            node=self.address,
-            inputs=tuple(inputs),
-            timestamp=now,
-        )
         self.provenance_epoch += 1
-        annotation = log.append(pointer, ttl, firing.antecedents)
+        annotation = log.append(key, plan.label, now, ttl, firing.antecedents)
         if self.config.keep_offline_provenance:
             expires = None if ttl is None else now + ttl
-            self.offline_provenance.record(pointer, expires, annotation)
+            self.offline_provenance.record(log.pointers(key)[-1], expires, annotation)
         result.report.provenance_annotations += 1
         return annotation
 

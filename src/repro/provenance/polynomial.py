@@ -42,15 +42,42 @@ Monomial = Tuple[Tuple[str, int], ...]
 _ONE: Tuple[Tuple[Monomial, int], ...] = (((), 1),)
 
 
+#: A table of ``(variable, 1)`` pairs by variable
+#: (:class:`~repro.provenance.log.DerivationLog` ``pairs``): an expression
+#: built with one takes each exponent-1 pair it needs from it when there.
+Pairs = Mapping[str, Tuple[str, int]]
+
+
 def _monomial_times(left: Monomial, right: Monomial) -> Monomial:
+    """The product of two monomials, reusing each operand's pair for a
+    variable the other does not mention."""
     if not left:
         return right
     if not right:
         return left
-    counts = dict(left)
-    for name, exponent in right:
-        counts[name] = counts.get(name, 0) + exponent
-    return tuple(sorted(counts.items()))
+    merged = sorted(left + right)
+    if len(dict(merged)) == len(merged):
+        return tuple(merged)
+    pairs: Dict[str, Tuple[str, int]] = {}
+    for pair in merged:
+        name = pair[0]
+        mine = pairs.get(name)
+        pairs[name] = pair if mine is None else (name, mine[1] + pair[1])
+    return tuple(pairs.values())
+
+
+def _flat(monomial: Monomial, pairs: Optional[Pairs]) -> Monomial:
+    """*monomial* with every exponent 1: itself when it already is, else its
+    exponent-1 pairs kept and the others taken from *pairs* (or made)."""
+    for _, exponent in monomial:
+        if exponent != 1:
+            break
+    else:
+        return monomial
+    return tuple([
+        pair if pair[1] == 1 else (pairs and pairs.get(pair[0])) or (pair[0], 1)
+        for pair in monomial
+    ])
 
 
 def _monomial_support(monomial: Monomial) -> FrozenSet[str]:
@@ -135,17 +162,19 @@ class ProvenanceExpression:
                 product[key] = product.get(key, 0) + left_count * right_count
         return ProvenanceExpression.from_monomials(product)
 
-    def absorb(self, other: "ProvenanceExpression") -> "ProvenanceExpression":
+    def absorb(
+        self, other: "ProvenanceExpression", pairs: Optional[Pairs] = None
+    ) -> "ProvenanceExpression":
         """Merge an alternative derivation into a condensed ``self``.
 
-        ``(self + other).condense()``, except that ``self`` itself comes back
-        when *other* adds nothing (``x + x``, ``a + a*b``): a caller holding
-        ``self`` can stop at ``merged is self``.
+        ``(self + other).condense(pairs)``, except that ``self`` itself comes
+        back when *other* adds nothing (``x + x``, ``a + a*b``): a caller
+        holding ``self`` can stop at ``merged is self``.
         """
         mine = self.monomials
         if other.monomials == mine:
             return self
-        merged = (self + other).condense()
+        merged = (self + other).condense(pairs)
         return self if merged.monomials == mine else merged
 
     # -- structure ------------------------------------------------------------
@@ -178,13 +207,15 @@ class ProvenanceExpression:
 
     # -- condensation (Section 4.4) -------------------------------------------
 
-    def condense(self) -> "ProvenanceExpression":
+    def condense(self, pairs: Optional[Pairs] = None) -> "ProvenanceExpression":
         """Minimise under idempotence and absorption: ``a + a*b -> a``.
 
         The result is the unique minimal DNF of the (monotone) boolean
         function the expression denotes: duplicate variables collapse
         (``a*a -> a``), multiplicities drop, and any monomial whose support is
-        a superset of another monomial's support is absorbed.
+        a superset of another monomial's support is absorbed.  The result
+        keeps the operand's exponent-1 pairs (and its monomials that need no
+        change); a collapsed variable's pair comes from *pairs* when there.
         """
         monomials = self.monomials
         if len(monomials) <= 1:
@@ -192,19 +223,19 @@ class ProvenanceExpression:
             if not monomials:
                 return self
             (monomial, count), = monomials
-            if count == 1 and all(exponent == 1 for _, exponent in monomial):
+            flat = _flat(monomial, pairs)
+            if count == 1 and flat is monomial:
                 return self
-            flat = tuple([(name, 1) for name, _ in monomial])
             return ProvenanceExpression(monomials=((flat, 1),))
-        supports = set(self.monomial_supports())
-        minimal = [
-            support
-            for support in supports
-            if not any(other < support for other in supports)
-        ]
-        condensed = tuple(
-            sorted((tuple([(name, 1) for name in sorted(s)]), 1) for s in minimal)
-        )
+        by_support: Dict[FrozenSet[str], Monomial] = {}
+        for monomial, _ in monomials:
+            flat = _flat(monomial, pairs)
+            by_support.setdefault(frozenset([name for name, _ in flat]), flat)
+        condensed = tuple(sorted(
+            (flat, 1)
+            for support, flat in by_support.items()
+            if not any(other < support for other in by_support)
+        ))
         if condensed == monomials:
             return self
         return ProvenanceExpression(monomials=condensed)
@@ -298,14 +329,18 @@ def p_product(*expressions: ProvenanceExpression) -> ProvenanceExpression:
     return ProvenanceExpression.one() if result is None else result
 
 
-def join_all(expressions: Iterable[ProvenanceExpression]) -> ProvenanceExpression:
+def join_all(
+    expressions: Iterable[ProvenanceExpression], pairs: Optional[Pairs] = None
+) -> ProvenanceExpression:
     """The condensed product of one firing's inputs (Section 4.4).
 
     Condensed once at the end: the minimal DNF is unique, so condensing the
     whole product gives the polynomial that condensing after every factor
-    would.  A single condensed factor comes back as itself.
+    would.  A single condensed factor comes back as itself.  The product
+    reuses its factors' pairs, and a variable two factors share gets its
+    pair from *pairs* when there.
     """
-    return p_product(*expressions).condense()
+    return p_product(*expressions).condense(pairs)
 
 
 # Position masks: an annotation the tuple's own payload names -----------------
@@ -368,9 +403,11 @@ def position_mask(
     return bits, 1 + (len(flat) + 7) // 8
 
 
-def from_position_mask(bits: int, flat: list) -> Optional[ProvenanceExpression]:
+def from_position_mask(
+    bits: int, flat: list, pairs: Optional[Pairs] = None
+) -> Optional[ProvenanceExpression]:
     """The annotation mask *bits* names beside a payload that flattens to
-    *flat*, in normal form.
+    *flat*, in normal form, each variable on its pair in *pairs* when there.
 
     ``None`` when the mask selects past the flattened values or selects a
     value that is not a ``str``: no annotation can be rebuilt from it.
@@ -386,9 +423,9 @@ def from_position_mask(bits: int, flat: list) -> Optional[ProvenanceExpression]:
         selected.add(name)
         bits ^= low
     names = sorted(selected)
-    annotation = ProvenanceExpression(
-        monomials=((tuple([(name, 1) for name in names]), 1),)
-    )
+    get = pairs.get if pairs else {}.get
+    monomial = tuple([get(name) or (name, 1) for name in names])
+    annotation = ProvenanceExpression(monomials=((monomial, 1),))
     # Rendered as it is built: a signed receiver's Merkle leaf reads it next.
     object.__setattr__(annotation, "_rendered", "*".join(names) if names else "1")
     return annotation

@@ -50,6 +50,10 @@ class PrincipalRegistry:
     def __init__(self, default_level: int = DEFAULT_SECURITY_LEVEL) -> None:
         self._default_level = default_level
         self._principals: Dict[str, Principal] = {}
+        #: Each provenance variable's one ``(name, 1)`` pair, shared by the
+        #: derivation logs of every node given this registry
+        #: (:class:`~repro.provenance.log.DerivationLog` ``pairs``).
+        self.pairs: Dict[str, Tuple[str, int]] = {}
 
     def register(self, name: str, security_level: Optional[int] = None) -> Principal:
         """Register *name*, or update its security level when given."""

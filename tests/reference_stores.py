@@ -800,8 +800,8 @@ class ShadowedLog(DerivationLog):
     :func:`assert_log_matches_reference` then compares the two read sides.
     """
 
-    def __init__(self, node: str, track_dependencies: bool = False) -> None:
-        super().__init__(node, track_dependencies)
+    def __init__(self, node: str, track_dependencies: bool = False, pairs=None) -> None:
+        super().__init__(node, track_dependencies, pairs)
         self.reference = ReferenceStores(node)
 
     def record_base(self, fact, source=None):
@@ -813,8 +813,9 @@ class ShadowedLog(DerivationLog):
         wrapped = None if annotation is None else CondensedProvenance(annotation)
         self.reference.record_remote(fact, wrapped)
 
-    def append(self, pointer, ttl, antecedents):
-        annotation = super().append(pointer, ttl, antecedents)
+    def append(self, output, rule_label, timestamp, ttl, antecedents):
+        annotation = super().append(output, rule_label, timestamp, ttl, antecedents)
+        pointer = self.pointers(output)[-1]
         # The derived tuple as the engine built it before it logged firings
         # by key: unattributed, made at the firing's node and instant.
         relation, values = pointer.output
@@ -829,7 +830,7 @@ class ShadowedLog(DerivationLog):
             )
         )
         assert annotation == expected.expression
-        # The engine built the pointer; the old store would have built the
+        # The log built the pointer; the old store would have built the
         # same one (same per-input origins) from its own origin table.
         assert self.reference.distributed.pointers(pointer.output)[-1] == pointer
         return annotation
@@ -1036,7 +1037,7 @@ def pointer_for(
     timestamp: float = 0.0,
     origin_of=lambda key: None,
 ) -> ProvenancePointer:
-    """The pointer ``NodeEngine._record_derivation`` builds for one firing."""
+    """The pointer ``DerivationLog.append`` builds for one firing."""
     return ProvenancePointer(
         output=fact.key(),
         rule_label=rule_label,
@@ -1049,7 +1050,4 @@ def pointer_for(
 def fire(log: DerivationLog, fact: Fact, rule_label: str, antecedents=(), timestamp=0.0):
     """Record one firing into *log* the way the engine does; returns the
     derived tuple's annotation."""
-    pointer = pointer_for(
-        fact, rule_label, log.node, antecedents, timestamp, log.origin_of
-    )
-    return log.append(pointer, fact.ttl, tuple(antecedents))
+    return log.append(fact.key(), rule_label, timestamp, fact.ttl, tuple(antecedents))

@@ -51,3 +51,28 @@ def test_the_smallest_sizes_run():
     )
     assert completed.returncode == 0, completed.stderr
     assert "condense" in completed.stdout
+
+
+def test_the_resident_census_finds_nothing_kept_twice():
+    """``--resident`` counts what each node's provenance keeps after the run
+    and exits 0 only when no annotation, pair or key object repeats another's
+    value at its node and no firing sits in a list."""
+    completed = subprocess.run(
+        [sys.executable, poly_census.__file__, "--resident",
+         "--provenance", "sendlog-prov", "--nodes", "4"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stdout + completed.stderr
+    lines = {line.split()[0]: line.split() for line in completed.stdout.splitlines()}
+    for label in ("annotations", "pairs", "keys"):
+        objects, values = int(lines[label][1]), int(lines[label][4])
+        assert objects == values > 0, label
+    assert lines["lists"][1] == "0"
+
+
+def test_the_resident_census_exits_1_on_a_repeated_object():
+    census = poly_census.Counter({"annotation objects": 3, "distinct annotations": 2})
+    assert poly_census.print_resident(census, 0) == 1
+    assert poly_census.print_resident(poly_census.Counter(), 0) == 0

@@ -35,7 +35,7 @@ from repro.engine import node_engine
 from repro.engine.node_engine import EngineConfig, NodeEngine, ProvenanceMode
 from repro.engine.tuples import Fact
 from repro.net.events import NodeCrash, NodeRecover, SoftStateRefresh
-from repro.provenance.log import DerivationLog, ProvenancePointer
+from repro.provenance.log import DerivationLog
 from repro.provenance.pruning import ProvenanceSampler
 from repro.queries.best_path import compile_best_path
 
@@ -200,11 +200,7 @@ def test_keys_are_in_recording_order_not_hash_order():
     for fact in reversed(base):
         log.record_base(fact)
     derived = Fact("path", ("a", "n7"), origin="a")
-    log.append(
-        ProvenancePointer(derived.key(), "p1", "a", ((base[7].key(), None),)),
-        derived,
-        (base[7],),
-    )
+    log.append(derived.key(), "p1", 0.0, None, (base[7],))
     assert log.keys() == (derived.key(),) + tuple(f.key() for f in reversed(base))
     log.invalidate(base[5].key())
     log.record_base(base[5])  # re-asserted: now the newest base key

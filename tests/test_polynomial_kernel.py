@@ -61,7 +61,8 @@ def reference_mul(self, other):
     return ProvenanceExpression.from_monomials(product)
 
 
-def reference_condense(self):
+def reference_condense(self, pairs=None):
+    """The old condense; it takes the method's *pairs* and shares nothing."""
     supports = {frozenset(support) for support in self.monomial_supports()}
     minimal = [
         support

@@ -18,17 +18,30 @@ or explicit — and the arguments the codes carry as payload positions or as
 literals.  ``--per-tuple`` runs the paper's per-tuple format
 (``batching=False``).
 
+With ``--resident`` it counts what each node's provenance keeps after the run
+instead, summed over the nodes: annotation objects (the log's, and those its
+stored tuples carry) against the distinct values they hold, the pair objects
+those annotations are built of against the distinct pairs, the key objects
+the log's firings name (output and inputs) against the distinct keys, the
+firings kept in a list, and the log's annotation table against the live
+annotations; plus the bytes the run left allocated (``tracemalloc``).  It
+exits 1 when any object repeats a value another holds at the same node, or
+any firing sits in a list.
+
     python tools/poly_census.py --provenance condensed --nodes 20 --flaps 0
     python tools/poly_census.py --shipped --provenance sendlog-prov --nodes 25
     python tools/poly_census.py --shipped --provenance condensed --nodes 20 --flaps 0
+    python tools/poly_census.py --resident --provenance sendlog-prov --nodes 25
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import random
 import sys
+import tracemalloc
 from collections import Counter
 from typing import List, Optional
 
@@ -64,9 +77,14 @@ def install() -> dict:
     for name in OPERATIONS:
         census = table[name] = Census()
 
-        def counted(*operands, _call=getattr(ProvenanceExpression, name), _c=census):
-            result = _call(*operands)
-            monomials = tuple(operand.monomials for operand in operands)
+        def counted(*arguments, _call=getattr(ProvenanceExpression, name), _c=census):
+            result = _call(*arguments)
+            # The expressions operated on; a node's pair table is no operand.
+            monomials = tuple(
+                operand.monomials
+                for operand in arguments
+                if isinstance(operand, ProvenanceExpression)
+            )
             _c.calls += 1
             _c.shapes[tuple(len(m) for m in monomials)] += 1
             _c.identity += result.monomials in monomials
@@ -171,6 +189,67 @@ def print_shipped(census: ShippedCensus) -> None:
         print(f"code arguments as {label:<10} {census[label]:>8}{share}")
 
 
+#: ``--resident`` lines: (label, objects counted, distinct values they hold).
+RESIDENT = (
+    ("annotations", "annotation objects", "distinct annotations"),
+    ("pairs", "pair objects", "distinct pairs"),
+    ("keys", "key objects", "distinct keys"),
+)
+
+
+def count_resident(network) -> Counter:
+    """What each node's provenance keeps, summed over the nodes."""
+    census = Counter()
+    for engine in network.engines.values():
+        log = engine.provenance
+        live = {id(a): a for a in log._condensed.values()}
+        annotations = {id(a): a for a in log._kept.values()}
+        annotations.update(live)
+        for fact in engine.database.all_facts():
+            if isinstance(fact.provenance, ProvenanceExpression):
+                annotations[id(fact.provenance)] = fact.provenance
+        pairs = {
+            id(pair): pair
+            for annotation in annotations.values()
+            for monomial, _ in annotation.monomials
+            for pair in monomial
+        }
+        keys = {}
+        for firings in log._pointers.values():
+            for pointer in firings:
+                keys[id(pointer.output)] = pointer.output
+                keys.update((id(key), key) for key, _ in pointer.inputs)
+        for (_, objects, distinct), held in zip(
+            RESIDENT, (annotations.values(), pairs.values(), keys.values())
+        ):
+            census[objects] += len(held)
+            census[distinct] += len({
+                value.monomials if isinstance(value, ProvenanceExpression) else value
+                for value in held
+            })
+        census["firing lists"] += sum(
+            type(firings) is list for firings in log._pointers.values()
+        )
+        census["table entries"] += len(log._kept)
+        census["live annotations"] += len(live)
+    return census
+
+
+def print_resident(census: Counter, traced: int) -> int:
+    """Print the ``--resident`` census; 1 when anything is kept twice."""
+    duplicates = census["firing lists"]
+    for label, objects, distinct in RESIDENT:
+        extra = census[objects] - census[distinct]
+        duplicates += extra
+        print(f"{label:<12} {census[objects]:>8} objects for {census[distinct]:>8} values"
+              f"  ({extra} repeated)")
+    print(f"{'lists':<12} {census['firing lists']:>8} firings kept in a list")
+    print(f"{'table':<12} {census['table entries']:>8} entries for "
+          f"{census['live annotations']:>8} live annotations")
+    print(f"{'traced':<12} {traced:>8} bytes left allocated by the run")
+    return 1 if duplicates else 0
+
+
 def build(args: argparse.Namespace):
     """The named configuration, not yet run: ``(topology, network)``."""
     topology = random_topology(args.nodes, seed=args.seed)
@@ -225,8 +304,21 @@ def main(argv: Optional[List[str]] = None) -> None:
                         help="count the shipped annotations by wire form instead")
     parser.add_argument("--per-tuple", action="store_true",
                         help="the paper's per-tuple format (batching off)")
+    parser.add_argument("--resident", action="store_true",
+                        help="count what each node's provenance keeps after the run")
     args = parser.parse_args(argv)
     check_sizes(parser, args)
+    if args.resident:
+        topology, network = build(args)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run(args, {}, topology, network)
+            gc.collect()
+            traced = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        sys.exit(print_resident(count_resident(network), traced))
     if args.shipped:
         census = install_shipped()
         run(args, {"shipped": census}, *build(args))
