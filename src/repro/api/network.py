@@ -214,18 +214,6 @@ class Network:
         # it does not hide.
         return getattr(self.simulator, name)
 
-    # -- workload -----------------------------------------------------------------
-
-    def base_facts(self) -> Dict[Address, List[Fact]]:
-        """The link base tuples implied by the topology, shaped for the program.
-
-        Delegates to the simulator's ``link_facts``, which consults the
-        compiled catalog for the link relation's arity — so the facade's
-        default workload and a bare ``SimulationKernel.run()`` inject the
-        same tuples for the same program.
-        """
-        return self.simulator.link_facts()
-
     # -- running ------------------------------------------------------------------
 
     def run(
@@ -234,8 +222,7 @@ class Network:
         start_time: float = 0.0,
     ) -> RunResult:
         """Inject base facts, run to the distributed fixpoint, return the row."""
-        injected = base_facts if base_facts is not None else self.base_facts()
-        outcome = self.simulator.run(injected, start_time=start_time)
+        outcome = self.simulator.run(base_facts, start_time=start_time)
         return self._wrap(outcome)
 
     def finish(self, converged: bool = True) -> RunResult:
@@ -265,7 +252,7 @@ class Network:
         facts injected earlier via :meth:`run` phases or :meth:`schedule`).
         """
         if converge:
-            injected = base_facts if base_facts is not None else self.base_facts()
+            injected = base_facts if base_facts is not None else self.simulator.link_keys()
             for address, facts in injected.items():
                 self.simulator.schedule(
                     FactInjection(

@@ -377,8 +377,14 @@ class NodeEngine:
 
     # -- public entry points ----------------------------------------------------
 
-    def insert_base(self, fact: Fact, now: float = 0.0) -> ProcessingResult:
-        """Insert a base (application-provided) fact at this node."""
+    def insert_base(self, fact: "Fact | FactKey", now: float = 0.0) -> ProcessingResult:
+        """Insert a base (application-provided) fact at this node.
+
+        *fact* is a :class:`Fact`, whose TTL, principal and annotation are
+        kept, or its ``(relation, values)`` key, which carries none; either
+        way the engine builds the one fact it stores, stamped with *now*,
+        the TTL and this node as its origin.
+        """
         result = ProcessingResult()
         prepared = self._attribute_local(fact, now)
         self._record_base(prepared)
@@ -694,20 +700,21 @@ class NodeEngine:
                     return None
         return fact, annotation, support
 
-    def _attribute_local(self, fact: Fact, now: float) -> Fact:
-        ttl = fact.ttl if fact.ttl is not None else self._ttl_for(fact.relation)
-        prepared = Fact(
-            relation=fact.relation,
-            values=fact.values,
+    def _attribute_local(self, fact: "Fact | FactKey", now: float) -> Fact:
+        if isinstance(fact, Fact):
+            relation, values = fact.relation, fact.values
+            ttl, asserted_by, provenance = fact.ttl, fact.asserted_by, fact.provenance
+        else:
+            (relation, values), ttl, asserted_by, provenance = fact, None, None, None
+        return Fact(
+            relation=relation,
+            values=values,
             timestamp=now,
-            ttl=ttl,
-            asserted_by=(
-                self.address if self._signed else fact.asserted_by
-            ),
+            ttl=ttl if ttl is not None else self._ttl_for(relation),
+            asserted_by=self.address if self._signed else asserted_by,
             origin=self.address,
-            provenance=fact.provenance,
+            provenance=provenance,
         )
-        return prepared
 
     def _ttl_for(self, relation: str) -> Optional[float]:
         if relation in self._ttl_cache:

@@ -12,36 +12,51 @@ semantics declarative networking inherits from P2:
 * **bounded size** — an optional maximum size evicts the oldest facts first.
 
 Tables also maintain hash indexes over requested column subsets so that the
-semi-naive join probes are O(matching tuples) rather than O(table).  An index
-bucket is an insertion-ordered ``dict`` keyed by primary key, so replacing or
-removing a fact costs the same whatever the bucket holds, and a probe still
+semi-naive join probes are O(matching tuples) rather than O(table).
+
+Each row is kept once.  The rows are a plain ``dict`` keyed by primary key
+(insertion-ordered, so the oldest row is the first).  An index bucket that
+holds one row is that :class:`Fact` itself; when a second row joins it, it
+becomes an insertion-ordered ``dict`` keyed by primary key, and it is the
+bare fact again once removals leave one row.  Most buckets hold one row
+(85–89 % in the Best-Path fixpoints), so most cost no container.  Replacing
+or removing a fact costs the same whatever the bucket holds, and a probe
 reads the facts in the order a list would have kept them: insertion order,
-in place on a refresh, at the end after a delete and re-insert.
+in place on a refresh, at the end after a delete and re-insert.  A key over
+every column of the relation is the stored ``values`` tuple itself.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.datalog.catalog import RelationSchema
 from repro.engine.tuples import Fact, Value
 
 
-#: One index bucket: primary key -> stored fact, in insertion order.
-_Bucket = Dict[Tuple[Value, ...], Fact]
+#: One index bucket: the one stored fact whose columns match, or — while two
+#: or more do — primary key -> stored fact, in insertion order.
+_Bucket = Union[Fact, Dict[Tuple[Value, ...], Fact]]
 
 
-def _columns_getter(columns: Sequence[int]) -> Callable[[Tuple[Value, ...]], Tuple[Value, ...]]:
-    """A C-level extractor for *columns* that always returns a tuple."""
+def _columns_getter(
+    columns: Sequence[int], arity: int
+) -> Callable[[Tuple[Value, ...]], Tuple[Value, ...]]:
+    """A C-level extractor for *columns* that always returns a tuple.
+
+    Over every column of an *arity*-column relation it returns the values
+    tuple itself (``tuple`` of a tuple is that tuple), so such a key is no
+    second copy of the row.
+    """
     if not columns:
         return lambda values: ()
+    if tuple(columns) == tuple(range(arity)):
+        return tuple
     if len(columns) == 1:
         only = columns[0]
         return lambda values: (values[only],)
-    from operator import itemgetter
-
     return itemgetter(*columns)
 
 
@@ -72,10 +87,10 @@ class Table:
 
     def __init__(self, schema: RelationSchema) -> None:
         self.schema = schema
-        self._rows: "OrderedDict[Tuple[Value, ...], Fact]" = OrderedDict()
+        self._rows: Dict[Tuple[Value, ...], Fact] = {}
         self._indexes: Dict[Tuple[int, ...], Dict[Tuple[Value, ...], _Bucket]] = {}
         self._index_getters: Dict[Tuple[int, ...], Callable] = {}
-        self._primary_key = _columns_getter(schema.key_columns)
+        self._primary_key = _columns_getter(schema.key_columns, schema.arity)
         #: Number of stored facts carrying a TTL; expiry scans are skipped
         #: entirely while this is zero (hard-state tables never pay for them).
         self._soft_count = 0
@@ -111,7 +126,7 @@ class Table:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._primary_key = _columns_getter(self.schema.key_columns)
+        self._primary_key = _columns_getter(self.schema.key_columns, self.schema.arity)
 
     # -- basic protocol -------------------------------------------------------
 
@@ -162,8 +177,11 @@ class Table:
                 fact._payload_cache = existing._payload_cache
             rows[key] = fact
             for columns, index in self._indexes.items():
-                bucket = index.get(self._index_getters[columns](values))
-                if bucket is not None and bucket.get(key) is existing:
+                bucket_key = self._index_getters[columns](values)
+                bucket = index.get(bucket_key)
+                if bucket is existing:
+                    index[bucket_key] = fact
+                elif type(bucket) is dict and bucket.get(key) is existing:
                     bucket[key] = fact
             self._soft_count += (fact.ttl is not None) - (existing.ttl is not None)
             if fact.ttl is not None:
@@ -236,7 +254,11 @@ class Table:
         if index is None:
             index = self._build_index(columns_key)
         bucket = index.get(tuple(values))
-        return tuple(bucket.values()) if bucket else ()
+        if bucket is None:
+            return ()
+        if type(bucket) is dict:
+            return tuple(bucket.values())
+        return (bucket,)
 
     def ensure_index(self, columns: Sequence[int]) -> None:
         """Build (if absent) the hash index over *columns*.
@@ -268,12 +290,23 @@ class Table:
             self._soft_count += 1
             self._next_expiry = min(self._next_expiry, fact.timestamp + fact.ttl)
         for columns, index in self._indexes.items():
-            bucket_key = self._index_getters[columns](fact.values)
-            bucket = index.get(bucket_key)
-            if bucket is None:
-                index[bucket_key] = {key: fact}
-            else:
-                bucket[key] = fact
+            self._file(index, self._index_getters[columns](fact.values), key, fact)
+
+    def _file(
+        self,
+        index: Dict[Tuple[Value, ...], _Bucket],
+        bucket_key: Tuple[Value, ...],
+        key: Tuple[Value, ...],
+        fact: Fact,
+    ) -> None:
+        """Add *fact* (primary key *key*) at the end of its bucket in *index*."""
+        bucket = index.get(bucket_key)
+        if bucket is None:
+            index[bucket_key] = fact
+        elif type(bucket) is dict:
+            bucket[key] = fact
+        else:
+            index[bucket_key] = {self._primary_key(bucket.values): bucket, key: fact}
 
     def _remove_fact(self, key: Tuple[Value, ...], fact: Fact) -> None:
         self._rows.pop(key, None)
@@ -284,19 +317,23 @@ class Table:
             bucket = index.get(bucket_key)
             # Remove by identity: Fact equality ignores metadata, and only
             # the object this table stored may leave the bucket.
-            if bucket is not None and bucket.get(key) is fact:
+            if bucket is fact:
+                del index[bucket_key]
+            elif type(bucket) is dict and bucket.get(key) is fact:
                 del bucket[key]
-                if not bucket:
-                    del index[bucket_key]
+                if len(bucket) == 1:
+                    (index[bucket_key],) = bucket.values()
 
     def _build_index(
         self, columns: Tuple[int, ...]
     ) -> Dict[Tuple[Value, ...], _Bucket]:
         getter = self._index_getters.get(columns)
         if getter is None:
-            getter = self._index_getters[columns] = _columns_getter(columns)
+            getter = self._index_getters[columns] = _columns_getter(
+                columns, self.schema.arity
+            )
         index: Dict[Tuple[Value, ...], _Bucket] = {}
         for key, fact in self._rows.items():
-            index.setdefault(getter(fact.values), {})[key] = fact
+            self._file(index, getter(fact.values), key, fact)
         self._indexes[columns] = index
         return index

@@ -38,7 +38,7 @@ import heapq
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.engine.tuples import Fact
+from repro.engine.tuples import Fact, FactKey
 from repro.net.address import Address
 from repro.net.stats import WireMessage
 
@@ -128,10 +128,12 @@ class NodeRecover(SimulationEvent):
 
 @dataclass(eq=False, slots=True)
 class FactInjection(SimulationEvent):
-    """Base tuples asserted at a node by the local application."""
+    """Base tuples asserted at a node by the local application: facts, or
+    ``(relation, values)`` keys, which the node stamps into the facts it
+    stores (the default link workload travels as keys)."""
 
     address: Address
-    facts: Tuple[Fact, ...]
+    facts: Tuple["Fact | FactKey", ...]
     #: Remember the tuples for later re-injection (node recovery, soft-state
     #: refresh rounds).  Refresh traffic re-injects without re-remembering.
     remember: bool = True

@@ -201,26 +201,35 @@ class KernelOptions:
             object.__setattr__(self, "cost_model", CostModel())
 
 
-def shape_link_facts(
+def shape_link_keys(
     topology: Topology, relation: str, arity: int
-) -> Dict[Address, List[Fact]]:
-    """The link base tuples implied by *topology*, shaped to *arity*.
+) -> Dict[Address, List[FactKey]]:
+    """The link base tuples implied by *topology*, shaped to *arity*, as keys.
 
     Programs differ in their link arity — reachability uses ``link(@S, D)``,
     Best-Path ``link(@S, D, C)`` — so the caller resolves the arity from its
     compiled catalog; anything but 2 carries the cost column.  Shared by the
     serial kernel and the sharded coordinator so the default workload cannot
-    drift between backends.
+    drift between backends.  A run injects these keys as they are: the
+    engine stamps each into the one :class:`Fact` it stores.
     """
-    per_node: Dict[Address, List[Fact]] = {address: [] for address in topology.nodes}
+    per_node: Dict[Address, List[FactKey]] = {address: [] for address in topology.nodes}
     for link in topology.links:
         values = (
             (link.source, link.destination)
             if arity == 2
             else (link.source, link.destination, link.cost)
         )
-        per_node[link.source].append(Fact(relation=relation, values=values))
+        per_node[link.source].append((relation, values))
     return per_node
+
+
+def as_facts(per_node: Dict[Address, List[FactKey]]) -> Dict[Address, List[Fact]]:
+    """Per-node base tuple keys as the application's :class:`Fact` s."""
+    return {
+        address: [Fact(relation, values) for relation, values in keys]
+        for address, keys in per_node.items()
+    }
 
 
 #: What :meth:`SimulationKernel.ship_routed` pays on a pair's live route: the
@@ -344,7 +353,7 @@ class SimulationKernel:
         ] = {}
         #: Base facts each node has asserted (for recovery re-injection and
         #: soft-state refresh rounds); retraction removes entries.
-        self._base_facts: Dict[Address, Dict[FactKey, Fact]] = {}
+        self._base_facts: Dict[Address, Dict[FactKey, "Fact | FactKey"]] = {}
         #: Link tuples retracted by LinkDown, re-injected by a bare LinkUp.
         self._failed_link_facts: Dict[Tuple[Address, Address], Tuple[Fact, ...]] = {}
         #: Export sink for deliveries destined to a node another kernel
@@ -422,11 +431,12 @@ class SimulationKernel:
 
     # -- base facts -------------------------------------------------------------
 
-    def link_facts(self) -> Dict[Address, List[Fact]]:
-        """The link base tuples implied by the topology, shaped for the program.
+    def link_keys(self) -> Dict[Address, List[FactKey]]:
+        """The link base tuples implied by the topology, shaped for the
+        program, as keys: what :meth:`run` injects by default.
 
         The compiled catalog decides whether the default workload carries
-        the cost column (see :func:`shape_link_facts`); programs that never
+        the cost column (see :func:`shape_link_keys`); programs that never
         mention the link relation get the full ``link(@S, D, C)`` shape.
         """
         relation = self.options.link_relation
@@ -435,20 +445,27 @@ class SimulationKernel:
         arity = 3
         if engine is not None and relation in engine.database.catalog:
             arity = engine.database.catalog.schema(relation).arity
-        return shape_link_facts(self.topology, relation, arity)
+        return shape_link_keys(self.topology, relation, arity)
 
-    def live_base_facts(self, address: Address) -> Tuple[Fact, ...]:
-        """The node's remembered base tuples, minus links currently down."""
+    def link_facts(self) -> Dict[Address, List[Fact]]:
+        """:meth:`link_keys` as the application's :class:`Fact` s."""
+        return as_facts(self.link_keys())
+
+    def live_base_facts(self, address: Address) -> Tuple["Fact | FactKey", ...]:
+        """The node's remembered base tuples, minus links currently down: the
+        facts injected, or the ``(relation, values)`` keys of the default
+        link workload."""
         remembered = self._base_facts.get(address)
         if not remembered:
             return ()
+        link_relation, down = self.options.link_relation, self._down_links
         return tuple(
             fact
-            for fact in remembered.values()
+            for key, fact in remembered.items()
             if not (
-                fact.relation == self.options.link_relation
-                and len(fact.values) >= 2
-                and (fact.values[0], fact.values[1]) in self._down_links
+                key[0] == link_relation
+                and len(key[1]) >= 2
+                and (key[1][0], key[1][1]) in down
             )
         )
 
@@ -625,7 +642,7 @@ class SimulationKernel:
         start_time: float = 0.0,
     ) -> SimulationResult:
         """Inject base facts at *start_time* and run to the distributed fixpoint."""
-        injected = base_facts if base_facts is not None else self.link_facts()
+        injected = base_facts if base_facts is not None else self.link_keys()
         for address, facts in injected.items():
             self.schedule(
                 FactInjection(time=start_time, address=address, facts=tuple(facts))
@@ -888,11 +905,12 @@ class SimulationKernel:
     def _inject(
         self,
         address: Address,
-        facts: Iterable[Fact],
+        facts: Iterable["Fact | FactKey"],
         at: float,
         remember: bool = True,
     ) -> None:
-        """Insert base *facts* at *address* and ship what they cause.
+        """Insert base *facts* (facts, or keys) at *address* and ship what
+        they cause.
 
         Injections addressed to a crashed or unknown node are ignored — a
         down node's application is down with it.
@@ -914,7 +932,7 @@ class SimulationKernel:
             self._account_processing(address, start, result.report, node_stats)
             pending.extend(result.outgoing)
             if remembered is not None:
-                remembered[fact.key()] = fact
+                remembered[fact.key() if isinstance(fact, Fact) else fact] = fact
         # One delta round per injection: everything the injected facts caused
         # ships together (one batch per destination when batching).
         self._dispatch_outgoing(address, pending, node_stats)

@@ -78,7 +78,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from repro.datalog.catalog import Catalog
 from repro.datalog.planner import CompiledProgram
 from repro.engine.node_engine import EngineConfig, NodeEngine
-from repro.engine.tuples import Fact
+from repro.engine.tuples import Fact, FactKey
 from repro.net.address import Address
 from repro.net.events import (
     FactInjection,
@@ -95,7 +95,8 @@ from repro.net.kernel import (
     KernelOptions,
     SimulationKernel,
     SimulationResult,
-    shape_link_facts,
+    as_facts,
+    shape_link_keys,
 )
 from repro.net.query import PendingQuery, ProvenanceQuery
 from repro.net.stats import NetworkStats, WireMessage
@@ -806,7 +807,7 @@ class ShardedSimulator:
         start_time: float = 0.0,
     ) -> SimulationResult:
         """Inject base facts at *start_time* and run to the distributed fixpoint."""
-        injected = base_facts if base_facts is not None else self.link_facts()
+        injected = base_facts if base_facts is not None else self.link_keys()
         for address, facts in injected.items():
             self.schedule(
                 FactInjection(time=start_time, address=address, facts=tuple(facts))
@@ -934,11 +935,12 @@ class ShardedSimulator:
 
     # -- workload -----------------------------------------------------------------
 
-    def link_facts(self) -> Dict[Address, List[Fact]]:
-        """The link base tuples implied by the topology, shaped for the program.
+    def link_keys(self) -> Dict[Address, List[FactKey]]:
+        """The link base tuples implied by the topology, shaped for the
+        program, as keys: what :meth:`run` injects by default.
 
-        Same shaping as :meth:`SimulationKernel.link_facts` (via the shared
-        :func:`~repro.net.kernel.shape_link_facts`), resolving the link
+        Same shaping as :meth:`SimulationKernel.link_keys` (via the shared
+        :func:`~repro.net.kernel.shape_link_keys`), resolving the link
         relation's arity from the compiled catalog — the coordinator may
         hold no engines while workers run.
         """
@@ -946,7 +948,11 @@ class ShardedSimulator:
         arity = 3
         if relation in self._catalog:
             arity = self._catalog.schema(relation).arity
-        return shape_link_facts(self.topology, relation, arity)
+        return shape_link_keys(self.topology, relation, arity)
+
+    def link_facts(self) -> Dict[Address, List[Fact]]:
+        """:meth:`link_keys` as the application's :class:`Fact` s."""
+        return as_facts(self.link_keys())
 
     # -- dynamic state -------------------------------------------------------------
 

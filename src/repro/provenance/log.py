@@ -15,8 +15,11 @@ What the log repeats it keeps once.  The log builds each firing's pointer
 itself, from the key objects it already holds, so every key is one object
 however many firings name it (an invalidated key keeps its object in
 ``_forgotten`` for the firings that still name it, and takes it back when
-recorded again); a key's firings are one tuple, a single firing a tuple of
-one, which :meth:`DerivationLog.pointers` hands back as stored.  Annotations
+recorded again), and every firing that takes a key as an input names it
+with one ``(key, origin)`` pair (``_inputs``, replaced when the key's origin
+changes, so a pointer equals what a fresh pair would have made); a key's
+firings are one tuple, a single firing a tuple of one, which
+:meth:`DerivationLog.pointers` hands back as stored.  Annotations
 go through one table, ``_kept``: a condensed annotation's ``monomials`` → the
 one expression the node keeps for them (:meth:`DerivationLog.share`), so equal
 annotations are one object, rendered once, whatever keys, tuples or archive
@@ -133,6 +136,9 @@ class DerivationLog:
         #: firings still held may name it, and the key recorded again takes
         #: it back.
         self._forgotten: Dict[FactKey, FactKey] = {}
+        #: Input key -> the one ``(key, origin)`` pair firings name it by;
+        #: dropped when the key's origin changes or the key is invalidated.
+        self._inputs: Dict[FactKey, Tuple[FactKey, Optional[str]]] = {}
         #: A kept annotation's ``monomials`` -> the one expression the log
         #: keeps for them (see the module docstring).
         self._kept: Dict[tuple, ProvenanceExpression] = {}
@@ -160,7 +166,9 @@ class DerivationLog:
         """
         key = self._held(fact.key(), fact, None)
         if fact.origin is not None and fact.origin != self.node:
-            self._remote_origin[key] = fact.origin
+            if self._remote_origin.get(key) != fact.origin:
+                self._remote_origin[key] = fact.origin
+                self._inputs.pop(key, None)
         if annotation is None:
             annotation = self._var(fact.asserted_by or fact.origin or "unknown")
         self._absorb(key, annotation)
@@ -189,7 +197,7 @@ class DerivationLog:
                 output, self.node, timestamp=timestamp, ttl=ttl
             )
         key = node.key
-        origin_of = self.origin_of
+        held_inputs = self._inputs
         input_keys = []
         inputs = []
         for antecedent in antecedents:
@@ -200,7 +208,10 @@ class DerivationLog:
                 held = tuples[input_key] = _tuple_node(input_key, antecedent, None)
             input_key = held.key
             input_keys.append(input_key)
-            inputs.append((input_key, origin_of(input_key)))
+            located = held_inputs.get(input_key)
+            if located is None:
+                located = held_inputs[input_key] = (input_key, self.origin_of(input_key))
+            inputs.append(located)
         pointer = ProvenancePointer(key, rule_label, self.node, tuple(inputs), timestamp)
         firings = self._pointers.get(key)
         self._pointers[key] = (pointer,) if firings is None else firings + (pointer,)
@@ -240,6 +251,7 @@ class DerivationLog:
         self._pointers.pop(key, None)
         self._base.pop(key, None)
         self._remote_origin.pop(key, None)
+        self._inputs.pop(key, None)
         node = self._tuples.pop(key, None)
         if node is not None:
             self._forgotten[node.key] = node.key

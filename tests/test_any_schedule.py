@@ -24,7 +24,7 @@ from repro.datalog import localize_program, parse_program
 from repro.datalog.catalog import Catalog
 from repro.datalog.planner import compile_program
 from repro.engine.database import Database
-from repro.net.kernel import shape_link_facts
+from repro.net.kernel import as_facts, shape_link_keys
 from repro.net.topology import Topology, random_topology
 from repro.queries.path_vector import compile_path_vector
 from repro.queries.reachable import REACHABLE_LOCALIZED
@@ -55,7 +55,7 @@ def _oracle_rows(compiled, relation: str):
     arity = catalog.schema("link").arity
     base = [
         fact
-        for facts in shape_link_facts(TOPOLOGY, "link", arity).values()
+        for facts in as_facts(shape_link_keys(TOPOLOGY, "link", arity)).values()
         for fact in facts
     ]
     result = evaluate_program(compiled, Database(catalog), base)

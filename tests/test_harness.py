@@ -19,7 +19,7 @@ from repro.harness.experiments import (
     render_series,
     sweep,
 )
-from repro.net.kernel import shape_link_facts
+from repro.net.kernel import as_facts, shape_link_keys
 from repro.net.topology import random_topology
 
 
@@ -51,7 +51,7 @@ class TestWorkload:
 
     def test_workload_places_links_at_their_source(self):
         topology = evaluation_topology(10, seed=1)
-        workload = shape_link_facts(topology, "link", 3)
+        workload = as_facts(shape_link_keys(topology, "link", 3))
         assert sum(len(facts) for facts in workload.values()) == topology.link_count
         for node, facts in workload.items():
             assert all(fact.values[0] == node for fact in facts)

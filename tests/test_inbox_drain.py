@@ -167,7 +167,7 @@ def test_a_drain_due_while_the_node_is_busy_again_re_arms(monkeypatch):
     the node still has one pending drain."""
     network = build("sendlog-prov")
     kernel = network.simulator
-    for address, facts in network.base_facts().items():
+    for address, facts in network.link_facts().items():
         kernel.schedule(FactInjection(time=0.0, address=address, facts=tuple(facts)))
     while not kernel._inboxes:
         kernel._dispatch(kernel.scheduler.pop())
@@ -238,7 +238,7 @@ def test_an_injection_or_retraction_runs_the_queued_inbox_first(kind):
     at = (queued_at + drain_at) / 2.0
     network = build("sendlog-prov")
     kernel, engine = network.simulator, network.engines[victim]
-    link = network.base_facts()[victim][0]
+    link = network.link_facts()[victim][0]
     handle = kernel._handlers[kind]
     queued_before, queued_at_engine, active = [], [], []
 

@@ -249,12 +249,12 @@ class TestNetworkBuild:
         )
         assert all(
             len(fact.values) == 3
-            for facts in best_path.base_facts().values()
+            for facts in best_path.link_facts().values()
             for fact in facts
         )
         assert all(
             len(fact.values) == 2
-            for facts in reachable.base_facts().values()
+            for facts in reachable.link_facts().values()
             for fact in facts
         )
 

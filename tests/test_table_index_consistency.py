@@ -86,6 +86,111 @@ class TestIndexConsistency:
             assert via_index == via_scan
 
 
+class TestBucketForms:
+    """A one-row bucket is the row itself; two rows or more share a dict."""
+
+    @staticmethod
+    def bucket(table, value):
+        return table._indexes[(1,)].get((value,))
+
+    def test_bucket_grows_to_a_dict_and_collapses_back_to_the_row(self):
+        table = make_table()
+        table.ensure_index([1])
+        first, second = Fact("r", ("a", "v")), Fact("r", ("b", "v"))
+        table.insert(first)
+        assert self.bucket(table, "v") is first
+        table.insert(second)
+        assert self.bucket(table, "v") == {("a",): first, ("b",): second}
+        assert bucket_facts(table, 1, "v") == (first, second)
+        assert table.delete(first)
+        assert self.bucket(table, "v") is second
+        assert bucket_facts(table, 1, "v") == (second,)
+        assert table.delete(second)
+        assert self.bucket(table, "v") is None
+        assert bucket_facts(table, 1, "v") == ()
+
+    def test_refresh_of_the_first_of_two_rows_keeps_its_place(self):
+        table = make_table()
+        table.ensure_index([1])
+        first = Fact("r", ("a", "v"), timestamp=0.0, ttl=10.0)
+        second = Fact("r", ("b", "v"))
+        table.insert(first)
+        table.insert(second)
+        refreshed = Fact("r", ("a", "v"), timestamp=5.0, ttl=10.0)
+        assert table.insert(refreshed).refreshed
+        found = bucket_facts(table, 1, "v")
+        assert found == (refreshed, second)
+        assert found[0] is refreshed
+
+    def test_refresh_of_a_bare_row_swaps_the_bucket(self):
+        table = make_table()
+        table.ensure_index([1])
+        table.insert(Fact("r", ("a", "v"), timestamp=0.0, ttl=10.0))
+        refreshed = Fact("r", ("a", "v"), timestamp=5.0, ttl=10.0)
+        table.insert(refreshed)
+        assert self.bucket(table, "v") is refreshed
+
+    def test_delete_then_reinsert_moves_the_row_to_the_end(self):
+        table = make_table()
+        table.ensure_index([1])
+        first, second = Fact("r", ("a", "v")), Fact("r", ("b", "v"))
+        table.insert(first)
+        table.insert(second)
+        assert table.delete(first)
+        again = Fact("r", ("a", "v"))
+        table.insert(again)
+        found = bucket_facts(table, 1, "v")
+        assert [f.values for f in found] == [("b", "v"), ("a", "v")]
+        assert found[1] is again
+        assert list(table.facts()) == [second, again]
+
+    def test_max_size_eviction_of_a_bare_bucket(self):
+        table = make_table(max_size=2)
+        table.ensure_index([1])
+        oldest, kept, newest = (
+            Fact("r", ("a", "x")), Fact("r", ("b", "y")), Fact("r", ("c", "y"))
+        )
+        for fact in (oldest, kept, newest):
+            table.insert(fact)
+        assert self.bucket(table, "x") is None
+        assert bucket_facts(table, 1, "y") == (kept, newest)
+        table.insert(Fact("r", ("d", "z")))
+        # Evicting the oldest of the two collapses their bucket to the other.
+        assert self.bucket(table, "y") is newest
+
+    def test_expire_on_a_bare_bucket(self):
+        table = make_table()
+        table.ensure_index([1])
+        soft = Fact("r", ("a", "x"), timestamp=0.0, ttl=1.0)
+        hard = Fact("r", ("b", "y"))
+        table.insert(soft)
+        table.insert(hard)
+        assert table.expire(5.0) == [soft]
+        assert self.bucket(table, "x") is None
+        assert self.bucket(table, "y") is hard
+
+    def test_index_built_over_stored_rows_takes_both_forms(self):
+        table = make_table()
+        lone, first, second = (
+            Fact("r", ("a", "x")), Fact("r", ("b", "y")), Fact("r", ("c", "y"))
+        )
+        for fact in (lone, first, second):
+            table.insert(fact)
+        table.ensure_index([1])
+        assert self.bucket(table, "x") is lone
+        assert list(self.bucket(table, "y").values()) == [first, second]
+
+    def test_a_key_over_every_column_is_the_stored_values(self):
+        table = Table(RelationSchema(name="r", arity=2, keys=(0, 1)))
+        fact = Fact("r", ("a", "b"))
+        table.insert(fact)
+        table.ensure_index([0, 1])
+        (key,) = table._rows
+        assert key is fact.values
+        (bucket_key,) = table._indexes[(0, 1)]
+        assert bucket_key is fact.values
+
+
 class TestSoftStateFlag:
     def test_hard_state_table_never_reports_soft_state(self):
         table = make_table()

@@ -1,4 +1,4 @@
-"""``Table`` (primary-key dict buckets) against ``ReferenceTable`` (list buckets).
+"""``Table`` (bare-row and primary-key dict buckets) against ``ReferenceTable`` (list buckets).
 
 One random script of inserts (new, refreshing, primary-key replacing), deletes,
 expiry sweeps, index builds, probes, clears and pickle round trips is replayed
@@ -6,7 +6,8 @@ on both tables, each holding its *own* fact objects (equal tuples, distinct
 identities and metadata — so a bucket entry removed or replaced by equality
 instead of identity shows).  After every step both must hold the same rows in
 the same order, answer every probe with the same facts in the same order, and
-carry the same expiry watermark.
+carry the same expiry watermark; every one-row bucket must be the bare row and
+every dict bucket must hold two rows or more.
 """
 
 from __future__ import annotations
@@ -60,13 +61,22 @@ def assert_same_state(table, reference):
     for columns, index in table._indexes.items():
         listed = reference._indexes[columns]
         assert list(index) == list(listed), columns  # bucket keys, build order
-        for bucket_key, bucket in index.items():
-            assert [stamp(f) for f in bucket.values()] == [
-                stamp(f) for f in listed[bucket_key]
-            ]
+        for bucket_key in listed:
+            found = table.lookup(columns, bucket_key)
+            assert [stamp(f) for f in found] == [stamp(f) for f in listed[bucket_key]]
             # Every bucket entry is the very object the rows hold.
-            for key, fact in bucket.items():
-                assert table._rows[key] is fact
+            for fact in found:
+                assert table._rows[table._primary_key(fact.values)] is fact
+        assert_bucket_shapes(index)
+
+
+def assert_bucket_shapes(index):
+    """A one-row bucket is that row; a dict bucket holds two rows or more."""
+    for bucket in index.values():
+        if type(bucket) is dict:
+            assert len(bucket) >= 2
+        else:
+            assert isinstance(bucket, Fact)
 
 
 @settings(max_examples=300, deadline=None)

@@ -173,16 +173,19 @@ def test_profiled_calls_stay_under_three_quarters_of_the_parents():
 # -- each tuple is made once -----------------------------------------------------
 
 
-@pytest.mark.parametrize("shape", ["sendlog-prov", "condensed-churn"])
+@pytest.mark.parametrize("shape", ["sendlog-prov", "condensed-churn", "sendlog-prov-default"])
 def test_each_tuple_is_built_once(monkeypatch, shape):
     """One ``Fact`` per base insert, per firing that derives a tuple and per
     received tuple the receiver must rebuild (a mask or a code) or attribute
     (signed ``says``), and no other: nothing copies a fact to add metadata.
     On the N=8 ``sendlog-prov`` fixpoint, and on the N=8 churn shape
     (condensed provenance, one-fixpoint deletions) converged and then with
-    every redundant link flapped."""
+    every redundant link flapped.  The default link workload (no base facts
+    given) builds no application facts at all: each link is built once, as
+    the fact its node stores."""
     assert not hasattr(Fact, "with_metadata")
     churn = shape == "condensed-churn"
+    default = shape.endswith("-default")
     options = dict(default_ttl=1e6, track_dependencies=True, rederivation=True) if churn else {}
     topology = random_topology(8, seed=0)
     built = Network.build(
@@ -193,7 +196,8 @@ def test_each_tuple_is_built_once(monkeypatch, shape):
         key_bits=128,
         **options,
     )
-    base = built.base_facts()  # the application's tuples, built before the run
+    # The application's tuples, built before the run (counted when default).
+    base = None if default else built.link_facts()
     tally = {"facts": 0, "inserts": 0, "rebuilt": 0, "attributed": 0}
     init, insert, receive = Fact.__init__, NodeEngine.insert_base, NodeEngine.receive_batch
 

@@ -10,9 +10,13 @@ deltas are, how many ``Table.expire`` / ``Database.table`` calls had anything
 to do, how long an index bucket is when a fact in it is replaced or removed
 (and where in it that fact sits: what a list walk would have cost), what the
 payload renderer is asked to render, how firings end, and how many ``Fact``
-constructions a firing and an admitted tuple cost (the tool exits 1 when a
-firing builds more than one, or a receive round more than the tuples it
-admits). It also counts the receive
+constructions a firing, an admitted tuple and a base insert cost (the tool
+exits 1 when a firing builds more than one, a receive round more than the
+tuples it admits, or the run more than one per base insert).  After the run
+it prints the tables' residency: index buckets by the rows they hold, the
+share stored as the bare row, and the type of each table's rows mapping (it
+exits 1 when a one-row bucket is a dict or a dict bucket holds fewer than two
+rows). It also counts the receive
 schedule: data deliveries, how many of them arrive while their destination is
 still busy with an earlier round, and the receive rounds that ran them (under
 signed ``says`` a busy node's queued messages run as one round). Under a
@@ -83,10 +87,8 @@ def install(identify_firings: bool = True) -> Census:
     drain, fire, handle = engine._drain, engine._fire, engine._handle_firing
     record = engine._record_derivation
     deliver, receive = SimulationKernel._deliver, engine.receive_batch
-    entries = {
-        name: getattr(engine, name)
-        for name in ("insert_base", "retract_base", "retract_remote")
-    }
+    insert_base = engine.insert_base
+    entries = {name: getattr(engine, name) for name in ("retract_base", "retract_remote")}
     round_firings: set = set()  # (node, rule, head, inputs, instant) this round
     evaluate = node_engine.evaluate_plan_with_delta
     outgoing = node_engine.OutgoingFact
@@ -118,6 +120,11 @@ def install(identify_firings: bool = True) -> Census:
             round_firings.clear()
             return call(self, *args, **kwargs)
         return entered
+
+    def counted_insert_base(self, fact, now=0.0):
+        census["base inserts"] += 1
+        round_firings.clear()
+        return insert_base(self, fact, now)
 
     def counted_deliver(self, message, deliver_at):
         if isinstance(message, MessageBatch):
@@ -191,9 +198,9 @@ def install(identify_firings: bool = True) -> Census:
         """What finding *fact* costs in each index bucket holding it."""
         for columns, index in self._indexes.items():
             bucket = index.get(self._index_getters[columns](fact.values))
-            if not bucket:
+            if bucket is None:
                 continue
-            entries = list(bucket.values()) if isinstance(bucket, dict) else bucket
+            entries = list(bucket.values()) if type(bucket) is dict else [bucket]
             position = next((i for i, f in enumerate(entries) if f is fact), None)
             if position is None:
                 continue
@@ -270,6 +277,7 @@ def install(identify_firings: bool = True) -> Census:
     engine._handle_firing = counted_handle
     for name, call in entries.items():
         setattr(engine, name, round_entry(call))
+    engine.insert_base = counted_insert_base
     SimulationKernel._deliver, engine.receive_batch = counted_deliver, counted_receive
     engine._record_derivation = counted_record
     node_engine.evaluate_plan_with_delta = counted_evaluate
@@ -279,6 +287,53 @@ def install(identify_firings: bool = True) -> Census:
     tuples._render_value = counted_render
     Fact.payload, Fact.payload_size, Fact.__init__ = counted_payload, counted_size, counted_build
     return census
+
+
+def count_residency(network) -> Counter:
+    """How the tables of every node keep their rows after the run: index
+    buckets by the rows they hold and by form (a bare row or a dict), and
+    the type of each table's rows mapping."""
+    residency = Counter()
+    for engine in network.engines.values():
+        for table in engine.database.by_name.values():
+            residency[f"rows mapping: {type(table._rows).__name__}"] += 1
+            for index in table._indexes.values():
+                for bucket in index.values():
+                    rows = len(bucket) if type(bucket) is dict else 1
+                    residency[f"_buckets of {rows}"] += 1
+                    residency["index buckets"] += 1
+                    if type(bucket) is dict:
+                        residency["dict buckets"] += 1
+                        residency["dict buckets of fewer than two rows"] += rows < 2
+                    else:
+                        residency["bare buckets"] += 1
+                        residency["bare buckets that are not a Fact"] += (
+                            not isinstance(bucket, Fact)
+                        )
+    return residency
+
+
+def print_residency(residency: Counter) -> int:
+    """Print the table-residency section; 1 when a bucket has the wrong form."""
+    print("table residency")
+    histogram = sorted(
+        (int(name.rsplit(" ", 1)[1]), count)
+        for name, count in residency.items()
+        if name.startswith("_buckets of ")
+    )
+    print("  index buckets by rows held (rows: buckets): "
+          + ", ".join(f"{rows}: {count}" for rows, count in histogram))
+    width = max(len(name) for name in residency)
+    for name, count in residency.items():
+        if not name.startswith("_"):
+            print(f"  {name:<{width}} {count:>9}")
+    if residency["index buckets"]:
+        print(f"  {'share of buckets stored bare':<{width}} "
+              f"{residency['bare buckets'] / residency['index buckets']:>9.1%}")
+    return int(bool(
+        residency["dict buckets of fewer than two rows"]
+        or residency["bare buckets that are not a Fact"]
+    ))
 
 
 def trace_opcodes(run) -> Counter:
@@ -323,9 +378,17 @@ def print_census(census: Census) -> None:
     if delivered:
         print(f"{'share of data deliveries arriving busy':<{width}} "
               f"{census['data deliveries arriving busy'] / delivered:>9.1%}")
+    census["Fact constructions for base inserts"] = (
+        census["Fact constructions"]
+        - census["Fact constructions in firings"]
+        - census["Fact constructions admitting tuples"]
+    )
+    print(f"{'Fact constructions for base inserts':<{width}} "
+          f"{census['Fact constructions for base inserts']:>9}")
     for label, built, made in (
         ("firing", "Fact constructions in firings", "firings"),
         ("admitted tuple", "Fact constructions admitting tuples", "tuples admitted"),
+        ("base insert", "Fact constructions for base inserts", "base inserts"),
     ):
         if census[made]:
             print(f"{'Fact constructions per ' + label:<{width}} "
@@ -389,6 +452,11 @@ def main(argv: Optional[List[str]] = None) -> None:
         sys.exit("a rule firing built more than one Fact")
     if census["receive rounds building more Facts than tuples admitted"]:
         sys.exit("a receive round built more than one Fact per tuple it admitted")
+    if census["Fact constructions for base inserts"] > census["base inserts"]:
+        sys.exit("the run built more than one Fact per base insert")
+    if print_residency(count_residency(network)):
+        sys.exit("an index bucket of one row is not the bare row, or a dict bucket "
+                 "holds fewer than two rows")
 
 
 if __name__ == "__main__":

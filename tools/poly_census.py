@@ -23,8 +23,9 @@ instead, summed over the nodes: annotation objects (the log's, and those its
 stored tuples carry) against the distinct values they hold, the pair objects
 those annotations are built of against the distinct pairs, the key objects
 the log's firings name (output and inputs) against the distinct keys, the
-firings kept in a list, and the log's annotation table against the live
-annotations; plus the bytes the run left allocated (``tracemalloc``).  It
+``(key, origin)`` pairs the firings name their inputs by against the distinct
+pairs, the firings kept in a list, and the log's annotation table against the
+live annotations; plus the bytes the run left allocated (``tracemalloc``).  It
 exits 1 when any object repeats a value another holds at the same node, or
 any firing sits in a list.
 
@@ -194,6 +195,7 @@ RESIDENT = (
     ("annotations", "annotation objects", "distinct annotations"),
     ("pairs", "pair objects", "distinct pairs"),
     ("keys", "key objects", "distinct keys"),
+    ("inputs", "input pair objects", "distinct input pairs"),
 )
 
 
@@ -214,13 +216,14 @@ def count_resident(network) -> Counter:
             for monomial, _ in annotation.monomials
             for pair in monomial
         }
-        keys = {}
+        keys, inputs = {}, {}
         for firings in log._pointers.values():
             for pointer in firings:
                 keys[id(pointer.output)] = pointer.output
                 keys.update((id(key), key) for key, _ in pointer.inputs)
+                inputs.update((id(located), located) for located in pointer.inputs)
         for (_, objects, distinct), held in zip(
-            RESIDENT, (annotations.values(), pairs.values(), keys.values())
+            RESIDENT, (annotations.values(), pairs.values(), keys.values(), inputs.values())
         ):
             census[objects] += len(held)
             census[distinct] += len({
