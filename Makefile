@@ -65,7 +65,10 @@
 #                      of Table.expire / Database.table, index-bucket length at
 #                      each replace / remove, render calls by value type,
 #                      Fact constructions per firing and per admitted tuple
-#                      (it exits 1 when either is above one); under a signed
+#                      (it exits 1 when either is above one), payload renders
+#                      per stored row and per shipped tuple (it exits 1 when
+#                      Fact.payload renders a shipped tuple more than twice:
+#                      once to seal, once to verify); under a signed
 #                      preset, tuples per signed wire message, signs and
 #                      verifies per message, Merkle hashes.  `make check`
 #                      runs it at N=8 as a smoke (ndlog, condensed churn and
@@ -97,7 +100,12 @@
 #                      census tools patch internals by name, so a rename
 #                      fails here rather than at the next census), the
 #                      unreached-code ratchet, and a bytecode compile of the
-#                      whole source tree.  Each benchmark file runs once:
+#                      whole source tree into a throwaway cache directory
+#                      (it fails if any __pycache__ is left under src/: a
+#                      benchmark run would import from it and read faster
+#                      and smaller than a fresh checkout).  No target writes
+#                      bytecode into the tree (PYTHONDONTWRITEBYTECODE is
+#                      exported below).  Each benchmark file runs once:
 #                      tier-1 already collects all of benchmarks/ at sizes
 #                      that contain every smoke size, so the pytest lines of
 #                      bench-, memory-, shard- and dynamics-smoke (which
@@ -105,6 +113,7 @@
 
 PYTHON ?= python
 export PYTHONPATH := src
+export PYTHONDONTWRITEBYTECODE := 1
 
 .PHONY: check tier1 test bench-smoke scenarios-smoke shard-smoke shard-scenarios examples-smoke service-smoke memory-smoke dynamics-smoke dynamics-scenarios spine-smoke poly-census poly-census-smoke engine-census engine-census-smoke query-census query-census-smoke reach-census-smoke lint compileall ci
 
@@ -197,6 +206,11 @@ lint:
 	fi
 
 compileall:
-	$(PYTHON) -m compileall -q src
+	@cache="$$(mktemp -d)"; \
+	PYTHONPYCACHEPREFIX="$$cache" $(PYTHON) -m compileall -q src; status=$$?; \
+	rm -rf "$$cache"; \
+	test $$status -eq 0 || exit $$status; \
+	left="$$(find src -name __pycache__)"; \
+	if [ -n "$$left" ]; then echo "bytecode caches left under src/:"; echo "$$left"; exit 1; fi
 
 ci: lint tier1 scenarios-smoke shard-scenarios examples-smoke service-smoke dynamics-scenarios poly-census-smoke engine-census-smoke query-census-smoke reach-census-smoke compileall

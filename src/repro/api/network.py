@@ -24,7 +24,7 @@ tests written against a bare kernel keep working when handed a ``Network``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from repro.datalog import check_program, localize_program, parse_program
 from repro.datalog.planner import CompiledProgram, compile_program
@@ -34,12 +34,14 @@ from repro.net.address import Address
 from repro.net.events import FactInjection, SimulationEvent
 from repro.net.kernel import SimulationKernel, SimulationResult
 from repro.net.query import PendingQuery, ProvenanceQuery, QueryResult
-from repro.net.sharding import ShardedSimulator
 from repro.net.topology import Topology, random_topology
 from repro.queries import PROGRAMS, compile_named
 from repro.service.workload import QueryWorkload
 from repro.api.options import NetOptions, resolve_preset
 from repro.api.results import RunResult
+
+if TYPE_CHECKING:
+    from repro.net.sharding import ShardedSimulator
 
 TopologyLike = Union[Topology, int]
 ProgramLike = Union[CompiledProgram, str]
@@ -90,7 +92,7 @@ def _resolve_program(
     )
 
 
-SimulatorLike = Union[SimulationKernel, ShardedSimulator]
+SimulatorLike = Union[SimulationKernel, "ShardedSimulator"]
 
 
 class Network:
@@ -157,6 +159,10 @@ class Network:
         )
         kernel_options = merged.kernel_options()
         if merged.backend == "sharded":
+            # The sharded backend (and with it multiprocessing and the frame
+            # codec) loads on the first sharded build only.
+            from repro.net.sharding import ShardedSimulator
+
             simulator = ShardedSimulator(
                 resolved,
                 compiled,

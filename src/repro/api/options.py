@@ -17,9 +17,8 @@ from typing import Dict, Optional, Tuple
 
 from repro.datalog.lint import LINT_MODES
 from repro.engine.node_engine import EngineConfig, ProvenanceMode
-from repro.net.kernel import CostModel, KernelOptions
+from repro.net.kernel import SHARD_MODES, CostModel, KernelOptions
 from repro.net.link import DEFAULT_LATENCY
-from repro.net.sharding import SHARD_MODES
 from repro.provenance.pruning import ProvenanceSampler
 from repro.security.rsa import MIN_KEY_BITS
 from repro.security.says import SaysMode

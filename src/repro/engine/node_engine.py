@@ -654,11 +654,10 @@ class NodeEngine:
     ) -> Fact:
         """The tuple a receiver stores for *carried*, verified: the arrived
         tuple's payload with the annotation and support it carried,
-        attributed and evidenced as given — built once, sharing the arrived
-        rendering, right before :meth:`_admit` checks its shape.  Its
-        annotation is the log's shared copy (:meth:`DerivationLog.share`),
-        taken only when that check will pass: a refused tuple leaves nothing
-        in the log."""
+        attributed and evidenced as given — built once, right before
+        :meth:`_admit` checks its shape.  Its annotation is the log's shared
+        copy (:meth:`DerivationLog.share`), taken only when that check will
+        pass: a refused tuple leaves nothing in the log."""
         fact, provenance, support = carried
         if (
             provenance is not None
@@ -676,7 +675,6 @@ class NodeEngine:
             provenance,
             fact.origin,
             support,
-            fact._payload_cache,
         )
 
     def _resolve(self, item: OutgoingFact) -> Optional[Carried]:
@@ -770,8 +768,7 @@ class NodeEngine:
         the queue reaches it, and fires its delta only if that changed its
         table.  So a firing whose inputs are new in one round is found once,
         from the input the queue reaches last — pipelined semi-naive
-        evaluation (Loo et al., SIGMOD 2006), as P2 runs it.  A payload is
-        charged after its store, so a refresh reuses the stored rendering.
+        evaluation (Loo et al., SIGMOD 2006), as P2 runs it.
         """
         while queue:
             fact = queue.popleft()

@@ -24,6 +24,11 @@ or removing a fact costs the same whatever the bucket holds, and a probe
 reads the facts in the order a list would have kept them: insertion order,
 in place on a refresh, at the end after a delete and re-insert.  A key over
 every column of the relation is the stored ``values`` tuple itself.
+
+A refresh stores the refreshing fact as it came and hands it nothing from the
+row it replaces: equal values need not render alike (``r(True)`` refreshes a
+stored ``r(1)``), and a row keeps no rendered payload anyway
+(:class:`~repro.engine.tuples.Fact`).
 """
 
 from __future__ import annotations
@@ -169,12 +174,7 @@ class Table:
             return _INSERTED
 
         if existing.values == values:
-            # Same tuple: refresh soft-state metadata in place.  The payload
-            # depends only on relation/values, so an already rendered
-            # serialization is handed to the refreshing copy — immediately
-            # deduplicated derivations never pay the rendering twice.
-            if fact._payload_cache is None and existing._payload_cache is not None:
-                fact._payload_cache = existing._payload_cache
+            # Same tuple: refresh soft-state metadata in place.
             rows[key] = fact
             for columns, index in self._indexes.items():
                 bucket_key = self._index_getters[columns](values)

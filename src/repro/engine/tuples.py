@@ -27,15 +27,20 @@ class Fact:
     """One tuple of a relation plus its stream/security metadata.
 
     Facts are logically immutable: nothing in the engine mutates one after
-    construction (the lazily rendered payload cache is the only mutable
-    slot), and identity/hashing depend only on the immutable relation/values
-    pair.  A base insert, a rule firing and an admitted tuple each build one
-    fact with every field.  The class is deliberately not a frozen
-    dataclass — frozen ``__init__`` goes through ``object.__setattr__`` per
-    field, and fact construction is one of the hottest allocation sites in
-    the evaluator.  It *is* slotted: carrying the payload cache as an
-    explicit slot instead of a dynamic ``__dict__`` entry removes a dict
-    allocation per fact on that same hot path.
+    construction (the lazily filled payload size is the only mutable slot),
+    and identity/hashing depend only on the immutable relation/values pair.
+    A base insert, a rule firing and an admitted tuple each build one fact
+    with every field.  The class is deliberately not a frozen dataclass —
+    frozen ``__init__`` goes through ``object.__setattr__`` per field, and
+    fact construction is one of the hottest allocation sites in the
+    evaluator.  It *is* slotted: no per-fact ``__dict__``.
+
+    No rendered payload is kept: :meth:`payload` renders the values the fact
+    holds on every call, so a seal and its verification each cover the
+    values they are handed, and a stored row carries no bytes.  Only the
+    payload's length is memoised, in a slot outside ``__init__``: neither
+    :func:`dataclasses.replace` nor another fact's constructor can copy it,
+    so a fact built with changed values never reports the size of others.
 
     Attributes
     ----------
@@ -90,12 +95,11 @@ class Fact:
     provenance: Optional[object] = None
     origin: Optional[str] = None
     support: Optional[object] = None
-    #: Lazily rendered canonical payload; equal facts may share the same
-    #: bytes object (the table hands a stored duplicate's rendering to
-    #: refreshed copies so immediately deduplicated derivations never
-    #: re-render).  A memo: outside ``repr``, comparisons and pickles;
-    #: identity never depends on it.
-    _payload_cache: Optional[bytes] = field(default=None, repr=False, compare=False)
+    #: Length of the rendered payload, filled on the first
+    #: :meth:`payload_size`.  A memo: outside ``__init__`` (so ``replace``
+    #: does not carry it to changed values), ``repr``, comparisons and
+    #: pickles; identity never depends on it.
+    _payload_size: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     # -- pickling -------------------------------------------------------------
 
@@ -103,7 +107,7 @@ class Fact:
         """Pickle as the constructor call over the fields, memo left home.
 
         Shard frames and recalled kernels carry every stored and exported
-        fact; the rendered payload is a memo the receiver refills on demand.
+        fact; the payload size is a memo the receiver refills on demand.
         """
         return (
             Fact,
@@ -149,24 +153,19 @@ class Fact:
     # -- convenience ----------------------------------------------------------
 
     def payload(self) -> bytes:
-        """Canonical byte serialization of the tuple identity.
+        """Canonical byte serialization of the tuple identity, rendered now.
 
-        This is what gets signed by the asserting principal, and what the
-        bandwidth model charges for.  The serialization depends only on the
-        immutable relation/values pair, so it is computed once and cached
-        (signing, verification and the bandwidth model all re-read it).
+        This is what the asserting principal's seal covers and what its
+        receiver verifies: each renders the values it holds.
         """
-        cached = self._payload_cache
-        if cached is None:
-            cached = self._payload_cache = render_payload(self.relation, self.values)
-        return cached
+        return render_payload(self.relation, self.values)
 
     def payload_size(self) -> int:
-        """Number of payload bytes (used by the bandwidth model)."""
-        cached = self._payload_cache
-        if cached is None:
-            cached = self.payload()
-        return len(cached)
+        """Number of payload bytes (used by the bandwidth and cost models)."""
+        size = self._payload_size
+        if size is None:
+            size = self._payload_size = len(render_payload(self.relation, self.values))
+        return size
 
     def __str__(self) -> str:
         rendered = ", ".join(_render_value(v) for v in self.values)
@@ -194,8 +193,9 @@ def as_fact_key(value: "Fact | FactKey") -> FactKey:
 def render_payload(relation: str, values: Sequence[Value]) -> bytes:
     """The canonical serialization of ``relation(values)`` — the one renderer.
 
-    :meth:`Fact.payload` caches it per fact; the wire model sizes a bare
-    :data:`FactKey` through it without building a fact.
+    :meth:`Fact.payload` renders through it (:meth:`Fact.payload_size`
+    memoises only the length); the wire model sizes a bare :data:`FactKey`
+    through it without building a fact.
     """
     rendered = ",".join(
         [value if type(value) is str else _render_value(value) for value in values]

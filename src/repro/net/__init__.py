@@ -7,6 +7,12 @@ tuples (plus their security envelope and provenance annotations), and the
 harness measures the two metrics of Section 6 — distributed-fixpoint
 completion time under a per-node CPU cost model, and total bandwidth across
 all nodes.
+
+The package exports the serial backend.  The sharded backend
+(``ShardedSimulator``, ``ShardPlan``, ``partition_topology``) lives in
+:mod:`repro.net.sharding`, imported from there: it pulls in
+``multiprocessing`` and the frame codec, so it loads on the first sharded
+build (``Network.build(backend="sharded")``) and a serial run never loads it.
 """
 
 from repro.net.address import Address, node_name
@@ -34,7 +40,6 @@ from repro.net.query import (
 from repro.net.topology import Topology, grid_topology, line_topology, random_topology, ring_topology
 from repro.net.stats import NetworkStats, NodeStats
 from repro.net.kernel import CostModel, KernelOptions, SimulationKernel, SimulationResult
-from repro.net.sharding import ShardPlan, ShardedSimulator, partition_topology
 
 __all__ = [
     "Address",
@@ -59,8 +64,6 @@ __all__ = [
     "QueryResponse",
     "QueryResult",
     "QueryTimeout",
-    "ShardPlan",
-    "ShardedSimulator",
     "SimulationEvent",
     "SimulationKernel",
     "SimulationResult",
@@ -69,7 +72,6 @@ __all__ = [
     "grid_topology",
     "line_topology",
     "node_name",
-    "partition_topology",
     "random_topology",
     "ring_topology",
 ]

@@ -160,6 +160,11 @@ class SimulationResult:
         return collect_facts(self.engines, relation)
 
 
+#: Execution modes for the sharded backend's shard workers (it lives in
+#: :mod:`repro.net.sharding`, which only a sharded build imports).
+SHARD_MODES = ("processes", "inline")
+
+
 @dataclass(frozen=True)
 class KernelOptions:
     """The run-wide kernel settings, declared once.

@@ -92,6 +92,7 @@ from repro.net.events import (
     SimulationEvent,
 )
 from repro.net.kernel import (
+    SHARD_MODES,
     KernelOptions,
     SimulationKernel,
     SimulationResult,
@@ -102,9 +103,6 @@ from repro.net.query import PendingQuery, ProvenanceQuery
 from repro.net.stats import NetworkStats, WireMessage
 from repro.net.topology import Topology
 from repro.net.transport import BinaryCodec
-
-#: Execution modes for the shard workers.
-SHARD_MODES = ("processes", "inline")
 
 
 # ---------------------------------------------------------------------------

@@ -126,12 +126,7 @@ class ReferenceTable:
         existing = self._rows.get(key)
 
         if existing is not None and existing.values == fact.values:
-            # Same tuple: refresh soft-state metadata in place.  The payload
-            # depends only on relation/values, so an already rendered
-            # serialization is handed to the refreshing copy — immediately
-            # deduplicated derivations never pay the rendering twice.
-            if fact._payload_cache is None and existing._payload_cache is not None:
-                fact._payload_cache = existing._payload_cache
+            # Same tuple: refresh soft-state metadata in place.
             self._rows[key] = fact
             self._reindex_replace(existing, fact)
             self._soft_count += (fact.ttl is not None) - (existing.ttl is not None)

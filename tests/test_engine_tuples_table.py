@@ -51,6 +51,16 @@ class TestFact:
         fact = Fact("bestPath", ("a", "c", ("a", "b", "c"), 2.0))
         assert b"[a|b|c]" in fact.payload()
 
+    def test_a_copy_with_new_values_renders_its_own_values(self):
+        """The size memo stays with the fact that filled it: a copy made
+        with ``replace`` and other values renders and sizes those values."""
+        fact = Fact("r", ("a",))
+        assert fact.payload_size() == len(b"r(a)")
+        changed = replace(fact, values=("abc",))
+        assert changed.payload() == b"r(abc)"
+        assert changed.payload_size() == len(changed.payload())
+        assert fact.payload() == b"r(a)" and fact.payload_size() == len(b"r(a)")
+
     def test_a_copy_with_new_metadata_is_the_same_tuple(self):
         fact = Fact("link", ("a", "b"))
         signed = replace(fact, asserted_by="a", signature=b"sig")
@@ -97,6 +107,18 @@ class TestTableBasics:
         assert result.refreshed
         assert len(table) == 1
         assert table.facts()[0].timestamp == 5.0
+
+    def test_a_refresh_keeps_the_refreshing_facts_own_rendering(self):
+        """Equal values need not render alike: ``r(True)`` refreshes a
+        stored, already rendered ``r(1)`` and renders as itself."""
+        table = Table(RelationSchema(name="r", arity=1))
+        stored = Fact("r", (1,))
+        assert stored.payload() == b"r(1)" and stored.payload_size() == 4
+        table.insert(stored)
+        assert table.insert(Fact("r", (True,))).refreshed
+        (row,) = table.facts()
+        assert row.payload() == b"r(True)"
+        assert row.payload_size() == len(row.payload())
 
     def test_primary_key_replacement(self):
         table = make_table(keys=(0, 1))

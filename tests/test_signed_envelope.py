@@ -115,6 +115,43 @@ def test_spliced_annotation_or_support_is_rejected(compiled_best_path, keystore)
     assert b.provenance.annotation(first.key()) == first.provenance
 
 
+def cheaper(fact: Fact, rebuilt: bool) -> Fact:
+    """*fact* as a relay alters it in flight: its last value (a cost) one
+    lower, copied with ``dataclasses.replace`` or built anew as a ``Fact``."""
+    values = fact.values[:-1] + (fact.values[-1] - 1.0,)
+    if not rebuilt:
+        return replace(fact, values=values)
+    return Fact(
+        fact.relation,
+        values,
+        fact.timestamp,
+        fact.ttl,
+        fact.asserted_by,
+        fact.signature,
+        fact.provenance,
+        fact.origin,
+        fact.support,
+    )
+
+
+@pytest.mark.parametrize("rebuilt", [False, True], ids=["replaced", "rebuilt"])
+def test_a_tuple_whose_values_a_relay_changed_is_rejected(
+    compiled_best_path, keystore, rebuilt
+):
+    """Integrity in transit: a seal covers the values its tuple held when it
+    was sealed, and the receiver verifies the values that arrive — not a
+    rendering made before a relay changed them.  A tuple whose cost a relay
+    lowered, by copying it or by building a new one, is refused; the
+    genuine tuple is still admitted afterwards."""
+    a, b, _ = engines(compiled_best_path, keystore)
+    first, _ = two_tuples_from_a_to_b(a, b)
+    signature = seal(a, (first,), "b")
+    assert_rejected(receive(b, (cheaper(first, rebuilt),), signature, 2.0), 1)
+    genuine = receive(b, (first,), signature, 3.0).report
+    assert (genuine.facts_verified, genuine.facts_rejected) == (1, 0)
+    assert b.database.by_name[first.relation].get_by_values(first.values) is not None
+
+
 def test_misdelivered_or_replayed_tuple_is_rejected(compiled_best_path, keystore):
     """Non-repudiation: a seal is evidence that its sender said *this*, to
     *this* node, as its n-th export — so it must be worthless anywhere else
@@ -439,6 +476,21 @@ def test_batched_splice_drop_and_reorder_are_rejected_per_tuple():
     for tampered in attacks:
         assert tampered.seal == batch.seal
         assert deliver_batch(network, tampered) == refused(tampered)
+    assert_genuine_batches_still_pass(network, [batch])
+
+
+@pytest.mark.parametrize("rebuilt", [False, True], ids=["replaced", "rebuilt"])
+def test_a_batched_tuple_whose_values_a_relay_changed_is_rejected_per_tuple(rebuilt):
+    """Integrity in transit, batched: one tuple of a sealed batch whose cost
+    a relay lowered — copied or built anew — refuses the batch tuple by
+    tuple, and the untouched batch is still admitted afterwards."""
+    network, held = held_batches()
+    batch = held[0]
+    item = batch.items[0]
+    tampered = with_items(
+        batch, (replace(item, fact=cheaper(item.fact, rebuilt)),) + batch.items[1:]
+    )
+    assert deliver_batch(network, tampered) == refused(tampered)
     assert_genuine_batches_still_pass(network, [batch])
 
 

@@ -327,15 +327,18 @@ def test_non_literal_values_round_trip():
 
 
 def test_a_fact_travels_without_its_payload_memo():
-    """A frame carries a fact's fields, not its rendered payload: the
-    receiver renders the same bytes on demand."""
+    """A frame carries a fact's fields, neither its rendered payload nor its
+    memoised size: the receiver renders the same bytes on demand."""
     (_, batch) = _sample_exports()[1]
     for fact in (item.fact for item in batch.items):
         rendered = fact.payload()
+        assert fact.payload_size() == len(rendered)
+        assert fact._payload_size == len(rendered)
         frame = BinaryCodec().encode_frame(fact)
         assert rendered not in frame
         decoded = BinaryCodec().decode_frame(frame)
-        assert decoded._payload_cache is None
+        assert decoded._payload_size is None
+        assert decoded.payload_size() == len(rendered)
         assert all(
             same(getattr(decoded, f.name), getattr(fact, f.name))
             for f in fields(Fact)

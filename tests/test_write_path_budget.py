@@ -12,7 +12,8 @@ state), counted inside ``run()`` from outside ``src/``.  Two kinds of number:
 ``tests/test_rule_compiler.py`` holds the same kind of budget for the rule
 compiler at seed 3; this file is the write path's.  The last test counts,
 at 8 nodes under provenance and signatures, the ``Fact`` objects the run
-builds: one per tuple made.
+builds: one per tuple made; the one before it, at 8 nodes with and without
+signatures, the payload renders.
 """
 
 from __future__ import annotations
@@ -168,6 +169,51 @@ def test_profiled_calls_stay_under_three_quarters_of_the_parents():
     assert result.converged
     total = pstats.Stats(profile).total_calls
     assert total <= TOTAL_CALLS_BUDGET < 0.76 * PARENT_TOTAL_CALLS + 1, total
+
+
+# -- payload renders -------------------------------------------------------------
+
+#: Measured when a fact stopped keeping its rendered payload (Best-Path,
+#: N=8, seed 0): ``Fact.payload`` renders, ``Fact.payload_size`` renders
+#: (memo misses), tuples shipped, facts derived.
+RENDERS = {"ndlog": (0, 355, 180, 355), "sendlog-prov": (366, 365, 183, 365)}
+
+
+@pytest.mark.parametrize("provenance", sorted(RENDERS))
+def test_renders_per_run(monkeypatch, provenance):
+    """Exact payload renders of one fixpoint.  ``payload()`` renders on every
+    call, and only a seal and its verification call it: under signed
+    ``says`` a shipped tuple renders once to seal and once to verify, and
+    without signatures nothing asks.  ``payload_size()`` renders a fact's
+    payload once and keeps only the length: one render per derived tuple,
+    charged where it is stored or exported, and none for a received tuple,
+    which its sender sized."""
+    built = Network.build(
+        topology=random_topology(8, seed=0),
+        program="best-path",
+        provenance=provenance,
+        seed=0,
+        key_bits=128,
+    )
+    tally = {"payload": 0, "size": 0}
+    payload, size = Fact.payload, Fact.payload_size
+
+    def counted_payload(self):
+        tally["payload"] += 1
+        return payload(self)
+
+    def counted_size(self):
+        tally["size"] += self._payload_size is None
+        return size(self)
+
+    monkeypatch.setattr(Fact, "payload", counted_payload)
+    monkeypatch.setattr(Fact, "payload_size", counted_size)
+    summary = built.run().summary()
+    shipped, derived = summary["tuples_sent"], summary["facts_derived"]
+    assert (tally["payload"], tally["size"], shipped, derived) == RENDERS[provenance]
+    signed = provenance == "sendlog-prov"
+    assert tally["payload"] == (2 * shipped if signed else 0)
+    assert tally["size"] == derived
 
 
 # -- each tuple is made once -----------------------------------------------------

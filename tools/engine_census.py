@@ -9,7 +9,11 @@ round; the tool exits 1 unless that is 0), how long the runs of same-relation
 deltas are, how many ``Table.expire`` / ``Database.table`` calls had anything
 to do, how long an index bucket is when a fact in it is replaced or removed
 (and where in it that fact sits: what a list walk would have cost), what the
-payload renderer is asked to render, how firings end, and how many ``Fact``
+payload renderer is asked to render, how often a tuple's payload is rendered
+(``Fact.payload`` renders on every call; ``Fact.payload_size`` renders once
+per fact and keeps the length) per stored row and per shipped tuple (the tool
+exits 1 when ``Fact.payload`` renders one shipped tuple more than twice: once
+to seal and once to verify), how firings end, and how many ``Fact``
 constructions a firing, an admitted tuple and a base insert cost (the tool
 exits 1 when a firing builds more than one, a receive round more than the
 tuples it admits, or the run more than one per base insert).  After the run
@@ -62,8 +66,15 @@ from repro.net.message import MessageBatch  # noqa: E402
 class Census(Counter):
     """Named counters; ``reset`` is what the flap driver calls between phases."""
 
+    def __init__(self) -> None:
+        super().__init__()
+        #: id -> [a shipped fact, its ``Fact.payload`` renders]; the fact is
+        #: held so that its id stays its own.
+        self.shipped: dict = {}
+
     def reset(self) -> None:
         self.clear()
+        self.shipped.clear()
 
 
 def _close_run(census: Census) -> None:
@@ -90,6 +101,7 @@ def install(identify_firings: bool = True) -> Census:
     insert_base = engine.insert_base
     entries = {name: getattr(engine, name) for name in ("retract_base", "retract_remote")}
     round_firings: set = set()  # (node, rule, head, inputs, instant) this round
+    shipped = census.shipped
     evaluate = node_engine.evaluate_plan_with_delta
     outgoing = node_engine.OutgoingFact
     expire, table, insert, remove = Table.expire, Database.table, Table.insert, Table._remove_fact
@@ -180,7 +192,13 @@ def install(identify_firings: bool = True) -> Census:
 
     def counted_outgoing(*args, **kwargs):
         census["exported tuples"] += 1
-        return outgoing(*args, **kwargs)
+        item = outgoing(*args, **kwargs)
+        shipped[id(item.fact)] = [item.fact, 0]
+        # The export charge sizes a tuple before its item exists.
+        census["Fact.payload_size renders of shipped tuples"] += (
+            item.fact._payload_size is not None
+        )
+        return item
 
     def counted_expire(self, now):
         census["Table.expire calls"] += 1
@@ -230,12 +248,19 @@ def install(identify_firings: bool = True) -> Census:
         return render(value)
 
     def counted_payload(self):
-        census["Fact.payload calls"] += 1
-        census["Fact.payload renders"] += self._payload_cache is None
+        census["Fact.payload renders"] += 1
+        entry = shipped.get(id(self))
+        if entry is not None:
+            census["Fact.payload renders of shipped tuples"] += 1
+            entry[1] += 1
+            census["shipped tuples rendered more than twice by Fact.payload"] += entry[1] == 3
         return payload(self)
 
     def counted_size(self):
         census["Fact.payload_size calls"] += 1
+        if self._payload_size is None:
+            census["Fact.payload_size renders"] += 1
+            census["Fact.payload_size renders of shipped tuples"] += id(self) in shipped
         return size(self)
 
     def counted_build(self, *args, **kwargs):
@@ -311,6 +336,21 @@ def count_residency(network) -> Counter:
                             not isinstance(bucket, Fact)
                         )
     return residency
+
+
+def print_renders_per_row(census: Census, network) -> None:
+    """Payload renders of the tuples the run did not ship, per row stored
+    after it (a row keeps no rendering, so a refresh renders anew)."""
+    rows = sum(
+        len(table) for engine in network.engines.values()
+        for table in engine.database.by_name.values()
+    )
+    local = sum(
+        census[f"{kind} renders"] - census[f"{kind} renders of shipped tuples"]
+        for kind in ("Fact.payload", "Fact.payload_size")
+    )
+    print(f"rows stored after the run {rows}; renders of unshipped tuples per "
+          f"stored row {local / max(rows, 1):.2f}")
 
 
 def print_residency(residency: Counter) -> int:
@@ -393,6 +433,11 @@ def print_census(census: Census) -> None:
         if census[made]:
             print(f"{'Fact constructions per ' + label:<{width}} "
                   f"{census[built] / census[made]:>9.2f}")
+    exported = census["exported tuples"]
+    if exported:
+        for kind in ("Fact.payload", "Fact.payload_size"):
+            print(f"{kind + ' renders per shipped tuple':<{width}} "
+                  f"{census[kind + ' renders of shipped tuples'] / exported:>9.2f}")
     sealed = census["signed wire messages sealed"]
     if sealed:
         histogram = sorted(
@@ -454,6 +499,9 @@ def main(argv: Optional[List[str]] = None) -> None:
         sys.exit("a receive round built more than one Fact per tuple it admitted")
     if census["Fact constructions for base inserts"] > census["base inserts"]:
         sys.exit("the run built more than one Fact per base insert")
+    print_renders_per_row(census, network)
+    if census["shipped tuples rendered more than twice by Fact.payload"]:
+        sys.exit("Fact.payload rendered a shipped tuple more than twice")
     if print_residency(count_residency(network)):
         sys.exit("an index bucket of one row is not the bare row, or a dict bucket "
                  "holds fewer than two rows")
